@@ -168,7 +168,7 @@ def bench_hotpath(benchmark):
     # baseline.  The committed wall-clock was measured on the reference
     # machine, so CI (a different machine family) sets
     # BENCH_HOTPATH_SKIP_SPEEDUP_ASSERT=1 and relies on the determinism
-    # asserts above plus check_bench_regression.py's relative gate instead.
+    # asserts above plus the perf ledger's host-normalised bounds instead.
     if not os.environ.get("BENCH_HOTPATH_SKIP_SPEEDUP_ASSERT"):
         assert speedup >= MIN_SPEEDUP, (
             f"hot path regressed: {speedup:.2f}× < {MIN_SPEEDUP}× vs committed baseline")

@@ -14,8 +14,8 @@ numbers to ``BENCH_workload.json``:
      total op count;
   2. **determinism** — a seeded replay of the full million-op run issues
      bit-identical op/write/event counts;
-  3. the committed ops/s + per-op µs trajectory (regression-gated by
-     ``check_bench_regression.py``).
+  3. the committed ops/s + per-op µs trajectory (its op/write/event counts
+     are replayed by ``check_bench_regression.py``).
 """
 
 from __future__ import annotations

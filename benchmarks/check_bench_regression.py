@@ -1,47 +1,40 @@
 #!/usr/bin/env python
-"""Benchmark regression gate for CI.
+"""Benchmark determinism gate for CI.
 
-Reruns the committed benchmark scenarios and fails when drift is detected:
+Reruns the committed benchmark scenarios and fails when their counts or
+fingerprints drift.  Timing is not gated here: wall-clock against numbers
+recorded on another host is noise, and host-normalised performance is the
+perf ledger's job (``BENCHMARK.json`` / ``benchmarks/ledger``).
 
 * ``BENCH_multiobject.json`` — the 8-node × 8-object × 300 s ablation: the
-  rerun must process exactly the baseline's event and write counts
-  (determinism) and stay within ``--threshold`` of the committed per-object
-  wall-clock;
+  rerun must process exactly the baseline's event and write counts;
 * ``BENCH_churn.json`` — the smallest committed churn points (all loss
-  rates): event/write counts must match exactly, and per-point wall-clock
-  is held to the same threshold when the committed point is long enough to
-  rise above timer noise (≥ 1 s);
+  rates): event/write counts must match exactly;
 * ``BENCH_workload.json`` — the committed constant-shape traffic point:
-  op/write/event counts must match exactly and per-op µs (ops/s) must stay
-  within the threshold;
+  op/write/event counts must match exactly;
 * ``BENCH_longrun.json`` — the committed 100k-op long-run point (stability
   frontier + checkpoint/truncation enabled): op/write/event/fold counts
-  must match exactly, per-op µs must stay within the threshold, the peak
-  retained-entry gauge must stay below the committed live-entry bound, and
-  the committed 10M-vs-100k flatness ratio must respect its budget;
+  must match exactly, the peak retained-entry gauge must stay below the
+  committed live-entry bound, and the committed 10M-vs-100k flatness ratio
+  must respect its budget;
 * ``BENCH_farm.json`` — the sweep-farm reference grid: the committed run
-  must record ``fingerprint_match`` (parallel == serial oracle), a live
+  must record ``fingerprint_match`` (parallel == serial oracle) and a live
   serial-vs-``jobs=2`` rerun of a grid subset must reproduce the committed
-  per-point fingerprints exactly, serial wall-clock is held to the
-  threshold when the committed grid is long enough, and the committed
-  speedup must clear its floor when the committed host had the cores;
+  per-point fingerprints exactly;
 * ``BENCH_shard.json`` — the space-partitioned 512-node Figure 9 point:
   the committed run must record ``fingerprint_match`` (sharded == serial
-  oracle), a live rerun of the seconds-sized probe point at ``shards=1``
-  and ``shards=2`` must reproduce the committed probe fingerprints
-  exactly, and the committed 4-shard speedup must clear its floor when
-  the committed host had the cores;
+  oracle) and a live rerun of the seconds-sized probe point at ``shards=1``
+  and ``shards=2`` must reproduce the committed probe fingerprints exactly;
 * ``BENCH_worlds.json`` — the committed world catalog: every catalog
   world's pinned fingerprint must match the committed trace (no silent
-  re-pins), a live serial + ``jobs=2`` rerun of a catalog subset must
-  reproduce the committed fingerprints bit-identically, and the subset's
-  serial wall-clock is held to the threshold when long enough.
+  re-pins) and a live serial + ``jobs=2`` rerun of a catalog subset must
+  reproduce the committed fingerprints bit-identically.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/check_bench_regression.py [--threshold 0.25]
+    PYTHONPATH=src python benchmarks/check_bench_regression.py [--only GATE]
 
-Exit status 0 = within budget, 1 = regression or determinism mismatch.
+Exit status 0 = every trace replays, 1 = determinism mismatch.
 """
 
 from __future__ import annotations
@@ -69,29 +62,15 @@ WORLDS_PATH = ROOT / "BENCH_worlds.json"
 #: the scale suite and the stress machinery (loss tiers, fault schedules)
 WORLDS_RERUN = ("wan-20", "edge-lossy", "churn-heavy")
 
-#: speedup floor the committed farm benchmark must clear, provided the host
-#: that produced it had at least this many cores (mirrors bench_farm.py)
-FARM_MIN_SPEEDUP = 3.0
-FARM_MIN_SPEEDUP_CORES = 4
-
-#: speedup floor the committed shard benchmark must clear, provided the
-#: host that produced it had the cores (mirrors bench_shard.py)
-SHARD_MIN_SPEEDUP = 1.8
-SHARD_MIN_SPEEDUP_CORES = 4
 #: grid points to re-execute live (serial + jobs=2); the full grid is the
 #: benchmark's job, the gate just needs enough to catch drift
 FARM_RERUN_POINTS = 2
 
-#: wall-clock gating needs a baseline long enough to rise above scheduler
-#: noise; shorter committed points are gated on exact counts only
-MIN_WALL_GATE_SECONDS = 1.0
 
-
-def check_multiobject(threshold: float) -> bool:
+def check_multiobject() -> bool:
     """Gate the multi-object ablation; returns True on failure."""
     committed = json.loads(MULTIOBJECT_PATH.read_text(encoding="utf-8"))
     baseline = committed["ablation"]["runtime_architecture"]
-    base_per_object = baseline["per_object_seconds"][0]
     base_events = baseline["events_processed"][0]
     base_writes = baseline["writes_applied"][0]
 
@@ -99,15 +78,11 @@ def check_multiobject(threshold: float) -> bool:
         num_nodes=baseline["num_nodes"], object_counts=(8,),
         duration=baseline["duration_simulated_s"], write_period=0.4,
         seed=11, shared_cache=True)
-    per_object = result.per_object_seconds()[0]
-    ratio = per_object / base_per_object
 
     print("== multiobject ==")
-    print(f"committed baseline: {base_per_object * 1e3:.1f} ms/object "
-          f"({base_events} events, {base_writes} writes)")
-    print(f"this run:           {per_object * 1e3:.1f} ms/object "
-          f"({result.events_processed[0]} events, {result.writes_applied[0]} writes)")
-    print(f"ratio: {ratio:.2f}× (budget ≤ {1 + threshold:.2f}×)")
+    print(f"committed baseline: {base_events} events, {base_writes} writes")
+    print(f"this run:           {result.events_processed[0]} events, "
+          f"{result.writes_applied[0]} writes")
 
     failed = False
     if result.events_processed[0] != base_events:
@@ -118,14 +93,10 @@ def check_multiobject(threshold: float) -> bool:
         print("FAIL: writes applied diverged from the committed baseline "
               "(determinism broken)")
         failed = True
-    if ratio > 1 + threshold:
-        print(f"FAIL: per-object wall-clock regressed {ratio:.2f}× "
-              f"> {1 + threshold:.2f}× budget")
-        failed = True
     return failed
 
 
-def check_churn(threshold: float) -> bool:
+def check_churn() -> bool:
     """Gate the committed churn points at the smallest deployment size."""
     if not CHURN_PATH.exists():
         print("== churn == (no committed BENCH_churn.json, skipping)")
@@ -147,28 +118,17 @@ def check_churn(threshold: float) -> bool:
                  f"loss {base['loss_probability']:.0%}")
         print(f"{label}: {rerun.events_processed} events / "
               f"{rerun.writes_applied} writes "
-              f"(committed {base['events_processed']} / {base['writes_applied']}), "
-              f"{rerun.wall_seconds:.2f}s wall")
+              f"(committed {base['events_processed']} / {base['writes_applied']})")
         if rerun.events_processed != base["events_processed"]:
             print(f"FAIL: {label}: event count diverged (determinism broken)")
             failed = True
         if rerun.writes_applied != base["writes_applied"]:
             print(f"FAIL: {label}: write count diverged (determinism broken)")
             failed = True
-        base_wall = base.get("wall_seconds", 0.0)
-        if base_wall >= MIN_WALL_GATE_SECONDS:
-            ratio = rerun.wall_seconds / base_wall
-            print(f"{label}: wall ratio {ratio:.2f}× (budget ≤ {1 + threshold:.2f}×)")
-            if ratio > 1 + threshold:
-                print(f"FAIL: {label}: wall-clock regressed {ratio:.2f}×")
-                failed = True
-        else:
-            print(f"{label}: committed wall {base_wall:.2f}s < "
-                  f"{MIN_WALL_GATE_SECONDS:g}s — noise-dominated, counts only")
     return failed
 
 
-def check_workload(threshold: float) -> bool:
+def check_workload() -> bool:
     """Gate the committed constant-shape traffic-engine point."""
     if not WORKLOAD_PATH.exists():
         print("== workload == (no committed BENCH_workload.json, skipping)")
@@ -178,16 +138,12 @@ def check_workload(threshold: float) -> bool:
     committed = json.loads(WORKLOAD_PATH.read_text(encoding="utf-8"))
     base = committed["engine"]["shapes"]["constant"]
     rerun = run_shape("constant")
-    ratio = rerun["us_per_op"] / base["us_per_op"]
 
     print("== workload ==")
-    print(f"committed baseline: {base['us_per_op']:.1f} µs/op "
-          f"({base['ops_per_second']:,.0f} ops/s, {base['ops_issued']} ops, "
-          f"{base['events_processed']} events)")
-    print(f"this run:           {rerun['us_per_op']:.1f} µs/op "
-          f"({rerun['ops_per_second']:,.0f} ops/s, {rerun['ops_issued']} ops, "
-          f"{rerun['events_processed']} events)")
-    print(f"ratio: {ratio:.2f}× (budget ≤ {1 + threshold:.2f}×)")
+    print(f"committed baseline: {base['ops_issued']} ops, "
+          f"{base['events_processed']} events")
+    print(f"this run:           {rerun['ops_issued']} ops, "
+          f"{rerun['events_processed']} events")
 
     failed = False
     for key in ("ops_issued", "reads_issued", "writes_applied",
@@ -196,14 +152,10 @@ def check_workload(threshold: float) -> bool:
             print(f"FAIL: {key} diverged from the committed baseline "
                   "(determinism broken)")
             failed = True
-    if ratio > 1 + threshold:
-        print(f"FAIL: per-op cost regressed {ratio:.2f}× "
-              f"> {1 + threshold:.2f}× budget (ops/s regression)")
-        failed = True
     return failed
 
 
-def check_longrun(threshold: float) -> bool:
+def check_longrun() -> bool:
     """Gate the committed 100k-op stability/truncation point."""
     if not LONGRUN_PATH.exists():
         print("== longrun == (no committed BENCH_longrun.json, skipping)")
@@ -214,20 +166,16 @@ def check_longrun(threshold: float) -> bool:
     base = committed["points"]["100k"]
     bound = committed["live_entry_bound"]
     rerun = run_point(100_000, spans=base.get("spans", 1))
-    # CPU time: the long-run spans are short enough that wall-clock noise
-    # on shared runners would dominate a wall-based ratio.
-    ratio = rerun["us_per_op_cpu"] / base["us_per_op_cpu"]
 
     print("== longrun ==")
-    print(f"committed baseline: {base['us_per_op_cpu']:.1f} µs/op (cpu) "
-          f"({base['ops_issued']} ops, {base['events_processed']} events, "
+    print(f"committed baseline: {base['ops_issued']} ops, "
+          f"{base['events_processed']} events, "
           f"{base['entries_folded']} folded, "
-          f"peak retained {base['peak_retained_entries']})")
-    print(f"this run:           {rerun['us_per_op_cpu']:.1f} µs/op (cpu) "
-          f"({rerun['ops_issued']} ops, {rerun['events_processed']} events, "
+          f"peak retained {base['peak_retained_entries']}")
+    print(f"this run:           {rerun['ops_issued']} ops, "
+          f"{rerun['events_processed']} events, "
           f"{rerun['entries_folded']} folded, "
-          f"peak retained {rerun['peak_retained_entries']})")
-    print(f"ratio: {ratio:.2f}× (budget ≤ {1 + threshold:.2f}×)")
+          f"peak retained {rerun['peak_retained_entries']}")
 
     failed = False
     for key in ("ops_issued", "reads_issued", "writes_applied",
@@ -241,10 +189,6 @@ def check_longrun(threshold: float) -> bool:
         print(f"FAIL: peak retained entries {rerun['peak_retained_entries']} "
               f"breached the live-entry bound {bound}")
         failed = True
-    if ratio > 1 + threshold:
-        print(f"FAIL: per-op cost regressed {ratio:.2f}× "
-              f"> {1 + threshold:.2f}× budget")
-        failed = True
     flatness = committed.get("flatness_ratio")
     budget = committed.get("flatness_budget", 1.10)
     if flatness is not None and flatness > budget:
@@ -254,7 +198,7 @@ def check_longrun(threshold: float) -> bool:
     return failed
 
 
-def check_farm(threshold: float) -> bool:
+def check_farm() -> bool:
     """Gate the committed sweep-farm reference grid."""
     if not FARM_PATH.exists():
         print("== farm == (no committed BENCH_farm.json, skipping)")
@@ -265,10 +209,7 @@ def check_farm(threshold: float) -> bool:
 
     print("== farm ==")
     print(f"committed: {grid['num_points']} points, "
-          f"serial {committed['serial_wall_seconds']:.2f}s, "
-          f"jobs={committed['jobs']} {committed['parallel_wall_seconds']:.2f}s, "
-          f"speedup {committed['speedup']:.2f}x "
-          f"on {committed['cpu_count']} core(s)")
+          f"jobs={committed['jobs']} on {committed['cpu_count']} core(s)")
 
     failed = False
     if not committed.get("fingerprint_match"):
@@ -305,39 +246,11 @@ def check_farm(threshold: float) -> bool:
     if not failed:
         print(f"{len(specs)} grid points re-run serial + jobs=2: "
               "fingerprints match the committed trace")
-
-    # Serial wall-clock regression against the committed serial leg's own
-    # per-point walls.  (The per-point telemetry block is from the parallel
-    # leg, where worker contention inflates point walls — don't use it.)
-    serial_walls = committed["serial_point_wall_seconds"]
-    base_subset_wall = sum(serial_walls[i] for i in subset)
-    rerun_wall = sum(o.wall_seconds for o in serial.outcomes)
-    if base_subset_wall >= MIN_WALL_GATE_SECONDS:
-        ratio = rerun_wall / base_subset_wall
-        print(f"serial wall ratio {ratio:.2f}x (budget <= {1 + threshold:.2f}x)")
-        if ratio > 1 + threshold:
-            print(f"FAIL: serial point wall-clock regressed {ratio:.2f}x")
-            failed = True
-    else:
-        print(f"committed subset wall {base_subset_wall:.2f}s < "
-              f"{MIN_WALL_GATE_SECONDS:g}s — noise-dominated, counts only")
-
-    # Speedup floor, honoured only when the committed host could deliver it.
-    if committed["cpu_count"] >= FARM_MIN_SPEEDUP_CORES:
-        if committed["speedup"] < FARM_MIN_SPEEDUP:
-            print(f"FAIL: committed speedup {committed['speedup']:.2f}x is "
-                  f"below the {FARM_MIN_SPEEDUP}x floor despite "
-                  f"{committed['cpu_count']} cores")
-            failed = True
-    else:
-        print(f"speedup floor waived: committed host had only "
-              f"{committed['cpu_count']} core(s)")
     return failed
 
 
-def check_shard(threshold: float) -> bool:
+def check_shard() -> bool:
     """Gate the committed space-partitioned Figure 9 point."""
-    del threshold  # wall-clock is host-bound; the gate is determinism + floor
     if not SHARD_PATH.exists():
         print("== shard == (no committed BENCH_shard.json, skipping)")
         return False
@@ -347,11 +260,7 @@ def check_shard(threshold: float) -> bool:
 
     print("== shard ==")
     print(f"committed: {committed['point']['num_nodes']} nodes, "
-          f"serial {committed['serial_wall_seconds']:.2f}s, "
-          f"shards={committed['shards']} "
-          f"{committed['sharded_wall_seconds']:.2f}s, "
-          f"speedup {committed['speedup']:.2f}x "
-          f"on {committed['cpu_count']} core(s)")
+          f"shards={committed['shards']} on {committed['cpu_count']} core(s)")
 
     failed = False
     if not committed.get("fingerprint_match"):
@@ -375,22 +284,11 @@ def check_shard(threshold: float) -> bool:
     if not failed:
         print("probe re-run at shards=1 and shards=2: fingerprints match "
               "the committed trace")
-
-    # Speedup floor, honoured only when the committed host could deliver it.
-    if committed["cpu_count"] >= SHARD_MIN_SPEEDUP_CORES:
-        if committed["speedup"] < SHARD_MIN_SPEEDUP:
-            print(f"FAIL: committed speedup {committed['speedup']:.2f}x is "
-                  f"below the {SHARD_MIN_SPEEDUP}x floor despite "
-                  f"{committed['cpu_count']} cores")
-            failed = True
-    else:
-        print(f"speedup floor waived: committed host had only "
-              f"{committed['cpu_count']} core(s)")
     return failed
 
 
-def check_worlds(threshold: float) -> bool:
-    """Gate the committed world catalog: pins, farm determinism, wall."""
+def check_worlds() -> bool:
+    """Gate the committed world catalog: pins and farm determinism."""
     if not WORLDS_PATH.exists():
         print("== worlds == (no committed BENCH_worlds.json, skipping)")
         return False
@@ -400,11 +298,7 @@ def check_worlds(threshold: float) -> bool:
     committed = json.loads(WORLDS_PATH.read_text(encoding="utf-8"))
     print("== worlds ==")
     print(f"committed: {len(committed['worlds'])} worlds, "
-          f"serial {committed['serial_wall_seconds']:.2f}s, "
-          f"jobs={committed['jobs']} "
-          f"{committed['parallel_wall_seconds']:.2f}s, "
-          f"speedup {committed['speedup']:.2f}x "
-          f"on {committed['cpu_count']} core(s)")
+          f"jobs={committed['jobs']} on {committed['cpu_count']} core(s)")
 
     failed = False
     if not committed.get("pin_match"):
@@ -453,26 +347,11 @@ def check_worlds(threshold: float) -> bool:
     if not failed:
         print(f"{len(rerun)} worlds re-run serial + jobs=2: fingerprints "
               "match the committed trace")
-
-    base_wall = sum(committed["worlds"][n]["wall_seconds"] for n in rerun)
-    rerun_wall = sum(o.wall_seconds for o in serial.outcomes)
-    if base_wall >= MIN_WALL_GATE_SECONDS:
-        ratio = rerun_wall / base_wall
-        print(f"serial wall ratio {ratio:.2f}x (budget <= {1 + threshold:.2f}x)")
-        if ratio > 1 + threshold:
-            print(f"FAIL: world wall-clock regressed {ratio:.2f}x")
-            failed = True
-    else:
-        print(f"committed subset wall {base_wall:.2f}s < "
-              f"{MIN_WALL_GATE_SECONDS:g}s — noise-dominated, counts only")
     return failed
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--threshold", type=float, default=0.25,
-                        help="allowed fractional wall-clock regression vs the "
-                             "committed baselines (default 0.25 = +25%%)")
     parser.add_argument("--only",
                         choices=("multiobject", "churn", "workload", "longrun",
                                  "farm", "shard", "worlds"),
@@ -492,10 +371,10 @@ def main(argv: list[str] | None = None) -> int:
     selected = [args.only] if args.only else list(gates)
     failed = False
     for name in selected:
-        failed |= gates[name](args.threshold)
+        failed |= gates[name]()
         print()
-    print("FAIL: regression gate tripped" if failed
-          else "OK: all gates within regression budget")
+    print("FAIL: determinism gate tripped" if failed
+          else "OK: every committed trace replays")
     return 1 if failed else 0
 
 

@@ -20,7 +20,7 @@ Run with::
 from __future__ import annotations
 
 from repro.apps.booking import BookingApp, default_booking_config
-from repro.apps.workload import PoissonWorkload
+from repro.workloads.legacy import PoissonWorkload
 from repro.core.deployment import IdeaDeployment
 
 

@@ -9,24 +9,17 @@ Two applications drive the evaluation:
   booking servers replicate the sales record, consistency is maintained
   automatically and the business metrics are over-/under-selling.
 
-Shared machinery:
+Shared machinery (workload schedules live in :mod:`repro.workloads`):
 
-* :mod:`repro.apps.workload` — **deprecated** re-export of
-  :mod:`repro.workloads.legacy` (the paper's uniform/Poisson schedules);
-  streaming traffic generation lives in :mod:`repro.workloads`.
 * :mod:`repro.apps.users` — scripted user models (hint setting, complaints,
   on-demand resolution requests at scripted times).
 """
 
-from repro.apps.workload import PoissonWorkload, UniformWorkload, WorkloadEvent
 from repro.apps.users import ScriptedUser, UserAction
 from repro.apps.whiteboard import WhiteboardApp, WhiteboardStroke
 from repro.apps.booking import BookingApp, BookingOutcome, SaleRecord
 
 __all__ = [
-    "UniformWorkload",
-    "PoissonWorkload",
-    "WorkloadEvent",
     "ScriptedUser",
     "UserAction",
     "WhiteboardApp",

@@ -73,7 +73,7 @@ class ScriptedUser:
         if self._scheduled:
             raise RuntimeError("script already scheduled")
         self._scheduled = True
-        sim = self.middleware.node.sim
+        sim = self.middleware.node.clock
         for action in self.actions:
             sim.call_at(action.time, lambda a=action: self._run(a),
                         label=f"user:{self.name}:{action.kind.value}")
@@ -97,7 +97,7 @@ class ScriptedUser:
         else:  # pragma: no cover - exhaustive enum
             raise ValueError(f"unknown user action {action.kind!r}")
         self.outcomes.append(ActionOutcome(action=action,
-                                           executed_at=self.middleware.node.sim.now,
+                                           executed_at=self.middleware.node.clock.now,
                                            level_before=level_before, detail=detail))
 
     # ------------------------------------------------------------ inspection

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.config import AdaptationMode, ConsistencyMetricSpec, IdeaConfig, MetricWeights
 from repro.core.deployment import IdeaDeployment
 from repro.core.middleware import IdeaMiddleware
-from repro.apps.workload import UniformWorkload
+from repro.workloads.legacy import UniformWorkload
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,33 @@
-"""Deployment wiring: build a complete IDEA installation on the simulator.
+"""Deployment wiring: the one assembly of an IDEA node stack.
 
 The experiments all follow the same shape — N nodes on a wide-area topology,
 a handful of concurrent writers of shared objects, IDEA in a given adaptation
 mode — so this module packages the wiring as a :class:`DeploymentBuilder`
 that runs explicit, composable build passes:
 
-1. **topology** — simulator, random streams, the synthetic wide-area topology;
-2. **network** — latency model, message-passing network, per-host
-   :class:`~repro.sim.node.Node` / :class:`~repro.store.filesystem
-   .ReplicatedStore` / :class:`~repro.runtime.NodeRuntime`;
+1. **host** — a callable giving the deployment its ``clock``, ``transport``,
+   ``node_ids`` and one endpoint per node *this process* hosts:
+   :class:`SimHost` (the default: simulator, topology, latency model,
+   network, a :class:`~repro.sim.node.Node` per id), its subclass
+   :class:`~repro.shard.network.ShardHost` (one shard's slice), or
+   :class:`~repro.live.scenario.LiveHost` (wall clock, sockets, one node).
+   Every later pass is backend-neutral;
+2. **node stacks** — the shared :class:`~repro.runtime.EventBus` and a
+   :class:`~repro.store.filesystem.ReplicatedStore` +
+   :class:`~repro.runtime.NodeRuntime` per hosted endpoint;
 3. **overlay services** — RanSub, the two-layer temperature overlay, and
    (optionally) background gossip;
-4. **instrumentation** — the shared :class:`~repro.runtime.EventBus` and the
-   subscriptions that feed the trace recorder and per-object reporting;
+4. **instrumentation** — the subscriptions that feed the trace recorder and
+   per-object reporting;
 5. **object placement** — one middleware facade per (participant, object)
    attached through the node runtimes;
 6. **background scheduling** — slotted periodic timers for background
    resolution, re-reading the period each round so frequency adaptation
-   takes effect.
+   takes effect — then traffic and any :meth:`DeploymentBuilder.add_pass`.
+
+A host supplying fewer endpoints than ``node_ids`` makes the deployment
+*partitioned* (an observable, not a flag): RanSub and dynamic top layers
+are refused and participants hosted elsewhere are skipped.
 
 :class:`IdeaDeployment` is the built artefact; constructing it directly runs
 the same passes with default placement, so existing call sites keep working.
@@ -29,10 +39,7 @@ private callbacks anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (shard -> deployment)
-    from repro.shard.partition import ShardPlan
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.adaptive import AutomaticController
 from repro.core.config import AdaptationMode, IdeaConfig
@@ -52,14 +59,13 @@ from repro.runtime.events import (
 from repro.runtime.node_runtime import NodeRuntime
 from repro.sim.clock import ClockModel
 from repro.sim.engine import Simulator
-from repro.sim.latency import (LatencyModel, PerSourceLatencyModel,
-                               PlanetLabLatencyModel)
+from repro.sim.latency import LatencyModel, PlanetLabLatencyModel
 from repro.sim.network import Network
 from repro.sim.node import Node
-from repro.sim.timers import PeriodicTimer
 from repro.sim.topology import Topology, planetlab_topology
 from repro.sim.trace import TraceRecorder
 from repro.store.filesystem import ReplicatedStore
+from repro.transport import Clock, PeriodicTimer, ProtocolEndpoint, Transport
 from repro.versioning.extended_vector import ExtendedVersionVector
 
 
@@ -102,6 +108,54 @@ class _TrafficSpec:
     autostart: bool
 
 
+#: a build's first pass: gives the deployment its ``clock``, ``transport``,
+#: ``node_ids`` and ``nodes`` (one endpoint per node this process hosts)
+Host = Callable[["DeploymentBuilder", "IdeaDeployment"], None]
+
+
+class SimHost:
+    """The default host: the whole deployment on one discrete-event simulator.
+
+    The scheduling clock *is* the simulator and the transport *is* the
+    network, so both stay reachable as ``sim``/``network``.  The three hooks
+    are what :class:`~repro.shard.network.ShardHost` overrides.
+    """
+
+    def __call__(self, builder: "DeploymentBuilder", d: "IdeaDeployment") -> None:
+        d.clock = d.sim = Simulator(seed=builder.seed)
+        d.topology = (builder.topology if builder.topology is not None
+                      else planetlab_topology(builder.num_nodes))
+        d.node_ids = list(d.topology.node_ids)
+        d.latency = (builder.latency if builder.latency is not None
+                     else self.default_latency(d))
+        # Models that draw per-source/per-link jitter (PerSourceLatencyModel,
+        # HeterogeneousLatencyModel) expose a ``streams`` attribute that may
+        # be None when the model was constructed before the simulator existed
+        # — e.g. by the world compiler.  Wiring it here keeps construction
+        # order irrelevant to determinism.
+        if hasattr(d.latency, "streams") and d.latency.streams is None:
+            d.latency.streams = d.sim.random
+        d.transport = d.network = self.make_network(builder, d)
+        d.clock_model = (builder.clock_model if builder.clock_model is not None
+                         else ClockModel())
+        d.nodes = {node_id: Node(d.sim, d.network, node_id,
+                                 clock_model=d.clock_model,
+                                 processing_delay=builder.processing_delay)
+                   for node_id in self.hosted_node_ids(d)}
+
+    def hosted_node_ids(self, d: "IdeaDeployment") -> List[str]:
+        """The subsequence of ``d.node_ids`` this process hosts (all of it)."""
+        return d.node_ids
+
+    def default_latency(self, d: "IdeaDeployment") -> LatencyModel:
+        return PlanetLabLatencyModel(d.topology, d.sim.random.stream("latency"))
+
+    def make_network(self, builder: "DeploymentBuilder",
+                     d: "IdeaDeployment") -> Network:
+        return Network(d.sim, d.latency,
+                       loss_probability=builder.loss_probability)
+
+
 class DeploymentBuilder:
     """Builds an :class:`IdeaDeployment` through explicit passes.
 
@@ -128,7 +182,8 @@ class DeploymentBuilder:
                  use_gossip: bool = False,
                  shared_digest_cache: bool = True,
                  loss_probability: float = 0.0,
-                 bus: Optional[EventBus] = None) -> None:
+                 bus: Optional[EventBus] = None,
+                 host: Optional[Host] = None) -> None:
         self.num_nodes = num_nodes
         self.seed = seed
         self.topology = topology
@@ -143,11 +198,10 @@ class DeploymentBuilder:
         self.shared_digest_cache = shared_digest_cache
         self.loss_probability = loss_probability
         self.bus = bus
+        self.host: Host = host if host is not None else SimHost()
         self._object_specs: List[_ObjectSpec] = []
         self._traffic_spec: Optional[_TrafficSpec] = None
         self._start_services = False
-        self._shard_plan: Optional["ShardPlan"] = None
-        self._shard_index = 0
         self._extra_passes: List[Callable[["IdeaDeployment"], None]] = []
 
     # ------------------------------------------------------------- fluent API
@@ -168,25 +222,20 @@ class DeploymentBuilder:
             top_layer=top_layer))
         return self
 
-    def partition(self, plan: "ShardPlan",
-                  shard_index: int = 0) -> "DeploymentBuilder":
-        """Build only ``shard_index``'s slice of a space-partitioned deployment.
+    def partition(self, plan, index: int = 0) -> "DeploymentBuilder":
+        """Build only shard ``index`` of a space-partitioned deployment.
 
-        The passes then host node/store/runtime stacks for the shard's local
-        nodes only, swap the network for a
-        :class:`~repro.shard.network.ShardedNetwork` proxy that outboxes
-        cross-shard sends, and default the latency model to the
-        shard-decomposition-safe :class:`PerSourceLatencyModel`.  Features
-        whose determinism depends on seeing every node in one process —
-        message loss, gossip, RanSub/dynamic overlays (objects must pin a
-        static ``top_layer``), runtime partitions — raise during the build.
+        Selects :class:`~repro.shard.network.ShardHost` for ``plan`` (a
+        :class:`~repro.shard.partition.ShardPlan`), which hosts the shard's
+        local nodes only behind a network proxy that outboxes cross-shard
+        sends.  Features whose determinism depends on seeing every node in
+        one process — message loss, gossip, RanSub/dynamic overlays (objects
+        must pin a static ``top_layer``), runtime partitions — raise during
+        the build.
         """
-        if not 0 <= shard_index < plan.num_shards:
-            raise ValueError(
-                f"shard_index {shard_index} out of range for "
-                f"{plan.num_shards}-shard plan")
-        self._shard_plan = plan
-        self._shard_index = shard_index
+        from repro.shard.network import ShardHost  # shard imports this module
+
+        self.host = ShardHost(plan, index)
         return self
 
     def start_overlay_services(self) -> "DeploymentBuilder":
@@ -229,8 +278,8 @@ class DeploymentBuilder:
 
     def populate(self, deployment: "IdeaDeployment") -> "IdeaDeployment":
         """Run every pass, in order, against ``deployment``."""
-        self._topology_pass(deployment)
-        self._network_pass(deployment)
+        self.host(self, deployment)
+        self._stack_pass(deployment)
         self._overlay_pass(deployment)
         self._instrumentation_pass(deployment)
         self._placement_pass(deployment)
@@ -241,99 +290,28 @@ class DeploymentBuilder:
         return deployment
 
     # ---------------------------------------------------------------- passes
-    @staticmethod
-    def _inject_streams(d: "IdeaDeployment") -> None:
-        """Give any streams-carrying latency model the deployment's RNG.
-
-        Models that draw per-source/per-link jitter (PerSourceLatencyModel,
-        HeterogeneousLatencyModel) expose a ``streams`` attribute that may be
-        None when the model was constructed before the simulator existed —
-        e.g. by the world compiler.  Wiring it here keeps construction order
-        irrelevant to determinism.
-        """
-        sentinel = object()
-        if getattr(d.latency, "streams", sentinel) is None:
-            d.latency.streams = d.sim.random
-
-    def _topology_pass(self, d: "IdeaDeployment") -> None:
-        """Simulator, random streams and the wide-area topology."""
-        d.sim = Simulator(seed=self.seed)
-        d.topology = (self.topology if self.topology is not None
-                      else planetlab_topology(self.num_nodes))
-        d.node_ids = list(d.topology.node_ids)
-        d.shard_plan = self._shard_plan
-        d.shard_index = self._shard_index
-        if self._shard_plan is None:
-            d.local_node_ids = list(d.node_ids)
-        else:
-            missing = [n for n in d.node_ids
-                       if n not in self._shard_plan.node_shard]
-            if missing:
-                raise ValueError(
-                    f"shard plan does not cover node(s) {missing[:3]}; "
-                    f"build the plan from the same topology")
-            d.local_node_ids = self._shard_plan.local_nodes(
-                self._shard_index, d.node_ids)
-
-    def _network_pass(self, d: "IdeaDeployment") -> None:
-        """Latency model, network, and per-host node/store/runtime.
-
-        In partitioned builds only the shard's local nodes get full stacks;
-        the remaining ids register on the :class:`ShardedNetwork` proxy as
-        remote, so sends to them are outboxed instead of raising.
-        """
-        if self._shard_plan is not None:
-            from repro.shard.network import ShardedNetwork
-
-            if self.loss_probability > 0:
-                raise ValueError(
-                    "message loss is not supported in partitioned builds "
-                    "(loss draws consume a shared global RNG stream)")
-            if self.use_gossip:
-                raise ValueError(
-                    "gossip is not supported in partitioned builds "
-                    "(membership spans shard boundaries)")
-            d.latency = (self.latency if self.latency is not None
-                         else PerSourceLatencyModel(d.topology, d.sim.random))
-            self._inject_streams(d)
-            d.network = ShardedNetwork(d.sim, d.latency,
-                                       shard_index=self._shard_index)
-        else:
-            d.latency = (self.latency if self.latency is not None
-                         else PlanetLabLatencyModel(
-                             d.topology, d.sim.random.stream("latency")))
-            self._inject_streams(d)
-            d.network = Network(d.sim, d.latency,
-                                loss_probability=self.loss_probability)
-        d.clock_model = (self.clock_model if self.clock_model is not None
-                         else ClockModel())
+    def _stack_pass(self, d: "IdeaDeployment") -> None:
+        """The shared bus, and a store + runtime per hosted endpoint."""
         d.bus = self.bus if self.bus is not None else EventBus()
-        d.nodes = {}
         d.stores = {}
         d.runtimes = {}
-        for node_id in d.local_node_ids:
-            node = Node(d.sim, d.network, node_id, clock_model=d.clock_model,
-                        processing_delay=self.processing_delay)
+        for node_id, node in d.nodes.items():
             store = ReplicatedStore(node_id)
-            d.nodes[node_id] = node
             d.stores[node_id] = store
             d.runtimes[node_id] = NodeRuntime(
                 node, store, bus=d.bus,
                 cache_digests=self.shared_digest_cache)
-        if self._shard_plan is not None:
-            d.network.register_remote(
-                n for n in d.node_ids if n not in d.nodes)
 
     def _overlay_pass(self, d: "IdeaDeployment") -> None:
         """RanSub, the two-layer temperature overlay, optional gossip."""
         d.ransub = None
         if self.use_ransub:
-            if self._shard_plan is not None:
+            if d.partitioned:
                 raise ValueError(
                     "RanSub is not supported in partitioned builds: its "
                     "candidate-set sampling needs every node in one process; "
                     "build with use_ransub=False and pin static top layers")
-            d.ransub = RanSubService(d.sim, d.network, d.node_ids,
+            d.ransub = RanSubService(d.clock, d.transport, d.node_ids,
                                      round_period=self.ransub_period)
         d.overlay = TwoLayerOverlay(d.local_node_ids,
                                     config=self.overlay_config,
@@ -347,10 +325,15 @@ class DeploymentBuilder:
             # feed each observer's stability frontier (piggybacked counts —
             # no extra messages).
             d.gossip = GossipService(
-                d.sim, d.network, config=self.gossip_config,
+                d.clock, d.transport, config=self.gossip_config,
                 membership=lambda obj: list(d.node_ids),
                 local_digest=d._gossip_digest,
                 on_digest=d._on_gossip_digest)
+            # A receiver hosted elsewhere is never chosen by a local sender,
+            # so lazy registration alone would leave it deaf: every hosted
+            # endpoint listens from the start.
+            for node in d.nodes.values():
+                d.gossip.attach(node)
 
     def _instrumentation_pass(self, d: "IdeaDeployment") -> None:
         """Trace recorder plus the bus subscriptions that feed reporting."""
@@ -384,23 +367,22 @@ class DeploymentBuilder:
 
 
 class IdeaDeployment:
-    """A fully wired IDEA installation over the simulated wide-area network."""
+    """A fully wired IDEA installation on whatever backend its host supplied."""
 
     # Populated by the builder passes (declared for introspection/tooling).
-    sim: Simulator
-    topology: Topology
+    clock: Clock
+    transport: Transport
     node_ids: List[str]
-    #: the shard plan when this is one slice of a partitioned deployment
-    shard_plan: Optional["ShardPlan"]
-    shard_index: int
-    #: node ids hosted *in this process* (== node_ids when unpartitioned)
-    local_node_ids: List[str]
-    latency: LatencyModel
+    #: endpoints hosted *in this process* (every node id when unpartitioned)
+    nodes: Dict[str, ProtocolEndpoint]
+    # Simulator hosts only (``sim``/``network`` are the clock/transport).
+    sim: Simulator
     network: Network
+    topology: Topology
+    latency: LatencyModel
     clock_model: ClockModel
     bus: EventBus
     trace: TraceRecorder
-    nodes: Dict[str, Node]
     stores: Dict[str, ReplicatedStore]
     runtimes: Dict[str, NodeRuntime]
     ransub: Optional[RanSubService]
@@ -411,26 +393,20 @@ class IdeaDeployment:
     #: :meth:`attach_traffic`); None when the deployment has no client load
     traffic: Optional[object]
 
-    def __init__(self, *, num_nodes: int = 40, seed: int = 7,
-                 topology: Optional[Topology] = None,
-                 latency: Optional[LatencyModel] = None,
-                 clock_model: Optional[ClockModel] = None,
-                 overlay_config: Optional[OverlayConfig] = None,
-                 gossip_config: Optional[GossipConfig] = None,
-                 ransub_period: float = 5.0,
-                 processing_delay: float = 0.035,
-                 use_ransub: bool = True,
-                 use_gossip: bool = False,
-                 shared_digest_cache: bool = True,
-                 loss_probability: float = 0.0) -> None:
-        DeploymentBuilder(
-            num_nodes=num_nodes, seed=seed, topology=topology, latency=latency,
-            clock_model=clock_model, overlay_config=overlay_config,
-            gossip_config=gossip_config, ransub_period=ransub_period,
-            processing_delay=processing_delay, use_ransub=use_ransub,
-            use_gossip=use_gossip,
-            shared_digest_cache=shared_digest_cache,
-            loss_probability=loss_probability).populate(self)
+    def __init__(self, **builder_kwargs) -> None:
+        """Build with default placement; takes :class:`DeploymentBuilder`'s
+        keyword arguments."""
+        DeploymentBuilder(**builder_kwargs).populate(self)
+
+    @property
+    def local_node_ids(self) -> List[str]:
+        """Node ids hosted *in this process*, in ``node_ids`` order."""
+        return list(self.nodes)
+
+    @property
+    def partitioned(self) -> bool:
+        """True when other processes host some of this deployment's nodes."""
+        return len(self.nodes) < len(self.node_ids)
 
     # ----------------------------------------------------------- object mgmt
     def register_object(self, object_id: str, config: IdeaConfig, *,
@@ -447,9 +423,9 @@ class IdeaDeployment:
         ``top_layer`` pins a static top layer for the object instead of the
         shared temperature overlay.  Partitioned deployments *require* it:
         the overlay is per-process, so a dynamic top layer would diverge
-        between shards.  In a partitioned deployment participants hosted by
-        other shards are skipped — they get their middleware in their own
-        shard's process.
+        between processes.  In a partitioned deployment participants hosted
+        elsewhere are skipped — they get their middleware in their own
+        process.
         """
         if object_id in self.objects:
             raise ValueError(f"object {object_id!r} already registered")
@@ -457,7 +433,7 @@ class IdeaDeployment:
         if top_layer is not None:
             static_top = list(top_layer)
             provider = lambda: list(static_top)  # noqa: E731 - tiny closure
-        elif self.shard_plan is not None:
+        elif self.partitioned:
             raise ValueError(
                 f"object {object_id!r} needs a static top_layer in a "
                 f"partitioned deployment (the temperature overlay is "
@@ -468,9 +444,8 @@ class IdeaDeployment:
         for node_id in participants:
             runtime = self.runtimes.get(node_id)
             if runtime is None:
-                if (self.shard_plan is not None
-                        and node_id in self.shard_plan.node_shard):
-                    continue  # hosted by another shard
+                if node_id in self.node_ids:
+                    continue  # hosted by another process
                 raise KeyError(f"participant {node_id!r} is not a deployment node")
             managed.middlewares[node_id] = runtime.attach(
                 object_id, config, top_layer_provider=provider, policy=policy)
@@ -530,8 +505,7 @@ class IdeaDeployment:
         counts = tuple(sorted(replica.vector.counts().as_dict().items()))
         return GossipDigest(object_id=object_id, origin=node_id, counts=counts,
                             metadata=replica.metadata,
-                            last_consistent_time=replica.vector.last_consistent_time,
-                            issued_at=self.sim.now, ttl=3)
+                            last_consistent_time=replica.vector.last_consistent_time)
 
     def _on_gossip_digest(self, receiver: str, digest: GossipDigest) -> None:
         """Feed gossiped counts into the receiver's stability frontier.
@@ -589,14 +563,14 @@ class IdeaDeployment:
         self.trace.increment("faults.recover")
 
     def alive_node_ids(self) -> List[str]:
-        return [n for n in self.local_node_ids if self.nodes[n].alive]
+        return [n for n, node in self.nodes.items() if node.alive]
 
     # --------------------------------------------------------------- overlay
     def top_layer(self, object_id: str) -> List[str]:
-        return self.overlay.top_layer(object_id, self.sim.now)
+        return self.overlay.top_layer(object_id, self.clock.now)
 
     def bottom_layer(self, object_id: str) -> List[str]:
-        return self.overlay.bottom_layer(object_id, self.sim.now)
+        return self.overlay.bottom_layer(object_id, self.clock.now)
 
     # ------------------------------------------------------ background rounds
     def _schedule_background(self, managed: ManagedObject) -> None:
@@ -617,7 +591,7 @@ class IdeaDeployment:
             return managed.config.background_period
 
         timer = PeriodicTimer(
-            self.sim, lambda: self.run_background_round(managed.object_id),
+            self.clock, lambda: self.run_background_round(managed.object_id),
             period_fn=next_period, label=f"bg:{managed.object_id}")
         if timer.current_period() is None:
             return
@@ -649,7 +623,7 @@ class IdeaDeployment:
         managed.background_rounds_started += 1
         if self.bus.wants(BackgroundRoundStarted):
             self.bus.publish(BackgroundRoundStarted(
-                object_id=object_id, initiator=initiator, time=self.sim.now))
+                object_id=object_id, initiator=initiator, time=self.clock.now))
         process = middleware.resolution.start_background_resolution()
         return process  # a Process; result available once the sim advances
 
@@ -704,7 +678,7 @@ class IdeaDeployment:
         config = self.objects[object_id].config
         vectors = self.vectors(object_id, nodes)
         evaluated = evaluate_group(vectors, object_id=object_id, metric=config.metric,
-                                   weights=config.weights, now=self.sim.now)
+                                   weights=config.weights, now=self.clock.now)
         return {node: level for node, (_, level) in evaluated.items()}
 
     def sample_levels(self, object_id: str, nodes: Sequence[str], *,
@@ -714,23 +688,23 @@ class IdeaDeployment:
         worst = min(levels.values())
         average = sum(levels.values()) / len(levels)
         if record:
-            self.trace.record(f"level.worst.{object_id}", self.sim.now, worst)
-            self.trace.record(f"level.avg.{object_id}", self.sim.now, average)
+            self.trace.record(f"level.worst.{object_id}", self.clock.now, worst)
+            self.trace.record(f"level.avg.{object_id}", self.clock.now, average)
         return worst, average
 
     # ------------------------------------------------------------ accounting
     def idea_messages(self) -> int:
         """Total messages sent by IDEA protocols (detection + resolution)."""
-        return self.network.messages_sent("idea.")
+        return self.transport.messages_sent("idea.")
 
     def resolution_messages(self) -> int:
-        return self.network.messages_sent("idea.resolution")
+        return self.transport.messages_sent("idea.resolution")
 
     def detection_messages(self) -> int:
-        return self.network.messages_sent("idea.detection")
+        return self.transport.messages_sent("idea.detection")
 
     def overlay_messages(self) -> int:
-        return self.network.messages_sent("overlay.")
+        return self.transport.messages_sent("overlay.")
 
     # ----------------------------------------------------------------- misc
     def run(self, until: float) -> float:

@@ -73,7 +73,6 @@ class IdeaMiddleware:
     def __init__(self, node: ProtocolEndpoint, store: ReplicatedStore, object_id: str, *,
                  config: IdeaConfig,
                  top_layer_provider: Callable[[], Sequence[str]],
-                 on_update_recorded: Optional[Callable[[str, str, float], None]] = None,
                  policy: Optional[ResolutionPolicy] = None,
                  runtime: Optional[NodeRuntime] = None) -> None:
         self.node = node
@@ -82,7 +81,6 @@ class IdeaMiddleware:
         self.config = config
         self.runtime = runtime if runtime is not None else NodeRuntime(node, store)
         self.bus = self.runtime.bus
-        self._on_update_recorded = on_update_recorded
         self.replica: Replica = store.create(object_id)
         self.policy: ResolutionPolicy = policy or make_policy(config.resolution_strategy)
         self.controller: Controller = self._make_controller(config)
@@ -135,8 +133,6 @@ class IdeaMiddleware:
         if record is None:
             return None
         now = self.node.clock.now
-        if self._on_update_recorded is not None:
-            self._on_update_recorded(self.object_id, self.node.node_id, now)
         if self.bus.wants(WriteRecorded):
             self.bus.publish(WriteRecorded(object_id=self.object_id,
                                            node_id=self.node.node_id, time=now))

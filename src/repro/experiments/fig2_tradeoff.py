@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.apps.whiteboard import WhiteboardApp, default_whiteboard_config
-from repro.apps.workload import UniformWorkload
 from repro.baselines.optimistic import OptimisticAntiEntropy
 from repro.baselines.strong import StrongConsistencyPrimary
 from repro.baselines.tact import TactBoundedConsistency
@@ -34,6 +33,7 @@ from repro.core.config import AdaptationMode
 from repro.core.deployment import IdeaDeployment
 from repro.experiments.report import format_table
 from repro.farm import PointSpec, run_specs
+from repro.workloads.legacy import UniformWorkload
 
 
 @dataclass

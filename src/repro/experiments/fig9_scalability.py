@@ -35,7 +35,7 @@ from repro.core.deployment import DeploymentBuilder
 from repro.experiments.report import format_table
 from repro.experiments.tab2_phases import _build_whiteboard
 from repro.farm import PointSpec, run_specs
-from repro.sim.timers import PeriodicTimer
+from repro.transport.timers import PeriodicTimer
 
 
 @dataclass

@@ -45,7 +45,7 @@ from repro.experiments.report import format_table
 from repro.farm import PointSpec, run_specs
 from repro.runtime.events import DetectionEvaluated, WriteRecorded
 from repro.scenarios import FaultInjector, FaultPlan
-from repro.sim.timers import PeriodicTimer
+from repro.transport.timers import PeriodicTimer
 
 
 @dataclass

@@ -40,7 +40,7 @@ from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.deployment import DeploymentBuilder, IdeaDeployment
 from repro.experiments.report import format_table
 from repro.farm import PointSpec, run_specs
-from repro.sim.timers import PeriodicTimer
+from repro.transport.timers import PeriodicTimer
 from repro.workloads import (
     ClientPopulation,
     ConstantRate,

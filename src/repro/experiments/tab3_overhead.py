@@ -19,10 +19,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.formulas import messages_per_round, optimal_background_rate, round_cost_bits
 from repro.apps.booking import BookingApp, default_booking_config
-from repro.apps.workload import UniformWorkload
 from repro.core.deployment import IdeaDeployment
 from repro.experiments.report import format_table
 from repro.farm import PointSpec, run_specs
+from repro.workloads.legacy import UniformWorkload
 
 
 @dataclass

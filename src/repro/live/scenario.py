@@ -11,6 +11,9 @@ either backend:
   event loop — the multiprocess deployment reuses the same per-node stack
   via :mod:`repro.live.deployment`).
 
+Both build through :func:`scenario_builder` and differ only in its host: the
+simulator default, or one :class:`LiveHost` per node.
+
 The spec is phase-separated so its *protocol outcomes* are functions of the
 schedule, not of message timing: all initial writes finish well before the
 demanded resolutions; every node then issues one post-resolution write, so
@@ -41,13 +44,17 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import AdaptationMode, IdeaConfig
+from repro.core.deployment import DeploymentBuilder, Host, IdeaDeployment
 from repro.live.clock import LiveClock
 from repro.live.node import LiveNode
 from repro.live.transport import Address, LiveTransport
-from repro.overlay.gossip import GossipConfig, GossipDigest, GossipService
+from repro.overlay.gossip import GossipConfig
 from repro.runtime.events import ResolutionCompleted
-from repro.runtime.node_runtime import NodeRuntime
-from repro.store.filesystem import ReplicatedStore
+from repro.scenarios.injector import FaultInjector
+from repro.sim.clock import ClockModel
+from repro.sim.latency import FixedLatencyModel
+from repro.sim.topology import Site, Topology
+from repro.transport import ProtocolEndpoint
 
 #: gossip parameters used by conformance scenarios: fast rounds so even a
 #: few-second run shows bottom-layer activity
@@ -123,60 +130,61 @@ def scenario_config() -> IdeaConfig:
                       background_period=None)
 
 
+def scenario_builder(spec: ScenarioSpec, *, host: Optional[Host] = None,
+                     latency: float = 0.02) -> DeploymentBuilder:
+    """The spec's deployment, unbuilt: every object pinned to the full node
+    set as its static top layer, fast gossip.
+
+    The one-site topology, fixed ``latency`` and perfect clocks are for the
+    default simulator host (a live ``host`` brings its own); the endpoint's
+    default processing delay keeps rounds inside the schedule's phase gaps.
+    """
+    site = Site("scenario", 0.0, 0.0)
+    builder = DeploymentBuilder(
+        seed=spec.seed, host=host,
+        topology=Topology(node_ids=list(spec.nodes), sites={site.name: site},
+                          node_site=dict.fromkeys(spec.nodes, site.name)),
+        latency=FixedLatencyModel(latency),
+        clock_model=ClockModel().perfect(),
+        processing_delay=ProtocolEndpoint.DEFAULT_PROCESSING_DELAY,
+        gossip_config=SCENARIO_GOSSIP, use_ransub=False, use_gossip=True)
+    for obj in spec.objects:
+        builder.add_object(obj, scenario_config(), top_layer=spec.nodes)
+    return builder
+
+
 # --------------------------------------------------------------------------
-# per-node stack (backend-agnostic once the endpoint exists)
+# per-node schedule + outcome counters (backend-agnostic)
 # --------------------------------------------------------------------------
 
 class NodeStack:
-    """Everything one node runs: store, runtime, per-object middleware,
-    and the outcome counters the oracle compares.
+    """One node's share of a spec over a built deployment: its schedule and
+    the outcome counters the oracle compares.
 
-    The gossip service is attached by the backend runner (``self.gossip``):
-    the simulator mirrors the deployment with *one* service routing to
-    every stack, while live mode runs one service per node (only the local
-    node's digests leave each process)."""
+    Store, runtime, middleware and gossip are the deployment's: the
+    simulator's hosts every node (its stacks share one bus and one gossip
+    service), a live one hosts just this node."""
 
-    def __init__(self, node, spec: ScenarioSpec) -> None:
-        self.node = node
+    def __init__(self, deployment: IdeaDeployment, node_id: str,
+                 spec: ScenarioSpec) -> None:
         self.spec = spec
-        self.store = ReplicatedStore(node.node_id)
-        self.runtime = NodeRuntime(node, self.store)
-        self.middlewares = {
-            obj: self.runtime.attach(obj, scenario_config(),
-                                     top_layer_provider=lambda: spec.nodes)
-            for obj in spec.objects
-        }
+        self.node = deployment.nodes[node_id]
+        self.store = deployment.stores[node_id]
+        self.runtime = deployment.runtimes[node_id]
+        self.gossip = deployment.gossip
+        self.middlewares = {obj: deployment.middleware(obj, node_id)
+                            for obj in spec.objects}
         self.writes_attempted: Dict[str, int] = {o: 0 for o in spec.objects}
         self.writes_applied: Dict[str, int] = {o: 0 for o in spec.objects}
         self.folded: Dict[str, int] = {o: 0 for o in spec.objects}
         self.resolutions: List[Tuple[str, str, str]] = []
-        self.digests_observed = 0
-        self.gossip: Optional[GossipService] = None
-        self.runtime.bus.subscribe(ResolutionCompleted, self._on_resolved)
+        deployment.bus.subscribe(ResolutionCompleted, self._on_resolved)
 
-    # ------------------------------------------------------------- protocol
     def _on_resolved(self, event: ResolutionCompleted) -> None:
-        self.resolutions.append((event.object_id, event.initiator, event.kind))
-
-    def local_gossip_digest(self, object_id: str) -> Optional[GossipDigest]:
-        """This node's current gossip digest (None while it has no replica)."""
-        if not self.node.alive or not self.store.has_replica(object_id):
-            return None
-        replica = self.store.replica(object_id)
-        counts = tuple(sorted(replica.vector.counts().as_dict().items()))
-        return GossipDigest(
-            object_id=object_id, origin=self.node.node_id, counts=counts,
-            metadata=replica.metadata,
-            last_consistent_time=replica.vector.last_consistent_time,
-            issued_at=self.node.clock.now, ttl=SCENARIO_GOSSIP.ttl)
-
-    def observe_gossip(self, digest: GossipDigest) -> None:
-        """A gossip digest arrived at this node: feed the frontier."""
-        self.digests_observed += 1
-        middleware = self.middlewares.get(digest.object_id)
-        if middleware is not None:
-            middleware.detection.observe_counts(digest.origin,
-                                                digest.version_vector())
+        # The simulator's bus carries every node's rounds; keep our own.
+        if event.initiator == self.node.node_id:
+            self.resolutions.append(
+                (event.object_id, event.initiator, event.kind))
 
     # ------------------------------------------------------------- schedule
     def schedule(self, from_time: float = 0.0) -> None:
@@ -198,8 +206,7 @@ class NodeStack:
                 clock.call_at(when, self._do_resolution, arg=obj)
         if self.spec.truncate_at > from_time:
             clock.call_at(self.spec.truncate_at, self._do_truncate)
-        if self.gossip is not None:
-            self.gossip.start()
+        self.gossip.start()  # idempotent: sim stacks share one service
 
     # The alive guards below are the client's view of crash-stop: a fault
     # plan that downs this node means no client can reach it, so schedule
@@ -246,16 +253,12 @@ class NodeStack:
             "resolutions": sorted(list(r) for r in self.resolutions),
             "final_counts": final_counts,
             "folded": dict(self.folded),
-            "gossip_rounds": (self.gossip.rounds_completed
-                              if self.gossip is not None else 0),
-            "digests_observed": self.digests_observed,
-            "messages_sent": {k: v for k, v
-                              in self.node.transport.stats.sent.items()},
+            "gossip_rounds": self.gossip.rounds_completed,
+            "messages_sent": dict(self.node.transport.stats.sent),
         }
 
     def shutdown(self) -> None:
-        if self.gossip is not None:
-            self.gossip.stop()  # idempotent: sim stacks share one service
+        self.gossip.stop()  # idempotent: sim stacks share one service
 
 
 # --------------------------------------------------------------------------
@@ -267,67 +270,20 @@ def run_sim_scenario(spec: ScenarioSpec, *, latency: float = 0.02,
     """Run the spec on the discrete-event simulator; returns per-node
     outcomes keyed by node id.
 
-    With a ``fault_plan`` (:class:`~repro.scenarios.plan.FaultPlan`) the
-    plan's actions are scheduled on simulated time: crashes call
-    ``node.fail()``, recoveries ``node.recover()``, partitions/heals/loss
-    changes go to the network — the sim half of the fault-tolerant oracle
-    (the live half delivers the same plan as signals and control-channel
-    rules; see :mod:`repro.live.chaos`).
+    A ``fault_plan`` (:class:`~repro.scenarios.plan.FaultPlan`) is armed
+    by the ordinary :class:`~repro.scenarios.injector.FaultInjector`, so
+    crashes go through the deployment's ``crash_node`` orchestration — the
+    sim half of the fault-tolerant oracle (the live half delivers the same
+    plan as signals and control-channel rules; see :mod:`repro.live.chaos`).
     """
-    from repro.sim.clock import ClockModel
-    from repro.sim.engine import Simulator
-    from repro.sim.latency import FixedLatencyModel
-    from repro.sim.network import Network
-    from repro.sim.node import Node
-
-    sim = Simulator(seed=spec.seed)
-    network = Network(sim, FixedLatencyModel(latency))
-    perfect = ClockModel().perfect()
-    stacks = {}
-    for node_id in spec.nodes:
-        node = Node(sim, network, node_id, clock_model=perfect)
-        stacks[node_id] = NodeStack(node, spec)
-    # One shared service, deployment-style: it gossips on behalf of every
-    # node (all are transport-local in the sim) and routes digests to the
-    # receiving stack.
-    gossip = GossipService(
-        sim, network, config=SCENARIO_GOSSIP,
-        membership=lambda object_id: spec.nodes,
-        local_digest=lambda nid, obj: stacks[nid].local_gossip_digest(obj),
-        on_digest=lambda receiver, digest:
-            stacks[receiver].observe_gossip(digest))
-    for obj in spec.objects:
-        gossip.watch_object(obj)
+    deployment = scenario_builder(spec, latency=latency).build()
+    stacks = {node_id: NodeStack(deployment, node_id, spec)
+              for node_id in spec.nodes}
     for stack in stacks.values():
-        stack.gossip = gossip
         stack.schedule()
     if fault_plan is not None:
-        from repro.scenarios.plan import (CRASH, HEAL, PARTITION, RECOVER,
-                                          RESTORE_LOSS, SET_LOSS)
-
-        fault_plan.validate(spec.nodes)
-        loss_stack: List[float] = []
-
-        def _apply_fault(action: Any) -> None:
-            if action.kind == CRASH:
-                stacks[action.node_id].node.fail()
-            elif action.kind == RECOVER:
-                stacks[action.node_id].node.recover()
-            elif action.kind == PARTITION:
-                network.partition(action.groups)
-            elif action.kind == HEAL:
-                network.heal()
-            elif action.kind == SET_LOSS:
-                loss_stack.append(network.loss_probability)
-                network.set_loss_probability(action.loss_probability)
-            elif action.kind == RESTORE_LOSS:
-                if loss_stack:
-                    network.set_loss_probability(loss_stack.pop())
-
-        for action in fault_plan.actions():
-            sim.call_at(action.time, _apply_fault, arg=action,
-                        label=f"fault:{action.kind}")
-    sim.run(until=spec.duration)
+        FaultInjector(deployment, fault_plan).arm()
+    deployment.run(until=spec.duration)
     for stack in stacks.values():
         stack.shutdown()
     return {node_id: stack.outcome() for node_id, stack in stacks.items()}
@@ -357,35 +313,37 @@ def make_addresses(nodes: List[str], kind: str,
     return addresses
 
 
+class LiveHost:
+    """:class:`~repro.core.deployment.DeploymentBuilder` host for one live
+    node: its own wall clock (as a real per-process deployment would have),
+    a socket transport over the address book — which is the membership —
+    and the one endpoint this process hosts.  ``transport_kwargs`` (``kind``,
+    ``max_queue_frames``, ...) go to the transport; heartbeats stay off
+    unless asked for, and no processing delay is modelled on a wall clock."""
+
+    def __init__(self, node_id: str, addresses: Dict[str, Address], *,
+                 loop: Optional[asyncio.AbstractEventLoop] = None,
+                 heartbeat_period: float = 0.0, **transport_kwargs) -> None:
+        self.node_id = node_id
+        self.addresses = addresses
+        self.loop = loop
+        self.transport_kwargs = dict(transport_kwargs,
+                                     heartbeat_period=heartbeat_period)
+
+    def __call__(self, builder: DeploymentBuilder, d: IdeaDeployment) -> None:
+        d.clock = LiveClock(seed=builder.seed, loop=self.loop)
+        d.transport = LiveTransport(d.clock, self.addresses,
+                                    **self.transport_kwargs)
+        d.node_ids = list(self.addresses)
+        d.nodes = {self.node_id: LiveNode(d.clock, d.transport, self.node_id,
+                                          processing_delay=0.0)}
+
+
 def build_live_stack(spec: ScenarioSpec, node_id: str,
-                     addresses: Dict[str, Address], *,
-                     kind: str = "uds",
-                     loop: Optional[asyncio.AbstractEventLoop] = None,
-                     heartbeat_period: float = 0.0,
-                     max_queue_frames: Optional[int] = None
-                     ) -> NodeStack:
-    """Wire one live node: its own clock (as a real per-process deployment
-    would have), transport, endpoint, and protocol stack."""
-    clock = LiveClock(seed=spec.seed, loop=loop)
-    transport = LiveTransport(clock, addresses, kind=kind,
-                              heartbeat_period=heartbeat_period,
-                              max_queue_frames=max_queue_frames)
-    node = LiveNode(clock, transport, node_id, processing_delay=0.0)
-    stack = NodeStack(node, spec)
-    # Per-node service: only the local node's digests leave this process
-    # (``has_node`` is local-only on a LiveTransport).
-    stack.gossip = GossipService(
-        clock, transport, config=SCENARIO_GOSSIP,
-        membership=lambda object_id: spec.nodes,
-        local_digest=lambda nid, obj: (stack.local_gossip_digest(obj)
-                                       if nid == node_id else None),
-        on_digest=lambda receiver, digest: stack.observe_gossip(digest))
-    for obj in spec.objects:
-        stack.gossip.watch_object(obj)
-    # The simulator registers the receive handler lazily through the shared
-    # service; in live mode each process registers its own node's handler.
-    node.register_handler("gossip_digest", stack.gossip._handle_digest)
-    return stack
+                     addresses: Dict[str, Address], **host_kwargs) -> NodeStack:
+    """Wire one live node: ``host_kwargs`` go to :class:`LiveHost`."""
+    host = LiveHost(node_id, addresses, **host_kwargs)
+    return NodeStack(scenario_builder(spec, host=host).build(), node_id, spec)
 
 
 async def run_live_stack(stack: NodeStack) -> Dict[str, Any]:

@@ -32,8 +32,9 @@ class GossipDigest:
     counts: Tuple[Tuple[str, int], ...]
     metadata: float
     last_consistent_time: float
-    issued_at: float
-    ttl: int
+    #: stamped by :meth:`GossipService.run_round` when the digest is sent
+    issued_at: float = 0.0
+    ttl: int = 0
 
     def version_vector(self) -> VersionVector:
         return VersionVector(dict(self.counts))
@@ -187,9 +188,12 @@ class GossipService:
             # Peer is down; the send will be a counted drop, and the handler
             # is registered on its first post-recovery selection instead.
             return
-        node = self.transport.node(node_id)
+        self.attach(self.transport.node(node_id))
+
+    def attach(self, node) -> None:
+        """Make ``node`` receive gossip now rather than on first selection."""
         node.register_handler("gossip_digest", self._handle_digest)
-        self._registered_nodes.add(node_id)
+        self._registered_nodes.add(node.node_id)
 
     # ------------------------------------------------------------- receiving
     def _handle_digest(self, message: Message) -> None:

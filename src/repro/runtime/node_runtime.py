@@ -96,15 +96,14 @@ class NodeRuntime:
 
     # ---------------------------------------------------------- object mgmt
     def attach(self, object_id: str, config: "IdeaConfig", *,
-               top_layer_provider, policy: Optional["ResolutionPolicy"] = None,
-               on_update_recorded=None) -> "IdeaMiddleware":
+               top_layer_provider,
+               policy: Optional["ResolutionPolicy"] = None) -> "IdeaMiddleware":
         """Create the per-object facade for ``object_id`` on this node."""
         from repro.core.middleware import IdeaMiddleware
 
         middleware = IdeaMiddleware(
             self.node, self.store, object_id, config=config,
             top_layer_provider=top_layer_provider,
-            on_update_recorded=on_update_recorded,
             policy=policy, runtime=self)
         return middleware
 

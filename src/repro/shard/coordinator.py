@@ -276,4 +276,4 @@ def run_single_process(prepare_ref: str, kwargs: Dict, *,
         state_items=state["items"],
         wall_seconds=time.perf_counter() - started,
         per_shard_events=(state["events"],),
-        per_shard_nodes=(len(deployment.local_node_ids),))
+        per_shard_nodes=(len(deployment.nodes),))

@@ -23,14 +23,20 @@ simulated past.
 Features that are unsound under partitioning — probabilistic loss (draws
 from a shared global stream) and runtime partitions (groups span shards) —
 raise instead of silently diverging from the oracle.
+
+:class:`ShardHost` is what puts the proxy under a deployment: the
+:class:`~repro.core.deployment.DeploymentBuilder` host that
+``builder.partition(plan, i)`` selects.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.deployment import SimHost
+from repro.shard.partition import ShardPlan
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.latency import LatencyModel
+from repro.sim.latency import LatencyModel, PerSourceLatencyModel
 from repro.sim.network import Message, Network
 
 #: wire format of one cross-shard message:
@@ -206,3 +212,48 @@ class ShardedNetwork(Network):
             self.remote_injected += 1
             count += 1
         return count
+
+
+class ShardHost(SimHost):
+    """Hosts shard ``shard_index``'s slice of a space-partitioned deployment.
+
+    Only the shard's local nodes get endpoints (and hence store/runtime
+    stacks); the remaining ids register on the :class:`ShardedNetwork` proxy
+    as remote, so sends to them are outboxed instead of raising.  The latency
+    model defaults to the shard-decomposition-safe
+    :class:`~repro.sim.latency.PerSourceLatencyModel`.
+    """
+
+    def __init__(self, plan: ShardPlan, shard_index: int = 0) -> None:
+        if not 0 <= shard_index < plan.num_shards:
+            raise ValueError(
+                f"shard_index {shard_index} out of range for "
+                f"{plan.num_shards}-shard plan")
+        self.plan = plan
+        self.shard_index = shard_index
+
+    def __call__(self, builder, d) -> None:
+        super().__call__(builder, d)
+        d.network.register_remote(n for n in d.node_ids if n not in d.nodes)
+
+    def hosted_node_ids(self, d) -> List[str]:
+        missing = [n for n in d.node_ids if n not in self.plan.node_shard]
+        if missing:
+            raise ValueError(
+                f"shard plan does not cover node(s) {missing[:3]}; "
+                f"build the plan from the same topology")
+        return self.plan.local_nodes(self.shard_index, d.node_ids)
+
+    def default_latency(self, d) -> LatencyModel:
+        return PerSourceLatencyModel(d.topology, d.sim.random)
+
+    def make_network(self, builder, d) -> ShardedNetwork:
+        if builder.loss_probability > 0:
+            raise ValueError(
+                "message loss is not supported in partitioned builds "
+                "(loss draws consume a shared global RNG stream)")
+        if builder.use_gossip:
+            raise ValueError(
+                "gossip is not supported in partitioned builds "
+                "(membership spans shard boundaries)")
+        return ShardedNetwork(d.sim, d.latency, shard_index=self.shard_index)

@@ -29,10 +29,10 @@ from repro.sim.topology import Topology
 class ShardPlan:
     """An immutable assignment of sites (and their nodes) to shards.
 
-    Built by :func:`partition_by_site`; consumed by the deployment builder's
-    partition pass (which filters each shard's local node set) and by the
-    coordinator (which routes flushed messages by destination shard and
-    derives the lookahead window).
+    Built by :func:`partition_by_site`; consumed by
+    :class:`~repro.shard.network.ShardHost` (which filters each shard's
+    local node set) and by the coordinator (which routes flushed messages
+    by destination shard and derives the lookahead window).
     """
 
     num_shards: int

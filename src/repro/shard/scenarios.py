@@ -26,8 +26,8 @@ from repro.shard.coordinator import (ShardedSimulation, ShardRunResult,
                                      run_single_process)
 from repro.shard.partition import ShardPlan, partition_by_site
 from repro.sim.latency import PerSourceLatencyModel
-from repro.sim.timers import PeriodicTimer
 from repro.sim.topology import planetlab_topology
+from repro.transport.timers import PeriodicTimer
 
 #: importable reference handed to spawn-started shard workers
 PREPARE_REF = "repro.shard.scenarios:prepare_shard_point"

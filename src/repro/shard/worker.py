@@ -37,7 +37,7 @@ def shard_worker_main(conn, payload) -> None:
         sim = deployment.sim
         conn.send(("ready", {
             "shard_index": payload["shard_index"],
-            "local_nodes": len(deployment.local_node_ids),
+            "local_nodes": len(deployment.nodes),
         }))
         while True:
             command = conn.recv()

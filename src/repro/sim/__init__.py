@@ -5,7 +5,8 @@ Canada.  This subpackage is the substitute substrate: a deterministic
 discrete-event simulator with
 
 * an event engine supporting callbacks and generator-style processes
-  (:mod:`repro.sim.engine`, :mod:`repro.sim.process`),
+  (:mod:`repro.sim.engine`; the process machinery itself is the seam's
+  :mod:`repro.transport.tasks`),
 * a wide-area latency model whose round-trip times mimic a continental
   Planet-Lab slice (:mod:`repro.sim.latency`, :mod:`repro.sim.topology`),
 * a message-passing network that counts every protocol message
@@ -24,21 +25,18 @@ the ``Clock``, ``Network``/``SimTransport`` the ``Transport``), and
 """
 
 from repro.sim.engine import Event, EventQueue, Simulator
-from repro.sim.process import Process, sleep
 from repro.sim.random import RandomStreams
 from repro.sim.clock import DriftingClock, ClockModel
 from repro.sim.latency import LatencyModel, PlanetLabLatencyModel, UniformLatencyModel
 from repro.sim.topology import Site, Topology, planetlab_topology
 from repro.sim.network import Message, Network, NetworkStats, SimTransport
-from repro.sim.node import Node, RPCError
+from repro.sim.node import Node
 from repro.sim.trace import Counter, TimeSeries, TraceRecorder
 
 __all__ = [
     "Event",
     "EventQueue",
     "Simulator",
-    "Process",
-    "sleep",
     "RandomStreams",
     "DriftingClock",
     "ClockModel",
@@ -53,7 +51,6 @@ __all__ = [
     "NetworkStats",
     "SimTransport",
     "Node",
-    "RPCError",
     "Counter",
     "TimeSeries",
     "TraceRecorder",

@@ -301,8 +301,8 @@ class Simulator:
                                 label=label, arg=arg, recyclable=recyclable)
 
     def spawn(self, generator: Iterable[Any], *, label: str = "") -> "Process":
-        """Run a generator-based process (see :mod:`repro.sim.process`)."""
-        from repro.sim.process import Process
+        """Run a generator-based process (see :mod:`repro.transport.tasks`)."""
+        from repro.transport.tasks import Process
 
         return Process(self, generator, label=label)
 

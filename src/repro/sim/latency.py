@@ -373,7 +373,7 @@ class PerSourceLatencyModel(LatencyModel):
         self.min_jitter = min_jitter
         self._mu = -0.5 * jitter_sigma ** 2
         #: the RandomStreams registry delays are drawn from; deployments
-        #: inject the simulator's registry here (see ``_network_pass``)
+        #: inject the simulator's registry here (see ``SimHost``)
         self.streams = streams
         self._rngs: Dict[str, np.random.Generator] = {}
 

@@ -6,9 +6,6 @@ backend-neutral :class:`~repro.transport.endpoint.ProtocolEndpoint`.
 :class:`Node` binds it to the simulator and adds the one genuinely
 simulated concern: a local :class:`~repro.sim.clock.DriftingClock`, so
 ``local_time()`` reads a skewed clock the way a real host's would drift.
-
-``RPCError`` and ``unwrap_response`` are re-exported from the seam for
-backward compatibility with pre-seam imports.
 """
 
 from __future__ import annotations
@@ -18,11 +15,7 @@ from typing import Optional
 from repro.sim.clock import ClockModel, DriftingClock
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
-from repro.transport.endpoint import (ProtocolEndpoint, _PendingRequest,
-                                      unwrap_response)
-from repro.transport.errors import RPCError
-
-__all__ = ["Node", "RPCError", "unwrap_response", "_PendingRequest"]
+from repro.transport.endpoint import ProtocolEndpoint
 
 
 class Node(ProtocolEndpoint):
@@ -31,11 +24,6 @@ class Node(ProtocolEndpoint):
     def __init__(self, sim: Simulator, network: Network, node_id: str, *,
                  clock_model: Optional[ClockModel] = None,
                  processing_delay: Optional[float] = None) -> None:
-        #: backward-compatible aliases — the scheduling clock *is* the
-        #: simulator and the transport *is* the simulated network, and a
-        #: decade of call sites (and tests) spell them ``sim``/``network``
-        self.sim = sim
-        self.network = network
         model = clock_model if clock_model is not None else ClockModel()
         self.local_clock = DriftingClock(node_id, model,
                                          sim.random.stream(f"clock.{node_id}"))
@@ -45,4 +33,4 @@ class Node(ProtocolEndpoint):
     # ------------------------------------------------------------------ time
     def local_time(self) -> float:
         """This node's (possibly skewed) clock reading."""
-        return self.local_clock.read(self.sim.now)
+        return self.local_clock.read(self.clock.now)

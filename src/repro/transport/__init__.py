@@ -15,8 +15,7 @@ See DESIGN.md §13 for the contracts and the oracle methodology.
 
 from repro.transport.api import (Cancellable, Clock, TimerFactory,
                                  TimerHandle, Transport)
-from repro.transport.endpoint import (ProtocolEndpoint, _PendingRequest,
-                                      unwrap_response)
+from repro.transport.endpoint import ProtocolEndpoint, unwrap_response
 from repro.transport.errors import RPCError, TransportError
 from repro.transport.message import Message, NetworkStats
 from repro.transport.tasks import Process, Waiter, sleep

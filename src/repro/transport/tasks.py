@@ -90,8 +90,6 @@ class Process:
 
     def __init__(self, clock, generator: Iterable[Any], *, label: str = "") -> None:
         self.clock = clock
-        #: backward-compatible alias — pre-seam code spelled this ``sim``
-        self.sim = clock
         self.label = label
         self._gen: Generator[Any, Any, Any] = iter(generator)  # type: ignore[assignment]
         self._finished = False

@@ -22,8 +22,7 @@ read/write mixes against multi-object deployments, with
   runtime :class:`~repro.runtime.events.EventBus`.
 
 The paper-exact generators (:class:`UniformWorkload`,
-:class:`PoissonWorkload`) now live in :mod:`repro.workloads.legacy`;
-``repro.apps.workload`` remains a back-compat re-export.
+:class:`PoissonWorkload`) live in :mod:`repro.workloads.legacy`.
 """
 
 from repro.workloads.clients import (

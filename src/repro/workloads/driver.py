@@ -273,7 +273,7 @@ class TrafficDriver:
     # --------------------------------------------------------------- issuing
     def _issue(self, stream: ClientStream) -> None:
         node = stream.node
-        now = node.sim.now
+        now = node.clock.now
         if not node.alive:
             # Home node is crashed: the client's request goes nowhere.  The
             # op still counts against max_ops — offered load does not shrink

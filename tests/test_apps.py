@@ -7,7 +7,7 @@ import pytest
 from repro.apps.booking import BookingApp, SaleRecord, default_booking_config
 from repro.apps.users import ScriptedUser, UserAction, UserActionKind
 from repro.apps.whiteboard import WhiteboardApp, WhiteboardStroke, default_whiteboard_config
-from repro.apps.workload import PoissonWorkload, UniformWorkload
+from repro.workloads.legacy import PoissonWorkload, UniformWorkload
 from repro.core.config import AdaptationMode
 from repro.core.deployment import IdeaDeployment
 from repro.sim.engine import Simulator

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.deployment import DeploymentBuilder
-from repro.sim.timers import PeriodicTimer
+from repro.transport.timers import PeriodicTimer
 
 
 def _run_deployment(seed: int) -> dict:

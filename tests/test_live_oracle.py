@@ -7,14 +7,17 @@ never timings (DESIGN.md §13 lists the legitimate divergences).
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
 
+from repro.core.deployment import DeploymentBuilder
 from repro.live.deployment import LiveDeployment
-from repro.live.scenario import (ScenarioSpec, default_scenario, oracle_diff,
+from repro.live.scenario import (LiveHost, ScenarioSpec, default_scenario,
+                                 make_addresses, oracle_diff,
                                  run_live_scenario_inprocess,
-                                 run_sim_scenario)
+                                 run_sim_scenario, scenario_config)
 
 #: a compressed schedule keeps the wall-clock cost of each live run ~2.6 s
 #: while preserving the phase gaps the oracle's determinism relies on
@@ -68,6 +71,24 @@ class TestLiveMatchesOracle:
         # Teardown was clean: every node exited by itself.
         assert all(proc.returncode == 0
                    for proc in deployment._procs.values())
+
+
+class TestLiveHost:
+    def test_refuses_what_a_shard_refuses(self, tmp_path):
+        """A live process hosts one node of many, so its build is
+        partitioned exactly like a shard's (tests/test_shard.py)."""
+        addresses = make_addresses(["n00", "n01"], "uds", str(tmp_path))
+        loop = asyncio.new_event_loop()
+        try:
+            host = LiveHost("n00", addresses, loop=loop)
+            with pytest.raises(ValueError, match="RanSub"):
+                DeploymentBuilder(host=host, use_ransub=True).build()
+            deployment = DeploymentBuilder(host=host, use_ransub=False).build()
+            assert deployment.partitioned and list(deployment.nodes) == ["n00"]
+            with pytest.raises(ValueError, match="static top_layer"):
+                deployment.register_object("obj", scenario_config())
+        finally:
+            loop.close()
 
 
 class TestOracleDiff:

@@ -15,7 +15,7 @@ from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.deployment import DeploymentBuilder
 from repro.experiments.fig_churn_availability import fingerprint, run_churn_point
 from repro.scenarios import FaultInjector, FaultPlan
-from repro.sim.timers import PeriodicTimer
+from repro.transport.timers import PeriodicTimer
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from repro.sim.clock import ClockModel
 from repro.sim.engine import Simulator
 from repro.sim.latency import FixedLatencyModel
 from repro.sim.network import Network
-from repro.sim.node import Node, RPCError, unwrap_response
+from repro.sim.node import Node
+from repro.transport import RPCError, unwrap_response
 
 
 class Receiver(Node):

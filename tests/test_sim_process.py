@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.process import Process, Waiter, sleep
+from repro.transport.tasks import Process, Waiter, sleep
 
 
 class TestSleep:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.transport import TransportError
-from repro.sim.timers import PeriodicTimer
+from repro.transport.timers import PeriodicTimer
 
 
 class TestPeriodicTimer:

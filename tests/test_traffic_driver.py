@@ -200,7 +200,7 @@ class TestDetectionEnvelopeEquivalence:
 
     def fresh_level(self, detection) -> float:
         replica = detection._replica_provider()
-        local = detection._local_digest(replica, detection.node.sim.now)
+        local = detection._local_digest(replica, detection.node.clock.now)
         reference = build_reference([local] + list(detection._peer_digests.values()))
         triple = reference.triple_for(local)
         return consistency_level(triple, detection.metric, detection.weights)

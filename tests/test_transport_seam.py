@@ -32,10 +32,18 @@ BOUNDARY_PACKAGES = ("core", "overlay", "runtime", "store", "scenarios")
 
 #: sim modules that are backend implementation detail, not seam surface
 FORBIDDEN_MODULES = ("repro.sim.engine", "repro.sim.network", "repro.sim.node",
-                     "repro.sim.process", "repro.sim.timers", "repro.sim")
+                     "repro.sim")
 
 #: the sim composition root: builds Simulator/Network/topology by design
 ALLOWED_EXCEPTIONS = {SRC / "core" / "deployment.py"}
+
+#: the classes a node stack is made of, and the only files under src/repro
+#: that may construct them: the one assembly, plus the middleware's
+#: standalone single-object ``NodeRuntime`` fallback
+STACK_CLASSES = {"ReplicatedStore", "NodeRuntime", "GossipService",
+                 "RanSubService", "TwoLayerOverlay"}
+STACK_ASSEMBLERS = {"core/deployment.py": STACK_CLASSES,
+                    "core/middleware.py": {"NodeRuntime"}}
 
 
 def _imported_modules(path: pathlib.Path):
@@ -66,6 +74,28 @@ class TestImportBoundary:
         # the backend (otherwise the exclusion is dead weight).
         modules = set(_imported_modules(SRC / "core" / "deployment.py"))
         assert any(m.startswith("repro.sim") for m in modules)
+
+    def test_node_stacks_are_assembled_in_one_place(self):
+        """Sim, shard and live all build through DeploymentBuilder: nothing
+        else wires a store, runtime, gossip/RanSub service or overlay."""
+        violations = []
+        for path in sorted(SRC.rglob("*.py")):
+            relative = path.relative_to(SRC).as_posix()
+            allowed = STACK_ASSEMBLERS.get(relative, set())
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                name = (callee.id if isinstance(callee, ast.Name)
+                        else getattr(callee, "attr", None))
+                if name in STACK_CLASSES - allowed:
+                    violations.append(f"{relative}:{node.lineno}: {name}(...)")
+        assert violations == []
+        # ...and the live oracle runs the builder's simulator host, not a
+        # private Simulator/Network/Node look-alike.
+        modules = set(_imported_modules(SRC / "live" / "scenario.py"))
+        assert not modules & {"repro.sim.engine", "repro.sim.network",
+                              "repro.sim.node"}
 
     def test_simulator_satisfies_clock_protocol(self):
         assert isinstance(Simulator(seed=0), Clock)
@@ -197,9 +227,8 @@ class TestSeamPortability:
         sim = Simulator(seed=3)
         network = Network(sim, FixedLatencyModel(0.01))
         node = Node(sim, network, "n0")
-        # The seam attribute and the legacy aliases refer to the same objects.
-        assert node.clock is sim and node.sim is sim
-        assert node.transport is network and node.network is network
+        assert node.clock is sim
+        assert node.transport is network
 
     def test_rpc_error_is_transport_error(self):
         from repro.transport import TransportError

@@ -456,7 +456,7 @@ class TestGoldenTraceReplay:
 
         from repro.core.config import AdaptationMode, IdeaConfig
         from repro.core.deployment import DeploymentBuilder
-        from repro.sim.timers import PeriodicTimer
+        from repro.transport.timers import PeriodicTimer
 
         # Mirror fig9_scalability.run_multiobject_point at the gated 8-object
         # point, but advance in chunks with a truncation sweep in between.

@@ -287,11 +287,3 @@ class TestLegacyWorkloads:
         sim.run()
         assert count == len(first)
         assert [(e.time, e.writer, e.sequence_index) for e in first] == issued
-
-    def test_apps_workload_is_a_pure_reexport(self):
-        from repro.apps import workload as shim
-        from repro.workloads import legacy
-
-        assert shim.UniformWorkload is legacy.UniformWorkload
-        assert shim.PoissonWorkload is legacy.PoissonWorkload
-        assert shim.WorkloadEvent is legacy.WorkloadEvent
