@@ -382,14 +382,13 @@ class ResolutionManager:
                        if decision is not None and self.policy.discard_losers else [])
 
         # Inform every member (including self) of the consistent image.  The
-        # notifications go out back-to-back; members install on receipt.
-        for member in members:
-            if member == self.node.node_id:
-                continue
-            self.node.send(member, protocol=protocol,
-                           msg_type=f"idea_install:{self.object_id}",
-                           payload={"merged": merged, "invalidated": invalidated},
-                           size_bytes=1024)
+        # notifications go out back-to-back as one fan-out (a live transport
+        # encodes the image once for all of them); members install on receipt.
+        self.node.send_many(
+            [member for member in members if member != self.node.node_id],
+            protocol=protocol, msg_type=f"idea_install:{self.object_id}",
+            payload={"merged": merged, "invalidated": invalidated},
+            size_bytes=1024)
         local_replica.install_merged(merged, now=self.node.clock.now)
         if invalidated:
             local_replica.invalidate_updates(invalidated)

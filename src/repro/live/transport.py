@@ -18,6 +18,10 @@ and moves messages as length-prefixed frames (:mod:`repro.live.wire`):
   down the oldest frame is evicted per new send and counted as a
   ``queue-overflow`` drop, so memory stays flat instead of growing with
   outage length;
+* a fan-out (:meth:`LiveTransport.send_many`) makes **one payload text**:
+  every destination still gets its own checks, loss draw, accounting and
+  ``wire.encode_envelope`` call, but only the first remote one encodes the
+  payload — the rest splice that text into their envelope;
 * each local endpoint with an address gets a listening server; inbound
   frames are decoded into :class:`~repro.transport.message.Message` objects
   and dispatched to the endpoint's ``deliver``.  A single oversized or
@@ -114,7 +118,8 @@ class LiveTransport:
         self._known: Set[str] = set(self.addresses)
         self._peers: Dict[str, _PeerLink] = {}
         self._servers: List[asyncio.AbstractServer] = []
-        self._reader_tasks: Set["asyncio.Task[None]"] = set()
+        #: inbound connections: reader task -> the stream it serves
+        self._inbound: Dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
         self._next_msg_id = 0
         self._closing = False
         self.delivery_hooks: List[Any] = []
@@ -233,13 +238,21 @@ class LiveTransport:
                 with contextlib.suppress(asyncio.CancelledError):
                     await link.task
         self._peers.clear()
-        for task in list(self._reader_tasks):
-            task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-        self._reader_tasks.clear()
         for server in self._servers:
-            server.close()
+            server.close()          # no new inbound connections from here on
+        # End the readers by closing their streams: each returns on EOF.
+        # Cancelling one instead makes asyncio's own done-callback on the
+        # client_connected_cb task raise CancelledError into the loop's
+        # exception handler (a traceback per connection in a clean run).
+        for stream_writer in list(self._inbound.values()):
+            stream_writer.close()
+        if self._inbound:
+            _, running = await asyncio.wait(list(self._inbound), timeout=2.0)
+            for task in running:
+                task.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await task
+        for server in self._servers:
             await server.wait_closed()
         self._servers.clear()
         if self.kind == "uds":
@@ -320,6 +333,26 @@ class LiveTransport:
              size_bytes: Optional[int] = None) -> Optional[Message]:
         size = (self.DEFAULT_MESSAGE_BYTES if size_bytes is None
                 else int(size_bytes))
+        return self._send(src, dst, protocol, msg_type, payload, size,
+                          payload)
+
+    def send_many(self, src: str, dsts: Sequence[str], *, protocol: str,
+                  msg_type: str, payload: Any = None,
+                  size_bytes: Optional[int] = None) -> List[Message]:
+        """``[send(src, d, …) for d in dsts]`` minus the drops, with one
+        payload text per call: the first remote destination encodes the
+        payload, the rest splice that text into their own envelope."""
+        size = (self.DEFAULT_MESSAGE_BYTES if size_bytes is None
+                else int(size_bytes))
+        shared = wire.SharedPayload(payload)
+        return [m for dst in dsts
+                if (m := self._send(src, dst, protocol, msg_type, payload,
+                                    size, shared)) is not None]
+
+    def _send(self, src: str, dst: str, protocol: str, msg_type: str,
+              payload: Any, size: int, framed: Any) -> Optional[Message]:
+        """One destination's checks, accounting and queueing; ``framed`` is
+        what the codec is given — ``payload`` or its ``SharedPayload``."""
         if src not in self._nodes:
             if src not in self._known:
                 raise KeyError(f"source node {src!r} is not registered")
@@ -352,21 +385,13 @@ class LiveTransport:
         stats.bytes_sent[protocol] += size
         try:
             frame = wire.encode_envelope(src, dst, protocol, msg_type,
-                                         payload, size, self.clock.now)
+                                         framed, size, self.clock.now)
         except wire.WireError:
             self.stats.dropped[protocol] += 1
             self.stats.drop_reasons["encode-error"] += 1
             raise
         self._enqueue(dst, protocol, frame)
         return self._make_message(src, dst, protocol, msg_type, payload, size)
-
-    def send_many(self, src: str, dsts: Sequence[str], *, protocol: str,
-                  msg_type: str, payload: Any = None,
-                  size_bytes: Optional[int] = None) -> List[Message]:
-        return [m for dst in dsts
-                if (m := self.send(src, dst, protocol=protocol,
-                                   msg_type=msg_type, payload=payload,
-                                   size_bytes=size_bytes)) is not None]
 
     def _make_message(self, src: str, dst: str, protocol: str, msg_type: str,
                       payload: Any, size: int) -> Message:
@@ -496,8 +521,8 @@ class LiveTransport:
                                 stream_writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
         if task is not None:
-            self._reader_tasks.add(task)
-            task.add_done_callback(self._reader_tasks.discard)
+            self._inbound[task] = stream_writer
+            task.add_done_callback(self._inbound.pop)
         try:
             while True:
                 try:

@@ -278,21 +278,220 @@ def test_oversized_frame_refused():
 
 
 # --------------------------------------------------------------------------
+# the format is pinned: it only changes on purpose
+# --------------------------------------------------------------------------
+
+def test_golden_digest_announce_frame():
+    """One 4-writer detection announce, byte for byte: flat writer rows, no
+    tagged object below the digest.  535 B with the reflective codec."""
+    digest = VersionDigest(
+        object_id="obj0", node_id="n02", issued_at=12.803117656000001,
+        writers=(
+            ("n00", WriterSummary(412, 409.73260556720186, 12.801903941)),
+            ("n01", WriterSummary(409, 411.0528340197921, 12.802281205999998)),
+            ("n02", WriterSummary(411, 407.91166135629214, 12.803117656000001)),
+            ("n03", WriterSummary(408, 410.26402919855076, 12.800660488000002))),
+        metadata=1638.961130141837, last_consistent_time=12.688102336000002)
+    frame = wire.encode_envelope("n02", "n00", "idea.detection",
+                                 "idea_digest:obj0", {"digest": digest}, 256,
+                                 12.803391408)
+    assert frame == (
+        b'\x00\x00\x01s["n02","n00","idea.detection","idea_digest:obj0",'
+        b'{"digest":{"__c":"VersionDigest","f":["obj0","n02",'
+        b'12.803117656000001,[["n00",412,409.73260556720186,12.801903941],'
+        b'["n01",409,411.0528340197921,12.802281205999998],'
+        b'["n02",411,407.91166135629214,12.803117656000001],'
+        b'["n03",408,410.26402919855076,12.800660488000002]],'
+        b'1638.961130141837,12.688102336000002]}},256,12.803391408]')
+    assert len(frame) <= 400
+    assert wire.decode_envelope(frame[4:])[4] == {"digest": digest}
+
+
+def test_golden_install_frame():
+    """One small resolution install: per-writer rows of ``[seq, timestamp,
+    delta, payload]``, flat bases, a flat triple; only the ``Any``-typed
+    record payloads and the message's own containers carry tags."""
+    install = {
+        "merged": ExtendedVersionVector(
+            updates={"n00": (UpdateRecord("n00", 3, 1.5, 0.75,
+                                          {"writer": "n00", "n": 3}),),
+                     "n01": (UpdateRecord("n01", 1, 0.25, 1.25),
+                             UpdateRecord("n01", 2, 1.75, 0.5,
+                                          ("stroke", 7)))},
+            base={"n00": WriterBase(count=2, cum_metadata=2.5,
+                                    last_timestamp=0.5)},
+            metadata=5.0, last_consistent_time=2.0,
+            triple=ErrorTriple(1.0, 2.0, 0.25)),
+        "invalidated": [("n01", 1)]}
+    frame = wire.encode_envelope("n00", "n01", "idea.resolution.active",
+                                 "idea_install:obj0", install, 1024, 2.125)
+    assert frame == (
+        b'\x00\x00\x012["n00","n01","idea.resolution.active",'
+        b'"idea_install:obj0",{"merged":{"__c":"ExtendedVersionVector","f":['
+        b'[["n00",[[3,1.5,0.75,{"writer":"n00","n":3}]]],'
+        b'["n01",[[1,0.25,1.25,null],[2,1.75,0.5,{"__t":["stroke",7]}]]]],'
+        b'[["n00",2,2.5,0.5]],5.0,2.0,[1.0,2.0,0.25]]},'
+        b'"invalidated":[{"__t":["n01",1]}]},1024,2.125]')
+    restored = wire.decode_envelope(frame[4:])[4]
+    assert restored == install
+    assert restored["merged"].triple == install["merged"].triple
+
+
+def test_shared_payload_is_encoded_once_and_spliced():
+    payload = {"digest": _example_digest()}
+    shared = wire.SharedPayload(payload)
+    frames = [wire.encode_envelope("n00", dst, "p", "t", shared, 256, 1.5)
+              for dst in ("n01", "n02")]
+    assert frames == [wire.encode_envelope("n00", dst, "p", "t", payload,
+                                           256, 1.5)
+                      for dst in ("n01", "n02")]
+    assert shared.text().encode() in frames[1]
+
+
+# --------------------------------------------------------------------------
+# the decoder under fuzz: a 7-tuple or WireError, nothing else
+# --------------------------------------------------------------------------
+
+def _envelope(payload_json: str) -> bytes:
+    return f'["a","b","p","t",{payload_json},0,0.0]'.encode()
+
+
+#: well-formed JSON (or nearly), wrong shape.  The first eight are what the
+#: reflective decoder let through as the exception noted — the reader task
+#: died of it, unhandled and uncounted — or accepted without a word.
+WRONG_SHAPE_BODIES = {
+    "class-without-fields": _envelope('{"__c":"ErrorTriple"}'),    # KeyError
+    "tuple-of-an-int": _envelope('{"__t":5}'),                     # TypeError
+    "dict-in-key-position": _envelope('{"__d":[[{"k":1},2]]}'),    # TypeError
+    "unhashable-class-name": _envelope('{"__c":["x"],"f":[]}'),    # TypeError
+    "three-element-pair": _envelope('{"__d":[[1,2,3]]}'),          # ValueError
+    "nested-past-the-limit": b"[" * 100000,                   # RecursionError
+    "objects-past-the-limit": b'{"a":' * 100000,
+    "short-class-arity": _envelope('{"__c":"ErrorTriple","f":[1]}'),  # silent
+    "fields-not-a-list": _envelope(
+        '{"__c":"WriterBase","f":{"a":1,"b":2,"c":3}}'),
+    "extra-key-beside-a-tag": _envelope('{"__t":[1],"x":2}'),
+    "pairs-not-a-list": _envelope('{"__d":{"a":1}}'),
+    "short-row-in-a-digest": _envelope(
+        '{"__c":"VersionDigest","f":["o","n",0.0,[["w",1,2.0]],0.0,0.0]}'),
+    "unhashable-writer": _envelope(
+        '{"__c":"VersionVector","f":[[[["w"],1]]]}'),
+    "negative-triple": _envelope('{"__c":"ErrorTriple","f":[-1,0,0]}'),
+    "not-a-number-literal": _envelope("NaN"),
+    "infinite-sent-at": b'["a","b","p","t",null,0,Infinity]',
+    "unhashable-src": b'[["a"],"b","p","t",null,0,0.0]',
+    "dict-dst": b'["a",{"b":1},"p","t",null,0,0.0]',
+    "size-is-a-string": b'["a","b","p","t",null,"0",0.0]',
+    "size-is-a-bool": b'["a","b","p","t",null,true,0.0]',
+    "sent-at-is-null": b'["a","b","p","t",null,0,null]',
+    "six-fields": b'["a","b","p","t",null,0]',
+}
+
+
+@pytest.mark.parametrize("body", WRONG_SHAPE_BODIES.values(),
+                         ids=list(WRONG_SHAPE_BODIES))
+def test_wrong_shape_bodies_raise_wire_error(body):
+    with pytest.raises(wire.WireError):
+        wire.decode_envelope(body)
+
+
+def _decodes_or_refuses(body: bytes) -> None:
+    try:
+        result = wire.decode_envelope(body)
+    except wire.WireError:
+        return
+    assert isinstance(result, tuple) and len(result) == 7
+
+
+def _slots(tree):
+    """Every ``(container, key)`` position of a parsed JSON tree."""
+    items = (enumerate(tree) if isinstance(tree, list)
+             else tree.items() if isinstance(tree, dict) else ())
+    for key, value in list(items):
+        yield tree, key
+        yield from _slots(value)
+
+
+#: what "replace a field by a container" puts there
+INTRUDERS = [[], {}, [[1]], {"a": [1]}, {"__t": 5}, {"__t": []},
+             {"__d": [[{}, 1]]}, {"__d": [[1, 2, 3]]}, {"__c": ["x"], "f": []},
+             {"__c": "ErrorTriple", "f": [1]}, {"__c": "UpdateRecord"},
+             "text", None, -1, 1e308]
+
+every_registered_value = st.one_of(
+    error_triples, update_records, writer_bases, writer_summaries,
+    version_vectors, version_digests, gossip_digests, ransub_views,
+    extended_vectors(),
+    st.builds(lambda vector, pairs: {"merged": vector, "invalidated": pairs},
+              extended_vectors(),
+              st.lists(st.tuples(writer_ids, st.integers(1, 20)), max_size=2)),
+    payloads())
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=every_registered_value,
+       mutation=st.sampled_from(["truncate", "flip", "swap-tag", "arity",
+                                 "intrude", "nest"]),
+       pick=st.integers(0, 2 ** 16), intruder=st.sampled_from(INTRUDERS))
+def test_mutated_frames_decode_or_raise_wire_error(value, mutation, pick,
+                                                   intruder):
+    """Valid frames of every registered class, damaged six ways: whatever
+    arrives, ``decode_envelope`` returns an envelope or raises ``WireError``
+    — the one exception the reader task catches and counts."""
+    import json
+    body = wire.encode_envelope("n00", "n01", "p", "t", value, 64, 1.5)[4:]
+    if mutation == "truncate":
+        body = body[:pick % len(body)]
+    elif mutation == "flip":
+        at = pick % len(body)
+        body = body[:at] + bytes([body[at] ^ (1 << pick % 8)]) + body[at + 1:]
+    elif mutation == "nest":
+        body = b"[" * 100000 + body + b"]" * 100000
+    elif mutation == "swap-tag":
+        tags = [b'"__c"', b'"__t"', b'"__d"']
+        body = body.replace(tags[pick % 3], tags[(pick + 1) % 3])
+    else:
+        tree = json.loads(body)
+        slots = list(_slots(tree))
+        container, key = slots[pick % len(slots)]
+        if mutation == "intrude":
+            container[key] = intruder
+        else:
+            # arity: grow or shrink the nearest list — a class's fields, a
+            # row, a tagged pair, the envelope itself
+            target = (container[key] if isinstance(container[key], list)
+                      else container)
+            if isinstance(target, list):
+                if pick % 2 and target:
+                    target.pop(pick % len(target))
+                else:
+                    target.insert(pick % (len(target) + 1), intruder)
+        body = json.dumps(tree).encode()
+    _decodes_or_refuses(body)
+
+
+# --------------------------------------------------------------------------
 # inbound hardening: a bad frame kills one connection, never the server
 # --------------------------------------------------------------------------
 
 def test_bad_inbound_frames_close_only_their_connection(tmp_path):
-    """Regression: a header claiming more than ``MAX_FRAME_BYTES`` (or a
-    malformed body) must close *that* connection with a counted
-    ``frame-error`` drop — the listening server and every other peer's
-    connection stay up and later frames still deliver."""
+    """Regression: a header claiming more than ``MAX_FRAME_BYTES``, a
+    malformed body, or a well-formed JSON body of the wrong shape must close
+    *that* connection with a counted ``frame-error`` drop — the listening
+    server and every other peer's connection stay up, later frames still
+    deliver, and nothing reaches the loop's exception handler: not a reader
+    task dying of a decoder exception, not ``stop()`` tearing down a
+    connection that is still open."""
     import asyncio
+    import gc
 
     from repro.live.clock import LiveClock
     from repro.live.node import LiveNode
     from repro.live.transport import LiveTransport
 
     loop = asyncio.new_event_loop()
+    unhandled = []
+    loop.set_exception_handler(lambda _, context: unhandled.append(context))
     address = str(tmp_path / "b.sock")
     clock = LiveClock(seed=1, loop=loop)
     transport = LiveTransport(clock, {"b": address}, kind="uds")
@@ -300,36 +499,47 @@ def test_bad_inbound_frames_close_only_their_connection(tmp_path):
     delivered = []
     node.register_handler("ping", lambda msg: delivered.append(msg.payload))
 
+    async def _refused(data: bytes) -> None:
+        reader, writer = await asyncio.open_unix_connection(address)
+        writer.write(data)
+        await writer.drain()
+        assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+        writer.close()
+
     async def _go():
         await transport.start()
 
         # 1. a frame header claiming >16 MiB: refused before any read
-        reader, writer = await asyncio.open_unix_connection(address)
-        writer.write(struct.pack(">I", wire.MAX_FRAME_BYTES + 1))
-        await writer.drain()
-        assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
-        writer.close()
+        await _refused(struct.pack(">I", wire.MAX_FRAME_BYTES + 1))
 
         # 2. a malformed body on a fresh connection: same fate
-        reader, writer = await asyncio.open_unix_connection(address)
         body = b"\xff\xfe definitely not a tagged-JSON envelope"
-        writer.write(struct.pack(">I", len(body)) + body)
-        await writer.drain()
-        assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
-        writer.close()
+        await _refused(struct.pack(">I", len(body)) + body)
 
-        # 3. the server is still alive: a well-formed frame delivers
+        # 3. valid JSON, wrong shape: a class without its fields, and an
+        #    envelope whose src cannot be looked up in any table
+        for body in (WRONG_SHAPE_BODIES["class-without-fields"],
+                     WRONG_SHAPE_BODIES["unhashable-src"]):
+            await _refused(struct.pack(">I", len(body)) + body)
+
+        # 4. the server is still alive: a well-formed frame delivers
         reader, writer = await asyncio.open_unix_connection(address)
         writer.write(wire.encode_envelope("a", "b", "conformance", "ping",
                                           {"ok": True}, 64, 0.0))
         await writer.drain()
         await asyncio.sleep(0.2)
-        writer.close()
+
+        # 5. stop() with that connection still open ends its reader cleanly
         await transport.stop()
+        assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+        writer.close()
+        await asyncio.sleep(0.05)  # done-callbacks of the reader tasks
+        gc.collect()               # "exception was never retrieved"
 
     try:
         loop.run_until_complete(_go())
     finally:
         loop.close()
-    assert transport.stats.drop_reasons["frame-error"] == 2
+    assert transport.stats.drop_reasons["frame-error"] == 4
     assert delivered == [{"ok": True}]
+    assert unhandled == []

@@ -30,6 +30,7 @@ import itertools
 
 import pytest
 
+from repro.live import wire
 from repro.live.backoff import (DEFAULT_CONNECT, DEFAULT_RECONNECT,
                                 BackoffPolicy)
 from repro.live.clock import LiveClock
@@ -371,6 +372,124 @@ def test_bounded_queue_evicts_oldest_as_counted_overflow(tmp_path):
     # Every frame was counted sent exactly once, evictions only add drops.
     assert transport.stats.sent["conformance"] == 12
     assert transport.stats.drop_reasons["queue-overflow"] == 8
+
+
+class _FrozenClock(LiveClock):
+    """``now`` pinned, so frames from two transports compare byte for byte."""
+    now = 1.5
+
+
+def _fan_out_transport(loop, tmp_path):
+    """Source ``a`` and a second local endpoint, three remote peers nobody
+    listens on (frames stay queued), a partitioned peer, a probed-down peer
+    and seeded send-time loss; ``ghost`` is in no table at all."""
+    addresses = {name: str(tmp_path / f"{name}.sock")
+                 for name in ("a", "r1", "r2", "r3", "cut", "down")}
+    clock = _FrozenClock(seed=5, loop=loop)
+    transport = LiveTransport(
+        clock, addresses, kind="uds",
+        connect_backoff=BackoffPolicy(base=5.0, cap=5.0, multiplier=1.0,
+                                      jitter=0.0, max_elapsed=60.0))
+    LiveNode(clock, transport, "a", processing_delay=0.0)
+    LiveNode(clock, transport, "local", processing_delay=0.0) \
+        .register_handler("fan", lambda message: None)
+    transport.set_blocked_peers(["cut"])
+    transport._mark_peer("down", alive=False)
+    transport.set_loss_probability(0.3)
+    return transport
+
+
+def _describe(messages):
+    return [(m.msg_id, m.src, m.dst, m.protocol, m.msg_type, m.payload,
+             m.size_bytes, m.sent_at, m.deliver_at) for m in messages]
+
+
+def test_send_many_equals_a_loop_of_sends(tmp_path):
+    """``send_many(src, dsts, …)`` ≡ ``[send(src, d, …) for d in dsts]`` over
+    local, remote, blocked, probed-down, lossy and never-registered ids: same
+    stats, same returned messages, ``KeyError`` at the same position leaving
+    the same counts — and the same bytes on every peer's queue."""
+    loop = asyncio.new_event_loop()
+    dsts = ["r1", "local", "cut", "r2", "down", "r3", "local", "r1", "r2",
+            "r3", "r1", "r2"]
+    payload = {"digest": ("obj", 3), "members": ["a", "r1"]}
+    kwargs = dict(protocol="conformance", msg_type="fan", payload=payload,
+                  size_bytes=96)
+
+    def fan_out(transport, dsts):
+        return transport.send_many("a", dsts, **kwargs)
+
+    def loop_of_sends(transport, dsts):
+        return [m for dst in dsts
+                if (m := transport.send("a", dst, **kwargs)) is not None]
+
+    async def _drive(sender):
+        # No awaits before the frames are read back: the sender tasks have
+        # not run, so every frame put on a queue is still there.
+        transport = _fan_out_transport(loop, tmp_path)
+        returned = _describe(sender(transport, dsts))
+        with pytest.raises(KeyError, match="ghost"):
+            sender(transport, ["r1", "local", "ghost", "r2"])
+        queued = {dst: [frame for _, frame in link.frames]
+                  for dst, link in transport._peers.items()}
+        stats = transport.stats.snapshot()
+        await transport.stop()
+        return returned, stats, queued
+
+    try:
+        many = loop.run_until_complete(_drive(fan_out))
+        looped = loop.run_until_complete(_drive(loop_of_sends))
+    finally:
+        loop.close()
+    assert many == looped
+    returned, stats, queued = many
+    # the mix really was a mix
+    assert {"partition", "dst-down", "loss"} <= set(stats["drop_reasons"])
+    assert stats["sent"] == {"conformance": len(dsts) + 2}
+    assert {m[2] for m in returned} == {"local", "r1", "r2", "r3"}
+    # frames of one fan-out differ in their dst field and nothing else
+    frames = [wire.decode_envelope(frame[4:])
+              for frames in queued.values() for frame in frames]
+    assert {dst for _, dst, *_ in frames} == {"r1", "r2", "r3"}
+    assert all((src, *rest) == ("a", "conformance", "fan", payload, 96, 1.5)
+               for src, _, *rest in frames)
+
+
+class _CountingDict(dict):
+    """Counts how often the codec walks it."""
+    walks = 0
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+
+def test_send_many_encodes_the_payload_once(tmp_path):
+    """One payload text per ``send_many``: a fan-out over three remote peers
+    walks the payload once; three ``send``s walk it three times."""
+    loop = asyncio.new_event_loop()
+    addresses = {name: str(tmp_path / f"{name}.sock")
+                 for name in ("a", "r1", "r2", "r3")}
+    clock = LiveClock(seed=1, loop=loop)
+    transport = LiveTransport(clock, addresses, kind="uds")
+    LiveNode(clock, transport, "a", processing_delay=0.0)
+    fanned, looped = _CountingDict(k="v"), _CountingDict(k="v")
+
+    async def _go():
+        sent = transport.send_many("a", ["r1", "r2", "r3"],
+                                   protocol="conformance", msg_type="fan",
+                                   payload=fanned)
+        assert len(sent) == 3 and all(m.payload is fanned for m in sent)
+        for dst in ("r1", "r2", "r3"):
+            transport.send("a", dst, protocol="conformance", msg_type="fan",
+                           payload=looped)
+        await transport.stop()
+
+    try:
+        loop.run_until_complete(_go())
+    finally:
+        loop.close()
+    assert (fanned.walks, looped.walks) == (1, 3)
 
 
 def test_heartbeat_marks_peer_down_then_recovered(tmp_path):
