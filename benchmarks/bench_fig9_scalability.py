@@ -9,22 +9,14 @@ expensive than active, and sub-second delay at ten simultaneous writers.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.experiments.fig9_scalability import format_report, run_scalability_experiment
 from repro.farm import default_jobs
-from repro.shard import default_shards
 
 
 def bench_fig9_scalability(benchmark):
     jobs = default_jobs()
-    # Host shape + parallelism config, alongside conftest's machine_info:
-    # gates reading BENCH_fig9.json can condition on them (see BENCH_farm).
-    benchmark.extra_info["cpu_count"] = os.cpu_count() or 1
-    benchmark.extra_info["jobs"] = jobs
-    benchmark.extra_info["shards"] = default_shards()
     result = benchmark.pedantic(
         lambda: run_scalability_experiment(max_top_layer=10, num_nodes=40, seed=19,
                                            jobs=jobs),

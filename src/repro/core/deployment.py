@@ -180,7 +180,6 @@ class DeploymentBuilder:
                  processing_delay: float = 0.035,
                  use_ransub: bool = True,
                  use_gossip: bool = False,
-                 shared_digest_cache: bool = True,
                  loss_probability: float = 0.0,
                  bus: Optional[EventBus] = None,
                  host: Optional[Host] = None) -> None:
@@ -195,7 +194,6 @@ class DeploymentBuilder:
         self.processing_delay = processing_delay
         self.use_ransub = use_ransub
         self.use_gossip = use_gossip
-        self.shared_digest_cache = shared_digest_cache
         self.loss_probability = loss_probability
         self.bus = bus
         self.host: Host = host if host is not None else SimHost()
@@ -298,9 +296,7 @@ class DeploymentBuilder:
         for node_id, node in d.nodes.items():
             store = ReplicatedStore(node_id)
             d.stores[node_id] = store
-            d.runtimes[node_id] = NodeRuntime(
-                node, store, bus=d.bus,
-                cache_digests=self.shared_digest_cache)
+            d.runtimes[node_id] = NodeRuntime(node, store, bus=d.bus)
 
     def _overlay_pass(self, d: "IdeaDeployment") -> None:
         """RanSub, the two-layer temperature overlay, optional gossip."""
@@ -544,7 +540,7 @@ class IdeaDeployment:
                 if other_id != node_id:
                     middleware.detection.forget_peer(node_id)
         for other_id, runtime in self.runtimes.items():
-            if other_id != node_id and runtime.digests is not None:
+            if other_id != node_id:
                 runtime.digests.forget_peer(node_id)
         self.trace.increment("faults.crash")
 

@@ -191,7 +191,7 @@ class DetectionService:
                  top_layer_provider: Callable[[], Sequence[str]],
                  replica_provider: Callable[[], Replica],
                  on_remote_digest: Optional[Callable[[VersionDigest], None]] = None,
-                 digest_cache: Optional["DigestCache"] = None) -> None:
+                 digest_cache: "DigestCache") -> None:
         """
         Parameters
         ----------
@@ -208,10 +208,8 @@ class DetectionService:
             consult the adaptation controller.
         digest_cache:
             Node-level shared cache (from the :class:`~repro.runtime
-            .NodeRuntime`).  When given, the local digest is memoised by
-            replica revision and the peer-digest table lives in the shared
-            cache; without it every evaluation rebuilds the digest from the
-            full update log (the seed behaviour).
+            .NodeRuntime`): the local digest is memoised by replica revision
+            and the peer-digest table lives in the shared cache.
         """
         self.node = node
         self.object_id = object_id
@@ -221,8 +219,7 @@ class DetectionService:
         self._replica_provider = replica_provider
         self._on_remote_digest = on_remote_digest
         self._digest_cache = digest_cache
-        self._peer_digests: Dict[str, VersionDigest] = (
-            digest_cache.peer_digests(object_id) if digest_cache is not None else {})
+        self._peer_digests = digest_cache.peer_digests(object_id)
         self._detections_run = 0
         #: bumped on every peer-table / metric / weight mutation; keys the
         #: evaluation memo below
@@ -269,9 +266,7 @@ class DetectionService:
         node.register_handler(self._digest_msg_type, self._handle_digest)
 
     def _local_digest(self, replica: Replica, now: float) -> VersionDigest:
-        if self._digest_cache is not None:
-            return self._digest_cache.local_digest(self.object_id, replica, now)
-        return VersionDigest.from_replica(replica, issued_at=now)
+        return self._digest_cache.local_digest(self.object_id, replica, now)
 
     # ---------------------------------------------------------------- state
     @property

@@ -19,8 +19,7 @@ Beyond the paper's figure, :func:`run_multiobject_experiment` sweeps the
 by default) hosts 1..256 concurrently written objects through the
 :class:`~repro.core.deployment.DeploymentBuilder` / :class:`~repro.runtime
 .NodeRuntime` path, recording wall-clock cost and simulator events processed
-per sweep point.  Passing ``shared_cache=False`` reproduces the seed
-architecture's rebuild-every-digest behaviour for comparison.
+per sweep point.
 """
 
 from __future__ import annotations
@@ -130,84 +129,6 @@ def format_report(result: ScalabilityResult) -> str:
 
 
 # --------------------------------------------------------------------------
-# Large-deployment point: the paper's scalability claim at 512 nodes.
-# --------------------------------------------------------------------------
-
-#: deployment size of the beyond-the-paper Figure 9 point.  The paper stops
-#: at ten writers on a few dozen Planet-Lab hosts; the reproduction's hot
-#: path is fast enough to host the same experiment on a 512-node deployment
-#: inside a CI smoke run.
-LARGE_DEPLOYMENT_NODES = 512
-
-
-@dataclass
-class LargeDeploymentResult:
-    """Figure 9 measured on one large deployment (default 512 nodes).
-
-    Two complementary measurements back the paper's claim that resolution
-    cost depends on the *top-layer* size, not the deployment size:
-
-    * active/background resolution delay for a fixed top layer hosted on the
-      large deployment (directly comparable against Formula 2), and
-    * wall-clock + simulator events for a short multi-object write workload
-      on the same node count, proving the simulation substrate sustains the
-      scale.
-    """
-
-    num_nodes: int
-    top_layer_size: int
-    active_delay: float
-    background_delay: float
-    paper_model: DelayModel
-    sweep_duration: float
-    sweep_wall_clock: float
-    sweep_events: int
-    sweep_writes: int
-
-    @property
-    def events_per_second(self) -> float:
-        return self.sweep_events / max(self.sweep_wall_clock, 1e-12)
-
-
-def run_large_deployment_point(*, num_nodes: int = LARGE_DEPLOYMENT_NODES,
-                               top_layer_size: int = 4, num_objects: int = 4,
-                               writers_per_object: int = 4,
-                               write_period: float = 2.0, duration: float = 60.0,
-                               seed: int = 23) -> LargeDeploymentResult:
-    """Measure the Figure 9 story at production-ish deployment scale."""
-    if num_nodes < top_layer_size:
-        raise ValueError("num_nodes must be >= top_layer_size")
-    active, background = _measure_for_size(top_layer_size, num_nodes=num_nodes,
-                                           seed=seed)
-    wall, events, writes = run_multiobject_point(
-        num_nodes=num_nodes, num_objects=num_objects,
-        writers_per_object=writers_per_object, write_period=write_period,
-        duration=duration, seed=seed, shared_cache=True)
-    return LargeDeploymentResult(
-        num_nodes=num_nodes, top_layer_size=top_layer_size,
-        active_delay=active, background_delay=background,
-        paper_model=paper_delay_model(), sweep_duration=duration,
-        sweep_wall_clock=wall, sweep_events=events, sweep_writes=writes)
-
-
-def format_large_deployment_report(result: LargeDeploymentResult) -> str:
-    rows = [
-        ["active resolution", f"{result.active_delay * 1e3:.1f} ms",
-         f"{result.paper_model.predict(result.top_layer_size) * 1e3:.1f} ms"],
-        ["background resolution", f"{result.background_delay * 1e3:.1f} ms", "—"],
-    ]
-    table = format_table(
-        ["measurement", f"{result.num_nodes} nodes", "paper formula 2"],
-        rows, title=(f"Figure 9 at scale — top layer of {result.top_layer_size} "
-                     f"writers on {result.num_nodes} nodes"))
-    return table + (
-        f"\nworkload sweep: {result.sweep_events} events / "
-        f"{result.sweep_wall_clock:.2f} s wall "
-        f"({result.events_per_second:,.0f} events/s, "
-        f"{result.sweep_writes} writes over {result.sweep_duration:.0f} s simulated)")
-
-
-# --------------------------------------------------------------------------
 # Multi-object scalability: many objects per node through the NodeRuntime.
 # --------------------------------------------------------------------------
 
@@ -218,7 +139,6 @@ class MultiObjectResult:
     num_nodes: int
     writers_per_object: int
     duration: float
-    shared_cache: bool
     object_counts: List[int]
     wall_clock_seconds: List[float]
     events_processed: List[int]
@@ -241,12 +161,10 @@ class MultiObjectResult:
 
 def run_multiobject_point(*, num_nodes: int, num_objects: int,
                           writers_per_object: int, write_period: float,
-                          duration: float, seed: int,
-                          shared_cache: bool) -> Tuple[float, int, int]:
+                          duration: float, seed: int) -> Tuple[float, int, int]:
     """(wall-clock s, events processed, writes applied) for one sweep point."""
     started = _time.perf_counter()
-    deployment = DeploymentBuilder(num_nodes=num_nodes, seed=seed,
-                                   shared_digest_cache=shared_cache).build()
+    deployment = DeploymentBuilder(num_nodes=num_nodes, seed=seed).build()
     # Hint level 0 keeps the workload purely in the detection path (no
     # automatic resolutions), so the sweep measures runtime overhead rather
     # than resolution-backoff randomness.
@@ -278,15 +196,14 @@ def build_multiobject_grid(*, num_nodes: int = 8,
                            object_counts: Sequence[int] = (1, 4, 16, 64),
                            writers_per_object: int = 4,
                            write_period: float = 2.0, duration: float = 40.0,
-                           seed: int = 11,
-                           shared_cache: bool = True) -> List[PointSpec]:
+                           seed: int = 11) -> List[PointSpec]:
     """The objects-per-deployment axis as farm point specs."""
     return [PointSpec.build(
         run_multiobject_point, index=i,
         labels=("multiobject", f"obj{count}"),
         num_nodes=num_nodes, num_objects=int(count),
         writers_per_object=writers_per_object, write_period=write_period,
-        duration=duration, seed=seed, shared_cache=shared_cache)
+        duration=duration, seed=seed)
         for i, count in enumerate(object_counts)]
 
 
@@ -295,7 +212,6 @@ def run_multiobject_experiment(*, num_nodes: int = 8,
                                writers_per_object: int = 4,
                                write_period: float = 2.0,
                                duration: float = 40.0, seed: int = 11,
-                               shared_cache: bool = True,
                                jobs: int = 1) -> MultiObjectResult:
     """Sweep objects-per-deployment and record wall-clock + events.
 
@@ -311,7 +227,7 @@ def run_multiobject_experiment(*, num_nodes: int = 8,
     specs = build_multiobject_grid(
         num_nodes=num_nodes, object_counts=counts,
         writers_per_object=writers_per_object, write_period=write_period,
-        duration=duration, seed=seed, shared_cache=shared_cache)
+        duration=duration, seed=seed)
     walls: List[float] = []
     events: List[int] = []
     writes: List[int] = []
@@ -321,28 +237,18 @@ def run_multiobject_experiment(*, num_nodes: int = 8,
         writes.append(applied)
     return MultiObjectResult(
         num_nodes=num_nodes, writers_per_object=writers_per_object,
-        duration=duration, shared_cache=shared_cache, object_counts=counts,
+        duration=duration, object_counts=counts,
         wall_clock_seconds=walls, events_processed=events,
         writes_applied=writes)
 
 
-def format_multiobject_report(result: MultiObjectResult,
-                              baseline: Optional[MultiObjectResult] = None) -> str:
+def format_multiobject_report(result: MultiObjectResult) -> str:
     title = (f"Multi-object scalability — {result.num_nodes} nodes, "
              f"{result.writers_per_object} writers/object, "
-             f"{result.duration:.0f} s simulated, "
-             f"{'shared digest cache' if result.shared_cache else 'seed architecture'}")
-    table = format_table(
+             f"{result.duration:.0f} s simulated")
+    return format_table(
         ["objects", "wall clock", "per object", "events", "writes"],
         result.as_rows(), title=title)
-    if baseline is not None and baseline.object_counts == result.object_counts:
-        speedups = [b / max(r, 1e-12) for b, r in
-                    zip(baseline.per_object_seconds(),
-                        result.per_object_seconds())]
-        table += ("\nper-object speedup vs seed architecture: "
-                  + ", ".join(f"{c}×obj: {s:.2f}×" for c, s in
-                              zip(result.object_counts, speedups)))
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ class ChurnPointResult:
     dropped_by_reason: Dict[str, int] = field(default_factory=dict)
     messages_sent: int = 0
     #: wall-clock seconds this point took (machine-dependent; excluded from
-    #: the replay fingerprint, regression-gated by check_bench_regression)
+    #: the replay fingerprint)
     wall_seconds: float = 0.0
 
     @property
@@ -271,7 +271,7 @@ def build_churn_grid(*, node_counts: Sequence[int] = (8, 16, 32, 64),
     """The size × loss grid as farm point specs (aggregation order).
 
     Per-point seeds keep the pre-farm formula (``seed + num_nodes``) so the
-    committed ``BENCH_churn.json`` trace replays bit-identically.
+    8-node points pinned in ``tests/test_scenarios.py`` replay bit-identically.
     """
     specs: List[PointSpec] = []
     for num_nodes in node_counts:

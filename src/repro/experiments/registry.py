@@ -76,7 +76,7 @@ _ENTRIES: List[ExperimentEntry] = [
         smoke={"max_top_layer": 4, "num_nodes": 12}),
     ExperimentEntry(
         name="multiobject",
-        description="multi-object ablation: shared vs per-object overlays",
+        description="wall clock and events vs objects hosted per deployment",
         run=fig9_scalability.run_multiobject_experiment,
         report=fig9_scalability.format_multiobject_report,
         grid=fig9_scalability.build_multiobject_grid,

@@ -6,7 +6,7 @@ and executes them either
 * **serially, in-process** (``jobs=1``) — the determinism oracle.  This is
   byte-for-byte the code path the experiment modules ran before the farm
   existed: points execute in grid order in the caller's process, so every
-  committed BENCH_* trace replays bit-identically; or
+  count and fingerprint pinned in tier-1 replays bit-identically; or
 * **in parallel** over a ``spawn``-started ``ProcessPoolExecutor``
   (``jobs>1``) with a bounded in-flight window, ordered aggregation,
   per-point wall/CPU telemetry, and worker-crash containment.

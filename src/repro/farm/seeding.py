@@ -10,9 +10,10 @@ same seed on every interpreter, platform, and worker process, which is what
 makes a parallel sweep fingerprint-identical to its serial oracle.
 
 The existing experiment grids keep their historical seed formulae (for
-bit-identical replay of the committed BENCH_* traces); new grids — the farm
-benchmark's reference grid, ad-hoc CLI sweeps — should derive per-point
-seeds here instead of inventing arithmetic on the base seed.
+bit-identical replay of the counts pinned in tier-1); new grids — the farm
+reference grid pinned in ``tests/test_farm_experiments.py``, ad-hoc CLI
+sweeps — should derive per-point seeds here instead of inventing arithmetic
+on the base seed.
 """
 
 from __future__ import annotations

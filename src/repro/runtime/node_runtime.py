@@ -62,8 +62,7 @@ class ObjectRegistry:
 class NodeRuntime:
     """One runtime per simulated node, shared by all objects it hosts."""
 
-    def __init__(self, node, store, *, bus: Optional[EventBus] = None,
-                 cache_digests: bool = True) -> None:
+    def __init__(self, node, store, *, bus: Optional[EventBus] = None) -> None:
         """
         Parameters
         ----------
@@ -75,15 +74,13 @@ class NodeRuntime:
         bus:
             Instrumentation bus; a deployment passes one shared bus so its
             reporting sees every node, a standalone runtime gets its own.
-        cache_digests:
-            Memoise local version digests by replica revision (the shared
-            digest cache).  Disable to reproduce the seed architecture's
-            rebuild-per-evaluation behaviour, e.g. for benchmarks.
         """
         self.node = node
         self.store = store
         self.bus = bus if bus is not None else EventBus()
-        self.digests: Optional[DigestCache] = DigestCache() if cache_digests else None
+        #: local version digests memoised by replica revision, and the peer
+        #: digest tables, shared by every object this node hosts
+        self.digests = DigestCache()
         #: one backoff stream per node, shared by every object's resolution
         #: manager instead of spawning a stream per (node, object)
         self.backoff_rng = node.clock.random.stream(
@@ -114,8 +111,7 @@ class NodeRuntime:
     def detach(self, object_id: str) -> None:
         """Drop an object from this node: registry entry and digest state."""
         self.registry.remove(object_id)
-        if self.digests is not None:
-            self.digests.forget_object(object_id)
+        self.digests.forget_object(object_id)
 
     def middleware(self, object_id: str) -> "IdeaMiddleware":
         return self.registry.get(object_id)

@@ -97,7 +97,7 @@ def run_shard_point(*, num_nodes: int, num_objects: int,
 
     The ``shards=1`` path is the determinism oracle: the same scenario on
     the unpartitioned single-process engine.  Sharded runs reproduce its
-    fingerprint bit-for-bit (gated by tests and ``check_bench_regression``).
+    fingerprint bit-for-bit (``tests/test_shard_determinism.py``).
     """
     kwargs = {"num_nodes": num_nodes, "num_objects": num_objects,
               "writers_per_object": writers_per_object,

@@ -8,7 +8,7 @@ value and the last-consistent time.  The coordinator concatenates every
 shard's lines and hashes them, so the merged fingerprint is a function of
 *replica content only* — identical whether the deployment ran in one
 process or in eight, which is exactly the determinism contract the golden
-tests and the ``BENCH_shard`` gate replay.
+tests (``tests/test_shard_determinism.py``) replay.
 
 Lives in its own module so both the worker (runs in the child process) and
 the coordinator/oracle (parent process) can import it without a cycle.

@@ -6,7 +6,7 @@ explicit overrides, per-link loss), object placement with top-layer
 policies, client traffic bound to regions, and a fault schedule (including
 correlated failures: site blasts, cascading churn).  The committed catalog
 (``repro/worlds/catalog/``) holds graded scale suites and stress worlds,
-each pinning a replay fingerprint the regression gate checks.
+each pinning a replay fingerprint ``tests/test_world_determinism.py`` replays.
 
 Typical use::
 

@@ -12,7 +12,9 @@ import pytest
 from repro.experiments.fig2_tradeoff import run_tradeoff_experiment
 from repro.experiments.fig7_hint import format_report, run_hint_experiment
 from repro.experiments.fig8_hint_change import run_hint_change_experiment
-from repro.experiments.fig9_scalability import run_scalability_experiment
+from repro.experiments.fig9_scalability import (run_multiobject_point,
+                                                run_scalability_experiment,
+                                                run_scalability_point)
 from repro.experiments.fig10_automatic import run_automatic_experiment
 from repro.experiments.report import format_table, percent, series_to_rows
 from repro.experiments.tab2_phases import run_phase_breakdown
@@ -127,6 +129,19 @@ class TestFig9:
 
     def test_fitted_slope_positive(self, result):
         assert result.fitted.per_member > 0
+
+    def test_512_node_point_is_pinned_and_sub_second(self):
+        # Resolution cost follows the top-layer size, not the deployment
+        # size: four writers on 512 nodes still resolve well under a second.
+        active, background = run_scalability_point(size=4, num_nodes=512,
+                                                   seed=23)
+        assert (active, background) == pytest.approx((0.26575, 0.30258),
+                                                     abs=1e-5)
+        assert active < 1.0 and background < 1.0
+        _, events, writes = run_multiobject_point(
+            num_nodes=512, num_objects=4, writers_per_object=4,
+            write_period=2.0, duration=60.0, seed=23)
+        assert (events, writes) == (1848, 464)
 
 
 class TestTab3AndFig10:

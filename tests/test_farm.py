@@ -25,14 +25,15 @@ from repro.farm.seeding import SEED_BITS
 
 class TestDeriveSeed:
     def test_pinned_values(self):
-        # Exact values pinned forever: committed BENCH traces record seeds
-        # produced by this function, so it must never drift.
+        # Exact values pinned forever: pinned traces were recorded under
+        # seeds produced by this function, so it must never drift.
         assert derive_seed(0, 0) == 225569712048967475
         assert derive_seed(0, 1) == 9221298230546986022
         assert derive_seed(42, 0) == 2477929200445608482
         assert derive_seed(42, 0, "churn") == 6154822384041956026
         assert derive_seed(42, 0, "churn", "n8") == 8252667076018156665
-        # The BENCH_farm.json reference grid's first point.
+        # The farm reference grid's first point (its fingerprint is pinned
+        # in test_farm_experiments.py).
         assert derive_seed(4242, 0, "farm-ref", "loss0", "kill0.125") == \
             6731726381959049476
 

@@ -34,7 +34,7 @@ from repro.experiments.fig_churn_availability import (
 from repro.experiments.fig_workload_sensitivity import run_workload_point
 from repro.experiments.tab2_phases import run_phase_breakdown
 from repro.experiments.tab3_overhead import run_booking_scenario
-from repro.farm import PointSpec, run_specs
+from repro.farm import PointSpec, derive_seed, run_specs
 
 #: one representative, seconds-cheap invocation per experiment point
 #: function — the picklability audit executes each and round-trips the result
@@ -51,8 +51,7 @@ CHEAP_POINTS = {
     "fig9": (run_scalability_point, dict(size=2, num_nodes=8, seed=19)),
     "multiobject": (run_multiobject_point,
                     dict(num_nodes=4, num_objects=1, writers_per_object=2,
-                         write_period=2.0, duration=10.0, seed=11,
-                         shared_cache=True)),
+                         write_period=2.0, duration=10.0, seed=11)),
     "churn": (run_churn_point, dict(num_nodes=8, duration=20.0)),
     "workload": (run_workload_point,
                  dict(num_nodes=8, num_clients=8, duration=15.0)),
@@ -130,6 +129,24 @@ def test_experiment_point_through_real_workers():
     (farmed,) = run_specs([spec], jobs=2)
     direct = run_churn_point(num_nodes=8, duration=20.0, seed=41)
     assert churn_fingerprint(farmed) == churn_fingerprint(direct)
+
+
+def test_farm_reference_point_replays_its_pinned_fingerprint():
+    # Point 0 of the 12-point 64-node reference grid (loss x kill fraction,
+    # base seed 4242).  Re-pin only when the event order changes on purpose.
+    labels = ("farm-ref", "loss0", "kill0.125")
+    spec = PointSpec.build(run_churn_point, index=0, labels=labels,
+                           seed=derive_seed(4242, 0, *labels), num_nodes=64,
+                           loss_probability=0.0, kill_fraction=0.125,
+                           duration=120.0)
+    pinned = {"events_processed": 48020, "messages_sent": 49506,
+              "writes_applied": 310, "latency_checksum": 20.003469237,
+              "detection_events": 1200, "detection_failures": 1182,
+              "resolutions_total": 47, "resolutions_succeeded": 38,
+              "dropped_by_reason": {"dst-down": 1733, "src-down": 183}}
+    for jobs in (1, 2):
+        (point,) = run_specs([spec], jobs=jobs)
+        assert churn_fingerprint(point) == pinned, f"jobs={jobs}"
 
 
 def test_phase_sweep_farms_and_matches_serial():

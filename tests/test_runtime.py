@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import AdaptationMode, IdeaConfig
-from repro.core.detection import VersionDigest
+from repro.core.detection import VersionDigest, evaluate_group
 from repro.core.middleware import IdeaMiddleware
 from repro.runtime import (
     DigestCache,
@@ -166,14 +166,6 @@ class TestNodeRuntime:
         assert "obj" not in runtime
         assert len(runtime) == 0
 
-    def test_cache_can_be_disabled(self, host):
-        sim, node, store = host
-        runtime = NodeRuntime(node, store, cache_digests=False)
-        middleware = runtime.attach("obj", hint_config(),
-                                    top_layer_provider=lambda: [])
-        assert runtime.digests is None
-        assert middleware.detection._digest_cache is None
-
     def test_standalone_middleware_gets_private_runtime(self, host):
         sim, node, store = host
         middleware = IdeaMiddleware(node, store, "obj", config=hint_config(),
@@ -193,15 +185,15 @@ class TestNodeRuntime:
         assert seen[0].object_id == "obj" and seen[0].node_id == "n00"
 
     def test_levels_identical_with_and_without_cache(self, host):
+        # The uncached reference: digests rebuilt from the replica's vector.
         sim, node, store = host
-        cached_rt = NodeRuntime(node, store)
-        plain_store = ReplicatedStore("n00")
-        plain_rt = NodeRuntime(node, plain_store, cache_digests=False)
-        cached = cached_rt.attach("obj", hint_config(),
-                                  top_layer_provider=lambda: ["n00"])
-        plain = plain_rt.attach("obj", hint_config(),
-                                top_layer_provider=lambda: ["n00"])
+        config = hint_config()
+        cached = NodeRuntime(node, store).attach(
+            "obj", config, top_layer_provider=lambda: ["n00"])
         for i in range(4):
             cached.write(f"u{i}", metadata_delta=1.0)
-            plain.write(f"u{i}", metadata_delta=1.0)
-            assert cached.current_level() == pytest.approx(plain.current_level())
+            _, plain_level = evaluate_group(
+                {"n00": store.replica("obj").vector}, object_id="obj",
+                metric=config.metric, weights=config.weights,
+                now=sim.now)["n00"]
+            assert cached.current_level() == pytest.approx(plain_level)

@@ -6,9 +6,7 @@ The contract under test (DESIGN.md §12):
   fingerprints (event/write/send/deliver counts + the SHA-256 over every
   replica's final vector/metadata state) are committed here as literals;
 * sharded runs (2 and 4 worker processes under the conservative lookahead
-  window) replay those exact fingerprints, bit for bit;
-* the committed ``BENCH_shard.json`` probe point replays identically, so
-  the benchmark baseline and this suite can never drift apart silently.
+  window) replay those exact fingerprints, bit for bit.
 
 The literals are regenerated only when the engine's event order
 legitimately changes — any unexplained diff here is a determinism bug,
@@ -16,9 +14,6 @@ not a baseline to refresh.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import pytest
 
@@ -36,8 +31,7 @@ GOLDEN_FINGERPRINT = {
     "state_sha": "0bad065075b0ce9691ae504da066651f0e596297cf6bc452a14df87944d58ca8",
 }
 
-#: the fig9-shaped golden point: 64 nodes across all PlanetLab sites, the
-#: same shape as the BENCH_shard.json probe
+#: the fig9-shaped golden point: 64 nodes across all PlanetLab sites
 FIG9_POINT = dict(num_nodes=64, num_objects=16, writers_per_object=4,
                   write_period=0.5, duration=5.0, seed=2029)
 FIG9_FINGERPRINT = {
@@ -47,8 +41,6 @@ FIG9_FINGERPRINT = {
     "delivered": 1728,
     "state_sha": "53d806ac2d47171be5ec616d15fbdb207a7238c680218b023e5bfbad1095fff9",
 }
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_shard.json"
 
 
 def test_oracle_replays_the_committed_multiobject_fingerprint():
@@ -76,15 +68,3 @@ def test_oracle_replays_the_committed_fig9_fingerprint():
 def test_sharded_replays_the_committed_fig9_fingerprint():
     result = run_shard_point(**FIG9_POINT, shards=2)
     assert result.fingerprint() == FIG9_FINGERPRINT
-
-
-def test_committed_bench_probe_replays_at_shards_1():
-    """BENCH_shard.json's probe and this suite gate the same trace."""
-    if not BENCH_PATH.exists():
-        pytest.skip("no committed BENCH_shard.json")
-    committed = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
-    probe = committed["probe"]
-    result = run_shard_point(**probe["point"], shards=1)
-    assert result.fingerprint() == probe["fingerprints"]
-    # The committed benchmark itself must have recorded a clean match.
-    assert committed["fingerprint_match"] is True

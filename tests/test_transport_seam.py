@@ -97,6 +97,29 @@ class TestImportBoundary:
         assert not modules & {"repro.sim.engine", "repro.sim.network",
                               "repro.sim.node"}
 
+    def test_tier1_and_src_stay_clear_of_the_benchmark_scripts(self):
+        """One benchmark gate: determinism is literals in these tests and
+        performance is the ledger (``BENCHMARK.json``), so nothing here reads
+        a regenerable benchmark JSON or imports a benchmark script."""
+        root = SRC.parent.parent
+        needle = "BENCH" + "_"  # assembled so this file does not match itself
+        violations = []
+        for tree in (root / "src", root / "tests"):
+            for path in sorted(tree.rglob("*")):
+                if not path.is_file() or "__pycache__" in path.parts:
+                    continue
+                if needle.encode() in path.read_bytes():
+                    violations.append(f"{path.relative_to(root)}: {needle}")
+                if path.suffix != ".py":
+                    continue
+                violations += [
+                    f"{path.relative_to(root)}: imports {module}"
+                    for module in _imported_modules(path)
+                    if any(part == "benchmarks" or part.startswith("bench_")
+                           for part in module.split("."))]
+        assert violations == []
+        assert sorted(p.name for p in root.glob(needle + "*.json")) == []
+
     def test_simulator_satisfies_clock_protocol(self):
         assert isinstance(Simulator(seed=0), Clock)
 

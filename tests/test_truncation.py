@@ -7,22 +7,24 @@ to an untruncated oracle, while operations that genuinely need folded
 records fail loudly instead of silently lying.  The property test drives a
 replica pair through random interleavings of writes, remote applies,
 invalidations and truncations against an oracle replica that never
-truncates; the golden-trace test replays a committed deployment scenario
-with periodic truncation enabled and checks the event/write stream is
-unchanged.
+truncates; the golden-trace tests replay pinned deployment scenarios with
+and without periodic truncation and check the event/write stream against
+the same literal counts.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import AdaptationMode, IdeaConfig
+from repro.core.deployment import DeploymentBuilder
 from repro.core.detection import VersionDigest
+from repro.overlay.temperature import TemperatureConfig
+from repro.overlay.two_layer import OverlayConfig
 from repro.store.replica import Replica
 from repro.store.update_log import UpdateLog
+from repro.transport.timers import PeriodicTimer
 from repro.versioning.extended_vector import (
     ExtendedVersionVector,
     TruncatedHistoryError,
@@ -31,6 +33,8 @@ from repro.versioning.extended_vector import (
 )
 from repro.versioning.version_vector import VersionVector
 from repro.versioning.writers import WriterTable
+from repro.workloads import (
+    ClientPopulation, ConstantRate, OpMix, UniformPopularity, ZipfPopularity)
 
 
 def rec(writer, seq, ts, delta=1.0, payload=None):
@@ -337,13 +341,6 @@ class TestTruncationProperties:
 # -------------------------------------------------------- driver truncation hook
 class TestDriverTruncationHook:
     def build(self, *, truncate):
-        from repro.core.config import AdaptationMode, IdeaConfig
-        from repro.core.deployment import DeploymentBuilder
-        from repro.overlay.temperature import TemperatureConfig
-        from repro.overlay.two_layer import OverlayConfig
-        from repro.workloads import (
-            ClientPopulation, ConstantRate, OpMix, UniformPopularity)
-
         config = IdeaConfig(mode=AdaptationMode.HINT_BASED, hint_level=0.0,
                             background_period=2.0)
         overlay = OverlayConfig(temperature=TemperatureConfig(
@@ -415,55 +412,52 @@ class TestDriverTruncationHook:
 
 # --------------------------------------------------------- golden-trace replay
 class TestGoldenTraceReplay:
-    """Committed scenarios replay identically with truncation enabled.
+    """Pinned scenarios replay identically with truncation enabled.
 
     The truncation sweep is invoked *between* simulation chunks (no extra
-    engine events), so the event/write streams must match the committed
-    baselines exactly even while replicas fold state.
+    engine events), so the event/write streams must match the pinned counts
+    exactly even while replicas fold state.  The literals are the
+    determinism gate for these shapes: re-pin them only when a change moves
+    the event order on purpose, and say so in the PR.
     """
 
-    def test_workload_shape_replays_with_truncation(self):
-        committed_path = Path(__file__).resolve().parent.parent / "BENCH_workload.json"
-        committed = json.loads(committed_path.read_text(encoding="utf-8"))
-        base = committed["engine"]["shapes"]["constant"]
-
-        import sys
-        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
-        from bench_workload_engine import (
-            SHAPE_CLIENTS, SHAPE_NODES, SHAPE_OBJECTS, SHAPE_SEED,
-            _build, _shape_schedule)
-        from repro.workloads import ClientPopulation, OpMix, ZipfPopularity
-
+    def run_workload_shape(self, *, truncate):
+        # The constant traffic shape: 16 nodes x 8 objects, 64 open-loop
+        # clients at 8 ops/s each, Zipf 0.99, 90 % reads, 50,000 ops.
+        config = IdeaConfig(mode=AdaptationMode.HINT_BASED, hint_level=0.0,
+                            background_period=None)
+        builder = DeploymentBuilder(num_nodes=16, seed=37)
+        for i in range(8):
+            builder.add_object(f"obj{i:02d}", config, start_background=False)
         population = ClientPopulation(
-            name="shape-constant", num_clients=SHAPE_CLIENTS,
-            popularity=ZipfPopularity(SHAPE_OBJECTS, 0.99), mix=OpMix(0.9),
-            schedule=_shape_schedule("constant"))
-        deployment = _build(SHAPE_NODES, SHAPE_OBJECTS, SHAPE_SEED,
-                            population, max_ops=base["ops_issued"])
+            name="shape-constant", num_clients=64,
+            popularity=ZipfPopularity(8, 0.99), mix=OpMix(0.9),
+            schedule=ConstantRate(8.0))
+        builder.add_traffic([population], max_ops=50_000)
+        deployment = builder.start_overlay_services().build()
         driver = deployment.traffic
         while not driver.done:
             deployment.run(until=deployment.sim.now + 5.0)
-            deployment.truncate_stable_state(keep_window=10.0)
-        assert driver.ops_issued == base["ops_issued"]
-        assert driver.reads_issued == base["reads_issued"]
-        assert driver.writes_applied == base["writes_applied"]
-        assert deployment.sim.events_processed == base["events_processed"]
+            if truncate:
+                deployment.truncate_stable_state(keep_window=10.0)
+        return deployment
 
-    def test_multiobject_ablation_replays_with_truncation(self):
-        committed_path = Path(__file__).resolve().parent.parent / "BENCH_multiobject.json"
-        committed = json.loads(committed_path.read_text(encoding="utf-8"))
-        baseline = committed["ablation"]["runtime_architecture"]
+    def test_workload_shape_replays_with_truncation(self):
+        for truncate in (False, True):
+            deployment = self.run_workload_shape(truncate=truncate)
+            driver = deployment.traffic
+            assert driver.ops_issued == 50_000
+            assert driver.reads_issued == 45_025
+            assert driver.writes_applied == 4_975
+            assert deployment.sim.events_processed == 96_153
 
-        from repro.core.config import AdaptationMode, IdeaConfig
-        from repro.core.deployment import DeploymentBuilder
-        from repro.transport.timers import PeriodicTimer
-
-        # Mirror fig9_scalability.run_multiobject_point at the gated 8-object
-        # point, but advance in chunks with a truncation sweep in between.
-        num_nodes, num_objects, writers_per_object = baseline["num_nodes"], 8, 4
-        write_period = 0.4
-        deployment = DeploymentBuilder(num_nodes=num_nodes, seed=11,
-                                       shared_digest_cache=True).build()
+    def run_multiobject_ablation(self, *, truncate):
+        # Mirror fig9_scalability.run_multiobject_point at 8 nodes x 8
+        # objects x 300 s, but advance in chunks with a truncation sweep in
+        # between.
+        num_nodes, num_objects, writers_per_object = 8, 8, 4
+        write_period, duration = 0.4, 300.0
+        deployment = DeploymentBuilder(num_nodes=num_nodes, seed=11).build()
         config = IdeaConfig(mode=AdaptationMode.HINT_BASED, hint_level=0.0,
                             background_period=None)
         node_ids = deployment.node_ids
@@ -480,13 +474,52 @@ class TestGoldenTraceReplay:
                 offset = 0.05 + write_period * (w / writers_per_object) \
                     + 0.003 * (i % 32)
                 deployment.sim.call_at(offset, timer.start)
-        duration = baseline["duration_simulated_s"]
         now = 0.0
         while now < duration:
             now = min(now + duration / 10.0, duration)
             deployment.run(until=now)
-            deployment.truncate_stable_state(keep_window=30.0)
-        assert deployment.sim.events_processed == baseline["events_processed"][0]
+            if truncate:
+                deployment.truncate_stable_state(keep_window=30.0)
         writes = sum(deployment.trace.count(f"writes.obj{i:04d}")
                      for i in range(num_objects))
-        assert writes == baseline["writes_applied"][0]
+        return deployment.sim.events_processed, writes
+
+    def test_multiobject_ablation_replays_with_truncation(self):
+        for truncate in (False, True):
+            assert self.run_multiobject_ablation(truncate=truncate) \
+                == (95_854, 23_968)
+
+    def test_longrun_shape_replays_with_bounded_state(self):
+        # The long-run shape: 16 nodes all in the top layer, 4 objects,
+        # background resolution every 2 s, the driver's truncation sweep
+        # every 2 s over a 5 s window; 64 clients x 40 ops/s, 75,000 ops.
+        config = IdeaConfig(mode=AdaptationMode.HINT_BASED, hint_level=0.0,
+                            background_period=2.0, outcome_history=256)
+        overlay = OverlayConfig(temperature=TemperatureConfig(
+            half_life=600.0, hot_threshold=0.5, max_top_size=16,
+            min_top_size=1))
+        builder = DeploymentBuilder(num_nodes=16, seed=23,
+                                    overlay_config=overlay)
+        for i in range(4):
+            builder.add_object(f"obj{i}", config, start_background=True)
+        population = ClientPopulation(
+            name="web", num_clients=64, popularity=ZipfPopularity(4, 0.5),
+            mix=OpMix(0.9), schedule=ConstantRate(40.0))
+        builder.add_traffic([population], max_ops=75_000, truncate_every=2.0,
+                            truncate_window=5.0, truncate_keep_content=False)
+        deployment = builder.start_overlay_services().build()
+        driver = deployment.traffic
+        deployment.run(until=10.0)
+        early_ops, early_peak = driver.ops_issued, driver.peak_retained_entries
+        driver.run(chunk=1.0)
+        assert driver.ops_issued == 75_000
+        assert driver.reads_issued == 67_570
+        assert driver.writes_applied == 5_271
+        assert deployment.sim.events_processed == 156_913
+        assert driver.entries_folded == 60_965
+        # Bounded state independent of the op count: the peak is reached in
+        # the first 10 of the run's 30 simulated seconds and stays under the
+        # window bound (write rate x members x retention horizon).
+        assert early_ops < 75_000 / 2
+        assert driver.peak_retained_entries == early_peak == 26_468
+        assert early_peak <= 65_536

@@ -1,7 +1,7 @@
 """Golden-fingerprint determinism for the world catalog.
 
-Three catalog worlds — a scale-suite member and two stress worlds — are
-replayed against their committed ``fingerprint`` blocks, serially and
+Every catalog world is replayed against its committed ``fingerprint``
+block; three of them — a scale-suite member and two stress worlds — also
 through farm worker processes.  Bit-identical means the whole stack is
 deterministic end-to-end: tiered latency, per-link loss, region traffic
 binding and compiled fault schedules included.  A mismatch either reveals
@@ -16,12 +16,13 @@ import pytest
 from repro.experiments.fig_world_matrix import (build_world_matrix_grid,
                                                 run_world_matrix)
 from repro.farm import run_specs
-from repro.worlds import build_world, load_world, world_fingerprint
+from repro.worlds import (build_world, catalog_names, load_world,
+                          world_fingerprint)
 
 GOLDEN_WORLDS = ("wan-20", "edge-lossy", "churn-heavy")
 
 
-@pytest.mark.parametrize("name", GOLDEN_WORLDS)
+@pytest.mark.parametrize("name", catalog_names())
 def test_world_replays_its_pinned_fingerprint(name):
     world = load_world(name)
     pinned = world.fingerprint
