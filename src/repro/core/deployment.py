@@ -310,8 +310,7 @@ class DeploymentBuilder:
             d.ransub = RanSubService(d.clock, d.transport, d.node_ids,
                                      round_period=self.ransub_period)
         d.overlay = TwoLayerOverlay(d.local_node_ids,
-                                    config=self.overlay_config,
-                                    ransub=d.ransub)
+                                    config=self.overlay_config)
         d.gossip = None
         if self.use_gossip:
             # The background sweep "covers all the nodes in the network"

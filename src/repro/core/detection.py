@@ -81,6 +81,14 @@ class VersionDigest:
             self.__dict__["_counts"] = cached
         return cached
 
+    def total(self) -> int:
+        """Total update count across writers (memoised like :meth:`counts`)."""
+        cached = self.__dict__.get("_total")
+        if cached is None:
+            cached = self.__dict__["_total"] = sum(
+                s.count for _, s in self.writers)
+        return cached
+
     def writer_map(self) -> Dict[str, WriterSummary]:
         return dict(self.writers)
 
@@ -213,12 +221,14 @@ class DetectionService:
         """
         self.node = node
         self.object_id = object_id
-        self.metric = metric
-        self.weights = weights
         self._top_layer_provider = top_layer_provider
         self._replica_provider = replica_provider
         self._on_remote_digest = on_remote_digest
         self._digest_cache = digest_cache
+        #: (replica revision, digest) of the last cache answer: an unchanged
+        #: replica is answered here, counted as the cache hit it is
+        self._local_revision = -1
+        self._local: Optional[VersionDigest] = None
         self._peer_digests = digest_cache.peer_digests(object_id)
         self._detections_run = 0
         #: bumped on every peer-table / metric / weight mutation; keys the
@@ -241,32 +251,38 @@ class DetectionService:
         #: the frontier rides the same digest table as the max envelope and
         #: is recomputed at most once per table change
         self._frontier_memo: Optional[tuple] = None
-        #: (local digest identity, peer version, reference, level) of the
-        #: last evaluation.  Digests are immutable and the local digest is
-        #: revision-memoised by the shared cache, so identity + version
-        #: captures every input of the level computation — client traffic
-        #: re-reading an unchanged replica costs a tuple compare, not a
-        #: reference rebuild.
+        #: (local digest, peer version, level, numerical, order, staleness)
+        #: of the last evaluation.  Digests are immutable and the local
+        #: digest is revision-memoised, so identity + version captures every
+        #: input of the level computation — client traffic re-reading an
+        #: unchanged replica costs a tuple compare, not an evaluation.
         self._eval_memo: Optional[tuple] = None
-        # Incremental reference envelope (see _reference_for): the per-writer
-        # max summary over the local digest and every cached peer digest,
-        # folded forward one digest at a time instead of rebuilt from every
-        # digest per evaluation.
+        # Incremental reference envelope (see _evaluate): the per-writer max
+        # summary over the local digest and every cached peer digest, folded
+        # forward one digest at a time, and the three scalars of it that the
+        # error triple reads — total count, summed metadata, latest update.
         self._ref_valid = False
         self._ref_best: Dict[str, WriterSummary] = {}
-        self._ref_counts_map: Dict[str, int] = {}
         self._ref_total = 0
         self._ref_metadata = 0.0
         self._ref_latest = 0.0
-        self._ref_counts: Optional[VersionVector] = None
-        self._ref_reference: Optional[ReferenceState] = None
         self._ref_local: Optional[VersionDigest] = None
+        self.set_metric(metric)
+        self.set_weights(weights)
         #: message type string built once instead of per announce
         self._digest_msg_type = f"idea_digest:{object_id}"
         node.register_handler(self._digest_msg_type, self._handle_digest)
 
-    def _local_digest(self, replica: Replica, now: float) -> VersionDigest:
-        return self._digest_cache.local_digest(self.object_id, replica, now)
+    def _local_digest(self, replica: Replica) -> VersionDigest:
+        """The replica's digest; only a changed revision reaches the cache."""
+        revision = replica.revision
+        if revision == self._local_revision:
+            self._digest_cache.hits += 1
+            return self._local
+        digest = self._local = self._digest_cache.local_digest(
+            self.object_id, replica, self.node.clock.now)
+        self._local_revision = revision
+        return digest
 
     # ---------------------------------------------------------------- state
     @property
@@ -279,10 +295,16 @@ class DetectionService:
 
     def set_weights(self, weights: MetricWeights) -> None:
         self.weights = weights
+        total = weights.numerical + weights.order + weights.staleness
+        #: Formula 1's normalised weights, divided once per change
+        self._weights = (weights.numerical / total, weights.order / total,
+                         weights.staleness / total)
         self._eval_memo = None
 
     def set_metric(self, metric: ConsistencyMetricSpec) -> None:
         self.metric = metric
+        self._maxima = (metric.max_numerical, metric.max_order,
+                        metric.max_staleness)
         self._eval_memo = None
 
     # ------------------------------------------------------------- exchange
@@ -293,9 +315,8 @@ class DetectionService:
         exchange that lets the write's conflicts be caught "in a timely
         manner" in the top layer.
         """
-        replica = self._replica_provider()
         now = self.node.clock.now
-        digest = self._local_digest(replica, now)
+        digest = self._local_digest(self._replica_provider())
         if digest.issued_at != now:
             # A cache hit may carry an old issue time; peers order digests by
             # it, so stamp the current time before shipping.
@@ -330,8 +351,7 @@ class DetectionService:
             if existing is None or self._sorted_peers is None:
                 self._sorted_peers = None  # membership changed: rebuild lazily
             else:
-                self._peer_total_sum += (digest.counts().total_updates()
-                                         - existing.counts().total_updates())
+                self._peer_total_sum += digest.total() - existing.total()
             self._fold_digest(digest, existing)
 
     def observe_counts(self, node_id: str, counts: VersionVector) -> None:
@@ -362,8 +382,7 @@ class DetectionService:
         existing = self._peer_digests.pop(node_id, None)
         if existing is not None:
             stashed = self._gossip_counts.get(node_id)
-            if (stashed is None or existing.counts().total_updates()
-                    > stashed.total_updates()):
+            if stashed is None or existing.total() > stashed.total_updates():
                 self._gossip_counts[node_id] = existing.counts()
         self._sorted_peers = None
         self._peer_version += 1
@@ -375,8 +394,7 @@ class DetectionService:
         changes (amortised across the detections in between)."""
         peers = self._peer_digests
         sorted_peers = self._sorted_peers = tuple(sorted(peers))
-        self._peer_total_sum = sum(d.counts().total_updates()
-                                   for d in peers.values())
+        self._peer_total_sum = sum(d.total() for d in peers.values())
         return sorted_peers
 
     # ---------------------------------------------------- stability frontier
@@ -403,8 +421,7 @@ class DetectionService:
         and recomputed at most once per change, amortised across the
         truncation period.
         """
-        replica = self._replica_provider()
-        local_digest = self._local_digest(replica, self.node.clock.now)
+        local_digest = self._local_digest(self._replica_provider())
         if required_sources is None:
             required = None
         else:
@@ -462,107 +479,112 @@ class DetectionService:
         full rebuild.  A source that shrank (a rollback discarded updates)
         invalidates the envelope; the next evaluation rebuilds it from every
         cached digest.
+
+        A replacement usually lists the writers of the digest it replaces,
+        in the same order, with one of them grown.  That case is one aligned
+        pass which skips every writer whose pair is the very same object
+        (the simulator ships the cache's interned pairs) or whose count is
+        unchanged (``live.wire`` decodes fresh equal pairs): ``old`` is
+        already merged, so only a grown count can raise a maximum.  Anything
+        else — a writer added, dropped or reordered — takes the general walk.
         """
         if not self._ref_valid:
             return
+        fold = self._fold_writer
         if old is not None:
-            new_map = dict(new.writers)
-            for writer, summary in old.writers:
+            writers = new.writers
+            replaced = old.writers
+            if len(writers) == len(replaced):
+                for pair, old_pair in zip(writers, replaced):
+                    if pair is old_pair:
+                        continue
+                    writer, summary = pair
+                    if writer != old_pair[0]:
+                        break  # misaligned: the general walk decides
+                    grown = summary.count - old_pair[1].count
+                    if grown > 0:
+                        fold(writer, summary)
+                    elif grown < 0:
+                        self._ref_valid = False
+                        return
+                else:
+                    return
+            new_map = dict(writers)
+            for writer, summary in replaced:
                 replacement = new_map.get(writer)
                 if replacement is None or replacement.count < summary.count:
                     self._ref_valid = False
                     return
-        best = self._ref_best
-        counts_map = self._ref_counts_map
-        changed = False
         for writer, summary in new.writers:
-            current = best.get(writer)
-            if current is None or summary.count > current.count:
-                if current is not None:
-                    self._ref_metadata -= current.cumulative_metadata
-                    self._ref_total -= current.count
-                best[writer] = summary
-                counts_map[writer] = summary.count
-                self._ref_total += summary.count
-                self._ref_metadata += summary.cumulative_metadata
-                if summary.last_timestamp > self._ref_latest:
-                    self._ref_latest = summary.last_timestamp
-                changed = True
-        if changed:
-            self._ref_counts = None
-            self._ref_reference = None
+            fold(writer, summary)
+
+    def _fold_writer(self, writer: str, summary: WriterSummary) -> None:
+        """Raise one writer's maximum (and the scalars) to ``summary``."""
+        current = self._ref_best.get(writer)
+        if current is None:
+            self._ref_total += summary.count
+            self._ref_metadata += summary.cumulative_metadata
+        elif summary.count > current.count:
+            self._ref_metadata -= current.cumulative_metadata
+            self._ref_total += summary.count - current.count
+            self._ref_metadata += summary.cumulative_metadata
+        else:
+            return
+        self._ref_best[writer] = summary
+        if summary.last_timestamp > self._ref_latest:
+            self._ref_latest = summary.last_timestamp
 
     def _rebuild_envelope(self, local_digest: VersionDigest) -> None:
-        best: Dict[str, WriterSummary] = {}
-        best_get = best.get
-        counts_map: Dict[str, int] = {}
-        total = 0
-        metadata = 0.0
-        latest = 0.0
+        self._ref_best = {}
+        self._ref_total = 0
+        self._ref_metadata = 0.0
+        self._ref_latest = 0.0
+        fold = self._fold_writer
         for digest in (local_digest, *self._peer_digests.values()):
             for writer, summary in digest.writers:
-                current = best_get(writer)
-                if current is None or summary.count > current.count:
-                    if current is not None:
-                        metadata -= current.cumulative_metadata
-                        total -= current.count
-                    best[writer] = summary
-                    counts_map[writer] = summary.count
-                    total += summary.count
-                    metadata += summary.cumulative_metadata
-                    if summary.last_timestamp > latest:
-                        latest = summary.last_timestamp
-        self._ref_best = best
-        self._ref_counts_map = counts_map
-        self._ref_total = total
-        self._ref_metadata = metadata
-        self._ref_latest = latest
-        self._ref_counts = None
-        self._ref_reference = None
+                fold(writer, summary)
         self._ref_local = local_digest
         self._ref_valid = True
 
-    def _reference_for(self, local_digest: VersionDigest) -> ReferenceState:
-        """The merged reference state, maintained incrementally.
+    def _evaluate(self, local_digest: VersionDigest) -> tuple:
+        """The memo tuple ``(local digest, peer version, level, numerical,
+        order, staleness)`` of the local replica against the envelope.
 
-        Equivalent to ``build_reference([local] + peers)`` — the engine of
-        every evaluation — but each changed input is folded in once instead
-        of re-merging every digest per call.
+        Equal to ``build_reference([local] + peers).triple_for(local)`` fed
+        to :func:`~repro.core.quantify.consistency_level` — the reference
+        functions the tests hold this against — but read off the three
+        maintained scalars: no ``ReferenceState``, ``VersionVector`` or
+        ``ErrorTriple`` is built.  The envelope merges the local digest, so
+        it dominates it pointwise and the order error (the two-way count
+        gap) is the exact integer ``total(envelope) − total(local)``.
+        Formula 1 keeps ``consistency_level``'s operations in their order,
+        so the float is the same float.
         """
-        if (self._ref_valid and self._ref_local is not None
-                and local_digest is not self._ref_local):
+        memo = self._eval_memo
+        version = self._peer_version
+        if memo is not None and memo[0] is local_digest and memo[1] == version:
+            return memo
+        if self._ref_valid and local_digest is not self._ref_local:
             self._fold_digest(local_digest, self._ref_local)
             self._ref_local = local_digest
         if not self._ref_valid:
             self._rebuild_envelope(local_digest)
-        reference = self._ref_reference
-        if reference is None:
-            if self._ref_counts is None:
-                # dict() of the maintained int map: a C-speed copy (the
-                # vector takes ownership) instead of a per-writer dictcomp.
-                self._ref_counts = VersionVector._from_trusted(
-                    dict(self._ref_counts_map))
-            reference = ReferenceState(counts=self._ref_counts,
-                                       metadata=self._ref_metadata,
-                                       latest_update_time=self._ref_latest)
-            self._ref_reference = reference
-        return reference
-
-    def _triple_against_envelope(self, reference: ReferenceState,
-                                 local_digest: VersionDigest) -> ErrorTriple:
-        """``reference.triple_for(local_digest)`` with the dominance shortcut.
-
-        The envelope merges the local digest, so it dominates it pointwise;
-        the order error (the two-way count gap) collapses to the exact
-        integer ``total(reference) − total(local)`` without a per-writer
-        walk.
-        """
-        numerical = abs(reference.metadata - local_digest.metadata)
-        order = float(self._ref_total - local_digest.counts().total_updates())
-        staleness = max(0.0, reference.latest_update_time
+        numerical = abs(self._ref_metadata - local_digest.metadata)
+        order = float(self._ref_total - local_digest.total())
+        staleness = max(0.0, self._ref_latest
                         - local_digest.last_consistent_time)
-        return ErrorTriple(numerical=numerical, order=order,
-                           staleness=staleness)
+        max_n, max_o, max_s = self._maxima
+        weight_n, weight_o, weight_s = self._weights
+        n = 0.0 if numerical <= 0 else numerical / max_n
+        o = 0.0 if order <= 0 else order / max_o
+        s = 0.0 if staleness <= 0 else staleness / max_s
+        level = 1.0 - ((n if n < 1.0 else 1.0) * weight_n
+                       + (o if o < 1.0 else 1.0) * weight_o
+                       + (s if s < 1.0 else 1.0) * weight_s)
+        level = min(1.0, max(0.0, level))
+        memo = self._eval_memo = (local_digest, version, level,
+                                  numerical, order, staleness)
+        return memo
 
     # -------------------------------------------------------------- detect()
     def detect(self) -> DetectionOutcome:
@@ -574,24 +596,17 @@ class DetectionService:
         reconstructed reference state.
         """
         self._detections_run += 1
-        replica = self._replica_provider()
-        now = self.node.clock.now
-        local_digest = self._local_digest(replica, now)
-        memo = self._eval_memo
-        version = self._peer_version
-        if memo is not None and memo[0] is local_digest and memo[1] == version:
-            reference = memo[2]
-        else:
-            reference = self._reference_for(local_digest)
+        local_digest = self._local_digest(self._replica_provider())
+        _, _, level, numerical, order, staleness = self._evaluate(local_digest)
 
-        local_counts = local_digest.counts()
-        local_total = local_counts.total_updates()
+        local_total = local_digest.total()
         # The envelope dominates the local counts, so "reference == local"
         # collapses to an exact integer total comparison; and because every
         # peer is likewise dominated pointwise, "every peer equals local"
         # collapses to the maintained total sum matching exactly.  Only when
-        # somebody diverged does the per-peer walk below run — and then each
-        # step is a C-speed dict inequality, not an ordering classification.
+        # somebody diverged does the per-peer walk below run — and then a
+        # peer whose total differs has diverged without looking further;
+        # only equal totals need the count vectors compared.
         sorted_peers = self._sorted_peers
         if sorted_peers is None:
             sorted_peers = self._refresh_peer_index()
@@ -603,33 +618,22 @@ class DetectionService:
             peer_digests = self._peer_digests
             conflicting = tuple(
                 peer for peer in sorted_peers
-                if peer_digests[peer].counts() != local_counts)
+                if peer_digests[peer].total() != local_total
+                or peer_digests[peer].counts() != local_digest.counts())
 
-        triple = self._triple_against_envelope(reference, local_digest)
-        level = consistency_level(triple, self.metric, self.weights)
-        self._eval_memo = (local_digest, version, reference, level)
         return DetectionOutcome(
             object_id=self.object_id, node_id=self.node.node_id,
             success=not conflicting and reference_matches,
-            level=level, triple=triple, conflicting_peers=conflicting,
-            evaluated_at=now)
+            level=level,
+            triple=ErrorTriple(numerical=numerical, order=order,
+                               staleness=staleness),
+            conflicting_peers=conflicting, evaluated_at=self.node.clock.now)
 
     def current_level(self) -> float:
         """Consistency level without counting as a detection run."""
-        replica = self._replica_provider()
-        now = self.node.clock.now
-        local_digest = self._local_digest(replica, now)
-        memo = self._eval_memo
-        version = self._peer_version
-        if memo is not None and memo[0] is local_digest and memo[1] == version:
-            return memo[3]
-        reference = self._reference_for(local_digest)
-        triple = self._triple_against_envelope(reference, local_digest)
-        level = consistency_level(triple, self.metric, self.weights)
-        self._eval_memo = (local_digest, version, reference, level)
-        return level
+        return self._evaluate(
+            self._local_digest(self._replica_provider()))[2]
 
     def local_counts(self) -> VersionVector:
         """The local replica's current per-writer counts (cached digest view)."""
-        replica = self._replica_provider()
-        return self._local_digest(replica, self.node.clock.now).counts()
+        return self._local_digest(self._replica_provider()).counts()

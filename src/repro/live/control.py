@@ -108,17 +108,33 @@ class ControlServer:
             with contextlib.suppress(ConnectionError, OSError):
                 await writer.wait_closed()
 
-    def _handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle(self, request: Any) -> Dict[str, Any]:
+        """Answer one decoded request.
+
+        The body arrives from outside the process, so every field is
+        checked before the transport is touched: a request that is rejected
+        (here, or by the transport's own range check) has changed nothing.
+        """
+        if not isinstance(request, dict):
+            raise ValueError("control request must be a JSON object")
         op = request.get("op")
         if op == "partition":
-            self.transport.set_blocked_peers(request.get("blocked", []))
+            blocked = request.get("blocked")
+            # a bare string would iterate as its characters
+            if (not isinstance(blocked, list)
+                    or not all(isinstance(peer, str) for peer in blocked)):
+                raise ValueError("'blocked' must be a list of node ids")
+            self.transport.set_blocked_peers(blocked)
             return {"ok": True}
         if op == "heal":
             self.transport.set_blocked_peers(())
             return {"ok": True}
         if op == "set_loss":
-            self.transport.set_loss_probability(
-                float(request["probability"]))
+            probability = request.get("probability")
+            if (isinstance(probability, bool)
+                    or not isinstance(probability, (int, float))):
+                raise ValueError("'probability' must be a number")
+            self.transport.set_loss_probability(float(probability))
             return {"ok": True}
         if op == "ping":
             return {"ok": True, "node_id": self.node_id,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -61,8 +61,7 @@ class TemperatureTracker:
         self._scores: Dict[str, float] = {}
         self._last_update: Dict[str, float] = {}
         #: bumped on every recorded update; selection results are pure
-        #: functions of (version, query time, candidate pool), so callers can
-        #: memoise on it
+        #: functions of (version, query time), so callers can memoise on it
         self.version = 0
 
     # ------------------------------------------------------------- updates
@@ -102,22 +101,19 @@ class TemperatureTracker:
         return sorted(self._scores)
 
     # ------------------------------------------------------------ selection
-    def select_top(self, time: float, candidates: Optional[Sequence[str]] = None) -> List[str]:
-        """Choose the top layer at ``time``.
+    def select_top(self, time: float) -> List[str]:
+        """Choose the top layer at ``time``: the hottest writers.
 
-        ``candidates`` restricts the choice to nodes present in the most
-        recent RanSub view (plus any node that has actually written — a
-        writer the sample happened to miss must not be silently dropped,
-        otherwise its conflicts would go undetected).
+        Every node that has written is ranked — a writer must never be
+        filtered out of its object's top layer, otherwise its conflicts
+        would go undetected — so no outside candidate set (a RanSub view,
+        say) can narrow the choice, and none is taken.
         """
         cfg = self.config
         temps = self.temperatures(time)
-        pool = set(temps)
-        if candidates is not None:
-            pool &= set(candidates) | set(self._scores)
-        ranked = sorted(pool, key=lambda n: (-temps.get(n, 0.0), n))
+        ranked = sorted(temps, key=lambda n: (-temps[n], n))
 
-        hot = [n for n in ranked if temps.get(n, 0.0) >= cfg.hot_threshold]
+        hot = [n for n in ranked if temps[n] >= cfg.hot_threshold]
         if len(hot) < cfg.min_top_size:
             hot = ranked[:cfg.min_top_size]
         return hot[:cfg.max_top_size]

@@ -1,7 +1,7 @@
 """Per-object two-layer overlay manager.
 
-Combines RanSub candidate sets and update temperature into the per-object
-top/bottom-layer split the rest of IDEA consumes:
+Turns update temperature into the per-object top/bottom-layer split the rest
+of IDEA consumes:
 
 * ``record_update(object_id, node_id)`` — called by the middleware whenever
   a node writes an object, heating that node up;
@@ -11,6 +11,12 @@ top/bottom-layer split the rest of IDEA consumes:
 Each object has its own independent overlay state ("different files may have
 different top layers and different top layers do not interfere with one
 another", Section 4.1), which the tests verify.
+
+Membership is decided by temperature alone.  RanSub views are not consulted:
+only nodes that have written are ever ranked, and a writer the random sample
+missed must stay in its top layer, so a view could never remove anyone.
+The RanSub service still runs beside the overlay as the membership traffic
+the overhead figures count.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.overlay.ransub import RanSubService, RanSubView
 from repro.overlay.temperature import TemperatureConfig, TemperatureTracker
 
 
@@ -36,48 +41,18 @@ class TwoLayerOverlay:
     """Top/bottom-layer membership for every shared object in a deployment."""
 
     def __init__(self, node_ids: Sequence[str], *,
-                 config: Optional[OverlayConfig] = None,
-                 ransub: Optional[RanSubService] = None) -> None:
+                 config: Optional[OverlayConfig] = None) -> None:
         if not node_ids:
             raise ValueError("overlay needs at least one node")
         self.node_ids = list(node_ids)
         self.config = config or OverlayConfig()
-        self.ransub = ransub
         #: crashed members: excluded from every layer until readmitted
         self._dead: set = set()
         self._trackers: Dict[str, TemperatureTracker] = {}
         self._top_cache: Dict[str, List[str]] = {}
-        self._candidate_views: Dict[str, RanSubView] = {}
         #: memo of the last selection per object, keyed by everything the
-        #: selection depends on: (tracker version, pool version, query time)
+        #: selection depends on: (tracker version, query time)
         self._select_memo: Dict[str, tuple] = {}
-        #: bumped whenever a RanSub view changes the candidate pool
-        self._pool_version = 0
-        self._pool_cache: Optional[List[str]] = None
-        if ransub is not None:
-            for node in self.node_ids:
-                ransub.subscribe(node, lambda view, n=node: self._on_view(n, view))
-
-    # --------------------------------------------------------------- ransub
-    def _on_view(self, node_id: str, view: RanSubView) -> None:
-        self._candidate_views[node_id] = view
-        self._pool_version += 1
-        self._pool_cache = None
-
-    def _candidate_pool(self) -> Optional[List[str]]:
-        """Union of the freshest RanSub views (None when RanSub is unused).
-
-        Rebuilt only when a view changed since the last call.
-        """
-        if self.ransub is None:
-            return None
-        members = self._pool_cache
-        if members is None:
-            members = []
-            for view in self._candidate_views.values():
-                members.extend(view.members)
-            self._pool_cache = members
-        return members or None
 
     # ------------------------------------------------------------- tracking
     def tracker(self, object_id: str) -> TemperatureTracker:
@@ -90,16 +65,16 @@ class TwoLayerOverlay:
                 time: float) -> List[str]:
         """Memoised ``tracker.select_top``.
 
-        Selection is deterministic in (tracker state, candidate pool, query
-        time); within one simulated instant a write typically triggers
-        several membership queries (record + announce + per-peer digest
-        handling), and the memo collapses those to one ranking pass.
+        Selection is deterministic in (tracker state, query time); within
+        one simulated instant a write typically triggers several membership
+        queries (record + announce + per-peer digest handling), and the memo
+        collapses those to one ranking pass.
         """
-        key = (tracker.version, self._pool_version, time)
+        key = (tracker.version, time)
         memo = self._select_memo.get(object_id)
         if memo is not None and memo[0] == key:
             return memo[1]
-        top = tracker.select_top(time, self._candidate_pool())
+        top = tracker.select_top(time)
         self._select_memo[object_id] = (key, top)
         return top
 
@@ -133,7 +108,6 @@ class TwoLayerOverlay:
             if node_id in top:
                 self._top_cache[object_id] = [n for n in top if n != node_id]
         self._select_memo.clear()
-        self._pool_version += 1
 
     def readmit_node(self, node_id: str) -> None:
         """Let a recovered member participate again (idempotent).
@@ -143,7 +117,7 @@ class TwoLayerOverlay:
         """
         if node_id in self._dead:
             self._dead.discard(node_id)
-            self._pool_version += 1
+            self._select_memo.clear()
 
     def dead_nodes(self) -> List[str]:
         return sorted(self._dead)

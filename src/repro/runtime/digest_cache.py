@@ -40,6 +40,10 @@ class DigestCache:
         self._summaries: Dict[str, Dict[str, Tuple[int, float, float, tuple]]] = {}
         #: object_id -> {peer node_id -> freshest digest received}
         self._peers: Dict[str, Dict[str, VersionDigest]] = {}
+        #: local-digest lookups by outcome.  A caller that keeps the
+        #: ``(revision, digest)`` of its last answer and finds the revision
+        #: unchanged (``DetectionService._local_digest``) skips the call and
+        #: counts the hit itself, so the rate means the same either way.
         self.hits = 0
         self.misses = 0
 

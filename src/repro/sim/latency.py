@@ -68,8 +68,8 @@ class LatencyModel(abc.ABC):
         would receive the same delay (and sampling it consumes no per-pair
         randomness); :meth:`Network.send_many` then collapses the whole
         fan-out into one latency sample and one scheduled event.  Models with
-        per-pair delays return ``None`` and the fan-out falls back to
-        per-destination sends with unchanged RNG stream order.
+        per-pair delays return ``None``; the fan-out then calls :meth:`delay`
+        once per destination, in destination order.
         """
         return None
 
@@ -133,7 +133,17 @@ class PlanetLabLatencyModel(LatencyModel):
     log-normal is centred so its mean is 1.  ``sigma = 0.25`` gives a delay
     coefficient of variation of ~25 %, a reasonable stand-in for wide-area
     queueing variability on mid-2000s Planet-Lab paths.
+
+    The jitter is drawn :attr:`JITTER_BLOCK` samples at a time: a numpy
+    ``Generator`` fills an array with the values the same number of scalar
+    calls would return (pinned in ``tests/test_sim_topology_latency.py``),
+    so the delays are the scalar model's delays at a fraction of the
+    per-message cost.  The generator must be the model's own — anything
+    else drawing from it would see the block already consumed.
     """
+
+    #: jitter samples drawn ahead per refill
+    JITTER_BLOCK = 256
 
     def __init__(self, topology: Topology, rng: np.random.Generator, *,
                  jitter_sigma: float = 0.25, floor: float = 0.0005) -> None:
@@ -145,6 +155,8 @@ class PlanetLabLatencyModel(LatencyModel):
         self.floor = floor
         # mean of lognormal(mu, sigma) is exp(mu + sigma^2/2); choose mu so mean=1
         self._mu = -0.5 * jitter_sigma ** 2
+        #: drawn-ahead jitter, next sample last (``pop()`` is the draw)
+        self._jitter: list = []
 
     def delay(self, src: str, dst: str) -> float:
         if src == dst:
@@ -152,8 +164,12 @@ class PlanetLabLatencyModel(LatencyModel):
         base = self.topology.one_way_delay(src, dst)
         if self.jitter_sigma == 0:
             return max(base, self.floor)
-        jitter = float(self._rng.lognormal(self._mu, self.jitter_sigma))
-        return max(base * jitter, self.floor)
+        jitter = self._jitter
+        if not jitter:
+            jitter = self._jitter = self._rng.lognormal(
+                self._mu, self.jitter_sigma,
+                size=self.JITTER_BLOCK)[::-1].tolist()
+        return max(base * jitter.pop(), self.floor)
 
     def expected_delay(self, src: str, dst: str) -> float:
         if src == dst:

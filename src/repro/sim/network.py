@@ -2,8 +2,8 @@
 
 Every protocol message in the reproduction — detection probes, gossip
 digests, call-for-attention requests, resolution visits, anti-entropy
-exchanges of the baselines — is sent through :meth:`Network.send`.  The
-network
+exchanges of the baselines — is sent through :meth:`Network.send_many`
+(:meth:`Network.send` is its one-destination case).  The network
 
 * samples a one-way delay from the configured :class:`LatencyModel`,
 * optionally drops the message according to a loss probability,
@@ -19,10 +19,17 @@ assumes ~1 KB per message when converting counts to bandwidth).
 Hot-path notes: delivery events are scheduled by binding the network's own
 ``_deliver`` method with the message as the event argument — no capturing
 lambda per send — and the engine recycles those events through its free
-list.  Broadcast-style senders (detection digests, gossip fan-out) should
-use :meth:`send_many`, which shares one payload across the fan-out and, when
-the latency model reports a homogeneous delay for the whole destination set,
-collapses the broadcast into a single latency sample and a single heap push.
+list.  :meth:`send_many` is the whole send path: one payload, one size, one
+counter update and one delivery label per fan-out, then a single loop that
+draws loss, per-link loss and delay per destination in the order a sequence
+of one-destination sends draws them.  When the latency model reports a
+homogeneous delay for the whole destination set (and no loss rule is
+installed), the broadcast collapses into a single latency sample and a
+single heap push.
+
+Both methods treat an unreachable endpoint alike, destination first: a
+crashed destination is a ``dst-down`` drop, else a crashed source a
+``src-down`` drop, else a partitioned pair a ``partition`` drop.
 
 Failure model (crash-stop with recovery): a send whose source or destination
 is a *previously registered* node that has since crashed, or whose endpoints
@@ -213,42 +220,10 @@ class Network:
     def send(self, src: str, dst: str, *, protocol: str, msg_type: str,
              payload: Any = None, size_bytes: Optional[int] = None) -> Optional[Message]:
         """Send a message; returns the in-flight message or ``None`` if dropped."""
-        nodes = self._nodes
-        if dst not in nodes or src not in nodes or self._partition_of is not None:
-            reason = self._unreachable_reason(src, dst)
-            if reason is not None:
-                size = (self.DEFAULT_MESSAGE_BYTES if size_bytes is None
-                        else int(size_bytes))
-                self._drop(protocol, size, reason)
-                return None
-        size = self.DEFAULT_MESSAGE_BYTES if size_bytes is None else int(size_bytes)
-        stats = self.stats
-        stats.sent[protocol] += 1
-        stats.bytes_sent[protocol] += size
-
-        if self.loss_probability > 0 and self._loss_rng.random() < self.loss_probability:
-            stats.dropped[protocol] += 1
-            stats.drop_reasons["loss"] += 1
-            return None
-        if self._pair_loss:
-            pair_loss = self._pair_loss.get((src, dst))
-            if pair_loss is not None and self._loss_rng.random() < pair_loss:
-                stats.dropped[protocol] += 1
-                stats.drop_reasons["link-loss"] += 1
-                return None
-
-        delay = self.latency.delay(src, dst)
-        now = self.sim.now
-        msg_id = self._next_msg_id
-        self._next_msg_id = msg_id + 1
-        message = Message(
-            msg_id=msg_id, src=src, dst=dst, protocol=protocol,
-            msg_type=msg_type, payload=payload, size_bytes=size,
-            sent_at=now, deliver_at=now + delay)
-        self.sim.call_after(delay, self._deliver, arg=message, recyclable=True,
-                            priority=Simulator.PRIORITY_NETWORK,
-                            label=self._label(protocol, msg_type))
-        return message
+        sent = self.send_many(src, (dst,), protocol=protocol,
+                              msg_type=msg_type, payload=payload,
+                              size_bytes=size_bytes)
+        return sent[0] if sent else None
 
     def _label(self, protocol: str, msg_type: str) -> str:
         key = (protocol, msg_type)
@@ -264,63 +239,86 @@ class Network:
 
         The payload object is shared across the fan-out (receivers treat
         payloads as read-only), so a top-layer broadcast allocates one payload
-        instead of one per peer.  When the latency model reports a single
-        homogeneous delay for the whole destination set, the broadcast costs
-        one latency sample and one heap push; otherwise each destination is
-        sent to in order with exactly the per-destination latency samples a
-        sequence of :meth:`send` calls would have drawn, preserving RNG
-        stream order and event-for-event determinism.
+        instead of one per peer.  Size, counters and the delivery label are
+        worked out once per fan-out.  When the latency model reports a single
+        homogeneous delay for the whole destination set (and nothing can be
+        lost), the broadcast costs one latency sample and one heap push;
+        otherwise one loop draws, per destination and in this order, the
+        global loss and the per-link loss (``network.loss`` stream) and the
+        delay (the latency model's stream) — draw for draw what one
+        :meth:`send` per destination does, so RNG stream order and every
+        event are the same.
         """
         if not dsts:
             return []
+        size = self.DEFAULT_MESSAGE_BYTES if size_bytes is None else int(size_bytes)
         nodes = self._nodes
         if (src not in nodes or self._partition_of is not None
-                or any(dst not in nodes for dst in dsts)):
-            # Failure-aware slow path: drop per-destination (or everything
-            # when the source itself is down), keeping only reachable ones.
-            size = (self.DEFAULT_MESSAGE_BYTES if size_bytes is None
-                    else int(size_bytes))
-            if src not in nodes:
-                if self.strict and src not in self._known:
-                    raise KeyError(f"source node {src!r} is not registered")
-                for _ in dsts:
-                    self._drop(protocol, size, "src-down")
-                return []
-            live = []
+                or not all(dst in nodes for dst in dsts)):
+            # Something is down or cut off: each unreachable destination is
+            # a counted drop, for the reason one send() to it would give.
+            reachable = []
             for dst in dsts:
                 reason = self._unreachable_reason(src, dst)
                 if reason is None:
-                    live.append(dst)
+                    reachable.append(dst)
                 else:
                     self._drop(protocol, size, reason)
-            if not live:
+            if not reachable:
                 return []
-            dsts = live
-        delay = (None if self.loss_probability > 0 or self._pair_loss
-                 else self.latency.homogeneous_delay(src, dsts))
-        if delay is None:
-            return [m for dst in dsts
-                    if (m := self.send(src, dst, protocol=protocol,
-                                       msg_type=msg_type, payload=payload,
-                                       size_bytes=size_bytes)) is not None]
-
-        size = self.DEFAULT_MESSAGE_BYTES if size_bytes is None else int(size_bytes)
+            dsts = reachable
         stats = self.stats
         count = len(dsts)
         stats.sent[protocol] += count
         stats.bytes_sent[protocol] += size * count
-        now = self.sim.now
-        deliver_at = now + delay
+        sim = self.sim
+        now = sim.now
+        label = self._label(protocol, msg_type)
+        loss = self.loss_probability
+        pair_loss = self._pair_loss
         msg_id = self._next_msg_id
-        self._next_msg_id = msg_id + count
-        batch = [Message(msg_id=msg_id + i, src=src, dst=dst, protocol=protocol,
-                         msg_type=msg_type, payload=payload, size_bytes=size,
-                         sent_at=now, deliver_at=deliver_at)
-                 for i, dst in enumerate(dsts)]
-        self.sim.call_after(delay, self._deliver_batch, arg=batch,
-                            recyclable=True, priority=Simulator.PRIORITY_NETWORK,
-                            label=self._label(protocol, msg_type))
-        return batch
+
+        # One destination gains nothing from the one-event path, and going
+        # through ``delay()`` keeps that the only method a model must honour.
+        if count > 1 and loss <= 0 and not pair_loss:
+            delay = self.latency.homogeneous_delay(src, dsts)
+            if delay is not None:
+                self._next_msg_id = msg_id + count
+                deliver_at = now + delay
+                batch = [Message(msg_id + i, src, dst, protocol, msg_type,
+                                 payload, size, now, deliver_at)
+                         for i, dst in enumerate(dsts)]
+                sim.call_after(delay, self._deliver_batch, arg=batch,
+                               recyclable=True,
+                               priority=Simulator.PRIORITY_NETWORK, label=label)
+                return batch
+
+        draw_loss = self._loss_rng.random
+        draw_delay = self.latency.delay
+        call_after = sim.call_after
+        deliver = self._deliver
+        priority = Simulator.PRIORITY_NETWORK
+        sent: List[Message] = []
+        for dst in dsts:
+            if loss > 0 and draw_loss() < loss:
+                stats.dropped[protocol] += 1
+                stats.drop_reasons["loss"] += 1
+                continue
+            if pair_loss:
+                link_loss = pair_loss.get((src, dst))
+                if link_loss is not None and draw_loss() < link_loss:
+                    stats.dropped[protocol] += 1
+                    stats.drop_reasons["link-loss"] += 1
+                    continue
+            delay = draw_delay(src, dst)
+            message = Message(msg_id, src, dst, protocol, msg_type, payload,
+                              size, now, now + delay)
+            msg_id += 1
+            call_after(delay, deliver, arg=message, recyclable=True,
+                       priority=priority, label=label)
+            sent.append(message)
+        self._next_msg_id = msg_id
+        return sent
 
     def _deliver(self, message: Message) -> None:
         node = self._nodes.get(message.dst)

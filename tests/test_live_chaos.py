@@ -16,10 +16,13 @@ import copy
 import json
 import os
 import signal
+import socket
 import time
 from typing import Any, Dict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.conformance import run_conformance_experiment
 from repro.live.chaos import (LiveFaultController, builtin_plan,
@@ -199,6 +202,235 @@ def test_control_errors_are_replies_not_crashes(tmp_path):
         return pong
 
     assert asyncio.run(_go())["ok"] is True
+
+
+# ---- malformed control bodies: one ``ok: false`` frame, nothing changed ----
+
+#: what FakeTransport holds before a request; a rejected request leaves it
+UNTOUCHED = {"blocked": ["sentinel"], "loss": 0.125}
+
+
+def _body_is_acceptable(body: bytes) -> bool:
+    """The control protocol's grammar, stated independently of the server."""
+    try:
+        request = json.loads(body)
+    except (ValueError, RecursionError):  # bad UTF-8, bad or cut-off JSON
+        return False
+    if not isinstance(request, dict):
+        return False
+    op = request.get("op")
+    if op in ("heal", "ping"):
+        return True
+    if op == "partition":
+        blocked = request.get("blocked")
+        return (isinstance(blocked, list)
+                and all(isinstance(peer, str) for peer in blocked))
+    if op == "set_loss":
+        p = request.get("probability")
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            return False
+        try:
+            return 0.0 <= float(p) <= 1.0
+        except OverflowError:
+            return False
+    return False
+
+
+class _CapturedWriter:
+    """The part of ``asyncio.StreamWriter`` the control server uses."""
+
+    def __init__(self) -> None:
+        self.data = b""
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+    async def wait_closed(self) -> None:
+        pass
+
+
+def _serve(stream: bytes) -> tuple:
+    """One connection handler fed ``stream`` then EOF; returns the decoded
+    response frames and the transport.  A handler that raises fails here —
+    on a socket that is an unhandled task exception."""
+    transport = FakeTransport()
+    transport.blocked = list(UNTOUCHED["blocked"])
+    transport.loss = UNTOUCHED["loss"]
+    server = ControlServer(transport, "n00", "unused.sock")
+
+    async def _go() -> bytes:
+        reader = asyncio.StreamReader()
+        reader.feed_data(stream)
+        reader.feed_eof()
+        writer = _CapturedWriter()
+        await server._serve(reader, writer)
+        return writer.data
+
+    raw = asyncio.run(_go())
+    responses = []
+    while raw:
+        length = int.from_bytes(raw[:4], "big")
+        responses.append(json.loads(raw[4:4 + length]))
+        raw = raw[4 + length:]
+    return responses, transport
+
+
+def _framed(body: bytes) -> bytes:
+    return len(body).to_bytes(4, "big") + body
+
+
+def _rules(transport) -> Dict[str, Any]:
+    return {"blocked": transport.blocked, "loss": transport.loss}
+
+
+def _assert_rejected_without_effect(body: bytes) -> None:
+    responses, transport = _serve(_framed(body))
+    assert len(responses) == 1, (body, responses)
+    assert responses[0]["ok"] is False and responses[0]["error"], responses
+    assert _rules(transport) == UNTOUCHED
+
+
+#: one of each kind of malformed body; the first answered ``{"ok": true}``
+#: and blocked the peers "n" and "1" before the field checks existed
+MALFORMED_BODIES = {
+    "blocked-is-a-string": b'{"op": "partition", "blocked": "n1"}',
+    "blocked-missing": b'{"op": "partition"}',
+    "blocked-holds-a-number": b'{"op": "partition", "blocked": ["n1", 2]}',
+    "blocked-is-an-object": b'{"op": "partition", "blocked": {"n1": true}}',
+    "probability-is-a-string": b'{"op": "set_loss", "probability": "0.5"}',
+    "probability-is-a-bool": b'{"op": "set_loss", "probability": true}',
+    "probability-is-null": b'{"op": "set_loss", "probability": null}',
+    "probability-missing": b'{"op": "set_loss"}',
+    "probability-out-of-range": b'{"op": "set_loss", "probability": 7.0}',
+    "probability-nan": b'{"op": "set_loss", "probability": NaN}',
+    "probability-overflows-float":
+        b'{"op": "set_loss", "probability": 1' + b"0" * 400 + b'}',
+    "unknown-op": b'{"op": "warp-core-breach"}',
+    "op-is-a-list": b'{"op": ["partition"]}',
+    "no-op": b'{}',
+    "json-list": b'["partition", ["n1"]]',
+    "json-string": b'"partition"',
+    "json-number": b'42',
+    "json-null": b'null',
+    "truncated-json": b'{"op": "partition", "blocked": ["n1"',
+    "truncated-json-in-a-string": b'{"op": "pa',
+    "empty-body": b'',
+    "invalid-utf8-in-a-string": b'{"op": "partition", "blocked": ["\xff\xfe"]}',
+    "invalid-utf8": b'\x80\x81\x82',
+    "nested-past-the-recursion-limit": b'[' * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_BODIES)
+def test_malformed_control_body_is_rejected_without_effect(name):
+    body = MALFORMED_BODIES[name]
+    assert not _body_is_acceptable(body)
+    _assert_rejected_without_effect(body)
+
+
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(-5, 5),
+                     st.integers(10 ** 300, 10 ** 400),
+                     st.floats(allow_nan=True, allow_infinity=True),
+                     st.sampled_from([0.0, 0.25, 1.0, 1.5, -0.5]),
+                     st.text(max_size=4))
+_values = st.recursive(
+    _scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+_requests = st.builds(
+    lambda op, extra, fields: {**extra, **fields, "op": op},
+    st.sampled_from(["partition", "heal", "set_loss", "ping", "restore_loss",
+                     "", None, 3]),
+    st.dictionaries(st.text(max_size=4), _values, max_size=2),
+    st.fixed_dictionaries({}, optional={
+        "blocked": st.one_of(_values,
+                             st.lists(st.text(max_size=3), max_size=3)),
+        "probability": _values}))
+_json_bodies = st.one_of(_requests, _values).map(
+    lambda value: json.dumps(value).encode("utf-8"))
+#: request-shaped JSON, arbitrary JSON, either cut short, and raw bytes
+control_bodies = st.one_of(
+    _json_bodies,
+    st.builds(lambda body, at: body[:at % (len(body) + 1)],
+              _json_bodies, st.integers(0, 2 ** 16)),
+    st.binary(max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=control_bodies)
+def test_fuzzed_control_bodies_get_exactly_one_reply(body):
+    """Every body gets exactly one reply frame; a body outside the grammar
+    gets ``ok: false`` and leaves the transport as it was; one inside it is
+    applied."""
+    if not _body_is_acceptable(body):
+        _assert_rejected_without_effect(body)
+        return
+    responses, transport = _serve(_framed(body))
+    assert len(responses) == 1 and responses[0]["ok"] is True, responses
+    request = json.loads(body)
+    after = dict(UNTOUCHED)
+    if request["op"] == "partition":
+        after["blocked"] = sorted(request["blocked"])
+    elif request["op"] == "heal":
+        after["blocked"] = []
+    elif request["op"] == "set_loss":
+        after["loss"] = float(request["probability"])
+    assert _rules(transport) == after
+
+
+def test_a_frame_cut_short_is_not_a_request():
+    """Fewer bytes than the header announces, then EOF: the connection is
+    closed without a reply and without effect (only whole frames count)."""
+    responses, transport = _serve(_framed(b'{"op": "heal"}')[:-3])
+    assert responses == []
+    assert _rules(transport) == UNTOUCHED
+
+
+def test_malformed_control_bodies_over_a_socket_never_reach_the_loop_handler(
+        tmp_path):
+    """The same bodies through a real UNIX socket: one reply each, the
+    server keeps serving, and asyncio's exception handler is never called
+    (an unhandled exception in the per-connection task would land there)."""
+    transport = FakeTransport()
+    address = str(tmp_path / "n00.sock")
+    server = ControlServer(transport, "n00", address)
+    loop_errors = []
+
+    def _exchange(body: bytes) -> Dict[str, Any]:
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(5.0)
+            sock.connect(address)
+            sock.sendall(_framed(body))
+            header = ControlClient._recv_exactly(sock, 4)
+            reply = ControlClient._recv_exactly(
+                sock, int.from_bytes(header, "big"))
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(1) == b""  # exactly one frame, then EOF
+        return json.loads(reply)
+
+    async def _go():
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(
+            lambda _loop, context: loop_errors.append(context))
+        await server.start()
+        replies = [await loop.run_in_executor(None, _exchange, body)
+                   for body in MALFORMED_BODIES.values()]
+        pong = await loop.run_in_executor(None, _exchange, b'{"op": "ping"}')
+        await server.stop()
+        return replies, pong
+
+    replies, pong = asyncio.run(_go())
+    assert [reply["ok"] for reply in replies] == [False] * len(replies)
+    assert pong["ok"] is True
+    assert transport.blocked is None and transport.loss is None
+    assert loop_errors == []
 
 
 def test_control_client_raises_when_nobody_listens(tmp_path):

@@ -4,7 +4,7 @@
 beyond a single smoke assertion; these tests pin down the property the churn
 experiment relies on: the loss RNG is a seeded stream, so the same seed
 yields the *identical* drop sequence — including through ``send_many``'s
-per-destination fallback branch and through mid-run loss changes.
+per-destination loop and through mid-run loss changes.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def _lossy_run(seed: float, *, use_send_many: bool, loss: float = 0.3,
     sent_ids = []
     for _ in range(rounds):
         if use_send_many:
-            # loss_probability > 0 forces the per-destination fallback branch
+            # loss_probability > 0 keeps the fan-out on the per-destination loop
             msgs = network.send_many("a", ["b", "c", "d"], protocol="t",
                                      msg_type="ping")
             sent_ids.extend(m.msg_id for m in msgs)

@@ -74,12 +74,6 @@ class TestTemperatureTracker:
         tracker.record_update("n0", 0.0)
         assert tracker.select_top(50.0) == ["n0"]
 
-    def test_candidates_restrict_pool_but_keep_writers(self):
-        tracker = TemperatureTracker("obj")
-        tracker.record_update("writer", 0.0)
-        top = tracker.select_top(0.0, candidates=["someone-else"])
-        assert "writer" in top
-
     def test_four_writers_form_top_layer(self):
         """The paper's warm-up: four active writers all become top-layer members."""
         tracker = TemperatureTracker("obj")

@@ -6,9 +6,12 @@ import pytest
 
 from repro.sim.clock import ClockModel
 from repro.sim.engine import Simulator
-from repro.sim.latency import FixedLatencyModel
+from repro.sim.latency import (FixedLatencyModel, HeterogeneousLatencyModel,
+                               LinkProfile, PerSourceLatencyModel,
+                               PlanetLabLatencyModel, UniformLatencyModel)
 from repro.sim.network import Network
 from repro.sim.node import Node
+from repro.sim.topology import planetlab_topology
 from repro.transport import RPCError, unwrap_response
 
 
@@ -207,8 +210,9 @@ class TestSendMany:
             sim.run()
             return sim.events_processed, sim.now
 
-        # Per-pair latency models fall back to per-destination sends with
-        # identical RNG draws, so both spellings replay the same simulation.
+        # Under a per-pair latency model the fan-out draws one delay per
+        # destination, as the sends do, so both spellings replay the same
+        # simulation.
         events_a, now_a = run(batched=True)
         events_b, now_b = run(batched=False)
         assert events_a == events_b == 3
@@ -414,3 +418,121 @@ class TestNodeLifecycle:
         a.recover()
         a.recover()
         assert log == ["fail", "recover"]
+
+
+# --------------------------------------------------------------------------
+# the send path draws what it drew: send_many ≡ one send() per destination
+# --------------------------------------------------------------------------
+
+LATENCY_MODELS = {
+    "PlanetLab": lambda sim, topo: PlanetLabLatencyModel(
+        topo, sim.random.stream("latency")),
+    "PerSource": lambda sim, topo: PerSourceLatencyModel(
+        topo, streams=sim.random),
+    "Heterogeneous": lambda sim, topo: HeterogeneousLatencyModel(
+        topo, {(topo.node_site["n00"], topo.node_site["n01"]):
+               LinkProfile(latency_scale=2.0, jitter_sigma=0.6),
+               (topo.node_site["n00"], topo.node_site["n02"]):
+               LinkProfile(latency=0.05, jitter_sigma=0.0)},
+        streams=sim.random),
+    "Fixed": lambda sim, topo: FixedLatencyModel(0.02),
+    "Uniform": lambda sim, topo: UniformLatencyModel(
+        0.01, 0.05, rng=sim.random.stream("latency")),
+}
+
+SRC, DSTS = "n00", ["n01", "n02", "n03", "n04"]
+
+
+def _clean(network, nodes):
+    pass
+
+
+def _global_loss(network, nodes):
+    network.set_loss_probability(0.35)
+
+
+def _link_loss(network, nodes):
+    network.set_loss_probability(0.6, src=SRC, dst="n01")
+    network.set_loss_probability(0.3, src=SRC, dst="n03")
+    network.set_loss_probability(0.9, src="n05", dst="n02")  # another source
+
+
+def _both_losses(network, nodes):
+    _global_loss(network, nodes)
+    _link_loss(network, nodes)
+
+
+def _partition(network, nodes):
+    network.partition([[SRC, "n01", "n04"], ["n02"]])  # n03: implicit group
+
+
+def _one_destination_down(network, nodes):
+    nodes["n02"].fail()
+
+
+def _source_down(network, nodes):
+    nodes[SRC].fail()
+
+
+def _source_and_a_destination_down(network, nodes):
+    nodes[SRC].fail()
+    nodes["n03"].fail()
+
+
+FAULTS = [_clean, _global_loss, _link_loss, _both_losses, _partition,
+          _one_destination_down, _source_down, _source_and_a_destination_down]
+
+
+def _drive(model_name, fault, fan_out):
+    """Thirty rounds of two fan-outs from ``SRC`` on a fresh world; what was
+    sent, delivered and counted, and the next draw of every stream used."""
+    sim = Simulator(seed=97)
+    topo = planetlab_topology(8)
+    network = Network(sim, LATENCY_MODELS[model_name](sim, topo))
+    nodes = {node_id: Receiver(sim, network, node_id)
+             for node_id in topo.node_ids}
+    fault(network, nodes)
+    delivered = []
+    network.delivery_hooks.append(
+        lambda m: delivered.append((sim.now, m.msg_id, m.dst)))
+    sent = []
+    for round_number in range(30):
+        # the second fan-out includes the sender: an instant self-delivery,
+        # which also keeps a constant-delay model off its one-event path
+        for dsts in (DSTS, ["n05", SRC, "n01"]):
+            messages = fan_out(network, dsts, payload=round_number)
+            sent.append([(m.msg_id, m.dst, m.sent_at, m.deliver_at)
+                         for m in messages])
+        sim.run(until=sim.now + 0.013)  # some deliveries still in flight
+    sim.run()
+    return {"sent": sent, "delivered": delivered,
+            "stats": network.stats.snapshot(),
+            "next_loss_draw": sim.random.stream("network.loss").random(),
+            "next_delays": [network.latency.delay(SRC, dst)
+                            for dst in DSTS + [SRC]]}
+
+
+def _through_send_many(network, dsts, payload):
+    return network.send_many(SRC, dsts, protocol="t", msg_type="ping",
+                             payload=payload, size_bytes=100)
+
+
+def _through_send(network, dsts, payload):
+    sent = [network.send(SRC, dst, protocol="t", msg_type="ping",
+                         payload=payload, size_bytes=100) for dst in dsts]
+    return [message for message in sent if message is not None]
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("model_name", LATENCY_MODELS)
+def test_send_many_is_one_send_per_destination(model_name, fault):
+    """Message ids, times, counters, delivery order and the position every
+    random stream is left at are those of a loop of ``send()`` calls."""
+    fanned = _drive(model_name, fault, _through_send_many)
+    looped = _drive(model_name, fault, _through_send)
+    assert fanned == looped
+    assert fanned["stats"]["sent"]["t"] == 30 * 7
+    if fault is _clean:
+        assert len(fanned["delivered"]) == 30 * 7
+    if fault in (_global_loss, _link_loss, _both_losses):
+        assert 0 < len(fanned["delivered"]) < 30 * 7  # both branches taken

@@ -119,3 +119,44 @@ class TestLatencyModels:
         model = PlanetLabLatencyModel(topo, np.random.default_rng(0))
         assert model.expected_delay("n00", "n01") == pytest.approx(
             topo.one_way_delay("n00", "n01"))
+
+    def test_planetlab_block_drawn_jitter_is_the_scalar_stream(self):
+        """The first 600 jittered delays equal scalar ``lognormal`` draws from
+        a twin generator — across two block refills, with self-sends and the
+        sampling-free queries interleaved, none of which may take a sample.
+        (CI runs this on the oldest and the newest supported numpy: a
+        ``Generator`` whose array fill left its scalar path would re-baseline
+        every trace, and must fail here first.)"""
+        topo = planetlab_topology(10)
+        model = PlanetLabLatencyModel(topo, np.random.default_rng(20070625))
+        twin = np.random.default_rng(20070625)
+        assert 2 * model.JITTER_BLOCK < 600
+        mu = -0.5 * model.jitter_sigma ** 2
+        nodes = topo.node_ids
+        drawn = 0
+        step = 0
+        while drawn < 600:
+            src = nodes[step % len(nodes)]
+            dst = nodes[(step * 7 + step // 10) % len(nodes)]
+            step += 1
+            if step % 5 == 0:
+                model.expected_delay(src, dst)
+                model.min_delay()
+                model.min_delay(topo.node_site[src], topo.node_site[dst])
+            if src == dst:
+                assert model.delay(src, dst) == 0.0
+                continue
+            jitter = float(twin.lognormal(mu, model.jitter_sigma))
+            assert model.delay(src, dst) == max(
+                topo.one_way_delay(src, dst) * jitter, model.floor), drawn
+            drawn += 1
+        assert step > 600  # self-sends were met on the way
+
+    def test_planetlab_model_without_jitter_never_draws(self):
+        topo = planetlab_topology(6)
+        rng = np.random.default_rng(3)
+        untouched = np.random.default_rng(3)
+        model = PlanetLabLatencyModel(topo, rng, jitter_sigma=0.0)
+        for dst in topo.node_ids:
+            assert model.delay("n00", dst) == model.expected_delay("n00", dst)
+        assert rng.random() == untouched.random()

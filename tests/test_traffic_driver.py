@@ -8,7 +8,8 @@ import pytest
 
 from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.deployment import DeploymentBuilder, IdeaDeployment
-from repro.core.detection import build_reference, consistency_level
+from repro.core.detection import (VersionDigest, build_reference,
+                                  consistency_level)
 from repro.runtime.events import ClientOpCompleted
 from repro.scenarios import FaultPlan
 from repro.workloads import (
@@ -199,9 +200,9 @@ class TestDetectionEnvelopeEquivalence:
     """The incremental reference envelope must match a full rebuild."""
 
     def fresh_level(self, detection) -> float:
-        replica = detection._replica_provider()
-        local = detection._local_digest(replica, detection.node.clock.now)
-        reference = build_reference([local] + list(detection._peer_digests.values()))
+        local = VersionDigest.from_replica(detection._replica_provider(),
+                                           detection.node.clock.now)
+        reference = build_reference([local] + list(detection.peer_digests.values()))
         triple = reference.triple_for(local)
         return consistency_level(triple, detection.metric, detection.weights)
 
