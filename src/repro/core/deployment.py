@@ -65,6 +65,7 @@ from repro.sim.node import Node
 from repro.sim.topology import Topology, planetlab_topology
 from repro.sim.trace import TraceRecorder
 from repro.store.filesystem import ReplicatedStore
+from repro.store.replica import Replica
 from repro.transport import Clock, PeriodicTimer, ProtocolEndpoint, Transport
 from repro.versioning.extended_vector import ExtendedVersionVector
 
@@ -312,6 +313,7 @@ class DeploymentBuilder:
         d.overlay = TwoLayerOverlay(d.local_node_ids,
                                     config=self.overlay_config)
         d.gossip = None
+        d._gossip_digests = {}
         if self.use_gossip:
             # The background sweep "covers all the nodes in the network"
             # (§4.1); membership is therefore every node, not only the
@@ -387,6 +389,9 @@ class IdeaDeployment:
     #: traffic driver attached by the builder's traffic pass (or
     #: :meth:`attach_traffic`); None when the deployment has no client load
     traffic: Optional[object]
+    #: :meth:`_gossip_digest`'s last answer per (node, object), with the
+    #: replica and :attr:`~repro.store.replica.Replica.revision` it was for
+    _gossip_digests: Dict[Tuple[str, str], Tuple[Replica, int, GossipDigest]]
 
     def __init__(self, **builder_kwargs) -> None:
         """Build with default placement; takes :class:`DeploymentBuilder`'s
@@ -497,10 +502,22 @@ class IdeaDeployment:
         if store is None or not store.has_replica(object_id):
             return None
         replica = store.replica(object_id)
-        counts = tuple(sorted(replica.vector.counts().as_dict().items()))
-        return GossipDigest(object_id=object_id, origin=node_id, counts=counts,
-                            metadata=replica.metadata,
-                            last_consistent_time=replica.vector.last_consistent_time)
+        # One digest per replica revision (the contract DigestCache keys on):
+        # a sweep round asks once per digest received, and most replicas have
+        # not moved since the last answer.
+        key = (node_id, object_id)
+        memo = self._gossip_digests.get(key)
+        if (memo is not None and memo[0] is replica
+                and memo[1] == replica.revision):
+            return memo[2]
+        vector = replica.vector
+        counts = vector.counts()
+        digest = GossipDigest(object_id, node_id,
+                              tuple(sorted(counts.as_dict().items())),
+                              vector.metadata, vector.last_consistent_time,
+                              _vector=counts)
+        self._gossip_digests[key] = (replica, replica.revision, digest)
+        return digest
 
     def _on_gossip_digest(self, receiver: str, digest: GossipDigest) -> None:
         """Feed gossiped counts into the receiver's stability frontier.

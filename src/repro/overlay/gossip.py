@@ -13,8 +13,9 @@ reaches zero.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.transport import Clock, Message, PeriodicTimer, Transport
 from repro.versioning.version_vector import Ordering, VersionVector
@@ -35,15 +36,27 @@ class GossipDigest:
     #: stamped by :meth:`GossipService.run_round` when the digest is sent
     issued_at: float = 0.0
     ttl: int = 0
+    #: memoised :meth:`version_vector`, handed on to every per-hop copy; a
+    #: builder that already holds the vector (the deployment, from its
+    #: replica) passes it in, a digest decoded off the wire starts without
+    _vector: Optional[VersionVector] = field(default=None, repr=False,
+                                             compare=False)
 
     def version_vector(self) -> VersionVector:
-        return VersionVector(dict(self.counts))
+        vector = self._vector
+        if vector is None:
+            vector = VersionVector(dict(self.counts))
+            object.__setattr__(self, "_vector", vector)
+        return vector
+
+    def stamped(self, issued_at: float, ttl: int) -> "GossipDigest":
+        """This digest as sent at ``issued_at`` with ``ttl`` hops left."""
+        return GossipDigest(self.object_id, self.origin, self.counts,
+                            self.metadata, self.last_consistent_time,
+                            issued_at, ttl, self._vector)
 
     def decremented(self) -> "GossipDigest":
-        return GossipDigest(object_id=self.object_id, origin=self.origin,
-                            counts=self.counts, metadata=self.metadata,
-                            last_consistent_time=self.last_consistent_time,
-                            issued_at=self.issued_at, ttl=self.ttl - 1)
+        return self.stamped(self.issued_at, self.ttl - 1)
 
 
 @dataclass
@@ -79,6 +92,9 @@ class GossipService:
     #: stays bounded over arbitrarily long runs
     SEEN_SWEEP_THRESHOLD = 4096
     SEEN_HORIZON_ROUNDS = 8
+    #: how many of the most recent detections :meth:`detections` can list;
+    #: :meth:`detection_count` keeps counting past it
+    DETECTIONS_RETAINED = 4096
 
     def __init__(self, clock: Clock, transport: Transport, *,
                  config: Optional[GossipConfig] = None,
@@ -114,7 +130,9 @@ class GossipService:
         self._objects: List[str] = []
         self._timer: Optional[PeriodicTimer] = None
         self._rounds = 0
-        self._detections: List[Tuple[float, str, str]] = []
+        self._detections: Deque[Tuple[float, str, str]] = deque(
+            maxlen=self.DETECTIONS_RETAINED)
+        self._detection_totals: Dict[str, int] = {}
         self._seen: Dict[str, set] = {}
         #: per-receiver size above which the next dedupe sweep runs; doubles
         #: past the surviving set so a steady state larger than the base
@@ -148,6 +166,8 @@ class GossipService:
         self._rounds += 1
         sent = 0
         for object_id in self._objects:
+            # One list per round, shared by every hop's payload; receivers
+            # treat it as read-only.
             members = list(self._membership(object_id))
             for node_id in members:
                 if not self.transport.has_node(node_id):
@@ -155,40 +175,31 @@ class GossipService:
                 digest = self._local_digest(node_id, object_id)
                 if digest is None:
                     continue
-                digest = GossipDigest(
-                    object_id=digest.object_id, origin=digest.origin,
-                    counts=digest.counts, metadata=digest.metadata,
-                    last_consistent_time=digest.last_consistent_time,
-                    issued_at=self.clock.now, ttl=self.config.ttl)
-                sent += self._forward(node_id, digest, members)
+                sent += self._forward(
+                    node_id, digest.stamped(self.clock.now, self.config.ttl),
+                    members)
         return sent
 
-    def _forward(self, sender: str, digest: GossipDigest, members: Sequence[str]) -> int:
+    def _forward(self, sender: str, digest: GossipDigest, members: List[str]) -> int:
         peers = [m for m in members if m != sender and m != digest.origin]
         if not peers:
             return 0
         fanout = min(self.config.fanout, len(peers))
         chosen_idx = self._rng.choice(len(peers), size=fanout, replace=False)
         chosen = [peers[idx] for idx in sorted(chosen_idx)]
+        registered = self._registered_nodes
         for peer in chosen:
-            self._ensure_handler(peer)
+            # A peer that is down takes the send as a counted drop and is
+            # registered on its first post-recovery selection instead.
+            if peer not in registered and self.transport.has_node(peer):
+                self.attach(self.transport.node(peer))
         # One shared payload for the whole fan-out; receivers treat both the
         # digest and the member list as read-only.
         self.transport.send_many(sender, chosen, protocol=PROTOCOL,
                                msg_type="gossip_digest",
-                               payload={"digest": digest,
-                                        "members": list(members)},
+                               payload={"digest": digest, "members": members},
                                size_bytes=self.config.digest_bytes)
         return len(chosen)
-
-    def _ensure_handler(self, node_id: str) -> None:
-        if node_id in self._registered_nodes:
-            return
-        if not self.transport.has_node(node_id):
-            # Peer is down; the send will be a counted drop, and the handler
-            # is registered on its first post-recovery selection instead.
-            return
-        self.attach(self.transport.node(node_id))
 
     def attach(self, node) -> None:
         """Make ``node`` receive gossip now rather than on first selection."""
@@ -223,6 +234,8 @@ class GossipService:
             local_vv = local.version_vector()
             if local_vv.compare(digest.version_vector()) is not Ordering.EQUAL:
                 self._detections.append((self.clock.now, receiver, digest.object_id))
+                self._detection_totals[digest.object_id] = (
+                    self._detection_totals.get(digest.object_id, 0) + 1)
                 if self._on_inconsistency is not None:
                     self._on_inconsistency(receiver, digest, local_vv)
 
@@ -236,7 +249,18 @@ class GossipService:
         return self._rounds
 
     def detections(self, object_id: Optional[str] = None) -> List[Tuple[float, str, str]]:
-        """(time, observer, object) tuples for every detected inconsistency."""
+        """(time, observer, object) tuples of the most recent detections.
+
+        Only the last :attr:`DETECTIONS_RETAINED` are kept, so the state stays
+        bounded over arbitrarily long runs; :meth:`detection_count` is the
+        running total.
+        """
         if object_id is None:
             return list(self._detections)
         return [d for d in self._detections if d[2] == object_id]
+
+    def detection_count(self, object_id: Optional[str] = None) -> int:
+        """Inconsistencies detected so far (for one object, or all of them)."""
+        if object_id is None:
+            return sum(self._detection_totals.values())
+        return self._detection_totals.get(object_id, 0)

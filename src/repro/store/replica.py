@@ -15,6 +15,7 @@ of this module (checked by property tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.store.update_log import UpdateLog
@@ -25,6 +26,8 @@ from repro.versioning.extended_vector import (
     UpdateRecord,
 )
 from repro.versioning.version_vector import VersionVector
+
+_writer_seq = attrgetter("writer", "seq")
 
 
 @dataclass
@@ -147,12 +150,19 @@ class Replica:
         return True
 
     def apply_updates(self, records: List[UpdateRecord], applied_at: float) -> int:
-        """Apply many updates (sorted per writer by seq); returns new count."""
-        new = 0
-        for record in sorted(records, key=lambda r: (r.writer, r.seq)):
-            if self.apply_update(record, applied_at=applied_at):
-                new += 1
-        return new
+        """Apply many updates as one step; returns how many were new.
+
+        The records are taken per writer in seq order, each writer's history
+        is extended once, and :attr:`revision` advances by the number applied
+        — what a fold of :meth:`apply_update` over them leaves behind.  A
+        batch with a per-writer gap raises before anything changes.
+        """
+        vector, applied = self._vector.apply_many(sorted(records, key=_writer_seq))
+        if applied:
+            self._vector = vector
+            self.log.extend(applied, applied_at=applied_at)
+            self.revision += len(applied)
+        return len(applied)
 
     # ----------------------------------------------------- resolution hooks
     def block_writes(self) -> None:
@@ -175,7 +185,9 @@ class Replica:
 
         Returns the number of updates pulled in.  The replica's own extra
         updates (if any) are kept — the merged image by construction contains
-        them, so vectors converge.  If this replica fell behind the pushing
+        them, so vectors converge.  The install is all-or-nothing: an image
+        this replica cannot extend contiguously raises with vector, log and
+        :attr:`revision` untouched.  If this replica fell behind the pushing
         initiator's checkpoint the install is counted and re-raised: the
         records it needs no longer exist anywhere (conservative frontier
         policies make this unreachable; see ``DetectionService

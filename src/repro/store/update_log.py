@@ -171,8 +171,39 @@ class UpdateLog:
         return True
 
     def extend(self, records: Iterable[UpdateRecord], applied_at: float) -> int:
-        """Append many records; returns how many were new."""
-        return sum(1 for r in records if self.append(r, applied_at))
+        """Append many records applied at one instant; returns how many were new.
+
+        Leaves exactly what :meth:`append` per record would, with the
+        application-order views extended once for the whole batch.
+        """
+        index = self._index
+        by_writer = self._by_writer
+        checkpoint_counts = self.checkpoint.counts
+        fresh: List[LogEntry] = []
+        for record in records:
+            key = (record.writer, record.seq)
+            if key in index:
+                continue
+            checkpoint_count = checkpoint_counts.get(record.writer, 0)
+            if 1 <= record.seq <= checkpoint_count:
+                continue  # folded into the checkpoint long ago
+            entry = index[key] = LogEntry(record=record, applied_at=applied_at)
+            tail = by_writer.get(record.writer)
+            if tail is None:
+                tail = by_writer[record.writer] = []
+            if record.seq != checkpoint_count + len(tail) + 1:
+                self._seq_contiguous = False
+            tail.append(entry)
+            fresh.append(entry)
+            self._live_metadata += record.metadata_delta
+        if fresh:
+            if self._applied_times and applied_at < self._applied_times[-1]:
+                self._applied_monotone = False
+            self._applied_times.extend([applied_at] * len(fresh))
+            self._entries.extend(fresh)
+            if self._live_entries is not None:
+                self._live_entries.extend(fresh)
+        return len(fresh)
 
     # --------------------------------------------------------- cache upkeep
     def _live_view(self) -> List[LogEntry]:

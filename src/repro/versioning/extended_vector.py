@@ -32,6 +32,8 @@ the checkpoint) raise :class:`TruncatedHistoryError` with a clear message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.versioning.version_vector import Ordering, VersionVector
@@ -143,6 +145,8 @@ class ErrorTriple:
 ErrorTriple.ZERO = ErrorTriple(0.0, 0.0, 0.0)
 
 _NO_BASES: Dict[str, WriterBase] = {}
+
+_metadata_delta = attrgetter("metadata_delta")
 
 
 class ExtendedVersionVector:
@@ -338,6 +342,46 @@ class ExtendedVersionVector:
             last_consistent_time=self._last_consistent_time,
             triple=self._triple, base=self._base)
 
+    def apply_many(self, records: Iterable[UpdateRecord]
+                   ) -> Tuple["ExtendedVersionVector", List[UpdateRecord]]:
+        """Apply ``records`` in one step; returns the vector and the new records.
+
+        ``records`` must list each writer's records in seq order (writers may
+        interleave).  The result equals a fold of :meth:`apply` over them —
+        duplicates skipped, an out-of-order seq raises, metadata accumulated
+        with ``+=`` in the given order so the float is the fold's — but each
+        writer's tuple is extended once, not once per record, and a refused
+        batch yields no vector at all.
+        """
+        fresh: Dict[str, List[UpdateRecord]] = {}
+        applied: List[UpdateRecord] = []
+        metadata = self._metadata
+        for record in records:
+            pending = fresh.get(record.writer)
+            expected_seq = (pending[-1].seq if pending is not None
+                            else self.count(record.writer)) + 1
+            if record.seq != expected_seq:
+                if 1 <= record.seq < expected_seq:
+                    continue  # duplicate delivery: idempotent
+                raise ValueError(
+                    f"out-of-order update from {record.writer!r}: got seq {record.seq}, "
+                    f"expected {expected_seq}")
+            if pending is None:
+                fresh[record.writer] = [record]
+            else:
+                pending.append(record)
+            metadata += record.metadata_delta
+            applied.append(record)
+        if not applied:
+            return self, applied
+        updates = dict(self._updates)
+        for writer, pending in fresh.items():
+            updates[writer] = updates.get(writer, ()) + tuple(pending)
+        return ExtendedVersionVector._from_trusted(
+            updates, metadata=metadata,
+            last_consistent_time=self._last_consistent_time,
+            triple=self._triple, base=self._base), applied
+
     def truncate_to(self, frontier: Mapping[str, int]) -> "ExtendedVersionVector":
         """Fold each writer's prefix up to ``frontier[writer]`` into the base.
 
@@ -378,54 +422,56 @@ class ExtendedVersionVector:
         The merged metadata is recomputed from the union of updates so it
         stays consistent with the update history, and the error triple is
         reset to zero — after a resolution both replicas are consistent.
-        With checkpoints the union is taken per writer over ``max(base) ⊕
-        tails``; folded prefixes are identical everywhere by the stability
-        invariant, so the higher base subsumes the lower side's records.
+        The result lists this vector's writers in their order, then the
+        writers only ``other`` knows in ``other``'s order; that order is also
+        the metadata's summation order, so the float does not depend on
+        ``PYTHONHASHSEED``.
+
+        With no checkpoint and both histories running 1..n per writer (every
+        vector a replica builds) the union of a writer's records is the
+        longer tuple — this side's records, then whatever ``other`` holds
+        beyond them — so the merge costs O(writers + new records) plus one
+        C-level metadata sum.  The per-seq dict walk serves only vectors the
+        constructor admits with seqs that are *not* 1..n, and is where
+        "missing intermediate updates" is raised.  Either union is 1..n per
+        writer by construction, so the result skips ``__init__``'s
+        re-validation.  With checkpoints the union is taken per writer over
+        ``max(base) ⊕ tails``; folded prefixes are identical everywhere by
+        the stability invariant, so the higher base subsumes the lower
+        side's records.
         """
         new_time = consistent_time
         if new_time is None:
             new_time = max(self._last_consistent_time, other._last_consistent_time)
         if self._base or other._base:
             return self._merge_with_bases(other, new_time)
-        # Fast path: one side already contains every update of the other
-        # (per-writer tuples are seq-contiguous, so a >= length prefix-match
-        # is containment).  Reuse that side's updates map; the metadata is
-        # still recomputed from the union exactly like the general path, so
-        # the result is bit-identical either way.
         mine = self._updates
         theirs = other._updates
-        dominant: Optional[Dict[str, Tuple[UpdateRecord, ...]]] = None
-        contiguous = all(recs[-1].seq == len(recs)
-                         for recs in mine.values()) and all(
-                             recs[-1].seq == len(recs) for recs in theirs.values())
-        if contiguous:
-            if all(len(mine.get(w, ())) >= len(recs) for w, recs in theirs.items()):
-                dominant = mine
-            elif all(len(theirs.get(w, ())) >= len(recs) for w, recs in mine.items()):
-                dominant = theirs
-        if dominant is not None:
-            metadata = sum(r.metadata_delta
-                           for recs in dominant.values() for r in recs)
-            return ExtendedVersionVector._from_trusted(
-                dict(dominant), metadata=metadata,
-                last_consistent_time=new_time, triple=ErrorTriple.ZERO)
-
-        updates: Dict[str, Tuple[UpdateRecord, ...]] = {}
-        for writer in set(mine) | set(theirs):
-            my_recs = {r.seq: r for r in mine.get(writer, ())}
-            their_recs = {r.seq: r for r in theirs.get(writer, ())}
-            merged = dict(their_recs)
-            merged.update(my_recs)  # identical keys should carry identical records
-            seqs = sorted(merged)
-            if seqs != list(range(1, len(seqs) + 1)):
-                raise ValueError(
-                    f"cannot merge: missing intermediate updates for writer {writer!r}")
-            updates[writer] = tuple(merged[s] for s in seqs)
-        metadata = sum(r.metadata_delta
-                       for recs in updates.values() for r in recs)
-        return ExtendedVersionVector(updates=updates, metadata=metadata,
-                                     last_consistent_time=new_time,
-                                     triple=ErrorTriple.ZERO)
+        if all(recs[-1].seq == len(recs) for recs in mine.values()) and all(
+                recs[-1].seq == len(recs) for recs in theirs.values()):
+            updates = dict(mine)
+            for writer, recs in theirs.items():
+                have = mine.get(writer)
+                if have is None:
+                    updates[writer] = recs
+                elif len(recs) > len(have):
+                    updates[writer] = have + recs[len(have):]
+        else:
+            updates = {}
+            for writer in chain(mine, (w for w in theirs if w not in mine)):
+                merged = {r.seq: r for r in theirs.get(writer, ())}
+                # identical keys should carry identical records
+                merged.update((r.seq, r) for r in mine.get(writer, ()))
+                seqs = sorted(merged)
+                if seqs != list(range(1, len(seqs) + 1)):
+                    raise ValueError(
+                        f"cannot merge: missing intermediate updates for writer {writer!r}")
+                updates[writer] = tuple(merged[s] for s in seqs)
+        metadata = float(sum(map(_metadata_delta,
+                                 chain.from_iterable(updates.values()))))
+        return ExtendedVersionVector._from_trusted(
+            updates, metadata=metadata, last_consistent_time=new_time,
+            triple=ErrorTriple.ZERO)
 
     def _merge_with_bases(self, other: "ExtendedVersionVector",
                           new_time: float) -> "ExtendedVersionVector":

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.versioning.extended_vector import ErrorTriple, ExtendedVersionVector, UpdateRecord
 from repro.versioning.version_vector import Ordering
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def rec(writer: str, seq: int, ts: float, delta: float = 1.0, payload=None) -> UpdateRecord:
@@ -64,6 +73,35 @@ class TestApply:
     def test_update_keys(self):
         v = ExtendedVersionVector.from_updates([rec("A", 1, 1.0), rec("B", 1, 2.0)])
         assert v.update_keys() == {("A", 1), ("B", 1)}
+
+    def test_apply_many_is_a_fold_of_apply(self):
+        start = ExtendedVersionVector.from_updates([rec("A", 1, 1.0, delta=0.1)])
+        batch = [rec("B", 1, 2.0, delta=0.2), rec("A", 1, 1.0, delta=0.1),
+                 rec("A", 2, 3.0, delta=0.7), rec("B", 2, 4.0, delta=1e16),
+                 rec("A", 3, 5.0, delta=-1e16), rec("C", 1, 6.0, delta=0.3)]
+        folded = start
+        for record in batch:
+            folded = folded.apply(record)
+        bulk, applied = start.apply_many(batch)
+        assert applied == [r for r in batch if r.key() != ("A", 1)]
+        assert bulk == folded
+        assert repr(bulk.metadata) == repr(folded.metadata)
+        assert list(bulk.counts().as_dict()) == list(folded.counts().as_dict())
+        for writer in "ABC":
+            assert all(x is y for x, y in zip(bulk.updates_from(writer),
+                                              folded.updates_from(writer)))
+
+    def test_apply_many_of_nothing_new_is_the_same_vector(self):
+        v = ExtendedVersionVector.from_updates([rec("A", 1, 1.0)])
+        assert v.apply_many([rec("A", 1, 1.0)]) == (v, [])
+        assert v.apply_many([])[0] is v
+
+    def test_apply_many_rejects_a_gap_anywhere_in_the_batch(self):
+        v = ExtendedVersionVector.from_updates([rec("A", 1, 1.0)])
+        with pytest.raises(ValueError, match="out-of-order update from 'B'"):
+            v.apply_many([rec("A", 2, 2.0), rec("B", 1, 3.0), rec("B", 3, 4.0)])
+        with pytest.raises(ValueError, match="got seq 0"):
+            v.apply_many([rec("A", 0, 2.0)])
 
 
 class TestMerge:
@@ -166,3 +204,172 @@ class TestConsistentTime:
         ref = ExtendedVersionVector.from_updates([rec("A", 1, 1.0)])
         v = v.with_consistent_time(10.0)
         assert v.error_triple_against(ref).staleness == 0.0
+
+
+# ------------------------------------------------- merge ≡ the dict-walk union
+def dict_walk_union(mine, theirs):
+    """The union ``merge`` must equal, one seq at a time.
+
+    Writers in ``mine``'s order, then the ones only ``theirs`` knows; per
+    writer every seq either side holds, ``mine``'s record where both do.
+    Raises ``ValueError`` when a writer's union is not 1..n.
+    """
+    union = {}
+    for writer in list(mine) + [w for w in theirs if w not in mine]:
+        by_seq = {r.seq: r for r in theirs.get(writer, ())}
+        by_seq.update({r.seq: r for r in mine.get(writer, ())})
+        seqs = sorted(by_seq)
+        if seqs != list(range(1, len(seqs) + 1)):
+            raise ValueError(f"gap for {writer}")
+        union[writer] = tuple(by_seq[seq] for seq in seqs)
+    return union
+
+
+#: non-dyadic and mutually cancelling, so a changed summation order shows
+cancelling_deltas = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 0.05, 1e16, -1e16, 1.0]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+
+
+@st.composite
+def history_pairs(draw, *, contiguous, deltas=cancelling_deltas):
+    """Two ``{writer: records}`` maps over one history per writer.
+
+    Each side holds a prefix of every writer's history as its *own* record
+    objects (as after a ``live.wire`` decode), so identity tells which side
+    the merge picked.  A side may hold nothing of a writer, or nothing at
+    all, and neither side need dominate.  With ``contiguous=False`` a side
+    may have lost a leading run of a writer's records.
+    """
+    blank = draw(st.sampled_from([None, None, None, "mine", "theirs"]))
+    sides = {"mine": {}, "theirs": {}}
+    for writer in "ABCDE":
+        history = [(float(seq), draw(deltas)) for seq in range(1, 6)]
+        for side, held in sides.items():
+            records = [rec(writer, seq, ts, delta)
+                       for seq, (ts, delta) in enumerate(history, start=1)]
+            records = records[:0 if side == blank else draw(st.integers(0, 5))]
+            if not contiguous and records:
+                records = records[draw(st.integers(0, len(records) - 1)):]
+            held[writer] = tuple(records)
+    return tuple({w: side[w] for w in draw(st.permutations("ABCDE")) if side[w]}
+                 for side in sides.values())
+
+
+def assert_is_the_union(merged, union, *, time):
+    assert list(merged.counts().as_dict()) == list(union)
+    for writer, records in union.items():
+        got = merged.updates_from(writer)
+        assert len(got) == len(records)
+        assert all(x is y for x, y in zip(got, records))
+    assert merged.metadata == sum(
+        r.metadata_delta for records in union.values() for r in records)
+    assert merged.last_consistent_time == time
+    assert merged.triple is ErrorTriple.ZERO
+
+
+class TestMergeMatchesDictWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(history_pairs(contiguous=True), st.floats(0, 100), st.floats(0, 100),
+           st.one_of(st.none(), st.floats(0, 100)))
+    def test_prefix_union_picks_what_the_dict_walk_picks(self, pair, t_mine,
+                                                         t_theirs, consistent_time):
+        mine, theirs = pair
+        a = ExtendedVersionVector(mine, last_consistent_time=t_mine).with_triple(
+            ErrorTriple(1, 2, 3))
+        b = ExtendedVersionVector(theirs, last_consistent_time=t_theirs)
+        init = ExtendedVersionVector.__init__
+        with mock.patch.object(ExtendedVersionVector, "__init__", autospec=True,
+                               side_effect=init) as validating_init:
+            merged = a.merge(b, consistent_time=consistent_time)
+        # 1..n on both sides never needs the re-sorting, re-checking constructor
+        assert validating_init.call_count == 0
+        assert_is_the_union(
+            merged, dict_walk_union(mine, theirs),
+            time=(consistent_time if consistent_time is not None
+                  else max(t_mine, t_theirs)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(history_pairs(contiguous=False))
+    def test_histories_that_are_not_1_to_n_take_the_walk_and_a_gap_raises(self, pair):
+        mine, theirs = pair
+        a = ExtendedVersionVector(mine, last_consistent_time=1.0)
+        b = ExtendedVersionVector(theirs, last_consistent_time=2.0)
+        try:
+            union = dict_walk_union(mine, theirs)
+        except ValueError:
+            with pytest.raises(ValueError, match="missing intermediate updates"):
+                a.merge(b)
+            return
+        assert_is_the_union(a.merge(b), union, time=2.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(history_pairs(contiguous=True, deltas=st.floats(-1e3, 1e3)),
+           st.dictionaries(st.sampled_from("ABCDE"), st.integers(1, 5), min_size=1),
+           st.booleans())
+    def test_a_checkpointed_side_keeps_the_base_layout(self, pair, frontier, fold_mine):
+        mine, theirs = pair
+        union = dict_walk_union(mine, theirs)
+        # a stable prefix is one every replica holds: fold no further than both do
+        frontier = {w: min(n, len(mine.get(w, ())), len(theirs.get(w, ())))
+                    for w, n in frontier.items()}
+        a = ExtendedVersionVector(mine)
+        b = ExtendedVersionVector(theirs)
+        if fold_mine:
+            a = a.truncate_to(frontier)
+        else:
+            b = b.truncate_to(frontier)
+        merged = a.merge(b)
+        assert merged.counts().as_dict() == {w: len(r) for w, r in union.items()}
+        assert merged.bases() == (a if fold_mine else b).bases()
+        for writer, records in union.items():
+            tail = records[merged.base_count(writer):]
+            assert len(merged.updates_from(writer)) == len(tail)
+            assert all(x is y for x, y in zip(merged.updates_from(writer), tail))
+        assert merged.metadata == pytest.approx(sum(
+            r.metadata_delta for records in union.values() for r in records))
+
+
+class TestMergeWriterOrder:
+    """The result's writer order — and with it the float — is stated, not hashed."""
+
+    #: (seq, delta) per writer, built for cancellation: each summation order
+    #: of the five writers reads a different metadata.  In the second pair
+    #: one side holds charlie from seq 2, which is the dict walk's input.
+    PAIRS = [
+        ({"alpha": [(1, 0.1), (2, 0.7)], "bravo": [(1, 0.2)], "charlie": [(1, 1e16)]},
+         {"bravo": [(1, 0.2), (2, 0.3)], "delta": [(1, -1e16), (2, 0.4)],
+          "echo": [(1, 0.05)]}),
+        ({"alpha": [(1, 0.1), (2, 0.7)], "bravo": [(1, 0.2)], "charlie": [(2, 1e16)]},
+         {"bravo": [(1, 0.2), (2, 0.3)], "delta": [(1, -1e16), (2, 0.4)],
+          "echo": [(1, 0.05)], "charlie": [(1, 0.3)]}),
+    ]
+
+    SCRIPT = """
+from repro.versioning.extended_vector import ExtendedVersionVector, UpdateRecord
+
+def vector(histories):
+    return ExtendedVersionVector({
+        writer: tuple(UpdateRecord(writer, seq, float(seq), delta)
+                      for seq, delta in records)
+        for writer, records in histories.items()})
+
+for mine, theirs in %r:
+    merged = vector(mine).merge(vector(theirs))
+    print(repr(merged.metadata), list(merged.counts().as_dict()))
+""" % (PAIRS,)
+
+    def run_under(self, hash_seed: str) -> str:
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr[-2000:]
+        return done.stdout
+
+    def test_merged_metadata_and_writer_order_do_not_depend_on_the_hash_seed(self):
+        first = self.run_under("0").splitlines()
+        assert first == self.run_under("1").splitlines()
+        assert len(first) == len(self.PAIRS)
+        for line in first:
+            assert line.endswith("['alpha', 'bravo', 'charlie', 'delta', 'echo']")

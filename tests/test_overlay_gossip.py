@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import IdeaConfig
+from repro.core.deployment import IdeaDeployment
+from repro.live import wire
 from repro.overlay.gossip import GossipConfig, GossipDigest, GossipService
 from repro.sim.clock import ClockModel
 from repro.sim.engine import Simulator
 from repro.sim.latency import FixedLatencyModel
 from repro.sim.network import Network
 from repro.sim.node import Node
-from repro.versioning.version_vector import VersionVector
+from repro.sim.random import RandomStreams
+from repro.store.filesystem import ReplicatedStore
+from repro.versioning.extended_vector import UpdateRecord
+from repro.versioning.version_vector import Ordering, VersionVector
 
 
 def make_digest(object_id, origin, counts, issued_at=0.0, ttl=3):
@@ -22,7 +28,7 @@ def make_digest(object_id, origin, counts, issued_at=0.0, ttl=3):
 class GossipHarness:
     """A small deployment where each node's replica state is a dict of counts."""
 
-    def __init__(self, num_nodes=8, config=None):
+    def __init__(self, num_nodes=8, config=None, service_class=GossipService):
         self.sim = Simulator(seed=5)
         self.network = Network(self.sim, FixedLatencyModel(0.01))
         self.node_ids = [f"n{i:02d}" for i in range(num_nodes)]
@@ -30,7 +36,7 @@ class GossipHarness:
             Node(self.sim, self.network, node_id, clock_model=ClockModel().perfect())
         self.state = {n: {"w": 1} for n in self.node_ids}
         self.detected = []
-        self.service = GossipService(
+        self.service = service_class(
             self.sim, self.network, config=config,
             membership=lambda obj: self.node_ids,
             local_digest=self._digest,
@@ -66,6 +72,27 @@ class TestGossipDigest:
         assert lower.ttl == 2
         assert lower.counts == digest.counts
 
+    def test_every_hop_of_a_digest_shares_one_vector(self):
+        first_hop = make_digest("obj", "n0", {"a": 2, "b": 1}).stamped(4.0, 4)
+        vector = first_hop.version_vector()
+        third_forward = first_hop.decremented().decremented().decremented()
+        assert (third_forward.issued_at, third_forward.ttl) == (4.0, 1)
+        assert third_forward.version_vector() is vector
+        assert third_forward == make_digest("obj", "n0", {"a": 2, "b": 1},
+                                            issued_at=4.0, ttl=1)
+
+    def test_a_decoded_digest_has_no_memo_and_compares_the_same(self):
+        sent = make_digest("obj", "n0", {"a": 2, "b": 1}, issued_at=4.0)
+        sent.version_vector()
+        decoded = wire.roundtrip(sent)
+        assert decoded == sent and hash(decoded) == hash(sent)
+        assert decoded._vector is None
+        assert decoded.version_vector() == sent.version_vector()
+        assert decoded.version_vector() is not sent.version_vector()
+        ahead = make_digest("obj", "n1", {"a": 3, "b": 1})
+        assert (decoded.version_vector().compare(ahead.version_vector())
+                is Ordering.BEFORE)
+
 
 class TestGossipService:
     def test_consistent_nodes_produce_no_detections(self):
@@ -88,6 +115,49 @@ class TestGossipService:
         harness.sim.run(until=5.0)
         assert all(obj == "obj" for _, _, obj in harness.service.detections())
         assert harness.service.detections("other") == []
+
+    def test_retained_detections_are_bounded_and_the_totals_keep_counting(self):
+        class SmallWindow(GossipService):
+            DETECTIONS_RETAINED = 5
+
+        harness = GossipHarness(service_class=SmallWindow)
+        harness.service.watch_object("other")
+        harness.state["n01"] = {"w": 9}
+        retained = []
+        for round_no in range(1, 4):
+            harness.service.run_round()
+            harness.sim.run(until=5.0 * round_no)
+            retained.append(len(harness.service.detections()))
+        service = harness.service
+        assert retained == [5, 5, 5]
+        assert service.detection_count() == len(harness.detected) > 15
+        assert (service.detection_count("obj") + service.detection_count("other")
+                == service.detection_count())
+        assert service.detection_count("never-watched") == 0
+        # what is retained is the most recent
+        times = [at for at, _, _ in service.detections()]
+        assert times == sorted(times) and times[0] > 10.0
+
+    def test_fanouts_draw_what_a_twin_generator_draws(self):
+        """``choice(len(peers), size=fanout, replace=False)`` on the
+        ``overlay.gossip`` stream, one call per fan-out, in event order."""
+        harness = GossipHarness(num_nodes=40)
+        fanouts = []
+        send_many = harness.network.send_many
+
+        def recording(src, dsts, **kwargs):
+            fanouts.append((src, kwargs["payload"]["digest"].origin, list(dsts)))
+            return send_many(src, dsts, **kwargs)
+
+        harness.network.send_many = recording
+        harness.service.run_round()
+        harness.sim.run(until=5.0)
+        assert len(fanouts) >= 200
+        twin = RandomStreams(5).stream("overlay.gossip")
+        for sender, origin, chosen in fanouts[:200]:
+            peers = [m for m in harness.node_ids if m != sender and m != origin]
+            drawn = twin.choice(len(peers), size=3, replace=False)
+            assert chosen == [peers[idx] for idx in sorted(drawn)]
 
     def test_round_sends_fanout_messages_per_node(self):
         config = GossipConfig(fanout=2, ttl=1)
@@ -134,3 +204,77 @@ class TestGossipService:
         harness.service._local_digest = digest
         harness.service.run_round()
         harness.sim.run(until=2.0)  # should not raise
+
+
+class TestDeploymentGossipDigest:
+    """``IdeaDeployment._gossip_digest`` memoised per replica revision."""
+
+    @staticmethod
+    def fresh(deployment, node_id):
+        """The digest built from scratch, as every call used to."""
+        replica = deployment.stores[node_id].replica("obj")
+        return GossipDigest(
+            object_id="obj", origin=node_id,
+            counts=tuple(sorted(replica.vector.counts().as_dict().items())),
+            metadata=replica.metadata,
+            last_consistent_time=replica.vector.last_consistent_time)
+
+    def test_memo_follows_every_replica_mutation(self):
+        deployment = IdeaDeployment(num_nodes=4, seed=3, use_gossip=True)
+        deployment.register_object("obj", IdeaConfig(), start_background=False)
+        replica = deployment.stores["n01"].replica("obj")
+        other = deployment.stores["n02"].replica("obj")
+        cache = deployment.runtimes["n01"].digests
+        lookups = (cache.hits, cache.misses)
+
+        def check():
+            digest = deployment._gossip_digest("n01", "obj")
+            assert digest == self.fresh(deployment, "n01")
+            assert digest.version_vector() is replica.vector.counts()
+            assert deployment._gossip_digest("n01", "obj") is digest
+            return digest
+
+        seen = [check()]
+        for seq in range(1, 4):
+            other.local_write("n02", float(seq), metadata_delta=0.3)
+        steps = [
+            lambda: replica.local_write("n01", 1.0, metadata_delta=0.1),
+            lambda: replica.local_write("n01", 2.0, metadata_delta=0.7),
+            lambda: replica.install_merged(
+                replica.vector.merge(other.vector, consistent_time=3.0), now=3.0),
+            lambda: replica.invalidate_updates([("n02", 3)]),
+            lambda: replica.roll_back_after(2.5),
+            lambda: replica.mark_consistent(4.0),
+            lambda: replica.truncate_stable({"n01": 1, "n02": 2}),
+            lambda: replica.apply_update(UpdateRecord("n03", 1, 5.0, 0.2), applied_at=5.0),
+        ]
+        for step in steps:
+            step()
+            seen.append(check())
+        # each vector-changing step shows: no stale answer survived it
+        assert len({(d.counts, d.metadata, d.last_consistent_time)
+                    for d in seen}) >= 6
+
+        deployment.crash_node("n01")
+        assert deployment._gossip_digest("n01", "obj") is None
+        replica.local_write("n01", 6.0, metadata_delta=0.1)
+        deployment.recover_node("n01")
+        check()
+        # the sweep's memo is its own: DigestCache's hit rate does not move
+        assert (cache.hits, cache.misses) == lookups
+
+    def test_a_replaced_replica_is_not_answered_from_the_old_ones_memo(self):
+        deployment = IdeaDeployment(num_nodes=4, seed=3, use_gossip=True)
+        deployment.register_object("obj", IdeaConfig(), start_background=False)
+        replica = deployment.stores["n01"].replica("obj")
+        replica.local_write("n01", 1.0)
+        replica.local_write("n01", 2.0)
+        deployment._gossip_digest("n01", "obj")
+        # an amnesiac restart: a new store whose replica reaches the same
+        # revision with other content — a revision-only key would still hit
+        store = deployment.stores["n01"] = ReplicatedStore("n01")
+        store.create("obj")
+        store.write("obj", "n09", 1.0)
+        store.write("obj", "n09", 2.0)
+        assert store.replica("obj").revision == replica.revision
+        assert deployment._gossip_digest("n01", "obj") == self.fresh(deployment, "n01")

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.store.filesystem import ReplicatedStore
 from repro.store.replica import Replica
 from repro.store.update_log import UpdateLog
-from repro.versioning.extended_vector import UpdateRecord
+from repro.versioning.extended_vector import ExtendedVersionVector, UpdateRecord
 
 
 def rec(writer, seq, ts, delta=1.0, payload=None):
     return UpdateRecord(writer=writer, seq=seq, timestamp=ts, metadata_delta=delta,
                         payload=payload)
+
+
+#: non-dyadic, so an accumulation in another order would show
+install_deltas = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1e16, -1e16, 1.0])
 
 
 class TestUpdateLog:
@@ -119,6 +124,73 @@ class TestReplica:
         assert pulled == 1
         assert a.vector.count("n1") == 1
         assert a.vector.last_consistent_time == 2.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_apply_updates_is_a_fold_of_apply_update(self, data):
+        """The bulk install against the per-record loop it replaced."""
+        histories = {writer: [rec(writer, seq, float(seq), data.draw(install_deltas))
+                              for seq in range(1, 7)] for writer in "ABCD"}
+        held = {writer: data.draw(st.integers(0, 4)) for writer in histories}
+        bulk, twin = Replica("n0", "obj"), Replica("n0", "obj")
+        for replica in (bulk, twin):
+            for writer, records in histories.items():
+                for record in records[:held[writer]]:
+                    replica.apply_update(record, applied_at=1.0)
+            # a log whose live view is dirty must come out the same too
+            replica.invalidate_updates([("A", 1)])
+        # per writer: some records already held (duplicates), the next ones
+        # new, some sent twice; the whole batch in arbitrary order
+        batch = []
+        for writer, records in histories.items():
+            first = data.draw(st.integers(0, held[writer]))
+            batch += records[first:data.draw(st.integers(first, 6))]
+        batch += data.draw(st.lists(st.sampled_from(batch), max_size=4)) if batch else []
+        batch = data.draw(st.permutations(batch))
+        before = bulk.revision
+
+        returned = bulk.apply_updates(batch, applied_at=2.0)
+
+        folded = sum(twin.apply_update(record, applied_at=2.0)
+                     for record in sorted(batch, key=lambda r: (r.writer, r.seq)))
+        assert returned == folded
+        assert bulk.revision - before == returned == twin.revision - before
+        assert bulk.vector == twin.vector
+        assert repr(bulk.metadata) == repr(twin.metadata)
+        assert list(bulk.vector.counts().as_dict()) == list(twin.vector.counts().as_dict())
+        assert ([(e.record, e.applied_at, e.live) for e in bulk.log.entries(include_dead=True)]
+                == [(e.record, e.applied_at, e.live) for e in twin.log.entries(include_dead=True)])
+        assert bulk.log.entries() == twin.log.entries()
+        assert repr(bulk.log.live_metadata()) == repr(twin.log.live_metadata())
+        assert bulk.log.missing_from(set()) == twin.log.missing_from(set())
+        assert bulk.vector.total_updates() == len(bulk.log)
+
+    def test_a_gapped_install_changes_nothing(self):
+        replica = Replica("n0", "obj")
+        for seq in range(1, 5):
+            replica.apply_update(rec("A", seq, float(seq)), applied_at=1.0)
+        vector, revision = replica.vector, replica.revision
+        entries = replica.log.entries()
+        batch = [rec("B", 1, 9.0), rec("A", 5, 5.0), rec("A", 7, 7.0)]
+        with pytest.raises(ValueError, match="out-of-order update from 'A'"):
+            replica.apply_updates(batch, applied_at=2.0)
+        assert replica.vector is vector
+        assert replica.revision == revision
+        assert replica.log.entries() == entries
+        assert ("A", 5) not in replica.log and ("B", 1) not in replica.log
+
+    def test_a_refused_image_leaves_the_replica_as_it_was(self):
+        replica = Replica("n0", "obj")
+        replica.apply_update(rec("A", 1, 1.0), applied_at=1.0)
+        vector, revision = replica.vector, replica.revision
+        # an image holding A from seq 3 on cannot extend a replica at A:1
+        image = ExtendedVersionVector({"A": (rec("A", 3, 3.0), rec("A", 4, 4.0)),
+                                       "B": (rec("B", 1, 2.0),)})
+        with pytest.raises(ValueError):
+            replica.install_merged(image, now=2.0)
+        assert replica.vector is vector
+        assert replica.revision == revision
+        assert len(replica.log) == 1
 
     def test_mark_consistent_updates_time(self):
         replica = Replica("n0", "obj")
