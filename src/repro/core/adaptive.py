@@ -57,6 +57,15 @@ class OnDemandController:
             return True
         return self.learned_threshold > 0 and level < self.learned_threshold
 
+    def acts_on_levels(self) -> bool:
+        """Whether :meth:`should_resolve` could say yes to any level right now.
+
+        The middleware asks this before evaluating a level nobody else
+        reads; it is re-read per digest, so a demand, a complaint or a new
+        threshold takes effect on the next one.
+        """
+        return self._pending_demand or self.learned_threshold > 0
+
     def consume_demand(self) -> bool:
         """Return and clear the explicit-demand flag (one resolution per demand)."""
         pending, self._pending_demand = self._pending_demand, False
@@ -105,6 +114,10 @@ class HintBasedController:
     def should_resolve(self, level: float) -> bool:
         """Trigger active resolution when the level drops below the hint."""
         return self.hint_level > 0 and level < self.hint_level
+
+    def acts_on_levels(self) -> bool:
+        """Whether any level could trigger a resolution: a positive hint."""
+        return self.hint_level > 0
 
     def set_hint(self, time: float, hint_level: float) -> None:
         """Change the hint at runtime (the Figure 8 scenario)."""
@@ -213,6 +226,10 @@ class AutomaticController:
     # ---------------------------------------------------------------- utils
     def should_resolve(self, level: float) -> bool:
         """Automatic mode never reacts to individual levels; timing decides."""
+        return False
+
+    def acts_on_levels(self) -> bool:
+        """Never: see :meth:`should_resolve`."""
         return False
 
     def _clamp(self, period: float) -> float:

@@ -240,6 +240,9 @@ class DetectionService:
         #: ``sum == len(peers) * local_total`` — detect() walks the peer
         #: table only when somebody actually diverged
         self._peer_total_sum = 0
+        #: each cached peer digest's total, the terms of that sum: when
+        #: somebody did diverge, detect() names the peers from these
+        self._peer_totals: Dict[str, int] = {}
         #: peer ids in sorted order (rebuilt only when membership changes),
         #: so conflict enumeration does not re-sort per detection
         self._sorted_peers: Optional[Tuple[str, ...]] = None
@@ -273,14 +276,20 @@ class DetectionService:
         self._digest_msg_type = f"idea_digest:{object_id}"
         node.register_handler(self._digest_msg_type, self._handle_digest)
 
-    def _local_digest(self, replica: Replica) -> VersionDigest:
-        """The replica's digest; only a changed revision reaches the cache."""
+    def _local_digest(self, replica: Replica,
+                      now: Optional[float] = None) -> VersionDigest:
+        """The replica's digest; only a changed revision reaches the cache.
+
+        ``now`` is the caller's own clock reading, for the caller that
+        compares the digest's stamp with it (:meth:`announce_write`).
+        """
         revision = replica.revision
         if revision == self._local_revision:
             self._digest_cache.hits += 1
             return self._local
         digest = self._local = self._digest_cache.local_digest(
-            self.object_id, replica, self.node.clock.now)
+            self.object_id, replica,
+            self.node.clock.now if now is None else now)
         self._local_revision = revision
         return digest
 
@@ -315,20 +324,25 @@ class DetectionService:
         exchange that lets the write's conflicts be caught "in a timely
         manner" in the top layer.
         """
-        now = self.node.clock.now
-        digest = self._local_digest(self._replica_provider())
+        node = self.node
+        # One clock reading, handed to the rebuild: on a wall clock a second
+        # reading differs, and every fresh digest would be copied below.
+        now = node.clock.now
+        digest = self._local_digest(self._replica_provider(), now)
         if digest.issued_at != now:
-            # A cache hit may carry an old issue time; peers order digests by
-            # it, so stamp the current time before shipping.
+            # An unchanged replica announced again carries its old issue
+            # time; peers order digests by it, so stamp the current time
+            # before shipping.
             digest = dataclass_replace(digest, issued_at=now)
-        peers = [p for p in self._top_layer_provider() if p != self.node.node_id]
+        node_id = node.node_id
+        peers = [p for p in self._top_layer_provider() if p != node_id]
         if peers:
             # One shared payload for the whole top-layer broadcast; with a
             # homogeneous latency model this is one latency sample and one
             # scheduled event for the entire fan-out.
-            self.node.send_many(peers, protocol=PROTOCOL,
-                                msg_type=self._digest_msg_type,
-                                payload={"digest": digest}, size_bytes=256)
+            node.send_many(peers, protocol=PROTOCOL,
+                           msg_type=self._digest_msg_type,
+                           payload={"digest": digest}, size_bytes=256)
         return len(peers)
 
     def _handle_digest(self, message: Message) -> None:
@@ -351,7 +365,10 @@ class DetectionService:
             if existing is None or self._sorted_peers is None:
                 self._sorted_peers = None  # membership changed: rebuild lazily
             else:
-                self._peer_total_sum += digest.total() - existing.total()
+                totals = self._peer_totals
+                total = digest.total()
+                self._peer_total_sum += total - totals[digest.node_id]
+                totals[digest.node_id] = total
             self._fold_digest(digest, existing)
 
     def observe_counts(self, node_id: str, counts: VersionVector) -> None:
@@ -394,7 +411,9 @@ class DetectionService:
         changes (amortised across the detections in between)."""
         peers = self._peer_digests
         sorted_peers = self._sorted_peers = tuple(sorted(peers))
-        self._peer_total_sum = sum(d.total() for d in peers.values())
+        totals = self._peer_totals = {peer: digest.total()
+                                      for peer, digest in peers.items()}
+        self._peer_total_sum = sum(totals.values())
         return sorted_peers
 
     # ---------------------------------------------------- stability frontier
@@ -615,11 +634,18 @@ class DetectionService:
                 and self._peer_total_sum == local_total * len(sorted_peers)):
             conflicting: Tuple[str, ...] = ()
         else:
+            totals = self._peer_totals
             peer_digests = self._peer_digests
-            conflicting = tuple(
-                peer for peer in sorted_peers
-                if peer_digests[peer].total() != local_total
-                or peer_digests[peer].counts() != local_digest.counts())
+            local_counts = None
+            diverged = []
+            for peer in sorted_peers:
+                if totals[peer] == local_total:
+                    if local_counts is None:
+                        local_counts = local_digest.counts()
+                    if peer_digests[peer].counts() == local_counts:
+                        continue
+                diverged.append(peer)
+            conflicting = tuple(diverged)
 
         return DetectionOutcome(
             object_id=self.object_id, node_id=self.node.node_id,
@@ -631,8 +657,15 @@ class DetectionService:
 
     def current_level(self) -> float:
         """Consistency level without counting as a detection run."""
-        return self._evaluate(
-            self._local_digest(self._replica_provider()))[2]
+        replica = self._replica_provider()
+        memo = self._eval_memo
+        if (memo is not None and replica.revision == self._local_revision
+                and memo[0] is self._local and memo[1] == self._peer_version):
+            # nothing moved since the last evaluation: answered here, and
+            # counted as the local-digest lookup it stands for
+            self._digest_cache.hits += 1
+            return memo[2]
+        return self._evaluate(self._local_digest(replica))[2]
 
     def local_counts(self) -> VersionVector:
         """The local replica's current per-writer counts (cached digest view)."""

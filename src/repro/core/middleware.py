@@ -126,20 +126,22 @@ class IdeaMiddleware:
         Returns the detection outcome, or ``None`` when the write was blocked
         by an in-progress resolution round.
         """
-        writer = writer or self.node.node_id
-        record = self.store.write(self.object_id, writer, self.node.local_time(),
+        node = self.node
+        now = node.clock.now
+        record = self.store.write(self.object_id, writer or node.node_id,
+                                  node.local_time(),
                                   metadata_delta=metadata_delta, payload=payload,
-                                  applied_at=self.node.clock.now)
+                                  applied_at=now)
         if record is None:
             return None
-        now = self.node.clock.now
         if self.bus.wants(WriteRecorded):
             self.bus.publish(WriteRecorded(object_id=self.object_id,
-                                           node_id=self.node.node_id, time=now))
+                                           node_id=node.node_id, time=now))
         self.detection.announce_write()
         outcome = self.detection.detect()
         self._record_outcome(outcome)
-        self._consult_controller(outcome.level)
+        if self.controller.should_resolve(outcome.level):
+            self.trigger_active_resolution(auto=True)
         return outcome
 
     def read(self, *, new_snapshot: bool = True,
@@ -163,22 +165,23 @@ class IdeaMiddleware:
         now = self.node.clock.now
         trigger = new_snapshot
         if not trigger and quiet_threshold is not None:
-            # Floor with the checkpoint's fold horizon: truncation may have
-            # folded the most recent writes, and a truncated replica must
-            # not look idle when it was in fact just updated.
-            last = max((e.applied_at for e in self.replica.log.entries()), default=0.0)
-            last = max(last, self.replica.log.checkpoint.applied_through)
-            trigger = (now - last) >= quiet_threshold
+            # The log floors its answer with the checkpoint's fold horizon:
+            # truncation may have folded the most recent writes, and a
+            # truncated replica must not look idle when it was just updated.
+            quiet_for = now - self.replica.log.last_applied_at()
+            trigger = quiet_for >= quiet_threshold
 
         if trigger:
             outcome = self.detection.detect()
             self._record_outcome(outcome)
             level = outcome.level
-            self._consult_controller(level)
+            if self.controller.should_resolve(level):
+                self.trigger_active_resolution(auto=True)
         else:
             level = self.detection.current_level()
 
-        acceptable = not self._level_unacceptable(level)
+        # asked after any trigger: starting a round consumes a pending demand
+        acceptable = not self.controller.should_resolve(level)
         if register_rollback:
             threshold = self._current_threshold()
             self.rollback.register_estimate(
@@ -190,9 +193,21 @@ class IdeaMiddleware:
                           acceptable=acceptable, evaluated_at=now)
 
     def _on_remote_digest(self, digest: VersionDigest) -> None:
-        """A top-layer peer announced a write: re-evaluate and maybe resolve."""
+        """A top-layer peer announced a write: resolve if the level demands it.
+
+        The digest is already folded into the detection service's envelope;
+        the level itself is computed only when somebody consumes it — a
+        controller that could act on one right now, or a
+        ``DetectionEvaluated`` subscriber.  Otherwise (hint 0, automatic
+        mode) the next ``read()``, ``detect()`` or ``current_level()`` reads
+        the same float off the same envelope.
+        """
+        controller = self.controller
+        watched = self.bus.wants(DetectionEvaluated)
+        if not watched and not controller.acts_on_levels():
+            return
         level = self.detection.current_level()
-        if self.bus.wants(DetectionEvaluated):
+        if watched:
             # Remote evaluations are materialised as bus events only when an
             # instrumentation probe subscribed (e.g. the churn experiment's
             # detection-latency metric); publishing is synchronous and
@@ -201,7 +216,8 @@ class IdeaMiddleware:
             self.bus.publish(DetectionEvaluated(
                 object_id=self.object_id, node_id=self.node.node_id,
                 success=success, level=level, time=self.node.clock.now))
-        self._consult_controller(level)
+        if controller.should_resolve(level):
+            self.trigger_active_resolution(auto=True)
 
     def _record_outcome(self, outcome: DetectionOutcome) -> None:
         self.detection_outcomes.append(outcome)
@@ -218,14 +234,6 @@ class IdeaMiddleware:
         if isinstance(self.controller, OnDemandController):
             return self.controller.learned_threshold
         return 0.0
-
-    def _level_unacceptable(self, level: float) -> bool:
-        return self.controller.should_resolve(level)
-
-    def _consult_controller(self, level: float) -> None:
-        if not self._level_unacceptable(level):
-            return
-        self.trigger_active_resolution(auto=True)
 
     def trigger_active_resolution(self, *, auto: bool = False) -> bool:
         """Start an active resolution round from this node.

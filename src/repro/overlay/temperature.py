@@ -94,9 +94,6 @@ class TemperatureTracker:
         dt = max(0.0, time - last)
         return score * math.exp(-self._decay_rate * dt)
 
-    def temperatures(self, time: float) -> Dict[str, float]:
-        return {n: self.temperature(n, time) for n in self._scores}
-
     def writers_seen(self) -> List[str]:
         return sorted(self._scores)
 
@@ -108,15 +105,37 @@ class TemperatureTracker:
         filtered out of its object's top layer, otherwise its conflicts
         would go undetected — so no outside candidate set (a RanSub view,
         say) can narrow the choice, and none is taken.
+
+        One pass computes every temperature with :meth:`temperature`'s own
+        expression — the same floats, so ties and near-ties rank as they
+        always did (the order is the digest fan-out order) — and one sort
+        of ``(-temperature, node)`` tuples ranks hottest first, names
+        breaking ties.
         """
         cfg = self.config
-        temps = self.temperatures(time)
-        ranked = sorted(temps, key=lambda n: (-temps[n], n))
+        rate = self._decay_rate
+        last_update = self._last_update
+        exp = math.exp
+        ranked = []
+        for node, score in self._scores.items():
+            if score != 0.0:
+                dt = time - last_update.get(node, time)
+                score *= exp(-rate * (dt if dt > 0.0 else 0.0))
+            ranked.append((-score, node))
+        ranked.sort()
 
-        hot = [n for n in ranked if temps[n] >= cfg.hot_threshold]
-        if len(hot) < cfg.min_top_size:
-            hot = ranked[:cfg.min_top_size]
-        return hot[:cfg.max_top_size]
+        # The hot nodes are a prefix; at most ``max_top_size`` of them are
+        # returned, and short of ``min_top_size`` the hottest stand in.
+        size = 0
+        limit = cfg.max_top_size
+        threshold = cfg.hot_threshold
+        for neg_temperature, _ in ranked:
+            if size == limit or -neg_temperature < threshold:
+                break
+            size += 1
+        if size < cfg.min_top_size:
+            size = cfg.min_top_size
+        return [node for _, node in ranked[:size]]
 
     def is_hot(self, node_id: str, time: float) -> bool:
         return self.temperature(node_id, time) >= self.config.hot_threshold

@@ -22,7 +22,7 @@ the overhead figures count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.overlay.temperature import TemperatureConfig, TemperatureTracker
 
@@ -45,14 +45,17 @@ class TwoLayerOverlay:
         if not node_ids:
             raise ValueError("overlay needs at least one node")
         self.node_ids = list(node_ids)
+        self._members = frozenset(self.node_ids)
         self.config = config or OverlayConfig()
         #: crashed members: excluded from every layer until readmitted
         self._dead: set = set()
         self._trackers: Dict[str, TemperatureTracker] = {}
-        self._top_cache: Dict[str, List[str]] = {}
-        #: memo of the last selection per object, keyed by everything the
-        #: selection depends on: (tracker version, query time)
-        self._select_memo: Dict[str, tuple] = {}
+        #: object -> (tracker version, query time, members) of its last
+        #: selection.  A selection is a pure function of the first two, so
+        #: a query that matches them is answered from the third: within one
+        #: simulated instant a write triggers several membership queries
+        #: (record + announce + per-peer digest handling) and one ranking.
+        self._selected: Dict[str, Tuple[int, Optional[float], List[str]]] = {}
 
     # ------------------------------------------------------------- tracking
     def tracker(self, object_id: str) -> TemperatureTracker:
@@ -61,32 +64,17 @@ class TwoLayerOverlay:
                 object_id, self.config.temperature)
         return self._trackers[object_id]
 
-    def _select(self, object_id: str, tracker: TemperatureTracker,
-                time: float) -> List[str]:
-        """Memoised ``tracker.select_top``.
-
-        Selection is deterministic in (tracker state, query time); within
-        one simulated instant a write typically triggers several membership
-        queries (record + announce + per-peer digest handling), and the memo
-        collapses those to one ranking pass.
-        """
-        key = (tracker.version, time)
-        memo = self._select_memo.get(object_id)
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        top = tracker.select_top(time)
-        self._select_memo[object_id] = (key, top)
-        return top
-
     def record_update(self, object_id: str, node_id: str, time: float) -> None:
         """Heat up ``node_id`` for ``object_id`` and refresh its top layer."""
-        if node_id not in self.node_ids:
+        if node_id not in self._members:
             raise KeyError(f"unknown node {node_id!r}")
         if node_id in self._dead:
             return  # a stale write event from a crashed member must not re-heat it
         tracker = self.tracker(object_id)
         tracker.record_update(node_id, time)
-        self._top_cache[object_id] = self._select(object_id, tracker, time)
+        # the update moved the tracker's version: nothing cached can answer
+        self._selected[object_id] = (tracker.version, time,
+                                     tracker.select_top(time))
 
     # ----------------------------------------------------------- churn/faults
     def evict_node(self, node_id: str) -> None:
@@ -96,18 +84,18 @@ class TwoLayerOverlay:
         through a stale writer) and it stays excluded until
         :meth:`readmit_node`.  Idempotent.
         """
-        if node_id not in self.node_ids:
+        if node_id not in self._members:
             raise KeyError(f"unknown node {node_id!r}")
         if node_id in self._dead:
             return
         self._dead.add(node_id)
         for tracker in self._trackers.values():
             tracker.forget(node_id)
-        # Top caches may be consulted without a query time; purge eagerly.
-        for object_id, top in self._top_cache.items():
-            if node_id in top:
-                self._top_cache[object_id] = [n for n in top if n != node_id]
-        self._select_memo.clear()
+        # The last selections may be consulted without a query time: purge
+        # eagerly, under a key no later query matches.
+        for object_id, (_, _, top) in self._selected.items():
+            self._selected[object_id] = (
+                -1, None, [n for n in top if n != node_id])
 
     def readmit_node(self, node_id: str) -> None:
         """Let a recovered member participate again (idempotent).
@@ -115,9 +103,7 @@ class TwoLayerOverlay:
         It rejoins the bottom layer immediately and climbs back into top
         layers the usual way: by writing.
         """
-        if node_id in self._dead:
-            self._dead.discard(node_id)
-            self._select_memo.clear()
+        self._dead.discard(node_id)
 
     def dead_nodes(self) -> List[str]:
         return sorted(self._dead)
@@ -128,9 +114,13 @@ class TwoLayerOverlay:
         tracker = self._trackers.get(object_id)
         if tracker is None:
             return []
-        if self.config.refresh_on_query and time is not None:
-            self._top_cache[object_id] = self._select(object_id, tracker, time)
-        return list(self._top_cache.get(object_id, []))
+        selected = self._selected.get(object_id)
+        if (self.config.refresh_on_query and time is not None
+                and (selected is None or selected[0] != tracker.version
+                     or selected[1] != time)):
+            selected = self._selected[object_id] = (
+                tracker.version, time, tracker.select_top(time))
+        return list(selected[2]) if selected is not None else []
 
     def bottom_layer(self, object_id: str, time: Optional[float] = None) -> List[str]:
         """All *live* registered nodes not currently in the object's top layer."""

@@ -80,6 +80,12 @@ class Replica:
         #: monotonically increasing mutation counter; bumped on every change
         #: to the vector, so digest caches can key on it
         self.revision = 0
+        #: ``(revision, record)`` left by the last single-record apply
+        #: (:meth:`local_write`, :meth:`apply_update`).  While ``revision``
+        #: still equals the first element, that record is all that changed
+        #: since ``revision - 1``; every other mutation moves ``revision``
+        #: past it, which is what makes the hint stale.
+        self.last_apply: Optional[Tuple[int, UpdateRecord]] = None
         #: checkpoint/truncation accounting (see :class:`TruncationStats`)
         self.truncation_stats = TruncationStats()
 
@@ -126,10 +132,17 @@ class Replica:
         if self.write_blocked:
             self.blocked_writes += 1
             return None
-        record = UpdateRecord(writer=writer, seq=self.next_seq(writer),
+        # The seq is minted from the vector's own count, so the record is
+        # new by construction: straight to ``apply`` and ``append``, without
+        # :meth:`apply_update`'s duplicate guard.
+        vector = self._vector
+        record = UpdateRecord(writer=writer, seq=vector.count(writer) + 1,
                               timestamp=timestamp, metadata_delta=metadata_delta,
                               payload=payload)
-        self.apply_update(record, applied_at=applied_at if applied_at is not None else timestamp)
+        self._vector = vector.apply(record)
+        self.log.append(record, applied_at=applied_at if applied_at is not None else timestamp)
+        self.revision += 1
+        self.last_apply = (self.revision, record)
         return record
 
     def apply_update(self, record: UpdateRecord, applied_at: float) -> bool:
@@ -147,6 +160,7 @@ class Replica:
         self._vector = self._vector.apply(record)
         self.log.append(record, applied_at=applied_at)
         self.revision += 1
+        self.last_apply = (self.revision, record)
         return True
 
     def apply_updates(self, records: List[UpdateRecord], applied_at: float) -> int:

@@ -312,6 +312,23 @@ class UpdateLog:
             return self._entries[start:]
         return [e for e in self._entries if e.applied_at > time]
 
+    def last_applied_at(self) -> float:
+        """When the replica last applied a live update (0.0 if it never did).
+
+        The last live retained entry while appends stay monotone, floored by
+        the checkpoint's fold horizon — so a truncated log answers like an
+        untruncated one — and never a copy of the log.
+        """
+        entries = self._entries if self._dead == 0 else self._live_view()
+        if not entries:
+            last = 0.0
+        elif self._applied_monotone:
+            last = entries[-1].applied_at
+        else:
+            last = max(e.applied_at for e in entries)
+        through = self.checkpoint.applied_through
+        return last if last >= through else through
+
     def live_content(self) -> List[Any]:
         """Live payloads in ``(timestamp, writer, seq)`` order.
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace as dataclass_replace
+
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
@@ -405,3 +407,57 @@ def test_lookups_the_service_answers_itself_still_count_as_cache_hits():
     service.local_counts()
     service.stability_frontier()
     assert (cache.hits, cache.misses) == (6, 2)
+
+
+class _TickingClock:
+    """A wall clock in miniature: every reading is later than the last."""
+
+    def __init__(self):
+        self.reads = 0
+
+    @property
+    def now(self):
+        self.reads += 1
+        return self.reads * 1e-6
+
+
+class _AnnouncingEndpoint(_Endpoint):
+    def __init__(self):
+        self.clock = _TickingClock()
+        self.shipped = []
+
+    def send_many(self, dsts, *, protocol, msg_type, payload, size_bytes):
+        self.shipped.append(payload["digest"])
+        return []
+
+
+def test_an_announce_reads_the_clock_once_and_ships_the_cached_digest():
+    """On a wall clock two readings differ: an announce that stamped ``now``
+    and let the rebuild read the clock again copied every digest it had just
+    built, shipping the copy and caching the original."""
+    node = _AnnouncingEndpoint()
+    replica = Replica(LOCAL, "obj")
+    cache = DigestCache()
+    service = DetectionService(
+        node, object_id="obj", metric=METRIC, weights=WEIGHTS,
+        top_layer_provider=lambda: (LOCAL, "p1"),
+        replica_provider=lambda: replica, digest_cache=cache)
+    for _ in range(3):
+        replica.local_write(LOCAL, 1.0, metadata_delta=1.0)
+        reads = node.clock.reads
+        assert service.announce_write() == 1
+        assert node.clock.reads == reads + 1
+        shipped = node.shipped[-1]
+        assert shipped is cache.local_digest("obj", replica, now=-1.0)
+        assert shipped.issued_at == node.clock.reads * 1e-6
+        assert shipped == dataclass_replace(
+            VersionDigest.from_replica(replica, 0.0),
+            issued_at=shipped.issued_at)
+    # an unchanged replica announced again later: the same content under the
+    # current time, and the cache keeps the digest it built
+    assert service.announce_write() == 1
+    again = node.shipped[-1]
+    assert again is not shipped
+    assert again.issued_at == node.clock.reads * 1e-6 > shipped.issued_at
+    assert dataclass_replace(again, issued_at=shipped.issued_at) == shipped
+    assert cache.local_digest("obj", replica, now=-1.0) is shipped

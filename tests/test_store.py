@@ -77,6 +77,87 @@ class TestUpdateLog:
         assert len(log.applied_since(2.0)) == 1
 
 
+class TestLastAppliedAt:
+    """``UpdateLog.last_applied_at`` ≡ the scan over ``entries()`` that
+    ``IdeaMiddleware.read``'s quiet path used to take."""
+
+    @staticmethod
+    def scan(log):
+        last = max((e.applied_at for e in log.entries()), default=0.0)
+        return max(last, log.checkpoint.applied_through)
+
+    def test_empty_log(self):
+        assert UpdateLog().last_applied_at() == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.tuples(
+        st.sampled_from(["append", "append", "extend", "truncate",
+                         "invalidate", "rollback"]),
+        st.sampled_from(["A", "B", "C"]),
+        st.integers(0, 40).map(lambda q: q / 4.0)), max_size=40),
+        monotone=st.booleans())
+    def test_equals_the_scan(self, steps, monotone):
+        """Random appends — in time order or not — bulk extends, truncation
+        (the checkpoint floor applies), invalidation and rollback."""
+        log = UpdateLog()
+        counts = {}
+        clock = 0.0
+        for kind, writer, when in steps:
+            clock = clock + when if monotone else when
+            if kind in ("append", "extend"):
+                records = []
+                for _ in range(1 if kind == "append" else 3):
+                    counts[writer] = counts.get(writer, 0) + 1
+                    records.append(rec(writer, counts[writer], clock))
+                if kind == "append":
+                    log.append(records[0], applied_at=clock)
+                else:
+                    log.extend(records, applied_at=clock)
+            elif kind == "truncate":
+                log.truncate({writer: counts.get(writer, 0) - 1},
+                             keep_after=clock if monotone else None)
+            elif kind == "invalidate":
+                log.invalidate([(writer, counts.get(writer, 0))])
+            elif log.checkpoint.applied_through <= when:
+                log.roll_back_after(when)
+            assert log.last_applied_at() == self.scan(log)
+
+    def test_truncation_floors_the_answer(self):
+        log = UpdateLog()
+        log.append(rec("A", 1, 1.0), applied_at=1.0)
+        log.append(rec("A", 2, 2.0), applied_at=7.5)
+        assert log.last_applied_at() == 7.5
+        assert log.truncate({"A": 2}) == 2
+        assert log.retained_count() == 0
+        assert log.last_applied_at() == 7.5
+
+    def test_an_invalidated_tail_does_not_count(self):
+        log = UpdateLog()
+        log.append(rec("A", 1, 1.0), applied_at=1.0)
+        log.append(rec("A", 2, 2.0), applied_at=3.0)
+        log.invalidate([("A", 2)])
+        assert log.last_applied_at() == 1.0 == self.scan(log)
+
+    def test_quiet_read_does_not_copy_the_log(self, monkeypatch):
+        from repro.core.config import IdeaConfig
+        from repro.core.deployment import IdeaDeployment
+
+        deployment = IdeaDeployment(num_nodes=4, seed=3)
+        managed = deployment.register_object(
+            "obj", IdeaConfig(background_period=None))
+        middleware = managed.middlewares[deployment.node_ids[0]]
+        middleware.write(metadata_delta=1.0)
+        deployment.run(until=10.0)
+        monkeypatch.setattr(UpdateLog, "entries", None)  # copying would raise
+        runs = middleware.detection.detections_run
+        middleware.read(new_snapshot=False, quiet_threshold=60.0,
+                        include_content=False)
+        assert middleware.detection.detections_run == runs      # not quiet yet
+        middleware.read(new_snapshot=False, quiet_threshold=5.0,
+                        include_content=False)
+        assert middleware.detection.detections_run == runs + 1  # quiet: detect
+
+
 class TestReplica:
     def test_local_write_applies_and_logs(self):
         replica = Replica("n0", "obj")
