@@ -63,7 +63,7 @@ from repro.sim.latency import LatencyModel, PlanetLabLatencyModel
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.topology import Topology, planetlab_topology
-from repro.sim.trace import Counter, TraceRecorder
+from repro.sim.trace import TraceRecorder
 from repro.store.filesystem import ReplicatedStore
 from repro.store.replica import Replica
 from repro.transport import Clock, PeriodicTimer, ProtocolEndpoint, Transport
@@ -335,7 +335,6 @@ class DeploymentBuilder:
     def _instrumentation_pass(self, d: "IdeaDeployment") -> None:
         """Trace recorder plus the bus subscriptions that feed reporting."""
         d.trace = TraceRecorder()
-        d._write_counters = {}
         d.objects = {}
         d.bus.subscribe(WriteRecorded, d._on_write_recorded)
         d.bus.subscribe(ResolutionCompleted, d._on_resolution_completed)
@@ -393,8 +392,6 @@ class IdeaDeployment:
     #: :meth:`_gossip_digest`'s last answer per (node, object), with the
     #: replica and :attr:`~repro.store.replica.Replica.revision` it was for
     _gossip_digests: Dict[Tuple[str, str], Tuple[Replica, int, GossipDigest]]
-    #: object id -> its ``writes.<object>`` trace counter, looked up once
-    _write_counters: Dict[str, Counter]
 
     def __init__(self, **builder_kwargs) -> None:
         """Build with default placement; takes :class:`DeploymentBuilder`'s
@@ -484,13 +481,8 @@ class IdeaDeployment:
     # ------------------------------------------------------ bus subscriptions
     def _on_write_recorded(self, event: WriteRecorded) -> None:
         """A middleware applied a write: heat the overlay, bump the trace."""
-        object_id = event.object_id
-        self.overlay.record_update(object_id, event.node_id, event.time)
-        counter = self._write_counters.get(object_id)
-        if counter is None:
-            counter = self._write_counters[object_id] = self.trace.counter(
-                f"writes.{object_id}")
-        counter.increment()
+        self.overlay.record_update(event.object_id, event.node_id, event.time)
+        self.trace.increment(f"writes.{event.object_id}")
 
     def _on_resolution_completed(self, event: ResolutionCompleted) -> None:
         """Aggregate resolution history from every node's manager."""

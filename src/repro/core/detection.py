@@ -240,9 +240,6 @@ class DetectionService:
         #: ``sum == len(peers) * local_total`` — detect() walks the peer
         #: table only when somebody actually diverged
         self._peer_total_sum = 0
-        #: each cached peer digest's total, the terms of that sum: when
-        #: somebody did diverge, detect() names the peers from these
-        self._peer_totals: Dict[str, int] = {}
         #: peer ids in sorted order (rebuilt only when membership changes),
         #: so conflict enumeration does not re-sort per detection
         self._sorted_peers: Optional[Tuple[str, ...]] = None
@@ -365,10 +362,7 @@ class DetectionService:
             if existing is None or self._sorted_peers is None:
                 self._sorted_peers = None  # membership changed: rebuild lazily
             else:
-                totals = self._peer_totals
-                total = digest.total()
-                self._peer_total_sum += total - totals[digest.node_id]
-                totals[digest.node_id] = total
+                self._peer_total_sum += digest.total() - existing.total()
             self._fold_digest(digest, existing)
 
     def observe_counts(self, node_id: str, counts: VersionVector) -> None:
@@ -411,9 +405,7 @@ class DetectionService:
         changes (amortised across the detections in between)."""
         peers = self._peer_digests
         sorted_peers = self._sorted_peers = tuple(sorted(peers))
-        totals = self._peer_totals = {peer: digest.total()
-                                      for peer, digest in peers.items()}
-        self._peer_total_sum = sum(totals.values())
+        self._peer_total_sum = sum(d.total() for d in peers.values())
         return sorted_peers
 
     # ---------------------------------------------------- stability frontier
@@ -634,15 +626,15 @@ class DetectionService:
                 and self._peer_total_sum == local_total * len(sorted_peers)):
             conflicting: Tuple[str, ...] = ()
         else:
-            totals = self._peer_totals
             peer_digests = self._peer_digests
             local_counts = None
             diverged = []
             for peer in sorted_peers:
-                if totals[peer] == local_total:
+                digest = peer_digests[peer]
+                if digest.total() == local_total:
                     if local_counts is None:
                         local_counts = local_digest.counts()
-                    if peer_digests[peer].counts() == local_counts:
+                    if digest.counts() == local_counts:
                         continue
                 diverged.append(peer)
             conflicting = tuple(diverged)
@@ -657,15 +649,8 @@ class DetectionService:
 
     def current_level(self) -> float:
         """Consistency level without counting as a detection run."""
-        replica = self._replica_provider()
-        memo = self._eval_memo
-        if (memo is not None and replica.revision == self._local_revision
-                and memo[0] is self._local and memo[1] == self._peer_version):
-            # nothing moved since the last evaluation: answered here, and
-            # counted as the local-digest lookup it stands for
-            self._digest_cache.hits += 1
-            return memo[2]
-        return self._evaluate(self._local_digest(replica))[2]
+        return self._evaluate(
+            self._local_digest(self._replica_provider()))[2]
 
     def local_counts(self) -> VersionVector:
         """The local replica's current per-writer counts (cached digest view)."""

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.detection import VersionDigest, WriterSummary
 from repro.store.replica import Replica
-from repro.versioning.extended_vector import UpdateRecord, WriterBase
+from repro.versioning.extended_vector import WriterBase
 
 
 class DigestCache:
@@ -52,64 +52,19 @@ class DigestCache:
                      now: float) -> VersionDigest:
         """The replica's digest, rebuilt only when the replica changed.
 
-        Rebuilds are *incremental*.  When the cached digest is exactly one
-        revision behind and that revision was a single-record apply
-        (``Replica.last_apply``), the new digest is the previous one with
-        that writer's summary replaced (:meth:`_extend`); anything else
-        walks every writer (:meth:`_rebuild`), folding per-writer summaries
-        forward from the cached state.  Either way a single new write never
-        re-walks the update log.  A cache hit may carry a stale
+        Rebuilds are *incremental*: per-writer summaries are folded forward
+        from the cached state, so a single new write costs O(1) instead of
+        re-walking the whole update log.  A cache hit may carry a stale
         ``issued_at``; that field only matters when a digest is shipped to
-        peers, and the announce path stamps it.
+        peers, and the announce path stamps the current time on a hit.
         """
         entry = self._local.get(object_id)
-        revision = replica.revision
-        if entry is not None and entry[0] == revision:
+        if entry is not None and entry[0] == replica.revision:
             self.hits += 1
             return entry[1]
         self.misses += 1
-        digest = None
-        last = replica.last_apply
-        if (entry is not None and last is not None
-                and last[0] == revision == entry[0] + 1):
-            digest = self._extend(object_id, entry[1], replica, last[1], now)
-        if digest is None:
-            digest = self._rebuild(object_id, replica, now)
-        self._local[object_id] = (revision, digest)
-        return digest
-
-    def _extend(self, object_id: str, previous: VersionDigest, replica: Replica,
-                record: UpdateRecord, now: float) -> Optional[VersionDigest]:
-        """``previous`` plus ``record``, the one update applied since it.
-
-        Equal, field for field, to what :meth:`_rebuild` returns, and every
-        other writer's pair is the *same object* as in ``previous`` —
-        receivers skip a writer by pair identity.  The summaries are those
-        ``previous`` was built from, so the writer's cached fold ends right
-        before ``record``.  ``None`` when the writer is new to the digest:
-        the writers tuple changes shape and the general walk builds it.
-        """
-        summaries = self._summaries[object_id]
-        cached = summaries.get(record.writer)
-        if cached is None:
-            return None
-        count, cum, last, old_pair = cached
-        writers = previous.writers
-        index = writers.index(old_pair)
-        count += 1
-        cum += record.metadata_delta
-        if record.timestamp > last:
-            last = record.timestamp
-        pair = (record.writer, WriterSummary(
-            count=count, cumulative_metadata=cum, last_timestamp=last))
-        summaries[record.writer] = (count, cum, last, pair)
-        vector = replica.vector
-        digest = VersionDigest(
-            object_id=object_id, node_id=replica.node_id, issued_at=now,
-            writers=writers[:index] + (pair,) + writers[index + 1:],
-            metadata=vector.metadata,
-            last_consistent_time=vector.last_consistent_time)
-        digest.__dict__["_total"] = previous.total() + 1
+        digest = self._rebuild(object_id, replica, now)
+        self._local[object_id] = (replica.revision, digest)
         return digest
 
     def _rebuild(self, object_id: str, replica: Replica,

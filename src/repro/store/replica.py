@@ -80,12 +80,6 @@ class Replica:
         #: monotonically increasing mutation counter; bumped on every change
         #: to the vector, so digest caches can key on it
         self.revision = 0
-        #: ``(revision, record)`` left by the last single-record apply
-        #: (:meth:`local_write`, :meth:`apply_update`).  While ``revision``
-        #: still equals the first element, that record is all that changed
-        #: since ``revision - 1``; every other mutation moves ``revision``
-        #: past it, which is what makes the hint stale.
-        self.last_apply: Optional[Tuple[int, UpdateRecord]] = None
         #: checkpoint/truncation accounting (see :class:`TruncationStats`)
         self.truncation_stats = TruncationStats()
 
@@ -142,7 +136,6 @@ class Replica:
         self._vector = vector.apply(record)
         self.log.append(record, applied_at=applied_at if applied_at is not None else timestamp)
         self.revision += 1
-        self.last_apply = (self.revision, record)
         return record
 
     def apply_update(self, record: UpdateRecord, applied_at: float) -> bool:
@@ -160,7 +153,6 @@ class Replica:
         self._vector = self._vector.apply(record)
         self.log.append(record, applied_at=applied_at)
         self.revision += 1
-        self.last_apply = (self.revision, record)
         return True
 
     def apply_updates(self, records: List[UpdateRecord], applied_at: float) -> int:

@@ -24,12 +24,16 @@ WRITE_PERIOD = 0.4
 WARMUP_S = 6.0
 MEASURED_S = 24.0            # 32 writers × 60 periods = 1,920 writes
 
-#: ``call`` events per write: PR 19's code reads 129.7 (its parent read
-#: 186.5), measured on CPython 3.11; 3.12 inlines comprehensions and reads
-#: lower.  About 5 % head-room: two frames added to the write path, or one to
-#: each of a write's three deliveries, fail here before they cost a
-#: microsecond anywhere.
-CALLS_PER_WRITE_BUDGET = 136.0
+#: ``call`` events per write: PR 19's code reads 141.7, its parent 186.5 —
+#: both on CPython 3.11, the only interpreter this was ever read on (CI also
+#: runs 3.10 and 3.12).  Every counted frame is a function of this
+#: repository (no standard-library frame is entered per write), so what an
+#: interpreter can change is how it frames the two comprehensions a write
+#: runs: 3.10 frames them as 3.11 does, 3.12 inlines them (two fewer).  So:
+#: about 5 % head-room where the number was read, 10 % where it was not —
+#: replace the second literal when somebody reads it there.  Evaluating a
+#: level on each of a write's three deliveries again reads 156.7 on 3.11.
+CALLS_PER_WRITE_BUDGET = 149.0 if sys.version_info[:2] == (3, 11) else 156.0
 
 
 def _build(seed):

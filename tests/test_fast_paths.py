@@ -1,14 +1,10 @@
 """Each fast path of the detection hot path ≡ what it replaced.
 
-Four equivalences, each against a reference written out here:
+Three equivalences, each against a reference written out here:
 
 * **levels on demand** — ``IdeaMiddleware._on_remote_digest`` evaluates a
   level only when a controller or a subscriber consumes it; the reference is
   the always-evaluating handler, kept below verbatim;
-* **one-writer digest rebuilds** — ``DigestCache.local_digest`` extends the
-  previous digest after a single-record apply; the reference is
-  ``VersionDigest.from_replica``, and four seeded mutations of the fast
-  path's guards must each fail the same state machine;
 * **one-pass ranking** — ``TemperatureTracker.select_top``; the reference is
   the dict-and-lambda body it replaced, kept below verbatim;
 * **the direct local write** — ``Replica.local_write``; the reference is
@@ -20,24 +16,19 @@ order is the digest fan-out order, hence the RNG draw order.
 
 from __future__ import annotations
 
-import dataclasses
 import types
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
-from hypothesis.stateful import (RuleBasedStateMachine, rule,
-                                 run_state_machine_as_test)
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import (AdaptationMode, ConsistencyMetricSpec,
                                IdeaConfig)
 from repro.core.deployment import DeploymentBuilder
-from repro.core.detection import VersionDigest, WriterSummary
 from repro.overlay.temperature import TemperatureConfig, TemperatureTracker
-from repro.runtime.digest_cache import DigestCache
 from repro.runtime.events import DetectionEvaluated
 from repro.store.replica import Replica
 from repro.transport.timers import PeriodicTimer
-from repro.versioning.extended_vector import ErrorTriple, UpdateRecord
+from repro.versioning.extended_vector import UpdateRecord
 
 
 # ===================================================================== levels
@@ -249,263 +240,6 @@ class TestLevelsOnDemand:
         assert a.current_level() < memo[2]
 
 
-# ===================================================================== digest
-
-OBJECTS = ("x", "y")
-LOCAL_WRITERS = ("me", "app", "zed")
-REMOTE_WRITERS = ("A", "B", "m")      # "m" sorts between the local writers
-DELTAS = (0.1, 0.7, -0.3, 1e-9, 3.0, 0.0)
-
-
-class MutantDigestCache(DigestCache):
-    """``DigestCache.local_digest`` with one guard of the one-writer path
-    broken — what the state machine below must be able to tell apart."""
-
-    def __init__(self, mutation, replicas):
-        super().__init__()
-        self.mutation = mutation
-        self.replicas = replicas
-
-    def local_digest(self, object_id, replica, now):
-        entry = self._local.get(object_id)
-        revision = replica.revision
-        if entry is not None and entry[0] == revision:
-            self.hits += 1
-            return entry[1]
-        self.misses += 1
-        digest = None
-        last = replica.last_apply
-        if (self.mutation == "hint-of-another-replica"
-                and (last is None or last[0] != revision)):
-            # hints looked up by revision number alone, not per replica
-            for other in self.replicas.values():
-                if other.last_apply is not None and other.last_apply[0] == revision:
-                    last = other.last_apply
-        if entry is not None and last is not None and (
-                (self.mutation == "stale-hint" or last[0] == revision)
-                and (self.mutation == "revision-skipped"
-                     or revision == entry[0] + 1)):
-            digest = self._extend(object_id, entry[1], replica, last[1], now)
-        if digest is None:
-            digest = self._rebuild(object_id, replica, now)
-        self._local[object_id] = (revision, digest)
-        return digest
-
-    def _extend(self, object_id, previous, replica, record, now):
-        summaries = self._summaries[object_id]
-        if (self.mutation == "writer-set-changed"
-                and record.writer not in summaries):
-            # a new writer's pair put where the old tuple ends
-            summary = WriterSummary(1, 0.0 + record.metadata_delta,
-                                    record.timestamp)
-            pair = (record.writer, summary)
-            summaries[record.writer] = (1, summary.cumulative_metadata,
-                                        summary.last_timestamp, pair)
-            vector = replica.vector
-            return VersionDigest(object_id, replica.node_id, now,
-                                 previous.writers + (pair,), vector.metadata,
-                                 vector.last_consistent_time)
-        return super()._extend(object_id, previous, replica, record, now)
-
-
-class DigestCacheAgainstReference(RuleBasedStateMachine):
-    """Two replicas behind one ``DigestCache``, every mutation a replica
-    has, lookups skipped at random; every lookup must return exactly
-    ``VersionDigest.from_replica`` and recycle every untouched pair."""
-
-    mutation = None
-
-    def __init__(self):
-        super().__init__()
-        self.replicas = {obj: Replica("me", obj) for obj in OBJECTS}
-        self.cache = (DigestCache() if self.mutation is None
-                      else MutantDigestCache(self.mutation, self.replicas))
-        self.now = 0.0
-        #: object -> the digest its last lookup returned
-        self.seen = {}
-        #: object -> writers applied one record at a time since that lookup,
-        #: or None once anything else happened to the replica
-        self.singles = {obj: None for obj in OBJECTS}
-
-    # ------------------------------------------------------------- helpers
-    def _tick(self):
-        self.now += 0.5
-        return self.now
-
-    def _next(self, obj, writer, delta, behind=0.0):
-        vector = self.replicas[obj].vector
-        return UpdateRecord(writer=writer, seq=vector.count(writer) + 1,
-                            timestamp=self.now - behind, metadata_delta=delta)
-
-    def _mutated(self, obj, single=None):
-        singles = self.singles[obj]
-        if single is None or singles is None:
-            self.singles[obj] = None
-        else:
-            singles.append(single)
-
-    def _look(self, obj):
-        replica = self.replicas[obj]
-        now = self._tick()
-        lookups = self.cache.hits + self.cache.misses
-        digest = self.cache.local_digest(obj, replica, now)
-        assert self.cache.hits + self.cache.misses == lookups + 1
-        reference = VersionDigest.from_replica(replica, now)
-        previous = self.seen.get(obj)
-        if digest is previous:
-            # a hit: the replica has not moved, only the clock has
-            assert self.singles[obj] == []
-            reference = dataclasses.replace(reference,
-                                            issued_at=digest.issued_at)
-        assert digest == reference
-        assert list(digest.writers) == sorted(digest.writers)
-        assert digest.total() == sum(s.count for _, s in reference.writers)
-        assert digest.counts() == reference.counts()
-        singles = self.singles[obj]
-        if previous is not None and singles is not None and len(singles) == 1:
-            # one record applied since the last lookup: every other
-            # writer's pair is the very object the previous digest held
-            for pair in digest.writers:
-                if pair[0] != singles[0]:
-                    assert any(pair is kept for kept in previous.writers)
-        self.seen[obj] = digest
-        self.singles[obj] = []
-
-    # --------------------------------------------------------------- rules
-    @rule(obj=st.sampled_from(OBJECTS))
-    def lookup(self, obj):
-        self._look(obj)
-
-    @rule(obj=st.sampled_from(OBJECTS), writer=st.sampled_from(LOCAL_WRITERS),
-          delta=st.sampled_from(DELTAS), look=st.booleans())
-    def local_write(self, obj, writer, delta, look):
-        self.replicas[obj].local_write(writer, self._tick(),
-                                       metadata_delta=delta)
-        self._mutated(obj, single=writer)
-        if look:
-            self._look(obj)
-
-    @rule(obj=st.sampled_from(OBJECTS), writer=st.sampled_from(REMOTE_WRITERS),
-          delta=st.sampled_from(DELTAS), behind=st.sampled_from([0.0, 2.25]),
-          look=st.booleans())
-    def apply_update(self, obj, writer, delta, behind, look):
-        self._tick()
-        record = self._next(obj, writer, delta, behind)
-        assert self.replicas[obj].apply_update(record, applied_at=self.now)
-        self._mutated(obj, single=writer)
-        if look:
-            self._look(obj)
-
-    @rule(obj=st.sampled_from(OBJECTS),
-          writers=st.lists(st.sampled_from(REMOTE_WRITERS + LOCAL_WRITERS),
-                           min_size=1, max_size=4),
-          delta=st.sampled_from(DELTAS), look=st.booleans())
-    def apply_updates(self, obj, writers, delta, look):
-        """A bulk install — of one record too, which moves ``revision`` by
-        one exactly as a single apply does, and leaves no hint."""
-        self._tick()
-        replica = self.replicas[obj]
-        counts, records = {}, []
-        for writer in writers:
-            counts[writer] = counts.get(writer, replica.vector.count(writer)) + 1
-            records.append(UpdateRecord(writer=writer, seq=counts[writer],
-                                        timestamp=self.now,
-                                        metadata_delta=delta))
-        assert replica.apply_updates(records, applied_at=self.now) == len(records)
-        self._mutated(obj)
-        if look:
-            self._look(obj)
-
-    @rule(obj=st.sampled_from(OBJECTS), keep=st.integers(0, 2),
-          look=st.booleans())
-    def truncate_stable(self, obj, keep, look):
-        replica = self.replicas[obj]
-        frontier = {w: max(0, c - keep)
-                    for w, c in replica.vector.counts().as_dict().items()}
-        if replica.truncate_stable(frontier, keep_content=False):
-            self._mutated(obj)
-        if look:
-            self._look(obj)
-
-    @rule(obj=st.sampled_from(OBJECTS), look=st.booleans())
-    def mark_consistent(self, obj, look):
-        self.replicas[obj].mark_consistent(self._tick())
-        self._mutated(obj)
-        if look:
-            self._look(obj)
-
-    @rule(obj=st.sampled_from(OBJECTS), look=st.booleans())
-    def attach_triple(self, obj, look):
-        self.replicas[obj].attach_triple(ErrorTriple(1.0, 2.0, 0.5))
-        self._mutated(obj)
-        if look:
-            self._look(obj)
-
-    @rule(obj=st.sampled_from(OBJECTS), data=st.data(), look=st.booleans())
-    def invalidate(self, obj, data, look):
-        replica = self.replicas[obj]
-        keys = sorted(replica.log.record_keys())
-        if keys:
-            replica.invalidate_updates([data.draw(st.sampled_from(keys))])
-            self._mutated(obj)
-        if look:
-            self._look(obj)
-
-    @rule(obj=st.sampled_from(OBJECTS), back=st.sampled_from([0.5, 1.5]),
-          look=st.booleans())
-    def roll_back(self, obj, back, look):
-        replica = self.replicas[obj]
-        horizon = max(self.now - back, replica.log.checkpoint.applied_through)
-        replica.roll_back_after(horizon)
-        self._mutated(obj)
-        if look:
-            self._look(obj)
-
-    @rule(obj=st.sampled_from(OBJECTS))
-    def forget_object(self, obj):
-        self.cache.forget_object(obj)
-        self.seen.pop(obj, None)
-        self.singles[obj] = None
-
-
-DIGEST_SETTINGS = settings(max_examples=200, stateful_step_count=50,
-                           deadline=None)
-DigestCacheAgainstReference.TestCase.settings = DIGEST_SETTINGS
-TestDigestCacheAgainstReference = DigestCacheAgainstReference.TestCase
-
-
-@pytest.mark.parametrize("mutation", [
-    "stale-hint",                 # e.g. a hint outliving a one-record install
-    "hint-of-another-replica",
-    "writer-set-changed",
-    "revision-skipped",
-])
-def test_the_digest_machine_catches_a_seeded_mutation(mutation):
-    machine = type(f"Mutant_{mutation.replace('-', '_')}",
-                   (DigestCacheAgainstReference,), {"mutation": mutation})
-    with pytest.raises(AssertionError):
-        # found is enough: no shrinking, no example database, a fixed seed
-        run_state_machine_as_test(machine, settings=settings(
-            DIGEST_SETTINGS, max_examples=1000, derandomize=True,
-            database=None, phases=[Phase.generate]))
-
-
-def test_one_writer_rebuild_is_taken_and_seeds_the_total(monkeypatch):
-    """The fast path is the path a write takes — not a lucky fallback."""
-    cache, replica = DigestCache(), Replica("me", "x")
-    for writer in ("a", "b", "c"):
-        replica.apply_update(UpdateRecord(writer, 1, 1.0, 0.5), applied_at=1.0)
-    first = cache.local_digest("x", replica, 1.0)
-    assert "_total" not in first.__dict__
-    replica.local_write("b", 2.0, metadata_delta=0.25)
-    monkeypatch.setattr(DigestCache, "_rebuild", None)  # walking would raise
-    second = cache.local_digest("x", replica, 2.0)
-    assert second.__dict__["_total"] == 4 == second.total()
-    assert second == VersionDigest.from_replica(replica, 2.0)
-    assert [new is old for new, old in zip(second.writers, first.writers)] == [
-        True, False, True]
-
-
 # ==================================================================== ranking
 
 def select_top_reference(tracker, time):
@@ -584,6 +318,10 @@ class TestSelectTopAgainstReference:
 
 # ====================================================================== write
 
+LOCAL_WRITERS = ("me", "app", "zed")
+DELTAS = (0.1, 0.7, -0.3, 1e-9, 3.0, 0.0)
+
+
 class TestLocalWriteAgainstApplyUpdate:
     @settings(max_examples=100, deadline=None)
     @given(steps=st.lists(st.tuples(
@@ -593,7 +331,7 @@ class TestLocalWriteAgainstApplyUpdate:
     def test_twin_replicas_stay_equal(self, steps):
         """``local_write`` on one replica, ``apply_update`` of the very same
         record on its twin: vector, log entries with ``applied_at``,
-        ``revision``, the last-apply hint and blocked-write accounting."""
+        ``revision`` and blocked-write accounting."""
         ours, twin = Replica("me", "x"), Replica("me", "x")
         now = 0.0
         for kind, writer, delta in steps:
@@ -627,27 +365,9 @@ class TestLocalWriteAgainstApplyUpdate:
                 twin.log.entries(include_dead=True)
             assert ours.log.live_metadata() == twin.log.live_metadata()
             assert ours.revision == twin.revision
-            assert ours.last_apply == twin.last_apply
             assert ours.blocked_writes == twin.blocked_writes
 
     def test_applied_at_defaults_to_the_timestamp(self):
         replica = Replica("me", "x")
         record = replica.local_write("me", 3.5)
         assert replica.log.get(record.key()).applied_at == 3.5
-        assert replica.last_apply == (1, record)
-
-    def test_only_single_record_applies_leave_the_hint(self):
-        replica = Replica("me", "x")
-        record = replica.local_write("me", 1.0)
-        hint = (replica.revision, record)
-        assert replica.last_apply == hint
-        replica.apply_updates([UpdateRecord("far", 1, 2.0)], applied_at=2.0)
-        replica.mark_consistent(3.0)
-        replica.attach_triple(ErrorTriple(1.0, 0.0, 0.0))
-        replica.invalidate_updates([("far", 1)])
-        replica.roll_back_after(2.5)
-        replica.truncate_stable({"me": 1})
-        assert replica.last_apply == hint       # nobody touched it ...
-        assert replica.revision > hint[0]       # ... and it is stale
-        assert not replica.apply_update(record, applied_at=4.0)  # duplicate
-        assert replica.last_apply == hint
