@@ -115,8 +115,8 @@ class IdeaConfig:
     #: "78% vs 80%", i.e. a few percent is considered "sufficiently close")
     rollback_tolerance: float = 0.05
     #: whether the active-resolution initiator waits for the phase-1
-    #: acknowledgements before starting phase 2 (see EXPERIMENTS.md note on
-    #: the paper's Table 2 accounting)
+    #: acknowledgements before starting phase 2 (the paper's Table 2
+    #: accounting, ``core.resolution``'s module docstring)
     wait_for_attention_acks: bool = False
     #: back-off window (seconds) when two initiators collide in phase 1
     backoff_window: float = 0.5

@@ -18,7 +18,7 @@ Figure 4 measures replica ``a`` against reference ``b``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass, field, replace as dataclass_replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 PROTOCOL = "idea.detection"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriterSummary:
     """Per-writer summary carried in a version digest."""
 
@@ -58,7 +58,7 @@ class WriterSummary:
     last_timestamp: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VersionDigest:
     """Compact description of one replica's extended version vector."""
 
@@ -68,25 +68,29 @@ class VersionDigest:
     writers: Tuple[Tuple[str, WriterSummary], ...]
     metadata: float
     last_consistent_time: float
+    #: memos of :meth:`counts` and :meth:`total`; functions of ``writers``
+    #: alone, so ``dataclasses.replace`` rightly carries them along
+    _counts: Optional[VersionVector] = field(default=None, compare=False,
+                                             repr=False)
+    _total: Optional[int] = field(default=None, compare=False, repr=False)
 
     def counts(self) -> VersionVector:
         # Digests are immutable and compared often (conflict checks, triple
-        # computation); memoise the projection in the instance dict.  Writer
-        # counts are positive by construction, so the validated constructor
-        # can be bypassed.
-        cached = self.__dict__.get("_counts")
+        # computation); memoise the projection.  Writer counts are positive
+        # by construction, so the validated constructor can be bypassed.
+        cached = self._counts
         if cached is None:
             cached = VersionVector._from_trusted(
                 {w: s.count for w, s in self.writers})
-            self.__dict__["_counts"] = cached
+            object.__setattr__(self, "_counts", cached)
         return cached
 
     def total(self) -> int:
         """Total update count across writers (memoised like :meth:`counts`)."""
-        cached = self.__dict__.get("_total")
+        cached = self._total
         if cached is None:
-            cached = self.__dict__["_total"] = sum(
-                s.count for _, s in self.writers)
+            cached = sum(s.count for _, s in self.writers)
+            object.__setattr__(self, "_total", cached)
         return cached
 
     def writer_map(self) -> Dict[str, WriterSummary]:
@@ -135,7 +139,7 @@ class ReferenceState:
         return ErrorTriple(numerical=numerical, order=order, staleness=staleness)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionOutcome:
     """Result of ``detect(update)`` at one node."""
 
@@ -640,12 +644,10 @@ class DetectionService:
             conflicting = tuple(diverged)
 
         return DetectionOutcome(
-            object_id=self.object_id, node_id=self.node.node_id,
-            success=not conflicting and reference_matches,
-            level=level,
-            triple=ErrorTriple(numerical=numerical, order=order,
-                               staleness=staleness),
-            conflicting_peers=conflicting, evaluated_at=self.node.clock.now)
+            self.object_id, self.node.node_id,
+            not conflicting and reference_matches, level,
+            ErrorTriple(numerical, order, staleness),
+            conflicting, self.node.clock.now)
 
     def current_level(self) -> float:
         """Consistency level without counting as a detection run."""

@@ -45,7 +45,7 @@ from repro.versioning.extended_vector import UpdateRecord
 Controller = Union[OnDemandController, HintBasedController, AutomaticController]
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadResult:
     """What an application sees when it reads through IDEA (Figure 1)."""
 
@@ -135,8 +135,7 @@ class IdeaMiddleware:
         if record is None:
             return None
         if self.bus.wants(WriteRecorded):
-            self.bus.publish(WriteRecorded(object_id=self.object_id,
-                                           node_id=node.node_id, time=now))
+            self.bus.publish(WriteRecorded(self.object_id, node.node_id, now))
         self.detection.announce_write()
         outcome = self.detection.detect()
         self._record_outcome(outcome)
@@ -189,8 +188,7 @@ class IdeaMiddleware:
                 reported_at=now, top_layer_level=level,
                 user_threshold=threshold)
         content = self.store.read(self.object_id) if include_content else []
-        return ReadResult(content=content, level=level,
-                          acceptable=acceptable, evaluated_at=now)
+        return ReadResult(content, level, acceptable, now)
 
     def _on_remote_digest(self, digest: VersionDigest) -> None:
         """A top-layer peer announced a write: resolve if the level demands it.

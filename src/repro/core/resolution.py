@@ -438,12 +438,8 @@ class ResolutionManager:
         for writer in sorted(writers):
             known = min(vector.count(writer) for vector in vectors)
             for vector in vectors:
-                base = vector.base_count(writer)
-                tail = vector.updates_from(writer)
-                fresh = tail if known <= base else tail[known - base:]
-                for record in fresh:
-                    if record.seq > known:
-                        seen.setdefault(record.key(), record)
+                for record in vector.updates_above(writer, known):
+                    seen.setdefault(record.key(), record)
         return list(seen.values())
 
     # ------------------------------------------------------------ finishing

@@ -372,32 +372,36 @@ class LiveTransport:
             self._drop(protocol, size, "dst-down")
             return None
         stats = self.stats
+        # one reading per message: the frame and the Message handed back to
+        # the caller carry the same ``sent_at``
+        now = self.clock.now
         if dst in self._nodes:
             # Local fast path: one queue hop through the clock, mirroring a
             # zero-latency simulated delivery (no re-entrant handler calls).
             stats.sent[protocol] += 1
             stats.bytes_sent[protocol] += size
             message = self._make_message(src, dst, protocol, msg_type,
-                                         payload, size)
+                                         payload, size, now)
             self.clock.call_after(0.0, self._deliver_local, arg=message)
             return message
         stats.sent[protocol] += 1
         stats.bytes_sent[protocol] += size
         try:
             frame = wire.encode_envelope(src, dst, protocol, msg_type,
-                                         framed, size, self.clock.now)
+                                         framed, size, now)
         except wire.WireError:
             self.stats.dropped[protocol] += 1
             self.stats.drop_reasons["encode-error"] += 1
             raise
         self._enqueue(dst, protocol, frame)
-        return self._make_message(src, dst, protocol, msg_type, payload, size)
+        return self._make_message(src, dst, protocol, msg_type, payload, size,
+                                  now)
 
     def _make_message(self, src: str, dst: str, protocol: str, msg_type: str,
-                      payload: Any, size: int) -> Message:
+                      payload: Any, size: int, now: float) -> Message:
+        """A message sent (outbound) or arrived (inbound) at ``now``."""
         msg_id = self._next_msg_id
         self._next_msg_id = msg_id + 1
-        now = self.clock.now
         return Message(msg_id=msg_id, src=src, dst=dst, protocol=protocol,
                        msg_type=msg_type, payload=payload, size_bytes=size,
                        sent_at=now, deliver_at=now)
@@ -546,13 +550,9 @@ class LiveTransport:
                     # from a peer that has not received its rule yet
                     self._count_drop(protocol, "partition")
                     continue
-                message = Message(
-                    msg_id=self._next_msg_id, src=src, dst=dst,
-                    protocol=protocol, msg_type=msg_type, payload=payload,
-                    size_bytes=size_bytes, sent_at=self.clock.now,
-                    deliver_at=self.clock.now)
-                self._next_msg_id += 1
-                self._deliver_local(message)
+                self._deliver_local(self._make_message(
+                    src, dst, protocol, msg_type, payload, size_bytes,
+                    self.clock.now))
         finally:
             stream_writer.close()
             with contextlib.suppress(ConnectionError, OSError):

@@ -202,7 +202,8 @@ def _gossip_from(fields: List[Any]) -> GossipDigest:
 
 
 def _vector_fields(v: ExtendedVersionVector) -> List[Any]:
-    # The five content fields of __reduce__; caches are process-local.
+    # The five content fields of __reduce__; caches are process-local, and
+    # iterating a writer's history stops at this vector's own prefix.
     triple = v._triple
     return [
         [(writer, [(r.seq, r.timestamp, r.metadata_delta, _pack(r.payload))
@@ -217,8 +218,8 @@ def _vector_fields(v: ExtendedVersionVector) -> List[Any]:
 def _vector_from(fields: List[Any]) -> ExtendedVersionVector:
     updates, bases, metadata, lct, triple = fields
     return _restore_extended(
-        {writer: tuple([UpdateRecord(writer, seq, timestamp, delta, payload)
-                        for seq, timestamp, delta, payload in rows])
+        {writer: [UpdateRecord(writer, seq, timestamp, delta, payload)
+                  for seq, timestamp, delta, payload in rows]
          for writer, rows in updates},
         {writer: WriterBase(count, cum, last)
          for writer, count, cum, last in bases},

@@ -73,19 +73,18 @@ class DigestCache:
         summaries = self._summaries.setdefault(object_id, {})
         writers = []
         for writer in vector.writers():
-            records = vector.updates_from(writer)  # retained tail
-            base_count = vector.base_count(writer)
-            count = base_count + len(records)
+            count = vector.count(writer)
             cached = summaries.get(writer)
             if cached is not None and cached[0] == count:
                 pair = cached[3]
             else:
-                if cached is not None and base_count <= cached[0] < count:
+                if (cached is not None
+                        and vector.base_count(writer) <= cached[0] < count):
                     # Per-writer records are append-only in seq order (and a
                     # checkpoint only folds records the cache already
                     # summarised); fold only the unseen suffix of the tail.
-                    seen, cum, last = cached[0], cached[1], cached[2]
-                    for record in records[seen - base_count:]:
+                    seen, cum, last, _ = cached
+                    for record in vector.updates_above(writer, seen):
                         cum += record.metadata_delta
                         if record.timestamp > last:
                             last = record.timestamp
@@ -94,16 +93,13 @@ class DigestCache:
                     # (the empty base when untruncated) — bit-identical to
                     # folding the full record history.
                     base = vector.writer_base(writer) or WriterBase.EMPTY
-                    folded = base.fold(records)
+                    folded = base.fold(vector.updates_from(writer))
                     cum, last = folded.cum_metadata, folded.last_timestamp
-                pair = (writer, WriterSummary(
-                    count=count, cumulative_metadata=cum, last_timestamp=last))
+                pair = (writer, WriterSummary(count, cum, last))
                 summaries[writer] = (count, cum, last, pair)
             writers.append(pair)
-        return VersionDigest(
-            object_id=object_id, node_id=replica.node_id, issued_at=now,
-            writers=tuple(writers), metadata=vector.metadata,
-            last_consistent_time=vector.last_consistent_time)
+        return VersionDigest(object_id, replica.node_id, now, tuple(writers),
+                             vector.metadata, vector.last_consistent_time)
 
     # ------------------------------------------------------------- peer side
     def peer_digests(self, object_id: str) -> Dict[str, VersionDigest]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Tuple, Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteRecorded:
     """A local write was applied through IDEA on one node."""
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Union
+from typing import Any, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.store.update_log import UpdateLog
 from repro.versioning.extended_vector import (
@@ -72,7 +72,6 @@ class Replica:
         self.log = UpdateLog()
         self._vector = ExtendedVersionVector(
             last_consistent_time=initial_consistent_time)
-        self._local_seq: Dict[str, int] = {}
         #: number of updates blocked because a resolution was in progress
         self.blocked_writes = 0
         #: whether writes are currently blocked (during a resolution round)
@@ -130,9 +129,8 @@ class Replica:
         # new by construction: straight to ``apply`` and ``append``, without
         # :meth:`apply_update`'s duplicate guard.
         vector = self._vector
-        record = UpdateRecord(writer=writer, seq=vector.count(writer) + 1,
-                              timestamp=timestamp, metadata_delta=metadata_delta,
-                              payload=payload)
+        record = UpdateRecord(writer, vector.count(writer) + 1, timestamp,
+                              metadata_delta, payload)
         self._vector = vector.apply(record)
         self.log.append(record, applied_at=applied_at if applied_at is not None else timestamp)
         self.revision += 1

@@ -45,7 +45,7 @@ from repro.versioning.extended_vector import TruncatedHistoryError, UpdateRecord
 from repro.versioning.version_vector import VersionVector
 
 
-@dataclass
+@dataclass(slots=True)
 class LogEntry:
     """One applied update plus bookkeeping flags."""
 
@@ -153,7 +153,7 @@ class UpdateLog:
         checkpoint_count = self.checkpoint.count(record.writer)
         if 1 <= record.seq <= checkpoint_count:
             return False  # folded into the checkpoint long ago
-        entry = LogEntry(record=record, applied_at=applied_at)
+        entry = LogEntry(record, applied_at)
         self._index[key] = entry
         tail = self._by_writer.get(record.writer)
         if tail is None:
@@ -187,7 +187,7 @@ class UpdateLog:
             checkpoint_count = checkpoint_counts.get(record.writer, 0)
             if 1 <= record.seq <= checkpoint_count:
                 continue  # folded into the checkpoint long ago
-            entry = index[key] = LogEntry(record=record, applied_at=applied_at)
+            entry = index[key] = LogEntry(record, applied_at)
             tail = by_writer.get(record.writer)
             if tail is None:
                 tail = by_writer[record.writer] = []

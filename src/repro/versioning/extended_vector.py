@@ -27,12 +27,16 @@ retained tail, so folding changes no observable behaviour while bounding
 the records held in memory by the instability window.  Operations that
 would need a *folded record itself* (pushing it to a replica that is behind
 the checkpoint) raise :class:`TruncatedHistoryError` with a clear message.
+
+A writer's retained records are a :class:`History`: a prefix view of an
+append-only list that the successive vectors of a replica share, so applying
+an update appends one record instead of copying everything retained.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
+from itertools import chain, islice
 from operator import attrgetter
 from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -43,7 +47,7 @@ class TruncatedHistoryError(RuntimeError):
     """An operation needed update records already folded into a checkpoint."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateRecord:
     """A single write applied to a replica.
 
@@ -73,7 +77,7 @@ class UpdateRecord:
         return (self.writer, self.seq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriterBase:
     """Folded stable prefix of one writer's updates (seqs ``1..count``).
 
@@ -118,7 +122,7 @@ class WriterBase:
 WriterBase.EMPTY = WriterBase(count=0, cum_metadata=0.0, last_timestamp=0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ErrorTriple:
     """The ``<numerical error, order error, staleness>`` triple."""
 
@@ -146,6 +150,54 @@ ErrorTriple.ZERO = ErrorTriple(0.0, 0.0, 0.0)
 
 _NO_BASES: Dict[str, WriterBase] = {}
 
+
+class History:
+    """One writer's retained records: the first ``n`` of a shared list.
+
+    The list is append-only and shared by every view cut from it; a view
+    never reads past its own ``n``, so what it holds never changes.  Code in
+    this module reads the two slots directly — the dunders serve equality
+    and the cold whole-history walks.
+    """
+
+    __slots__ = ("records", "n")
+
+    def __init__(self, records: List[UpdateRecord], n: int) -> None:
+        self.records = records
+        self.n = n
+
+    def above(self, k: int) -> List[UpdateRecord]:
+        """The view's records past its first ``k`` (a fresh list)."""
+        return self.records[k:self.n]
+
+    def extended(self, new: Iterable[UpdateRecord]) -> "History":
+        """A view of this one's records followed by ``new``.
+
+        The tip of its list (nobody appended past it) appends in place;
+        an older view copies its prefix first, so no view cut earlier ever
+        observes a record it did not hold.  The empty view is one shared
+        object and starts a list of its own.
+        """
+        records = self.records
+        if not 0 < self.n == len(records):
+            records = records[:self.n]
+        records.extend(new)
+        return History(records, len(records))
+
+    def __iter__(self):
+        return islice(self.records, self.n)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, History):
+            return NotImplemented
+        return self.n == other.n and (
+            self.records is other.records
+            or self.records[:self.n] == other.records[:other.n])
+
+
+#: what a vector holds of a writer it has no retained record of
+_NO_HISTORY = History([], 0)
+
 _metadata_delta = attrgetter("metadata_delta")
 
 
@@ -162,15 +214,15 @@ class ExtendedVersionVector:
                  "_triple", "_counts_cache", "_keys_cache", "_latest_cache",
                  "_hash_cache", "_total_cache")
 
-    def __init__(self, updates: Mapping[str, Tuple[UpdateRecord, ...]] | None = None,
+    def __init__(self, updates: Mapping[str, Iterable[UpdateRecord]] | None = None,
                  metadata: float = 0.0, last_consistent_time: float = 0.0,
                  triple: ErrorTriple = ErrorTriple.ZERO,
                  base: Mapping[str, WriterBase] | None = None) -> None:
         bases: Dict[str, WriterBase] = dict(base) if base else _NO_BASES
-        cleaned: Dict[str, Tuple[UpdateRecord, ...]] = {}
+        cleaned: Dict[str, History] = {}
         if updates:
             for writer, records in updates.items():
-                records = tuple(sorted(records, key=lambda r: r.seq))
+                records = sorted(records, key=lambda r: r.seq)
                 if not records:
                     continue
                 seqs = [r.seq for r in records]
@@ -183,7 +235,7 @@ class ExtendedVersionVector:
                     raise ValueError(
                         f"tail for writer {writer!r} must continue its checkpoint "
                         f"(base count {start}, got seqs {seqs})")
-                cleaned[writer] = records
+                cleaned[writer] = History(records, len(records))
         self._updates = cleaned
         self._base = bases
         self._metadata = float(metadata)
@@ -196,14 +248,14 @@ class ExtendedVersionVector:
         self._total_cache: Optional[int] = None
 
     @classmethod
-    def _from_trusted(cls, updates: Dict[str, Tuple[UpdateRecord, ...]],
+    def _from_trusted(cls, updates: Dict[str, History],
                       metadata: float, last_consistent_time: float,
                       triple: ErrorTriple,
                       base: Dict[str, WriterBase] = _NO_BASES) -> "ExtendedVersionVector":
         """Build from an already-validated updates map without re-sorting.
 
         Internal fast path used by :meth:`apply` and the ``with_*`` copies:
-        per-writer tuples are known to be non-empty, seq-contiguous (from
+        per-writer histories are known to be non-empty, seq-contiguous (from
         ``base[writer].count + 1``) and sorted, so the O(total updates)
         validation pass of ``__init__`` is skipped.  The caller transfers
         ownership of ``updates`` (and ``base`` when given).
@@ -246,14 +298,14 @@ class ExtendedVersionVector:
         """
         cached = self._counts_cache
         if cached is None:
-            counts = {w: len(records) for w, records in self._updates.items()}
+            counts = {w: history.n for w, history in self._updates.items()}
             for writer, base in self._base.items():
                 counts[writer] = counts.get(writer, 0) + base.count
             cached = self._counts_cache = VersionVector._from_trusted(counts)
         return cached
 
     def count(self, writer: str) -> int:
-        total = len(self._updates.get(writer, ()))
+        total = self._updates.get(writer, _NO_HISTORY).n
         base = self._base.get(writer)
         return total + base.count if base is not None else total
 
@@ -277,13 +329,26 @@ class ExtendedVersionVector:
             return tuple(sorted(self._updates))
         return tuple(sorted(set(self._updates) | set(self._base)))
 
-    def updates_from(self, writer: str) -> Tuple[UpdateRecord, ...]:
+    def updates_from(self, writer: str) -> List[UpdateRecord]:
         """The *retained* (tail) records of ``writer``, in seq order.
 
         For an untruncated vector this is the writer's full history; after a
         checkpoint it starts at ``base_count(writer) + 1``.
         """
-        return self._updates.get(writer, ())
+        return self.updates_above(writer, 0)
+
+    def updates_above(self, writer: str, count: int) -> List[UpdateRecord]:
+        """``writer``'s retained records with a seq above ``count``.
+
+        One list slice: tails are seq-contiguous above the base, so what a
+        holder of ``count`` updates lacks is a suffix — the whole tail when
+        ``count`` is below the checkpoint (the folded ones are the caller's).
+        """
+        base = self._base.get(writer)
+        if base is not None:
+            count -= base.count
+        return self._updates.get(writer, _NO_HISTORY).above(
+            count if count > 0 else 0)
 
     def all_updates(self) -> List[UpdateRecord]:
         """Every retained update, ordered by timestamp then writer (stable)."""
@@ -311,7 +376,7 @@ class ExtendedVersionVector:
     def total_updates(self) -> int:
         cached = self._total_cache
         if cached is None:
-            cached = sum(len(recs) for recs in self._updates.values())
+            cached = sum(history.n for history in self._updates.values())
             cached += sum(b.count for b in self._base.values())
             self._total_cache = cached
         return cached
@@ -320,14 +385,14 @@ class ExtendedVersionVector:
     def apply(self, record: UpdateRecord) -> "ExtendedVersionVector":
         """Apply a local or remote update and return the resulting vector.
 
-        O(writers + window) instead of O(total updates): the per-writer
-        tails are seq-contiguous above the base by invariant, so a duplicate
-        is exactly a record whose seq does not exceed the writer's current
-        count, and the new map can be built without re-validating every
-        record.
+        O(writers) plus one append, whatever the writer retains: the
+        per-writer tails are seq-contiguous above the base by invariant, so
+        a duplicate is exactly a record whose seq does not exceed the
+        writer's current count, and the writer's history is extended, not
+        copied.
         """
-        existing = self._updates.get(record.writer, ())
-        expected_seq = self.base_count(record.writer) + len(existing) + 1
+        existing = self._updates.get(record.writer, _NO_HISTORY)
+        expected_seq = self.base_count(record.writer) + existing.n + 1
         if record.seq != expected_seq:
             if 1 <= record.seq < expected_seq:
                 return self  # duplicate delivery: idempotent
@@ -335,7 +400,7 @@ class ExtendedVersionVector:
                 f"out-of-order update from {record.writer!r}: got seq {record.seq}, "
                 f"expected {expected_seq}")
         updates = dict(self._updates)
-        updates[record.writer] = existing + (record,)
+        updates[record.writer] = existing.extended((record,))
         return ExtendedVersionVector._from_trusted(
             updates,
             metadata=self._metadata + record.metadata_delta,
@@ -350,7 +415,7 @@ class ExtendedVersionVector:
         interleave).  The result equals a fold of :meth:`apply` over them —
         duplicates skipped, an out-of-order seq raises, metadata accumulated
         with ``+=`` in the given order so the float is the fold's — but each
-        writer's tuple is extended once, not once per record, and a refused
+        writer's history is extended once, not once per record, and a refused
         batch yields no vector at all.
         """
         fresh: Dict[str, List[UpdateRecord]] = {}
@@ -376,7 +441,7 @@ class ExtendedVersionVector:
             return self, applied
         updates = dict(self._updates)
         for writer, pending in fresh.items():
-            updates[writer] = updates.get(writer, ()) + tuple(pending)
+            updates[writer] = updates.get(writer, _NO_HISTORY).extended(pending)
         return ExtendedVersionVector._from_trusted(
             updates, metadata=metadata,
             last_consistent_time=self._last_consistent_time,
@@ -391,23 +456,22 @@ class ExtendedVersionVector:
         unchanged — only the retained records shrink.
         """
         new_base: Optional[Dict[str, WriterBase]] = None
-        new_updates: Optional[Dict[str, Tuple[UpdateRecord, ...]]] = None
+        new_updates: Optional[Dict[str, History]] = None
         for writer, target in frontier.items():
             current_base = self._base.get(writer, WriterBase.EMPTY)
-            tail = self._updates.get(writer, ())
-            target = min(int(target), current_base.count + len(tail))
-            fold_n = target - current_base.count
+            tail = self._updates.get(writer, _NO_HISTORY)
+            fold_n = min(int(target) - current_base.count, tail.n)
             if fold_n <= 0:
                 continue
             if new_base is None:
                 new_base = dict(self._base)
                 new_updates = dict(self._updates)
-            new_base[writer] = current_base.fold(tail[:fold_n])
-            remaining = tail[fold_n:]
+            new_base[writer] = current_base.fold(tail.records[:fold_n])
+            remaining = tail.above(fold_n)  # a fresh list: the old one can go
             if remaining:
-                new_updates[writer] = remaining
+                new_updates[writer] = History(remaining, len(remaining))
             else:
-                new_updates.pop(writer, None)
+                del new_updates[writer]
         if new_base is None:
             return self
         return ExtendedVersionVector._from_trusted(
@@ -429,8 +493,9 @@ class ExtendedVersionVector:
 
         With no checkpoint and both histories running 1..n per writer (every
         vector a replica builds) the union of a writer's records is the
-        longer tuple — this side's records, then whatever ``other`` holds
-        beyond them — so the merge costs O(writers + new records) plus one
+        longer history — this side's records, then whatever ``other`` holds
+        beyond them, the longer side shared untouched when the other adds
+        nothing — so the merge costs O(writers + new records) plus one
         C-level metadata sum.  The per-seq dict walk serves only vectors the
         constructor admits with seqs that are *not* 1..n, and is where
         "missing intermediate updates" is raised.  Either union is 1..n per
@@ -447,15 +512,15 @@ class ExtendedVersionVector:
             return self._merge_with_bases(other, new_time)
         mine = self._updates
         theirs = other._updates
-        if all(recs[-1].seq == len(recs) for recs in mine.values()) and all(
-                recs[-1].seq == len(recs) for recs in theirs.values()):
+        if all(h.records[h.n - 1].seq == h.n
+               for h in chain(mine.values(), theirs.values())):
             updates = dict(mine)
-            for writer, recs in theirs.items():
+            for writer, held in theirs.items():
                 have = mine.get(writer)
                 if have is None:
-                    updates[writer] = recs
-                elif len(recs) > len(have):
-                    updates[writer] = have + recs[len(have):]
+                    updates[writer] = held
+                elif held.n > have.n:
+                    updates[writer] = have.extended(held.above(have.n))
         else:
             updates = {}
             for writer in chain(mine, (w for w in theirs if w not in mine)):
@@ -466,7 +531,7 @@ class ExtendedVersionVector:
                 if seqs != list(range(1, len(seqs) + 1)):
                     raise ValueError(
                         f"cannot merge: missing intermediate updates for writer {writer!r}")
-                updates[writer] = tuple(merged[s] for s in seqs)
+                updates[writer] = History([merged[s] for s in seqs], len(seqs))
         metadata = float(sum(map(_metadata_delta,
                                  chain.from_iterable(updates.values()))))
         return ExtendedVersionVector._from_trusted(
@@ -477,7 +542,7 @@ class ExtendedVersionVector:
                           new_time: float) -> "ExtendedVersionVector":
         """General merge when at least one side carries a checkpoint."""
         bases: Dict[str, WriterBase] = {}
-        updates: Dict[str, Tuple[UpdateRecord, ...]] = {}
+        updates: Dict[str, History] = {}
         metadata = 0.0
         for writer in sorted(set(self._updates) | set(self._base)
                              | set(other._updates) | set(other._base)):
@@ -494,11 +559,11 @@ class ExtendedVersionVector:
                 raise ValueError(
                     f"cannot merge: missing intermediate updates for writer "
                     f"{writer!r} (checkpoint count {base.count}, tail seqs {seqs})")
-            tail = tuple(merged[s] for s in seqs)
+            tail = [merged[s] for s in seqs]
             if base.count:
                 bases[writer] = base
             if tail:
-                updates[writer] = tail
+                updates[writer] = History(tail, len(tail))
             metadata += base.cum_metadata
             for r in tail:
                 metadata += r.metadata_delta
@@ -538,10 +603,9 @@ class ExtendedVersionVector:
         missing: List[UpdateRecord] = []
         for writer in (set(self._updates) | set(self._base)
                        if self._base else self._updates):
-            tail = self._updates.get(writer, ())
             have = other.count(writer)
             base_count = self.base_count(writer)
-            if have >= base_count + len(tail):
+            if have >= base_count + self._updates.get(writer, _NO_HISTORY).n:
                 continue
             if have < base_count:
                 raise TruncatedHistoryError(
@@ -549,7 +613,7 @@ class ExtendedVersionVector:
                     f"seqs 1..{base_count} were folded into this replica's "
                     f"checkpoint; records below the stability frontier are "
                     f"no longer individually available")
-            missing.extend(tail[have - base_count:])
+            missing.extend(self.updates_above(writer, have))
         missing.sort(key=lambda r: (r.timestamp, r.writer, r.seq))
         return missing
 
@@ -578,11 +642,13 @@ class ExtendedVersionVector:
         ``__slots__`` pickling would smuggle one process's interning order
         into another (see ``VersionVector.__reduce__``).  Rebuilding from the
         five content fields keeps cross-process transfer — ``repro.shard``
-        IPC — independent of either side's interning history.
+        IPC — independent of either side's interning history.  Each writer's
+        history goes as this vector's own prefix, never what a newer vector
+        appended to the shared list.
         """
         return (_restore_extended,
-                (self._updates, self._base, self._metadata,
-                 self._last_consistent_time, self._triple))
+                ({w: h.above(0) for w, h in self._updates.items()}, self._base,
+                 self._metadata, self._last_consistent_time, self._triple))
 
     # -------------------------------------------------------------- dunder
     def __eq__(self, other: object) -> bool:
@@ -630,9 +696,11 @@ class ExtendedVersionVector:
         return vector
 
 
-def _restore_extended(updates, base, metadata, last_consistent_time,
-                      triple) -> ExtendedVersionVector:
-    """Pickle reconstructor: rebuild from content fields with empty caches."""
+def _restore_extended(updates: Dict[str, List[UpdateRecord]], base, metadata,
+                      last_consistent_time, triple) -> ExtendedVersionVector:
+    """Pickle reconstructor: rebuild from content fields with empty caches;
+    takes ownership of the record lists (pickle and ``live.wire`` build them)."""
     return ExtendedVersionVector._from_trusted(
-        updates, metadata=metadata, last_consistent_time=last_consistent_time,
+        {w: History(records, len(records)) for w, records in updates.items()},
+        metadata=metadata, last_consistent_time=last_consistent_time,
         triple=triple, base=base)

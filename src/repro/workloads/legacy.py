@@ -11,8 +11,7 @@ that explore burstier update patterns.
 Both generators materialise their full event list up front, which is fine
 for paper-scale runs (a few thousand updates) and exactly wrong for the
 million-operation runs the streaming layer targets — use
-:class:`~repro.workloads.driver.TrafficDriver` for those.  ``repro.apps
-.workload`` re-exports this module for backward compatibility.
+:class:`~repro.workloads.driver.TrafficDriver` for those.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.versioning.extended_vector import ErrorTriple, ExtendedVersionVector, UpdateRecord
+from repro.live.wire import roundtrip
+from repro.versioning.extended_vector import (ErrorTriple, ExtendedVersionVector,
+                                              TruncatedHistoryError, UpdateRecord,
+                                              WriterBase)
 from repro.versioning.version_vector import Ordering
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -373,3 +377,249 @@ for mine, theirs in %r:
         assert len(first) == len(self.PAIRS)
         for line in first:
             assert line.endswith("['alpha', 'bravo', 'charlie', 'delta', 'echo']")
+
+
+# -------------------------------------- shared histories ≡ one tuple per vector
+class TupleBacked:
+    """The tuple-per-vector layout the prefix views replaced.
+
+    ``apply``, ``apply_many``, ``merge``, ``truncate_to`` and ``missing_from``
+    are the bodies ``ExtendedVersionVector`` had when every vector owned a
+    tuple per writer (docstrings, the triple and the consistent time
+    dropped); nothing here can alias, so it says what each vector must read
+    however the vectors around it were extended.
+    """
+
+    def __init__(self, updates=None, base=None, metadata=0.0):
+        self.updates = updates or {}
+        self.base = base or {}
+        self.metadata = metadata
+
+    def count(self, writer):
+        base = self.base.get(writer)
+        return len(self.updates.get(writer, ())) + (base.count if base else 0)
+
+    def base_count(self, writer):
+        base = self.base.get(writer)
+        return base.count if base is not None else 0
+
+    def apply(self, record):
+        existing = self.updates.get(record.writer, ())
+        expected_seq = self.base_count(record.writer) + len(existing) + 1
+        if record.seq != expected_seq:
+            if 1 <= record.seq < expected_seq:
+                return self
+            raise ValueError("out-of-order")
+        updates = dict(self.updates)
+        updates[record.writer] = existing + (record,)
+        return TupleBacked(updates, self.base,
+                           self.metadata + record.metadata_delta)
+
+    def apply_many(self, records):
+        fresh, applied, metadata = {}, [], self.metadata
+        for record in records:
+            pending = fresh.get(record.writer)
+            expected_seq = (pending[-1].seq if pending is not None
+                            else self.count(record.writer)) + 1
+            if record.seq != expected_seq:
+                if 1 <= record.seq < expected_seq:
+                    continue
+                raise ValueError("out-of-order")
+            if pending is None:
+                fresh[record.writer] = [record]
+            else:
+                pending.append(record)
+            metadata += record.metadata_delta
+            applied.append(record)
+        if not applied:
+            return self, applied
+        updates = dict(self.updates)
+        for writer, pending in fresh.items():
+            updates[writer] = updates.get(writer, ()) + tuple(pending)
+        return TupleBacked(updates, self.base, metadata), applied
+
+    def truncate_to(self, frontier):
+        new_base = new_updates = None
+        for writer, target in frontier.items():
+            current_base = self.base.get(writer, WriterBase.EMPTY)
+            tail = self.updates.get(writer, ())
+            target = min(int(target), current_base.count + len(tail))
+            fold_n = target - current_base.count
+            if fold_n <= 0:
+                continue
+            if new_base is None:
+                new_base = dict(self.base)
+                new_updates = dict(self.updates)
+            new_base[writer] = current_base.fold(tail[:fold_n])
+            remaining = tail[fold_n:]
+            if remaining:
+                new_updates[writer] = remaining
+            else:
+                new_updates.pop(writer, None)
+        if new_base is None:
+            return self
+        return TupleBacked(new_updates, new_base, self.metadata)
+
+    def merge(self, other):
+        if self.base or other.base:
+            return self._merge_with_bases(other)
+        mine, theirs = self.updates, other.updates
+        updates = dict(mine)
+        for writer, recs in theirs.items():
+            have = mine.get(writer)
+            if have is None:
+                updates[writer] = recs
+            elif len(recs) > len(have):
+                updates[writer] = have + recs[len(have):]
+        metadata = float(sum(r.metadata_delta for recs in updates.values()
+                             for r in recs))
+        return TupleBacked(updates, None, metadata)
+
+    def _merge_with_bases(self, other):
+        bases, updates, metadata = {}, {}, 0.0
+        for writer in sorted(set(self.updates) | set(self.base)
+                             | set(other.updates) | set(other.base)):
+            my_base = self.base.get(writer, WriterBase.EMPTY)
+            their_base = other.base.get(writer, WriterBase.EMPTY)
+            base = my_base if my_base.count >= their_base.count else their_base
+            merged = {r.seq: r for r in other.updates.get(writer, ())
+                      if r.seq > base.count}
+            for r in self.updates.get(writer, ()):
+                if r.seq > base.count:
+                    merged[r.seq] = r
+            seqs = sorted(merged)
+            if seqs != list(range(base.count + 1, base.count + 1 + len(seqs))):
+                raise ValueError("cannot merge: missing intermediate updates")
+            tail = tuple(merged[s] for s in seqs)
+            if base.count:
+                bases[writer] = base
+            if tail:
+                updates[writer] = tail
+            metadata += base.cum_metadata
+            for r in tail:
+                metadata += r.metadata_delta
+        return TupleBacked(updates, bases, metadata)
+
+    def missing_from(self, other):
+        missing = []
+        for writer in (set(self.updates) | set(self.base)
+                       if self.base else self.updates):
+            tail = self.updates.get(writer, ())
+            have = other.count(writer)
+            base_count = self.base_count(writer)
+            if have >= base_count + len(tail):
+                continue
+            if have < base_count:
+                raise TruncatedHistoryError(writer)
+            missing.extend(tail[have - base_count:])
+        missing.sort(key=lambda r: (r.timestamp, r.writer, r.seq))
+        return missing
+
+
+#: one history per writer; every vector of a run holds prefixes of these
+UNIVERSE = {writer: [rec(writer, seq, 10.0 * seq + offset, delta)
+                     for seq, delta in enumerate(
+                         [0.1, 0.7, -0.3, 1e16, -1e16, 0.05, 3.0, 0.2], start=1)]
+            for offset, writer in enumerate("ABC")}
+
+steps = st.lists(st.tuples(
+    st.sampled_from(["apply", "apply_many", "merge", "truncate_to",
+                     "missing_from"]),
+    st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+    st.sampled_from("ABC"), st.integers(0, 4)), min_size=1, max_size=40)
+
+
+def assert_reads_like(vector, model, *, same=lambda x, y: x is y):
+    assert list(vector.counts().as_dict()) == [
+        w for w in dict.fromkeys([*model.updates, *model.base])]
+    for writer in "ABC":
+        held = model.updates.get(writer, ())
+        got = vector.updates_from(writer)
+        assert len(got) == len(held) and all(map(same, got, held))
+        assert vector.count(writer) == model.count(writer)
+        assert vector.updates_above(writer, model.base_count(writer) + 1) \
+            == list(held[1:])
+    assert vector.bases() == model.base
+    assert repr(vector.metadata) == repr(model.metadata)
+    assert vector.total_updates() == sum(model.count(w) for w in "ABC")
+
+
+def same_content(a, b):
+    return (a.updates == b.updates and a.base == b.base
+            and a.metadata == b.metadata)
+
+
+class TestSharedHistories:
+    @settings(max_examples=300, deadline=None)
+    @given(steps)
+    def test_aliased_vectors_read_like_vectors_that_share_nothing(self, steps):
+        """Any vector of the pool may be extended after a later one was cut
+        from it; each must keep reading what its tuple-backed twin holds."""
+        pool = [(ExtendedVersionVector(), TupleBacked())]
+        for op, i, j, writer, k in steps:
+            vector, model = pool[i % len(pool)]
+            other, other_model = pool[j % len(pool)]
+            # from the writer's last held record on: a duplicate, then news
+            upcoming = UNIVERSE[writer][max(0, model.count(writer) - 1):]
+            if op == "apply":
+                args = model_args = (upcoming[k % 3:] or upcoming)[:1]
+                if not args:
+                    continue
+            elif op == "apply_many":
+                args = model_args = (
+                    upcoming[:k] + UNIVERSE["B"][other_model.count("B"):][:2],)
+            elif op == "truncate_to":
+                args = model_args = ({writer: k, "C": j % 5},)
+            else:
+                args, model_args = (other,), (other_model,)
+            try:
+                expected = getattr(model, op)(*model_args)
+            except (ValueError, TruncatedHistoryError) as refused:
+                with pytest.raises(type(refused)):
+                    getattr(vector, op)(*args)
+                continue
+            got = getattr(vector, op)(*args)
+            if op == "missing_from":
+                assert len(got) == len(expected)
+                assert all(x is y for x, y in zip(got, expected))
+                continue
+            if op == "apply_many":
+                assert got[1] == expected[1]
+                got, expected = got[0], expected[0]
+            assert_reads_like(got, expected)
+            assert (got == vector) == same_content(expected, model)
+            pool.append((got, expected))
+        for vector, model in pool:
+            assert_reads_like(vector, model)
+            assert_reads_like(pickle.loads(pickle.dumps(vector)), model,
+                              same=lambda x, y: x == y)
+
+    def test_merge_leaves_both_operands_alone(self):
+        a = ExtendedVersionVector.from_updates(UNIVERSE["A"][:3] + UNIVERSE["B"][:1])
+        b = ExtendedVersionVector.from_updates(UNIVERSE["A"][:5] + UNIVERSE["C"][:2])
+        before = [(v.counts().as_dict(), {w: v.updates_from(w) for w in "ABC"})
+                  for v in (a, b)]
+        merged = a.merge(b)
+        again = b.merge(a).merge(a.apply(UNIVERSE["A"][3]))
+        assert merged.counts().as_dict() == {"A": 5, "B": 1, "C": 2}
+        assert again.counts() == merged.counts()
+        assert before == [(v.counts().as_dict(),
+                           {w: v.updates_from(w) for w in "ABC"}) for v in (a, b)]
+
+    @pytest.mark.parametrize("carry", [
+        lambda v: pickle.loads(pickle.dumps(v)), roundtrip],
+        ids=["pickle", "live.wire"])
+    def test_an_older_vector_travels_with_its_own_prefix(self, carry):
+        """Shard IPC and live install frames: what a newer vector appended
+        to the shared list stays behind."""
+        older = ExtendedVersionVector.from_updates(UNIVERSE["A"][:2])
+        newer = older.apply(UNIVERSE["A"][2]).apply(UNIVERSE["B"][0])
+        assert newer.count("A") == 3
+        carried = carry(older)
+        assert carried == older and carried != newer
+        assert carried.updates_from("A") == UNIVERSE["A"][:2]
+        assert carried.counts().as_dict() == {"A": 2}
+        assert carry(newer) == newer
+        # ... and what arrived is a history of its own
+        assert carried.apply(UNIVERSE["A"][2]).count("A") == 3
+        assert older.count("A") == 2

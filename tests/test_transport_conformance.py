@@ -492,6 +492,54 @@ def test_send_many_encodes_the_payload_once(tmp_path):
     assert (fanned.walks, looped.walks) == (1, 3)
 
 
+class _TickingClock(LiveClock):
+    """A wall clock under a microscope: every reading is a second later."""
+
+    _reads = 0
+
+    @property
+    def now(self):
+        self._reads += 1
+        return self._loop.time() - self._t0 + self._reads
+
+
+def test_a_live_message_carries_one_clock_reading_per_side(tmp_path):
+    """The ``Message`` handed back by ``send`` says what the frame says, and
+    a message built at arrival has ``sent_at == deliver_at``."""
+    loop = asyncio.new_event_loop()
+    addresses = make_addresses(["a", "b"], "uds", str(tmp_path))
+    clocks = {n: _TickingClock(seed=1, loop=loop) for n in "ab"}
+    transports = {n: LiveTransport(clocks[n], addresses, kind="uds")
+                  for n in "ab"}
+    nodes = {n: LiveNode(clocks[n], transports[n], n, processing_delay=0.0)
+             for n in "ab"}
+    arrived = []
+    nodes["b"].register_handler("ping", arrived.append)
+
+    async def _go():
+        await transports["b"].start()
+        returned = [nodes["a"].send("b", protocol="conformance",
+                                    msg_type="ping", payload=i)
+                    for i in range(2)]
+        framed = [wire.decode_envelope(frame[4:])[6]
+                  for _, frame in transports["a"]._peers["b"].frames]
+        assert [m.sent_at for m in returned] == framed
+        assert framed[0] < framed[1]
+        for _ in range(200):
+            if len(arrived) == 2:
+                break
+            await asyncio.sleep(0.01)
+        await transports["a"].stop()
+        await transports["b"].stop()
+
+    try:
+        loop.run_until_complete(_go())
+    finally:
+        loop.close()
+    assert [m.payload for m in arrived] == [0, 1]
+    assert all(m.sent_at == m.deliver_at for m in arrived)
+
+
 def test_heartbeat_marks_peer_down_then_recovered(tmp_path):
     """Liveness probing: a peer that never answers is declared down after
     ``heartbeat_misses`` failed probes (sends to it become immediate
