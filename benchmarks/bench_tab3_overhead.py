@@ -5,7 +5,7 @@ for 100 seconds exchanged 168 messages; every 40 seconds, 96 messages —
 overhead proportional to the resolution frequency, ≈ 44 messages per round
 (Formula 5), amounting to ≈ 1.68 KB/s of bandwidth.  The reproduction's
 absolute per-round count is lower (installs batch missing updates into one
-message; see EXPERIMENTS.md) but the proportionality and the per-round
+message; see DESIGN.md §4) but the proportionality and the per-round
 invariance across schedules are preserved, and Formula 4's optimal-rate
 derivation is exercised on the measured cost.
 """

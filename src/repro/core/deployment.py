@@ -8,8 +8,7 @@ that runs explicit, composable build passes:
 1. **host** — a callable giving the deployment its ``clock``, ``transport``,
    ``node_ids`` and one endpoint per node *this process* hosts:
    :class:`SimHost` (the default: simulator, topology, latency model,
-   network, a :class:`~repro.sim.node.Node` per id), its subclass
-   :class:`~repro.shard.network.ShardHost` (one shard's slice), or
+   network, a :class:`~repro.sim.node.Node` per id) or
    :class:`~repro.live.scenario.LiveHost` (wall clock, sockets, one node).
    Every later pass is backend-neutral;
 2. **node stacks** — the shared :class:`~repro.runtime.EventBus` and a
@@ -118,8 +117,7 @@ class SimHost:
     """The default host: the whole deployment on one discrete-event simulator.
 
     The scheduling clock *is* the simulator and the transport *is* the
-    network, so both stay reachable as ``sim``/``network``.  The three hooks
-    are what :class:`~repro.shard.network.ShardHost` overrides.
+    network, so both stay reachable as ``sim``/``network``.
     """
 
     def __call__(self, builder: "DeploymentBuilder", d: "IdeaDeployment") -> None:
@@ -128,33 +126,23 @@ class SimHost:
                       else planetlab_topology(builder.num_nodes))
         d.node_ids = list(d.topology.node_ids)
         d.latency = (builder.latency if builder.latency is not None
-                     else self.default_latency(d))
-        # Models that draw per-source/per-link jitter (PerSourceLatencyModel,
-        # HeterogeneousLatencyModel) expose a ``streams`` attribute that may
-        # be None when the model was constructed before the simulator existed
-        # — e.g. by the world compiler.  Wiring it here keeps construction
-        # order irrelevant to determinism.
+                     else PlanetLabLatencyModel(
+                         d.topology, d.sim.random.stream("latency")))
+        # A model that draws per-link jitter (HeterogeneousLatencyModel)
+        # exposes a ``streams`` attribute that may be None when the model was
+        # constructed before the simulator existed — e.g. by the world
+        # compiler.  Wiring it here keeps construction order irrelevant to
+        # determinism.
         if hasattr(d.latency, "streams") and d.latency.streams is None:
             d.latency.streams = d.sim.random
-        d.transport = d.network = self.make_network(builder, d)
+        d.transport = d.network = Network(
+            d.sim, d.latency, loss_probability=builder.loss_probability)
         d.clock_model = (builder.clock_model if builder.clock_model is not None
                          else ClockModel())
         d.nodes = {node_id: Node(d.sim, d.network, node_id,
                                  clock_model=d.clock_model,
                                  processing_delay=builder.processing_delay)
-                   for node_id in self.hosted_node_ids(d)}
-
-    def hosted_node_ids(self, d: "IdeaDeployment") -> List[str]:
-        """The subsequence of ``d.node_ids`` this process hosts (all of it)."""
-        return d.node_ids
-
-    def default_latency(self, d: "IdeaDeployment") -> LatencyModel:
-        return PlanetLabLatencyModel(d.topology, d.sim.random.stream("latency"))
-
-    def make_network(self, builder: "DeploymentBuilder",
-                     d: "IdeaDeployment") -> Network:
-        return Network(d.sim, d.latency,
-                       loss_probability=builder.loss_probability)
+                   for node_id in d.node_ids}
 
 
 class DeploymentBuilder:
@@ -213,28 +201,12 @@ class DeploymentBuilder:
 
         ``top_layer`` pins the object to a static top layer instead of the
         shared temperature overlay — required in partitioned builds, where
-        no shard sees the whole overlay (see :meth:`partition`).
+        no process sees the whole overlay.
         """
         self._object_specs.append(_ObjectSpec(
             object_id=object_id, config=config, participants=participants,
             policy=policy, start_background=start_background,
             top_layer=top_layer))
-        return self
-
-    def partition(self, plan, index: int = 0) -> "DeploymentBuilder":
-        """Build only shard ``index`` of a space-partitioned deployment.
-
-        Selects :class:`~repro.shard.network.ShardHost` for ``plan`` (a
-        :class:`~repro.shard.partition.ShardPlan`), which hosts the shard's
-        local nodes only behind a network proxy that outboxes cross-shard
-        sends.  Features whose determinism depends on seeing every node in
-        one process — message loss, gossip, RanSub/dynamic overlays (objects
-        must pin a static ``top_layer``), runtime partitions — raise during
-        the build.
-        """
-        from repro.shard.network import ShardHost  # shard imports this module
-
-        self.host = ShardHost(plan, index)
         return self
 
     def start_overlay_services(self) -> "DeploymentBuilder":
@@ -372,7 +344,7 @@ class IdeaDeployment:
     node_ids: List[str]
     #: endpoints hosted *in this process* (every node id when unpartitioned)
     nodes: Dict[str, ProtocolEndpoint]
-    # Simulator hosts only (``sim``/``network`` are the clock/transport).
+    # Simulator host only (``sim``/``network`` are the clock/transport).
     sim: Simulator
     network: Network
     topology: Topology

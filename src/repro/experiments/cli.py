@@ -6,15 +6,13 @@ Runs any registered experiment through the sweep farm::
     python -m repro.experiments --run churn --jobs 4
     python -m repro.experiments --run fig7 --json out.json
     python -m repro.experiments --run churn --smoke --param "duration=15.0"
-    python -m repro.experiments --run fig9_sharded --shards 4
 
 ``--jobs`` defaults to the ``FARM_JOBS`` environment variable (see
-``repro.farm``) and ``--shards`` to ``SHARD_PROCS`` (see ``repro.shard``),
-so CI can parallelise every sweep without touching the command lines.
-``--smoke`` applies the registry's shrunken parameters — the same code path
-on a seconds-sized grid.  A failed point (``FarmPointError``/``ShardError``)
-exits nonzero with a one-line diagnostic, so CI smoke steps cannot silently
-pass on a failure.
+``repro.farm``), so CI can parallelise every sweep without touching the
+command lines.  ``--smoke`` applies the registry's shrunken parameters — the
+same code path on a seconds-sized grid.  A failed point (``FarmPointError``)
+or a conformance divergence exits nonzero with a one-line diagnostic, so CI
+smoke steps cannot silently pass on a failure.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from typing import Any, Dict, List, Optional
 from repro.experiments import registry
 from repro.experiments.conformance import ConformanceError
 from repro.farm import FarmPointError, default_jobs
-from repro.shard import ShardError, default_shards
 
 
 def _parse_param(text: str) -> tuple:
@@ -82,9 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment to run (see --list)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="farm worker processes (default: $FARM_JOBS or 1)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="shard processes for space-partitioned "
-                             "experiments (default: $SHARD_PROCS)")
     parser.add_argument("--world", action="append", default=None,
                         dest="worlds", metavar="NAME|PATH",
                         help="restrict a world-aware experiment to this "
@@ -132,17 +126,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     kwargs.update(dict(args.param))
     kwargs["jobs"] = jobs
 
-    accepts_shards = "shards" in inspect.signature(entry.run).parameters
-    if args.shards is not None:
-        if not accepts_shards:
-            print(f"error: experiment {args.run!r} does not take --shards",
-                  file=sys.stderr)
-            return 2
-        kwargs["shards"] = args.shards
-    elif (accepts_shards and "shards" not in kwargs
-          and default_shards(0)):
-        kwargs["shards"] = default_shards(0)
-
     accepts_worlds = "worlds" in inspect.signature(entry.run).parameters
     if args.worlds is not None:
         if not accepts_worlds:
@@ -161,7 +144,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         result = entry.run(**kwargs)
-    except (FarmPointError, ShardError, ConformanceError) as exc:
+    except (FarmPointError, ConformanceError) as exc:
         print(f"error: experiment {args.run!r} failed: {exc}", file=sys.stderr)
         return 1
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.analysis.formulas import DelayModel, fit_delay_model, paper_delay_model
 from repro.core.config import AdaptationMode, IdeaConfig
@@ -248,113 +248,4 @@ def format_multiobject_report(result: MultiObjectResult) -> str:
              f"{result.duration:.0f} s simulated")
     return format_table(
         ["objects", "wall clock", "per object", "events", "writes"],
-        result.as_rows(), title=title)
-
-
-# ---------------------------------------------------------------------------
-# Space-partitioned scale points (2048/4096 nodes via repro.shard)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ShardedScalePoint:
-    """One node count run space-partitioned (plus what the run proves)."""
-
-    num_nodes: int
-    shards: int
-    window: Optional[float]
-    wall_clock_seconds: float
-    events_processed: int
-    writes_applied: int
-    messages_sent: int
-    messages_delivered: int
-    state_sha: str
-    cross_shard_messages: int
-    mean_window_events: float
-
-
-@dataclass
-class ShardedScaleResult:
-    """Figure 9 extended beyond one Python heap: sharded large-N points."""
-
-    shards: int
-    num_objects: int
-    writers_per_object: int
-    write_period: float
-    duration: float
-    seed: int
-    points: List[ShardedScalePoint]
-
-    def as_rows(self) -> List[List[str]]:
-        rows = []
-        for p in self.points:
-            window = f"{p.window * 1e3:.2f} ms" if p.window else "—"
-            rows.append([
-                str(p.num_nodes), str(p.shards), window,
-                f"{p.wall_clock_seconds:.2f} s", f"{p.events_processed:,}",
-                f"{p.writes_applied:,}", f"{p.cross_shard_messages:,}",
-                p.state_sha[:12]])
-        return rows
-
-
-def run_sharded_scale_point(*, num_nodes: int, num_objects: int,
-                            writers_per_object: int = 4,
-                            write_period: float = 1.0,
-                            duration: float = 10.0, seed: int = 29,
-                            shards: int = 2) -> ShardedScalePoint:
-    """Run one large-N Figure 9 point through the space-partitioned backend."""
-    from repro.shard.scenarios import run_shard_point
-
-    result = run_shard_point(
-        num_nodes=num_nodes, num_objects=num_objects,
-        writers_per_object=writers_per_object, write_period=write_period,
-        duration=duration, seed=seed, shards=shards)
-    return ShardedScalePoint(
-        num_nodes=num_nodes, shards=result.shards, window=result.window,
-        wall_clock_seconds=result.wall_seconds,
-        events_processed=result.events, writes_applied=result.writes,
-        messages_sent=result.sent, messages_delivered=result.delivered,
-        state_sha=result.state_sha,
-        cross_shard_messages=result.cross_shard_messages,
-        mean_window_events=result.mean_window_events)
-
-
-def run_sharded_scale_experiment(*, node_counts: Sequence[int] = (2048, 4096),
-                                 shards: Optional[int] = None,
-                                 num_objects: int = 128,
-                                 writers_per_object: int = 4,
-                                 write_period: float = 1.0,
-                                 duration: float = 10.0, seed: int = 29,
-                                 jobs: int = 1) -> ShardedScaleResult:
-    """The sharded Figure 9 extension: 2048- and 4096-node points.
-
-    ``shards=None`` defaults to the ``SHARD_PROCS`` environment override or
-    2.  ``jobs`` is accepted for CLI compatibility but unused: parallelism
-    here is *within* each point (space partitioning), not across points.
-    """
-    del jobs  # within-point parallelism; the farm's cross-point knob is moot
-    if shards is None:
-        from repro.shard import default_shards
-
-        shards = default_shards(2)
-    counts = sorted(set(int(c) for c in node_counts))
-    if not counts or counts[0] < 1:
-        raise ValueError("node_counts must contain positive integers")
-    points = [run_sharded_scale_point(
-        num_nodes=count, num_objects=num_objects,
-        writers_per_object=writers_per_object, write_period=write_period,
-        duration=duration, seed=seed, shards=shards)
-        for count in counts]
-    return ShardedScaleResult(
-        shards=shards, num_objects=num_objects,
-        writers_per_object=writers_per_object, write_period=write_period,
-        duration=duration, seed=seed, points=points)
-
-
-def format_sharded_report(result: ShardedScaleResult) -> str:
-    title = (f"Figure 9 sharded scale — {result.num_objects} objects, "
-             f"{result.writers_per_object} writers/object, "
-             f"{result.duration:.0f} s simulated, {result.shards} shard(s)")
-    return format_table(
-        ["nodes", "shards", "window", "wall clock", "events", "writes",
-         "cross-shard", "state sha"],
         result.as_rows(), title=title)

@@ -82,13 +82,6 @@ _ENTRIES: List[ExperimentEntry] = [
         grid=fig9_scalability.build_multiobject_grid,
         smoke={"object_counts": (1, 4), "duration": 20.0}),
     ExperimentEntry(
-        name="fig9_sharded",
-        description="Figure 9 beyond one heap: 2048/4096 nodes via --shards",
-        run=fig9_scalability.run_sharded_scale_experiment,
-        report=fig9_scalability.format_sharded_report,
-        smoke={"node_counts": (64,), "num_objects": 16, "duration": 5.0,
-               "write_period": 0.5, "shards": 2}),
-    ExperimentEntry(
         name="tab3",
         description="background-resolution message overhead (20 s vs 40 s)",
         run=tab3_overhead.run_overhead_experiment,

@@ -43,7 +43,7 @@ Typed fields are handed to the C encoder untouched.  Only values typed
 results, and the plain containers a message payload is made of — take the
 generic walker ``_pack``, which is where the three tags are written.
 :class:`ExtendedVersionVector` is rebuilt through ``_restore_extended`` — the
-same cache-free content-field path its ``__reduce__`` uses for shard IPC, so
+same cache-free content-field path its ``__reduce__`` uses for pickling, so
 interning/memoisation state never crosses a process boundary.
 
 **Decoding** parses with one ``JSONDecoder(object_hook=_revive)``: lists and

@@ -1,71 +1,4 @@
-"""repro.shard: space-partitioned parallel simulation of one deployment.
-
-Splits a single deployment *by site* across spawn-started worker processes,
-each running the existing single-threaded :class:`~repro.sim.engine
-.Simulator` over its shard's nodes.  Cross-shard messages travel over IPC
-under a conservative lookahead window derived from the topology's site-pair
-latency floors (:meth:`LatencyModel.min_delay`), so no shard ever receives
-a message for simulated time it has already executed.
-
-Layout:
-
-* :mod:`~repro.shard.partition` — :func:`partition_by_site` /
-  :class:`ShardPlan`: which nodes live in which shard, and the lookahead;
-* :mod:`~repro.shard.network` — :class:`ShardedNetwork`, the per-shard
-  network proxy (local sends → local heap, remote sends → window outbox);
-* :mod:`~repro.shard.coordinator` — :class:`ShardedSimulation`, the
-  lockstep-window driver, and :func:`run_single_process`, the ``shards=1``
-  determinism oracle;
-* :mod:`~repro.shard.scenarios` — shardable workload builders
-  (:func:`run_shard_point`) shared by experiments, benchmarks and tests;
-* :mod:`~repro.shard.state` — end-state summaries and the replay
-  fingerprint.
-
-Determinism contract (mirrors ``repro.farm``): ``shards=1`` is byte-for-
-byte today's engine; any ``shards=k`` run reproduces its event/write/state
-fingerprints exactly.  See DESIGN.md §12 for the safety argument and the
-features that are deliberately unsupported under partitioning.
+"""repro.shard: what remains is :mod:`repro.shard.state`, the end-state
+summary and replay fingerprint the world catalog and the perf ledger use.
+The space-partitioned engine is gone (DESIGN.md §12); nothing is re-exported.
 """
-
-from __future__ import annotations
-
-import os
-
-from repro.shard.coordinator import (ShardedSimulation, ShardError,
-                                     ShardRunResult, ShardWorkerError,
-                                     run_single_process)
-from repro.shard.network import LookaheadViolation, ShardedNetwork
-from repro.shard.partition import ShardPlan, partition_by_site
-from repro.shard.state import collect_shard_state, state_fingerprint
-
-#: environment variable the CLI/benchmarks consult for their shards default
-SHARD_ENV_VAR = "SHARD_PROCS"
-
-
-def default_shards(fallback: int = 1) -> int:
-    """The ``SHARD_PROCS`` override, or ``fallback`` when unset/invalid."""
-    raw = os.environ.get(SHARD_ENV_VAR, "").strip()
-    if not raw:
-        return fallback
-    try:
-        shards = int(raw)
-    except ValueError:
-        return fallback
-    return max(1, shards)
-
-
-__all__ = [
-    "SHARD_ENV_VAR",
-    "LookaheadViolation",
-    "ShardError",
-    "ShardPlan",
-    "ShardRunResult",
-    "ShardWorkerError",
-    "ShardedNetwork",
-    "ShardedSimulation",
-    "collect_shard_state",
-    "default_shards",
-    "partition_by_site",
-    "run_single_process",
-    "state_fingerprint",
-]

@@ -1,17 +1,19 @@
-"""Per-shard end state collection and fingerprinting.
+"""End-state summary and replay fingerprint of a finished simulator run.
 
-A shard worker reduces its slice of the deployment to a small picklable
-summary at the end of a run: aggregate counters (events executed, writes
-recorded, messages sent/delivered) plus one canonical line per
-(node, object) replica capturing the version-vector counts, the metadata
-value and the last-consistent time.  The coordinator concatenates every
-shard's lines and hashes them, so the merged fingerprint is a function of
-*replica content only* — identical whether the deployment ran in one
-process or in eight, which is exactly the determinism contract the golden
-tests (``tests/test_shard_determinism.py``) replay.
+:func:`collect_shard_state` reduces a deployment to aggregate counters
+(events executed, writes recorded, messages sent/delivered) plus one
+canonical line per (node, object) replica capturing the version-vector
+counts, the metadata value and the last-consistent time;
+:func:`state_fingerprint` hashes the sorted lines, so the fingerprint is a
+function of *replica content only*.  The world catalog's pins
+(``repro.worlds.compile.world_fingerprint``) and the perf ledger's in-run
+checks are built on it.
 
-Lives in its own module so both the worker (runs in the child process) and
-the coordinator/oracle (parent process) can import it without a cycle.
+This is what is left of ``repro.shard``: the space-partitioned engine it
+served was measured and deleted (DESIGN.md §12).  The module keeps its
+import path and function names only because ``benchmarks/ledger/workloads.py``
+imports them and the PR that deleted the engine could not edit the ledger;
+the rename rides with ROADMAP item 1, which re-records the ledger anyway.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Dict, List, Sequence
 
 
 def collect_shard_state(deployment) -> Dict:
-    """Summarise one shard's (or the whole oracle's) final state."""
+    """Summarise a deployment's final state."""
     trace = deployment.trace
     stats = deployment.network.stats
     items: List[str] = []

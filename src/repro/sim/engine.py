@@ -377,16 +377,3 @@ class Simulator:
     def run_until_idle(self, max_events: int = 10_000_000) -> float:
         """Run until no events remain (or ``max_events`` is hit)."""
         return self.run(max_events=max_events)
-
-    def run_window(self, until: float) -> int:
-        """Advance one lockstep window and report the events it executed.
-
-        Entry point for the space-partitioned backend (``repro.shard``):
-        the coordinator calls this once per barrier, so a shard executes
-        everything up to and including ``until`` and parks there.  The
-        return value feeds per-window telemetry and the cross-shard event
-        conservation check.
-        """
-        before = self._event_count
-        self.run(until=until)
-        return self._event_count - before

@@ -6,12 +6,6 @@ delay.  Implementations:
 * :class:`PlanetLabLatencyModel` — base delay from the synthetic continental
   :class:`~repro.sim.topology.Topology`, plus log-normal jitter to mimic the
   variable queueing the paper's Planet-Lab measurements would include.
-* :class:`PerSourceLatencyModel` — the same topology-driven shape but with
-  jitter drawn from a *per-source* RNG stream and clamped below, giving it a
-  useful deterministic lower bound.  This is the model the space-partitioned
-  backend (``repro.shard``) uses: per-source streams make delay sequences
-  independent of how nodes are split across shards, and the positive
-  ``min_delay`` provides the conservative lookahead window.
 * :class:`HeterogeneousLatencyModel` — topology-driven delays with
   *per-site-pair* overrides (:class:`LinkProfile`): absolute or scaled base
   delay, per-link jitter, and a per-link loss annotation the world compiler
@@ -21,6 +15,7 @@ delay.  Implementations:
 * :class:`UniformLatencyModel` — a simple uniform-random delay useful for
   unit tests and for the Figure 2 tradeoff study where only relative protocol
   costs matter.
+* :class:`FixedLatencyModel` — one constant delay for every distinct pair.
 
 All models are deterministic given the simulator seed.
 """
@@ -46,20 +41,6 @@ class LatencyModel(abc.ABC):
     def expected_delay(self, src: str, dst: str) -> float:
         """Expected (mean) one-way delay; defaults to a single sample."""
         return self.delay(src, dst)
-
-    def min_delay(self, site_a: Optional[str] = None,
-                  site_b: Optional[str] = None) -> float:
-        """Deterministic lower bound on ``delay(src, dst)`` for ``src != dst``.
-
-        Contract: every sample ``delay(src, dst)`` with ``src != dst``, where
-        ``src`` is at ``site_a`` and ``dst`` at ``site_b``, is ``>=
-        min_delay(site_a, site_b)``.  With no arguments the bound must hold
-        over *all* distinct pairs.  The base implementation returns ``0.0``
-        (trivially safe); models with a known floor override this.  A
-        positive bound is what makes a model usable as a conservative
-        lookahead source for space-partitioned simulation.
-        """
-        return 0.0
 
     def homogeneous_delay(self, src: str, dsts) -> Optional[float]:
         """One delay covering every destination, or ``None`` if per-pair.
@@ -95,11 +76,6 @@ class UniformLatencyModel(LatencyModel):
             return 0.0
         return (self.low + self.high) / 2.0
 
-    def min_delay(self, site_a: Optional[str] = None,
-                  site_b: Optional[str] = None) -> float:
-        """Every distinct-pair sample is drawn from ``[low, high]``."""
-        return self.low
-
 
 class FixedLatencyModel(LatencyModel):
     """A constant one-way delay for every distinct pair (handy in tests)."""
@@ -114,10 +90,6 @@ class FixedLatencyModel(LatencyModel):
 
     def expected_delay(self, src: str, dst: str) -> float:
         return self.delay(src, dst)
-
-    def min_delay(self, site_a: Optional[str] = None,
-                  site_b: Optional[str] = None) -> float:
-        return self._delay
 
     def homogeneous_delay(self, src: str, dsts) -> Optional[float]:
         """All pairs share the constant, so any fan-out is homogeneous."""
@@ -176,19 +148,6 @@ class PlanetLabLatencyModel(LatencyModel):
             return 0.0
         return max(self.topology.one_way_delay(src, dst), self.floor)
 
-    def min_delay(self, site_a: Optional[str] = None,
-                  site_b: Optional[str] = None) -> float:
-        """The honest bound is only ``floor``: log-normal jitter is unbounded
-        below, so a sample can land arbitrarily close to zero times the base.
-        Only the jitter-free special case can promise the topology floor.
-        (For a usefully large bound use :class:`PerSourceLatencyModel`.)
-        """
-        if self.jitter_sigma == 0 and site_a is not None and site_b is not None:
-            return max(self.topology.latency_floor(site_a, site_b), self.floor)
-        if self.jitter_sigma == 0:
-            return max(self.topology.latency_floor(), self.floor)
-        return self.floor
-
 
 @dataclass(frozen=True)
 class LinkProfile:
@@ -223,14 +182,13 @@ class LinkProfile:
 class HeterogeneousLatencyModel(LatencyModel):
     """Topology-driven delays with per-site-pair :class:`LinkProfile` overrides.
 
-    The base shape matches :class:`PerSourceLatencyModel`: multiplicative
-    log-normal jitter clamped below at ``min_jitter``, so every link has a
-    *positive* deterministic delay floor (``min_delay`` stays usable as a
-    conservative lookahead source).  On top of that, each (unordered) site
-    pair may carry a :class:`LinkProfile` that pins or scales the base delay
-    and widens or narrows the jitter — one model instance realises a whole
-    heterogeneous WAN: intercontinental long-hauls, regional backbones and
-    lossy last-mile tiers.
+    The base shape is multiplicative log-normal jitter on the topology's
+    site-pair delay, clamped below at ``min_jitter`` so no sample falls under
+    that fraction of the link's base delay.  On top of that, each (unordered)
+    site pair may carry a :class:`LinkProfile` that pins or scales the base
+    delay and widens or narrows the jitter — one model instance realises a
+    whole heterogeneous WAN: intercontinental long-hauls, regional backbones
+    and lossy last-mile tiers.
 
     Jitter is drawn from a single named stream (``latency.hetero``) injected
     via ``streams`` (the deployment builder sets it from the simulator's
@@ -327,107 +285,3 @@ class HeterogeneousLatencyModel(LatencyModel):
         node_site = self.topology.node_site
         base, _, _ = self._resolve(node_site[src], node_site[dst])
         return max(base, self.floor)
-
-    def min_delay(self, site_a: Optional[str] = None,
-                  site_b: Optional[str] = None) -> float:
-        if (site_a is None) != (site_b is None):
-            raise ValueError("min_delay takes either two sites or none")
-        if site_a is not None and site_b is not None:
-            base, sigma, _ = self._resolve(site_a, site_b)
-            scale = self.min_jitter if sigma else 1.0
-            return max(base * scale, self.floor)
-        # Global bound: the minimum over every occupied site pair (including
-        # the intra-site delay whenever a site hosts two or more nodes),
-        # each scaled by its own jitter clamp.
-        counts: Dict[str, int] = {}
-        for site in self.topology.node_site.values():
-            counts[site] = counts.get(site, 0) + 1
-        occupied = sorted(counts)
-        floors = []
-        for i, a in enumerate(occupied):
-            if counts[a] >= 2:
-                base, sigma, _ = self._resolve(a, a)
-                floors.append(base * (self.min_jitter if sigma else 1.0))
-            for b in occupied[i + 1:]:
-                base, sigma, _ = self._resolve(a, b)
-                floors.append(base * (self.min_jitter if sigma else 1.0))
-        return max(min(floors), self.floor) if floors else self.floor
-
-
-class PerSourceLatencyModel(LatencyModel):
-    """Topology-driven jittered delays that are shard-decomposition-safe.
-
-    Two deliberate differences from :class:`PlanetLabLatencyModel` make this
-    the model for space-partitioned runs:
-
-    * **Per-source RNG streams.**  Each source node draws its jitter from its
-      own named stream (``latency.src.<node>``), derived from the simulator
-      seed by name (see :class:`~repro.sim.random.RandomStreams`).  A node's
-      delay sequence then depends only on its *own* send history — never on
-      interleaving with other nodes — so it is identical whether the node
-      runs alongside all others in one process or alone in a shard.
-    * **Clamped jitter.**  The multiplicative log-normal is clamped below at
-      ``min_jitter`` (default 0.5, affecting ~0.3 % of sigma=0.25 samples),
-      which turns the topology's site-pair base delay into a *positive*
-      deterministic bound: ``min_delay(a, b) = max(base(a, b) * min_jitter,
-      floor)``.  That bound is the conservative lookahead window.
-    """
-
-    #: stream-name prefix; the per-node stream is ``latency.src.<node_id>``
-    STREAM_PREFIX = "latency.src"
-
-    def __init__(self, topology: Topology, streams=None, *,
-                 jitter_sigma: float = 0.25, floor: float = 0.0005,
-                 min_jitter: float = 0.5) -> None:
-        if jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be non-negative")
-        if not 0 < min_jitter <= 1.0:
-            raise ValueError("min_jitter must be in (0, 1]")
-        self.topology = topology
-        self.jitter_sigma = jitter_sigma
-        self.floor = floor
-        self.min_jitter = min_jitter
-        self._mu = -0.5 * jitter_sigma ** 2
-        #: the RandomStreams registry delays are drawn from; deployments
-        #: inject the simulator's registry here (see ``SimHost``)
-        self.streams = streams
-        self._rngs: Dict[str, np.random.Generator] = {}
-
-    def _source_rng(self, src: str) -> np.random.Generator:
-        rng = self._rngs.get(src)
-        if rng is None:
-            if self.streams is None:
-                raise RuntimeError(
-                    "PerSourceLatencyModel has no RandomStreams attached; "
-                    "pass streams= or set .streams before sampling delays")
-            rng = self._rngs[src] = self.streams.stream(
-                f"{self.STREAM_PREFIX}.{src}")
-        return rng
-
-    def delay(self, src: str, dst: str) -> float:
-        if src == dst:
-            return 0.0
-        base = self.topology.one_way_delay(src, dst)
-        if self.jitter_sigma == 0:
-            return max(base, self.floor)
-        jitter = float(self._source_rng(src).lognormal(self._mu,
-                                                       self.jitter_sigma))
-        if jitter < self.min_jitter:
-            jitter = self.min_jitter
-        return max(base * jitter, self.floor)
-
-    def expected_delay(self, src: str, dst: str) -> float:
-        # The clamp nudges the true mean slightly above base; base is close
-        # enough for planning purposes and keeps this sampling-free.
-        if src == dst:
-            return 0.0
-        return max(self.topology.one_way_delay(src, dst), self.floor)
-
-    def min_delay(self, site_a: Optional[str] = None,
-                  site_b: Optional[str] = None) -> float:
-        if site_a is not None or site_b is not None:
-            base = self.topology.latency_floor(site_a, site_b)
-        else:
-            base = self.topology.latency_floor()
-        scale = self.min_jitter if self.jitter_sigma else 1.0
-        return max(base * scale, self.floor)

@@ -110,38 +110,17 @@ class Topology:
         """Base round-trip time (seconds)."""
         return self.one_way_delay(src, dst) + self.one_way_delay(dst, src)
 
-    def latency_floor(self, site_a: str | None = None,
-                      site_b: str | None = None) -> float:
-        """Deterministic lower bound on the base one-way delay (seconds).
+    def latency_floor(self, site_a: str, site_b: str) -> float:
+        """Base one-way delay (seconds) between two sites.
 
-        With both site names given, returns the base delay between those two
-        sites — the deterministic part of any latency model built on this
-        topology, and hence a floor for the sampled delay between any node
-        at ``site_a`` and any node at ``site_b`` (models may jitter *above*
-        the base but derive their own floors from this value).
-
-        With no arguments, returns the minimum base delay over every pair of
-        *occupied* sites — including the intra-site delay whenever some site
-        hosts two or more nodes.  This is the quantity a conservative
-        space-partitioned simulation uses as its global lookahead bound.
-        A single-node topology has no pairs and returns ``0.0``.
+        The deterministic part of any latency model built on this topology:
+        models may jitter around the base and clamp the sample, but every
+        node at ``site_a`` talks to every node at ``site_b`` over this delay.
         """
-        if (site_a is None) != (site_b is None):
-            raise ValueError("latency_floor takes either two sites or none")
-        if site_a is not None and site_b is not None:
-            for name in (site_a, site_b):
-                if name not in self.sites:
-                    raise KeyError(f"unknown site {name!r}")
-            return self._site_pair_delay(site_a, site_b)
-        counts: Dict[str, int] = {}
-        for site in self.node_site.values():
-            counts[site] = counts.get(site, 0) + 1
-        occupied = sorted(counts)
-        floors = [self._site_pair_delay(a, b)
-                  for i, a in enumerate(occupied) for b in occupied[i + 1:]]
-        if any(count >= 2 for count in counts.values()):
-            floors.append(INTRA_SITE_DELAY_S)
-        return min(floors) if floors else 0.0
+        for name in (site_a, site_b):
+            if name not in self.sites:
+                raise KeyError(f"unknown site {name!r}")
+        return self._site_pair_delay(site_a, site_b)
 
     def nodes_at_site(self, site_name: str) -> List[str]:
         return [n for n in self.node_ids if self.node_site[n] == site_name]

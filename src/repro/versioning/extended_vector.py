@@ -641,10 +641,10 @@ class ExtendedVersionVector:
         cache indexes the process-local ``GLOBAL_WRITERS`` table, so default
         ``__slots__`` pickling would smuggle one process's interning order
         into another (see ``VersionVector.__reduce__``).  Rebuilding from the
-        five content fields keeps cross-process transfer — ``repro.shard``
-        IPC — independent of either side's interning history.  Each writer's
-        history goes as this vector's own prefix, never what a newer vector
-        appended to the shared list.
+        five content fields — the same five ``live.wire`` encodes — keeps
+        cross-process transfer independent of either side's interning
+        history.  Each writer's history goes as this vector's own prefix,
+        never what a newer vector appended to the shared list.
         """
         return (_restore_extended,
                 ({w: h.above(0) for w, h in self._updates.items()}, self._base,

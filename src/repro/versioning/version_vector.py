@@ -212,8 +212,8 @@ class VersionVector:
         ``dense()`` memoises a projection indexed by the *process-local*
         :data:`~repro.versioning.writers.GLOBAL_WRITERS` interning order.
         Default ``__slots__`` pickling would carry that projection across a
-        process boundary — e.g. inside a ``repro.shard`` cross-shard message
-        — where the receiving process's table may have interned writers in a
+        process boundary — any ``multiprocessing`` pipe, a farm result —
+        where the receiving process's table may have interned writers in a
         different order.  Reconstructing from the counts alone makes every
         unpickled vector re-derive its caches against the local table.
         """

@@ -17,8 +17,8 @@ Each section of the document maps onto one existing subsystem:
   returns a ready :class:`~repro.core.deployment.IdeaDeployment`.
 
 :func:`world_fingerprint` reduces a finished run to the counter set the
-catalog pins — built on the shard subsystem's canonical replica lines, so
-the hash is a function of replica content only.
+catalog pins — built on :mod:`repro.shard.state`'s canonical replica lines,
+so the hash is a function of replica content only.
 """
 
 from __future__ import annotations
@@ -370,8 +370,7 @@ def world_fingerprint(deployment: IdeaDeployment) -> Dict[str, object]:
 
     Counters plus an order-independent SHA-256 over canonical per-replica
     lines (version-vector counts, metadata, last-consistent time) — the
-    same reduction the shard determinism gate uses, so "bit-identical
-    replay" means the same thing across both subsystems.
+    same reduction the perf ledger's in-run checks use.
     """
     state = collect_shard_state(deployment)
     stats = deployment.network.stats

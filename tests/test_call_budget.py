@@ -162,8 +162,8 @@ def test_per_op_values_have_no_instance_dict_and_pickle():
     assert len({type(v) for v in values}) == 9
     for value in values:
         assert not hasattr(value, "__dict__"), type(value).__name__
-        # multiprocessing's Connection.send — repro.shard's IPC — pickles
-        # with the default protocol
+        # multiprocessing's Connection.send — how a farm point's result
+        # comes home — pickles with the default protocol
         clone = pickle.loads(pickle.dumps(value))
         assert clone == value and not hasattr(clone, "__dict__")
     values[2].total(), values[2].counts()      # the memos travel or rebuild

@@ -610,7 +610,7 @@ class TestSharedHistories:
         lambda v: pickle.loads(pickle.dumps(v)), roundtrip],
         ids=["pickle", "live.wire"])
     def test_an_older_vector_travels_with_its_own_prefix(self, carry):
-        """Shard IPC and live install frames: what a newer vector appended
+        """Pickles and live install frames: what a newer vector appended
         to the shared list stays behind."""
         older = ExtendedVersionVector.from_updates(UNIVERSE["A"][:2])
         newer = older.apply(UNIVERSE["A"][2]).apply(UNIVERSE["B"][0])
@@ -623,3 +623,18 @@ class TestSharedHistories:
         # ... and what arrived is a history of its own
         assert carried.apply(UNIVERSE["A"][2]).count("A") == 3
         assert older.count("A") == 2
+
+
+def test_extended_vector_pickle_round_trip():
+    vector = ExtendedVersionVector()
+    for seq, writer in enumerate(["w-a", "w-a", "w-b"], start=1):
+        seq_for_writer = vector.count(writer) + 1
+        vector = vector.apply(UpdateRecord(
+            writer=writer, seq=seq_for_writer, timestamp=float(seq),
+            metadata_delta=1.0))
+    vector.counts()  # populate the cached VersionVector (and its dense())
+    clone = pickle.loads(pickle.dumps(vector))
+    assert clone == vector
+    assert clone._counts_cache is None  # caches not carried across
+    assert clone.counts() == vector.counts()
+    assert clone.metadata == vector.metadata

@@ -161,9 +161,9 @@ def test_phase_sweep_farms_and_matches_serial():
 
 def test_registry_covers_every_experiment_module():
     assert set(registry.REGISTRY) == {"fig2", "fig7", "fig8", "tab2", "fig9",
-                                      "fig9_sharded", "multiobject", "tab3",
-                                      "fig10", "churn", "conformance",
-                                      "workload", "world_matrix"}
+                                      "multiobject", "tab3", "fig10", "churn",
+                                      "conformance", "workload",
+                                      "world_matrix"}
     for entry in registry.REGISTRY.values():
         assert entry.description
         assert callable(entry.run) and callable(entry.report)
@@ -205,48 +205,15 @@ def test_cli_defaults_jobs_from_env(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# --shards plumbing and nonzero exits on point failure
+# nonzero exits on point failure
 
 
-def _register_fake(monkeypatch, name, run, *, accepts_shards=False):
+def _register_fake(monkeypatch, name, run):
     entry = registry.ExperimentEntry(
         name=name, description="test stub", run=run, report=lambda r: str(r),
         smoke={"x": 1})
     monkeypatch.setitem(registry.REGISTRY, name, entry)
     return entry
-
-
-def test_cli_rejects_shards_on_non_sharded_experiment(capsys):
-    rc = cli.main(["--run", "tab2", "--shards", "2", "--quiet",
-                   "--param", "writer_counts=(2,)", "--param", "num_nodes=8"])
-    assert rc == 2
-    assert "does not take --shards" in capsys.readouterr().err
-
-
-def test_cli_passes_shards_through(monkeypatch, capsys):
-    seen = {}
-
-    def run(*, jobs, shards=1):
-        seen.update(jobs=jobs, shards=shards)
-        return "ok"
-
-    _register_fake(monkeypatch, "stub_sharded", run)
-    assert cli.main(["--run", "stub_sharded", "--shards", "3",
-                     "--quiet"]) == 0
-    assert seen == {"jobs": 1, "shards": 3}
-
-
-def test_cli_defaults_shards_from_env(monkeypatch, capsys):
-    seen = {}
-
-    def run(*, jobs, shards=1):
-        seen.update(shards=shards)
-        return "ok"
-
-    _register_fake(monkeypatch, "stub_sharded", run)
-    monkeypatch.setenv("SHARD_PROCS", "4")
-    assert cli.main(["--run", "stub_sharded", "--quiet"]) == 0
-    assert seen == {"shards": 4}
 
 
 def test_cli_exits_nonzero_on_farm_point_error(monkeypatch, capsys):
@@ -264,17 +231,6 @@ def test_cli_exits_nonzero_on_farm_point_error(monkeypatch, capsys):
     _register_fake(monkeypatch, "stub_failing", run)
     assert cli.main(["--run", "stub_failing", "--quiet"]) == 1
     assert "failed" in capsys.readouterr().err
-
-
-def test_cli_exits_nonzero_on_shard_error(monkeypatch, capsys):
-    from repro.shard import ShardError
-
-    def run(*, jobs, shards=2):
-        raise ShardError("shard 1 died mid-window")
-
-    _register_fake(monkeypatch, "stub_shard_fail", run)
-    assert cli.main(["--run", "stub_shard_fail", "--quiet"]) == 1
-    assert "shard 1 died" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -74,21 +74,46 @@ class TestLiveMatchesOracle:
 
 
 class TestLiveHost:
-    def test_refuses_what_a_shard_refuses(self, tmp_path):
-        """A live process hosts one node of many, so its build is
-        partitioned exactly like a shard's (tests/test_shard.py)."""
-        addresses = make_addresses(["n00", "n01"], "uds", str(tmp_path))
+    """A live process hosts one node of many, so its build is partitioned:
+    the rules ``IdeaDeployment.partitioned`` switches on, on the one host
+    that makes a deployment partitioned."""
+
+    @pytest.fixture
+    def host(self, tmp_path):
+        addresses = make_addresses(["n00", "n01", "n02"], "uds", str(tmp_path))
         loop = asyncio.new_event_loop()
-        try:
-            host = LiveHost("n00", addresses, loop=loop)
-            with pytest.raises(ValueError, match="RanSub"):
-                DeploymentBuilder(host=host, use_ransub=True).build()
-            deployment = DeploymentBuilder(host=host, use_ransub=False).build()
-            assert deployment.partitioned and list(deployment.nodes) == ["n00"]
-            with pytest.raises(ValueError, match="static top_layer"):
-                deployment.register_object("obj", scenario_config())
-        finally:
-            loop.close()
+        yield LiveHost("n00", addresses, loop=loop)
+        loop.close()
+
+    def test_partitioned_build_refuses_ransub(self, host):
+        with pytest.raises(ValueError, match="RanSub"):
+            DeploymentBuilder(host=host, use_ransub=True).build()
+
+    def test_partitioned_build_requires_static_top_layer(self, host):
+        deployment = DeploymentBuilder(host=host, use_ransub=False).build()
+        assert deployment.partitioned
+        with pytest.raises(ValueError, match="static top_layer"):
+            deployment.register_object("obj", scenario_config(),
+                                       participants=["n00", "n01"])
+
+    def test_nodes_is_only_the_hosted_slice(self, host):
+        deployment = DeploymentBuilder(host=host, use_ransub=False).build()
+        assert deployment.node_ids == ["n00", "n01", "n02"]
+        assert list(deployment.nodes) == ["n00"]
+        assert deployment.local_node_ids == ["n00"]
+        assert deployment.alive_node_ids() == ["n00"]
+        assert sorted(deployment.runtimes) == sorted(deployment.stores) == ["n00"]
+
+    def test_remote_participants_are_skipped_unknown_ones_raise(self, host):
+        deployment = DeploymentBuilder(host=host, use_ransub=False).build()
+        managed = deployment.register_object(
+            "obj", scenario_config(), participants=["n00", "n01"],
+            top_layer=["n00", "n01"], start_background=False)
+        assert list(managed.middlewares) == ["n00"]
+        with pytest.raises(KeyError):
+            deployment.register_object(
+                "obj2", scenario_config(), participants=["not-a-node"],
+                top_layer=["not-a-node"])
 
 
 class TestOracleDiff:

@@ -7,8 +7,8 @@ import pytest
 from repro.sim.clock import ClockModel
 from repro.sim.engine import Simulator
 from repro.sim.latency import (FixedLatencyModel, HeterogeneousLatencyModel,
-                               LinkProfile, PerSourceLatencyModel,
-                               PlanetLabLatencyModel, UniformLatencyModel)
+                               LinkProfile, PlanetLabLatencyModel,
+                               UniformLatencyModel)
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.topology import planetlab_topology
@@ -427,8 +427,6 @@ class TestNodeLifecycle:
 LATENCY_MODELS = {
     "PlanetLab": lambda sim, topo: PlanetLabLatencyModel(
         topo, sim.random.stream("latency")),
-    "PerSource": lambda sim, topo: PerSourceLatencyModel(
-        topo, streams=sim.random),
     "Heterogeneous": lambda sim, topo: HeterogeneousLatencyModel(
         topo, {(topo.node_site["n00"], topo.node_site["n01"]):
                LinkProfile(latency_scale=2.0, jitter_sigma=0.6),

@@ -62,6 +62,20 @@ class TestTopology:
         total = sum(len(topo.nodes_at_site(s)) for s in topo.sites)
         assert total == 25
 
+    def test_latency_floor_site_pair_matches_base_delay(self):
+        """The site-pair delay is the deterministic base every model builds
+        on: what two nodes at those sites see before jitter."""
+        topo = planetlab_topology(20)
+        a, b = topo.node_ids[0], topo.node_ids[1]
+        site_a, site_b = topo.node_site[a], topo.node_site[b]
+        assert site_a != site_b
+        assert topo.latency_floor(site_a, site_b) == pytest.approx(
+            topo.one_way_delay(a, b))
+
+    def test_latency_floor_rejects_unknown_site(self):
+        with pytest.raises(KeyError):
+            planetlab_topology(8).latency_floor("boston", "atlantis")
+
     def test_requires_at_least_one_node_and_site(self):
         with pytest.raises(ValueError):
             planetlab_topology(0)
@@ -123,7 +137,8 @@ class TestLatencyModels:
     def test_planetlab_block_drawn_jitter_is_the_scalar_stream(self):
         """The first 600 jittered delays equal scalar ``lognormal`` draws from
         a twin generator — across two block refills, with self-sends and the
-        sampling-free queries interleaved, none of which may take a sample.
+        sampling-free ``expected_delay`` interleaved, neither of which may
+        take a sample.
         (CI runs this on the oldest and the newest supported numpy: a
         ``Generator`` whose array fill left its scalar path would re-baseline
         every trace, and must fail here first.)"""
@@ -141,8 +156,6 @@ class TestLatencyModels:
             step += 1
             if step % 5 == 0:
                 model.expected_delay(src, dst)
-                model.min_delay()
-                model.min_delay(topo.node_site[src], topo.node_site[dst])
             if src == dst:
                 assert model.delay(src, dst) == 0.0
                 continue

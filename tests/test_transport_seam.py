@@ -76,7 +76,7 @@ class TestImportBoundary:
         assert any(m.startswith("repro.sim") for m in modules)
 
     def test_node_stacks_are_assembled_in_one_place(self):
-        """Sim, shard and live all build through DeploymentBuilder: nothing
+        """Sim and live both build through DeploymentBuilder: nothing
         else wires a store, runtime, gossip/RanSub service or overlay."""
         violations = []
         for path in sorted(SRC.rglob("*.py")):

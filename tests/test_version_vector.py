@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.versioning.version_vector import Ordering, VersionVector
@@ -114,3 +116,13 @@ class TestDistances:
     def test_order_distance_zero_iff_equal(self):
         a = VersionVector({"A": 1})
         assert a.order_distance(VersionVector({"A": 1})) == 0
+
+
+def test_version_vector_pickle_drops_interned_dense_cache():
+    """GLOBAL_WRITERS interning is per process: a pickled vector must not
+    carry its dense projection into another one."""
+    vector = VersionVector({"w-a": 3, "w-b": 1})
+    vector.dense()  # populate the process-local projection
+    clone = pickle.loads(pickle.dumps(vector))
+    assert clone == vector and clone._dense is None
+    assert clone.dense() == vector.dense()  # re-derived locally
