@@ -19,8 +19,8 @@ The paper's headline observations, which this harness reproduces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from repro.apps.whiteboard import WhiteboardApp, default_whiteboard_config
 from repro.core.config import AdaptationMode
@@ -49,11 +49,15 @@ class HintExperimentResult:
                 zip(self.sample_times, self.worst_levels, self.average_levels)]
 
 
-def run_hint_experiment(*, hint_level: float = 0.95, num_nodes: int = 40,
-                        num_writers: int = 4, update_period: float = 5.0,
-                        duration: float = 100.0, sample_period: float = 5.0,
-                        seed: int = 11, warmup: float = 10.0) -> HintExperimentResult:
-    """Run the Figure 7 scenario and return the sampled level curves."""
+def start_hint_run(*, hint_level: float, num_nodes: int, num_writers: int,
+                   update_period: float, duration: float, seed: int,
+                   warmup: float):
+    """Deploy, warm up and schedule the updates (shared with Figure 8).
+
+    Returns ``(deployment, app, writers, start, updates)``; nothing of the
+    measured window has run yet, so a caller may schedule more before
+    :func:`sample_hint_run`.
+    """
     deployment = IdeaDeployment(num_nodes=num_nodes, seed=seed)
     writers = deployment.node_ids[:num_writers]
     config = default_whiteboard_config(hint_level=hint_level,
@@ -77,7 +81,14 @@ def run_hint_experiment(*, hint_level: float = 0.95, num_nodes: int = 40,
     start = deployment.sim.now
     updates = app.schedule_uniform_updates(writers, period=update_period,
                                            duration=duration, start=start)
+    return deployment, app, writers, start, updates
 
+
+def sample_hint_run(deployment: IdeaDeployment, app: WhiteboardApp,
+                    writers: Sequence[str], start: float, *, duration: float,
+                    sample_period: float
+                    ) -> Tuple[List[float], List[float], List[float]]:
+    """Run the measured window; ``(sample times, worst levels, averages)``."""
     sample_times: List[float] = []
     worst_levels: List[float] = []
     average_levels: List[float] = []
@@ -98,6 +109,21 @@ def run_hint_experiment(*, hint_level: float = 0.95, num_nodes: int = 40,
                                label="sample")
 
     deployment.run(until=start + duration + sample_period)
+    return sample_times, worst_levels, average_levels
+
+
+def run_hint_experiment(*, hint_level: float = 0.95, num_nodes: int = 40,
+                        num_writers: int = 4, update_period: float = 5.0,
+                        duration: float = 100.0, sample_period: float = 5.0,
+                        seed: int = 11, warmup: float = 10.0) -> HintExperimentResult:
+    """Run the Figure 7 scenario and return the sampled level curves."""
+    deployment, app, writers, start, updates = start_hint_run(
+        hint_level=hint_level, num_nodes=num_nodes, num_writers=num_writers,
+        update_period=update_period, duration=duration, seed=seed,
+        warmup=warmup)
+    sample_times, worst_levels, average_levels = sample_hint_run(
+        deployment, app, writers, start, duration=duration,
+        sample_period=sample_period)
 
     resolutions = [r for r in app.managed.resolutions if not r.aborted]
     active = [r for r in resolutions if r.kind == "active"]

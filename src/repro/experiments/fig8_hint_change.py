@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.apps.users import ScriptedUser, UserAction, UserActionKind
-from repro.apps.whiteboard import WhiteboardApp, default_whiteboard_config
-from repro.core.config import AdaptationMode
-from repro.core.deployment import IdeaDeployment
+from repro.experiments.fig7_hint import sample_hint_run, start_hint_run
 from repro.experiments.report import format_table, percent
 from repro.farm import PointSpec, run_specs
 
@@ -47,52 +45,22 @@ def run_hint_change_experiment(*, initial_hint: float = 0.95, later_hint: float 
                                duration: float = 200.0, sample_period: float = 5.0,
                                seed: int = 13, warmup: float = 10.0) -> HintChangeResult:
     """Run the Figure 8 scenario (hint lowered mid-run)."""
-    deployment = IdeaDeployment(num_nodes=num_nodes, seed=seed)
-    writers = deployment.node_ids[:num_writers]
-    config = default_whiteboard_config(hint_level=initial_hint,
-                                       mode=AdaptationMode.HINT_BASED)
-    app = WhiteboardApp(deployment, participants=list(deployment.node_ids),
-                        config=config, start_background=False)
-    deployment.start_overlay_services()
-
-    for i, writer in enumerate(writers):
-        deployment.sim.call_at(1.0 + 0.5 * i,
-                               lambda w=writer: app.post(w, f"warm-up by {w}"),
-                               label="warmup")
-    deployment.run(until=warmup - 5.0)
-    deployment.run_background_round(app.object_id)
-    deployment.run(until=warmup)
-    start = deployment.sim.now
-
-    app.schedule_uniform_updates(writers, period=update_period, duration=duration,
-                                 start=start)
+    deployment, app, writers, start, _ = start_hint_run(
+        hint_level=initial_hint, num_nodes=num_nodes, num_writers=num_writers,
+        update_period=update_period, duration=duration, seed=seed,
+        warmup=warmup)
 
     # Every writer's user resets the hint at the switch time (the paper's
     # "we initially set the users' hint levels to 95% and reset ... to 90%").
-    users = []
     for writer in writers:
-        user = ScriptedUser(
+        ScriptedUser(
             f"user-{writer}", app.middleware(writer),
             [UserAction(time=start + switch_time, kind=UserActionKind.SET_HINT,
-                        argument=later_hint)])
-        user.schedule()
-        users.append(user)
+                        argument=later_hint)]).schedule()
 
-    sample_times: List[float] = []
-    worst_levels: List[float] = []
-    average_levels: List[float] = []
-
-    def sample() -> None:
-        levels = deployment.ground_truth_levels(app.object_id, writers)
-        sample_times.append(deployment.sim.now - start)
-        worst_levels.append(min(levels.values()))
-        average_levels.append(sum(levels.values()) / len(levels))
-
-    num_samples = int(duration // sample_period)
-    for k in range(1, num_samples + 1):
-        deployment.sim.call_at(start + k * sample_period + 0.1, sample, label="sample")
-
-    deployment.run(until=start + duration + sample_period)
+    sample_times, worst_levels, average_levels = sample_hint_run(
+        deployment, app, writers, start, duration=duration,
+        sample_period=sample_period)
 
     first_half = [w for t, w in zip(sample_times, worst_levels) if t <= switch_time]
     second_half = [w for t, w in zip(sample_times, worst_levels) if t > switch_time]

@@ -129,13 +129,10 @@ _ENTRIES: List[ExperimentEntry] = [
 
 REGISTRY: Dict[str, ExperimentEntry] = {e.name: e for e in _ENTRIES}
 
-#: accepted alternate spellings (module-style names) -> registry names
-ALIASES: Dict[str, str] = {"fig_world_matrix": "world_matrix"}
-
 
 def get(name: str) -> ExperimentEntry:
     try:
-        return REGISTRY[ALIASES.get(name, name)]
+        return REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(REGISTRY))
         raise KeyError(f"unknown experiment {name!r} (known: {known})") from None

@@ -12,9 +12,8 @@ delay.  Implementations:
   feeds into :meth:`Network.set_loss_probability`.  This is how declarative
   worlds (``repro.worlds``) realise geo-WAN long-haul links and lossy
   edge/wifi-like tiers on top of one site layout.
-* :class:`UniformLatencyModel` — a simple uniform-random delay useful for
-  unit tests and for the Figure 2 tradeoff study where only relative protocol
-  costs matter.
+* :class:`UniformLatencyModel` — a simple uniform-random delay; only the
+  unit tests use it (Figure 2 runs on the Planet-Lab model like the rest).
 * :class:`FixedLatencyModel` — one constant delay for every distinct pair.
 
 All models are deterministic given the simulator seed.

@@ -97,8 +97,7 @@ def _describe(world: World) -> str:
                      f"clients on {where}")
     for fault in world.faults:
         lines.append(f"  fault {fault.kind}: "
-                     + ", ".join(f"{k}={v}" for k, v in fault.args.items()
-                                 if v is not None))
+                     + ", ".join(f"{k}={v}" for k, v in fault.args.items()))
     if world.fingerprint is not None:
         lines.append(f"  pinned fingerprint: seed={world.fingerprint.seed}, "
                      f"horizon={world.fingerprint.horizon:g}s, "

@@ -26,21 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.config import (AdaptationMode, ConsistencyMetricSpec,
-                               IdeaConfig, MetricWeights, ResolutionStrategy)
 from repro.core.deployment import DeploymentBuilder, IdeaDeployment
 from repro.scenarios import FaultInjector, FaultPlan
 from repro.shard.state import collect_shard_state, state_fingerprint
 from repro.sim.latency import HeterogeneousLatencyModel, LinkProfile
 from repro.sim.topology import Site, Topology
-from repro.workloads.clients import ClientPopulation, OpMix
-from repro.workloads.phases import (ConstantRate, DiurnalRate, FlashCrowdRate,
-                                    RampRate, RateSchedule)
-from repro.workloads.popularity import (PopularityModel, RotatingHotspot,
-                                        UniformPopularity, ZipfPopularity)
+from repro.workloads.clients import ClientPopulation
 from repro.worlds.loader import load_world
 from repro.worlds.model import (ObjectSpec, PopulationSpec, TierSpec,
                                 TopologySpec, World)
+from repro.worlds.schema import (CONFIG, FAULT_KINDS, MIX, POPULARITY_KINDS,
+                                 RATE_KINDS, build_kind)
 
 #: multiplier separating per-fault generator seeds from the run seed; any
 #: odd prime works — it only needs to be fixed so (world, seed) replays
@@ -119,35 +115,6 @@ def compile_latency(world: World,
 
 # ---------------------------------------------------------------- placement
 
-def compile_config(raw: Dict[str, object]) -> IdeaConfig:
-    kwargs: Dict[str, object] = {}
-    if "mode" in raw:
-        kwargs["mode"] = AdaptationMode(raw["mode"])
-    for key in ("hint_level", "hint_delta"):
-        if key in raw:
-            kwargs[key] = float(raw[key])  # type: ignore[arg-type]
-    if "background_period" in raw:
-        period = raw["background_period"]
-        kwargs["background_period"] = None if period is None else float(period)  # type: ignore[arg-type]
-    if "resolution_strategy" in raw:
-        kwargs["resolution_strategy"] = ResolutionStrategy(
-            raw["resolution_strategy"])
-    if "weights" in raw:
-        w: Dict[str, float] = dict(raw["weights"])  # type: ignore[arg-type]
-        default = 1.0 / 3.0
-        kwargs["weights"] = MetricWeights(
-            numerical=w.get("numerical", default),
-            order=w.get("order", default),
-            staleness=w.get("staleness", default))
-    if "metric" in raw:
-        m: Dict[str, float] = dict(raw["metric"])  # type: ignore[arg-type]
-        kwargs["metric"] = ConsistencyMetricSpec(
-            max_numerical=m.get("max_numerical", 60.0),
-            max_order=m.get("max_order", 60.0),
-            max_staleness=m.get("max_staleness", 60.0))
-    return IdeaConfig(**kwargs)  # type: ignore[arg-type]
-
-
 def resolve_top_layer(spec: ObjectSpec,
                       world: World) -> Optional[List[str]]:
     """Static top-layer node ids, or None for the dynamic overlay.
@@ -165,66 +132,35 @@ def resolve_top_layer(spec: ObjectSpec,
 
 # ------------------------------------------------------------------ traffic
 
-def _popularity(raw: Dict[str, object], num_objects: int) -> PopularityModel:
-    kind = raw["kind"]
-    if kind == "uniform":
-        return UniformPopularity(num_objects)
-    if kind == "zipf":
-        return ZipfPopularity(num_objects, skew=float(raw.get("skew", 0.99)))  # type: ignore[arg-type]
-    return RotatingHotspot(
-        num_objects, rotate_period=float(raw["rotate_period"]),  # type: ignore[arg-type]
-        hot_weight=float(raw.get("hot_weight", 0.5)))  # type: ignore[arg-type]
-
-
-def _schedule(raw: Dict[str, object]) -> RateSchedule:
-    kind = raw["kind"]
-    if kind == "constant":
-        return ConstantRate(float(raw["rate"]))  # type: ignore[arg-type]
-    if kind == "ramp":
-        return RampRate(float(raw["start_rate"]), float(raw["end_rate"]),  # type: ignore[arg-type]
-                        duration=float(raw["duration"]),  # type: ignore[arg-type]
-                        t0=float(raw.get("t0", 0.0)))  # type: ignore[arg-type]
-    if kind == "diurnal":
-        return DiurnalRate(float(raw["base_rate"]),  # type: ignore[arg-type]
-                           amplitude=float(raw.get("amplitude", 0.5)),  # type: ignore[arg-type]
-                           period=float(raw.get("period", 86400.0)),  # type: ignore[arg-type]
-                           phase=float(raw.get("phase", 0.0)))  # type: ignore[arg-type]
-    decay = raw.get("decay")
-    return FlashCrowdRate(float(raw["base_rate"]), float(raw["peak_rate"]),  # type: ignore[arg-type]
-                          at=float(raw["at"]),  # type: ignore[arg-type]
-                          ramp=float(raw.get("ramp", 5.0)),  # type: ignore[arg-type]
-                          hold=float(raw.get("hold", 10.0)),  # type: ignore[arg-type]
-                          decay=None if decay is None else float(decay))  # type: ignore[arg-type]
+def _nodes_at(world: World, site_names) -> List[str]:
+    return [node_id for site in site_names
+            for node_id in world.topology.site(site).node_ids()]
 
 
 def population_nodes(spec: PopulationSpec,
                      world: World) -> Optional[List[str]]:
     """Home nodes a population's clients round-robin over (None = all)."""
     if spec.region is not None:
-        site_names = world.topology.regions()[spec.region]
-    elif spec.sites is not None:
-        site_names = list(spec.sites)
-    else:
-        return None
-    return [node_id for site in site_names
-            for node_id in world.topology.site(site).node_ids()]
+        return _nodes_at(world, world.topology.regions()[spec.region])
+    if spec.sites is not None:
+        return _nodes_at(world, spec.sites)
+    return None
 
 
 def compile_populations(world: World) -> List[ClientPopulation]:
     num_objects = len(world.objects)
-    populations: List[ClientPopulation] = []
-    for spec in world.traffic.populations:
-        populations.append(ClientPopulation(
-            name=spec.name,
-            num_clients=spec.clients,
-            popularity=_popularity(spec.popularity, num_objects),
-            mix=OpMix(float(spec.mix.get("read_fraction", 0.9))),  # type: ignore[arg-type]
-            model=spec.model,
-            schedule=_schedule(spec.rate) if spec.rate is not None else None,
-            think_time=spec.think_time,
-            nodes=population_nodes(spec, world),
-            snapshot_reads=spec.snapshot_reads))
-    return populations
+    return [ClientPopulation(
+        name=spec.name,
+        num_clients=spec.clients,
+        popularity=build_kind(POPULARITY_KINDS, spec.popularity, num_objects),
+        mix=MIX.build(**spec.mix),
+        model=spec.model,
+        schedule=(build_kind(RATE_KINDS, spec.rate)
+                  if spec.rate is not None else None),
+        think_time=spec.think_time,
+        nodes=population_nodes(spec, world),
+        snapshot_reads=spec.snapshot_reads)
+        for spec in world.traffic.populations]
 
 
 # ------------------------------------------------------------------- faults
@@ -237,46 +173,19 @@ def compile_fault_plan(world: World, seed: int) -> FaultPlan:
     ``(world, seed)``.
     """
     plan = FaultPlan()
-    all_nodes = world.topology.node_ids()
     for index, fault in enumerate(world.faults):
-        args = fault.args
-        if fault.kind == "crash":
-            plan.crash(args["node"], args["at"])
-            if args.get("recover_at") is not None:
-                plan.recover(args["node"], args["recover_at"])
-        elif fault.kind == "site_blast":
-            plan.merge(FaultPlan.site_blast(
-                world.topology.site(args["site"]).node_ids(),
-                at=args["at"], down_for=args["down_for"],
-                stagger=args["stagger"], crash_stagger=args["crash_stagger"]))
+        args = dict(fault.args)
+        lead: tuple = ()
+        if fault.kind == "site_blast":
+            lead = (_nodes_at(world, [args.pop("site")]),)
         elif fault.kind in ("churn", "cascade"):
-            if args.get("sites") is not None:
-                nodes = [n for site in args["sites"]
-                         for n in world.topology.site(site).node_ids()]
-            else:
-                nodes = all_nodes
-            fault_seed = seed + FAULT_SEED_STRIDE * (index + 1)
-            if fault.kind == "churn":
-                plan.merge(FaultPlan.churn(
-                    nodes, rate=args["rate"], duration=args["duration"],
-                    seed=fault_seed, downtime=args["downtime"],
-                    start=args["start"], spare=args["spare"]))
-            else:
-                plan.merge(FaultPlan.cascade(
-                    nodes, rate=args["rate"], duration=args["duration"],
-                    seed=fault_seed, downtime=args["downtime"],
-                    amplification=args["amplification"],
-                    start=args["start"], spare=args["spare"]))
+            lead = (_nodes_at(world, args.pop("sites")) if "sites" in args
+                    else world.topology.node_ids(),)
+            args["seed"] = seed + FAULT_SEED_STRIDE * (index + 1)
         elif fault.kind == "partition":
-            groups = [[n for site in group
-                       for n in world.topology.site(site).node_ids()]
-                      for group in args["groups"]]
-            plan.partition(groups, args["at"])
-            plan.heal(args["heal_at"])
-        elif fault.kind == "loss_burst":
-            plan.loss_burst(args["at"], args["duration"], args["loss"])
-        else:  # pragma: no cover - schema rejects unknown kinds
-            raise ValueError(f"unknown fault kind {fault.kind!r}")
+            args["groups"] = [_nodes_at(world, group)
+                              for group in args["groups"]]
+        plan.merge(FAULT_KINDS[fault.kind].build(*lead, **args))
     return plan
 
 
@@ -346,7 +255,7 @@ def build_world(world: Union[World, str, dict], seed: Optional[int] = None, *,
         use_gossip=world.services.gossip,
         ransub_period=world.services.ransub_period)
     for spec in world.objects:
-        builder.add_object(spec.object_id, compile_config(spec.config),
+        builder.add_object(spec.object_id, CONFIG.build(**spec.config),
                            top_layer=resolve_top_layer(spec, world))
     plan = compile_fault_plan(world, seed)
     populations = compile_populations(world)

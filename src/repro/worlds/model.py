@@ -94,8 +94,9 @@ class ObjectSpec:
     ``top_layer_nodes``/``top_layer_sites`` pin a static top layer (site
     form resolves to the first node of each listed site — the paper's
     "far apart" writers); both ``None`` leaves the object on the dynamic
-    temperature overlay.  ``config`` holds the raw (already validated)
-    IDEA knobs; the compiler turns it into an ``IdeaConfig``.
+    temperature overlay.  ``config`` holds the validated keyword arguments
+    of ``IdeaConfig`` (enum members and metric objects included); the
+    compiler constructs one per build.
     """
 
     object_id: str
@@ -113,7 +114,8 @@ class PopulationSpec:
     model: str = "open"                       # "open" | "closed"
     region: Optional[str] = None
     sites: Optional[Tuple[str, ...]] = None   # None+None -> every node
-    popularity: Dict[str, object] = field(default_factory=dict)
+    popularity: Dict[str, object] = field(
+        default_factory=lambda: {"kind": "uniform"})
     mix: Dict[str, object] = field(default_factory=dict)
     rate: Optional[Dict[str, object]] = None
     think_time: float = 1.0

@@ -41,26 +41,41 @@ The document format (version 1)::
       "services": {"gossip": false, "ransub_period": 5.0},
       "fingerprint": {"seed": 7, "horizon": 10.0, ...}
     }
+
+Each section below is declared once, as a table of fields; a new popularity,
+rate or fault kind is one entry in its ``*_KINDS`` table (its fields and the
+constructor that realises it) and nothing anywhere else.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+import operator
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.core.config import (AdaptationMode, ConsistencyMetricSpec,
+                               IdeaConfig, MetricWeights, ResolutionStrategy)
+from repro.scenarios.plan import FaultPlan
+from repro.workloads.clients import OpMix
+from repro.workloads.phases import (ConstantRate, DiurnalRate, FlashCrowdRate,
+                                    RampRate)
+from repro.workloads.popularity import (RotatingHotspot, UniformPopularity,
+                                        ZipfPopularity)
 from repro.worlds.errors import WorldValidationError
 from repro.worlds.model import (FaultSpec, FingerprintSpec, LinkSpec,
                                 ObjectSpec, PopulationSpec, ServicesSpec,
                                 SiteSpec, TierSpec, TopologySpec, TrafficSpec,
                                 World, WORLD_VERSION)
 
-# --------------------------------------------------------------- primitives
+# ------------------------------------------------------------ the validator
 
 def _fail(path: str, reason: str) -> None:
     raise WorldValidationError(path, reason)
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _join(path: str, key: str) -> str:
+    return key if path == "$" else f"{path}.{key}"
 
 
 def _mapping(value: Any, path: str) -> Mapping:
@@ -69,578 +84,438 @@ def _mapping(value: Any, path: str) -> Mapping:
     return value
 
 
-def _reject_unknown(doc: Mapping, allowed: Sequence[str], path: str) -> None:
-    for key in doc:
-        if key not in allowed:
-            _fail(f"{path}.{key}" if path != "$" else key,
-                  f"unknown key {key!r} (allowed: {', '.join(sorted(allowed))})")
+def _known(name: str, path: str, ref: str, refs: dict) -> None:
+    if name not in refs[ref]:
+        hint = ("ids are '<site>-<i>'" if ref == "node" else
+                f"declared: {', '.join(sorted(refs[ref])) or 'none'}")
+        _fail(path, f"unknown {ref} {name!r} ({hint})")
 
 
-def _string(doc: Mapping, key: str, path: str, *, required: bool = False,
-            default: Optional[str] = None) -> Optional[str]:
-    if key not in doc:
-        if required:
-            _fail(path, f"missing required key {key!r}")
-        return default
-    value = doc[key]
-    if not isinstance(value, str) or not value:
-        _fail(f"{path}.{key}", "expected a non-empty string")
+@dataclass(frozen=True)
+class Field:
+    """One key of a record: its type, presence, bounds and references.
+
+    ``type`` picks the branch of :func:`_read`; ``of`` is what a compound
+    type is made of — the element Field of a ``list`` / ``map``, the Record
+    of an ``obj``, the kinds table of a ``kind`` (which reads as ``{"kind":
+    kind, **validated arguments}``, see :func:`build_kind`), the literals of
+    a ``choice`` (or an Enum: its values are the literals and the member is
+    what is read, since that is what the constructor takes).
+    """
+
+    type: str
+    of: Any = None
+    required: bool = False
+    nullable: bool = False
+    ge: Optional[float] = None
+    gt: Optional[float] = None
+    le: Optional[float] = None
+    lt: Optional[float] = None
+    #: str, names: must be a declared ``site`` / ``node`` / ``region``
+    ref: Optional[str] = None
+    #: str: the empty string is a value too
+    blank: bool = False
+    #: names: exactly this many
+    count: Optional[int] = None
+    #: list: at least one entry
+    non_empty: bool = False
+    #: kind: the ``refs`` entries every ``build`` of the table takes first;
+    #: None when a build needs what only the compiler resolves
+    lead: Optional[Tuple[str, ...]] = ()
+
+
+Str = partial(Field, "str")
+Num = partial(Field, "num")
+Int = partial(Field, "int")
+Bool = partial(Field, "bool")
+Choice = partial(Field, "choice")
+Names = partial(Field, "names")     # a non-empty array of names, as a tuple
+Items = partial(Field, "list")
+Map = partial(Field, "map")
+Obj = partial(Field, "obj")
+Kinded = partial(Field, "kind")
+
+
+@dataclass(frozen=True)
+class Record:
+    """One JSON object: its fields, and what its validated values become.
+
+    ``make`` (a section's dataclass) replaces the values with what it
+    returns.  ``build`` is the constructor in the running system that a kind
+    or a ``config`` block stands for: the values stay a plain dict of its
+    arguments — a world is data — and the compiler calls it; the parser
+    calls it once as well, so whatever it refuses surfaces here, with a
+    path, and a document that validates is one that builds.  Keys the
+    document omits are omitted from the call: the only default is the
+    constructor's own.  ``check`` holds the rules that span fields.
+    """
+
+    fields: Mapping[str, Field]
+    make: Optional[Callable] = None
+    build: Optional[Callable] = None
+    check: Optional[Callable[[Any, str, dict], None]] = None
+
+
+def _record(doc: Any, path: str, record: Record, refs: dict,
+            lead: Optional[tuple] = ()) -> Any:
+    """Validate ``doc`` against ``record``; ``lead`` are ``build``'s leading
+    positional arguments (None: not buildable from the document alone)."""
+    for key in _mapping(doc, path):
+        if key not in record.fields:
+            _fail(_join(path, key), f"unknown key {key!r} (allowed: "
+                                    f"{', '.join(sorted(record.fields))})")
+    values: Dict[str, Any] = {}
+    for key, field in record.fields.items():
+        if key not in doc:
+            if field.required:
+                _fail(path, f"missing required key {key!r}")
+        elif doc[key] is not None:
+            values[key] = _read(field, doc[key], _join(path, key), refs)
+        elif field.nullable:
+            values[key] = None
+        else:
+            _fail(_join(path, key), "must not be null")
+    made: Any = values
+    try:
+        if record.build is not None and lead is not None:
+            record.build(*lead, **values)
+        if record.make is not None:
+            made = record.make(**values)
+    except (ValueError, ArithmeticError) as exc:  # e.g. zipf skew 1e6 overflows
+        _fail(path, str(exc))
+    if record.check is not None:
+        record.check(made, path, refs)
+    return made
+
+
+def _read(field: Field, value: Any, path: str, refs: dict) -> Any:
+    """The validated form of a non-null ``value``, or a failure at ``path``."""
+    kind, of = field.type, field.of
+    if kind == "obj":
+        return _record(value, path, of, refs)
+    if kind == "kind":
+        if "kind" not in _mapping(value, path):
+            _fail(path, "missing required key 'kind'")
+        name = value["kind"]
+        if not isinstance(name, str) or name not in of:
+            _fail(f"{path}.kind",
+                  f"unknown kind {name!r} (one of: {', '.join(of)})")
+        arguments = {key: entry for key, entry in value.items()
+                     if key != "kind"}
+        lead = (None if field.lead is None
+                else tuple(refs[ref] for ref in field.lead))
+        return {"kind": name, **_record(arguments, path, of[name], refs, lead)}
+    if kind == "map":
+        return {key: _read(of, entry, f"{path}.{key}", refs)
+                for key, entry in _mapping(value, path).items()}
+    if kind in ("list", "names"):
+        if not isinstance(value, list):
+            _fail(path, f"expected an array, got {type(value).__name__}")
+        if not value and (field.non_empty or kind == "names"):
+            _fail(path, "expected a non-empty array (at least 1 item)")
+        if kind == "names":
+            if field.count is not None and len(value) != field.count:
+                _fail(path, f"expected exactly {field.count} names, "
+                            f"got {len(value)}")
+            of = Str(ref=field.ref)
+        entries = [_read(of, entry, f"{path}[{i}]", refs)
+                   for i, entry in enumerate(value)]
+        return tuple(entries) if kind == "names" else entries
+    if kind == "choice":
+        table = ({member.value: member for member in of}
+                 if isinstance(of, type) else dict(zip(of, of)))
+        if (isinstance(value, bool) or not isinstance(value, (str, int))
+                or value not in table):
+            _fail(path, f"expected one of {', '.join(map(str, table))}, "
+                        f"got {value!r}")
+        return table[value]
+    if kind == "bool":
+        if not isinstance(value, bool):
+            _fail(path, f"expected a boolean, got {type(value).__name__}")
+        return value
+    if kind == "str":
+        if not isinstance(value, str) or not (value or field.blank):
+            _fail(path, "expected a string" if field.blank
+                  else "expected a non-empty string")
+        if field.ref is not None:
+            _known(value, path, field.ref, refs)
+        return value
+    whole = kind == "int"
+    if isinstance(value, bool) or not isinstance(value,
+                                                 int if whole else (int, float)):
+        _fail(path, f"expected {'an integer' if whole else 'a number'}, "
+                    f"got {type(value).__name__}")
+    if not whole:
+        value = float(value)
+    for symbol, bound, holds in ((">=", field.ge, operator.ge),
+                                 (">", field.gt, operator.gt),
+                                 ("<=", field.le, operator.le),
+                                 ("<", field.lt, operator.lt)):
+        if bound is not None and not holds(value, bound):
+            _fail(path, f"must be {symbol} {bound:g}, got {value:g}")
     return value
 
 
-def _number(doc: Mapping, key: str, path: str, *, required: bool = False,
-            default: Optional[float] = None, minimum: Optional[float] = None,
-            exclusive_minimum: Optional[float] = None,
-            below_one: bool = False,
-            maximum: Optional[float] = None,
-            nullable: bool = False) -> Optional[float]:
-    if key not in doc:
-        if required:
-            _fail(path, f"missing required key {key!r}")
-        return default
-    value = doc[key]
-    here = f"{path}.{key}"
-    if value is None:
-        if nullable:
-            return None
-        _fail(here, "must not be null")
-    if not _is_number(value):
-        _fail(here, f"expected a number, got {type(value).__name__}")
-    value = float(value)
-    if minimum is not None and value < minimum:
-        _fail(here, f"must be >= {minimum:g}, got {value:g}")
-    if exclusive_minimum is not None and value <= exclusive_minimum:
-        _fail(here, f"must be > {exclusive_minimum:g}, got {value:g}")
-    if maximum is not None and value > maximum:
-        _fail(here, f"must be <= {maximum:g}, got {value:g}")
-    if below_one and value >= 1.0:
-        _fail(here, f"must be < 1, got {value:g}")
-    return value
+def build_kind(kinds: Mapping[str, Record], value: Mapping[str, Any],
+               *lead: Any) -> Any:
+    """Realise a validated ``{"kind": ..., **arguments}`` through its table."""
+    arguments = dict(value)
+    return kinds[arguments.pop("kind")].build(*lead, **arguments)
 
 
-def _integer(doc: Mapping, key: str, path: str, *, required: bool = False,
-             default: Optional[int] = None,
-             minimum: Optional[int] = None,
-             nullable: bool = False) -> Optional[int]:
-    if key not in doc:
-        if required:
-            _fail(path, f"missing required key {key!r}")
-        return default
-    value = doc[key]
-    here = f"{path}.{key}"
-    if value is None:
-        if nullable:
-            return None
-        _fail(here, "must not be null")
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(here, f"expected an integer, got {type(value).__name__}")
-    if minimum is not None and value < minimum:
-        _fail(here, f"must be >= {minimum}, got {value}")
-    return value
+# ---------------------------------------------------- rules that span fields
 
-
-def _boolean(doc: Mapping, key: str, path: str, *,
-             default: bool = False) -> bool:
-    if key not in doc:
-        return default
-    value = doc[key]
-    if not isinstance(value, bool):
-        _fail(f"{path}.{key}", f"expected a boolean, got {type(value).__name__}")
-    return value
-
-
-def _string_list(value: Any, path: str, *, min_items: int = 1) -> List[str]:
-    if not isinstance(value, list):
-        _fail(path, f"expected an array, got {type(value).__name__}")
-    if len(value) < min_items:
-        _fail(path, f"needs at least {min_items} item(s)")
-    out: List[str] = []
-    for i, item in enumerate(value):
-        if not isinstance(item, str) or not item:
-            _fail(f"{path}[{i}]", "expected a non-empty string")
-        out.append(item)
-    return out
-
-
-# ----------------------------------------------------------------- topology
-
-def _parse_site(doc: Any, path: str) -> SiteSpec:
-    doc = _mapping(doc, path)
-    _reject_unknown(doc, ("name", "x", "y", "nodes", "region", "tier"), path)
-    return SiteSpec(
-        name=_string(doc, "name", path, required=True),
-        x=_number(doc, "x", path, required=True),
-        y=_number(doc, "y", path, required=True),
-        nodes=_integer(doc, "nodes", path, required=True, minimum=1),
-        region=_string(doc, "region", path),
-        tier=_string(doc, "tier", path))
-
-
-def _parse_tier(doc: Any, path: str) -> TierSpec:
-    doc = _mapping(doc, path)
-    _reject_unknown(doc, ("latency_scale", "jitter_sigma", "loss"), path)
-    return TierSpec(
-        latency_scale=_number(doc, "latency_scale", path, default=1.0,
-                              exclusive_minimum=0.0),
-        jitter_sigma=_number(doc, "jitter_sigma", path, minimum=0.0),
-        loss=_number(doc, "loss", path, default=0.0, minimum=0.0,
-                     below_one=True))
-
-
-def _parse_link(doc: Any, path: str, site_names: Sequence[str]) -> LinkSpec:
-    doc = _mapping(doc, path)
-    _reject_unknown(doc, ("between", "latency", "latency_scale",
-                          "jitter_sigma", "loss"), path)
-    if "between" not in doc:
-        _fail(path, "missing required key 'between'")
-    pair = _string_list(doc["between"], f"{path}.between", min_items=2)
-    if len(pair) != 2:
-        _fail(f"{path}.between", f"expected exactly 2 site names, got {len(pair)}")
-    for i, name in enumerate(pair):
-        if name not in site_names:
-            _fail(f"{path}.between[{i}]", f"unknown site {name!r}")
-    if pair[0] == pair[1]:
-        _fail(f"{path}.between", "link endpoints must be two different sites")
-    return LinkSpec(
-        between=(pair[0], pair[1]),
-        latency=_number(doc, "latency", path, minimum=0.0),
-        latency_scale=_number(doc, "latency_scale", path,
-                              exclusive_minimum=0.0),
-        jitter_sigma=_number(doc, "jitter_sigma", path, minimum=0.0),
-        loss=_number(doc, "loss", path, default=0.0, minimum=0.0,
-                     below_one=True))
-
-
-def _parse_topology(doc: Any, path: str) -> TopologySpec:
-    doc = _mapping(doc, path)
-    _reject_unknown(doc, ("sites", "tiers", "links", "jitter_sigma",
-                          "min_jitter"), path)
-    if "sites" not in doc:
-        _fail(path, "missing required key 'sites'")
-    raw_sites = doc["sites"]
-    if not isinstance(raw_sites, list) or not raw_sites:
-        _fail(f"{path}.sites", "expected a non-empty array of sites")
-    sites = [_parse_site(site, f"{path}.sites[{i}]")
-             for i, site in enumerate(raw_sites)]
-    names = [s.name for s in sites]
+def _unique(names: List[str], path: str, key: str, what: str) -> None:
     for i, name in enumerate(names):
         if name in names[:i]:
-            _fail(f"{path}.sites[{i}].name", f"duplicate site name {name!r}")
-    if sum(s.nodes for s in sites) < 2:
+            _fail(f"{path}[{i}].{key}", f"duplicate {what} {name!r}")
+
+
+def _check_topology(topology: TopologySpec, path: str, refs: dict) -> None:
+    names = [site.name for site in topology.sites]
+    _unique(names, f"{path}.sites", "name", "site name")
+    if sum(site.nodes for site in topology.sites) < 2:
         _fail(f"{path}.sites", "a world needs at least 2 nodes in total")
-
-    tiers: Dict[str, TierSpec] = {}
-    if "tiers" in doc:
-        raw_tiers = _mapping(doc["tiers"], f"{path}.tiers")
-        for tier_name, tier_doc in raw_tiers.items():
-            tiers[tier_name] = _parse_tier(tier_doc, f"{path}.tiers.{tier_name}")
-    for i, site in enumerate(sites):
-        if site.tier is not None and site.tier not in tiers:
-            _fail(f"{path}.sites[{i}].tier",
-                  f"unknown tier {site.tier!r} (declared: "
-                  f"{', '.join(sorted(tiers)) or 'none'})")
-
-    links: List[LinkSpec] = []
-    if "links" in doc:
-        raw_links = doc["links"]
-        if not isinstance(raw_links, list):
-            _fail(f"{path}.links", "expected an array of links")
-        seen: set = set()
-        for i, link_doc in enumerate(raw_links):
-            link = _parse_link(link_doc, f"{path}.links[{i}]", names)
-            key = tuple(sorted(link.between))
-            if key in seen:
-                _fail(f"{path}.links[{i}].between",
-                      f"duplicate link between {key[0]!r} and {key[1]!r}")
-            seen.add(key)
-            links.append(link)
-
-    return TopologySpec(
-        sites=sites, tiers=tiers, links=links,
-        jitter_sigma=_number(doc, "jitter_sigma", path, default=0.25,
-                             minimum=0.0),
-        min_jitter=_number(doc, "min_jitter", path, default=0.5,
-                           exclusive_minimum=0.0, maximum=1.0))
+    refs.update(site=names, node=set(topology.node_ids()),
+                region=topology.regions(), tier=topology.tiers)
+    for i, site in enumerate(topology.sites):
+        if site.tier is not None:
+            _known(site.tier, f"{path}.sites[{i}].tier", "tier", refs)
+    seen: set = set()
+    for i, link in enumerate(topology.links):
+        where = f"{path}.links[{i}].between"
+        for j, name in enumerate(link.between):
+            _known(name, f"{where}[{j}]", "site", refs)
+        a, b = sorted(link.between)
+        if a == b:
+            _fail(where, "link endpoints must be two different sites")
+        if (a, b) in seen:
+            _fail(where, f"duplicate link between {a!r} and {b!r}")
+        seen.add((a, b))
 
 
-# ---------------------------------------------------------------- placement
-
-_CONFIG_KEYS = ("mode", "hint_level", "hint_delta", "background_period",
-                "resolution_strategy", "weights", "metric")
-_MODES = ("on_demand", "hint_based", "automatic")
+def _check_top_layer(top: dict, path: str, refs: dict) -> None:
+    if len(top) != 1:
+        _fail(path, "give exactly one of 'nodes' or 'sites'")
 
 
-def _parse_config(doc: Any, path: str) -> Dict[str, Any]:
-    doc = _mapping(doc, path)
-    _reject_unknown(doc, _CONFIG_KEYS, path)
-    mode = _string(doc, "mode", path)
-    if mode is not None and mode not in _MODES:
-        _fail(f"{path}.mode", f"unknown mode {mode!r} (one of: {', '.join(_MODES)})")
-    _number(doc, "hint_level", path, minimum=0.0, maximum=1.0)
-    _number(doc, "hint_delta", path, minimum=0.0)
-    _number(doc, "background_period", path, exclusive_minimum=0.0,
-            nullable=True)
-    strategy = _integer(doc, "resolution_strategy", path)
-    if strategy is not None and strategy not in (1, 2, 3):
-        _fail(f"{path}.resolution_strategy",
-              f"must be 1, 2 or 3 (got {strategy})")
-    if "weights" in doc:
-        weights = _mapping(doc["weights"], f"{path}.weights")
-        _reject_unknown(weights, ("numerical", "order", "staleness"),
-                        f"{path}.weights")
-        for key in ("numerical", "order", "staleness"):
-            _number(weights, key, f"{path}.weights", minimum=0.0)
-    if "metric" in doc:
-        metric = _mapping(doc["metric"], f"{path}.metric")
-        _reject_unknown(metric, ("max_numerical", "max_order",
-                                 "max_staleness"), f"{path}.metric")
-        for key in ("max_numerical", "max_order", "max_staleness"):
-            _number(metric, key, f"{path}.metric", exclusive_minimum=0.0)
-    return dict(doc)
+def _check_placement(placement: dict, path: str, refs: dict) -> None:
+    objects = placement["objects"]
+    _unique([o.object_id for o in objects], f"{path}.objects", "id",
+            "object id")
+    refs["objects"] = len(objects)
 
 
-def _parse_object(doc: Any, path: str, topology: TopologySpec) -> ObjectSpec:
-    doc = _mapping(doc, path)
-    _reject_unknown(doc, ("id", "top_layer", "config"), path)
-    object_id = _string(doc, "id", path, required=True)
-    top_nodes: Optional[Tuple[str, ...]] = None
-    top_sites: Optional[Tuple[str, ...]] = None
-    if doc.get("top_layer") is not None:
-        top = _mapping(doc["top_layer"], f"{path}.top_layer")
-        _reject_unknown(top, ("nodes", "sites"), f"{path}.top_layer")
-        if ("nodes" in top) == ("sites" in top):
-            _fail(f"{path}.top_layer",
-                  "give exactly one of 'nodes' or 'sites'")
-        if "nodes" in top:
-            nodes = _string_list(top["nodes"], f"{path}.top_layer.nodes")
-            known = set(topology.node_ids())
-            for i, node in enumerate(nodes):
-                if node not in known:
-                    _fail(f"{path}.top_layer.nodes[{i}]",
-                          f"unknown node {node!r} (ids are '<site>-<i>')")
-            top_nodes = tuple(nodes)
-        else:
-            sites = _string_list(top["sites"], f"{path}.top_layer.sites")
-            names = {s.name for s in topology.sites}
-            for i, site in enumerate(sites):
-                if site not in names:
-                    _fail(f"{path}.top_layer.sites[{i}]",
-                          f"unknown site {site!r}")
-            top_sites = tuple(sites)
-    config = (_parse_config(doc["config"], f"{path}.config")
-              if "config" in doc else {})
-    return ObjectSpec(object_id=object_id, config=config,
-                      top_layer_nodes=top_nodes, top_layer_sites=top_sites)
-
-
-def _parse_placement(doc: Any, path: str,
-                     topology: TopologySpec) -> List[ObjectSpec]:
-    doc = _mapping(doc, path)
-    _reject_unknown(doc, ("objects",), path)
-    if "objects" not in doc:
-        _fail(path, "missing required key 'objects'")
-    raw = doc["objects"]
-    if not isinstance(raw, list) or not raw:
-        _fail(f"{path}.objects", "expected a non-empty array of objects")
-    objects = [_parse_object(o, f"{path}.objects[{i}]", topology)
-               for i, o in enumerate(raw)]
-    ids = [o.object_id for o in objects]
-    for i, object_id in enumerate(ids):
-        if object_id in ids[:i]:
-            _fail(f"{path}.objects[{i}].id",
-                  f"duplicate object id {object_id!r}")
-    return objects
-
-
-# ------------------------------------------------------------------ traffic
-
-# per kind: (required numeric keys, optional numeric keys)
-_POPULARITY_KINDS = {
-    "uniform": ((), ()),
-    "zipf": ((), ("skew",)),
-    "hotspot": (("rotate_period",), ("hot_weight",)),
-}
-_RATE_KINDS = {
-    "constant": (("rate",), ()),
-    "ramp": (("start_rate", "end_rate", "duration"), ("t0",)),
-    "diurnal": (("base_rate",), ("amplitude", "period", "phase")),
-    "flash_crowd": (("base_rate", "peak_rate", "at"),
-                    ("ramp", "hold", "decay")),
-}
-
-
-def _parse_kinded(doc: Any, path: str,
-                  kinds: Mapping[str, Tuple[Sequence[str], Sequence[str]]],
-                  what: str) -> Dict[str, Any]:
-    doc = _mapping(doc, path)
-    kind = _string(doc, "kind", path, required=True)
-    if kind not in kinds:
-        _fail(f"{path}.kind",
-              f"unknown {what} kind {kind!r} (one of: {', '.join(sorted(kinds))})")
-    required, optional = kinds[kind]
-    _reject_unknown(doc, ("kind",) + tuple(required) + tuple(optional), path)
-    for key in required:
-        _number(doc, key, path, required=True, minimum=0.0)
-    for key in optional:
-        if key in doc:
-            _number(doc, key, path, minimum=0.0)
-    return dict(doc)
-
-
-def _parse_population(doc: Any, path: str,
-                      topology: TopologySpec) -> PopulationSpec:
-    doc = _mapping(doc, path)
-    _reject_unknown(doc, ("name", "clients", "model", "region", "sites",
-                          "popularity", "mix", "rate", "think_time",
-                          "snapshot_reads"), path)
-    name = _string(doc, "name", path, required=True)
-    model = _string(doc, "model", path, default="open")
-    if model not in ("open", "closed"):
-        _fail(f"{path}.model", f"must be 'open' or 'closed', got {model!r}")
-    region = _string(doc, "region", path)
-    sites: Optional[Tuple[str, ...]] = None
-    if region is not None and "sites" in doc:
+def _check_population(pop: PopulationSpec, path: str, refs: dict) -> None:
+    if pop.region is not None and pop.sites is not None:
         _fail(path, "give at most one of 'region' and 'sites'")
-    if region is not None and region not in topology.regions():
-        declared = sorted(topology.regions()) or ["none"]
-        _fail(f"{path}.region",
-              f"no site declares region {region!r} (declared: "
-              f"{', '.join(declared)})")
-    if "sites" in doc:
-        listed = _string_list(doc["sites"], f"{path}.sites")
-        names = {s.name for s in topology.sites}
-        for i, site in enumerate(listed):
-            if site not in names:
-                _fail(f"{path}.sites[{i}]", f"unknown site {site!r}")
-        sites = tuple(listed)
-    popularity = (_parse_kinded(doc["popularity"], f"{path}.popularity",
-                                _POPULARITY_KINDS, "popularity")
-                  if "popularity" in doc else {"kind": "uniform"})
-    mix: Dict[str, Any] = {}
-    if "mix" in doc:
-        raw_mix = _mapping(doc["mix"], f"{path}.mix")
-        _reject_unknown(raw_mix, ("read_fraction",), f"{path}.mix")
-        _number(raw_mix, "read_fraction", f"{path}.mix", minimum=0.0,
-                maximum=1.0)
-        mix = dict(raw_mix)
-    rate = None
-    if "rate" in doc:
-        rate = _parse_kinded(doc["rate"], f"{path}.rate", _RATE_KINDS, "rate")
-    if model == "open" and rate is None:
+    if pop.model == "open" and pop.rate is None:
         _fail(path, "open-loop populations need a 'rate' schedule")
-    return PopulationSpec(
-        name=name,
-        clients=_integer(doc, "clients", path, required=True, minimum=1),
-        model=model, region=region, sites=sites, popularity=popularity,
-        mix=mix, rate=rate,
-        think_time=_number(doc, "think_time", path, default=1.0,
-                           exclusive_minimum=0.0),
-        snapshot_reads=_boolean(doc, "snapshot_reads", path))
 
 
-def _parse_traffic(doc: Any, path: str, topology: TopologySpec) -> TrafficSpec:
-    doc = _mapping(doc, path)
-    _reject_unknown(doc, ("populations", "max_ops", "collect_metrics"), path)
-    populations: List[PopulationSpec] = []
-    if "populations" in doc:
-        raw = doc["populations"]
-        if not isinstance(raw, list):
-            _fail(f"{path}.populations", "expected an array of populations")
-        populations = [_parse_population(p, f"{path}.populations[{i}]", topology)
-                       for i, p in enumerate(raw)]
-        names = [p.name for p in populations]
-        for i, name in enumerate(names):
-            if name in names[:i]:
-                _fail(f"{path}.populations[{i}].name",
-                      f"duplicate population name {name!r}")
-    return TrafficSpec(
-        populations=populations,
-        max_ops=_integer(doc, "max_ops", path, minimum=1, nullable=True),
-        collect_metrics=_boolean(doc, "collect_metrics", path))
+def _check_traffic(traffic: TrafficSpec, path: str, refs: dict) -> None:
+    _unique([p.name for p in traffic.populations], f"{path}.populations",
+            "name", "population name")
 
 
-# ------------------------------------------------------------------- faults
-
-def _parse_fault(doc: Any, path: str, topology: TopologySpec) -> FaultSpec:
-    doc = _mapping(doc, path)
-    kind = _string(doc, "kind", path, required=True)
-    site_names = {s.name for s in topology.sites}
-    args: Dict[str, Any] = {}
-
-    def site_ref(key: str, *, required: bool = False) -> Optional[str]:
-        site = _string(doc, key, path, required=required)
-        if site is not None and site not in site_names:
-            _fail(f"{path}.{key}", f"unknown site {site!r}")
-        return site
-
-    if kind == "crash":
-        _reject_unknown(doc, ("kind", "node", "at", "recover_at"), path)
-        node = _string(doc, "node", path, required=True)
-        if node not in topology.node_ids():
-            _fail(f"{path}.node", f"unknown node {node!r} (ids are '<site>-<i>')")
-        at = _number(doc, "at", path, required=True, minimum=0.0)
-        recover_at = _number(doc, "recover_at", path, exclusive_minimum=0.0)
-        if recover_at is not None and recover_at <= at:
-            _fail(f"{path}.recover_at", "must come after 'at'")
-        args = {"node": node, "at": at, "recover_at": recover_at}
-    elif kind == "site_blast":
-        _reject_unknown(doc, ("kind", "site", "at", "down_for", "stagger",
-                              "crash_stagger"), path)
-        args = {
-            "site": site_ref("site", required=True),
-            "at": _number(doc, "at", path, required=True, minimum=0.0),
-            "down_for": _number(doc, "down_for", path, required=True,
-                                exclusive_minimum=0.0),
-            "stagger": _number(doc, "stagger", path, default=0.5, minimum=0.0),
-            "crash_stagger": _number(doc, "crash_stagger", path, default=0.0,
-                                     minimum=0.0),
-        }
-    elif kind in ("churn", "cascade"):
-        allowed = ["kind", "rate", "duration", "start", "downtime", "spare",
-                   "sites"]
-        if kind == "cascade":
-            allowed.append("amplification")
-        _reject_unknown(doc, tuple(allowed), path)
-        sites = None
-        if "sites" in doc:
-            listed = _string_list(doc["sites"], f"{path}.sites")
-            for i, site in enumerate(listed):
-                if site not in site_names:
-                    _fail(f"{path}.sites[{i}]", f"unknown site {site!r}")
-            sites = tuple(listed)
-        args = {
-            "rate": _number(doc, "rate", path, required=True,
-                            exclusive_minimum=0.0),
-            "duration": _number(doc, "duration", path, required=True,
-                                exclusive_minimum=0.0),
-            "start": _number(doc, "start", path, default=0.0, minimum=0.0),
-            "downtime": _number(doc, "downtime", path, default=20.0,
-                                exclusive_minimum=0.0),
-            "spare": _integer(doc, "spare", path, default=1, minimum=1),
-            "sites": sites,
-        }
-        if kind == "cascade":
-            args["amplification"] = _number(doc, "amplification", path,
-                                            default=2.0, minimum=0.0)
-    elif kind == "partition":
-        _reject_unknown(doc, ("kind", "at", "heal_at", "groups"), path)
-        at = _number(doc, "at", path, required=True, minimum=0.0)
-        heal_at = _number(doc, "heal_at", path, required=True,
-                          exclusive_minimum=0.0)
-        if heal_at <= at:
-            _fail(f"{path}.heal_at", "must come after 'at'")
-        if "groups" not in doc:
-            _fail(path, "missing required key 'groups'")
-        raw_groups = doc["groups"]
-        if not isinstance(raw_groups, list) or not raw_groups:
-            _fail(f"{path}.groups",
-                  "expected a non-empty array of site-name groups")
-        groups: List[Tuple[str, ...]] = []
-        seen: set = set()
-        for i, group in enumerate(raw_groups):
-            listed = _string_list(group, f"{path}.groups[{i}]")
-            for j, site in enumerate(listed):
-                if site not in site_names:
-                    _fail(f"{path}.groups[{i}][{j}]", f"unknown site {site!r}")
-                if site in seen:
-                    _fail(f"{path}.groups[{i}][{j}]",
-                          f"site {site!r} listed in two groups")
-                seen.add(site)
-            groups.append(tuple(listed))
-        args = {"at": at, "heal_at": heal_at, "groups": tuple(groups)}
-    elif kind == "loss_burst":
-        _reject_unknown(doc, ("kind", "at", "duration", "loss"), path)
-        args = {
-            "at": _number(doc, "at", path, required=True, minimum=0.0),
-            "duration": _number(doc, "duration", path, required=True,
-                                exclusive_minimum=0.0),
-            "loss": _number(doc, "loss", path, required=True, minimum=0.0,
-                            below_one=True),
-        }
-    else:
-        known = "crash, site_blast, churn, cascade, partition, loss_burst"
-        _fail(f"{path}.kind", f"unknown fault kind {kind!r} (one of: {known})")
-    return FaultSpec(kind=kind, args=args)
+def _after_at(key: str) -> Callable[[dict, str, dict], None]:
+    def check(fault: dict, path: str, refs: dict) -> None:
+        if key in fault and fault[key] <= fault["at"]:
+            _fail(f"{path}.{key}", "must come after 'at'")
+    return check
 
 
-def _check_fault_windows(faults: List[FaultSpec], path: str) -> None:
+def _check_partition(fault: dict, path: str, refs: dict) -> None:
+    _after_at("heal_at")(fault, path, refs)
+    seen: set = set()
+    for i, group in enumerate(fault["groups"]):
+        for j, site in enumerate(group):
+            if site in seen:
+                _fail(f"{path}.groups[{i}][{j}]",
+                      f"site {site!r} listed in two groups")
+            seen.add(site)
+
+
+#: kinds whose windows must not overlap: kind -> (key ending the window,
+#: whether that key is a length rather than a time, key scoping the rule
+#: to one target, why the substrate cannot compose two of them)
+_EXCLUSIVE_WINDOWS = {
+    "partition": ("heal_at", False, None,
+                  "the network supports one partition at a time"),
+    "loss_burst": ("duration", True, None,
+                   "bursts share one global loss probability and must not "
+                   "nest"),
+    "site_blast": ("down_for", True, "site",
+                   "a site cannot go down twice at once"),
+}
+
+
+def _check_fault_windows(faults: List[dict], path: str) -> None:
     """Reject overlapping windows the substrate cannot compose.
 
-    The network carries **one** partition at a time (``Network.partition``
-    replaces the previous grouping) and one global loss probability, and a
-    site already down cannot blast again — so overlapping windows of the
-    same kind are almost certainly an authoring mistake; name the second
-    entry's path.
+    ``Network.partition`` replaces the previous grouping, there is one
+    global loss probability, and a site already down cannot blast again — so
+    two overlapping windows of one kind are almost certainly an authoring
+    mistake; name the second entry's path.
     """
-    def overlap(a0: float, a1: float, b0: float, b1: float) -> bool:
-        return a0 < b1 and b0 < a1
-
-    partitions: List[Tuple[float, float, int]] = []
-    bursts: List[Tuple[float, float, int]] = []
-    blasts: Dict[str, List[Tuple[float, float, int]]] = {}
+    windows: Dict[tuple, List[Tuple[float, float, int]]] = {}
     for i, fault in enumerate(faults):
-        if fault.kind == "partition":
-            window = (fault.args["at"], fault.args["heal_at"], i)
-            for start, end, j in partitions:
-                if overlap(window[0], window[1], start, end):
-                    _fail(f"{path}[{i}].at",
-                          f"partition window overlaps faults[{j}] "
-                          f"({start:g}s..{end:g}s); the network supports one "
-                          f"partition at a time")
-            partitions.append(window)
-        elif fault.kind == "loss_burst":
-            window = (fault.args["at"],
-                      fault.args["at"] + fault.args["duration"], i)
-            for start, end, j in bursts:
-                if overlap(window[0], window[1], start, end):
-                    _fail(f"{path}[{i}].at",
-                          f"loss burst overlaps faults[{j}] "
-                          f"({start:g}s..{end:g}s); bursts share one global "
-                          f"loss probability and must not nest")
-            bursts.append(window)
-        elif fault.kind == "site_blast":
-            site = fault.args["site"]
-            window = (fault.args["at"],
-                      fault.args["at"] + fault.args["down_for"], i)
-            for start, end, j in blasts.get(site, []):
-                if overlap(window[0], window[1], start, end):
-                    _fail(f"{path}[{i}].at",
-                          f"site {site!r} blast overlaps faults[{j}] "
-                          f"({start:g}s..{end:g}s); a site cannot go down "
-                          f"twice at once")
-            blasts.setdefault(site, []).append(window)
-
-
-# -------------------------------------------------------------- fingerprint
-
-_FINGERPRINT_VALUE_KEYS = ("events", "writes", "ops", "sent", "delivered",
-                           "dropped", "state_hash")
-
-
-def _parse_fingerprint(doc: Any, path: str) -> FingerprintSpec:
-    doc = _mapping(doc, path)
-    _reject_unknown(doc, ("seed", "horizon") + _FINGERPRINT_VALUE_KEYS, path)
-    seed = _integer(doc, "seed", path, required=True)
-    horizon = _number(doc, "horizon", path, required=True,
-                      exclusive_minimum=0.0)
-    values: Dict[str, Any] = {}
-    for key in _FINGERPRINT_VALUE_KEYS:
-        if key not in doc:
+        if fault["kind"] not in _EXCLUSIVE_WINDOWS:
             continue
-        value = doc[key]
-        if key == "state_hash":
-            if not isinstance(value, str):
-                _fail(f"{path}.state_hash", "expected a string digest")
-        elif not isinstance(value, int) or isinstance(value, bool):
-            _fail(f"{path}.{key}", "expected an integer counter")
-        values[key] = value
-    return FingerprintSpec(seed=seed, horizon=horizon, values=values)
+        end_key, is_length, scope_key, why = _EXCLUSIVE_WINDOWS[fault["kind"]]
+        start, scope = fault["at"], fault.get(scope_key)
+        end = fault[end_key] + (start if is_length else 0.0)
+        what = fault["kind"].replace("_", " ") + (f" of {scope!r}"
+                                                  if scope else "")
+        earlier = windows.setdefault((fault["kind"], scope), [])
+        for other_start, other_end, j in earlier:
+            if start < other_end and other_start < end:
+                _fail(f"{path}[{i}].at",
+                      f"{what} overlaps faults[{j}] "
+                      f"({other_start:g}s..{other_end:g}s); {why}")
+        earlier.append((start, end, i))
 
 
-# --------------------------------------------------------------------- root
+# ------------------------------------------------------------------- tables
 
-_TOP_KEYS = ("world", "name", "description", "defaults", "topology",
-             "placement", "traffic", "faults", "services", "fingerprint")
+_SHAPING = {"latency_scale": Num(gt=0), "jitter_sigma": Num(ge=0),
+            "loss": Num(ge=0, lt=1)}
+SITE = Record({"name": Str(required=True), "x": Num(required=True),
+               "y": Num(required=True), "nodes": Int(ge=1, required=True),
+               "region": Str(), "tier": Str()}, make=SiteSpec)
+TIER = Record(_SHAPING, make=TierSpec)
+LINK = Record({"between": Names(count=2, required=True),
+               "latency": Num(ge=0), **_SHAPING}, make=LinkSpec)
+TOPOLOGY = Record({"tiers": Map(Obj(TIER)),
+                   "sites": Items(Obj(SITE), non_empty=True, required=True),
+                   "links": Items(Obj(LINK)), "jitter_sigma": Num(ge=0),
+                   "min_jitter": Num(gt=0, le=1)},
+                  make=TopologySpec, check=_check_topology)
+
+#: the TACT-style <numerical, order, staleness> triple: weights and maxima
+WEIGHTS = Record(dict.fromkeys(("numerical", "order", "staleness"),
+                               Num(ge=0)), make=MetricWeights)
+MAXIMA = Record(dict.fromkeys(("max_numerical", "max_order", "max_staleness"),
+                              Num(gt=0)), make=ConsistencyMetricSpec)
+CONFIG = Record({"mode": Choice(AdaptationMode),
+                 "hint_level": Num(ge=0, le=1), "hint_delta": Num(ge=0),
+                 "background_period": Num(gt=0, nullable=True),
+                 "resolution_strategy": Choice(ResolutionStrategy),
+                 "weights": Obj(WEIGHTS), "metric": Obj(MAXIMA)},
+                build=IdeaConfig)
+
+
+def _object_spec(id: str, top_layer: Optional[dict] = None,
+                 config: Optional[dict] = None) -> ObjectSpec:
+    top = top_layer or {}
+    return ObjectSpec(object_id=id, config=config or {},
+                      top_layer_nodes=top.get("nodes"),
+                      top_layer_sites=top.get("sites"))
+
+
+TOP_LAYER = Record({"nodes": Names(ref="node"), "sites": Names(ref="site")},
+                   check=_check_top_layer)
+OBJECT = Record({"id": Str(required=True),
+                 "top_layer": Obj(TOP_LAYER, nullable=True),
+                 "config": Obj(CONFIG)}, make=_object_spec)
+PLACEMENT = Record({"objects": Items(Obj(OBJECT), non_empty=True,
+                                     required=True)}, check=_check_placement)
+
+_RATE = Num(ge=0, required=True)
+POPULARITY_KINDS = {
+    "uniform": Record({}, build=UniformPopularity),
+    "zipf": Record({"skew": Num(ge=0)}, build=ZipfPopularity),
+    "hotspot": Record({"rotate_period": Num(gt=0, required=True),
+                       "hot_weight": Num(gt=0, lt=1)}, build=RotatingHotspot),
+}
+RATE_KINDS = {
+    "constant": Record({"rate": _RATE}, build=ConstantRate),
+    "ramp": Record({"start_rate": _RATE, "end_rate": _RATE,
+                    "duration": Num(gt=0, required=True), "t0": Num(ge=0)},
+                   build=RampRate),
+    "diurnal": Record({"base_rate": _RATE, "amplitude": Num(ge=0, le=1),
+                       "period": Num(gt=0), "phase": Num(ge=0)},
+                      build=DiurnalRate),
+    # peak_rate >= base_rate spans two fields: FlashCrowdRate itself says so
+    "flash_crowd": Record({"base_rate": _RATE, "peak_rate": _RATE,
+                           "at": _RATE, "ramp": Num(gt=0), "hold": Num(ge=0),
+                           "decay": Num(gt=0)}, build=FlashCrowdRate),
+}
+MIX = Record({"read_fraction": Num(ge=0, le=1)}, build=OpMix)
+POPULATION = Record({
+    "name": Str(required=True), "clients": Int(ge=1, required=True),
+    "model": Choice(("open", "closed")), "region": Str(ref="region"),
+    "sites": Names(ref="site"),
+    "popularity": Kinded(POPULARITY_KINDS, lead=("objects",)),
+    "mix": Obj(MIX), "rate": Kinded(RATE_KINDS),
+    "think_time": Num(gt=0), "snapshot_reads": Bool()},
+    make=PopulationSpec, check=_check_population)
+TRAFFIC = Record({"populations": Items(Obj(POPULATION)),
+                  "max_ops": Int(ge=1, nullable=True),
+                  "collect_metrics": Bool()},
+                 make=TrafficSpec, check=_check_traffic)
+
+
+def _crash(node: str, at: float,
+           recover_at: Optional[float] = None) -> FaultPlan:
+    plan = FaultPlan().crash(node, at)
+    return plan if recover_at is None else plan.recover(node, recover_at)
+
+
+def _partition(groups: list, at: float, heal_at: float) -> FaultPlan:
+    return FaultPlan().partition(groups, at).heal(heal_at)
+
+
+def _loss_burst(at: float, duration: float, loss: float) -> FaultPlan:
+    return FaultPlan().loss_burst(at, duration, loss)
+
+
+_AT = Num(ge=0, required=True)
+_SPAN = Num(gt=0, required=True)
+_CHURN = {"rate": _SPAN, "duration": _SPAN, "start": Num(ge=0),
+          "downtime": Num(gt=0), "spare": Int(ge=1),
+          "sites": Names(ref="site")}
+#: every ``build`` returns a FaultPlan; the ones that take nodes take them
+#: first, and the compiler expands ``site`` / ``sites`` / ``groups`` to nodes
+FAULT_KINDS = {
+    "crash": Record({"node": Str(ref="node", required=True), "at": _AT,
+                     "recover_at": Num(gt=0)},
+                    build=_crash, check=_after_at("recover_at")),
+    "site_blast": Record({"site": Str(ref="site", required=True), "at": _AT,
+                          "down_for": _SPAN, "stagger": Num(ge=0),
+                          "crash_stagger": Num(ge=0)},
+                         build=FaultPlan.site_blast),
+    "churn": Record(_CHURN, build=FaultPlan.churn),
+    "cascade": Record({**_CHURN, "amplification": Num(ge=0)},
+                      build=FaultPlan.cascade),
+    "partition": Record({"at": _AT, "heal_at": _SPAN,
+                         "groups": Items(Names(ref="site"), non_empty=True,
+                                         required=True)},
+                        build=_partition, check=_check_partition),
+    "loss_burst": Record({"at": _AT, "duration": _SPAN,
+                          "loss": Num(ge=0, lt=1, required=True)},
+                         build=_loss_burst),
+}
+
+SERVICES = Record({"gossip": Bool(), "ransub_period": Num(gt=0)},
+                  make=ServicesSpec)
+FINGERPRINT = Record(
+    {"seed": Int(required=True), "horizon": Num(gt=0, required=True),
+     **dict.fromkeys(("events", "writes", "ops", "sent", "delivered",
+                      "dropped"), Int()),
+     "state_hash": Str(blank=True)},
+    make=lambda seed, horizon, **values: FingerprintSpec(seed, horizon,
+                                                         values))
+ROOT = Record({
+    "world": Int(required=True), "name": Str(required=True),
+    "description": Str(),
+    "defaults": Obj(Record({"seed": Int(), "duration": Num(gt=0)})),
+    "topology": Obj(TOPOLOGY, required=True),
+    "placement": Obj(PLACEMENT, required=True), "traffic": Obj(TRAFFIC),
+    # a fault's build needs nodes, which only the compiler resolves
+    "faults": Items(Kinded(FAULT_KINDS, lead=None)),
+    "services": Obj(SERVICES),
+    "fingerprint": Obj(FINGERPRINT, nullable=True)})
 
 
 def parse_world(doc: Mapping, *, source: Optional[str] = None) -> World:
@@ -649,62 +524,22 @@ def parse_world(doc: Mapping, *, source: Optional[str] = None) -> World:
     Raises :class:`WorldValidationError` with the JSON path of the first
     offending field.
     """
-    doc = _mapping(doc, "$")
-    if "world" not in doc:
-        _fail("$", "missing required key 'world' (the format version)")
-    version = doc["world"]
-    if not isinstance(version, int) or isinstance(version, bool):
-        _fail("world", f"expected an integer version, got {type(version).__name__}")
-    if version != WORLD_VERSION:
+    # the version decides what the other keys mean, so it is judged first
+    version = doc.get("world") if isinstance(doc, Mapping) else None
+    if (isinstance(version, int) and not isinstance(version, bool)
+            and version != WORLD_VERSION):
         _fail("world", f"unsupported world version {version} "
                        f"(this loader reads version {WORLD_VERSION})")
-    _reject_unknown(doc, _TOP_KEYS, "$")
-
-    name = _string(doc, "name", "$", required=True)
-    description = _string(doc, "description", "$", default="")
-
-    default_seed, default_duration = 7, 10.0
-    if "defaults" in doc:
-        defaults = _mapping(doc["defaults"], "defaults")
-        _reject_unknown(defaults, ("seed", "duration"), "defaults")
-        default_seed = _integer(defaults, "seed", "defaults", default=7)
-        default_duration = _number(defaults, "duration", "defaults",
-                                   default=10.0, exclusive_minimum=0.0)
-
-    if "topology" not in doc:
-        _fail("$", "missing required key 'topology'")
-    topology = _parse_topology(doc["topology"], "topology")
-
-    if "placement" not in doc:
-        _fail("$", "missing required key 'placement'")
-    objects = _parse_placement(doc["placement"], "placement", topology)
-
-    traffic = (_parse_traffic(doc["traffic"], "traffic", topology)
-               if "traffic" in doc else TrafficSpec())
-
-    faults: List[FaultSpec] = []
-    if "faults" in doc:
-        raw_faults = doc["faults"]
-        if not isinstance(raw_faults, list):
-            _fail("faults", "expected an array of fault entries")
-        faults = [_parse_fault(f, f"faults[{i}]", topology)
-                  for i, f in enumerate(raw_faults)]
-        _check_fault_windows(faults, "faults")
-
-    services = ServicesSpec()
-    if "services" in doc:
-        raw = _mapping(doc["services"], "services")
-        _reject_unknown(raw, ("gossip", "ransub_period"), "services")
-        services = ServicesSpec(
-            gossip=_boolean(raw, "gossip", "services"),
-            ransub_period=_number(raw, "ransub_period", "services",
-                                  default=5.0, exclusive_minimum=0.0))
-
-    fingerprint = (_parse_fingerprint(doc["fingerprint"], "fingerprint")
-                   if doc.get("fingerprint") is not None else None)
-
-    return World(name=name, description=description, topology=topology,
-                 objects=objects, traffic=traffic, faults=faults,
-                 services=services, default_seed=default_seed,
-                 default_duration=default_duration, fingerprint=fingerprint,
-                 source=source)
+    root = _record(doc, "$", ROOT, {})
+    faults = root.get("faults", [])
+    _check_fault_windows(faults, "faults")
+    sections = {key: root[key] for key in ("traffic", "services", "fingerprint")
+                if key in root}
+    for key, value in root.get("defaults", {}).items():
+        sections[f"default_{key}"] = value
+    return World(name=root["name"], description=root.get("description", ""),
+                 topology=root["topology"],
+                 objects=root["placement"]["objects"],
+                 faults=[FaultSpec(kind=fault.pop("kind"), args=fault)
+                         for fault in faults],
+                 source=source, **sections)
