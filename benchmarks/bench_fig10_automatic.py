@@ -3,21 +3,21 @@
 Paper reference: with background resolution every 20 s the system's
 consistency level is visibly higher than with the 40 s schedule; each round
 snaps the level back up, giving a saw-tooth whose depth depends on the
-period — the frequency/consistency trade-off of Section 6.3.2.
+period — the frequency/consistency trade-off of Section 6.3.2.  Runs ``repro.experiments.run("fig10", …)``.
 """
 
 from __future__ import annotations
 
-from repro.experiments.fig10_automatic import format_report, run_automatic_experiment
+from repro.experiments import get, run
 
 
 def bench_fig10_automatic(benchmark):
     result = benchmark.pedantic(
-        lambda: run_automatic_experiment(periods=(20.0, 40.0), duration=100.0,
-                                         num_nodes=40, seed=29),
+        lambda: run("fig10", periods=(20.0, 40.0), duration=100.0,
+                    num_nodes=40, seed=29),
         rounds=1, iterations=1)
     print()
-    print(format_report(result))
+    print(get("fig10").report(result))
 
     fast, slow = result.runs
     mean_fast = result.mean_average_level(fast)

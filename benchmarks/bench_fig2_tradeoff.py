@@ -5,21 +5,22 @@ consistency guarantee) than optimistic consistency control ... with a
 slightly higher cost; its overhead is much smaller than other protocols, such
 as strong consistency".  The benchmark runs the same conflicting-update
 workload over optimistic anti-entropy, TACT-style bounded divergence, IDEA
-and primary-copy strong consistency and checks the orderings.
+and primary-copy strong consistency (``repro.experiments.run("fig2", …)``)
+and checks the orderings.
 """
 
 from __future__ import annotations
 
-from repro.experiments.fig2_tradeoff import format_report, run_tradeoff_experiment
+from repro.experiments import get, run
 
 
 def bench_fig2_tradeoff(benchmark):
     result = benchmark.pedantic(
-        lambda: run_tradeoff_experiment(num_nodes=12, num_writers=4, period=5.0,
-                                        duration=60.0, settle=40.0, seed=31),
+        lambda: run("fig2", num_nodes=12, num_writers=4, period=5.0,
+                    duration=60.0, settle=40.0, seed=31),
         rounds=1, iterations=1)
     print()
-    print(format_report(result))
+    print(get("fig2").report(result))
 
     optimistic = result.row("OptimisticAntiEntropy")
     tact = result.row("TactBoundedConsistency")

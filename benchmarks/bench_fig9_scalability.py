@@ -2,7 +2,8 @@
 
 Paper reference: Formula 2 (Delay(n) = 0.468 ms + 104.747 ms·(n−1))
 extrapolated to n = 10 stays below one second.  The reproduction measures the
-delay for top layers of 2..10 writers, fits the same linear model and checks
+delay for top layers of 2..10 writers
+(``repro.experiments.run("fig9", …)``), fits the same linear model and checks
 the paper's qualitative claims: linear growth, background resolution no more
 expensive than active, and sub-second delay at ten simultaneous writers.
 """
@@ -11,18 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.fig9_scalability import format_report, run_scalability_experiment
+from repro.experiments import get, run
 from repro.farm import default_jobs
 
 
 def bench_fig9_scalability(benchmark):
     jobs = default_jobs()
     result = benchmark.pedantic(
-        lambda: run_scalability_experiment(max_top_layer=10, num_nodes=40, seed=19,
-                                           jobs=jobs),
+        lambda: run("fig9", max_top_layer=10, num_nodes=40, seed=19,
+                    jobs=jobs),
         rounds=1, iterations=1)
     print()
-    print(format_report(result))
+    print(get("fig9").report(result))
 
     # Delay grows with the top-layer size and the growth is roughly linear:
     # the fitted line explains the measurements well.

@@ -7,21 +7,22 @@ overhead proportional to the resolution frequency, ≈ 44 messages per round
 absolute per-round count is lower (installs batch missing updates into one
 message; see DESIGN.md §4) but the proportionality and the per-round
 invariance across schedules are preserved, and Formula 4's optimal-rate
-derivation is exercised on the measured cost.
+derivation is exercised on the measured cost.  Runs
+``repro.experiments.run("tab3", …)``.
 """
 
 from __future__ import annotations
 
-from repro.experiments.tab3_overhead import format_report, run_overhead_experiment
+from repro.experiments import get, run
 
 
 def bench_tab3_overhead(benchmark):
     result = benchmark.pedantic(
-        lambda: run_overhead_experiment(periods=(20.0, 40.0), duration=100.0,
-                                        num_nodes=40, seed=23),
+        lambda: run("tab3", periods=(20.0, 40.0), duration=100.0,
+                    num_nodes=40, seed=23),
         rounds=1, iterations=1)
     print()
-    print(format_report(result))
+    print(get("tab3").report(result))
 
     fast, slow = result.runs
     # More frequent resolution ⇒ more rounds ⇒ more messages.

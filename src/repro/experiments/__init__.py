@@ -1,124 +1,21 @@
 """Experiment harnesses — one module per table/figure of the paper.
 
-Every module exposes a ``run_*`` function returning a plain result dataclass
-and a ``format_report`` helper that prints rows in the same shape as the
-paper's artefact.  The benchmarks under ``benchmarks/`` and the examples
-under ``examples/`` are thin wrappers around these harnesses, so the numbers
-shown by ``pytest benchmarks/ --benchmark-only`` and the example scripts are
-always produced by the same code path.
+Every module holds a point function (one deployment, explicit seed, plain
+result), the grid builder that sweeps it and a report formatter;
+:mod:`repro.experiments.registry` declares each experiment once from those
+and :func:`run` is the one way to execute any of them::
 
-Experiment index (see DESIGN.md §4 for the full mapping):
+    from repro.experiments import run
+    result = run("fig9", max_top_layer=6, jobs=2)
 
-=============  =====================================================
-``fig2``       trade-off study: optimistic vs IDEA vs strong vs TACT
-``fig7``       hint-based white board, hint 95 % / 85 %
-``fig8``       hint changed at runtime (95 % → 90 % at t = 100 s)
-``tab2``       active-resolution phase breakdown
-``fig9``       active-resolution scalability vs top-layer size
-``tab3``       background-resolution message overhead (20 s vs 40 s)
-``fig10``      consistency level under automatic background resolution
-``churn``      detection/resolution under churn + loss (beyond paper)
-``workload``   detection accuracy & resolution load vs Zipf skew ×
-               read mix × flash crowds (beyond paper)
-=============  =====================================================
+``python -m repro.experiments --list`` is the index (DESIGN.md §4 maps the
+names to the paper's artefacts); the ``benchmarks/bench_*.py`` drivers, the
+CLI and the tests all go through the same call.
 """
 
-from repro.experiments.report import format_table, series_to_rows
-from repro.experiments.fig7_hint import (
-    HintExperimentResult,
-    build_hint_grid,
-    run_hint_experiment,
-    run_hint_sweep,
-)
-from repro.experiments.fig8_hint_change import (
-    HintChangeResult,
-    build_hint_change_grid,
-    run_hint_change_experiment,
-    run_hint_change_sweep,
-)
-from repro.experiments.tab2_phases import (
-    PhaseBreakdownResult,
-    build_phase_grid,
-    run_phase_breakdown,
-    run_phase_sweep,
-)
-from repro.experiments.fig9_scalability import (
-    ScalabilityResult,
-    build_multiobject_grid,
-    build_scalability_grid,
-    run_multiobject_experiment,
-    run_multiobject_point,
-    run_scalability_experiment,
-    run_scalability_point,
-)
-from repro.experiments.tab3_overhead import (
-    OverheadResult,
-    build_overhead_grid,
-    run_booking_scenario,
-    run_overhead_experiment,
-)
-from repro.experiments.fig10_automatic import AutomaticResult, run_automatic_experiment
-from repro.experiments.fig2_tradeoff import (
-    TradeoffResult,
-    build_tradeoff_grid,
-    run_protocol_point,
-    run_tradeoff_experiment,
-)
-from repro.experiments.fig_churn_availability import (
-    ChurnPointResult,
-    ChurnSweepResult,
-    build_churn_grid,
-    run_churn_experiment,
-    run_churn_point,
-)
-from repro.experiments.fig_workload_sensitivity import (
-    WorkloadPointResult,
-    WorkloadSweepResult,
-    build_workload_grid,
-    run_workload_point,
-    run_workload_sensitivity,
-)
+from repro.experiments.registry import (REGISTRY, ExperimentEntry,
+                                        UnknownParameter, get, run)
+from repro.experiments.report import format_table
 
-__all__ = [
-    "format_table",
-    "series_to_rows",
-    "HintExperimentResult",
-    "build_hint_grid",
-    "run_hint_experiment",
-    "run_hint_sweep",
-    "HintChangeResult",
-    "build_hint_change_grid",
-    "run_hint_change_experiment",
-    "run_hint_change_sweep",
-    "PhaseBreakdownResult",
-    "build_phase_grid",
-    "run_phase_breakdown",
-    "run_phase_sweep",
-    "ScalabilityResult",
-    "build_multiobject_grid",
-    "build_scalability_grid",
-    "run_multiobject_experiment",
-    "run_multiobject_point",
-    "run_scalability_experiment",
-    "run_scalability_point",
-    "OverheadResult",
-    "build_overhead_grid",
-    "run_booking_scenario",
-    "run_overhead_experiment",
-    "AutomaticResult",
-    "run_automatic_experiment",
-    "TradeoffResult",
-    "build_tradeoff_grid",
-    "run_protocol_point",
-    "run_tradeoff_experiment",
-    "ChurnPointResult",
-    "ChurnSweepResult",
-    "build_churn_grid",
-    "run_churn_experiment",
-    "run_churn_point",
-    "WorkloadPointResult",
-    "WorkloadSweepResult",
-    "build_workload_grid",
-    "run_workload_point",
-    "run_workload_sensitivity",
-]
+__all__ = ["REGISTRY", "ExperimentEntry", "UnknownParameter", "format_table",
+           "get", "run"]

@@ -10,9 +10,10 @@ Runs any registered experiment through the sweep farm::
 ``--jobs`` defaults to the ``FARM_JOBS`` environment variable (see
 ``repro.farm``), so CI can parallelise every sweep without touching the
 command lines.  ``--smoke`` applies the registry's shrunken parameters — the
-same code path on a seconds-sized grid.  A failed point (``FarmPointError``)
-or a conformance divergence exits nonzero with a one-line diagnostic, so CI
-smoke steps cannot silently pass on a failure.
+same code path on a seconds-sized grid.  A failed point (``FarmPointError``,
+a conformance divergence included) exits 1 with a diagnostic, so CI smoke
+steps cannot silently pass on a failure; a ``--param`` key, ``--world`` or
+``--backend`` the experiment does not take exits 2 naming what it accepts.
 """
 
 from __future__ import annotations
@@ -20,13 +21,11 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
-import inspect
 import json
 import sys
 from typing import Any, Dict, List, Optional
 
 from repro.experiments import registry
-from repro.experiments.conformance import ConformanceError
 from repro.farm import FarmPointError, default_jobs
 
 
@@ -36,6 +35,8 @@ def _parse_param(text: str) -> tuple:
     if not sep or not key:
         raise argparse.ArgumentTypeError(
             f"expected key=value, got {text!r}")
+    if key.strip() == "jobs":
+        raise argparse.ArgumentTypeError("worker processes are --jobs N")
     try:
         value = ast.literal_eval(raw)
     except (ValueError, SyntaxError):
@@ -106,8 +107,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.list:
         width = max(len(name) for name in registry.REGISTRY)
-        for name in sorted(registry.REGISTRY):
-            entry = registry.REGISTRY[name]
+        for name, entry in sorted(registry.REGISTRY.items()):
             print(f"{name:<{width}}  {entry.description}")
         return 0
 
@@ -124,27 +124,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     jobs = args.jobs if args.jobs is not None else default_jobs()
     kwargs: Dict[str, Any] = dict(entry.smoke) if args.smoke else {}
     kwargs.update(dict(args.param))
-    kwargs["jobs"] = jobs
-
-    accepts_worlds = "worlds" in inspect.signature(entry.run).parameters
-    if args.worlds is not None:
-        if not accepts_worlds:
-            print(f"error: experiment {args.run!r} does not take --world",
+    accepted = entry.parameters()
+    for flag, key, value in (
+            ("--world", "worlds", args.worlds and tuple(args.worlds)),
+            ("--backend", "backend", args.backend)):
+        if value is None:
+            continue
+        if key not in accepted:
+            print(f"error: experiment {args.run!r} does not take {flag}",
                   file=sys.stderr)
             return 2
-        kwargs["worlds"] = tuple(args.worlds)
-
-    accepts_backend = "backend" in inspect.signature(entry.run).parameters
-    if args.backend is not None:
-        if not accepts_backend:
-            print(f"error: experiment {args.run!r} does not take --backend",
-                  file=sys.stderr)
-            return 2
-        kwargs["backend"] = args.backend
+        kwargs[key] = value
 
     try:
-        result = entry.run(**kwargs)
-    except (FarmPointError, ConformanceError) as exc:
+        result = registry.run(args.run, jobs=jobs, **kwargs)
+    except registry.UnknownParameter as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FarmPointError as exc:
         print(f"error: experiment {args.run!r} failed: {exc}", file=sys.stderr)
         return 1
 
@@ -153,8 +150,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.json_path:
         payload = {"experiment": entry.name, "jobs": jobs,
-                   "parameters": _jsonable({k: v for k, v in kwargs.items()
-                                            if k != "jobs"}),
+                   "parameters": _jsonable(kwargs),
                    "result": _jsonable(result)}
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
         if args.json_path == "-":

@@ -18,12 +18,14 @@ compares survivor outcomes and recovery evidence.
 from __future__ import annotations
 
 import tempfile
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.live.chaos import LiveFaultController, resolve_plan
-from repro.live.deployment import LiveDeployment, RestartPolicy
-from repro.live.scenario import (default_scenario, fault_oracle_diff,
-                                 oracle_diff, run_live_scenario_inprocess,
+from repro.farm import PointSpec
+from repro.live.chaos import resolve_plan, run_live_deployment
+from repro.live.deployment import RestartPolicy
+from repro.live.scenario import (activity, activity_lines, default_scenario,
+                                 fault_oracle_diff, oracle_diff,
+                                 run_live_scenario_inprocess,
                                  run_sim_scenario)
 
 
@@ -31,21 +33,17 @@ class ConformanceError(RuntimeError):
     """The live backend's protocol outcomes diverged from the oracle."""
 
 
-def run_conformance_experiment(*, backend: str = "sim", num_nodes: int = 4,
-                               num_objects: int = 2, seed: int = 7,
-                               transport: str = "uds",
-                               time_scale: float = 1.0,
-                               fault_plan: Optional[str] = None,
-                               restart_budget: int = 2,
-                               jobs: int = 1) -> Dict[str, Any]:
+def run_conformance_point(*, backend: str = "sim", num_nodes: int = 4,
+                          num_objects: int = 2, seed: int = 7,
+                          transport: str = "uds", time_scale: float = 1.0,
+                          fault_plan: Optional[str] = None,
+                          restart_budget: int = 2) -> Dict[str, Any]:
     """Run the conformance scenario on ``backend`` ("sim" or "live").
 
     ``fault_plan`` names a builtin plan (``churn``/``kill``/``partition``)
     or a ``FaultPlan.to_dict`` JSON file; on the live backend it forces the
     multiprocess deployment (in-process stacks have no process to kill) and
-    switches the comparison to the fault-tolerant oracle.  ``jobs`` is
-    accepted for CLI uniformity; the scenario is a single deployment, not a
-    sweep.
+    switches the comparison to the fault-tolerant oracle.
     """
     if backend not in ("sim", "live"):
         raise ValueError(f"unknown backend {backend!r} (sim or live)")
@@ -70,26 +68,17 @@ def run_conformance_experiment(*, backend: str = "sim", num_nodes: int = 4,
                 live = run_live_scenario_inprocess(spec, d, kind=transport)
                 problems = oracle_diff(sim, live)
             else:
-                deployment = LiveDeployment(
-                    spec, d, kind=transport,
+                live, controller = run_live_deployment(
+                    spec, d, plan, kind=transport,
                     restart_policy=RestartPolicy(max_restarts=restart_budget))
-                controller = LiveFaultController(deployment, plan)
-                try:
-                    deployment.start()
-                    live = deployment.wait(on_tick=controller.tick,
-                                           require_all_outcomes=False)
-                finally:
-                    deployment.terminate()
                 problems = fault_oracle_diff(sim, live, plan)
+                reconnects = activity(live)["reconnects"]
                 result["chaos"] = {
                     "actions_applied": len(controller.timeline),
                     "rejoins": controller.rejoins,
-                    "reconnects": sum(o.get("reconnects", 0)
-                                      for o in live.values()),
+                    "reconnects": reconnects,
                 }
-                if plan.crashes() and result["chaos"]["reconnects"] == 0:
-                    problems.append("fault plan crashed nodes but no "
-                                    "transport reconnects happened")
+                problems.extend(controller.evidence_problems(reconnects))
         result["outcomes"] = live
         result["oracle_problems"] = problems
         if problems:
@@ -99,12 +88,13 @@ def run_conformance_experiment(*, backend: str = "sim", num_nodes: int = 4,
     return result
 
 
+def build_conformance_grid(*, seed: int = 7, **point_kwargs) -> List[PointSpec]:
+    """The scenario is one deployment: a one-point grid."""
+    return [PointSpec.build(run_conformance_point, labels=("conformance",),
+                            seed=seed, **point_kwargs)]
+
+
 def format_conformance_report(result: Dict[str, Any]) -> str:
-    outcomes = result["outcomes"]
-    writes = sum(sum(o["writes_applied"].values()) for o in outcomes.values())
-    gossip = sum(o["gossip_rounds"] for o in outcomes.values())
-    resolutions = sum(len(o["resolutions"]) for o in outcomes.values())
-    folded = sum(sum(o["folded"].values()) for o in outcomes.values())
     lines = [
         f"conformance scenario on backend={result['backend']}"
         + (f" ({result['transport']})" if result["transport"] else "")
@@ -112,10 +102,7 @@ def format_conformance_report(result: Dict[str, Any]) -> str:
            if result.get("fault_plan") else ""),
         f"  nodes={result['nodes']} objects={result['objects']} "
         f"seed={result['seed']}",
-        f"  writes applied:        {writes}",
-        f"  gossip rounds:         {gossip}",
-        f"  resolutions completed: {resolutions}",
-        f"  log entries folded:    {folded}",
+        *activity_lines(activity(result["outcomes"])),
     ]
     if "chaos" in result:
         chaos = result["chaos"]

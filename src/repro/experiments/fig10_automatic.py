@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 from repro.experiments.report import format_table, percent
 from repro.experiments.tab3_overhead import BookingRun, build_overhead_grid
-from repro.farm import run_specs
+from repro.farm import PointSpec
 
 
 @dataclass
@@ -42,14 +42,10 @@ class AutomaticResult:
         return rows
 
 
-def run_automatic_experiment(*, periods: Tuple[float, ...] = (20.0, 40.0),
-                             duration: float = 100.0, num_nodes: int = 40,
-                             seed: int = 29, jobs: int = 1) -> AutomaticResult:
-    """Run the Figure 10 comparison (one booking run per period)."""
-    specs = build_overhead_grid(periods=periods, duration=duration,
-                                num_nodes=num_nodes, seed=seed)
-    runs = run_specs(specs, jobs=jobs)
-    return AutomaticResult(runs=runs)
+def build_automatic_grid(*, periods: Tuple[float, ...] = (20.0, 40.0),
+                         seed: int = 29, **point_kwargs) -> List[PointSpec]:
+    """Table 3's grid (its specs keep that label) under Figure 10's seed."""
+    return build_overhead_grid(periods=periods, seed=seed, **point_kwargs)
 
 
 def format_report(result: AutomaticResult) -> str:

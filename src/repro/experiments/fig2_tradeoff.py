@@ -23,7 +23,7 @@ optimistic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Sequence
 
 from repro.apps.whiteboard import WhiteboardApp, default_whiteboard_config
 from repro.baselines.optimistic import OptimisticAntiEntropy
@@ -32,7 +32,8 @@ from repro.baselines.tact import TactBoundedConsistency
 from repro.core.config import AdaptationMode
 from repro.core.deployment import IdeaDeployment
 from repro.experiments.report import format_table
-from repro.farm import PointSpec, run_specs
+from repro.experiments.scaffold import schedule_warmup
+from repro.farm import PointSpec
 from repro.workloads.legacy import UniformWorkload
 
 
@@ -102,10 +103,9 @@ def _run_idea(*, num_nodes: int, num_writers: int, period: float, duration: floa
     app = WhiteboardApp(deployment, participants=writers, config=config,
                         start_background=False)
     deployment.start_overlay_services()
-    for i, writer in enumerate(writers):
-        deployment.sim.call_at(0.5 + 0.25 * i,
-                               lambda w=writer: app.post(w, f"warm-up {w}"),
-                               label="warmup")
+    schedule_warmup(deployment, writers,
+                    lambda i, w: app.post(w, f"warm-up {w}"),
+                    first=0.5, gap=0.25)
     deployment.run(until=3.0)
 
     messages_before = deployment.idea_messages()
@@ -161,46 +161,30 @@ def run_protocol_point(*, protocol: str, num_nodes: int = 12,
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r} "
                          f"(use one of {tuple(PROTOCOLS)})")
+    workload = dict(num_nodes=num_nodes, num_writers=num_writers, period=period,
+                    duration=duration, seed=seed, settle=settle)
     if protocol == "idea":
-        return _run_idea(num_nodes=num_nodes, num_writers=num_writers,
-                         period=period, duration=duration, seed=seed,
-                         settle=settle, hint_level=idea_hint)
-    kwargs = {}
+        return _run_idea(hint_level=idea_hint, **workload)
     if protocol == "optimistic":
-        kwargs["anti_entropy_period"] = anti_entropy_period
-    return _run_baseline(PROTOCOLS[protocol], num_nodes=num_nodes,
-                         num_writers=num_writers, period=period,
-                         duration=duration, seed=seed, settle=settle, **kwargs)
+        workload["anti_entropy_period"] = anti_entropy_period
+    return _run_baseline(PROTOCOLS[protocol], **workload)
 
 
-def build_tradeoff_grid(*, num_nodes: int = 12, num_writers: int = 4,
-                        period: float = 5.0, duration: float = 60.0,
-                        seed: int = 31, settle: float = 40.0,
-                        anti_entropy_period: float = 30.0,
-                        idea_hint: float = 0.9) -> List[PointSpec]:
+def build_tradeoff_grid(*, seed: int = 31, **point_kwargs) -> List[PointSpec]:
     """The four protocol runs as farm point specs (paper row order)."""
     return [PointSpec.build(
         run_protocol_point, index=i, labels=("fig2", protocol),
-        protocol=protocol, num_nodes=num_nodes, num_writers=num_writers,
-        period=period, duration=duration, seed=seed, settle=settle,
-        anti_entropy_period=anti_entropy_period, idea_hint=idea_hint)
+        protocol=protocol, seed=seed, **point_kwargs)
         for i, protocol in enumerate(PROTOCOLS)]
 
 
-def run_tradeoff_experiment(*, num_nodes: int = 12, num_writers: int = 4,
-                            period: float = 5.0, duration: float = 60.0,
-                            seed: int = 31, settle: float = 40.0,
-                            anti_entropy_period: float = 30.0,
-                            idea_hint: float = 0.9,
-                            jobs: int = 1) -> TradeoffResult:
-    """Run the four protocols on the same conflicting-update workload."""
-    specs = build_tradeoff_grid(
-        num_nodes=num_nodes, num_writers=num_writers, period=period,
-        duration=duration, seed=seed, settle=settle,
-        anti_entropy_period=anti_entropy_period, idea_hint=idea_hint)
-    rows = run_specs(specs, jobs=jobs)
-    return TradeoffResult(rows=rows, updates_per_writer=int(duration // period),
-                          num_nodes=num_nodes)
+def fold_tradeoff(specs: Sequence[PointSpec],
+                  rows: List[ProtocolRow]) -> TradeoffResult:
+    """The protocols' rows under the workload they all ran."""
+    shared = specs[0].arguments()
+    return TradeoffResult(
+        rows=rows, num_nodes=shared["num_nodes"],
+        updates_per_writer=int(shared["duration"] // shared["period"]))
 
 
 def format_report(result: TradeoffResult) -> str:

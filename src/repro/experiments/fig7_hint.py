@@ -26,7 +26,8 @@ from repro.apps.whiteboard import WhiteboardApp, default_whiteboard_config
 from repro.core.config import AdaptationMode
 from repro.core.deployment import IdeaDeployment
 from repro.experiments.report import format_table, percent
-from repro.farm import PointSpec, run_specs
+from repro.experiments.scaffold import run_sampled, schedule_warmup
+from repro.farm import PointSpec
 
 
 @dataclass
@@ -43,10 +44,6 @@ class HintExperimentResult:
     lowest_average_level: float
     updates_issued: int
     writers: Tuple[str, ...]
-
-    def as_rows(self) -> List[List[object]]:
-        return [[t, percent(w), percent(a)] for t, w, a in
-                zip(self.sample_times, self.worst_levels, self.average_levels)]
 
 
 def start_hint_run(*, hint_level: float, num_nodes: int, num_writers: int,
@@ -70,10 +67,8 @@ def start_hint_run(*, hint_level: float, num_nodes: int, num_writers: int,
     # them in the top layer before the measured window starts, then one
     # background round reconciles the warm-up strokes so the measurement
     # starts from a consistent state (as after the paper's warm-up phase).
-    for i, writer in enumerate(writers):
-        deployment.sim.call_at(1.0 + 0.5 * i,
-                               lambda w=writer: app.post(w, f"warm-up by {w}"),
-                               label="warmup")
+    schedule_warmup(deployment, writers,
+                    lambda i, w: app.post(w, f"warm-up by {w}"))
     deployment.run(until=warmup - 5.0)
     deployment.run_background_round(app.object_id)
     deployment.run(until=warmup)
@@ -89,27 +84,12 @@ def sample_hint_run(deployment: IdeaDeployment, app: WhiteboardApp,
                     sample_period: float
                     ) -> Tuple[List[float], List[float], List[float]]:
     """Run the measured window; ``(sample times, worst levels, averages)``."""
-    sample_times: List[float] = []
-    worst_levels: List[float] = []
-    average_levels: List[float] = []
-
-    def sample() -> None:
+    def read() -> Tuple[float, float]:
         levels = deployment.ground_truth_levels(app.object_id, writers)
-        sample_times.append(deployment.sim.now - start)
-        worst_levels.append(min(levels.values()))
-        average_levels.append(sum(levels.values()) / len(levels))
+        return min(levels.values()), sum(levels.values()) / len(levels)
 
-    num_samples = int(duration // sample_period)
-    for k in range(1, num_samples + 1):
-        # The paper samples the system every five seconds and its curves show
-        # the dips the updates cause before IDEA resolves them; sampling just
-        # after each update burst (before the sub-second resolution finishes)
-        # captures the same picture.
-        deployment.sim.call_at(start + k * sample_period + 0.1, sample,
-                               label="sample")
-
-    deployment.run(until=start + duration + sample_period)
-    return sample_times, worst_levels, average_levels
+    return run_sampled(deployment, read, start=start, duration=duration,
+                       sample_period=sample_period, lag=0.1)
 
 
 def run_hint_experiment(*, hint_level: float = 0.95, num_nodes: int = 40,
@@ -141,32 +121,28 @@ def run_hint_experiment(*, hint_level: float = 0.95, num_nodes: int = 40,
     )
 
 
-#: the two hint levels the paper's Figure 7 panels use
-PAPER_HINT_LEVELS = (0.95, 0.85)
-
-
-def build_hint_grid(*, hint_levels: Sequence[float] = PAPER_HINT_LEVELS,
+def build_hint_grid(*, hint_levels: Sequence[float] = (0.95, 0.85),
                     seed: int = 11, **point_kwargs) -> List[PointSpec]:
-    """One Figure 7 panel per hint level, as farm point specs."""
+    """One Figure 7 panel per hint level (the paper's two), as farm specs."""
     return [PointSpec.build(
         run_hint_experiment, index=i, labels=("fig7", f"hint{hint:g}"),
         hint_level=float(hint), seed=seed, **point_kwargs)
         for i, hint in enumerate(hint_levels)]
 
 
-def run_hint_sweep(*, hint_levels: Sequence[float] = PAPER_HINT_LEVELS,
-                   seed: int = 11, jobs: int = 1,
-                   **point_kwargs) -> List[HintExperimentResult]:
-    """Figure 7's panels (95 % / 85 % by default), optionally farmed."""
-    specs = build_hint_grid(hint_levels=hint_levels, seed=seed, **point_kwargs)
-    return run_specs(specs, jobs=jobs)
+def level_table(result, title: str) -> str:
+    """The sampled user-view / system-average series (Figures 7 and 8)."""
+    return format_table(
+        ["t (s)", "view from the user", "system average"],
+        [[t, percent(w), percent(a)] for t, w, a in
+         zip(result.sample_times, result.worst_levels, result.average_levels)],
+        title=title)
 
 
 def format_report(result: HintExperimentResult) -> str:
     """Render the Figure-7-style series plus the headline summary."""
-    table = format_table(
-        ["t (s)", "view from the user", "system average"], result.as_rows(),
-        title=f"Figure 7 reproduction — hint level {percent(result.hint_level)}")
+    table = level_table(
+        result, f"Figure 7 reproduction — hint level {percent(result.hint_level)}")
     summary = (
         f"\nlowest user-view level: {percent(result.lowest_worst_level)}"
         f"\nlowest system average:  {percent(result.lowest_average_level)}"

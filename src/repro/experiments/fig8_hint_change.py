@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.apps.users import ScriptedUser, UserAction, UserActionKind
-from repro.experiments.fig7_hint import sample_hint_run, start_hint_run
-from repro.experiments.report import format_table, percent
-from repro.farm import PointSpec, run_specs
+from repro.experiments.fig7_hint import (level_table, sample_hint_run,
+                                         start_hint_run)
+from repro.experiments.report import percent
+from repro.farm import PointSpec
 
 
 @dataclass
@@ -33,10 +34,6 @@ class HintChangeResult:
     lowest_second_half: float
     active_resolutions: int
     writers: Tuple[str, ...]
-
-    def as_rows(self) -> List[List[object]]:
-        return [[t, percent(w), percent(a)] for t, w, a in
-                zip(self.sample_times, self.worst_levels, self.average_levels)]
 
 
 def run_hint_change_experiment(*, initial_hint: float = 0.95, later_hint: float = 0.90,
@@ -87,21 +84,10 @@ def build_hint_change_grid(*, hint_schedules: Sequence[Tuple[float, float]] =
         for i, (initial, later) in enumerate(hint_schedules)]
 
 
-def run_hint_change_sweep(*, hint_schedules: Sequence[Tuple[float, float]] =
-                          ((0.95, 0.90), (0.90, 0.80)),
-                          seed: int = 13, jobs: int = 1,
-                          **point_kwargs) -> List[HintChangeResult]:
-    """Figure 8 across several runtime hint schedules, optionally farmed."""
-    specs = build_hint_change_grid(hint_schedules=hint_schedules, seed=seed,
-                                   **point_kwargs)
-    return run_specs(specs, jobs=jobs)
-
-
 def format_report(result: HintChangeResult) -> str:
-    table = format_table(
-        ["t (s)", "view from the user", "system average"], result.as_rows(),
-        title=(f"Figure 8 reproduction — hint {percent(result.initial_hint)} then "
-               f"{percent(result.later_hint)} after {result.switch_time:.0f}s"))
+    table = level_table(
+        result, f"Figure 8 reproduction — hint {percent(result.initial_hint)} then "
+                f"{percent(result.later_hint)} after {result.switch_time:.0f}s")
     summary = (
         f"\nlowest level while hint={percent(result.initial_hint)}: "
         f"{percent(result.lowest_first_half)}"

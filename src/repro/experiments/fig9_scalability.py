@@ -14,7 +14,7 @@ This harness does both things:
   be compared against the paper's coefficients and against Formula 3 for
   background resolution.
 
-Beyond the paper's figure, :func:`run_multiobject_experiment` sweeps the
+Beyond the paper's figure, the ``multiobject`` experiment sweeps the
 *objects-per-node* axis the paper never measured: a fixed deployment (8 nodes
 by default) hosts 1..256 concurrently written objects through the
 :class:`~repro.core.deployment.DeploymentBuilder` / :class:`~repro.runtime
@@ -32,9 +32,10 @@ from repro.analysis.formulas import DelayModel, fit_delay_model, paper_delay_mod
 from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.deployment import DeploymentBuilder
 from repro.experiments.report import format_table
-from repro.experiments.tab2_phases import _build_whiteboard
-from repro.farm import PointSpec, run_specs
-from repro.transport.timers import PeriodicTimer
+from repro.experiments.scaffold import start_object_writers
+from repro.experiments.tab2_phases import (_build_whiteboard,
+                                           _resolve_after_divergence)
+from repro.farm import PointSpec
 
 
 @dataclass
@@ -56,39 +57,24 @@ class ScalabilityResult:
         return rows
 
 
-def _measure_for_size(size: int, *, num_nodes: int, seed: int) -> Tuple[float, float]:
-    """(active delay, background delay) for a top layer of ``size`` writers."""
-    deployment, app, writers = _build_whiteboard(num_nodes, size, seed)
-
-    for writer in writers:
-        app.post(writer, f"{writer} divergence before measurement")
-    deployment.run(until=deployment.sim.now + 2.0)
-
-    initiator = writers[0]
-    middleware = app.middleware(initiator)
-    active_process = middleware.resolution.start_active_resolution()
-    deployment.run(until=deployment.sim.now + 10.0)
-    active_result = active_process.result
-    if active_result is None or active_result.aborted:
-        raise RuntimeError(f"active resolution aborted for top layer size {size}")
-
-    for writer in writers:
-        app.post(writer, f"{writer} divergence before background round")
-    deployment.run(until=deployment.sim.now + 2.0)
-    background_process = middleware.resolution.start_background_resolution()
-    deployment.run(until=deployment.sim.now + 10.0)
-    background_result = background_process.result
-    if background_result is None or background_result.aborted:
-        raise RuntimeError(f"background resolution aborted for size {size}")
-
-    return (active_result.phase1_delay + active_result.phase2_delay,
-            background_result.phase2_delay)
-
-
 def run_scalability_point(*, size: int, num_nodes: int,
                           seed: int) -> Tuple[float, float]:
-    """One Figure 9 grid point: (active delay, background delay)."""
-    return _measure_for_size(size, num_nodes=num_nodes, seed=seed)
+    """One Figure 9 grid point: (active delay, background delay) for a top
+    layer of ``size`` writers."""
+    deployment, app, writers = _build_whiteboard(num_nodes, size, seed)
+
+    resolution = app.middleware(writers[0]).resolution
+    active = _resolve_after_divergence(
+        deployment, app, writers, resolution.start_active_resolution,
+        "divergence before measurement", 10.0)
+    if active is None:
+        raise RuntimeError(f"active resolution aborted for top layer size {size}")
+    background = _resolve_after_divergence(
+        deployment, app, writers, resolution.start_background_resolution,
+        "divergence before background round", 10.0)
+    if background is None:
+        raise RuntimeError(f"background resolution aborted for size {size}")
+    return active.phase1_delay + active.phase2_delay, background.phase2_delay
 
 
 def build_scalability_grid(*, max_top_layer: int = 10, num_nodes: int = 40,
@@ -102,19 +88,16 @@ def build_scalability_grid(*, max_top_layer: int = 10, num_nodes: int = 40,
         for i, size in enumerate(range(2, max_top_layer + 1))]
 
 
-def run_scalability_experiment(*, max_top_layer: int = 10, num_nodes: int = 40,
-                               seed: int = 19, jobs: int = 1) -> ScalabilityResult:
-    """Measure resolution delay for top-layer sizes 2..max_top_layer."""
-    specs = build_scalability_grid(max_top_layer=max_top_layer,
-                                   num_nodes=num_nodes, seed=seed)
-    sizes = list(range(2, max_top_layer + 1))
-    delays = run_specs(specs, jobs=jobs)
+def fold_scalability(specs: Sequence[PointSpec],
+                     delays: List[Tuple[float, float]]) -> ScalabilityResult:
+    """The measured delays per size plus the linear model fitted to them."""
+    sizes = [spec.kwargs["size"] for spec in specs]
     active = [a for a, _ in delays]
-    background = [b for _, b in delays]
-    fitted = fit_delay_model(list(zip(sizes, active)))
-    return ScalabilityResult(sizes=sizes, active_delays=active,
-                             background_delays=background, fitted=fitted,
-                             paper_model=paper_delay_model())
+    return ScalabilityResult(
+        sizes=sizes, active_delays=active,
+        background_delays=[b for _, b in delays],
+        fitted=fit_delay_model(list(zip(sizes, active))),
+        paper_model=paper_delay_model())
 
 
 def format_report(result: ScalabilityResult) -> str:
@@ -159,10 +142,17 @@ class MultiObjectResult:
         return rows
 
 
-def run_multiobject_point(*, num_nodes: int, num_objects: int,
-                          writers_per_object: int, write_period: float,
-                          duration: float, seed: int) -> Tuple[float, int, int]:
-    """(wall-clock s, events processed, writes applied) for one sweep point."""
+def run_multiobject_point(*, num_objects: int, num_nodes: int = 8,
+                          writers_per_object: int = 4,
+                          write_period: float = 2.0, duration: float = 40.0,
+                          seed: int = 11) -> Tuple[float, int, int]:
+    """(wall-clock s, events processed, writes applied) for one sweep point.
+
+    Every object is replicated on all ``num_nodes`` hosts and concurrently
+    written by ``writers_per_object`` of them every ``write_period`` simulated
+    seconds, exercising digest exchange and level evaluation — the per-event
+    hot path the shared digest cache accelerates.
+    """
     started = _time.perf_counter()
     deployment = DeploymentBuilder(num_nodes=num_nodes, seed=seed).build()
     # Hint level 0 keeps the workload purely in the detection path (no
@@ -170,21 +160,12 @@ def run_multiobject_point(*, num_nodes: int, num_objects: int,
     # than resolution-backoff randomness.
     config = IdeaConfig(mode=AdaptationMode.HINT_BASED, hint_level=0.0,
                         background_period=None)
-    node_ids = deployment.node_ids
     for i in range(num_objects):
         object_id = f"obj{i:04d}"
         deployment.register_object(object_id, config, start_background=False)
-        for w in range(writers_per_object):
-            middleware = deployment.middleware(
-                object_id, node_ids[(i + w) % len(node_ids)])
-            timer = PeriodicTimer(
-                deployment.sim,
-                (lambda m=middleware: m.write(metadata_delta=1.0)),
-                period=write_period, label=f"wl:{object_id}")
-            # Stagger writers so digest exchanges do not all collide.
-            offset = 0.05 + write_period * (w / writers_per_object) \
-                + 0.003 * (i % 32)
-            deployment.sim.call_at(offset, timer.start)
+        start_object_writers(
+            deployment, object_id, i, writers_per_object=writers_per_object,
+            write_period=write_period, offset=0.003 * (i % 32))
     deployment.run(until=duration)
     wall = _time.perf_counter() - started
     writes = sum(deployment.trace.count(f"writes.obj{i:04d}")
@@ -192,52 +173,29 @@ def run_multiobject_point(*, num_nodes: int, num_objects: int,
     return wall, deployment.sim.events_processed, writes
 
 
-def build_multiobject_grid(*, num_nodes: int = 8,
-                           object_counts: Sequence[int] = (1, 4, 16, 64),
-                           writers_per_object: int = 4,
-                           write_period: float = 2.0, duration: float = 40.0,
-                           seed: int = 11) -> List[PointSpec]:
-    """The objects-per-deployment axis as farm point specs."""
-    return [PointSpec.build(
-        run_multiobject_point, index=i,
-        labels=("multiobject", f"obj{count}"),
-        num_nodes=num_nodes, num_objects=int(count),
-        writers_per_object=writers_per_object, write_period=write_period,
-        duration=duration, seed=seed)
-        for i, count in enumerate(object_counts)]
-
-
-def run_multiobject_experiment(*, num_nodes: int = 8,
-                               object_counts: Sequence[int] = (1, 4, 16, 64),
-                               writers_per_object: int = 4,
-                               write_period: float = 2.0,
-                               duration: float = 40.0, seed: int = 11,
-                               jobs: int = 1) -> MultiObjectResult:
-    """Sweep objects-per-deployment and record wall-clock + events.
-
-    Every object is replicated on all ``num_nodes`` hosts and concurrently
-    written by ``writers_per_object`` of them every ``write_period`` simulated
-    seconds, exercising digest exchange and level evaluation — the per-event
-    hot path the shared digest cache accelerates.
-    """
+def build_multiobject_grid(*, object_counts: Sequence[int] = (1, 4, 16, 64),
+                           seed: int = 11, **point_kwargs) -> List[PointSpec]:
+    """The objects-per-deployment axis (ascending) as farm point specs."""
     counts = sorted(set(int(c) for c in object_counts))
     if not counts or counts[0] < 1:
         raise ValueError("object_counts must contain positive integers")
-    writers_per_object = min(writers_per_object, num_nodes)
-    specs = build_multiobject_grid(
-        num_nodes=num_nodes, object_counts=counts,
-        writers_per_object=writers_per_object, write_period=write_period,
-        duration=duration, seed=seed)
-    walls: List[float] = []
-    events: List[int] = []
-    writes: List[int] = []
-    for wall, processed, applied in run_specs(specs, jobs=jobs):
-        walls.append(wall)
-        events.append(processed)
-        writes.append(applied)
+    return [PointSpec.build(
+        run_multiobject_point, index=i,
+        labels=("multiobject", f"obj{count}"),
+        num_objects=count, seed=seed, **point_kwargs)
+        for i, count in enumerate(counts)]
+
+
+def fold_multiobject(specs: Sequence[PointSpec],
+                     points: List[Tuple[float, int, int]]) -> MultiObjectResult:
+    """Wall clock, events and writes per object count, column-wise."""
+    shared = specs[0].arguments()
+    walls, events, writes = (list(column) for column in zip(*points))
     return MultiObjectResult(
-        num_nodes=num_nodes, writers_per_object=writers_per_object,
-        duration=duration, object_counts=counts,
+        num_nodes=shared["num_nodes"], duration=shared["duration"],
+        writers_per_object=min(shared["writers_per_object"],
+                               shared["num_nodes"]),
+        object_counts=[spec.kwargs["num_objects"] for spec in specs],
         wall_clock_seconds=walls, events_processed=events,
         writes_applied=writes)
 

@@ -35,17 +35,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.deployment import DeploymentBuilder, IdeaDeployment
 from repro.experiments.report import format_table
-from repro.farm import PointSpec, run_specs
+from repro.experiments.scaffold import start_object_writers
+from repro.farm import PointSpec
 from repro.runtime.events import DetectionEvaluated, WriteRecorded
 from repro.scenarios import FaultInjector, FaultPlan
-from repro.transport.timers import PeriodicTimer
 
 
 @dataclass
@@ -94,32 +94,6 @@ class ChurnPointResult:
         if self.resolutions_total == 0:
             return float("nan")
         return self.resolutions_succeeded / self.resolutions_total
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "num_nodes": self.num_nodes,
-            "loss_probability": self.loss_probability,
-            "kill_fraction": self.kill_fraction,
-            "duration_simulated_s": self.duration,
-            "seed": self.seed,
-            "writes_applied": self.writes_applied,
-            "events_processed": self.events_processed,
-            "final_alive": self.final_alive,
-            "crashes": self.crashes,
-            "recoveries": self.recoveries,
-            "detection_events": self.detection_events,
-            "detection_failures": self.detection_failures,
-            "mean_detection_latency_s": self.mean_detection_latency,
-            "p95_detection_latency_s": self.p95_detection_latency,
-            "resolutions_total": self.resolutions_total,
-            "resolutions_succeeded": self.resolutions_succeeded,
-            "resolution_success_rate": self.resolution_success_rate,
-            "background_started": self.background_started,
-            "background_completed": self.background_completed,
-            "messages_sent": self.messages_sent,
-            "dropped_by_reason": dict(self.dropped_by_reason),
-            "wall_seconds": round(self.wall_seconds, 3),
-        }
 
 
 @dataclass
@@ -189,29 +163,17 @@ def run_churn_point(*, num_nodes: int = 8, loss_probability: float = 0.0,
 
     config = IdeaConfig(mode=AdaptationMode.HINT_BASED, hint_level=hint_level,
                         background_period=background_period)
-    node_ids = deployment.node_ids
-    writers_per_object = min(writers_per_object, num_nodes)
     for i in range(num_objects):
         object_id = f"obj{i:02d}"
         deployment.register_object(object_id, config)
-        for w in range(writers_per_object):
-            node_id = node_ids[(i + w) % num_nodes]
-            middleware = deployment.middleware(object_id, node_id)
-            node = deployment.nodes[node_id]
-
-            def workload(m=middleware, n=node) -> None:
-                if n.alive:  # crashed writers skip their rounds
-                    m.write(metadata_delta=1.0)
-
-            timer = PeriodicTimer(deployment.sim, workload,
-                                  period=write_period, label=f"wl:{object_id}")
-            offset = 0.05 + write_period * (w / writers_per_object) + 0.01 * i
-            deployment.sim.call_at(offset, timer.start)
+        start_object_writers(
+            deployment, object_id, i, writers_per_object=writers_per_object,
+            write_period=write_period, offset=0.01 * i)
 
     # The acceptance scenario: kill `kill_fraction` of the nodes about a
     # third of the way in, recover every one of them in the final third.
     plan = FaultPlan.kill_and_recover(
-        node_ids, fraction=kill_fraction,
+        deployment.node_ids, fraction=kill_fraction,
         crash_at=duration * 0.35, recover_at=duration * 0.65,
         stagger=min(1.0, write_period / 2))
     injector = FaultInjector(deployment, plan).arm()
@@ -266,7 +228,6 @@ def fingerprint(point: ChurnPointResult) -> Dict[str, object]:
 
 def build_churn_grid(*, node_counts: Sequence[int] = (8, 16, 32, 64),
                      loss_probabilities: Sequence[float] = (0.0, 0.01, 0.05),
-                     kill_fraction: float = 0.25, duration: float = 120.0,
                      seed: int = 29, **point_kwargs) -> List[PointSpec]:
     """The size × loss grid as farm point specs (aggregation order).
 
@@ -280,26 +241,8 @@ def build_churn_grid(*, node_counts: Sequence[int] = (8, 16, 32, 64),
                 run_churn_point, index=len(specs),
                 labels=("churn", f"n{num_nodes}", f"loss{loss:g}"),
                 num_nodes=num_nodes, loss_probability=loss,
-                kill_fraction=kill_fraction, duration=duration,
                 seed=seed + num_nodes, **point_kwargs))
     return specs
-
-
-def run_churn_experiment(*, node_counts: Sequence[int] = (8, 16, 32, 64),
-                         loss_probabilities: Sequence[float] = (0.0, 0.01, 0.05),
-                         kill_fraction: float = 0.25, duration: float = 120.0,
-                         seed: int = 29, jobs: int = 1,
-                         **point_kwargs) -> ChurnSweepResult:
-    """Sweep deployment size × loss rate, killing/recovering 25 % mid-run.
-
-    ``jobs>1`` fans the grid points over farm worker processes; ``jobs=1``
-    runs them serially in-process, bit-identical to the pre-farm loop.
-    """
-    specs = build_churn_grid(
-        node_counts=node_counts, loss_probabilities=loss_probabilities,
-        kill_fraction=kill_fraction, duration=duration, seed=seed,
-        **point_kwargs)
-    return ChurnSweepResult(points=run_specs(specs, jobs=jobs))
 
 
 def format_churn_report(result: ChurnSweepResult) -> str:

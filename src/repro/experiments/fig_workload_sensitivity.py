@@ -32,21 +32,20 @@ the regression tests replay a point and require identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.core.config import AdaptationMode, IdeaConfig
-from repro.core.deployment import DeploymentBuilder, IdeaDeployment
+from repro.core.deployment import DeploymentBuilder
 from repro.experiments.report import format_table
-from repro.farm import PointSpec, run_specs
+from repro.farm import PointSpec
 from repro.transport.timers import PeriodicTimer
 from repro.workloads import (
     ClientPopulation,
     ConstantRate,
     FlashCrowdRate,
     OpMix,
-    TrafficDriver,
     ZipfPopularity,
 )
 
@@ -169,7 +168,7 @@ def run_workload_point(*, zipf_skew: float = 0.99, read_fraction: float = 0.9,
         schedule=_make_schedule(shape, rate, duration))
     builder.add_traffic([population], duration=duration, collect_metrics=True)
     deployment = builder.start_overlay_services().build()
-    driver: TrafficDriver = deployment.traffic
+    driver = deployment.traffic
 
     # Accuracy probe: every sample_period, compare the level the middleware
     # *perceives* with the ground truth computed from the replica vectors.
@@ -254,18 +253,6 @@ def build_workload_grid(*, zipf_skews: Sequence[float] = (0.0, 0.99, 1.2),
                     zipf_skew=skew, read_fraction=read_fraction, shape=shape,
                     seed=seed, **point_kwargs))
     return specs
-
-
-def run_workload_sensitivity(*, zipf_skews: Sequence[float] = (0.0, 0.99, 1.2),
-                             read_fractions: Sequence[float] = (0.5, 0.9, 0.99),
-                             shapes: Sequence[str] = SHAPES,
-                             seed: int = 23, jobs: int = 1,
-                             **point_kwargs) -> WorkloadSweepResult:
-    """Sweep Zipf skew × read mix × traffic shape (``jobs>1`` farms it)."""
-    specs = build_workload_grid(
-        zipf_skews=zipf_skews, read_fractions=read_fractions, shapes=shapes,
-        seed=seed, **point_kwargs)
-    return WorkloadSweepResult(points=run_specs(specs, jobs=jobs))
 
 
 def format_workload_report(result: WorkloadSweepResult) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.report import format_table
-from repro.farm import PointSpec, run_specs
+from repro.farm import PointSpec
 from repro.worlds.loader import catalog_names, load_world
 from repro.worlds.model import World
 from repro.worlds.runner import WorldRunResult, run_world_point
@@ -60,18 +60,10 @@ def build_world_matrix_grid(*, worlds: Optional[Sequence[str]] = None,
     strings, so every spec pickles and each worker re-loads its world from
     the committed document.
     """
-    names = list(worlds) if worlds else catalog_names()
-    specs: List[PointSpec] = []
-    for name in names:
-        kwargs: Dict[str, object] = {"world": name}
-        if seed is not None:
-            kwargs["seed"] = seed
-        if duration is not None:
-            kwargs["duration"] = duration
-        specs.append(PointSpec.build(
-            run_world_point, index=len(specs), labels=("world", name),
-            **kwargs))
-    return specs
+    return [PointSpec.build(
+        run_world_point, index=i, labels=("world", name), world=name,
+        seed=seed, duration=duration)
+        for i, name in enumerate(worlds or catalog_names())]
 
 
 def _verdict(world: World, point: WorldRunResult) -> str:
@@ -83,22 +75,16 @@ def _verdict(world: World, point: WorldRunResult) -> str:
     return "ok" if point.fingerprint == dict(pinned.values) else "MISMATCH"
 
 
-def run_world_matrix(*, worlds: Optional[Sequence[str]] = None,
-                     seed: Optional[int] = None,
-                     duration: Optional[float] = None,
-                     jobs: int = 1) -> WorldMatrixResult:
-    """Run every selected world through the farm and judge its fingerprint.
+def fold_world_matrix(specs: Sequence[PointSpec],
+                      points: List[WorldRunResult]) -> WorldMatrixResult:
+    """Judge every point's fingerprint against its world's committed pin.
 
-    With no overrides each world runs at its pinned seed/horizon, so every
+    With no overrides each world ran at its pinned seed/horizon, so every
     pinned fingerprint is actually checked; ``seed``/``duration`` overrides
     mark those verdicts ``skipped`` instead of comparing apples to oranges.
     """
-    specs = build_world_matrix_grid(worlds=worlds, seed=seed,
-                                    duration=duration)
-    points: List[WorldRunResult] = run_specs(specs, jobs=jobs)
-    names = list(worlds) if worlds else catalog_names()
-    verdicts = {point.world: _verdict(load_world(ref), point)
-                for ref, point in zip(names, points)}
+    verdicts = {point.world: _verdict(load_world(spec.kwargs["world"]), point)
+                for spec, point in zip(specs, points)}
     return WorldMatrixResult(points=points, verdicts=verdicts)
 
 

@@ -6,7 +6,7 @@ regenerated artefacts (DESIGN.md §4's experiments) all share one format.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], *,
@@ -32,18 +32,6 @@ def _fmt(cell: object) -> str:
     if isinstance(cell, float):
         return f"{cell:.4g}"
     return str(cell)
-
-
-def series_to_rows(times: Sequence[float], *series: Tuple[str, Sequence[float]]
-                   ) -> List[List[object]]:
-    """Zip a time axis with one or more named series into printable rows."""
-    rows: List[List[object]] = []
-    for i, t in enumerate(times):
-        row: List[object] = [t]
-        for _, values in series:
-            row.append(values[i] if i < len(values) else "")
-        rows.append(row)
-    return rows
 
 
 def percent(value: float) -> str:

@@ -16,13 +16,14 @@ phase 2 linear in the member count — is preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.apps.whiteboard import WhiteboardApp, default_whiteboard_config
 from repro.core.config import AdaptationMode
 from repro.core.deployment import IdeaDeployment
 from repro.experiments.report import format_table
-from repro.farm import PointSpec, run_specs
+from repro.experiments.scaffold import schedule_warmup
+from repro.farm import PointSpec
 
 
 @dataclass
@@ -43,27 +44,36 @@ class PhaseBreakdownResult:
     def mean_phase2(self) -> float:
         return sum(self.phase2_delays) / len(self.phase2_delays)
 
-    @property
-    def mean_total(self) -> float:
-        return self.mean_phase1 + self.mean_phase2
 
-
-def _build_whiteboard(num_nodes: int, num_writers: int, seed: int,
-                      hint_level: float = 0.0) -> Tuple[IdeaDeployment, WhiteboardApp, List[str]]:
+def _build_whiteboard(num_nodes: int, num_writers: int, seed: int
+                      ) -> Tuple[IdeaDeployment, WhiteboardApp, List[str]]:
     """Deployment helper shared with the Figure 9 scalability harness."""
     deployment = IdeaDeployment(num_nodes=num_nodes, seed=seed)
     writers = deployment.node_ids[:num_writers]
     # hint 0 ⇒ no automatic resolutions; the harness triggers them explicitly.
-    config = default_whiteboard_config(hint_level=hint_level,
+    config = default_whiteboard_config(hint_level=0.0,
                                        mode=AdaptationMode.ON_DEMAND)
     app = WhiteboardApp(deployment, participants=list(deployment.node_ids),
                         config=config, start_background=False)
-    for i, writer in enumerate(writers):
-        deployment.sim.call_at(1.0 + 0.5 * i,
-                               lambda w=writer: app.post(w, f"warm-up by {w}"),
-                               label="warmup")
+    schedule_warmup(deployment, writers,
+                    lambda i, w: app.post(w, f"warm-up by {w}"))
     deployment.run(until=5.0 + 0.5 * num_writers)
     return deployment, app, writers
+
+
+def _resolve_after_divergence(deployment: IdeaDeployment, app: WhiteboardApp,
+                              writers: Sequence[str], start, note: str,
+                              wait: float):
+    """Every writer posts (fresh divergence, so the round has real work to
+    do), then ``start()``'s round gets ``wait`` seconds; its result, or
+    ``None`` when it aborted.  Shared with Figure 9."""
+    for writer in writers:
+        app.post(writer, f"{writer} {note}")
+    deployment.run(until=deployment.sim.now + 2.0)
+    process = start()
+    deployment.run(until=deployment.sim.now + wait)
+    result = process.result
+    return None if result is None or result.aborted else result
 
 
 def run_phase_breakdown(*, num_nodes: int = 40, num_writers: int = 4,
@@ -74,19 +84,13 @@ def run_phase_breakdown(*, num_nodes: int = 40, num_writers: int = 4,
     phase1: List[float] = []
     phase2: List[float] = []
     for initiator in writers:
-        # Create fresh divergence so each round has real work to do.
-        for writer in writers:
-            app.post(writer, f"{writer} conflicting update before {initiator} resolves")
-        deployment.run(until=deployment.sim.now + 2.0)
-
-        middleware = app.middleware(initiator)
-        process = middleware.resolution.start_active_resolution()
-        deployment.run(until=deployment.sim.now + 5.0)
-        result = process.result
-        if result is None or result.aborted:
-            continue
-        phase1.append(result.phase1_delay)
-        phase2.append(result.phase2_delay)
+        result = _resolve_after_divergence(
+            deployment, app, writers,
+            app.middleware(initiator).resolution.start_active_resolution,
+            f"conflicting update before {initiator} resolves", 5.0)
+        if result is not None:
+            phase1.append(result.phase1_delay)
+            phase2.append(result.phase2_delay)
 
     if not phase2:
         raise RuntimeError("no active-resolution round completed")
@@ -105,15 +109,6 @@ def build_phase_grid(*, writer_counts: Sequence[int] = (2, 4, 8),
         num_nodes=max(num_nodes, int(count)), num_writers=int(count),
         seed=seed)
         for i, count in enumerate(writer_counts)]
-
-
-def run_phase_sweep(*, writer_counts: Sequence[int] = (2, 4, 8),
-                    num_nodes: int = 40, seed: int = 17,
-                    jobs: int = 1) -> List[PhaseBreakdownResult]:
-    """Phase breakdowns across top-layer sizes, optionally farmed."""
-    specs = build_phase_grid(writer_counts=writer_counts,
-                             num_nodes=num_nodes, seed=seed)
-    return run_specs(specs, jobs=jobs)
 
 
 def format_report(result: PhaseBreakdownResult) -> str:

@@ -14,14 +14,16 @@ messages, and the per-round cost is independent of the schedule.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.analysis.formulas import messages_per_round, optimal_background_rate, round_cost_bits
 from repro.apps.booking import BookingApp, default_booking_config
 from repro.core.deployment import IdeaDeployment
 from repro.experiments.report import format_table
-from repro.farm import PointSpec, run_specs
+from repro.experiments.scaffold import run_sampled, schedule_warmup
+from repro.farm import PointSpec
 from repro.workloads.legacy import UniformWorkload
 
 
@@ -77,10 +79,8 @@ def run_booking_scenario(*, background_period: float, duration: float = 100.0,
     deployment.start_overlay_services()
 
     # Warm-up sales so the servers populate the top layer.
-    for i, server in enumerate(servers):
-        deployment.sim.call_at(1.0 + 0.5 * i,
-                               lambda s=server, k=i: app.book(s, f"warmup-{k}"),
-                               label="warmup")
+    schedule_warmup(deployment, servers,
+                    lambda i, s: app.book(s, f"warmup-{i}"))
     deployment.run(until=warmup)
     start = deployment.sim.now
 
@@ -90,28 +90,13 @@ def run_booking_scenario(*, background_period: float, duration: float = 100.0,
 
     workload = UniformWorkload(servers, period=booking_period, duration=duration,
                                start=start)
-    counter = {"k": 0}
+    customers = itertools.count(1)
+    workload.schedule(deployment.sim, lambda server, k: app.book(
+        server, f"customer-{next(customers)}"))
 
-    def issue(server: str, k: int) -> None:
-        counter["k"] += 1
-        app.book(server, f"customer-{counter['k']}")
-
-    workload.schedule(deployment.sim, issue)
-
-    sample_times: List[float] = []
-    worst_levels: List[float] = []
-    average_levels: List[float] = []
-
-    def sample() -> None:
-        worst, avg = app.sample()
-        sample_times.append(deployment.sim.now - start)
-        worst_levels.append(worst)
-        average_levels.append(avg)
-
-    for k in range(1, int(duration // sample_period) + 1):
-        deployment.sim.call_at(start + k * sample_period + 1.0, sample, label="sample")
-
-    deployment.run(until=start + duration + sample_period)
+    sample_times, worst_levels, average_levels = run_sampled(
+        deployment, app.sample, start=start, duration=duration,
+        sample_period=sample_period, lag=1.0)
 
     outcome = app.outcome()
     return BookingRun(
@@ -125,23 +110,17 @@ def run_booking_scenario(*, background_period: float, duration: float = 100.0,
 
 
 def build_overhead_grid(*, periods: Tuple[float, ...] = (20.0, 40.0),
-                        duration: float = 100.0, num_nodes: int = 40,
                         seed: int = 23, **point_kwargs) -> List[PointSpec]:
     """One booking run per background period, as farm point specs."""
     return [PointSpec.build(
         run_booking_scenario, index=i, labels=("tab3", f"period{period:g}"),
-        background_period=float(period), duration=duration,
-        num_nodes=num_nodes, seed=seed, **point_kwargs)
+        background_period=float(period), seed=seed, **point_kwargs)
         for i, period in enumerate(periods)]
 
 
-def run_overhead_experiment(*, periods: Tuple[float, ...] = (20.0, 40.0),
-                            duration: float = 100.0, num_nodes: int = 40,
-                            seed: int = 23, jobs: int = 1) -> OverheadResult:
-    """Run the Table 3 comparison across background periods."""
-    specs = build_overhead_grid(periods=periods, duration=duration,
-                                num_nodes=num_nodes, seed=seed)
-    runs = run_specs(specs, jobs=jobs)
+def fold_overhead(specs: Sequence[PointSpec],
+                  runs: List[BookingRun]) -> OverheadResult:
+    """Pool the runs' messages and rounds into the per-round cost."""
     totals = [r.resolution_messages for r in runs]
     round_counts = [max(r.background_rounds, 1) for r in runs]
     per_round = messages_per_round(totals, round_counts)

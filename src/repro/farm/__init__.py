@@ -16,8 +16,8 @@ by construction, and this package fans them across worker processes:
   bit-identically;
 * :func:`~repro.farm.seeding.derive_seed` — stable (hash-salt-free)
   per-point seed derivation for new grids;
-* :func:`~repro.farm.farm.run_specs` — the one-call dispatch the
-  ``run_*_experiment(jobs=N)`` entry points use.
+* :func:`~repro.farm.farm.run_specs` — the one-call dispatch behind
+  :func:`repro.experiments.run`.
 
 See DESIGN.md §10 "Run farm & parallel sweeps" for the executor model and
 the determinism contract (and for when *not* to parallelize).

@@ -303,7 +303,7 @@ def run_specs(specs: Sequence[PointSpec], *, jobs: int = 1, retries: int = 1,
               crash_retries: int = 1, max_in_flight: Optional[int] = None):
     """Run a grid and return its ordered values (raising on any failure).
 
-    The one-liner the experiment modules dispatch through:
+    The one-liner :func:`repro.experiments.run` dispatches through:
     ``jobs=1`` reproduces the pre-farm serial loops bit-identically.
     """
     farm = SweepFarm(specs, jobs=jobs, retries=retries,

@@ -11,6 +11,7 @@ state to drift between the serial oracle and a worker process.
 from __future__ import annotations
 
 import importlib
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -83,6 +84,15 @@ class PointSpec:
     def call(self) -> Any:
         """Execute the point in the current process (the serial oracle)."""
         return self.resolve()(**self.kwargs)
+
+    def arguments(self) -> Dict[str, Any]:
+        """Every keyword the point will see: ``kwargs`` over its defaults.
+
+        Raises ``TypeError`` when ``kwargs`` do not bind to the function.
+        """
+        bound = inspect.signature(self.resolve()).bind(**self.kwargs)
+        bound.apply_defaults()
+        return dict(bound.arguments)
 
     @property
     def label(self) -> str:

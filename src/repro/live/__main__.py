@@ -28,11 +28,11 @@ import os
 import sys
 import tempfile
 
-from repro.live.chaos import LiveFaultController, resolve_plan
-from repro.live.deployment import (DeploymentError, LiveDeployment,
-                                   RestartPolicy)
-from repro.live.scenario import (default_scenario, fault_oracle_diff,
-                                 oracle_diff, run_sim_scenario)
+from repro.live.chaos import resolve_plan, run_live_deployment
+from repro.live.deployment import DeploymentError, RestartPolicy
+from repro.live.scenario import (activity, activity_lines, default_scenario,
+                                 fault_oracle_diff, oracle_diff,
+                                 run_sim_scenario)
 
 
 def main(argv=None) -> int:
@@ -82,59 +82,35 @@ def main(argv=None) -> int:
                             time_scale=time_scale)
     policy = (RestartPolicy(max_restarts=args.restart_budget)
               if (args.supervise or plan is not None) else None)
-    deployment = LiveDeployment(spec, rundir, kind=args.transport,
-                                restart_policy=policy)
-    controller = (LiveFaultController(deployment, plan)
-                  if plan is not None else None)
     try:
-        deployment.start()
-        live = deployment.wait(
-            on_tick=controller.tick if controller is not None else None,
-            require_all_outcomes=plan is None)
+        live, controller = run_live_deployment(
+            spec, rundir, plan, kind=args.transport, restart_policy=policy)
     except DeploymentError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         print(f"logs: {os.path.join(rundir, 'log')}", file=sys.stderr)
         return 1
-    finally:
-        deployment.terminate()
-        if controller is not None:
-            controller.write_timeline(
-                os.path.join(rundir, "chaos_timeline.json"))
 
-    writes = sum(sum(o["writes_applied"].values()) for o in live.values())
-    gossip = sum(o["gossip_rounds"] for o in live.values())
-    resolutions = sum(len(o["resolutions"]) for o in live.values())
-    folded = sum(sum(o["folded"].values()) for o in live.values())
-    reconnects = sum(o.get("reconnects", 0) for o in live.values())
-    restarts = sum(o.get("restarts", 0) for o in live.values())
+    totals = activity(live)
     print(f"live deployment: {len(live)} nodes over {args.transport}, "
           f"rundir {rundir}")
-    print(f"  writes applied:        {writes}")
-    print(f"  gossip rounds:         {gossip}")
-    print(f"  resolutions completed: {resolutions}")
-    print(f"  log entries folded:    {folded}")
+    print("\n".join(activity_lines(totals)))
     if plan is not None or args.supervise:
-        print(f"  reconnects:            {reconnects}")
-        print(f"  restarts:              {restarts}")
+        print(f"  reconnects:            {totals['reconnects']}")
+        print(f"  restarts:              {totals['restarts']}")
     if controller is not None:
         print(f"  chaos: {len(controller.timeline)} actions applied, "
               f"{controller.rejoins} supervised re-joins "
               f"(timeline: {os.path.join(rundir, 'chaos_timeline.json')})")
 
     problems = []
-    if writes == 0:
+    if totals["writes"] == 0:
         problems.append("no writes were applied")
-    if gossip == 0:
+    if totals["gossip"] == 0:
         problems.append("no gossip rounds ran")
-    if resolutions == 0:
+    if totals["resolutions"] == 0:
         problems.append("no resolution completed")
-    if plan is not None and plan.crashes():
-        if reconnects == 0:
-            problems.append("fault plan crashed nodes but no transport "
-                            "reconnects happened")
-        if controller is not None and controller.rejoins < len(
-                {a.node_id for a in plan.recoveries()}):
-            problems.append("not every planned recovery was applied")
+    if controller is not None:
+        problems.extend(controller.evidence_problems(totals["reconnects"]))
 
     if not args.no_oracle:
         sim = run_sim_scenario(spec, fault_plan=plan)

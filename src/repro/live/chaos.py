@@ -34,9 +34,11 @@ import json
 import os
 import signal
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.live.control import ControlClient, ControlError
+from repro.live.deployment import LiveDeployment, RestartPolicy
+from repro.live.scenario import ScenarioSpec
 from repro.scenarios.plan import (CRASH, HEAL, PARTITION, RECOVER,
                                   RESTORE_LOSS, SET_LOSS, FaultAction,
                                   FaultPlan)
@@ -189,11 +191,55 @@ class LiveFaultController:
                                                  "node_id": node_id}})
 
     # -------------------------------------------------------------- reports
+    def evidence_problems(self, reconnects: int) -> List[str]:
+        """What a plan with crashes must leave behind and did not: transport
+        re-dials (``reconnects`` summed over the outcomes) and one
+        supervised re-join per planned recovery."""
+        problems: List[str] = []
+        if self.plan.crashes():
+            if reconnects == 0:
+                problems.append("fault plan crashed nodes but no transport "
+                                "reconnects happened")
+            if self.rejoins < len({a.node_id
+                                   for a in self.plan.recoveries()}):
+                problems.append("not every planned recovery was applied")
+        return problems
+
     def write_timeline(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"plan": self.plan.to_dict(),
                        "rejoins": self.rejoins,
                        "timeline": self.timeline}, fh, indent=2)
+
+
+def run_live_deployment(spec: ScenarioSpec, rundir: str,
+                        plan: Optional[FaultPlan] = None, *,
+                        kind: str = "uds",
+                        restart_policy: Optional[RestartPolicy] = None
+                        ) -> Tuple[Dict[str, Dict[str, Any]],
+                                   Optional[LiveFaultController]]:
+    """Boot ``spec`` as one process per node, replay ``plan`` against it
+    while it runs, tear it down; ``(per-node outcomes, controller)``.
+
+    With a plan, nodes it leaves dead are absent from the outcomes and the
+    applied timeline lands in ``<rundir>/chaos_timeline.json`` — also when
+    the deployment fails (``DeploymentError`` propagates after teardown).
+    """
+    deployment = LiveDeployment(spec, rundir, kind=kind,
+                                restart_policy=restart_policy)
+    controller = (LiveFaultController(deployment, plan)
+                  if plan is not None else None)
+    try:
+        deployment.start()
+        outcomes = deployment.wait(
+            on_tick=controller.tick if controller is not None else None,
+            require_all_outcomes=plan is None)
+    finally:
+        deployment.terminate()
+        if controller is not None:
+            controller.write_timeline(
+                os.path.join(rundir, "chaos_timeline.json"))
+    return outcomes, controller
 
 
 # ---------------------------------------------------------------------------

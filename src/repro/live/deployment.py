@@ -114,9 +114,6 @@ class LiveDeployment:
     def spec_path(self) -> str:
         return os.path.join(self.rundir, "spec.json")
 
-    def ready_path(self, node_id: str) -> str:
-        return os.path.join(self.rundir, "ready", node_id)
-
     def out_path(self, node_id: str) -> str:
         return os.path.join(self.rundir, "out", f"{node_id}.json")
 

@@ -382,6 +382,27 @@ def run_live_scenario_inprocess(spec: ScenarioSpec, rundir: str, *,
     return asyncio.run(_run())
 
 
+def activity(outcomes: Dict[str, Dict[str, Any]]) -> Dict[str, int]:
+    """Deployment-wide totals of the per-node outcome counters."""
+    nodes = outcomes.values()
+    return {
+        "writes": sum(sum(o["writes_applied"].values()) for o in nodes),
+        "gossip": sum(o["gossip_rounds"] for o in nodes),
+        "resolutions": sum(len(o["resolutions"]) for o in nodes),
+        "folded": sum(sum(o["folded"].values()) for o in nodes),
+        "reconnects": sum(o.get("reconnects", 0) for o in nodes),
+        "restarts": sum(o.get("restarts", 0) for o in nodes),
+    }
+
+
+def activity_lines(totals: Dict[str, int]) -> List[str]:
+    """The four protocol-activity lines every run summary prints."""
+    return [f"  writes applied:        {totals['writes']}",
+            f"  gossip rounds:         {totals['gossip']}",
+            f"  resolutions completed: {totals['resolutions']}",
+            f"  log entries folded:    {totals['folded']}"]
+
+
 # --------------------------------------------------------------------------
 # the oracle comparison
 # --------------------------------------------------------------------------

@@ -359,7 +359,3 @@ async def read_frame(reader: asyncio.StreamReader) -> bytes:
     if length > MAX_FRAME_BYTES:
         raise WireError(f"incoming frame claims {length} bytes")
     return await reader.readexactly(length)
-
-
-def write_frame(writer: asyncio.StreamWriter, frame: bytes) -> None:
-    writer.write(frame)

@@ -94,9 +94,6 @@ class TemperatureTracker:
         dt = max(0.0, time - last)
         return score * math.exp(-self._decay_rate * dt)
 
-    def writers_seen(self) -> List[str]:
-        return sorted(self._scores)
-
     # ------------------------------------------------------------ selection
     def select_top(self, time: float) -> List[str]:
         """Choose the top layer at ``time``: the hottest writers.

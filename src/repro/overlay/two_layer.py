@@ -105,9 +105,6 @@ class TwoLayerOverlay:
         """
         self._dead.discard(node_id)
 
-    def dead_nodes(self) -> List[str]:
-        return sorted(self._dead)
-
     # ------------------------------------------------------------ membership
     def top_layer(self, object_id: str, time: Optional[float] = None) -> List[str]:
         """Current top-layer members for the object (may be empty pre-warm-up)."""

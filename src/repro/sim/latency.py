@@ -229,10 +229,6 @@ class HeterogeneousLatencyModel(LatencyModel):
     def _key(site_a: str, site_b: str) -> Tuple[str, str]:
         return (site_a, site_b) if site_a <= site_b else (site_b, site_a)
 
-    def link_profile(self, site_a: str, site_b: str) -> Optional[LinkProfile]:
-        """The profile configured for this (unordered) site pair, if any."""
-        return self._links.get(self._key(site_a, site_b))
-
     def link_profiles(self) -> Dict[Tuple[str, str], LinkProfile]:
         """Every configured (unordered site pair) -> profile mapping."""
         return dict(self._links)

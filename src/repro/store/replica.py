@@ -20,7 +20,6 @@ from typing import Any, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.store.update_log import UpdateLog
 from repro.versioning.extended_vector import (
-    ErrorTriple,
     ExtendedVersionVector,
     TruncatedHistoryError,
     UpdateRecord,
@@ -178,10 +177,6 @@ class Replica:
     def mark_consistent(self, time: float) -> None:
         """Record that the replica was brought to a consistent state at ``time``."""
         self._vector = self._vector.with_consistent_time(time)
-        self.revision += 1
-
-    def attach_triple(self, triple: ErrorTriple) -> None:
-        self._vector = self._vector.with_triple(triple)
         self.revision += 1
 
     def install_merged(self, merged: ExtendedVersionVector, *, now: float) -> int:

@@ -13,8 +13,7 @@ interfaces defined here.  Two backends implement them:
 See DESIGN.md §13 for the contracts and the oracle methodology.
 """
 
-from repro.transport.api import (Cancellable, Clock, TimerFactory,
-                                 TimerHandle, Transport)
+from repro.transport.api import Cancellable, Clock, Transport
 from repro.transport.endpoint import ProtocolEndpoint, unwrap_response
 from repro.transport.errors import RPCError, TransportError
 from repro.transport.message import Message, NetworkStats
@@ -23,6 +22,6 @@ from repro.transport.timers import PeriodicTimer
 
 __all__ = [
     "Cancellable", "Clock", "Message", "NetworkStats", "PeriodicTimer",
-    "Process", "ProtocolEndpoint", "RPCError", "TimerFactory", "TimerHandle",
-    "Transport", "TransportError", "Waiter", "sleep", "unwrap_response",
+    "Process", "ProtocolEndpoint", "RPCError", "Transport", "TransportError",
+    "Waiter", "sleep", "unwrap_response",
 ]

@@ -25,17 +25,6 @@ Contract summary
     (the simulator always can; the live transport only for ids missing from
     its address book) — known-but-unreachable destinations are counted
     drops, never errors.
-
-``TimerHandle``
-    The restartable periodic contract :class:`~repro.transport.timers.
-    PeriodicTimer` implements: ``start`` (resumes after ``stop``),
-    ``stop`` (pausable), ``cancel`` (terminal), ``active``/``stopped``/
-    ``cancelled``.
-
-``TimerFactory``
-    Anything callable as ``factory(clock, callback, *, period=..., ...)``
-    returning a ``TimerHandle``; ``PeriodicTimer`` itself is the default
-    factory for both backends.
 """
 
 from __future__ import annotations
@@ -90,33 +79,3 @@ class Transport(Protocol):
     def send_many(self, src: str, dsts: Sequence[str], *, protocol: str,
                   msg_type: str, payload: Any = None,
                   size_bytes: Optional[int] = None) -> List[Message]: ...
-
-
-@runtime_checkable
-class TimerHandle(Protocol):
-    """Restartable periodic timer (see :class:`PeriodicTimer`)."""
-
-    def start(self) -> "TimerHandle": ...
-
-    def stop(self) -> None: ...
-
-    def cancel(self) -> None: ...
-
-    @property
-    def active(self) -> bool: ...
-
-    @property
-    def cancelled(self) -> bool: ...
-
-    @property
-    def stopped(self) -> bool: ...
-
-
-class TimerFactory(Protocol):
-    """Builds a periodic timer bound to a clock; ``PeriodicTimer`` is one."""
-
-    def __call__(self, clock: Clock, callback: Callable[[], None], *,
-                 period: Optional[float] = None,
-                 period_fn: Optional[Callable[[], Optional[float]]] = None,
-                 label: str = "", jitter: float = 0.0,
-                 rng: Any = None) -> TimerHandle: ...

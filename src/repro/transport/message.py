@@ -68,18 +68,6 @@ class NetworkStats:
         #: one connection)
         self.drop_reasons: Counter = Counter()
 
-    # Convenience recorders for external instrumentation; Network's own send
-    # and delivery paths update the counters directly to skip the call.
-    def record_sent(self, protocol: str, size_bytes: int) -> None:
-        self.sent[protocol] += 1
-        self.bytes_sent[protocol] += size_bytes
-
-    def record_delivered(self, protocol: str) -> None:
-        self.delivered[protocol] += 1
-
-    def record_dropped(self, protocol: str) -> None:
-        self.dropped[protocol] += 1
-
     def total_sent(self, prefix: str = "") -> int:
         """Total messages sent whose protocol label starts with ``prefix``."""
         return sum(v for k, v in self.sent.items() if k.startswith(prefix))

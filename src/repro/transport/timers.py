@@ -14,8 +14,8 @@ backing clock's own event/handle objects.
 The timer needs exactly one primitive from its backend: ``clock.call_after``
 returning a handle with ``cancel()``.  It therefore runs unchanged over the
 discrete-event :class:`~repro.sim.engine.Simulator` and the wall-clock
-:class:`~repro.live.clock.LiveClock` — it *is* the ``TimerFactory``
-implementation both backends share.
+:class:`~repro.live.clock.LiveClock` — it is the one
+periodic timer both backends share.
 """
 
 from __future__ import annotations

@@ -321,9 +321,6 @@ class ExtendedVersionVector:
         """The per-writer checkpoint bases (copy; empty when untruncated)."""
         return dict(self._base)
 
-    def is_truncated(self) -> bool:
-        return bool(self._base)
-
     def writers(self) -> Tuple[str, ...]:
         if not self._base:
             return tuple(sorted(self._updates))

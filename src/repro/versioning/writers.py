@@ -46,10 +46,6 @@ class WriterTable:
             self._names.append(writer)
         return wid
 
-    def id_of(self, writer: str) -> int:
-        """The writer's id; raises KeyError when never interned."""
-        return self._ids[writer]
-
     def name_of(self, wid: int) -> str:
         return self._names[wid]
 

@@ -251,9 +251,6 @@ class PiecewiseRate(RateSchedule):
     def exhausted_after(self, t: float) -> bool:
         return not self.repeat and t >= self._total
 
-    def total_duration(self) -> float:
-        return self._total
-
     def describe(self) -> str:
         inner = " | ".join(f"{d:g}s:{s.describe()}" for d, s in self.segments)
         suffix = ", repeat" if self.repeat else ""

@@ -7,18 +7,19 @@ benchmarks (and the paper) make.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.experiments.fig2_tradeoff import run_tradeoff_experiment
+from repro.experiments import run
 from repro.experiments.fig7_hint import format_report, run_hint_experiment
 from repro.experiments.fig8_hint_change import run_hint_change_experiment
 from repro.experiments.fig9_scalability import (run_multiobject_point,
-                                                run_scalability_experiment,
                                                 run_scalability_point)
-from repro.experiments.fig10_automatic import run_automatic_experiment
-from repro.experiments.report import format_table, percent, series_to_rows
+from repro.experiments.report import format_table, percent
+from repro.experiments.scaffold import (run_sampled, schedule_warmup,
+                                        start_object_writers)
 from repro.experiments.tab2_phases import run_phase_breakdown
-from repro.experiments.tab3_overhead import run_overhead_experiment
 
 
 class TestReportHelpers:
@@ -31,10 +32,6 @@ class TestReportHelpers:
 
     def test_percent(self):
         assert percent(0.943) == "94.3%"
-
-    def test_series_to_rows(self):
-        rows = series_to_rows([0.0, 5.0], ("x", [1.0, 2.0]), ("y", [3.0]))
-        assert rows == [[0.0, 1.0, 3.0], [5.0, 2.0, ""]]
 
 
 class TestFig7:
@@ -114,7 +111,7 @@ class TestTab2:
 class TestFig9:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_scalability_experiment(max_top_layer=6, num_nodes=16, seed=19)
+        return run("fig9", max_top_layer=6, num_nodes=16, seed=19)
 
     def test_delay_grows_with_top_layer_size(self, result):
         assert result.active_delays[-1] > result.active_delays[0]
@@ -147,8 +144,8 @@ class TestFig9:
 class TestTab3AndFig10:
     @pytest.fixture(scope="class")
     def overhead(self):
-        return run_overhead_experiment(periods=(20.0, 40.0), duration=80.0,
-                                       num_nodes=16, seed=23)
+        return run("tab3", periods=(20.0, 40.0), duration=80.0,
+                   num_nodes=16, seed=23)
 
     def test_faster_schedule_costs_more_messages(self, overhead):
         fast, slow = overhead.runs
@@ -170,8 +167,8 @@ class TestTab3AndFig10:
         assert mean_fast > mean_slow
 
     def test_automatic_experiment_wraps_same_runs(self):
-        result = run_automatic_experiment(periods=(20.0, 40.0), duration=60.0,
-                                          num_nodes=12, seed=29)
+        result = run("fig10", periods=(20.0, 40.0), duration=60.0,
+                     num_nodes=12, seed=29)
         assert len(result.runs) == 2
         assert result.mean_average_level(result.runs[0]) >= result.mean_average_level(
             result.runs[1])
@@ -180,7 +177,7 @@ class TestTab3AndFig10:
 class TestFig2:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_tradeoff_experiment(num_nodes=8, duration=40.0, settle=30.0, seed=31)
+        return run("fig2", num_nodes=8, duration=40.0, settle=30.0, seed=31)
 
     def test_strong_pays_highest_message_cost(self, result):
         strong = result.row("StrongConsistencyPrimary")
@@ -205,3 +202,110 @@ class TestFig2:
     def test_idea_converges_faster_than_optimistic(self, result):
         assert result.row("IDEA").convergence_delay < \
             result.row("OptimisticAntiEntropy").convergence_delay
+
+
+class _StubClock:
+    """Records ``call_at`` instead of scheduling; ``now`` is set by hand."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.calls = []
+
+    def call_at(self, when, fn, *, label=""):
+        self.calls.append((when, label, fn))
+
+    def schedule(self):
+        return [(when, getattr(getattr(fn, "__self__", None), "label", label))
+                for when, label, fn in self.calls]
+
+
+class _StubDeployment:
+    def __init__(self, num_nodes=5):
+        self.sim = _StubClock()
+        self.node_ids = [f"n{i:02d}" for i in range(num_nodes)]
+        self.nodes = {n: SimpleNamespace(alive=True) for n in self.node_ids}
+        self.ran_until = []
+        self.writes = []
+
+    def middleware(self, object_id, node_id):
+        return SimpleNamespace(write=lambda metadata_delta: self.writes.append(
+            (object_id, node_id, metadata_delta)))
+
+    def run(self, until):
+        self.ran_until.append(until)
+
+
+class TestScaffoldKeepsTheSchedulesItReplaced:
+    """Each hoisted helper against the loop it replaced, written out here:
+    the same ``(time, label)`` sequence in the same order, so event sequence
+    numbers — and every pinned trace — cannot move."""
+
+    @pytest.mark.parametrize("first, gap", [(1.0, 0.5), (0.5, 0.25)])
+    def test_warmup(self, first, gap):
+        deployment, acted = _StubDeployment(), []
+        writers = deployment.node_ids[:4]
+        if (first, gap) == (1.0, 0.5):       # fig7, tab2, tab3
+            schedule_warmup(deployment, writers,
+                            lambda i, w: acted.append((i, w)))
+        else:                                # fig2
+            schedule_warmup(deployment, writers,
+                            lambda i, w: acted.append((i, w)),
+                            first=first, gap=gap)
+        replaced = [(first + gap * i, "warmup")
+                    for i, writer in enumerate(writers)]
+        assert deployment.sim.schedule() == replaced
+        for _, _, fn in deployment.sim.calls:
+            fn()
+        assert acted == list(enumerate(writers))
+
+    @pytest.mark.parametrize("lag, duration, sample_period",
+                             [(0.1, 100.0, 5.0), (1.0, 40.0, 5.0),
+                              (0.1, 17.0, 3.0), (1.0, 2.0, 5.0)])
+    def test_sampling(self, lag, duration, sample_period):
+        deployment, start = _StubDeployment(), 10.0
+        readings = iter((0.5 + k / 100, 0.7 + k / 100) for k in range(99))
+        series = run_sampled(deployment, lambda: next(readings), start=start,
+                             duration=duration, sample_period=sample_period,
+                             lag=lag)
+        replaced = [(start + k * sample_period + lag, "sample")
+                    for k in range(1, int(duration // sample_period) + 1)]
+        assert deployment.sim.schedule() == replaced
+        assert deployment.ran_until == [start + duration + sample_period]
+        for when, _, fn in deployment.sim.calls:
+            deployment.sim.now = when
+            fn()
+        times, worst, average = series
+        assert times == [when - start for when, _ in replaced]
+        assert worst == [0.5 + k / 100 for k in range(len(replaced))]
+        assert average == [0.7 + k / 100 for k in range(len(replaced))]
+
+    @pytest.mark.parametrize("experiment", ["churn", "multiobject"])
+    def test_staggered_writers(self, experiment):
+        deployment = _StubDeployment(num_nodes=5)
+        num_objects, writers_per_object, write_period = 40, 4, 2.0
+        replaced = []
+        for i in range(num_objects):
+            if experiment == "churn":
+                object_id, by_object = f"obj{i:02d}", 0.01 * i
+            else:
+                object_id, by_object = f"obj{i:04d}", 0.003 * (i % 32)
+            start_object_writers(
+                deployment, object_id, i, write_period=write_period,
+                writers_per_object=writers_per_object, offset=by_object)
+            for w in range(writers_per_object):
+                offset = (0.05 + write_period * (w / writers_per_object)
+                          + by_object)
+                replaced.append((offset, f"wl:{object_id}"))
+        assert deployment.sim.schedule() == replaced
+
+        timers = [fn.__self__ for _, _, fn in deployment.sim.calls]
+        assert {t._period for t in timers} == {write_period}
+        down = deployment.node_ids[1]
+        deployment.nodes[down].alive = False   # crashed writers skip rounds
+        for timer in timers:
+            timer.callback()
+        expected = [(f"obj{i:02d}" if experiment == "churn" else f"obj{i:04d}",
+                     deployment.node_ids[(i + w) % 5], 1.0)
+                    for i in range(num_objects)
+                    for w in range(writers_per_object)]
+        assert deployment.writes == [w for w in expected if w[1] != down]

@@ -9,15 +9,20 @@ Satellite coverage for the sweep-farm PR:
   bit-for-bit;
 * **worker-boundary smoke** — a representative point from the cheap grids
   runs through an actual 2-worker farm and matches the in-process value;
-* **CLI** — ``python -m repro.experiments`` lists, runs, applies
-  ``--param`` overrides, and writes JSON.
+* **the declaration** — every registry entry's smoke kwargs bind, its grid's
+  seeds are the seeds its results carry, and the generic ``run`` is the same
+  serially and farmed;
+* **CLI** — ``python -m repro.experiments`` lists, runs, applies and
+  validates ``--param`` overrides, and writes JSON.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
+import pathlib
 import pickle
 
 import pytest
@@ -57,17 +62,9 @@ CHEAP_POINTS = {
                  dict(num_nodes=8, num_clients=8, duration=15.0)),
 }
 
-ALL_GRIDS = {
-    "fig2": ex.build_tradeoff_grid,
-    "fig7": ex.build_hint_grid,
-    "fig8": ex.build_hint_change_grid,
-    "tab2": ex.build_phase_grid,
-    "tab3": ex.build_overhead_grid,
-    "fig9": ex.build_scalability_grid,
-    "multiobject": ex.build_multiobject_grid,
-    "churn": ex.build_churn_grid,
-    "workload": ex.build_workload_grid,
-}
+#: world_matrix's specs carry no seed: each world runs at its pinned one
+ALL_GRIDS = {name: entry.grid for name, entry in registry.REGISTRY.items()
+             if name != "world_matrix"}
 
 
 def _normalize(value):
@@ -113,9 +110,8 @@ def test_point_results_survive_the_process_boundary(name):
 
 
 def test_jobs1_matches_direct_point_calls():
-    sweep = ex.run_churn_experiment(node_counts=(8,),
-                                    loss_probabilities=(0.0, 0.01),
-                                    duration=20.0, jobs=1)
+    sweep = ex.run("churn", node_counts=(8,), loss_probabilities=(0.0, 0.01),
+                   duration=20.0, jobs=1)
     direct = [run_churn_point(num_nodes=8, loss_probability=loss,
                               kill_fraction=0.25, duration=20.0, seed=29 + 8)
               for loss in (0.0, 0.01)]
@@ -150,8 +146,16 @@ def test_farm_reference_point_replays_its_pinned_fingerprint():
 
 
 def test_phase_sweep_farms_and_matches_serial():
-    serial = ex.run_phase_sweep(writer_counts=(2, 3), num_nodes=8)
-    farmed = ex.run_phase_sweep(writer_counts=(2, 3), num_nodes=8, jobs=2)
+    serial = ex.run("tab2", writer_counts=(2, 3), num_nodes=8)
+    farmed = ex.run("tab2", writer_counts=(2, 3), num_nodes=8, jobs=2)
+    assert _normalize(serial) == _normalize(farmed)
+
+
+def test_folded_experiment_farms_and_matches_serial():
+    kwargs = dict(periods=(20.0, 40.0), duration=20.0, num_nodes=8)
+    serial = ex.run("tab3", **kwargs)
+    farmed = ex.run("tab3", jobs=2, **kwargs)
+    assert serial.per_round_messages > 0
     assert _normalize(serial) == _normalize(farmed)
 
 
@@ -166,8 +170,101 @@ def test_registry_covers_every_experiment_module():
                                       "world_matrix"}
     for entry in registry.REGISTRY.values():
         assert entry.description
-        assert callable(entry.run) and callable(entry.report)
+        assert callable(entry.grid) and callable(entry.report)
         assert entry.smoke, f"{entry.name} has no smoke parameters"
+    assert not hasattr(registry.ExperimentEntry, "run")
+    assert set(ex.__all__) == {"REGISTRY", "ExperimentEntry",
+                               "UnknownParameter", "format_table", "get", "run"}
+
+
+@pytest.mark.parametrize("name", sorted(registry.REGISTRY))
+def test_smoke_kwargs_bind_to_the_grid_and_its_point(name):
+    # Smoke parameters nobody runs cannot rot: each key is one the grid
+    # names or forwards to the point its specs reference, and every spec the
+    # smoke grid builds binds to that point's signature.
+    entry = registry.get(name)
+    assert set(entry.smoke) <= set(entry.parameters())
+    point = entry.grid()[0].resolve()
+    for spec in entry.grid(**entry.smoke):
+        assert spec.resolve() is point
+        spec.arguments()
+
+
+def _seeds(value):
+    """Every ``seed`` a result object carries, however deeply."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        value = {f.name: getattr(value, f.name)
+                 for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return ({value["seed"]} if "seed" in value else set()).union(
+            *(_seeds(v) for v in value.values()))
+    if isinstance(value, (list, tuple)):
+        return set().union(*(_seeds(v) for v in value))
+    return set()
+
+
+@pytest.mark.parametrize("name", sorted(registry.REGISTRY))
+def test_run_executes_the_seeds_its_grid_declares(name, monkeypatch):
+    # entry.grid() is what run() executes: the seeds in the specs it hands
+    # the farm are the declared grid's, and a result that records its seed
+    # records one of them (fig10's entry used to build seed-23 specs while
+    # its wrapper ran seed 29).
+    entry = registry.get(name)
+    farmed = []
+
+    def spy(specs, **farm_kwargs):
+        farmed.extend(specs)
+        return run_specs(specs, **farm_kwargs)
+
+    monkeypatch.setattr(registry, "run_specs", spy)
+    result = ex.run(name, **entry.smoke)
+    declared = entry.grid(**entry.smoke)
+    assert farmed == declared
+    seeds = {spec.seed for spec in declared}
+    # (a world_matrix spec names no seed: the world runs at its pinned one)
+    assert _seeds(result) <= seeds or seeds == {None}
+
+
+def test_fig10_has_its_own_seed_and_tab3s_point():
+    fig10, tab3 = registry.get("fig10"), registry.get("tab3")
+    assert fig10.grid()[0].resolve() is tab3.grid()[0].resolve()
+    assert {spec.seed for spec in fig10.grid()} == {29}
+    assert {spec.seed for spec in tab3.grid()} == {23}
+
+
+def test_run_rejects_an_override_nobody_takes():
+    with pytest.raises(ex.UnknownParameter, match="accepted: .*num_nodes"):
+        ex.run("fig9", nonsense=1)
+    # a keyword the point takes but the grid binds per point is not an
+    # override either: it would collide with the axis value
+    with pytest.raises(ex.UnknownParameter, match="hint_level"):
+        ex.run("fig7", hint_level=0.5)
+
+
+def _design_table() -> str:
+    """DESIGN.md §4's experiment table, from the registry."""
+    rows = ["| `--run` | what | point | grid keywords (defaults) |",
+            "|---|---|---|---|"]
+    for name, entry in registry.REGISTRY.items():
+        point = entry.grid()[0].resolve()
+        keywords = ", ".join(
+            f"`{p.name}={p.default!r}`"
+            for p in inspect.signature(entry.grid).parameters.values()
+            if p.kind is p.KEYWORD_ONLY)
+        rows.append(f"| `{name}` | {entry.description} | "
+                    f"`{point.__module__.removeprefix('repro.')}.{point.__name__}`"
+                    f" | {keywords} |")
+    return "\n".join(rows)
+
+
+def test_design_experiment_table_is_the_registry():
+    design = (pathlib.Path(__file__).parent.parent / "DESIGN.md").read_text(
+        encoding="utf-8")
+    begin, end = "<!-- experiments:begin -->\n", "\n<!-- experiments:end -->"
+    committed = design.partition(begin)[2].partition(end)[0]
+    assert committed == _design_table(), (
+        "DESIGN.md §4 is generated: paste this between the markers\n"
+        + _design_table())
 
 
 def test_cli_list(capsys):
@@ -208,29 +305,52 @@ def test_cli_defaults_jobs_from_env(monkeypatch, capsys):
 # nonzero exits on point failure
 
 
-def _register_fake(monkeypatch, name, run):
-    entry = registry.ExperimentEntry(
-        name=name, description="test stub", run=run, report=lambda r: str(r),
-        smoke={"x": 1})
+#: what the stub points below saw (they run in-process at jobs=1)
+SEEN = {}
+
+
+def _backed_point(*, seed: int = 1, backend: str = "sim"):
+    SEEN.update(backend=backend)
+    return "ok"
+
+
+def _failing_point(*, seed: int = 1):
+    raise RuntimeError("boom")
+
+
+def _diverged_point(*, seed: int = 1, backend: str = "sim"):
+    from repro.experiments.conformance import ConformanceError
+    raise ConformanceError("n01 final_counts diverged")
+
+
+def _diverged_once_point(*, scratch_dir: str, seed: int = 1):
+    # Diverges on its first execution only; marker files count executions
+    # across worker processes.
+    from repro.experiments.conformance import ConformanceError
+    scratch = pathlib.Path(scratch_dir)
+    executions = len(list(scratch.glob("attempt-*")))
+    (scratch / f"attempt-{executions}").touch()
+    if executions == 0:
+        raise ConformanceError("n01 final_counts diverged")
+    return "ok"
+
+
+def _register_fake(monkeypatch, name, point):
+    def grid(*, seed: int = 1, **point_kwargs):
+        return [PointSpec.build(point, seed=seed, **point_kwargs)]
+
+    entry = registry.ExperimentEntry(name=name, description="test stub",
+                                     grid=grid, report=str)
     monkeypatch.setitem(registry.REGISTRY, name, entry)
+    SEEN.clear()
     return entry
 
 
 def test_cli_exits_nonzero_on_farm_point_error(monkeypatch, capsys):
-    from types import SimpleNamespace
-
-    from repro.farm import FarmPointError
-
-    outcome = SimpleNamespace(
-        spec=SimpleNamespace(index=3, label="loss0.05"),
-        error="boom", attempts=1, pool_breaks=0, traceback=None)
-
-    def run(*, jobs):
-        raise FarmPointError([outcome])
-
-    _register_fake(monkeypatch, "stub_failing", run)
+    _register_fake(monkeypatch, "stub_failing", _failing_point)
     assert cli.main(["--run", "stub_failing", "--quiet"]) == 1
-    assert "failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "failed" in err and "boom" in err
 
 
 # ---------------------------------------------------------------------------
@@ -252,40 +372,72 @@ def test_cli_rejects_unknown_backend_value(capsys):
 
 
 def test_cli_passes_backend_through(monkeypatch, capsys):
-    seen = {}
-
-    def run(*, jobs, backend="sim"):
-        seen.update(jobs=jobs, backend=backend)
-        return "ok"
-
-    _register_fake(monkeypatch, "stub_backed", run)
+    _register_fake(monkeypatch, "stub_backed", _backed_point)
     assert cli.main(["--run", "stub_backed", "--backend", "live",
                      "--quiet"]) == 0
-    assert seen == {"jobs": 1, "backend": "live"}
+    assert SEEN == {"backend": "live"}
 
 
 def test_cli_backend_defaults_to_run_signature_default(monkeypatch, capsys):
-    seen = {}
-
-    def run(*, jobs, backend="sim"):
-        seen.update(backend=backend)
-        return "ok"
-
-    _register_fake(monkeypatch, "stub_backed", run)
+    _register_fake(monkeypatch, "stub_backed", _backed_point)
     assert cli.main(["--run", "stub_backed", "--quiet"]) == 0
-    assert seen == {"backend": "sim"}
+    assert SEEN == {"backend": "sim"}
 
 
 def test_cli_exits_nonzero_on_conformance_error(monkeypatch, capsys):
-    from repro.experiments.conformance import ConformanceError
-
-    def run(*, jobs, backend="sim"):
-        raise ConformanceError("n01 final_counts diverged")
-
-    _register_fake(monkeypatch, "stub_diverged", run)
+    _register_fake(monkeypatch, "stub_diverged", _diverged_point)
     assert cli.main(["--run", "stub_diverged", "--backend", "live",
                      "--quiet"]) == 1
     assert "diverged" in capsys.readouterr().err
+
+
+def test_cli_attempts_a_diverging_point_once_when_farmed(monkeypatch, capsys,
+                                                         tmp_path):
+    # The farm's default re-queues a failed point; through run() a
+    # divergence that would not reproduce on a second attempt still exits 1.
+    _register_fake(monkeypatch, "stub_diverged_once", _diverged_once_point)
+    rc = cli.main(["--run", "stub_diverged_once", "--jobs", "2", "--quiet",
+                   "--param", f"scratch_dir={str(tmp_path)!r}"])
+    assert rc == 1
+    assert "diverged" in capsys.readouterr().err
+    assert len(list(tmp_path.glob("attempt-*"))) == 1
+
+
+# ---------------------------------------------------------------------------
+# --param is outside input: unknown keys exit 2 on one line, no traceback
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--run", "fig9", "--param", "nonsense=1"], "max_top_layer"),
+    (["--run", "fig7", "--param", "hint_level=0.5"], "hint_levels"),
+    (["--run", "tab2", "--param", "capacity=100"], "writer_counts"),
+])
+def test_cli_rejects_a_param_nobody_takes(argv, named, capsys):
+    assert cli.main(argv + ["--quiet"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "takes no parameter" in line
+    assert named in line.partition("accepted: ")[2]
+
+
+def test_cli_rejects_jobs_as_a_param(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["--run", "tab2", "--param", "jobs=4"])
+    assert excinfo.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["tab3", "fig10"])
+def test_cli_param_reaches_the_point_through_the_grid(name, tmp_path, capsys):
+    # --run tab3 --param capacity=100 used to die with a TypeError traceback:
+    # the grid and the point took it, the run wrapper between them did not.
+    out_path = tmp_path / "result.json"
+    rc = cli.main(["--run", name, "--smoke", "--quiet", "--param",
+                   "capacity=3", "--param", "duration=20.0",
+                   "--json", str(out_path)])
+    assert rc == 0
+    runs = json.loads(out_path.read_text(encoding="utf-8"))["result"]["runs"]
+    assert all(r["sales_accepted"] <= 3 + r["oversold"] for r in runs)
+    assert any(r["sales_accepted"] for r in runs)
 
 
 def test_cli_runs_conformance_sim_smoke(capsys):

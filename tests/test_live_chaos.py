@@ -24,7 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.conformance import run_conformance_experiment
+from repro.experiments import conformance
+from repro.experiments.conformance import run_conformance_point
 from repro.live.chaos import (LiveFaultController, builtin_plan,
                               resolve_plan)
 from repro.live.control import ControlClient, ControlError, ControlServer
@@ -555,7 +556,7 @@ class TestChaosEndToEnd:
         """The acceptance path in miniature: a multiprocess deployment,
         SIGKILL + supervised restart mid-run, fault-tolerant oracle match
         (raises ConformanceError on any divergence)."""
-        result = run_conformance_experiment(
+        result = run_conformance_point(
             backend="live", num_nodes=4, num_objects=2, seed=7,
             transport="uds", time_scale=1.0, fault_plan="kill")
         assert result["oracle_problems"] == []
@@ -565,6 +566,26 @@ class TestChaosEndToEnd:
         outcome = result["outcomes"][victim]
         assert outcome["recovering"] is True
         assert "SIGKILL" in outcome["exit_status"]
+
+    def test_conformance_fails_on_an_unapplied_recovery(self, monkeypatch):
+        """Recovery evidence is part of the verdict: survivors that match
+        the oracle do not excuse a controller that ordered fewer re-joins
+        than the plan has recoveries."""
+        def fake_live(spec, rundir, plan, **kwargs):
+            outcomes = run_sim_scenario(spec, fault_plan=plan)
+            for outcome in outcomes.values():
+                outcome.update(reconnects=1, recovering=True)
+            controller = LiveFaultController.__new__(LiveFaultController)
+            controller.plan, controller.timeline = plan, []
+            controller.rejoins = 0
+            return outcomes, controller
+
+        monkeypatch.setattr(conformance, "run_live_deployment", fake_live)
+        with pytest.raises(conformance.ConformanceError) as excinfo:
+            run_conformance_point(backend="live", num_nodes=4,
+                                  time_scale=0.6, fault_plan="kill")
+        assert str(excinfo.value).endswith(
+            "oracle: not every planned recovery was applied")
 
     def test_controller_timeline_records_every_action(self, tmp_path):
         spec = default_scenario(3, 1, seed=5, time_scale=0.6)

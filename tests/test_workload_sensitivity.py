@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import run
 from repro.experiments.fig_workload_sensitivity import (
     WorkloadSweepResult,
     fingerprint,
     format_workload_report,
     run_workload_point,
-    run_workload_sensitivity,
 )
 
 #: small-point kwargs so a single cell runs in well under a second
@@ -48,9 +48,8 @@ class TestWorkloadSensitivity:
             run_workload_point(shape="sawtooth", **SMALL)
 
     def test_sweep_and_report(self):
-        result = run_workload_sensitivity(
-            zipf_skews=(0.0, 0.99), read_fractions=(0.6,),
-            shapes=("constant",), **SMALL)
+        result = run("workload", zipf_skews=(0.0, 0.99),
+                     read_fractions=(0.6,), shapes=("constant",), **SMALL)
         assert isinstance(result, WorkloadSweepResult)
         assert len(result.points) == 2
         report = format_workload_report(result)

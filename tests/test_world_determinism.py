@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.fig_world_matrix import (build_world_matrix_grid,
-                                                run_world_matrix)
+from repro import experiments
+from repro.experiments.fig_world_matrix import build_world_matrix_grid
 from repro.farm import run_specs
 from repro.worlds import (build_world, catalog_names, load_world,
                           world_fingerprint)
@@ -41,7 +41,7 @@ def test_serial_and_farm_runs_are_bit_identical():
 
 
 def test_world_matrix_judges_the_golden_worlds_ok():
-    result = run_world_matrix(worlds=GOLDEN_WORLDS, jobs=2)
+    result = experiments.run("world_matrix", worlds=GOLDEN_WORLDS, jobs=2)
     assert result.verdicts == {name: "ok" for name in GOLDEN_WORLDS}
     assert not result.mismatches
 
