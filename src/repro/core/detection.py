@@ -498,9 +498,10 @@ class DetectionService:
         A replacement usually lists the writers of the digest it replaces,
         in the same order, with one of them grown.  That case is one aligned
         pass which skips every writer whose pair is the very same object
-        (the simulator ships the cache's interned pairs) or whose count is
-        unchanged (``live.wire`` decodes fresh equal pairs): ``old`` is
-        already merged, so only a grown count can raise a maximum.  Anything
+        (the simulator ships the cache's interned pairs; ``live.wire``
+        decodes an unchanged writer to the pair it decoded last) or whose
+        count is unchanged: ``old`` is already merged, so only a grown count
+        can raise a maximum.  Anything
         else — a writer added, dropped or reordered — takes the general walk.
         """
         if not self._ref_valid:

@@ -55,6 +55,27 @@ an infinity, nests past the interpreter's limit, or whose envelope fields
 are not four ``str``, an ``int`` and a real number raises :class:`WireError`
 — :func:`decode_envelope` raises nothing else.
 
+**The pair table.**  A digest's writers change one at a time: an announce
+usually differs from the same peer's last one in the writer who wrote.  The
+decoder holds the last ``(writer, WriterSummary)`` pair it built per
+``(object, sending node, writer)`` and hands the same pair back while count,
+cumulative metadata and last timestamp compare equal, so
+``DetectionService``'s fold skips the unchanged writers by identity, as it
+does on the simulator.  The sender is part of the key because peers hold
+different views of one writer — its own announce is ahead of everybody
+else's — and one shared entry would flip between them.  The table is the
+process's: the pairs are immutable, and a held one equals the one a fresh
+decode would build — by ``==``, so a ``-0.0`` row after a ``0.0`` one (or
+``1`` after ``1.0``) keeps the held pair.
+
+**Encoding** runs a C encoder built once at import (compact separators,
+``allow_nan=False``, ``_refuse`` for unknown types; ``JSONEncoder.iterencode``
+where the accelerator is absent) on the payload and on ``[size_bytes,
+sent_at]``; the four head strings go through the C string escaper.  A
+non-finite float, a container that holds itself, or a value of no registered
+type raises :class:`WireError`, which the transport counts as an
+``encode-error`` drop.
+
 **Fan-out.**  A payload bound for several destinations is wrapped in one
 :class:`SharedPayload`; the first :func:`encode_envelope` that needs its
 JSON text produces it and every later one splices the same text into its own
@@ -185,13 +206,35 @@ def _digest_fields(v: VersionDigest) -> List[Any]:
             v.metadata, v.last_consistent_time]
 
 
+#: (object, sending node) -> writer -> the last ``(writer, WriterSummary)``
+#: pair decoded from that node's digests of that object
+_PAIRS: Dict[Tuple[Any, Any], Dict[Any, Tuple[Any, WriterSummary]]] = {}
+
+#: digest sources held, and writers held per source: frames naming more (a
+#: hostile or damaged peer) empty a table rather than grow it
+_MAX_HELD = 1024
+
+
 def _digest_from(fields: List[Any]) -> VersionDigest:
     object_id, node_id, issued_at, rows, metadata, lct = fields
-    return VersionDigest(
-        object_id, node_id, issued_at,
-        tuple([(writer, WriterSummary(count, cum, last))
-               for writer, count, cum, last in rows]),
-        metadata, lct)
+    source = (object_id, node_id)
+    held = _PAIRS.get(source)
+    if held is None:
+        if len(_PAIRS) >= _MAX_HELD:
+            _PAIRS.clear()
+        held = _PAIRS[source] = {}
+    writers = []
+    for writer, count, cum, last in rows:
+        pair = held.get(writer)
+        if pair is None or not (pair[1].count == count
+                                and pair[1].cumulative_metadata == cum
+                                and pair[1].last_timestamp == last):
+            if len(held) >= _MAX_HELD:
+                held.clear()
+            pair = held[writer] = (writer, WriterSummary(count, cum, last))
+        writers.append(pair)
+    return VersionDigest(object_id, node_id, issued_at, tuple(writers),
+                         metadata, lct)
 
 
 def _gossip_from(fields: List[Any]) -> GossipDigest:
@@ -279,11 +322,25 @@ def _refuse_constant(literal: str) -> Any:
     raise WireError(f"{literal} is not a wire value")
 
 
-#: built once: ``json.dumps(..., separators=…)`` makes an encoder per call
-_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False,
-                           default=_refuse).encode
+#: Built once: ``JSONEncoder.encode`` makes a C encoder per call.  No
+#: circular-reference markers — a marker dict shared across calls keeps the
+#: entries of an encode that raised — so a cycle is a ``RecursionError``.
+_iterencode = (
+    json.encoder.c_make_encoder(
+        # markers, default, string escaper, indent, key and item separators,
+        # sort_keys, skipkeys, allow_nan
+        None, _refuse, json.encoder.encode_basestring_ascii, None, ":", ",",
+        False, False, False)
+    if json.encoder.c_make_encoder is not None
+    else json.JSONEncoder(separators=(",", ":"), allow_nan=False,
+                          default=_refuse, check_circular=False).iterencode)
+_escape = json.encoder.encode_basestring_ascii
 _decode = json.JSONDecoder(object_hook=_revive,
                            parse_constant=_refuse_constant).decode
+
+#: what an unencodable payload makes the encoder raise: a non-finite float,
+#: a self-referencing container
+_UNENCODABLE = (ValueError, RecursionError)
 
 #: what a hostile or damaged body can make the decoder raise
 _MALFORMED = (ValueError, TypeError, LookupError, RecursionError)
@@ -305,18 +362,22 @@ class SharedPayload:
 
     def text(self) -> str:
         if self._text is None:
-            self._text = _encode(_pack(self.value))
+            self._text = "".join(_iterencode(_pack(self.value), 0))
         return self._text
 
 
 def encode_envelope(src: str, dst: str, protocol: str, msg_type: str,
                     payload: Any, size_bytes: int, sent_at: float) -> bytes:
-    """Encode one message envelope into a length-prefixed frame."""
-    text = (payload.text() if type(payload) is SharedPayload
-            else _encode(_pack(payload)))
-    head = _encode([src, dst, protocol, msg_type])
-    tail = _encode([size_bytes, sent_at])
-    body = f"{head[:-1]},{text},{tail[1:]}".encode("utf-8")
+    """Encode one message envelope into a length-prefixed frame; raises
+    :class:`WireError` for a payload or envelope field JSON cannot carry."""
+    try:
+        text = (payload.text() if type(payload) is SharedPayload
+                else "".join(_iterencode(_pack(payload), 0)))
+        tail = "".join(_iterencode([size_bytes, sent_at], 0))
+    except _UNENCODABLE as exc:
+        raise WireError(f"cannot encode for the wire: {exc!r}") from exc
+    body = (f"[{_escape(src)},{_escape(dst)},{_escape(protocol)},"
+            f"{_escape(msg_type)},{text},{tail[1:]}").encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame body {len(body)} bytes exceeds "
                         f"{MAX_FRAME_BYTES}")

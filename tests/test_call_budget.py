@@ -8,9 +8,11 @@ background rounds.  A write there is one timer tick and three digest
 deliveries, and what it costs is, to a first approximation, how many Python
 frames it enters (DESIGN §5, "the three standing targets").
 
-Two more counts ride along: what one ``Replica.local_write`` allocates does
-not depend on how much the writer retains, and no value built per write, per
-read or per decoded frame carries an instance ``__dict__``.
+Three more counts ride along: the interpreted frames one announce costs the
+live frame codec (``live-uds``'s share of a write), what one
+``Replica.local_write`` allocates does not depend on how much the writer
+retains, and no value built per write, per read or per decoded frame carries
+an instance ``__dict__``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import tracemalloc
 
 from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.deployment import DeploymentBuilder
+from repro.core.detection import VersionDigest, WriterSummary
 from repro.live import wire
 from repro.runtime.events import WriteRecorded
 from repro.store.replica import Replica
@@ -99,6 +102,59 @@ def test_interpreted_calls_and_events_per_write(record_property):
     print(f"calls_per_write={calls / writes:.2f} on CPython "
           f"{sys.version_info[0]}.{sys.version_info[1]}")
     assert calls / writes <= CALLS_PER_WRITE_BUDGET, calls / writes
+
+
+#: ``call`` events for one 4-writer announce over the live codec (below):
+#: 33 on CPython 3.11, 61 before the encoder was built once and unchanged
+#: writers decoded to held pairs.  The write path's head-room rule: about 5 %
+#: where the number was read, 10 % where it was not.
+CALLS_PER_ANNOUNCE_BUDGET = 34 if sys.version_info[:2] == (3, 11) else 36
+
+
+def _announce(grown):
+    """The golden frame's 4-writer digest, its sender ``n02`` grown."""
+    return VersionDigest(
+        object_id="obj-call-budget", node_id="n02", issued_at=12.8 + grown,
+        writers=(
+            ("n00", WriterSummary(412, 409.73260556720186, 12.801903941)),
+            ("n01", WriterSummary(409, 411.0528340197921, 12.802281205999998)),
+            ("n02", WriterSummary(411 + grown, 407.9 + grown, 12.8 + grown)),
+            ("n03", WriterSummary(408, 410.26402919855076, 12.800660488000002))),
+        metadata=1638.961130141837 + grown, last_consistent_time=12.68)
+
+
+def test_interpreted_calls_per_announce_on_the_live_codec(record_property):
+    """What a confirmed live write costs the codec: its announce encoded to
+    three peers through one ``SharedPayload`` and the three frames decoded,
+    the receivers holding the sender's previous announce."""
+    peers = ("n00", "n01", "n03")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    for digest in (_announce(0), _announce(1)):
+        calls = 0
+        sys.setprofile(count)
+        try:
+            shared = wire.SharedPayload({"digest": digest})
+            frames = []
+            for dst in peers:
+                frames.append(wire.encode_envelope(
+                    "n02", dst, "idea.detection", "idea_digest:obj",
+                    shared, 256, digest.issued_at))
+            decoded = []
+            for frame in frames:
+                decoded.append(wire.decode_envelope(frame[4:]))
+        finally:
+            sys.setprofile(None)
+    assert [fields[4]["digest"] for fields in decoded] == [digest] * 3
+    record_property("calls_per_announce", calls)
+    print(f"calls_per_announce={calls} on CPython "
+          f"{sys.version_info[0]}.{sys.version_info[1]}")
+    assert calls <= CALLS_PER_ANNOUNCE_BUDGET, calls
 
 
 def _bytes_per_write(retained):

@@ -277,6 +277,67 @@ def test_oversized_frame_refused():
                              "x" * (wire.MAX_FRAME_BYTES + 1), 0, 0.0)
 
 
+def _holding_itself(container):
+    if isinstance(container, list):
+        container.append(container)
+    else:
+        container["me"] = container
+    return container
+
+
+#: ``(payload, sent_at)`` JSON cannot carry: each must be a ``WireError`` —
+#: the exception the transport counts as an ``encode-error`` drop
+UNENCODABLE = {
+    "nan-payload": (float("nan"), 0.0),
+    "infinite-in-a-list": ([1.0, float("-inf")], 0.0),
+    "infinite-sent-at": (None, float("inf")),
+    "nan-sent-at": (None, float("nan")),
+    "list-holding-itself": (_holding_itself([]), 0.0),
+    "dict-holding-itself": (_holding_itself({}), 0.0),
+    # a typed field goes to the C encoder without the generic walker
+    "typed-field-holding-itself": (
+        RanSubView(round_number=1, members=_holding_itself([]),
+                   received_at=0.0), 0.0),
+}
+
+
+@pytest.mark.parametrize("payload,sent_at", UNENCODABLE.values(),
+                         ids=list(UNENCODABLE))
+def test_unencodable_values_raise_wire_error(payload, sent_at):
+    with pytest.raises(wire.WireError):
+        wire.encode_envelope("a", "b", "p", "t", payload, 0, sent_at)
+
+
+def test_an_unencodable_send_is_a_counted_drop(tmp_path):
+    """``LiveTransport.send`` counts a message as sent before encoding it, so
+    an encoder failure must come back as ``WireError`` for the transport to
+    charge the ``encode-error`` drop: sent = delivered + Σ drops closes."""
+    import asyncio
+
+    from repro.live.clock import LiveClock
+    from repro.live.node import LiveNode
+    from repro.live.transport import LiveTransport
+
+    loop = asyncio.new_event_loop()
+    clock = LiveClock(seed=1, loop=loop)
+    transport = LiveTransport(clock, {"a": str(tmp_path / "a.sock"),
+                                      "b": str(tmp_path / "b.sock")},
+                              kind="uds")
+    LiveNode(clock, transport, "a", processing_delay=0.0)
+    try:
+        for payload in (float("nan"), _holding_itself([])):
+            with pytest.raises(wire.WireError):
+                transport.send("a", "b", protocol="p", msg_type="t",
+                               payload=payload)
+        loop.run_until_complete(transport.stop())
+    finally:
+        loop.close()
+    stats = transport.stats
+    assert dict(stats.drop_reasons) == {"encode-error": 2}
+    assert (stats.total_sent() == 2 == sum(stats.delivered.values())
+            + sum(stats.drop_reasons.values()))
+
+
 # --------------------------------------------------------------------------
 # the format is pinned: it only changes on purpose
 # --------------------------------------------------------------------------
@@ -349,6 +410,142 @@ def test_shared_payload_is_encoded_once_and_spliced():
 
 
 # --------------------------------------------------------------------------
+# decoded writer pairs: an unchanged writer decodes to the pair held
+# --------------------------------------------------------------------------
+
+def _decoded_announce(object_id, rows):
+    """``rows`` of ``(writer, count, cum, last)`` through one frame."""
+    digest = VersionDigest(
+        object_id=object_id, node_id="n01", issued_at=2.0,
+        writers=tuple((w, WriterSummary(c, cum, last))
+                      for w, c, cum, last in rows),
+        metadata=1.0, last_consistent_time=0.0)
+    frame = wire.encode_envelope("n01", "n00", "idea.detection", "t",
+                                 {"digest": digest}, 256, 2.0)
+    restored = wire.decode_envelope(frame[4:])[4]["digest"]
+    assert restored == digest
+    return restored
+
+
+def test_unchanged_writers_decode_to_the_pairs_held():
+    # object ids unique to each test: the pair table is the process's
+    rows = [("n00", 4, 4.5, 1.0), ("n01", 3, 3.0, 1.5), ("n02", 5, 6.0, 1.25)]
+    first = _decoded_announce("obj-pairs-grow", rows)
+    rows[1] = ("n01", 4, 4.25, 1.75)
+    second = _decoded_announce("obj-pairs-grow", rows)
+    assert [a is b for a, b in zip(first.writers, second.writers)] == \
+        [True, False, True]
+    assert second.writers[1] == ("n01", WriterSummary(4, 4.25, 1.75))
+
+
+@pytest.mark.parametrize("changed", [("n00", 4, 4.75, 1.0),
+                                     ("n00", 4, 4.5, 1.125)],
+                         ids=["cumulative-metadata", "last-timestamp"])
+def test_a_repeated_count_with_other_fields_is_a_fresh_pair(changed):
+    object_id = f"obj-pairs-{changed[2]}-{changed[3]}"
+    first = _decoded_announce(object_id, [("n00", 4, 4.5, 1.0)])
+    second = _decoded_announce(object_id, [changed])
+    assert second.writers[0] is not first.writers[0]
+    assert second.writers[0] == (changed[0], WriterSummary(*changed[1:]))
+
+
+def test_a_live_peer_folds_only_the_writers_that_grew(tmp_path):
+    """Four in-process live nodes over UNIX sockets, every replica holding
+    all four writers after one resolution: each received announce enters
+    the envelope fold (``_fold_writer``) for the one writer that grew, and
+    hands every other writer over as the very pair the receiver holds."""
+    import asyncio
+
+    from repro.live.scenario import (ScenarioSpec, build_live_stack,
+                                     make_addresses)
+    from repro.runtime.events import ResolutionCompleted
+
+    nodes = ["n00", "n01", "n02", "n03"]
+    object_id = "obj-live-fold"
+    spec = ScenarioSpec(nodes=nodes, objects=[object_id], writes=[],
+                        resolutions=[], truncate_at=float("inf"),
+                        duration=float("inf"), seed=3)
+    loop = asyncio.new_event_loop()
+    addresses = make_addresses(nodes, "uds", str(tmp_path))
+    stacks = [build_live_stack(spec, node, addresses, kind="uds", loop=loop)
+              for node in nodes]
+    services = [stack.middlewares[object_id].detection for stack in stacks]
+    ingests = []        # (held digest, arriving digest, writers folded)
+
+    for service in services:
+        def ingest_digest(digest, service=service,
+                          ingest=service.ingest_digest):
+            folded = []
+            service._fold_writer = lambda writer, summary: (
+                folded.append(writer),
+                type(service)._fold_writer(service, writer, summary))
+            held = service._peer_digests.get(digest.node_id)
+            try:
+                ingest(digest)
+            finally:
+                del service._fold_writer
+            ingests.append((held, digest, folded))
+        service.ingest_digest = ingest_digest
+
+    async def until(condition):
+        for _ in range(500):
+            if condition():
+                return
+            await asyncio.sleep(0.01)
+        raise AssertionError("the live stack did not get there in 5 s")
+
+    def everyone_holds(writes):
+        return all(len(service._peer_digests) == 3
+                   and all(d.total() == writes
+                           for d in service._peer_digests.values())
+                   for service in services)
+
+    async def round_of_writes(writes):
+        for stack in stacks:
+            assert stack.middlewares[object_id].write(
+                metadata_delta=1.0) is not None
+        await until(lambda: everyone_holds(writes))
+
+    async def go():
+        for stack in stacks:
+            await stack.node.transport.start()
+        origin = loop.time()
+        for stack in stacks:
+            stack.node.clock.rebase(origin)
+        resolved = []
+        stacks[0].runtime.bus.subscribe(ResolutionCompleted, resolved.append)
+        for stack in stacks:
+            stack.middlewares[object_id].write(metadata_delta=1.0)
+        await until(lambda: all(len(s._peer_digests) == 3 for s in services))
+        assert stacks[0].middlewares[object_id].demand_active_resolution()
+        await until(lambda: resolved and all(
+            len(stack.middlewares[object_id].replica.vector.writers()) == 4
+            for stack in stacks))
+        await round_of_writes(5)      # four-writer digests everywhere
+        for stack in stacks:          # builds every receiver's envelope
+            stack.middlewares[object_id].current_level()
+        ingests.clear()
+        for writes in (6, 7, 8):
+            await round_of_writes(writes)
+        for stack in stacks:
+            await stack.node.transport.stop()
+
+    try:
+        loop.run_until_complete(go())
+    finally:
+        loop.close()
+    assert len(ingests) == 3 * 3 * 4
+    for held, digest, folded in ingests:
+        held_pairs = dict(held.writers)
+        grown = [writer for writer, summary in digest.writers
+                 if summary.count > held_pairs[writer].count]
+        assert grown == [digest.node_id] == folded
+        assert all(pair is held_pair
+                   for pair, held_pair in zip(digest.writers, held.writers)
+                   if pair[0] != digest.node_id)
+
+
+# --------------------------------------------------------------------------
 # the decoder under fuzz: a 7-tuple or WireError, nothing else
 # --------------------------------------------------------------------------
 
@@ -358,7 +555,8 @@ def _envelope(payload_json: str) -> bytes:
 
 #: well-formed JSON (or nearly), wrong shape.  The first eight are what the
 #: reflective decoder let through as the exception noted — the reader task
-#: died of it, unhandled and uncounted — or accepted without a word.
+#: died of it, unhandled and uncounted — or accepted without a word.  The
+#: last three are not one JSON value.
 WRONG_SHAPE_BODIES = {
     "class-without-fields": _envelope('{"__c":"ErrorTriple"}'),    # KeyError
     "tuple-of-an-int": _envelope('{"__t":5}'),                     # TypeError
@@ -385,6 +583,9 @@ WRONG_SHAPE_BODIES = {
     "size-is-a-bool": b'["a","b","p","t",null,true,0.0]',
     "sent-at-is-null": b'["a","b","p","t",null,0,null]',
     "six-fields": b'["a","b","p","t",null,0]',
+    "empty-body": b"",
+    "a-second-value": _envelope("null") + _envelope("null"),
+    "bare-close-bracket": b"]",
 }
 
 
