@@ -22,14 +22,11 @@ Jitter is *seeded*: the same ``(seed, stream name)`` pair replays the same
 schedule, which keeps retry behaviour reproducible in tests and lets the
 conformance suite pin exact schedules.
 
-Policies are configurable per transport instance (constructor) or fleet-wide
-via environment variables (``REPRO_LIVE_CONNECT_BASE`` etc.), replacing the
-class-constant knobs of the original fair-weather transport.
+Policies are set per transport instance, through its constructor.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -86,31 +83,6 @@ class BackoffPolicy:
             else:
                 yield delay
             delay = min(delay * self.multiplier, self.cap)
-
-    # -------------------------------------------------------------------- env
-    @classmethod
-    def from_env(cls, prefix: str, default: "BackoffPolicy") -> "BackoffPolicy":
-        """Build a policy from ``<prefix>_BASE/_CAP/_MULTIPLIER/_JITTER/
-        _WINDOW`` environment variables, falling back to ``default`` for any
-        that is unset.  ``_WINDOW`` maps to ``max_elapsed``; the literal
-        string ``"inf"`` (or ``"none"``) means retry forever."""
-
-        def _float(name: str, fallback: float) -> float:
-            raw = os.environ.get(f"{prefix}_{name}")
-            return fallback if raw is None else float(raw)
-
-        raw_window = os.environ.get(f"{prefix}_WINDOW")
-        if raw_window is None:
-            max_elapsed = default.max_elapsed
-        elif raw_window.strip().lower() in ("inf", "none", ""):
-            max_elapsed = None
-        else:
-            max_elapsed = float(raw_window)
-        return cls(base=_float("BASE", default.base),
-                   cap=_float("CAP", default.cap),
-                   multiplier=_float("MULTIPLIER", default.multiplier),
-                   jitter=_float("JITTER", default.jitter),
-                   max_elapsed=max_elapsed)
 
 
 #: first connect: bounded give-up window (peers are expected to come up)

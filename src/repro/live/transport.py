@@ -71,7 +71,7 @@ Address = Union[str, Tuple[str, int]]
 
 #: sends queued toward a peer while its connection is down are bounded to
 #: this many frames per peer; beyond it the oldest queued frame is evicted
-#: as a counted ``queue-overflow`` drop (override: $REPRO_LIVE_QUEUE_FRAMES)
+#: as a counted ``queue-overflow`` drop
 DEFAULT_QUEUE_FRAMES = 1024
 
 #: consecutive failed liveness probes before a peer is declared down
@@ -101,11 +101,11 @@ class LiveTransport:
 
     def __init__(self, clock: LiveClock, addresses: Dict[str, Address], *,
                  kind: str = "uds",
-                 connect_backoff: Optional[BackoffPolicy] = None,
-                 reconnect_backoff: Optional[BackoffPolicy] = None,
-                 max_queue_frames: Optional[int] = None,
-                 heartbeat_period: Optional[float] = None,
-                 heartbeat_misses: Optional[int] = None) -> None:
+                 connect_backoff: BackoffPolicy = DEFAULT_CONNECT,
+                 reconnect_backoff: BackoffPolicy = DEFAULT_RECONNECT,
+                 max_queue_frames: int = DEFAULT_QUEUE_FRAMES,
+                 heartbeat_period: float = 0.0,
+                 heartbeat_misses: int = DEFAULT_HEARTBEAT_MISSES) -> None:
         if kind not in ("uds", "tcp"):
             raise TransportError(f"unknown transport kind {kind!r}")
         self.clock = clock
@@ -124,29 +124,14 @@ class LiveTransport:
         self._closing = False
         self.delivery_hooks: List[Any] = []
 
-        # --- fault tolerance knobs (constructor beats environment) ---
-        self.connect_backoff = (connect_backoff if connect_backoff is not None
-                                else BackoffPolicy.from_env(
-                                    "REPRO_LIVE_CONNECT", DEFAULT_CONNECT))
-        self.reconnect_backoff = (reconnect_backoff
-                                  if reconnect_backoff is not None
-                                  else BackoffPolicy.from_env(
-                                      "REPRO_LIVE_RECONNECT",
-                                      DEFAULT_RECONNECT))
-        self.max_queue_frames = (
-            int(max_queue_frames) if max_queue_frames is not None
-            else int(os.environ.get("REPRO_LIVE_QUEUE_FRAMES",
-                                    DEFAULT_QUEUE_FRAMES)))
+        # --- fault tolerance knobs ---
+        self.connect_backoff = connect_backoff
+        self.reconnect_backoff = reconnect_backoff
+        self.max_queue_frames = int(max_queue_frames)
         if self.max_queue_frames < 1:
             raise TransportError("max_queue_frames must be >= 1")
-        if heartbeat_period is None:
-            raw = os.environ.get("REPRO_LIVE_HB_PERIOD", "")
-            heartbeat_period = float(raw) if raw else 0.0
         self.heartbeat_period = float(heartbeat_period)
-        self.heartbeat_misses = (
-            int(heartbeat_misses) if heartbeat_misses is not None
-            else int(os.environ.get("REPRO_LIVE_HB_MISSES",
-                                    DEFAULT_HEARTBEAT_MISSES)))
+        self.heartbeat_misses = int(heartbeat_misses)
 
         #: successful re-dials of previously established connections,
         #: summed over peers — the chaos CLI asserts this is nonzero after

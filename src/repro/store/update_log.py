@@ -1,53 +1,52 @@
 """Update log kept by each replica, in checkpoint ⊕ tail layout.
 
 The log records every :class:`~repro.versioning.extended_vector.UpdateRecord`
-applied to the replica, in application order.  It supports the operations the
-protocols need:
+applied to the replica, in application order, for what the protocols need:
+idempotent appends of local and remote updates, the updates a peer lacks
+(resolution pushes), tombstones for the *invalidate-both* policy (Section
+4.5.1) and the survivors to replay after a rollback (Section 4.4.2).
 
-* appending local writes and remote updates idempotently,
-* extracting the updates missing from a peer (for resolution pushes),
-* tombstoning updates invalidated by the *invalidate-both* resolution policy
-  (Section 4.5.1), and
-* replaying the surviving updates to rebuild application state after a
-  rollback (Section 4.4.2).
-
-The derived views the hot path consumes — key set, live-entry list, live
-metadata sum — are maintained incrementally: appends extend them in O(1),
-and the rare death of an entry (invalidation / rollback) adjusts the
-metadata sum directly and marks the live-entry cache dirty so the next query
-rebuilds it once.  No query rebuilds state per call.
+The log stores **columns, not entries**: per writer, the retained records in
+seq order (from the checkpoint's count + 1), their applied-at stamps and an
+application-order tick each — no Python object per record beyond the record
+the vector already holds.  Seqs are contiguous (a gap raises, as
+``ExtendedVersionVector.apply`` does), so membership and lookup are
+arithmetic on the writer's count and a peer's missing records are column
+slices, O(missing).  :class:`LogEntry` is built when read, merged into
+application order by tick; only *dead* (invalidated or rolled-back) entries
+are held, keyed by ``(writer, seq)``.  The live metadata sum is maintained
+incrementally, and while stamps stay monotone the time cuts bisect.
 
 Long runs bound the log with a **checkpoint**: a stable prefix of each
-writer's updates (updates below the stability frontier — known-received by
-every replica) folds into a :class:`LogCheckpoint` holding per-writer
-counts, the live metadata sum, and the live payloads, after which the
-records themselves are dropped.  Every query answers over ``checkpoint ⊕
-tail``; operations that would need a folded record (rolling back past the
+writer's updates (below the stability frontier — known-received by every
+replica) folds into a :class:`LogCheckpoint` holding per-writer counts, the
+live metadata sum and the live payloads; the records go with one slice
+deletion per writer.  Every query answers over ``checkpoint ⊕ tail``;
+operations that would need a folded record (rolling back past the
 checkpoint) raise :class:`~repro.versioning.extended_vector
 .TruncatedHistoryError`, and mutations aimed below the checkpoint are
 counted rather than silently ignored.
-
-Anti-entropy is served from the **seq-contiguous per-writer index**: given a
-peer's per-writer counts, the missing records are per-writer tail slices, so
-an exchange costs O(missing), not O(log).  The same index underpins
-truncation, and the monotone applied-at array serves ``applied_since`` by
-bisection.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
 from heapq import merge as _heap_merge
-from typing import Any, Dict, Iterable, KeysView, List, Optional, Set, Tuple, Union
+from operator import add, attrgetter, sub
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.versioning.extended_vector import TruncatedHistoryError, UpdateRecord
 from repro.versioning.version_vector import VersionVector
 
+_metadata_delta = attrgetter("metadata_delta")
+
 
 @dataclass(slots=True)
 class LogEntry:
-    """One applied update plus bookkeeping flags."""
+    """One applied update plus bookkeeping flags (built when read)."""
 
     record: UpdateRecord
     applied_at: float
@@ -100,249 +99,256 @@ class LogCheckpoint:
         return list(merged)
 
 
+class _Columns:
+    """One writer's retained tail: records, applied-at stamps, ticks."""
+
+    __slots__ = ("records", "stamps", "ticks")
+
+    def __init__(self) -> None:
+        self.records: List[UpdateRecord] = []
+        self.stamps: List[float] = []
+        self.ticks = array("q")
+
+
+def _gap(writer: str, seq: int, expected: int) -> ValueError:
+    return ValueError(f"out-of-order update from {writer!r}: got seq {seq}, "
+                      f"expected {expected}")
+
+
 class UpdateLog:
     """Ordered, idempotent log of updates applied to one replica."""
 
     def __init__(self) -> None:
         self.checkpoint = LogCheckpoint()
-        self._entries: List[LogEntry] = []
-        self._index: Dict[Tuple[str, int], LogEntry] = {}
-        #: retained entries per writer, in seq order while histories are
-        #: contiguous (the protocol invariant); the anti-entropy fast path
-        #: and truncation both key off this index
-        self._by_writer: Dict[str, List[LogEntry]] = {}
-        #: applied_at of each retained entry, parallel to ``_entries``
-        self._applied_times: List[float] = []
-        #: appends kept per-writer seqs contiguous and applied_at monotone;
-        #: when a test (or misbehaving caller) violates either, the affected
-        #: fast path falls back to a linear scan
-        self._seq_contiguous = True
-        self._applied_monotone = True
-        #: live entries in application order; None when dirty (an entry died
-        #: since the cache was built) — rebuilt lazily on the next query
-        self._live_entries: Optional[List[LogEntry]] = []
+        #: retained columns per writer, in first-append order; a writer whose
+        #: tail folds away entirely leaves and re-enters at its next append
+        self._tails: Dict[str, _Columns] = {}
+        #: next application-order tick
+        self._tick = 0
+        #: every stamp so far was >= the one before; while it holds, stamp
+        #: columns are sorted and the time cuts bisect them
+        self._monotone = True
+        self._last_stamp = float("-inf")
+        #: the dead retained entries, held with their flags
+        self._dead: Dict[Tuple[str, int], LogEntry] = {}
         #: running sum of metadata deltas over live *retained* entries
         self._live_metadata = 0.0
-        #: count of dead retained entries, so ``entries()`` can skip
-        #: filtering when everything is live (the common hot-path case)
-        self._dead = 0
         #: mutations aimed below the checkpoint (counted, per the stability
         #: invariant they can only concern already-stable records)
         self.invalidated_below_checkpoint = 0
 
     def __len__(self) -> int:
         """Total updates ever applied (folded prefix + retained tail)."""
-        return self.checkpoint.entries_folded + len(self._entries)
+        return self.checkpoint.entries_folded + self.retained_count()
 
     def retained_count(self) -> int:
         """Entries currently held as records (the bench's live-log gauge)."""
-        return len(self._entries)
+        return sum(len(tail.records) for tail in self._tails.values())
+
+    def _count(self, writer: str) -> int:
+        """How many of ``writer``'s updates were applied (folded or retained)."""
+        tail = self._tails.get(writer)
+        return self.checkpoint.counts.get(writer, 0) + (
+            len(tail.records) if tail is not None else 0)
 
     def __contains__(self, key: Tuple[str, int]) -> bool:
-        if key in self._index:
-            return True
         writer, seq = key
-        return 1 <= seq <= self.checkpoint.count(writer)
+        return 1 <= seq <= self._count(writer)
 
     # -------------------------------------------------------------- appends
     def append(self, record: UpdateRecord, applied_at: float) -> bool:
-        """Append a record; returns False if it was already present."""
-        key = (record.writer, record.seq)
-        if key in self._index:
-            return False
-        checkpoint_count = self.checkpoint.count(record.writer)
-        if 1 <= record.seq <= checkpoint_count:
-            return False  # folded into the checkpoint long ago
-        entry = LogEntry(record, applied_at)
-        self._index[key] = entry
-        tail = self._by_writer.get(record.writer)
+        """Append a record; returns False if it was already present and
+        raises :class:`ValueError` if it would leave a gap in its writer's seqs."""
+        writer, seq = record.writer, record.seq
+        tail = self._tails.get(writer)
+        # ``_count`` inlined: this is every local write's path
+        have = self.checkpoint.counts.get(writer, 0) + (
+            len(tail.records) if tail is not None else 0)
+        if seq != have + 1:
+            if 1 <= seq <= have:
+                return False
+            raise _gap(writer, seq, have + 1)
         if tail is None:
-            tail = self._by_writer[record.writer] = []
-        if record.seq != checkpoint_count + len(tail) + 1:
-            self._seq_contiguous = False
-        tail.append(entry)
-        if self._applied_times and applied_at < self._applied_times[-1]:
-            self._applied_monotone = False
-        self._applied_times.append(applied_at)
-        self._entries.append(entry)
-        if self._live_entries is not None:
-            self._live_entries.append(entry)
+            tail = self._tails[writer] = _Columns()
+        tail.records.append(record)
+        tail.stamps.append(applied_at)
+        tail.ticks.append(self._tick)
+        self._tick += 1
+        if applied_at < self._last_stamp:
+            self._monotone = False
+        self._last_stamp = applied_at
         self._live_metadata += record.metadata_delta
         return True
 
     def extend(self, records: Iterable[UpdateRecord], applied_at: float) -> int:
         """Append many records applied at one instant; returns how many were new.
 
-        Leaves exactly what :meth:`append` per record would, with the
-        application-order views extended once for the whole batch.
+        Leaves exactly what :meth:`append` per record would, but validates
+        the whole batch first — a per-writer gap raises with the log
+        unchanged — and then extends each writer's columns once.
         """
-        index = self._index
-        by_writer = self._by_writer
-        checkpoint_counts = self.checkpoint.counts
-        fresh: List[LogEntry] = []
+        tails = self._tails
+        #: writer -> [last seq taken, new records, their ticks], by first new
+        fresh: Dict[str, list] = {}
+        new: List[UpdateRecord] = []
+        tick = self._tick
         for record in records:
-            key = (record.writer, record.seq)
-            if key in index:
-                continue
-            checkpoint_count = checkpoint_counts.get(record.writer, 0)
-            if 1 <= record.seq <= checkpoint_count:
-                continue  # folded into the checkpoint long ago
-            entry = index[key] = LogEntry(record, applied_at)
-            tail = by_writer.get(record.writer)
+            writer, seq = record.writer, record.seq
+            batch = fresh.get(writer)
+            have = batch[0] if batch is not None else self._count(writer)
+            if seq != have + 1:
+                if 1 <= seq <= have:
+                    continue
+                raise _gap(writer, seq, have + 1)
+            if batch is None:
+                batch = fresh[writer] = [seq, [], []]
+            batch[0] = seq
+            batch[1].append(record)
+            batch[2].append(tick)
+            new.append(record)
+            tick += 1
+        if not new:
+            return 0
+        for writer, (_, pending, ticks) in fresh.items():
+            tail = tails.get(writer)
             if tail is None:
-                tail = by_writer[record.writer] = []
-            if record.seq != checkpoint_count + len(tail) + 1:
-                self._seq_contiguous = False
-            tail.append(entry)
-            fresh.append(entry)
-            self._live_metadata += record.metadata_delta
-        if fresh:
-            if self._applied_times and applied_at < self._applied_times[-1]:
-                self._applied_monotone = False
-            self._applied_times.extend([applied_at] * len(fresh))
-            self._entries.extend(fresh)
-            if self._live_entries is not None:
-                self._live_entries.extend(fresh)
-        return len(fresh)
-
-    # --------------------------------------------------------- cache upkeep
-    def _live_view(self) -> List[LogEntry]:
-        """The incrementally maintained live-entry list (do not mutate)."""
-        live = self._live_entries
-        if live is None:
-            live = self._live_entries = [e for e in self._entries if e.live]
-        return live
-
-    def _mark_dead(self, entry: LogEntry) -> None:
-        """Bookkeeping for a live entry that was just tombstoned."""
-        self._live_metadata -= entry.record.metadata_delta
-        self._live_entries = None
-        self._dead += 1
+                tail = tails[writer] = _Columns()
+            tail.records += pending
+            tail.stamps += [applied_at] * len(pending)
+            tail.ticks.extend(ticks)
+        self._tick = tick
+        if applied_at < self._last_stamp:
+            self._monotone = False
+        self._last_stamp = applied_at
+        # ``+=`` in input order, as append would (``sum`` compensates on 3.12+)
+        self._live_metadata = reduce(add, map(_metadata_delta, new),
+                                     self._live_metadata)
+        return len(new)
 
     # ------------------------------------------------------------- queries
+    def _in_order(self, *, after: float = float("-inf"),
+                  live_only: bool = False) -> List[LogEntry]:
+        """Retained entries applied after ``after``, in application order."""
+        rows = []
+        dead = self._dead
+        for writer, tail in self._tails.items():
+            records, stamps, ticks = tail.records, tail.stamps, tail.ticks
+            for i in range(bisect_right(stamps, after) if self._monotone else 0,
+                           len(records)):
+                stamp = stamps[i]
+                if stamp <= after:
+                    continue
+                entry = dead.get((writer, records[i].seq))
+                if entry is None:
+                    entry = LogEntry(records[i], stamp)
+                elif live_only:
+                    continue
+                rows.append((ticks[i], entry))
+        rows.sort()  # ticks are distinct: entries are never compared
+        return [entry for _, entry in rows]
+
     def entries(self, include_dead: bool = False) -> List[LogEntry]:
         """Retained entries in application order (folded ones are gone)."""
-        if include_dead:
-            return list(self._entries)
-        if self._dead == 0:
-            return list(self._entries)
-        return list(self._live_view())
+        return self._in_order(live_only=not include_dead)
 
     def records(self, include_dead: bool = False) -> List[UpdateRecord]:
         return [e.record for e in self.entries(include_dead=include_dead)]
 
-    def record_keys(self) -> KeysView[Tuple[str, int]]:
-        """All retained update keys, live or dead.
-
-        Returns the index's key view — a set-like, O(1)-membership object
-        maintained incrementally by :meth:`append`.  Treat it as read-only;
-        copy with ``set(...)`` if a mutable set is needed.
-        """
-        return self._index.keys()
+    def record_keys(self) -> Set[Tuple[str, int]]:
+        """All retained update keys, live or dead (a fresh set)."""
+        return {(r.writer, r.seq) for tail in self._tails.values()
+                for r in tail.records}
 
     def get(self, key: Tuple[str, int]) -> Optional[LogEntry]:
-        return self._index.get(key)
+        """The retained entry for ``key``; ``None`` if folded or never applied."""
+        writer, seq = key
+        tail = self._tails.get(writer)
+        if tail is None:
+            return None
+        i = seq - self.checkpoint.counts.get(writer, 0) - 1
+        if not 0 <= i < len(tail.records):
+            return None
+        entry = self._dead.get((writer, seq))
+        return entry if entry is not None else LogEntry(tail.records[i], tail.stamps[i])
 
     def missing_from(self, known: Union[Set[Tuple[str, int]], VersionVector]
                      ) -> List[UpdateRecord]:
         """Live records present here that the peer lacks.
 
-        With a :class:`VersionVector` of the peer's per-writer counts (the
-        anti-entropy digest) this is served from the seq-contiguous
-        per-writer index in O(missing): the peer lacks exactly each writer's
-        records above its count, which is a tail slice.  A key-*set* falls
-        back to the legacy full scan (kept for callers without the
-        contiguity guarantee).  Raises :class:`TruncatedHistoryError` when
-        the peer is behind the checkpoint — those records were folded and
-        cannot be shipped individually.
+        Against a :class:`VersionVector` of the peer's per-writer counts (the
+        anti-entropy digest) each writer's records above its count, a column
+        slice, writers in first-append order; against a key-*set*, a scan in
+        application order.  Raises :class:`TruncatedHistoryError` when the
+        peer is behind the checkpoint: those records were folded.
         """
+        counts = self.checkpoint.counts
         if isinstance(known, VersionVector):
             # A peer behind the checkpoint of ANY writer — including one
             # whose retained tail is empty because everything folded — needs
             # records that no longer exist; fail loudly, never silently
             # under-serve an anti-entropy exchange.
-            for writer, base in self.checkpoint.counts.items():
+            for writer, base in counts.items():
                 have = known.count(writer)
                 if have < base:
                     raise TruncatedHistoryError(
                         f"peer knows {have} updates of writer {writer!r} "
                         f"but seqs 1..{base} were folded into the "
                         f"checkpoint")
-            if self._seq_contiguous:
-                missing: List[UpdateRecord] = []
-                checkpoint = self.checkpoint
-                for writer, tail in self._by_writer.items():
-                    have = known.count(writer)
-                    base = checkpoint.count(writer)
-                    if have >= base + len(tail):
-                        continue
-                    for entry in tail[max(0, have - base):]:
-                        if entry.live:
-                            missing.append(entry.record)
-                return missing
-            # Sparse per-writer histories (test-only): per-entry count check.
-            entries = self._entries if self._dead == 0 else self._live_view()
-            return [e.record for e in entries
-                    if e.record.seq > known.count(e.record.writer)]
+            missing: List[UpdateRecord] = []
+            dead = self._dead
+            for writer, tail in self._tails.items():
+                above = tail.records[known.count(writer) - counts.get(writer, 0):]
+                if dead:
+                    above = [r for r in above if (writer, r.seq) not in dead]
+                missing += above
+            return missing
         if self.checkpoint.entries_folded:
             # Key-set path: a contiguous peer that held a writer's whole
             # folded prefix must know its highest folded key.
-            for writer, base in self.checkpoint.counts.items():
+            for writer, base in counts.items():
                 if (writer, base) not in known:
                     raise TruncatedHistoryError(
                         f"peer does not know ({writer!r}, {base}) although "
                         f"seqs 1..{base} were folded into the checkpoint")
-        entries = self._entries if self._dead == 0 else self._live_view()
-        return [e.record for e in entries
+        return [e.record for e in self._in_order(live_only=True)
                 if (e.record.writer, e.record.seq) not in known]
 
     def applied_since(self, time: float) -> List[LogEntry]:
-        """Entries applied strictly after ``time`` (rollback candidates).
-
-        Served by bisection over the monotone applied-at array; raises
-        :class:`TruncatedHistoryError` when folded entries would qualify.
-        """
+        """Entries applied strictly after ``time`` (rollback candidates);
+        raises :class:`TruncatedHistoryError` when folded ones would qualify."""
         if self.checkpoint.entries_folded and time < self.checkpoint.applied_through:
             raise TruncatedHistoryError(
                 f"entries applied after {time:g} include records folded into "
                 f"the checkpoint (applied through "
                 f"{self.checkpoint.applied_through:g})")
-        if self._applied_monotone:
-            start = bisect_right(self._applied_times, time)
-            return self._entries[start:]
-        return [e for e in self._entries if e.applied_at > time]
+        return self._in_order(after=time)
 
     def last_applied_at(self) -> float:
         """When the replica last applied a live update (0.0 if it never did).
 
-        The last live retained entry while appends stay monotone, floored by
-        the checkpoint's fold horizon — so a truncated log answers like an
-        untruncated one — and never a copy of the log.
+        The latest live retained stamp (each writer's last while all are live
+        and monotone), floored by the checkpoint's fold horizon so a
+        truncated log answers like an untruncated one.
         """
-        entries = self._entries if self._dead == 0 else self._live_view()
-        if not entries:
-            last = 0.0
-        elif self._applied_monotone:
-            last = entries[-1].applied_at
-        else:
-            last = max(e.applied_at for e in entries)
+        stamps = ((tail.stamps[-1] for tail in self._tails.values())
+                  if self._monotone and not self._dead
+                  else (e.applied_at for e in self._in_order(live_only=True)))
+        last = max(stamps, default=0.0)
         through = self.checkpoint.applied_through
         return last if last >= through else through
 
     def live_content(self) -> List[Any]:
-        """Live payloads in ``(timestamp, writer, seq)`` order.
-
-        Checkpointed payloads come pre-sorted from the checkpoint chunks and
-        are merged with the sorted retained tail.
-        """
+        """Live payloads in ``(timestamp, writer, seq)`` order: the
+        checkpoint's pre-sorted chunks merged with the sorted retained tail."""
         if self.checkpoint.content_dropped:
             raise TruncatedHistoryError(
                 "folded payloads were discarded by a keep_content=False "
                 "truncation; this replica can no longer serve full-content "
                 "reads")
-        entries = self._entries if self._dead == 0 else self._live_view()
-        tail = sorted((e.record.timestamp, e.record.writer, e.record.seq,
-                       e.record.payload) for e in entries)
+        dead = self._dead
+        tail = sorted((r.timestamp, r.writer, r.seq, r.payload)
+                      for columns in self._tails.values() for r in columns.records
+                      if not dead or (r.writer, r.seq) not in dead)
         if not self.checkpoint.content_chunks:
             return [item[3] for item in tail]
         folded = self.checkpoint.content_items()
@@ -353,38 +359,42 @@ class UpdateLog:
         return self.checkpoint.metadata + self._live_metadata
 
     # ------------------------------------------------------------ mutation
+    def _mark_dead(self, entry: LogEntry) -> None:
+        """Hold a live entry that is about to be tombstoned."""
+        record = entry.record
+        self._dead[(record.writer, record.seq)] = entry
+        self._live_metadata -= record.metadata_delta
+
     def invalidate(self, keys: Iterable[Tuple[str, int]]) -> int:
         """Tombstone the given updates (invalidate-both policy); returns count.
 
-        Keys that fell below the checkpoint are counted in
-        :attr:`invalidated_below_checkpoint` instead of silently ignored —
-        by the stability invariant they were known everywhere, so a policy
-        naming them indicates the frontier ran ahead of resolution.
+        Keys below the checkpoint are counted in
+        :attr:`invalidated_below_checkpoint`, not silently ignored: they were
+        known everywhere, so a policy naming them means the frontier ran
+        ahead of resolution.
         """
         count = 0
         for key in keys:
-            entry = self._index.get(key)
+            entry = self.get(key)
             if entry is None:
                 writer, seq = key
                 if 1 <= seq <= self.checkpoint.count(writer):
                     self.invalidated_below_checkpoint += 1
                 continue
             if not entry.invalidated:
-                was_live = entry.live
-                entry.invalidated = True
-                if was_live:
+                if entry.live:
                     self._mark_dead(entry)
+                entry.invalidated = True
                 count += 1
         return count
 
     def roll_back_after(self, time: float) -> List[UpdateRecord]:
         """Mark all updates applied after ``time`` as rolled back.
 
-        Returns the affected records so the caller can notify the user
-        (the paper handles rollback "in the background and return[s] the
-        result to the users afterwards").  Rolling back past the checkpoint
-        raises :class:`TruncatedHistoryError`: folded records are stable by
-        construction and can no longer be individually un-applied.
+        Returns the affected records so the caller can notify the user (the
+        paper rolls back "in the background and return[s] the result to the
+        users afterwards").  Rolling back past the checkpoint raises
+        :class:`TruncatedHistoryError`: folded records are stable.
         """
         try:
             candidates = self.applied_since(time)
@@ -398,10 +408,9 @@ class UpdateLog:
         rolled: List[UpdateRecord] = []
         for entry in candidates:
             if not entry.rolled_back:
-                was_live = entry.live
-                entry.rolled_back = True
-                if was_live:
+                if entry.live:
                     self._mark_dead(entry)
+                entry.rolled_back = True
                 rolled.append(entry.record)
         return rolled
 
@@ -409,69 +418,60 @@ class UpdateLog:
     def truncate(self, frontier: Dict[str, int], *,
                  keep_after: Optional[float] = None,
                  keep_content: bool = True) -> int:
-        """Fold each writer's stable prefix (seqs ≤ ``frontier[writer]``).
+        """Fold each writer's stable prefix (seqs ≤ ``frontier[writer]``);
+        returns the number of entries folded.
 
-        ``keep_after`` additionally pins entries applied after that time —
-        the *instability window* — so recent history stays available for
-        rollback regardless of stability.  Folding always takes a per-writer
-        prefix; the first entry that is too new (or beyond the frontier)
-        stops that writer's fold.  Returns the number of entries folded.
-
-        ``keep_content=False`` discards the folded payloads instead of
-        keeping them in the checkpoint — for metadata-only workloads whose
-        content lives elsewhere (or nowhere), so memory stays flat in run
-        length.  Subsequent full-content reads raise
+        ``keep_after`` also pins entries applied after that time — the
+        *instability window*, kept for rollback whatever is stable: the
+        first entry too new (or beyond the frontier) stops a writer's fold.
+        ``keep_content=False`` drops the folded payloads instead of keeping
+        them in the checkpoint (metadata-only workloads: memory stays flat
+        in run length); full-content reads then raise
         :class:`TruncatedHistoryError`.
         """
-        if not self._seq_contiguous or not frontier:
-            return 0
         checkpoint = self.checkpoint
         live_before = checkpoint.live_folded
-        folded: List[LogEntry] = []
+        dead = self._dead
+        folded = 0
         content: List[Tuple[float, str, int, Any]] = []
         for writer, target in frontier.items():
-            tail = self._by_writer.get(writer)
-            if not tail:
+            tail = self._tails.get(writer)
+            if tail is None:
                 continue
-            base = checkpoint.count(writer)
-            fold_n = 0
-            for entry in tail:
-                if entry.record.seq > target:
-                    break
-                if keep_after is not None and entry.applied_at > keep_after:
-                    break
-                fold_n += 1
-            if fold_n == 0:
-                continue
-            for entry in tail[:fold_n]:
-                record = entry.record
-                del self._index[(record.writer, record.seq)]
-                folded.append(entry)
-                if entry.live:
-                    checkpoint.live_folded += 1
-                    checkpoint.metadata += record.metadata_delta
-                    self._live_metadata -= record.metadata_delta
-                    if keep_content:
-                        content.append((record.timestamp, record.writer,
-                                        record.seq, record.payload))
+            records, stamps = tail.records, tail.stamps
+            base = checkpoint.counts.get(writer, 0)
+            fold_n = min(target - base, len(records))
+            if fold_n > 0 and keep_after is not None:
+                if self._monotone:
+                    fold_n = bisect_right(stamps, keep_after, 0, fold_n)
                 else:
-                    self._dead -= 1
-                if entry.applied_at > checkpoint.applied_through:
-                    checkpoint.applied_through = entry.applied_at
-            del tail[:fold_n]
-            if not tail:
-                del self._by_writer[writer]
+                    fold_n = next((i for i in range(fold_n)
+                                   if stamps[i] > keep_after), fold_n)
+            if fold_n <= 0:
+                continue
+            live = records[:fold_n]
+            if dead:
+                live = [r for r in live if dead.pop((writer, r.seq), None) is None]
+            deltas = list(map(_metadata_delta, live))
+            checkpoint.metadata = reduce(add, deltas, checkpoint.metadata)
+            self._live_metadata = reduce(sub, deltas, self._live_metadata)
+            checkpoint.live_folded += len(live)
+            if keep_content:
+                content += [(r.timestamp, r.writer, r.seq, r.payload) for r in live]
+            top = stamps[fold_n - 1] if self._monotone else max(stamps[:fold_n])
+            if top > checkpoint.applied_through:
+                checkpoint.applied_through = top
+            del records[:fold_n], stamps[:fold_n], tail.ticks[:fold_n]
+            if not records:
+                del self._tails[writer]
             checkpoint.counts[writer] = base + fold_n
+            folded += fold_n
         if not folded:
             return 0
-        checkpoint.entries_folded += len(folded)
+        checkpoint.entries_folded += folded
         if not keep_content and checkpoint.live_folded > live_before:
             checkpoint.content_dropped = True
         if content:
             content.sort()
             checkpoint.content_chunks.append(content)
-        folded_ids = {id(e) for e in folded}
-        self._entries = [e for e in self._entries if id(e) not in folded_ids]
-        self._applied_times = [e.applied_at for e in self._entries]
-        self._live_entries = None
-        return len(folded)
+        return folded

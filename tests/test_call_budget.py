@@ -8,11 +8,12 @@ background rounds.  A write there is one timer tick and three digest
 deliveries, and what it costs is, to a first approximation, how many Python
 frames it enters (DESIGN §5, "the three standing targets").
 
-Three more counts ride along: the interpreted frames one announce costs the
+Four more counts ride along: the interpreted frames one announce costs the
 live frame codec (``live-uds``'s share of a write), what one
 ``Replica.local_write`` allocates does not depend on how much the writer
-retains, and no value built per write, per read or per decoded frame carries
-an instance ``__dict__``.
+retains, what an install keeps per record holds no object of its own, and no
+value built per write, per read or per decoded frame carries an instance
+``__dict__``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.live import wire
 from repro.runtime.events import WriteRecorded
 from repro.store.replica import Replica
 from repro.transport.timers import PeriodicTimer
+from repro.versioning.extended_vector import ExtendedVersionVector, UpdateRecord
 
 NODES = 8
 OBJECTS = 8
@@ -187,6 +189,33 @@ def test_a_write_allocates_the_same_whatever_the_writer_retains():
     ints, so seq and revision cost the same on both sides), 80 kB at 10,000."""
     small, large = _bytes_per_write(1_000), _bytes_per_write(10_000)
     assert abs(large - small) < 64, (small, large)
+
+
+#: 16 writers × 625 records, the image a resolution round pushes
+IMAGE_RECORDS = 10_000
+
+
+def test_an_install_retains_no_object_per_record():
+    """What ``Replica.install_merged`` keeps per installed record, the
+    image's records being the pusher's: one slot in the vector's history
+    and three in the log's columns — the record, its applied-at stamp (one
+    float shared by the batch), its 8-byte tick — plus list over-allocation,
+    ≈ 51 bytes.  A ``LogEntry`` and a ``(writer, seq)`` key per record, the
+    log before the columns, read 188; the bound is half of that."""
+    records = [UpdateRecord(f"w{w:02d}", seq, float(seq), 1.0)
+               for w in range(16) for seq in range(1, IMAGE_RECORDS // 16 + 1)]
+    image = ExtendedVersionVector.from_updates(records)
+    costs = []
+    for _ in range(3):
+        replica = Replica("me", "obj")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert replica.install_merged(image, now=5.0) == IMAGE_RECORDS
+            costs.append((tracemalloc.get_traced_memory()[0] - before) / IMAGE_RECORDS)
+        finally:
+            tracemalloc.stop()
+    assert min(costs) <= 95, costs
 
 
 def _values_of_one_write_and_read():

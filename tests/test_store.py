@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.store.filesystem import ReplicatedStore
 from repro.store.replica import Replica
-from repro.store.update_log import UpdateLog
-from repro.versioning.extended_vector import ExtendedVersionVector, UpdateRecord
+from repro.store.update_log import LogEntry, UpdateLog
+from repro.versioning.extended_vector import (ExtendedVersionVector,
+                                              TruncatedHistoryError, UpdateRecord)
+from repro.versioning.version_vector import VersionVector
 
 
 def rec(writer, seq, ts, delta=1.0, payload=None):
@@ -75,6 +77,242 @@ class TestUpdateLog:
         log.append(rec("A", 1, 1.0), applied_at=1.0)
         log.append(rec("A", 2, 3.0), applied_at=3.0)
         assert len(log.applied_since(2.0)) == 1
+
+
+class EntryList:
+    """The log as one list of entries in application order, every answer a
+    scan — the layout the columns replaced, kept here as their oracle.
+
+    Float accumulators move as that layout moved them: ``+=`` per appended
+    record, ``-=`` per death, and per folded live record ``+=`` into the
+    checkpoint and ``-=`` out of the live sum, writers in frontier order.
+    """
+
+    def __init__(self):
+        self.log = []              # retained LogEntry, application order
+        self.writers = {}          # first-append order; gone when its tail folds away
+        self.counts = {}           # folded per writer
+        self.entries_folded = self.below = 0
+        self.live_sum = self.folded_sum = 0.0
+        self.content, self.dropped = [], False
+        self.through = float("-inf")
+
+    def count(self, writer):
+        return self.counts.get(writer, 0) + sum(e.record.writer == writer for e in self.log)
+
+    def extend(self, records, applied_at):
+        taken, fresh = {}, []
+        for r in records:
+            have = taken[r.writer] if r.writer in taken else self.count(r.writer)
+            if r.seq != have + 1:
+                if 1 <= r.seq <= have:
+                    continue
+                raise ValueError(f"gap at {r.key()}")
+            taken[r.writer] = r.seq
+            fresh.append(r)
+        for r in fresh:
+            self.log.append(LogEntry(r, applied_at))
+            self.writers.setdefault(r.writer)
+            self.live_sum += r.metadata_delta
+        return len(fresh)
+
+    def append(self, record, applied_at):
+        return self.extend([record], applied_at) == 1
+
+    def get(self, key):
+        return next((e for e in self.log if e.record.key() == key), None)
+
+    def _kill(self, entry, flag):
+        if entry.live:
+            self.live_sum -= entry.record.metadata_delta
+        setattr(entry, flag, True)
+
+    def invalidate(self, keys):
+        count = 0
+        for writer, seq in keys:
+            entry = self.get((writer, seq))
+            if entry is None:
+                self.below += 1 <= seq <= self.counts.get(writer, 0)
+            elif not entry.invalidated:
+                self._kill(entry, "invalidated")
+                count += 1
+        return count
+
+    def applied_since(self, time):
+        if self.entries_folded and time < self.through:
+            raise TruncatedHistoryError(time)
+        return [e for e in self.log if e.applied_at > time]
+
+    def roll_back_after(self, time):
+        rolled = []
+        for entry in self.applied_since(time):
+            if not entry.rolled_back:
+                self._kill(entry, "rolled_back")
+                rolled.append(entry.record)
+        return rolled
+
+    def truncate(self, frontier, *, keep_after=None, keep_content=True):
+        folded, live_folded = [], 0
+        for writer, target in frontier.items():
+            tail = [e for e in self.log if e.record.writer == writer]
+            n = 0
+            while (n < len(tail) and tail[n].record.seq <= target
+                   and (keep_after is None or tail[n].applied_at <= keep_after)):
+                n += 1
+            for entry in tail[:n]:
+                record = entry.record
+                if entry.live:
+                    live_folded += 1
+                    self.folded_sum += record.metadata_delta
+                    self.live_sum -= record.metadata_delta
+                    if keep_content:
+                        self.content.append((record.timestamp, record.writer,
+                                             record.seq, record.payload))
+                if entry.applied_at > self.through:
+                    self.through = entry.applied_at
+            folded += tail[:n]
+            if n:
+                self.counts[writer] = self.counts.get(writer, 0) + n
+                if n == len(tail):
+                    del self.writers[writer]
+        self.log = [e for e in self.log if all(e is not f for f in folded)]
+        self.entries_folded += len(folded)
+        self.dropped |= not keep_content and live_folded > 0
+        return len(folded)
+
+    def missing_from(self, known):
+        if isinstance(known, VersionVector):
+            if any(known.count(w) < base for w, base in self.counts.items()):
+                raise TruncatedHistoryError(known)
+            return [e.record for w in self.writers for e in self.log
+                    if e.record.writer == w and e.live and e.record.seq > known.count(w)]
+        if self.entries_folded and any((w, base) not in known
+                                       for w, base in self.counts.items()):
+            raise TruncatedHistoryError(known)
+        return [e.record for e in self.log if e.live and e.record.key() not in known]
+
+    def last_applied_at(self):
+        last = max((e.applied_at for e in self.log if e.live), default=0.0)
+        return max(last, self.through)
+
+    def live_content(self):
+        if self.dropped:
+            raise TruncatedHistoryError("dropped")
+        return [item[3] for item in sorted(self.content + [
+            (e.record.timestamp, e.record.writer, e.record.seq, e.record.payload)
+            for e in self.log if e.live])]
+
+
+def outcome(call, *args, **kwargs):
+    """What a call returned, or which refusal it raised."""
+    try:
+        return call(*args, **kwargs)
+    except (ValueError, TruncatedHistoryError) as refused:
+        return type(refused)
+
+
+#: one history per writer; timestamps tie across writers, deltas cancel
+HISTORIES = {writer: [rec(writer, seq, float(seq % 4), delta, f"{writer}#{seq}")
+                      for seq, delta in enumerate([0.1, 0.7, -0.3, 1e16, 0.2, -1e16,
+                                                   0.05, 3.0] * 20, start=1)]
+             for writer in "ABC"}
+
+
+def record_for(writer, seq):
+    return HISTORIES[writer][seq - 1] if seq >= 1 else rec(writer, seq, 0.0)
+
+
+class TestColumnsAgainstTheEntryList:
+    @staticmethod
+    def assert_answers_alike(log, model, times):
+        assert log.entries(include_dead=True) == model.log
+        assert log.entries() == [e for e in model.log if e.live]
+        assert log.record_keys() == {e.record.key() for e in model.log}
+        assert len(log) == model.entries_folded + len(model.log)
+        assert log.retained_count() == len(model.log)
+        for writer in "ABC":
+            for seq in range(-1, model.count(writer) + 3):
+                assert log.get((writer, seq)) == model.get((writer, seq))
+                assert ((writer, seq) in log) == (1 <= seq <= model.count(writer))
+        for behind in (0, 1, 3):
+            peer = {w: max(0, model.count(w) - behind) for w in "ABC"}
+            vector = VersionVector(peer)
+            keys = {(w, s) for w, n in peer.items() for s in range(1, n + 1)}
+            assert outcome(log.missing_from, vector) == outcome(model.missing_from, vector)
+            assert outcome(log.missing_from, keys) == outcome(model.missing_from, keys)
+        for time in times:
+            assert outcome(log.applied_since, time) == outcome(model.applied_since, time)
+        assert log.last_applied_at() == model.last_applied_at()
+        assert outcome(log.live_content) == outcome(model.live_content)
+        assert repr(log.live_metadata()) == repr(model.folded_sum + model.live_sum)
+        checkpoint = log.checkpoint
+        assert checkpoint.counts == model.counts
+        assert checkpoint.entries_folded == model.entries_folded
+        assert checkpoint.applied_through == model.through
+        assert log.invalidated_below_checkpoint == model.below
+        # a dead entry is held only while retained: folding lets it go
+        assert len(log._dead) == sum(not e.live for e in model.log)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_any_interleaving_answers_like_the_entry_list(self, data, monotone):
+        """Appends and batches (duplicates and gaps among them), invalidation,
+        rollback and truncation, with stamps in time order or not."""
+        log, model = UpdateLog(), EntryList()
+        clock, times = 0.0, [-1.0]
+        for _ in range(data.draw(st.integers(1, 25))):
+            kind = data.draw(st.sampled_from(
+                ["append", "extend", "extend", "invalidate", "rollback", "truncate"]))
+            clock = (clock + data.draw(st.sampled_from([0.0, 0.5, 1.0])) if monotone
+                     else data.draw(st.sampled_from([0.0, 1.0, 2.5, 4.0])))
+            times.append(clock)
+            if kind in ("append", "extend"):
+                taken, batch = {}, []
+                for _ in range(1 if kind == "append" else data.draw(st.integers(0, 6))):
+                    writer = data.draw(st.sampled_from("ABC"))
+                    upcoming = taken.get(writer, model.count(writer)) + 1
+                    seq = upcoming + data.draw(st.sampled_from([0, 0, 0, 0, -1, -3, 1]))
+                    if seq == upcoming:
+                        taken[writer] = seq
+                    batch.append(record_for(writer, seq))
+                if kind == "append":
+                    args = (batch[0], clock)
+                    assert outcome(log.append, *args) == outcome(model.append, *args)
+                else:
+                    before = (log.entries(include_dead=True), repr(log.live_metadata()))
+                    got = outcome(log.extend, batch, clock)
+                    assert got == outcome(model.extend, batch, clock)
+                    if got is ValueError:   # all or nothing
+                        assert (log.entries(include_dead=True),
+                                repr(log.live_metadata())) == before
+            elif kind == "invalidate":
+                keys = [(data.draw(st.sampled_from("ABC")), data.draw(st.integers(0, 12)))
+                        for _ in range(data.draw(st.integers(1, 3)))]
+                assert log.invalidate(keys) == model.invalidate(keys)
+            elif kind == "rollback":
+                assert outcome(log.roll_back_after, clock) == outcome(
+                    model.roll_back_after, clock)
+            else:
+                frontier = {w: data.draw(st.integers(0, model.count(w)))
+                            for w in data.draw(st.permutations("ABC"))}
+                options = dict(keep_after=data.draw(st.one_of(st.none(), st.just(clock - 1.0))),
+                               keep_content=data.draw(st.booleans()))
+                assert log.truncate(frontier, **options) == model.truncate(frontier, **options)
+            self.assert_answers_alike(log, model, times)
+
+    def test_a_gapped_batch_leaves_the_log_as_it_was(self):
+        log = UpdateLog()
+        log.extend([rec("A", 1, 1.0), rec("A", 2, 2.0)], applied_at=1.0)
+        log.invalidate([("A", 2)])
+        before = (log.entries(include_dead=True), log.record_keys(), len(log),
+                  repr(log.live_metadata()), log.last_applied_at())
+        with pytest.raises(ValueError, match="out-of-order update from 'A'"):
+            log.extend([rec("B", 1, 3.0), rec("A", 3, 3.0), rec("A", 5, 5.0)],
+                       applied_at=4.0)
+        assert (log.entries(include_dead=True), log.record_keys(), len(log),
+                repr(log.live_metadata()), log.last_applied_at()) == before
+        assert ("B", 1) not in log and ("A", 3) not in log
+        assert log.extend([rec("B", 1, 3.0), rec("A", 3, 3.0)], applied_at=4.0) == 2
 
 
 class TestLastAppliedAt:
