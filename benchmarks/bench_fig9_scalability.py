@@ -13,14 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments import get, run
-from repro.farm import default_jobs
 
 
 def bench_fig9_scalability(benchmark):
-    jobs = default_jobs()
     result = benchmark.pedantic(
-        lambda: run("fig9", max_top_layer=10, num_nodes=40, seed=19,
-                    jobs=jobs),
+        lambda: run("fig9", max_top_layer=10, num_nodes=40, seed=19),
         rounds=1, iterations=1)
     print()
     print(get("fig9").report(result))

@@ -7,13 +7,13 @@ Runs any registered experiment through the sweep farm::
     python -m repro.experiments --run fig7 --json out.json
     python -m repro.experiments --run churn --smoke --param "duration=15.0"
 
-``--jobs`` defaults to the ``FARM_JOBS`` environment variable (see
-``repro.farm``), so CI can parallelise every sweep without touching the
-command lines.  ``--smoke`` applies the registry's shrunken parameters — the
+``--jobs N`` runs the points over N worker processes (default 1: serially,
+in-process).  ``--smoke`` applies the registry's shrunken parameters — the
 same code path on a seconds-sized grid.  A failed point (``FarmPointError``,
-a conformance divergence included) exits 1 with a diagnostic, so CI smoke
-steps cannot silently pass on a failure; a ``--param`` key, ``--world`` or
-``--backend`` the experiment does not take exits 2 naming what it accepts.
+a conformance divergence included) is attempted once and exits 1 with a
+diagnostic, so CI smoke steps cannot silently pass on a failure; a
+``--param`` key, ``--world`` or ``--backend`` the experiment does not take,
+or a ``--jobs`` below 1, exits 2 naming what it accepts.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from repro.experiments import registry
-from repro.farm import FarmPointError, default_jobs
+from repro.farm import FarmPointError
 
 
 def _parse_param(text: str) -> tuple:
@@ -42,6 +42,18 @@ def _parse_param(text: str) -> tuple:
     except (ValueError, SyntaxError):
         value = raw  # bare strings stay strings ("--param shape=flash")
     return key.strip(), value
+
+
+def _parse_jobs(text: str) -> int:
+    """``--jobs N``: a worker-process count, at least one."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"--jobs must be >= 1, got {jobs}")
+    return jobs
 
 
 def _jsonable(value: Any) -> Any:
@@ -78,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="list the registered experiments and exit")
     parser.add_argument("--run", metavar="NAME",
                         help="experiment to run (see --list)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="farm worker processes (default: $FARM_JOBS or 1)")
+    parser.add_argument("--jobs", type=_parse_jobs, default=1, metavar="N",
+                        help="farm worker processes (default: 1, serial)")
     parser.add_argument("--world", action="append", default=None,
                         dest="worlds", metavar="NAME|PATH",
                         help="restrict a world-aware experiment to this "
@@ -121,7 +133,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
-    jobs = args.jobs if args.jobs is not None else default_jobs()
     kwargs: Dict[str, Any] = dict(entry.smoke) if args.smoke else {}
     kwargs.update(dict(args.param))
     accepted = entry.parameters()
@@ -137,7 +148,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         kwargs[key] = value
 
     try:
-        result = registry.run(args.run, jobs=jobs, **kwargs)
+        result = registry.run(args.run, jobs=args.jobs, **kwargs)
     except registry.UnknownParameter as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -149,7 +160,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(entry.report(result))
 
     if args.json_path:
-        payload = {"experiment": entry.name, "jobs": jobs,
+        payload = {"experiment": entry.name, "jobs": args.jobs,
                    "parameters": _jsonable(kwargs),
                    "result": _jsonable(result)}
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)

@@ -173,9 +173,9 @@ def run_protocol_point(*, protocol: str, num_nodes: int = 12,
 def build_tradeoff_grid(*, seed: int = 31, **point_kwargs) -> List[PointSpec]:
     """The four protocol runs as farm point specs (paper row order)."""
     return [PointSpec.build(
-        run_protocol_point, index=i, labels=("fig2", protocol),
+        run_protocol_point, labels=("fig2", protocol),
         protocol=protocol, seed=seed, **point_kwargs)
-        for i, protocol in enumerate(PROTOCOLS)]
+        for protocol in PROTOCOLS]
 
 
 def fold_tradeoff(specs: Sequence[PointSpec],

@@ -125,9 +125,9 @@ def build_hint_grid(*, hint_levels: Sequence[float] = (0.95, 0.85),
                     seed: int = 11, **point_kwargs) -> List[PointSpec]:
     """One Figure 7 panel per hint level (the paper's two), as farm specs."""
     return [PointSpec.build(
-        run_hint_experiment, index=i, labels=("fig7", f"hint{hint:g}"),
+        run_hint_experiment, labels=("fig7", f"hint{hint:g}"),
         hint_level=float(hint), seed=seed, **point_kwargs)
-        for i, hint in enumerate(hint_levels)]
+        for hint in hint_levels]
 
 
 def level_table(result, title: str) -> str:

@@ -77,11 +77,11 @@ def build_hint_change_grid(*, hint_schedules: Sequence[Tuple[float, float]] =
                            seed: int = 13, **point_kwargs) -> List[PointSpec]:
     """One Figure 8 run per (initial, later) hint pair, as farm specs."""
     return [PointSpec.build(
-        run_hint_change_experiment, index=i,
+        run_hint_change_experiment,
         labels=("fig8", f"{initial:g}->{later:g}"),
         initial_hint=float(initial), later_hint=float(later), seed=seed,
         **point_kwargs)
-        for i, (initial, later) in enumerate(hint_schedules)]
+        for initial, later in hint_schedules]
 
 
 def format_report(result: HintChangeResult) -> str:

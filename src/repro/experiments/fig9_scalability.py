@@ -83,9 +83,9 @@ def build_scalability_grid(*, max_top_layer: int = 10, num_nodes: int = 40,
     if max_top_layer < 2:
         raise ValueError("max_top_layer must be >= 2")
     return [PointSpec.build(
-        run_scalability_point, index=i, labels=("fig9", f"top{size}"),
+        run_scalability_point, labels=("fig9", f"top{size}"),
         size=size, num_nodes=max(num_nodes, size), seed=seed + size)
-        for i, size in enumerate(range(2, max_top_layer + 1))]
+        for size in range(2, max_top_layer + 1)]
 
 
 def fold_scalability(specs: Sequence[PointSpec],
@@ -180,10 +180,9 @@ def build_multiobject_grid(*, object_counts: Sequence[int] = (1, 4, 16, 64),
     if not counts or counts[0] < 1:
         raise ValueError("object_counts must contain positive integers")
     return [PointSpec.build(
-        run_multiobject_point, index=i,
-        labels=("multiobject", f"obj{count}"),
+        run_multiobject_point, labels=("multiobject", f"obj{count}"),
         num_objects=count, seed=seed, **point_kwargs)
-        for i, count in enumerate(counts)]
+        for count in counts]
 
 
 def fold_multiobject(specs: Sequence[PointSpec],

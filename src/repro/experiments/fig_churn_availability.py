@@ -234,15 +234,11 @@ def build_churn_grid(*, node_counts: Sequence[int] = (8, 16, 32, 64),
     Per-point seeds keep the pre-farm formula (``seed + num_nodes``) so the
     8-node points pinned in ``tests/test_scenarios.py`` replay bit-identically.
     """
-    specs: List[PointSpec] = []
-    for num_nodes in node_counts:
-        for loss in loss_probabilities:
-            specs.append(PointSpec.build(
-                run_churn_point, index=len(specs),
-                labels=("churn", f"n{num_nodes}", f"loss{loss:g}"),
-                num_nodes=num_nodes, loss_probability=loss,
-                seed=seed + num_nodes, **point_kwargs))
-    return specs
+    return [PointSpec.build(
+        run_churn_point, labels=("churn", f"n{num_nodes}", f"loss{loss:g}"),
+        num_nodes=num_nodes, loss_probability=loss, seed=seed + num_nodes,
+        **point_kwargs)
+        for num_nodes in node_counts for loss in loss_probabilities]
 
 
 def format_churn_report(result: ChurnSweepResult) -> str:

@@ -242,17 +242,13 @@ def build_workload_grid(*, zipf_skews: Sequence[float] = (0.0, 0.99, 1.2),
     Every cell keeps the sweep's base seed (the pre-farm behaviour), so a
     farm run replays the committed traces bit-identically.
     """
-    specs: List[PointSpec] = []
-    for shape in shapes:
-        for skew in zipf_skews:
-            for read_fraction in read_fractions:
-                specs.append(PointSpec.build(
-                    run_workload_point, index=len(specs),
-                    labels=("workload", shape, f"zipf{skew:g}",
-                            f"reads{read_fraction:g}"),
-                    zipf_skew=skew, read_fraction=read_fraction, shape=shape,
-                    seed=seed, **point_kwargs))
-    return specs
+    return [PointSpec.build(
+        run_workload_point,
+        labels=("workload", shape, f"zipf{skew:g}", f"reads{read_fraction:g}"),
+        zipf_skew=skew, read_fraction=read_fraction, shape=shape, seed=seed,
+        **point_kwargs)
+        for shape in shapes for skew in zipf_skews
+        for read_fraction in read_fractions]
 
 
 def format_workload_report(result: WorkloadSweepResult) -> str:

@@ -61,9 +61,9 @@ def build_world_matrix_grid(*, worlds: Optional[Sequence[str]] = None,
     the committed document.
     """
     return [PointSpec.build(
-        run_world_point, index=i, labels=("world", name), world=name,
-        seed=seed, duration=duration)
-        for i, name in enumerate(worlds or catalog_names())]
+        run_world_point, labels=("world", name), world=name, seed=seed,
+        duration=duration)
+        for name in worlds or catalog_names()]
 
 
 def _verdict(world: World, point: WorldRunResult) -> str:

@@ -176,6 +176,4 @@ def run(name: str, *, jobs: int = 1, **overrides: Any) -> Any:
             f"experiment {name!r} takes no parameter {unknown[0]!r} "
             f"(accepted: {', '.join(accepted)})")
     specs = entry.grid(**overrides)
-    # A point is attempted once: the simulator points are deterministic, and
-    # a live divergence that does not reproduce is still a divergence.
-    return entry.fold(specs, run_specs(specs, jobs=jobs, retries=0))
+    return entry.fold(specs, run_specs(specs, jobs=jobs))

@@ -105,10 +105,10 @@ def build_phase_grid(*, writer_counts: Sequence[int] = (2, 4, 8),
                      num_nodes: int = 40, seed: int = 17) -> List[PointSpec]:
     """Table 2 at several top-layer sizes, as farm point specs."""
     return [PointSpec.build(
-        run_phase_breakdown, index=i, labels=("tab2", f"writers{count}"),
+        run_phase_breakdown, labels=("tab2", f"writers{count}"),
         num_nodes=max(num_nodes, int(count)), num_writers=int(count),
         seed=seed)
-        for i, count in enumerate(writer_counts)]
+        for count in writer_counts]
 
 
 def format_report(result: PhaseBreakdownResult) -> str:

@@ -113,9 +113,9 @@ def build_overhead_grid(*, periods: Tuple[float, ...] = (20.0, 40.0),
                         seed: int = 23, **point_kwargs) -> List[PointSpec]:
     """One booking run per background period, as farm point specs."""
     return [PointSpec.build(
-        run_booking_scenario, index=i, labels=("tab3", f"period{period:g}"),
+        run_booking_scenario, labels=("tab3", f"period{period:g}"),
         background_period=float(period), seed=seed, **point_kwargs)
-        for i, period in enumerate(periods)]
+        for period in periods]
 
 
 def fold_overhead(specs: Sequence[PointSpec],

@@ -52,38 +52,33 @@ def resolve_callable(ref: str) -> Callable[..., Any]:
 class PointSpec:
     """One grid point: a function reference plus its keyword arguments.
 
-    ``index`` is the point's position in the grid (results are aggregated
-    in this order regardless of completion order); ``labels`` carry the
-    human-readable axis values for reports and telemetry; ``seed`` records
-    the per-point seed for provenance.  :meth:`build` forwards an explicit
-    ``seed`` into ``kwargs`` (unless the caller already put one there), so
-    the point function consumes exactly the seed the spec records.
+    A point's place in the grid is its position in the list handed to
+    :func:`~repro.farm.farm.run_specs`.  ``labels`` carry the
+    human-readable axis values for reports and failure messages; ``seed``
+    records the per-point seed for provenance.  :meth:`build` forwards an
+    explicit ``seed`` into ``kwargs`` (unless the caller already put one
+    there), so the point function consumes exactly the seed the spec
+    records.
     """
 
     func: str
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    index: int = 0
     labels: Tuple[str, ...] = ()
     seed: Optional[int] = None
 
     @classmethod
-    def build(cls, fn: Callable[..., Any], *, index: int = 0,
-              labels: Tuple[str, ...] = (), seed: Optional[int] = None,
-              **kwargs: Any) -> "PointSpec":
+    def build(cls, fn: Callable[..., Any], *, labels: Tuple[str, ...] = (),
+              seed: Optional[int] = None, **kwargs: Any) -> "PointSpec":
         """Spec from a callable, validating importability up front."""
         if seed is None:
             seed = kwargs.get("seed")
         elif "seed" not in kwargs:
             kwargs["seed"] = seed
-        return cls(func=callable_ref(fn), kwargs=kwargs, index=index,
+        return cls(func=callable_ref(fn), kwargs=kwargs,
                    labels=tuple(str(label) for label in labels), seed=seed)
 
     def resolve(self) -> Callable[..., Any]:
         return resolve_callable(self.func)
-
-    def call(self) -> Any:
-        """Execute the point in the current process (the serial oracle)."""
-        return self.resolve()(**self.kwargs)
 
     def arguments(self) -> Dict[str, Any]:
         """Every keyword the point will see: ``kwargs`` over its defaults.
@@ -96,6 +91,4 @@ class PointSpec:
 
     @property
     def label(self) -> str:
-        if self.labels:
-            return "/".join(self.labels)
-        return f"{self.func.rpartition(':')[2]}#{self.index}"
+        return "/".join(self.labels) or self.func.rpartition(":")[2]

@@ -1,22 +1,73 @@
 """Unit tests for the multiprocess sweep farm (``repro.farm``).
 
 Covers the determinism contract (serial oracle == parallel farm, pinned
-``derive_seed`` values), spec construction and picklability, and — most
-importantly — the failure paths: a raising point, a worker killed
-mid-point, retry exhaustion, and the guarantee that no point is ever
-silently dropped from the aggregated results.
+``derive_seed`` values), spec construction and picklability, and the
+failure paths: every raising point is named in one ``FarmPointError``, an
+unpicklable reply fails only its own point, and a worker killed mid-point
+fails the whole sweep.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
+import random
+import signal
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
+from typing import Dict, List
 
 import pytest
 
-from repro.farm import (FarmPointError, PointSpec, SweepFarm, callable_ref,
-                        default_jobs, derive_seed, resolve_callable, run_specs)
-from repro.farm import _selftest
+from repro.farm import (FarmPointError, PointSpec, callable_ref, derive_seed,
+                        resolve_callable, run_specs)
 from repro.farm.seeding import SEED_BITS
+
+
+# ---------------------------------------------------------------------------
+# toy points: module-level, so spawned workers import them by reference
+
+
+def square(x: int, seed: int = 0) -> Dict[str, int]:
+    """A pure deterministic point."""
+    return {"x": x, "seed": seed, "value": x * x + seed % 97, "pid": os.getpid()}
+
+
+def slow_square(x: int, seed: int = 0, delay: float = 0.05) -> Dict[str, int]:
+    """Like :func:`square`, but holds a worker for ``delay`` seconds."""
+    time.sleep(delay)
+    return square(x, seed)
+
+
+def explode(x: int, message: str = "boom") -> None:
+    """A point that always raises."""
+    raise ValueError(f"{message} (x={x})")
+
+
+def kamikaze(x: int = 0) -> None:
+    """Kills its own worker process mid-point (SIGKILL, no cleanup)."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def unpicklable_reply(x: int = 0):
+    """Returns a value that cannot cross the process boundary."""
+    return lambda: x  # noqa: E731 - intentionally unpicklable
+
+
+def tally(scratch_dir: str, x: int, fail: bool = False) -> int:
+    """Appends a line to ``<scratch_dir>/<x>`` per execution; raises if ``fail``."""
+    with open(os.path.join(scratch_dir, str(x)), "a", encoding="utf-8") as fh:
+        fh.write("attempt\n")
+    if fail:
+        raise ValueError(f"tally failed (x={x})")
+    return x
+
+
+def seeded_draws(seed: int, count: int = 4) -> List[float]:
+    """Deterministic pseudo-random draws from an explicit seed."""
+    rng = random.Random(seed)
+    return [rng.random() for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -40,10 +91,10 @@ class TestDeriveSeed:
     def test_stable_across_processes(self):
         # Unlike salted ``hash()``, the derivation must not depend on
         # PYTHONHASHSEED — spawn a worker and compare.
-        spec = PointSpec.build(_selftest.seeded_draws,
+        spec = PointSpec.build(seeded_draws,
                                seed=derive_seed(7, 3, "stability"))
         (in_worker,) = run_specs([spec], jobs=2)
-        assert in_worker == _selftest.seeded_draws(derive_seed(7, 3, "stability"))
+        assert in_worker == seeded_draws(derive_seed(7, 3, "stability"))
 
     def test_axes_are_independent(self):
         seeds = {derive_seed(1, 0), derive_seed(1, 1), derive_seed(2, 0),
@@ -62,9 +113,9 @@ class TestDeriveSeed:
 
 class TestPointSpec:
     def test_callable_ref_round_trips(self):
-        ref = callable_ref(_selftest.square)
-        assert ref == "repro.farm._selftest:square"
-        assert resolve_callable(ref) is _selftest.square
+        ref = callable_ref(square)
+        assert ref == f"{__name__}:square"
+        assert resolve_callable(ref) is square
 
     def test_rejects_lambdas_and_locals(self):
         with pytest.raises(ValueError):
@@ -80,24 +131,27 @@ class TestPointSpec:
         with pytest.raises(ValueError):
             resolve_callable("no-colon")
         with pytest.raises(TypeError):
-            resolve_callable("repro.farm._selftest:__doc__")
+            resolve_callable(f"{__name__}:__doc__")
 
     def test_build_forwards_the_seed_to_the_point(self):
-        spec = PointSpec.build(_selftest.square, x=3, seed=11)
+        spec = PointSpec.build(square, x=3, seed=11)
         assert spec.seed == 11
         assert spec.kwargs["seed"] == 11
-        assert spec.call() == _selftest.square(3, seed=11)
+        assert run_specs([spec]) == [square(3, seed=11)]
 
     def test_build_records_a_kwargs_seed_as_provenance(self):
-        spec = PointSpec.build(_selftest.square, x=3, **{"seed": 13})
+        spec = PointSpec.build(square, x=3, **{"seed": 13})
         assert spec.seed == 13
 
     def test_specs_pickle(self):
-        spec = PointSpec.build(_selftest.square, index=4,
-                               labels=("grid", "x3"), x=3, seed=11)
+        spec = PointSpec.build(square, labels=("grid", "x3"), x=3, seed=11)
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         assert clone.label == "grid/x3"
+
+    def test_label_falls_back_to_the_function_name(self):
+        assert PointSpec.build(square, x=3).label == "square"
+        assert PointSpec.build(square, labels=("a", 2), x=3).label == "a/2"
 
 
 # ---------------------------------------------------------------------------
@@ -105,151 +159,101 @@ class TestPointSpec:
 
 
 def _grid(n=6, **kwargs):
-    return [PointSpec.build(_selftest.square, index=i, labels=(f"x{i}",),
-                            x=i, seed=derive_seed(5, i), **kwargs)
+    return [PointSpec.build(square, labels=(f"x{i}",), x=i,
+                            seed=derive_seed(5, i), **kwargs)
             for i in range(n)]
 
 
 class TestExecution:
     def test_serial_matches_parallel_point_for_point(self):
         specs = _grid()
-        serial = SweepFarm(specs, jobs=1).run()
-        farmed = SweepFarm(specs, jobs=2).run()
         strip = lambda vals: [{k: v for k, v in p.items() if k != "pid"}
                               for p in vals]
-        assert strip(serial.values()) == strip(farmed.values())
-        assert serial.executor == "serial"
-        assert farmed.executor == "process"
+        assert strip(run_specs(specs, jobs=1)) == strip(run_specs(specs, jobs=2))
 
     def test_results_aggregate_in_grid_order(self):
         # Reverse the natural completion order: early indices run slowest.
-        specs = [PointSpec.build(_selftest.slow_square, index=i, x=i,
-                                 delay=0.15 - 0.02 * i)
+        specs = [PointSpec.build(slow_square, x=i, delay=0.15 - 0.02 * i)
                  for i in range(6)]
-        result = SweepFarm(specs, jobs=3).run()
-        assert [o.spec.index for o in result.outcomes] == list(range(6))
-        assert [v["x"] for v in result.values()] == list(range(6))
+        assert [v["x"] for v in run_specs(specs, jobs=3)] == list(range(6))
 
     def test_parallel_uses_multiple_workers(self):
-        specs = [PointSpec.build(_selftest.slow_square, index=i, x=i,
-                                 delay=0.1) for i in range(4)]
-        result = SweepFarm(specs, jobs=2).run()
-        pids = {o.worker_pid for o in result.outcomes}
-        assert len(pids) >= 2
+        specs = [PointSpec.build(slow_square, x=i, delay=0.1) for i in range(4)]
+        pids = {v["pid"] for v in run_specs(specs, jobs=2)}
+        assert len(pids) >= 2 and os.getpid() not in pids
 
-    def test_telemetry_is_recorded(self):
-        result = SweepFarm(_grid(3), jobs=2).run()
-        tele = result.telemetry()
-        assert tele["points"] == 3 and tele["failed"] == 0
-        for point in tele["per_point"]:
-            assert point["attempts"] == 1
-            assert point["wall_seconds"] >= 0.0
-            assert point["worker_pid"] is not None
-
-    def test_bounded_in_flight_window(self):
-        farm = SweepFarm(_grid(64), jobs=2, max_in_flight=3)
-        assert farm._window == 3
-        assert len(farm.run().values()) == 64
+    def test_serial_runs_in_the_callers_process(self):
+        assert {v["pid"] for v in run_specs(_grid(3), jobs=1)} == {os.getpid()}
 
     def test_empty_grid(self):
-        result = SweepFarm([], jobs=4).run()
-        assert result.values() == [] and result.ok
+        assert run_specs([], jobs=4) == []
 
-    def test_default_jobs_reads_the_env(self, monkeypatch):
-        monkeypatch.delenv("FARM_JOBS", raising=False)
-        assert default_jobs() == 1
-        monkeypatch.setenv("FARM_JOBS", "6")
-        assert default_jobs() == 6
+    def test_jobs_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_specs(_grid(1), jobs=0)
 
 
 # ---------------------------------------------------------------------------
-# failure paths
+# failure paths: a point is attempted once
 
 
 class TestFailures:
-    def test_raising_point_is_captured_not_raised(self):
-        specs = [PointSpec.build(_selftest.square, index=0, x=1),
-                 PointSpec.build(_selftest.explode, index=1, x=9),
-                 PointSpec.build(_selftest.square, index=2, x=2)]
-        result = SweepFarm(specs, jobs=2, retries=0).run()
-        assert not result.ok
-        (failure,) = result.failures
-        assert failure.spec.index == 1
-        assert "boom (x=9)" in failure.error
-        assert "ValueError" in failure.traceback
-        # The innocents completed despite the failure.
-        assert result.outcomes[0].ok and result.outcomes[2].ok
-
-    def test_values_strict_raises_with_every_failure_named(self):
-        specs = [PointSpec.build(_selftest.explode, index=i, x=i,
-                                 labels=(f"p{i}",)) for i in range(2)]
-        result = SweepFarm(specs, jobs=1).run()
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_raising_point_is_named(self, jobs):
+        specs = [PointSpec.build(square, x=0),
+                 PointSpec.build(explode, labels=("p1",), x=1),
+                 PointSpec.build(square, x=2),
+                 PointSpec.build(explode, x=3)]
         with pytest.raises(FarmPointError) as excinfo:
-            result.values()
-        assert len(excinfo.value.failures) == 2
-        assert "p0" in str(excinfo.value) and "p1" in str(excinfo.value)
-        assert result.values(strict=False) == [None, None]
+            run_specs(specs, jobs=jobs)
+        # An unlabelled point is named by its function.
+        assert excinfo.value.failures == [
+            (1, "p1", "ValueError: boom (x=1)"),
+            (3, "explode", "ValueError: boom (x=3)")]
+        message = str(excinfo.value)
+        assert "[1] p1: ValueError: boom (x=1)" in message
+        assert "[3] explode: ValueError: boom (x=3)" in message
+        first_traceback = message.partition("first failure traceback:\n")[2]
+        assert first_traceback.startswith("Traceback (most recent call last)")
+        assert "boom (x=1)" in first_traceback
+        assert "boom (x=3)" not in first_traceback
 
-    def test_retry_recovers_a_flaky_point(self, tmp_path):
-        spec = PointSpec.build(_selftest.flaky, index=0,
-                               scratch_dir=str(tmp_path), fail_times=2)
-        result = SweepFarm([spec], jobs=2, retries=2).run()
-        assert result.ok
-        assert result.outcomes[0].attempts == 3
-
-    def test_retry_exhaustion_reports_the_attempts(self, tmp_path):
-        spec = PointSpec.build(_selftest.flaky, index=0,
-                               scratch_dir=str(tmp_path), fail_times=5)
-        result = SweepFarm([spec], jobs=2, retries=1).run()
-        assert not result.ok
-        assert result.outcomes[0].attempts == 2
-        assert "flaky failure" in result.outcomes[0].error
-
-    def test_killed_worker_fails_only_its_point(self):
-        # One point SIGKILLs its worker; the pool is rebuilt, in-flight
-        # innocents are re-run (quarantine), and only the killer fails.
-        specs = [PointSpec.build(_selftest.kamikaze, index=0, labels=("killer",))]
-        specs += [PointSpec.build(_selftest.square, index=i, x=i)
-                  for i in range(1, 6)]
-        result = SweepFarm(specs, jobs=2, crash_retries=1).run()
-        assert result.pool_rebuilds >= 1
-        killer = result.outcomes[0]
-        assert not killer.ok
-        assert killer.pool_breaks > 1
-        assert "worker process died" in killer.error
-        for innocent in result.outcomes[1:]:
-            assert innocent.ok, innocent.error
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_point_is_attempted_once(self, jobs, tmp_path):
+        # A failure neither stops the later points nor re-runs itself.
+        specs = [PointSpec.build(tally, scratch_dir=str(tmp_path), x=i,
+                                 fail=i in (1, 3)) for i in range(5)]
+        with pytest.raises(FarmPointError) as excinfo:
+            run_specs(specs, jobs=jobs)
+        assert [position for position, _, _ in excinfo.value.failures] == [1, 3]
+        attempts = {p.name: p.read_text(encoding="utf-8").count("attempt")
+                    for p in tmp_path.iterdir()}
+        assert attempts == {str(i): 1 for i in range(5)}
 
     def test_unpicklable_reply_fails_only_its_point(self):
-        specs = [PointSpec.build(_selftest.unpicklable_reply, index=0),
-                 PointSpec.build(_selftest.square, index=1, x=2)]
-        result = SweepFarm(specs, jobs=2, retries=0).run()
-        assert not result.outcomes[0].ok
-        assert result.outcomes[1].ok
+        specs = [PointSpec.build(unpicklable_reply),
+                 PointSpec.build(square, x=2)]
+        with pytest.raises(FarmPointError) as excinfo:
+            run_specs(specs, jobs=2)
+        ((position, label, _),) = excinfo.value.failures
+        assert (position, label) == (0, "unpicklable_reply")
 
-    def test_no_point_is_silently_dropped(self, tmp_path):
-        # A mixed grid — successes, a deterministic failure, a killed
-        # worker, a flaky recovery — still yields exactly one outcome per
-        # spec, at the spec's index.
-        specs = [
-            PointSpec.build(_selftest.square, index=0, x=0),
-            PointSpec.build(_selftest.explode, index=1, x=1),
-            PointSpec.build(_selftest.kamikaze, index=2),
-            PointSpec.build(_selftest.flaky, index=3,
-                            scratch_dir=str(tmp_path), fail_times=1),
-            PointSpec.build(_selftest.square, index=4, x=4),
-        ]
-        result = SweepFarm(specs, jobs=2, retries=1, crash_retries=1).run()
-        assert len(result.outcomes) == len(specs)
-        assert [o.spec.index for o in result.outcomes] == list(range(5))
-        assert [o.ok for o in result.outcomes] == [True, False, False, True, True]
-        with pytest.raises(FarmPointError):
-            result.values()
+    def test_killed_worker_fails_the_sweep(self):
+        # No rebuild, no quarantine, no retry: the dead worker's
+        # BrokenProcessPool leaves run_specs promptly.
+        specs = [PointSpec.build(kamikaze)]
+        specs += [PointSpec.build(square, x=i) for i in range(1, 6)]
+        raised = []
 
-    def test_serial_path_captures_failures_too(self):
-        specs = [PointSpec.build(_selftest.explode, index=0, x=3),
-                 PointSpec.build(_selftest.square, index=1, x=3)]
-        result = SweepFarm(specs, jobs=1).run()
-        assert not result.outcomes[0].ok
-        assert "boom (x=3)" in result.outcomes[0].error
-        assert result.outcomes[1].ok
+        def sweep():
+            try:
+                run_specs(specs, jobs=2)
+            except BaseException as exc:
+                raised.append(exc)
+
+        worker = threading.Thread(target=sweep, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "run_specs hung after a worker died"
+        (exc,) = raised
+        assert isinstance(exc, BrokenProcessPool)

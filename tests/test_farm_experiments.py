@@ -120,7 +120,7 @@ def test_jobs1_matches_direct_point_calls():
 
 
 def test_experiment_point_through_real_workers():
-    spec = PointSpec.build(run_churn_point, index=0, labels=("smoke",),
+    spec = PointSpec.build(run_churn_point, labels=("smoke",),
                            num_nodes=8, duration=20.0, seed=41)
     (farmed,) = run_specs([spec], jobs=2)
     direct = run_churn_point(num_nodes=8, duration=20.0, seed=41)
@@ -131,7 +131,7 @@ def test_farm_reference_point_replays_its_pinned_fingerprint():
     # Point 0 of the 12-point 64-node reference grid (loss x kill fraction,
     # base seed 4242).  Re-pin only when the event order changes on purpose.
     labels = ("farm-ref", "loss0", "kill0.125")
-    spec = PointSpec.build(run_churn_point, index=0, labels=labels,
+    spec = PointSpec.build(run_churn_point, labels=labels,
                            seed=derive_seed(4242, 0, *labels), num_nodes=64,
                            loss_probability=0.0, kill_fraction=0.125,
                            duration=120.0)
@@ -294,11 +294,21 @@ def test_cli_run_with_params_and_json(tmp_path, capsys):
     assert result["phase2_delays"]
 
 
-def test_cli_defaults_jobs_from_env(monkeypatch, capsys):
-    monkeypatch.setenv("FARM_JOBS", "2")
-    rc = cli.main(["--run", "tab2", "--quiet",
-                   "--param", "writer_counts=(2,)", "--param", "num_nodes=8"])
-    assert rc == 0
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_rejects_jobs_below_one(jobs, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["--run", "tab2", "--jobs", jobs, "--quiet"])
+    assert excinfo.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert "error: argument --jobs: --jobs must be >= 1" in last
+
+
+def test_cli_rejects_a_non_integer_jobs(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["--run", "tab2", "--jobs", "abc", "--quiet"])
+    assert excinfo.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert "error: argument --jobs: invalid int value: 'abc'" in last
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +394,19 @@ def test_cli_backend_defaults_to_run_signature_default(monkeypatch, capsys):
     assert SEEN == {"backend": "sim"}
 
 
+def test_cli_runs_one_job_by_default(monkeypatch, capsys):
+    _register_fake(monkeypatch, "stub_backed", _backed_point)
+    jobs_seen = []
+
+    def spy(specs, *, jobs):
+        jobs_seen.append(jobs)
+        return run_specs(specs, jobs=jobs)
+
+    monkeypatch.setattr(registry, "run_specs", spy)
+    assert cli.main(["--run", "stub_backed", "--quiet"]) == 0
+    assert jobs_seen == [1]
+
+
 def test_cli_exits_nonzero_on_conformance_error(monkeypatch, capsys):
     _register_fake(monkeypatch, "stub_diverged", _diverged_point)
     assert cli.main(["--run", "stub_diverged", "--backend", "live",
@@ -393,8 +416,8 @@ def test_cli_exits_nonzero_on_conformance_error(monkeypatch, capsys):
 
 def test_cli_attempts_a_diverging_point_once_when_farmed(monkeypatch, capsys,
                                                          tmp_path):
-    # The farm's default re-queues a failed point; through run() a
-    # divergence that would not reproduce on a second attempt still exits 1.
+    # A point is attempted once: a divergence that would not reproduce on a
+    # second attempt still exits 1.
     _register_fake(monkeypatch, "stub_diverged_once", _diverged_once_point)
     rc = cli.main(["--run", "stub_diverged_once", "--jobs", "2", "--quiet",
                    "--param", f"scratch_dir={str(tmp_path)!r}"])
