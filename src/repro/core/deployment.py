@@ -58,7 +58,7 @@ from repro.runtime.events import (
 from repro.runtime.node_runtime import NodeRuntime
 from repro.sim.clock import ClockModel
 from repro.sim.engine import Simulator
-from repro.sim.latency import LatencyModel, PlanetLabLatencyModel
+from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.topology import Topology, planetlab_topology
@@ -126,15 +126,7 @@ class SimHost:
                       else planetlab_topology(builder.num_nodes))
         d.node_ids = list(d.topology.node_ids)
         d.latency = (builder.latency if builder.latency is not None
-                     else PlanetLabLatencyModel(
-                         d.topology, d.sim.random.stream("latency")))
-        # A model that draws per-link jitter (HeterogeneousLatencyModel)
-        # exposes a ``streams`` attribute that may be None when the model was
-        # constructed before the simulator existed — e.g. by the world
-        # compiler.  Wiring it here keeps construction order irrelevant to
-        # determinism.
-        if hasattr(d.latency, "streams") and d.latency.streams is None:
-            d.latency.streams = d.sim.random
+                     else LatencyModel.planetlab(d.topology))
         d.transport = d.network = Network(
             d.sim, d.latency, loss_probability=builder.loss_probability)
         d.clock_model = (builder.clock_model if builder.clock_model is not None
@@ -665,16 +657,11 @@ class IdeaDeployment:
                                    weights=config.weights, now=self.clock.now)
         return {node: level for node, (_, level) in evaluated.items()}
 
-    def sample_levels(self, object_id: str, nodes: Sequence[str], *,
-                      record: bool = True) -> Tuple[float, float]:
-        """(worst, average) perceived level over ``nodes``; optionally traced."""
+    def sample_levels(self, object_id: str,
+                      nodes: Sequence[str]) -> Tuple[float, float]:
+        """(worst, average) perceived level over ``nodes``."""
         levels = self.perceived_levels(object_id, nodes)
-        worst = min(levels.values())
-        average = sum(levels.values()) / len(levels)
-        if record:
-            self.trace.record(f"level.worst.{object_id}", self.clock.now, worst)
-            self.trace.record(f"level.avg.{object_id}", self.clock.now, average)
-        return worst, average
+        return min(levels.values()), sum(levels.values()) / len(levels)
 
     # ------------------------------------------------------------ accounting
     def idea_messages(self) -> int:

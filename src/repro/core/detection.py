@@ -338,9 +338,7 @@ class DetectionService:
         node_id = node.node_id
         peers = [p for p in self._top_layer_provider() if p != node_id]
         if peers:
-            # One shared payload for the whole top-layer broadcast; with a
-            # homogeneous latency model this is one latency sample and one
-            # scheduled event for the entire fan-out.
+            # One shared payload for the whole top-layer broadcast.
             node.send_many(peers, protocol=PROTOCOL,
                            msg_type=self._digest_msg_type,
                            payload={"digest": digest}, size_bytes=256)

@@ -52,7 +52,7 @@ from repro.overlay.gossip import GossipConfig
 from repro.runtime.events import ResolutionCompleted
 from repro.scenarios.injector import FaultInjector
 from repro.sim.clock import ClockModel
-from repro.sim.latency import FixedLatencyModel
+from repro.sim.latency import LatencyModel
 from repro.sim.topology import Site, Topology
 from repro.transport import ProtocolEndpoint
 
@@ -144,7 +144,7 @@ def scenario_builder(spec: ScenarioSpec, *, host: Optional[Host] = None,
         seed=spec.seed, host=host,
         topology=Topology(node_ids=list(spec.nodes), sites={site.name: site},
                           node_site=dict.fromkeys(spec.nodes, site.name)),
-        latency=FixedLatencyModel(latency),
+        latency=LatencyModel.fixed(latency),
         clock_model=ClockModel().perfect(),
         processing_delay=ProtocolEndpoint.DEFAULT_PROCESSING_DELAY,
         gossip_config=SCENARIO_GOSSIP, use_ransub=False, use_gossip=True)

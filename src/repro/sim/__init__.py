@@ -7,15 +7,15 @@ discrete-event simulator with
 * an event engine supporting callbacks and generator-style processes
   (:mod:`repro.sim.engine`; the process machinery itself is the seam's
   :mod:`repro.transport.tasks`),
-* a wide-area latency model whose round-trip times mimic a continental
-  Planet-Lab slice (:mod:`repro.sim.latency`, :mod:`repro.sim.topology`),
+* one table-driven latency model — fixed, the continental Planet-Lab
+  stand-in, or a world's per-link profiles — over a synthetic site
+  topology (:mod:`repro.sim.latency`, :mod:`repro.sim.topology`),
 * a message-passing network that counts every protocol message
   (:mod:`repro.sim.network`),
 * per-node clocks with bounded skew, standing in for NTP-synchronised
   hosts (:mod:`repro.sim.clock`),
 * deterministic named random streams (:mod:`repro.sim.random`), and
-* time-series / counter tracing used by the experiment harness
-  (:mod:`repro.sim.trace`).
+* per-run counters read by the experiment harness (:mod:`repro.sim.trace`).
 
 All protocol logic in :mod:`repro.core`, :mod:`repro.overlay` and
 :mod:`repro.baselines` is written against the :mod:`repro.transport` seam;
@@ -27,11 +27,11 @@ the ``Clock``, ``Network``/``SimTransport`` the ``Transport``), and
 from repro.sim.engine import Event, EventQueue, Simulator
 from repro.sim.random import RandomStreams
 from repro.sim.clock import DriftingClock, ClockModel
-from repro.sim.latency import LatencyModel, PlanetLabLatencyModel, UniformLatencyModel
+from repro.sim.latency import LatencyModel
 from repro.sim.topology import Site, Topology, planetlab_topology
 from repro.sim.network import Message, Network, NetworkStats, SimTransport
 from repro.sim.node import Node
-from repro.sim.trace import Counter, TimeSeries, TraceRecorder
+from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "Event",
@@ -41,8 +41,6 @@ __all__ = [
     "DriftingClock",
     "ClockModel",
     "LatencyModel",
-    "PlanetLabLatencyModel",
-    "UniformLatencyModel",
     "Site",
     "Topology",
     "planetlab_topology",
@@ -51,7 +49,5 @@ __all__ = [
     "NetworkStats",
     "SimTransport",
     "Node",
-    "Counter",
-    "TimeSeries",
     "TraceRecorder",
 ]

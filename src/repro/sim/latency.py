@@ -1,156 +1,52 @@
-"""Message latency models.
+"""The message latency model.
 
-A latency model turns a (source, destination) pair into a one-way message
-delay.  Implementations:
+One :class:`LatencyModel` turns a (source, destination) pair into a one-way
+delay.  Each node pair resolves once to a row ``(base, sigma, mu)`` — the
+base delay, the log-normal jitter sigma and the ``mu`` that centres the
+jitter on a mean of 1 — and a delay is ``max(base * jitter, FLOOR)``, with
+no draw at all when sigma is 0.  Three constructors fill the rows:
 
-* :class:`PlanetLabLatencyModel` — base delay from the synthetic continental
-  :class:`~repro.sim.topology.Topology`, plus log-normal jitter to mimic the
-  variable queueing the paper's Planet-Lab measurements would include.
-* :class:`HeterogeneousLatencyModel` — topology-driven delays with
-  *per-site-pair* overrides (:class:`LinkProfile`): absolute or scaled base
-  delay, per-link jitter, and a per-link loss annotation the world compiler
-  feeds into :meth:`Network.set_loss_probability`.  This is how declarative
-  worlds (``repro.worlds``) realise geo-WAN long-haul links and lossy
-  edge/wifi-like tiers on top of one site layout.
-* :class:`UniformLatencyModel` — a simple uniform-random delay; only the
-  unit tests use it (Figure 2 runs on the Planet-Lab model like the rest).
-* :class:`FixedLatencyModel` — one constant delay for every distinct pair.
+* :meth:`LatencyModel.fixed` — one constant delay for every distinct pair;
+* :meth:`LatencyModel.planetlab` — the synthetic continental
+  :class:`~repro.sim.topology.Topology`'s site-pair delays under a
+  ``sigma = 0.25`` jitter (a delay coefficient of variation of ~25 %), the
+  stand-in for the paper's Planet-Lab paths;
+* :meth:`LatencyModel.world` — the same base shape with per-site-pair
+  :class:`LinkProfile` overrides and every jitter clamped below at
+  ``min_jitter``: how declarative worlds (``repro.worlds``) realise
+  intercontinental long-hauls and lossy edge tiers on one site layout.
 
-All models are deterministic given the simulator seed.
+Jitter comes from one named stream of the simulator's
+:class:`~repro.sim.random.RandomStreams`, bound when the model is handed to
+a :class:`~repro.sim.network.Network`, so runs are a pure function of the
+seed.  How it is drawn follows from the rows: a model with at most one
+positive sigma pops from a block of :data:`JITTER_BLOCK` ``lognormal(mu,
+sigma)`` samples — on a stream only this model draws from, the values the
+same number of scalar draws return (pinned in
+``tests/test_sim_topology_latency.py``) — and a model with two or more
+keeps one scalar draw per message, because numpy's arithmetic is never
+redone in Python.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
-import numpy as np
-
+from repro.sim.random import RandomStreams
 from repro.sim.topology import Topology
 
-
-class LatencyModel(abc.ABC):
-    """Interface consumed by :class:`repro.sim.network.Network`."""
-
-    @abc.abstractmethod
-    def delay(self, src: str, dst: str) -> float:
-        """Return a one-way delay sample in seconds for a message src→dst."""
-
-    def expected_delay(self, src: str, dst: str) -> float:
-        """Expected (mean) one-way delay; defaults to a single sample."""
-        return self.delay(src, dst)
-
-    def homogeneous_delay(self, src: str, dsts) -> Optional[float]:
-        """One delay covering every destination, or ``None`` if per-pair.
-
-        A model may return a single sample when every destination in ``dsts``
-        would receive the same delay (and sampling it consumes no per-pair
-        randomness); :meth:`Network.send_many` then collapses the whole
-        fan-out into one latency sample and one scheduled event.  Models with
-        per-pair delays return ``None``; the fan-out then calls :meth:`delay`
-        once per destination, in destination order.
-        """
-        return None
-
-
-class UniformLatencyModel(LatencyModel):
-    """One-way delays drawn uniformly from ``[low, high]`` for every pair."""
-
-    def __init__(self, low: float = 0.01, high: float = 0.05,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        if low < 0 or high < low:
-            raise ValueError("require 0 <= low <= high")
-        self.low = low
-        self.high = high
-        self._rng = rng or np.random.default_rng(0)
-
-    def delay(self, src: str, dst: str) -> float:
-        if src == dst:
-            return 0.0
-        return float(self._rng.uniform(self.low, self.high))
-
-    def expected_delay(self, src: str, dst: str) -> float:
-        if src == dst:
-            return 0.0
-        return (self.low + self.high) / 2.0
-
-
-class FixedLatencyModel(LatencyModel):
-    """A constant one-way delay for every distinct pair (handy in tests)."""
-
-    def __init__(self, delay: float = 0.02) -> None:
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        self._delay = delay
-
-    def delay(self, src: str, dst: str) -> float:
-        return 0.0 if src == dst else self._delay
-
-    def expected_delay(self, src: str, dst: str) -> float:
-        return self.delay(src, dst)
-
-    def homogeneous_delay(self, src: str, dsts) -> Optional[float]:
-        """All pairs share the constant, so any fan-out is homogeneous."""
-        if any(dst == src for dst in dsts):
-            return None  # self-delivery is instant; keep per-dst semantics
-        return self._delay
-
-
-class PlanetLabLatencyModel(LatencyModel):
-    """Topology-driven delays with multiplicative log-normal jitter.
-
-    ``delay = base(src, dst) * lognormal(sigma) + minimum_floor`` where the
-    log-normal is centred so its mean is 1.  ``sigma = 0.25`` gives a delay
-    coefficient of variation of ~25 %, a reasonable stand-in for wide-area
-    queueing variability on mid-2000s Planet-Lab paths.
-
-    The jitter is drawn :attr:`JITTER_BLOCK` samples at a time: a numpy
-    ``Generator`` fills an array with the values the same number of scalar
-    calls would return (pinned in ``tests/test_sim_topology_latency.py``),
-    so the delays are the scalar model's delays at a fraction of the
-    per-message cost.  The generator must be the model's own — anything
-    else drawing from it would see the block already consumed.
-    """
-
-    #: jitter samples drawn ahead per refill
-    JITTER_BLOCK = 256
-
-    def __init__(self, topology: Topology, rng: np.random.Generator, *,
-                 jitter_sigma: float = 0.25, floor: float = 0.0005) -> None:
-        if jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be non-negative")
-        self.topology = topology
-        self._rng = rng
-        self.jitter_sigma = jitter_sigma
-        self.floor = floor
-        # mean of lognormal(mu, sigma) is exp(mu + sigma^2/2); choose mu so mean=1
-        self._mu = -0.5 * jitter_sigma ** 2
-        #: drawn-ahead jitter, next sample last (``pop()`` is the draw)
-        self._jitter: list = []
-
-    def delay(self, src: str, dst: str) -> float:
-        if src == dst:
-            return 0.0
-        base = self.topology.one_way_delay(src, dst)
-        if self.jitter_sigma == 0:
-            return max(base, self.floor)
-        jitter = self._jitter
-        if not jitter:
-            jitter = self._jitter = self._rng.lognormal(
-                self._mu, self.jitter_sigma,
-                size=self.JITTER_BLOCK)[::-1].tolist()
-        return max(base * jitter.pop(), self.floor)
-
-    def expected_delay(self, src: str, dst: str) -> float:
-        if src == dst:
-            return 0.0
-        return max(self.topology.one_way_delay(src, dst), self.floor)
+#: no message between two distinct nodes arrives sooner (seconds)
+FLOOR = 0.0005
+#: jitter samples drawn ahead per refill
+JITTER_BLOCK = 256
+#: the jitter sigma of the Planet-Lab stand-in and a world's default
+PLANETLAB_SIGMA = 0.25
 
 
 @dataclass(frozen=True)
 class LinkProfile:
-    """Shape of one site-pair link in a heterogeneous topology.
+    """Shape of one site-pair link in a world.
 
     ``latency`` pins the one-way base delay absolutely (seconds); when
     ``None`` the topology's geometric site-pair delay is used, multiplied by
@@ -178,42 +74,30 @@ class LinkProfile:
             raise ValueError("link loss must be in [0, 1)")
 
 
-class HeterogeneousLatencyModel(LatencyModel):
-    """Topology-driven delays with per-site-pair :class:`LinkProfile` overrides.
+def _site_key(site_a: str, site_b: str) -> Tuple[str, str]:
+    return (site_a, site_b) if site_a <= site_b else (site_b, site_a)
 
-    The base shape is multiplicative log-normal jitter on the topology's
-    site-pair delay, clamped below at ``min_jitter`` so no sample falls under
-    that fraction of the link's base delay.  On top of that, each (unordered)
-    site pair may carry a :class:`LinkProfile` that pins or scales the base
-    delay and widens or narrows the jitter — one model instance realises a
-    whole heterogeneous WAN: intercontinental long-hauls, regional backbones
-    and lossy last-mile tiers.
 
-    Jitter is drawn from a single named stream (``latency.hetero``) injected
-    via ``streams`` (the deployment builder sets it from the simulator's
-    :class:`~repro.sim.random.RandomStreams`), keeping runs a pure function
-    of the seed.
+class LatencyModel:
+    """One-way delays from a per-node-pair ``(base, sigma, mu)`` table.
+
+    Build one with :meth:`fixed`, :meth:`planetlab` or :meth:`world`.
     """
 
-    STREAM_NAME = "latency.hetero"
-
-    def __init__(self, topology: Topology,
+    def __init__(self, stream: str, topology: Optional[Topology], *,
+                 delay: float = 0.0,
                  links: Optional[Mapping[Tuple[str, str], LinkProfile]] = None,
-                 *, streams=None, jitter_sigma: float = 0.25,
-                 floor: float = 0.0005, min_jitter: float = 0.5) -> None:
-        if jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be non-negative")
-        if not 0 < min_jitter <= 1.0:
-            raise ValueError("min_jitter must be in (0, 1]")
+                 jitter_sigma: float = 0.0, min_jitter: float = 0.0) -> None:
+        #: name of the :class:`RandomStreams` stream jitter is drawn from
+        self.stream = stream
         self.topology = topology
         self.jitter_sigma = jitter_sigma
-        self.floor = floor
+        #: lower clamp on every jitter sample (0: none)
         self.min_jitter = min_jitter
-        #: injected RandomStreams registry (see ``DeploymentBuilder``)
-        self.streams = streams
-        self._rng: Optional[np.random.Generator] = None
+        #: the one delay of a model without a topology
+        self._delay = delay
         self._links: Dict[Tuple[str, str], LinkProfile] = {}
-        for (site_a, site_b), profile in dict(links or {}).items():
+        for (site_a, site_b), profile in (links or {}).items():
             for name in (site_a, site_b):
                 if name not in topology.sites:
                     raise KeyError(f"link profile names unknown site {name!r}")
@@ -221,26 +105,71 @@ class HeterogeneousLatencyModel(LatencyModel):
                 raise ValueError(
                     f"link profile ({site_a!r}, {site_b!r}) is intra-site; "
                     f"profiles describe links *between* sites")
-            self._links[self._key(site_a, site_b)] = profile
-        #: (site_a, site_b) -> (base_delay, sigma, mu) resolved lazily
-        self._resolved: Dict[Tuple[str, str], Tuple[float, float, float]] = {}
+            self._links[_site_key(site_a, site_b)] = profile
+        #: (src, dst) -> (base, sigma, mu), resolved on first use
+        self._rows: Dict[Tuple[str, str], Tuple[float, float, float]] = {}
+        sigmas = {jitter_sigma} | {p.jitter_sigma for p in self._links.values()
+                                   if p.jitter_sigma is not None}
+        #: drawn-ahead jitter, next sample last (``pop()`` is the draw);
+        #: ``None`` when two or more sigmas keep the draws scalar
+        self._block: Optional[list] = (
+            [] if sum(s > 0 for s in sigmas) <= 1 else None)
+        self._rng = None
 
-    @staticmethod
-    def _key(site_a: str, site_b: str) -> Tuple[str, str]:
-        return (site_a, site_b) if site_a <= site_b else (site_b, site_a)
+    # ------------------------------------------------------------ constructors
+    @classmethod
+    def fixed(cls, delay: float = 0.02) -> "LatencyModel":
+        """``delay`` seconds (at least :data:`FLOOR`) between every two
+        distinct nodes, of any name; never draws."""
+        if delay < 0:
+            raise ValueError("delay must be non-negative")
+        return cls("latency", None, delay=delay)
 
-    def link_profiles(self) -> Dict[Tuple[str, str], LinkProfile]:
-        """Every configured (unordered site pair) -> profile mapping."""
-        return dict(self._links)
+    @classmethod
+    def planetlab(cls, topology: Topology) -> "LatencyModel":
+        """The topology's site-pair delays under the Planet-Lab jitter."""
+        return cls("latency", topology, jitter_sigma=PLANETLAB_SIGMA)
 
-    def _resolve(self, site_a: str, site_b: str) -> Tuple[float, float, float]:
-        """(base delay, jitter sigma, lognormal mu) for a site pair."""
-        key = self._key(site_a, site_b)
-        cached = self._resolved.get(key)
-        if cached is None:
-            base = self.topology.latency_floor(site_a, site_b)
+    @classmethod
+    def world(cls, topology: Topology,
+              links: Optional[Mapping[Tuple[str, str], LinkProfile]] = None, *,
+              jitter_sigma: float = PLANETLAB_SIGMA,
+              min_jitter: float = 0.5) -> "LatencyModel":
+        """Site-pair delays with per-link profiles and the jitter clamp.
+
+        Each unordered site pair in ``links`` pins or scales its base delay
+        and may set its own sigma; every jitter sample below ``min_jitter``
+        is raised to it, so no delay falls under that fraction of its base.
+        """
+        if jitter_sigma < 0:
+            raise ValueError("jitter_sigma must be non-negative")
+        if not 0 < min_jitter <= 1.0:
+            raise ValueError("min_jitter must be in (0, 1]")
+        return cls("latency.hetero", topology, links=links,
+                   jitter_sigma=jitter_sigma, min_jitter=min_jitter)
+
+    def bind(self, streams: RandomStreams) -> None:
+        """Draw jitter from ``streams``' generator named :attr:`stream`."""
+        self._rng = streams.stream(self.stream)
+        if self._block is not None:
+            self._block = []
+
+    # ------------------------------------------------------------------ table
+    def _row(self, src: str, dst: str) -> Tuple[float, float, float]:
+        """Resolve and memoise the ``(base, sigma, mu)`` of one node pair.
+
+        A row without jitter holds its final delay, the floor applied.
+        """
+        topology = self.topology
+        if src == dst:
+            row = (0.0, 0.0, 0.0)
+        elif topology is None:
+            row = (max(self._delay, FLOOR), 0.0, 0.0)
+        else:
+            site_src, site_dst = topology.node_site[src], topology.node_site[dst]
+            base = topology.latency_floor(site_src, site_dst)
             sigma = self.jitter_sigma
-            profile = self._links.get(key)
+            profile = self._links.get(_site_key(site_src, site_dst))
             if profile is not None:
                 if profile.latency is not None:
                     base = profile.latency
@@ -248,35 +177,36 @@ class HeterogeneousLatencyModel(LatencyModel):
                     base *= profile.latency_scale
                 if profile.jitter_sigma is not None:
                     sigma = profile.jitter_sigma
-            cached = (base, sigma, -0.5 * sigma ** 2)
-            self._resolved[key] = cached
-        return cached
+            row = ((base, sigma, -0.5 * sigma ** 2) if sigma
+                   else (max(base, FLOOR), 0.0, 0.0))
+        self._rows[(src, dst)] = row
+        return row
 
-    def _generator(self) -> np.random.Generator:
-        rng = self._rng
-        if rng is None:
-            if self.streams is None:
-                raise RuntimeError(
-                    "HeterogeneousLatencyModel has no RandomStreams attached; "
-                    "pass streams= or set .streams before sampling delays")
-            rng = self._rng = self.streams.stream(self.STREAM_NAME)
-        return rng
-
+    # -------------------------------------------------------------- sampling
     def delay(self, src: str, dst: str) -> float:
-        if src == dst:
-            return 0.0
-        node_site = self.topology.node_site
-        base, sigma, mu = self._resolve(node_site[src], node_site[dst])
-        if sigma == 0:
-            return max(base, self.floor)
-        jitter = float(self._generator().lognormal(mu, sigma))
+        """A one-way delay sample in seconds for a message src→dst."""
+        row = self._rows.get((src, dst))
+        if row is None:
+            row = self._row(src, dst)
+        base, sigma, mu = row
+        if not sigma:
+            return base
+        block = self._block
+        if block is None:
+            jitter = float(self._rng.lognormal(mu, sigma))
+        else:
+            if not block:
+                block.extend(self._rng.lognormal(
+                    mu, sigma, size=JITTER_BLOCK)[::-1].tolist())
+            jitter = block.pop()
         if jitter < self.min_jitter:
             jitter = self.min_jitter
-        return max(base * jitter, self.floor)
+        return max(base * jitter, FLOOR)
 
     def expected_delay(self, src: str, dst: str) -> float:
-        if src == dst:
-            return 0.0
-        node_site = self.topology.node_site
-        base, _, _ = self._resolve(node_site[src], node_site[dst])
-        return max(base, self.floor)
+        """The pair's delay without jitter; draws nothing."""
+        row = self._rows.get((src, dst))
+        if row is None:
+            row = self._row(src, dst)
+        base, sigma, _ = row
+        return max(base, FLOOR) if sigma else base

@@ -22,10 +22,7 @@ lambda per send — and the engine recycles those events through its free
 list.  :meth:`send_many` is the whole send path: one payload, one size, one
 counter update and one delivery label per fan-out, then a single loop that
 draws loss, per-link loss and delay per destination in the order a sequence
-of one-destination sends draws them.  When the latency model reports a
-homogeneous delay for the whole destination set (and no loss rule is
-installed), the broadcast collapses into a single latency sample and a
-single heap push.
+of one-destination sends draws them.
 
 Both methods treat an unreachable endpoint alike, destination first: a
 crashed destination is a ``dst-down`` drop, else a crashed source a
@@ -64,6 +61,7 @@ class Network:
             raise ValueError("loss_probability must be in [0, 1)")
         self.sim = sim
         self.latency = latency
+        latency.bind(sim.random)
         self.loss_probability = loss_probability
         #: raise ``KeyError`` for endpoints that were never registered (a
         #: wiring bug); sends involving *known-but-crashed* nodes are always
@@ -240,14 +238,11 @@ class Network:
         The payload object is shared across the fan-out (receivers treat
         payloads as read-only), so a top-layer broadcast allocates one payload
         instead of one per peer.  Size, counters and the delivery label are
-        worked out once per fan-out.  When the latency model reports a single
-        homogeneous delay for the whole destination set (and nothing can be
-        lost), the broadcast costs one latency sample and one heap push;
-        otherwise one loop draws, per destination and in this order, the
-        global loss and the per-link loss (``network.loss`` stream) and the
-        delay (the latency model's stream) — draw for draw what one
-        :meth:`send` per destination does, so RNG stream order and every
-        event are the same.
+        worked out once per fan-out; then one loop draws, per destination and
+        in this order, the global loss and the per-link loss
+        (``network.loss`` stream) and the delay (the latency model's stream)
+        — draw for draw what one :meth:`send` per destination does, so RNG
+        stream order and every event are the same.
         """
         if not dsts:
             return []
@@ -277,22 +272,6 @@ class Network:
         loss = self.loss_probability
         pair_loss = self._pair_loss
         msg_id = self._next_msg_id
-
-        # One destination gains nothing from the one-event path, and going
-        # through ``delay()`` keeps that the only method a model must honour.
-        if count > 1 and loss <= 0 and not pair_loss:
-            delay = self.latency.homogeneous_delay(src, dsts)
-            if delay is not None:
-                self._next_msg_id = msg_id + count
-                deliver_at = now + delay
-                batch = [Message(msg_id + i, src, dst, protocol, msg_type,
-                                 payload, size, now, deliver_at)
-                         for i, dst in enumerate(dsts)]
-                sim.call_after(delay, self._deliver_batch, arg=batch,
-                               recyclable=True,
-                               priority=Simulator.PRIORITY_NETWORK, label=label)
-                return batch
-
         draw_loss = self._loss_rng.random
         draw_delay = self.latency.delay
         call_after = sim.call_after
@@ -338,10 +317,6 @@ class Network:
             for hook in self.delivery_hooks:
                 hook(message)
         node.deliver(message)
-
-    def _deliver_batch(self, batch: List[Message]) -> None:
-        for message in batch:
-            self._deliver(message)
 
     # ------------------------------------------------------------- accounting
     def messages_sent(self, protocol_prefix: str = "") -> int:

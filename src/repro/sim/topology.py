@@ -61,21 +61,17 @@ INTRA_SITE_DELAY_S = 0.002
 
 @dataclass
 class Topology:
-    """Assignment of node identifiers to sites plus the base delay matrix.
+    """Assignment of node identifiers to sites, and the site-pair delays.
 
-    The pairwise delay table is *cached lazily*: pairs are computed on first
-    use and memoised, and because delays only depend on the two endpoints'
-    sites, each computed value is shared between every node pair at the same
-    site pair.  Building a 1000-node topology therefore costs O(sites²)
-    distance computations rather than O(nodes²) at construction time.
+    Delays depend only on the two endpoints' sites and are computed on first
+    use and memoised per site pair, so building a 1000-node topology costs
+    O(sites²) distance computations rather than O(nodes²).
     """
 
     node_ids: List[str]
     sites: Dict[str, Site]
     node_site: Dict[str, str]
-    # Lazily filled caches: query history must not affect equality.
-    base_delay: Dict[Tuple[str, str], float] = field(default_factory=dict,
-                                                     compare=False)
+    # Lazily filled cache: query history must not affect equality.
     _site_delay: Dict[Tuple[str, str], float] = field(default_factory=dict,
                                                       repr=False, compare=False)
 
@@ -93,29 +89,12 @@ class Topology:
         return cached
 
     # ------------------------------------------------------------------ api
-    def one_way_delay(self, src: str, dst: str) -> float:
-        """Deterministic base one-way delay (seconds) between two nodes."""
-        cached = self.base_delay.get((src, dst))
-        if cached is not None:
-            return cached
-        try:
-            site_src, site_dst = self.node_site[src], self.node_site[dst]
-        except KeyError as exc:
-            raise KeyError(f"unknown node pair ({src!r}, {dst!r})") from exc
-        delay = 0.0 if src == dst else self._site_pair_delay(site_src, site_dst)
-        self.base_delay[(src, dst)] = delay
-        return delay
-
-    def rtt(self, src: str, dst: str) -> float:
-        """Base round-trip time (seconds)."""
-        return self.one_way_delay(src, dst) + self.one_way_delay(dst, src)
-
     def latency_floor(self, site_a: str, site_b: str) -> float:
         """Base one-way delay (seconds) between two sites.
 
-        The deterministic part of any latency model built on this topology:
-        models may jitter around the base and clamp the sample, but every
-        node at ``site_a`` talks to every node at ``site_b`` over this delay.
+        The deterministic part of the latency model built on this topology:
+        the model may scale it, jitter around it and clamp the sample, but
+        every node at ``site_a`` talks to every node at ``site_b`` over it.
         """
         for name in (site_a, site_b):
             if name not in self.sites:
@@ -124,13 +103,6 @@ class Topology:
 
     def nodes_at_site(self, site_name: str) -> List[str]:
         return [n for n in self.node_ids if self.node_site[n] == site_name]
-
-    def mean_rtt(self) -> float:
-        """Average RTT over all distinct node pairs (seconds)."""
-        pairs = [(a, b) for a in self.node_ids for b in self.node_ids if a != b]
-        if not pairs:
-            return 0.0
-        return float(np.mean([self.rtt(a, b) for a, b in pairs]))
 
 
 def planetlab_topology(num_nodes: int = 40, *, sites: Sequence[Site] = DEFAULT_SITES,

@@ -1,171 +1,27 @@
-"""Metric tracing: counters and time series used by the experiment harness.
+"""Per-run counters.
 
-The paper evaluates IDEA with three metrics (Section 6): *delay*,
-*consistency level* (sampled every 5 s in Figures 7/8/10), and *incurred
-overhead* in number of protocol messages (Table 3).  The classes here collect
-exactly those: :class:`TimeSeries` for sampled values over simulated time,
-:class:`Counter` for monotonically increasing counts, and
-:class:`TraceRecorder` as the per-experiment container with summary helpers.
+The deployment bumps one named counter per applied write, completed
+resolution and injected fault (``writes.<object>``, ``resolutions.<kind>.
+<object>``, ``faults.crash``); reports, fingerprints and the perf ledger read
+them back with :meth:`TraceRecorder.count`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
-
-
-@dataclass
-class Counter:
-    """A labelled monotonically increasing counter."""
-
-    name: str
-    value: int = 0
-
-    def increment(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self.value += amount
-
-
-class TimeSeries:
-    """A sequence of (time, value) samples in non-decreasing time order."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._times: List[float] = []
-        self._values: List[float] = []
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    def record(self, time: float, value: float) -> None:
-        if self._times and time < self._times[-1]:
-            raise ValueError(
-                f"samples must be recorded in time order ({time} < {self._times[-1]})")
-        self._times.append(float(time))
-        self._values.append(float(value))
-
-    @property
-    def times(self) -> List[float]:
-        return list(self._times)
-
-    @property
-    def values(self) -> List[float]:
-        return list(self._values)
-
-    def value_at(self, time: float, default: Optional[float] = None) -> Optional[float]:
-        """Most recent value at or before ``time`` (step interpolation)."""
-        idx = bisect_right(self._times, time) - 1
-        if idx < 0:
-            return default
-        return self._values[idx]
-
-    def min(self) -> float:
-        if not self._values:
-            raise ValueError(f"time series {self.name!r} is empty")
-        return min(self._values)
-
-    def max(self) -> float:
-        if not self._values:
-            raise ValueError(f"time series {self.name!r} is empty")
-        return max(self._values)
-
-    def mean(self) -> float:
-        if not self._values:
-            raise ValueError(f"time series {self.name!r} is empty")
-        return float(np.mean(self._values))
-
-    def window(self, start: float, end: float) -> "TimeSeries":
-        """Return the sub-series with start <= time <= end."""
-        out = TimeSeries(self.name)
-        for t, v in zip(self._times, self._values):
-            if start <= t <= end:
-                out.record(t, v)
-        return out
-
-    def as_rows(self) -> List[Tuple[float, float]]:
-        return list(zip(self._times, self._values))
+from collections import Counter
 
 
 class TraceRecorder:
-    """Container for all counters and time series of one experiment run."""
+    """Named monotonically increasing counters of one run."""
 
     def __init__(self) -> None:
-        self._series: Dict[str, TimeSeries] = {}
-        self._counters: Dict[str, Counter] = {}
-        self._events: List[Tuple[float, str, dict]] = []
-
-    # --------------------------------------------------------------- series
-    def series(self, name: str) -> TimeSeries:
-        if name not in self._series:
-            self._series[name] = TimeSeries(name)
-        return self._series[name]
-
-    def has_series(self, name: str) -> bool:
-        return name in self._series
-
-    def series_names(self) -> List[str]:
-        return sorted(self._series)
-
-    def record(self, name: str, time: float, value: float) -> None:
-        self.series(name).record(time, value)
-
-    # ------------------------------------------------------------- counters
-    def counter(self, name: str) -> Counter:
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
+        self._counts: Counter = Counter()
 
     def increment(self, name: str, amount: int = 1) -> None:
-        self.counter(name).increment(amount)
+        if amount < 0:
+            raise ValueError("counters only increase")
+        self._counts[name] += amount
 
     def count(self, name: str) -> int:
-        return self._counters[name].value if name in self._counters else 0
-
-    # --------------------------------------------------------------- events
-    def log_event(self, time: float, kind: str, **details) -> None:
-        """Record a discrete annotated event (e.g. 'resolution_started')."""
-        self._events.append((time, kind, details))
-
-    def events(self, kind: Optional[str] = None) -> List[Tuple[float, str, dict]]:
-        if kind is None:
-            return list(self._events)
-        return [e for e in self._events if e[1] == kind]
-
-    # -------------------------------------------------------------- summary
-    def summary(self) -> Dict[str, dict]:
-        """Aggregate statistics for every series and counter (for reports)."""
-        out: Dict[str, dict] = {}
-        for name, series in self._series.items():
-            if len(series) == 0:
-                out[name] = {"samples": 0}
-                continue
-            values = np.asarray(series.values)
-            out[name] = {
-                "samples": int(len(series)),
-                "min": float(values.min()),
-                "max": float(values.max()),
-                "mean": float(values.mean()),
-                "last": float(values[-1]),
-            }
-        for name, counter in self._counters.items():
-            out[name] = {"count": counter.value}
-        return out
-
-
-def sample_mean(values: Sequence[float]) -> float:
-    """Mean of a sequence, raising on empty input (explicit beats NaN)."""
-    if not values:
-        raise ValueError("cannot take the mean of an empty sequence")
-    return float(np.mean(np.asarray(values, dtype=float)))
-
-
-def percentile(values: Iterable[float], q: float) -> float:
-    """The q-th percentile (0..100) of the values."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot take a percentile of an empty sequence")
-    return float(np.percentile(arr, q))
+        """The counter's value; 0 for one never incremented."""
+        return self._counts[name]

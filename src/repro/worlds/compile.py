@@ -3,9 +3,9 @@
 Each section of the document maps onto one existing subsystem:
 
 * **topology** → :class:`~repro.sim.topology.Topology` (named sites, nodes
-  ``<site>-<i>``) plus a :class:`~repro.sim.latency.HeterogeneousLatencyModel`
-  whose per-site-pair :class:`~repro.sim.latency.LinkProfile`\\ s realise the
-  tiers and explicit link overrides;
+  ``<site>-<i>``) plus a :meth:`~repro.sim.latency.LatencyModel.world`
+  model whose per-site-pair :class:`~repro.sim.latency.LinkProfile`\\ s
+  realise the tiers and explicit link overrides;
 * **placement** → ``DeploymentBuilder.add_object`` calls with compiled
   :class:`~repro.core.config.IdeaConfig`\\ s and static top layers;
 * **traffic** → :class:`~repro.workloads.clients.ClientPopulation` specs with
@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.core.deployment import DeploymentBuilder, IdeaDeployment
 from repro.scenarios import FaultInjector, FaultPlan
 from repro.shard.state import collect_shard_state, state_fingerprint
-from repro.sim.latency import HeterogeneousLatencyModel, LinkProfile
+from repro.sim.latency import LatencyModel, LinkProfile
 from repro.sim.topology import Site, Topology
 from repro.workloads.clients import ClientPopulation
 from repro.worlds.loader import load_world
@@ -105,10 +105,9 @@ def link_profiles(spec: TopologySpec) -> Dict[Tuple[str, str], LinkProfile]:
     return profiles
 
 
-def compile_latency(world: World,
-                    topology: Topology) -> HeterogeneousLatencyModel:
+def compile_latency(world: World, topology: Topology) -> LatencyModel:
     spec = world.topology
-    return HeterogeneousLatencyModel(
+    return LatencyModel.world(
         topology, link_profiles(spec),
         jitter_sigma=spec.jitter_sigma, min_jitter=spec.min_jitter)
 
@@ -211,18 +210,17 @@ class WorldPass:
     fault_plan: Optional[FaultPlan] = None
 
     def __call__(self, deployment: IdeaDeployment) -> None:
-        latency = deployment.latency
-        if isinstance(latency, HeterogeneousLatencyModel):
-            topology = deployment.topology
-            for (site_a, site_b), profile in latency.link_profiles().items():
-                if profile.loss <= 0.0:
-                    continue
-                for src in topology.nodes_at_site(site_a):
-                    for dst in topology.nodes_at_site(site_b):
-                        deployment.network.set_loss_probability(
-                            profile.loss, src=src, dst=dst)
-                        deployment.network.set_loss_probability(
-                            profile.loss, src=dst, dst=src)
+        topology = deployment.topology
+        for (site_a, site_b), profile in link_profiles(
+                self.world.topology).items():
+            if profile.loss <= 0.0:
+                continue
+            for src in topology.nodes_at_site(site_a):
+                for dst in topology.nodes_at_site(site_b):
+                    deployment.network.set_loss_probability(
+                        profile.loss, src=src, dst=dst)
+                    deployment.network.set_loss_probability(
+                        profile.loss, src=dst, dst=src)
         deployment.world = self.world
         deployment.world_injector = None
         if self.fault_plan is not None and len(self.fault_plan):

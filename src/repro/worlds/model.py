@@ -50,7 +50,11 @@ class TierSpec:
 
 @dataclass(frozen=True)
 class LinkSpec:
-    """An explicit override for one inter-site link (beats any tier)."""
+    """An explicit override for one inter-site link (beats any tier).
+
+    It pins the base delay (``latency``) or scales the geometric one
+    (``latency_scale``), never both.
+    """
 
     between: Tuple[str, str]
     latency: Optional[float] = None

@@ -292,6 +292,9 @@ def _check_topology(topology: TopologySpec, path: str, refs: dict) -> None:
         if (a, b) in seen:
             _fail(where, f"duplicate link between {a!r} and {b!r}")
         seen.add((a, b))
+        if link.latency is not None and link.latency_scale is not None:
+            _fail(f"{path}.links[{i}]",
+                  "give at most one of 'latency' and 'latency_scale'")
 
 
 def _check_top_layer(top: dict, path: str, refs: dict) -> None:

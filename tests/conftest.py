@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.deployment import IdeaDeployment
 from repro.sim.engine import Simulator
-from repro.sim.latency import FixedLatencyModel
+from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.clock import ClockModel
@@ -22,7 +22,7 @@ def sim() -> Simulator:
 @pytest.fixture
 def network(sim: Simulator) -> Network:
     """A network with a constant 20 ms one-way delay."""
-    return Network(sim, FixedLatencyModel(0.02))
+    return Network(sim, LatencyModel.fixed(0.02))
 
 
 @pytest.fixture

@@ -13,9 +13,10 @@ import pytest
 
 from repro.sim.clock import ClockModel
 from repro.sim.engine import Simulator
-from repro.sim.latency import FixedLatencyModel, UniformLatencyModel
+from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.node import Node
+from repro.sim.topology import DEFAULT_SITES, Topology
 
 
 class Sink(Node):
@@ -29,12 +30,11 @@ class Sink(Node):
 def _lossy_run(seed: float, *, use_send_many: bool, loss: float = 0.3,
                rounds: int = 40) -> dict:
     sim = Simulator(seed=seed)
-    network = Network(sim, FixedLatencyModel(0.02), loss_probability=loss)
+    network = Network(sim, LatencyModel.fixed(0.02), loss_probability=loss)
     nodes = {n: Sink(sim, network, n) for n in ("a", "b", "c", "d")}
     sent_ids = []
     for _ in range(rounds):
         if use_send_many:
-            # loss_probability > 0 keeps the fan-out on the per-destination loop
             msgs = network.send_many("a", ["b", "c", "d"], protocol="t",
                                      msg_type="ping")
             sent_ids.extend(m.msg_id for m in msgs)
@@ -84,7 +84,7 @@ class TestLossDeterminism:
     def test_loss_change_midrun_is_deterministic(self):
         def run():
             sim = Simulator(seed=11)
-            network = Network(sim, FixedLatencyModel(0.01), loss_probability=0.0)
+            network = Network(sim, LatencyModel.fixed(0.01), loss_probability=0.0)
             nodes = {n: Sink(sim, network, n) for n in ("a", "b")}
             delivered = []
             for i in range(30):
@@ -105,8 +105,9 @@ class TestLossDeterminism:
     def test_lossy_rpc_with_timeout_is_deterministic(self):
         def run():
             sim = Simulator(seed=9)
-            network = Network(sim, UniformLatencyModel(
-                0.01, 0.05, rng=sim.random.stream("lat")),
+            network = Network(sim, LatencyModel.planetlab(Topology(
+                node_ids=["a", "b"], node_site={"a": "boston", "b": "seattle"},
+                sites={site.name: site for site in DEFAULT_SITES})),
                 loss_probability=0.4)
             a = Sink(sim, network, "a")
             b = Sink(sim, network, "b")
@@ -133,7 +134,7 @@ def _link_lossy_run(seed: float, *, use_send_many: bool,
                     rounds: int = 60) -> dict:
     """Global loss 0, but the a→b link drops 40 % — the lossy-tier shape."""
     sim = Simulator(seed=seed)
-    network = Network(sim, FixedLatencyModel(0.02))
+    network = Network(sim, LatencyModel.fixed(0.02))
     nodes = {n: Sink(sim, network, n) for n in ("a", "b", "c")}
     network.set_loss_probability(0.4, src="a", dst="b")
     sent_ids = []
@@ -171,7 +172,7 @@ class TestPerLinkLoss:
 
     def test_reverse_direction_is_independent(self):
         sim = Simulator(seed=3)
-        network = Network(sim, FixedLatencyModel(0.01))
+        network = Network(sim, LatencyModel.fixed(0.01))
         nodes = {n: Sink(sim, network, n) for n in ("a", "b")}
         network.set_loss_probability(0.6, src="a", dst="b")
         assert network.link_loss("a", "b") == 0.6
@@ -190,7 +191,7 @@ class TestPerLinkLoss:
 
     def test_zero_removes_the_link_entry(self):
         sim = Simulator(seed=1)
-        network = Network(sim, FixedLatencyModel(0.01))
+        network = Network(sim, LatencyModel.fixed(0.01))
         Sink(sim, network, "a"), Sink(sim, network, "b")
         network.set_loss_probability(0.3, src="a", dst="b")
         network.set_loss_probability(0.0, src="a", dst="b")
@@ -199,14 +200,14 @@ class TestPerLinkLoss:
 
     def test_partial_endpoints_rejected(self):
         sim = Simulator(seed=1)
-        network = Network(sim, FixedLatencyModel(0.01))
+        network = Network(sim, LatencyModel.fixed(0.01))
         Sink(sim, network, "a")
         with pytest.raises(ValueError):
             network.set_loss_probability(0.1, src="a")
 
     def test_strict_mode_rejects_unknown_endpoints(self):
         sim = Simulator(seed=1)
-        network = Network(sim, FixedLatencyModel(0.01))
+        network = Network(sim, LatencyModel.fixed(0.01))
         Sink(sim, network, "a")
         with pytest.raises(KeyError):
             network.set_loss_probability(0.1, src="a", dst="ghost")

@@ -10,7 +10,7 @@ from repro.live import wire
 from repro.overlay.gossip import GossipConfig, GossipDigest, GossipService
 from repro.sim.clock import ClockModel
 from repro.sim.engine import Simulator
-from repro.sim.latency import FixedLatencyModel
+from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.random import RandomStreams
@@ -30,7 +30,7 @@ class GossipHarness:
 
     def __init__(self, num_nodes=8, config=None, service_class=GossipService):
         self.sim = Simulator(seed=5)
-        self.network = Network(self.sim, FixedLatencyModel(0.01))
+        self.network = Network(self.sim, LatencyModel.fixed(0.01))
         self.node_ids = [f"n{i:02d}" for i in range(num_nodes)]
         for node_id in self.node_ids:
             Node(self.sim, self.network, node_id, clock_model=ClockModel().perfect())

@@ -6,7 +6,7 @@ import pytest
 
 from repro.overlay.ransub import RanSubService, _uniform_sample
 from repro.sim.engine import Simulator
-from repro.sim.latency import FixedLatencyModel
+from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.clock import ClockModel
@@ -14,7 +14,7 @@ from repro.sim.clock import ClockModel
 
 def build(num_nodes=10, **kwargs):
     sim = Simulator(seed=2)
-    network = Network(sim, FixedLatencyModel(0.01))
+    network = Network(sim, LatencyModel.fixed(0.01))
     node_ids = [f"n{i:02d}" for i in range(num_nodes)]
     for node_id in node_ids:
         Node(sim, network, node_id, clock_model=ClockModel().perfect())
@@ -100,6 +100,6 @@ class TestRounds:
         with pytest.raises(ValueError):
             build(5, subset_size=0)
         sim = Simulator()
-        network = Network(sim, FixedLatencyModel(0.01))
+        network = Network(sim, LatencyModel.fixed(0.01))
         with pytest.raises(ValueError):
             RanSubService(sim, network, [])

@@ -181,14 +181,12 @@ class TestPolicyEffects:
 
 class TestInstallFanOut:
     def test_install_through_send_many_replays_the_per_member_loop(self):
-        """The merged image goes out as one ``send_many``.  Under a per-pair
-        latency model the simulator sends it destination by destination in
-        member order, so this seeded round must reproduce — event for event,
-        id for id, latency draw for latency draw — the numbers recorded when
-        the install was a loop of ``send`` calls."""
+        """The merged image goes out as one ``send_many``, which the
+        simulator sends destination by destination in member order, so this
+        seeded round must reproduce — event for event, id for id, latency
+        draw for latency draw — the numbers recorded when the install was a
+        loop of ``send`` calls."""
         deployment = build_deployment(seed=11)
-        assert deployment.network.latency.homogeneous_delay(
-            "n00", ["n01", "n02"]) is None  # per-pair model
         installs = []
         deployment.network.delivery_hooks.append(
             lambda m: installs.append((m.msg_id, m.dst, round(m.deliver_at, 9)))

@@ -16,7 +16,7 @@ from repro.runtime import (
 )
 from repro.sim.clock import ClockModel
 from repro.sim.engine import Simulator
-from repro.sim.latency import FixedLatencyModel
+from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.store.filesystem import ReplicatedStore
@@ -26,7 +26,7 @@ from repro.store.replica import Replica
 @pytest.fixture
 def host():
     sim = Simulator(seed=5)
-    network = Network(sim, FixedLatencyModel(0.02))
+    network = Network(sim, LatencyModel.fixed(0.02))
     node = Node(sim, network, "n00", clock_model=ClockModel().perfect())
     store = ReplicatedStore("n00")
     return sim, node, store

@@ -6,9 +6,7 @@ import pytest
 
 from repro.sim.clock import ClockModel
 from repro.sim.engine import Simulator
-from repro.sim.latency import (FixedLatencyModel, HeterogeneousLatencyModel,
-                               LinkProfile, PlanetLabLatencyModel,
-                               UniformLatencyModel)
+from repro.sim.latency import LatencyModel, LinkProfile
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.topology import planetlab_topology
@@ -34,7 +32,7 @@ class Receiver(Node):
 @pytest.fixture
 def pair():
     sim = Simulator(seed=1)
-    network = Network(sim, FixedLatencyModel(0.02))
+    network = Network(sim, LatencyModel.fixed(0.02))
     a = Receiver(sim, network, "a")
     b = Receiver(sim, network, "b")
     return sim, network, a, b
@@ -82,7 +80,7 @@ class TestNetwork:
 
     def test_loss_probability_drops_messages(self):
         sim = Simulator(seed=1)
-        network = Network(sim, FixedLatencyModel(0.01), loss_probability=0.99)
+        network = Network(sim, LatencyModel.fixed(0.01), loss_probability=0.99)
         a = Receiver(sim, network, "a")
         b = Receiver(sim, network, "b")
         for _ in range(50):
@@ -94,7 +92,7 @@ class TestNetwork:
     def test_invalid_loss_probability_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            Network(sim, FixedLatencyModel(0.01), loss_probability=1.5)
+            Network(sim, LatencyModel.fixed(0.01), loss_probability=1.5)
 
     def test_delivery_hooks_called(self, pair):
         sim, network, a, b = pair
@@ -131,14 +129,14 @@ class TestNetwork:
 
     def test_non_strict_network_drops_unknown_ids(self):
         sim = Simulator(seed=1)
-        network = Network(sim, FixedLatencyModel(0.02), strict=False)
+        network = Network(sim, LatencyModel.fixed(0.02), strict=False)
         a = Receiver(sim, network, "a")
         assert network.send("a", "ghost", protocol="t", msg_type="ping") is None
         assert network.stats.drop_reasons["dst-down"] == 1
 
     def test_send_many_to_partially_crashed_fanout(self):
         sim = Simulator(seed=1)
-        network = Network(sim, FixedLatencyModel(0.02))
+        network = Network(sim, LatencyModel.fixed(0.02))
         a, b, c, d = (Receiver(sim, network, n) for n in ("a", "b", "c", "d"))
         c.fail()
         messages = network.send_many("a", ["b", "c", "d"], protocol="t",
@@ -152,7 +150,7 @@ class TestNetwork:
 
     def test_send_many_from_crashed_source_drops_everything(self):
         sim = Simulator(seed=1)
-        network = Network(sim, FixedLatencyModel(0.02))
+        network = Network(sim, LatencyModel.fixed(0.02))
         a, b, c = (Receiver(sim, network, n) for n in ("a", "b", "c"))
         a.fail()
         assert network.send_many("a", ["b", "c"], protocol="t",
@@ -179,40 +177,40 @@ class TestSendMany:
         nodes = [Receiver(sim, network, n) for n in ("a", "b", "c", "d")]
         return sim, network, nodes
 
-    def test_homogeneous_fanout_uses_one_event(self):
-        sim, network, (a, b, c, d) = self._trio(FixedLatencyModel(0.02))
-        messages = network.send_many("a", ["b", "c", "d"], protocol="test",
+    def test_fixed_fanout_is_one_event_per_destination(self):
+        sim, network, (a, b, c, d) = self._trio(LatencyModel.fixed(0.02))
+        order = []
+        network.delivery_hooks.append(lambda m: order.append((sim.now, m.dst)))
+        messages = network.send_many("a", ["d", "b", "c"], protocol="test",
                                      msg_type="ping", payload="hi")
-        assert len(messages) == 3
-        assert len(sim._queue) == 1  # one heap entry for the whole broadcast
+        assert [m.msg_id for m in messages] == [0, 1, 2]
+        assert len(sim._queue) == 3
         sim.run()
         assert b.received == ["hi"] and c.received == ["hi"] and d.received == ["hi"]
-        assert network.stats.sent["test"] == 3
+        assert order == [(0.02, "d"), (0.02, "b"), (0.02, "c")]
         assert network.stats.delivered["test"] == 3
         assert network.bytes_sent("test") == 3 * Network.DEFAULT_MESSAGE_BYTES
-        assert sim.events_processed == 1
+        assert sim.events_processed == 3
 
     def test_heterogeneous_fanout_matches_sequential_sends(self):
-        from repro.sim.latency import UniformLatencyModel
-
         def run(batched: bool):
             sim = Simulator(seed=7)
-            network = Network(sim, UniformLatencyModel(
-                0.01, 0.05, rng=sim.random.stream("lat")))
-            nodes = [Receiver(sim, network, n) for n in ("a", "b", "c", "d")]
+            topo = planetlab_topology(4)
+            network = Network(sim, LatencyModel.planetlab(topo))
+            nodes = [Receiver(sim, network, n) for n in topo.node_ids]
+            dsts = topo.node_ids[1:]
             if batched:
-                network.send_many("a", ["b", "c", "d"], protocol="t",
+                network.send_many("n00", dsts, protocol="t",
                                   msg_type="ping", payload="x")
             else:
-                for dst in ("b", "c", "d"):
-                    network.send("a", dst, protocol="t", msg_type="ping",
+                for dst in dsts:
+                    network.send("n00", dst, protocol="t", msg_type="ping",
                                  payload="x")
             sim.run()
             return sim.events_processed, sim.now
 
-        # Under a per-pair latency model the fan-out draws one delay per
-        # destination, as the sends do, so both spellings replay the same
-        # simulation.
+        # The fan-out draws one delay per destination, as the sends do, so
+        # both spellings replay the same simulation.
         events_a, now_a = run(batched=True)
         events_b, now_b = run(batched=False)
         assert events_a == events_b == 3
@@ -220,7 +218,7 @@ class TestSendMany:
 
     def test_send_many_with_loss_falls_back_per_destination(self):
         sim = Simulator(seed=3)
-        network = Network(sim, FixedLatencyModel(0.02), loss_probability=0.5)
+        network = Network(sim, LatencyModel.fixed(0.02), loss_probability=0.5)
         nodes = [Receiver(sim, network, n) for n in ("a", "b", "c", "d")]
         sent = network.send_many("a", ["b", "c", "d"], protocol="t",
                                  msg_type="ping")
@@ -229,16 +227,16 @@ class TestSendMany:
         assert len(sent) + network.stats.dropped.get("t", 0) == 3
 
     def test_send_many_unknown_destination_raises(self):
-        sim, network, nodes = self._trio(FixedLatencyModel(0.02))
+        sim, network, nodes = self._trio(LatencyModel.fixed(0.02))
         with pytest.raises(KeyError):
             network.send_many("a", ["b", "zz"], protocol="t", msg_type="ping")
 
     def test_send_many_empty_destinations(self):
-        sim, network, nodes = self._trio(FixedLatencyModel(0.02))
+        sim, network, nodes = self._trio(LatencyModel.fixed(0.02))
         assert network.send_many("a", [], protocol="t", msg_type="ping") == []
 
     def test_dead_node_send_many_is_noop(self):
-        sim, network, (a, b, c, d) = self._trio(FixedLatencyModel(0.02))
+        sim, network, (a, b, c, d) = self._trio(LatencyModel.fixed(0.02))
         a.fail()
         assert a.send_many(["b", "c"], protocol="t", msg_type="ping") == []
 
@@ -316,7 +314,7 @@ class TestNodeRPC:
 
     def test_rpc_timeout_fires_when_no_response(self):
         sim = Simulator(seed=1)
-        network = Network(sim, FixedLatencyModel(0.02), loss_probability=0.0)
+        network = Network(sim, LatencyModel.fixed(0.02), loss_probability=0.0)
         a = Receiver(sim, network, "a")
         b = Receiver(sim, network, "b")
         # Remove b's handler so the request is never answered.
@@ -332,7 +330,7 @@ class TestNodeRPC:
 
     def test_processing_delay_applied_to_rpc(self):
         sim = Simulator(seed=1)
-        network = Network(sim, FixedLatencyModel(0.01))
+        network = Network(sim, LatencyModel.fixed(0.01))
         a = Receiver(sim, network, "a")
         b = Node(sim, network, "b", clock_model=ClockModel().perfect(),
                  processing_delay=0.1)
@@ -424,18 +422,21 @@ class TestNodeLifecycle:
 # the send path draws what it drew: send_many ≡ one send() per destination
 # --------------------------------------------------------------------------
 
+def _links(topo, sigma):
+    site = topo.node_site
+    return {(site["n00"], site["n01"]):
+            LinkProfile(latency_scale=2.0, jitter_sigma=sigma),
+            (site["n00"], site["n02"]):
+            LinkProfile(latency=0.05, jitter_sigma=0.0)}
+
+
+#: the three constructors, the world on both sides of the draw rule: its
+#: 0.6 link beside the 0.25 default draws scalar, a one-sigma world blocks
 LATENCY_MODELS = {
-    "PlanetLab": lambda sim, topo: PlanetLabLatencyModel(
-        topo, sim.random.stream("latency")),
-    "Heterogeneous": lambda sim, topo: HeterogeneousLatencyModel(
-        topo, {(topo.node_site["n00"], topo.node_site["n01"]):
-               LinkProfile(latency_scale=2.0, jitter_sigma=0.6),
-               (topo.node_site["n00"], topo.node_site["n02"]):
-               LinkProfile(latency=0.05, jitter_sigma=0.0)},
-        streams=sim.random),
-    "Fixed": lambda sim, topo: FixedLatencyModel(0.02),
-    "Uniform": lambda sim, topo: UniformLatencyModel(
-        0.01, 0.05, rng=sim.random.stream("latency")),
+    "PlanetLab": lambda topo: LatencyModel.planetlab(topo),
+    "Heterogeneous": lambda topo: LatencyModel.world(topo, _links(topo, 0.6)),
+    "Fixed": lambda topo: LatencyModel.fixed(0.02),
+    "OneSigmaWorld": lambda topo: LatencyModel.world(topo, _links(topo, None)),
 }
 
 SRC, DSTS = "n00", ["n01", "n02", "n03", "n04"]
@@ -486,7 +487,7 @@ def _drive(model_name, fault, fan_out):
     sent, delivered and counted, and the next draw of every stream used."""
     sim = Simulator(seed=97)
     topo = planetlab_topology(8)
-    network = Network(sim, LATENCY_MODELS[model_name](sim, topo))
+    network = Network(sim, LATENCY_MODELS[model_name](topo))
     nodes = {node_id: Receiver(sim, network, node_id)
              for node_id in topo.node_ids}
     fault(network, nodes)
@@ -495,8 +496,7 @@ def _drive(model_name, fault, fan_out):
         lambda m: delivered.append((sim.now, m.msg_id, m.dst)))
     sent = []
     for round_number in range(30):
-        # the second fan-out includes the sender: an instant self-delivery,
-        # which also keeps a constant-delay model off its one-event path
+        # the second fan-out includes the sender: an instant self-delivery
         for dsts in (DSTS, ["n05", SRC, "n01"]):
             messages = fan_out(network, dsts, payload=round_number)
             sent.append([(m.msg_id, m.dst, m.sent_at, m.deliver_at)

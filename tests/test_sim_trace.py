@@ -1,82 +1,13 @@
-"""Unit tests for counters, time series and the trace recorder."""
+"""Unit tests for the trace recorder's counters."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.trace import Counter, TimeSeries, TraceRecorder, percentile, sample_mean
-
-
-class TestCounter:
-    def test_increment(self):
-        c = Counter("x")
-        c.increment()
-        c.increment(4)
-        assert c.value == 5
-
-    def test_negative_increment_rejected(self):
-        with pytest.raises(ValueError):
-            Counter("x").increment(-1)
-
-
-class TestTimeSeries:
-    def test_record_and_read_back(self):
-        s = TimeSeries("level")
-        s.record(0.0, 1.0)
-        s.record(5.0, 0.9)
-        assert s.times == [0.0, 5.0]
-        assert s.values == [1.0, 0.9]
-
-    def test_out_of_order_record_rejected(self):
-        s = TimeSeries("level")
-        s.record(5.0, 1.0)
-        with pytest.raises(ValueError):
-            s.record(4.0, 1.0)
-
-    def test_value_at_uses_step_interpolation(self):
-        s = TimeSeries("level")
-        s.record(0.0, 1.0)
-        s.record(10.0, 0.5)
-        assert s.value_at(5.0) == 1.0
-        assert s.value_at(10.0) == 0.5
-        assert s.value_at(-1.0) is None
-        assert s.value_at(-1.0, default=0.0) == 0.0
-
-    def test_min_max_mean(self):
-        s = TimeSeries("level")
-        for t, v in enumerate([0.9, 0.8, 1.0]):
-            s.record(float(t), v)
-        assert s.min() == 0.8
-        assert s.max() == 1.0
-        assert s.mean() == pytest.approx(0.9)
-
-    def test_empty_statistics_raise(self):
-        s = TimeSeries("empty")
-        with pytest.raises(ValueError):
-            s.min()
-        with pytest.raises(ValueError):
-            s.mean()
-
-    def test_window_selects_inclusive_range(self):
-        s = TimeSeries("level")
-        for t in range(5):
-            s.record(float(t), float(t))
-        w = s.window(1.0, 3.0)
-        assert w.times == [1.0, 2.0, 3.0]
-
-    def test_as_rows(self):
-        s = TimeSeries("level")
-        s.record(1.0, 0.5)
-        assert s.as_rows() == [(1.0, 0.5)]
+from repro.sim.trace import TraceRecorder
 
 
 class TestTraceRecorder:
-    def test_series_created_on_demand(self):
-        trace = TraceRecorder()
-        trace.record("a", 0.0, 1.0)
-        assert trace.has_series("a")
-        assert trace.series("a").values == [1.0]
-
     def test_counters(self):
         trace = TraceRecorder()
         trace.increment("msgs", 3)
@@ -84,41 +15,8 @@ class TestTraceRecorder:
         assert trace.count("msgs") == 4
         assert trace.count("missing") == 0
 
-    def test_events_filtered_by_kind(self):
+    def test_negative_increment_rejected(self):
         trace = TraceRecorder()
-        trace.log_event(1.0, "resolution", initiator="n0")
-        trace.log_event(2.0, "rollback")
-        assert len(trace.events()) == 2
-        assert len(trace.events("resolution")) == 1
-
-    def test_summary_includes_series_and_counters(self):
-        trace = TraceRecorder()
-        trace.record("level", 0.0, 0.9)
-        trace.record("level", 5.0, 0.8)
-        trace.increment("msgs", 7)
-        summary = trace.summary()
-        assert summary["level"]["samples"] == 2
-        assert summary["level"]["min"] == 0.8
-        assert summary["msgs"]["count"] == 7
-
-    def test_series_names_sorted(self):
-        trace = TraceRecorder()
-        trace.record("b", 0.0, 1.0)
-        trace.record("a", 0.0, 1.0)
-        assert trace.series_names() == ["a", "b"]
-
-
-class TestHelpers:
-    def test_sample_mean(self):
-        assert sample_mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-
-    def test_sample_mean_empty_raises(self):
         with pytest.raises(ValueError):
-            sample_mean([])
-
-    def test_percentile(self):
-        assert percentile(range(101), 50) == pytest.approx(50.0)
-
-    def test_percentile_empty_raises(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
+            trace.increment("msgs", -1)
+        assert trace.count("msgs") == 0

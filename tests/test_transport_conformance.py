@@ -39,7 +39,7 @@ from repro.live.node import LiveNode
 from repro.live.scenario import make_addresses
 from repro.live.transport import LiveTransport
 from repro.sim.engine import Simulator
-from repro.sim.latency import FixedLatencyModel
+from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.transport import PeriodicTimer
@@ -52,7 +52,7 @@ class SimHarness:
 
     def __init__(self, ids, processing_delay):
         self.sim = Simulator(seed=3)
-        self.network = Network(self.sim, FixedLatencyModel(0.01))
+        self.network = Network(self.sim, LatencyModel.fixed(0.01))
         self.nodes = {nid: Node(self.sim, self.network, nid,
                                 processing_delay=processing_delay)
                       for nid in ids}

@@ -20,7 +20,7 @@ import pathlib
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.latency import FixedLatencyModel
+from repro.sim.latency import LatencyModel
 from repro.sim.network import Network, SimTransport
 from repro.sim.node import Node
 from repro.transport import Clock, PeriodicTimer, ProtocolEndpoint, RPCError
@@ -127,12 +127,10 @@ class TestImportBoundary:
         assert SimTransport is Network
 
 
-class _ExplodingLatency(FixedLatencyModel):
+class _ExplodingLatency(LatencyModel):
     """Latency model that can be armed to fail the next send."""
 
-    def __init__(self, delay: float) -> None:
-        super().__init__(delay)
-        self.explode = False
+    explode = False
 
     def delay(self, src: str, dst: str) -> float:
         if self.explode:
@@ -142,7 +140,7 @@ class _ExplodingLatency(FixedLatencyModel):
 
 def _pair(processing_delay: float = 0.0):
     sim = Simulator(seed=1)
-    latency = _ExplodingLatency(0.01)
+    latency = _ExplodingLatency.fixed(0.01)
     network = Network(sim, latency)
     a = Node(sim, network, "a", processing_delay=processing_delay)
     b = Node(sim, network, "b", processing_delay=processing_delay)
@@ -248,7 +246,7 @@ class TestSeamPortability:
     def test_endpoint_is_backend_neutral(self):
         assert issubclass(Node, ProtocolEndpoint)
         sim = Simulator(seed=3)
-        network = Network(sim, FixedLatencyModel(0.01))
+        network = Network(sim, LatencyModel.fixed(0.01))
         node = Node(sim, network, "n0")
         assert node.clock is sim
         assert node.transport is network

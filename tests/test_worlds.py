@@ -69,8 +69,8 @@ def _full_doc() -> dict:
                 {"name": "far", "x": 50.0, "y": 5.0, "nodes": 2},
             ],
             "links": [{"between": ["left", "right"], "latency": 0.05,
-                       "latency_scale": 1.5, "jitter_sigma": 0.3,
-                       "loss": 0.01}],
+                       "jitter_sigma": 0.3, "loss": 0.01},
+                      {"between": ["right", "far"], "latency_scale": 1.5}],
         },
         "placement": {"objects": [
             {"id": "board", "top_layer": {"sites": ["left", "right"]},
@@ -471,6 +471,8 @@ _REJECTED = [
      "duplicate site name 'left'"),
     (_LINK + ("between",), ["left", "left"], "topology.links[0].between",
      "two different sites"),
+    (_LINK + ("latency_scale",), 1.5, "topology.links[0]",
+     "give at most one of 'latency' and 'latency_scale'"),
     (("topology", "links"), [{"between": ["left", "right"]},
                              {"between": ["right", "left"]}],
      "topology.links[1].between", "duplicate link"),
