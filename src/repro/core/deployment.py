@@ -597,7 +597,7 @@ class IdeaDeployment:
         if middleware is None or not middleware.node.alive:
             return None
         managed.background_rounds_started += 1
-        if self.bus.wants(BackgroundRoundStarted):
+        if BackgroundRoundStarted in self.bus.wants:
             self.bus.publish(BackgroundRoundStarted(
                 object_id=object_id, initiator=initiator, time=self.clock.now))
         process = middleware.resolution.start_background_resolution()

@@ -68,11 +68,13 @@ class VersionDigest:
     writers: Tuple[Tuple[str, WriterSummary], ...]
     metadata: float
     last_consistent_time: float
-    #: memos of :meth:`counts` and :meth:`total`; functions of ``writers``
-    #: alone, so ``dataclasses.replace`` rightly carries them along
+    #: the writers' summed counts.  A function of ``writers``, so not
+    #: compared; each builder sums it in the loop that builds ``writers``
+    total: int = field(compare=False, repr=False)
+    #: memo of :meth:`counts`; a function of ``writers`` alone, so
+    #: ``dataclasses.replace`` rightly carries it along
     _counts: Optional[VersionVector] = field(default=None, compare=False,
                                              repr=False)
-    _total: Optional[int] = field(default=None, compare=False, repr=False)
 
     def counts(self) -> VersionVector:
         # Digests are immutable and compared often (conflict checks, triple
@@ -83,14 +85,6 @@ class VersionDigest:
             cached = VersionVector._from_trusted(
                 {w: s.count for w, s in self.writers})
             object.__setattr__(self, "_counts", cached)
-        return cached
-
-    def total(self) -> int:
-        """Total update count across writers (memoised like :meth:`counts`)."""
-        cached = self._total
-        if cached is None:
-            cached = sum(s.count for _, s in self.writers)
-            object.__setattr__(self, "_total", cached)
         return cached
 
     def writer_map(self) -> Dict[str, WriterSummary]:
@@ -104,6 +98,7 @@ class VersionDigest:
     def from_vector(cls, object_id: str, node_id: str, vector: ExtendedVersionVector,
                     issued_at: float) -> "VersionDigest":
         writers = []
+        total = 0
         for writer in vector.writers():
             # Fold the retained records onto the writer's checkpoint base
             # (the empty base for untruncated vectors) — one fold
@@ -114,9 +109,11 @@ class VersionDigest:
                 count=folded.count,
                 cumulative_metadata=folded.cum_metadata,
                 last_timestamp=folded.last_timestamp)))
+            total += folded.count
         return cls(object_id=object_id, node_id=node_id, issued_at=issued_at,
                    writers=tuple(sorted(writers)), metadata=vector.metadata,
-                   last_consistent_time=vector.last_consistent_time)
+                   last_consistent_time=vector.last_consistent_time,
+                   total=total)
 
     @classmethod
     def from_replica(cls, replica: Replica, issued_at: float) -> "VersionDigest":
@@ -201,7 +198,7 @@ class DetectionService:
     def __init__(self, node, *, object_id: str, metric: ConsistencyMetricSpec,
                  weights: MetricWeights,
                  top_layer_provider: Callable[[], Sequence[str]],
-                 replica_provider: Callable[[], Replica],
+                 replica: Replica,
                  on_remote_digest: Optional[Callable[[VersionDigest], None]] = None,
                  digest_cache: "DigestCache") -> None:
         """
@@ -212,8 +209,8 @@ class DetectionService:
             service (a simulated or live node).
         top_layer_provider:
             Returns the current top-layer membership for the object.
-        replica_provider:
-            Returns the local replica of the object.
+        replica:
+            The local replica of the object (never rebound).
         on_remote_digest:
             Invoked whenever a digest arrives from a peer (after the cache is
             updated); the middleware uses it to re-evaluate consistency and
@@ -226,7 +223,7 @@ class DetectionService:
         self.node = node
         self.object_id = object_id
         self._top_layer_provider = top_layer_provider
-        self._replica_provider = replica_provider
+        self.replica = replica
         self._on_remote_digest = on_remote_digest
         self._digest_cache = digest_cache
         #: (replica revision, digest) of the last cache answer: an unchanged
@@ -277,13 +274,13 @@ class DetectionService:
         self._digest_msg_type = f"idea_digest:{object_id}"
         node.register_handler(self._digest_msg_type, self._handle_digest)
 
-    def _local_digest(self, replica: Replica,
-                      now: Optional[float] = None) -> VersionDigest:
+    def _local_digest(self, now: Optional[float] = None) -> VersionDigest:
         """The replica's digest; only a changed revision reaches the cache.
 
         ``now`` is the caller's own clock reading, for the caller that
         compares the digest's stamp with it (:meth:`announce_write`).
         """
+        replica = self.replica
         revision = replica.revision
         if revision == self._local_revision:
             self._digest_cache.hits += 1
@@ -329,7 +326,7 @@ class DetectionService:
         # One clock reading, handed to the rebuild: on a wall clock a second
         # reading differs, and every fresh digest would be copied below.
         now = node.clock.now
-        digest = self._local_digest(self._replica_provider(), now)
+        digest = self._local_digest(now)
         if digest.issued_at != now:
             # An unchanged replica announced again carries its old issue
             # time; peers order digests by it, so stamp the current time
@@ -364,7 +361,7 @@ class DetectionService:
             if existing is None or self._sorted_peers is None:
                 self._sorted_peers = None  # membership changed: rebuild lazily
             else:
-                self._peer_total_sum += digest.total() - existing.total()
+                self._peer_total_sum += digest.total - existing.total
             self._fold_digest(digest, existing)
 
     def observe_counts(self, node_id: str, counts: VersionVector) -> None:
@@ -395,7 +392,7 @@ class DetectionService:
         existing = self._peer_digests.pop(node_id, None)
         if existing is not None:
             stashed = self._gossip_counts.get(node_id)
-            if stashed is None or existing.total() > stashed.total_updates():
+            if stashed is None or existing.total > stashed.total_updates():
                 self._gossip_counts[node_id] = existing.counts()
         self._sorted_peers = None
         self._peer_version += 1
@@ -407,7 +404,7 @@ class DetectionService:
         changes (amortised across the detections in between)."""
         peers = self._peer_digests
         sorted_peers = self._sorted_peers = tuple(sorted(peers))
-        self._peer_total_sum = sum(d.total() for d in peers.values())
+        self._peer_total_sum = sum(d.total for d in peers.values())
         return sorted_peers
 
     # ---------------------------------------------------- stability frontier
@@ -434,7 +431,7 @@ class DetectionService:
         and recomputed at most once per change, amortised across the
         truncation period.
         """
-        local_digest = self._local_digest(self._replica_provider())
+        local_digest = self._local_digest()
         if required_sources is None:
             required = None
         else:
@@ -509,15 +506,26 @@ class DetectionService:
             writers = new.writers
             replaced = old.writers
             if len(writers) == len(replaced):
+                best = self._ref_best
                 for pair, old_pair in zip(writers, replaced):
                     if pair is old_pair:
                         continue
                     writer, summary = pair
                     if writer != old_pair[0]:
                         break  # misaligned: the general walk decides
-                    grown = summary.count - old_pair[1].count
+                    count = summary.count
+                    grown = count - old_pair[1].count
                     if grown > 0:
-                        fold(writer, summary)
+                        # _fold_writer in line; ``old`` is merged, so the
+                        # writer already has a maximum
+                        current = best[writer]
+                        if count > current.count:
+                            self._ref_metadata -= current.cumulative_metadata
+                            self._ref_total += count - current.count
+                            self._ref_metadata += summary.cumulative_metadata
+                            best[writer] = summary
+                            if summary.last_timestamp > self._ref_latest:
+                                self._ref_latest = summary.last_timestamp
                     elif grown < 0:
                         self._ref_valid = False
                         return
@@ -584,7 +592,7 @@ class DetectionService:
         if not self._ref_valid:
             self._rebuild_envelope(local_digest)
         numerical = abs(self._ref_metadata - local_digest.metadata)
-        order = float(self._ref_total - local_digest.total())
+        order = float(self._ref_total - local_digest.total)
         staleness = max(0.0, self._ref_latest
                         - local_digest.last_consistent_time)
         max_n, max_o, max_s = self._maxima
@@ -610,10 +618,10 @@ class DetectionService:
         reconstructed reference state.
         """
         self._detections_run += 1
-        local_digest = self._local_digest(self._replica_provider())
+        local_digest = self._local_digest()
         _, _, level, numerical, order, staleness = self._evaluate(local_digest)
 
-        local_total = local_digest.total()
+        local_total = local_digest.total
         # The envelope dominates the local counts, so "reference == local"
         # collapses to an exact integer total comparison; and because every
         # peer is likewise dominated pointwise, "every peer equals local"
@@ -634,7 +642,7 @@ class DetectionService:
             diverged = []
             for peer in sorted_peers:
                 digest = peer_digests[peer]
-                if digest.total() == local_total:
+                if digest.total == local_total:
                     if local_counts is None:
                         local_counts = local_digest.counts()
                     if digest.counts() == local_counts:
@@ -650,9 +658,8 @@ class DetectionService:
 
     def current_level(self) -> float:
         """Consistency level without counting as a detection run."""
-        return self._evaluate(
-            self._local_digest(self._replica_provider()))[2]
+        return self._evaluate(self._local_digest())[2]
 
     def local_counts(self) -> VersionVector:
         """The local replica's current per-writer counts (cached digest view)."""
-        return self._local_digest(self._replica_provider()).counts()
+        return self._local_digest().counts()

@@ -89,13 +89,13 @@ class IdeaMiddleware:
         self.detection = DetectionService(
             node, object_id=object_id, metric=config.metric, weights=config.weights,
             top_layer_provider=top_layer_provider,
-            replica_provider=lambda: self.replica,
+            replica=self.replica,
             on_remote_digest=self._on_remote_digest,
             digest_cache=self.runtime.digests)
         self.resolution = ResolutionManager(
             node, object_id=object_id, config=config, policy=self.policy,
             top_layer_provider=top_layer_provider,
-            replica_provider=lambda: self.replica,
+            replica=self.replica,
             on_resolved=self._dispatch_resolved,
             backoff_rng=self.runtime.backoff_rng)
 
@@ -134,7 +134,7 @@ class IdeaMiddleware:
                                   applied_at=now)
         if record is None:
             return None
-        if self.bus.wants(WriteRecorded):
+        if WriteRecorded in self.bus.wants:
             self.bus.publish(WriteRecorded(self.object_id, node.node_id, now))
         self.detection.announce_write()
         outcome = self.detection.detect()
@@ -201,7 +201,7 @@ class IdeaMiddleware:
         the same float off the same envelope.
         """
         controller = self.controller
-        watched = self.bus.wants(DetectionEvaluated)
+        watched = DetectionEvaluated in self.bus.wants
         if not watched and not controller.acts_on_levels():
             return
         level = self.detection.current_level()
@@ -219,7 +219,7 @@ class IdeaMiddleware:
 
     def _record_outcome(self, outcome: DetectionOutcome) -> None:
         self.detection_outcomes.append(outcome)
-        if self.bus.wants(DetectionEvaluated):
+        if DetectionEvaluated in self.bus.wants:
             self.bus.publish(DetectionEvaluated(
                 object_id=self.object_id, node_id=self.node.node_id,
                 success=outcome.success, level=outcome.level,

@@ -79,7 +79,7 @@ class ResolutionManager:
     def __init__(self, node, *, object_id: str, config: IdeaConfig,
                  policy: ResolutionPolicy,
                  top_layer_provider: Callable[[], Sequence[str]],
-                 replica_provider: Callable[[], Replica],
+                 replica: Replica,
                  on_resolved: Optional[Callable[[ResolutionResult], None]] = None,
                  backoff_rng=None) -> None:
         self.node = node
@@ -87,7 +87,7 @@ class ResolutionManager:
         self.config = config
         self.policy = policy
         self._top_layer_provider = top_layer_provider
-        self._replica_provider = replica_provider
+        self.replica = replica
         self._on_resolved = on_resolved
         self._round_counter = itertools.count(1)
         self._resolving = False
@@ -124,14 +124,14 @@ class ResolutionManager:
         if self._resolving and initiator != self.node.node_id:
             return {"ack": False, "busy_with": self.node.node_id}
         self._yielded_to = initiator
-        self._replica_provider().block_writes()
+        self.replica.block_writes()
         if initiator != self.node.node_id:
             self._arm_block_guard()
         return {"ack": True}
 
     def _rpc_collect(self, args: dict) -> dict:
         """Phase-2 collection handler: return the full local vector."""
-        replica = self._replica_provider()
+        replica = self.replica
         replica.block_writes()
         if args.get("initiator") != self.node.node_id:
             self._arm_block_guard()
@@ -142,7 +142,7 @@ class ResolutionManager:
         payload = message.payload
         merged: ExtendedVersionVector = payload["merged"]
         invalidated: List[Tuple[str, int]] = payload["invalidated"]
-        replica = self._replica_provider()
+        replica = self.replica
         replica.install_merged(merged, now=self.node.clock.now)
         if invalidated:
             replica.invalidate_updates(list(invalidated))
@@ -178,7 +178,7 @@ class ResolutionManager:
             # the replica itself when it finishes.
             return
         self._yielded_to = None
-        replica = self._replica_provider()
+        replica = self.replica
         if replica.write_blocked:
             replica.unblock_writes()
 
@@ -187,7 +187,7 @@ class ResolutionManager:
         self._resolving = False
         self._yielded_to = None
         self._block_guard_seq += 1
-        replica = self._replica_provider()
+        replica = self.replica
         if replica.write_blocked:
             replica.unblock_writes()
 
@@ -346,7 +346,7 @@ class ResolutionManager:
         installing an image from beyond the grave.
         """
         phase2_start = self.node.clock.now
-        local_replica = self._replica_provider()
+        local_replica = self.replica
         local_replica.block_writes()
 
         collected: Dict[str, ExtendedVersionVector] = {

@@ -38,6 +38,7 @@ Vector``               ...]], ...], [[writer, count, cum, last], ...],
                        metadata, lct, [numerical, order, staleness]]``
 ====================== ================================================
 
+A digest's ``total`` is not shipped: the decoder sums it from the rows.
 Typed fields are handed to the C encoder untouched.  Only values typed
 ``Any`` — ``UpdateRecord.payload`` (``payload'`` above), RPC arguments and
 results, and the plain containers a message payload is made of — take the
@@ -224,7 +225,9 @@ def _digest_from(fields: List[Any]) -> VersionDigest:
             _PAIRS.clear()
         held = _PAIRS[source] = {}
     writers = []
+    total = 0
     for writer, count, cum, last in rows:
+        total += count
         pair = held.get(writer)
         if pair is None or not (pair[1].count == count
                                 and pair[1].cumulative_metadata == cum
@@ -234,7 +237,7 @@ def _digest_from(fields: List[Any]) -> VersionDigest:
             pair = held[writer] = (writer, WriterSummary(count, cum, last))
         writers.append(pair)
     return VersionDigest(object_id, node_id, issued_at, tuple(writers),
-                         metadata, lct)
+                         metadata, lct, total)
 
 
 def _gossip_from(fields: List[Any]) -> GossipDigest:

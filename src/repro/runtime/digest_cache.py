@@ -72,8 +72,10 @@ class DigestCache:
         vector = replica.vector
         summaries = self._summaries.setdefault(object_id, {})
         writers = []
+        total = 0
         for writer in vector.writers():
             count = vector.count(writer)
+            total += count
             cached = summaries.get(writer)
             if cached is not None and cached[0] == count:
                 pair = cached[3]
@@ -99,7 +101,8 @@ class DigestCache:
                 summaries[writer] = (count, cum, last, pair)
             writers.append(pair)
         return VersionDigest(object_id, replica.node_id, now, tuple(writers),
-                             vector.metadata, vector.last_consistent_time)
+                             vector.metadata, vector.last_consistent_time,
+                             total)
 
     # ------------------------------------------------------------- peer side
     def peer_digests(self, object_id: str) -> Dict[str, VersionDigest]:

@@ -8,14 +8,15 @@ typed events, and deployment-level reporting, the trace recorder, and tests
 
 Events are small frozen dataclasses.  Publishing is deliberately cheap: a
 single dict lookup when nobody subscribed to the event type.  Hot-path
-publishers that would otherwise allocate an event per call should guard with
-:meth:`EventBus.wants` first.
+publishers that would otherwise allocate an event per call guard with
+``event_type in bus.wants`` first — a membership test, no call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Tuple, Type
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Tuple, Type
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,31 +88,32 @@ Handler = Callable[[Any], None]
 class EventBus:
     """Synchronous, in-process publish/subscribe keyed by event type."""
 
-    __slots__ = ("_subscribers",)
+    __slots__ = ("_subscribers", "wants")
 
     def __init__(self) -> None:
+        #: event type -> its handlers; a type with none has no entry
         self._subscribers: Dict[Type, List[Handler]] = {}
+        #: the event types somebody listens for (read-only view):
+        #: publishers on hot paths test ``event_type in bus.wants`` before
+        #: allocating an event
+        self.wants: Mapping[Type, List[Handler]] = MappingProxyType(
+            self._subscribers)
 
     def subscribe(self, event_type: Type, handler: Handler) -> Callable[[], None]:
         """Register ``handler`` for events of ``event_type``; returns an
         unsubscribe function."""
-        handlers = self._subscribers.setdefault(event_type, [])
-        handlers.append(handler)
+        subscribers = self._subscribers
+        subscribers.setdefault(event_type, []).append(handler)
 
         def unsubscribe() -> None:
-            try:
-                handlers.remove(handler)
-            except ValueError:
-                pass
+            handlers = subscribers.get(event_type)
+            if handlers is None or handler not in handlers:
+                return
+            handlers.remove(handler)
+            if not handlers:
+                del subscribers[event_type]
 
         return unsubscribe
-
-    def wants(self, event_type: Type) -> bool:
-        """True when at least one subscriber listens for ``event_type``.
-
-        Publishers on hot paths check this before allocating an event.
-        """
-        return bool(self._subscribers.get(event_type))
 
     def publish(self, event: Any) -> int:
         """Deliver ``event`` to its type's subscribers; returns the count."""

@@ -23,11 +23,14 @@ Hot-path design (see DESIGN.md "Hot path & event cost budget"):
   ``callback(arg)`` when set and ``callback()`` otherwise.  This lets the
   network bind one ``_deliver`` method per network instead of allocating a
   capturing lambda per message.
+* A scheduled event is one frame: ``call_at`` / ``call_after`` push onto the
+  heap themselves (one body, :func:`_scheduler`), ``now`` is a plain
+  attribute, and the run loop returns executed events to the free list in
+  line.
 """
 
 from __future__ import annotations
 
-import math
 from heapq import heappop, heappush, heapify
 from typing import Any, Callable, Iterable, Optional
 
@@ -105,6 +108,8 @@ class EventQueue:
 
     The heap stores ``(time, priority, seq, event)`` tuples; ``seq`` is
     unique, so comparisons never reach the event object and stay in C.
+    Events enter through :meth:`Simulator.call_at` /
+    :meth:`Simulator.call_after`, which push onto the heap themselves.
     """
 
     #: below this heap size compaction is not worth the heapify cost
@@ -132,40 +137,9 @@ class EventQueue:
         """Events currently parked on the free list (for introspection)."""
         return len(self._pool)
 
-    def push(self, time: float, callback: Callable[..., None], *,
-             priority: int = 0, label: str = "", arg: Any = _NO_ARG,
-             recyclable: bool = False) -> Event:
-        """Schedule ``callback`` at ``time`` and return the event handle.
-
-        ``recyclable=True`` promises the caller will not retain the handle
-        after it has fired or been cancelled; such events are drawn from and
-        returned to a free list, so the steady state allocates nothing.
-        """
-        if math.isnan(time):
-            raise SimulationError("cannot schedule an event at NaN time")
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        pool = self._pool
-        if recyclable and pool:
-            event = pool.pop()
-            event.time = time
-            event.priority = priority
-            event.seq = seq
-            event.callback = callback
-            event.label = label
-            event.cancelled = False
-            event.queue = self
-        else:
-            event = Event(time=time, priority=priority, seq=seq,
-                          callback=callback, label=label, queue=self)
-        event.arg = arg
-        event.recyclable = recyclable
-        heappush(self._heap, (time, priority, seq, event))
-        self._live += 1
-        return event
-
     def _recycle(self, event: Event) -> None:
-        """Return an executed/skipped recyclable event to the free list."""
+        """Return an executed/skipped recyclable event to the free list
+        (``Simulator.run`` does the same in line for the events it runs)."""
         if len(self._pool) < self.POOL_MAX_SIZE:
             event.callback = None
             event.arg = _NO_ARG
@@ -239,6 +213,52 @@ class EventQueue:
         return None
 
 
+def _scheduler(relative: bool) -> Callable[..., Event]:
+    """Build ``Simulator.call_at`` (``relative=False``) or ``call_after``.
+
+    The two differ only in how they read their first argument, so they share
+    this one body, and each pushes onto the heap in its own frame.
+    ``recyclable=True`` promises the caller will not retain the handle after
+    it has fired or been cancelled; such events are drawn from and returned
+    to the queue's free list, so the steady state allocates nothing.
+    """
+    def schedule(self: "Simulator", when: float, callback: Callable[..., None],
+                 *, priority: int = 0, label: str = "", arg: Any = _NO_ARG,
+                 recyclable: bool = False) -> Event:
+        # ``not x >= y`` refuses NaN as well as the past
+        if relative:
+            if not when >= 0:
+                raise SimulationError(f"cannot schedule with delay {when}")
+            time = self.now + when
+        elif not when >= self.now:
+            raise SimulationError(f"cannot schedule event at {when} "
+                                  f"(now={self.now})")
+        else:
+            time = when
+        queue = self._queue
+        seq = queue._next_seq
+        queue._next_seq = seq + 1
+        pool = queue._pool
+        if recyclable and pool:
+            event = pool.pop()
+            event.time = time
+            event.priority = priority
+            event.seq = seq
+            event.callback = callback
+            event.label = label
+            event.cancelled = False
+            event.queue = queue
+        else:
+            event = Event(time, priority, seq, callback, label, False, queue)
+        event.arg = arg
+        event.recyclable = recyclable
+        heappush(queue._heap, (time, priority, seq, event))
+        queue._live += 1
+        return event
+
+    return schedule
+
+
 class Simulator:
     """The discrete-event simulator driving every experiment in this repo.
 
@@ -262,18 +282,13 @@ class Simulator:
         from repro.sim.random import RandomStreams
 
         self._queue = EventQueue()
-        self._now = 0.0
+        #: current simulated time in seconds; only :meth:`run` advances it
+        self.now = 0.0
         self._running = False
         self._stopped = False
         self.seed = seed
         self.random = RandomStreams(seed)
         self._event_count = 0
-
-    # ------------------------------------------------------------------ time
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -281,24 +296,10 @@ class Simulator:
         return self._event_count
 
     # ------------------------------------------------------------- scheduling
-    def call_at(self, time: float, callback: Callable[..., None], *,
-                priority: int = PRIORITY_TIMER, label: str = "",
-                arg: Any = _NO_ARG, recyclable: bool = False) -> Event:
-        """Schedule ``callback`` to run at absolute simulated time ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event in the past (now={self._now}, requested={time})")
-        return self._queue.push(time, callback, priority=priority, label=label,
-                                arg=arg, recyclable=recyclable)
-
-    def call_after(self, delay: float, callback: Callable[..., None], *,
-                   priority: int = PRIORITY_TIMER, label: str = "",
-                   arg: Any = _NO_ARG, recyclable: bool = False) -> Event:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self._queue.push(self._now + delay, callback, priority=priority,
-                                label=label, arg=arg, recyclable=recyclable)
+    call_at = _scheduler(relative=False)
+    call_at.__doc__ = "Schedule ``callback`` at absolute simulated time ``when``."
+    call_after = _scheduler(relative=True)
+    call_after.__doc__ = "Schedule ``callback`` ``when`` seconds from now."
 
     def spawn(self, generator: Iterable[Any], *, label: str = "") -> "Process":
         """Run a generator-based process (see :mod:`repro.transport.tasks`)."""
@@ -334,9 +335,10 @@ class Simulator:
         # Inner-loop locals: one attribute lookup each instead of one per event.
         queue = self._queue
         heap = queue._heap
+        pool = queue._pool
+        pool_max = queue.POOL_MAX_SIZE
         pop_head = heappop
         no_arg = _NO_ARG
-        recycle = queue._recycle
         try:
             while not self._stopped:
                 if max_events is not None and self._event_count >= max_events:
@@ -346,31 +348,35 @@ class Simulator:
                     skipped = pop_head(heap)[3]
                     queue._cancelled -= 1
                     if skipped.recyclable:
-                        recycle(skipped)
+                        queue._recycle(skipped)
                 if not heap:
                     # Nothing left to execute: advance the clock to the
                     # requested horizon so callers see time pass even in an
                     # idle system.
-                    if until is not None and until > self._now:
-                        self._now = until
+                    if until is not None and until > self.now:
+                        self.now = until
                     break
                 next_time = heap[0][0]
                 if until is not None and next_time > until:
-                    self._now = until
+                    self.now = until
                     break
                 event = pop_head(heap)[3]
                 queue._live -= 1
                 event.queue = None
-                self._now = next_time
+                self.now = next_time
                 self._event_count += 1
                 arg = event.arg
                 if arg is no_arg:
                     event.callback()
                 else:
                     event.callback(arg)
-                if event.recyclable:
-                    recycle(event)
-            return self._now
+                # EventQueue._recycle in line: the callback and argument are
+                # dropped, the rest is overwritten when the event is reused
+                if event.recyclable and len(pool) < pool_max:
+                    event.callback = None
+                    event.arg = no_arg
+                    pool.append(event)
+            return self.now
         finally:
             self._running = False
 

@@ -115,7 +115,8 @@ class Network:
         """Split the network: messages only flow within the same group.
 
         Every listed node belongs to exactly one group; nodes not listed in
-        any group form one implicit extra group together.  Messages in flight
+        any group form one implicit extra group together, cut off from every
+        listed group — an empty listed group included.  Messages in flight
         are checked again at delivery time, so a partition takes effect
         immediately even for already-scheduled deliveries.
         """
@@ -145,8 +146,8 @@ class Network:
         partition_of = self._partition_of
         if partition_of is None:
             return True
-        default = len(partition_of)  # implicit group for unlisted nodes
-        return partition_of.get(src, default) == partition_of.get(dst, default)
+        # unlisted nodes share index -1, which no listed group has
+        return partition_of.get(src, -1) == partition_of.get(dst, -1)
 
     # ------------------------------------------------------------------ loss
     def set_loss_probability(self, loss_probability: float, *,
@@ -249,7 +250,7 @@ class Network:
         size = self.DEFAULT_MESSAGE_BYTES if size_bytes is None else int(size_bytes)
         nodes = self._nodes
         if (src not in nodes or self._partition_of is not None
-                or not all(dst in nodes for dst in dsts)):
+                or not all(map(nodes.__contains__, dsts))):
             # Something is down or cut off: each unreachable destination is
             # a counted drop, for the reason one send() to it would give.
             reachable = []

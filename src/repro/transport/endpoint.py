@@ -70,7 +70,8 @@ class ProtocolEndpoint:
         self._handlers: Dict[str, Callable[[Message], Any]] = {}
         self._pending: Dict[int, _PendingRequest] = {}
         self._request_counter = itertools.count()
-        self._alive = True
+        #: False between :meth:`fail` and :meth:`recover` (crash-stop)
+        self.alive = True
         #: periodic protocol timers owned by this endpoint; stopped on fail()
         #: and restarted on recover() so a recovered node resumes its rounds
         self._periodic_timers: List[Any] = []
@@ -89,10 +90,6 @@ class ProtocolEndpoint:
         self.register_handler("__rpc_response__", self._handle_rpc_response)
 
     # -------------------------------------------------------------- lifecycle
-    @property
-    def alive(self) -> bool:
-        return self._alive
-
     def fail(self) -> None:
         """Take the endpoint offline (crash-stop model).
 
@@ -102,9 +99,9 @@ class ProtocolEndpoint:
         every adopted periodic timer is paused so no protocol round ticks on
         a dead node.
         """
-        if not self._alive:
+        if not self.alive:
             return
-        self._alive = False
+        self.alive = False
         self.transport.unregister(self.node_id)
         pending, self._pending = self._pending, {}
         for request in pending.values():
@@ -116,9 +113,9 @@ class ProtocolEndpoint:
 
     def recover(self) -> None:
         """Bring a failed endpoint back online and resume its periodic protocols."""
-        if self._alive:
+        if self.alive:
             return
-        self._alive = True
+        self.alive = True
         self.transport.register(self)
         # Any request state surviving the crash is stale; a late
         # __rpc_response__ for a pre-crash request must not be mis-routed.
@@ -180,7 +177,7 @@ class ProtocolEndpoint:
                if jitter > 0 else None)
 
         def guarded() -> None:
-            if not self._alive:
+            if not self.alive:
                 # Safety net for a tick already in flight when fail() ran;
                 # stop() keeps the timer restartable for recover().
                 timer.stop()
@@ -211,7 +208,7 @@ class ProtocolEndpoint:
     def send(self, dst: str, *, protocol: str, msg_type: str, payload: Any = None,
              size_bytes: Optional[int] = None) -> Optional[Message]:
         """Send a one-way message."""
-        if not self._alive:
+        if not self.alive:
             return None
         return self.transport.send(self.node_id, dst, protocol=protocol,
                                    msg_type=msg_type, payload=payload,
@@ -220,7 +217,7 @@ class ProtocolEndpoint:
     def send_many(self, dsts, *, protocol: str, msg_type: str,
                   payload: Any = None, size_bytes: Optional[int] = None) -> list:
         """Fan one payload out to many destinations (see Transport.send_many)."""
-        if not self._alive:
+        if not self.alive:
             return []
         return self.transport.send_many(self.node_id, dsts, protocol=protocol,
                                         msg_type=msg_type, payload=payload,
@@ -228,7 +225,7 @@ class ProtocolEndpoint:
 
     def deliver(self, message: Message) -> None:
         """Entry point used by the transport to hand over a message."""
-        if not self._alive:
+        if not self.alive:
             return
         handler = self._handlers.get(message.msg_type)
         if handler is None:
@@ -248,7 +245,7 @@ class ProtocolEndpoint:
         an :class:`RPCError`.
         """
         waiter = Waiter(self.clock)
-        if not self._alive:
+        if not self.alive:
             waiter.trigger(("error", f"{self.node_id} is offline"))
             return waiter
         request_id = next(self._request_counter)

@@ -199,6 +199,10 @@ class History:
 _NO_HISTORY = History([], 0)
 
 _metadata_delta = attrgetter("metadata_delta")
+#: sort keys, computed in C: a writer's records by seq, and the
+#: (timestamp, writer, seq) order records are replayed and pushed in
+_BY_SEQ = attrgetter("seq")
+_BY_TIME = attrgetter("timestamp", "writer", "seq")
 
 
 class ExtendedVersionVector:
@@ -222,7 +226,7 @@ class ExtendedVersionVector:
         cleaned: Dict[str, History] = {}
         if updates:
             for writer, records in updates.items():
-                records = sorted(records, key=lambda r: r.seq)
+                records = sorted(records, key=_BY_SEQ)
                 if not records:
                     continue
                 seqs = [r.seq for r in records]
@@ -350,7 +354,7 @@ class ExtendedVersionVector:
     def all_updates(self) -> List[UpdateRecord]:
         """Every retained update, ordered by timestamp then writer (stable)."""
         records = [r for recs in self._updates.values() for r in recs]
-        return sorted(records, key=lambda r: (r.timestamp, r.writer, r.seq))
+        return sorted(records, key=_BY_TIME)
 
     def update_keys(self) -> frozenset:
         """Every retained ``(writer, seq)`` key (memoised; read-only)."""
@@ -611,7 +615,7 @@ class ExtendedVersionVector:
                     f"checkpoint; records below the stability frontier are "
                     f"no longer individually available")
             missing.extend(self.updates_above(writer, have))
-        missing.sort(key=lambda r: (r.timestamp, r.writer, r.seq))
+        missing.sort(key=_BY_TIME)
         return missing
 
     def error_triple_against(self, reference: "ExtendedVersionVector") -> ErrorTriple:
@@ -688,7 +692,7 @@ class ExtendedVersionVector:
             grouped.setdefault(record.writer, []).append(record)
         # Apply per writer in sequence order; interleave writers deterministically.
         for writer in sorted(grouped):
-            for record in sorted(grouped[writer], key=lambda r: r.seq):
+            for record in sorted(grouped[writer], key=_BY_SEQ):
                 vector = vector.apply(record)
         return vector
 

@@ -40,39 +40,44 @@ class DrawBuffer:
     Python floats amortises that to ~10 ns per draw while preserving the
     exact draw sequence of the underlying generator (uniforms and
     exponentials come from the same generator, interleaved block-wise).
+
+    Each block is held reversed, so a draw is one ``list.pop()``.  A hot
+    caller pops :attr:`uniforms` / :attr:`exponentials` itself while they
+    are non-empty and calls the method, which refills, when they are not:
+    ``u = uniforms.pop() if uniforms else draws.uniform()``.  The lists are
+    refilled in place, so a reference held across refills stays valid.
     """
 
-    __slots__ = ("_rng", "_block", "_uni", "_ui", "_exp", "_ei")
+    __slots__ = ("_rng", "_block", "uniforms", "exponentials")
 
     def __init__(self, rng: np.random.Generator, block: int = 256) -> None:
         self._rng = rng
         self._block = block
-        self._uni: List[float] = []
-        self._ui = 0
-        self._exp: List[float] = []
-        self._ei = 0
+        #: the current uniform block's undrawn values, next draw last
+        self.uniforms: List[float] = []
+        #: the current exponential block's undrawn values, next draw last
+        self.exponentials: List[float] = []
 
     def uniform(self) -> float:
         """One draw from U[0, 1)."""
-        i = self._ui
-        if i >= len(self._uni):
-            self._uni = self._rng.random(self._block).tolist()
-            i = 0
-        self._ui = i + 1
-        return self._uni[i]
+        uniforms = self.uniforms
+        if not uniforms:
+            uniforms.extend(self._rng.random(self._block)[::-1].tolist())
+        return uniforms.pop()
 
     def exponential(self) -> float:
         """One draw from Exp(1)."""
-        i = self._ei
-        if i >= len(self._exp):
-            self._exp = self._rng.standard_exponential(self._block).tolist()
-            i = 0
-        self._ei = i + 1
-        return self._exp[i]
+        exponentials = self.exponentials
+        if not exponentials:
+            exponentials.extend(
+                self._rng.standard_exponential(self._block)[::-1].tolist())
+        return exponentials.pop()
 
 
 class OpMix:
-    """Seeded read/write mix: an op is a read when its draw < read_fraction."""
+    """Seeded read/write mix: the :class:`~repro.workloads.driver
+    .TrafficDriver` issues a read when the op's uniform draw is below
+    ``read_fraction``."""
 
     __slots__ = ("read_fraction",)
 
@@ -80,9 +85,6 @@ class OpMix:
         if not 0.0 <= read_fraction <= 1.0:
             raise ValueError("read_fraction must lie in [0, 1]")
         self.read_fraction = read_fraction
-
-    def is_read(self, u: float) -> bool:
-        return u < self.read_fraction
 
     def describe(self) -> str:
         return f"{self.read_fraction:.0%}R/{1 - self.read_fraction:.0%}W"
@@ -153,13 +155,16 @@ class OpenLoopClient(ClientStream):
         if peak <= 0.0:
             return None
         draws = self.draws
+        uniforms, exponentials = draws.uniforms, draws.exponentials
         rate = schedule.rate
         inv_peak = 1.0 / peak
         t = after
         for _ in range(self.MAX_PROBE_BATCHES):
             for _ in range(self.MAX_PROBES):
-                t += draws.exponential() * inv_peak
-                if draws.uniform() * peak <= rate(t):
+                t += (exponentials.pop() if exponentials
+                      else draws.exponential()) * inv_peak
+                if (uniforms.pop() if uniforms
+                        else draws.uniform()) * peak <= rate(t):
                     return t
             # A long quiet stretch (pre-flash-crowd baseline 0, the off half
             # of a repeating schedule): finish only when the schedule says

@@ -283,9 +283,13 @@ class TrafficDriver:
             self.ops_issued += 1
             stream.ops_issued += 1
             return
+        # the op-mix draw, then the popularity draw, popped in line
         draws = stream.draws
-        is_read = stream.mix.is_read(draws.uniform())
-        index = stream.popularity.pick(draws.uniform(), now)
+        uniforms = draws.uniforms
+        is_read = ((uniforms.pop() if uniforms else draws.uniform())
+                   < stream.mix.read_fraction)
+        index = stream.popularity.pick(
+            uniforms.pop() if uniforms else draws.uniform(), now)
         middleware = stream.middlewares[index]
         if is_read:
             result = middleware.read(new_snapshot=stream.snapshot_reads,
@@ -310,7 +314,7 @@ class TrafficDriver:
         self.ops_issued += 1
         stream.ops_issued += 1
         bus = self.deployment.bus
-        if bus.wants(ClientOpCompleted):
+        if ClientOpCompleted in bus.wants:
             bus.publish(ClientOpCompleted(
                 object_id=middleware.object_id, node_id=stream.node_id,
                 stream_id=stream.stream_id, kind=kind, level=level, time=now))

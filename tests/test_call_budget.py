@@ -1,12 +1,14 @@
-"""Deterministic budgets for the write path: calls, bytes, no instance dict.
+"""Deterministic budgets for the op paths: calls, bytes, no instance dict.
 
 Wall clocks cannot gate in tier-1 (DESIGN §4); call counts can — they are a
-function of the code alone.  The shape is the perf ledger's ``sim-detect``
-workload, built inline (``tests/`` does not import ``benchmarks``): 8 nodes,
-8 objects, 4 ``PeriodicTimer`` writers each at a 0.4 s period, hint 0, no
-background rounds.  A write there is one timer tick and three digest
-deliveries, and what it costs is, to a first approximation, how many Python
-frames it enters (DESIGN §5, "the three standing targets").
+function of the code alone.  The write path's shape is the perf ledger's
+``sim-detect`` workload, built inline (``tests/`` does not import
+``benchmarks``): 8 nodes, 8 objects, 4 ``PeriodicTimer`` writers each at a
+0.4 s period, hint 0, no background rounds.  A write there is one timer tick
+and three digest deliveries, and what it costs is, to a first
+approximation, how many Python frames it enters (DESIGN §5, "the three
+standing targets").  The read path's is ``sim-longrun``'s: open-loop
+clients through the ``TrafficDriver``, 90 % reads.
 
 Four more counts ride along: the interpreted frames one announce costs the
 live frame codec (``live-uds``'s share of a write), what one
@@ -26,10 +28,13 @@ from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.deployment import DeploymentBuilder
 from repro.core.detection import VersionDigest, WriterSummary
 from repro.live import wire
+from repro.overlay.temperature import TemperatureConfig
+from repro.overlay.two_layer import OverlayConfig
 from repro.runtime.events import WriteRecorded
 from repro.store.replica import Replica
 from repro.transport.timers import PeriodicTimer
 from repro.versioning.extended_vector import ExtendedVersionVector, UpdateRecord
+from repro.workloads import ClientPopulation, ConstantRate, OpMix, ZipfPopularity
 
 NODES = 8
 OBJECTS = 8
@@ -38,16 +43,17 @@ WRITE_PERIOD = 0.4
 WARMUP_S = 6.0
 MEASURED_S = 24.0            # 32 writers × 60 periods = 1,920 writes
 
-#: ``call`` events per write: PR 19's code reads 141.7, its parent 186.5 —
-#: both on CPython 3.11, the only interpreter this was ever read on (CI also
-#: runs 3.10 and 3.12).  Every counted frame is a function of this
-#: repository (no standard-library frame is entered per write), so what an
-#: interpreter can change is how it frames the two comprehensions a write
-#: runs: 3.10 frames them as 3.11 does, 3.12 inlines them (two fewer).  So:
-#: about 5 % head-room where the number was read, 10 % where it was not —
-#: replace the second literal when somebody reads it there.  Evaluating a
-#: level on each of a write's three deliveries again reads 156.7 on 3.11.
-CALLS_PER_WRITE_BUDGET = 149.0 if sys.version_info[:2] == (3, 11) else 156.0
+#: ``call`` events per write: 95.8 on CPython 3.11, the only interpreter this
+#: was ever read on (CI also runs 3.10 and 3.12); 137.8 while the clock,
+#: liveness, the bus's subscriber test and a digest's total were calls and a
+#: scheduled event two frames, 186.5 before the write path was first
+#: budgeted.  Every counted frame is a function of this repository (no
+#: standard-library frame is entered per write), so what an interpreter can
+#: change is how it frames the comprehensions a write runs: 3.10 frames them
+#: as 3.11 does, 3.12 inlines them.  So: about 5 % head-room where the
+#: number was read, 10 % where it was not — replace the second literal when
+#: somebody reads it there.
+CALLS_PER_WRITE_BUDGET = 100.5 if sys.version_info[:2] == (3, 11) else 105.3
 
 
 def _build(seed):
@@ -106,6 +112,68 @@ def test_interpreted_calls_and_events_per_write(record_property):
     assert calls / writes <= CALLS_PER_WRITE_BUDGET, calls / writes
 
 
+#: the ledger's ``sim-longrun`` shape: 64 open-loop clients at 40 ops/s
+#: each over 16 nodes and 4 objects (Zipf 0.5), 90 % reads, background
+#: rounds and truncation every 2 s (5 s kept); measured past the first
+#: truncation that folds anything, across two more
+LONGRUN_NODES = 16
+LONGRUN_OBJECTS = 4
+LONGRUN_WARMUP_S = 6.5
+LONGRUN_MEASURED_S = 4.0
+
+#: ``call`` events per read-path op: 43.5 on CPython 3.11, 72.7 while the
+#: same calls stood on this path and each of a client's draws was a method
+#: call.  The write path's head-room rule.
+CALLS_PER_OP_BUDGET = 45.7 if sys.version_info[:2] == (3, 11) else 47.9
+
+
+def _build_longrun(seed):
+    config = IdeaConfig(mode=AdaptationMode.HINT_BASED, hint_level=0.0,
+                        background_period=2.0, outcome_history=256)
+    overlay = OverlayConfig(temperature=TemperatureConfig(
+        half_life=600.0, hot_threshold=0.5, max_top_size=LONGRUN_NODES,
+        min_top_size=1))
+    builder = DeploymentBuilder(num_nodes=LONGRUN_NODES, seed=seed,
+                                overlay_config=overlay)
+    for i in range(LONGRUN_OBJECTS):
+        builder.add_object(f"obj{i}", config, start_background=True)
+    population = ClientPopulation(
+        name="web", num_clients=64,
+        popularity=ZipfPopularity(LONGRUN_OBJECTS, 0.5), mix=OpMix(0.9),
+        schedule=ConstantRate(40.0))
+    builder.add_traffic([population], truncate_every=2.0, truncate_window=5.0,
+                        truncate_keep_content=False)
+    return builder.start_overlay_services().build()
+
+
+def test_interpreted_calls_per_op_on_the_read_path(record_property):
+    d = _build_longrun(seed=5)
+    d.run(until=LONGRUN_WARMUP_S)
+    driver = d.traffic
+    ops, reads, folded = (driver.ops_issued, driver.reads_issued,
+                          driver.entries_folded)
+    assert folded > 0
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        d.run(until=LONGRUN_WARMUP_S + LONGRUN_MEASURED_S)
+    finally:
+        sys.setprofile(None)
+    ops, reads = driver.ops_issued - ops, driver.reads_issued - reads
+    assert ops == 10_074 and reads == 9_034
+    assert driver.entries_folded > folded
+    record_property("calls_per_op", calls / ops)
+    print(f"calls_per_op={calls / ops:.2f} on CPython "
+          f"{sys.version_info[0]}.{sys.version_info[1]}")
+    assert calls / ops <= CALLS_PER_OP_BUDGET, calls / ops
+
+
 #: ``call`` events for one 4-writer announce over the live codec (below):
 #: 33 on CPython 3.11, 61 before the encoder was built once and unchanged
 #: writers decoded to held pairs.  The write path's head-room rule: about 5 %
@@ -122,7 +190,8 @@ def _announce(grown):
             ("n01", WriterSummary(409, 411.0528340197921, 12.802281205999998)),
             ("n02", WriterSummary(411 + grown, 407.9 + grown, 12.8 + grown)),
             ("n03", WriterSummary(408, 410.26402919855076, 12.800660488000002))),
-        metadata=1638.961130141837 + grown, last_consistent_time=12.68)
+        metadata=1638.961130141837 + grown, last_consistent_time=12.68,
+        total=1640 + grown)
 
 
 def test_interpreted_calls_per_announce_on_the_live_codec(record_property):
@@ -230,7 +299,7 @@ def _values_of_one_write_and_read():
     d.run(until=1.0)
     replica = middleware.replica
     record = replica.vector.updates_from(d.node_ids[0])[0]
-    digest = middleware.detection._local_digest(replica)
+    digest = middleware.detection._local_digest()
     truncated = replica.vector.truncate_to({d.node_ids[0]: 1})
     return [record, replica.log.get(record.key()), digest, digest.writers[0][1],
             outcome, outcome.triple, events[0], middleware.read(),
@@ -251,5 +320,7 @@ def test_per_op_values_have_no_instance_dict_and_pickle():
         # comes home — pickles with the default protocol
         clone = pickle.loads(pickle.dumps(value))
         assert clone == value and not hasattr(clone, "__dict__")
-    values[2].total(), values[2].counts()      # the memos travel or rebuild
-    assert pickle.loads(pickle.dumps(values[2])).counts() == values[2].counts()
+    values[2].counts()                         # the memo travels or rebuilds
+    clone = pickle.loads(pickle.dumps(values[2]))
+    assert clone.counts() == values[2].counts()
+    assert clone.total == values[2].total == decoded_digest.total

@@ -211,7 +211,7 @@ class EnvelopeAgainstReference(RuleBasedStateMachine):
         self.service = DetectionService(
             self.node, object_id="obj", metric=METRIC, weights=WEIGHTS,
             top_layer_provider=lambda: (LOCAL,) + PEERS,
-            replica_provider=lambda: self.replica, digest_cache=self.cache)
+            replica=self.replica, digest_cache=self.cache)
         #: the local node's own updates, which peers may know a prefix of
         self.local_history = []
         #: the model: what each peer last told us that we accepted
@@ -244,7 +244,8 @@ class EnvelopeAgainstReference(RuleBasedStateMachine):
             object_id="obj", node_id=peer, issued_at=issued_at,
             writers=writers,
             metadata=sum(s.cumulative_metadata for _, s in writers),
-            last_consistent_time=consistent_at)
+            last_consistent_time=consistent_at,
+            total=sum(s.count for _, s in writers))
 
     def _deliver(self, peer, shared, consistent_at=0.0):
         digest = self._digest(peer, self._tick(), shared, consistent_at)
@@ -396,7 +397,7 @@ def test_lookups_the_service_answers_itself_still_count_as_cache_hits():
     service = DetectionService(
         _Endpoint(), object_id="obj", metric=METRIC, weights=WEIGHTS,
         top_layer_provider=lambda: (LOCAL,),
-        replica_provider=lambda: replica, digest_cache=cache)
+        replica=replica, digest_cache=cache)
     replica.local_write(LOCAL, 1.0, metadata_delta=1.0)
     for _ in range(4):
         service.current_level()
@@ -441,7 +442,7 @@ def test_an_announce_reads_the_clock_once_and_ships_the_cached_digest():
     service = DetectionService(
         node, object_id="obj", metric=METRIC, weights=WEIGHTS,
         top_layer_provider=lambda: (LOCAL, "p1"),
-        replica_provider=lambda: replica, digest_cache=cache)
+        replica=replica, digest_cache=cache)
     for _ in range(3):
         replica.local_write(LOCAL, 1.0, metadata_delta=1.0)
         reads = node.clock.reads

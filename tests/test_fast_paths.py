@@ -37,7 +37,7 @@ def always_evaluate(self, digest):
     """``IdeaMiddleware._on_remote_digest`` as it was before levels were
     computed on demand: evaluate after every ingested digest, then ask."""
     level = self.detection.current_level()
-    if self.bus.wants(DetectionEvaluated):
+    if DetectionEvaluated in self.bus.wants:
         success = digest.counts() == self.detection.local_counts()
         self.bus.publish(DetectionEvaluated(
             object_id=self.object_id, node_id=self.node.node_id,
@@ -233,7 +233,7 @@ class TestLevelsOnDemand:
         memo, lookups = a.detection._eval_memo, cache.hits + cache.misses
         b.write(metadata_delta=1.0)
         d.run(until=4.0)
-        assert a.detection.peer_digests[b.node.node_id].total() == 2
+        assert a.detection.peer_digests[b.node.node_id].total == 2
         assert a.detection._eval_memo is memo
         assert cache.hits + cache.misses == lookups
         # ... and the level is there the moment somebody asks

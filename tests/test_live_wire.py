@@ -176,7 +176,7 @@ def _example_digest():
                                        last_timestamp=1.0)),
                  ("n01", WriterSummary(count=1, cumulative_metadata=1.0,
                                        last_timestamp=1.2))),
-        metadata=4.5, last_consistent_time=0.0)
+        metadata=4.5, last_consistent_time=0.0, total=3)
 
 
 PROTOCOL_PAYLOADS = [
@@ -352,7 +352,8 @@ def test_golden_digest_announce_frame():
             ("n01", WriterSummary(409, 411.0528340197921, 12.802281205999998)),
             ("n02", WriterSummary(411, 407.91166135629214, 12.803117656000001)),
             ("n03", WriterSummary(408, 410.26402919855076, 12.800660488000002))),
-        metadata=1638.961130141837, last_consistent_time=12.688102336000002)
+        metadata=1638.961130141837, last_consistent_time=12.688102336000002,
+        total=1640)
     frame = wire.encode_envelope("n02", "n00", "idea.detection",
                                  "idea_digest:obj0", {"digest": digest}, 256,
                                  12.803391408)
@@ -419,11 +420,12 @@ def _decoded_announce(object_id, rows):
         object_id=object_id, node_id="n01", issued_at=2.0,
         writers=tuple((w, WriterSummary(c, cum, last))
                       for w, c, cum, last in rows),
-        metadata=1.0, last_consistent_time=0.0)
+        metadata=1.0, last_consistent_time=0.0,
+        total=sum(c for _, c, _, _ in rows))
     frame = wire.encode_envelope("n01", "n00", "idea.detection", "t",
                                  {"digest": digest}, 256, 2.0)
     restored = wire.decode_envelope(frame[4:])[4]["digest"]
-    assert restored == digest
+    assert restored == digest and restored.total == digest.total
     return restored
 
 
@@ -451,8 +453,9 @@ def test_a_repeated_count_with_other_fields_is_a_fresh_pair(changed):
 
 def test_a_live_peer_folds_only_the_writers_that_grew(tmp_path):
     """Four in-process live nodes over UNIX sockets, every replica holding
-    all four writers after one resolution: each received announce enters
-    the envelope fold (``_fold_writer``) for the one writer that grew, and
+    all four writers after one resolution: each received announce takes the
+    aligned pass of the envelope fold (never the general walk through
+    ``_fold_writer``), raises the maximum of the one writer that grew, and
     hands every other writer over as the very pair the receiver holds."""
     import asyncio
 
@@ -470,21 +473,25 @@ def test_a_live_peer_folds_only_the_writers_that_grew(tmp_path):
     stacks = [build_live_stack(spec, node, addresses, kind="uds", loop=loop)
               for node in nodes]
     services = [stack.middlewares[object_id].detection for stack in stacks]
-    ingests = []        # (held digest, arriving digest, writers folded)
+    #: (held digest, arriving digest, writers walked, maxima raised)
+    ingests = []
 
     for service in services:
         def ingest_digest(digest, service=service,
                           ingest=service.ingest_digest):
-            folded = []
+            walked = []
             service._fold_writer = lambda writer, summary: (
-                folded.append(writer),
+                walked.append(writer),
                 type(service)._fold_writer(service, writer, summary))
             held = service._peer_digests.get(digest.node_id)
+            before = dict(service._ref_best)
             try:
                 ingest(digest)
             finally:
                 del service._fold_writer
-            ingests.append((held, digest, folded))
+            raised = [writer for writer, summary in service._ref_best.items()
+                      if before.get(writer) is not summary]
+            ingests.append((held, digest, walked, raised))
         service.ingest_digest = ingest_digest
 
     async def until(condition):
@@ -496,7 +503,7 @@ def test_a_live_peer_folds_only_the_writers_that_grew(tmp_path):
 
     def everyone_holds(writes):
         return all(len(service._peer_digests) == 3
-                   and all(d.total() == writes
+                   and all(d.total == writes
                            for d in service._peer_digests.values())
                    for service in services)
 
@@ -535,11 +542,12 @@ def test_a_live_peer_folds_only_the_writers_that_grew(tmp_path):
     finally:
         loop.close()
     assert len(ingests) == 3 * 3 * 4
-    for held, digest, folded in ingests:
+    for held, digest, walked, raised in ingests:
         held_pairs = dict(held.writers)
         grown = [writer for writer, summary in digest.writers
                  if summary.count > held_pairs[writer].count]
-        assert grown == [digest.node_id] == folded
+        assert walked == []
+        assert grown == [digest.node_id] == raised
         assert all(pair is held_pair
                    for pair, held_pair in zip(digest.writers, held.writers)
                    if pair[0] != digest.node_id)

@@ -68,11 +68,20 @@ class TestEventBus:
 
     def test_wants_reflects_subscriptions(self):
         bus = EventBus()
-        assert not bus.wants(WriteRecorded)
+        assert WriteRecorded not in bus.wants
         cancel = bus.subscribe(WriteRecorded, lambda e: None)
-        assert bus.wants(WriteRecorded)
+        again = bus.subscribe(WriteRecorded, lambda e: None)
+        assert WriteRecorded in bus.wants
         cancel()
-        assert not bus.wants(WriteRecorded)
+        assert WriteRecorded in bus.wants
+        again()
+        assert WriteRecorded not in bus.wants
+        cancel()  # idempotent, also once the type has no subscriber left
+        later = bus.subscribe(WriteRecorded, lambda e: None)
+        cancel()  # a spent unsubscribe leaves a later subscription alone
+        assert WriteRecorded in bus.wants
+        later()
+        assert WriteRecorded not in bus.wants
 
 
 class TestDigestCache:
@@ -84,6 +93,8 @@ class TestDigestCache:
         cached = cache.local_digest("obj", replica, now=3.0)
         fresh = VersionDigest.from_replica(replica, issued_at=3.0)
         assert cached == fresh
+        # the total is not compared: both builders sum it themselves
+        assert cached.total == fresh.total == 2
 
     def test_hit_until_replica_changes(self):
         replica = Replica("n00", "obj")
@@ -102,6 +113,7 @@ class TestDigestCache:
             cached = cache.local_digest("obj", replica, now=float(i + 1))
             fresh = VersionDigest.from_replica(replica, issued_at=float(i + 1))
             assert cached == fresh
+            assert cached.total == fresh.total == i + 1
 
     def test_mark_consistent_invalidates(self):
         replica = Replica("n00", "obj")

@@ -15,6 +15,10 @@ from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.deployment import DeploymentBuilder
 from repro.experiments.fig_churn_availability import fingerprint, run_churn_point
 from repro.scenarios import FaultInjector, FaultPlan
+from repro.sim.engine import Simulator
+from repro.sim.latency import LatencyModel
+from repro.sim.network import Network
+from repro.sim.node import Node
 from repro.transport.timers import PeriodicTimer
 
 
@@ -245,6 +249,19 @@ class TestPartitions:
         deployment.network.partition([nodes[:4], nodes[4:]])
         deployment.run(until=5.0)
         assert deployment.network.stats.drop_reasons["partition"] >= 1
+
+    @pytest.mark.parametrize("groups", [[[], ["a"]], [["a"]], [["a"], []],
+                                        [[], [], ["a"]]])
+    def test_an_empty_group_leaves_the_implicit_group_apart(self, groups):
+        """Unlisted nodes form one group of their own whatever else is
+        listed: an empty group once gave them a listed group's index."""
+        network = Network(Simulator(), LatencyModel.fixed(0.01))
+        for node_id in "abc":
+            Node(network.sim, network, node_id)
+        network.partition(groups)
+        assert not network.reachable("a", "c")
+        assert not network.reachable("c", "a")
+        assert network.reachable("b", "c")
 
     def test_overlapping_groups_rejected(self):
         deployment = _small_deployment()

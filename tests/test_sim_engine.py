@@ -4,62 +4,68 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import Event, EventQueue, SimulationError, Simulator
+from repro.sim.engine import _NO_ARG, SimulationError, Simulator
+
+
+def _queue():
+    """A fresh simulator's queue, and the ``call_at`` that pushes onto it."""
+    sim = Simulator()
+    return sim._queue, sim.call_at
 
 
 class TestEventQueue:
     def test_pop_returns_events_in_time_order(self):
-        q = EventQueue()
+        q, push = _queue()
         order = []
-        q.push(2.0, lambda: order.append("b"))
-        q.push(1.0, lambda: order.append("a"))
-        q.push(3.0, lambda: order.append("c"))
+        push(2.0, lambda: order.append("b"))
+        push(1.0, lambda: order.append("a"))
+        push(3.0, lambda: order.append("c"))
         while (event := q.pop()) is not None:
             event.callback()
         assert order == ["a", "b", "c"]
 
     def test_ties_broken_by_insertion_order(self):
-        q = EventQueue()
-        first = q.push(1.0, lambda: None)
-        second = q.push(1.0, lambda: None)
+        q, push = _queue()
+        first = push(1.0, lambda: None)
+        second = push(1.0, lambda: None)
         assert q.pop() is first
         assert q.pop() is second
 
     def test_priority_orders_events_at_same_time(self):
-        q = EventQueue()
-        timer = q.push(1.0, lambda: None, priority=0)
-        network = q.push(1.0, lambda: None, priority=-1)
+        q, push = _queue()
+        timer = push(1.0, lambda: None, priority=0)
+        network = push(1.0, lambda: None, priority=-1)
         assert q.pop() is network
         assert q.pop() is timer
 
     def test_cancelled_events_are_skipped(self):
-        q = EventQueue()
-        event = q.push(1.0, lambda: None)
+        q, push = _queue()
+        event = push(1.0, lambda: None)
         event.cancel()
         assert q.pop() is None
 
     def test_len_counts_only_live_events(self):
-        q = EventQueue()
-        e1 = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
+        q, push = _queue()
+        e1 = push(1.0, lambda: None)
+        push(2.0, lambda: None)
         e1.cancel()
         assert len(q) == 1
 
     def test_peek_time_skips_cancelled(self):
-        q = EventQueue()
-        e1 = q.push(1.0, lambda: None)
-        q.push(5.0, lambda: None)
+        q, push = _queue()
+        e1 = push(1.0, lambda: None)
+        push(5.0, lambda: None)
         e1.cancel()
         assert q.peek_time() == 5.0
 
     def test_nan_time_rejected(self):
-        q = EventQueue()
+        q, push = _queue()
         with pytest.raises(SimulationError):
-            q.push(float("nan"), lambda: None)
+            push(float("nan"), lambda: None)
 
     def test_len_is_maintained_not_scanned(self):
-        q = EventQueue()
-        events = [q.push(float(i), lambda: None) for i in range(10)]
+        q, push = _queue()
+        events = [push(float(i), lambda: None) for i in range(10)]
         assert len(q) == 10
         events[3].cancel()
         events[7].cancel()
@@ -70,16 +76,16 @@ class TestEventQueue:
         assert len(q) == 7
 
     def test_cancel_after_pop_is_noop(self):
-        q = EventQueue()
-        event = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
+        q, push = _queue()
+        event = push(1.0, lambda: None)
+        push(2.0, lambda: None)
         assert q.pop() is event
         event.cancel()
         assert len(q) == 1
 
     def test_heap_compacts_when_mostly_cancelled(self):
-        q = EventQueue()
-        events = [q.push(float(i), lambda: None) for i in range(200)]
+        q, push = _queue()
+        events = [push(float(i), lambda: None) for i in range(200)]
         for event in events[:150]:
             event.cancel()
         # More cancelled than live entries: the heap must have been compacted
@@ -92,8 +98,8 @@ class TestEventQueue:
         # Cancellation-heavy idle polling: peek_time drains cancelled heads
         # through the same threshold bookkeeping as _note_cancelled, so deep
         # cancelled entries cannot pile up behind a pattern of peeks.
-        q = EventQueue()
-        events = [q.push(float(i), lambda: None) for i in range(200)]
+        q, push = _queue()
+        events = [push(float(i), lambda: None) for i in range(200)]
         # Cancel a majority, but interleave so compaction hasn't fired yet
         # when the last head-drain happens.
         live = events[150:]
@@ -105,34 +111,34 @@ class TestEventQueue:
         assert len(q._heap) <= len(live) + q.cancelled_pending
 
     def test_recyclable_events_are_pooled(self):
-        q = EventQueue()
+        q, push = _queue()
         fired = []
-        first = q.push(1.0, lambda: fired.append(1), recyclable=True)
+        first = push(1.0, lambda: fired.append(1), recyclable=True)
         assert q.pop() is first
         q._recycle(first)
-        second = q.push(2.0, lambda: fired.append(2), recyclable=True)
+        second = push(2.0, lambda: fired.append(2), recyclable=True)
         assert second is first  # the pooled object was reused
         assert second.time == 2.0 and not second.cancelled
 
     def test_cancelled_recyclable_events_return_to_pool(self):
-        q = EventQueue()
-        event = q.push(1.0, lambda: None, recyclable=True)
-        q.push(2.0, lambda: None)
+        q, push = _queue()
+        event = push(1.0, lambda: None, recyclable=True)
+        push(2.0, lambda: None)
         event.cancel()
         assert q.pop().time == 2.0  # skipping the head recycles it
         assert q.pool_size == 1
 
     def test_non_recyclable_handles_never_enter_pool(self):
-        q = EventQueue()
-        event = q.push(1.0, lambda: None)
+        q, push = _queue()
+        event = push(1.0, lambda: None)
         q.pop()
         assert q.pool_size == 0
         event.cancel()  # late cancel on an executed event stays a no-op
         assert len(q) == 0
 
     def test_compaction_preserves_order(self):
-        q = EventQueue()
-        events = [q.push(float(i), lambda: None, label=str(i)) for i in range(100)]
+        q, push = _queue()
+        events = [push(float(i), lambda: None, label=str(i)) for i in range(100)]
         for event in events:
             if event.time % 2 == 0:
                 event.cancel()
@@ -175,6 +181,32 @@ class TestSimulatorPooling:
         assert count["n"] == 50
         # One event object cycles through the pool for the whole run.
         assert sim._queue.pool_size <= 1
+
+    def test_a_recycled_event_carries_nothing_stale(self):
+        sim = Simulator()
+        seen = []
+        sim.call_after(1.0, seen.append, arg="delivered", label="deliver:a",
+                       recyclable=True)
+        dropped = sim.call_after(2.0, seen.append, arg="dropped",
+                                 label="deliver:b", recyclable=True)
+        dropped.cancel()
+        sim.call_after(3.0, lambda: None)   # the run loop skips the cancelled head
+        sim.run()
+        assert seen == ["delivered"]
+        parked = list(sim._queue._pool)
+        assert len(parked) == 2
+        for event in parked:          # run, or skipped once cancelled
+            assert event.arg is _NO_ARG
+            assert event.callback is None and event.queue is None
+        fired = []
+        reused = [sim.call_after(1.0, lambda: fired.append("bare"),
+                                 recyclable=True) for _ in parked]
+        assert sorted(map(id, reused)) == sorted(map(id, parked))
+        for event in reused:
+            assert event.arg is _NO_ARG and event.label == ""
+            assert not event.cancelled and event.queue is sim._queue
+        sim.run()
+        assert fired == ["bare", "bare"]
 
 
 class TestSimulator:

@@ -200,7 +200,7 @@ class TestDetectionEnvelopeEquivalence:
     """The incremental reference envelope must match a full rebuild."""
 
     def fresh_level(self, detection) -> float:
-        local = VersionDigest.from_replica(detection._replica_provider(),
+        local = VersionDigest.from_replica(detection.replica,
                                            detection.node.clock.now)
         reference = build_reference([local] + list(detection.peer_digests.values()))
         triple = reference.triple_for(local)

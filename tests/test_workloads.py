@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
@@ -23,6 +25,7 @@ from repro.workloads import (
     UniformWorkload,
     ZipfPopularity,
 )
+from repro.workloads.clients import DrawBuffer
 
 
 class TestPopularityModels:
@@ -126,6 +129,59 @@ class TestRateSchedules:
             FlashCrowdRate(5.0, 1.0, at=0.0)
         with pytest.raises(ValueError):
             PiecewiseRate([])
+
+
+#: a uniform or exponential draw, through the method or popped in line the
+#: way the driver and the open-loop client pop them
+DRAW_KINDS = ("uniform", "exponential", "pop-uniform", "pop-exponential")
+BLOCK = 256
+
+
+def _block_draws(seed, kinds):
+    """What the buffer must return: ``Generator.random(256)`` and
+    ``standard_exponential(256)`` blocks, each drawn from the one generator
+    when its kind's previous block is used up, read front to back."""
+    rng = np.random.default_rng(seed)
+    blocks = {"uniform": [], "exponential": []}
+    out = []
+    for kind in kinds:
+        family = kind.removeprefix("pop-")
+        if not blocks[family]:
+            blocks[family] = list(rng.random(BLOCK) if family == "uniform"
+                                  else rng.standard_exponential(BLOCK))
+        out.append(float(blocks[family].pop(0)))
+    return out
+
+
+class TestDrawBuffer:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           pattern=st.lists(st.sampled_from(DRAW_KINDS), min_size=1,
+                            max_size=24))
+    def test_interleaved_draws_are_the_generator_blocks(self, seed, pattern):
+        # repeat the interleaving until each family is refilled twice
+        pattern = pattern + [kind for kind in DRAW_KINDS[:2]
+                             if not any(k.endswith(kind) for k in pattern)]
+        kinds, drawn = [], {"uniform": 0, "exponential": 0}
+        while min(drawn.values()) <= 3 * BLOCK:
+            for kind in pattern:
+                kinds.append(kind)
+                drawn[kind.removeprefix("pop-")] += 1
+        draws = DrawBuffer(np.random.default_rng(seed))
+        uniforms, exponentials = draws.uniforms, draws.exponentials
+        got = []
+        for kind in kinds:
+            if kind == "uniform":
+                got.append(draws.uniform())
+            elif kind == "exponential":
+                got.append(draws.exponential())
+            elif kind == "pop-uniform":
+                got.append(uniforms.pop() if uniforms else draws.uniform())
+            else:
+                got.append(exponentials.pop() if exponentials
+                           else draws.exponential())
+        assert got == _block_draws(seed, kinds)
+        assert all(type(value) is float for value in got)
 
 
 class TestClientStreams:
@@ -255,7 +311,7 @@ class TestClientStreams:
 
     def test_op_mix_validation_and_split(self):
         mix = OpMix(0.75)
-        assert mix.is_read(0.74) and not mix.is_read(0.76)
+        assert mix.read_fraction == 0.75 and mix.describe() == "75%R/25%W"
         with pytest.raises(ValueError):
             OpMix(1.5)
 
