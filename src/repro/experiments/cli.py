@@ -9,11 +9,12 @@ Runs any registered experiment through the sweep farm::
 
 ``--jobs N`` runs the points over N worker processes (default 1: serially,
 in-process).  ``--smoke`` applies the registry's shrunken parameters — the
-same code path on a seconds-sized grid.  A failed point (``FarmPointError``,
-a conformance divergence included) is attempted once and exits 1 with a
-diagnostic, so CI smoke steps cannot silently pass on a failure; a
-``--param`` key, ``--world`` or ``--backend`` the experiment does not take,
-or a ``--jobs`` below 1, exits 2 naming what it accepts.
+same code path on a seconds-sized grid.  A failed point (``FarmPointError``)
+is attempted once and exits 1 with a diagnostic, so CI smoke steps cannot
+silently pass on a failure; a ``--param`` key or ``--world`` the experiment
+does not take, or a ``--jobs`` below 1, exits 2 naming what it accepts.
+Every experiment runs on the simulator; the live backend's oracle run is
+``python -m repro.live``.
 """
 
 from __future__ import annotations
@@ -96,10 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="worlds", metavar="NAME|PATH",
                         help="restrict a world-aware experiment to this "
                              "catalog world or world JSON file (repeatable)")
-    parser.add_argument("--backend", choices=("sim", "live"), default=None,
-                        help="execution backend for backend-aware "
-                             "experiments: the discrete-event simulator or "
-                             "the socket-backed live transport")
     parser.add_argument("--json", metavar="PATH", dest="json_path",
                         help="also write the result as JSON to PATH ('-' for stdout)")
     parser.add_argument("--smoke", action="store_true",
@@ -135,17 +132,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     kwargs: Dict[str, Any] = dict(entry.smoke) if args.smoke else {}
     kwargs.update(dict(args.param))
-    accepted = entry.parameters()
-    for flag, key, value in (
-            ("--world", "worlds", args.worlds and tuple(args.worlds)),
-            ("--backend", "backend", args.backend)):
-        if value is None:
-            continue
-        if key not in accepted:
-            print(f"error: experiment {args.run!r} does not take {flag}",
+    if args.worlds:
+        if "worlds" not in entry.parameters():
+            print(f"error: experiment {args.run!r} does not take --world",
                   file=sys.stderr)
             return 2
-        kwargs[key] = value
+        kwargs["worlds"] = tuple(args.worlds)
 
     try:
         result = registry.run(args.run, jobs=args.jobs, **kwargs)

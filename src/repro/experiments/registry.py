@@ -17,9 +17,9 @@ import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro.experiments import (conformance, fig2_tradeoff, fig7_hint,
-                               fig8_hint_change, fig9_scalability,
-                               fig10_automatic, fig_churn_availability,
+from repro.experiments import (fig2_tradeoff, fig7_hint, fig8_hint_change,
+                               fig9_scalability, fig10_automatic,
+                               fig_churn_availability,
                                fig_workload_sensitivity, fig_world_matrix,
                                tab2_phases, tab3_overhead)
 from repro.farm import PointSpec, run_specs
@@ -130,14 +130,6 @@ _ENTRIES: List[ExperimentEntry] = [
         fold=fig_world_matrix.fold_world_matrix,
         report=fig_world_matrix.format_world_matrix_report,
         smoke={"worlds": ("wan-20", "edge-lossy"), "duration": 6.0}),
-    ExperimentEntry(
-        name="conformance",
-        description="transport conformance: a backend vs the simulator "
-                    "oracle (fault_plan= for chaos runs)",
-        grid=conformance.build_conformance_grid,
-        fold=lambda specs, values: values[0],
-        report=conformance.format_conformance_report,
-        smoke={"num_nodes": 3, "num_objects": 2, "time_scale": 0.6}),
     ExperimentEntry(
         name="workload",
         description="detection accuracy vs Zipf skew x read mix (beyond paper)",

@@ -14,26 +14,28 @@ package provides their real-network implementation:
 * :mod:`repro.live.scenario` — the backend-neutral conformance scenario and
   the simulator-as-oracle comparison (fair-weather and fault-tolerant);
 * :class:`~repro.live.deployment.LiveDeployment` +
-  :mod:`repro.live.node_main` — one-process-per-node bring-up/teardown with
-  opt-in crash supervision (:class:`~repro.live.deployment.RestartPolicy`);
+  :mod:`repro.live.node_main` — one-process-per-node bring-up, kill,
+  restart and teardown; a crash no plan ordered fails the run;
 * :mod:`repro.live.chaos` + :mod:`repro.live.control` — replay a
   :class:`~repro.scenarios.plan.FaultPlan` against the real processes:
-  signals for crashes, supervised restarts for recoveries, control-channel
-  drop rules for partitions and loss;
-* ``python -m repro.live`` — CLI running a seeded localhost deployment and
-  checking it against the simulator oracle (``--fault-plan`` for chaos).
+  SIGKILLs for crashes, ``--recovering`` restarts for recoveries,
+  control-channel drop rules for partitions and loss;
+  :func:`~repro.live.chaos.run_live_deployment` runs a multiprocess
+  deployment, with or without a plan;
+* ``python -m repro.live`` — the one CLI running the live oracle: a seeded
+  localhost deployment checked against the simulator (``--fault-plan`` for
+  chaos).
 """
 
 from repro.live.backoff import BackoffPolicy
 from repro.live.chaos import LiveFaultController, builtin_plan, resolve_plan
 from repro.live.clock import LiveClock
 from repro.live.control import ControlClient, ControlError, ControlServer
-from repro.live.deployment import LiveDeployment, RestartPolicy
+from repro.live.deployment import LiveDeployment
 from repro.live.node import LiveNode
 from repro.live.transport import LiveTransport
 from repro.live.wire import WireError
 
 __all__ = ["BackoffPolicy", "ControlClient", "ControlError", "ControlServer",
            "LiveClock", "LiveDeployment", "LiveFaultController", "LiveNode",
-           "LiveTransport", "RestartPolicy", "WireError", "builtin_plan",
-           "resolve_plan"]
+           "LiveTransport", "WireError", "builtin_plan", "resolve_plan"]

@@ -6,33 +6,58 @@ Spawns one process per node running the seeded conformance workload,
 collects per-node protocol outcomes, prints an activity summary, and — by
 default — runs the same scenario on the simulator and compares (the
 simulator is the oracle; ``--no-oracle`` skips that step, e.g. for quick
-bring-up checks).
+bring-up checks).  This is the one way to run the live oracle.
 
 ``--fault-plan NAME|PATH`` turns the run into a chaos run: the plan (a
 builtin like ``churn``, or a ``FaultPlan.to_dict`` JSON file) is replayed
-against the real processes — SIGKILLs, supervised restarts, control-channel
-partitions — while the same plan runs on the simulator, and the
-fault-tolerant oracle compares survivor counts and recovery evidence
+against the real processes — SIGKILLs, ``--recovering`` restarts,
+control-channel partitions — while the same plan runs on the simulator, and
+the fault-tolerant oracle compares survivor counts and recovery evidence
 (DESIGN.md §15).  A plan with crashes also asserts nonzero transport
 reconnects, the chaos CI job's signal that re-dialing actually happened.
 The applied chaos timeline lands in ``<rundir>/chaos_timeline.json``.
 
-Exit codes: 0 success, 1 deployment failure or oracle mismatch.
+Exit codes: 0 success, 1 deployment failure or oracle mismatch, 2 bad
+arguments or fault plan (one ``error:`` line; nothing is spawned).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
+from typing import Optional, Tuple
 
 from repro.live.chaos import resolve_plan, run_live_deployment
-from repro.live.deployment import DeploymentError, RestartPolicy
-from repro.live.scenario import (activity, activity_lines, default_scenario,
-                                 fault_oracle_diff, oracle_diff,
-                                 run_sim_scenario)
+from repro.live.deployment import DeploymentError
+from repro.live.scenario import (ScenarioSpec, activity, activity_lines,
+                                 default_scenario, fault_oracle_diff,
+                                 oracle_diff, run_sim_scenario)
+from repro.scenarios.plan import FaultPlan
+
+
+def _configure(args: argparse.Namespace
+               ) -> Tuple[ScenarioSpec, Optional[FaultPlan]]:
+    """The scenario and fault plan the arguments describe; a bad value
+    raises ``ValueError`` (or ``OSError`` for an unreadable plan file)."""
+    for flag, value in (("--nodes", args.nodes), ("--objects", args.objects)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+    if not 0.0 < args.duration < math.inf:
+        raise ValueError(f"--duration must be a positive number of seconds, "
+                         f"got {args.duration}")
+    # default_scenario spans 4.4 time units; scale to the requested duration
+    time_scale = args.duration / 4.4
+    spec = default_scenario(args.nodes, args.objects, seed=args.seed,
+                            time_scale=time_scale)
+    if args.fault_plan is None:
+        return spec, None
+    plan = resolve_plan(args.fault_plan, spec.nodes, time_scale=time_scale)
+    plan.validate(spec.nodes)
+    return spec, plan
 
 
 def main(argv=None) -> int:
@@ -56,35 +81,24 @@ def main(argv=None) -> int:
     parser.add_argument("--fault-plan", default=None, metavar="NAME|PATH",
                         help="replay this FaultPlan against the deployment "
                              "(builtin: churn, kill, partition; or a JSON "
-                             "file); implies supervision")
-    parser.add_argument("--supervise", action="store_true",
-                        help="restart nodes that crash unexpectedly "
-                             "(automatic when --fault-plan is given)")
-    parser.add_argument("--restart-budget", type=int, default=2,
-                        help="supervised restarts allowed per node "
-                             "(default 2)")
+                             "file)")
     parser.add_argument("--no-oracle", action="store_true",
                         help="skip the simulator-oracle comparison")
     parser.add_argument("--json", action="store_true",
                         help="print the full outcome document as JSON")
     args = parser.parse_args(argv)
 
-    # default_scenario spans 4.4 time units; scale to the requested duration
-    time_scale = args.duration / 4.4
-    spec = default_scenario(args.nodes, args.objects, seed=args.seed,
-                            time_scale=time_scale)
+    try:
+        spec, plan = _configure(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rundir = args.rundir or tempfile.mkdtemp(prefix="repro-live-")
     os.makedirs(rundir, exist_ok=True)
 
-    plan = None
-    if args.fault_plan is not None:
-        plan = resolve_plan(args.fault_plan, spec.nodes,
-                            time_scale=time_scale)
-    policy = (RestartPolicy(max_restarts=args.restart_budget)
-              if (args.supervise or plan is not None) else None)
     try:
-        live, controller = run_live_deployment(
-            spec, rundir, plan, kind=args.transport, restart_policy=policy)
+        live, controller = run_live_deployment(spec, rundir, plan,
+                                               kind=args.transport)
     except DeploymentError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         print(f"logs: {os.path.join(rundir, 'log')}", file=sys.stderr)
@@ -94,12 +108,10 @@ def main(argv=None) -> int:
     print(f"live deployment: {len(live)} nodes over {args.transport}, "
           f"rundir {rundir}")
     print("\n".join(activity_lines(totals)))
-    if plan is not None or args.supervise:
-        print(f"  reconnects:            {totals['reconnects']}")
-        print(f"  restarts:              {totals['restarts']}")
     if controller is not None:
+        print(f"  reconnects:            {totals['reconnects']}")
         print(f"  chaos: {len(controller.timeline)} actions applied, "
-              f"{controller.rejoins} supervised re-joins "
+              f"{controller.rejoins} plan re-joins "
               f"(timeline: {os.path.join(rundir, 'chaos_timeline.json')})")
 
     problems = []

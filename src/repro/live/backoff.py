@@ -14,7 +14,7 @@ given a seeded RNG.  The live transport uses two policies:
 * **reconnect** — an *established* connection dropped (peer crashed, was
   SIGKILL'd by the chaos controller, restarted...).  ``max_elapsed=None``:
   the sender keeps trying forever at the capped cadence, because a
-  supervised restart may bring the peer back at any time.  Undeliverable
+  plan's restart may bring the peer back at any time.  Undeliverable
   frames meanwhile become counted drops, never unbounded memory (the
   per-peer queue is bounded — see ``LiveTransport``).
 

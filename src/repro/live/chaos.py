@@ -6,10 +6,10 @@ sim :class:`~repro.scenarios.injector.FaultInjector` arms on simulated
 time — on the **wall clock** of a running
 :class:`~repro.live.deployment.LiveDeployment`:
 
-* ``crash``   → a real signal (SIGKILL by default) to the node's process,
-  held down so the supervisor honours the plan's downtime window;
-* ``recover`` → a supervised respawn with ``--recovering`` (the node
-  re-joins mid-timeline with amnesia, as a real crashed replica would);
+* ``crash``   → a SIGKILL to the node's process, held down for the plan's
+  downtime window;
+* ``recover`` → a respawn with ``--recovering`` (the node re-joins
+  mid-timeline with amnesia, as a real crashed replica would);
 * ``partition`` / ``heal`` / ``set_loss`` / ``restore_loss`` → per-peer
   drop rules pushed over each node's control socket
   (:mod:`repro.live.control`) and enforced inside ``LiveTransport`` with
@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.live.control import ControlClient, ControlError
-from repro.live.deployment import LiveDeployment, RestartPolicy
+from repro.live.deployment import LiveDeployment
 from repro.live.scenario import ScenarioSpec
 from repro.scenarios.plan import (CRASH, HEAL, PARTITION, RECOVER,
                                   RESTORE_LOSS, SET_LOSS, FaultAction,
@@ -51,17 +50,15 @@ RULE_SYNC_WINDOW = 10.0
 class LiveFaultController:
     """Drives one fault plan against one live deployment, wall-clock."""
 
-    def __init__(self, deployment: Any, plan: FaultPlan, *,
-                 crash_signal: int = signal.SIGKILL) -> None:
+    def __init__(self, deployment: Any, plan: FaultPlan) -> None:
         plan.validate(deployment.spec.nodes)
         self.deployment = deployment
         self.plan = plan
-        self.crash_signal = crash_signal
         self.epoch: Optional[float] = None
         self.applied_until = 0.0
         #: applied-action log: dicts with plan time, wall time, and action
         self.timeline: List[Dict[str, Any]] = []
-        #: supervised restarts this controller ordered (plan recoveries)
+        #: restarts this controller ordered (plan recoveries)
         self.rejoins = 0
         self._groups: Optional[Sequence[Sequence[str]]] = None
         self._loss = 0.0
@@ -95,7 +92,7 @@ class LiveFaultController:
     # ----------------------------------------------------------------- tick
     def tick(self) -> None:
         """Apply every plan action that has come due; safe to call often
-        (LiveDeployment.wait drives it at its supervision cadence)."""
+        (LiveDeployment.wait drives it at its polling cadence)."""
         if self.epoch is None and not self._establish_epoch():
             return
         t = time.monotonic() - self.epoch
@@ -114,10 +111,9 @@ class LiveFaultController:
         record: Dict[str, Any] = {"planned_at": action.time, "applied_at": t,
                                   "action": action.to_dict()}
         if action.kind == CRASH:
-            self.deployment.kill_node(action.node_id,
-                                      sig=self.crash_signal, hold=True)
+            self.deployment.kill_node(action.node_id)
         elif action.kind == RECOVER:
-            self.deployment.restart_node(action.node_id, recovering=True)
+            self.deployment.restart_node(action.node_id)
             self.rejoins += 1
             # the restarted node must learn the *current* drop rules; its
             # control socket takes a moment to come up, so retry each tick
@@ -194,7 +190,7 @@ class LiveFaultController:
     def evidence_problems(self, reconnects: int) -> List[str]:
         """What a plan with crashes must leave behind and did not: transport
         re-dials (``reconnects`` summed over the outcomes) and one
-        supervised re-join per planned recovery."""
+        re-join per planned recovery."""
         problems: List[str] = []
         if self.plan.crashes():
             if reconnects == 0:
@@ -214,8 +210,7 @@ class LiveFaultController:
 
 def run_live_deployment(spec: ScenarioSpec, rundir: str,
                         plan: Optional[FaultPlan] = None, *,
-                        kind: str = "uds",
-                        restart_policy: Optional[RestartPolicy] = None
+                        kind: str = "uds"
                         ) -> Tuple[Dict[str, Dict[str, Any]],
                                    Optional[LiveFaultController]]:
     """Boot ``spec`` as one process per node, replay ``plan`` against it
@@ -225,15 +220,13 @@ def run_live_deployment(spec: ScenarioSpec, rundir: str,
     applied timeline lands in ``<rundir>/chaos_timeline.json`` — also when
     the deployment fails (``DeploymentError`` propagates after teardown).
     """
-    deployment = LiveDeployment(spec, rundir, kind=kind,
-                                restart_policy=restart_policy)
+    deployment = LiveDeployment(spec, rundir, kind=kind)
     controller = (LiveFaultController(deployment, plan)
                   if plan is not None else None)
     try:
         deployment.start()
         outcomes = deployment.wait(
-            on_tick=controller.tick if controller is not None else None,
-            require_all_outcomes=plan is None)
+            on_tick=controller.tick if controller is not None else None)
     finally:
         deployment.terminate()
         if controller is not None:
@@ -255,7 +248,7 @@ def builtin_plan(name: str, nodes: Sequence[str], *,
 
     ``churn`` — the ISSUE's acceptance scenario: one partition window
     during the initial writes (0.9–1.35), then kill 25 % of the nodes
-    (2.6) and supervised-restart them (3.35).  Victims are taken from the
+    (2.6) and restart them (3.35).  Victims are taken from the
     **tail** of the node list so resolution initiators (``nodes[j % n]`` —
     the head) survive, and the crash sits well clear of the demanded
     resolutions (2.0–2.15 plus a few hundred ms of protocol rounds, which
@@ -294,8 +287,14 @@ def builtin_plan(name: str, nodes: Sequence[str], *,
 
 def resolve_plan(name_or_path: str, nodes: Sequence[str], *,
                  time_scale: float = 1.0) -> FaultPlan:
-    """A builtin plan name, or a JSON file of ``FaultPlan.to_dict`` form."""
-    if name_or_path.endswith(".json") or os.path.exists(name_or_path):
-        with open(name_or_path, "r", encoding="utf-8") as fh:
+    """A builtin plan name, or a JSON file of ``FaultPlan.to_dict`` form.
+    A bad name or document raises ``ValueError``, a missing or unreadable
+    file ``OSError``."""
+    if not (name_or_path.endswith(".json") or os.path.exists(name_or_path)):
+        return builtin_plan(name_or_path, nodes, time_scale=time_scale)
+    with open(name_or_path, "r", encoding="utf-8") as fh:
+        try:
             return FaultPlan.from_dict(json.load(fh))
-    return builtin_plan(name_or_path, nodes, time_scale=time_scale)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{name_or_path}: not a fault plan "
+                             f"({type(exc).__name__}: {exc})") from None

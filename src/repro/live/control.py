@@ -1,6 +1,6 @@
 """Per-node control channel: how the chaos controller reaches inside a node.
 
-Every node process of a supervised deployment binds a small UNIX-socket
+Every node process of a live deployment binds a small UNIX-socket
 control server next to its transport.  The parent's
 :class:`~repro.live.chaos.LiveFaultController` uses it to push the fault
 rules a real signal cannot express — partitions and loss probabilities are

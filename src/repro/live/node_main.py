@@ -10,8 +10,8 @@ protocol outcomes to ``out/<node_id>.json``.
 
 A fresh node records its clock epoch (the host-wide ``time.monotonic``
 value at barrier exit) in ``epoch/<node_id>`` before starting the
-schedule.  A **recovering** incarnation — respawned by the supervisor or a
-chaos plan after a crash — skips the barrier (its peers are long past it),
+schedule.  A **recovering** incarnation — respawned by a fault plan's
+recovery after its crash — skips the barrier (its peers are long past it),
 re-touches its ready file, rebases its clock onto the *original* epoch so
 ``now`` resumes mid-timeline, and replays only the part of the schedule
 that is still in the future.  All replicated state from the first
@@ -33,6 +33,8 @@ from repro.transport.errors import TransportError
 #: how long a node waits for the rest of the deployment to come up
 BARRIER_TIMEOUT = 30.0
 BARRIER_POLL = 0.01
+#: seconds between liveness probes of each peer, once past the barrier
+HEARTBEAT_PERIOD = 0.25
 
 
 def _touch_ready(rundir: str, node_id: str) -> str:
@@ -64,11 +66,10 @@ async def run_node(document: dict, node_id: str, *,
     rundir = document["rundir"]
     addresses = {n: tuple(a) if isinstance(a, list) else a
                  for n, a in document["addresses"].items()}
-    heartbeat_period = float(document.get("heartbeat_period", 0.0))
 
     stack = build_live_stack(spec, node_id, addresses, kind=kind,
                              loop=asyncio.get_running_loop(),
-                             heartbeat_period=heartbeat_period)
+                             heartbeat_period=HEARTBEAT_PERIOD)
     transport = stack.node.transport
     clock = stack.node.clock
     await transport.start()

@@ -391,7 +391,6 @@ def activity(outcomes: Dict[str, Dict[str, Any]]) -> Dict[str, int]:
         "resolutions": sum(len(o["resolutions"]) for o in nodes),
         "folded": sum(sum(o["folded"].values()) for o in nodes),
         "reconnects": sum(o.get("reconnects", 0) for o in nodes),
-        "restarts": sum(o.get("restarts", 0) for o in nodes),
     }
 
 
@@ -452,8 +451,8 @@ def fault_oracle_diff(sim_outcomes: Dict[str, Dict[str, Any]],
 
     What it holds equal and what it excuses follows the crash models of the
     two backends.  A sim crash (``fail``/``recover``) keeps replica state
-    in memory; a live crash is a SIGKILL'd process whose supervised restart
-    comes back with *amnesia*.  So:
+    in memory; a live crash is a SIGKILL'd process whose plan-ordered
+    restart comes back with *amnesia*.  So:
 
     * **survivors** (nodes the plan never crashes) must match exactly on
       writes attempted/applied and detections run — their workload is
@@ -461,8 +460,8 @@ def fault_oracle_diff(sim_outcomes: Dict[str, Dict[str, Any]],
     * **resolutions** are compared as the multiset initiated by survivors
       and observed on survivors;
     * **recovered nodes** must show re-join evidence on the live side (an
-      outcome written by a ``--recovering`` incarnation, or a nonzero
-      restart count) — their counts are *not* compared, because crash
+      outcome written by a ``--recovering`` incarnation) — their counts
+      are *not* compared, because crash
       timing relative to schedule entries is wall-clock-dependent;
     * **excluded everywhere**: ``final_counts`` and ``folded`` — a
       restarted live node re-enters with an empty store, so merged vectors
@@ -501,10 +500,9 @@ def fault_oracle_diff(sim_outcomes: Dict[str, Dict[str, Any]],
         live_o = live_outcomes.get(node_id)
         if live_o is None:
             problems.append(f"{node_id}: recovered node wrote no live outcome")
-        elif not (live_o.get("recovering")
-                  or live_o.get("restarts", 0) > 0):
+        elif not live_o.get("recovering"):
             problems.append(f"{node_id}: recovered node shows no restart "
-                            f"evidence (recovering flag / restarts)")
+                            f"evidence (no --recovering outcome)")
     for label, outcomes in (("sim", sim_outcomes), ("live", live_outcomes)):
         if sum(o["gossip_rounds"] for o in outcomes.values()) == 0:
             problems.append(f"{label}: no gossip rounds ran")

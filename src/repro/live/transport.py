@@ -13,7 +13,7 @@ and moves messages as length-prefixed frames (:mod:`repro.live.wire`):
   connection.  Connects and *re*-connects use capped, jittered exponential
   backoff (:mod:`repro.live.backoff`): the first connect gives up after a
   bounded window (a peer that never came up), an established connection
-  that drops is re-dialed forever (a supervised restart may bring the peer
+  that drops is re-dialed forever (a plan's restart may bring the peer
   back at any time).  The per-peer queue is **bounded**: while a peer is
   down the oldest frame is evicted per new send and counted as a
   ``queue-overflow`` drop, so memory stays flat instead of growing with

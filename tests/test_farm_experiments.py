@@ -166,8 +166,7 @@ def test_folded_experiment_farms_and_matches_serial():
 def test_registry_covers_every_experiment_module():
     assert set(registry.REGISTRY) == {"fig2", "fig7", "fig8", "tab2", "fig9",
                                       "multiobject", "tab3", "fig10", "churn",
-                                      "conformance", "workload",
-                                      "world_matrix"}
+                                      "workload", "world_matrix"}
     for entry in registry.REGISTRY.values():
         assert entry.description
         assert callable(entry.grid) and callable(entry.report)
@@ -315,12 +314,7 @@ def test_cli_rejects_a_non_integer_jobs(capsys):
 # nonzero exits on point failure
 
 
-#: what the stub points below saw (they run in-process at jobs=1)
-SEEN = {}
-
-
-def _backed_point(*, seed: int = 1, backend: str = "sim"):
-    SEEN.update(backend=backend)
+def _ok_point(*, seed: int = 1):
     return "ok"
 
 
@@ -328,20 +322,18 @@ def _failing_point(*, seed: int = 1):
     raise RuntimeError("boom")
 
 
-def _diverged_point(*, seed: int = 1, backend: str = "sim"):
-    from repro.experiments.conformance import ConformanceError
-    raise ConformanceError("n01 final_counts diverged")
+def _diverged_point(*, seed: int = 1):
+    raise RuntimeError("n01 final_counts diverged")
 
 
 def _diverged_once_point(*, scratch_dir: str, seed: int = 1):
     # Diverges on its first execution only; marker files count executions
     # across worker processes.
-    from repro.experiments.conformance import ConformanceError
     scratch = pathlib.Path(scratch_dir)
     executions = len(list(scratch.glob("attempt-*")))
     (scratch / f"attempt-{executions}").touch()
     if executions == 0:
-        raise ConformanceError("n01 final_counts diverged")
+        raise RuntimeError("n01 final_counts diverged")
     return "ok"
 
 
@@ -352,7 +344,6 @@ def _register_fake(monkeypatch, name, point):
     entry = registry.ExperimentEntry(name=name, description="test stub",
                                      grid=grid, report=str)
     monkeypatch.setitem(registry.REGISTRY, name, entry)
-    SEEN.clear()
     return entry
 
 
@@ -363,39 +354,8 @@ def test_cli_exits_nonzero_on_farm_point_error(monkeypatch, capsys):
     assert "failed" in err and "boom" in err
 
 
-# ---------------------------------------------------------------------------
-# --backend plumbing: exit 2 for unsupported combos, pass-through otherwise
-
-
-def test_cli_rejects_backend_on_unaware_experiment(capsys):
-    rc = cli.main(["--run", "tab2", "--backend", "live", "--quiet",
-                   "--param", "writer_counts=(2,)", "--param", "num_nodes=8"])
-    assert rc == 2
-    assert "does not take --backend" in capsys.readouterr().err
-
-
-def test_cli_rejects_unknown_backend_value(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["--run", "conformance", "--backend", "quantum", "--quiet"])
-    assert excinfo.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
-
-
-def test_cli_passes_backend_through(monkeypatch, capsys):
-    _register_fake(monkeypatch, "stub_backed", _backed_point)
-    assert cli.main(["--run", "stub_backed", "--backend", "live",
-                     "--quiet"]) == 0
-    assert SEEN == {"backend": "live"}
-
-
-def test_cli_backend_defaults_to_run_signature_default(monkeypatch, capsys):
-    _register_fake(monkeypatch, "stub_backed", _backed_point)
-    assert cli.main(["--run", "stub_backed", "--quiet"]) == 0
-    assert SEEN == {"backend": "sim"}
-
-
 def test_cli_runs_one_job_by_default(monkeypatch, capsys):
-    _register_fake(monkeypatch, "stub_backed", _backed_point)
+    _register_fake(monkeypatch, "stub_ok", _ok_point)
     jobs_seen = []
 
     def spy(specs, *, jobs):
@@ -403,14 +363,13 @@ def test_cli_runs_one_job_by_default(monkeypatch, capsys):
         return run_specs(specs, jobs=jobs)
 
     monkeypatch.setattr(registry, "run_specs", spy)
-    assert cli.main(["--run", "stub_backed", "--quiet"]) == 0
+    assert cli.main(["--run", "stub_ok", "--quiet"]) == 0
     assert jobs_seen == [1]
 
 
-def test_cli_exits_nonzero_on_conformance_error(monkeypatch, capsys):
+def test_cli_exits_nonzero_on_a_diverging_point(monkeypatch, capsys):
     _register_fake(monkeypatch, "stub_diverged", _diverged_point)
-    assert cli.main(["--run", "stub_diverged", "--backend", "live",
-                     "--quiet"]) == 1
+    assert cli.main(["--run", "stub_diverged", "--quiet"]) == 1
     assert "diverged" in capsys.readouterr().err
 
 
@@ -461,11 +420,3 @@ def test_cli_param_reaches_the_point_through_the_grid(name, tmp_path, capsys):
     runs = json.loads(out_path.read_text(encoding="utf-8"))["result"]["runs"]
     assert all(r["sales_accepted"] <= 3 + r["oversold"] for r in runs)
     assert any(r["sales_accepted"] for r in runs)
-
-
-def test_cli_runs_conformance_sim_smoke(capsys):
-    rc = cli.main(["--run", "conformance", "--backend", "sim", "--smoke"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "backend=sim" in out
-    assert "resolutions completed: 2" in out

@@ -1,11 +1,11 @@
-"""Fault-tolerant live mode: supervision, chaos replay, and the
-fault-tolerant oracle.
+"""Fault-tolerant live mode: chaos replay and the fault-tolerant oracle.
 
 Covers the pieces individually — FaultPlan serialisation and windowing,
 the builtin plan catalog, the control channel, the sim fault scenario,
 ``fault_oracle_diff`` — and then end to end: a multiprocess deployment with
 a chaos controller SIGKILLing and restarting real node processes while the
-same plan runs on the simulator, plus unplanned-crash supervision and
+same plan runs on the simulator, an unplanned crash failing the run, bad
+``python -m repro.live`` input refused before anything spawns, and
 idempotent teardown (DESIGN.md §15).
 """
 
@@ -24,15 +24,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import conformance
-from repro.experiments.conformance import run_conformance_point
+import repro.live.__main__ as live_cli
 from repro.live.chaos import (LiveFaultController, builtin_plan,
-                              resolve_plan)
+                              resolve_plan, run_live_deployment)
 from repro.live.control import ControlClient, ControlError, ControlServer
-from repro.live.deployment import (LiveDeployment, RestartPolicy,
+from repro.live.deployment import (DeploymentError, LiveDeployment,
                                    describe_exit)
-from repro.live.scenario import (default_scenario, fault_oracle_diff,
-                                 run_sim_scenario)
+from repro.live.scenario import (activity, default_scenario,
+                                 fault_oracle_diff, run_sim_scenario)
 from repro.scenarios.plan import FaultAction, FaultPlan
 from repro.transport.message import NetworkStats
 
@@ -481,11 +480,10 @@ class TestFaultOracleDiff:
     def as_live(sim: Dict[str, Dict[str, Any]],
                 plan: FaultPlan) -> Dict[str, Dict[str, Any]]:
         """A sim run dressed as a live one: recovered nodes carry the
-        re-join evidence a supervised restart leaves behind."""
+        re-join evidence a plan's restart leaves behind."""
         live = copy.deepcopy(sim)
         for action in plan.recoveries():
             live[action.node_id]["recovering"] = True
-            live[action.node_id]["restarts"] = 1
         return live
 
     def test_matching_runs_produce_no_problems(self, sim_and_plan):
@@ -512,7 +510,6 @@ class TestFaultOracleDiff:
         assert fault_oracle_diff(sim, live, plan) == []
         # But missing re-join evidence is.
         live[victim]["recovering"] = False
-        live[victim]["restarts"] = 0
         problems = fault_oracle_diff(sim, live, plan)
         assert any("restart" in p and victim in p for p in problems)
 
@@ -536,7 +533,55 @@ class TestFaultOracleDiff:
 
 
 # --------------------------------------------------------------------------
-# end to end: real processes, real signals, supervised restarts
+# python -m repro.live: bad input is one error line, exit 2, no process
+# --------------------------------------------------------------------------
+
+#: case -> (argv, plan file text or None, what the error line must name);
+#: ``{plan}`` is a file holding the text, ``{missing}`` a path that is not
+BAD_CLI_INPUT = {
+    "unknown-builtin-plan": (["--fault-plan", "nosuch"], None, "'nosuch'"),
+    "zero-nodes": (["--nodes", "0"], None, "--nodes"),
+    "zero-objects": (["--objects", "0"], None, "--objects"),
+    "zero-duration": (["--duration", "0"], None, "--duration"),
+    "negative-duration": (["--duration", "-1"], None, "--duration"),
+    "nan-duration": (["--duration", "nan"], None, "--duration"),
+    "plan-names-an-unknown-node": (
+        ["--fault-plan", "{plan}"],
+        '{"actions": [{"time": 1.0, "kind": "crash", "node_id": "n99"}]}',
+        "'n99'"),
+    "missing-plan-file": (["--fault-plan", "{missing}"], None,
+                          "missing.json"),
+    "plan-is-not-json": (["--fault-plan", "{plan}"], '{"actions": [',
+                         "not a fault plan"),
+    "plan-is-a-list": (["--fault-plan", "{plan}"], "[1, 2]",
+                       "not a fault plan"),
+    "plan-action-has-no-time": (["--fault-plan", "{plan}"],
+                                '{"actions": [{"kind": "crash"}]}',
+                                "not a fault plan"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CLI_INPUT)
+def test_cli_refuses_bad_input_before_spawning(case, tmp_path, monkeypatch,
+                                               capsys):
+    args, plan_text, named = BAD_CLI_INPUT[case]
+    plan = tmp_path / "plan.json"
+    if plan_text is not None:
+        plan.write_text(plan_text, encoding="utf-8")
+    argv = [a.format(plan=plan, missing=tmp_path / "missing.json")
+            for a in args]
+
+    def spawned(*_args, **_kwargs):
+        raise AssertionError("node processes were spawned")
+
+    monkeypatch.setattr(live_cli, "run_live_deployment", spawned)
+    assert live_cli.main(argv + ["--rundir", str(tmp_path / "run")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and named in line
+
+
+# --------------------------------------------------------------------------
+# end to end: real processes, real signals, plan-ordered restarts
 # --------------------------------------------------------------------------
 
 def _await_epoch(deployment: LiveDeployment, timeout: float = 20.0) -> None:
@@ -552,22 +597,27 @@ def _await_epoch(deployment: LiveDeployment, timeout: float = 20.0) -> None:
 
 
 class TestChaosEndToEnd:
-    def test_kill_plan_matches_fault_tolerant_oracle(self):
+    def test_kill_plan_matches_fault_tolerant_oracle(self, tmp_path):
         """The acceptance path in miniature: a multiprocess deployment,
-        SIGKILL + supervised restart mid-run, fault-tolerant oracle match
-        (raises ConformanceError on any divergence)."""
-        result = run_conformance_point(
-            backend="live", num_nodes=4, num_objects=2, seed=7,
-            transport="uds", time_scale=1.0, fault_plan="kill")
-        assert result["oracle_problems"] == []
-        assert result["chaos"]["rejoins"] >= 1
-        assert result["chaos"]["reconnects"] > 0
+        SIGKILL + plan-ordered restart mid-run, fault-tolerant oracle
+        match and the plan's recovery evidence."""
+        spec = default_scenario(4, 2, seed=7, time_scale=1.0)
+        plan = builtin_plan("kill", spec.nodes, time_scale=1.0)
+        outcomes, controller = run_live_deployment(spec, str(tmp_path), plan)
+        reconnects = activity(outcomes)["reconnects"]
+        problems = fault_oracle_diff(run_sim_scenario(spec, fault_plan=plan),
+                                     outcomes, plan)
+        problems += controller.evidence_problems(reconnects)
+        assert problems == []
+        assert controller.rejoins >= 1
+        assert reconnects > 0
         victim = "n03"  # kill takes victims from the tail
-        outcome = result["outcomes"][victim]
+        outcome = outcomes[victim]
         assert outcome["recovering"] is True
         assert "SIGKILL" in outcome["exit_status"]
 
-    def test_conformance_fails_on_an_unapplied_recovery(self, monkeypatch):
+    def test_cli_fails_on_an_unapplied_recovery(self, tmp_path, monkeypatch,
+                                                capsys):
         """Recovery evidence is part of the verdict: survivors that match
         the oracle do not excuse a controller that ordered fewer re-joins
         than the plan has recoveries."""
@@ -580,18 +630,17 @@ class TestChaosEndToEnd:
             controller.rejoins = 0
             return outcomes, controller
 
-        monkeypatch.setattr(conformance, "run_live_deployment", fake_live)
-        with pytest.raises(conformance.ConformanceError) as excinfo:
-            run_conformance_point(backend="live", num_nodes=4,
-                                  time_scale=0.6, fault_plan="kill")
-        assert str(excinfo.value).endswith(
-            "oracle: not every planned recovery was applied")
+        monkeypatch.setattr(live_cli, "run_live_deployment", fake_live)
+        assert live_cli.main(["--nodes", "4", "--duration", "2.64",
+                              "--fault-plan", "kill",
+                              "--rundir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "MISMATCH: not every planned recovery was applied"]
 
     def test_controller_timeline_records_every_action(self, tmp_path):
         spec = default_scenario(3, 1, seed=5, time_scale=0.6)
         plan = builtin_plan("partition", spec.nodes, time_scale=0.6)
-        deployment = LiveDeployment(spec, str(tmp_path), kind="uds",
-                                    restart_policy=RestartPolicy())
+        deployment = LiveDeployment(spec, str(tmp_path), kind="uds")
         controller = LiveFaultController(deployment, plan)
         try:
             deployment.start()
@@ -611,76 +660,61 @@ class TestChaosEndToEnd:
         assert len(dumped["timeline"]) == len(controller.timeline)
 
 
-class TestSupervision:
-    def test_unplanned_crash_is_restarted_within_budget(self, tmp_path):
-        """A node SIGKILLed outside any plan: the supervisor respawns it
-        with ``--recovering`` and the deployment still completes, exit
-        history and restart count in the outcome."""
-        spec = default_scenario(3, 2, seed=11, time_scale=0.8)
-        deployment = LiveDeployment(spec, str(tmp_path), kind="uds",
-                                    restart_policy=RestartPolicy(
-                                        max_restarts=2))
+class TestKillAndRestart:
+    def test_unplanned_crash_fails_the_deployment(self, tmp_path):
+        """A node SIGKILLed outside any plan is not respawned: the run
+        fails naming the node, its signal and its log tail."""
+        spec = default_scenario(3, 1, seed=11, time_scale=0.8)
+        deployment = LiveDeployment(spec, str(tmp_path), kind="uds")
+        victim = spec.nodes[-1]
+        ready = tmp_path / "ready" / victim
+        try:
+            deployment.start()
+            _await_epoch(deployment)
+            pid = int(ready.read_text())
+            os.kill(pid, signal.SIGKILL)
+            with pytest.raises(DeploymentError) as excinfo:
+                deployment.wait()
+        finally:
+            deployment.terminate()
+        assert f"{victim}: SIGKILL; log tail:\n" in str(excinfo.value)
+        # a recovering incarnation would have re-touched its ready file
+        assert ready.read_text() == str(pid)
+        assert not deployment.is_running(victim)
+
+    def test_held_nodes_stay_down_until_ordered_back(self, tmp_path):
+        """kill_node holds a node down without failing the run — the chaos
+        contract that makes plan downtime windows honest — and
+        restart_node brings it back as a recovering incarnation."""
+        spec = default_scenario(3, 1, seed=2, time_scale=1.0)
+        deployment = LiveDeployment(spec, str(tmp_path), kind="uds")
         victim = spec.nodes[-1]
         try:
             deployment.start()
             _await_epoch(deployment)
-            time.sleep(0.3)
-            deployment.kill_node(victim, sig=signal.SIGKILL, hold=False)
+            deployment.kill_node(victim)
+            time.sleep(0.8)
+            deployment.poll()
+            assert not deployment.is_running(victim)
+            deployment.restart_node(victim)
+            time.sleep(0.5)
+            assert deployment.is_running(victim)
             outcomes = deployment.wait()
         finally:
             deployment.terminate()
         assert outcomes[victim]["recovering"] is True
-        assert outcomes[victim]["restarts"] >= 1
-        assert outcomes[victim]["exit_status"][0] == "SIGKILL"
-        assert outcomes[victim]["exit_status"][-1] == "exit 0"
-        for node_id in spec.nodes[:-1]:
-            assert outcomes[node_id]["exit_status"] == ["exit 0"]
-            assert outcomes[node_id]["restarts"] == 0
-
-    def test_held_nodes_stay_down_until_ordered_back(self, tmp_path):
-        """kill_node(hold=True) pins a node down even under a restart
-        policy — the chaos contract that makes plan downtime windows
-        honest — and restart_node brings it back."""
-        spec = default_scenario(3, 1, seed=2, time_scale=1.0)
-        deployment = LiveDeployment(spec, str(tmp_path), kind="uds",
-                                    restart_policy=RestartPolicy())
-        victim = spec.nodes[-1]
-        try:
-            deployment.start()
-            _await_epoch(deployment)
-            deployment.kill_node(victim, hold=True)
-            time.sleep(0.8)
-            deployment.poll()
-            assert not deployment.is_running(victim)
-            assert deployment.report()[victim]["state"] == "held-down"
-            deployment.restart_node(victim, recovering=True)
-            time.sleep(0.5)
-            assert deployment.is_running(victim)
-            outcomes = deployment.wait(require_all_outcomes=False)
-        finally:
-            deployment.terminate()
-        assert outcomes[victim]["restarts"] == 1
+        assert outcomes[victim]["exit_status"] == ["SIGKILL", "exit 0"]
 
 
-class TestTeardownAndReport:
-    def test_terminate_is_idempotent_and_report_always_has_status(
-            self, tmp_path):
+class TestTeardown:
+    def test_terminate_is_idempotent(self, tmp_path):
         spec = default_scenario(2, 1, seed=3, time_scale=1.0)
         deployment = LiveDeployment(spec, str(tmp_path), kind="uds")
         deployment.start()
         _await_epoch(deployment)
         deployment.terminate()
         deployment.terminate()  # second call must be a no-op
-        report = deployment.report()
-        assert set(report) == set(spec.nodes)
-        for node_id, entry in report.items():
-            # exit status (code or signal name) is always present
-            assert entry["exit_status"] in ("SIGTERM", "exit 0")
-            assert entry["exits"]  # full history, no duplicates
-            assert len(entry["exits"]) == 1
-            if entry["exit_status"] != "exit 0":
-                assert "log_tail" in entry
-            assert not deployment.is_running(node_id)
+        assert not any(deployment.is_running(n) for n in spec.nodes)
 
     def test_describe_exit_names_signals(self):
         assert describe_exit(0) == "exit 0"

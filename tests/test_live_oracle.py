@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.core.deployment import DeploymentBuilder
-from repro.live.deployment import LiveDeployment
+from repro.live.chaos import run_live_deployment
 from repro.live.scenario import (LiveHost, ScenarioSpec, default_scenario,
                                  make_addresses, oracle_diff,
                                  run_live_scenario_inprocess,
@@ -64,13 +64,12 @@ class TestLiveMatchesOracle:
         """The full bring-up path: one OS process per node over UNIX
         sockets, ready-file barrier, outcome collection, teardown."""
         spec = small_spec(seed=21)
-        deployment = LiveDeployment(spec, str(tmp_path), kind="uds")
-        live = deployment.run()
+        live, controller = run_live_deployment(spec, str(tmp_path))
+        assert controller is None
         sim = run_sim_scenario(spec)
         assert oracle_diff(sim, live) == []
         # Teardown was clean: every node exited by itself.
-        assert all(proc.returncode == 0
-                   for proc in deployment._procs.values())
+        assert all(o["exit_status"] == ["exit 0"] for o in live.values())
 
 
 class TestLiveHost:
