@@ -22,11 +22,15 @@ and moves messages as length-prefixed frames (:mod:`repro.live.wire`):
   every destination still gets its own checks, loss draw, accounting and
   ``wire.encode_envelope`` call, but only the first remote one encodes the
   payload — the rest splice that text into their envelope;
-* each local endpoint with an address gets a listening server; inbound
-  frames are decoded into :class:`~repro.transport.message.Message` objects
-  and dispatched to the endpoint's ``deliver``.  A single oversized or
-  malformed frame closes *that* connection with a counted ``frame-error``
-  drop — it never kills the server task;
+* each local endpoint with an address gets a listening server, and each
+  accepted connection one :class:`asyncio.Protocol`: ``data_received``
+  splits whole frames out of the bytes that arrived, decodes each into a
+  :class:`~repro.transport.message.Message` and dispatches it to the
+  endpoint's ``deliver`` in the same callback — no reader task, no await
+  per frame.  A single oversized or malformed frame closes *that*
+  connection with one counted ``frame-error`` drop; the server and every
+  other connection stay up, and a frame cut short by the peer closing is
+  not an error;
 * :meth:`start_heartbeats` runs a liveness probe per remote peer (a cheap
   connect/close at a jittered period).  ``heartbeat_misses`` consecutive
   failures mark the peer down: sends to it become immediate counted
@@ -63,6 +67,7 @@ from typing import (Any, Deque, Dict, Iterator, List, Optional, Sequence,
 from repro.live import wire
 from repro.live.backoff import DEFAULT_CONNECT, DEFAULT_RECONNECT, BackoffPolicy
 from repro.live.clock import LiveClock
+from repro.live.wire import HEADER, MAX_FRAME_BYTES
 from repro.transport.errors import TransportError
 from repro.transport.message import Message, NetworkStats
 
@@ -76,6 +81,8 @@ DEFAULT_QUEUE_FRAMES = 1024
 
 #: consecutive failed liveness probes before a peer is declared down
 DEFAULT_HEARTBEAT_MISSES = 3
+
+_HEADER_BYTES = HEADER.size
 
 
 class _PeerLink:
@@ -92,6 +99,68 @@ class _PeerLink:
         self.writer: Optional[asyncio.StreamWriter] = None
         self.connects = 0          # successful connects (first + re-dials)
         self.closed = False        # stop(): flush what is queued, then exit
+
+
+class _InboundFrames(asyncio.Protocol):
+    """One accepted connection: frames are split out of the bytes as they
+    arrive, decoded and delivered inside the loop's read callback."""
+
+    __slots__ = ("owner", "buffer", "transport")
+
+    def __init__(self, owner: "LiveTransport") -> None:
+        self.owner = owner
+        self.buffer = bytearray()
+        self.transport: Optional[asyncio.Transport] = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        if self.owner._closing:
+            transport.close()       # accepted while stop() ran
+            return
+        self.owner._inbound.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.owner._inbound.discard(self.transport)
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self.buffer
+        buffer += data
+        owner = self.owner
+        size = len(buffer)
+        start = 0
+        while size - start >= _HEADER_BYTES:
+            (length,) = HEADER.unpack_from(buffer, start)
+            if length > MAX_FRAME_BYTES:
+                self._refuse()
+                return
+            end = start + _HEADER_BYTES + length
+            if end > size:
+                break
+            body = buffer[start + _HEADER_BYTES:end]
+            start = end
+            try:
+                # through the module: the ledger's tracer patches it there
+                (src, dst, protocol, msg_type, payload, size_bytes,
+                 _sent_at) = wire.decode_envelope(body)
+            except wire.WireError:
+                self._refuse()
+                return
+            if src in owner._blocked_peers:
+                # frames in flight when the partition rule landed, or from
+                # a peer that has not received its rule yet
+                owner._count_drop(protocol, "partition")
+                continue
+            owner._deliver_local(owner._make_message(
+                src, dst, protocol, msg_type, payload, size_bytes,
+                owner.clock.now))
+        del buffer[:start]
+
+    def _refuse(self) -> None:
+        """An oversized or undecodable frame: one counted drop, and this
+        connection closes; the server and every other connection stay up."""
+        self.owner._count_drop("live", "frame-error")
+        self.buffer.clear()
+        self.transport.close()
 
 
 class LiveTransport:
@@ -118,8 +187,8 @@ class LiveTransport:
         self._known: Set[str] = set(self.addresses)
         self._peers: Dict[str, _PeerLink] = {}
         self._servers: List[asyncio.AbstractServer] = []
-        #: inbound connections: reader task -> the stream it serves
-        self._inbound: Dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
+        #: accepted inbound connections still open
+        self._inbound: Set[asyncio.BaseTransport] = set()
         self._next_msg_id = 0
         self._closing = False
         self.delivery_hooks: List[Any] = []
@@ -173,6 +242,7 @@ class LiveTransport:
     # ------------------------------------------------------------- lifecycle
     async def start(self) -> None:
         """Bind one listening server per locally hosted endpoint address."""
+        loop = asyncio.get_running_loop()
         for node_id in self._nodes:
             address = self.addresses.get(node_id)
             if address is None:
@@ -180,12 +250,12 @@ class LiveTransport:
             if self.kind == "uds":
                 with contextlib.suppress(FileNotFoundError):
                     os.unlink(address)  # stale socket from a previous run
-                server = await asyncio.start_unix_server(
-                    self._serve_connection, path=address)
+                server = await loop.create_unix_server(
+                    lambda: _InboundFrames(self), path=address)
             else:
                 host, port = address
-                server = await asyncio.start_server(
-                    self._serve_connection, host=host, port=port)
+                server = await loop.create_server(
+                    lambda: _InboundFrames(self), host=host, port=port)
             self._servers.append(server)
 
     def start_heartbeats(self) -> None:
@@ -205,7 +275,7 @@ class LiveTransport:
                 loop.create_task(self._probe_loop(peer_id, address)))
 
     async def stop(self) -> None:
-        """Tear down probes, sender tasks, inbound readers and servers."""
+        """Tear down probes, sender tasks, inbound connections and servers."""
         self._closing = True
         for task in self._probe_tasks:
             task.cancel()
@@ -225,18 +295,9 @@ class LiveTransport:
         self._peers.clear()
         for server in self._servers:
             server.close()          # no new inbound connections from here on
-        # End the readers by closing their streams: each returns on EOF.
-        # Cancelling one instead makes asyncio's own done-callback on the
-        # client_connected_cb task raise CancelledError into the loop's
-        # exception handler (a traceback per connection in a clean run).
-        for stream_writer in list(self._inbound.values()):
-            stream_writer.close()
-        if self._inbound:
-            _, running = await asyncio.wait(list(self._inbound), timeout=2.0)
-            for task in running:
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await task
+        for inbound in list(self._inbound):
+            inbound.close()         # connection_lost runs on the next pass
+        await asyncio.sleep(0)
         for server in self._servers:
             await server.wait_closed()
         self._servers.clear()
@@ -504,44 +565,6 @@ class LiveTransport:
                 self.reconnects += 1
             return writer
         return None
-
-    # -------------------------------------------------------- inbound frames
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                stream_writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._inbound[task] = stream_writer
-            task.add_done_callback(self._inbound.pop)
-        try:
-            while True:
-                try:
-                    body = await wire.read_frame(reader)
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    break
-                except wire.WireError:
-                    # oversized/corrupt frame: close THIS connection with a
-                    # counted drop; the server task and every other peer's
-                    # connection stay up
-                    self._count_drop("live", "frame-error")
-                    break
-                try:
-                    (src, dst, protocol, msg_type, payload, size_bytes,
-                     _sent_at) = wire.decode_envelope(body)
-                except wire.WireError:
-                    self._count_drop("live", "frame-error")
-                    break
-                if src in self._blocked_peers:
-                    # frames in flight when the partition rule landed, or
-                    # from a peer that has not received its rule yet
-                    self._count_drop(protocol, "partition")
-                    continue
-                self._deliver_local(self._make_message(
-                    src, dst, protocol, msg_type, payload, size_bytes,
-                    self.clock.now))
-        finally:
-            stream_writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await stream_writer.wait_closed()
 
     # ------------------------------------------------------------- accounting
     def messages_sent(self, protocol_prefix: str = "") -> int:

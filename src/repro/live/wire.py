@@ -18,43 +18,58 @@ keys or our dataclasses, so three tagged objects carry them:
   (or with a key starting ``"__"`` that would collide with a tag)
 * registered class instance   → ``{"__c": "<name>", "f": [...]}``
 
-**Flat class layouts.**  Each registered class (``_CODECS``) has one
-encoder/decoder pair that knows its field types, so ``"f"`` holds scalars
-and plain rows, never nested tagged objects:
+**Flat class layouts, numbers packed.**  Each registered class (``_CODECS``)
+has one encoder/decoder pair that knows its field types.  An instance's
+``int`` and ``float`` fields travel as one *packed column*: the base64 text
+of ``struct.Struct("<{i}q{f}d")`` — its ints as little-endian int64, then
+its floats as IEEE-754 doubles, in the order below.  Strings, writer ids and
+``Any``-typed values stay JSON, so ``"f"`` holds strings, plain rows and
+packed columns, never nested tagged objects:
 
 ====================== ================================================
-``ErrorTriple``        ``[numerical, order, staleness]``
-``UpdateRecord``       ``[writer, seq, timestamp, delta, payload']``
-``WriterBase``         ``[count, cum_metadata, last_timestamp]``
-``WriterSummary``      ``[count, cumulative_metadata, last_timestamp]``
-``VersionVector``      ``[[[writer, count], ...]]``
-``VersionDigest``      ``[object, node, issued_at,
-                       [[writer, count, cum, last], ...], metadata, lct]``
-``GossipDigest``       ``[object, origin, [[writer, count], ...],
-                       metadata, lct, issued_at, ttl]``
-``RanSubView``         ``[round_number, [member, ...], received_at]``
-``ExtendedVersion-     ``[[[writer, [[seq, timestamp, delta, payload'],
-Vector``               ...]], ...], [[writer, count, cum, last], ...],
-                       metadata, lct, [numerical, order, staleness]]``
+``ErrorTriple``        ``[packed(numerical, order, staleness)]``
+``UpdateRecord``       ``[writer, packed(seq, timestamp, delta),
+                       payload']``
+``WriterBase``         ``[packed(count, cum_metadata, last_timestamp)]``
+``WriterSummary``      ``[packed(count, cumulative_metadata,
+                       last_timestamp)]``
+``VersionVector``      ``[[writer, ...], packed(count, ...)]``
+``VersionDigest``      ``[object, node, [writer, ...], packed(count, ...,
+                       issued_at, metadata, lct, (cum, last), ...)]``
+``GossipDigest``       ``[object, origin, [writer, ...], packed(count,
+                       ..., ttl, metadata, lct, issued_at)]``
+``RanSubView``         ``[[member, ...], packed(round_number,
+                       received_at)]``
+``ExtendedVersion-     ``[[[writer, packed(seq, ..., (timestamp, delta),
+Vector``               ...), [payload', ...]], ...], [[writer, ...],
+                       packed(count, ..., (cum, last), ...)],
+                       packed(metadata, lct, numerical, order,
+                       staleness)]``
 ====================== ================================================
 
-A digest's ``total`` is not shipped: the decoder sums it from the rows.
-Typed fields are handed to the C encoder untouched.  Only values typed
-``Any`` — ``UpdateRecord.payload`` (``payload'`` above), RPC arguments and
-results, and the plain containers a message payload is made of — take the
-generic walker ``_pack``, which is where the three tags are written.
-:class:`ExtendedVersionVector` is rebuilt through ``_restore_extended`` — the
-same cache-free content-field path its ``__reduce__`` uses for pickling, so
-interning/memoisation state never crosses a process boundary.
+A column's length follows from the JSON beside it (the writer list, the
+payload list), so a blob of any other length is refused.  Floats round-trip
+bit-exactly (``-0.0``, subnormals and the largest double included), and an
+``int`` stored in a field typed ``float`` comes back as a ``float``.  A
+digest's ``total`` is not shipped: the decoder sums it from the counts.
+Only values typed ``Any`` — ``UpdateRecord.payload`` (``payload'`` above),
+RPC arguments and results, and the plain containers a message payload is
+made of — take the generic walker ``_pack``, which is where the three tags
+are written.  :class:`ExtendedVersionVector` is rebuilt through
+``_restore_extended`` — the same cache-free content-field path its
+``__reduce__`` uses for pickling, so interning/memoisation state never
+crosses a process boundary.
 
 **Decoding** parses with one ``JSONDecoder(object_hook=_revive)``: lists and
 scalars are materialised in C and Python runs only on JSON objects, i.e. on
 the tagged ones.  Nothing read from a socket is trusted: a body that is not
 valid JSON, names an unknown class, has the wrong arity or shape for its
 class or tag, puts an unhashable value in a key position, spells ``NaN`` or
-an infinity, nests past the interpreter's limit, or whose envelope fields
-are not four ``str``, an ``int`` and a real number raises :class:`WireError`
-— :func:`decode_envelope` raises nothing else.
+an infinity (as a literal or inside a packed column), carries a column that
+is not a ``str``, not base64 or of the wrong length, nests past the
+interpreter's limit, or whose envelope fields are not four ``str``, an
+``int`` and a real number raises :class:`WireError` — :func:`decode_envelope`
+raises nothing else.
 
 **The pair table.**  A digest's writers change one at a time: an announce
 usually differs from the same peer's last one in the writer who wrote.  The
@@ -73,7 +88,8 @@ decode would build — by ``==``, so a ``-0.0`` row after a ``0.0`` one (or
 ``allow_nan=False``, ``_refuse`` for unknown types; ``JSONEncoder.iterencode``
 where the accelerator is absent) on the payload and on ``[size_bytes,
 sent_at]``; the four head strings go through the C string escaper.  A
-non-finite float, a container that holds itself, or a value of no registered
+non-finite float, an ``int`` outside int64 or a non-number in a typed
+numeric field, a container that holds itself, or a value of no registered
 type raises :class:`WireError`, which the transport counts as an
 ``encode-error`` drop.
 
@@ -82,16 +98,20 @@ type raises :class:`WireError`, which the transport counts as an
 JSON text produces it and every later one splices the same text into its own
 envelope.
 
-Floats round-trip exactly: Python's ``json`` emits ``repr(float)`` (shortest
-round-trip form) and parses it back to the identical IEEE-754 double.
+Floats typed ``Any`` round-trip exactly too: Python's ``json`` emits
+``repr(float)`` (shortest round-trip form) and parses it back to the
+identical IEEE-754 double.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import struct
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from binascii import a2b_base64, b2a_base64
+from itertools import chain, repeat
+from math import isfinite
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.detection import VersionDigest, WriterSummary
 from repro.overlay.gossip import GossipDigest
@@ -104,7 +124,7 @@ from repro.versioning.extended_vector import (ErrorTriple,
 from repro.versioning.version_vector import VersionVector
 
 #: frame header: big-endian unsigned 32-bit body length
-_HEADER = struct.Struct(">I")
+HEADER = struct.Struct(">I")
 
 #: refuse frames beyond this size — a corrupt header must not OOM the reader
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -177,47 +197,87 @@ def _revive(obj: Dict[str, Any]) -> Any:
 
 
 # --------------------------------------------------------------------------
-# registered payload classes: name -> (class, flat fields of, rebuild from)
+# packed numeric columns
 # --------------------------------------------------------------------------
 
-def _exactly(cls: type, arity: int) -> Callable[[List[Any]], Any]:
-    """Rebuild for a class whose flat fields are its constructor's
-    arguments: all ``arity`` of them, no defaults filled in silently."""
-    def rebuild(fields: List[Any]) -> Any:
-        if len(fields) != arity:
-            raise WireError(f"{cls.__name__} takes {arity} fields, "
-                            f"got {len(fields)}")
-        return cls(*fields)
-    return rebuild
-
-
-_triple_from = _exactly(ErrorTriple, 3)
-
-
-def _counts_from(fields: List[Any]) -> VersionVector:
-    (rows,) = fields
-    return VersionVector._from_trusted({writer: count
-                                        for writer, count in rows})
-
-
-def _digest_fields(v: VersionDigest) -> List[Any]:
-    return [v.object_id, v.node_id, v.issued_at,
-            [(writer, s.count, s.cumulative_metadata, s.last_timestamp)
-             for writer, s in v.writers],
-            v.metadata, v.last_consistent_time]
-
-
-#: (object, sending node) -> writer -> the last ``(writer, WriterSummary)``
-#: pair decoded from that node's digests of that object
-_PAIRS: Dict[Tuple[Any, Any], Dict[Any, Tuple[Any, WriterSummary]]] = {}
-
-#: digest sources held, and writers held per source: frames naming more (a
-#: hostile or damaged peer) empty a table rather than grow it
+#: digest sources held, writers held per source, and column shapes held: a
+#: frame naming more (a hostile or damaged peer) empties a table rather than
+#: grow it
 _MAX_HELD = 1024
 
 
+class _Layouts(dict):
+    """``(ints, floats)`` -> the ``Struct`` of that column, built on first
+    use; a hit is a plain dict lookup, so hot paths index it inline."""
+
+    def __missing__(self, key: Tuple[int, int]) -> struct.Struct:
+        if len(self) >= _MAX_HELD:
+            self.clear()    # column shapes named by a hostile peer
+        layout = self[key] = struct.Struct("<%dq%dd" % key)
+        return layout
+
+
+_LAYOUTS = _Layouts()
+
+
+def _packed(ints: int, floats: int, values: Sequence[Any]) -> str:
+    """``values`` — ``ints`` ints then ``floats`` floats — as one column."""
+    blob = _LAYOUTS[ints, floats].pack(*values)
+    if not all(map(isfinite, values)):
+        raise WireError("a non-finite number cannot be encoded for the wire")
+    return b2a_base64(blob, newline=False).decode()
+
+
+def _numbers(ints: int, floats: int, blob: str) -> Tuple[Any, ...]:
+    """The values of a column of ``ints`` ints then ``floats`` floats."""
+    values = _LAYOUTS[ints, floats].unpack(a2b_base64(blob))
+    if not all(map(isfinite, values)):
+        raise WireError("a packed column holds a non-finite number")
+    return values
+
+
+# --------------------------------------------------------------------------
+# registered payload classes: name -> (class, flat fields of, rebuild from)
+# --------------------------------------------------------------------------
+
+_FIRST = itemgetter(0)
+_SECOND = itemgetter(1)
+_COUNT = attrgetter("count")
+_SUMMARY_FLOATS = attrgetter("cumulative_metadata", "last_timestamp")
+_BASE_FLOATS = attrgetter("cum_metadata", "last_timestamp")
+_SEQ = attrgetter("seq")
+_RECORD_FLOATS = attrgetter("timestamp", "metadata_delta")
+_PAYLOAD = attrgetter("payload")
+
+
+def _digest_fields(v: VersionDigest) -> List[Any]:
+    # The announce path: the column's Struct is looked up inline.
+    writers = v.writers
+    n = len(writers)
+    summaries = list(map(_SECOND, writers))
+    values = (*map(_COUNT, summaries), v.issued_at, v.metadata,
+              v.last_consistent_time,
+              *chain.from_iterable(map(_SUMMARY_FLOATS, summaries)))
+    blob = _LAYOUTS[n, 3 + 2 * n].pack(*values)
+    if not all(map(isfinite, values)):
+        raise WireError("a non-finite number cannot be encoded for the wire")
+    return [v.object_id, v.node_id, list(map(_FIRST, writers)),
+            b2a_base64(blob, newline=False).decode()]
+
+
+#: (object, sending node) -> writer -> the last ``(writer, count, cum,
+#: last)`` row decoded from that node's digests of that object, and the
+#: ``(writer, WriterSummary)`` pair built from it
+_PAIRS: Dict[Tuple[Any, Any],
+             Dict[Any, Tuple[Tuple[Any, ...], Tuple[Any, WriterSummary]]]] = {}
+
+
 def _digest_from(fields: List[Any]) -> VersionDigest:
-    object_id, node_id, issued_at, rows, metadata, lct = fields
+    object_id, node_id, names, blob = fields
+    n = len(names)
+    values = _LAYOUTS[n, 3 + 2 * n].unpack(a2b_base64(blob))
+    if not all(map(isfinite, values)):
+        raise WireError("a packed column holds a non-finite number")
     source = (object_id, node_id)
     held = _PAIRS.get(source)
     if held is None:
@@ -225,88 +285,143 @@ def _digest_from(fields: List[Any]) -> VersionDigest:
             _PAIRS.clear()
         held = _PAIRS[source] = {}
     writers = []
-    total = 0
-    for writer, count, cum, last in rows:
-        total += count
-        pair = held.get(writer)
-        if pair is None or not (pair[1].count == count
-                                and pair[1].cumulative_metadata == cum
-                                and pair[1].last_timestamp == last):
+    # zip stops at the names: ``values`` contributes its n counts
+    for row in zip(names, values, values[n + 3::2], values[n + 4::2]):
+        entry = held.get(row[0])
+        if entry is None or entry[0] != row:
             if len(held) >= _MAX_HELD:
                 held.clear()
-            pair = held[writer] = (writer, WriterSummary(count, cum, last))
-        writers.append(pair)
+            writer, count, cum, last = row
+            entry = held[writer] = (row, (writer,
+                                          WriterSummary(count, cum, last)))
+        writers.append(entry[1])
+    issued_at, metadata, lct = values[n:n + 3]
     return VersionDigest(object_id, node_id, issued_at, tuple(writers),
-                         metadata, lct, total)
+                         metadata, lct, sum(values[:n]))
+
+
+def _gossip_fields(v: GossipDigest) -> List[Any]:
+    counts = v.counts
+    n = len(counts)
+    return [v.object_id, v.origin, list(map(_FIRST, counts)),
+            _packed(n + 1, 3, (*map(_SECOND, counts), v.ttl, v.metadata,
+                               v.last_consistent_time, v.issued_at))]
 
 
 def _gossip_from(fields: List[Any]) -> GossipDigest:
-    object_id, origin, rows, metadata, lct, issued_at, ttl = fields
-    return GossipDigest(object_id, origin,
-                        tuple([(writer, count) for writer, count in rows]),
+    object_id, origin, names, blob = fields
+    n = len(names)
+    values = _numbers(n + 1, 3, blob)
+    ttl, metadata, lct, issued_at = values[n:]
+    return GossipDigest(object_id, origin, tuple(zip(names, values)),
                         metadata, lct, issued_at, ttl)
 
 
 def _vector_fields(v: ExtendedVersionVector) -> List[Any]:
     # The five content fields of __reduce__; caches are process-local, and
-    # iterating a writer's history stops at this vector's own prefix.
+    # a writer's history is read up to this vector's own prefix.
+    rows = []
+    for writer, history in v._updates.items():
+        records = history.above(0)
+        n = len(records)
+        numbers = (*map(_SEQ, records),
+                   *chain.from_iterable(map(_RECORD_FLOATS, records)))
+        rows.append([writer, _packed(n, 2 * n, numbers),
+                     [p if type(p) in _SCALARS else _pack(p)
+                      for p in map(_PAYLOAD, records)]])
+    bases = list(v._base.values())
+    m = len(bases)
+    numbers = (*map(_COUNT, bases),
+               *chain.from_iterable(map(_BASE_FLOATS, bases)))
     triple = v._triple
-    return [
-        [(writer, [(r.seq, r.timestamp, r.metadata_delta, _pack(r.payload))
-                   for r in records])
-         for writer, records in v._updates.items()],
-        [(writer, b.count, b.cum_metadata, b.last_timestamp)
-         for writer, b in v._base.items()],
-        v._metadata, v._last_consistent_time,
-        (triple.numerical, triple.order, triple.staleness)]
+    return [rows, [list(v._base), _packed(m, 2 * m, numbers)],
+            _packed(0, 5, (v._metadata, v._last_consistent_time,
+                           triple.numerical, triple.order, triple.staleness))]
 
 
 def _vector_from(fields: List[Any]) -> ExtendedVersionVector:
-    updates, bases, metadata, lct, triple = fields
-    return _restore_extended(
-        {writer: [UpdateRecord(writer, seq, timestamp, delta, payload)
-                  for seq, timestamp, delta, payload in rows]
-         for writer, rows in updates},
-        {writer: WriterBase(count, cum, last)
-         for writer, count, cum, last in bases},
-        metadata, lct, _triple_from(triple))
+    rows, (names, blob), tail = fields
+    updates = {}
+    for writer, column, payloads in rows:
+        n = len(payloads)
+        values = _numbers(n, 2 * n, column)
+        # map stops at the payloads: ``values`` contributes its n seqs
+        updates[writer] = list(map(UpdateRecord, repeat(writer), values,
+                                   values[n::2], values[n + 1::2], payloads))
+    m = len(names)
+    values = _numbers(m, 2 * m, blob)
+    bases = dict(zip(names, map(WriterBase, values, values[m::2],
+                                values[m + 1::2])))
+    metadata, lct, numerical, order, staleness = _numbers(0, 5, tail)
+    return _restore_extended(updates, bases, metadata, lct,
+                             ErrorTriple(numerical, order, staleness))
+
+
+def _counts_fields(v: VersionVector) -> List[Any]:
+    counts = v._counts
+    return [list(counts), _packed(len(counts), 0, tuple(counts.values()))]
+
+
+def _counts_from(fields: List[Any]) -> VersionVector:
+    names, blob = fields
+    return VersionVector._from_trusted(
+        dict(zip(names, _numbers(len(names), 0, blob))))
+
+
+def _one_column(cls: type, ints: int,
+                floats: int) -> Callable[[List[Any]], Any]:
+    """Rebuild for a class whose fields are all numbers, in constructor
+    order: ``[packed(...)]``."""
+    def rebuild(fields: List[Any]) -> Any:
+        (blob,) = fields
+        return cls(*_numbers(ints, floats, blob))
+    return rebuild
+
+
+def _record_from(fields: List[Any]) -> UpdateRecord:
+    writer, blob, payload = fields
+    seq, timestamp, delta = _numbers(1, 2, blob)
+    return UpdateRecord(writer, seq, timestamp, delta, payload)
+
+
+def _view_from(fields: List[Any]) -> RanSubView:
+    members, blob = fields
+    round_number, received_at = _numbers(1, 1, blob)
+    return RanSubView(round_number, members, received_at)
 
 
 _CODECS: Dict[str, Tuple[type, Callable[[Any], List[Any]],
                          Callable[[List[Any]], Any]]] = {
     "ErrorTriple": (
         ErrorTriple,
-        lambda v: [v.numerical, v.order, v.staleness],
-        _triple_from),
+        lambda v: [_packed(0, 3, (v.numerical, v.order, v.staleness))],
+        _one_column(ErrorTriple, 0, 3)),
     "UpdateRecord": (
         UpdateRecord,
-        lambda v: [v.writer, v.seq, v.timestamp, v.metadata_delta,
+        lambda v: [v.writer,
+                   _packed(1, 2, (v.seq, v.timestamp, v.metadata_delta)),
                    _pack(v.payload)],
-        _exactly(UpdateRecord, 5)),
+        _record_from),
     "WriterBase": (
         WriterBase,
-        lambda v: [v.count, v.cum_metadata, v.last_timestamp],
-        _exactly(WriterBase, 3)),
-    "VersionVector": (
-        VersionVector,
-        lambda v: [list(v._counts.items())],
-        _counts_from),
+        lambda v: [_packed(1, 2, (v.count, v.cum_metadata,
+                                  v.last_timestamp))],
+        _one_column(WriterBase, 1, 2)),
+    "VersionVector": (VersionVector, _counts_fields, _counts_from),
     "ExtendedVersionVector": (
         ExtendedVersionVector, _vector_fields, _vector_from),
     "WriterSummary": (
         WriterSummary,
-        lambda v: [v.count, v.cumulative_metadata, v.last_timestamp],
-        _exactly(WriterSummary, 3)),
+        lambda v: [_packed(1, 2, (v.count, v.cumulative_metadata,
+                                  v.last_timestamp))],
+        _one_column(WriterSummary, 1, 2)),
     "VersionDigest": (VersionDigest, _digest_fields, _digest_from),
-    "GossipDigest": (
-        GossipDigest,
-        lambda v: [v.object_id, v.origin, v.counts, v.metadata,
-                   v.last_consistent_time, v.issued_at, v.ttl],
-        _gossip_from),
+    "GossipDigest": (GossipDigest, _gossip_fields, _gossip_from),
     "RanSubView": (
         RanSubView,
-        lambda v: [v.round_number, v.members, v.received_at],
-        _exactly(RanSubView, 3)),
+        lambda v: [v.members,
+                   _packed(1, 1, (v.round_number, v.received_at))],
+        _view_from),
 }
 
 #: exact-type lookup for the encoder (subclasses are not payload types)
@@ -341,12 +456,15 @@ _escape = json.encoder.encode_basestring_ascii
 _decode = json.JSONDecoder(object_hook=_revive,
                            parse_constant=_refuse_constant).decode
 
-#: what an unencodable payload makes the encoder raise: a non-finite float,
-#: a self-referencing container
-_UNENCODABLE = (ValueError, RecursionError)
+#: what an unencodable payload makes the encoder raise: a non-finite float
+#: (``ValueError``), a self-referencing container, a typed numeric field
+#: ``struct`` cannot pack
+_UNENCODABLE = (ValueError, RecursionError, struct.error)
 
-#: what a hostile or damaged body can make the decoder raise
-_MALFORMED = (ValueError, TypeError, LookupError, RecursionError)
+#: what a hostile or damaged body can make the decoder raise (``struct
+#: .error``: a packed column of the wrong length)
+_MALFORMED = (ValueError, TypeError, LookupError, RecursionError,
+              struct.error)
 
 
 class SharedPayload:
@@ -384,7 +502,7 @@ def encode_envelope(src: str, dst: str, protocol: str, msg_type: str,
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame body {len(body)} bytes exceeds "
                         f"{MAX_FRAME_BYTES}")
-    return _HEADER.pack(len(body)) + body
+    return HEADER.pack(len(body)) + body
 
 
 def decode_envelope(body: bytes) -> Tuple[str, str, str, str, Any, int, float]:
@@ -408,18 +526,4 @@ def decode_envelope(body: bytes) -> Tuple[str, str, str, str, Any, int, float]:
 def roundtrip(value: Any) -> Any:
     """Encode then decode a payload value (test helper)."""
     frame = encode_envelope("a", "b", "p", "t", value, 0, 0.0)
-    return decode_envelope(frame[_HEADER.size:])[4]
-
-
-# --------------------------------------------------------------------------
-# async stream helpers
-# --------------------------------------------------------------------------
-
-async def read_frame(reader: asyncio.StreamReader) -> bytes:
-    """Read one frame body from ``reader``; raises ``IncompleteReadError``
-    at clean EOF between frames."""
-    header = await reader.readexactly(_HEADER.size)
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"incoming frame claims {length} bytes")
-    return await reader.readexactly(length)
+    return decode_envelope(frame[HEADER.size:])[4]

@@ -12,8 +12,10 @@ payload envelopes each protocol sends.
 
 from __future__ import annotations
 
+import base64
 import math
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -343,8 +345,9 @@ def test_an_unencodable_send_is_a_counted_drop(tmp_path):
 # --------------------------------------------------------------------------
 
 def test_golden_digest_announce_frame():
-    """One 4-writer detection announce, byte for byte: flat writer rows, no
-    tagged object below the digest.  535 B with the reflective codec."""
+    """One 4-writer detection announce, byte for byte: writer ids as a JSON
+    list, every count and float in one packed column, no tagged object below
+    the digest.  535 B with the reflective codec, 384 B with decimal rows."""
     digest = VersionDigest(
         object_id="obj0", node_id="n02", issued_at=12.803117656000001,
         writers=(
@@ -358,21 +361,24 @@ def test_golden_digest_announce_frame():
                                  "idea_digest:obj0", {"digest": digest}, 256,
                                  12.803391408)
     assert frame == (
-        b'\x00\x00\x01s["n02","n00","idea.detection","idea_digest:obj0",'
+        b'\x00\x00\x015["n02","n00","idea.detection","idea_digest:obj0",'
         b'{"digest":{"__c":"VersionDigest","f":["obj0","n02",'
-        b'12.803117656000001,[["n00",412,409.73260556720186,12.801903941],'
-        b'["n01",409,411.0528340197921,12.802281205999998],'
-        b'["n02",411,407.91166135629214,12.803117656000001],'
-        b'["n03",408,410.26402919855076,12.800660488000002]],'
-        b'1638.961130141837,12.688102336000002]}},256,12.803391408]')
+        b'["n00","n01","n02","n03"],'
+        b'"nAEAAAAAAACZAQAAAAAAAJsBAAAAAAAAmAEAAAAAAABquMY8MpspQI/5fzLYm5lA'
+        b'qdcK805gKUD+f53AuJt5QM1BQieTmilA+TF8aNiweUBN7iuaxJopQNTkNyqWfnlA'
+        b'arjGPDKbKUBvT652OaR5QJ5R5ivwmSlA"]}},256,12.803391408]')
     assert len(frame) <= 400
-    assert wire.decode_envelope(frame[4:])[4] == {"digest": digest}
+    restored = wire.decode_envelope(frame[4:])[4]
+    assert restored == {"digest": digest}
+    assert restored["digest"].total == 1640
 
 
 def test_golden_install_frame():
-    """One small resolution install: per-writer rows of ``[seq, timestamp,
-    delta, payload]``, flat bases, a flat triple; only the ``Any``-typed
-    record payloads and the message's own containers carry tags."""
+    """One small resolution install: per writer its id, one packed column
+    of seqs then (timestamp, delta) pairs, and its payloads; the bases as
+    ids plus one column; the metadata, lct and triple as one five-double
+    column.  Only the ``Any``-typed record payloads and the message's own
+    containers carry tags."""
     install = {
         "merged": ExtendedVersionVector(
             updates={"n00": (UpdateRecord("n00", 3, 1.5, 0.75,
@@ -388,11 +394,13 @@ def test_golden_install_frame():
     frame = wire.encode_envelope("n00", "n01", "idea.resolution.active",
                                  "idea_install:obj0", install, 1024, 2.125)
     assert frame == (
-        b'\x00\x00\x012["n00","n01","idea.resolution.active",'
+        b'\x00\x00\x01\xad["n00","n01","idea.resolution.active",'
         b'"idea_install:obj0",{"merged":{"__c":"ExtendedVersionVector","f":['
-        b'[["n00",[[3,1.5,0.75,{"writer":"n00","n":3}]]],'
-        b'["n01",[[1,0.25,1.25,null],[2,1.75,0.5,{"__t":["stroke",7]}]]]],'
-        b'[["n00",2,2.5,0.5]],5.0,2.0,[1.0,2.0,0.25]]},'
+        b'[["n00","AwAAAAAAAAAAAAAAAAD4PwAAAAAAAOg/",[{"writer":"n00","n":3}]],'
+        b'["n01","AQAAAAAAAAACAAAAAAAAAAAAAAAAANA/AAAAAAAA9D8AAAAAAAD8PwAAAAAA'
+        b'AOA/",[null,{"__t":["stroke",7]}]]],'
+        b'[["n00"],"AgAAAAAAAAAAAAAAAAAEQAAAAAAAAOA/"],'
+        b'"AAAAAAAAFEAAAAAAAAAAQAAAAAAAAPA/AAAAAAAAAEAAAAAAAADQPw=="]},'
         b'"invalidated":[{"__t":["n01",1]}]},1024,2.125]')
     restored = wire.decode_envelope(frame[4:])[4]
     assert restored == install
@@ -408,6 +416,256 @@ def test_shared_payload_is_encoded_once_and_spliced():
                                            256, 1.5)
                       for dst in ("n01", "n02")]
     assert shared.text().encode() in frames[1]
+
+
+# --------------------------------------------------------------------------
+# packed columns: bit-exact numbers, and what they refuse on either side
+# --------------------------------------------------------------------------
+
+def _digest_with(**fields):
+    base = dict(object_id="o", node_id="n00", issued_at=1.0,
+                writers=(("n00", WriterSummary(3, 1.5, 2.0)),), metadata=1.5,
+                last_consistent_time=0.5, total=3)
+    base.update(fields)
+    return VersionDigest(**base)
+
+
+def _vector_with(timestamp=1.0, delta=1.0, cum=1.0, last=0.5, metadata=2.0,
+                 lct=0.0, triple=ErrorTriple.ZERO):
+    return ExtendedVersionVector(
+        updates={"n00": (UpdateRecord("n00", 2, timestamp, delta),)},
+        base={"n00": WriterBase(1, cum, last)}, metadata=metadata,
+        last_consistent_time=lct, triple=triple)
+
+
+#: one instance per typed float field, built with that field set to ``x``
+TYPED_FLOAT_FIELDS = {
+    "ErrorTriple.numerical": lambda x: ErrorTriple(x, 0.0, 0.0),
+    "ErrorTriple.order": lambda x: ErrorTriple(0.0, x, 0.0),
+    "ErrorTriple.staleness": lambda x: ErrorTriple(0.0, 0.0, x),
+    "UpdateRecord.timestamp": lambda x: UpdateRecord("n00", 1, x, 1.0),
+    "UpdateRecord.metadata_delta": lambda x: UpdateRecord("n00", 1, 1.0, x),
+    "WriterBase.cum_metadata": lambda x: WriterBase(1, x, 0.5),
+    "WriterBase.last_timestamp": lambda x: WriterBase(1, 0.5, x),
+    "WriterSummary.cumulative_metadata": lambda x: WriterSummary(1, x, 0.5),
+    "WriterSummary.last_timestamp": lambda x: WriterSummary(1, 0.5, x),
+    "VersionDigest.issued_at": lambda x: _digest_with(issued_at=x),
+    "VersionDigest.metadata": lambda x: _digest_with(metadata=x),
+    "VersionDigest.last_consistent_time":
+        lambda x: _digest_with(last_consistent_time=x),
+    "VersionDigest.writers.cumulative_metadata": lambda x: _digest_with(
+        writers=(("n00", WriterSummary(3, x, 2.0)),)),
+    "VersionDigest.writers.last_timestamp": lambda x: _digest_with(
+        writers=(("n00", WriterSummary(3, 1.5, x)),)),
+    "GossipDigest.metadata": lambda x: GossipDigest("o", "n00", (("n00", 1),),
+                                                    x, 0.5, 1.0, 2),
+    "GossipDigest.last_consistent_time": lambda x: GossipDigest(
+        "o", "n00", (("n00", 1),), 1.0, x, 1.0, 2),
+    "GossipDigest.issued_at": lambda x: GossipDigest(
+        "o", "n00", (("n00", 1),), 1.0, 0.5, x, 2),
+    "RanSubView.received_at": lambda x: RanSubView(1, ["n00"], x),
+    "ExtendedVersionVector.records.timestamp":
+        lambda x: _vector_with(timestamp=x),
+    "ExtendedVersionVector.records.metadata_delta":
+        lambda x: _vector_with(delta=x),
+    "ExtendedVersionVector.base.cum_metadata": lambda x: _vector_with(cum=x),
+    "ExtendedVersionVector.base.last_timestamp":
+        lambda x: _vector_with(last=x),
+    "ExtendedVersionVector.metadata": lambda x: _vector_with(metadata=x),
+    "ExtendedVersionVector.last_consistent_time":
+        lambda x: _vector_with(lct=x),
+    "ExtendedVersionVector.triple": lambda x: _vector_with(
+        triple=ErrorTriple(0.0, x, 0.0)),
+}
+
+#: non-finite values each field can be built with (an ``ErrorTriple``
+#: refuses a negative component itself)
+NON_FINITE = [(name, bad) for name in TYPED_FLOAT_FIELDS
+              for bad in (float("nan"), float("inf"), float("-inf"))
+              if not ("ErrorTriple" in name or name.endswith(".triple"))
+              or bad > 0 or bad != bad]
+
+
+@pytest.mark.parametrize("name,bad", NON_FINITE,
+                         ids=[f"{name}-{bad}" for name, bad in NON_FINITE])
+def test_a_non_finite_typed_float_is_refused_on_encode(name, bad):
+    good = TYPED_FLOAT_FIELDS[name](0.25)
+    assert wire.roundtrip(good) == good
+    with pytest.raises(wire.WireError):
+        wire.encode_envelope("a", "b", "p", "t",
+                             {"x": TYPED_FLOAT_FIELDS[name](bad)}, 0, 0.0)
+
+
+def test_a_non_finite_typed_float_is_an_encode_error_drop(tmp_path):
+    """Every refused value through ``LiveTransport.send``: one counted
+    ``encode-error`` drop each, and sent = delivered + Σ drops closes."""
+    import asyncio
+
+    from repro.live.clock import LiveClock
+    from repro.live.node import LiveNode
+    from repro.live.transport import LiveTransport
+
+    loop = asyncio.new_event_loop()
+    clock = LiveClock(seed=1, loop=loop)
+    transport = LiveTransport(clock, {"a": str(tmp_path / "a.sock"),
+                                      "b": str(tmp_path / "b.sock")},
+                              kind="uds")
+    LiveNode(clock, transport, "a", processing_delay=0.0)
+    try:
+        for name, bad in NON_FINITE:
+            with pytest.raises(wire.WireError):
+                transport.send("a", "b", protocol="p", msg_type="t",
+                               payload=TYPED_FLOAT_FIELDS[name](bad))
+        loop.run_until_complete(transport.stop())
+    finally:
+        loop.close()
+    stats = transport.stats
+    assert dict(stats.drop_reasons) == {"encode-error": len(NON_FINITE)}
+    assert (stats.total_sent() == len(NON_FINITE)
+            == sum(stats.delivered.values())
+            + sum(stats.drop_reasons.values()))
+
+
+#: per class, ``(ints, floats, fields)``: the column's shape and the ``"f"``
+#: list around a blob of that shape (the extended vector has three columns)
+_COLUMNS = {
+    "ErrorTriple": (0, 3, lambda blob: [blob]),
+    "UpdateRecord": (1, 2, lambda blob: ["w", blob, None]),
+    "WriterBase": (1, 2, lambda blob: [blob]),
+    "WriterSummary": (1, 2, lambda blob: [blob]),
+    "VersionVector": (1, 0, lambda blob: [["w"], blob]),
+    "VersionDigest": (1, 5, lambda blob: ["o", "n", ["w"], blob]),
+    "GossipDigest": (2, 3, lambda blob: ["o", "n", ["w"], blob]),
+    "RanSubView": (1, 1, lambda blob: [["m"], blob]),
+    "ExtendedVersionVector": (1, 2, lambda blob: [
+        [["w", blob, [None]]], [[], _column([], [])],
+        _column([], [0.0] * 5)]),
+    "ExtendedVersionVector.base": (1, 2, lambda blob: [
+        [], [["w"], blob], _column([], [0.0] * 5)]),
+    "ExtendedVersionVector.tail": (0, 5, lambda blob: [
+        [], [[], _column([], [])], blob]),
+}
+
+
+def _class_body(column: str, blob) -> bytes:
+    import json
+    fields = _COLUMNS[column][2](blob)
+    return _envelope(json.dumps({"__c": column.split(".")[0], "f": fields}))
+
+
+def _finite_column(column: str):
+    ints, floats, _ = _COLUMNS[column]
+    return [1] * ints, [0.5] * floats
+
+
+@pytest.mark.parametrize("column", list(_COLUMNS))
+def test_a_well_formed_column_decodes(column):
+    """The hand-built layouts below are the encoder's: all-finite they
+    decode, so every refusal that follows is the one value changed."""
+    wire.decode_envelope(_class_body(column, _column(*_finite_column(column))))
+
+
+NAN_SLOTS = [(column, slot, bad) for column, (ints, floats, _) in
+             _COLUMNS.items() for slot in range(floats)
+             for bad in (float("nan"), float("inf"), float("-inf"))]
+
+
+@pytest.mark.parametrize("column,slot,bad", NAN_SLOTS,
+                         ids=[f"{column}-{slot}-{bad}"
+                              for column, slot, bad in NAN_SLOTS])
+def test_a_non_finite_number_in_a_column_is_refused_on_decode(column, slot,
+                                                             bad):
+    ints, floats = _finite_column(column)
+    floats[slot] = bad
+    with pytest.raises(wire.WireError, match="non-finite"):
+        wire.decode_envelope(_class_body(column, _column(ints, floats)))
+
+
+def _blob_of_bytes(data: bytes) -> str:
+    return base64.b64encode(data).decode()
+
+
+@pytest.mark.parametrize("column", list(_COLUMNS))
+@pytest.mark.parametrize("damage", ["one-byte-short", "one-double-long",
+                                    "empty", "not-base64", "bad-padding",
+                                    "not-ascii", "int", "float", "null",
+                                    "list", "object", "bool"])
+def test_a_damaged_column_is_refused(column, damage):
+    ints, floats = _finite_column(column)
+    good = base64.b64decode(_column(ints, floats))
+    blob = {"one-byte-short": _blob_of_bytes(good[:-1]),
+            "one-double-long": _blob_of_bytes(good + struct.pack("<d", 0.5)),
+            "empty": "",
+            "not-base64": "!!!!" * 4,
+            "bad-padding": _column(ints, floats).rstrip("=") + "A",
+            "not-ascii": "é" * 8,
+            "int": 5, "float": 1.5, "null": None, "list": [1, 2],
+            "object": {"a": 1}, "bool": True}[damage]
+    with pytest.raises(wire.WireError):
+        wire.decode_envelope(_class_body(column, blob))
+
+
+#: values whose int fields fall outside int64: the encoder refuses them
+OUT_OF_INT64 = {
+    "WriterSummary.count": WriterSummary(2 ** 63, 1.0, 1.0),
+    "WriterBase.count": WriterBase(-2 ** 63 - 1, 1.0, 1.0),
+    "UpdateRecord.seq": UpdateRecord("w", 2 ** 63, 1.0, 1.0),
+    "VersionVector.counts": VersionVector._from_trusted({"w": 2 ** 63}),
+    "VersionDigest.writers.count": _digest_with(
+        writers=(("n00", WriterSummary(2 ** 64, 1.5, 2.0)),)),
+    "GossipDigest.ttl": GossipDigest("o", "n", (), 1.0, 0.5, 1.0, 2 ** 63),
+    "RanSubView.round_number": RanSubView(2 ** 63, [], 1.0),
+}
+
+
+@pytest.mark.parametrize("value", OUT_OF_INT64.values(),
+                         ids=list(OUT_OF_INT64))
+def test_an_int_outside_int64_is_refused_on_encode(value):
+    with pytest.raises(wire.WireError):
+        wire.encode_envelope("a", "b", "p", "t", value, 0, 0.0)
+
+
+def test_int64_bounds_roundtrip():
+    for count in (2 ** 63 - 1, -2 ** 63):
+        summary = WriterSummary(count, 1.0, 1.0)
+        assert wire.roundtrip(summary).count == count
+
+
+#: -0.0, the smallest subnormal and a larger one, the smallest normal, the
+#: largest double and its negation
+EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, sys.float_info.min,
+               sys.float_info.max, -sys.float_info.max]
+
+
+@pytest.mark.parametrize("x", EDGE_FLOATS, ids=repr)
+def test_edge_floats_in_typed_fields_come_back_bit_exactly(x):
+    same = lambda a, b: struct.pack("<d", a) == struct.pack("<d", b)
+    digest = wire.roundtrip(_digest_with(
+        issued_at=x, metadata=x, last_consistent_time=x,
+        writers=(("n00", WriterSummary(3, x, x)),),
+        object_id=f"obj-edge-{x!r}"))
+    (_, summary), = digest.writers
+    assert all(same(v, x) for v in (digest.issued_at, digest.metadata,
+                                    digest.last_consistent_time,
+                                    summary.cumulative_metadata,
+                                    summary.last_timestamp))
+    vector = wire.roundtrip(_vector_with(timestamp=x, delta=x, cum=x, last=x,
+                                         metadata=x, lct=x))
+    (record,) = vector.updates_from("n00")
+    assert all(same(v, x) for v in (record.timestamp, record.metadata_delta,
+                                    vector.metadata,
+                                    vector.last_consistent_time))
+    if x >= 0:
+        triple = wire.roundtrip(ErrorTriple(x, x, x))
+        assert all(same(v, x) for v in triple.as_tuple())
+
+
+def test_an_int_in_a_typed_float_field_comes_back_a_float():
+    """The caveat the layout table states."""
+    summary = wire.roundtrip(WriterSummary(3, 4, 5))
+    assert summary == WriterSummary(3, 4, 5)
+    assert (type(summary.count), type(summary.cumulative_metadata),
+            type(summary.last_timestamp)) == (int, float, float)
 
 
 # --------------------------------------------------------------------------
@@ -561,6 +819,12 @@ def _envelope(payload_json: str) -> bytes:
     return f'["a","b","p","t",{payload_json},0,0.0]'.encode()
 
 
+def _column(ints, floats) -> str:
+    """A packed column as the encoder writes one."""
+    return base64.b64encode(struct.pack(f"<{len(ints)}q{len(floats)}d",
+                                        *ints, *floats)).decode()
+
+
 #: well-formed JSON (or nearly), wrong shape.  The first eight are what the
 #: reflective decoder let through as the exception noted — the reader task
 #: died of it, unhandled and uncounted — or accepted without a word.  The
@@ -578,11 +842,14 @@ WRONG_SHAPE_BODIES = {
         '{"__c":"WriterBase","f":{"a":1,"b":2,"c":3}}'),
     "extra-key-beside-a-tag": _envelope('{"__t":[1],"x":2}'),
     "pairs-not-a-list": _envelope('{"__d":{"a":1}}'),
+    # two writers named, one writer's numbers in the column
     "short-row-in-a-digest": _envelope(
-        '{"__c":"VersionDigest","f":["o","n",0.0,[["w",1,2.0]],0.0,0.0]}'),
+        '{"__c":"VersionDigest","f":["o","n",["w","v"],"%s"]}'
+        % _column([1], [0.0, 0.0, 0.0, 2.0, 1.0])),
     "unhashable-writer": _envelope(
-        '{"__c":"VersionVector","f":[[[["w"],1]]]}'),
-    "negative-triple": _envelope('{"__c":"ErrorTriple","f":[-1,0,0]}'),
+        '{"__c":"VersionVector","f":[[["w"]],"%s"]}' % _column([1], [])),
+    "negative-triple": _envelope(
+        '{"__c":"ErrorTriple","f":["%s"]}' % _column([], [-1.0, 0.0, 0.0])),
     "not-a-number-literal": _envelope("NaN"),
     "infinite-sent-at": b'["a","b","p","t",null,0,Infinity]',
     "unhashable-src": b'[["a"],"b","p","t",null,0,0.0]',
@@ -646,7 +913,7 @@ def test_mutated_frames_decode_or_raise_wire_error(value, mutation, pick,
                                                    intruder):
     """Valid frames of every registered class, damaged six ways: whatever
     arrives, ``decode_envelope`` returns an envelope or raises ``WireError``
-    — the one exception the reader task catches and counts."""
+    — the one exception the inbound protocol catches and counts."""
     import json
     body = wire.encode_envelope("n00", "n01", "p", "t", value, 64, 1.5)[4:]
     if mutation == "truncate":
@@ -688,9 +955,9 @@ def test_bad_inbound_frames_close_only_their_connection(tmp_path):
     malformed body, or a well-formed JSON body of the wrong shape must close
     *that* connection with a counted ``frame-error`` drop — the listening
     server and every other peer's connection stay up, later frames still
-    deliver, and nothing reaches the loop's exception handler: not a reader
-    task dying of a decoder exception, not ``stop()`` tearing down a
-    connection that is still open."""
+    deliver, and nothing reaches the loop's exception handler: not a
+    decoder exception escaping the read callback, not ``stop()`` tearing
+    down a connection that is still open."""
     import asyncio
     import gc
 
@@ -738,11 +1005,11 @@ def test_bad_inbound_frames_close_only_their_connection(tmp_path):
         await writer.drain()
         await asyncio.sleep(0.2)
 
-        # 5. stop() with that connection still open ends its reader cleanly
+        # 5. stop() with that connection still open closes it cleanly
         await transport.stop()
         assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
         writer.close()
-        await asyncio.sleep(0.05)  # done-callbacks of the reader tasks
+        await asyncio.sleep(0.05)  # connection_lost callbacks
         gc.collect()               # "exception was never retrieved"
 
     try:
@@ -752,3 +1019,151 @@ def test_bad_inbound_frames_close_only_their_connection(tmp_path):
     assert transport.stats.drop_reasons["frame-error"] == 4
     assert delivered == [{"ok": True}]
     assert unhandled == []
+
+
+# --------------------------------------------------------------------------
+# the inbound protocol: frames split out of whatever chunks arrive
+# --------------------------------------------------------------------------
+
+class _Socket:
+    """What the inbound protocol sees of its accepted connection."""
+
+    def __init__(self) -> None:
+        self.closed = False
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class _Inbound:
+    """A ``LiveTransport`` hosting ``b`` and one accepted connection's
+    protocol, fed by hand: no socket, no loop turn."""
+
+    def __init__(self, blocked=()) -> None:
+        import asyncio
+
+        from repro.live.clock import LiveClock
+        from repro.live.node import LiveNode
+        from repro.live.transport import LiveTransport, _InboundFrames
+
+        self.loop = asyncio.new_event_loop()
+        clock = LiveClock(seed=1, loop=self.loop)
+        self.transport = LiveTransport(clock, {"b": "b.sock"}, kind="uds")
+        self.arrived = []
+        node = LiveNode(clock, self.transport, "b", processing_delay=0.0)
+        node.register_handler("ping", lambda msg: self.arrived.append(
+            (msg.src, msg.protocol, msg.payload, msg.size_bytes)))
+        self.transport.set_blocked_peers(blocked)
+        self.protocol = _InboundFrames(self.transport)
+        self.socket = _Socket()
+        self.protocol.connection_made(self.socket)
+
+    def feed(self, stream: bytes, cuts) -> None:
+        """``stream`` in the chunks ``cuts`` make, while the connection is
+        open (a closed transport reads no more)."""
+        bounds = [0, *sorted(set(cuts)), len(stream)]
+        for start, end in zip(bounds, bounds[1:]):
+            if self.socket.closed:
+                break
+            self.protocol.data_received(stream[start:end])
+
+    def close(self) -> None:
+        self.protocol.connection_lost(None)
+        self.loop.close()
+
+
+def _ping(src: str, payload, protocol: str = "conformance") -> bytes:
+    return wire.encode_envelope(src, "b", protocol, "ping", payload, 64, 0.5)
+
+
+ping_payloads = st.lists(payloads(2), min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ping_payloads, st.data())
+def test_frames_arrive_in_order_however_the_stream_is_cut(messages, data):
+    frames = [_ping(f"n{i % 3}", payload)
+              for i, payload in enumerate(messages)]
+    stream = b"".join(frames)
+    cuts = data.draw(st.lists(st.integers(1, len(stream) - 1), max_size=12))
+    inbound = _Inbound()
+    try:
+        inbound.feed(stream, cuts)
+        assert inbound.arrived == [(f"n{i % 3}", "conformance", payload, 64)
+                                   for i, payload in enumerate(messages)]
+        assert not inbound.socket.closed
+        assert not inbound.protocol.buffer
+        assert not inbound.transport.stats.drop_reasons
+    finally:
+        inbound.close()
+
+
+def test_a_stream_fed_byte_by_byte_splits_every_header():
+    messages = [{"n": i} for i in range(4)]
+    stream = b"".join(_ping("a", payload) for payload in messages)
+    inbound = _Inbound()
+    try:
+        inbound.feed(stream, range(1, len(stream)))
+        assert [payload for _, _, payload, _ in inbound.arrived] == messages
+    finally:
+        inbound.close()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ping_payloads, st.integers(0, 3), st.data())
+def test_an_oversized_header_mid_stream_is_one_frame_error(messages, after,
+                                                           data):
+    """The frames before it deliver, the connection closes, and exactly one
+    ``frame-error`` is counted; what follows it is never read."""
+    before = [_ping("a", payload) for payload in messages]
+    stream = b"".join(before) + struct.pack(
+        ">I", wire.MAX_FRAME_BYTES + 1) + b"".join(
+            _ping("a", "after") for _ in range(after))
+    cuts = data.draw(st.lists(st.integers(1, len(stream) - 1), max_size=12))
+    inbound = _Inbound()
+    try:
+        inbound.feed(stream, cuts)
+        assert [payload for _, _, payload, _ in inbound.arrived] == messages
+        assert inbound.socket.closed
+        assert dict(inbound.transport.stats.drop_reasons) == {
+            "frame-error": 1}
+    finally:
+        inbound.close()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(["a", "c"]), min_size=1, max_size=8),
+       st.data())
+def test_a_blocked_source_is_dropped_frame_by_frame(sources, data):
+    frames = [_ping(src, i, protocol=f"proto-{src}")
+              for i, src in enumerate(sources)]
+    stream = b"".join(frames)
+    cuts = data.draw(st.lists(st.integers(1, len(stream) - 1), max_size=8))
+    inbound = _Inbound(blocked=["a"])
+    try:
+        inbound.feed(stream, cuts)
+        stats = inbound.transport.stats
+        assert inbound.arrived == [(src, f"proto-{src}", i, 64)
+                                   for i, src in enumerate(sources)
+                                   if src == "c"]
+        assert dict(stats.drop_reasons) == (
+            {"partition": sources.count("a")} if "a" in sources else {})
+        assert stats.dropped.get("proto-a", 0) == sources.count("a")
+        assert not inbound.socket.closed
+    finally:
+        inbound.close()
+
+
+@pytest.mark.parametrize("keep", [1, 3, 4, 20])
+def test_a_frame_cut_short_at_eof_is_not_a_frame_error(keep):
+    whole = _ping("a", "whole")
+    inbound = _Inbound()
+    try:
+        inbound.feed(whole + _ping("a", "cut")[:keep], [])
+        assert inbound.protocol.eof_received() is None   # the socket closes
+        inbound.protocol.connection_lost(None)
+        assert [payload for _, _, payload, _ in inbound.arrived] == ["whole"]
+        assert not inbound.transport.stats.drop_reasons
+        assert not inbound.transport._inbound
+    finally:
+        inbound.loop.close()
