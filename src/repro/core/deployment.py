@@ -502,9 +502,11 @@ class IdeaDeployment:
     def crash_node(self, node_id: str) -> None:
         """Crash-stop ``node_id`` and make the rest of the stack forget it.
 
-        The node fails (pending RPCs error out, its periodic timers pause),
-        the two-layer overlay evicts it from every object's layers, and every
-        *other* node's digest state drops the crashed member so its stale
+        The node fails (it unregisters, its pending RPCs error out and its
+        ``fail_hooks`` run; no timer pauses — gossip, background rounds and
+        the object writers check liveness each round), the two-layer
+        overlay evicts it from every object's layers, and every *other*
+        node's digest state drops the crashed member so its stale
         writer summaries stop polluting detection.  Idempotent.
         """
         node = self.nodes[node_id]
@@ -527,9 +529,10 @@ class IdeaDeployment:
     def recover_node(self, node_id: str) -> None:
         """Bring a crashed node back; its protocols resume automatically.
 
-        The node re-registers with the network and restarts its adopted
-        periodic timers; the overlay readmits it to the bottom layer (it
-        re-enters top layers by writing, like any cold node).  Idempotent.
+        The node re-registers with the network, so the next round of each
+        liveness-checking timer includes it again; the overlay readmits it
+        to the bottom layer (it re-enters top layers by writing, like any
+        cold node).  Idempotent.
         """
         node = self.nodes[node_id]
         if node.alive:

@@ -35,7 +35,6 @@ from repro.core.policies import PolicyDecision, ResolutionPolicy
 from repro.store.replica import Replica
 from repro.transport import (Message, Process, RPCError, Waiter, sleep,
                              unwrap_response)
-from repro.versioning.conflict import merge_vectors
 from repro.versioning.extended_vector import ExtendedVersionVector, UpdateRecord
 
 
@@ -71,6 +70,23 @@ class ResolutionResult:
     @property
     def succeeded(self) -> bool:
         return not self.aborted
+
+
+def merge_vectors(vectors: Sequence[ExtendedVersionVector], *,
+                  consistent_time: Optional[float] = None) -> ExtendedVersionVector:
+    """Merge any number of extended vectors into one consistent image.
+
+    This is what the resolution initiator computes after collecting version
+    information from every top-layer member: the union of all known updates.
+    """
+    if not vectors:
+        raise ValueError("merge_vectors requires at least one vector")
+    merged = vectors[0]
+    for vec in vectors[1:]:
+        merged = merged.merge(vec, consistent_time=consistent_time)
+    if consistent_time is not None:
+        merged = merged.with_consistent_time(consistent_time)
+    return merged
 
 
 class ResolutionManager:

@@ -18,7 +18,9 @@ reconnects, the chaos CI job's signal that re-dialing actually happened.
 The applied chaos timeline lands in ``<rundir>/chaos_timeline.json``.
 
 Exit codes: 0 success, 1 deployment failure or oracle mismatch, 2 bad
-arguments or fault plan (one ``error:`` line; nothing is spawned).
+arguments or fault plan (one ``error:`` line; nothing is spawned).  A plan
+that recovers a node before one of that node's scheduled writes is a bad
+plan: the restarted node would reuse write seqs and lose that write.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import sys
 import tempfile
 from typing import Optional, Tuple
 
-from repro.live.chaos import resolve_plan, run_live_deployment
+from repro.live.chaos import check_plan, resolve_plan, run_live_deployment
 from repro.live.deployment import DeploymentError
 from repro.live.scenario import (ScenarioSpec, activity, activity_lines,
                                  default_scenario, fault_oracle_diff,
@@ -56,7 +58,7 @@ def _configure(args: argparse.Namespace
     if args.fault_plan is None:
         return spec, None
     plan = resolve_plan(args.fault_plan, spec.nodes, time_scale=time_scale)
-    plan.validate(spec.nodes)
+    check_plan(spec, plan)
     return spec, plan
 
 

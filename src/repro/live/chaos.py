@@ -208,6 +208,28 @@ class LiveFaultController:
                        "timeline": self.timeline}, fh, indent=2)
 
 
+def check_plan(spec: ScenarioSpec, plan: FaultPlan) -> None:
+    """Raise ``ValueError`` for a plan the live runner would replay wrongly:
+    one naming a node outside ``spec``, or one that recovers a node before
+    one of that node's scheduled writes.
+
+    A restarted node has amnesia: it mints write seqs from 1 again, so its
+    peers, which hold its pre-crash writes under those seqs, would drop
+    the new writes as duplicates and the run would lose them silently
+    (DESIGN.md §15).
+    """
+    plan.validate(spec.nodes)
+    for action in plan.recoveries():
+        later = [t for t, node, _, _ in spec.writes
+                 if node == action.node_id and t >= action.time]
+        if later:
+            raise ValueError(
+                f"fault plan recovers {action.node_id} at "
+                f"t={action.time:.3f}s before its write at "
+                f"t={min(later):.3f}s; a restarted node reuses write seqs "
+                f"its peers already hold, so that write would be lost")
+
+
 def run_live_deployment(spec: ScenarioSpec, rundir: str,
                         plan: Optional[FaultPlan] = None, *,
                         kind: str = "uds"
@@ -219,7 +241,11 @@ def run_live_deployment(spec: ScenarioSpec, rundir: str,
     With a plan, nodes it leaves dead are absent from the outcomes and the
     applied timeline lands in ``<rundir>/chaos_timeline.json`` — also when
     the deployment fails (``DeploymentError`` propagates after teardown).
+    A plan :func:`check_plan` refuses raises ``ValueError`` before anything
+    spawns.
     """
+    if plan is not None:
+        check_plan(spec, plan)
     deployment = LiveDeployment(spec, rundir, kind=kind)
     controller = (LiveFaultController(deployment, plan)
                   if plan is not None else None)

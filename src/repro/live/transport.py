@@ -35,9 +35,8 @@ and moves messages as length-prefixed frames (:mod:`repro.live.wire`):
   connect/close at a jittered period).  ``heartbeat_misses`` consecutive
   failures mark the peer down: sends to it become immediate counted
   ``dst-down`` drops (the same crash-stop semantics sim ``Network`` gives a
-  failed node) and ``liveness_hooks`` / ``ProtocolEndpoint.peer_failed``
-  fire; one successful probe marks it back up and fires
-  ``peer_recovered``.
+  failed node); one successful probe marks it back up.  Nothing else
+  listens to these transitions.
 
 The chaos control channel (:mod:`repro.live.chaos`) injects the sim fault
 taxonomy at this layer: :meth:`set_blocked_peers` turns sends to (and
@@ -208,8 +207,6 @@ class LiveTransport:
         self.reconnects = 0
         #: peers the liveness probe currently believes are crashed
         self._peer_down: Set[str] = set()
-        #: callables ``hook(peer_id, alive)`` fired on liveness transitions
-        self.liveness_hooks: List[Any] = []
         self._probe_tasks: List["asyncio.Task[None]"] = []
 
         # --- chaos drop rules (pushed over the control channel) ---
@@ -330,27 +327,6 @@ class LiveTransport:
                     < self._loss_probability)
 
     # --------------------------------------------------------------- liveness
-    @property
-    def down_peers(self) -> Set[str]:
-        return set(self._peer_down)
-
-    def _mark_peer(self, peer_id: str, *, alive: bool) -> None:
-        if alive:
-            if peer_id not in self._peer_down:
-                return
-            self._peer_down.discard(peer_id)
-        else:
-            if peer_id in self._peer_down:
-                return
-            self._peer_down.add(peer_id)
-        for hook in self.liveness_hooks:
-            hook(peer_id, alive)
-        for node in list(self._nodes.values()):
-            notify = getattr(
-                node, "peer_recovered" if alive else "peer_failed", None)
-            if notify is not None:
-                notify(peer_id)
-
     async def _probe_loop(self, peer_id: str, address: Address) -> None:
         missed = 0
         rng = self.clock.random.stream(f"live.hb.{peer_id}")
@@ -368,10 +344,10 @@ class LiveTransport:
                     asyncio.TimeoutError):
                 missed += 1
                 if missed >= self.heartbeat_misses:
-                    self._mark_peer(peer_id, alive=False)
+                    self._peer_down.add(peer_id)
                 continue
             missed = 0
-            self._mark_peer(peer_id, alive=True)
+            self._peer_down.discard(peer_id)
 
     # ---------------------------------------------------------------- sending
     def send(self, src: str, dst: str, *, protocol: str, msg_type: str,

@@ -190,28 +190,6 @@ class EventQueue:
             return event
         return None
 
-    def peek_time(self) -> Optional[float]:
-        """Return the timestamp of the next pending event without popping it.
-
-        Draining cancelled heads updates the same bookkeeping as
-        :meth:`_note_cancelled` and triggers compaction through the same
-        threshold, so cancellation-heavy idle polling (peek without pop)
-        cannot defer compaction indefinitely.
-        """
-        heap = self._heap
-        drained = False
-        while heap and heap[0][3].cancelled:
-            event = heappop(heap)[3]
-            self._cancelled -= 1
-            if event.recyclable:
-                self._recycle(event)
-            drained = True
-        if drained:
-            self._maybe_compact()
-        if heap:
-            return heap[0][0]
-        return None
-
 
 def _scheduler(relative: bool) -> Callable[..., Event]:
     """Build ``Simulator.call_at`` (``relative=False``) or ``call_after``.

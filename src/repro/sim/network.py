@@ -33,8 +33,8 @@ is a *previously registered* node that has since crashed, or whose endpoints
 sit in different network partitions (:meth:`Network.partition`), is counted
 as a drop — exactly like the in-flight "destination departed" path of
 ``_deliver`` — and never raises.  Sending to an id that was *never*
-registered still raises ``KeyError`` while ``strict`` is set (the default),
-because that is a wiring bug, not a simulated fault.
+registered raises ``KeyError``, because that is a wiring bug, not a
+simulated fault.
 """
 
 from __future__ import annotations
@@ -56,17 +56,13 @@ class Network:
     DEFAULT_MESSAGE_BYTES = 1024
 
     def __init__(self, sim: Simulator, latency: LatencyModel, *,
-                 loss_probability: float = 0.0, strict: bool = True) -> None:
+                 loss_probability: float = 0.0) -> None:
         if not 0.0 <= loss_probability < 1.0:
             raise ValueError("loss_probability must be in [0, 1)")
         self.sim = sim
         self.latency = latency
         latency.bind(sim.random)
         self.loss_probability = loss_probability
-        #: raise ``KeyError`` for endpoints that were never registered (a
-        #: wiring bug); sends involving *known-but-crashed* nodes are always
-        #: counted drops regardless of this flag
-        self.strict = strict
         self.stats = NetworkStats()
         self._nodes: Dict[str, Any] = {}
         #: every id ever registered — crash-stop nodes unregister from
@@ -125,7 +121,7 @@ class Network:
             for node_id in group:
                 if node_id in partition_of:
                     raise ValueError(f"node {node_id!r} listed in two groups")
-                if self.strict and node_id not in self._known:
+                if node_id not in self._known:
                     # A typo'd id would silently land the intended node in
                     # the implicit group; wiring bugs raise (same rule as
                     # sending to a never-registered id).
@@ -173,11 +169,9 @@ class Network:
         if src is None:
             self.loss_probability = loss_probability
             return
-        if self.strict:
-            for node_id in (src, dst):
-                if node_id not in self._known:
-                    raise KeyError(
-                        f"per-link loss names unknown node {node_id!r}")
+        for node_id in (src, dst):
+            if node_id not in self._known:
+                raise KeyError(f"per-link loss names unknown node {node_id!r}")
         if loss_probability == 0.0:
             self._pair_loss.pop((src, dst), None)
         else:
@@ -191,17 +185,17 @@ class Network:
     def _unreachable_reason(self, src: str, dst: str) -> Optional[str]:
         """Why a send src→dst cannot go through right now, or ``None``.
 
-        Raises ``KeyError`` for endpoints that were never registered while
-        ``strict`` is set; crashed (known but unregistered) endpoints and
-        partitioned pairs yield a drop reason instead.
+        Raises ``KeyError`` for endpoints that were never registered;
+        crashed (known but unregistered) endpoints and partitioned pairs
+        yield a drop reason instead.
         """
         nodes = self._nodes
         if dst not in nodes:
-            if self.strict and dst not in self._known:
+            if dst not in self._known:
                 raise KeyError(f"destination node {dst!r} is not registered")
             return "dst-down"
         if src not in nodes:
-            if self.strict and src not in self._known:
+            if src not in self._known:
                 raise KeyError(f"source node {src!r} is not registered")
             return "src-down"
         if self._partition_of is not None and not self.reachable(src, dst):

@@ -1,11 +1,12 @@
 """Simulated node: the discrete-event backend of the endpoint seam.
 
 All the protocol plumbing — handler dispatch, the request/response RPC
-layer, crash-stop lifecycle with adopted restartable timers — lives in the
-backend-neutral :class:`~repro.transport.endpoint.ProtocolEndpoint`.
-:class:`Node` binds it to the simulator and adds the one genuinely
-simulated concern: a local :class:`~repro.sim.clock.DriftingClock`, so
-``local_time()`` reads a skewed clock the way a real host's would drift.
+layer, the crash-stop lifecycle (unregister, settle pending RPCs, run
+``fail_hooks``) — lives in the backend-neutral
+:class:`~repro.transport.endpoint.ProtocolEndpoint`.  :class:`Node` binds
+it to the simulator and adds the one genuinely simulated concern: a local
+:class:`~repro.sim.clock.DriftingClock`, so ``local_time()`` reads a skewed
+clock the way a real host's would drift.
 """
 
 from __future__ import annotations

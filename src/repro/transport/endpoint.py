@@ -10,9 +10,8 @@ needs, independent of whether messages travel through the discrete-event
 * a request/response RPC layer built on top of one-way messages (used by the
   resolution protocols: call-for-attention, version-info collection, update
   push),
-* crash-stop lifecycle (``fail``/``recover``) with adopted restartable
-  periodic timers, and
-* convenience timer helpers.
+* crash-stop lifecycle (``fail``/``recover``), and
+* a one-shot timer helper (``call_after``).
 
 Protocol components (detection module, resolution manager, overlay manager,
 application logic) are attached to an endpoint as collaborators rather than
@@ -72,19 +71,9 @@ class ProtocolEndpoint:
         self._request_counter = itertools.count()
         #: False between :meth:`fail` and :meth:`recover` (crash-stop)
         self.alive = True
-        #: periodic protocol timers owned by this endpoint; stopped on fail()
-        #: and restarted on recover() so a recovered node resumes its rounds
-        self._periodic_timers: List[Any] = []
-        #: observers of lifecycle transitions (e.g. a resolution manager
-        #: resetting its in-flight state when its host crashes)
+        #: run when this endpoint crashes (e.g. a resolution manager
+        #: resetting its in-flight state)
         self.fail_hooks: List[Callable[[], None]] = []
-        self.recover_hooks: List[Callable[[], None]] = []
-        #: observers of *remote* liveness transitions — fed by transports
-        #: that can detect peer crashes (the live backend's heartbeat probe
-        #: calls ``peer_failed``/``peer_recovered``; sim code may call them
-        #: from a failure-detector model).  Hooks take the peer id.
-        self.peer_fail_hooks: List[Callable[[str], None]] = []
-        self.peer_recover_hooks: List[Callable[[str], None]] = []
         transport.register(self)
         self.register_handler("__rpc_request__", self._handle_rpc_request)
         self.register_handler("__rpc_response__", self._handle_rpc_response)
@@ -95,9 +84,10 @@ class ProtocolEndpoint:
 
         Beyond unregistering from the transport, a crash is made *clean*:
         pending RPCs are failed promptly (their waiters fire with an error
-        instead of dangling forever, their timeout timers are cancelled), and
-        every adopted periodic timer is paused so no protocol round ticks on
-        a dead node.
+        instead of dangling forever, their timeout timers are cancelled).
+        Periodic protocol timers keep running: a round that must not act
+        for a crashed node checks liveness when it fires, and whatever a
+        crashed node still sends is a counted ``src-down`` drop.
         """
         if not self.alive:
             return
@@ -106,13 +96,11 @@ class ProtocolEndpoint:
         pending, self._pending = self._pending, {}
         for request in pending.values():
             request.settle(("error", f"{self.node_id} crashed"))
-        for timer in self._periodic_timers:
-            timer.stop()
         for hook in self.fail_hooks:
             hook()
 
     def recover(self) -> None:
-        """Bring a failed endpoint back online and resume its periodic protocols."""
+        """Bring a failed endpoint back online."""
         if self.alive:
             return
         self.alive = True
@@ -120,35 +108,6 @@ class ProtocolEndpoint:
         # Any request state surviving the crash is stale; a late
         # __rpc_response__ for a pre-crash request must not be mis-routed.
         self._pending.clear()
-        for timer in self._periodic_timers:
-            if not timer.cancelled:
-                timer.start()
-        for hook in self.recover_hooks:
-            hook()
-
-    def peer_failed(self, peer_id: str) -> None:
-        """A remote peer was observed to crash (transport liveness probe)."""
-        for hook in self.peer_fail_hooks:
-            hook(peer_id)
-
-    def peer_recovered(self, peer_id: str) -> None:
-        """A previously crashed remote peer is reachable again."""
-        for hook in self.peer_recover_hooks:
-            hook(peer_id)
-
-    def adopt_timer(self, timer: Any) -> None:
-        """Tie a :class:`~repro.transport.timers.PeriodicTimer` to this life.
-
-        Adopted timers are paused by :meth:`fail` and resumed by
-        :meth:`recover`; :meth:`call_every` adopts its timer automatically.
-        """
-        self._periodic_timers.append(timer)
-
-    def disown_timer(self, timer: Any) -> None:
-        try:
-            self._periodic_timers.remove(timer)
-        except ValueError:
-            pass
 
     # ------------------------------------------------------------------ time
     def local_time(self) -> float:
@@ -159,41 +118,6 @@ class ProtocolEndpoint:
                    label: str = "") -> Any:
         return self.clock.call_after(delay, callback,
                                      label=f"{self.node_id}:{label}")
-
-    def call_every(self, period: float, callback: Callable[[], None], *,
-                   label: str = "", jitter: float = 0.0) -> Callable[[], None]:
-        """Run ``callback`` every ``period`` seconds until the returned
-        cancel function is invoked.
-
-        The timer is adopted by the endpoint: a crash pauses it (restartably —
-        not the old permanent cancel, which left a recovered node silent) and
-        ``recover()`` resumes the schedule.
-        """
-        from repro.transport.timers import PeriodicTimer
-
-        if period <= 0:
-            raise ValueError("period must be positive")
-        rng = (self.clock.random.stream(f"timer.{self.node_id}.{label}")
-               if jitter > 0 else None)
-
-        def guarded() -> None:
-            if not self.alive:
-                # Safety net for a tick already in flight when fail() ran;
-                # stop() keeps the timer restartable for recover().
-                timer.stop()
-                return
-            callback()
-
-        timer = PeriodicTimer(self.clock, guarded, period=period, jitter=jitter,
-                              rng=rng, label=f"{self.node_id}:{label}")
-        self.adopt_timer(timer)
-        timer.start()
-
-        def cancel() -> None:
-            timer.cancel()
-            self.disown_timer(timer)
-
-        return cancel
 
     # ------------------------------------------------------------- messaging
     def register_handler(self, msg_type: str,
@@ -266,7 +190,7 @@ class ProtocolEndpoint:
                                          "protocol": protocol},
                                 size_bytes=size_bytes)
         except KeyError:
-            # Destination id was never registered (strict network): fail the
+            # Destination id was never registered (a wiring bug): fail the
             # RPC rather than blowing up the caller.
             self._pending.pop(request_id, None)
             pending.settle(("error", f"destination {dst!r} is unreachable"))

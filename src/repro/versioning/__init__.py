@@ -10,9 +10,8 @@ IDEA detects inconsistency by exchanging *version vectors* (Parker et al.,
 
 This subpackage provides both the classic vector
 (:class:`~repro.versioning.version_vector.VersionVector`) and the extended
-vector (:class:`~repro.versioning.extended_vector.ExtendedVersionVector`),
-plus the comparison/merge algebra used by detection and resolution
-(:mod:`repro.versioning.conflict`).
+vector (:class:`~repro.versioning.extended_vector.ExtendedVersionVector`)
+with the comparison and merge algebra detection and resolution use.
 """
 
 from repro.versioning.version_vector import Ordering, VersionVector
@@ -24,12 +23,6 @@ from repro.versioning.extended_vector import (
     WriterBase,
 )
 from repro.versioning.writers import GLOBAL_WRITERS, WriterTable
-from repro.versioning.conflict import (
-    ConflictReport,
-    compare_extended,
-    detect_conflict,
-    merge_vectors,
-)
 
 __all__ = [
     "Ordering",
@@ -41,8 +34,4 @@ __all__ = [
     "WriterBase",
     "GLOBAL_WRITERS",
     "WriterTable",
-    "ConflictReport",
-    "compare_extended",
-    "detect_conflict",
-    "merge_vectors",
 ]

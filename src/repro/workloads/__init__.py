@@ -9,7 +9,7 @@ read/write mixes against multi-object deployments, with
   object each operation targets — uniform, Zipf, rotating hotspot;
 * **rate/phase schedules** (:mod:`~repro.workloads.phases`) shaping the
   offered load over time as piecewise rate functions — constant, ramp,
-  diurnal, flash crowd, and arbitrary piecewise compositions;
+  diurnal and flash crowd;
 * **client models** (:mod:`~repro.workloads.clients`) — open-loop Poisson
   arrival streams (non-homogeneous, via thinning) and closed-loop
   think-time sessions;
@@ -39,7 +39,6 @@ from repro.workloads.phases import (
     ConstantRate,
     DiurnalRate,
     FlashCrowdRate,
-    PiecewiseRate,
     RampRate,
     RateSchedule,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "RampRate",
     "DiurnalRate",
     "FlashCrowdRate",
-    "PiecewiseRate",
     "PopularityModel",
     "UniformPopularity",
     "ZipfPopularity",

@@ -179,7 +179,7 @@ class ClosedLoopClient(ClientStream):
 
     When a schedule is given it acts as an on/off gate — while λ(t) is zero
     the session idles (probing forward one think time at a time), so a
-    piecewise schedule can switch whole populations on and off.
+    schedule can switch whole populations on and off.
     """
 
     __slots__ = ("think_time",)

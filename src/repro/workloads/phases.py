@@ -14,7 +14,6 @@ the same schedule object can be shared by thousands of streams.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
 
 
 class RateSchedule:
@@ -41,9 +40,9 @@ class RateSchedule:
         """True when λ is zero for *all* times ≥ ``t``.
 
         Client streams use this to distinguish "quiet right now, keep
-        probing forward" (a flash crowd that has not hit yet, the off half
-        of a repeating piecewise schedule) from "this schedule will never
-        produce another op" — only the latter finishes a stream.
+        probing forward" (a flash crowd that has not hit yet) from "this
+        schedule will never produce another op" — only the latter finishes
+        a stream.
         """
         return False
 
@@ -202,56 +201,3 @@ class FlashCrowdRate(RateSchedule):
     def describe(self) -> str:
         return (f"flash-crowd({self.base_rate:g}→{self.peak_rate_value:g}/s "
                 f"at t={self.at:g}s, ramp={self.ramp:g}s, hold={self.hold:g}s)")
-
-
-class PiecewiseRate(RateSchedule):
-    """Sequential composition of schedules: phases of a load test.
-
-    ``segments`` is a list of ``(duration, schedule)`` pairs; each segment's
-    schedule is evaluated in *local* time (its own t=0 at the segment start).
-    After the last segment the rate is 0 unless ``repeat=True``, in which
-    case the whole sequence cycles.
-    """
-
-    __slots__ = ("segments", "repeat", "_starts", "_total")
-
-    def __init__(self, segments: Sequence[Tuple[float, RateSchedule]], *,
-                 repeat: bool = False) -> None:
-        if not segments:
-            raise ValueError("piecewise schedule needs at least one segment")
-        for duration, _ in segments:
-            if duration <= 0:
-                raise ValueError("segment durations must be positive")
-        self.segments: List[Tuple[float, RateSchedule]] = list(segments)
-        self.repeat = repeat
-        starts: List[float] = []
-        acc = 0.0
-        for duration, _ in self.segments:
-            starts.append(acc)
-            acc += duration
-        self._starts = starts
-        self._total = acc
-
-    def rate(self, t: float) -> float:
-        if t < 0:
-            return 0.0
-        if t >= self._total:
-            if not self.repeat:
-                return 0.0
-            t = t % self._total
-        for start, (duration, schedule) in zip(reversed(self._starts),
-                                               reversed(self.segments)):
-            if t >= start:
-                return schedule.rate(t - start)
-        return self.segments[0][1].rate(t)
-
-    def peak_rate(self) -> float:
-        return max(schedule.peak_rate() for _, schedule in self.segments)
-
-    def exhausted_after(self, t: float) -> bool:
-        return not self.repeat and t >= self._total
-
-    def describe(self) -> str:
-        inner = " | ".join(f"{d:g}s:{s.describe()}" for d, s in self.segments)
-        suffix = ", repeat" if self.repeat else ""
-        return f"piecewise({inner}{suffix})"

@@ -25,7 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.live.__main__ as live_cli
-from repro.live.chaos import (LiveFaultController, builtin_plan,
+import repro.live.chaos as chaos
+from repro.live.chaos import (LiveFaultController, builtin_plan, check_plan,
                               resolve_plan, run_live_deployment)
 from repro.live.control import ControlClient, ControlError, ControlServer
 from repro.live.deployment import (DeploymentError, LiveDeployment,
@@ -578,6 +579,99 @@ def test_cli_refuses_bad_input_before_spawning(case, tmp_path, monkeypatch,
     assert live_cli.main(argv + ["--rundir", str(tmp_path / "run")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and named in line
+
+
+# --------------------------------------------------------------------------
+# a plan that recovers a node before one of its writes is refused
+# --------------------------------------------------------------------------
+
+class TestRecoveryBeforeAWriteIsRefused:
+    """A restarted node mints write seqs from 1 again, so a write it makes
+    after its recovery would be dropped by its peers as a duplicate.  Both
+    entry points refuse such a plan before anything spawns, naming the
+    node, its recovery time and the write's time."""
+
+    def plan_and_first_write(self, time_scale):
+        plan = FaultPlan().crash("n07", at=0.5).recover("n07", at=1.0)
+        spec = default_scenario(8, 2, seed=7, time_scale=time_scale)
+        first = min(t for t, node, _, _ in spec.writes
+                    if node == "n07" and t >= 1.0)
+        return spec, plan, first
+
+    def test_cli_exits_2_with_one_error_line(self, tmp_path, monkeypatch,
+                                             capsys):
+        spec, plan, first = self.plan_and_first_write(5.0 / 4.4)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan.to_dict()), encoding="utf-8")
+
+        def spawned(*_args, **_kwargs):
+            raise AssertionError("node processes were spawned")
+
+        monkeypatch.setattr(live_cli, "run_live_deployment", spawned)
+        assert live_cli.main(["--fault-plan", str(path),
+                              "--rundir", str(tmp_path / "run")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert "n07" in line and "t=1.000s" in line
+        assert f"t={first:.3f}s" in line
+
+    def test_run_live_deployment_raises_before_spawning(self, tmp_path,
+                                                        monkeypatch):
+        spec, plan, first = self.plan_and_first_write(1.0)
+
+        def spawned(*_args, **_kwargs):
+            raise AssertionError("a deployment was built")
+
+        monkeypatch.setattr(chaos, "LiveDeployment", spawned)
+        with pytest.raises(ValueError) as refused:
+            run_live_deployment(spec, str(tmp_path), plan)
+        message = str(refused.value)
+        assert "n07" in message and "t=1.000s" in message
+        assert f"t={first:.3f}s" in message
+
+    @staticmethod
+    def writes_of(spec, node):
+        return sorted(t for t, writer, _, _ in spec.writes if writer == node)
+
+    def test_a_recovery_at_a_write_time_is_refused(self):
+        spec = default_scenario(8, 2, seed=7)
+        at = self.writes_of(spec, "n07")[-1]
+        plan = FaultPlan().crash("n07", at=at - 0.5).recover("n07", at=at)
+        with pytest.raises(ValueError, match=f"t={at:.3f}s before"):
+            check_plan(spec, plan)
+
+    def test_a_recovery_after_the_nodes_last_write_is_accepted(self):
+        spec = default_scenario(8, 2, seed=7)
+        last = self.writes_of(spec, "n07")[-1]
+        check_plan(spec, FaultPlan().crash("n07", at=0.5)
+                   .recover("n07", at=last + 0.1))
+
+    def test_only_the_recovered_nodes_own_writes_count(self):
+        spec = default_scenario(8, 2, seed=7)
+        last = self.writes_of(spec, "n00")[-1]
+        # Other nodes still write after n00 comes back; that is fine.
+        assert any(t > last + 0.001 for t, _, _, _ in spec.writes)
+        check_plan(spec, FaultPlan().crash("n00", at=last + 0.001)
+                   .recover("n00", at=last + 0.002))
+
+    def test_a_node_left_down_is_accepted(self):
+        spec = default_scenario(8, 2, seed=7)
+        check_plan(spec, FaultPlan().crash("n07", at=0.5))
+
+    def test_a_plan_naming_an_unknown_node_is_refused(self):
+        spec = default_scenario(8, 2, seed=7)
+        with pytest.raises(ValueError, match="n99"):
+            check_plan(spec, FaultPlan().crash("n99", at=0.5))
+
+    @pytest.mark.parametrize("name", ["churn", "kill", "partition"])
+    def test_builtin_plans_schedule_no_write_after_a_recovery(self, name):
+        for nodes in (4, 8, 16):
+            for duration in (3.0, 5.0, 6.0, 12.0):
+                time_scale = duration / 4.4
+                spec = default_scenario(nodes, 2, seed=7,
+                                        time_scale=time_scale)
+                check_plan(spec, builtin_plan(name, spec.nodes,
+                                              time_scale=time_scale))
 
 
 # --------------------------------------------------------------------------

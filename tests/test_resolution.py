@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.config import AdaptationMode, IdeaConfig, ResolutionStrategy
 from repro.core.deployment import IdeaDeployment
+from repro.core.resolution import merge_vectors
+from repro.versioning.extended_vector import ExtendedVersionVector, UpdateRecord
 
 
 def build_deployment(num_nodes=8, *, strategy=ResolutionStrategy.USER_ID_BASED,
@@ -207,3 +209,54 @@ class TestInstallFanOut:
             "bytes_sent": {"idea.detection": 4608,
                            "idea.resolution.active": 10368},
             "drop_reasons": {}}
+
+
+def rec(writer, seq, ts, delta=1.0):
+    return UpdateRecord(writer=writer, seq=seq, timestamp=ts, metadata_delta=delta)
+
+
+def evv(*records, lct=0.0):
+    return ExtendedVersionVector.from_updates(list(records), last_consistent_time=lct)
+
+
+class TestMergeVectors:
+    def test_merge_many(self):
+        vectors = [evv(rec("A", 1, 1.0)), evv(rec("B", 1, 2.0)), evv(rec("C", 1, 3.0))]
+        merged = merge_vectors(vectors, consistent_time=5.0)
+        assert merged.total_updates() == 3
+        assert merged.last_consistent_time == 5.0
+
+    def test_merge_requires_at_least_one(self):
+        with pytest.raises(ValueError):
+            merge_vectors([])
+
+    def test_merge_dominates_all_inputs(self):
+        vectors = [evv(rec("A", 1, 1.0), rec("A", 2, 2.0)), evv(rec("B", 1, 1.5))]
+        merged = merge_vectors(vectors)
+        for v in vectors:
+            assert merged.counts().dominates(v.counts())
+
+    def test_overlapping_histories_are_counted_once(self):
+        shared = [rec("A", 1, 1.0), rec("A", 2, 2.0)]
+        merged = merge_vectors([evv(*shared), evv(*shared, rec("B", 1, 3.0)),
+                                evv(shared[0])])
+        assert merged.total_updates() == 3
+        assert merged.counts() == evv(*shared, rec("B", 1, 3.0)).counts()
+
+    def test_merge_is_order_independent(self):
+        vectors = [evv(rec("A", 1, 1.0), rec("A", 2, 2.0)),
+                   evv(rec("B", 1, 1.5)),
+                   evv(rec("A", 1, 1.0), rec("C", 1, 4.0))]
+        forward = merge_vectors(vectors)
+        backward = merge_vectors(vectors[::-1])
+        assert forward.counts() == backward.counts()
+        assert forward.total_updates() == backward.total_updates() == 4
+        assert forward.metadata == pytest.approx(backward.metadata)
+
+    def test_consistent_time_defaults_to_the_latest_input(self):
+        vectors = [evv(rec("A", 1, 1.0), lct=2.0), evv(rec("B", 1, 1.5), lct=7.0),
+                   evv(rec("C", 1, 3.0), lct=4.0)]
+        assert merge_vectors(vectors).last_consistent_time == 7.0
+        assert merge_vectors(vectors[:1]).last_consistent_time == 2.0
+        assert merge_vectors(vectors, consistent_time=9.0) \
+            .last_consistent_time == 9.0

@@ -2,18 +2,22 @@
 
 Covers the whole failure stack: the FaultPlan/FaultInjector subsystem, the
 deployment-level crash/recover orchestration (overlay eviction, digest
-eviction, timer resume), partitions, and the ISSUE's acceptance scenario —
-an 8-node run that kills and later recovers 2 nodes mid-simulation, finishes
-without exceptions and replays bit-identically under the same seed.
+eviction, per-round liveness checks), partitions, and the churn acceptance
+scenario — an 8-node run that kills and later recovers 2 nodes
+mid-simulation, finishes without exceptions and replays bit-identically
+under the same seed.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
 from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.deployment import DeploymentBuilder
 from repro.experiments.fig_churn_availability import fingerprint, run_churn_point
+from repro.experiments.scaffold import start_object_writers
 from repro.scenarios import FaultInjector, FaultPlan
 from repro.sim.engine import Simulator
 from repro.sim.latency import LatencyModel
@@ -202,6 +206,64 @@ class TestCrashRecoverOrchestration:
         # skipped; after recovery the writers re-heat and rounds resume.
         assert deployment.objects["doc"].background_rounds_started > \
             started_during_outage
+
+
+    def test_liveness_checks_silence_a_crashed_node_until_it_recovers(self):
+        """No timer follows its node's crash; each round checks liveness.
+
+        While a node is down it originates no gossip, detection or
+        resolution send (gossip checks ``has_node``, background rounds and
+        the writers ``alive``, and the endpoint sends nothing while down).
+        RanSub's static tree still makes it the sender of its children's
+        views, and every such send is a counted ``src-down`` drop.  After
+        ``recover_node`` the node originates each protocol again.
+        """
+        deployment = DeploymentBuilder(
+            num_nodes=12, seed=5, use_gossip=True).start_overlay_services().build()
+        config = IdeaConfig(mode=AdaptationMode.HINT_BASED, hint_level=0.8,
+                            background_period=5.0)
+        for index, object_id in enumerate(("obj0", "obj1")):
+            deployment.register_object(object_id, config)
+            start_object_writers(deployment, object_id, index,
+                                 writers_per_object=12, write_period=2.0,
+                                 offset=0.0)
+        network = deployment.network
+        sent = Counter()
+        phase = ["before"]
+        send_many = network.send_many
+
+        def counting_send_many(src, dsts, *, protocol, **kwargs):
+            family = ("idea.resolution" if protocol.startswith("idea.resolution")
+                      else protocol)
+            sent[src, family, phase[0]] += len(dsts)
+            return send_many(src, dsts, protocol=protocol, **kwargs)
+
+        network.send_many = counting_send_many
+        victims = deployment.node_ids[:4]
+        deployment.run(until=20.0)
+        for victim in victims:
+            deployment.crash_node(victim)
+        phase[0] = "down"
+        src_down_at_crash = network.stats.drop_reasons["src-down"]
+        deployment.run(until=60.0)
+        src_down_while_down = (network.stats.drop_reasons["src-down"]
+                               - src_down_at_crash)
+        for victim in victims:
+            deployment.recover_node(victim)
+        phase[0] = "after"
+        deployment.run(until=100.0)
+
+        silenced = ("overlay.gossip", "idea.detection", "idea.resolution")
+        for victim in victims:
+            for family in silenced:
+                assert sent[victim, family, "before"] > 0, (victim, family)
+                assert sent[victim, family, "down"] == 0, (victim, family)
+                assert sent[victim, family, "after"] > 0, (victim, family)
+        down = {(src, family): count
+                for (src, family, when), count in sent.items()
+                if when == "down" and src in victims}
+        assert down and {family for _, family in down} == {"overlay.ransub"}
+        assert sum(down.values()) == src_down_while_down
 
 
 # ---------------------------------------------------------------------------

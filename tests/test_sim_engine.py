@@ -51,12 +51,19 @@ class TestEventQueue:
         e1.cancel()
         assert len(q) == 1
 
-    def test_peek_time_skips_cancelled(self):
+    def test_pop_skips_cancelled_heads_and_settles_their_count(self):
         q, push = _queue()
-        e1 = push(1.0, lambda: None)
-        push(5.0, lambda: None)
-        e1.cancel()
-        assert q.peek_time() == 5.0
+        heads = [push(float(i), lambda: None, recyclable=True)
+                 for i in range(3)]
+        later = push(5.0, lambda: None)
+        for event in heads:
+            event.cancel()
+        assert q.cancelled_pending == 3
+        assert q.pop() is later
+        # The drained heads left the heap's books and went to the pool.
+        assert q.cancelled_pending == 0
+        assert q.pool_size == 3
+        assert len(q) == 0 and q._heap == []
 
     def test_nan_time_rejected(self):
         q, push = _queue()
@@ -93,22 +100,6 @@ class TestEventQueue:
         assert len(q) == 50
         assert len(q._heap) < 200
         assert len(q._heap) == 50 + q.cancelled_pending
-
-    def test_peek_time_drain_triggers_compaction(self):
-        # Cancellation-heavy idle polling: peek_time drains cancelled heads
-        # through the same threshold bookkeeping as _note_cancelled, so deep
-        # cancelled entries cannot pile up behind a pattern of peeks.
-        q, push = _queue()
-        events = [push(float(i), lambda: None) for i in range(200)]
-        # Cancel a majority, but interleave so compaction hasn't fired yet
-        # when the last head-drain happens.
-        live = events[150:]
-        for event in events[:150]:
-            event.cancel()
-        assert q.peek_time() == 150.0
-        # After the drain the heap holds no more cancelled entries than live.
-        assert q.cancelled_pending <= len(q)
-        assert len(q._heap) <= len(live) + q.cancelled_pending
 
     def test_recyclable_events_are_pooled(self):
         q, push = _queue()

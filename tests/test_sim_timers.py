@@ -41,6 +41,29 @@ class TestPeriodicTimer:
         sim.run(until=10.0)
         assert ticks == [1.0, 2.0]
 
+    def test_cancel_before_first_round(self):
+        sim = Simulator()
+        ticks = []
+        timer = PeriodicTimer(sim, lambda: ticks.append(sim.now), period=1.0)
+        timer.start()
+        sim.call_at(0.5, timer.cancel)
+        sim.run(until=5.0)
+        assert ticks == []
+        assert timer.rounds_fired == 0
+        assert len(sim._queue) == 0
+
+    def test_cancel_is_idempotent(self):
+        sim = Simulator()
+        ticks = []
+        timer = PeriodicTimer(sim, lambda: ticks.append(sim.now), period=1.0)
+        timer.start()
+        sim.call_at(1.5, timer.cancel)
+        sim.call_at(1.7, timer.cancel)
+        sim.run(until=5.0)
+        timer.cancel()
+        assert ticks == [1.0]
+        assert not timer.active
+
     def test_period_fn_reread_before_every_round(self):
         sim = Simulator()
         state = {"period": 4.0}
@@ -64,16 +87,6 @@ class TestPeriodicTimer:
         assert ticks == [1.0, 2.0]
         assert not timer.active
 
-    def test_set_period_takes_effect_next_round(self):
-        sim = Simulator()
-        ticks = []
-        timer = PeriodicTimer(sim, lambda: ticks.append(sim.now), period=5.0)
-        timer.start()
-        sim.run(until=6.0)
-        timer.set_period(1.0)
-        sim.run(until=12.0)
-        assert ticks == [5.0, 10.0, 11.0, 12.0]
-
     def test_rounds_fired_counter(self):
         sim = Simulator()
         timer = PeriodicTimer(sim, lambda: None, period=1.0).start()
@@ -87,40 +100,6 @@ class TestPeriodicTimer:
         with pytest.raises(TransportError):
             timer.start()
 
-    def test_stop_then_start_resumes(self):
-        sim = Simulator()
-        ticks = []
-        timer = PeriodicTimer(sim, lambda: ticks.append(sim.now), period=1.0)
-        timer.start()
-        sim.call_at(2.5, timer.stop)
-        sim.call_at(5.0, timer.start)
-        sim.run(until=8.0)
-        assert ticks == [1.0, 2.0, 6.0, 7.0, 8.0]
-
-    def test_stop_removes_pending_event(self):
-        sim = Simulator()
-        timer = PeriodicTimer(sim, lambda: None, period=1.0).start()
-        sim.call_at(1.5, timer.stop)
-        sim.run(until=3.0)
-        assert not timer.active
-        assert timer.stopped
-        assert not timer.cancelled
-        assert len(sim._queue) == 0
-
-    def test_stop_from_within_callback(self):
-        sim = Simulator()
-        ticks = []
-        timer = PeriodicTimer(
-            sim, lambda: (ticks.append(sim.now),
-                          timer.stop() if len(ticks) == 2 else None),
-            period=1.0)
-        timer.start()
-        sim.run(until=10.0)
-        assert ticks == [1.0, 2.0]
-        timer.start()
-        sim.run(until=12.5)
-        assert ticks == [1.0, 2.0, 11.0, 12.0]
-
     def test_start_while_running_is_noop(self):
         sim = Simulator()
         ticks = []
@@ -130,14 +109,11 @@ class TestPeriodicTimer:
         sim.run(until=2.5)
         assert ticks == [1.0, 2.0]
 
-    def test_cancel_wins_over_stop(self):
+    def test_rejects_nonpositive_period(self):
         sim = Simulator()
-        timer = PeriodicTimer(sim, lambda: None, period=1.0).start()
-        timer.stop()
-        timer.cancel()
-        assert not timer.stopped  # cancelled is the terminal state
-        with pytest.raises(TransportError):
-            timer.start()
+        for period in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                PeriodicTimer(sim, lambda: None, period=period)
 
     def test_needs_exactly_one_period_source(self):
         sim = Simulator()
@@ -145,18 +121,3 @@ class TestPeriodicTimer:
             PeriodicTimer(sim, lambda: None)
         with pytest.raises(ValueError):
             PeriodicTimer(sim, lambda: None, period=1.0, period_fn=lambda: 1.0)
-
-    def test_jitter_requires_rng(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            PeriodicTimer(sim, lambda: None, period=1.0, jitter=0.5)
-
-    def test_jitter_spreads_rounds(self):
-        sim = Simulator(seed=4)
-        ticks = []
-        PeriodicTimer(sim, lambda: ticks.append(sim.now), period=1.0,
-                      jitter=0.2, rng=sim.random.stream("t")).start()
-        sim.run(until=10.0)
-        gaps = [b - a for a, b in zip(ticks, ticks[1:])]
-        assert all(0.8 <= g <= 1.2 for g in gaps)
-        assert any(abs(g - 1.0) > 1e-6 for g in gaps)

@@ -12,11 +12,10 @@ tight enough to catch contract violations:
   frame codec and a real socket),
 * sending to a *never-registered* id raises ``KeyError`` (wiring bug),
   while a *known-but-crashed* destination is a counted drop,
-* the full crash-stop cycle: deliver → fail (sends become counted drops,
-  periodic timers freeze) → recover (delivery and timers resume),
+* the full crash-stop cycle: deliver → fail (sends become counted drops)
+  → recover (delivery resumes),
 * RPC request/response, remote error, and timeout behaviour,
-* periodic timer stop → no ticks while stopped → start resumes
-  (the restartable-timer contract protocol code relies on).
+* periodic timer cancel → no ticks after it.
 
 Live-only hardening (no sim counterpart) is covered at the end: bounded
 per-peer send queues with ``queue-overflow`` eviction, heartbeat liveness
@@ -202,25 +201,21 @@ def test_send_to_crashed_node_is_a_counted_drop(harness_factory):
 
 def test_crash_stop_fail_recover_cycle(harness_factory):
     """The full crash-stop contract, one body for all three backends:
-    deliver → fail (send becomes a counted drop, the victim's periodic
-    timer freezes) → recover (delivery and the timer resume)."""
+    deliver → fail (send becomes a counted drop) → recover (delivery
+    resumes)."""
     h = harness_factory()
     a, b = h.nodes["a"], h.nodes["b"]
     received = []
-    ticks = []
     marks = {}
     b.register_handler("ping", lambda msg: received.append(msg.payload))
-    b.call_every(0.1, lambda: ticks.append(1), label="victim-rounds")
 
     h.at(0.2, lambda: a.send("b", protocol="conformance", msg_type="ping",
                              payload="before"))
     h.at(0.5, lambda: (b.fail(),
-                       marks.__setitem__("ticks_at_fail", len(ticks)),
                        marks.__setitem__("drops_at_fail", h.dropped())))
     h.at(0.8, lambda: a.send("b", protocol="conformance", msg_type="ping",
                              payload="while-down"))
-    h.at(1.2, lambda: (marks.__setitem__("ticks_while_down", len(ticks)),
-                       b.recover()))
+    h.at(1.2, b.recover)
     h.at(1.6, lambda: a.send("b", protocol="conformance", msg_type="ping",
                              payload="after"))
     h.run(2.4)
@@ -229,10 +224,80 @@ def test_crash_stop_fail_recover_cycle(harness_factory):
     assert received == ["before", "after"]
     # The while-down send degraded to a counted drop, not an error.
     assert h.dropped() > marks["drops_at_fail"]
-    # The victim's periodic protocol froze while dead and resumed after.
-    assert marks["ticks_at_fail"] >= 2
-    assert marks["ticks_while_down"] == marks["ticks_at_fail"]
-    assert len(ticks) >= marks["ticks_while_down"] + 2
+
+
+def test_fail_settles_pending_rpcs(harness_factory):
+    """A crash fails the crashed node's in-flight RPCs at once instead of
+    leaving them to their timeout, and a late response is ignored."""
+    h = harness_factory(processing_delay=0.3)
+    a, b = h.nodes["a"], h.nodes["b"]
+    b.register_rpc("echo", lambda args: args)
+    waiters = []
+    marks = {}
+
+    h.at(0.1, lambda: waiters.append(
+        a.request("b", "echo", "hi", protocol="conformance", timeout=5.0)))
+    h.at(0.2, lambda: (a.fail(),
+                       marks.__setitem__("settled", waiters[0].triggered)))
+    h.at(0.3, a.recover)
+    h.run(1.2)
+
+    assert marks["settled"]
+    assert waiters[0].value == ("error", "a crashed")
+    assert a._pending == {}
+
+
+def test_fail_hooks_run_once_per_crash(harness_factory):
+    h = harness_factory()
+    b = h.nodes["b"]
+    log = []
+    b.fail_hooks.append(lambda: log.append(("fail", b.alive)))
+
+    h.at(0.1, b.fail)
+    h.at(0.2, b.fail)            # already down: no second run
+    h.at(0.3, b.recover)
+    h.at(0.4, b.recover)
+    h.at(0.5, b.fail)
+    h.run(0.8)
+
+    # Each hook runs after the node is marked down.
+    assert log == [("fail", False), ("fail", False)]
+
+
+def test_periodic_timer_keeps_running_through_its_nodes_crash(harness_factory):
+    """No timer follows its node's crash: a round that must not act for a
+    crashed node checks liveness itself, and resumes acting on recovery."""
+    h = harness_factory()
+    a, b = h.nodes["a"], h.nodes["b"]
+    rounds = []
+    received = []
+    marks = {}
+    a.register_handler("round", lambda msg: received.append(msg.payload))
+
+    def round_():
+        rounds.append(b.alive)
+        if b.alive:
+            b.send("a", protocol="conformance", msg_type="round",
+                   payload=len(rounds))
+
+    timer = PeriodicTimer(b.clock, round_, period=0.1, label="victim-rounds")
+    h.at(0.01, timer.start)
+    h.at(0.45, lambda: (b.fail(), marks.__setitem__("at_fail", len(rounds))))
+    h.at(0.95, lambda: (marks.__setitem__("while_down", len(rounds)),
+                        b.recover()))
+    h.at(1.5, timer.cancel)
+    h.run(1.8)
+
+    # The timer ticked straight through the outage ...
+    assert marks["at_fail"] >= 2
+    assert marks["while_down"] >= marks["at_fail"] + 2
+    assert len(rounds) >= marks["while_down"] + 2
+    down = rounds[marks["at_fail"]:marks["while_down"]]
+    assert down and not any(down)
+    # ... and only the rounds that found the node alive reached a.
+    assert received and set(received) <= {
+        i + 1 for i, alive in enumerate(rounds) if alive}
+    assert any(r > marks["while_down"] for r in received)
 
 
 # --------------------------------------------------------------------------
@@ -287,51 +352,43 @@ def test_rpc_timeout_fires(harness_factory):
 
 
 # --------------------------------------------------------------------------
-# periodic timers: stop/start restartability
+# periodic timers: cancel is terminal
 # --------------------------------------------------------------------------
 
-def test_periodic_timer_stop_start(harness_factory):
+def test_periodic_timer_cancel(harness_factory):
     h = harness_factory()
     clock = h.nodes["a"].clock
     ticks = []
-    timer = PeriodicTimer(clock, lambda: ticks.append(1), period=0.1)
-    marks = {}
+    timer = PeriodicTimer(clock, lambda: ticks.append(1), period=0.1,
+                          label="conf-tick")
 
     h.at(0.01, timer.start)
-    h.at(0.65, lambda: (timer.stop(),
-                        marks.__setitem__("at_stop", len(ticks))))
-    h.at(1.10, lambda: marks.__setitem__("while_stopped", len(ticks)))
-    h.at(1.15, timer.start)
-    h.at(1.80, lambda: (timer.stop(),
-                        marks.__setitem__("after_restart", len(ticks))))
-    h.run(2.0)
-
-    # Ticked while running (virtual time gives exactly 6; wall-clock at
-    # least a handful), froze while stopped, resumed after restart.
-    assert marks["at_stop"] >= 3
-    assert marks["while_stopped"] == marks["at_stop"]
-    assert marks["after_restart"] >= marks["at_stop"] + 2
-    assert timer.stopped and not timer.cancelled
-
-
-def test_call_every_jitter_and_stop(harness_factory):
-    h = harness_factory()
-    a = h.nodes["a"]
-    ticks = []
-    cancels = []
-
-    h.at(0.01, lambda: cancels.append(
-        a.call_every(0.1, lambda: ticks.append(1), label="conf-tick",
-                     jitter=0.2)))
-    h.at(0.85, lambda: cancels[0]())
+    h.at(0.85, timer.cancel)
     h.at(1.3, lambda: ticks.append(("frozen", len(ticks))))
     h.run(1.6)
 
     frozen = [t for t in ticks if isinstance(t, tuple)]
     plain = [t for t in ticks if t == 1]
     assert len(plain) >= 3
-    # No tick arrived between the stop and the frozen marker.
+    # No tick arrived between the cancel and the frozen marker.
     assert frozen[0][1] == len(plain)
+    assert not timer.active
+
+
+def test_periodic_timer_cancel_from_within_its_round(harness_factory):
+    h = harness_factory()
+    ticks = []
+    timer = PeriodicTimer(
+        h.nodes["a"].clock,
+        lambda: (ticks.append(1), timer.cancel() if len(ticks) == 3 else None),
+        period=0.1, label="conf-self-cancel")
+
+    h.at(0.01, timer.start)
+    h.run(1.0)
+
+    assert ticks == [1, 1, 1]
+    assert timer.rounds_fired == 3
+    assert not timer.active
 
 
 # --------------------------------------------------------------------------
@@ -395,7 +452,7 @@ def _fan_out_transport(loop, tmp_path):
     LiveNode(clock, transport, "local", processing_delay=0.0) \
         .register_handler("fan", lambda message: None)
     transport.set_blocked_peers(["cut"])
-    transport._mark_peer("down", alive=False)
+    transport._peer_down.add("down")
     transport.set_loss_probability(0.3)
     return transport
 
@@ -543,38 +600,41 @@ def test_a_live_message_carries_one_clock_reading_per_side(tmp_path):
 
 def test_heartbeat_marks_peer_down_then_recovered(tmp_path):
     """Liveness probing: a peer that never answers is declared down after
-    ``heartbeat_misses`` failed probes (sends to it become immediate
-    ``dst-down`` drops, ``peer_failed`` fires); one successful probe marks
-    it back up and fires ``peer_recovered``."""
+    ``heartbeat_misses`` failed probes, so sends to it become immediate
+    ``dst-down`` drops; one successful probe marks it back up, and a send
+    after that is delivered."""
     loop = asyncio.new_event_loop()
     addresses = make_addresses(["a", "b"], "uds", str(tmp_path))
     clock_a = LiveClock(seed=1, loop=loop)
     transport_a = LiveTransport(clock_a, addresses, kind="uds",
                                 heartbeat_period=0.05, heartbeat_misses=2)
     a = LiveNode(clock_a, transport_a, "a", processing_delay=0.0)
-    liveness = []
-    peer_events = []
-    transport_a.liveness_hooks.append(
-        lambda peer, alive: liveness.append((peer, alive)))
-    a.peer_fail_hooks.append(lambda peer: peer_events.append(("fail", peer)))
-    a.peer_recover_hooks.append(
-        lambda peer: peer_events.append(("recover", peer)))
+    received = []
 
     async def _go():
         await transport_a.start()
         transport_a.start_heartbeats()
         await asyncio.sleep(0.6)
-        assert "b" in transport_a.down_peers
-        a.send("b", protocol="conformance", msg_type="ping")
-        assert transport_a.stats.drop_reasons["dst-down"] >= 1
+        drops = transport_a.stats.drop_reasons
+        assert a.send("b", protocol="conformance", msg_type="ping") is None
+        assert drops["dst-down"] == 1
+        assert a.send("b", protocol="conformance", msg_type="ping") is None
+        assert drops["dst-down"] == 2
 
         # Bring b up: the next probe connects and the peer is back.
         clock_b = LiveClock(seed=2, loop=loop)
         transport_b = LiveTransport(clock_b, addresses, kind="uds")
-        LiveNode(clock_b, transport_b, "b", processing_delay=0.0)
+        b = LiveNode(clock_b, transport_b, "b", processing_delay=0.0)
+        b.register_handler("ping", lambda msg: received.append(msg.payload))
         await transport_b.start()
         await asyncio.sleep(0.6)
-        assert "b" not in transport_a.down_peers
+        assert a.send("b", protocol="conformance", msg_type="ping",
+                      payload="back") is not None
+        for _ in range(200):
+            if received:
+                break
+            await asyncio.sleep(0.01)
+        assert drops["dst-down"] == 2
         await transport_a.stop()
         await transport_b.stop()
 
@@ -582,8 +642,7 @@ def test_heartbeat_marks_peer_down_then_recovered(tmp_path):
         loop.run_until_complete(_go())
     finally:
         loop.close()
-    assert ("b", False) in liveness and ("b", True) in liveness
-    assert ("fail", "b") in peer_events and ("recover", "b") in peer_events
+    assert received == ["back"]
 
 
 class TestBackoffPolicy:

@@ -238,10 +238,9 @@ class TestSeamPortability:
         timer.start()
         clock.sim.run(until=3.5)
         assert len(ticks) == 3
-        timer.stop()
-        timer.start()
+        timer.cancel()
         clock.sim.run(until=5.5)
-        assert len(ticks) == 5
+        assert len(ticks) == 3
 
     def test_endpoint_is_backend_neutral(self):
         assert issubclass(Node, ProtocolEndpoint)

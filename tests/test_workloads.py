@@ -17,7 +17,6 @@ from repro.workloads import (
     FlashCrowdRate,
     OpenLoopClient,
     OpMix,
-    PiecewiseRate,
     PoissonWorkload,
     RampRate,
     RotatingHotspot,
@@ -107,16 +106,18 @@ class TestRateSchedules:
         assert schedule.rate(60.0) == 2.0
         assert schedule.peak_rate() == 20.0
 
-    def test_piecewise_segments_and_repeat(self):
-        schedule = PiecewiseRate(
-            [(10.0, ConstantRate(1.0)), (10.0, ConstantRate(5.0))],
-            repeat=True)
-        assert schedule.rate(5.0) == 1.0
-        assert schedule.rate(15.0) == 5.0
-        assert schedule.rate(25.0) == 1.0          # wrapped around
-        assert schedule.peak_rate() == 5.0
-        ending = PiecewiseRate([(10.0, ConstantRate(1.0))])
-        assert ending.rate(11.0) == 0.0
+    def test_exhausted_only_once_the_rate_stays_zero(self):
+        assert ConstantRate(0.0).exhausted_after(0.0)
+        assert not ConstantRate(1.0).exhausted_after(1e6)
+        drain = RampRate(2.0, 0.0, duration=5.0)
+        assert not drain.exhausted_after(4.9)
+        assert drain.exhausted_after(5.0)
+        assert not RampRate(2.0, 1.0, duration=5.0).exhausted_after(1e6)
+        crowd = FlashCrowdRate(0.0, 1.0, at=10.0, ramp=1.0, hold=100.0)
+        assert not crowd.exhausted_after(0.0)      # quiet, but not over
+        assert not crowd.exhausted_after(111.5)    # still decaying
+        assert crowd.exhausted_after(112.0)
+        assert not FlashCrowdRate(2.0, 5.0, at=10.0).exhausted_after(1e6)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -127,8 +128,6 @@ class TestRateSchedules:
             DiurnalRate(1.0, amplitude=1.5)
         with pytest.raises(ValueError):
             FlashCrowdRate(5.0, 1.0, at=0.0)
-        with pytest.raises(ValueError):
-            PiecewiseRate([])
 
 
 #: a uniform or exponential draw, through the method or popped in line the
@@ -226,8 +225,8 @@ class TestClientStreams:
         stream = self.make_open(ConstantRate(0.0))
         assert stream.next_time(0.0) is None
 
-    def test_open_loop_exhausted_piecewise_finishes(self):
-        stream = self.make_open(PiecewiseRate([(5.0, ConstantRate(2.0))]))
+    def test_open_loop_exhausted_ramp_finishes(self):
+        stream = self.make_open(RampRate(2.0, 0.0, duration=5.0))
         t, hops = 0.0, 0
         while t is not None and hops < 1000:
             t = stream.next_time(t)
@@ -248,20 +247,23 @@ class TestClientStreams:
         # ... and once the crowd has decayed, the stream does finish.
         assert stream.next_time(520.0) is None
 
-    def test_open_loop_repeating_off_segment_resumes(self):
-        schedule = PiecewiseRate(
-            [(300.0, ConstantRate(0.0)), (10.0, ConstantRate(5.0))],
-            repeat=True)
-        stream = self.make_open(schedule, seed=6)
-        t = stream.next_time(0.0)
-        assert t is not None and 300.0 <= (t % 310.0) <= 310.0
-
     def test_closed_loop_exhausted_schedule_finishes(self):
         stream = ClosedLoopClient(
             "c:00002", popularity=UniformPopularity(2), mix=OpMix(0.5),
             rng=np.random.default_rng(12), think_time=1.0,
-            schedule=PiecewiseRate([(5.0, ConstantRate(1.0))]))
+            schedule=RampRate(2.0, 0.0, duration=5.0))
         assert stream.next_time(10.0) is None
+
+    def test_closed_loop_finishes_once_a_zero_base_crowd_decays(self):
+        stream = ClosedLoopClient(
+            "c:00003", popularity=UniformPopularity(2), mix=OpMix(0.5),
+            rng=np.random.default_rng(5), think_time=1.0,
+            schedule=FlashCrowdRate(0.0, 1.0, at=10.0, ramp=1.0, hold=20.0))
+        times, t = [], 0.0
+        while (t := stream.next_time(t)) is not None and len(times) < 1000:
+            times.append(t)
+        assert t is None
+        assert times and 10.0 < times[0] and times[-1] <= 32.0
 
     def test_closed_loop_think_time_spacing(self):
         stream = ClosedLoopClient(
@@ -276,8 +278,7 @@ class TestClientStreams:
         assert 150 < count < 250                   # ~1 op / 2 s
 
     def test_closed_loop_idles_while_schedule_is_zero(self):
-        schedule = PiecewiseRate([(10.0, ConstantRate(0.0)),
-                                  (100.0, ConstantRate(1.0))])
+        schedule = FlashCrowdRate(0.0, 1.0, at=10.0, ramp=1.0, hold=100.0)
         stream = ClosedLoopClient(
             "c:00001", popularity=UniformPopularity(2), mix=OpMix(0.5),
             rng=np.random.default_rng(4), think_time=1.0, schedule=schedule)
