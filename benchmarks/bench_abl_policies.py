@@ -12,13 +12,13 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.config import AdaptationMode, IdeaConfig, ResolutionStrategy
-from repro.core.deployment import IdeaDeployment
+from repro.core.deployment import DeploymentBuilder
 from repro.core.policies import make_policy
 from repro.experiments.report import format_table
 
 
 def _run_policy(strategy: ResolutionStrategy, *, seed: int = 43) -> Dict[str, float]:
-    deployment = IdeaDeployment(num_nodes=10, seed=seed)
+    deployment = DeploymentBuilder(num_nodes=10, seed=seed).build()
     config = IdeaConfig(mode=AdaptationMode.ON_DEMAND, hint_level=0.0,
                         background_period=None, resolution_strategy=strategy)
     policy = make_policy(strategy, priorities={"n00": 10, "n01": 5})

@@ -14,12 +14,12 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.config import AdaptationMode, IdeaConfig
-from repro.core.deployment import IdeaDeployment
+from repro.core.deployment import DeploymentBuilder
 from repro.experiments.report import format_table
 
 
 def _run(suppression_jitter: float, *, seed: int = 47) -> Dict[str, float]:
-    deployment = IdeaDeployment(num_nodes=12, seed=seed)
+    deployment = DeploymentBuilder(num_nodes=12, seed=seed).build()
     config = IdeaConfig(mode=AdaptationMode.ON_DEMAND, hint_level=0.0,
                         background_period=None)
     deployment.register_object("obj", config, start_background=False)

@@ -15,14 +15,14 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.config import AdaptationMode, IdeaConfig
-from repro.core.deployment import IdeaDeployment
+from repro.core.deployment import DeploymentBuilder
 from repro.experiments.report import format_table
 
 
 def _run_capture_experiment(bottom_writer_fraction: float, *, num_nodes: int = 20,
                             rounds: int = 10, seed: int = 41) -> float:
     """Return the fraction of updates that top-layer detection captured."""
-    deployment = IdeaDeployment(num_nodes=num_nodes, seed=seed)
+    deployment = DeploymentBuilder(num_nodes=num_nodes, seed=seed).build()
     config = IdeaConfig(mode=AdaptationMode.ON_DEMAND, hint_level=0.0,
                         background_period=None)
     deployment.register_object("obj", config, start_background=False)

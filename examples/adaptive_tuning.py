@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.apps.whiteboard import WhiteboardApp, default_whiteboard_config
 from repro.core.api import IdeaAPI
-from repro.core.deployment import IdeaDeployment
+from repro.core.deployment import DeploymentBuilder
 
 
 def run_phase(app, deployment, writers, *, duration: float) -> dict:
@@ -47,7 +47,7 @@ def run_phase(app, deployment, writers, *, duration: float) -> dict:
 
 
 def main() -> None:
-    deployment = IdeaDeployment(num_nodes=16, seed=21)
+    deployment = DeploymentBuilder(num_nodes=16, seed=21).build()
     app = WhiteboardApp(deployment, config=default_whiteboard_config(hint_level=0.95),
                         start_background=False)
     api = IdeaAPI(deployment, app.object_id, node_id="n00")

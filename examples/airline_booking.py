@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from repro.apps.booking import BookingApp, default_booking_config
 from repro.workloads.legacy import PoissonWorkload
-from repro.core.deployment import IdeaDeployment
+from repro.core.deployment import DeploymentBuilder
 
 
 def run_schedule(background_period: float, *, capacity: int = 70,
                  duration: float = 150.0, seed: int = 9) -> dict:
-    deployment = IdeaDeployment(num_nodes=12, seed=seed)
+    deployment = DeploymentBuilder(num_nodes=12, seed=seed).build()
     servers = deployment.node_ids[:4]
     app = BookingApp(deployment, servers=servers, capacity=capacity,
                      config=default_booking_config(background_period=background_period))

@@ -13,12 +13,12 @@ Run with::
 
 from __future__ import annotations
 
-from repro import AdaptationMode, IdeaAPI, IdeaConfig, IdeaDeployment
+from repro import AdaptationMode, DeploymentBuilder, IdeaAPI, IdeaConfig
 
 
 def main() -> None:
     # 1. A simulated deployment: 8 nodes spread over a continental topology.
-    deployment = IdeaDeployment(num_nodes=8, seed=1)
+    deployment = DeploymentBuilder(num_nodes=8, seed=1).build()
 
     # 2. Register a shared object with IDEA (hint-based mode, hint 90%).
     config = IdeaConfig(mode=AdaptationMode.HINT_BASED, hint_level=0.90,

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from repro.apps.users import ScriptedUser, UserAction, UserActionKind
 from repro.apps.whiteboard import WhiteboardApp, default_whiteboard_config
-from repro.core.deployment import IdeaDeployment
+from repro.core.deployment import DeploymentBuilder
 
 
 def main() -> None:
-    deployment = IdeaDeployment(num_nodes=16, seed=5)
+    deployment = DeploymentBuilder(num_nodes=16, seed=5).build()
     config = default_whiteboard_config(hint_level=0.95)
     app = WhiteboardApp(deployment, config=config, start_background=False)
     deployment.start_overlay_services()

@@ -12,7 +12,7 @@ The package layout mirrors the system inventory in ``DESIGN.md``:
 * :mod:`repro.versioning` — classic and extended version vectors
 * :mod:`repro.store` — the replicated object store IDEA sits on top of
 * :mod:`repro.overlay` — RanSub, temperature overlay, gossip
-* :mod:`repro.runtime` — per-node runtime hosting many objects, shared
+* :mod:`repro.runtime` — per-node runtime every hosted object shares,
   digest cache, instrumentation event bus
 * :mod:`repro.core` — IDEA itself (detection, quantification, resolution,
   adaptation, developer API)
@@ -23,14 +23,15 @@ The package layout mirrors the system inventory in ``DESIGN.md``:
 * :mod:`repro.analysis` — the paper's analytical formulae (2)–(5)
 * :mod:`repro.experiments` — one harness per paper table/figure
 
-Quickstart::
+Quickstart (:class:`DeploymentBuilder` is the one way to build a
+deployment)::
 
-    from repro.core import IdeaDeployment, IdeaConfig, IdeaAPI
-    from repro.core.config import AdaptationMode
+    from repro import AdaptationMode, DeploymentBuilder, IdeaAPI, IdeaConfig
 
-    deployment = IdeaDeployment(num_nodes=8, seed=1)
     config = IdeaConfig(mode=AdaptationMode.HINT_BASED, hint_level=0.9)
-    deployment.register_object("board", config, start_background=False)
+    deployment = (DeploymentBuilder(num_nodes=8, seed=1)
+                  .add_object("board", config, start_background=False)
+                  .build())
     api = IdeaAPI(deployment, "board", node_id="n00")
     api.set_weight(0.2, 0.6, 0.2)
 

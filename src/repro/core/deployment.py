@@ -18,8 +18,8 @@ that runs explicit, composable build passes:
    (optionally) background gossip;
 4. **instrumentation** — the subscriptions that feed the trace recorder and
    per-object reporting;
-5. **object placement** — one middleware facade per (participant, object)
-   attached through the node runtimes;
+5. **object placement** — one middleware per (participant, object) over
+   its node's runtime;
 6. **background scheduling** — slotted periodic timers for background
    resolution, re-reading the period each round so frequency adaptation
    takes effect — then traffic and any :meth:`DeploymentBuilder.add_pass`.
@@ -28,11 +28,12 @@ A host supplying fewer endpoints than ``node_ids`` makes the deployment
 *partitioned* (an observable, not a flag): RanSub and dynamic top layers
 are refused and participants hosted elsewhere are skipped.
 
-:class:`IdeaDeployment` is the built artefact; constructing it directly runs
-the same passes with default placement, so existing call sites keep working.
-Reporting is event-driven: middleware publishes write/detection/resolution
-events on the bus and the deployment subscribes — no monkey-patching of
-private callbacks anywhere.
+:class:`IdeaDeployment` is the built artefact and
+:meth:`DeploymentBuilder.build` its only constructor; objects placed after
+the build go through :meth:`IdeaDeployment.register_object`.  Reporting is
+event-driven: middleware publishes write/detection/resolution events on the
+bus and the deployment subscribes — no monkey-patching of private callbacks
+anywhere.
 """
 
 from __future__ import annotations
@@ -99,15 +100,6 @@ class _ObjectSpec:
     top_layer: Optional[Sequence[str]] = None
 
 
-@dataclass
-class _TrafficSpec:
-    """A queued traffic attachment the builder applies in its traffic pass."""
-
-    populations: Sequence
-    kwargs: Dict
-    autostart: bool
-
-
 #: a build's first pass: gives the deployment its ``clock``, ``transport``,
 #: ``node_ids`` and ``nodes`` (one endpoint per node this process hosts)
 Host = Callable[["DeploymentBuilder", "IdeaDeployment"], None]
@@ -140,10 +132,9 @@ class SimHost:
 class DeploymentBuilder:
     """Builds an :class:`IdeaDeployment` through explicit passes.
 
-    The builder carries the same knobs the old monolithic constructor took,
-    plus object placements queued with :meth:`add_object` and applied in the
-    placement pass, so a whole experiment topology can be described before
-    anything is wired::
+    The builder carries the deployment's knobs plus object placements queued
+    with :meth:`add_object` and applied in the placement pass, so a whole
+    experiment topology can be described before anything is wired::
 
         deployment = (DeploymentBuilder(num_nodes=8, seed=3)
                       .add_object("board", config)
@@ -162,7 +153,6 @@ class DeploymentBuilder:
                  use_ransub: bool = True,
                  use_gossip: bool = False,
                  loss_probability: float = 0.0,
-                 bus: Optional[EventBus] = None,
                  host: Optional[Host] = None) -> None:
         self.num_nodes = num_nodes
         self.seed = seed
@@ -176,10 +166,9 @@ class DeploymentBuilder:
         self.use_ransub = use_ransub
         self.use_gossip = use_gossip
         self.loss_probability = loss_probability
-        self.bus = bus
         self.host: Host = host if host is not None else SimHost()
         self._object_specs: List[_ObjectSpec] = []
-        self._traffic_spec: Optional[_TrafficSpec] = None
+        self._traffic: Optional[Tuple[List, Dict]] = None
         self._start_services = False
         self._extra_passes: List[Callable[["IdeaDeployment"], None]] = []
 
@@ -217,30 +206,27 @@ class DeploymentBuilder:
         self._extra_passes.append(fn)
         return self
 
-    def add_traffic(self, populations: Sequence, *, autostart: bool = True,
+    def add_traffic(self, populations: Sequence,
                     **driver_kwargs) -> "DeploymentBuilder":
-        """Queue a traffic attachment for the traffic pass.
+        """Queue the client load for the traffic pass (once per builder).
 
         ``populations`` are :class:`~repro.workloads.clients
         .ClientPopulation` specs; ``driver_kwargs`` go to the
         :class:`~repro.workloads.driver.TrafficDriver` (``duration``,
         ``max_ops``, ``fault_plan``, ``collect_metrics``, ...).  The driver
-        is built against the placed objects and — with ``autostart`` —
-        started, so ``build().run(...)`` is a complete load test.
+        is built against the placed objects and started, so
+        ``build().run(...)`` is a complete load test.
         """
-        self._traffic_spec = _TrafficSpec(populations=list(populations),
-                                          kwargs=dict(driver_kwargs),
-                                          autostart=autostart)
+        if self._traffic is not None:
+            raise ValueError("traffic already added: pass every population "
+                             "to one add_traffic call")
+        self._traffic = (list(populations), dict(driver_kwargs))
         return self
 
     # ----------------------------------------------------------------- build
     def build(self) -> "IdeaDeployment":
-        deployment = IdeaDeployment.__new__(IdeaDeployment)
-        self.populate(deployment)
-        return deployment
-
-    def populate(self, deployment: "IdeaDeployment") -> "IdeaDeployment":
-        """Run every pass, in order, against ``deployment``."""
+        """Run every pass, in order, on a new deployment."""
+        deployment = IdeaDeployment()
         self.host(self, deployment)
         self._stack_pass(deployment)
         self._overlay_pass(deployment)
@@ -255,7 +241,7 @@ class DeploymentBuilder:
     # ---------------------------------------------------------------- passes
     def _stack_pass(self, d: "IdeaDeployment") -> None:
         """The shared bus, and a store + runtime per hosted endpoint."""
-        d.bus = self.bus if self.bus is not None else EventBus()
+        d.bus = EventBus()
         d.stores = {}
         d.runtimes = {}
         for node_id, node in d.nodes.items():
@@ -318,19 +304,26 @@ class DeploymentBuilder:
             d.start_overlay_services()
 
     def _traffic_pass(self, d: "IdeaDeployment") -> None:
-        """Attach (and optionally start) the queued traffic driver."""
+        """Build and start the queued traffic driver.  (Imported lazily: the
+        workloads layer sits above the core and must not be a core import
+        dependency.)"""
         d.traffic = None
-        spec = self._traffic_spec
-        if spec is None:
+        if self._traffic is None:
             return
-        d.attach_traffic(spec.populations, start_now=spec.autostart,
-                         **spec.kwargs)
+        from repro.workloads.driver import TrafficDriver
+
+        populations, driver_kwargs = self._traffic
+        d.traffic = TrafficDriver(d, populations, **driver_kwargs)
+        d.traffic.start()
 
 
 class IdeaDeployment:
-    """A fully wired IDEA installation on whatever backend its host supplied."""
+    """A fully wired IDEA installation on whatever backend its host supplied.
 
-    # Populated by the builder passes (declared for introspection/tooling).
+    Built only by :meth:`DeploymentBuilder.build`, whose passes set every
+    attribute declared below.
+    """
+
     clock: Clock
     transport: Transport
     node_ids: List[str]
@@ -350,17 +343,12 @@ class IdeaDeployment:
     overlay: TwoLayerOverlay
     gossip: Optional[GossipService]
     objects: Dict[str, ManagedObject]
-    #: traffic driver attached by the builder's traffic pass (or
-    #: :meth:`attach_traffic`); None when the deployment has no client load
+    #: traffic driver started by the builder's traffic pass; None when the
+    #: deployment has no client load
     traffic: Optional[object]
     #: :meth:`_gossip_digest`'s last answer per (node, object), with the
     #: replica and :attr:`~repro.store.replica.Replica.revision` it was for
     _gossip_digests: Dict[Tuple[str, str], Tuple[Replica, int, GossipDigest]]
-
-    def __init__(self, **builder_kwargs) -> None:
-        """Build with default placement; takes :class:`DeploymentBuilder`'s
-        keyword arguments."""
-        DeploymentBuilder(**builder_kwargs).populate(self)
 
     @property
     def local_node_ids(self) -> List[str]:
@@ -381,8 +369,9 @@ class IdeaDeployment:
         """Create replicas and middleware for a shared object.
 
         ``participants`` restricts which nodes run IDEA middleware for the
-        object (defaults to every node).  All participants get a replica;
-        each middleware is attached through its node's shared runtime.
+        object (defaults to every node, each at most once).  All
+        participants get a replica; each middleware runs over its node's
+        shared runtime.
 
         ``top_layer`` pins a static top layer for the object instead of the
         shared temperature overlay.  Partitioned deployments *require* it:
@@ -394,6 +383,9 @@ class IdeaDeployment:
         if object_id in self.objects:
             raise ValueError(f"object {object_id!r} already registered")
         participants = list(participants) if participants is not None else list(self.node_ids)
+        if len(set(participants)) != len(participants):
+            raise ValueError(f"object {object_id!r} lists a participant "
+                             f"twice: {participants}")
         if top_layer is not None:
             static_top = list(top_layer)
             provider = lambda: list(static_top)  # noqa: E731 - tiny closure
@@ -411,8 +403,9 @@ class IdeaDeployment:
                 if node_id in self.node_ids:
                     continue  # hosted by another process
                 raise KeyError(f"participant {node_id!r} is not a deployment node")
-            managed.middlewares[node_id] = runtime.attach(
-                object_id, config, top_layer_provider=provider, policy=policy)
+            managed.middlewares[node_id] = IdeaMiddleware(
+                runtime, object_id, config=config,
+                top_layer_provider=provider, policy=policy)
         self.objects[object_id] = managed
         if self.gossip is not None:
             self.gossip.watch_object(object_id)
@@ -422,25 +415,6 @@ class IdeaDeployment:
 
     def middleware(self, object_id: str, node_id: str) -> IdeaMiddleware:
         return self.objects[object_id].middlewares[node_id]
-
-    # --------------------------------------------------------------- traffic
-    def attach_traffic(self, populations: Sequence, *, start_now: bool = True,
-                       **driver_kwargs):
-        """Bind client populations to this deployment as a traffic driver.
-
-        Creates a :class:`~repro.workloads.driver.TrafficDriver` over the
-        registered objects, stores it as :attr:`traffic` and — with
-        ``start_now`` — schedules every stream's first arrival.  Returns the
-        driver.  (Imported lazily: the workloads layer sits above the core
-        and must not be a core import dependency.)
-        """
-        from repro.workloads.driver import TrafficDriver
-
-        driver = TrafficDriver(self, populations, **driver_kwargs)
-        self.traffic = driver
-        if start_now:
-            driver.start()
-        return driver
 
     # ------------------------------------------------------ bus subscriptions
     def _on_write_recorded(self, event: WriteRecorded) -> None:

@@ -36,8 +36,6 @@ from repro.core.resolution import ResolutionManager, ResolutionResult
 from repro.core.rollback import RollbackManager
 from repro.runtime.events import DetectionEvaluated, ResolutionCompleted, WriteRecorded
 from repro.runtime.node_runtime import NodeRuntime
-from repro.transport import ProtocolEndpoint
-from repro.store.filesystem import ReplicatedStore
 from repro.store.replica import Replica
 from repro.versioning.extended_vector import UpdateRecord
 
@@ -58,11 +56,11 @@ class ReadResult:
 class IdeaMiddleware:
     """IDEA's per-object facade over the node's shared runtime.
 
-    One instance still manages one shared object on one node, but the
-    node-scoped resources — digest cache, backoff stream, instrumentation
-    bus — come from the hosting :class:`~repro.runtime.NodeRuntime`.
-    Constructing a middleware without a runtime creates a private
-    single-object runtime, so standalone use keeps working.
+    One instance manages one shared object on one node; the node, its store
+    and the node-scoped resources — digest cache, backoff stream,
+    instrumentation bus — come from the hosting
+    :class:`~repro.runtime.NodeRuntime`.  Built by
+    :meth:`~repro.core.deployment.IdeaDeployment.register_object`.
     """
 
     #: minimum simulated seconds between two automatically triggered active
@@ -70,18 +68,17 @@ class IdeaMiddleware:
     #: flight and its installs are still propagating
     RESOLUTION_COOLDOWN = 1.0
 
-    def __init__(self, node: ProtocolEndpoint, store: ReplicatedStore, object_id: str, *,
+    def __init__(self, runtime: NodeRuntime, object_id: str, *,
                  config: IdeaConfig,
                  top_layer_provider: Callable[[], Sequence[str]],
-                 policy: Optional[ResolutionPolicy] = None,
-                 runtime: Optional[NodeRuntime] = None) -> None:
-        self.node = node
-        self.store = store
+                 policy: Optional[ResolutionPolicy] = None) -> None:
+        self.runtime = runtime
+        self.node = node = runtime.node
+        self.store = runtime.store
         self.object_id = object_id
         self.config = config
-        self.runtime = runtime if runtime is not None else NodeRuntime(node, store)
-        self.bus = self.runtime.bus
-        self.replica: Replica = store.create(object_id)
+        self.bus = runtime.bus
+        self.replica: Replica = self.store.create(object_id)
         self.policy: ResolutionPolicy = policy or make_policy(config.resolution_strategy)
         self.controller: Controller = self._make_controller(config)
         self.rollback = RollbackManager(config)
@@ -91,13 +88,13 @@ class IdeaMiddleware:
             top_layer_provider=top_layer_provider,
             replica=self.replica,
             on_remote_digest=self._on_remote_digest,
-            digest_cache=self.runtime.digests)
+            digest_cache=runtime.digests)
         self.resolution = ResolutionManager(
             node, object_id=object_id, config=config, policy=self.policy,
             top_layer_provider=top_layer_provider,
             replica=self.replica,
             on_resolved=self._dispatch_resolved,
-            backoff_rng=self.runtime.backoff_rng)
+            backoff_rng=runtime.backoff_rng)
 
         self._last_auto_resolution = -float("inf")
         self.resolutions_triggered = 0
@@ -105,7 +102,6 @@ class IdeaMiddleware:
         #: so million-op traffic runs keep O(1) state per object, not O(ops)
         self.detection_outcomes: Deque[DetectionOutcome] = deque(
             maxlen=config.outcome_history)
-        self.runtime.adopt(object_id, self)
 
     # --------------------------------------------------------------- set-up
     @staticmethod

@@ -30,7 +30,7 @@ from repro.baselines.optimistic import OptimisticAntiEntropy
 from repro.baselines.strong import StrongConsistencyPrimary
 from repro.baselines.tact import TactBoundedConsistency
 from repro.core.config import AdaptationMode
-from repro.core.deployment import IdeaDeployment
+from repro.core.deployment import DeploymentBuilder
 from repro.experiments.report import format_table
 from repro.experiments.scaffold import schedule_warmup
 from repro.farm import PointSpec
@@ -75,7 +75,8 @@ class TradeoffResult:
 
 def _run_baseline(protocol_cls, *, num_nodes: int, num_writers: int, period: float,
                   duration: float, seed: int, settle: float, **kwargs) -> ProtocolRow:
-    deployment = IdeaDeployment(num_nodes=num_nodes, seed=seed, use_ransub=False)
+    deployment = DeploymentBuilder(num_nodes=num_nodes, seed=seed,
+                                   use_ransub=False).build()
     writers = deployment.node_ids[:num_writers]
     protocol = protocol_cls(deployment.sim, deployment.network, deployment.nodes,
                             "shared-object", **kwargs)
@@ -96,7 +97,7 @@ def _run_baseline(protocol_cls, *, num_nodes: int, num_writers: int, period: flo
 
 def _run_idea(*, num_nodes: int, num_writers: int, period: float, duration: float,
               seed: int, settle: float, hint_level: float) -> ProtocolRow:
-    deployment = IdeaDeployment(num_nodes=num_nodes, seed=seed)
+    deployment = DeploymentBuilder(num_nodes=num_nodes, seed=seed).build()
     writers = deployment.node_ids[:num_writers]
     config = default_whiteboard_config(hint_level=hint_level,
                                        mode=AdaptationMode.HINT_BASED)

@@ -24,7 +24,7 @@ from typing import List, Sequence, Tuple
 
 from repro.apps.whiteboard import WhiteboardApp, default_whiteboard_config
 from repro.core.config import AdaptationMode
-from repro.core.deployment import IdeaDeployment
+from repro.core.deployment import DeploymentBuilder, IdeaDeployment
 from repro.experiments.report import format_table, percent
 from repro.experiments.scaffold import run_sampled, schedule_warmup
 from repro.farm import PointSpec
@@ -55,7 +55,7 @@ def start_hint_run(*, hint_level: float, num_nodes: int, num_writers: int,
     measured window has run yet, so a caller may schedule more before
     :func:`sample_hint_run`.
     """
-    deployment = IdeaDeployment(num_nodes=num_nodes, seed=seed)
+    deployment = DeploymentBuilder(num_nodes=num_nodes, seed=seed).build()
     writers = deployment.node_ids[:num_writers]
     config = default_whiteboard_config(hint_level=hint_level,
                                        mode=AdaptationMode.HINT_BASED)

@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 
 from repro.apps.whiteboard import WhiteboardApp, default_whiteboard_config
 from repro.core.config import AdaptationMode
-from repro.core.deployment import IdeaDeployment
+from repro.core.deployment import DeploymentBuilder, IdeaDeployment
 from repro.experiments.report import format_table
 from repro.experiments.scaffold import schedule_warmup
 from repro.farm import PointSpec
@@ -48,7 +48,7 @@ class PhaseBreakdownResult:
 def _build_whiteboard(num_nodes: int, num_writers: int, seed: int
                       ) -> Tuple[IdeaDeployment, WhiteboardApp, List[str]]:
     """Deployment helper shared with the Figure 9 scalability harness."""
-    deployment = IdeaDeployment(num_nodes=num_nodes, seed=seed)
+    deployment = DeploymentBuilder(num_nodes=num_nodes, seed=seed).build()
     writers = deployment.node_ids[:num_writers]
     # hint 0 ⇒ no automatic resolutions; the harness triggers them explicitly.
     config = default_whiteboard_config(hint_level=0.0,

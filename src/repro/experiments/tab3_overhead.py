@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 
 from repro.analysis.formulas import messages_per_round, optimal_background_rate, round_cost_bits
 from repro.apps.booking import BookingApp, default_booking_config
-from repro.core.deployment import IdeaDeployment
+from repro.core.deployment import DeploymentBuilder
 from repro.experiments.report import format_table
 from repro.experiments.scaffold import run_sampled, schedule_warmup
 from repro.farm import PointSpec
@@ -71,7 +71,7 @@ def run_booking_scenario(*, background_period: float, duration: float = 100.0,
                          sample_period: float = 5.0, seed: int = 23,
                          warmup: float = 10.0) -> BookingRun:
     """Run the automatic booking application with one background period."""
-    deployment = IdeaDeployment(num_nodes=num_nodes, seed=seed)
+    deployment = DeploymentBuilder(num_nodes=num_nodes, seed=seed).build()
     servers = deployment.node_ids[:num_servers]
     config = default_booking_config(background_period=background_period)
     app = BookingApp(deployment, servers=servers, capacity=capacity, config=config,

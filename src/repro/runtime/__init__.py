@@ -1,11 +1,8 @@
 """repro.runtime — shared per-node runtime and instrumentation bus.
 
-This package restructures the middleware layer around *nodes* rather than
-(node, object) pairs:
-
-* :class:`NodeRuntime` — one per simulated node; hosts every IDEA-managed
-  object the node participates in behind an :class:`ObjectRegistry`, and owns
-  the node-scoped shared resources (digest cache, backoff stream, bus).
+* :class:`NodeRuntime` — one per node; holds the node-scoped resources every
+  object the node hosts shares (endpoint, store, digest cache, backoff
+  stream, bus).
 * :class:`DigestCache` — memoises version digests by replica revision so
   consistency evaluations stop paying O(update-log) per event.
 * :class:`EventBus` and its event types — explicit publish/subscribe for
@@ -20,11 +17,10 @@ from repro.runtime.events import (
     ResolutionCompleted,
     WriteRecorded,
 )
-from repro.runtime.node_runtime import NodeRuntime, ObjectRegistry
+from repro.runtime.node_runtime import NodeRuntime
 
 __all__ = [
     "NodeRuntime",
-    "ObjectRegistry",
     "DigestCache",
     "EventBus",
     "WriteRecorded",

@@ -11,8 +11,8 @@ digest rebuild dominated the whole simulation.
 shared by every object's detection service on that node.  It memoises the
 local digest keyed by the replica's mutation ``revision`` — a digest is
 rebuilt only when the replica actually changed — and it is the single home
-for the peer-digest tables, so the runtime can inspect or drop per-object
-detection state in one place.
+for the peer-digest tables, so a crashed peer is dropped from every object's
+table in one place (:meth:`DigestCache.forget_peer`).
 """
 
 from __future__ import annotations
@@ -113,11 +113,6 @@ class DigestCache:
         return table
 
     # ------------------------------------------------------------- lifecycle
-    def forget_object(self, object_id: str) -> None:
-        self._local.pop(object_id, None)
-        self._summaries.pop(object_id, None)
-        self._peers.pop(object_id, None)
-
     def forget_peer(self, node_id: str) -> None:
         """Evict a crashed peer's digests from every object's table.
 
@@ -128,9 +123,6 @@ class DigestCache:
         """
         for table in self._peers.values():
             table.pop(node_id, None)
-
-    def objects(self) -> Tuple[str, ...]:
-        return tuple(sorted(set(self._local) | set(self._peers)))
 
     @property
     def hit_rate(self) -> Optional[float]:

@@ -136,28 +136,41 @@ class FaultPlan:
     # ------------------------------------------------------------ generators
     @classmethod
     def churn(cls, node_ids: Sequence[str], *, rate: float, duration: float,
-              seed: int, downtime: float = 20.0, start: float = 0.0,
-              spare: int = 1) -> "FaultPlan":
+              seed: int, downtime: float = 20.0, amplification: float = 0.0,
+              start: float = 0.0, spare: int = 1) -> "FaultPlan":
         """Generate a deterministic churn schedule.
 
-        ``rate`` is expected crashes per simulated second (Poisson-ish via
-        exponential inter-crash gaps); each crashed node recovers
-        ``downtime`` seconds later.  At least ``spare`` nodes are always left
-        alive.  The schedule is a pure function of the arguments — no global
-        randomness — so a (seed, plan) pair replays bit-identically.
+        Crashes arrive with exponential gaps at the instantaneous rate
+        ``rate * (1 + amplification * down_fraction)``, where
+        ``down_fraction`` is the share of ``node_ids`` currently crashed:
+        with ``amplification > 0`` load shed by dead nodes overloads the
+        survivors, so each failure makes the next one more likely (a
+        cascade); at 0 failures are independent.  The rate is evaluated at
+        each draw (piecewise-constant between events).  Each crashed node
+        recovers ``downtime`` seconds later, and at least ``spare`` nodes
+        are always left alive.  The schedule is a pure function of the
+        arguments — no global randomness — so a (seed, plan) pair replays
+        bit-identically.
         """
+        if not node_ids:
+            raise ValueError("churn needs at least one node")
         if rate <= 0:
             raise ValueError("churn rate must be positive")
         if downtime <= 0:
             raise ValueError("downtime must be positive")
+        if amplification < 0:
+            raise ValueError("amplification must be non-negative")
         if spare < 1:
             raise ValueError("churn must spare at least one node")
         rng = np.random.default_rng(seed)
         plan = cls()
+        total = len(node_ids)
         down_until: dict = {}
         t = start
         while True:
-            t += float(rng.exponential(1.0 / rate))
+            down = sum(1 for until in down_until.values() if until > t)
+            effective = rate * (1.0 + amplification * (down / total))
+            t += float(rng.exponential(1.0 / effective))
             if t >= start + duration:
                 break
             alive = [n for n in node_ids
@@ -220,52 +233,6 @@ class FaultPlan:
         for i, node_id in enumerate(node_ids):
             plan.crash(node_id, at + i * crash_stagger)
             plan.recover(node_id, at + down_for + i * stagger)
-        return plan
-
-    @classmethod
-    def cascade(cls, node_ids: Sequence[str], *, rate: float, duration: float,
-                seed: int, downtime: float = 20.0, amplification: float = 2.0,
-                start: float = 0.0, spare: int = 1) -> "FaultPlan":
-        """Cascading churn: the crash rate ramps up as peers die.
-
-        Like :meth:`churn`, but the instantaneous crash rate is
-        ``rate * (1 + amplification * down_fraction)`` where ``down_fraction``
-        is the share of ``node_ids`` currently crashed — load shed by dead
-        nodes overloads the survivors, so each failure makes the next one
-        more likely.  With ``amplification=0`` this degenerates to
-        :meth:`churn`-like independent failures.  The effective rate is
-        evaluated at each inter-crash draw (piecewise-constant between
-        events), which keeps the schedule a pure, replayable function of the
-        arguments; exact schedules for fixed seeds are pinned by unit tests.
-        """
-        if rate <= 0:
-            raise ValueError("cascade rate must be positive")
-        if downtime <= 0:
-            raise ValueError("downtime must be positive")
-        if amplification < 0:
-            raise ValueError("amplification must be non-negative")
-        if spare < 1:
-            raise ValueError("cascade must spare at least one node")
-        rng = np.random.default_rng(seed)
-        plan = cls()
-        total = len(node_ids)
-        down_until: dict = {}
-        t = start
-        while True:
-            down = sum(1 for until in down_until.values() if until > t)
-            effective = rate * (1.0 + amplification * (down / total))
-            t += float(rng.exponential(1.0 / effective))
-            if t >= start + duration:
-                break
-            alive = [n for n in node_ids
-                     if n not in down_until or down_until[n] <= t]
-            if len(alive) <= spare:
-                continue  # cascade has consumed everyone it may; skip
-            victim = alive[int(rng.integers(len(alive)))]
-            plan.crash(victim, t)
-            back = t + downtime
-            plan.recover(victim, back)
-            down_until[victim] = back
         return plan
 
     # ------------------------------------------------------------ composition

@@ -490,7 +490,7 @@ FAULT_KINDS = {
                          build=FaultPlan.site_blast),
     "churn": Record(_CHURN, build=FaultPlan.churn),
     "cascade": Record({**_CHURN, "amplification": Num(ge=0)},
-                      build=FaultPlan.cascade),
+                      build=partial(FaultPlan.churn, amplification=2.0)),
     "partition": Record({"at": _AT, "heal_at": _SPAN,
                          "groups": Items(Names(ref="site"), non_empty=True,
                                          required=True)},

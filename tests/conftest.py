@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import AdaptationMode, IdeaConfig
-from repro.core.deployment import IdeaDeployment
+from repro.core.deployment import DeploymentBuilder, IdeaDeployment
 from repro.sim.engine import Simulator
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
@@ -39,7 +39,7 @@ def make_node(sim: Simulator, network: Network):
 @pytest.fixture
 def small_deployment() -> IdeaDeployment:
     """An 8-node deployment with deterministic seed, no gossip."""
-    return IdeaDeployment(num_nodes=8, seed=3)
+    return DeploymentBuilder(num_nodes=8, seed=3).build()
 
 
 @pytest.fixture

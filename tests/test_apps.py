@@ -9,7 +9,7 @@ from repro.apps.users import ScriptedUser, UserAction, UserActionKind
 from repro.apps.whiteboard import WhiteboardApp, WhiteboardStroke, default_whiteboard_config
 from repro.workloads.legacy import PoissonWorkload, UniformWorkload
 from repro.core.config import AdaptationMode
-from repro.core.deployment import IdeaDeployment
+from repro.core.deployment import DeploymentBuilder
 from repro.sim.engine import Simulator
 
 
@@ -64,7 +64,7 @@ class TestPoissonWorkload:
 
 class TestWhiteboardApp:
     def build(self):
-        deployment = IdeaDeployment(num_nodes=6, seed=10)
+        deployment = DeploymentBuilder(num_nodes=6, seed=10).build()
         config = default_whiteboard_config(hint_level=0.0,
                                            mode=AdaptationMode.ON_DEMAND)
         app = WhiteboardApp(deployment, participants=list(deployment.node_ids),
@@ -116,7 +116,7 @@ class TestWhiteboardApp:
 
 class TestBookingApp:
     def build(self, capacity=10, period=15.0):
-        deployment = IdeaDeployment(num_nodes=6, seed=12)
+        deployment = DeploymentBuilder(num_nodes=6, seed=12).build()
         app = BookingApp(deployment, servers=["n00", "n01", "n02"], capacity=capacity,
                          config=default_booking_config(background_period=period))
         return deployment, app
@@ -158,7 +158,7 @@ class TestBookingApp:
         assert app.seats_remaining_at("n00") == app.seats_remaining_at("n01") == 98
 
     def test_validation(self):
-        deployment = IdeaDeployment(num_nodes=4, seed=12)
+        deployment = DeploymentBuilder(num_nodes=4, seed=12).build()
         with pytest.raises(ValueError):
             BookingApp(deployment, servers=["n00"], capacity=0)
         _, app = self.build()
@@ -177,7 +177,7 @@ class TestBookingApp:
 
 class TestScriptedUser:
     def build(self):
-        deployment = IdeaDeployment(num_nodes=4, seed=14)
+        deployment = DeploymentBuilder(num_nodes=4, seed=14).build()
         config = default_whiteboard_config(hint_level=0.9)
         app = WhiteboardApp(deployment, participants=list(deployment.node_ids),
                             config=config, start_background=False)

@@ -7,11 +7,12 @@ import pytest
 from repro.baselines.optimistic import OptimisticAntiEntropy
 from repro.baselines.strong import StrongConsistencyPrimary
 from repro.baselines.tact import TactBoundedConsistency, TactBounds
-from repro.core.deployment import IdeaDeployment
+from repro.core.deployment import DeploymentBuilder
 
 
 def build(num_nodes=5, seed=6):
-    deployment = IdeaDeployment(num_nodes=num_nodes, seed=seed, use_ransub=False)
+    deployment = DeploymentBuilder(num_nodes=num_nodes, seed=seed,
+                                   use_ransub=False).build()
     return deployment
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import AdaptationMode, IdeaConfig
-from repro.core.deployment import IdeaDeployment
+from repro.core.deployment import DeploymentBuilder
 
 
 def automatic_config(period=20.0):
@@ -14,25 +14,25 @@ def automatic_config(period=20.0):
 
 class TestRegistration:
     def test_register_creates_middleware_per_participant(self, hint_config):
-        deployment = IdeaDeployment(num_nodes=6, seed=1)
+        deployment = DeploymentBuilder(num_nodes=6, seed=1).build()
         managed = deployment.register_object("obj", hint_config,
                                              participants=["n00", "n01"],
                                              start_background=False)
         assert set(managed.middlewares) == {"n00", "n01"}
 
     def test_register_defaults_to_all_nodes(self, hint_config):
-        deployment = IdeaDeployment(num_nodes=5, seed=1)
+        deployment = DeploymentBuilder(num_nodes=5, seed=1).build()
         managed = deployment.register_object("obj", hint_config, start_background=False)
         assert len(managed.middlewares) == 5
 
     def test_duplicate_registration_rejected(self, hint_config):
-        deployment = IdeaDeployment(num_nodes=4, seed=1)
+        deployment = DeploymentBuilder(num_nodes=4, seed=1).build()
         deployment.register_object("obj", hint_config, start_background=False)
         with pytest.raises(ValueError):
             deployment.register_object("obj", hint_config, start_background=False)
 
     def test_multiple_objects_have_independent_overlays(self, hint_config):
-        deployment = IdeaDeployment(num_nodes=6, seed=1)
+        deployment = DeploymentBuilder(num_nodes=6, seed=1).build()
         deployment.register_object("a", hint_config, start_background=False)
         deployment.register_object("b", hint_config, start_background=False)
         deployment.middleware("a", "n00").write("x")
@@ -43,7 +43,7 @@ class TestRegistration:
 
 class TestSamplingAndAccounting:
     def test_perceived_and_ground_truth_levels(self, hint_config):
-        deployment = IdeaDeployment(num_nodes=6, seed=2)
+        deployment = DeploymentBuilder(num_nodes=6, seed=2).build()
         deployment.register_object("obj", hint_config, start_background=False)
         deployment.middleware("obj", "n00").write("a", metadata_delta=1.0)
         deployment.run(until=3.0)
@@ -56,7 +56,7 @@ class TestSamplingAndAccounting:
             assert 0.0 <= level <= 1.0
 
     def test_sample_levels_is_worst_and_mean(self, hint_config):
-        deployment = IdeaDeployment(num_nodes=4, seed=2)
+        deployment = DeploymentBuilder(num_nodes=4, seed=2).build()
         deployment.register_object("obj", hint_config, start_background=False)
         deployment.middleware("obj", "n00").write("a")
         worst, avg = deployment.sample_levels("obj", ["n00", "n01"])
@@ -65,7 +65,7 @@ class TestSamplingAndAccounting:
         assert avg == sum(levels.values()) / 2
 
     def test_message_accounting_by_protocol(self, hint_config):
-        deployment = IdeaDeployment(num_nodes=6, seed=2)
+        deployment = DeploymentBuilder(num_nodes=6, seed=2).build()
         deployment.register_object("obj", hint_config, start_background=False)
         deployment.middleware("obj", "n00").write("a")
         deployment.run(until=2.0)
@@ -75,7 +75,7 @@ class TestSamplingAndAccounting:
         assert deployment.idea_messages() >= deployment.detection_messages()
 
     def test_writes_counter_in_trace(self, hint_config):
-        deployment = IdeaDeployment(num_nodes=4, seed=2)
+        deployment = DeploymentBuilder(num_nodes=4, seed=2).build()
         deployment.register_object("obj", hint_config, start_background=False)
         deployment.middleware("obj", "n00").write("a")
         deployment.middleware("obj", "n00").write("b")
@@ -84,7 +84,7 @@ class TestSamplingAndAccounting:
 
 class TestBackgroundScheduling:
     def test_background_rounds_run_periodically(self):
-        deployment = IdeaDeployment(num_nodes=6, seed=4)
+        deployment = DeploymentBuilder(num_nodes=6, seed=4).build()
         deployment.register_object("obj", automatic_config(period=10.0),
                                    participants=["n00", "n01", "n02"])
         deployment.middleware("obj", "n00").write("seed update")
@@ -92,19 +92,19 @@ class TestBackgroundScheduling:
         assert deployment.objects["obj"].background_rounds >= 3
 
     def test_no_background_when_period_none(self, hint_config):
-        deployment = IdeaDeployment(num_nodes=4, seed=4)
+        deployment = DeploymentBuilder(num_nodes=4, seed=4).build()
         deployment.register_object("obj", hint_config)  # period None in fixture
         deployment.middleware("obj", "n00").write("x")
         deployment.run(until=60.0)
         assert deployment.objects["obj"].background_rounds == 0
 
     def test_run_background_round_skipped_without_top_layer(self):
-        deployment = IdeaDeployment(num_nodes=4, seed=4)
+        deployment = DeploymentBuilder(num_nodes=4, seed=4).build()
         deployment.register_object("obj", automatic_config(), start_background=False)
         assert deployment.run_background_round("obj") is None
 
     def test_background_round_converges_writers(self):
-        deployment = IdeaDeployment(num_nodes=6, seed=4)
+        deployment = DeploymentBuilder(num_nodes=6, seed=4).build()
         deployment.register_object("obj", automatic_config(period=15.0),
                                    participants=["n00", "n01"])
         deployment.middleware("obj", "n00").write("a", metadata_delta=1.0)
@@ -117,7 +117,8 @@ class TestBackgroundScheduling:
 
 class TestOverlayServices:
     def test_start_overlay_services_runs_ransub(self, hint_config):
-        deployment = IdeaDeployment(num_nodes=10, seed=5, ransub_period=5.0)
+        deployment = DeploymentBuilder(num_nodes=10, seed=5,
+                                       ransub_period=5.0).build()
         deployment.register_object("obj", hint_config, start_background=False)
         deployment.start_overlay_services()
         deployment.run(until=16.0)
@@ -125,7 +126,8 @@ class TestOverlayServices:
         assert deployment.overlay_messages() > 0
 
     def test_gossip_enabled_deployment(self, hint_config):
-        deployment = IdeaDeployment(num_nodes=6, seed=5, use_gossip=True)
+        deployment = DeploymentBuilder(num_nodes=6, seed=5,
+                                       use_gossip=True).build()
         deployment.register_object("obj", hint_config, start_background=False)
         deployment.middleware("obj", "n00").write("only here", metadata_delta=1.0)
         deployment.start_overlay_services()

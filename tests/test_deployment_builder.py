@@ -46,19 +46,19 @@ class TestDeploymentBuilder:
         deployment.run(until=13.0)
         assert deployment.ransub.rounds_completed == 3
 
-    def test_builder_matches_direct_constructor(self):
+    def test_add_object_matches_register_after_build(self):
         built = (DeploymentBuilder(num_nodes=4, seed=9)
                  .add_object("obj", hint_config(), start_background=False)
                  .build())
-        direct = IdeaDeployment(num_nodes=4, seed=9)
-        direct.register_object("obj", hint_config(), start_background=False)
+        late = DeploymentBuilder(num_nodes=4, seed=9).build()
+        late.register_object("obj", hint_config(), start_background=False)
         built.middleware("obj", "n00").write("x", metadata_delta=1.0)
-        direct.middleware("obj", "n00").write("x", metadata_delta=1.0)
+        late.middleware("obj", "n00").write("x", metadata_delta=1.0)
         built.run(until=5.0)
-        direct.run(until=5.0)
-        assert built.top_layer("obj") == direct.top_layer("obj")
+        late.run(until=5.0)
+        assert built.top_layer("obj") == late.top_layer("obj")
         assert (built.perceived_levels("obj", ["n00", "n01"])
-                == direct.perceived_levels("obj", ["n00", "n01"]))
+                == late.perceived_levels("obj", ["n00", "n01"]))
 
     def test_runtimes_host_many_objects(self):
         builder = DeploymentBuilder(num_nodes=8, seed=7)
@@ -66,8 +66,11 @@ class TestDeploymentBuilder:
             builder.add_object(f"obj{i:03d}", hint_config(),
                                start_background=False)
         deployment = builder.build()
-        for runtime in deployment.runtimes.values():
-            assert len(runtime) == 64
+        for node_id, runtime in deployment.runtimes.items():
+            hosted = [managed.middlewares[node_id]
+                      for managed in deployment.objects.values()]
+            assert len(hosted) == 64
+            assert all(m.runtime is runtime for m in hosted)
         # Drive a write per object through the shared runtimes.
         for i in range(64):
             deployment.middleware(f"obj{i:03d}",
@@ -80,7 +83,7 @@ class TestDeploymentBuilder:
 
 class TestEventBusWiring:
     def test_writes_flow_through_bus_to_trace_and_overlay(self):
-        deployment = IdeaDeployment(num_nodes=4, seed=2)
+        deployment = DeploymentBuilder(num_nodes=4, seed=2).build()
         deployment.register_object("obj", hint_config(), start_background=False)
         seen = []
         deployment.bus.subscribe(WriteRecorded, seen.append)
@@ -91,7 +94,7 @@ class TestEventBusWiring:
         assert [e.node_id for e in seen] == ["n00", "n00"]
 
     def test_resolutions_aggregated_from_any_initiator(self):
-        deployment = IdeaDeployment(num_nodes=6, seed=2)
+        deployment = DeploymentBuilder(num_nodes=6, seed=2).build()
         managed = deployment.register_object(
             "obj", hint_config(), participants=["n00", "n01", "n02"],
             start_background=False)
@@ -106,7 +109,7 @@ class TestEventBusWiring:
         assert any(r.initiator == "n01" for r in managed.resolutions)
 
     def test_background_rounds_count_completed_not_scheduled(self):
-        deployment = IdeaDeployment(num_nodes=6, seed=4)
+        deployment = DeploymentBuilder(num_nodes=6, seed=4).build()
         managed = deployment.register_object(
             "obj", automatic_config(period=10.0),
             participants=["n00", "n01", "n02"])
@@ -118,7 +121,7 @@ class TestEventBusWiring:
         assert len(completed) == managed.background_rounds
 
     def test_resolution_completed_events_published(self):
-        deployment = IdeaDeployment(num_nodes=5, seed=4)
+        deployment = DeploymentBuilder(num_nodes=5, seed=4).build()
         deployment.register_object("obj", automatic_config(period=8.0),
                                    participants=["n00", "n01"])
         events = []
@@ -131,7 +134,7 @@ class TestEventBusWiring:
 
 class TestBackgroundAdaptation:
     def test_period_change_reschedules_rounds(self):
-        deployment = IdeaDeployment(num_nodes=4, seed=6)
+        deployment = DeploymentBuilder(num_nodes=4, seed=6).build()
         managed = deployment.register_object(
             "obj", automatic_config(period=10.0), participants=["n00", "n01"])
         deployment.middleware("obj", "n00").write("seed")
@@ -149,7 +152,7 @@ class TestBackgroundAdaptation:
         assert fast_rounds >= 5               # ≤ 2 if the old period stuck
 
     def test_cancel_actually_stops_rounds(self):
-        deployment = IdeaDeployment(num_nodes=4, seed=6)
+        deployment = DeploymentBuilder(num_nodes=4, seed=6).build()
         managed = deployment.register_object(
             "obj", automatic_config(period=5.0), participants=["n00", "n01"])
         deployment.middleware("obj", "n00").write("seed")
@@ -164,7 +167,7 @@ class TestBackgroundAdaptation:
         assert managed.background_rounds_started == 2
 
     def test_cancel_between_registration_and_first_round(self):
-        deployment = IdeaDeployment(num_nodes=4, seed=6)
+        deployment = DeploymentBuilder(num_nodes=4, seed=6).build()
         managed = deployment.register_object(
             "obj", automatic_config(period=5.0), participants=["n00", "n01"])
         deployment.middleware("obj", "n00").write("seed")
@@ -173,7 +176,7 @@ class TestBackgroundAdaptation:
         assert managed.background_rounds_started == 0
 
     def test_no_schedule_without_period(self):
-        deployment = IdeaDeployment(num_nodes=4, seed=6)
+        deployment = DeploymentBuilder(num_nodes=4, seed=6).build()
         managed = deployment.register_object("obj", hint_config())
         assert managed.background_timer is None
         assert managed.background_cancel is None

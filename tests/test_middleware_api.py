@@ -7,12 +7,12 @@ import pytest
 from repro.core.adaptive import AutomaticController, HintBasedController, OnDemandController
 from repro.core.api import IdeaAPI
 from repro.core.config import AdaptationMode, IdeaConfig, MetricWeights, ResolutionStrategy
-from repro.core.deployment import IdeaDeployment
+from repro.core.deployment import DeploymentBuilder
 from repro.core.policies import PriorityBasedPolicy, UserIdBasedPolicy
 
 
 def deployment_with(mode=AdaptationMode.HINT_BASED, hint=0.9, **kwargs):
-    deployment = IdeaDeployment(num_nodes=8, seed=9)
+    deployment = DeploymentBuilder(num_nodes=8, seed=9).build()
     kwargs.setdefault("background_period", None)
     config = IdeaConfig(mode=mode, hint_level=hint, **kwargs)
     deployment.register_object("obj", config, start_background=False)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import IdeaConfig
-from repro.core.deployment import IdeaDeployment
+from repro.core.deployment import DeploymentBuilder
 from repro.live import wire
 from repro.overlay.gossip import GossipConfig, GossipDigest, GossipService
 from repro.sim.clock import ClockModel
@@ -220,7 +220,8 @@ class TestDeploymentGossipDigest:
             last_consistent_time=replica.vector.last_consistent_time)
 
     def test_memo_follows_every_replica_mutation(self):
-        deployment = IdeaDeployment(num_nodes=4, seed=3, use_gossip=True)
+        deployment = DeploymentBuilder(num_nodes=4, seed=3,
+                                       use_gossip=True).build()
         deployment.register_object("obj", IdeaConfig(), start_background=False)
         replica = deployment.stores["n01"].replica("obj")
         other = deployment.stores["n02"].replica("obj")
@@ -264,7 +265,8 @@ class TestDeploymentGossipDigest:
         assert (cache.hits, cache.misses) == lookups
 
     def test_a_replaced_replica_is_not_answered_from_the_old_ones_memo(self):
-        deployment = IdeaDeployment(num_nodes=4, seed=3, use_gossip=True)
+        deployment = DeploymentBuilder(num_nodes=4, seed=3,
+                                       use_gossip=True).build()
         deployment.register_object("obj", IdeaConfig(), start_background=False)
         replica = deployment.stores["n01"].replica("obj")
         replica.local_write("n01", 1.0)

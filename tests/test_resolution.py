@@ -5,14 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import AdaptationMode, IdeaConfig, ResolutionStrategy
-from repro.core.deployment import IdeaDeployment
+from repro.core.deployment import DeploymentBuilder
 from repro.core.resolution import merge_vectors
 from repro.versioning.extended_vector import ExtendedVersionVector, UpdateRecord
 
 
 def build_deployment(num_nodes=8, *, strategy=ResolutionStrategy.USER_ID_BASED,
                      hint=0.0, seed=7):
-    deployment = IdeaDeployment(num_nodes=num_nodes, seed=seed)
+    deployment = DeploymentBuilder(num_nodes=num_nodes, seed=seed).build()
     config = IdeaConfig(mode=AdaptationMode.ON_DEMAND, hint_level=hint,
                         background_period=None, resolution_strategy=strategy)
     deployment.register_object("obj", config, start_background=False)

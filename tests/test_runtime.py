@@ -1,35 +1,28 @@
-"""Tests for the per-node runtime: event bus, digest cache, object registry."""
+"""Tests for the per-node runtime: event bus, digest cache, node runtime."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.config import AdaptationMode, IdeaConfig
+from repro.core.deployment import DeploymentBuilder
 from repro.core.detection import VersionDigest, evaluate_group
-from repro.core.middleware import IdeaMiddleware
 from repro.runtime import (
     DigestCache,
     EventBus,
-    NodeRuntime,
     ResolutionCompleted,
     WriteRecorded,
 )
 from repro.sim.clock import ClockModel
-from repro.sim.engine import Simulator
 from repro.sim.latency import LatencyModel
-from repro.sim.network import Network
-from repro.sim.node import Node
-from repro.store.filesystem import ReplicatedStore
 from repro.store.replica import Replica
 
 
 @pytest.fixture
-def host():
-    sim = Simulator(seed=5)
-    network = Network(sim, LatencyModel.fixed(0.02))
-    node = Node(sim, network, "n00", clock_model=ClockModel().perfect())
-    store = ReplicatedStore("n00")
-    return sim, node, store
+def deployment():
+    return DeploymentBuilder(num_nodes=2, seed=5,
+                             latency=LatencyModel.fixed(0.02),
+                             clock_model=ClockModel().perfect()).build()
 
 
 def hint_config(level: float = 0.0) -> IdeaConfig:
@@ -132,80 +125,91 @@ class TestDigestCache:
         assert cache.local_digest("a", a, 1.0).metadata == 1.0
         assert cache.local_digest("b", b, 1.0).metadata == 9.0
 
-    def test_forget_object_drops_state(self):
-        replica = Replica("n00", "obj")
-        replica.local_write("n00", 1.0)
-        cache = DigestCache()
-        cache.peer_digests("obj")["n01"] = object()
-        cache.local_digest("obj", replica, now=1.0)
-        cache.forget_object("obj")
-        assert cache.peer_digests("obj") == {}
-        assert "obj" not in cache.objects() or cache.peer_digests("obj") == {}
-
 
 class TestNodeRuntime:
-    def test_attach_registers_object(self, host):
-        sim, node, store = host
-        runtime = NodeRuntime(node, store)
-        middleware = runtime.attach("obj", hint_config(),
-                                    top_layer_provider=lambda: ["n00"])
-        assert "obj" in runtime
-        assert runtime.middleware("obj") is middleware
-        assert runtime.object_ids() == ["obj"]
+    def test_register_object_builds_middleware_over_the_runtime(
+            self, deployment):
+        managed = deployment.register_object("obj", hint_config(),
+                                             participants=["n00"],
+                                             start_background=False)
+        runtime = deployment.runtimes["n00"]
+        middleware = managed.middlewares["n00"]
+        assert deployment.middleware("obj", "n00") is middleware
+        assert middleware.runtime is runtime
+        assert middleware.node is runtime.node is deployment.nodes["n00"]
+        assert middleware.store is runtime.store is deployment.stores["n00"]
+        assert middleware.replica is runtime.store.replica("obj")
 
-    def test_duplicate_attach_rejected(self, host):
-        sim, node, store = host
-        runtime = NodeRuntime(node, store)
-        runtime.attach("obj", hint_config(), top_layer_provider=lambda: [])
-        with pytest.raises(ValueError):
-            runtime.attach("obj", hint_config(), top_layer_provider=lambda: [])
+    def test_duplicate_participant_rejected(self, deployment):
+        with pytest.raises(ValueError, match="participant twice"):
+            deployment.register_object("obj", hint_config(),
+                                       participants=["n00", "n00"],
+                                       start_background=False)
+        # refused before anything was placed
+        assert "obj" not in deployment.objects
+        assert not deployment.stores["n00"].has_replica("obj")
 
-    def test_objects_share_digest_cache_and_bus(self, host):
-        sim, node, store = host
-        runtime = NodeRuntime(node, store)
-        a = runtime.attach("a", hint_config(), top_layer_provider=lambda: [])
-        b = runtime.attach("b", hint_config(), top_layer_provider=lambda: [])
+    def test_duplicate_object_rejected(self, deployment):
+        first = deployment.register_object("obj", hint_config(),
+                                           participants=["n00"],
+                                           start_background=False)
+        with pytest.raises(ValueError, match="already registered"):
+            deployment.register_object("obj", hint_config(),
+                                       participants=["n01"],
+                                       start_background=False)
+        # the first registration is left as it was
+        assert deployment.objects["obj"] is first
+        assert set(first.middlewares) == {"n00"}
+        assert not deployment.stores["n01"].has_replica("obj")
+
+    def test_unknown_participant_rejected(self, deployment):
+        with pytest.raises(KeyError, match="n99"):
+            deployment.register_object("obj", hint_config(),
+                                       participants=["n00", "n99"],
+                                       start_background=False)
+        assert "obj" not in deployment.objects
+
+    def test_each_node_gets_its_own_runtime_over_one_bus(self, deployment):
+        a, b = deployment.runtimes["n00"], deployment.runtimes["n01"]
+        assert a is not b
+        assert a.node is deployment.nodes["n00"] and a.node_id == "n00"
+        assert b.store is deployment.stores["n01"]
+        assert a.digests is not b.digests
+        assert a.backoff_rng is not b.backoff_rng
+        assert a.bus is b.bus is deployment.bus
+
+    def test_objects_share_digest_cache_and_bus(self, deployment):
+        runtime = deployment.runtimes["n00"]
+        a, b = (deployment.register_object(
+                    oid, hint_config(), participants=["n00"],
+                    start_background=False).middlewares["n00"]
+                for oid in ("a", "b"))
         assert a.runtime is runtime and b.runtime is runtime
-        assert a.bus is b.bus is runtime.bus
+        assert a.bus is b.bus is runtime.bus is deployment.bus
         assert a.detection._digest_cache is runtime.digests
         assert b.detection._digest_cache is runtime.digests
 
-    def test_detach_forgets_object(self, host):
-        sim, node, store = host
-        runtime = NodeRuntime(node, store)
-        runtime.attach("obj", hint_config(), top_layer_provider=lambda: [])
-        runtime.detach("obj")
-        assert "obj" not in runtime
-        assert len(runtime) == 0
-
-    def test_standalone_middleware_gets_private_runtime(self, host):
-        sim, node, store = host
-        middleware = IdeaMiddleware(node, store, "obj", config=hint_config(),
-                                    top_layer_provider=lambda: ["n00"])
-        assert "obj" in middleware.runtime
-        assert middleware.runtime.middleware("obj") is middleware
-
-    def test_write_publishes_on_bus(self, host):
-        sim, node, store = host
-        runtime = NodeRuntime(node, store)
-        middleware = runtime.attach("obj", hint_config(),
-                                    top_layer_provider=lambda: ["n00"])
+    def test_write_publishes_on_bus(self, deployment):
+        middleware = deployment.register_object(
+            "obj", hint_config(), participants=["n00"],
+            start_background=False).middlewares["n00"]
         seen = []
-        runtime.bus.subscribe(WriteRecorded, seen.append)
+        deployment.runtimes["n00"].bus.subscribe(WriteRecorded, seen.append)
         middleware.write("payload", metadata_delta=1.0)
         assert len(seen) == 1
         assert seen[0].object_id == "obj" and seen[0].node_id == "n00"
 
-    def test_levels_identical_with_and_without_cache(self, host):
+    def test_levels_identical_with_and_without_cache(self, deployment):
         # The uncached reference: digests rebuilt from the replica's vector.
-        sim, node, store = host
         config = hint_config()
-        cached = NodeRuntime(node, store).attach(
-            "obj", config, top_layer_provider=lambda: ["n00"])
+        cached = deployment.register_object(
+            "obj", config, participants=["n00"], top_layer=["n00"],
+            start_background=False).middlewares["n00"]
+        store = deployment.stores["n00"]
         for i in range(4):
             cached.write(f"u{i}", metadata_delta=1.0)
             _, plain_level = evaluate_group(
                 {"n00": store.replica("obj").vector}, object_id="obj",
                 metric=config.metric, weights=config.weights,
-                now=sim.now)["n00"]
+                now=deployment.sim.now)["n00"]
             assert cached.current_level() == pytest.approx(plain_level)

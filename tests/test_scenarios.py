@@ -24,6 +24,7 @@ from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.transport.timers import PeriodicTimer
+from repro.worlds.schema import FAULT_KINDS
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +509,8 @@ class TestSiteBlast:
 class TestCascade:
     def test_schedule_is_exactly_pinned_for_fixed_seed(self):
         nodes = [f"n{i}" for i in range(6)]
-        plan = FaultPlan.cascade(nodes, rate=0.3, duration=20.0, seed=5,
-                                 downtime=6.0, amplification=3.0)
+        plan = FaultPlan.churn(nodes, rate=0.3, duration=20.0, seed=5,
+                               downtime=6.0, amplification=3.0)
         got = [(round(x.time, 6), x.kind, x.node_id) for x in plan.actions()]
         assert got == [
             (6.622233, "crash", "n0"), (9.514131, "crash", "n5"),
@@ -521,39 +522,60 @@ class TestCascade:
             (18.696722, "recover", "n0"), (19.824947, "crash", "n2"),
             (23.140239, "recover", "n1"), (25.824947, "recover", "n2")]
 
-    def test_zero_amplification_degenerates_to_churn(self):
+    def test_zero_amplification_is_the_independent_schedule(self):
+        # Pinned from the independent-failure generator the amplified loop
+        # replaced: at amplification 0 the rate never moves.
         nodes = [f"n{i}" for i in range(6)]
-        cascade = FaultPlan.cascade(nodes, rate=0.2, duration=30.0, seed=9,
-                                    downtime=5.0, amplification=0.0)
-        churn = FaultPlan.churn(nodes, rate=0.2, duration=30.0, seed=9,
-                                downtime=5.0)
-        assert [(x.time, x.kind, x.node_id) for x in cascade.actions()] == \
-            [(x.time, x.kind, x.node_id) for x in churn.actions()]
+        plan = FaultPlan.churn(nodes, rate=0.4, duration=30.0, seed=9,
+                               downtime=5.0)
+        got = [(round(x.time, 6), x.kind, x.node_id) for x in plan.actions()]
+        assert got == [
+            (8.222269, "crash", "n5"), (10.574668, "crash", "n1"),
+            (13.071489, "crash", "n3"), (13.222269, "recover", "n5"),
+            (15.574668, "recover", "n1"), (16.372492, "crash", "n4"),
+            (18.071489, "recover", "n3"), (18.438733, "crash", "n3"),
+            (18.494015, "crash", "n5"), (19.379396, "crash", "n2"),
+            (19.718405, "crash", "n0"), (21.372492, "recover", "n4"),
+            (23.438733, "recover", "n3"), (23.494015, "recover", "n5"),
+            (24.379396, "recover", "n2"), (24.718405, "recover", "n0")]
 
     def test_amplification_accelerates_failures(self):
         nodes = [f"n{i}" for i in range(10)]
-        calm = FaultPlan.cascade(nodes, rate=0.3, duration=40.0, seed=7,
-                                 downtime=30.0, amplification=0.0)
-        storm = FaultPlan.cascade(nodes, rate=0.3, duration=40.0, seed=7,
-                                  downtime=30.0, amplification=6.0)
+        calm = FaultPlan.churn(nodes, rate=0.3, duration=40.0, seed=7,
+                               downtime=30.0)
+        storm = FaultPlan.churn(nodes, rate=0.3, duration=40.0, seed=7,
+                                downtime=30.0, amplification=6.0)
         assert len(storm.crashes()) > len(calm.crashes())
 
     def test_spare_always_respected(self):
         nodes = [f"n{i}" for i in range(4)]
-        plan = FaultPlan.cascade(nodes, rate=5.0, duration=30.0, seed=2,
-                                 downtime=100.0, amplification=4.0, spare=2)
+        plan = FaultPlan.churn(nodes, rate=5.0, duration=30.0, seed=2,
+                               downtime=100.0, amplification=4.0, spare=2)
         # downtime outlasts the run, so crashes are permanent: at most
         # len(nodes) - spare of them ever happen.
         assert len(plan.crashes()) <= len(nodes) - 2
 
+    def test_world_kinds_both_build_through_churn(self):
+        # the ``cascade`` kind keeps its amplification default of 2
+        nodes = [f"n{i}" for i in range(6)]
+        args = dict(rate=0.3, duration=20.0, seed=5, downtime=6.0)
+        assert (FAULT_KINDS["churn"].build(nodes, **args).to_dict()
+                == FaultPlan.churn(nodes, **args).to_dict())
+        assert (FAULT_KINDS["cascade"].build(nodes, **args).to_dict()
+                == FaultPlan.churn(nodes, amplification=2.0,
+                                   **args).to_dict())
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            FaultPlan.cascade(["a"], rate=0.0, duration=1.0, seed=1)
+            FaultPlan.churn(["a"], rate=0.0, duration=1.0, seed=1)
         with pytest.raises(ValueError):
-            FaultPlan.cascade(["a"], rate=1.0, duration=1.0, seed=1,
-                              amplification=-1.0)
+            FaultPlan.churn(["a"], rate=1.0, duration=1.0, seed=1,
+                            amplification=-1.0)
         with pytest.raises(ValueError):
-            FaultPlan.cascade(["a"], rate=1.0, duration=1.0, seed=1, spare=0)
+            FaultPlan.churn(["a"], rate=1.0, duration=1.0, seed=1, spare=0)
+        with pytest.raises(ValueError, match="at least one node"):
+            FaultPlan.churn([], rate=1.0, duration=1.0, seed=1,
+                            amplification=2.0)
 
 
 class TestMerge:
@@ -570,8 +592,9 @@ class TestMerge:
         deployment = DeploymentBuilder(num_nodes=6, seed=17).build()
         node_ids = deployment.node_ids
         plan = FaultPlan.site_blast(node_ids[:2], at=2.0, down_for=3.0)
-        plan.merge(FaultPlan.cascade(node_ids[2:], rate=0.5, duration=6.0,
-                                     seed=4, downtime=2.0, start=1.0))
+        plan.merge(FaultPlan.churn(node_ids[2:], rate=0.5, duration=6.0,
+                                   seed=4, downtime=2.0, amplification=2.0,
+                                   start=1.0))
         injector = FaultInjector(deployment, plan).arm()
         deployment.run(until=12.0)
         assert injector.crashes_applied == len(plan.crashes())

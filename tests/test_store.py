@@ -378,9 +378,9 @@ class TestLastAppliedAt:
 
     def test_quiet_read_does_not_copy_the_log(self, monkeypatch):
         from repro.core.config import IdeaConfig
-        from repro.core.deployment import IdeaDeployment
+        from repro.core.deployment import DeploymentBuilder
 
-        deployment = IdeaDeployment(num_nodes=4, seed=3)
+        deployment = DeploymentBuilder(num_nodes=4, seed=3).build()
         managed = deployment.register_object(
             "obj", IdeaConfig(background_period=None))
         middleware = managed.middlewares[deployment.node_ids[0]]

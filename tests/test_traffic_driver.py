@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.core.config import AdaptationMode, IdeaConfig
-from repro.core.deployment import DeploymentBuilder, IdeaDeployment
+from repro.core.deployment import DeploymentBuilder
 from repro.core.detection import (VersionDigest, build_reference,
                                   consistency_level)
 from repro.runtime.events import ClientOpCompleted
@@ -85,15 +85,23 @@ class TestTrafficDriver:
 
         assert run_once() == run_once()
 
-    def test_attach_traffic_on_existing_deployment(self):
-        deployment = IdeaDeployment(num_nodes=4, seed=5)
-        deployment.register_object("notes", quiet_config(),
-                                   start_background=False)
-        driver = deployment.attach_traffic(
-            [population(num_clients=4, num_objects=1)], max_ops=50)
-        assert deployment.traffic is driver
-        driver.run()
-        assert driver.ops_issued == 50
+    def test_built_traffic_runs_with_the_deployment(self):
+        deployment = build_deployment(populations=[population()], max_ops=60)
+        # started by the build: advancing the deployment alone drives it
+        deployment.run(until=200.0)
+        assert deployment.traffic.ops_issued == 60
+        assert deployment.traffic.done
+
+    def test_second_add_traffic_call_is_rejected(self):
+        builder = DeploymentBuilder(num_nodes=4, seed=5).add_traffic(
+            [population(num_objects=1)], max_ops=50)
+        with pytest.raises(ValueError, match="traffic already added"):
+            builder.add_traffic([population(num_objects=1, name="batch")],
+                                max_ops=80)
+        builder.add_object("obj00", quiet_config(), start_background=False)
+        driver = builder.build().traffic
+        # the first call's load is the one built
+        assert [p.name for p in driver.populations] == ["web"]
 
     def test_fault_plan_composition_counts_downtime(self):
         plan = FaultPlan()
@@ -160,7 +168,7 @@ class TestTrafficDriver:
             deployment.traffic.run()
 
     def test_driver_requires_registered_objects(self):
-        deployment = IdeaDeployment(num_nodes=4, seed=5)
+        deployment = DeploymentBuilder(num_nodes=4, seed=5).build()
         with pytest.raises(ValueError, match="no registered objects"):
             TrafficDriver(deployment, [population()])
 
@@ -172,7 +180,7 @@ class TestTrafficDriver:
 
 class TestMiddlewareFastReadPath:
     def build(self):
-        deployment = IdeaDeployment(num_nodes=4, seed=3)
+        deployment = DeploymentBuilder(num_nodes=4, seed=3).build()
         deployment.register_object("doc", quiet_config(),
                                    start_background=False)
         return deployment, deployment.middleware("doc", "n00")

@@ -37,13 +37,21 @@ FORBIDDEN_MODULES = ("repro.sim.engine", "repro.sim.network", "repro.sim.node",
 #: the sim composition root: builds Simulator/Network/topology by design
 ALLOWED_EXCEPTIONS = {SRC / "core" / "deployment.py"}
 
-#: the classes a node stack is made of, and the only files under src/repro
-#: that may construct them: the one assembly, plus the middleware's
-#: standalone single-object ``NodeRuntime`` fallback
-STACK_CLASSES = {"ReplicatedStore", "NodeRuntime", "GossipService",
-                 "RanSubService", "TwoLayerOverlay"}
-STACK_ASSEMBLERS = {"core/deployment.py": STACK_CLASSES,
-                    "core/middleware.py": {"NodeRuntime"}}
+#: the deployment and the classes its node stacks are made of, and the one
+#: file under src/repro that may construct them: the assembly
+STACK_CLASSES = {"IdeaDeployment", "ReplicatedStore", "NodeRuntime",
+                 "IdeaMiddleware", "GossipService", "RanSubService",
+                 "TwoLayerOverlay"}
+STACK_ASSEMBLERS = {"core/deployment.py": STACK_CLASSES}
+
+
+def _calls(path: pathlib.Path):
+    """``(line, name)`` of every call in ``path`` to a bare or dotted name."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            yield node.lineno, (callee.id if isinstance(callee, ast.Name)
+                                else getattr(callee, "attr", None))
 
 
 def _imported_modules(path: pathlib.Path):
@@ -77,19 +85,25 @@ class TestImportBoundary:
 
     def test_node_stacks_are_assembled_in_one_place(self):
         """Sim and live both build through DeploymentBuilder: nothing
-        else wires a store, runtime, gossip/RanSub service or overlay."""
+        else wires a store, runtime, middleware, gossip/RanSub service or
+        overlay, and nothing outside the builder constructs a deployment —
+        the examples, the benchmark scripts (which tier-1 does not import)
+        and the tests included."""
         violations = []
         for path in sorted(SRC.rglob("*.py")):
             relative = path.relative_to(SRC).as_posix()
-            allowed = STACK_ASSEMBLERS.get(relative, set())
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if not isinstance(node, ast.Call):
-                    continue
-                callee = node.func
-                name = (callee.id if isinstance(callee, ast.Name)
-                        else getattr(callee, "attr", None))
-                if name in STACK_CLASSES - allowed:
-                    violations.append(f"{relative}:{node.lineno}: {name}(...)")
+            forbidden = STACK_CLASSES - STACK_ASSEMBLERS.get(relative, set())
+            violations += [f"{relative}:{line}: {name}(...)"
+                           for line, name in _calls(path) if name in forbidden]
+        root = SRC.parent.parent
+        scripts = [*root.glob("examples/*.py"),
+                   *root.glob("benchmarks/bench_*.py"),
+                   *root.glob("tests/*.py")]
+        assert len(scripts) > 3
+        for path in sorted(scripts):
+            violations += [f"{path.relative_to(root)}:{line}: {name}(...)"
+                           for line, name in _calls(path)
+                           if name == "IdeaDeployment"]
         assert violations == []
         # ...and the live oracle runs the builder's simulator host, not a
         # private Simulator/Network/Node look-alike.
