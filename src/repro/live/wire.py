@@ -37,7 +37,7 @@ packed columns, never nested tagged objects:
 ``VersionDigest``      ``[object, node, [writer, ...], packed(count, ...,
                        issued_at, metadata, lct, (cum, last), ...)]``
 ``GossipDigest``       ``[object, origin, [writer, ...], packed(count,
-                       ..., ttl, metadata, lct, issued_at)]``
+                       ..., metadata, lct, issued_at)]``
 ``RanSubView``         ``[[member, ...], packed(round_number,
                        received_at)]``
 ``ExtendedVersion-     ``[[[writer, packed(seq, ..., (timestamp, delta),
@@ -304,17 +304,17 @@ def _gossip_fields(v: GossipDigest) -> List[Any]:
     counts = v.counts
     n = len(counts)
     return [v.object_id, v.origin, list(map(_FIRST, counts)),
-            _packed(n + 1, 3, (*map(_SECOND, counts), v.ttl, v.metadata,
-                               v.last_consistent_time, v.issued_at))]
+            _packed(n, 3, (*map(_SECOND, counts), v.metadata,
+                           v.last_consistent_time, v.issued_at))]
 
 
 def _gossip_from(fields: List[Any]) -> GossipDigest:
     object_id, origin, names, blob = fields
     n = len(names)
-    values = _numbers(n + 1, 3, blob)
-    ttl, metadata, lct, issued_at = values[n:]
+    values = _numbers(n, 3, blob)
+    metadata, lct, issued_at = values[n:]
     return GossipDigest(object_id, origin, tuple(zip(names, values)),
-                        metadata, lct, issued_at, ttl)
+                        metadata, lct, issued_at)
 
 
 def _vector_fields(v: ExtendedVersionVector) -> List[Any]:

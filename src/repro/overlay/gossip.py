@@ -7,8 +7,12 @@ TTL on the traversal of detection messages to bound the delay (Section
 participating node sends its version *digest* (per-writer counts, metadata
 value, last-consistent time) to ``fanout`` uniformly chosen peers; receivers
 compare the digest against their own replica, report any inconsistency
-through a callback, and forward the digest with the TTL decremented until it
-reaches zero.
+through a callback, and forward it with one hop less until none are left.
+A round stamps each node's digest once; the TTL is the hop's, carried in the
+message payload beside it, so every hop of that round re-sends the same
+digest object.  Peers are drawn by the ``overlay.gossip`` stream's
+:class:`~repro.sim.random.SubsetSampler`: one sample per fan-out, the draws
+``choice(len(peers), size=fanout, replace=False)`` makes.
 """
 
 from __future__ import annotations
@@ -35,8 +39,7 @@ class GossipDigest:
     last_consistent_time: float
     #: stamped by :meth:`GossipService.run_round` when the digest is sent
     issued_at: float = 0.0
-    ttl: int = 0
-    #: memoised :meth:`version_vector`, handed on to every per-hop copy; a
+    #: memoised :meth:`version_vector`, handed on to the stamped copy; a
     #: builder that already holds the vector (the deployment, from its
     #: replica) passes it in, a digest decoded off the wire starts without
     _vector: Optional[VersionVector] = field(default=None, repr=False,
@@ -49,14 +52,11 @@ class GossipDigest:
             object.__setattr__(self, "_vector", vector)
         return vector
 
-    def stamped(self, issued_at: float, ttl: int) -> "GossipDigest":
-        """This digest as sent at ``issued_at`` with ``ttl`` hops left."""
+    def stamped(self, issued_at: float) -> "GossipDigest":
+        """This digest as sent by the round at ``issued_at``."""
         return GossipDigest(self.object_id, self.origin, self.counts,
                             self.metadata, self.last_consistent_time,
-                            issued_at, ttl, self._vector)
-
-    def decremented(self) -> "GossipDigest":
-        return self.stamped(self.issued_at, self.ttl - 1)
+                            issued_at, self._vector)
 
 
 @dataclass
@@ -126,7 +126,7 @@ class GossipService:
         self._local_digest = local_digest
         self._on_inconsistency = on_inconsistency
         self._on_digest = on_digest
-        self._rng = clock.random.stream("overlay.gossip")
+        self._sample = clock.random.subsets("overlay.gossip").sample
         self._objects: List[str] = []
         self._timer: Optional[PeriodicTimer] = None
         self._rounds = 0
@@ -175,18 +175,17 @@ class GossipService:
                 digest = self._local_digest(node_id, object_id)
                 if digest is None:
                     continue
-                sent += self._forward(
-                    node_id, digest.stamped(self.clock.now, self.config.ttl),
-                    members)
+                sent += self._forward(node_id, digest.stamped(self.clock.now),
+                                      self.config.ttl, members)
         return sent
 
-    def _forward(self, sender: str, digest: GossipDigest, members: List[str]) -> int:
+    def _forward(self, sender: str, digest: GossipDigest, ttl: int,
+                 members: List[str]) -> int:
         peers = [m for m in members if m != sender and m != digest.origin]
         if not peers:
             return 0
-        fanout = min(self.config.fanout, len(peers))
-        chosen_idx = self._rng.choice(len(peers), size=fanout, replace=False)
-        chosen = [peers[idx] for idx in sorted(chosen_idx)]
+        chosen = [peers[idx] for idx in
+                  self._sample(len(peers), min(self.config.fanout, len(peers)))]
         registered = self._registered_nodes
         for peer in chosen:
             # A peer that is down takes the send as a counted drop and is
@@ -197,7 +196,8 @@ class GossipService:
         # digest and the member list as read-only.
         self.transport.send_many(sender, chosen, protocol=PROTOCOL,
                                msg_type="gossip_digest",
-                               payload={"digest": digest, "members": members},
+                               payload={"digest": digest, "ttl": ttl,
+                                        "members": members},
                                size_bytes=self.config.digest_bytes)
         return len(chosen)
 
@@ -208,8 +208,8 @@ class GossipService:
 
     # ------------------------------------------------------------- receiving
     def _handle_digest(self, message: Message) -> None:
-        digest: GossipDigest = message.payload["digest"]
-        members: List[str] = message.payload["members"]
+        payload = message.payload
+        digest: GossipDigest = payload["digest"]
         receiver = message.dst
 
         dedupe_key = (digest.origin, digest.object_id, digest.issued_at)
@@ -240,8 +240,9 @@ class GossipService:
                     self._on_inconsistency(receiver, digest, local_vv)
 
         # Forward onwards while TTL remains and this is the first sighting.
-        if digest.ttl > 1 and not already_seen:
-            self._forward(receiver, digest.decremented(), members)
+        ttl = payload["ttl"]
+        if ttl > 1 and not already_seen:
+            self._forward(receiver, digest, ttl - 1, payload["members"])
 
     # ------------------------------------------------------------- inspection
     @property

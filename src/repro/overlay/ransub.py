@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.transport import Clock, Message, PeriodicTimer, Transport
 
 
@@ -37,13 +35,16 @@ class RanSubView:
 
 
 def _uniform_sample(candidates: Sequence[str], size: int,
-                    rng: np.random.Generator) -> List[str]:
-    """Uniform sample without replacement, capped at the candidate count."""
+                    sample: Callable[[int, int], List[int]]) -> List[str]:
+    """Uniform sample without replacement, capped at the candidate count.
+
+    ``sample(n, k)`` is a :class:`~repro.sim.random.SubsetSampler`'s: ``k``
+    distinct indices below ``n``, ascending.
+    """
     pool = list(dict.fromkeys(candidates))  # dedupe, preserve order
     if size >= len(pool):
         return pool
-    idx = rng.choice(len(pool), size=size, replace=False)
-    return [pool[i] for i in sorted(idx)]
+    return [pool[i] for i in sample(len(pool), size)]
 
 
 class RanSubService:
@@ -69,7 +70,7 @@ class RanSubService:
         self.round_period = round_period
         self.subset_size = subset_size
         self.branching = branching
-        self._rng = clock.random.stream("overlay.ransub")
+        self._sample = clock.random.subsets("overlay.ransub").sample
         self._round = 0
         self._views: Dict[str, RanSubView] = {}
         self._subscribers: Dict[str, List[Callable[[RanSubView], None]]] = {}
@@ -167,7 +168,7 @@ class RanSubService:
             if not has_node(node):
                 continue  # no view for a crashed node; it resamples on recovery
             sample = _uniform_sample(
-                [n for n in self.node_ids if n != node], self.subset_size, self._rng)
+                [n for n in self.node_ids if n != node], self.subset_size, self._sample)
             parent = self._parent.get(node)
             sender = parent if parent is not None else node
             if parent is not None:

@@ -10,8 +10,9 @@ approximation, how many Python frames it enters (DESIGN §5, "the three
 standing targets").  The read path's is ``sim-longrun``'s: open-loop
 clients through the ``TrafficDriver``, 90 % reads.
 
-Four more counts ride along: the interpreted frames one announce costs the
-live frame codec (``live-uds``'s share of a write), what one
+Five more counts ride along: the interpreted frames one announce costs the
+live frame codec (``live-uds``'s share of a write), the frames one delivered
+digest costs the gossip sweep (``sim-wan-faults``' largest layer), what one
 ``Replica.local_write`` allocates does not depend on how much the writer
 retains, what an install keeps per record holds no object of its own, and no
 value built per write, per read or per decoded frame carries an instance
@@ -28,9 +29,15 @@ from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.deployment import DeploymentBuilder
 from repro.core.detection import VersionDigest, WriterSummary
 from repro.live import wire
+from repro.overlay.gossip import GossipConfig, GossipDigest, GossipService
 from repro.overlay.temperature import TemperatureConfig
 from repro.overlay.two_layer import OverlayConfig
 from repro.runtime.events import WriteRecorded
+from repro.sim.clock import ClockModel
+from repro.sim.engine import Simulator
+from repro.sim.latency import LatencyModel
+from repro.sim.network import Network
+from repro.sim.node import Node
 from repro.store.replica import Replica
 from repro.transport.timers import PeriodicTimer
 from repro.versioning.extended_vector import ExtendedVersionVector, UpdateRecord
@@ -228,6 +235,65 @@ def test_interpreted_calls_per_announce_on_the_live_codec(record_property):
     print(f"calls_per_announce={calls} on CPython "
           f"{sys.version_info[0]}.{sys.version_info[1]}")
     assert calls <= CALLS_PER_ANNOUNCE_BUDGET, calls
+
+
+#: the sweep's shape: a 40-node bottom layer, the default fan-out 3 and TTL
+#: 3, one node divergent so every receiver compares and some detect
+GOSSIP_NODES = 40
+
+#: ``call`` events per delivered gossip digest (below): 12.52 on CPython
+#: 3.11, 15.09 while each forward copied the digest to lower its TTL and
+#: each fan-out called numpy's ``choice`` (whose ``np.prod`` runs in
+#: Python).  The write path's head-room rule.
+CALLS_PER_GOSSIP_DIGEST_BUDGET = 13.1 if sys.version_info[:2] == (3, 11) else 13.8
+
+
+def _gossip_sweep(seed):
+    sim = Simulator(seed=seed)
+    network = Network(sim, LatencyModel.fixed(0.01))
+    node_ids = [f"n{i:02d}" for i in range(GOSSIP_NODES)]
+    for node_id in node_ids:
+        Node(sim, network, node_id, clock_model=ClockModel().perfect())
+    digests = {n: GossipDigest("obj", n, (("w", 1),), 1.0, 0.0)
+               for n in node_ids}
+    digests["n03"] = GossipDigest("obj", "n03", (("w", 5),), 5.0, 0.0)
+    service = GossipService(sim, network, config=GossipConfig(),
+                            membership=lambda object_id: node_ids,
+                            local_digest=lambda node, object_id: digests[node])
+    service.watch_object("obj")
+    return sim, network, service
+
+
+def test_interpreted_calls_per_delivered_gossip_digest(record_property):
+    """One sweep round on the bottom layer, warmed by a first: the round's
+    stamping and first fan-outs, then every hop's receive and forward."""
+    sim, network, service = _gossip_sweep(seed=5)
+    service.run_round()
+    sim.run(until=5.0)
+    before = network.stats.delivered["overlay.gossip"]
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        service.run_round()
+        sim.run(until=10.0)
+    finally:
+        sys.setprofile(None)
+    delivered = network.stats.delivered["overlay.gossip"] - before
+    # nothing lost or in flight: every digest sent in both rounds arrived
+    assert (network.stats.delivered["overlay.gossip"]
+            == network.messages_sent("overlay.gossip"))
+    assert delivered == 1428
+    assert service.detection_count() > 0
+    record_property("calls_per_gossip_digest", calls / delivered)
+    print(f"calls_per_gossip_digest={calls / delivered:.2f} on CPython "
+          f"{sys.version_info[0]}.{sys.version_info[1]}")
+    assert calls / delivered <= CALLS_PER_GOSSIP_DIGEST_BUDGET, calls / delivered
 
 
 def _bytes_per_write(retained):

@@ -91,8 +91,7 @@ gossip_digests = st.builds(
     GossipDigest, object_id=names, origin=writer_ids,
     counts=st.lists(st.tuples(writer_ids, st.integers(1, 100)),
                     max_size=3, unique_by=lambda t: t[0]).map(tuple),
-    metadata=finite, last_consistent_time=finite, issued_at=finite,
-    ttl=st.integers(1, 5))
+    metadata=finite, last_consistent_time=finite, issued_at=finite)
 
 ransub_views = st.builds(RanSubView, round_number=st.integers(0, 1000),
                          members=st.lists(writer_ids, max_size=5),
@@ -143,6 +142,16 @@ def test_registered_payload_types_roundtrip(value):
 
 
 @settings(max_examples=50, deadline=None)
+@given(gossip_digests, st.integers(1, 5), st.lists(writer_ids, max_size=5))
+def test_a_gossip_payload_roundtrips_with_its_ttl(digest, ttl, members):
+    """The hop's TTL rides beside the digest as a plain JSON int."""
+    payload = {"digest": digest, "ttl": ttl, "members": members}
+    restored = wire.roundtrip(payload)
+    assert restored == payload
+    assert type(restored["ttl"]) is int
+
+
+@settings(max_examples=50, deadline=None)
 @given(extended_vectors())
 def test_extended_version_vectors_roundtrip(vector):
     restored = wire.roundtrip(vector)
@@ -188,8 +197,8 @@ PROTOCOL_PAYLOADS = [
     ("overlay.gossip", "gossip_digest",
      {"digest": GossipDigest(object_id="obj0", origin="n02",
                              counts=(("n00", 2), ("n02", 1)), metadata=3.0,
-                             last_consistent_time=0.5, issued_at=2.0, ttl=3),
-      "members": ["n00", "n01", "n02"]}),
+                             last_consistent_time=0.5, issued_at=2.0),
+      "ttl": 3, "members": ["n00", "n01", "n02"]}),
     # RanSub views
     ("overlay.ransub", "ransub_view",
      {"view": RanSubView(round_number=4, members=["n01", "n03"],
@@ -458,11 +467,11 @@ TYPED_FLOAT_FIELDS = {
     "VersionDigest.writers.last_timestamp": lambda x: _digest_with(
         writers=(("n00", WriterSummary(3, 1.5, x)),)),
     "GossipDigest.metadata": lambda x: GossipDigest("o", "n00", (("n00", 1),),
-                                                    x, 0.5, 1.0, 2),
+                                                    x, 0.5, 1.0),
     "GossipDigest.last_consistent_time": lambda x: GossipDigest(
-        "o", "n00", (("n00", 1),), 1.0, x, 1.0, 2),
+        "o", "n00", (("n00", 1),), 1.0, x, 1.0),
     "GossipDigest.issued_at": lambda x: GossipDigest(
-        "o", "n00", (("n00", 1),), 1.0, 0.5, x, 2),
+        "o", "n00", (("n00", 1),), 1.0, 0.5, x),
     "RanSubView.received_at": lambda x: RanSubView(1, ["n00"], x),
     "ExtendedVersionVector.records.timestamp":
         lambda x: _vector_with(timestamp=x),
@@ -535,7 +544,7 @@ _COLUMNS = {
     "WriterSummary": (1, 2, lambda blob: [blob]),
     "VersionVector": (1, 0, lambda blob: [["w"], blob]),
     "VersionDigest": (1, 5, lambda blob: ["o", "n", ["w"], blob]),
-    "GossipDigest": (2, 3, lambda blob: ["o", "n", ["w"], blob]),
+    "GossipDigest": (1, 3, lambda blob: ["o", "n", ["w"], blob]),
     "RanSubView": (1, 1, lambda blob: [["m"], blob]),
     "ExtendedVersionVector": (1, 2, lambda blob: [
         [["w", blob, [None]]], [[], _column([], [])],
@@ -613,7 +622,8 @@ OUT_OF_INT64 = {
     "VersionVector.counts": VersionVector._from_trusted({"w": 2 ** 63}),
     "VersionDigest.writers.count": _digest_with(
         writers=(("n00", WriterSummary(2 ** 64, 1.5, 2.0)),)),
-    "GossipDigest.ttl": GossipDigest("o", "n", (), 1.0, 0.5, 1.0, 2 ** 63),
+    "GossipDigest.counts": GossipDigest("o", "n", (("w", 2 ** 63),), 1.0, 0.5,
+                                        1.0),
     "RanSubView.round_number": RanSubView(2 ** 63, [], 1.0),
 }
 

@@ -19,22 +19,25 @@ from repro.versioning.extended_vector import UpdateRecord
 from repro.versioning.version_vector import Ordering, VersionVector
 
 
-def make_digest(object_id, origin, counts, issued_at=0.0, ttl=3):
+def make_digest(object_id, origin, counts, issued_at=0.0):
     return GossipDigest(object_id=object_id, origin=origin,
                         counts=tuple(sorted(counts.items())), metadata=float(sum(counts.values())),
-                        last_consistent_time=0.0, issued_at=issued_at, ttl=ttl)
+                        last_consistent_time=0.0, issued_at=issued_at)
 
 
 class GossipHarness:
     """A small deployment where each node's replica state is a dict of counts."""
 
-    def __init__(self, num_nodes=8, config=None, service_class=GossipService):
+    def __init__(self, num_nodes=8, config=None, service_class=GossipService,
+                 outsiders=0):
         self.sim = Simulator(seed=5)
         self.network = Network(self.sim, LatencyModel.fixed(0.01))
         self.node_ids = [f"n{i:02d}" for i in range(num_nodes)]
-        for node_id in self.node_ids:
+        #: nodes on the network that ``membership`` does not list
+        self.outsiders = [f"x{i:02d}" for i in range(outsiders)]
+        for node_id in self.node_ids + self.outsiders:
             Node(self.sim, self.network, node_id, clock_model=ClockModel().perfect())
-        self.state = {n: {"w": 1} for n in self.node_ids}
+        self.state = {n: {"w": 1} for n in self.node_ids + self.outsiders}
         self.detected = []
         self.service = service_class(
             self.sim, self.network, config=config,
@@ -66,20 +69,12 @@ class TestGossipDigest:
         digest = make_digest("obj", "n0", {"a": 2, "b": 1})
         assert digest.version_vector() == VersionVector({"a": 2, "b": 1})
 
-    def test_decremented_lowers_ttl_only(self):
-        digest = make_digest("obj", "n0", {"a": 1}, ttl=3)
-        lower = digest.decremented()
-        assert lower.ttl == 2
-        assert lower.counts == digest.counts
-
-    def test_every_hop_of_a_digest_shares_one_vector(self):
-        first_hop = make_digest("obj", "n0", {"a": 2, "b": 1}).stamped(4.0, 4)
-        vector = first_hop.version_vector()
-        third_forward = first_hop.decremented().decremented().decremented()
-        assert (third_forward.issued_at, third_forward.ttl) == (4.0, 1)
-        assert third_forward.version_vector() is vector
-        assert third_forward == make_digest("obj", "n0", {"a": 2, "b": 1},
-                                            issued_at=4.0, ttl=1)
+    def test_stamped_changes_only_issued_at_and_keeps_the_vector(self):
+        digest = make_digest("obj", "n0", {"a": 2, "b": 1})
+        vector = digest.version_vector()
+        sent = digest.stamped(4.0)
+        assert sent.version_vector() is vector
+        assert sent == make_digest("obj", "n0", {"a": 2, "b": 1}, issued_at=4.0)
 
     def test_a_decoded_digest_has_no_memo_and_compares_the_same(self):
         sent = make_digest("obj", "n0", {"a": 2, "b": 1}, issued_at=4.0)
@@ -158,6 +153,58 @@ class TestGossipService:
             peers = [m for m in harness.node_ids if m != sender and m != origin]
             drawn = twin.choice(len(peers), size=3, replace=False)
             assert chosen == [peers[idx] for idx in sorted(drawn)]
+
+    def test_every_hop_of_a_rounds_digest_is_one_object_and_ttl_falls_by_one(self):
+        config = GossipConfig(ttl=4)
+        harness = GossipHarness(num_nodes=40, config=config)
+        fanouts = []
+        send_many = harness.network.send_many
+
+        def recording(src, dsts, **kwargs):
+            fanouts.append((src, list(dsts), kwargs["payload"]))
+            return send_many(src, dsts, **kwargs)
+
+        harness.network.send_many = recording
+        harness.service.run_round()
+        harness.sim.run(until=5.0)
+        first = {}
+        received = set()
+        for src, dsts, payload in fanouts:
+            digest, ttl = payload["digest"], payload["ttl"]
+            if src == digest.origin and digest.origin not in first:
+                assert ttl == config.ttl
+                first[digest.origin] = digest
+            else:
+                # a forward re-sends the object the origin sent, one hop less
+                assert digest is first[digest.origin]
+                assert (src, id(digest), ttl + 1) in received
+            received.update((dst, id(digest), ttl) for dst in dsts)
+        assert len(first) == 40
+        assert {payload["ttl"] for _, _, payload in fanouts} == {1, 2, 3, 4}
+
+    def test_a_receiver_outside_members_forwards_among_all_of_them(self):
+        harness = GossipHarness(num_nodes=10, outsiders=1)
+        outsider = harness.outsiders[0]
+        harness.service.attach(harness.network.node(outsider))
+        fanouts = []
+        send_many = harness.network.send_many
+
+        def recording(src, dsts, **kwargs):
+            fanouts.append((src, list(dsts), kwargs["payload"]["ttl"]))
+            return send_many(src, dsts, **kwargs)
+
+        digest = make_digest("obj", "n00", {"w": 1})
+        harness.network.send("n00", outsider, protocol="overlay.gossip",
+                             msg_type="gossip_digest",
+                             payload={"digest": digest, "ttl": 2,
+                                      "members": harness.node_ids},
+                             size_bytes=128)
+        harness.network.send_many = recording
+        harness.sim.run(until=0.015)
+        peers = harness.node_ids[1:]  # every member but the origin
+        drawn = RandomStreams(5).stream("overlay.gossip").choice(
+            len(peers), size=3, replace=False)
+        assert fanouts == [(outsider, [peers[i] for i in sorted(drawn)], 1)]
 
     def test_round_sends_fanout_messages_per_node(self):
         config = GossipConfig(fanout=2, ttl=1)

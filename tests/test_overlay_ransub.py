@@ -10,6 +10,7 @@ from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.clock import ClockModel
+from repro.sim.random import RandomStreams
 
 
 def build(num_nodes=10, **kwargs):
@@ -24,15 +25,27 @@ def build(num_nodes=10, **kwargs):
 
 class TestUniformSample:
     def test_sample_size_capped_at_pool(self):
-        import numpy as np
-        rng = np.random.default_rng(0)
-        assert len(_uniform_sample(["a", "b"], 5, rng)) == 2
+        sample = RandomStreams(0).subsets("test").sample
+        assert len(_uniform_sample(["a", "b"], 5, sample)) == 2
 
     def test_sample_has_no_duplicates(self):
-        import numpy as np
-        rng = np.random.default_rng(0)
-        sample = _uniform_sample([f"n{i}" for i in range(20)], 8, rng)
-        assert len(sample) == len(set(sample)) == 8
+        sample = RandomStreams(0).subsets("test").sample
+        pool = [f"n{i}" for i in range(20)]
+        drawn = _uniform_sample(pool + pool[:5], 8, sample)
+        assert len(drawn) == len(set(drawn)) == 8
+
+    def test_views_draw_what_a_twin_generator_draws(self):
+        """``choice(N - 1, size=subset_size, replace=False)`` on the
+        ``overlay.ransub`` stream, one call per node, in member order."""
+        _, _, service, node_ids = build(12, subset_size=5)
+        twin = RandomStreams(2).stream("overlay.ransub")
+        for _ in range(3):
+            service.run_round()
+            for node in node_ids:
+                pool = [n for n in node_ids if n != node]
+                drawn = twin.choice(len(pool), size=5, replace=False)
+                assert service.current_view(node).members == [
+                    pool[i] for i in sorted(drawn)]
 
 
 class TestTree:
