@@ -70,6 +70,7 @@ def bench_abl_toplayer_capture(benchmark):
 
     # With all activity inside the established top layer, capture is ~100 %
     # (the paper's > 95 % claim); it degrades as activity spreads, which is
-    # exactly why the bottom-layer sweep and rollback exist.
+    # why the paper adds a bottom-layer sweep and rollback (§4.4.2, not
+    # reproduced here).
     assert results[0.0] > 0.95
     assert results[0.5] <= results[0.0]

@@ -12,7 +12,6 @@ simulation, versioning, store and overlay substrates:
 * :mod:`repro.core.resolution` — background and two-phase active resolution.
 * :mod:`repro.core.adaptive` — on-demand, hint-based and fully-automatic
   adaptation controllers (§4.6).
-* :mod:`repro.core.rollback` — bottom-layer discrepancy handling (§4.4.2).
 * :mod:`repro.core.middleware` — the per-node IDEA middleware instance.
 * :mod:`repro.core.deployment` — helper wiring a whole simulated deployment.
 * :mod:`repro.core.api` — the developer-facing API of Table 1.
@@ -34,7 +33,6 @@ from repro.core.adaptive import (
     HintBasedController,
     OnDemandController,
 )
-from repro.core.rollback import RollbackManager, RollbackDecision
 from repro.core.middleware import IdeaMiddleware
 from repro.core.deployment import DeploymentBuilder, IdeaDeployment, ManagedObject
 from repro.core.api import IdeaAPI
@@ -59,8 +57,6 @@ __all__ = [
     "OnDemandController",
     "HintBasedController",
     "AutomaticController",
-    "RollbackManager",
-    "RollbackDecision",
     "IdeaMiddleware",
     "IdeaDeployment",
     "DeploymentBuilder",

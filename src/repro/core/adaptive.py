@@ -14,15 +14,15 @@ experiment harness drives them with scripted user behaviour.
   IDEA resolves whenever the level drops below the hint.  A later complaint
   raises the hint to L1 + Δ (and further complaints keep raising it).
 * :class:`AutomaticController` — no user in the loop: the controller adjusts
-  the *frequency of background resolution* so that (a) IDEA's communication
-  overhead stays below a configured fraction of the available bandwidth
-  (Formula 4) and (b) the frequency stays between the under-selling and
+  the *frequency of background resolution* between the under-selling and
   over-selling bounds it learns from application feedback (Section 5.2).
+  Formula 4's bandwidth-derived rate is :mod:`repro.analysis.formulas`'
+  ``optimal_background_rate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.config import IdeaConfig, MetricWeights
@@ -159,46 +159,18 @@ class FrequencyBounds:
 class AutomaticController:
     """Fully automatic adaptation of the background-resolution frequency."""
 
-    def __init__(self, config: IdeaConfig, *,
-                 initial_period: Optional[float] = None,
-                 min_period_floor: float = 1.0,
-                 max_period_ceiling: float = 600.0) -> None:
+    #: absolute bounds (seconds) on the period, whatever the learned ones say
+    MIN_PERIOD = 1.0
+    MAX_PERIOD = 600.0
+
+    def __init__(self, config: IdeaConfig) -> None:
         self.config = config
-        period = initial_period if initial_period is not None else config.background_period
+        period = config.background_period
         if period is None or period <= 0:
             raise ValueError("automatic mode needs a positive background period")
         self.period: float = period
         self.bounds = FrequencyBounds()
-        self.min_period_floor = min_period_floor
-        self.max_period_ceiling = max_period_ceiling
         self.adjustments: List[Tuple[float, float, str]] = []
-
-    # ----------------------------------------------------------- formula 4
-    def optimal_period(self, available_bandwidth_bps: float,
-                       round_cost_bits: float) -> float:
-        """Period implied by Formula 4's optimal rate.
-
-        ``optimal_rate = available_bandwidth * cap_fraction / round_cost``
-        (rounds per second); the period is its reciprocal, clamped to the
-        learned under/over-selling bounds and the absolute floor/ceiling.
-        """
-        if available_bandwidth_bps <= 0:
-            raise ValueError("available bandwidth must be positive")
-        if round_cost_bits <= 0:
-            raise ValueError("round cost must be positive")
-        budget = available_bandwidth_bps * self.config.bandwidth_cap_fraction
-        rate = budget / round_cost_bits
-        period = 1.0 / rate if rate > 0 else self.max_period_ceiling
-        return self._clamp(period)
-
-    def adapt_to_load(self, time: float, available_bandwidth_bps: float,
-                      round_cost_bits: float) -> float:
-        """Recompute and adopt the optimal period under the current load."""
-        new_period = self.optimal_period(available_bandwidth_bps, round_cost_bits)
-        if new_period != self.period:
-            self.adjustments.append((time, new_period, "bandwidth"))
-            self.period = new_period
-        return self.period
 
     # ----------------------------------------------------- bound learning
     def report_overselling(self, time: float) -> float:
@@ -233,8 +205,6 @@ class AutomaticController:
         return False
 
     def _clamp(self, period: float) -> float:
-        period = max(self.min_period_floor, min(self.max_period_ceiling, period))
-        # Learned bounds win over the raw bandwidth-derived value, but an
-        # inconsistent pair (min > max) falls back to the tighter max bound.
-        clamped = self.bounds.clamp(period)
-        return max(self.min_period_floor, min(self.max_period_ceiling, clamped))
+        # An inconsistent learned pair (min > max) yields the min bound; the
+        # absolute bounds win over both.
+        return max(self.MIN_PERIOD, min(self.MAX_PERIOD, self.bounds.clamp(period)))

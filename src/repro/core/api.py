@@ -102,16 +102,21 @@ class IdeaAPI:
         """Set the background-resolution frequency; returns the period used.
 
         The argument follows the paper's naming (a frequency); internally the
-        scheduler works with the period ``1 / f`` seconds.
+        scheduler works with the period ``1 / f`` seconds.  An object with no
+        background schedule (registered without one, or cancelled) starts
+        one.
         """
         if frequency_hz <= 0:
             raise ValueError("frequency must be positive")
         period = 1.0 / frequency_hz
-        self._managed.config.background_period = period
-        for middleware in self._managed.middlewares.values():
+        managed = self._managed
+        managed.config.background_period = period
+        for middleware in managed.middlewares.values():
             middleware.config.background_period = period
             if isinstance(middleware.controller, AutomaticController):
                 middleware.controller.period = period
+        if managed.background_timer is None:
+            self.deployment._schedule_background(managed)
         return period
 
     # ------------------------------------------------------ convenience reads

@@ -108,27 +108,6 @@ class IdeaConfig:
     #: background-resolution period in seconds (``set_background_freq``);
     #: None disables background resolution
     background_period: Optional[float] = 20.0
-    #: fraction of available bandwidth IDEA may consume in automatic mode
-    bandwidth_cap_fraction: float = 0.2
-    #: tolerance used by the rollback check: if |bottom − top| exceeds this,
-    #: the user is alerted and a rollback may be required (§4.4.2 compares
-    #: "78% vs 80%", i.e. a few percent is considered "sufficiently close")
-    rollback_tolerance: float = 0.05
-    #: whether the active-resolution initiator waits for the phase-1
-    #: acknowledgements before starting phase 2 (the paper's Table 2
-    #: accounting, ``core.resolution``'s module docstring)
-    wait_for_attention_acks: bool = False
-    #: back-off window (seconds) when two initiators collide in phase 1
-    backoff_window: float = 0.5
-    #: per-member timeout (seconds) on the initiator's phase-2 collect RPC;
-    #: a member that crashed or got partitioned away is skipped after this
-    #: long instead of hanging the round forever.  None disables the timeout
-    #: (pre-failure-model behaviour).
-    collect_timeout: Optional[float] = 10.0
-    #: how long (seconds) a visited member keeps its replica write-blocked
-    #: waiting for the initiator's install before presuming the initiator
-    #: crashed and unblocking itself.  None keeps the block indefinitely.
-    member_block_timeout: Optional[float] = 30.0
     #: how many recent :class:`~repro.core.detection.DetectionOutcome`
     #: records each middleware retains (a bounded deque): long traffic runs
     #: evaluate millions of detections and must not keep them all.  None
@@ -142,25 +121,8 @@ class IdeaConfig:
             raise ValueError("hint_delta must be non-negative")
         if self.background_period is not None and self.background_period <= 0:
             raise ValueError("background_period must be positive or None")
-        if not 0.0 < self.bandwidth_cap_fraction <= 1.0:
-            raise ValueError("bandwidth_cap_fraction must be in (0, 1]")
-        if self.rollback_tolerance < 0:
-            raise ValueError("rollback_tolerance must be non-negative")
-        if self.backoff_window <= 0:
-            raise ValueError("backoff_window must be positive")
-        if self.collect_timeout is not None and self.collect_timeout <= 0:
-            raise ValueError("collect_timeout must be positive or None")
-        if self.member_block_timeout is not None and self.member_block_timeout <= 0:
-            raise ValueError("member_block_timeout must be positive or None")
         if self.outcome_history is not None and self.outcome_history < 1:
             raise ValueError("outcome_history must be positive or None")
 
-    # Convenience copies -------------------------------------------------
-    def with_hint(self, hint_level: float) -> "IdeaConfig":
-        return replace(self, hint_level=hint_level)
-
     def with_weights(self, weights: MetricWeights) -> "IdeaConfig":
         return replace(self, weights=weights)
-
-    def with_background_period(self, period: Optional[float]) -> "IdeaConfig":
-        return replace(self, background_period=period)

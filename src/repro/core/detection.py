@@ -486,9 +486,8 @@ class DetectionService:
         writer's summary is a pure function of its update count (per-writer
         updates are sequenced), so replacing a source whose counts all grew
         can only raise per-writer maxima, and ``max(envelope, new)`` equals a
-        full rebuild.  A source that shrank (a rollback discarded updates)
-        invalidates the envelope; the next evaluation rebuilds it from every
-        cached digest.
+        full rebuild.  A source that shrank invalidates the envelope; the
+        next evaluation rebuilds it from every cached digest.
 
         A replacement usually lists the writers of the digest it replaces,
         in the same order, with one of them grown.  That case is one aligned

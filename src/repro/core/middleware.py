@@ -2,8 +2,8 @@
 
 One :class:`IdeaMiddleware` instance manages one shared object on one node.
 It glues together the node's replica, the detection service, the resolution
-manager, the adaptation controller and the rollback manager, and implements
-the protocol workflow of Figure 3:
+manager and the adaptation controller, and implements the protocol workflow
+of Figure 3:
 
 * a **write** always triggers the protocol — the update is applied locally,
   the node's digest is announced to the other top-layer members, and
@@ -13,16 +13,17 @@ the protocol workflow of Figure 3:
   (``read(check=...)``);
 * after every evaluation the adaptation controller is consulted; if the
   level is unacceptable an **active resolution** is started (unless one is
-  already in flight);
-* levels reported to the user are registered with the rollback manager so a
-  later bottom-layer sweep can correct them.
+  already in flight).
+
+The paper's bottom-layer verification of a reported level and rollback
+(§4.4.2) is not reproduced: the gossip sweep carries counts, not a level.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, Iterable, List, Optional, Sequence, Union
 
 from repro.core.adaptive import (
     AutomaticController,
@@ -33,11 +34,9 @@ from repro.core.config import AdaptationMode, IdeaConfig, MetricWeights
 from repro.core.detection import DetectionOutcome, DetectionService, VersionDigest
 from repro.core.policies import ResolutionPolicy, make_policy
 from repro.core.resolution import ResolutionManager, ResolutionResult
-from repro.core.rollback import RollbackManager
 from repro.runtime.events import DetectionEvaluated, ResolutionCompleted, WriteRecorded
 from repro.runtime.node_runtime import NodeRuntime
 from repro.store.replica import Replica
-from repro.versioning.extended_vector import UpdateRecord
 
 
 Controller = Union[OnDemandController, HintBasedController, AutomaticController]
@@ -81,7 +80,6 @@ class IdeaMiddleware:
         self.replica: Replica = self.store.create(object_id)
         self.policy: ResolutionPolicy = policy or make_policy(config.resolution_strategy)
         self.controller: Controller = self._make_controller(config)
-        self.rollback = RollbackManager(config)
 
         self.detection = DetectionService(
             node, object_id=object_id, metric=config.metric, weights=config.weights,
@@ -90,11 +88,10 @@ class IdeaMiddleware:
             on_remote_digest=self._on_remote_digest,
             digest_cache=runtime.digests)
         self.resolution = ResolutionManager(
-            node, object_id=object_id, config=config, policy=self.policy,
+            node, object_id=object_id, policy=self.policy,
             top_layer_provider=top_layer_provider,
-            replica=self.replica,
-            on_resolved=self._dispatch_resolved,
-            backoff_rng=runtime.backoff_rng)
+            replica=self.replica, backoff_rng=runtime.backoff_rng,
+            on_resolved=self._dispatch_resolved)
 
         self._last_auto_resolution = -float("inf")
         self.resolutions_triggered = 0
@@ -141,8 +138,7 @@ class IdeaMiddleware:
 
     def read(self, *, new_snapshot: bool = True,
              quiet_threshold: Optional[float] = None,
-             include_content: bool = True,
-             register_rollback: bool = True) -> ReadResult:
+             include_content: bool = True) -> ReadResult:
         """Read through IDEA (Figure 3, right path).
 
         ``new_snapshot=True`` models retrieving a fresh file/snapshot, which
@@ -151,11 +147,8 @@ class IdeaMiddleware:
         seconds (the "file hasn't been locally updated for a long time" case).
 
         ``include_content=False`` skips materialising the replica's payload
-        list and ``register_rollback=False`` skips queueing the level for the
-        bottom-layer rollback check — the traffic driver's fast path, where a
-        million reads must not copy a million content lists or grow an
-        unbounded pending-verification queue.  Both default to the full
-        Figure 3 semantics.
+        list — the traffic driver's fast path, where a million reads must not
+        copy a million content lists.
         """
         now = self.node.clock.now
         trigger = new_snapshot
@@ -177,12 +170,6 @@ class IdeaMiddleware:
 
         # asked after any trigger: starting a round consumes a pending demand
         acceptable = not self.controller.should_resolve(level)
-        if register_rollback:
-            threshold = self._current_threshold()
-            self.rollback.register_estimate(
-                object_id=self.object_id, node_id=self.node.node_id,
-                reported_at=now, top_layer_level=level,
-                user_threshold=threshold)
         content = self.store.read(self.object_id) if include_content else []
         return ReadResult(content, level, acceptable, now)
 
@@ -222,13 +209,6 @@ class IdeaMiddleware:
                 time=outcome.evaluated_at))
 
     # ------------------------------------------------------------ controller
-    def _current_threshold(self) -> float:
-        if isinstance(self.controller, HintBasedController):
-            return self.controller.hint_level
-        if isinstance(self.controller, OnDemandController):
-            return self.controller.learned_threshold
-        return 0.0
-
     def trigger_active_resolution(self, *, auto: bool = False) -> bool:
         """Start an active resolution round from this node.
 
@@ -244,7 +224,7 @@ class IdeaMiddleware:
             self.controller.consume_demand()
         self._last_auto_resolution = now
         self.resolutions_triggered += 1
-        jitter = self.config.backoff_window if auto else 0.0
+        jitter = ResolutionManager.BACKOFF_WINDOW if auto else 0.0
         self.resolution.start_active_resolution(suppression_jitter=jitter)
         return True
 
@@ -305,8 +285,8 @@ class IdeaMiddleware:
         the per-writer minimum over every participant's known counts, taken
         from the digests this node already holds (see ``DetectionService
         .stability_frontier``).  Entries applied within the last
-        ``keep_window`` simulated seconds are always retained — the
-        instability window that keeps rollback possible.  Returns the number
+        ``keep_window`` simulated seconds are always retained, stable or
+        not.  Returns the number
         of log entries folded (0 when some participant was never heard from).
         """
         frontier = self.detection.stability_frontier(participants)

@@ -19,22 +19,20 @@ first (Section 4.5.2).
 Delay accounting matches the paper's Table 2: ``phase1_delay`` is the cost of
 dispatching the parallel call-for-attention messages (sub-millisecond), and
 ``phase2_delay`` is the sequential collection + installation time, roughly
-one wide-area round trip plus processing per visited member.  Optionally the
-initiator can be configured to wait for the phase-1 acknowledgements before
-entering phase 2 (``IdeaConfig.wait_for_attention_acks``).
+one wide-area round trip plus processing per visited member.  The initiator
+does not wait for the phase-1 acknowledgements (an acking member write-blocks
+itself); phase 2's sequential collect visits are what the round waits on.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.config import IdeaConfig
 from repro.core.policies import PolicyDecision, ResolutionPolicy
 from repro.store.replica import Replica
-from repro.transport import (Message, Process, RPCError, Waiter, sleep,
-                             unwrap_response)
+from repro.transport import Message, Process, RPCError, sleep, unwrap_response
 from repro.versioning.extended_vector import ExtendedVersionVector, UpdateRecord
 
 
@@ -92,15 +90,23 @@ def merge_vectors(vectors: Sequence[ExtendedVersionVector], *,
 class ResolutionManager:
     """Per-node resolution component (any node may act as initiator)."""
 
-    def __init__(self, node, *, object_id: str, config: IdeaConfig,
-                 policy: ResolutionPolicy,
+    #: back-off window (seconds) when two initiators collide in phase 1; the
+    #: middleware's auto-trigger jitter uses the same window
+    BACKOFF_WINDOW = 0.5
+    #: per-member timeout (seconds) on the initiator's phase-2 collect RPC: a
+    #: member that crashed or got partitioned away is skipped after this long
+    COLLECT_TIMEOUT = 10.0
+    #: how long (seconds) a visited member stays write-blocked waiting for the
+    #: initiator's install before presuming the initiator crashed
+    MEMBER_BLOCK_TIMEOUT = 30.0
+
+    def __init__(self, node, *, object_id: str, policy: ResolutionPolicy,
                  top_layer_provider: Callable[[], Sequence[str]],
-                 replica: Replica,
-                 on_resolved: Optional[Callable[[ResolutionResult], None]] = None,
-                 backoff_rng=None) -> None:
+                 replica: Replica, backoff_rng,
+                 on_resolved: Optional[Callable[[ResolutionResult], None]] = None
+                 ) -> None:
         self.node = node
         self.object_id = object_id
-        self.config = config
         self.policy = policy
         self._top_layer_provider = top_layer_provider
         self.replica = replica
@@ -113,11 +119,8 @@ class ResolutionManager:
         #: when the most recent resolved image was installed here (another
         #: initiator's round completing counts as "their notice" for back-off)
         self._last_install_at: float = -float("inf")
-        #: a NodeRuntime shares one backoff stream across all its objects;
-        #: standalone managers spawn a private per-object stream
-        self._backoff_rng = backoff_rng if backoff_rng is not None else (
-            node.clock.random.stream(
-                f"resolution.backoff.{node.node_id}.{object_id}"))
+        #: the node's back-off stream, shared by all its objects
+        self._backoff_rng = backoff_rng
         #: bumped whenever the member-side write block is released or renewed;
         #: outstanding stale-block guard events check it and no-op when stale
         self._block_guard_seq = 0
@@ -173,16 +176,13 @@ class ResolutionManager:
 
         A member visited by an initiator that then crashes (or lands on the
         far side of a partition) would otherwise stay write-blocked forever;
-        after ``member_block_timeout`` with no install the member presumes
+        after ``MEMBER_BLOCK_TIMEOUT`` with no install the member presumes
         the initiator dead and unblocks itself.
         """
-        timeout = self.config.member_block_timeout
-        if timeout is None:
-            return
         self._block_guard_seq += 1
         seq = self._block_guard_seq
         self.node.clock.call_after(
-            timeout, lambda: self._release_stale_block(seq),
+            self.MEMBER_BLOCK_TIMEOUT, lambda: self._release_stale_block(seq),
             label=f"{self.node.node_id}:block-guard:{self.object_id}")
 
     def _release_stale_block(self, seq: int) -> None:
@@ -292,7 +292,7 @@ class ResolutionManager:
         if self._yielded_to is not None and self._yielded_to != self.node.node_id:
             # Someone else already called for attention: back off and retry
             # after a random window unless their resolution completes first.
-            backoff = float(self._backoff_rng.uniform(0.0, self.config.backoff_window))
+            backoff = float(self._backoff_rng.uniform(0.0, self.BACKOFF_WINDOW))
             yield sleep(backoff)
             if self._yielded_to is not None and self._yielded_to != self.node.node_id:
                 result = self._aborted("active", started, members,
@@ -307,33 +307,15 @@ class ResolutionManager:
         try:
             # ----------------------------------------------------- phase one
             phase1_start = self.node.clock.now
-            ack_waiters: List[Waiter] = []
             for peer in peers:
                 # Local dispatch cost: the calls go out in parallel, so the
                 # measured phase-1 delay is the (tiny) serial send overhead.
                 yield sleep(ATTENTION_DISPATCH_OVERHEAD)
-                waiter = self.node.request(
+                self.node.request(
                     peer, f"idea_attention:{self.object_id}",
                     {"initiator": self.node.node_id},
                     protocol=PROTOCOL_ACTIVE, size_bytes=128)
-                ack_waiters.append(waiter)
             phase1_delay = self.node.clock.now - phase1_start
-
-            if self.config.wait_for_attention_acks:
-                for waiter in ack_waiters:
-                    response = yield waiter
-                    try:
-                        ack = unwrap_response(response)
-                    except RPCError:
-                        continue
-                    if not ack.get("ack", False):
-                        self._resolving = False
-                        backoff = float(self._backoff_rng.uniform(
-                            0.0, self.config.backoff_window))
-                        yield sleep(backoff)
-                        result = self._aborted("active", started, members,
-                                               "negative acknowledgement")
-                        return result
 
             # ----------------------------------------------------- phase two
             phase2 = yield from self._resolution_procedure(members, PROTOCOL_ACTIVE)
@@ -356,7 +338,7 @@ class ResolutionManager:
         """The shared phase-2 procedure; returns timing and merge statistics.
 
         Failure-aware: each collect visit is bounded by
-        ``config.collect_timeout`` so a crashed/partitioned member is skipped
+        ``COLLECT_TIMEOUT`` so a crashed/partitioned member is skipped
         rather than hanging the round, and if the *initiator itself* crashes
         mid-round the procedure reports an aborted phase instead of
         installing an image from beyond the grave.
@@ -379,7 +361,7 @@ class ResolutionManager:
             waiter = self.node.request(member, f"idea_collect:{self.object_id}",
                                        {"initiator": self.node.node_id},
                                        protocol=protocol, size_bytes=256,
-                                       timeout=self.config.collect_timeout)
+                                       timeout=self.COLLECT_TIMEOUT)
             response = yield waiter
             try:
                 payload = unwrap_response(response)

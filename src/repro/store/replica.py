@@ -33,15 +33,13 @@ _writer_seq = attrgetter("writer", "seq")
 class TruncationStats:
     """NetworkStats-style counters for checkpoint/truncation events.
 
-    ``invalidate_below_checkpoint`` and ``rollback_below_checkpoint`` report
-    how many mutations aimed below the stability frontier — previously those
-    were silently ignored; now every one is accounted for.
+    ``invalidate_below_checkpoint`` reports how many invalidations aimed
+    below the stability frontier, which truncation already folded.
     """
 
     truncations: int = 0
     entries_folded: int = 0
     invalidate_below_checkpoint: int = 0
-    rollback_below_checkpoint: int = 0
     #: installs that could not complete because this replica fell behind the
     #: pushing initiator's checkpoint (repaired only by a wider window)
     installs_behind_checkpoint: int = 0
@@ -215,20 +213,6 @@ class Replica:
             self.truncation_stats.invalidate_below_checkpoint += skipped
         return count
 
-    def roll_back_after(self, time: float) -> List[UpdateRecord]:
-        """Roll back updates applied after ``time`` (bottom-layer discrepancy).
-
-        Raises :class:`TruncatedHistoryError` (after counting the attempt)
-        when ``time`` predates the checkpoint — folded updates are stable
-        and cannot be un-applied.
-        """
-        self.revision += 1
-        try:
-            return self.log.roll_back_after(time)
-        except TruncatedHistoryError:
-            self.truncation_stats.rollback_below_checkpoint += 1
-            raise
-
     # ------------------------------------------------------------ truncation
     def truncate_stable(self, frontier: Union[VersionVector, Mapping[str, int]],
                         *, keep_after: Optional[float] = None,
@@ -237,8 +221,7 @@ class Replica:
 
         ``frontier`` is the per-writer stability frontier (updates known by
         every replica); ``keep_after`` pins entries applied after that time
-        regardless — the instability window that keeps recent history
-        available for rollback.  Log and vector are truncated to the *same*
+        regardless.  Log and vector are truncated to the *same*
         per-writer counts (the log decides, since it also honours
         ``keep_after``), preserving the core log/vector invariant.  Returns
         the number of entries folded.

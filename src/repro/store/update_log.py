@@ -3,8 +3,8 @@
 The log records every :class:`~repro.versioning.extended_vector.UpdateRecord`
 applied to the replica, in application order, for what the protocols need:
 idempotent appends of local and remote updates, the updates a peer lacks
-(resolution pushes), tombstones for the *invalidate-both* policy (Section
-4.5.1) and the survivors to replay after a rollback (Section 4.4.2).
+(resolution pushes) and tombstones for the *invalidate-both* policy (Section
+4.5.1).
 
 The log stores **columns, not entries**: per writer, the retained records in
 seq order (from the checkpoint's count + 1), their applied-at stamps and an
@@ -13,18 +13,18 @@ the vector already holds.  Seqs are contiguous (a gap raises, as
 ``ExtendedVersionVector.apply`` does), so membership and lookup are
 arithmetic on the writer's count and a peer's missing records are column
 slices, O(missing).  :class:`LogEntry` is built when read, merged into
-application order by tick; only *dead* (invalidated or rolled-back) entries
-are held, keyed by ``(writer, seq)``.  The live metadata sum is maintained
-incrementally, and while stamps stay monotone the time cuts bisect.
+application order by tick; only *dead* (invalidated) entries are held, keyed
+by ``(writer, seq)``.  The live metadata sum is maintained
+incrementally, and while stamps stay monotone the ``keep_after`` cut bisects.
 
 Long runs bound the log with a **checkpoint**: a stable prefix of each
 writer's updates (below the stability frontier — known-received by every
 replica) folds into a :class:`LogCheckpoint` holding per-writer counts, the
 live metadata sum and the live payloads; the records go with one slice
 deletion per writer.  Every query answers over ``checkpoint ⊕ tail``;
-operations that would need a folded record (rolling back past the
-checkpoint) raise :class:`~repro.versioning.extended_vector
-.TruncatedHistoryError`, and mutations aimed below the checkpoint are
+queries that would need a folded record (a peer behind the checkpoint,
+discarded payloads) raise :class:`~repro.versioning.extended_vector
+.TruncatedHistoryError`, and invalidations aimed below the checkpoint are
 counted rather than silently ignored.
 """
 
@@ -46,16 +46,15 @@ _metadata_delta = attrgetter("metadata_delta")
 
 @dataclass(slots=True)
 class LogEntry:
-    """One applied update plus bookkeeping flags (built when read)."""
+    """One applied update and its invalidation flag (built when read)."""
 
     record: UpdateRecord
     applied_at: float
     invalidated: bool = False
-    rolled_back: bool = False
 
     @property
     def live(self) -> bool:
-        return not self.invalidated and not self.rolled_back
+        return not self.invalidated
 
 
 @dataclass
@@ -81,7 +80,7 @@ class LogCheckpoint:
     #: False``): content reads must fail loudly instead of returning a
     #: silently incomplete list
     content_dropped: bool = False
-    #: latest applied_at among folded entries (guards rollback/applied_since)
+    #: latest applied_at among folded entries (floors ``last_applied_at``)
     applied_through: float = float("-inf")
 
     def count(self, writer: str) -> int:
@@ -226,21 +225,16 @@ class UpdateLog:
         return len(new)
 
     # ------------------------------------------------------------- queries
-    def _in_order(self, *, after: float = float("-inf"),
-                  live_only: bool = False) -> List[LogEntry]:
-        """Retained entries applied after ``after``, in application order."""
+    def _in_order(self, *, live_only: bool = False) -> List[LogEntry]:
+        """Retained entries in application order."""
         rows = []
         dead = self._dead
         for writer, tail in self._tails.items():
             records, stamps, ticks = tail.records, tail.stamps, tail.ticks
-            for i in range(bisect_right(stamps, after) if self._monotone else 0,
-                           len(records)):
-                stamp = stamps[i]
-                if stamp <= after:
-                    continue
+            for i in range(len(records)):
                 entry = dead.get((writer, records[i].seq))
                 if entry is None:
-                    entry = LogEntry(records[i], stamp)
+                    entry = LogEntry(records[i], stamps[i])
                 elif live_only:
                     continue
                 rows.append((ticks[i], entry))
@@ -313,16 +307,6 @@ class UpdateLog:
         return [e.record for e in self._in_order(live_only=True)
                 if (e.record.writer, e.record.seq) not in known]
 
-    def applied_since(self, time: float) -> List[LogEntry]:
-        """Entries applied strictly after ``time`` (rollback candidates);
-        raises :class:`TruncatedHistoryError` when folded ones would qualify."""
-        if self.checkpoint.entries_folded and time < self.checkpoint.applied_through:
-            raise TruncatedHistoryError(
-                f"entries applied after {time:g} include records folded into "
-                f"the checkpoint (applied through "
-                f"{self.checkpoint.applied_through:g})")
-        return self._in_order(after=time)
-
     def last_applied_at(self) -> float:
         """When the replica last applied a live update (0.0 if it never did).
 
@@ -359,12 +343,6 @@ class UpdateLog:
         return self.checkpoint.metadata + self._live_metadata
 
     # ------------------------------------------------------------ mutation
-    def _mark_dead(self, entry: LogEntry) -> None:
-        """Hold a live entry that is about to be tombstoned."""
-        record = entry.record
-        self._dead[(record.writer, record.seq)] = entry
-        self._live_metadata -= record.metadata_delta
-
     def invalidate(self, keys: Iterable[Tuple[str, int]]) -> int:
         """Tombstone the given updates (invalidate-both policy); returns count.
 
@@ -382,37 +360,12 @@ class UpdateLog:
                     self.invalidated_below_checkpoint += 1
                 continue
             if not entry.invalidated:
-                if entry.live:
-                    self._mark_dead(entry)
+                record = entry.record
+                self._dead[(record.writer, record.seq)] = entry
+                self._live_metadata -= record.metadata_delta
                 entry.invalidated = True
                 count += 1
         return count
-
-    def roll_back_after(self, time: float) -> List[UpdateRecord]:
-        """Mark all updates applied after ``time`` as rolled back.
-
-        Returns the affected records so the caller can notify the user (the
-        paper rolls back "in the background and return[s] the result to the
-        users afterwards").  Rolling back past the checkpoint raises
-        :class:`TruncatedHistoryError`: folded records are stable.
-        """
-        try:
-            candidates = self.applied_since(time)
-        except TruncatedHistoryError as exc:
-            # Same below-checkpoint condition, rollback-specific guidance.
-            raise TruncatedHistoryError(
-                f"cannot roll back to {time:g}: updates applied through "
-                f"{self.checkpoint.applied_through:g} were folded into the "
-                f"checkpoint; keep the truncation window wider than the "
-                f"rollback horizon") from exc
-        rolled: List[UpdateRecord] = []
-        for entry in candidates:
-            if not entry.rolled_back:
-                if entry.live:
-                    self._mark_dead(entry)
-                entry.rolled_back = True
-                rolled.append(entry.record)
-        return rolled
 
     # ---------------------------------------------------------- truncation
     def truncate(self, frontier: Dict[str, int], *,
@@ -421,9 +374,9 @@ class UpdateLog:
         """Fold each writer's stable prefix (seqs ≤ ``frontier[writer]``);
         returns the number of entries folded.
 
-        ``keep_after`` also pins entries applied after that time — the
-        *instability window*, kept for rollback whatever is stable: the
-        first entry too new (or beyond the frontier) stops a writer's fold.
+        ``keep_after`` also pins entries applied after that time, stable or
+        not: the first entry too new (or beyond the frontier) stops a
+        writer's fold.
         ``keep_content=False`` drops the folded payloads instead of keeping
         them in the checkpoint (metadata-only workloads: memory stays flat
         in run length); full-content reads then raise

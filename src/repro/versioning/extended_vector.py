@@ -24,7 +24,7 @@ into a per-writer :class:`WriterBase` summary ``(count, cumulative metadata,
 last timestamp)``.  Every derived quantity the protocols consume (counts,
 digests, error triples, merge outcomes) is a function of the base plus the
 retained tail, so folding changes no observable behaviour while bounding
-the records held in memory by the instability window.  Operations that
+the records held in memory by the truncation window.  Operations that
 would need a *folded record itself* (pushing it to a replica that is behind
 the checkpoint) raise :class:`TruncatedHistoryError` with a clear message.
 

@@ -293,8 +293,7 @@ class TrafficDriver:
         middleware = stream.middlewares[index]
         if is_read:
             result = middleware.read(new_snapshot=stream.snapshot_reads,
-                                     include_content=False,
-                                     register_rollback=False)
+                                     include_content=False)
             level = result.level
             kind = "read"
             stream.reads_issued += 1

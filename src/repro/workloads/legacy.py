@@ -5,8 +5,8 @@ assumes uniform distribution of the updating frequency for both
 applications" (paper Section 6).  :class:`UniformWorkload` reproduces exactly
 that schedule — every writer issues one update every ``period`` seconds for
 ``duration`` seconds (the paper: every 5 s for 100 s → 20 updates per
-writer).  :class:`PoissonWorkload` is provided for the ablation benchmarks
-that explore burstier update patterns.
+writer).  :class:`PoissonWorkload` is its bursty variant, used by the
+airline-booking example.
 
 Both generators materialise their full event list up front, which is fine
 for paper-scale runs (a few thousand updates) and exactly wrong for the

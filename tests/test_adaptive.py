@@ -1,4 +1,4 @@
-"""Unit tests for the adaptation controllers and the rollback manager."""
+"""Unit tests for the adaptation controllers."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from repro.core.adaptive import (
     OnDemandController,
 )
 from repro.core.config import IdeaConfig, MetricWeights
-from repro.core.rollback import RollbackManager
-from repro.store.replica import Replica
 
 
 def config(**kwargs):
@@ -102,19 +100,6 @@ class TestAutomaticController:
         controller = AutomaticController(config(background_period=20.0))
         assert not controller.should_resolve(0.0)
 
-    def test_optimal_period_follows_formula_4(self):
-        controller = AutomaticController(config(background_period=20.0,
-                                                bandwidth_cap_fraction=0.2))
-        # budget = 1 Mbps * 20% = 200 kbps; round cost = 100 kbit -> 2 rounds/s
-        period = controller.optimal_period(1_000_000, 100_000)
-        assert period == pytest.approx(1.0, abs=1e-6) or period >= 1.0
-
-    def test_adapt_to_load_records_adjustment(self):
-        controller = AutomaticController(config(background_period=20.0))
-        controller.adapt_to_load(5.0, 1_000_000, 10_000_000)
-        assert controller.adjustments
-        assert controller.adjustments[-1][2] == "bandwidth"
-
     def test_overselling_speeds_up_and_learns_bound(self):
         controller = AutomaticController(config(background_period=40.0))
         new_period = controller.report_overselling(10.0)
@@ -129,16 +114,27 @@ class TestAutomaticController:
 
     def test_learned_bounds_clamp_future_adjustments(self):
         controller = AutomaticController(config(background_period=40.0))
-        controller.report_overselling(1.0)     # max_period = 40
-        period = controller.optimal_period(1_000, 1_000_000_000)   # wants huge period
-        assert period <= 40.0
+        controller.report_overselling(1.0)      # max_period = 40, period 20
+        controller.report_underselling(2.0)     # wants 40, within the bound
+        assert controller.report_underselling(3.0) <= 40.0
 
-    def test_invalid_inputs_rejected(self):
+    def test_period_stops_at_one_second(self):
+        controller = AutomaticController(config(background_period=3.0))
+        periods = [controller.report_overselling(float(t)) for t in range(4)]
+        assert periods == [1.5, AutomaticController.MIN_PERIOD,
+                           AutomaticController.MIN_PERIOD,
+                           AutomaticController.MIN_PERIOD]
+
+    def test_period_stops_at_six_hundred_seconds(self):
+        controller = AutomaticController(config(background_period=400.0))
+        assert controller.report_underselling(1.0) == AutomaticController.MAX_PERIOD
+        assert controller.report_underselling(2.0) == AutomaticController.MAX_PERIOD
+        assert controller.adjustments[-1] == (2.0, 600.0, "underselling")
+
+    def test_inconsistent_learned_bounds_yield_the_min_bound(self):
         controller = AutomaticController(config(background_period=20.0))
-        with pytest.raises(ValueError):
-            controller.optimal_period(0, 1)
-        with pytest.raises(ValueError):
-            controller.optimal_period(1, 0)
+        controller.bounds = FrequencyBounds(min_period=50.0, max_period=30.0)
+        assert controller.report_overselling(1.0) == 50.0
 
 
 class TestFrequencyBounds:
@@ -147,57 +143,3 @@ class TestFrequencyBounds:
         assert bounds.clamp(5.0) == 10.0
         assert bounds.clamp(100.0) == 40.0
         assert bounds.clamp(20.0) == 20.0
-
-
-class TestRollbackManager:
-    def make_replica_with_history(self):
-        replica = Replica("n0", "obj")
-        replica.local_write("n0", 1.0, payload="before", applied_at=1.0)
-        replica.local_write("n0", 12.0, payload="after", applied_at=12.0)
-        return replica
-
-    def test_close_results_stay_silent(self):
-        manager = RollbackManager(IdeaConfig(rollback_tolerance=0.05))
-        replica = self.make_replica_with_history()
-        pending = manager.register_estimate(object_id="obj", node_id="n0",
-                                            reported_at=10.0, top_layer_level=0.80,
-                                            user_threshold=0.75)
-        decision = manager.verify(pending, bottom_layer_level=0.78, replica=replica,
-                                  now=20.0)
-        assert not decision.alert_user
-        assert not decision.rolled_back
-
-    def test_large_discrepancy_alerts(self):
-        alerts = []
-        manager = RollbackManager(IdeaConfig(rollback_tolerance=0.05),
-                                  on_alert=alerts.append)
-        replica = self.make_replica_with_history()
-        pending = manager.register_estimate(object_id="obj", node_id="n0",
-                                            reported_at=10.0, top_layer_level=0.95,
-                                            user_threshold=0.0)
-        decision = manager.verify(pending, bottom_layer_level=0.60, replica=replica,
-                                  now=20.0)
-        assert decision.alert_user
-        assert not decision.rolled_back          # still acceptable: no threshold
-        assert alerts
-
-    def test_unacceptable_corrected_level_rolls_back(self):
-        manager = RollbackManager(IdeaConfig(rollback_tolerance=0.05))
-        replica = self.make_replica_with_history()
-        pending = manager.register_estimate(object_id="obj", node_id="n0",
-                                            reported_at=10.0, top_layer_level=0.95,
-                                            user_threshold=0.90)
-        decision = manager.verify(pending, bottom_layer_level=0.70, replica=replica,
-                                  now=20.0)
-        assert decision.rolled_back
-        assert [r.payload for r in decision.rolled_back_updates] == ["after"]
-        assert replica.content() == ["before"]
-        assert manager.rollback_count() == 1
-        assert manager.alert_count() == 1
-
-    def test_pending_list_tracks_registrations(self):
-        manager = RollbackManager(IdeaConfig())
-        manager.register_estimate(object_id="obj", node_id="n0", reported_at=1.0,
-                                  top_layer_level=0.9, user_threshold=0.8)
-        assert len(manager.pending("obj")) == 1
-        assert manager.pending("other") == []

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import replace
+
 import pytest
 
 from repro.apps.booking import BookingApp, SaleRecord, default_booking_config
@@ -221,3 +224,29 @@ class TestScriptedUser:
         user.schedule()
         deployment.run(until=5.0)
         assert app.middleware("n00").controller.hint_level > 0.9
+
+    def test_long_read_loop_keeps_middleware_state_flat(self):
+        """A user who only reads leaves no per-read trace in the middleware
+        or its components once the outcome history is full."""
+        deployment = DeploymentBuilder(num_nodes=4, seed=14).build()
+        config = replace(default_whiteboard_config(hint_level=0.0), outcome_history=16)
+        app = WhiteboardApp(deployment, participants=list(deployment.node_ids),
+                            config=config, start_background=False)
+        app.post("n00", "x")
+        middleware = app.middleware("n00")
+
+        def state_size():
+            parts = [middleware, *vars(middleware).values()]
+            return sum(len(value) for part in parts
+                       for value in getattr(part, "__dict__", {}).values()
+                       if isinstance(value, (list, dict, set, deque)))
+
+        user = ScriptedUser("u", middleware, [
+            UserAction(time=1.0 + 0.1 * i, kind=UserActionKind.READ)
+            for i in range(500)])
+        user.schedule()
+        deployment.run(until=6.0)
+        after_fifty = state_size()
+        deployment.run(until=60.0)
+        assert len(user.executed(UserActionKind.READ)) == 500
+        assert state_size() == after_fifty

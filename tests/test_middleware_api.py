@@ -41,13 +41,6 @@ class TestMiddlewareWriteRead:
         assert 0.0 <= result.level <= 1.0
         assert result.acceptable
 
-    def test_read_registers_rollback_estimate(self):
-        deployment = deployment_with()
-        mw = deployment.middleware("obj", "n00")
-        mw.write("x")
-        mw.read()
-        assert len(mw.rollback.pending("obj")) >= 1
-
     def test_quiet_read_does_not_run_detection(self):
         deployment = deployment_with()
         mw = deployment.middleware("obj", "n00")
@@ -198,6 +191,44 @@ class TestIdeaAPI:
         period = api.set_background_freq(0.05)
         assert period == pytest.approx(20.0)
         assert deployment.objects["obj"].config.background_period == pytest.approx(20.0)
+
+    def test_set_background_freq_starts_rounds_on_an_unscheduled_object(self):
+        deployment = DeploymentBuilder(num_nodes=4, seed=9).build()
+        managed = deployment.register_object(
+            "obj", IdeaConfig(hint_level=0.0, background_period=None))
+        assert managed.background_timer is None
+        assert IdeaAPI(deployment, "obj").set_background_freq(0.5) == 2.0
+        deployment.middleware("obj", "n00").write("a")
+        deployment.middleware("obj", "n01").write("b")
+        deployment.run(until=30.0)
+        assert managed.background_timer is not None
+        assert managed.resolutions
+
+    def test_set_background_freq_restarts_a_cancelled_schedule(self):
+        deployment = DeploymentBuilder(num_nodes=4, seed=9).build()
+        managed = deployment.register_object(
+            "obj", IdeaConfig(hint_level=0.0, background_period=5.0))
+        deployment.middleware("obj", "n00").write("a")
+        deployment.run(until=12.0)
+        managed.background_cancel()
+        started = managed.background_rounds_started
+        deployment.run(until=30.0)
+        assert managed.background_rounds_started == started
+        IdeaAPI(deployment, "obj").set_background_freq(0.2)
+        deployment.run(until=50.0)
+        assert managed.background_rounds_started > started
+
+    def test_set_background_freq_keeps_a_running_schedule(self):
+        deployment = DeploymentBuilder(num_nodes=4, seed=9).build()
+        managed = deployment.register_object(
+            "obj", IdeaConfig(hint_level=0.0, background_period=5.0))
+        timer = managed.background_timer
+        deployment.middleware("obj", "n00").write("a")
+        IdeaAPI(deployment, "obj").set_background_freq(1.0)
+        deployment.run(until=10.5)
+        assert managed.background_timer is timer
+        # first tick at 5 s on the old period, then one a second
+        assert managed.background_rounds_started == 6
 
     def test_set_background_freq_validation(self):
         _, api = self.build()

@@ -291,7 +291,6 @@ class TestDeploymentGossipDigest:
             lambda: replica.install_merged(
                 replica.vector.merge(other.vector, consistent_time=3.0), now=3.0),
             lambda: replica.invalidate_updates([("n02", 3)]),
-            lambda: replica.roll_back_after(2.5),
             lambda: replica.mark_consistent(4.0),
             lambda: replica.truncate_stable({"n01": 1, "n02": 2}),
             lambda: replica.apply_update(UpdateRecord("n03", 1, 5.0, 0.2), applied_at=5.0),

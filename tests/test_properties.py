@@ -194,34 +194,22 @@ class TestUpdateLogProperties:
             log.append(r, applied_at=r.timestamp)
         assert abs(log.live_metadata() - sum(r.metadata_delta for r in log.records())) < 1e-9
 
-    @given(update_sequences(), st.floats(min_value=0, max_value=12))
-    def test_rollback_removes_exactly_later_entries(self, records, cutoff):
-        log = UpdateLog()
-        for r in records:
-            log.append(r, applied_at=r.timestamp)
-        rolled = log.roll_back_after(cutoff)
-        assert all(r.timestamp > cutoff for r in rolled)
-        assert all(e.record.timestamp <= cutoff for e in log.entries())
-
     @given(update_sequences(max_updates=16),
            st.data())
     def test_incremental_indices_match_naive_rebuild(self, records, data):
         """The incrementally maintained key set, live-entry list and live
         metadata sum must equal a from-scratch rebuild after any interleaving
-        of appends, invalidations and rollbacks (the oracle is the naive
+        of appends and invalidations (the oracle is the naive
         O(n) recomputation the seed code performed per call)."""
         log = UpdateLog()
         for r in records:
             log.append(r, applied_at=r.timestamp)
-            # Occasionally tombstone a random known update or roll back.
+            # Occasionally tombstone a random known update.
             action = data.draw(st.integers(min_value=0, max_value=5))
             if action == 0 and len(log) > 0:
                 victim = data.draw(st.sampled_from(
                     sorted(log.record_keys())))
                 log.invalidate([victim])
-            elif action == 1:
-                log.roll_back_after(data.draw(
-                    st.floats(min_value=0, max_value=16)))
 
         all_entries = log.entries(include_dead=True)
         naive_keys = {(e.record.writer, e.record.seq) for e in all_entries}

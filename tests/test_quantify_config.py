@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import (
@@ -19,6 +23,9 @@ from repro.core.quantify import (
     worst_level,
 )
 from repro.versioning.extended_vector import ErrorTriple
+from repro.worlds.schema import CONFIG
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 METRIC = ConsistencyMetricSpec(max_numerical=10, max_order=10, max_staleness=10)
@@ -132,22 +139,41 @@ class TestIdeaConfig:
             IdeaConfig(background_period=0)
         IdeaConfig(background_period=None)   # disabled is fine
 
-    def test_bandwidth_cap_validation(self):
+    def test_outcome_history_validation(self):
         with pytest.raises(ValueError):
-            IdeaConfig(bandwidth_cap_fraction=0)
+            IdeaConfig(outcome_history=0)
+        IdeaConfig(outcome_history=None)     # unbounded is fine
+
+    def test_hint_delta_validation(self):
         with pytest.raises(ValueError):
-            IdeaConfig(bandwidth_cap_fraction=1.5)
-
-    def test_with_hint_returns_copy(self):
-        config = IdeaConfig(hint_level=0.5)
-        other = config.with_hint(0.9)
-        assert config.hint_level == 0.5
-        assert other.hint_level == 0.9
-
-    def test_with_background_period(self):
-        config = IdeaConfig(background_period=20.0)
-        assert config.with_background_period(None).background_period is None
+            IdeaConfig(hint_delta=-0.01)
 
     def test_mode_enum_values(self):
         assert AdaptationMode("hint_based") is AdaptationMode.HINT_BASED
         assert ResolutionStrategy(2) is ResolutionStrategy.USER_ID_BASED
+
+
+def _config_keywords_passed():
+    """Keywords given to ``IdeaConfig(...)`` / ``replace(...)`` calls in the
+    program, its benchmarks and its examples (read from source, not run)."""
+    passed = set()
+    for top in ("src", "benchmarks", "examples"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None)
+                if name in ("IdeaConfig", "replace"):
+                    passed.update(k.arg for k in node.keywords if k.arg)
+    return passed
+
+
+def test_every_config_field_has_a_second_value_somewhere():
+    """A knob is a field only if a world document or a caller sets it;
+    one value in use everywhere makes it a constant instead."""
+    passed = _config_keywords_passed()
+    unset = [f.name for f in dataclasses.fields(IdeaConfig)
+             if f.name not in CONFIG.fields and f.name not in passed]
+    assert unset == []

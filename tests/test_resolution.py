@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.config import AdaptationMode, IdeaConfig, ResolutionStrategy
 from repro.core.deployment import DeploymentBuilder
-from repro.core.resolution import merge_vectors
+from repro.core.resolution import (ATTENTION_DISPATCH_OVERHEAD, ResolutionManager,
+                                   merge_vectors)
 from repro.versioning.extended_vector import ExtendedVersionVector, UpdateRecord
 
 
@@ -148,6 +149,89 @@ class TestActiveResolution:
         deployment.run(until=deployment.sim.now + 10.0)
         assert len(manager.history) == 1
         assert manager.history[0].succeeded
+
+
+class TestAttentionAndFixedTimings:
+    def test_acking_member_is_write_blocked(self):
+        deployment = build_deployment()
+        member = deployment.middleware("obj", "n01").resolution
+        assert member._rpc_attention({"initiator": "n00"}) == {"ack": True}
+        assert member.replica.write_blocked
+        assert deployment.middleware("obj", "n01").write("late") is None
+
+    def test_busy_member_answers_negative_and_stays_unblocked(self):
+        deployment = build_deployment()
+        diverge(deployment, ["n00", "n01"])
+        member = deployment.middleware("obj", "n01").resolution
+        member.start_active_resolution()
+        deployment.run(until=deployment.sim.now + ATTENTION_DISPATCH_OVERHEAD / 2)
+        assert member.resolving and not member.replica.write_blocked  # phase 1
+        assert member._rpc_attention({"initiator": "n00"}) == {
+            "ack": False, "busy_with": "n01"}
+        assert not member.replica.write_blocked
+
+    def test_acked_block_lifts_after_member_block_timeout(self):
+        deployment = build_deployment()
+        member = deployment.middleware("obj", "n01").resolution
+        start = deployment.sim.now
+        member._rpc_attention({"initiator": "n00"})
+        deployment.run(until=start + ResolutionManager.MEMBER_BLOCK_TIMEOUT - 0.01)
+        assert member.replica.write_blocked
+        deployment.run(until=start + ResolutionManager.MEMBER_BLOCK_TIMEOUT + 0.01)
+        assert not member.replica.write_blocked
+
+    def test_phase1_is_the_dispatch_cost_only(self):
+        """The initiator sends every call-for-attention and goes straight on
+        to phase 2: phase 1 costs the serial dispatch, no ack round trip."""
+        deployment = build_deployment()
+        diverge(deployment, ["n00", "n01", "n02", "n03"])
+        process = deployment.middleware("obj", "n00").resolution.start_active_resolution()
+        deployment.run(until=deployment.sim.now + 10.0)
+        peers = len(process.result.members) - 1
+        assert process.result.phase1_delay == pytest.approx(
+            peers * ATTENTION_DISPATCH_OVERHEAD)
+
+    def test_collect_timeout_skips_a_dead_member(self, monkeypatch):
+        monkeypatch.setattr(ResolutionManager, "COLLECT_TIMEOUT", 2.0)
+        deployment = build_deployment()
+        diverge(deployment, ["n00", "n01", "n02"])
+        deployment.nodes["n01"].fail()
+        process = deployment.middleware("obj", "n00").resolution.start_background_resolution()
+        deployment.run(until=deployment.sim.now + 10.0)
+        result = process.result
+        assert not result.aborted
+        assert 2.0 <= result.phase2_delay < 3.0
+        assert (deployment.stores["n00"].replica("obj").vector.counts()
+                == deployment.stores["n02"].replica("obj").vector.counts())
+
+    def test_contending_initiator_backs_off_within_the_window(self):
+        deployment = build_deployment()
+        diverge(deployment, ["n00", "n01"])
+        manager = deployment.middleware("obj", "n00").resolution
+        manager._rpc_attention({"initiator": "n01"})    # n01 called first
+        process = manager.start_active_resolution()
+        deployment.run(until=deployment.sim.now + 10.0)
+        result = process.result
+        assert result.aborted and result.abort_reason == "suppressed by n01"
+        assert 0.0 <= result.total_delay <= ResolutionManager.BACKOFF_WINDOW
+
+    def test_auto_trigger_jitter_is_the_backoff_window(self, monkeypatch):
+        deployment = build_deployment()
+        middleware = deployment.middleware("obj", "n00")
+        jitters = []
+        monkeypatch.setattr(middleware.resolution, "start_active_resolution",
+                            lambda *, suppression_jitter: jitters.append(suppression_jitter))
+        assert middleware.trigger_active_resolution(auto=True)
+        assert middleware.trigger_active_resolution(auto=False)
+        assert jitters == [ResolutionManager.BACKOFF_WINDOW, 0.0]
+
+    def test_objects_on_one_node_share_its_backoff_stream(self):
+        deployment = build_deployment()
+        deployment.register_object("other", IdeaConfig(background_period=None),
+                                   start_background=False)
+        stream = deployment.runtimes["n00"].backoff_rng
+        assert deployment.middleware("obj", "n00").resolution._backoff_rng is stream
+        assert deployment.middleware("other", "n00").resolution._backoff_rng is stream
 
 
 class TestPolicyEffects:

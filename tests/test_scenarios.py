@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.deployment import DeploymentBuilder
+from repro.core.resolution import ResolutionManager
 from repro.experiments.fig_churn_availability import fingerprint, run_churn_point
 from repro.experiments.scaffold import start_object_writers
 from repro.scenarios import FaultInjector, FaultPlan
@@ -425,14 +426,15 @@ class TestResolutionUnderFailures:
         replica = deployment.stores[initiator_id].replica("doc")
         assert not replica.write_blocked
 
-    def test_stale_block_guard_spares_own_round(self):
+    def test_stale_block_guard_spares_own_round(self, monkeypatch):
         """A guard armed for a dead remote initiator must not unblock the
         replica while the member's *own* round is in flight."""
+        monkeypatch.setattr(ResolutionManager, "MEMBER_BLOCK_TIMEOUT", 5.0)
+        monkeypatch.setattr(ResolutionManager, "COLLECT_TIMEOUT", 20.0)
         deployment = DeploymentBuilder(
             num_nodes=6, seed=13).start_overlay_services().build()
         config = IdeaConfig(mode=AdaptationMode.HINT_BASED, hint_level=0.8,
-                            background_period=None,
-                            member_block_timeout=5.0, collect_timeout=20.0)
+                            background_period=None)
         deployment.register_object("doc", config)
         writers = deployment.node_ids[:3]
         _start_writers(deployment, "doc", writers)
@@ -445,7 +447,7 @@ class TestResolutionUnderFailures:
         member._rpc_collect({"initiator": writers[2]})
         deployment.crash_node(writers[2])
         # The member starts its own round, which stalls on another crashed
-        # participant for collect_timeout — well past the 5 s guard.
+        # participant for COLLECT_TIMEOUT — well past the 5 s guard.
         deployment.nodes[stalled_id].fail()
         process = member.start_background_resolution()
         t0 = deployment.sim.now
@@ -465,14 +467,13 @@ class TestResolutionUnderFailures:
         initiator_id, member_id = writers[0], writers[1]
         middleware = deployment.middleware("doc", initiator_id)
         member_replica = deployment.stores[member_id].replica("doc")
-        config = deployment.objects["doc"].config
         middleware.resolution.start_active_resolution()
         # Let phase 2 visit the member, then crash the initiator before the
         # install is pushed (processing delay gives us a window).
         deployment.run(until=deployment.sim.now + 0.05)
         deployment.crash_node(initiator_id)
         deployment.run(
-            until=deployment.sim.now + config.member_block_timeout + 5.0)
+            until=deployment.sim.now + ResolutionManager.MEMBER_BLOCK_TIMEOUT + 5.0)
         assert not member_replica.write_blocked
 
 

@@ -57,26 +57,12 @@ class TestUpdateLog:
         # idempotent
         assert log.invalidate([("A", 1)]) == 0
 
-    def test_roll_back_after(self):
-        log = UpdateLog()
-        log.append(rec("A", 1, 1.0), applied_at=1.0)
-        log.append(rec("A", 2, 5.0), applied_at=5.0)
-        rolled = log.roll_back_after(2.0)
-        assert [r.key() for r in rolled] == [("A", 2)]
-        assert [r.key() for r in log.records()] == [("A", 1)]
-
     def test_live_metadata_excludes_dead_entries(self):
         log = UpdateLog()
         log.append(rec("A", 1, 1.0, delta=2.0), applied_at=1.0)
         log.append(rec("B", 1, 2.0, delta=3.0), applied_at=2.0)
         log.invalidate([("B", 1)])
         assert log.live_metadata() == pytest.approx(2.0)
-
-    def test_applied_since(self):
-        log = UpdateLog()
-        log.append(rec("A", 1, 1.0), applied_at=1.0)
-        log.append(rec("A", 2, 3.0), applied_at=3.0)
-        assert len(log.applied_since(2.0)) == 1
 
 
 class EntryList:
@@ -122,11 +108,6 @@ class EntryList:
     def get(self, key):
         return next((e for e in self.log if e.record.key() == key), None)
 
-    def _kill(self, entry, flag):
-        if entry.live:
-            self.live_sum -= entry.record.metadata_delta
-        setattr(entry, flag, True)
-
     def invalidate(self, keys):
         count = 0
         for writer, seq in keys:
@@ -134,22 +115,10 @@ class EntryList:
             if entry is None:
                 self.below += 1 <= seq <= self.counts.get(writer, 0)
             elif not entry.invalidated:
-                self._kill(entry, "invalidated")
+                self.live_sum -= entry.record.metadata_delta
+                entry.invalidated = True
                 count += 1
         return count
-
-    def applied_since(self, time):
-        if self.entries_folded and time < self.through:
-            raise TruncatedHistoryError(time)
-        return [e for e in self.log if e.applied_at > time]
-
-    def roll_back_after(self, time):
-        rolled = []
-        for entry in self.applied_since(time):
-            if not entry.rolled_back:
-                self._kill(entry, "rolled_back")
-                rolled.append(entry.record)
-        return rolled
 
     def truncate(self, frontier, *, keep_after=None, keep_content=True):
         folded, live_folded = [], 0
@@ -224,7 +193,7 @@ def record_for(writer, seq):
 
 class TestColumnsAgainstTheEntryList:
     @staticmethod
-    def assert_answers_alike(log, model, times):
+    def assert_answers_alike(log, model):
         assert log.entries(include_dead=True) == model.log
         assert log.entries() == [e for e in model.log if e.live]
         assert log.record_keys() == {e.record.key() for e in model.log}
@@ -240,8 +209,6 @@ class TestColumnsAgainstTheEntryList:
             keys = {(w, s) for w, n in peer.items() for s in range(1, n + 1)}
             assert outcome(log.missing_from, vector) == outcome(model.missing_from, vector)
             assert outcome(log.missing_from, keys) == outcome(model.missing_from, keys)
-        for time in times:
-            assert outcome(log.applied_since, time) == outcome(model.applied_since, time)
         assert log.last_applied_at() == model.last_applied_at()
         assert outcome(log.live_content) == outcome(model.live_content)
         assert repr(log.live_metadata()) == repr(model.folded_sum + model.live_sum)
@@ -256,16 +223,15 @@ class TestColumnsAgainstTheEntryList:
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.booleans())
     def test_any_interleaving_answers_like_the_entry_list(self, data, monotone):
-        """Appends and batches (duplicates and gaps among them), invalidation,
-        rollback and truncation, with stamps in time order or not."""
+        """Appends and batches (duplicates and gaps among them), invalidation
+        and truncation, with stamps in time order or not."""
         log, model = UpdateLog(), EntryList()
-        clock, times = 0.0, [-1.0]
+        clock = 0.0
         for _ in range(data.draw(st.integers(1, 25))):
             kind = data.draw(st.sampled_from(
-                ["append", "extend", "extend", "invalidate", "rollback", "truncate"]))
+                ["append", "extend", "extend", "invalidate", "truncate"]))
             clock = (clock + data.draw(st.sampled_from([0.0, 0.5, 1.0])) if monotone
                      else data.draw(st.sampled_from([0.0, 1.0, 2.5, 4.0])))
-            times.append(clock)
             if kind in ("append", "extend"):
                 taken, batch = {}, []
                 for _ in range(1 if kind == "append" else data.draw(st.integers(0, 6))):
@@ -289,16 +255,13 @@ class TestColumnsAgainstTheEntryList:
                 keys = [(data.draw(st.sampled_from("ABC")), data.draw(st.integers(0, 12)))
                         for _ in range(data.draw(st.integers(1, 3)))]
                 assert log.invalidate(keys) == model.invalidate(keys)
-            elif kind == "rollback":
-                assert outcome(log.roll_back_after, clock) == outcome(
-                    model.roll_back_after, clock)
             else:
                 frontier = {w: data.draw(st.integers(0, model.count(w)))
                             for w in data.draw(st.permutations("ABC"))}
                 options = dict(keep_after=data.draw(st.one_of(st.none(), st.just(clock - 1.0))),
                                keep_content=data.draw(st.booleans()))
                 assert log.truncate(frontier, **options) == model.truncate(frontier, **options)
-            self.assert_answers_alike(log, model, times)
+            self.assert_answers_alike(log, model)
 
     def test_a_gapped_batch_leaves_the_log_as_it_was(self):
         log = UpdateLog()
@@ -330,13 +293,13 @@ class TestLastAppliedAt:
     @settings(max_examples=200, deadline=None)
     @given(steps=st.lists(st.tuples(
         st.sampled_from(["append", "append", "extend", "truncate",
-                         "invalidate", "rollback"]),
+                         "invalidate"]),
         st.sampled_from(["A", "B", "C"]),
         st.integers(0, 40).map(lambda q: q / 4.0)), max_size=40),
         monotone=st.booleans())
     def test_equals_the_scan(self, steps, monotone):
         """Random appends — in time order or not — bulk extends, truncation
-        (the checkpoint floor applies), invalidation and rollback."""
+        (the checkpoint floor applies) and invalidation."""
         log = UpdateLog()
         counts = {}
         clock = 0.0
@@ -354,10 +317,8 @@ class TestLastAppliedAt:
             elif kind == "truncate":
                 log.truncate({writer: counts.get(writer, 0) - 1},
                              keep_after=clock if monotone else None)
-            elif kind == "invalidate":
+            else:
                 log.invalidate([(writer, counts.get(writer, 0))])
-            elif log.checkpoint.applied_through <= when:
-                log.roll_back_after(when)
             assert log.last_applied_at() == self.scan(log)
 
     def test_truncation_floors_the_answer(self):
@@ -531,14 +492,6 @@ class TestReplica:
         replica.apply_update(rec("n1", 1, 2.0, payload="drop"), applied_at=2.0)
         replica.invalidate_updates([("n1", 1)])
         assert replica.content() == ["keep"]
-
-    def test_roll_back_after(self):
-        replica = Replica("n0", "obj")
-        replica.local_write("n0", 1.0, payload="early", applied_at=1.0)
-        replica.local_write("n0", 5.0, payload="late", applied_at=5.0)
-        rolled = replica.roll_back_after(2.0)
-        assert len(rolled) == 1
-        assert replica.content() == ["early"]
 
 
 class TestReplicatedStore:

@@ -194,15 +194,6 @@ class TestMiddlewareFastReadPath:
         assert fast.content == []
         assert fast.level == full.level
 
-    def test_register_rollback_false_keeps_queue_flat(self):
-        deployment, middleware = self.build()
-        middleware.write("x", metadata_delta=1.0)
-        before = len(middleware.rollback.pending())
-        middleware.read(new_snapshot=False, register_rollback=False)
-        assert len(middleware.rollback.pending()) == before
-        middleware.read(new_snapshot=False)
-        assert len(middleware.rollback.pending()) == before + 1
-
 
 class TestDetectionEnvelopeEquivalence:
     """The incremental reference envelope must match a full rebuild."""

@@ -183,15 +183,6 @@ class TestLogCheckpoint:
             == [("B", 1)]
         assert [r.key() for r in log.missing_from({("A", 3)})] == [("B", 1)]
 
-    def test_rollback_past_checkpoint_raises(self):
-        log = self.make_log()
-        log.truncate({"A": 4})
-        with pytest.raises(TruncatedHistoryError):
-            log.roll_back_after(2.0)
-        # at or after the fold horizon rollback still works
-        rolled = log.roll_back_after(5.0)
-        assert [r.seq for r in rolled] == [6]
-
     def test_invalidate_below_checkpoint_is_counted(self):
         log = self.make_log()
         log.truncate({"A": 4})
@@ -234,9 +225,6 @@ class TestReplicaTruncation:
         replica.truncate_stable(VersionVector({"A": 1, "B": 1}))
         assert replica.invalidate_updates([("A", 1)]) == 0
         assert replica.truncation_stats.invalidate_below_checkpoint == 1
-        with pytest.raises(TruncatedHistoryError):
-            replica.roll_back_after(0.5)
-        assert replica.truncation_stats.rollback_below_checkpoint == 1
 
     def test_truncated_replica_observably_equals_oracle(self):
         replica, oracle = self.build_pair()
