@@ -11,8 +11,9 @@ package provides their real-network implementation:
   queues, and heartbeat liveness probing;
 * :class:`~repro.live.node.LiveNode` — a
   :class:`~repro.transport.endpoint.ProtocolEndpoint` on wall-clock time;
-* :mod:`repro.live.scenario` — the backend-neutral conformance scenario and
-  the simulator-as-oracle comparison (fair-weather and fault-tolerant);
+* :mod:`repro.live.scenario` — the backend-neutral conformance scenario,
+  the simulator-as-oracle comparison, and the journal a node's replicas
+  outlive a SIGKILL through;
 * :class:`~repro.live.deployment.LiveDeployment` +
   :mod:`repro.live.node_main` — one-process-per-node bring-up, kill,
   restart and teardown; a crash no plan ordered fails the run;

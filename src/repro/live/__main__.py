@@ -12,15 +12,13 @@ bring-up checks).  This is the one way to run the live oracle.
 builtin like ``churn``, or a ``FaultPlan.to_dict`` JSON file) is replayed
 against the real processes — SIGKILLs, ``--recovering`` restarts,
 control-channel partitions — while the same plan runs on the simulator, and
-the fault-tolerant oracle compares survivor counts and recovery evidence
-(DESIGN.md §15).  A plan with crashes also asserts nonzero transport
-reconnects, the chaos CI job's signal that re-dialing actually happened.
-The applied chaos timeline lands in ``<rundir>/chaos_timeline.json``.
+the same oracle judges every node (DESIGN.md §15).  A plan with crashes
+also asserts nonzero transport reconnects and one re-join per planned
+recovery.  The applied chaos timeline lands in
+``<rundir>/chaos_timeline.json``.
 
 Exit codes: 0 success, 1 deployment failure or oracle mismatch, 2 bad
-arguments or fault plan (one ``error:`` line; nothing is spawned).  A plan
-that recovers a node before one of that node's scheduled writes is a bad
-plan: the restarted node would reuse write seqs and lose that write.
+arguments or fault plan (one ``error:`` line; nothing is spawned).
 """
 
 from __future__ import annotations
@@ -33,11 +31,11 @@ import sys
 import tempfile
 from typing import Optional, Tuple
 
-from repro.live.chaos import check_plan, resolve_plan, run_live_deployment
+from repro.live.chaos import resolve_plan, run_live_deployment
 from repro.live.deployment import DeploymentError
 from repro.live.scenario import (ScenarioSpec, activity, activity_lines,
-                                 default_scenario, fault_oracle_diff,
-                                 oracle_diff, run_sim_scenario)
+                                 default_scenario, oracle_diff,
+                                 run_sim_scenario)
 from repro.scenarios.plan import FaultPlan
 
 
@@ -51,14 +49,14 @@ def _configure(args: argparse.Namespace
     if not 0.0 < args.duration < math.inf:
         raise ValueError(f"--duration must be a positive number of seconds, "
                          f"got {args.duration}")
-    # default_scenario spans 4.4 time units; scale to the requested duration
+    # default_scenario spans 4.4 time units plus an unscaled rejoin gap
     time_scale = args.duration / 4.4
     spec = default_scenario(args.nodes, args.objects, seed=args.seed,
                             time_scale=time_scale)
     if args.fault_plan is None:
         return spec, None
     plan = resolve_plan(args.fault_plan, spec.nodes, time_scale=time_scale)
-    check_plan(spec, plan)
+    plan.validate(spec.nodes)
     return spec, plan
 
 
@@ -74,7 +72,8 @@ def main(argv=None) -> int:
                         help="socket flavour (default uds)")
     parser.add_argument("--duration", type=float, default=5.0,
                         help="approximate workload duration in seconds; the "
-                             "schedule is scaled to fit (default 5)")
+                             "schedule is scaled to fit, and the run lasts "
+                             "this plus the rejoin gap (default 5)")
     parser.add_argument("--seed", type=int, default=7,
                         help="deterministic workload seed (default 7)")
     parser.add_argument("--rundir", default=None,
@@ -127,15 +126,10 @@ def main(argv=None) -> int:
         problems.extend(controller.evidence_problems(totals["reconnects"]))
 
     if not args.no_oracle:
-        sim = run_sim_scenario(spec, fault_plan=plan)
-        if plan is None:
-            problems.extend(oracle_diff(sim, live))
-        else:
-            problems.extend(fault_oracle_diff(sim, live, plan))
+        problems.extend(oracle_diff(run_sim_scenario(spec, fault_plan=plan),
+                                    live))
         if not problems:
-            label = ("fault-tolerant oracle" if plan is not None
-                     else "oracle")
-            print(f"  {label}: live outcomes match the simulator")
+            print("  oracle: live outcomes match the simulator")
 
     if args.json:
         print(json.dumps(live, indent=2, sort_keys=True))

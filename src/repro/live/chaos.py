@@ -8,8 +8,8 @@ time — on the **wall clock** of a running
 
 * ``crash``   → a SIGKILL to the node's process, held down for the plan's
   downtime window;
-* ``recover`` → a respawn with ``--recovering`` (the node re-joins
-  mid-timeline with amnesia, as a real crashed replica would);
+* ``recover`` → a respawn with ``--recovering`` (the node replays its
+  journal and re-joins mid-timeline with the replicas it had);
 * ``partition`` / ``heal`` / ``set_loss`` / ``restore_loss`` → per-peer
   drop rules pushed over each node's control socket
   (:mod:`repro.live.control`) and enforced inside ``LiveTransport`` with
@@ -208,28 +208,6 @@ class LiveFaultController:
                        "timeline": self.timeline}, fh, indent=2)
 
 
-def check_plan(spec: ScenarioSpec, plan: FaultPlan) -> None:
-    """Raise ``ValueError`` for a plan the live runner would replay wrongly:
-    one naming a node outside ``spec``, or one that recovers a node before
-    one of that node's scheduled writes.
-
-    A restarted node has amnesia: it mints write seqs from 1 again, so its
-    peers, which hold its pre-crash writes under those seqs, would drop
-    the new writes as duplicates and the run would lose them silently
-    (DESIGN.md §15).
-    """
-    plan.validate(spec.nodes)
-    for action in plan.recoveries():
-        later = [t for t, node, _, _ in spec.writes
-                 if node == action.node_id and t >= action.time]
-        if later:
-            raise ValueError(
-                f"fault plan recovers {action.node_id} at "
-                f"t={action.time:.3f}s before its write at "
-                f"t={min(later):.3f}s; a restarted node reuses write seqs "
-                f"its peers already hold, so that write would be lost")
-
-
 def run_live_deployment(spec: ScenarioSpec, rundir: str,
                         plan: Optional[FaultPlan] = None, *,
                         kind: str = "uds"
@@ -241,11 +219,9 @@ def run_live_deployment(spec: ScenarioSpec, rundir: str,
     With a plan, nodes it leaves dead are absent from the outcomes and the
     applied timeline lands in ``<rundir>/chaos_timeline.json`` — also when
     the deployment fails (``DeploymentError`` propagates after teardown).
-    A plan :func:`check_plan` refuses raises ``ValueError`` before anything
-    spawns.
+    A plan naming a node outside ``spec`` raises ``ValueError`` before
+    anything spawns.
     """
-    if plan is not None:
-        check_plan(spec, plan)
     deployment = LiveDeployment(spec, rundir, kind=kind)
     controller = (LiveFaultController(deployment, plan)
                   if plan is not None else None)
@@ -267,24 +243,16 @@ def run_live_deployment(spec: ScenarioSpec, rundir: str,
 
 def builtin_plan(name: str, nodes: Sequence[str], *,
                  time_scale: float = 1.0) -> FaultPlan:
-    """Named plans shaped for the conformance scenario's phase timeline
-    (see :func:`~repro.live.scenario.default_scenario`): fault windows are
-    placed in the schedule's quiet gaps so survivor outcomes stay pure
-    functions of the schedule.
+    """Named plans shaped for :func:`~repro.live.scenario.default_scenario`
+    under DESIGN.md §15's rules: crashes clear of the demanded resolutions
+    (whose rounds do not scale with ``time_scale``), and nothing scheduled
+    within :data:`~repro.live.scenario.REJOIN_GAP` after a recovery.
 
-    ``churn`` — the ISSUE's acceptance scenario: one partition window
-    during the initial writes (0.9–1.35), then kill 25 % of the nodes
-    (2.6) and restart them (3.35).  Victims are taken from the
-    **tail** of the node list so resolution initiators (``nodes[j % n]`` —
-    the head) survive, and the crash sits well clear of the demanded
-    resolutions (2.0–2.15 plus a few hundred ms of protocol rounds, which
-    do *not* scale with ``time_scale``): killing a participant mid-
-    resolution aborts it in sim but not necessarily in live, a pure timing
-    race the oracle would rightly flag.
-
-    ``kill`` — the crash/restart half of ``churn`` only.
-
-    ``partition`` — the partition window only (no process ever dies).
+    ``churn`` — a partition during the initial writes (0.9–1.35), then the
+    tail 25 % of the nodes (the resolution initiators are the head) killed
+    at 2.6 and restarted at 2.9, before their post-resolution writes.
+    ``kill`` — its crash/restart half only.  ``partition`` — its partition
+    window only (no process dies).
     """
     ts = time_scale
     nodes = list(nodes)
@@ -297,9 +265,11 @@ def builtin_plan(name: str, nodes: Sequence[str], *,
         return plan
 
     def _kill_window() -> FaultPlan:
+        # crashes staggered within [2.6, 2.7), recoveries within [2.9, 3.0)
+        victims = max(1, int(round(len(nodes) * 0.25)))
         return FaultPlan.kill_and_recover(
-            list(reversed(nodes)), fraction=0.25,
-            crash_at=2.6 * ts, recover_at=3.35 * ts, stagger=0.05 * ts)
+            list(reversed(nodes)), fraction=0.25, crash_at=2.6 * ts,
+            recover_at=2.9 * ts, stagger=0.1 * ts / victims)
 
     if name == "churn":
         return _partition_window().merge(_kill_window())

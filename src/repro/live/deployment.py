@@ -13,9 +13,10 @@ the workload within the barrier's polling jitter.  On completion each child
 writes ``out/<node_id>.json`` with its protocol outcomes and exits 0.
 
 A node dies or comes back only when a fault plan orders it: :meth:`kill_node`
-SIGKILLs it and holds it down, :meth:`restart_node` respawns it with
-``--recovering`` — the new incarnation rebases onto the *original* epoch and
-resumes the schedule mid-timeline.  :meth:`poll` reaps exits as they happen
+SIGKILLs it and holds it down, :meth:`restart_node` reaps it and respawns
+it with ``--recovering`` — the new incarnation replays its journal
+(``state/<node_id>``), rebases onto the *original* epoch and resumes the
+schedule mid-timeline.  :meth:`poll` reaps exits as they happen
 and records each node's exit history (``exit 0`` / ``SIGKILL`` / ...); any
 other nonzero exit fails the run with a :class:`DeploymentError` naming the
 node, its exit status and its log tail.  :meth:`terminate` is idempotent.
@@ -93,7 +94,7 @@ class LiveDeployment:
     # --------------------------------------------------------------- lifecycle
     def start(self) -> None:
         """Write the spec and spawn one node process per node id."""
-        for sub in ("ready", "out", "log", "ctl", "epoch"):
+        for sub in ("ready", "out", "log", "ctl", "epoch", "state"):
             os.makedirs(os.path.join(self.rundir, sub), exist_ok=True)
         self.addresses = make_addresses(self.spec.nodes, self.kind,
                                         self.rundir)
@@ -159,13 +160,16 @@ class LiveDeployment:
 
     def restart_node(self, node_id: str) -> None:
         """Respawn a killed node now with ``--recovering`` (a plan
-        recovery)."""
+        recovery), once the killed incarnation is reaped: its exit is
+        recorded as ordered, and its journal has one writer at a time."""
         if node_id not in self._procs:
             raise DeploymentError(f"unknown node {node_id!r}")
-        self.poll()  # make sure the previous incarnation's exit is recorded
+        if node_id in self._held:
+            self._procs[node_id].wait()
+        self.poll()
         self._held.discard(node_id)
         if self._procs[node_id].poll() is None:
-            return  # still running; nothing to do
+            return  # never killed; nothing to do
         self._spawn(node_id, recovering=True)
 
     def is_running(self, node_id: str) -> bool:

@@ -10,13 +10,12 @@ protocol outcomes to ``out/<node_id>.json``.
 
 A fresh node records its clock epoch (the host-wide ``time.monotonic``
 value at barrier exit) in ``epoch/<node_id>`` before starting the
-schedule.  A **recovering** incarnation — respawned by a fault plan's
-recovery after its crash — skips the barrier (its peers are long past it),
-re-touches its ready file, rebases its clock onto the *original* epoch so
-``now`` resumes mid-timeline, and replays only the part of the schedule
-that is still in the future.  All replicated state from the first
-incarnation is gone: that amnesia is the crash-stop model made honest, and
-the fault-tolerant oracle accounts for it (DESIGN.md §15).
+schedule, and journals its replica changes to ``state/<node_id>``.  A
+**recovering** incarnation — respawned by a fault plan's recovery after
+its crash — replays that journal before it binds (a malformed frame
+raises, exit 1), skips the barrier, re-touches its ready file, rebases its clock onto
+the *original* epoch so ``now`` resumes mid-timeline, and runs only the
+still-future schedule: its outcome covers the whole run (DESIGN.md §15).
 """
 
 from __future__ import annotations
@@ -70,6 +69,9 @@ async def run_node(document: dict, node_id: str, *,
     stack = build_live_stack(spec, node_id, addresses, kind=kind,
                              loop=asyncio.get_running_loop(),
                              heartbeat_period=HEARTBEAT_PERIOD)
+    journal = os.path.join(rundir, "state", node_id)
+    torn = stack.replay(journal) if recovering else 0
+    stack.keep_journal(journal, fresh=not recovering)
     transport = stack.node.transport
     clock = stack.node.clock
     await transport.start()
@@ -105,7 +107,7 @@ async def run_node(document: dict, node_id: str, *,
     await asyncio.sleep(remaining)
     stack.shutdown()
     outcome = stack.outcome()
-    outcome["recovering"] = recovering
+    outcome["torn_journal_bytes"] = torn
     outcome["reconnects"] = transport.reconnects
     outcome["drop_reasons"] = dict(transport.stats.drop_reasons)
     outcome["pid"] = os.getpid()

@@ -34,6 +34,8 @@ What the oracle compares (counts and sets, never timings):
 What it deliberately excludes: gossip round/message counts (wall-clock
 periodic timers drift against the workload; both backends must merely show
 *nonzero* gossip activity), latencies, and anything carrying timestamps.
+The same compare judges a fault-plan run: a live node's replicas outlive
+its SIGKILL through its journal, as a simulated node's outlive ``fail``.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ from repro.core.deployment import DeploymentBuilder, Host, IdeaDeployment
 from repro.live.clock import LiveClock
 from repro.live.node import LiveNode
 from repro.live.transport import Address, LiveTransport
+from repro.live.wire import (HEADER, MAX_FRAME_BYTES, WireError,
+                             decode_envelope, encode_envelope)
 from repro.overlay.gossip import GossipConfig
 from repro.runtime.events import ResolutionCompleted
 from repro.scenarios.injector import FaultInjector
@@ -59,6 +63,11 @@ from repro.transport import ProtocolEndpoint
 #: gossip parameters used by conformance scenarios: fast rounds so even a
 #: few-second run shows bottom-layer activity
 SCENARIO_GOSSIP = GossipConfig(round_period=0.5, fanout=2, ttl=2)
+
+#: wall-clock seconds from a planned recovery to the next schedule entry: a
+#: restarted node process imports, replays its journal and binds, and its
+#: peers re-dial it, before anybody writes again (DESIGN.md §15)
+REJOIN_GAP = 1.5
 
 
 @dataclass
@@ -97,9 +106,10 @@ def default_scenario(n_nodes: int = 4, n_objects: int = 2, *,
     """Build the standard conformance schedule.
 
     Phases (times scaled by ``time_scale``): initial writes in [0.3, 1.6),
-    one demanded resolution per object at ~2.0, one post-resolution write
-    per (node, object) at ~3.0 (so every final digest carries the merged
-    counts), truncation at 3.9, run ends at 4.4.
+    one demanded resolution per object at ~2.0, a window [2.6, 3.0) for
+    fault plans' crashes and recoveries, then — :data:`REJOIN_GAP` later —
+    one post-resolution write per (node, object) at ~3.0 (so every final
+    digest carries the merged counts), truncation at 3.9, end at 4.4.
     """
     nodes = [f"n{i:02d}" for i in range(n_nodes)]
     objects = [f"obj{j}" for j in range(n_objects)]
@@ -112,14 +122,14 @@ def default_scenario(n_nodes: int = 4, n_objects: int = 2, *,
             # Post-resolution write: refreshes every peer's digest of this
             # node with the merged counts, making the stability frontier a
             # deterministic function of the schedule.
-            writes.append(((3.0 + 0.02 * i + 0.01 * j) * time_scale,
-                           node, obj, 0.25))
+            writes.append(((3.0 + 0.02 * i + 0.01 * j) * time_scale
+                           + REJOIN_GAP, node, obj, 0.25))
     resolutions = [((2.0 + 0.15 * j) * time_scale, nodes[j % n_nodes], obj)
                    for j, obj in enumerate(objects)]
     return ScenarioSpec(nodes=nodes, objects=objects, writes=writes,
                         resolutions=resolutions,
-                        truncate_at=3.9 * time_scale,
-                        duration=4.4 * time_scale, seed=seed)
+                        truncate_at=3.9 * time_scale + REJOIN_GAP,
+                        duration=4.4 * time_scale + REJOIN_GAP, seed=seed)
 
 
 def scenario_config() -> IdeaConfig:
@@ -163,7 +173,8 @@ class NodeStack:
 
     Store, runtime, middleware and gossip are the deployment's: the
     simulator's hosts every node (its stacks share one bus and one gossip
-    service), a live one hosts just this node."""
+    service), a live one hosts just this node, and in a node process keeps
+    the journal a restart replays."""
 
     def __init__(self, deployment: IdeaDeployment, node_id: str,
                  spec: ScenarioSpec) -> None:
@@ -178,6 +189,7 @@ class NodeStack:
         self.writes_applied: Dict[str, int] = {o: 0 for o in spec.objects}
         self.folded: Dict[str, int] = {o: 0 for o in spec.objects}
         self.resolutions: List[Tuple[str, str, str]] = []
+        self._journal_fd: Optional[int] = None
         deployment.bus.subscribe(ResolutionCompleted, self._on_resolved)
 
     def _on_resolved(self, event: ResolutionCompleted) -> None:
@@ -185,6 +197,73 @@ class NodeStack:
         if event.initiator == self.node.node_id:
             self.resolutions.append(
                 (event.object_id, event.initiator, event.kind))
+            if self._journal_fd is not None:
+                self.journal("resolved", event.object_id, event.kind)
+
+    # -------------------------------------------------------------- journal
+    def keep_journal(self, path: str, *, fresh: bool) -> None:
+        """Append each replica change and resolved round to ``path`` until
+        :meth:`shutdown`; ``fresh`` starts the file empty."""
+        flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
+        self._journal_fd = os.open(path, flags | (os.O_TRUNC if fresh else 0))
+        for middleware in self.middlewares.values():
+            middleware.replica.journal = self.journal
+
+    def journal(self, kind: str, object_id: str, *args: Any) -> None:
+        """One ``live.wire`` frame, one unbuffered ``os.write``."""
+        os.write(self._journal_fd, encode_envelope(
+            self.node.node_id, object_id, "journal", kind, list(args), 0, 0.0))
+
+    def replay(self, path: str) -> int:
+        """Re-apply the journal at ``path`` to this fresh stack: replicas,
+        own write seqs and outcome counters come back as they were.  Returns
+        the bytes of a torn final frame (a kill mid-append), cut from the
+        file; any other malformed frame raises :class:`WireError` naming
+        the file and its byte offset."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        offset = 0
+        while len(data) - offset >= HEADER.size:
+            (length,) = HEADER.unpack_from(data, offset)
+            end = offset + HEADER.size + length
+            if end > len(data) and length <= MAX_FRAME_BYTES:
+                break
+            try:
+                src, obj, protocol, kind, args, _, _ = decode_envelope(
+                    data[offset + HEADER.size:end])
+                if (src, protocol, type(args)) != (self.node.node_id,
+                                                   "journal", list):
+                    raise WireError("not a record of this node's journal")
+                self._replay_frame(kind, obj, *args)
+            except (WireError, LookupError, TypeError, ValueError) as exc:
+                raise WireError(f"{path}: malformed journal frame at byte "
+                                f"{offset}: {exc}") from None
+            offset = end
+        os.truncate(path, offset)
+        return len(data) - offset
+
+    def _replay_frame(self, kind: str, obj: str, *args: Any) -> None:
+        replica = self.middlewares[obj].replica
+        if kind == "write":
+            replica.apply_update(*args)
+            self.writes_attempted[obj] += 1
+            self.writes_applied[obj] += 1
+            self.middlewares[obj].detection.detect()  # the one each write ran
+        elif kind == "blocked":
+            replica.blocked_writes += 1
+            self.writes_attempted[obj] += 1
+        elif kind == "install":
+            replica.install_merged(args[0], now=args[1])
+        elif kind == "invalidate":
+            replica.invalidate_updates(*args)
+        elif kind == "truncate":
+            counts, keep_after, keep_content = args
+            self.folded[obj] += replica.truncate_stable(
+                counts, keep_after=keep_after, keep_content=keep_content)
+        elif kind == "resolved":
+            self.resolutions.append((obj, self.node.node_id, *args))
+        else:
+            raise ValueError(f"unknown journal record {kind!r}")
 
     # ------------------------------------------------------------- schedule
     def schedule(self, from_time: float = 0.0) -> None:
@@ -233,8 +312,8 @@ class NodeStack:
         if not self.node.alive:
             return
         for obj, middleware in self.middlewares.items():
-            self.folded[obj] = middleware.truncate_stable(self.spec.nodes,
-                                                          keep_window=0.0)
+            self.folded[obj] += middleware.truncate_stable(self.spec.nodes,
+                                                           keep_window=0.0)
 
     # -------------------------------------------------------------- outcome
     def outcome(self) -> Dict[str, Any]:
@@ -259,6 +338,11 @@ class NodeStack:
 
     def shutdown(self) -> None:
         self.gossip.stop()  # idempotent: sim stacks share one service
+        if self._journal_fd is not None:
+            for middleware in self.middlewares.values():
+                middleware.replica.journal = None
+            os.close(self._journal_fd)
+            self._journal_fd = None
 
 
 # --------------------------------------------------------------------------
@@ -272,9 +356,9 @@ def run_sim_scenario(spec: ScenarioSpec, *, latency: float = 0.02,
 
     A ``fault_plan`` (:class:`~repro.scenarios.plan.FaultPlan`) is armed
     by the ordinary :class:`~repro.scenarios.injector.FaultInjector`, so
-    crashes go through the deployment's ``crash_node`` orchestration — the
-    sim half of the fault-tolerant oracle (the live half delivers the same
-    plan as signals and control-channel rules; see :mod:`repro.live.chaos`).
+    crashes go through the deployment's ``crash_node`` orchestration (the
+    live half delivers the same plan as signals and control-channel rules;
+    see :mod:`repro.live.chaos`).
     """
     deployment = scenario_builder(spec, latency=latency).build()
     stacks = {node_id: NodeStack(deployment, node_id, spec)
@@ -431,78 +515,6 @@ def oracle_diff(sim_outcomes: Dict[str, Dict[str, Any]],
                       for r in o["resolutions"])
     if sim_res != live_res:
         problems.append(f"resolutions: sim={sim_res!r} live={live_res!r}")
-    for label, outcomes in (("sim", sim_outcomes), ("live", live_outcomes)):
-        if sum(o["gossip_rounds"] for o in outcomes.values()) == 0:
-            problems.append(f"{label}: no gossip rounds ran")
-    return problems
-
-
-#: per-node keys compared on *surviving* nodes under a fault plan; these
-#: are pure functions of the schedule and the node's own liveness, so they
-#: must match even while peers crash and restart around them
-FAULT_ORACLE_KEYS = ("writes_attempted", "writes_applied", "detections_run")
-
-
-def fault_oracle_diff(sim_outcomes: Dict[str, Dict[str, Any]],
-                      live_outcomes: Dict[str, Dict[str, Any]],
-                      plan: Any) -> List[str]:
-    """Fault-tolerant oracle: compare sim and live runs of the same
-    (seed, spec, fault plan); returns human-readable mismatches.
-
-    What it holds equal and what it excuses follows the crash models of the
-    two backends.  A sim crash (``fail``/``recover``) keeps replica state
-    in memory; a live crash is a SIGKILL'd process whose plan-ordered
-    restart comes back with *amnesia*.  So:
-
-    * **survivors** (nodes the plan never crashes) must match exactly on
-      writes attempted/applied and detections run — their workload is
-      untouched by peers' deaths;
-    * **resolutions** are compared as the multiset initiated by survivors
-      and observed on survivors;
-    * **recovered nodes** must show re-join evidence on the live side (an
-      outcome written by a ``--recovering`` incarnation) — their counts
-      are *not* compared, because crash
-      timing relative to schedule entries is wall-clock-dependent;
-    * **excluded everywhere**: ``final_counts`` and ``folded`` — a
-      restarted live node re-enters with an empty store, so merged vectors
-      and stability frontiers legitimately diverge from a sim whose
-      recovered nodes remember; and all timing-dependent quantities, as in
-      the fair-weather oracle.  Both sides must still show nonzero gossip.
-    """
-    problems: List[str] = []
-    crashed = {a.node_id for a in plan.crashes()}
-    recovered = {a.node_id for a in plan.recoveries()} & crashed
-    survivors = [n for n in sorted(sim_outcomes) if n not in crashed]
-    if not survivors:
-        return ["fault plan leaves no survivors to compare"]
-    for node_id in survivors:
-        live_o = live_outcomes.get(node_id)
-        if live_o is None:
-            problems.append(f"{node_id}: survivor wrote no live outcome")
-            continue
-        sim_o = sim_outcomes[node_id]
-        for key in FAULT_ORACLE_KEYS:
-            if sim_o[key] != live_o[key]:
-                problems.append(f"{node_id}.{key}: sim={sim_o[key]!r} "
-                                f"live={live_o[key]!r}")
-
-    def _survivor_resolutions(outcomes: Dict[str, Dict[str, Any]]) -> list:
-        keep = set(survivors)
-        return sorted(tuple(r) for n in survivors if n in outcomes
-                      for r in outcomes[n]["resolutions"] if r[1] in keep)
-
-    sim_res = _survivor_resolutions(sim_outcomes)
-    live_res = _survivor_resolutions(live_outcomes)
-    if sim_res != live_res:
-        problems.append(f"survivor resolutions: sim={sim_res!r} "
-                        f"live={live_res!r}")
-    for node_id in sorted(recovered):
-        live_o = live_outcomes.get(node_id)
-        if live_o is None:
-            problems.append(f"{node_id}: recovered node wrote no live outcome")
-        elif not live_o.get("recovering"):
-            problems.append(f"{node_id}: recovered node shows no restart "
-                            f"evidence (no --recovering outcome)")
     for label, outcomes in (("sim", sim_outcomes), ("live", live_outcomes)):
         if sum(o["gossip_rounds"] for o in outcomes.values()) == 0:
             problems.append(f"{label}: no gossip rounds ran")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, List, Mapping, Optional, Set, Tuple, Union
+from typing import Any, Callable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.store.update_log import UpdateLog
 from repro.versioning.extended_vector import (
@@ -78,6 +78,9 @@ class Replica:
         self.revision = 0
         #: checkpoint/truncation accounting (see :class:`TruncationStats`)
         self.truncation_stats = TruncationStats()
+        #: ``journal(kind, object_id, *args)``, told each change a restarted
+        #: live node replays (DESIGN.md §15); None on the simulator
+        self.journal: Optional[Callable[..., None]] = None
 
     # -------------------------------------------------------------- access
     @property
@@ -121,6 +124,8 @@ class Replica:
         """
         if self.write_blocked:
             self.blocked_writes += 1
+            if self.journal is not None:
+                self.journal("blocked", self.object_id)
             return None
         # The seq is minted from the vector's own count, so the record is
         # new by construction: straight to ``apply`` and ``append``, without
@@ -129,8 +134,12 @@ class Replica:
         record = UpdateRecord(writer, vector.count(writer) + 1, timestamp,
                               metadata_delta, payload)
         self._vector = vector.apply(record)
-        self.log.append(record, applied_at=applied_at if applied_at is not None else timestamp)
+        if applied_at is None:
+            applied_at = timestamp
+        self.log.append(record, applied_at=applied_at)
         self.revision += 1
+        if self.journal is not None:
+            self.journal("write", self.object_id, record, applied_at)
         return record
 
     def apply_update(self, record: UpdateRecord, applied_at: float) -> bool:
@@ -197,6 +206,8 @@ class Replica:
             raise
         applied = self.apply_updates(missing, applied_at=now)
         self.mark_consistent(now)
+        if self.journal is not None:
+            self.journal("install", self.object_id, merged, now)
         return applied
 
     def invalidate_updates(self, keys: List[Tuple[str, int]]) -> int:
@@ -206,6 +217,8 @@ class Replica:
         :attr:`truncation_stats` rather than silently ignored.
         """
         self.revision += 1
+        if self.journal is not None:
+            self.journal("invalidate", self.object_id, list(keys))
         before = self.log.invalidated_below_checkpoint
         count = self.log.invalidate(keys)
         skipped = self.log.invalidated_below_checkpoint - before
@@ -235,6 +248,9 @@ class Replica:
             self.revision += 1
             self.truncation_stats.truncations += 1
             self.truncation_stats.entries_folded += folded
+            if self.journal is not None:
+                self.journal("truncate", self.object_id, counts, keep_after,
+                             keep_content)
         return folded
 
     def retained_log_entries(self) -> int:

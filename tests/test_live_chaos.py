@@ -1,18 +1,17 @@
-"""Fault-tolerant live mode: chaos replay and the fault-tolerant oracle.
+"""Live chaos: fault plans replayed against real node processes.
 
 Covers the pieces individually — FaultPlan serialisation and windowing,
-the builtin plan catalog, the control channel, the sim fault scenario,
-``fault_oracle_diff`` — and then end to end: a multiprocess deployment with
-a chaos controller SIGKILLing and restarting real node processes while the
-same plan runs on the simulator, an unplanned crash failing the run, bad
-``python -m repro.live`` input refused before anything spawns, and
-idempotent teardown (DESIGN.md §15).
+the builtin plan catalog, the control channel, the sim fault scenario —
+and then end to end: a multiprocess deployment with a chaos controller
+SIGKILLing and restarting real node processes while the same plan runs on
+the simulator and ``oracle_diff`` judges every node, an unplanned crash
+failing the run, bad ``python -m repro.live`` input refused before
+anything spawns, and idempotent teardown (DESIGN.md §15).
 """
 
 from __future__ import annotations
 
 import asyncio
-import copy
 import json
 import os
 import signal
@@ -26,13 +25,13 @@ from hypothesis import strategies as st
 
 import repro.live.__main__ as live_cli
 import repro.live.chaos as chaos
-from repro.live.chaos import (LiveFaultController, builtin_plan, check_plan,
+from repro.live.chaos import (LiveFaultController, builtin_plan,
                               resolve_plan, run_live_deployment)
 from repro.live.control import ControlClient, ControlError, ControlServer
 from repro.live.deployment import (DeploymentError, LiveDeployment,
                                    describe_exit)
-from repro.live.scenario import (activity, default_scenario,
-                                 fault_oracle_diff, run_sim_scenario)
+from repro.live.scenario import (REJOIN_GAP, activity, default_scenario,
+                                 oracle_diff, run_sim_scenario)
 from repro.scenarios.plan import FaultAction, FaultPlan
 from repro.transport.message import NetworkStats
 
@@ -105,6 +104,26 @@ class TestBuiltinPlans:
             assert heal.time < 2.0 * ts
             for crash in plan.crashes():
                 assert crash.time >= 2.5 * ts
+
+    @pytest.mark.parametrize("name", ["churn", "kill"])
+    def test_every_recovery_leaves_the_rejoin_gap(self, name):
+        """DESIGN.md §15's one rule for a live plan: nothing is scheduled
+        within REJOIN_GAP wall seconds after a recovery, at any size and
+        duration."""
+        for nodes in (4, 8, 16, 20):
+            for duration in (2.64, 5.0, 6.0, 12.0):
+                ts = duration / 4.4
+                spec = default_scenario(nodes, 2, seed=7, time_scale=ts)
+                entries = [w[0] for w in spec.writes] + \
+                    [r[0] for r in spec.resolutions] + [spec.truncate_at]
+                for recovery in builtin_plan(name, spec.nodes,
+                                             time_scale=ts).recoveries():
+                    later = [t for t in entries if t > recovery.time]
+                    assert min(later) - recovery.time >= REJOIN_GAP
+                    # ... and some of those writes are the victim's own
+                    assert any(t > recovery.time
+                               for t, node, _, _ in spec.writes
+                               if node == recovery.node_id)
 
     def test_kill_and_partition_are_subsets_of_churn(self):
         kill = builtin_plan("kill", self.NODES)
@@ -453,7 +472,8 @@ class TestSimFaultScenario:
 
     def test_crashed_nodes_miss_their_downtime_writes(self):
         spec = default_scenario(4, 2, seed=7, time_scale=1.0)
-        plan = builtin_plan("kill", spec.nodes, time_scale=1.0)
+        # n03 writes at 0.54–0.94: all inside this downtime
+        plan = FaultPlan().crash("n03", at=0.5).recover("n03", at=1.2)
         fair = run_sim_scenario(spec)
         faulty = run_sim_scenario(spec, fault_plan=plan)
         victims = {a.node_id for a in plan.crashes()}
@@ -464,73 +484,6 @@ class TestSimFaultScenario:
         for node_id in set(spec.nodes) - victims:
             assert faulty[node_id]["writes_attempted"] == \
                 fair[node_id]["writes_attempted"]
-
-
-# --------------------------------------------------------------------------
-# fault_oracle_diff: what it holds equal and what it excuses
-# --------------------------------------------------------------------------
-
-class TestFaultOracleDiff:
-    @pytest.fixture()
-    def sim_and_plan(self):
-        spec = default_scenario(4, 2, seed=7, time_scale=1.0)
-        plan = builtin_plan("kill", spec.nodes, time_scale=1.0)
-        return run_sim_scenario(spec, fault_plan=plan), plan
-
-    @staticmethod
-    def as_live(sim: Dict[str, Dict[str, Any]],
-                plan: FaultPlan) -> Dict[str, Dict[str, Any]]:
-        """A sim run dressed as a live one: recovered nodes carry the
-        re-join evidence a plan's restart leaves behind."""
-        live = copy.deepcopy(sim)
-        for action in plan.recoveries():
-            live[action.node_id]["recovering"] = True
-        return live
-
-    def test_matching_runs_produce_no_problems(self, sim_and_plan):
-        sim, plan = sim_and_plan
-        assert fault_oracle_diff(sim, self.as_live(sim, plan), plan) == []
-
-    def test_flags_survivor_count_mismatch(self, sim_and_plan):
-        sim, plan = sim_and_plan
-        live = self.as_live(sim, plan)
-        survivor = next(n for n in sorted(sim)
-                        if n not in {a.node_id for a in plan.crashes()})
-        live[survivor]["writes_applied"]["obj0"] += 1
-        problems = fault_oracle_diff(sim, live, plan)
-        assert any("writes_applied" in p and survivor in p for p in problems)
-
-    def test_excuses_recovered_node_counts_but_not_evidence(self,
-                                                            sim_and_plan):
-        sim, plan = sim_and_plan
-        victim = plan.crashes()[0].node_id
-        live = self.as_live(sim, plan)
-        # Amnesia: a restarted node's counts may differ — not a problem.
-        live[victim]["writes_applied"]["obj0"] = 0
-        live[victim]["final_counts"] = {}
-        assert fault_oracle_diff(sim, live, plan) == []
-        # But missing re-join evidence is.
-        live[victim]["recovering"] = False
-        problems = fault_oracle_diff(sim, live, plan)
-        assert any("restart" in p and victim in p for p in problems)
-
-    def test_flags_missing_survivor_outcome(self, sim_and_plan):
-        sim, plan = sim_and_plan
-        live = self.as_live(sim, plan)
-        survivor = next(n for n in sorted(sim)
-                        if n not in {a.node_id for a in plan.crashes()})
-        del live[survivor]
-        problems = fault_oracle_diff(sim, live, plan)
-        assert any(survivor in p and "no live outcome" in p
-                   for p in problems)
-
-    def test_no_survivors_is_its_own_problem(self, sim_and_plan):
-        sim, _ = sim_and_plan
-        everyone = FaultPlan()
-        for node_id in sim:
-            everyone.crash(node_id, at=1.0)
-        assert fault_oracle_diff(sim, sim, everyone) == \
-            ["fault plan leaves no survivors to compare"]
 
 
 # --------------------------------------------------------------------------
@@ -581,97 +534,16 @@ def test_cli_refuses_bad_input_before_spawning(case, tmp_path, monkeypatch,
     assert line.startswith("error: ") and named in line
 
 
-# --------------------------------------------------------------------------
-# a plan that recovers a node before one of its writes is refused
-# --------------------------------------------------------------------------
+def test_run_live_deployment_refuses_an_unknown_node_before_spawning(
+        tmp_path, monkeypatch):
+    def spawned(*_args, **_kwargs):
+        raise AssertionError("node processes were spawned")
 
-class TestRecoveryBeforeAWriteIsRefused:
-    """A restarted node mints write seqs from 1 again, so a write it makes
-    after its recovery would be dropped by its peers as a duplicate.  Both
-    entry points refuse such a plan before anything spawns, naming the
-    node, its recovery time and the write's time."""
-
-    def plan_and_first_write(self, time_scale):
-        plan = FaultPlan().crash("n07", at=0.5).recover("n07", at=1.0)
-        spec = default_scenario(8, 2, seed=7, time_scale=time_scale)
-        first = min(t for t, node, _, _ in spec.writes
-                    if node == "n07" and t >= 1.0)
-        return spec, plan, first
-
-    def test_cli_exits_2_with_one_error_line(self, tmp_path, monkeypatch,
-                                             capsys):
-        spec, plan, first = self.plan_and_first_write(5.0 / 4.4)
-        path = tmp_path / "plan.json"
-        path.write_text(json.dumps(plan.to_dict()), encoding="utf-8")
-
-        def spawned(*_args, **_kwargs):
-            raise AssertionError("node processes were spawned")
-
-        monkeypatch.setattr(live_cli, "run_live_deployment", spawned)
-        assert live_cli.main(["--fault-plan", str(path),
-                              "--rundir", str(tmp_path / "run")]) == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: ")
-        assert "n07" in line and "t=1.000s" in line
-        assert f"t={first:.3f}s" in line
-
-    def test_run_live_deployment_raises_before_spawning(self, tmp_path,
-                                                        monkeypatch):
-        spec, plan, first = self.plan_and_first_write(1.0)
-
-        def spawned(*_args, **_kwargs):
-            raise AssertionError("a deployment was built")
-
-        monkeypatch.setattr(chaos, "LiveDeployment", spawned)
-        with pytest.raises(ValueError) as refused:
-            run_live_deployment(spec, str(tmp_path), plan)
-        message = str(refused.value)
-        assert "n07" in message and "t=1.000s" in message
-        assert f"t={first:.3f}s" in message
-
-    @staticmethod
-    def writes_of(spec, node):
-        return sorted(t for t, writer, _, _ in spec.writes if writer == node)
-
-    def test_a_recovery_at_a_write_time_is_refused(self):
-        spec = default_scenario(8, 2, seed=7)
-        at = self.writes_of(spec, "n07")[-1]
-        plan = FaultPlan().crash("n07", at=at - 0.5).recover("n07", at=at)
-        with pytest.raises(ValueError, match=f"t={at:.3f}s before"):
-            check_plan(spec, plan)
-
-    def test_a_recovery_after_the_nodes_last_write_is_accepted(self):
-        spec = default_scenario(8, 2, seed=7)
-        last = self.writes_of(spec, "n07")[-1]
-        check_plan(spec, FaultPlan().crash("n07", at=0.5)
-                   .recover("n07", at=last + 0.1))
-
-    def test_only_the_recovered_nodes_own_writes_count(self):
-        spec = default_scenario(8, 2, seed=7)
-        last = self.writes_of(spec, "n00")[-1]
-        # Other nodes still write after n00 comes back; that is fine.
-        assert any(t > last + 0.001 for t, _, _, _ in spec.writes)
-        check_plan(spec, FaultPlan().crash("n00", at=last + 0.001)
-                   .recover("n00", at=last + 0.002))
-
-    def test_a_node_left_down_is_accepted(self):
-        spec = default_scenario(8, 2, seed=7)
-        check_plan(spec, FaultPlan().crash("n07", at=0.5))
-
-    def test_a_plan_naming_an_unknown_node_is_refused(self):
-        spec = default_scenario(8, 2, seed=7)
-        with pytest.raises(ValueError, match="n99"):
-            check_plan(spec, FaultPlan().crash("n99", at=0.5))
-
-    @pytest.mark.parametrize("name", ["churn", "kill", "partition"])
-    def test_builtin_plans_schedule_no_write_after_a_recovery(self, name):
-        for nodes in (4, 8, 16):
-            for duration in (3.0, 5.0, 6.0, 12.0):
-                time_scale = duration / 4.4
-                spec = default_scenario(nodes, 2, seed=7,
-                                        time_scale=time_scale)
-                check_plan(spec, builtin_plan(name, spec.nodes,
-                                              time_scale=time_scale))
+    monkeypatch.setattr(LiveDeployment, "start", spawned)
+    spec = default_scenario(4, 1, seed=7)
+    with pytest.raises(ValueError, match="'n99'"):
+        run_live_deployment(spec, str(tmp_path),
+                            FaultPlan().crash("n99", at=0.5))
 
 
 # --------------------------------------------------------------------------
@@ -691,34 +563,40 @@ def _await_epoch(deployment: LiveDeployment, timeout: float = 20.0) -> None:
 
 
 class TestChaosEndToEnd:
-    def test_kill_plan_matches_fault_tolerant_oracle(self, tmp_path):
+    def test_kill_plan_matches_oracle(self, tmp_path):
         """The acceptance path in miniature: a multiprocess deployment,
-        SIGKILL + plan-ordered restart mid-run, fault-tolerant oracle
-        match and the plan's recovery evidence."""
+        SIGKILL + plan-ordered restart mid-run, and the one oracle matching
+        on every node — the victim included, whose restart comes before
+        its post-resolution writes and resumes from its journal."""
         spec = default_scenario(4, 2, seed=7, time_scale=1.0)
         plan = builtin_plan("kill", spec.nodes, time_scale=1.0)
+        victim = "n03"  # kill takes victims from the tail
+        (recovery,) = plan.recoveries()
+        assert recovery.node_id == victim
+        assert any(node == victim and t > recovery.time
+                   for t, node, _, _ in spec.writes)
         outcomes, controller = run_live_deployment(spec, str(tmp_path), plan)
         reconnects = activity(outcomes)["reconnects"]
-        problems = fault_oracle_diff(run_sim_scenario(spec, fault_plan=plan),
-                                     outcomes, plan)
+        problems = oracle_diff(run_sim_scenario(spec, fault_plan=plan),
+                               outcomes)
         problems += controller.evidence_problems(reconnects)
         assert problems == []
-        assert controller.rejoins >= 1
+        assert controller.rejoins == 1
         assert reconnects > 0
-        victim = "n03"  # kill takes victims from the tail
         outcome = outcomes[victim]
-        assert outcome["recovering"] is True
-        assert "SIGKILL" in outcome["exit_status"]
+        assert outcome["exit_status"] == ["SIGKILL", "exit 0"]
+        assert outcome["writes_applied"] == {"obj0": 3, "obj1": 3}
+        assert os.path.getsize(tmp_path / "state" / victim) > 0
 
     def test_cli_fails_on_an_unapplied_recovery(self, tmp_path, monkeypatch,
                                                 capsys):
-        """Recovery evidence is part of the verdict: survivors that match
-        the oracle do not excuse a controller that ordered fewer re-joins
-        than the plan has recoveries."""
+        """Recovery evidence is part of the verdict: outcomes that match
+        the oracle do not make up for a controller that ordered fewer
+        re-joins than the plan has recoveries."""
         def fake_live(spec, rundir, plan, **kwargs):
             outcomes = run_sim_scenario(spec, fault_plan=plan)
             for outcome in outcomes.values():
-                outcome.update(reconnects=1, recovering=True)
+                outcome.update(reconnects=1)
             controller = LiveFaultController.__new__(LiveFaultController)
             controller.plan, controller.timeline = plan, []
             controller.rejoins = 0
@@ -796,7 +674,24 @@ class TestKillAndRestart:
             outcomes = deployment.wait()
         finally:
             deployment.terminate()
-        assert outcomes[victim]["recovering"] is True
+        assert outcomes[victim]["exit_status"] == ["SIGKILL", "exit 0"]
+
+    def test_a_restart_right_after_a_kill_reaps_the_killed_incarnation(
+            self, tmp_path):
+        """A recovery landing within one controller tick of its crash: the
+        SIGKILLed process is reaped before the next incarnation spawns, so
+        its late exit is not read as an unplanned crash."""
+        spec = default_scenario(2, 1, seed=4, time_scale=0.3)
+        deployment = LiveDeployment(spec, str(tmp_path), kind="uds")
+        victim = spec.nodes[-1]
+        try:
+            deployment.start()
+            _await_epoch(deployment)
+            deployment.kill_node(victim)
+            deployment.restart_node(victim)
+            outcomes = deployment.wait()
+        finally:
+            deployment.terminate()
         assert outcomes[victim]["exit_status"] == ["SIGKILL", "exit 0"]
 
 

@@ -1,0 +1,261 @@
+"""A live node's journal: replicas, own write seqs and outcome counters
+outlive the process (DESIGN.md §15).
+
+A live stack is driven on one event loop and its journal replayed into a
+fresh stack; a recovering incarnation runs in-process
+(``node_main.run_node``).  One test spawns a process: the incarnation a
+malformed journal fails.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import copy
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import time
+
+import pytest
+
+import repro.live.node_main as node_main
+from repro.core.resolution import merge_vectors
+from repro.live.scenario import (ScenarioSpec, build_live_stack,
+                                 make_addresses)
+from repro.live.wire import (HEADER, MAX_FRAME_BYTES, WireError,
+                             encode_envelope)
+from repro.store.replica import Replica
+from repro.transport.message import Message
+
+NODE = "n00"
+
+
+def one_node_spec() -> ScenarioSpec:
+    return ScenarioSpec(nodes=[NODE], objects=["obj0", "obj1"], writes=[],
+                        resolutions=[], truncate_at=1.0, duration=1.0, seed=3)
+
+
+def fresh_stack(spec, rundir, loop):
+    addresses = make_addresses(spec.nodes, "uds", str(rundir))
+    return build_live_stack(spec, NODE, addresses, kind="uds", loop=loop)
+
+
+def peer_image(replica: Replica, now: float):
+    """What a resolution initiator pushes: this replica's vector merged with
+    a peer ``n09`` that wrote twice."""
+    peer = Replica("n09", replica.object_id)
+    peer.local_write("n09", 0.5, metadata_delta=2.0, payload={"p": 1})
+    peer.local_write("n09", 0.6, metadata_delta=1.5, payload={"p": 2})
+    return merge_vectors([replica.vector, peer.vector], consistent_time=now)
+
+
+def state_of(stack):
+    """Everything a replay must restore, copied out of the live objects."""
+    state = {"outcome": copy.deepcopy(stack.outcome())}
+    for obj, middleware in stack.middlewares.items():
+        replica = middleware.replica
+        state[obj] = copy.deepcopy((
+            replica.vector.counts().as_dict(), replica.vector.total_updates(),
+            replica.metadata, replica.vector.last_consistent_time,
+            replica.content(), replica.log.checkpoint.counts,
+            replica.truncation_stats, replica.next_seq(NODE)))
+    return state
+
+
+def install_from_n09(stack) -> None:
+    """A peer's resolution install that also invalidates one record."""
+    now = stack.node.clock.now
+    image = peer_image(stack.middlewares["obj0"].replica, now)
+    stack.node.deliver(Message(
+        msg_id=1, src="n09", dst=NODE, protocol="idea",
+        msg_type="idea_install:obj0",
+        payload={"merged": image, "invalidated": [("n09", 1)]},
+        size_bytes=0, sent_at=now, deliver_at=now))
+
+
+async def resolve_obj1(stack) -> None:
+    stack._do_resolution("obj1")
+    for _ in range(100):
+        if stack.resolutions:
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError("the one-node round never completed")
+
+
+#: the schedule a journalled stack is driven through, one step at a time:
+#: every kind of journal record, each replayed at the prefix it ends
+STEPS = {
+    "write": lambda stack: stack._do_write(("obj0", 1.0)),
+    "write-other-object": lambda stack: stack._do_write(("obj1", 2.0)),
+    "blocked-write": lambda stack: (
+        stack.middlewares["obj0"].replica.block_writes(),
+        stack._do_write(("obj0", 3.0))),
+    "install-and-invalidate": install_from_n09,
+    "write-after-install": lambda stack: stack._do_write(("obj0", 4.0)),
+    "resolved-round": resolve_obj1,
+    "truncate": lambda stack: stack._do_truncate(),
+    "write-after-truncate": lambda stack: stack._do_write(("obj0", 5.0)),
+}
+
+
+@pytest.fixture(scope="module")
+def journalled(tmp_path_factory):
+    """Drive a stack through :data:`STEPS`; the journal's path and, per
+    step, its size and the stack's state right after that step."""
+    journal = str(tmp_path_factory.mktemp("journalled") / "journal")
+
+    async def run():
+        stack = fresh_stack(one_node_spec(), os.path.dirname(journal),
+                            asyncio.get_running_loop())
+        stack.keep_journal(journal, fresh=True)
+        after = {}
+        for name, step in STEPS.items():
+            done = step(stack)
+            if asyncio.iscoroutine(done):
+                await done
+            after[name] = (os.path.getsize(journal), state_of(stack))
+        stack.shutdown()  # closes the journal
+        return after
+
+    return journal, asyncio.run(run())
+
+
+def replayed(tmp_path, data: bytes):
+    """Replay ``data`` as a journal into a fresh stack: (torn bytes, state,
+    the file's bytes afterwards)."""
+    path = tmp_path / "replayed"
+    path.write_bytes(data)
+
+    async def run():
+        stack = fresh_stack(one_node_spec(), tmp_path,
+                            asyncio.get_running_loop())
+        return stack.replay(str(path)), state_of(stack)
+
+    torn, state = asyncio.run(run())
+    return torn, state, path.read_bytes()
+
+
+def journal_bytes(journalled) -> bytes:
+    with open(journalled[0], "rb") as fh:
+        return fh.read()
+
+
+def test_the_drive_covers_what_a_replay_must_restore(journalled):
+    _, after = journalled
+    outcome = after["write-after-truncate"][1]["outcome"]
+    assert outcome["writes_attempted"] == {"obj0": 4, "obj1": 1}
+    assert outcome["writes_applied"] == {"obj0": 3, "obj1": 1}
+    assert outcome["detections_run"] == {"obj0": 3, "obj1": 1}
+    assert outcome["resolutions"] == [["obj1", NODE, "active"]]
+    assert outcome["folded"]["obj0"] > 0
+    assert outcome["final_counts"]["obj0"] == {NODE: 3, "n09": 2}
+    assert after["write-after-truncate"][1]["obj0"][-1] == 4  # next_seq
+    sizes = [size for size, _ in after.values()]
+    assert sizes == sorted(set(sizes))  # every step appended a record
+
+
+@pytest.mark.parametrize("step", STEPS)
+def test_replay_restores_the_state_at_every_record(journalled, step,
+                                                   tmp_path):
+    """Vectors, live content, checkpoint counts, next seqs and the outcome
+    of the stack right after ``step`` come back from the journal up to
+    that step."""
+    size, state = journalled[1][step]
+    torn, replayed_state, _ = replayed(tmp_path,
+                                       journal_bytes(journalled)[:size])
+    assert torn == 0
+    assert replayed_state == state
+
+
+@pytest.mark.parametrize("cut", [1, 3, 4, 9])
+def test_a_torn_final_frame_is_dropped_and_cut_from_the_file(journalled, cut,
+                                                             tmp_path):
+    """A kill during an append leaves part of a header or of a body: the
+    replay drops it, reports its bytes and cuts it off, so the next append
+    starts on a frame edge."""
+    data = journal_bytes(journalled)
+    torn, state, kept = replayed(tmp_path, data + data[:cut])
+    assert torn == cut
+    assert kept == data
+    assert state == journalled[1]["write-after-truncate"][1]
+
+
+def frame(kind: str, obj: str = "obj0", *args) -> bytes:
+    return encode_envelope(NODE, obj, "journal", kind, list(args), 0, 0.0)
+
+
+#: case -> a whole frame no replay may accept, appended to a good journal
+MALFORMED = {
+    "body-is-not-json": HEADER.pack(3) + b"{x}",
+    "unknown-record": frame("rollback"),
+    "unknown-object": frame("blocked", "obj9"),
+    "write-without-its-record": frame("write"),
+    "arguments-not-a-list": encode_envelope(NODE, "obj0", "journal",
+                                            "blocked", {}, 0, 0.0),
+    "another-nodes-record": encode_envelope("n01", "obj0", "journal",
+                                            "blocked", [], 0, 0.0),
+    "not-a-journal-record": encode_envelope(NODE, "obj0", "idea",
+                                            "blocked", [], 0, 0.0),
+    "header-past-the-frame-limit": HEADER.pack(MAX_FRAME_BYTES + 1) + b"[]",
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_malformed_frame_is_refused_naming_file_and_offset(journalled, case,
+                                                             tmp_path):
+    data = journal_bytes(journalled)
+    with pytest.raises(WireError) as refused:
+        replayed(tmp_path, data + MALFORMED[case])
+    assert str(refused.value).startswith(
+        f"{tmp_path / 'replayed'}: malformed journal frame at byte "
+        f"{len(data)}:")
+
+
+def test_a_recovering_incarnation_reports_the_torn_frame(journalled,
+                                                         tmp_path):
+    """``run_node`` replays before it binds; with the run long over it
+    writes its outcome at once — the pre-kill counts and the torn bytes."""
+    before = journalled[1]["write-after-truncate"][1]
+    spec = one_node_spec()
+    rundir = tmp_path / "run"
+    for sub in ("state", "epoch", "ready"):
+        (rundir / sub).mkdir(parents=True)
+    (rundir / "state" / NODE).write_bytes(journal_bytes(journalled)
+                                          + b"\x00\x00")
+    (rundir / "epoch" / NODE).write_text(repr(time.monotonic() - 100.0))
+    document = {"spec": spec.to_dict(), "kind": "uds", "rundir": str(rundir),
+                "addresses": make_addresses(spec.nodes, "uds", str(rundir))}
+    outcome = asyncio.run(node_main.run_node(document, NODE,
+                                             recovering=True))
+    assert outcome["torn_journal_bytes"] == 2
+    for key in ("writes_attempted", "writes_applied", "detections_run",
+                "resolutions", "final_counts", "folded"):
+        assert outcome[key] == before["outcome"][key]
+
+
+def test_a_malformed_frame_fails_the_recovering_incarnation(journalled,
+                                                           tmp_path):
+    """What ``LiveDeployment.wait`` shows as the node's log tail."""
+    spec = one_node_spec()
+    data = bytearray(journal_bytes(journalled))
+    second = HEADER.size + HEADER.unpack_from(data)[0]
+    data[second + HEADER.size] = ord("{")  # a whole frame, not JSON
+    rundir = tmp_path / "run"
+    (rundir / "state").mkdir(parents=True)
+    (rundir / "state" / NODE).write_bytes(bytes(data))
+    spec_path = rundir / "spec.json"
+    spec_path.write_text(json.dumps({
+        "spec": spec.to_dict(), "kind": "uds", "rundir": str(rundir),
+        "addresses": make_addresses(spec.nodes, "uds", str(rundir))}))
+    src = str(pathlib.Path(node_main.__file__).parents[2])
+    node = subprocess.run(
+        [sys.executable, "-m", "repro.live.node_main", str(spec_path), NODE,
+         "--recovering"], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert node.returncode == 1
+    last = node.stderr.splitlines()[-1]
+    assert last.startswith(f"repro.live.wire.WireError: {rundir}/state/"
+                           f"{NODE}: malformed journal frame at byte {second}")
+    assert not (rundir / f"{NODE}.sock").exists()  # refused before binding
