@@ -17,10 +17,11 @@ package provides their real-network implementation:
 * :class:`~repro.live.deployment.LiveDeployment` +
   :mod:`repro.live.node_main` — one-process-per-node bring-up, kill,
   restart and teardown; a crash no plan ordered fails the run;
-* :mod:`repro.live.chaos` + :mod:`repro.live.control` — replay a
+* :mod:`repro.live.chaos` — replay a
   :class:`~repro.scenarios.plan.FaultPlan` against the real processes:
-  SIGKILLs for crashes, ``--recovering`` restarts for recoveries,
-  control-channel drop rules for partitions and loss;
+  SIGKILLs for crashes and ``--recovering`` restarts for recoveries from
+  the parent, while each node arms the plan's partitions and loss on its
+  own clock with the simulator's ``FaultInjector``;
   :func:`~repro.live.chaos.run_live_deployment` runs a multiprocess
   deployment, with or without a plan;
 * ``python -m repro.live`` — the one CLI running the live oracle: a seeded
@@ -31,12 +32,11 @@ package provides their real-network implementation:
 from repro.live.backoff import BackoffPolicy
 from repro.live.chaos import LiveFaultController, builtin_plan, resolve_plan
 from repro.live.clock import LiveClock
-from repro.live.control import ControlClient, ControlError, ControlServer
 from repro.live.deployment import LiveDeployment
 from repro.live.node import LiveNode
 from repro.live.transport import LiveTransport
 from repro.live.wire import WireError
 
-__all__ = ["BackoffPolicy", "ControlClient", "ControlError", "ControlServer",
-           "LiveClock", "LiveDeployment", "LiveFaultController", "LiveNode",
-           "LiveTransport", "WireError", "builtin_plan", "resolve_plan"]
+__all__ = ["BackoffPolicy", "LiveClock", "LiveDeployment",
+           "LiveFaultController", "LiveNode", "LiveTransport", "WireError",
+           "builtin_plan", "resolve_plan"]

@@ -10,12 +10,13 @@ bring-up checks).  This is the one way to run the live oracle.
 
 ``--fault-plan NAME|PATH`` turns the run into a chaos run: the plan (a
 builtin like ``churn``, or a ``FaultPlan.to_dict`` JSON file) is replayed
-against the real processes — SIGKILLs, ``--recovering`` restarts,
-control-channel partitions — while the same plan runs on the simulator, and
-the same oracle judges every node (DESIGN.md §15).  A plan with crashes
-also asserts nonzero transport reconnects and one re-join per planned
-recovery.  The applied chaos timeline lands in
-``<rundir>/chaos_timeline.json``.
+against the real processes — SIGKILLs and ``--recovering`` restarts from
+here, partitions and loss armed by every node on its own clock — while the
+same plan runs on the simulator, and the same oracle judges every node
+(DESIGN.md §15).  Every node must report each of the plan's network
+actions applied; a plan with crashes also asserts nonzero transport
+reconnects and one re-join per planned recovery.  The crash/recovery
+timeline lands in ``<rundir>/chaos_timeline.json``.
 
 Exit codes: 0 success, 1 deployment failure or oracle mismatch, 2 bad
 arguments or fault plan (one ``error:`` line; nothing is spawned).
@@ -111,8 +112,8 @@ def main(argv=None) -> int:
     print("\n".join(activity_lines(totals)))
     if controller is not None:
         print(f"  reconnects:            {totals['reconnects']}")
-        print(f"  chaos: {len(controller.timeline)} actions applied, "
-              f"{controller.rejoins} plan re-joins "
+        print(f"  chaos: {len(controller.timeline)} crashes and recoveries "
+              f"applied, {controller.rejoins} plan re-joins "
               f"(timeline: {os.path.join(rundir, 'chaos_timeline.json')})")
 
     problems = []
@@ -123,7 +124,7 @@ def main(argv=None) -> int:
     if totals["resolutions"] == 0:
         problems.append("no resolution completed")
     if controller is not None:
-        problems.extend(controller.evidence_problems(totals["reconnects"]))
+        problems.extend(controller.evidence_problems(live))
 
     if not args.no_oracle:
         problems.extend(oracle_diff(run_sim_scenario(spec, fault_plan=plan),

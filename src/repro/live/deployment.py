@@ -5,7 +5,8 @@ repro.live.node_main <spec.json> <node_id>``), each running the per-node
 stack from :mod:`repro.live.scenario` over UNIX sockets or localhost TCP.
 
 Bring-up protocol: the parent writes ``spec.json`` (scenario + address book
-+ run directory) and spawns the children; each child binds its listening
++ run directory + the fault plan's network actions, which every node arms
+on its own clock) and spawns the children; each child binds its listening
 socket, touches ``ready/<node_id>``, then polls until *every* ready file
 exists; only then does it rebase its clock to t=0, record the epoch in
 ``epoch/<node_id>``, and start the scenario schedule — so all nodes enter
@@ -34,8 +35,8 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Set
 
-from repro.live.control import control_address
 from repro.live.scenario import ScenarioSpec, make_addresses
+from repro.scenarios.plan import NETWORK_KINDS, FaultPlan
 from repro.transport.errors import TransportError
 
 #: how long past the scenario's duration :meth:`LiveDeployment.wait` lets
@@ -58,12 +59,19 @@ def describe_exit(returncode: int) -> str:
 
 
 class LiveDeployment:
-    """Runs a :class:`ScenarioSpec` as one process per node on localhost."""
+    """Runs a :class:`ScenarioSpec` as one process per node on localhost.
+
+    ``plan`` (a :class:`FaultPlan` over the spec's nodes, else
+    ``ValueError``) is the run's fault plan: its network actions travel in
+    ``spec.json``; its crashes and recoveries are
+    :class:`~repro.live.chaos.LiveFaultController`'s to order."""
 
     def __init__(self, spec: ScenarioSpec, rundir: str, *,
-                 kind: str = "uds") -> None:
+                 kind: str = "uds", plan: Optional[FaultPlan] = None) -> None:
         if kind not in ("uds", "tcp"):
             raise DeploymentError(f"unknown transport kind {kind!r}")
+        self.plan = plan or FaultPlan()
+        self.plan.validate(spec.nodes)
         self.spec = spec
         self.rundir = os.path.abspath(rundir)
         self.kind = kind
@@ -88,13 +96,10 @@ class LiveDeployment:
     def log_path(self, node_id: str) -> str:
         return os.path.join(self.rundir, "log", f"{node_id}.log")
 
-    def control_path(self, node_id: str) -> str:
-        return control_address(self.rundir, node_id)
-
     # --------------------------------------------------------------- lifecycle
     def start(self) -> None:
         """Write the spec and spawn one node process per node id."""
-        for sub in ("ready", "out", "log", "ctl", "epoch", "state"):
+        for sub in ("ready", "out", "log", "epoch", "state"):
             os.makedirs(os.path.join(self.rundir, sub), exist_ok=True)
         self.addresses = make_addresses(self.spec.nodes, self.kind,
                                         self.rundir)
@@ -104,7 +109,7 @@ class LiveDeployment:
             "rundir": self.rundir,
             "addresses": {n: list(a) if isinstance(a, tuple) else a
                           for n, a in self.addresses.items()},
-            "control": {n: self.control_path(n) for n in self.spec.nodes},
+            "plan": self.plan.only(NETWORK_KINDS).to_dict(),
         }
         with open(self.spec_path, "w", encoding="utf-8") as fh:
             json.dump(document, fh, indent=2)

@@ -4,18 +4,22 @@
 
 Reads the deployment document written by
 :class:`~repro.live.deployment.LiveDeployment`, builds this node's stack,
-binds its listening socket and control channel, joins the ready-file
-barrier, runs the scenario schedule on wall-clock time, and writes its
-protocol outcomes to ``out/<node_id>.json``.
+binds its listening socket, joins the ready-file barrier, runs the scenario
+schedule and the fault plan's network actions on wall-clock time, and
+writes its protocol outcomes to ``out/<node_id>.json``.  The document is
+outside input: a malformed fault plan in it exits 2 with one ``error:``
+line.
 
 A fresh node records its clock epoch (the host-wide ``time.monotonic``
 value at barrier exit) in ``epoch/<node_id>`` before starting the
 schedule, and journals its replica changes to ``state/<node_id>``.  A
 **recovering** incarnation — respawned by a fault plan's recovery after
 its crash — replays that journal before it binds (a malformed frame
-raises, exit 1), skips the barrier, re-touches its ready file, rebases its clock onto
-the *original* epoch so ``now`` resumes mid-timeline, and runs only the
-still-future schedule: its outcome covers the whole run (DESIGN.md §15).
+raises, exit 1), rebases its clock onto the *original* epoch so ``now``
+resumes mid-timeline, applies the plan's network actions already due
+before its transport starts, skips the barrier, re-touches its ready file
+and runs only the still-future schedule: its outcome covers the whole run
+(DESIGN.md §15).
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ import asyncio
 import json
 import os
 import sys
+from typing import Optional
 
-from repro.live.control import ControlServer
 from repro.live.scenario import ScenarioSpec, build_live_stack
+from repro.scenarios.injector import FaultInjector
+from repro.scenarios.plan import FaultPlan
 from repro.transport.errors import TransportError
 
 #: how long a node waits for the rest of the deployment to come up
@@ -59,7 +65,10 @@ async def _barrier(rundir: str, node_id: str, nodes) -> None:
 
 
 async def run_node(document: dict, node_id: str, *,
-                   recovering: bool = False) -> dict:
+                   recovering: bool = False,
+                   plan: Optional[FaultPlan] = None) -> dict:
+    """Run one node to the end of the spec; ``plan`` holds the network
+    actions it applies to its own transport."""
     spec = ScenarioSpec.from_dict(document["spec"])
     kind = document["kind"]
     rundir = document["rundir"]
@@ -74,33 +83,36 @@ async def run_node(document: dict, node_id: str, *,
     stack.keep_journal(journal, fresh=not recovering)
     transport = stack.node.transport
     clock = stack.node.clock
-    await transport.start()
-    control = None
-    control_path = (document.get("control") or {}).get(node_id)
-    if control_path:
-        control = ControlServer(transport, node_id, control_path)
-        await control.start()
-
+    injector = FaultInjector(stack.deployment, plan or FaultPlan())
     epoch_path = os.path.join(rundir, "epoch", node_id)
     if not recovering:
+        await transport.start()
         await _barrier(rundir, node_id, spec.nodes)
         # All listening sockets are up: rebase to t=0, record the epoch so a
         # future recovering incarnation can resume the same timeline
         # (time.monotonic/loop.time share an origin across processes on one
-        # host), then start probing and the schedule.
+        # host), then start probing, the schedule and the plan.  The epoch
+        # file appears whole (write, then rename): a SIGKILL right after it
+        # exists must not leave its recovering incarnation an empty file.
         t0 = clock.rebase()
         os.makedirs(os.path.dirname(epoch_path), exist_ok=True)
-        with open(epoch_path, "w", encoding="utf-8") as fh:
+        with open(epoch_path + ".tmp", "w", encoding="utf-8") as fh:
             fh.write(repr(t0))
+        os.replace(epoch_path + ".tmp", epoch_path)
         transport.start_heartbeats()
         stack.schedule()
+        injector.arm(catch_up=True)
         remaining = spec.duration
     else:
-        # Rejoin a running deployment: no barrier (peers are mid-run),
-        # resume the original timeline and only the future schedule.
-        _touch_ready(rundir, node_id)
+        # Rejoin a running deployment mid-timeline, inside whatever
+        # partition or loss burst the plan has in force before the first
+        # byte moves; no barrier (peers are mid-run), only the future
+        # schedule.
         with open(epoch_path, "r", encoding="utf-8") as fh:
             clock.rebase(float(fh.read()))
+        injector.arm(catch_up=True)
+        await transport.start()
+        _touch_ready(rundir, node_id)
         transport.start_heartbeats()
         stack.schedule(from_time=clock.now)
         remaining = max(0.0, spec.duration - clock.now)
@@ -110,9 +122,10 @@ async def run_node(document: dict, node_id: str, *,
     outcome["torn_journal_bytes"] = torn
     outcome["reconnects"] = transport.reconnects
     outcome["drop_reasons"] = dict(transport.stats.drop_reasons)
+    outcome["faults_applied"] = [
+        {"planned_at": action.time, "applied_at": at, "kind": action.kind}
+        for at, action in injector.applied]
     outcome["pid"] = os.getpid()
-    if control is not None:
-        await control.stop()
     await transport.stop()
     return outcome
 
@@ -131,7 +144,14 @@ def main(argv=None) -> int:
     if node_id not in document["spec"]["nodes"]:
         print(f"unknown node id {node_id!r}", file=sys.stderr)
         return 2
-    outcome = asyncio.run(run_node(document, node_id, recovering=recovering))
+    try:
+        plan = FaultPlan.from_dict(document.get("plan", {}))
+        plan.validate(document["spec"]["nodes"])
+    except ValueError as exc:
+        print(f"error: {spec_path}: bad fault plan: {exc}", file=sys.stderr)
+        return 2
+    outcome = asyncio.run(run_node(document, node_id, recovering=recovering,
+                                   plan=plan))
     out_path = os.path.join(document["rundir"], "out", f"{node_id}.json")
     tmp_path = out_path + ".tmp"
     with open(tmp_path, "w", encoding="utf-8") as fh:

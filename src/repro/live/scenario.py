@@ -179,6 +179,7 @@ class NodeStack:
     def __init__(self, deployment: IdeaDeployment, node_id: str,
                  spec: ScenarioSpec) -> None:
         self.spec = spec
+        self.deployment = deployment
         self.node = deployment.nodes[node_id]
         self.store = deployment.stores[node_id]
         self.runtime = deployment.runtimes[node_id]
@@ -356,9 +357,10 @@ def run_sim_scenario(spec: ScenarioSpec, *, latency: float = 0.02,
 
     A ``fault_plan`` (:class:`~repro.scenarios.plan.FaultPlan`) is armed
     by the ordinary :class:`~repro.scenarios.injector.FaultInjector`, so
-    crashes go through the deployment's ``crash_node`` orchestration (the
-    live half delivers the same plan as signals and control-channel rules;
-    see :mod:`repro.live.chaos`).
+    crashes go through the deployment's ``crash_node`` orchestration (on
+    the live backend each node arms the plan's network actions with the
+    same injector, and the runner sends the signals; see
+    :mod:`repro.live.chaos`).
     """
     deployment = scenario_builder(spec, latency=latency).build()
     stacks = {node_id: NodeStack(deployment, node_id, spec)

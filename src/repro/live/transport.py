@@ -38,10 +38,12 @@ and moves messages as length-prefixed frames (:mod:`repro.live.wire`):
   failed node); one successful probe marks it back up.  Nothing else
   listens to these transitions.
 
-The chaos control channel (:mod:`repro.live.chaos`) injects the sim fault
-taxonomy at this layer: :meth:`set_blocked_peers` turns sends to (and
-inbound frames from) the blocked set into counted ``partition`` drops, and
-:meth:`set_loss_probability` applies seeded Bernoulli ``loss`` drops at
+The simulated :class:`~repro.sim.network.Network`'s fault surface is here
+too, so one :class:`~repro.scenarios.injector.FaultInjector` applies a
+fault plan on either backend: :meth:`partition` (the sim's group rule)
+turns sends to (and inbound frames from) every peer outside this
+process's group into counted ``partition`` drops, :meth:`heal` lifts it,
+and :meth:`set_loss_probability` applies seeded Bernoulli ``loss`` drops at
 send time — the same drop reasons the simulated ``Network`` records, so
 ``NetworkStats`` stays comparable across backends.
 
@@ -145,8 +147,8 @@ class _InboundFrames(asyncio.Protocol):
                 self._refuse()
                 return
             if src in owner._blocked_peers:
-                # frames in flight when the partition rule landed, or from
-                # a peer that has not received its rule yet
+                # frames in flight when the partition began, or from a peer
+                # whose clock has not reached it yet
                 owner._count_drop(protocol, "partition")
                 continue
             owner._deliver_local(owner._make_message(
@@ -209,7 +211,7 @@ class LiveTransport:
         self._peer_down: Set[str] = set()
         self._probe_tasks: List["asyncio.Task[None]"] = []
 
-        # --- chaos drop rules (pushed over the control channel) ---
+        # --- fault drop rules (see partition / set_loss_probability) ---
         self._blocked_peers: Set[str] = set()
         self._loss_probability = 0.0
         self._loss_rng: Optional[Any] = None
@@ -305,17 +307,41 @@ class LiveTransport:
                     with contextlib.suppress(OSError):
                         os.unlink(address)
 
-    # ------------------------------------------------------ chaos drop rules
-    def set_blocked_peers(self, peers: Sequence[str]) -> None:
-        """Partition rule: sends to (and frames from) ``peers`` become
-        counted ``partition`` drops, matching sim ``Network.partition``."""
-        self._blocked_peers = set(peers)
+    # ------------------------------------------------------ fault drop rules
+    def partition(self, groups: Sequence[Sequence[str]]) -> None:
+        """Split the network as sim ``Network.partition`` does: messages
+        flow only within a group, and the nodes no group lists form one
+        more.  Sends to (and frames from) every known id outside the group
+        of this process's endpoints become counted ``partition`` drops."""
+        group_of: Dict[str, int] = {}
+        for index, group in enumerate(groups):
+            for node_id in group:
+                if node_id in group_of:
+                    raise ValueError(f"node {node_id!r} listed in two groups")
+                if node_id not in self._known:
+                    raise KeyError(
+                        f"partition group names unknown node {node_id!r}")
+                group_of[node_id] = index
+        own = {group_of.get(node_id, -1) for node_id in self._nodes}
+        if len(own) > 1:
+            raise ValueError("this transport's endpoints sit in different "
+                             "partition groups")
+        self._blocked_peers = {node_id for node_id in self._known
+                               if group_of.get(node_id, -1) not in own}
+
+    def heal(self) -> None:
+        """Remove any active partition (idempotent)."""
+        self._blocked_peers = set()
+
+    @property
+    def loss_probability(self) -> float:
+        return self._loss_probability
 
     def set_loss_probability(self, probability: float) -> None:
         """Bernoulli ``loss`` drops at send time, seeded from the clock's
         random streams so a given (seed, sequence of sends) replays."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("loss probability must be within [0, 1]")
+        if not 0.0 <= probability < 1.0:
+            raise ValueError("loss_probability must be in [0, 1)")
         self._loss_probability = float(probability)
 
     def _loss_draw(self) -> bool:

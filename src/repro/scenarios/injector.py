@@ -1,16 +1,20 @@
-"""Arms a :class:`~repro.scenarios.plan.FaultPlan` on a live deployment.
+"""Arms a :class:`~repro.scenarios.plan.FaultPlan` on a deployment.
 
-The injector translates plan actions into simulator events.  Crash and
-recover go through :meth:`IdeaDeployment.crash_node` /
+The injector schedules each plan action on the deployment's clock and
+applies it there.  Crash and recover go through
+:meth:`IdeaDeployment.crash_node` /
 :meth:`~repro.core.deployment.IdeaDeployment.recover_node` so every layer
 reacts (node timers, overlay eviction, digest tables); partition, heal and
-loss changes go straight to the :class:`~repro.sim.network.Network`.
+loss changes go straight to the deployment's transport — the simulated
+:class:`~repro.sim.network.Network`, or a live node's
+:class:`~repro.live.transport.LiveTransport`, which arms the plan's network
+actions on its own wall clock.
 
-Fault events are scheduled with a priority *after* network deliveries at the
-same instant, so a message already due at the crash time is still delivered
-(or dropped by the network's own rules) before the node disappears —
-matching the crash-stop intuition that a fault takes effect "between"
-protocol steps.
+Actions due at the same instant apply in plan order on either clock: each
+scheduled callback first applies every earlier action not yet applied, so
+a clock that does not keep insertion order for equal deadlines (asyncio's
+timer heap) still applies the plan in order.  On the simulator, whose
+queue does keep it, every callback applies exactly its own action.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ class FaultInjector:
         self.plan = plan
         plan.validate(deployment.node_ids)
         self._armed = False
+        self._actions = plan.actions()
+        #: plan position of the next action to apply
+        self._next = 0
         #: loss values saved by set_loss applications, restored LIFO by
         #: restore_loss actions (what loss_burst without a baseline emits)
         self._loss_stack: List[float] = []
@@ -44,40 +51,54 @@ class FaultInjector:
         self.applied: List[Tuple[float, FaultAction]] = []
 
     # -------------------------------------------------------------- lifecycle
-    def arm(self) -> "FaultInjector":
-        """Schedule every plan action on the deployment's simulator."""
+    def arm(self, *, catch_up: bool = False) -> "FaultInjector":
+        """Schedule every plan action on the deployment's clock.
+
+        An action before ``now`` raises, unless ``catch_up``: then the
+        actions already due apply at once, in plan order, and only the
+        rest are scheduled (a live node arming the plan after its
+        timeline began).
+        """
         if self._armed:
             raise RuntimeError("fault plan already armed")
         self._armed = True
-        sim = self.deployment.sim
-        for action in self.plan.actions():
-            if action.time < sim.now:
+        clock = self.deployment.clock
+        now = clock.now
+        for index, action in enumerate(self._actions):
+            if action.time >= now:
+                clock.call_at(action.time, self._apply, arg=index,
+                              label=f"fault:{action.kind}")
+            elif catch_up:
+                self._apply(index)
+            else:
                 raise ValueError(
-                    f"fault at t={action.time} is in the past (now={sim.now})")
-            sim.call_at(action.time, self._apply, arg=action,
-                        label=f"fault:{action.kind}")
+                    f"fault at t={action.time} is in the past (now={now})")
         return self
 
     # -------------------------------------------------------------- applying
-    def _apply(self, action: FaultAction) -> None:
+    def _apply(self, index: int) -> None:
+        """Apply the plan's actions up to position ``index`` not yet
+        applied, in plan order."""
         d = self.deployment
-        if action.kind == CRASH:
-            d.crash_node(action.node_id)
-        elif action.kind == RECOVER:
-            d.recover_node(action.node_id)
-        elif action.kind == PARTITION:
-            d.network.partition(action.groups)
-        elif action.kind == HEAL:
-            d.network.heal()
-        elif action.kind == SET_LOSS:
-            self._loss_stack.append(d.network.loss_probability)
-            d.network.set_loss_probability(action.loss_probability)
-        elif action.kind == RESTORE_LOSS:
-            if self._loss_stack:
-                d.network.set_loss_probability(self._loss_stack.pop())
-        else:  # pragma: no cover - plan authoring guards against this
-            raise ValueError(f"unknown fault kind {action.kind!r}")
-        self.applied.append((d.sim.now, action))
+        transport = d.transport
+        while self._next <= index:
+            action = self._actions[self._next]
+            self._next += 1
+            if action.kind == CRASH:
+                d.crash_node(action.node_id)
+            elif action.kind == RECOVER:
+                d.recover_node(action.node_id)
+            elif action.kind == PARTITION:
+                transport.partition(action.groups)
+            elif action.kind == HEAL:
+                transport.heal()
+            elif action.kind == SET_LOSS:
+                self._loss_stack.append(transport.loss_probability)
+                transport.set_loss_probability(action.loss_probability)
+            elif action.kind == RESTORE_LOSS:
+                if self._loss_stack:
+                    transport.set_loss_probability(self._loss_stack.pop())
+            self.applied.append((d.clock.now, action))
 
     # ------------------------------------------------------------- inspection
     @property

@@ -18,8 +18,10 @@ the same instant apply in the order the plan author wrote them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+import numbers
+import sys
+from dataclasses import dataclass
+from typing import Any, Collection, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +34,18 @@ HEAL = "heal"
 SET_LOSS = "set_loss"
 RESTORE_LOSS = "restore_loss"
 
+#: kinds that stop or start a node; on a live deployment they need a
+#: process boundary, so the runner applies them, not the node
+PROCESS_KINDS = (CRASH, RECOVER)
+#: kinds that change the network; each live node applies them itself
+NETWORK_KINDS = (PARTITION, HEAL, SET_LOSS, RESTORE_LOSS)
+KINDS = PROCESS_KINDS + NETWORK_KINDS
+
+
+def _real(value: Any) -> bool:
+    """A real number, and not a bool (JSON's ``true`` is no time or loss)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class FaultAction:
@@ -42,6 +56,25 @@ class FaultAction:
     node_id: Optional[str] = None
     groups: Optional[Tuple[Tuple[str, ...], ...]] = None
     loss_probability: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown fault kind {self.kind!r}")
+        if not (_real(self.time) and 0.0 <= self.time <= sys.float_info.max):
+            raise ValueError("fault actions are scheduled at a finite time "
+                             ">= 0")
+        if self.kind in PROCESS_KINDS and not isinstance(self.node_id, str):
+            raise ValueError(f"{self.kind} needs a node_id")
+        if self.kind == PARTITION:
+            if not self.groups:
+                raise ValueError("a partition needs at least one group")
+            listed = [node_id for group in self.groups for node_id in group]
+            if len(set(listed)) < len(listed):
+                raise ValueError("a node is listed in two groups")
+        if self.kind == SET_LOSS:
+            loss = self.loss_probability
+            if not (_real(loss) and 0.0 <= loss < 1.0):
+                raise ValueError("loss_probability must be in [0, 1)")
 
     def to_dict(self) -> dict:
         """Plain-data form (JSON-safe); inverse of :meth:`from_dict`."""
@@ -55,13 +88,26 @@ class FaultAction:
         return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FaultAction":
-        groups = data.get("groups")
-        return cls(time=float(data["time"]), kind=str(data["kind"]),
-                   node_id=data.get("node_id"),
-                   groups=(None if groups is None
-                           else tuple(tuple(g) for g in groups)),
-                   loss_probability=data.get("loss_probability"))
+    def from_dict(cls, data: Any) -> "FaultAction":
+        """Inverse of :meth:`to_dict`, for outside input: anything it cannot
+        have written raises ``ValueError``; fields the kind does not use
+        are ignored."""
+        if not isinstance(data, dict):
+            raise ValueError("an action must be an object")
+        kind = data.get("kind")
+        groups = data.get("groups") if kind == PARTITION else None
+        if groups is not None:
+            if not (isinstance(groups, list) and all(
+                    isinstance(group, list)
+                    and all(isinstance(n, str) for n in group)
+                    for group in groups)):
+                raise ValueError("groups must be a list of lists of node ids")
+            groups = tuple(tuple(group) for group in groups)
+        return cls(time=data.get("time"), kind=kind, groups=groups,
+                   node_id=(data.get("node_id") if kind in PROCESS_KINDS
+                            else None),
+                   loss_probability=(data.get("loss_probability")
+                                     if kind == SET_LOSS else None))
 
     def describe(self) -> str:
         if self.kind == CRASH:
@@ -86,8 +132,6 @@ class FaultPlan:
 
     # ------------------------------------------------------------- authoring
     def _add(self, action: FaultAction) -> "FaultPlan":
-        if action.time < 0:
-            raise ValueError("fault actions cannot be scheduled before t=0")
         self._actions.append(action)
         return self
 
@@ -100,20 +144,18 @@ class FaultPlan:
         return self._add(FaultAction(time=at, kind=RECOVER, node_id=node_id))
 
     def partition(self, groups: Sequence[Sequence[str]], at: float) -> "FaultPlan":
-        """Split the network into ``groups`` at ``at`` (see Network.partition)."""
-        frozen = tuple(tuple(g) for g in groups)
-        if not frozen:
-            raise ValueError("a partition needs at least one group")
-        return self._add(FaultAction(time=at, kind=PARTITION, groups=frozen))
+        """Split the network into ``groups`` at ``at`` (see Network.partition);
+        a node may be listed in one group only."""
+        return self._add(FaultAction(time=at, kind=PARTITION,
+                                     groups=tuple(tuple(g) for g in groups)))
 
     def heal(self, at: float) -> "FaultPlan":
         """Remove any active partition at ``at``."""
         return self._add(FaultAction(time=at, kind=HEAL))
 
     def set_loss(self, loss_probability: float, at: float) -> "FaultPlan":
-        """Change the network's per-message loss probability at ``at``."""
-        if not 0.0 <= loss_probability < 1.0:
-            raise ValueError("loss_probability must be in [0, 1)")
+        """Change the network's per-message loss probability at ``at``
+        (within [0, 1))."""
         return self._add(FaultAction(time=at, kind=SET_LOSS,
                                      loss_probability=loss_probability))
 
@@ -252,17 +294,30 @@ class FaultPlan:
     def to_dict(self) -> dict:
         """Plain-data form: the action list in application order.
 
-        This is the interchange format between the sim injector and the
-        live chaos controller — a plan authored once (or loaded from a JSON
-        file) replays against either backend.
+        A plan file and a live node's deployment document carry this form,
+        so a plan authored once replays against either backend.
         """
         return {"actions": [a.to_dict() for a in self.actions()]}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
+    def from_dict(cls, data: Any) -> "FaultPlan":
+        """Inverse of :meth:`to_dict`, for outside input: anything it cannot
+        have written raises ``ValueError`` naming the action at fault."""
+        actions = data.get("actions", []) if isinstance(data, dict) else None
+        if not isinstance(actions, list):
+            raise ValueError("a fault plan is an object with an actions list")
         plan = cls()
-        for raw in data.get("actions", []):
-            plan._add(FaultAction.from_dict(raw))
+        for index, raw in enumerate(actions):
+            try:
+                plan._add(FaultAction.from_dict(raw))
+            except ValueError as exc:
+                raise ValueError(f"actions[{index}]: {exc}") from None
+        return plan
+
+    def only(self, kinds: Collection[str]) -> "FaultPlan":
+        """The actions whose kind is in ``kinds``, in application order."""
+        plan = FaultPlan()
+        plan._actions = [a for a in self.actions() if a.kind in kinds]
         return plan
 
     # -------------------------------------------------------------- querying
@@ -273,7 +328,7 @@ class FaultPlan:
     def window(self, after: float, until: float) -> List[FaultAction]:
         """Actions due in ``(after, until]``, in application order.
 
-        A wall-clock scheduler (the live chaos controller) ticks at its own
+        A wall-clock scheduler (the live runner's controller) ticks at its own
         cadence and applies each tick's window exactly once: half-open
         bounds make consecutive windows partition the timeline, so no
         action is ever applied twice or skipped between ticks.

@@ -1,39 +1,36 @@
 """Live chaos: fault plans replayed against real node processes.
 
-Covers the pieces individually — FaultPlan serialisation and windowing,
-the builtin plan catalog, the control channel, the sim fault scenario —
-and then end to end: a multiprocess deployment with a chaos controller
-SIGKILLing and restarting real node processes while the same plan runs on
-the simulator and ``oracle_diff`` judges every node, an unplanned crash
-failing the run, bad ``python -m repro.live`` input refused before
-anything spawns, and idempotent teardown (DESIGN.md §15).
+Covers the pieces individually — FaultPlan serialisation, windowing and
+its refusal of malformed outside input, the builtin plan catalog, the sim
+fault scenario, the run's evidence check — and then end to end: a
+multiprocess deployment with a chaos controller SIGKILLing and restarting
+real node processes while every node arms the plan's network actions and
+the same plan runs on the simulator, ``oracle_diff`` judging every node,
+an unplanned crash failing the run, bad ``python -m repro.live`` input
+refused before anything spawns, and idempotent teardown (DESIGN.md §15).
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import signal
-import socket
 import time
-from typing import Any, Dict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.live.__main__ as live_cli
-import repro.live.chaos as chaos
+import repro.live.node_main as node_main
 from repro.live.chaos import (LiveFaultController, builtin_plan,
                               resolve_plan, run_live_deployment)
-from repro.live.control import ControlClient, ControlError, ControlServer
 from repro.live.deployment import (DeploymentError, LiveDeployment,
                                    describe_exit)
 from repro.live.scenario import (REJOIN_GAP, activity, default_scenario,
-                                 oracle_diff, run_sim_scenario)
+                                 make_addresses, oracle_diff,
+                                 run_sim_scenario)
 from repro.scenarios.plan import FaultAction, FaultPlan
-from repro.transport.message import NetworkStats
 
 
 # --------------------------------------------------------------------------
@@ -148,315 +145,57 @@ class TestBuiltinPlans:
 
 
 # --------------------------------------------------------------------------
-# control channel: parent-side client against an in-loop server
+# FaultPlan.from_dict: a plan file and a node's deployment document are
+# outside input
 # --------------------------------------------------------------------------
-
-class FakeTransport:
-    """Just enough surface for ControlServer: drop rules + introspection."""
-
-    def __init__(self) -> None:
-        self.blocked: Any = None
-        self.loss: Any = None
-        self.stats = NetworkStats()
-        self.reconnects = 3
-
-        class _Clock:
-            now = 1.5
-        self.clock = _Clock()
-
-    def set_blocked_peers(self, peers) -> None:
-        self.blocked = sorted(peers)
-
-    def set_loss_probability(self, probability: float) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("loss probability must be within [0, 1]")
-        self.loss = probability
-
-
-def test_control_round_trip(tmp_path):
-    transport = FakeTransport()
-    address = str(tmp_path / "n00.sock")
-    server = ControlServer(transport, "n00", address)
-    client = ControlClient(address, timeout=5.0)
-
-    async def _go() -> Dict[str, Any]:
-        await server.start()
-        loop = asyncio.get_running_loop()
-
-        def _call(request):
-            return loop.run_in_executor(None, client.call, request)
-
-        await _call({"op": "partition", "blocked": ["n02", "n01"]})
-        await _call({"op": "set_loss", "probability": 0.25})
-        pong = await _call({"op": "ping"})
-        await _call({"op": "heal"})
-        await server.stop()
-        return pong
-
-    pong = asyncio.run(_go())
-    assert transport.loss == 0.25
-    assert transport.blocked == []  # heal cleared the partition rule
-    assert pong["node_id"] == "n00"
-    assert pong["reconnects"] == 3
-    assert pong["now"] == 1.5
-    assert "drop_reasons" in pong["stats"]
-
-
-def test_control_errors_are_replies_not_crashes(tmp_path):
-    """A bad request gets an ``ok: False`` reply (raised client-side as
-    ControlError); the server keeps answering afterwards."""
-    transport = FakeTransport()
-    address = str(tmp_path / "n00.sock")
-    server = ControlServer(transport, "n00", address)
-    client = ControlClient(address, timeout=5.0)
-
-    async def _go():
-        await server.start()
-        loop = asyncio.get_running_loop()
-        for bad in ({"op": "warp-core-breach"},
-                    {"op": "set_loss", "probability": 7.0}):
-            with pytest.raises(ControlError):
-                await loop.run_in_executor(None, client.call, bad)
-        pong = await loop.run_in_executor(None, client.call, {"op": "ping"})
-        await server.stop()
-        return pong
-
-    assert asyncio.run(_go())["ok"] is True
-
-
-# ---- malformed control bodies: one ``ok: false`` frame, nothing changed ----
-
-#: what FakeTransport holds before a request; a rejected request leaves it
-UNTOUCHED = {"blocked": ["sentinel"], "loss": 0.125}
-
-
-def _body_is_acceptable(body: bytes) -> bool:
-    """The control protocol's grammar, stated independently of the server."""
-    try:
-        request = json.loads(body)
-    except (ValueError, RecursionError):  # bad UTF-8, bad or cut-off JSON
-        return False
-    if not isinstance(request, dict):
-        return False
-    op = request.get("op")
-    if op in ("heal", "ping"):
-        return True
-    if op == "partition":
-        blocked = request.get("blocked")
-        return (isinstance(blocked, list)
-                and all(isinstance(peer, str) for peer in blocked))
-    if op == "set_loss":
-        p = request.get("probability")
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
-            return False
-        try:
-            return 0.0 <= float(p) <= 1.0
-        except OverflowError:
-            return False
-    return False
-
-
-class _CapturedWriter:
-    """The part of ``asyncio.StreamWriter`` the control server uses."""
-
-    def __init__(self) -> None:
-        self.data = b""
-
-    def write(self, data: bytes) -> None:
-        self.data += data
-
-    async def drain(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-    async def wait_closed(self) -> None:
-        pass
-
-
-def _serve(stream: bytes) -> tuple:
-    """One connection handler fed ``stream`` then EOF; returns the decoded
-    response frames and the transport.  A handler that raises fails here —
-    on a socket that is an unhandled task exception."""
-    transport = FakeTransport()
-    transport.blocked = list(UNTOUCHED["blocked"])
-    transport.loss = UNTOUCHED["loss"]
-    server = ControlServer(transport, "n00", "unused.sock")
-
-    async def _go() -> bytes:
-        reader = asyncio.StreamReader()
-        reader.feed_data(stream)
-        reader.feed_eof()
-        writer = _CapturedWriter()
-        await server._serve(reader, writer)
-        return writer.data
-
-    raw = asyncio.run(_go())
-    responses = []
-    while raw:
-        length = int.from_bytes(raw[:4], "big")
-        responses.append(json.loads(raw[4:4 + length]))
-        raw = raw[4 + length:]
-    return responses, transport
-
-
-def _framed(body: bytes) -> bytes:
-    return len(body).to_bytes(4, "big") + body
-
-
-def _rules(transport) -> Dict[str, Any]:
-    return {"blocked": transport.blocked, "loss": transport.loss}
-
-
-def _assert_rejected_without_effect(body: bytes) -> None:
-    responses, transport = _serve(_framed(body))
-    assert len(responses) == 1, (body, responses)
-    assert responses[0]["ok"] is False and responses[0]["error"], responses
-    assert _rules(transport) == UNTOUCHED
-
-
-#: one of each kind of malformed body; the first answered ``{"ok": true}``
-#: and blocked the peers "n" and "1" before the field checks existed
-MALFORMED_BODIES = {
-    "blocked-is-a-string": b'{"op": "partition", "blocked": "n1"}',
-    "blocked-missing": b'{"op": "partition"}',
-    "blocked-holds-a-number": b'{"op": "partition", "blocked": ["n1", 2]}',
-    "blocked-is-an-object": b'{"op": "partition", "blocked": {"n1": true}}',
-    "probability-is-a-string": b'{"op": "set_loss", "probability": "0.5"}',
-    "probability-is-a-bool": b'{"op": "set_loss", "probability": true}',
-    "probability-is-null": b'{"op": "set_loss", "probability": null}',
-    "probability-missing": b'{"op": "set_loss"}',
-    "probability-out-of-range": b'{"op": "set_loss", "probability": 7.0}',
-    "probability-nan": b'{"op": "set_loss", "probability": NaN}',
-    "probability-overflows-float":
-        b'{"op": "set_loss", "probability": 1' + b"0" * 400 + b'}',
-    "unknown-op": b'{"op": "warp-core-breach"}',
-    "op-is-a-list": b'{"op": ["partition"]}',
-    "no-op": b'{}',
-    "json-list": b'["partition", ["n1"]]',
-    "json-string": b'"partition"',
-    "json-number": b'42',
-    "json-null": b'null',
-    "truncated-json": b'{"op": "partition", "blocked": ["n1"',
-    "truncated-json-in-a-string": b'{"op": "pa',
-    "empty-body": b'',
-    "invalid-utf8-in-a-string": b'{"op": "partition", "blocked": ["\xff\xfe"]}',
-    "invalid-utf8": b'\x80\x81\x82',
-    "nested-past-the-recursion-limit": b'[' * 100_000,
-}
-
-
-@pytest.mark.parametrize("name", MALFORMED_BODIES)
-def test_malformed_control_body_is_rejected_without_effect(name):
-    body = MALFORMED_BODIES[name]
-    assert not _body_is_acceptable(body)
-    _assert_rejected_without_effect(body)
-
 
 _scalars = st.one_of(st.none(), st.booleans(), st.integers(-5, 5),
                      st.integers(10 ** 300, 10 ** 400),
                      st.floats(allow_nan=True, allow_infinity=True),
                      st.sampled_from([0.0, 0.25, 1.0, 1.5, -0.5]),
-                     st.text(max_size=4))
+                     st.text(max_size=4), st.sampled_from(["a", "b"]))
 _values = st.recursive(
     _scalars, lambda inner: st.one_of(
         st.lists(inner, max_size=3),
         st.dictionaries(st.text(max_size=4), inner, max_size=3)),
     max_leaves=6)
-_requests = st.builds(
-    lambda op, extra, fields: {**extra, **fields, "op": op},
-    st.sampled_from(["partition", "heal", "set_loss", "ping", "restore_loss",
-                     "", None, 3]),
-    st.dictionaries(st.text(max_size=4), _values, max_size=2),
-    st.fixed_dictionaries({}, optional={
-        "blocked": st.one_of(_values,
-                             st.lists(st.text(max_size=3), max_size=3)),
-        "probability": _values}))
-_json_bodies = st.one_of(_requests, _values).map(
-    lambda value: json.dumps(value).encode("utf-8"))
-#: request-shaped JSON, arbitrary JSON, either cut short, and raw bytes
-control_bodies = st.one_of(
-    _json_bodies,
-    st.builds(lambda body, at: body[:at % (len(body) + 1)],
-              _json_bodies, st.integers(0, 2 ** 16)),
-    st.binary(max_size=40))
+_nodes = st.sampled_from(["a", "b", "c"])
+_actions = st.fixed_dictionaries(
+    {"kind": st.one_of(st.sampled_from(["crash", "recover", "partition",
+                                        "heal", "set_loss", "restore_loss",
+                                        "meteor"]), _scalars)},
+    optional={"time": st.one_of(_scalars, st.floats(0.0, 10.0)),
+              "node_id": st.one_of(_scalars, _nodes),
+              "groups": st.one_of(_values, st.lists(
+                  st.lists(_nodes, max_size=3), max_size=3)),
+              "loss_probability": st.one_of(_scalars, st.floats(0.0, 1.0)),
+              "extra": _scalars})
+#: plan-shaped JSON and arbitrary JSON
+plan_documents = st.one_of(
+    st.fixed_dictionaries({"actions": st.lists(_actions, max_size=4)}),
+    _values)
 
 
-@settings(max_examples=300, deadline=None)
-@given(body=control_bodies)
-def test_fuzzed_control_bodies_get_exactly_one_reply(body):
-    """Every body gets exactly one reply frame; a body outside the grammar
-    gets ``ok: false`` and leaves the transport as it was; one inside it is
-    applied."""
-    if not _body_is_acceptable(body):
-        _assert_rejected_without_effect(body)
+@settings(max_examples=150, deadline=None)
+@given(document=plan_documents)
+def test_a_plan_from_outside_is_refused_or_round_trips(document):
+    """For any JSON value, ``FaultPlan.from_dict`` raises ``ValueError``, or
+    returns a plan that round-trips through ``to_dict`` and JSON and passes
+    ``validate`` over the nodes it names."""
+    try:
+        plan = FaultPlan.from_dict(document)
+    except ValueError:
         return
-    responses, transport = _serve(_framed(body))
-    assert len(responses) == 1 and responses[0]["ok"] is True, responses
-    request = json.loads(body)
-    after = dict(UNTOUCHED)
-    if request["op"] == "partition":
-        after["blocked"] = sorted(request["blocked"])
-    elif request["op"] == "heal":
-        after["blocked"] = []
-    elif request["op"] == "set_loss":
-        after["loss"] = float(request["probability"])
-    assert _rules(transport) == after
+    data = json.loads(json.dumps(plan.to_dict(), allow_nan=False))
+    assert FaultPlan.from_dict(data).to_dict() == plan.to_dict()
+    named = {a.node_id for a in plan if a.node_id is not None}
+    named |= {n for a in plan for g in a.groups or () for n in g}
+    plan.validate(sorted(named))
 
 
-def test_a_frame_cut_short_is_not_a_request():
-    """Fewer bytes than the header announces, then EOF: the connection is
-    closed without a reply and without effect (only whole frames count)."""
-    responses, transport = _serve(_framed(b'{"op": "heal"}')[:-3])
-    assert responses == []
-    assert _rules(transport) == UNTOUCHED
-
-
-def test_malformed_control_bodies_over_a_socket_never_reach_the_loop_handler(
-        tmp_path):
-    """The same bodies through a real UNIX socket: one reply each, the
-    server keeps serving, and asyncio's exception handler is never called
-    (an unhandled exception in the per-connection task would land there)."""
-    transport = FakeTransport()
-    address = str(tmp_path / "n00.sock")
-    server = ControlServer(transport, "n00", address)
-    loop_errors = []
-
-    def _exchange(body: bytes) -> Dict[str, Any]:
-        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-            sock.settimeout(5.0)
-            sock.connect(address)
-            sock.sendall(_framed(body))
-            header = ControlClient._recv_exactly(sock, 4)
-            reply = ControlClient._recv_exactly(
-                sock, int.from_bytes(header, "big"))
-            sock.shutdown(socket.SHUT_WR)
-            assert sock.recv(1) == b""  # exactly one frame, then EOF
-        return json.loads(reply)
-
-    async def _go():
-        loop = asyncio.get_running_loop()
-        loop.set_exception_handler(
-            lambda _loop, context: loop_errors.append(context))
-        await server.start()
-        replies = [await loop.run_in_executor(None, _exchange, body)
-                   for body in MALFORMED_BODIES.values()]
-        pong = await loop.run_in_executor(None, _exchange, b'{"op": "ping"}')
-        await server.stop()
-        return replies, pong
-
-    replies, pong = asyncio.run(_go())
-    assert [reply["ok"] for reply in replies] == [False] * len(replies)
-    assert pong["ok"] is True
-    assert transport.blocked is None and transport.loss is None
-    assert loop_errors == []
-
-
-def test_control_client_raises_when_nobody_listens(tmp_path):
-    client = ControlClient(str(tmp_path / "nope.sock"), timeout=0.2)
-    with pytest.raises(ControlError):
-        client.call({"op": "ping"})
+def test_authoring_refuses_a_node_in_two_groups():
+    with pytest.raises(ValueError, match="two groups"):
+        FaultPlan().partition([["a", "b"], ["b"]], at=1.0)
 
 
 # --------------------------------------------------------------------------
@@ -512,6 +251,35 @@ BAD_CLI_INPUT = {
     "plan-action-has-no-time": (["--fault-plan", "{plan}"],
                                 '{"actions": [{"kind": "crash"}]}',
                                 "not a fault plan"),
+    "plan-loss-above-one": (
+        ["--fault-plan", "{plan}"],
+        '{"actions": [{"time": 1.0, "kind": "set_loss", '
+        '"loss_probability": 1.5}]}', "loss_probability"),
+    "plan-loss-of-one": (
+        ["--fault-plan", "{plan}"],
+        '{"actions": [{"time": 1.0, "kind": "set_loss", '
+        '"loss_probability": 1.0}]}', "loss_probability"),
+    "plan-loss-missing": (
+        ["--fault-plan", "{plan}"],
+        '{"actions": [{"time": 1.0, "kind": "set_loss"}]}',
+        "loss_probability"),
+    "plan-unknown-kind": (
+        ["--fault-plan", "{plan}"],
+        '{"actions": [{"time": 1.0, "kind": "meteor"}]}', "'meteor'"),
+    "plan-time-is-a-string": (
+        ["--fault-plan", "{plan}"],
+        '{"actions": [{"time": "nan", "kind": "heal"}]}', "finite time"),
+    "plan-partition-without-groups": (
+        ["--fault-plan", "{plan}"],
+        '{"actions": [{"time": 1.0, "kind": "partition", "groups": []}]}',
+        "at least one group"),
+    "plan-node-in-two-groups": (
+        ["--fault-plan", "{plan}"],
+        '{"actions": [{"time": 1.0, "kind": "partition", '
+        '"groups": [["n00", "n01"], ["n01"]]}]}', "two groups"),
+    "plan-crash-without-a-node": (
+        ["--fault-plan", "{plan}"],
+        '{"actions": [{"time": 1.0, "kind": "crash"}]}', "needs a node_id"),
 }
 
 
@@ -532,6 +300,96 @@ def test_cli_refuses_bad_input_before_spawning(case, tmp_path, monkeypatch,
     assert live_cli.main(argv + ["--rundir", str(tmp_path / "run")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and named in line
+
+
+#: case -> (the ``plan`` a node's deployment document holds, what the error
+#: line must name); the nodes are ``n00`` and ``n01``
+BAD_DOCUMENT_PLAN = {
+    "plan-is-a-list": ([1, 2], "actions list"),
+    "plan-is-a-string": ("partition", "actions list"),
+    "plan-is-a-number": (3, "actions list"),
+    "plan-is-null": (None, "actions list"),
+    "actions-is-an-object": ({"actions": {"time": 1.0}}, "actions list"),
+    "action-is-a-list": ({"actions": [[1.0, "heal"]]}, "must be an object"),
+    "unknown-kind": ({"actions": [{"time": 1.0, "kind": "meteor"}]},
+                     "'meteor'"),
+    "kind-is-a-list": ({"actions": [{"time": 1.0, "kind": ["heal"]}]},
+                       "unknown fault kind"),
+    "no-kind": ({"actions": [{"time": 1.0}]}, "unknown fault kind"),
+    "time-missing": ({"actions": [{"kind": "heal"}]}, "finite time"),
+    "time-is-a-string": ({"actions": [{"time": "1.0", "kind": "heal"}]},
+                         "finite time"),
+    "time-is-a-bool": ({"actions": [{"time": True, "kind": "heal"}]},
+                       "finite time"),
+    "time-is-nan": ({"actions": [{"time": float("nan"), "kind": "heal"}]},
+                    "finite time"),
+    "time-is-negative": ({"actions": [{"time": -1.0, "kind": "heal"}]},
+                         "finite time"),
+    "time-overflows-float": ({"actions": [{"time": 1e400, "kind": "heal"}]},
+                             "finite time"),
+    "groups-missing": ({"actions": [{"time": 1.0, "kind": "partition"}]},
+                       "at least one group"),
+    "groups-is-a-string": ({"actions": [{"time": 1.0, "kind": "partition",
+                                         "groups": "n00"}]}, "list of lists"),
+    "groups-hold-a-number": ({"actions": [{"time": 1.0, "kind": "partition",
+                                           "groups": [[1]]}]},
+                             "list of lists"),
+    "group-is-an-object": ({"actions": [{"time": 1.0, "kind": "partition",
+                                         "groups": [{"n00": 1}]}]},
+                           "list of lists"),
+    "node-in-two-groups": ({"actions": [{"time": 1.0, "kind": "partition",
+                                         "groups": [["n00", "n01"],
+                                                    ["n01"]]}]},
+                           "two groups"),
+    "group-names-an-unknown-node": (
+        {"actions": [{"time": 1.0, "kind": "partition",
+                      "groups": [["n99"]]}]}, "'n99'"),
+    "loss-missing": ({"actions": [{"time": 1.0, "kind": "set_loss"}]},
+                     "loss_probability"),
+    "loss-is-a-string": ({"actions": [{"time": 1.0, "kind": "set_loss",
+                                       "loss_probability": "0.1"}]},
+                         "loss_probability"),
+    "loss-is-a-bool": ({"actions": [{"time": 1.0, "kind": "set_loss",
+                                     "loss_probability": False}]},
+                       "loss_probability"),
+    "loss-of-one": ({"actions": [{"time": 1.0, "kind": "set_loss",
+                                  "loss_probability": 1.0}]},
+                    "loss_probability"),
+    "loss-is-nan": ({"actions": [{"time": 1.0, "kind": "set_loss",
+                                  "loss_probability": float("nan")}]},
+                    "loss_probability"),
+    "crash-without-a-node": ({"actions": [{"time": 1.0, "kind": "crash"}]},
+                             "needs a node_id"),
+    "node-id-is-a-number": ({"actions": [{"time": 1.0, "kind": "recover",
+                                          "node_id": 0}]}, "needs a node_id"),
+    "crash-of-an-unknown-node": ({"actions": [{"time": 1.0, "kind": "crash",
+                                               "node_id": "n99"}]}, "'n99'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_DOCUMENT_PLAN)
+def test_a_node_refuses_a_malformed_plan_in_its_document(case, tmp_path,
+                                                         monkeypatch, capsys):
+    """The deployment document is a node's outside input: a plan in it that
+    ``FaultPlan.from_dict`` or ``validate`` refuses exits 2 with one
+    ``error:`` line naming the fault, before the node builds or binds."""
+    plan, named = BAD_DOCUMENT_PLAN[case]
+    spec = default_scenario(2, 1, seed=7)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "spec": spec.to_dict(), "kind": "uds", "rundir": str(tmp_path),
+        "addresses": make_addresses(spec.nodes, "uds", str(tmp_path)),
+        "plan": plan}), encoding="utf-8")
+
+    async def ran(*_args, **_kwargs):
+        raise AssertionError("the node ran")
+
+    monkeypatch.setattr(node_main, "run_node", ran)
+    assert node_main.main([str(spec_path), "n00"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {spec_path}: bad fault plan: ")
+    assert named in line
+    assert not (tmp_path / "n00.sock").exists()
 
 
 def test_run_live_deployment_refuses_an_unknown_node_before_spawning(
@@ -579,7 +437,7 @@ class TestChaosEndToEnd:
         reconnects = activity(outcomes)["reconnects"]
         problems = oracle_diff(run_sim_scenario(spec, fault_plan=plan),
                                outcomes)
-        problems += controller.evidence_problems(reconnects)
+        problems += controller.evidence_problems(outcomes)
         assert problems == []
         assert controller.rejoins == 1
         assert reconnects > 0
@@ -609,27 +467,52 @@ class TestChaosEndToEnd:
         assert capsys.readouterr().err.splitlines() == [
             "MISMATCH: not every planned recovery was applied"]
 
+    def test_cli_fails_on_a_node_missing_a_network_action(
+            self, tmp_path, monkeypatch, capsys):
+        """Every node that reported must have applied each of the plan's
+        network actions: one that lacks the heal fails the run, although
+        its counts match the oracle."""
+        def fake_live(spec, rundir, plan, **kwargs):
+            outcomes = run_sim_scenario(spec, fault_plan=plan)
+            applied = [{"planned_at": a.time, "applied_at": a.time + 0.001,
+                        "kind": a.kind} for a in plan]
+            for node_id, outcome in outcomes.items():
+                outcome["faults_applied"] = (applied[:1] if node_id == "n02"
+                                             else applied)
+            controller = LiveFaultController.__new__(LiveFaultController)
+            controller.plan, controller.timeline = plan, []
+            controller.rejoins = 0
+            return outcomes, controller
+
+        monkeypatch.setattr(live_cli, "run_live_deployment", fake_live)
+        assert live_cli.main(["--nodes", "4", "--duration", "2.64",
+                              "--fault-plan", "partition",
+                              "--rundir", str(tmp_path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        applied, planned = line.split(", the plan has ")
+        assert applied.startswith("MISMATCH: n02 applied network actions [(")
+        assert "'heal'" not in applied and "'heal'" in planned
+
     def test_controller_timeline_records_every_action(self, tmp_path):
+        """Every node applies the plan's network actions on its own clock
+        and reports them; the parent's timeline holds only what needs a
+        process boundary, so none of them."""
         spec = default_scenario(3, 1, seed=5, time_scale=0.6)
         plan = builtin_plan("partition", spec.nodes, time_scale=0.6)
-        deployment = LiveDeployment(spec, str(tmp_path), kind="uds")
-        controller = LiveFaultController(deployment, plan)
-        try:
-            deployment.start()
-            deployment.wait(on_tick=controller.tick)
-        finally:
-            deployment.terminate()
-            controller.write_timeline(str(tmp_path / "timeline.json"))
-        assert controller.done()
-        applied = [e for e in controller.timeline
-                   if e["action"]["kind"] in ("partition", "heal")]
-        assert [e["action"]["kind"] for e in applied] == \
-            ["partition", "heal"]
-        # every applied rule-push reached every running node
-        assert all(all(e.get("pushed", {}).values()) for e in applied)
-        dumped = json.loads((tmp_path / "timeline.json").read_text())
+        outcomes, controller = run_live_deployment(spec, str(tmp_path), plan)
+        assert controller.evidence_problems(outcomes) == []
+        for outcome in outcomes.values():
+            applied = outcome["faults_applied"]
+            assert [(f["planned_at"], f["kind"]) for f in applied] == \
+                [(a.time, a.kind) for a in plan]
+            # on the node's own clock, at or after the planned instant
+            assert all(f["applied_at"] >= f["planned_at"] for f in applied)
+        assert controller.timeline == []
+        dumped = json.loads((tmp_path / "chaos_timeline.json").read_text())
         assert dumped["plan"] == plan.to_dict()
-        assert len(dumped["timeline"]) == len(controller.timeline)
+        assert dumped["timeline"] == []
+        document = json.loads((tmp_path / "spec.json").read_text())
+        assert document["plan"] == plan.to_dict()
 
 
 class TestKillAndRestart:

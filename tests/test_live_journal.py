@@ -24,8 +24,10 @@ import repro.live.node_main as node_main
 from repro.core.resolution import merge_vectors
 from repro.live.scenario import (ScenarioSpec, build_live_stack,
                                  make_addresses)
+from repro.live.transport import LiveTransport
 from repro.live.wire import (HEADER, MAX_FRAME_BYTES, WireError,
                              encode_envelope)
+from repro.scenarios.plan import FaultPlan
 from repro.store.replica import Replica
 from repro.transport.message import Message
 
@@ -233,6 +235,43 @@ def test_a_recovering_incarnation_reports_the_torn_frame(journalled,
     for key in ("writes_attempted", "writes_applied", "detections_run",
                 "resolutions", "final_counts", "folded"):
         assert outcome[key] == before["outcome"][key]
+
+
+def test_a_recovering_incarnation_is_inside_the_plans_faults_before_it_binds(
+        tmp_path, monkeypatch):
+    """A restart that falls inside a partition and a loss burst: the
+    incarnation applies both at once, in plan order, before its transport
+    starts (no byte crosses the cut), then schedules the rest — and its
+    ``faults_applied`` lists every action due in its run."""
+    spec = ScenarioSpec(nodes=[NODE, "n01"], objects=["obj0"], writes=[],
+                        resolutions=[], truncate_at=1.1, duration=1.2, seed=3)
+    rundir = tmp_path / "run"
+    for sub in ("state", "epoch", "ready"):
+        (rundir / sub).mkdir(parents=True)
+    (rundir / "state" / NODE).write_bytes(b"")
+    (rundir / "epoch" / NODE).write_text(repr(time.monotonic() - 1.0))
+    plan = (FaultPlan().partition([[NODE], ["n01"]], at=0.4)
+            .loss_burst(0.6, duration=0.5, loss_probability=0.3)
+            .heal(at=5.0))
+    at_start = []
+    start = LiveTransport.start
+
+    async def recording_start(transport):
+        at_start.append((transport.clock.now, set(transport._blocked_peers),
+                         transport.loss_probability))
+        await start(transport)
+
+    monkeypatch.setattr(LiveTransport, "start", recording_start)
+    document = {"spec": spec.to_dict(), "kind": "uds", "rundir": str(rundir),
+                "addresses": make_addresses(spec.nodes, "uds", str(rundir))}
+    outcome = asyncio.run(node_main.run_node(document, NODE, recovering=True,
+                                             plan=plan))
+    ((started_at, blocked, loss),) = at_start
+    assert started_at >= 1.0 and blocked == {"n01"} and loss == 0.3
+    applied = outcome["faults_applied"]
+    assert [(f["planned_at"], f["kind"]) for f in applied] == \
+        [(0.4, "partition"), (0.6, "set_loss"), (1.1, "restore_loss")]
+    assert all(f["applied_at"] >= 1.0 for f in applied)
 
 
 def test_a_malformed_frame_fails_the_recovering_incarnation(journalled,

@@ -1047,9 +1047,10 @@ class _Socket:
 
 class _Inbound:
     """A ``LiveTransport`` hosting ``b`` and one accepted connection's
-    protocol, fed by hand: no socket, no loop turn."""
+    protocol, fed by hand: no socket, no loop turn.  ``groups``, if given,
+    partition the address book (``a``, ``b``, ``c``)."""
 
-    def __init__(self, blocked=()) -> None:
+    def __init__(self, groups=None) -> None:
         import asyncio
 
         from repro.live.clock import LiveClock
@@ -1058,12 +1059,14 @@ class _Inbound:
 
         self.loop = asyncio.new_event_loop()
         clock = LiveClock(seed=1, loop=self.loop)
-        self.transport = LiveTransport(clock, {"b": "b.sock"}, kind="uds")
+        self.transport = LiveTransport(
+            clock, {n: f"{n}.sock" for n in ("a", "b", "c")}, kind="uds")
         self.arrived = []
         node = LiveNode(clock, self.transport, "b", processing_delay=0.0)
         node.register_handler("ping", lambda msg: self.arrived.append(
             (msg.src, msg.protocol, msg.payload, msg.size_bytes)))
-        self.transport.set_blocked_peers(blocked)
+        if groups is not None:
+            self.transport.partition(groups)
         self.protocol = _InboundFrames(self.transport)
         self.socket = _Socket()
         self.protocol.connection_made(self.socket)
@@ -1149,7 +1152,7 @@ def test_a_blocked_source_is_dropped_frame_by_frame(sources, data):
               for i, src in enumerate(sources)]
     stream = b"".join(frames)
     cuts = data.draw(st.lists(st.integers(1, len(stream) - 1), max_size=8))
-    inbound = _Inbound(blocked=["a"])
+    inbound = _Inbound(groups=[["a"]])
     try:
         inbound.feed(stream, cuts)
         stats = inbound.transport.stats

@@ -387,6 +387,67 @@ class TestFaultInjector:
         assert deployment.network.loss_probability == 0.02
 
 
+class _LastInFirstOut:
+    """A clock that fires timers with equal deadlines last-in-first-out (as
+    asyncio's timer heap may), and a transport that logs fault calls."""
+
+    def __init__(self, now: float = 0.0) -> None:
+        self.now = now
+        self.timers = []
+        self.calls = []
+        self.loss_probability = 0.0
+        self.node_ids = ["a", "b"]
+        self.clock = self.transport = self
+
+    def call_at(self, when, callback, *, arg, label):
+        self.timers.append((when, callback, arg))
+
+    def fire_all(self) -> None:
+        for when, callback, arg in sorted(
+                reversed(self.timers), key=lambda timer: timer[0]):
+            self.now = when
+            callback(arg)
+
+    def partition(self, groups):
+        self.calls.append(("partition", self.now))
+
+    def heal(self):
+        self.calls.append(("heal", self.now))
+
+    def set_loss_probability(self, p):
+        self.calls.append(("set_loss", self.now))
+        self.loss_probability = p
+
+
+class TestPlanOrderOnAnyClock:
+    PLAN = (FaultPlan().partition([["a"]], at=1.0).set_loss(0.2, at=1.0)
+            .heal(at=1.0).loss_burst(2.0, duration=1.0, loss_probability=0.4))
+
+    def test_same_instant_actions_apply_in_plan_order(self):
+        host = _LastInFirstOut()
+        injector = FaultInjector(host, self.PLAN).arm()
+        host.fire_all()
+        assert host.calls == [("partition", 1.0), ("set_loss", 1.0),
+                              ("heal", 1.0), ("set_loss", 2.0),
+                              ("set_loss", 3.0)]
+        assert [a for _, a in injector.applied] == self.PLAN.actions()
+        assert host.loss_probability == 0.2
+
+    def test_catch_up_applies_what_is_due_at_once_then_schedules_the_rest(
+            self):
+        host = _LastInFirstOut(now=2.5)
+        with pytest.raises(ValueError, match="in the past"):
+            FaultInjector(host, self.PLAN).arm()
+        assert host.timers == []
+        injector = FaultInjector(host, self.PLAN).arm(catch_up=True)
+        assert host.calls == [("partition", 2.5), ("set_loss", 2.5),
+                              ("heal", 2.5), ("set_loss", 2.5)]
+        assert [when for when, _, _ in host.timers] == [3.0]
+        host.fire_all()
+        assert [a for _, a in injector.applied] == self.PLAN.actions()
+        assert host.loss_probability == 0.2
+
+
 # ---------------------------------------------------------------------------
 # Failure-clean resolution
 # ---------------------------------------------------------------------------

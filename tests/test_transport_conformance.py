@@ -15,7 +15,8 @@ tight enough to catch contract violations:
 * the full crash-stop cycle: deliver → fail (sends become counted drops)
   → recover (delivery resumes),
 * RPC request/response, remote error, and timeout behaviour,
-* periodic timer cancel → no ticks after it.
+* periodic timer cancel → no ticks after it,
+* the fault surface: ``partition`` / ``heal`` / loss, as counted drops.
 
 Live-only hardening (no sim counterpart) is covered at the end: bounded
 per-peer send queues with ``queue-overflow`` eviction, heartbeat liveness
@@ -25,6 +26,7 @@ probing, and :class:`BackoffPolicy` determinism.
 from __future__ import annotations
 
 import asyncio
+import collections
 import dataclasses
 import itertools
 
@@ -162,6 +164,59 @@ def test_send_many_reaches_every_destination(harness_factory):
                                   msg_type="fan", payload="x"))
     h.run(1.2)
     assert sorted(got) == ["b", "c"]
+
+
+# --------------------------------------------------------------------------
+# the fault surface a FaultInjector drives on either backend
+# --------------------------------------------------------------------------
+
+def test_partition_heal_and_loss(harness_factory):
+    """``partition(groups)`` with the sim's group rule (``a`` alone, the
+    unlisted ``b`` and ``c`` one implicit group), ``heal``, and a readable
+    loss setting within [0, 1).  Drops are counted under ``partition`` and
+    ``loss``."""
+    h = harness_factory(ids=("a", "b", "c"))
+    transports = list({id(n.transport): n.transport
+                       for n in h.nodes.values()}.values())
+    for transport in transports:
+        with pytest.raises(ValueError, match="two groups"):
+            transport.partition([["a", "b"], ["b"]])
+        with pytest.raises(KeyError, match="ghost"):
+            transport.partition([["a"], ["ghost"]])
+        with pytest.raises(ValueError):
+            transport.set_loss_probability(1.0)
+        assert transport.loss_probability == 0.0
+    got = []
+    for node in h.nodes.values():
+        node.register_handler(
+            "ping", lambda msg: got.append((msg.src, msg.dst, msg.payload)))
+
+    def send(src, dst, payload):
+        h.nodes[src].send(dst, protocol="conformance", msg_type="ping",
+                          payload=payload)
+
+    def on_every_transport(method, *args):
+        return lambda: [getattr(t, method)(*args) for t in transports]
+
+    h.at(0.02, on_every_transport("partition", [["a"]]))
+    h.at(0.05, lambda: (send("a", "b", "cut"), send("c", "a", "cut"),
+                        send("b", "c", "within")))
+    h.at(0.15, on_every_transport("heal"))
+    h.at(0.2, lambda: send("a", "b", "healed"))
+    h.at(0.22, on_every_transport("set_loss_probability", 0.5))
+    h.at(0.25, lambda: [send("b", "c", i) for i in range(40)])
+    h.run(0.4)
+
+    assert ("b", "c", "within") in got and ("a", "b", "healed") in got
+    assert not [m for m in got if m[2] == "cut"]
+    lossy_arrived = [m for m in got if isinstance(m[2], int)]
+    assert 0 < len(lossy_arrived) < 40
+    reasons = collections.Counter()
+    for transport in transports:
+        assert transport.loss_probability == 0.5
+        reasons.update(transport.stats.drop_reasons)
+    assert reasons["partition"] == 2
+    assert reasons["loss"] == 40 - len(lossy_arrived)
 
 
 # --------------------------------------------------------------------------
@@ -451,7 +506,7 @@ def _fan_out_transport(loop, tmp_path):
     LiveNode(clock, transport, "a", processing_delay=0.0)
     LiveNode(clock, transport, "local", processing_delay=0.0) \
         .register_handler("fan", lambda message: None)
-    transport.set_blocked_peers(["cut"])
+    transport.partition([["cut"]])
     transport._peer_down.add("down")
     transport.set_loss_probability(0.3)
     return transport
