@@ -38,6 +38,12 @@ class ComplaintRecord:
     reweighted: bool = False
 
 
+def _unit_level(level: float) -> float:
+    if not 0.0 <= level <= 1.0:          # NaN is not in [0, 1] either
+        raise ValueError("hint level must be in [0, 1]")
+    return level
+
+
 class OnDemandController:
     """User-driven adaptation with complaint learning."""
 
@@ -72,6 +78,10 @@ class OnDemandController:
         return pending
 
     # --------------------------------------------------------------- inputs
+    def set_threshold(self, threshold: float) -> None:
+        """Set the learned threshold outright (the object's ``set_hint``)."""
+        self.learned_threshold = _unit_level(threshold)
+
     def demand_resolution(self) -> None:
         """The user explicitly asks for the inconsistency to be resolved."""
         self._pending_demand = True
@@ -105,9 +115,8 @@ class HintBasedController:
 
     def __init__(self, config: IdeaConfig, *, hint_level: Optional[float] = None) -> None:
         self.config = config
-        self.hint_level: float = config.hint_level if hint_level is None else hint_level
-        if not 0.0 <= self.hint_level <= 1.0:
-            raise ValueError("hint level must be in [0, 1]")
+        self.hint_level: float = _unit_level(
+            config.hint_level if hint_level is None else hint_level)
         self.hint_history: List[Tuple[float, float]] = [(0.0, self.hint_level)]
         self.complaints: List[ComplaintRecord] = []
 
@@ -121,9 +130,7 @@ class HintBasedController:
 
     def set_hint(self, time: float, hint_level: float) -> None:
         """Change the hint at runtime (the Figure 8 scenario)."""
-        if not 0.0 <= hint_level <= 1.0:
-            raise ValueError("hint level must be in [0, 1]")
-        self.hint_level = hint_level
+        self.hint_level = _unit_level(hint_level)
         self.hint_history.append((time, hint_level))
 
     def complain(self, time: float, level: float) -> ComplaintRecord:

@@ -40,6 +40,7 @@ from repro.versioning.extended_vector import (
     ExtendedVersionVector,
     WriterBase,
 )
+from repro.versioning.values import frozen_value
 from repro.versioning.version_vector import VersionVector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -49,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 PROTOCOL = "idea.detection"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class WriterSummary:
     """Per-writer summary carried in a version digest."""
 
@@ -58,7 +59,7 @@ class WriterSummary:
     last_timestamp: float
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class VersionDigest:
     """Compact description of one replica's extended version vector."""
 
@@ -136,7 +137,7 @@ class ReferenceState:
         return ErrorTriple(numerical=numerical, order=order, staleness=staleness)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class DetectionOutcome:
     """Result of ``detect(update)`` at one node."""
 

@@ -271,7 +271,7 @@ class IdeaMiddleware:
         if isinstance(self.controller, HintBasedController):
             self.controller.set_hint(self.node.clock.now, hint_level)
         elif isinstance(self.controller, OnDemandController):
-            self.controller.learned_threshold = hint_level
+            self.controller.set_threshold(hint_level)
         else:
             raise TypeError("automatic-mode objects do not take hints")
 

@@ -18,8 +18,10 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Tuple, Type
 
+from repro.versioning.values import frozen_value
 
-@dataclass(frozen=True, slots=True)
+
+@frozen_value
 class WriteRecorded:
     """A local write was applied through IDEA on one node."""
 

@@ -35,11 +35,11 @@ an update appends one record instead of copying everything retained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice
 from operator import attrgetter
 from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.versioning.values import frozen_value
 from repro.versioning.version_vector import Ordering, VersionVector
 
 
@@ -47,7 +47,7 @@ class TruncatedHistoryError(RuntimeError):
     """An operation needed update records already folded into a checkpoint."""
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class UpdateRecord:
     """A single write applied to a replica.
 
@@ -77,7 +77,7 @@ class UpdateRecord:
         return (self.writer, self.seq)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class WriterBase:
     """Folded stable prefix of one writer's updates (seqs ``1..count``).
 
@@ -122,7 +122,7 @@ class WriterBase:
 WriterBase.EMPTY = WriterBase(count=0, cum_metadata=0.0, last_timestamp=0.0)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ErrorTriple:
     """The ``<numerical error, order error, staleness>`` triple."""
 

@@ -5,10 +5,12 @@ function of the code alone.  The write path's shape is the perf ledger's
 ``sim-detect`` workload, built inline (``tests/`` does not import
 ``benchmarks``): 8 nodes, 8 objects, 4 ``PeriodicTimer`` writers each at a
 0.4 s period, hint 0, no background rounds.  A write there is one timer tick
-and three digest deliveries, and what it costs is, to a first
-approximation, how many Python frames it enters (DESIGN §5, "the three
-standing targets").  The read path's is ``sim-longrun``'s: open-loop
-clients through the ``TrafficDriver``, 90 % reads.
+and three digest deliveries.  A count of the Python frames it enters is
+host-independent, but it is not a price: the per-call floor is an average
+over frames and their bodies, and the C calls inside a frame (a stock
+frozen ``__init__``'s ``object.__setattr__`` per field) are not counted at
+all (DESIGN §5, "per-call floor").  The read path's is ``sim-longrun``'s:
+open-loop clients through the ``TrafficDriver``, 90 % reads.
 
 Five more counts ride along: the interpreted frames one announce costs the
 live frame codec (``live-uds``'s share of a write), the frames one delivered
@@ -16,18 +18,23 @@ digest costs the gossip sweep (``sim-wan-faults``' largest layer), what one
 ``Replica.local_write`` allocates does not depend on how much the writer
 retains, what an install keeps per record holds no object of its own, and no
 value built per write, per read or per decoded frame carries an instance
-``__dict__``.
+``__dict__``; the seven frozen ones behave as stock frozen dataclasses.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import inspect
 import pickle
 import sys
 import tracemalloc
 
+import pytest
+
 from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.deployment import DeploymentBuilder
-from repro.core.detection import VersionDigest, WriterSummary
+from repro.core.detection import DetectionOutcome, VersionDigest, WriterSummary
 from repro.live import wire
 from repro.overlay.gossip import GossipConfig, GossipDigest, GossipService
 from repro.overlay.temperature import TemperatureConfig
@@ -40,7 +47,13 @@ from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.store.replica import Replica
 from repro.transport.timers import PeriodicTimer
-from repro.versioning.extended_vector import ExtendedVersionVector, UpdateRecord
+from repro.versioning.extended_vector import (
+    ErrorTriple,
+    ExtendedVersionVector,
+    UpdateRecord,
+    WriterBase,
+)
+from repro.versioning.values import frozen_value
 from repro.workloads import ClientPopulation, ConstantRate, OpMix, ZipfPopularity
 
 NODES = 8
@@ -392,3 +405,87 @@ def test_per_op_values_have_no_instance_dict_and_pickle():
     clone = pickle.loads(pickle.dumps(values[2]))
     assert clone.counts() == values[2].counts()
     assert clone.total == values[2].total == decoded_digest.total
+
+
+#: the per-op value types built by ``frozen_value`` (every one of them)
+FROZEN_VALUES = (UpdateRecord, WriterBase, ErrorTriple, WriterSummary,
+                 VersionDigest, DetectionOutcome, WriteRecorded)
+
+
+def _stock_twin(cls):
+    """``cls``'s fields under a stock ``@dataclass(frozen=True, slots=True)``."""
+    namespace = ({"__post_init__": cls.__post_init__}
+                 if hasattr(cls, "__post_init__") else {})
+    return dataclasses.make_dataclass(
+        cls.__name__,
+        [(f.name, f.type, dataclasses.field(default=f.default, compare=f.compare,
+                                            repr=f.repr, hash=f.hash))
+         for f in dataclasses.fields(cls)],
+        namespace=namespace, frozen=True, slots=True)
+
+
+def _state(value):
+    """Every field, ``compare=False`` ones included."""
+    return tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+
+
+def _other(value):
+    """A different value of ``value``'s kind (non-negative numbers stay so)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "'"
+    return ("other", value)
+
+
+def test_per_op_values_stay_frozen_and_match_the_stock_dataclass():
+    """The seven types behave as ``@dataclass(frozen=True, slots=True)``
+    does, built from the same fields; only construction differs.  The call
+    budgets count Python frames, not the C calls a stock ``__init__`` makes
+    (one ``object.__setattr__`` per field), so the ``co_names`` check is
+    what holds the constructor to slot stores."""
+    values, _ = _values_of_one_write_and_read()
+    values = [v for v in values if type(v) in FROZEN_VALUES]
+    assert {type(v) for v in values} == set(FROZEN_VALUES)
+    for value in values:
+        cls = type(value)
+        twin = _stock_twin(cls)
+        reference = twin(*_state(value))
+        assert "__setattr__" not in cls.__init__.__code__.co_names, cls.__name__
+        assert "__setattr__" in twin.__init__.__code__.co_names
+        assert inspect.signature(cls) == inspect.signature(twin), cls.__name__
+        assert repr(value) == repr(reference)
+        assert hash(value) == hash(reference)
+        assert value == cls(*_state(value)) and reference == twin(*_state(value))
+        assert value.__getstate__() == reference.__getstate__()
+        clone = pickle.loads(pickle.dumps(value))
+        assert type(clone) is cls and _state(clone) == _state(value)
+        assert _state(copy.copy(value)) == _state(value)
+        assert _state(copy.copy(reference)) == _state(reference)
+        for f in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, f.name)
+            changes = {f.name: _other(getattr(value, f.name))}
+            changed = dataclasses.replace(value, **changes)
+            changed_reference = dataclasses.replace(reference, **changes)
+            assert _state(changed) == _state(changed_reference)
+            assert (changed == value) is (changed_reference == reference)
+            assert ((hash(changed) == hash(value))
+                    is (hash(changed_reference) == hash(reference))), f.name
+    with pytest.raises(ValueError):
+        ErrorTriple(numerical=-1.0)
+
+
+@pytest.mark.parametrize("spec", [
+    dataclasses.field(default_factory=list),
+    dataclasses.field(default=0, init=False),
+    dataclasses.field(default=0, kw_only=True),
+], ids=["default_factory", "init=False", "kw_only"])
+def test_frozen_value_refuses_fields_its_init_does_not_build(spec):
+    namespace = {"__annotations__": {"a": "int", "b": "object"}, "b": spec}
+    with pytest.raises(TypeError, match="frozen_value"):
+        frozen_value(type("Bad", (), namespace))

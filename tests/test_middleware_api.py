@@ -180,6 +180,20 @@ class TestIdeaAPI:
         with pytest.raises(ValueError):
             api.set_hint(2.0)
 
+    @pytest.mark.parametrize("mode", [AdaptationMode.HINT_BASED,
+                                      AdaptationMode.ON_DEMAND])
+    @pytest.mark.parametrize("level", [1.5, -0.2, float("nan")])
+    def test_middleware_set_hint_refuses_a_level_outside_0_1(self, mode, level):
+        deployment = deployment_with(mode=mode, hint=0.5)
+        mw = deployment.middleware("obj", "n00")
+        with pytest.raises(ValueError):
+            mw.set_hint(level)
+        threshold = ("hint_level" if mode is AdaptationMode.HINT_BASED
+                     else "learned_threshold")
+        assert getattr(mw.controller, threshold) == 0.5
+        mw.set_hint(1.0)
+        assert getattr(mw.controller, threshold) == 1.0
+
     def test_demand_active_resolution_routes_to_local_node(self):
         deployment, api = self.build()
         deployment.middleware("obj", "n00").write("x")
