@@ -8,16 +8,16 @@ and moves messages as length-prefixed frames (:mod:`repro.live.wire`):
 * a send to a **local** endpoint short-circuits through
   ``clock.call_after(0, ...)`` — same queue-hop a simulated zero-latency
   delivery takes, so handlers never run re-entrantly inside ``send``;
-* a send to a **remote** id is encoded once and handed to a per-peer sender
-  task that lazily connects and streams frames over one long-lived
-  connection.  Connects and *re*-connects use capped, jittered exponential
-  backoff (:mod:`repro.live.backoff`): the first connect gives up after a
-  bounded window (a peer that never came up), an established connection
-  that drops is re-dialed forever (a plan's restart may bring the peer
-  back at any time).  The per-peer queue is **bounded**: while a peer is
-  down the oldest frame is evicted per new send and counted as a
-  ``queue-overflow`` drop, so memory stays flat instead of growing with
-  outage length;
+* a send to a **remote** id is encoded once and queued for that peer; the
+  first queued frame of a loop pass schedules one ``call_soon`` flush that
+  writes each peer's queue in one ``write`` on its long-lived connection
+  (an :class:`asyncio.Protocol`: no task, no await).  A peer with no
+  connection is dialed under capped, jittered exponential backoff
+  (:mod:`repro.live.backoff`): the first connect gives up after a bounded
+  window, a connection that closed (its EOF is seen at once) is re-dialed
+  forever.  The per-peer queue is **bounded**: while a peer is unreachable
+  or its connection paused, each send beyond the bound evicts the oldest
+  frame as a counted ``queue-overflow`` drop;
 * a fan-out (:meth:`LiveTransport.send_many`) makes **one payload text**:
   every destination still gets its own checks, loss draw, accounting and
   ``wire.encode_envelope`` call, but only the first remote one encodes the
@@ -87,19 +87,51 @@ _HEADER_BYTES = HEADER.size
 
 
 class _PeerLink:
-    """Outbound bounded frame queue plus the sender task draining it."""
+    """Outbound bounded frame queue plus the connection it is flushed to."""
 
-    __slots__ = ("frames", "event", "task", "writer", "connects", "closed")
+    __slots__ = ("frames", "connection", "paused", "dialing", "connects")
 
-    def __init__(self, task: "asyncio.Task[None]") -> None:
+    def __init__(self) -> None:
         #: queued ``(protocol, frame)`` pairs — protocol kept so eviction and
         #: send-failure drops are charged to the right protocol counter
         self.frames: Deque[Tuple[str, bytes]] = collections.deque()
-        self.event = asyncio.Event()
-        self.task = task
-        self.writer: Optional[asyncio.StreamWriter] = None
+        self.connection: Optional[asyncio.Transport] = None
+        self.paused = False        # the connection's buffer is over its mark
+        self.dialing: Optional[asyncio.Task] = None  # while unconnected
         self.connects = 0          # successful connects (first + re-dials)
-        self.closed = False        # stop(): flush what is queued, then exit
+
+
+class _OutboundFrames(asyncio.Protocol):
+    """One outbound connection's flow control and loss; the peer never
+    writes, so its EOF (``eof_received`` returns None) closes it too."""
+
+    __slots__ = ("owner", "dst", "link", "transport")
+
+    def __init__(self, owner: "LiveTransport", dst: str,
+                 link: _PeerLink) -> None:
+        self.owner = owner
+        self.dst = dst
+        self.link = link
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        link = self.link
+        if link.connection is self.transport:
+            link.connection = None
+            link.paused = False
+            if link.frames:
+                self.owner._dial(self.dst, link)
+
+    def pause_writing(self) -> None:
+        self.link.paused = True
+
+    def resume_writing(self) -> None:
+        link = self.link
+        link.paused = False
+        if link.frames:
+            self.owner._mark_dirty(link)
 
 
 class _InboundFrames(asyncio.Protocol):
@@ -179,6 +211,7 @@ class LiveTransport:
         if kind not in ("uds", "tcp"):
             raise TransportError(f"unknown transport kind {kind!r}")
         self.clock = clock
+        self._loop = clock._loop
         self.kind = kind
         self.addresses: Dict[str, Address] = dict(addresses)
         self.stats = NetworkStats()
@@ -190,6 +223,8 @@ class LiveTransport:
         self._servers: List[asyncio.AbstractServer] = []
         #: accepted inbound connections still open
         self._inbound: Set[asyncio.BaseTransport] = set()
+        #: connected, unpaused links with frames to write in the next flush
+        self._dirty: List[_PeerLink] = []
         self._next_msg_id = 0
         self._closing = False
         self.delivery_hooks: List[Any] = []
@@ -266,7 +301,7 @@ class LiveTransport:
         """
         if self.heartbeat_period <= 0 or self._closing:
             return
-        loop = asyncio.get_event_loop()
+        loop = self._loop
         for peer_id, address in self.addresses.items():
             if peer_id in self._nodes:
                 continue
@@ -274,23 +309,22 @@ class LiveTransport:
                 loop.create_task(self._probe_loop(peer_id, address)))
 
     async def stop(self) -> None:
-        """Tear down probes, sender tasks, inbound connections and servers."""
+        """Cancel probes and dials, write what connected peers still queue
+        and close everything; a frame left queued is a ``dst-down`` drop."""
         self._closing = True
-        for task in self._probe_tasks:
+        dials = [link.dialing for link in self._peers.values() if link.dialing]
+        for task in self._probe_tasks + dials:
             task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
+        await asyncio.gather(*self._probe_tasks, *dials,
+                             return_exceptions=True)
         self._probe_tasks.clear()
         for link in self._peers.values():
-            link.closed = True      # sender sentinel: flush and exit
-            link.event.set()
-        for link in self._peers.values():
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(link.task, timeout=2.0)
-            if not link.task.done():
-                link.task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await link.task
+            connection = link.connection
+            if connection is not None and not connection.is_closing():
+                if link.frames:
+                    self._write(link, connection)
+                connection.close()
+            self._drop_queued(link, "dst-down")
         self._peers.clear()
         for server in self._servers:
             server.close()          # no new inbound connections from here on
@@ -361,13 +395,11 @@ class LiveTransport:
             await asyncio.sleep(
                 self.heartbeat_period * float(rng.uniform(0.85, 1.15)))
             try:
-                _, writer = await asyncio.wait_for(
-                    self._connect(address), timeout=self.heartbeat_period * 2)
-                writer.close()
-                with contextlib.suppress(ConnectionError, OSError):
-                    await writer.wait_closed()
-            except (ConnectionError, OSError, FileNotFoundError,
-                    asyncio.TimeoutError):
+                probe, _ = await asyncio.wait_for(
+                    self._open(address, asyncio.Protocol),
+                    timeout=self.heartbeat_period * 2)
+                probe.close()
+            except (OSError, asyncio.TimeoutError):
                 missed += 1
                 if missed >= self.heartbeat_misses:
                     self._peer_down.add(peer_id)
@@ -481,92 +513,95 @@ class LiveTransport:
 
     # ------------------------------------------------------- outbound peers
     def _enqueue(self, dst: str, protocol: str, frame: bytes) -> None:
-        link = self._peer(dst)
-        if len(link.frames) >= self.max_queue_frames:
-            evicted_protocol, _ = link.frames.popleft()
-            self._count_drop(evicted_protocol, "queue-overflow")
-        link.frames.append((protocol, frame))
-        link.event.set()
-
-    def _peer(self, dst: str) -> _PeerLink:
         link = self._peers.get(dst)
         if link is None:
-            link = _PeerLink(asyncio.get_event_loop().create_task(
-                self._sender_loop(dst)))
-            self._peers[dst] = link
-        return link
+            link = self._peers[dst] = _PeerLink()
+        frames = link.frames
+        if len(frames) >= self.max_queue_frames:
+            evicted_protocol, _ = frames.popleft()
+            self._count_drop(evicted_protocol, "queue-overflow")
+        frames.append((protocol, frame))
+        if link.connection is None:
+            if link.dialing is None:
+                self._dial(dst, link)
+        elif len(frames) == 1 and not link.paused:
+            self._mark_dirty(link)  # its first frame since the last flush
 
-    async def _connect(self, address: Address):
+    def _mark_dirty(self, link: _PeerLink) -> None:
+        dirty = self._dirty
+        if not dirty:
+            self._loop.call_soon(self._flush)
+        dirty.append(link)
+
+    def _flush(self) -> None:
+        """One ``write`` per dirty link; a closing connection's frames wait."""
+        dirty, self._dirty = self._dirty, []
+        for link in dirty:
+            connection = link.connection
+            if (link.frames and not link.paused and connection is not None
+                    and not connection.is_closing()):
+                self._write(link, connection)
+
+    def _write(self, link: _PeerLink, connection: asyncio.Transport) -> None:
+        frames = link.frames
+        connection.write(frames[0][1] if len(frames) == 1
+                         else b"".join([frame for _, frame in frames]))
+        if connection.is_closing():  # the socket refused it: gone with these
+            self._drop_queued(link, "conn-lost")
+        frames.clear()
+
+    def _drop_queued(self, link: _PeerLink, reason: str) -> None:
+        for protocol, _ in link.frames:
+            self._count_drop(protocol, reason)
+        link.frames.clear()
+
+    def _open(self, address: Address, protocol_factory: Any):
+        loop = self._loop
         if self.kind == "uds":
-            return await asyncio.open_unix_connection(path=address)
+            return loop.create_unix_connection(protocol_factory, path=address)
         host, port = address
-        return await asyncio.open_connection(host=host, port=port)
+        return loop.create_connection(protocol_factory, host=host, port=port)
 
-    async def _sender_loop(self, dst: str) -> None:
-        address = self.addresses[dst]
-        # seeded per-peer jitter: same (seed, peer) replays the same backoff
-        rng = self.clock.random.stream(f"live.backoff.{dst}")
-        link: Optional[_PeerLink] = None
-        try:
-            while True:
-                link = self._peers[dst]
-                while not link.frames and not link.closed:
-                    link.event.clear()
-                    await link.event.wait()
-                if not link.frames:
-                    break  # closed and fully drained
-                protocol, frame = link.frames.popleft()
-                if link.writer is None:
-                    link.writer = await self._connect_with_backoff(
-                        link, address, rng)
-                if link.writer is None:
-                    self._count_drop(protocol, "dst-down")
-                    continue
-                try:
-                    link.writer.write(frame)
-                    await link.writer.drain()
-                except (ConnectionError, OSError):
-                    # established connection gone: drop this frame, re-dial
-                    # (with the reconnect policy) before the next one
-                    await self._close_writer(link)
-                    self._count_drop(protocol, "conn-lost")
-        finally:
-            if link is not None:
-                await self._close_writer(link)
+    def _dial(self, dst: str, link: _PeerLink) -> None:
+        if self._closing:
+            self._drop_queued(link, "dst-down")
+        else:
+            link.dialing = self._loop.create_task(
+                self._connect_with_backoff(dst, link))
 
-    async def _close_writer(self, link: _PeerLink) -> None:
-        writer, link.writer = link.writer, None
-        if writer is not None:
-            writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await writer.wait_closed()
-
-    async def _connect_with_backoff(
-            self, link: _PeerLink, address: Address,
-            rng: Any) -> Optional[asyncio.StreamWriter]:
-        """Dial ``address`` under the connect policy (first ever connect,
-        bounded give-up window) or the reconnect policy (a previously
-        established connection dropped; retry until closed)."""
+    async def _connect_with_backoff(self, dst: str, link: _PeerLink) -> None:
+        """Dial ``dst`` under the connect policy (first connect; on give-up
+        every queued frame is a ``dst-down`` drop) or the reconnect policy
+        (an established connection closed; retry until stopped)."""
         policy = (self.connect_backoff if link.connects == 0
                   else self.reconnect_backoff)
-        delays: Iterator[float] = policy.delays(rng)
+        # seeded per-peer jitter: same (seed, peer) replays the same backoff
+        delays: Iterator[float] = policy.delays(
+            self.clock.random.stream(f"live.backoff.{dst}"))
         started = self.clock.now
-        while not self._closing:
-            try:
-                _, writer = await self._connect(address)
-            except (ConnectionError, OSError, FileNotFoundError):
+        try:
+            while True:
+                with contextlib.suppress(OSError):
+                    connection, _ = await self._open(
+                        self.addresses[dst],
+                        lambda: _OutboundFrames(self, dst, link))
+                    if not connection.is_closing():
+                        break       # else closed before this task resumed
                 delay = next(delays)
                 if (policy.max_elapsed is not None
                         and self.clock.now + delay - started
                         > policy.max_elapsed):
-                    return None
+                    self._drop_queued(link, "dst-down")
+                    return
                 await asyncio.sleep(delay)
-                continue
+            link.connection = connection
             link.connects += 1
             if link.connects > 1:
                 self.reconnects += 1
-            return writer
-        return None
+            if link.frames:
+                self._mark_dirty(link)
+        finally:
+            link.dialing = None
 
     # ------------------------------------------------------------- accounting
     def messages_sent(self, protocol_prefix: str = "") -> int:

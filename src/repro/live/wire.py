@@ -494,11 +494,14 @@ def encode_envelope(src: str, dst: str, protocol: str, msg_type: str,
     try:
         text = (payload.text() if type(payload) is SharedPayload
                 else "".join(_iterencode(_pack(payload), 0)))
-        tail = "".join(_iterencode([size_bytes, sent_at], 0))
+        # the C encoder writes an exact int and a finite float by ``repr``
+        tail = (f"{size_bytes},{sent_at!r}]" if type(size_bytes) is int
+                and type(sent_at) is float and isfinite(sent_at)
+                else "".join(_iterencode([size_bytes, sent_at], 0))[1:])
     except _UNENCODABLE as exc:
         raise WireError(f"cannot encode for the wire: {exc!r}") from exc
     body = (f"[{_escape(src)},{_escape(dst)},{_escape(protocol)},"
-            f"{_escape(msg_type)},{text},{tail[1:]}").encode("utf-8")
+            f"{_escape(msg_type)},{text},{tail}").encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame body {len(body)} bytes exceeds "
                         f"{MAX_FRAME_BYTES}")

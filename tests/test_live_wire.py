@@ -303,6 +303,7 @@ UNENCODABLE = {
     "infinite-in-a-list": ([1.0, float("-inf")], 0.0),
     "infinite-sent-at": (None, float("inf")),
     "nan-sent-at": (None, float("nan")),
+    "negative-infinite-sent-at": (None, float("-inf")),
     "list-holding-itself": (_holding_itself([]), 0.0),
     "dict-holding-itself": (_holding_itself({}), 0.0),
     # a typed field goes to the C encoder without the generic walker
@@ -425,6 +426,52 @@ def test_shared_payload_is_encoded_once_and_spliced():
                                            256, 1.5)
                       for dst in ("n01", "n02")]
     assert shared.text().encode() in frames[1]
+
+
+class _CountingEncoder:
+    """Wraps the codec's C encoder and counts its passes."""
+
+    def __init__(self, encoder):
+        self.encoder = encoder
+        self.passes = 0
+
+    def __call__(self, value, level):
+        self.passes += 1
+        return self.encoder(value, level)
+
+
+def _c_encoder_body(size_bytes, sent_at):
+    tail = "".join(wire._iterencode([size_bytes, sent_at], 0))
+    return f'["a","b","p","t",null,{tail[1:]}'.encode()
+
+
+@pytest.mark.parametrize("size_bytes", [0, 2**63 - 1])
+@pytest.mark.parametrize("sent_at", [-0.0, 5e-324, 1.7976931348623157e308,
+                                     2.0, 1e16, 0.1])
+def test_the_envelope_tail_is_what_the_c_encoder_writes(monkeypatch,
+                                                        size_bytes, sent_at):
+    """An exact int and a finite float skip the encoder pass and still
+    write its bytes: both go through ``repr``."""
+    counting = _CountingEncoder(wire._iterencode)
+    monkeypatch.setattr(wire, "_iterencode", counting)
+    frame = wire.encode_envelope("a", "b", "p", "t", None, size_bytes,
+                                 sent_at)
+    assert counting.passes == 1  # the payload's, none for the tail
+    monkeypatch.undo()
+    assert frame[wire.HEADER.size:] == _c_encoder_body(size_bytes, sent_at)
+
+
+@pytest.mark.parametrize("size_bytes,sent_at",
+                         [(0, True), (0, 3), (True, 0.5), (0, False)])
+def test_any_other_tail_falls_back_to_the_c_encoder(monkeypatch, size_bytes,
+                                                    sent_at):
+    counting = _CountingEncoder(wire._iterencode)
+    monkeypatch.setattr(wire, "_iterencode", counting)
+    frame = wire.encode_envelope("a", "b", "p", "t", None, size_bytes,
+                                 sent_at)
+    assert counting.passes == 2
+    monkeypatch.undo()
+    assert frame[wire.HEADER.size:] == _c_encoder_body(size_bytes, sent_at)
 
 
 # --------------------------------------------------------------------------

@@ -19,8 +19,9 @@ tight enough to catch contract violations:
 * the fault surface: ``partition`` / ``heal`` / loss, as counted drops.
 
 Live-only hardening (no sim counterpart) is covered at the end: bounded
-per-peer send queues with ``queue-overflow`` eviction, heartbeat liveness
-probing, and :class:`BackoffPolicy` determinism.
+per-peer send queues with ``queue-overflow`` eviction, the per-pass flush,
+re-dials after a peer restarts, ``stop()`` during backoff, heartbeat
+liveness probing, and :class:`BackoffPolicy` determinism.
 """
 
 from __future__ import annotations
@@ -466,15 +467,15 @@ def test_bounded_queue_evicts_oldest_as_counted_overflow(tmp_path):
 
     async def _go():
         await transport.start()
-        # No awaits between sends: all twelve enqueue before the sender
-        # task gets a chance to run, so eviction counts are deterministic.
+        # No awaits between sends: all twelve enqueue before the dial gets
+        # a chance to run, so eviction counts are deterministic.
         for i in range(12):
             node.send("ghost", protocol="conformance", msg_type="x",
                       payload=i)
         assert transport.stats.drop_reasons["queue-overflow"] == 8
         await asyncio.sleep(0.2)
-        # The sender holds at most one frame while it dials; the queue
-        # never outgrew the bound.
+        # The frames wait in the queue while the link dials; it never
+        # outgrew the bound.
         assert len(transport._peers["ghost"].frames) <= 4
         await transport.stop()
 
@@ -537,8 +538,8 @@ def test_send_many_equals_a_loop_of_sends(tmp_path):
                 if (m := transport.send("a", dst, **kwargs)) is not None]
 
     async def _drive(sender):
-        # No awaits before the frames are read back: the sender tasks have
-        # not run, so every frame put on a queue is still there.
+        # No awaits before the frames are read back: no dial has run, so
+        # every frame put on a queue is still there.
         transport = _fan_out_transport(loop, tmp_path)
         returned = _describe(sender(transport, dsts))
         with pytest.raises(KeyError, match="ghost"):
@@ -698,6 +699,230 @@ def test_heartbeat_marks_peer_down_then_recovered(tmp_path):
     finally:
         loop.close()
     assert received == ["back"]
+
+
+def _uds_endpoint(loop, addresses, node_id, seed=1, **kwargs):
+    clock = LiveClock(seed=seed, loop=loop)
+    transport = LiveTransport(clock, addresses, kind="uds", **kwargs)
+    return transport, LiveNode(clock, transport, node_id, processing_delay=0.0)
+
+
+async def _until(predicate, timeout=2.0):
+    for _ in range(int(timeout / 0.01)):
+        if predicate():
+            return
+        await asyncio.sleep(0.01)
+
+
+def _run(loop, coroutine):
+    try:
+        return loop.run_until_complete(coroutine)
+    finally:
+        loop.close()
+
+
+def test_frames_of_one_callback_leave_in_one_write_per_link(tmp_path):
+    """Frames sent inside one callback stay queued until it returns; a
+    callback already ready runs before the flush; the flush makes one
+    ``write`` per link, and each peer decodes the frames in send order."""
+    loop = asyncio.new_event_loop()
+    addresses = make_addresses(["a", "b", "c"], "uds", str(tmp_path))
+    transport_a, a = _uds_endpoint(loop, addresses, "a")
+    peers = {name: _uds_endpoint(loop, addresses, name, seed=2)
+             for name in "bc"}
+    received = {name: [] for name in peers}
+    for name, (_, node) in peers.items():
+        node.register_handler(
+            "ping", lambda m, name=name: received[name].append(m.payload))
+    writes, seen = [], {}
+    links = transport_a._peers
+
+    def burst():
+        for i in range(3):
+            for name in peers:
+                a.send(name, protocol="conformance", msg_type="ping",
+                       payload=i)
+        seen["queued"] = {name: len(link.frames)
+                          for name, link in links.items()}
+        seen["in-callback"] = list(writes)
+
+    def already_ready():
+        seen["before-ready"] = list(writes)
+
+    async def _go():
+        for transport, _ in peers.values():
+            await transport.start()
+        for name in peers:
+            a.send(name, protocol="conformance", msg_type="ping",
+                   payload="warm")
+        await _until(lambda: all(received.values()))
+        for name, link in links.items():
+            write = link.connection.write
+            link.connection.write = (lambda data, name=name, write=write:
+                                     (writes.append(name), write(data)))
+        loop.call_soon(burst)
+        loop.call_soon(already_ready)
+        await _until(lambda: all(len(r) == 4 for r in received.values()))
+        await transport_a.stop()
+        for transport, _ in peers.values():
+            await transport.stop()
+
+    _run(loop, _go())
+    assert seen == {"queued": {"b": 3, "c": 3}, "in-callback": [],
+                    "before-ready": []}
+    assert writes == ["b", "c"]
+    assert received == {name: ["warm", 0, 1, 2] for name in peers}
+
+
+def test_the_first_frame_after_a_peer_restarts_reaches_it(tmp_path):
+    """A peer's EOF closes the link at once, so the next frame re-dials
+    (the reconnect policy) and reaches the new incarnation instead of dying
+    on the old connection as a ``conn-lost`` drop."""
+    loop = asyncio.new_event_loop()
+    addresses = make_addresses(["a", "b"], "uds", str(tmp_path))
+    transport_a, a = _uds_endpoint(loop, addresses, "a")
+    received = []
+
+    async def _incarnation(label):
+        transport, b = _uds_endpoint(loop, addresses, "b", seed=2)
+        b.register_handler(
+            "ping", lambda m: received.append((label, m.payload)))
+        await transport.start()
+        return transport
+
+    async def _go():
+        first = await _incarnation("first")
+        a.send("b", protocol="conformance", msg_type="ping", payload=1)
+        await _until(lambda: len(received) == 1)
+        await first.stop()
+        await asyncio.sleep(0.05)   # b's close reaches a
+        second = await _incarnation("second")
+        a.send("b", protocol="conformance", msg_type="ping", payload=2)
+        await _until(lambda: len(received) == 2)
+        await transport_a.stop()
+        await second.stop()
+
+    _run(loop, _go())
+    assert received == [("first", 1), ("second", 2)]
+    assert transport_a.reconnects == 1
+    assert sum(transport_a.stats.dropped.values()) == 0
+
+
+def test_stop_cancels_reconnect_backoff_and_accounts_every_frame(tmp_path):
+    """Six peers that were connected and went away: their links sit in
+    reconnect backoff, ``stop()`` cancels every dial at once, and each frame
+    still queued is a ``dst-down`` drop, so sent = delivered + drops."""
+    loop = asyncio.new_event_loop()
+    names = [f"p{i}" for i in range(6)]
+    addresses = make_addresses(["a", *names], "uds", str(tmp_path))
+    transport_a, a = _uds_endpoint(loop, addresses, "a")
+    peers = [_uds_endpoint(loop, addresses, name, seed=2)[0]
+             for name in names]
+
+    def delivered():
+        return sum(sum(peer.stats.delivered.values()) for peer in peers)
+
+    def send_all(payload):
+        for name in names:
+            a.send(name, protocol="conformance", msg_type="ping",
+                   payload=payload)
+
+    async def _go():
+        for peer in peers:
+            peer.node(peer.node_ids[0]).register_handler(
+                "ping", lambda m: None)
+            await peer.start()
+        send_all("up")
+        await _until(lambda: delivered() == len(names))
+        for peer in peers:
+            await peer.stop()
+        await asyncio.sleep(0.05)
+        send_all("gone")
+        await asyncio.sleep(0.05)
+        send_all("still gone")
+        await asyncio.sleep(1.0)    # deep in the reconnect backoff
+        began = loop.time()
+        await asyncio.wait_for(transport_a.stop(), timeout=2.0)
+        return loop.time() - began
+
+    took = _run(loop, _go())
+    assert took < 0.5
+    stats = transport_a.stats
+    assert stats.sent["conformance"] == 3 * len(names)
+    assert delivered() == len(names)
+    assert dict(stats.drop_reasons) == {"dst-down": 2 * len(names)}
+    assert stats.sent["conformance"] == (delivered()
+                                         + stats.dropped["conformance"])
+
+
+class _StalledSink(asyncio.Protocol):
+    """Accepts and never reads, until told to drain."""
+
+    def connection_made(self, transport):
+        self.transport = transport
+        self.data = bytearray()
+        self.closed = False
+        transport.pause_reading()
+
+    def data_received(self, data):
+        self.data += data
+
+    def connection_lost(self, exc):
+        self.closed = True
+
+
+def test_a_peer_that_stops_reading_keeps_queue_and_buffer_bounded(tmp_path):
+    """A peer that accepts but never reads: the connection pauses, the
+    queue stays at ``max_queue_frames`` with the oldest frames evicted as
+    ``queue-overflow``, the write buffer stays under its high-water mark
+    plus one flush, and no frame is counted twice."""
+    loop = asyncio.new_event_loop()
+    addresses = {"a": str(tmp_path / "a.sock"),
+                 "sink": str(tmp_path / "sink.sock")}
+    transport_a, a = _uds_endpoint(loop, addresses, "a", max_queue_frames=8)
+    payload = "x" * 4096
+    one_flush = 8 * (len(wire.encode_envelope(
+        "a", "sink", "conformance", "blob", payload, 1024, 0.0)) + 32)
+    sinks = []
+    overflow = transport_a.stats.drop_reasons
+
+    async def _go():
+        server = await loop.create_unix_server(
+            lambda: sinks.append(_StalledSink()) or sinks[-1],
+            path=addresses["sink"])
+        sent = 0
+        while overflow["queue-overflow"] < 40 and sent < 5000:
+            for _ in range(4):
+                a.send("sink", protocol="conformance", msg_type="blob",
+                       payload=payload)
+                sent += 1
+                link = transport_a._peers["sink"]
+                assert len(link.frames) <= 8
+            await asyncio.sleep(0)
+            if link.connection is not None:
+                _, high = link.connection.get_write_buffer_limits()
+                assert link.connection.get_write_buffer_size() \
+                    <= high + one_flush
+        assert link.paused
+        await transport_a.stop()
+        sinks[0].transport.resume_reading()
+        await _until(lambda: sinks[0].closed)
+        server.close()
+        await server.wait_closed()
+        return sent
+
+    sent = _run(loop, _go())
+    data, frames, at = sinks[0].data, 0, 0
+    while at < len(data):
+        (length,) = wire.HEADER.unpack_from(data, at)
+        at += wire.HEADER.size + length
+        frames += 1
+    assert at == len(data)
+    stats = transport_a.stats
+    assert stats.sent["conformance"] == sent
+    assert dict(stats.drop_reasons) == {
+        "queue-overflow": overflow["queue-overflow"]}
+    assert frames + overflow["queue-overflow"] == sent
 
 
 class TestBackoffPolicy:
