@@ -481,10 +481,11 @@ class IdeaDeployment:
         the object writers check liveness each round), the two-layer
         overlay evicts it from every object's layers, and every *other*
         node's digest state drops the crashed member so its stale
-        writer summaries stop polluting detection.  Idempotent.
+        writer summaries stop polluting detection.  Idempotent; a node
+        another process hosts is that process's to crash.
         """
-        node = self.nodes[node_id]
-        if not node.alive:
+        node = self._hosted(node_id)
+        if node is None or not node.alive:
             return
         node.fail()
         self.overlay.evict_node(node_id)
@@ -506,14 +507,23 @@ class IdeaDeployment:
         The node re-registers with the network, so the next round of each
         liveness-checking timer includes it again; the overlay readmits it
         to the bottom layer (it re-enters top layers by writing, like any
-        cold node).  Idempotent.
+        cold node).  Idempotent; a node another process hosts is that
+        process's to recover.
         """
-        node = self.nodes[node_id]
-        if node.alive:
+        node = self._hosted(node_id)
+        if node is None or node.alive:
             return
         node.recover()
         self.overlay.readmit_node(node_id)
         self.trace.increment("faults.recover")
+
+    def _hosted(self, node_id: str) -> Optional[ProtocolEndpoint]:
+        """This process's endpoint for ``node_id``: ``None`` when another
+        process hosts it, ``KeyError`` when no deployment node has the id."""
+        node = self.nodes.get(node_id)
+        if node is None and node_id not in self.node_ids:
+            raise KeyError(node_id)
+        return node
 
     def alive_node_ids(self) -> List[str]:
         return [n for n, node in self.nodes.items() if node.alive]

@@ -10,13 +10,13 @@ bring-up checks).  This is the one way to run the live oracle.
 
 ``--fault-plan NAME|PATH`` turns the run into a chaos run: the plan (a
 builtin like ``churn``, or a ``FaultPlan.to_dict`` JSON file) is replayed
-against the real processes — SIGKILLs and ``--recovering`` restarts from
-here, partitions and loss armed by every node on its own clock — while the
-same plan runs on the simulator, and the same oracle judges every node
-(DESIGN.md §15).  Every node must report each of the plan's network
-actions applied; a plan with crashes also asserts nonzero transport
-reconnects and one re-join per planned recovery.  The crash/recovery
-timeline lands in ``<rundir>/chaos_timeline.json``.
+against the real processes — every node arms the whole plan on its own
+clock and SIGKILLs itself at its planned crash, and this process respawns
+it with ``--recovering`` when the plan recovers it — while the same plan
+runs on the simulator, and the same oracle judges every node (DESIGN.md
+§15).  Every node must report the whole plan applied and one ``SIGKILL``
+per planned crash of it; a plan with crashes also asserts nonzero
+transport reconnects.
 
 Exit codes: 0 success, 1 deployment failure or oracle mismatch, 2 bad
 arguments or fault plan (one ``error:`` line; nothing is spawned).
@@ -32,7 +32,8 @@ import sys
 import tempfile
 from typing import Optional, Tuple
 
-from repro.live.chaos import resolve_plan, run_live_deployment
+from repro.live.chaos import (evidence_problems, resolve_plan,
+                              run_live_deployment)
 from repro.live.deployment import DeploymentError
 from repro.live.scenario import (ScenarioSpec, activity, activity_lines,
                                  default_scenario, oracle_diff,
@@ -99,8 +100,7 @@ def main(argv=None) -> int:
     os.makedirs(rundir, exist_ok=True)
 
     try:
-        live, controller = run_live_deployment(spec, rundir, plan,
-                                               kind=args.transport)
+        live = run_live_deployment(spec, rundir, plan, kind=args.transport)
     except DeploymentError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         print(f"logs: {os.path.join(rundir, 'log')}", file=sys.stderr)
@@ -110,11 +110,12 @@ def main(argv=None) -> int:
     print(f"live deployment: {len(live)} nodes over {args.transport}, "
           f"rundir {rundir}")
     print("\n".join(activity_lines(totals)))
-    if controller is not None:
+    if plan is not None:
+        rejoins = sum(outcome.get("exit_status", []).count("SIGKILL")
+                      for outcome in live.values())
         print(f"  reconnects:            {totals['reconnects']}")
-        print(f"  chaos: {len(controller.timeline)} crashes and recoveries "
-              f"applied, {controller.rejoins} plan re-joins "
-              f"(timeline: {os.path.join(rundir, 'chaos_timeline.json')})")
+        print(f"  chaos: {len(plan)} plan actions on every node, "
+              f"{rejoins} re-joins")
 
     problems = []
     if totals["writes"] == 0:
@@ -123,8 +124,8 @@ def main(argv=None) -> int:
         problems.append("no gossip rounds ran")
     if totals["resolutions"] == 0:
         problems.append("no resolution completed")
-    if controller is not None:
-        problems.extend(controller.evidence_problems(live))
+    if plan is not None:
+        problems.extend(evidence_problems(plan, live))
 
     if not args.no_oracle:
         problems.extend(oracle_diff(run_sim_scenario(spec, fault_plan=plan),

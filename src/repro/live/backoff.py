@@ -12,7 +12,7 @@ given a seeded RNG.  The live transport uses two policies:
   jittered exponential delays, so a hundred senders hammering one slow peer
   de-synchronise instead of thundering in lockstep.
 * **reconnect** — an *established* connection dropped (peer crashed, was
-  SIGKILL'd by the chaos controller, restarted...).  ``max_elapsed=None``:
+  SIGKILL'd at its planned crash, restarted...).  ``max_elapsed=None``:
   the sender keeps trying forever at the capped cadence, because a
   plan's restart may bring the peer back at any time.  Undeliverable
   frames meanwhile become counted drops, never unbounded memory (the

@@ -1,151 +1,78 @@
 """Live chaos harness: replay a :class:`FaultPlan` against real processes.
 
-A plan has one applier per clock: the ordinary
-:class:`~repro.scenarios.injector.FaultInjector`.  Each node process arms
-the plan's network actions (``partition`` / ``heal`` / ``set_loss`` /
-``restore_loss``) on its own wall clock against its own
-:class:`~repro.live.transport.LiveTransport` — they travel in the
-deployment document (:class:`~repro.live.deployment.LiveDeployment`) and
-come back as each outcome's ``faults_applied``.  What needs a process
-boundary stays with :class:`LiveFaultController` in the parent:
+A plan has one applier, the ordinary
+:class:`~repro.scenarios.injector.FaultInjector`, and every node process
+arms the whole plan (it travels in the deployment document,
+:class:`~repro.live.deployment.LiveDeployment`) on its own wall clock:
 
-* ``crash``   → a SIGKILL to the node's process, held down for the plan's
-  downtime window;
-* ``recover`` → a respawn with ``--recovering`` (the node replays its
-  journal, applies the network actions already due, and re-joins
-  mid-timeline with the replicas it had).
+* ``partition`` / ``heal`` / ``set_loss`` / ``restore_loss`` → its own
+  :class:`~repro.live.transport.LiveTransport`;
+* ``crash`` of this node → ``crash_node``, whose last fail hook is a
+  SIGKILL the process sends itself, so it dies at the planned instant
+  between two callbacks, as a sim crash falls between events;
+* ``crash`` / ``recover`` of another node → nothing: that node's own
+  process applies them.
 
-Time base: every node records its rebased clock epoch in
-``epoch/<node_id>`` at barrier exit; the controller takes the **max** of
-those (the last node to leave the barrier) as its own t=0, so plan times
-land on the same timeline the schedules run on — ``time.monotonic`` shares
-its origin across processes on one host.  :meth:`tick` is driven from
-``LiveDeployment.wait(on_tick=...)`` and applies each half-open window of
-due actions exactly once (:meth:`FaultPlan.window`).
-
-Every crash and recovery is recorded in :attr:`timeline` (and dumped by
-:meth:`write_timeline` — the CI chaos job uploads it as an artifact), so a
-post-mortem can line the chaos schedule up against per-node logs.
+The parent only reaps and respawns: a SIGKILL the plan has a recovery for
+respawns the node at once with ``--recovering``, and that incarnation
+replays its journal, waits out the rest of its downtime, and replays the
+plan up to its own recovery before its transport starts.  Every action
+each node applied comes back in its outcome's ``faults_applied``, which
+:func:`evidence_problems` checks against the plan.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.live.deployment import LiveDeployment
 from repro.live.scenario import ScenarioSpec, activity
-from repro.scenarios.plan import (CRASH, NETWORK_KINDS, PROCESS_KINDS,
-                                  FaultPlan)
+from repro.scenarios.plan import FaultPlan
 
 
-class LiveFaultController:
-    """Orders one deployment's plan crashes and recoveries, wall-clock."""
-
-    def __init__(self, deployment: Any) -> None:
-        self.deployment = deployment
-        self.plan: FaultPlan = deployment.plan
-        self._process_plan = self.plan.only(PROCESS_KINDS)
-        self.epoch: Optional[float] = None
-        self.applied_until = 0.0
-        #: applied-action log: dicts with plan time, wall time, and action
-        self.timeline: List[Dict[str, Any]] = []
-        #: restarts this controller ordered (plan recoveries)
-        self.rejoins = 0
-
-    # ----------------------------------------------------------------- time
-    def _establish_epoch(self) -> bool:
-        epochs = []
-        for node_id in self.deployment.spec.nodes:
-            path = os.path.join(self.deployment.rundir, "epoch", node_id)
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    epochs.append(float(fh.read()))
-            except (OSError, ValueError):
-                return False  # not every node is past the barrier yet
-        # the last node out of the barrier defines t=0, matching the
-        # slowest schedule's timeline
-        self.epoch = max(epochs)
-        return True
-
-    # ----------------------------------------------------------------- tick
-    def tick(self) -> None:
-        """Apply every crash and recovery that has come due; safe to call
-        often (LiveDeployment.wait drives it at its polling cadence)."""
-        if self.epoch is None and not self._establish_epoch():
-            return
-        t = time.monotonic() - self.epoch
-        for action in self._process_plan.window(self.applied_until, t):
-            if action.kind == CRASH:
-                self.deployment.kill_node(action.node_id)
-            else:
-                self.deployment.restart_node(action.node_id)
-                self.rejoins += 1
-            self.timeline.append({"planned_at": action.time,
-                                  "applied_at": t,
-                                  "action": action.to_dict()})
-        self.applied_until = t
-
-    # -------------------------------------------------------------- reports
-    def evidence_problems(self, outcomes: Dict[str, Dict[str, Any]]
-                          ) -> List[str]:
-        """What the plan must leave behind and did not: with crashes,
-        transport re-dials and one re-join per planned recovery; on every
-        node that reported, each of the plan's network actions, in plan
-        order, in its ``faults_applied``."""
-        problems: List[str] = []
-        if self.plan.crashes():
-            if activity(outcomes)["reconnects"] == 0:
-                problems.append("fault plan crashed nodes but no transport "
-                                "reconnects happened")
-            if self.rejoins < len({a.node_id
-                                   for a in self.plan.recoveries()}):
-                problems.append("not every planned recovery was applied")
-        planned = [(a.time, a.kind) for a in self.plan.only(NETWORK_KINDS)]
-        for node_id, outcome in sorted(outcomes.items()):
-            applied = [(f["planned_at"], f["kind"])
-                       for f in outcome.get("faults_applied", [])]
-            if applied != planned:
-                problems.append(f"{node_id} applied network actions "
-                                f"{applied}, the plan has {planned}")
-        return problems
-
-    def write_timeline(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"plan": self.plan.to_dict(),
-                       "rejoins": self.rejoins,
-                       "timeline": self.timeline}, fh, indent=2)
+def evidence_problems(plan: FaultPlan,
+                      outcomes: Dict[str, Dict[str, Any]]) -> List[str]:
+    """What the plan must leave behind and did not: on every node that
+    reported, the whole plan in plan order in its ``faults_applied`` and
+    one ``SIGKILL`` in its ``exit_status`` per planned crash of it; with
+    crashes, transport re-dials."""
+    problems: List[str] = []
+    if plan.crashes() and activity(outcomes)["reconnects"] == 0:
+        problems.append("fault plan crashed nodes but no transport "
+                        "reconnects happened")
+    planned = [(a.time, a.kind) for a in plan]
+    for node_id, outcome in sorted(outcomes.items()):
+        applied = [(f["planned_at"], f["kind"])
+                   for f in outcome.get("faults_applied", [])]
+        if applied != planned:
+            problems.append(f"{node_id} applied fault actions {applied}, "
+                            f"the plan has {planned}")
+        kills = outcome.get("exit_status", []).count("SIGKILL")
+        crashes = len(plan.downtimes(node_id))
+        if kills != crashes:
+            problems.append(f"{node_id} has {kills} SIGKILL exits for "
+                            f"{crashes} planned crashes")
+    return problems
 
 
 def run_live_deployment(spec: ScenarioSpec, rundir: str,
                         plan: Optional[FaultPlan] = None, *,
-                        kind: str = "uds"
-                        ) -> Tuple[Dict[str, Dict[str, Any]],
-                                   Optional[LiveFaultController]]:
+                        kind: str = "uds") -> Dict[str, Dict[str, Any]]:
     """Boot ``spec`` as one process per node, replay ``plan`` against it
-    while it runs, tear it down; ``(per-node outcomes, controller)``.
+    while it runs, tear it down; the per-node outcomes.
 
-    With a plan, nodes it leaves dead are absent from the outcomes and the
-    crash/recovery timeline lands in ``<rundir>/chaos_timeline.json`` —
-    also when the deployment fails (``DeploymentError`` propagates after
-    teardown).  A plan naming a node outside ``spec`` raises
-    ``ValueError`` before anything spawns.
+    Nodes the plan leaves dead are absent from the outcomes.  A plan
+    naming a node outside ``spec`` raises ``ValueError`` before anything
+    spawns.
     """
     deployment = LiveDeployment(spec, rundir, kind=kind, plan=plan)
-    controller = (LiveFaultController(deployment)
-                  if plan is not None else None)
     try:
         deployment.start()
-        outcomes = deployment.wait(
-            on_tick=controller.tick if controller is not None else None)
+        return deployment.wait()
     finally:
         deployment.terminate()
-        if controller is not None:
-            controller.write_timeline(
-                os.path.join(rundir, "chaos_timeline.json"))
-    return outcomes, controller
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,30 @@
-"""Multiprocess live deployment: bring-up, barrier, kill/restart, teardown.
+"""Multiprocess live deployment: bring-up, barrier, respawn, teardown.
 
 :class:`LiveDeployment` boots one OS process per node (``python -m
 repro.live.node_main <spec.json> <node_id>``), each running the per-node
 stack from :mod:`repro.live.scenario` over UNIX sockets or localhost TCP.
 
 Bring-up protocol: the parent writes ``spec.json`` (scenario + address book
-+ run directory + the fault plan's network actions, which every node arms
-on its own clock) and spawns the children; each child binds its listening
-socket, touches ``ready/<node_id>``, then polls until *every* ready file
-exists; only then does it rebase its clock to t=0, record the epoch in
-``epoch/<node_id>``, and start the scenario schedule — so all nodes enter
-the workload within the barrier's polling jitter.  On completion each child
-writes ``out/<node_id>.json`` with its protocol outcomes and exits 0.
++ run directory + the fault plan, which every node arms on its own clock)
+and spawns the children; each child binds its listening socket, touches
+``ready/<node_id>``, then polls until *every* ready file exists; only then
+does it rebase its clock to t=0, record the epoch in ``epoch/<node_id>``,
+and start the scenario schedule — so all nodes enter the workload within
+the barrier's polling jitter.  On completion each child writes
+``out/<node_id>.json`` with its protocol outcomes and exits 0.
 
-A node dies or comes back only when a fault plan orders it: :meth:`kill_node`
-SIGKILLs it and holds it down, :meth:`restart_node` reaps it and respawns
-it with ``--recovering`` — the new incarnation replays its journal
-(``state/<node_id>``), rebases onto the *original* epoch and resumes the
-schedule mid-timeline.  :meth:`poll` reaps exits as they happen
-and records each node's exit history (``exit 0`` / ``SIGKILL`` / ...); any
-other nonzero exit fails the run with a :class:`DeploymentError` naming the
-node, its exit status and its log tail.  :meth:`terminate` is idempotent.
-Per-node stdout/stderr land in ``log/<node_id>.log`` for post-mortems (the
-CI jobs upload them).
+A node dies only by its own plan crash (a SIGKILL it sends itself), and
+the parent only reaps and respawns: :meth:`poll` records each exit
+(``exit 0`` / ``SIGKILL`` / ...), and on a node's k-th ``SIGKILL`` it
+respawns the node at once with ``--recovering`` if the plan recovers it
+after its k-th crash — the new incarnation replays its journal
+(``state/<node_id>``), rebases onto the *original* epoch and rejoins at
+the planned instant — or settles it as down if the plan never does.  Any
+other nonzero exit, or a ``SIGKILL`` beyond the plan's crashes of the
+node, fails the run with a :class:`DeploymentError` naming the node, its
+exit status and its log tail.  :meth:`terminate` is idempotent.  Per-node
+stdout/stderr land in ``log/<node_id>.log`` for post-mortems (the CI jobs
+upload them).
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ import signal
 import subprocess
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.live.scenario import ScenarioSpec, make_addresses
-from repro.scenarios.plan import NETWORK_KINDS, FaultPlan
+from repro.scenarios.plan import FaultPlan
 from repro.transport.errors import TransportError
 
 #: how long past the scenario's duration :meth:`LiveDeployment.wait` lets
@@ -62,9 +64,8 @@ class LiveDeployment:
     """Runs a :class:`ScenarioSpec` as one process per node on localhost.
 
     ``plan`` (a :class:`FaultPlan` over the spec's nodes, else
-    ``ValueError``) is the run's fault plan: its network actions travel in
-    ``spec.json``; its crashes and recoveries are
-    :class:`~repro.live.chaos.LiveFaultController`'s to order."""
+    ``ValueError``) is the run's fault plan: it travels in ``spec.json``,
+    and its crashes and recoveries decide which exits respawn a node."""
 
     def __init__(self, spec: ScenarioSpec, rundir: str, *,
                  kind: str = "uds", plan: Optional[FaultPlan] = None) -> None:
@@ -83,7 +84,7 @@ class LiveDeployment:
         self._reaped: Set[str] = set()      # current proc's exit recorded
         self._done: Set[str] = set()        # exited 0
         self._failed: Dict[str, str] = {}   # nonzero exit nobody ordered
-        self._held: Set[str] = set()        # killed by order, not yet back
+        self._down: Set[str] = set()        # killed; the plan keeps it down
 
     # ------------------------------------------------------------ file layout
     @property
@@ -109,7 +110,7 @@ class LiveDeployment:
             "rundir": self.rundir,
             "addresses": {n: list(a) if isinstance(a, tuple) else a
                           for n, a in self.addresses.items()},
-            "plan": self.plan.only(NETWORK_KINDS).to_dict(),
+            "plan": self.plan.to_dict(),
         }
         with open(self.spec_path, "w", encoding="utf-8") as fh:
             json.dump(document, fh, indent=2)
@@ -137,9 +138,9 @@ class LiveDeployment:
             args, stdout=log, stderr=subprocess.STDOUT, env=self._env)
 
     def poll(self) -> None:
-        """Reap exits and record statuses.  Cheap; :meth:`wait` calls it in
-        a loop.  A nonzero exit of a node not held down is a failure."""
-        for node_id, proc in self._procs.items():
+        """Reap exits, record statuses and respawn what the plan recovers.
+        Cheap; :meth:`wait` calls it in a loop."""
+        for node_id, proc in list(self._procs.items()):
             if node_id in self._reaped:
                 continue
             returncode = proc.poll()
@@ -150,66 +151,44 @@ class LiveDeployment:
             self._exits[node_id].append(status)
             if returncode == 0:
                 self._done.add(node_id)
-            elif node_id not in self._held:
+                continue
+            # the k-th SIGKILL is the node's k-th planned crash, or nobody's
+            downtimes = self.plan.downtimes(node_id)
+            kills = self._exits[node_id].count("SIGKILL")
+            if returncode != -signal.SIGKILL or kills > len(downtimes):
                 self._failed[node_id] = status
-
-    def kill_node(self, node_id: str) -> None:
-        """SIGKILL a node and hold it down until :meth:`restart_node` (a
-        plan crash)."""
-        if node_id not in self._procs:
-            raise DeploymentError(f"unknown node {node_id!r}")
-        self._held.add(node_id)
-        proc = self._procs[node_id]
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGKILL)
-
-    def restart_node(self, node_id: str) -> None:
-        """Respawn a killed node now with ``--recovering`` (a plan
-        recovery), once the killed incarnation is reaped: its exit is
-        recorded as ordered, and its journal has one writer at a time."""
-        if node_id not in self._procs:
-            raise DeploymentError(f"unknown node {node_id!r}")
-        if node_id in self._held:
-            self._procs[node_id].wait()
-        self.poll()
-        self._held.discard(node_id)
-        if self._procs[node_id].poll() is None:
-            return  # never killed; nothing to do
-        self._spawn(node_id, recovering=True)
+            elif downtimes[kills - 1][1] is None:
+                self._down.add(node_id)
+            else:
+                self._spawn(node_id, recovering=True)
 
     def is_running(self, node_id: str) -> bool:
         proc = self._procs.get(node_id)
         return proc is not None and proc.poll() is None
 
-    def _settled(self, node_id: str) -> bool:
-        # a held node whose process is dead stays down by design
-        return node_id in self._done or (
-            node_id in self._held and self._procs[node_id].poll() is not None)
-
     # ------------------------------------------------------------------ wait
-    def wait(self, *, on_tick: Optional[Callable[[], None]] = None
-             ) -> Dict[str, Dict[str, Any]]:
-        """Poll until every node has exited 0 or is held down; return the
-        per-node outcomes, each annotated with its ``exit_status`` history.
+    def wait(self) -> Dict[str, Dict[str, Any]]:
+        """Poll until every node has exited 0 or is down for good; return
+        the per-node outcomes, each annotated with its ``exit_status``
+        history.
 
-        ``on_tick`` runs every poll (~50 Hz) — the chaos controller's entry
-        point.  A nonzero exit nobody ordered, or a node still running past
-        the scenario duration plus :data:`WAIT_GRACE`, fails the deployment
-        with the node's log tail in the error message.  Only a node still
-        held down may lack an outcome file; it is absent from the result.
+        A nonzero exit nobody ordered, or a node still running past the
+        scenario duration plus :data:`WAIT_GRACE`, fails the deployment
+        with the node's log tail in the error message.  Only a node the
+        plan leaves down may lack an outcome file; it is absent from the
+        result.
         """
         deadline = time.monotonic() + self.spec.duration + WAIT_GRACE
         while True:
             self.poll()
             if self._failed:
                 break
-            if on_tick is not None:
-                on_tick()
-            if all(self._settled(n) for n in self.spec.nodes):
+            settled = self._done | self._down
+            if settled.issuperset(self.spec.nodes):
                 break
             if time.monotonic() > deadline:
                 for node_id in self.spec.nodes:
-                    if not self._settled(node_id):
+                    if node_id not in settled:
                         self._failed[node_id] = "still running at deadline"
                 break
             time.sleep(0.02)
@@ -223,7 +202,7 @@ class LiveDeployment:
         for node_id in self.spec.nodes:
             path = self.out_path(node_id)
             if not os.path.exists(path):
-                if node_id in self._held:
+                if node_id in self._down:
                     continue  # the plan left it dead
                 raise DeploymentError(
                     f"{node_id} exited 0 without writing {path}")

@@ -5,21 +5,23 @@
 Reads the deployment document written by
 :class:`~repro.live.deployment.LiveDeployment`, builds this node's stack,
 binds its listening socket, joins the ready-file barrier, runs the scenario
-schedule and the fault plan's network actions on wall-clock time, and
-writes its protocol outcomes to ``out/<node_id>.json``.  The document is
-outside input: a malformed fault plan in it exits 2 with one ``error:``
-line.
+schedule and the whole fault plan on wall-clock time, and writes its
+protocol outcomes to ``out/<node_id>.json``.  The document is outside
+input: a malformed fault plan in it exits 2 with one ``error:`` line.
 
-A fresh node records its clock epoch (the host-wide ``time.monotonic``
-value at barrier exit) in ``epoch/<node_id>`` before starting the
-schedule, and journals its replica changes to ``state/<node_id>``.  A
-**recovering** incarnation — respawned by a fault plan's recovery after
-its crash — replays that journal before it binds (a malformed frame
-raises, exit 1), rebases its clock onto the *original* epoch so ``now``
-resumes mid-timeline, applies the plan's network actions already due
-before its transport starts, skips the barrier, re-touches its ready file
-and runs only the still-future schedule: its outcome covers the whole run
-(DESIGN.md §15).
+The plan's crash of this node goes through ``crash_node``, whose last fail
+hook SIGKILLs this process: it dies at the planned instant on its own
+clock.  A fresh node records its clock epoch (the host-wide
+``time.monotonic`` value at barrier exit) in ``epoch/<node_id>`` before
+starting the schedule, and journals its replica changes to
+``state/<node_id>``.  A **recovering** incarnation — respawned by the
+parent as soon as a planned crash killed it, when the plan recovers it —
+replays that journal (a malformed frame raises, exit 1), rebases its clock
+onto the *original* epoch so ``now`` resumes mid-timeline, waits until its
+planned recovery is past, replays the plan up to now (its own crash and
+recovery as a plain ``fail``/``recover``), and only then binds, skips the
+barrier, re-touches its ready file and runs the still-future schedule:
+its outcome covers the whole run (DESIGN.md §15).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import signal
 import sys
 from typing import Optional
 
@@ -64,16 +67,21 @@ async def _barrier(rundir: str, node_id: str, nodes) -> None:
         await asyncio.sleep(BARRIER_POLL)
 
 
+def _kill_self() -> None:
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 async def run_node(document: dict, node_id: str, *,
                    recovering: bool = False,
                    plan: Optional[FaultPlan] = None) -> dict:
-    """Run one node to the end of the spec; ``plan`` holds the network
-    actions it applies to its own transport."""
+    """Run one node to the end of the spec, applying ``plan`` on its own
+    clock; a planned crash of this node kills the process."""
     spec = ScenarioSpec.from_dict(document["spec"])
     kind = document["kind"]
     rundir = document["rundir"]
     addresses = {n: tuple(a) if isinstance(a, list) else a
                  for n, a in document["addresses"].items()}
+    plan = plan or FaultPlan()
 
     stack = build_live_stack(spec, node_id, addresses, kind=kind,
                              loop=asyncio.get_running_loop(),
@@ -81,9 +89,10 @@ async def run_node(document: dict, node_id: str, *,
     journal = os.path.join(rundir, "state", node_id)
     torn = stack.replay(journal) if recovering else 0
     stack.keep_journal(journal, fresh=not recovering)
-    transport = stack.node.transport
-    clock = stack.node.clock
-    injector = FaultInjector(stack.deployment, plan or FaultPlan())
+    node = stack.node
+    transport = node.transport
+    clock = node.clock
+    injector = FaultInjector(stack.deployment, plan)
     epoch_path = os.path.join(rundir, "epoch", node_id)
     if not recovering:
         await transport.start()
@@ -101,22 +110,30 @@ async def run_node(document: dict, node_id: str, *,
         os.replace(epoch_path + ".tmp", epoch_path)
         transport.start_heartbeats()
         stack.schedule()
+        node.fail_hooks.append(_kill_self)
         injector.arm(catch_up=True)
-        remaining = spec.duration
     else:
-        # Rejoin a running deployment mid-timeline, inside whatever
-        # partition or loss burst the plan has in force before the first
-        # byte moves; no barrier (peers are mid-run), only the future
-        # schedule.
+        # Rejoin a running deployment mid-timeline once the latest planned
+        # recovery is *past* (a timer may wake up to one clock resolution
+        # early, and a recovery still scheduled would leave the transport
+        # nothing to bind; a restart no plan ordered has none), then replay
+        # the plan so far — inside whatever partition or loss burst it has
+        # in force — before the first byte moves; no barrier (peers are
+        # mid-run), only the future schedule.
         with open(epoch_path, "r", encoding="utf-8") as fh:
             clock.rebase(float(fh.read()))
+        recovery = max((back for crash, back in plan.downtimes(node_id)
+                        if crash <= clock.now and back is not None),
+                       default=0.0)
+        while clock.now <= recovery:
+            await asyncio.sleep(recovery - clock.now)
         injector.arm(catch_up=True)
+        node.fail_hooks.append(_kill_self)
         await transport.start()
         _touch_ready(rundir, node_id)
         transport.start_heartbeats()
         stack.schedule(from_time=clock.now)
-        remaining = max(0.0, spec.duration - clock.now)
-    await asyncio.sleep(remaining)
+    await asyncio.sleep(max(0.0, spec.duration - clock.now))
     stack.shutdown()
     outcome = stack.outcome()
     outcome["torn_journal_bytes"] = torn

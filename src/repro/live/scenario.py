@@ -48,7 +48,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.deployment import DeploymentBuilder, Host, IdeaDeployment
 from repro.live.clock import LiveClock
-from repro.live.node import LiveNode
 from repro.live.transport import Address, LiveTransport
 from repro.live.wire import (HEADER, MAX_FRAME_BYTES, WireError,
                              decode_envelope, encode_envelope)
@@ -64,9 +63,9 @@ from repro.transport import ProtocolEndpoint
 #: few-second run shows bottom-layer activity
 SCENARIO_GOSSIP = GossipConfig(round_period=0.5, fanout=2, ttl=2)
 
-#: wall-clock seconds from a planned recovery to the next schedule entry: a
-#: restarted node process imports, replays its journal and binds, and its
-#: peers re-dial it, before anybody writes again (DESIGN.md §15)
+#: wall-clock seconds from a planned recovery to the next schedule entry:
+#: the restarted node's import and journal replay overlap its downtime, so
+#: this is for its peers' re-dial backoff (DESIGN.md §15)
 REJOIN_GAP = 1.5
 
 
@@ -421,8 +420,8 @@ class LiveHost:
         d.transport = LiveTransport(d.clock, self.addresses,
                                     **self.transport_kwargs)
         d.node_ids = list(self.addresses)
-        d.nodes = {self.node_id: LiveNode(d.clock, d.transport, self.node_id,
-                                          processing_delay=0.0)}
+        d.nodes = {self.node_id: ProtocolEndpoint(
+            d.clock, d.transport, self.node_id, processing_delay=0.0)}
 
 
 def build_live_stack(spec: ScenarioSpec, node_id: str,

@@ -216,6 +216,9 @@ class LiveTransport:
         self.addresses: Dict[str, Address] = dict(addresses)
         self.stats = NetworkStats()
         self._nodes: Dict[str, Any] = {}
+        #: every id ever registered here: a crashed endpoint unregisters
+        #: but stays in its partition group, as a sim node does
+        self._hosted: Set[str] = set()
         #: every id this transport can name — address book plus anything
         #: registered locally; sends to other ids raise (wiring bug)
         self._known: Set[str] = set(self.addresses)
@@ -257,6 +260,7 @@ class LiveTransport:
         if node_id in self._nodes:
             raise ValueError(f"node {node_id!r} already registered")
         self._nodes[node_id] = node
+        self._hosted.add(node_id)
         self._known.add(node_id)
 
     def unregister(self, node_id: str) -> None:
@@ -346,7 +350,8 @@ class LiveTransport:
         """Split the network as sim ``Network.partition`` does: messages
         flow only within a group, and the nodes no group lists form one
         more.  Sends to (and frames from) every known id outside the group
-        of this process's endpoints become counted ``partition`` drops."""
+        of this process's endpoints, crashed ones included, become counted
+        ``partition`` drops."""
         group_of: Dict[str, int] = {}
         for index, group in enumerate(groups):
             for node_id in group:
@@ -356,7 +361,7 @@ class LiveTransport:
                     raise KeyError(
                         f"partition group names unknown node {node_id!r}")
                 group_of[node_id] = index
-        own = {group_of.get(node_id, -1) for node_id in self._nodes}
+        own = {group_of.get(node_id, -1) for node_id in self._hosted}
         if len(own) > 1:
             raise ValueError("this transport's endpoints sit in different "
                              "partition groups")

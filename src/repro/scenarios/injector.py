@@ -7,8 +7,9 @@ applies it there.  Crash and recover go through
 reacts (node timers, overlay eviction, digest tables); partition, heal and
 loss changes go straight to the deployment's transport — the simulated
 :class:`~repro.sim.network.Network`, or a live node's
-:class:`~repro.live.transport.LiveTransport`, which arms the plan's network
-actions on its own wall clock.
+:class:`~repro.live.transport.LiveTransport`.  A live node arms the whole
+plan on its own wall clock: a crash or recovery of a node another process
+hosts is a no-op there.
 
 Actions due at the same instant apply in plan order on either clock: each
 scheduled callback first applies every earlier action not yet applied, so

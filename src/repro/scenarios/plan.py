@@ -21,7 +21,7 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Any, Collection, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,12 +34,9 @@ HEAL = "heal"
 SET_LOSS = "set_loss"
 RESTORE_LOSS = "restore_loss"
 
-#: kinds that stop or start a node; on a live deployment they need a
-#: process boundary, so the runner applies them, not the node
+#: kinds that stop or start one node, which they name
 PROCESS_KINDS = (CRASH, RECOVER)
-#: kinds that change the network; each live node applies them itself
-NETWORK_KINDS = (PARTITION, HEAL, SET_LOSS, RESTORE_LOSS)
-KINDS = PROCESS_KINDS + NETWORK_KINDS
+KINDS = PROCESS_KINDS + (PARTITION, HEAL, SET_LOSS, RESTORE_LOSS)
 
 
 def _real(value: Any) -> bool:
@@ -314,26 +311,10 @@ class FaultPlan:
                 raise ValueError(f"actions[{index}]: {exc}") from None
         return plan
 
-    def only(self, kinds: Collection[str]) -> "FaultPlan":
-        """The actions whose kind is in ``kinds``, in application order."""
-        plan = FaultPlan()
-        plan._actions = [a for a in self.actions() if a.kind in kinds]
-        return plan
-
     # -------------------------------------------------------------- querying
     def actions(self) -> List[FaultAction]:
         """Actions in application order: by time, insertion order on ties."""
         return sorted(self._actions, key=lambda a: a.time)
-
-    def window(self, after: float, until: float) -> List[FaultAction]:
-        """Actions due in ``(after, until]``, in application order.
-
-        A wall-clock scheduler (the live runner's controller) ticks at its own
-        cadence and applies each tick's window exactly once: half-open
-        bounds make consecutive windows partition the timeline, so no
-        action is ever applied twice or skipped between ticks.
-        """
-        return [a for a in self.actions() if after < a.time <= until]
 
     def __iter__(self) -> Iterator[FaultAction]:
         return iter(self.actions())
@@ -346,6 +327,22 @@ class FaultPlan:
 
     def recoveries(self) -> List[FaultAction]:
         return [a for a in self.actions() if a.kind == RECOVER]
+
+    def downtimes(self, node_id: str) -> List[Tuple[float, Optional[float]]]:
+        """The spans ``node_id`` spends down, in order: ``(crash time,
+        recovery time)``, the recovery ``None`` when the plan leaves it
+        down.  A crash of a node already down, or a recovery of one already
+        up, changes nothing: ``crash_node``/``recover_node`` are idempotent."""
+        spans: List[Tuple[float, Optional[float]]] = []
+        for action in self.actions():
+            if action.node_id != node_id:
+                continue
+            down = bool(spans) and spans[-1][1] is None
+            if action.kind == CRASH and not down:
+                spans.append((action.time, None))
+            elif action.kind == RECOVER and down:
+                spans[-1] = (spans[-1][0], action.time)
+        return spans
 
     def end_time(self) -> float:
         """Time of the last scheduled action (0.0 for an empty plan)."""

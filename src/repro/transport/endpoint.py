@@ -17,7 +17,8 @@ Protocol components (detection module, resolution manager, overlay manager,
 application logic) are attached to an endpoint as collaborators rather than
 subclasses, keeping each module small and testable.
 :class:`~repro.sim.node.Node` subclasses this with a simulated drifting
-clock; :class:`~repro.live.node.LiveNode` subclasses it with wall time.
+clock; a live node is this class itself, on a
+:class:`~repro.live.clock.LiveClock` (wall time, no processing delay).
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Live chaos: fault plans replayed against real node processes.
 
-Covers the pieces individually — FaultPlan serialisation, windowing and
+Covers the pieces individually — FaultPlan serialisation and downtimes,
 its refusal of malformed outside input, the builtin plan catalog, the sim
-fault scenario, the run's evidence check — and then end to end: a
-multiprocess deployment with a chaos controller SIGKILLing and restarting
-real node processes while every node arms the plan's network actions and
-the same plan runs on the simulator, ``oracle_diff`` judging every node,
-an unplanned crash failing the run, bad ``python -m repro.live`` input
+fault scenario, the parent's respawn rule over fake processes, the run's
+evidence check — and then end to end: a multiprocess deployment whose
+nodes each arm the whole plan and SIGKILL themselves at their planned
+crash, the parent respawning them with ``--recovering``, while the same
+plan runs on the simulator, ``oracle_diff`` judging every node, an
+unplanned crash failing the run, bad ``python -m repro.live`` input
 refused before anything spawns, and idempotent teardown (DESIGN.md §15).
 """
 
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 import repro.live.__main__ as live_cli
 import repro.live.node_main as node_main
-from repro.live.chaos import (LiveFaultController, builtin_plan,
+from repro.live.chaos import (builtin_plan, evidence_problems,
                               resolve_plan, run_live_deployment)
 from repro.live.deployment import (DeploymentError, LiveDeployment,
                                    describe_exit)
@@ -34,7 +35,7 @@ from repro.scenarios.plan import FaultAction, FaultPlan
 
 
 # --------------------------------------------------------------------------
-# FaultPlan serialisation + windowing (the live-controller interchange)
+# FaultPlan serialisation (a live node's deployment document) + downtimes
 # --------------------------------------------------------------------------
 
 def full_plan() -> FaultPlan:
@@ -63,19 +64,15 @@ class TestFaultPlanInterchange:
                                    "node_id": "x"}
         assert FaultAction.from_dict(crash.to_dict()) == crash
 
-    def test_windows_partition_the_timeline(self):
-        """Half-open ``(after, until]`` windows: consecutive ticks apply
-        every action exactly once, no matter where the tick edges land."""
-        plan = full_plan()
-        edges = [0.0, 0.5, 0.9, 1.0, 1.7, 2.5, 10.0]
-        applied = [a for lo, hi in zip(edges, edges[1:])
-                   for a in plan.window(lo, hi)]
-        assert applied == plan.actions()
-
-    def test_window_boundaries_are_half_open(self):
-        plan = FaultPlan().crash("a", at=1.0)
-        assert plan.window(0.0, 1.0) == plan.actions()  # inclusive right
-        assert plan.window(1.0, 2.0) == []              # exclusive left
+    def test_downtimes_pair_each_crash_with_its_recovery(self):
+        """What the parent respawns by and a recovering node waits for: a
+        crash of a node already down, or a recovery of one up, is none."""
+        plan = (FaultPlan().recover("a", at=0.5).crash("a", at=1.0)
+                .crash("a", at=1.5).recover("a", at=2.0)
+                .crash("b", at=2.2).recover("a", at=2.4).crash("a", at=3.0))
+        assert plan.downtimes("a") == [(1.0, 2.0), (3.0, None)]
+        assert plan.downtimes("b") == [(2.2, None)]
+        assert plan.downtimes("c") == []
 
 
 class TestBuiltinPlans:
@@ -405,6 +402,100 @@ def test_run_live_deployment_refuses_an_unknown_node_before_spawning(
 
 
 # --------------------------------------------------------------------------
+# the parent's respawn rule, over fake processes
+# --------------------------------------------------------------------------
+
+class _FakeProc:
+    """A node process that exits when the test says so."""
+
+    def __init__(self) -> None:
+        self.returncode = None
+
+    def poll(self):
+        return self.returncode
+
+    def wait(self, timeout=None):
+        return self.returncode
+
+    def send_signal(self, signum) -> None:
+        if self.returncode is None:
+            self.returncode = -signum
+
+
+class TestRespawnRule:
+    """``LiveDeployment.poll`` on the k-th SIGKILL of a node: respawn it
+    with ``--recovering`` if the plan recovers it after its k-th crash,
+    else settle it as down; any other death fails the run."""
+
+    @pytest.fixture
+    def deployment(self, tmp_path, monkeypatch):
+        def build(plan):
+            spec = default_scenario(3, 1, seed=7)
+            deployment = LiveDeployment(spec, str(tmp_path), plan=plan)
+            deployment.spawned = []
+
+            def spawn(node_id, *, recovering=False):
+                deployment.spawned.append((node_id, recovering))
+                deployment._reaped.discard(node_id)
+                deployment._procs[node_id] = _FakeProc()
+
+            monkeypatch.setattr(deployment, "_spawn", spawn)
+            for node_id in spec.nodes:
+                spawn(node_id)
+            deployment.spawned.clear()
+            return deployment
+        return build
+
+    @staticmethod
+    def _exit(deployment, node_id, returncode):
+        deployment._procs[node_id].returncode = returncode
+        if returncode == 0:
+            out = deployment.out_path(node_id)
+            os.makedirs(os.path.dirname(out), exist_ok=True)
+            with open(out, "w", encoding="utf-8") as fh:
+                json.dump({"node": node_id}, fh)
+
+    def test_a_planned_crash_with_a_recovery_respawns_once(self, deployment):
+        d = deployment(FaultPlan().crash("n02", at=1.0)
+                       .recover("n02", at=2.0))
+        self._exit(d, "n02", -signal.SIGKILL)
+        d.poll()
+        d.poll()
+        assert d.spawned == [("n02", True)]
+        assert d.is_running("n02")
+
+    def test_a_planned_crash_without_a_recovery_settles_down(
+            self, deployment):
+        d = deployment(FaultPlan().crash("n02", at=1.0))
+        self._exit(d, "n02", -signal.SIGKILL)
+        d.poll()
+        assert d.spawned == []
+        for node_id in ("n00", "n01"):
+            self._exit(d, node_id, 0)
+        outcomes = d.wait()
+        assert sorted(outcomes) == ["n00", "n01"]
+        assert outcomes["n00"]["exit_status"] == ["exit 0"]
+
+    def test_a_sigkill_beyond_the_planned_crashes_fails(self, deployment):
+        d = deployment(FaultPlan().crash("n02", at=1.0)
+                       .recover("n02", at=2.0))
+        self._exit(d, "n02", -signal.SIGKILL)
+        d.poll()
+        self._exit(d, "n02", -signal.SIGKILL)
+        with pytest.raises(DeploymentError, match="n02: SIGKILL"):
+            d.wait()
+        assert d.spawned == [("n02", True)]
+
+    def test_a_nonzero_exit_fails(self, deployment):
+        d = deployment(FaultPlan().crash("n02", at=1.0)
+                       .recover("n02", at=2.0))
+        self._exit(d, "n01", 1)
+        with pytest.raises(DeploymentError, match="n01: exit 1"):
+            d.wait()
+        assert d.spawned == []
+
+
+# --------------------------------------------------------------------------
 # end to end: real processes, real signals, plan-ordered restarts
 # --------------------------------------------------------------------------
 
@@ -420,12 +511,26 @@ def _await_epoch(deployment: LiveDeployment, timeout: float = 20.0) -> None:
         time.sleep(0.02)
 
 
+def _sim_outcomes(spec, plan):
+    """Simulator outcomes dressed as a live run that applied ``plan``
+    whole on every node, each node SIGKILLed once per planned crash."""
+    outcomes = run_sim_scenario(spec, fault_plan=plan)
+    applied = [{"planned_at": a.time, "applied_at": a.time + 0.001,
+                "kind": a.kind} for a in plan]
+    for node_id, outcome in outcomes.items():
+        kills = len(plan.downtimes(node_id))
+        outcome.update(reconnects=1, faults_applied=list(applied),
+                       exit_status=["SIGKILL"] * kills + ["exit 0"])
+    return outcomes
+
+
 class TestChaosEndToEnd:
     def test_kill_plan_matches_oracle(self, tmp_path):
-        """The acceptance path in miniature: a multiprocess deployment,
-        SIGKILL + plan-ordered restart mid-run, and the one oracle matching
-        on every node — the victim included, whose restart comes before
-        its post-resolution writes and resumes from its journal."""
+        """The acceptance path in miniature: a multiprocess deployment
+        whose victim SIGKILLs itself mid-run and is respawned at once, and
+        the one oracle matching on every node — the victim included, which
+        rejoins at its planned recovery, before its post-resolution writes,
+        and resumes from its journal."""
         spec = default_scenario(4, 2, seed=7, time_scale=1.0)
         plan = builtin_plan("kill", spec.nodes, time_scale=1.0)
         victim = "n03"  # kill takes victims from the tail
@@ -433,56 +538,49 @@ class TestChaosEndToEnd:
         assert recovery.node_id == victim
         assert any(node == victim and t > recovery.time
                    for t, node, _, _ in spec.writes)
-        outcomes, controller = run_live_deployment(spec, str(tmp_path), plan)
+        outcomes = run_live_deployment(spec, str(tmp_path), plan)
         reconnects = activity(outcomes)["reconnects"]
         problems = oracle_diff(run_sim_scenario(spec, fault_plan=plan),
                                outcomes)
-        problems += controller.evidence_problems(outcomes)
+        problems += evidence_problems(plan, outcomes)
         assert problems == []
-        assert controller.rejoins == 1
         assert reconnects > 0
         outcome = outcomes[victim]
         assert outcome["exit_status"] == ["SIGKILL", "exit 0"]
         assert outcome["writes_applied"] == {"obj0": 3, "obj1": 3}
         assert os.path.getsize(tmp_path / "state" / victim) > 0
+        # its own recovery: at or after the planned instant, within the gap
+        (rejoin,) = [applied for action, applied
+                     in zip(plan, outcome["faults_applied"])
+                     if action is recovery]
+        assert 0.0 <= rejoin["applied_at"] - recovery.time < REJOIN_GAP
 
-    def test_cli_fails_on_an_unapplied_recovery(self, tmp_path, monkeypatch,
-                                                capsys):
-        """Recovery evidence is part of the verdict: outcomes that match
-        the oracle do not make up for a controller that ordered fewer
-        re-joins than the plan has recoveries."""
+    def test_cli_fails_on_a_node_killed_fewer_times_than_planned(
+            self, tmp_path, monkeypatch, capsys):
+        """Crash evidence is part of the verdict: outcomes that match the
+        oracle do not make up for a victim whose exit history lacks its
+        planned SIGKILL."""
         def fake_live(spec, rundir, plan, **kwargs):
-            outcomes = run_sim_scenario(spec, fault_plan=plan)
-            for outcome in outcomes.values():
-                outcome.update(reconnects=1)
-            controller = LiveFaultController.__new__(LiveFaultController)
-            controller.plan, controller.timeline = plan, []
-            controller.rejoins = 0
-            return outcomes, controller
+            outcomes = _sim_outcomes(spec, plan)
+            outcomes["n03"]["exit_status"] = ["exit 0"]
+            return outcomes
 
         monkeypatch.setattr(live_cli, "run_live_deployment", fake_live)
         assert live_cli.main(["--nodes", "4", "--duration", "2.64",
                               "--fault-plan", "kill",
                               "--rundir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "MISMATCH: not every planned recovery was applied"]
+            "MISMATCH: n03 has 0 SIGKILL exits for 1 planned crashes"]
 
     def test_cli_fails_on_a_node_missing_a_network_action(
             self, tmp_path, monkeypatch, capsys):
-        """Every node that reported must have applied each of the plan's
-        network actions: one that lacks the heal fails the run, although
-        its counts match the oracle."""
+        """Every node that reported must have applied the whole plan: one
+        that lacks the heal fails the run, although its counts match the
+        oracle."""
         def fake_live(spec, rundir, plan, **kwargs):
-            outcomes = run_sim_scenario(spec, fault_plan=plan)
-            applied = [{"planned_at": a.time, "applied_at": a.time + 0.001,
-                        "kind": a.kind} for a in plan]
-            for node_id, outcome in outcomes.items():
-                outcome["faults_applied"] = (applied[:1] if node_id == "n02"
-                                             else applied)
-            controller = LiveFaultController.__new__(LiveFaultController)
-            controller.plan, controller.timeline = plan, []
-            controller.rejoins = 0
-            return outcomes, controller
+            outcomes = _sim_outcomes(spec, plan)
+            del outcomes["n02"]["faults_applied"][1:]
+            return outcomes
 
         monkeypatch.setattr(live_cli, "run_live_deployment", fake_live)
         assert live_cli.main(["--nodes", "4", "--duration", "2.64",
@@ -490,27 +588,27 @@ class TestChaosEndToEnd:
                               "--rundir", str(tmp_path)]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         applied, planned = line.split(", the plan has ")
-        assert applied.startswith("MISMATCH: n02 applied network actions [(")
+        assert applied.startswith("MISMATCH: n02 applied fault actions [(")
         assert "'heal'" not in applied and "'heal'" in planned
 
-    def test_controller_timeline_records_every_action(self, tmp_path):
-        """Every node applies the plan's network actions on its own clock
-        and reports them; the parent's timeline holds only what needs a
-        process boundary, so none of them."""
+    def test_spec_carries_the_whole_plan_and_every_node_reports_it(
+            self, tmp_path):
+        """The deployment document holds the plan as authored, and every
+        node that reports applied all of it on its own clock — a crash of
+        another node included; the node the plan leaves down is absent."""
         spec = default_scenario(3, 1, seed=5, time_scale=0.6)
+        victim = spec.nodes[-1]
         plan = builtin_plan("partition", spec.nodes, time_scale=0.6)
-        outcomes, controller = run_live_deployment(spec, str(tmp_path), plan)
-        assert controller.evidence_problems(outcomes) == []
+        plan.crash(victim, at=2.6 * 0.6)
+        outcomes = run_live_deployment(spec, str(tmp_path), plan)
+        assert sorted(outcomes) == [n for n in spec.nodes if n != victim]
         for outcome in outcomes.values():
             applied = outcome["faults_applied"]
             assert [(f["planned_at"], f["kind"]) for f in applied] == \
                 [(a.time, a.kind) for a in plan]
             # on the node's own clock, at or after the planned instant
             assert all(f["applied_at"] >= f["planned_at"] for f in applied)
-        assert controller.timeline == []
-        dumped = json.loads((tmp_path / "chaos_timeline.json").read_text())
-        assert dumped["plan"] == plan.to_dict()
-        assert dumped["timeline"] == []
+            assert outcome["exit_status"] == ["exit 0"]
         document = json.loads((tmp_path / "spec.json").read_text())
         assert document["plan"] == plan.to_dict()
 
@@ -536,46 +634,6 @@ class TestKillAndRestart:
         # a recovering incarnation would have re-touched its ready file
         assert ready.read_text() == str(pid)
         assert not deployment.is_running(victim)
-
-    def test_held_nodes_stay_down_until_ordered_back(self, tmp_path):
-        """kill_node holds a node down without failing the run — the chaos
-        contract that makes plan downtime windows honest — and
-        restart_node brings it back as a recovering incarnation."""
-        spec = default_scenario(3, 1, seed=2, time_scale=1.0)
-        deployment = LiveDeployment(spec, str(tmp_path), kind="uds")
-        victim = spec.nodes[-1]
-        try:
-            deployment.start()
-            _await_epoch(deployment)
-            deployment.kill_node(victim)
-            time.sleep(0.8)
-            deployment.poll()
-            assert not deployment.is_running(victim)
-            deployment.restart_node(victim)
-            time.sleep(0.5)
-            assert deployment.is_running(victim)
-            outcomes = deployment.wait()
-        finally:
-            deployment.terminate()
-        assert outcomes[victim]["exit_status"] == ["SIGKILL", "exit 0"]
-
-    def test_a_restart_right_after_a_kill_reaps_the_killed_incarnation(
-            self, tmp_path):
-        """A recovery landing within one controller tick of its crash: the
-        SIGKILLed process is reaped before the next incarnation spawns, so
-        its late exit is not read as an unplanned crash."""
-        spec = default_scenario(2, 1, seed=4, time_scale=0.3)
-        deployment = LiveDeployment(spec, str(tmp_path), kind="uds")
-        victim = spec.nodes[-1]
-        try:
-            deployment.start()
-            _await_epoch(deployment)
-            deployment.kill_node(victim)
-            deployment.restart_node(victim)
-            outcomes = deployment.wait()
-        finally:
-            deployment.terminate()
-        assert outcomes[victim]["exit_status"] == ["SIGKILL", "exit 0"]
 
 
 class TestTeardown:

@@ -274,6 +274,43 @@ def test_a_recovering_incarnation_is_inside_the_plans_faults_before_it_binds(
     assert all(f["applied_at"] >= 1.0 for f in applied)
 
 
+def test_a_recovering_incarnation_binds_past_its_planned_recovery(
+        tmp_path, monkeypatch):
+    """Respawned at once after its planned crash, an incarnation waits out
+    the downtime: it binds only once its recovery is past, having replayed
+    its own crash and recovery as a plain fail/recover, and only its next
+    planned crash kills it."""
+    spec = ScenarioSpec(nodes=[NODE, "n01"], objects=["obj0"], writes=[],
+                        resolutions=[], truncate_at=1.5, duration=1.6, seed=3)
+    rundir = tmp_path / "run"
+    for sub in ("state", "epoch", "ready"):
+        (rundir / sub).mkdir(parents=True)
+    (rundir / "state" / NODE).write_bytes(b"")
+    (rundir / "epoch" / NODE).write_text(repr(time.monotonic() - 1.0))
+    plan = (FaultPlan().crash(NODE, at=0.9).recover(NODE, at=1.2)
+            .crash("n01", at=1.25).crash(NODE, at=1.4))
+    at_start, kills = [], []
+    start = LiveTransport.start
+
+    async def recording_start(transport):
+        at_start.append((transport.clock.now, transport.has_node(NODE)))
+        await start(transport)
+
+    monkeypatch.setattr(LiveTransport, "start", recording_start)
+    monkeypatch.setattr(node_main, "_kill_self", lambda: kills.append(1))
+    document = {"spec": spec.to_dict(), "kind": "uds", "rundir": str(rundir),
+                "addresses": make_addresses(spec.nodes, "uds", str(rundir))}
+    outcome = asyncio.run(node_main.run_node(document, NODE, recovering=True,
+                                             plan=plan))
+    ((started_at, registered),) = at_start
+    assert started_at > 1.2 and registered
+    applied = outcome["faults_applied"]
+    assert [(f["planned_at"], f["kind"]) for f in applied] == \
+        [(0.9, "crash"), (1.2, "recover"), (1.25, "crash"), (1.4, "crash")]
+    assert all(f["applied_at"] > 1.2 for f in applied)
+    assert kills == [1]
+
+
 def test_a_malformed_frame_fails_the_recovering_incarnation(journalled,
                                                            tmp_path):
     """What ``LiveDeployment.wait`` shows as the node's log tail."""

@@ -64,8 +64,7 @@ class TestLiveMatchesOracle:
         """The full bring-up path: one OS process per node over UNIX
         sockets, ready-file barrier, outcome collection, teardown."""
         spec = small_spec(seed=21)
-        live, controller = run_live_deployment(spec, str(tmp_path))
-        assert controller is None
+        live = run_live_deployment(spec, str(tmp_path))
         sim = run_sim_scenario(spec)
         assert oracle_diff(sim, live) == []
         # Teardown was clean: every node exited by itself.
@@ -113,6 +112,17 @@ class TestLiveHost:
             deployment.register_object(
                 "obj2", scenario_config(), participants=["not-a-node"],
                 top_layer=["not-a-node"])
+
+    def test_remote_crashes_are_no_ops_unknown_ones_raise(self, host):
+        """Every node arms the whole fault plan: a crash or recovery of a
+        node another process hosts is that process's to apply."""
+        deployment = DeploymentBuilder(host=host, use_ransub=False).build()
+        deployment.crash_node("n01")
+        deployment.recover_node("n01")
+        assert deployment.alive_node_ids() == ["n00"]
+        for apply in (deployment.crash_node, deployment.recover_node):
+            with pytest.raises(KeyError):
+                apply("not-a-node")
 
 
 class TestOracleDiff:

@@ -327,7 +327,7 @@ def test_an_unencodable_send_is_a_counted_drop(tmp_path):
     import asyncio
 
     from repro.live.clock import LiveClock
-    from repro.live.node import LiveNode
+    from repro.transport import ProtocolEndpoint
     from repro.live.transport import LiveTransport
 
     loop = asyncio.new_event_loop()
@@ -335,7 +335,7 @@ def test_an_unencodable_send_is_a_counted_drop(tmp_path):
     transport = LiveTransport(clock, {"a": str(tmp_path / "a.sock"),
                                       "b": str(tmp_path / "b.sock")},
                               kind="uds")
-    LiveNode(clock, transport, "a", processing_delay=0.0)
+    ProtocolEndpoint(clock, transport, "a", processing_delay=0.0)
     try:
         for payload in (float("nan"), _holding_itself([])):
             with pytest.raises(wire.WireError):
@@ -558,7 +558,7 @@ def test_a_non_finite_typed_float_is_an_encode_error_drop(tmp_path):
     import asyncio
 
     from repro.live.clock import LiveClock
-    from repro.live.node import LiveNode
+    from repro.transport import ProtocolEndpoint
     from repro.live.transport import LiveTransport
 
     loop = asyncio.new_event_loop()
@@ -566,7 +566,7 @@ def test_a_non_finite_typed_float_is_an_encode_error_drop(tmp_path):
     transport = LiveTransport(clock, {"a": str(tmp_path / "a.sock"),
                                       "b": str(tmp_path / "b.sock")},
                               kind="uds")
-    LiveNode(clock, transport, "a", processing_delay=0.0)
+    ProtocolEndpoint(clock, transport, "a", processing_delay=0.0)
     try:
         for name, bad in NON_FINITE:
             with pytest.raises(wire.WireError):
@@ -1019,7 +1019,7 @@ def test_bad_inbound_frames_close_only_their_connection(tmp_path):
     import gc
 
     from repro.live.clock import LiveClock
-    from repro.live.node import LiveNode
+    from repro.transport import ProtocolEndpoint
     from repro.live.transport import LiveTransport
 
     loop = asyncio.new_event_loop()
@@ -1028,7 +1028,7 @@ def test_bad_inbound_frames_close_only_their_connection(tmp_path):
     address = str(tmp_path / "b.sock")
     clock = LiveClock(seed=1, loop=loop)
     transport = LiveTransport(clock, {"b": address}, kind="uds")
-    node = LiveNode(clock, transport, "b", processing_delay=0.0)
+    node = ProtocolEndpoint(clock, transport, "b", processing_delay=0.0)
     delivered = []
     node.register_handler("ping", lambda msg: delivered.append(msg.payload))
 
@@ -1101,7 +1101,7 @@ class _Inbound:
         import asyncio
 
         from repro.live.clock import LiveClock
-        from repro.live.node import LiveNode
+        from repro.transport import ProtocolEndpoint
         from repro.live.transport import LiveTransport, _InboundFrames
 
         self.loop = asyncio.new_event_loop()
@@ -1109,7 +1109,8 @@ class _Inbound:
         self.transport = LiveTransport(
             clock, {n: f"{n}.sock" for n in ("a", "b", "c")}, kind="uds")
         self.arrived = []
-        node = LiveNode(clock, self.transport, "b", processing_delay=0.0)
+        node = ProtocolEndpoint(clock, self.transport, "b",
+                                processing_delay=0.0)
         node.register_handler("ping", lambda msg: self.arrived.append(
             (msg.src, msg.protocol, msg.payload, msg.size_bytes)))
         if groups is not None:

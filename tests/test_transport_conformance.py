@@ -37,14 +37,16 @@ from repro.live import wire
 from repro.live.backoff import (DEFAULT_CONNECT, DEFAULT_RECONNECT,
                                 BackoffPolicy)
 from repro.live.clock import LiveClock
-from repro.live.node import LiveNode
-from repro.live.scenario import make_addresses
+from repro.live.scenario import (build_live_stack, default_scenario,
+                                 make_addresses)
 from repro.live.transport import LiveTransport
+from repro.scenarios.injector import FaultInjector
+from repro.scenarios.plan import FaultPlan
 from repro.sim.engine import Simulator
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.node import Node
-from repro.transport import PeriodicTimer
+from repro.transport import PeriodicTimer, ProtocolEndpoint
 
 BACKENDS = ["sim", "live-uds", "live-tcp"]
 
@@ -83,8 +85,8 @@ class LiveHarness:
         for nid in ids:
             clock = LiveClock(seed=1, loop=self.loop)
             transport = LiveTransport(clock, addresses, kind=kind)
-            self.nodes[nid] = LiveNode(clock, transport, nid,
-                                       processing_delay=processing_delay)
+            self.nodes[nid] = ProtocolEndpoint(
+                clock, transport, nid, processing_delay=processing_delay)
             self.transports[nid] = transport
         self.clock = self.nodes[ids[0]].clock
         self._schedule = []
@@ -218,6 +220,28 @@ def test_partition_heal_and_loss(harness_factory):
         reasons.update(transport.stats.drop_reasons)
     assert reasons["partition"] == 2
     assert reasons["loss"] == 40 - len(lossy_arrived)
+
+
+def test_a_crashed_node_keeps_its_partition_group(tmp_path):
+    """A partition cut while this process's node is down still groups it:
+    a recovering node's catch-up replays its crash, a partition and its
+    recovery, and must come back blocked from the other group only."""
+    spec = default_scenario(3, 1, seed=7)
+    loop = asyncio.new_event_loop()
+    try:
+        stack = build_live_stack(
+            spec, "n00", make_addresses(spec.nodes, "uds", str(tmp_path)),
+            kind="uds", loop=loop)
+        clock = stack.node.clock
+        clock.rebase(clock.rebase() - 1.0)  # now = 1.0, the plan is past
+        plan = (FaultPlan().crash("n00", at=0.1)
+                .partition([["n00", "n02"], ["n01"]], at=0.2)
+                .recover("n00", at=0.3))
+        FaultInjector(stack.deployment, plan).arm(catch_up=True)
+    finally:
+        loop.close()
+    assert stack.node.alive
+    assert stack.node.transport._blocked_peers == {"n01"}
 
 
 # --------------------------------------------------------------------------
@@ -463,7 +487,7 @@ def test_bounded_queue_evicts_oldest_as_counted_overflow(tmp_path):
         clock, addresses, kind="uds", max_queue_frames=4,
         connect_backoff=BackoffPolicy(base=0.05, cap=0.1, multiplier=2.0,
                                       jitter=0.0, max_elapsed=60.0))
-    node = LiveNode(clock, transport, "a", processing_delay=0.0)
+    node = ProtocolEndpoint(clock, transport, "a", processing_delay=0.0)
 
     async def _go():
         await transport.start()
@@ -504,8 +528,8 @@ def _fan_out_transport(loop, tmp_path):
         clock, addresses, kind="uds",
         connect_backoff=BackoffPolicy(base=5.0, cap=5.0, multiplier=1.0,
                                       jitter=0.0, max_elapsed=60.0))
-    LiveNode(clock, transport, "a", processing_delay=0.0)
-    LiveNode(clock, transport, "local", processing_delay=0.0) \
+    ProtocolEndpoint(clock, transport, "a", processing_delay=0.0)
+    ProtocolEndpoint(clock, transport, "local", processing_delay=0.0) \
         .register_handler("fan", lambda message: None)
     transport.partition([["cut"]])
     transport._peer_down.add("down")
@@ -586,7 +610,7 @@ def test_send_many_encodes_the_payload_once(tmp_path):
                  for name in ("a", "r1", "r2", "r3")}
     clock = LiveClock(seed=1, loop=loop)
     transport = LiveTransport(clock, addresses, kind="uds")
-    LiveNode(clock, transport, "a", processing_delay=0.0)
+    ProtocolEndpoint(clock, transport, "a", processing_delay=0.0)
     fanned, looped = _CountingDict(k="v"), _CountingDict(k="v")
 
     async def _go():
@@ -625,7 +649,8 @@ def test_a_live_message_carries_one_clock_reading_per_side(tmp_path):
     clocks = {n: _TickingClock(seed=1, loop=loop) for n in "ab"}
     transports = {n: LiveTransport(clocks[n], addresses, kind="uds")
                   for n in "ab"}
-    nodes = {n: LiveNode(clocks[n], transports[n], n, processing_delay=0.0)
+    nodes = {n: ProtocolEndpoint(clocks[n], transports[n], n,
+                                 processing_delay=0.0)
              for n in "ab"}
     arrived = []
     nodes["b"].register_handler("ping", arrived.append)
@@ -664,7 +689,7 @@ def test_heartbeat_marks_peer_down_then_recovered(tmp_path):
     clock_a = LiveClock(seed=1, loop=loop)
     transport_a = LiveTransport(clock_a, addresses, kind="uds",
                                 heartbeat_period=0.05, heartbeat_misses=2)
-    a = LiveNode(clock_a, transport_a, "a", processing_delay=0.0)
+    a = ProtocolEndpoint(clock_a, transport_a, "a", processing_delay=0.0)
     received = []
 
     async def _go():
@@ -680,7 +705,7 @@ def test_heartbeat_marks_peer_down_then_recovered(tmp_path):
         # Bring b up: the next probe connects and the peer is back.
         clock_b = LiveClock(seed=2, loop=loop)
         transport_b = LiveTransport(clock_b, addresses, kind="uds")
-        b = LiveNode(clock_b, transport_b, "b", processing_delay=0.0)
+        b = ProtocolEndpoint(clock_b, transport_b, "b", processing_delay=0.0)
         b.register_handler("ping", lambda msg: received.append(msg.payload))
         await transport_b.start()
         await asyncio.sleep(0.6)
@@ -704,7 +729,8 @@ def test_heartbeat_marks_peer_down_then_recovered(tmp_path):
 def _uds_endpoint(loop, addresses, node_id, seed=1, **kwargs):
     clock = LiveClock(seed=seed, loop=loop)
     transport = LiveTransport(clock, addresses, kind="uds", **kwargs)
-    return transport, LiveNode(clock, transport, node_id, processing_delay=0.0)
+    return transport, ProtocolEndpoint(clock, transport, node_id,
+                                       processing_delay=0.0)
 
 
 async def _until(predicate, timeout=2.0):
