@@ -14,8 +14,8 @@ that runs explicit, composable build passes:
 2. **node stacks** — the shared :class:`~repro.runtime.EventBus` and a
    :class:`~repro.store.filesystem.ReplicatedStore` +
    :class:`~repro.runtime.NodeRuntime` per hosted endpoint;
-3. **overlay services** — RanSub, the two-layer temperature overlay, and
-   (optionally) background gossip;
+3. **overlay services** — RanSub (unpartitioned builds only), the two-layer
+   temperature overlay, and (optionally) background gossip;
 4. **instrumentation** — the subscriptions that feed the trace recorder and
    per-object reporting;
 5. **object placement** — one middleware per (participant, object) over
@@ -25,8 +25,9 @@ that runs explicit, composable build passes:
    takes effect — then traffic and any :meth:`DeploymentBuilder.add_pass`.
 
 A host supplying fewer endpoints than ``node_ids`` makes the deployment
-*partitioned* (an observable, not a flag): RanSub and dynamic top layers
-are refused and participants hosted elsewhere are skipped.
+*partitioned* (an observable, not a flag): RanSub is not built (starting
+the overlay services raises), dynamic top layers are refused and
+participants hosted elsewhere are skipped.
 
 :class:`IdeaDeployment` is the built artefact and
 :meth:`DeploymentBuilder.build` its only constructor; objects placed after
@@ -150,7 +151,6 @@ class DeploymentBuilder:
                  gossip_config: Optional[GossipConfig] = None,
                  ransub_period: float = 5.0,
                  processing_delay: float = 0.035,
-                 use_ransub: bool = True,
                  use_gossip: bool = False,
                  loss_probability: float = 0.0,
                  host: Optional[Host] = None) -> None:
@@ -163,7 +163,6 @@ class DeploymentBuilder:
         self.gossip_config = gossip_config
         self.ransub_period = ransub_period
         self.processing_delay = processing_delay
-        self.use_ransub = use_ransub
         self.use_gossip = use_gossip
         self.loss_probability = loss_probability
         self.host: Host = host if host is not None else SimHost()
@@ -250,16 +249,9 @@ class DeploymentBuilder:
             d.runtimes[node_id] = NodeRuntime(node, store, bus=d.bus)
 
     def _overlay_pass(self, d: "IdeaDeployment") -> None:
-        """RanSub, the two-layer temperature overlay, optional gossip."""
-        d.ransub = None
-        if self.use_ransub:
-            if d.partitioned:
-                raise ValueError(
-                    "RanSub is not supported in partitioned builds: its "
-                    "candidate-set sampling needs every node in one process; "
-                    "build with use_ransub=False and pin static top layers")
-            d.ransub = RanSubService(d.clock, d.transport, d.node_ids,
-                                     round_period=self.ransub_period)
+        """RanSub (if unpartitioned), the temperature overlay, optional gossip."""
+        d.ransub = None if d.partitioned else RanSubService(
+            d.clock, d.transport, d.node_ids, round_period=self.ransub_period)
         d.overlay = TwoLayerOverlay(d.local_node_ids,
                                     config=self.overlay_config)
         d.gossip = None
@@ -671,7 +663,10 @@ class IdeaDeployment:
 
     def start_overlay_services(self) -> None:
         """Start the periodic RanSub rounds (and gossip when enabled)."""
-        if self.ransub is not None:
-            self.ransub.start()
+        if self.ransub is None:
+            raise ValueError(
+                "RanSub needs every node in one process: a partitioned "
+                "build has no RanSub to start")
+        self.ransub.start()
         if self.gossip is not None:
             self.gossip.start()

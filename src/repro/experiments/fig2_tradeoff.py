@@ -75,8 +75,7 @@ class TradeoffResult:
 
 def _run_baseline(protocol_cls, *, num_nodes: int, num_writers: int, period: float,
                   duration: float, seed: int, settle: float, **kwargs) -> ProtocolRow:
-    deployment = DeploymentBuilder(num_nodes=num_nodes, seed=seed,
-                                   use_ransub=False).build()
+    deployment = DeploymentBuilder(num_nodes=num_nodes, seed=seed).build()
     writers = deployment.node_ids[:num_writers]
     protocol = protocol_cls(deployment.sim, deployment.network, deployment.nodes,
                             "shared-object", **kwargs)

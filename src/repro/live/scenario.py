@@ -156,7 +156,7 @@ def scenario_builder(spec: ScenarioSpec, *, host: Optional[Host] = None,
         latency=LatencyModel.fixed(latency),
         clock_model=ClockModel().perfect(),
         processing_delay=ProtocolEndpoint.DEFAULT_PROCESSING_DELAY,
-        gossip_config=SCENARIO_GOSSIP, use_ransub=False, use_gossip=True)
+        gossip_config=SCENARIO_GOSSIP, use_gossip=True)
     for obj in spec.objects:
         builder.add_object(obj, scenario_config(), top_layer=spec.nodes)
     return builder

@@ -1,10 +1,10 @@
 """Length-prefixed JSON frame codec for the live backend.
 
 Every payload that crosses ``Transport.send`` in the protocol layers —
-version digests, gossip digests, RanSub views, resolution rounds (extended
-version vectors, invalidation lists), detection announcements, truncation
-counts — must survive a trip through this codec *losslessly*: decode(encode
-(x)) == x, including container types (the resolution installer uses
+version digests, gossip digests, resolution rounds (extended version
+vectors, invalidation lists), detection announcements, truncation counts —
+must survive a trip through this codec *losslessly*: decode(encode(x)) ==
+x, including container types (the resolution installer uses
 ``(writer, seq)`` tuples as dict keys downstream, so tuples must come back
 as tuples, not lists).
 
@@ -38,8 +38,6 @@ packed columns, never nested tagged objects:
                        issued_at, metadata, lct, (cum, last), ...)]``
 ``GossipDigest``       ``[object, origin, [writer, ...], packed(count,
                        ..., metadata, lct, issued_at)]``
-``RanSubView``         ``[[member, ...], packed(round_number,
-                       received_at)]``
 ``ExtendedVersion-     ``[[[writer, packed(seq, ..., (timestamp, delta),
 Vector``               ...), [payload', ...]], ...], [[writer, ...],
                        packed(count, ..., (cum, last), ...)],
@@ -115,7 +113,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.detection import VersionDigest, WriterSummary
 from repro.overlay.gossip import GossipDigest
-from repro.overlay.ransub import RanSubView
 from repro.transport.errors import TransportError
 from repro.versioning.extended_vector import (ErrorTriple,
                                               ExtendedVersionVector,
@@ -384,12 +381,6 @@ def _record_from(fields: List[Any]) -> UpdateRecord:
     return UpdateRecord(writer, seq, timestamp, delta, payload)
 
 
-def _view_from(fields: List[Any]) -> RanSubView:
-    members, blob = fields
-    round_number, received_at = _numbers(1, 1, blob)
-    return RanSubView(round_number, members, received_at)
-
-
 _CODECS: Dict[str, Tuple[type, Callable[[Any], List[Any]],
                          Callable[[List[Any]], Any]]] = {
     "ErrorTriple": (
@@ -417,11 +408,6 @@ _CODECS: Dict[str, Tuple[type, Callable[[Any], List[Any]],
         _one_column(WriterSummary, 1, 2)),
     "VersionDigest": (VersionDigest, _digest_fields, _digest_from),
     "GossipDigest": (GossipDigest, _gossip_fields, _gossip_from),
-    "RanSubView": (
-        RanSubView,
-        lambda v: [v.members,
-                   _packed(1, 1, (v.round_number, v.received_at))],
-        _view_from),
 }
 
 #: exact-type lookup for the encoder (subclasses are not payload types)

@@ -10,7 +10,8 @@ layer missed are eventually detected.
 
 Modules
 -------
-* :mod:`repro.overlay.ransub` — round-based random-subset distribution.
+* :mod:`repro.overlay.ransub` — RanSub's collect/distribute rounds over a
+  static tree.
 * :mod:`repro.overlay.temperature` — per-node update temperature tracking
   and top-layer selection.
 * :mod:`repro.overlay.two_layer` — the per-object overlay manager combining
@@ -19,14 +20,13 @@ Modules
   background (bottom-layer) detection.
 """
 
-from repro.overlay.ransub import RanSubService, RanSubView
+from repro.overlay.ransub import RanSubService
 from repro.overlay.temperature import TemperatureTracker, TemperatureConfig
 from repro.overlay.two_layer import TwoLayerOverlay, OverlayConfig
 from repro.overlay.gossip import GossipConfig, GossipDigest, GossipService
 
 __all__ = [
     "RanSubService",
-    "RanSubView",
     "TemperatureTracker",
     "TemperatureConfig",
     "TwoLayerOverlay",

@@ -43,8 +43,10 @@ class TemperatureConfig:
     min_top_size: int = 1
 
     def __post_init__(self) -> None:
-        if self.half_life <= 0:
+        if not self.half_life > 0:  # NaN fails every comparison
             raise ValueError("half_life must be positive")
+        if math.isnan(self.hot_threshold):
+            raise ValueError("hot_threshold must be a number")
         if self.max_top_size < 1:
             raise ValueError("max_top_size must be >= 1")
         if self.min_top_size < 0 or self.min_top_size > self.max_top_size:

@@ -12,11 +12,10 @@ Each object has its own independent overlay state ("different files may have
 different top layers and different top layers do not interfere with one
 another", Section 4.1), which the tests verify.
 
-Membership is decided by temperature alone.  RanSub views are not consulted:
-only nodes that have written are ever ranked, and a writer the random sample
-missed must stay in its top layer, so a view could never remove anyone.
-The RanSub service still runs beside the overlay as the membership traffic
-the overhead figures count.
+Membership is decided by temperature alone: only nodes that have written
+are ever ranked, and a writer must never be filtered out, so a random
+sample could never remove anyone.  The RanSub service runs beside the
+overlay as control traffic only; it draws no sample.
 """
 
 from __future__ import annotations
@@ -32,9 +31,6 @@ class OverlayConfig:
     """Configuration shared by every per-object overlay."""
 
     temperature: TemperatureConfig = field(default_factory=TemperatureConfig)
-    #: refresh the top-layer membership whenever it is queried (True) or only
-    #: when an update is recorded (False).  Queries are cheap either way.
-    refresh_on_query: bool = True
 
 
 class TwoLayerOverlay:
@@ -107,14 +103,14 @@ class TwoLayerOverlay:
 
     # ------------------------------------------------------------ membership
     def top_layer(self, object_id: str, time: Optional[float] = None) -> List[str]:
-        """Current top-layer members for the object (may be empty pre-warm-up)."""
+        """Top-layer members at ``time``, else the last selection (may be empty)."""
         tracker = self._trackers.get(object_id)
         if tracker is None:
             return []
         selected = self._selected.get(object_id)
-        if (self.config.refresh_on_query and time is not None
-                and (selected is None or selected[0] != tracker.version
-                     or selected[1] != time)):
+        if time is not None and (selected is None
+                                 or selected[0] != tracker.version
+                                 or selected[1] != time):
             selected = self._selected[object_id] = (
                 tracker.version, time, tracker.select_top(time))
         return list(selected[2]) if selected is not None else []

@@ -11,9 +11,7 @@ from repro.core.deployment import DeploymentBuilder
 
 
 def build(num_nodes=5, seed=6):
-    deployment = DeploymentBuilder(num_nodes=num_nodes, seed=seed,
-                                   use_ransub=False).build()
-    return deployment
+    return DeploymentBuilder(num_nodes=num_nodes, seed=seed).build()
 
 
 class TestOptimisticAntiEntropy:

@@ -125,6 +125,15 @@ class TestOverlayServices:
         assert deployment.ransub.rounds_completed == 3
         assert deployment.overlay_messages() > 0
 
+    def test_ransub_is_built_but_idle_until_started(self, hint_config):
+        deployment = DeploymentBuilder(num_nodes=10, seed=5,
+                                       ransub_period=5.0).build()
+        deployment.register_object("obj", hint_config, start_background=False)
+        deployment.run(until=16.0)
+        assert deployment.ransub is not None
+        assert deployment.ransub.rounds_completed == 0
+        assert deployment.network.messages_sent("overlay.ransub") == 0
+
     def test_gossip_enabled_deployment(self, hint_config):
         deployment = DeploymentBuilder(num_nodes=6, seed=5,
                                        use_gossip=True).build()

@@ -83,19 +83,26 @@ class TestLiveHost:
         yield LiveHost("n00", addresses, loop=loop)
         loop.close()
 
-    def test_partitioned_build_refuses_ransub(self, host):
+    def test_partitioned_build_has_no_ransub(self, host):
+        deployment = DeploymentBuilder(host=host).build()
+        assert deployment.partitioned and deployment.ransub is None
+
+    def test_partitioned_build_refuses_to_start_ransub(self, host):
+        deployment = DeploymentBuilder(host=host).build()
         with pytest.raises(ValueError, match="RanSub"):
-            DeploymentBuilder(host=host, use_ransub=True).build()
+            deployment.start_overlay_services()
+        with pytest.raises(ValueError, match="RanSub"):
+            DeploymentBuilder(host=host).start_overlay_services().build()
 
     def test_partitioned_build_requires_static_top_layer(self, host):
-        deployment = DeploymentBuilder(host=host, use_ransub=False).build()
+        deployment = DeploymentBuilder(host=host).build()
         assert deployment.partitioned
         with pytest.raises(ValueError, match="static top_layer"):
             deployment.register_object("obj", scenario_config(),
                                        participants=["n00", "n01"])
 
     def test_nodes_is_only_the_hosted_slice(self, host):
-        deployment = DeploymentBuilder(host=host, use_ransub=False).build()
+        deployment = DeploymentBuilder(host=host).build()
         assert deployment.node_ids == ["n00", "n01", "n02"]
         assert list(deployment.nodes) == ["n00"]
         assert deployment.local_node_ids == ["n00"]
@@ -103,7 +110,7 @@ class TestLiveHost:
         assert sorted(deployment.runtimes) == sorted(deployment.stores) == ["n00"]
 
     def test_remote_participants_are_skipped_unknown_ones_raise(self, host):
-        deployment = DeploymentBuilder(host=host, use_ransub=False).build()
+        deployment = DeploymentBuilder(host=host).build()
         managed = deployment.register_object(
             "obj", scenario_config(), participants=["n00", "n01"],
             top_layer=["n00", "n01"], start_background=False)
@@ -116,7 +123,7 @@ class TestLiveHost:
     def test_remote_crashes_are_no_ops_unknown_ones_raise(self, host):
         """Every node arms the whole fault plan: a crash or recovery of a
         node another process hosts is that process's to apply."""
-        deployment = DeploymentBuilder(host=host, use_ransub=False).build()
+        deployment = DeploymentBuilder(host=host).build()
         deployment.crash_node("n01")
         deployment.recover_node("n01")
         assert deployment.alive_node_ids() == ["n00"]

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro.core.detection import VersionDigest, WriterSummary
 from repro.live import wire
 from repro.overlay.gossip import GossipDigest
-from repro.overlay.ransub import RanSubView
 from repro.versioning.extended_vector import (ErrorTriple,
                                               ExtendedVersionVector,
                                               UpdateRecord, WriterBase)
@@ -93,10 +92,6 @@ gossip_digests = st.builds(
                     max_size=3, unique_by=lambda t: t[0]).map(tuple),
     metadata=finite, last_consistent_time=finite, issued_at=finite)
 
-ransub_views = st.builds(RanSubView, round_number=st.integers(0, 1000),
-                         members=st.lists(writer_ids, max_size=5),
-                         received_at=finite)
-
 
 @st.composite
 def extended_vectors(draw):
@@ -136,7 +131,7 @@ def test_arbitrary_containers_roundtrip(value):
 @settings(max_examples=50, deadline=None)
 @given(st.one_of(error_triples, update_records, writer_bases,
                  writer_summaries, version_vectors, version_digests,
-                 gossip_digests, ransub_views))
+                 gossip_digests))
 def test_registered_payload_types_roundtrip(value):
     assert wire.roundtrip(value) == value
 
@@ -199,10 +194,9 @@ PROTOCOL_PAYLOADS = [
                              counts=(("n00", 2), ("n02", 1)), metadata=3.0,
                              last_consistent_time=0.5, issued_at=2.0),
       "ttl": 3, "members": ["n00", "n01", "n02"]}),
-    # RanSub views
-    ("overlay.ransub", "ransub_view",
-     {"view": RanSubView(round_number=4, members=["n01", "n03"],
-                         received_at=8.0)}),
+    # RanSub rounds (plain dicts: no sample travels)
+    ("overlay.ransub", "ransub_collect", {"round": 4, "member": "n03"}),
+    ("overlay.ransub", "ransub_distribute", {"round": 4}),
     # resolution rounds: collect response and install push
     ("idea.resolution", "idea_collect:obj0",
      {"vector": ExtendedVersionVector(
@@ -217,6 +211,17 @@ PROTOCOL_PAYLOADS = [
                                  last_timestamp=0.5)},
          metadata=2.0),
       "invalidated": [("n01", 1)]}),
+    # the RPC envelopes a resolution round's calls travel in: the request
+    # and a response whose ``(status, value)`` result must stay a tuple
+    ("idea.resolution", "__rpc_request__",
+     {"request_id": 7, "method": "idea_collect:obj0",
+      "args": {"initiator": "n01"}, "reply_to": "n01",
+      "protocol": "idea.resolution"}),
+    ("idea.resolution", "__rpc_response__",
+     {"request_id": 7,
+      "result": ("ok", {"vector": ExtendedVersionVector(
+          updates={"n00": (UpdateRecord("n00", 1, 0.5, 1.0),)},
+          metadata=1.0), "node_id": "n00"})}),
     # truncation/stability counts piggybacked as plain vectors
     ("idea.truncation", "stability_counts",
      {"counts": VersionVector({"n00": 5, "n01": 3}), "node_id": "n00"}),
@@ -308,8 +313,7 @@ UNENCODABLE = {
     "dict-holding-itself": (_holding_itself({}), 0.0),
     # a typed field goes to the C encoder without the generic walker
     "typed-field-holding-itself": (
-        RanSubView(round_number=1, members=_holding_itself([]),
-                   received_at=0.0), 0.0),
+        UpdateRecord(_holding_itself([]), 1, 0.0, 0.0), 0.0),
 }
 
 
@@ -519,7 +523,6 @@ TYPED_FLOAT_FIELDS = {
         "o", "n00", (("n00", 1),), 1.0, x, 1.0),
     "GossipDigest.issued_at": lambda x: GossipDigest(
         "o", "n00", (("n00", 1),), 1.0, 0.5, x),
-    "RanSubView.received_at": lambda x: RanSubView(1, ["n00"], x),
     "ExtendedVersionVector.records.timestamp":
         lambda x: _vector_with(timestamp=x),
     "ExtendedVersionVector.records.metadata_delta":
@@ -592,7 +595,6 @@ _COLUMNS = {
     "VersionVector": (1, 0, lambda blob: [["w"], blob]),
     "VersionDigest": (1, 5, lambda blob: ["o", "n", ["w"], blob]),
     "GossipDigest": (1, 3, lambda blob: ["o", "n", ["w"], blob]),
-    "RanSubView": (1, 1, lambda blob: [["m"], blob]),
     "ExtendedVersionVector": (1, 2, lambda blob: [
         [["w", blob, [None]]], [[], _column([], [])],
         _column([], [0.0] * 5)]),
@@ -671,7 +673,12 @@ OUT_OF_INT64 = {
         writers=(("n00", WriterSummary(2 ** 64, 1.5, 2.0)),)),
     "GossipDigest.counts": GossipDigest("o", "n", (("w", 2 ** 63),), 1.0, 0.5,
                                         1.0),
-    "RanSubView.round_number": RanSubView(2 ** 63, [], 1.0),
+    "VersionVector.counts.below": VersionVector._from_trusted(
+        {"w": -2 ** 63 - 1}),
+    "ExtendedVersionVector.records.seq": ExtendedVersionVector(
+        updates={"n00": (UpdateRecord("n00", 2 ** 63, 1.0, 1.0),)}),
+    "ExtendedVersionVector.base.count": ExtendedVersionVector(
+        base={"n00": WriterBase(2 ** 63, 1.0, 0.5)}),
 }
 
 
@@ -953,8 +960,7 @@ INTRUDERS = [[], {}, [[1]], {"a": [1]}, {"__t": 5}, {"__t": []},
 
 every_registered_value = st.one_of(
     error_triples, update_records, writer_bases, writer_summaries,
-    version_vectors, version_digests, gossip_digests, ransub_views,
-    extended_vectors(),
+    version_vectors, version_digests, gossip_digests, extended_vectors(),
     st.builds(lambda vector, pairs: {"merged": vector, "invalidated": pairs},
               extended_vectors(),
               st.lists(st.tuples(writer_ids, st.integers(1, 20)), max_size=2)),

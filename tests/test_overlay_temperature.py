@@ -16,6 +16,19 @@ class TestTemperatureConfig:
         with pytest.raises(ValueError):
             TemperatureConfig(half_life=0)
 
+    @pytest.mark.parametrize("field", ["half_life", "hot_threshold"])
+    def test_nan_refused(self, field):
+        """A NaN half-life makes every temperature NaN (nobody ever cools);
+        a NaN threshold makes every writer hot."""
+        with pytest.raises(ValueError, match=field):
+            TemperatureConfig(**{field: float("nan")})
+
+    def test_infinite_half_life_means_no_decay(self):
+        tracker = TemperatureTracker(
+            "obj", TemperatureConfig(half_life=float("inf")))
+        tracker.record_update("n0", 0.0)
+        assert tracker.temperature("n0", 1e6) == 1.0
+
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             TemperatureConfig(max_top_size=0)
@@ -102,6 +115,18 @@ class TestTwoLayerOverlay:
         overlay = TwoLayerOverlay(["n0", "n1"])
         assert overlay.top_layer("obj") == []
         assert set(overlay.bottom_layer("obj")) == {"n0", "n1"}
+
+    def test_top_layer_without_a_time_is_the_last_selection(self):
+        """A write or a query with a time re-ranks; a query without one
+        returns the last ranking, whatever time it was made at."""
+        overlay = TwoLayerOverlay(["n0", "n1", "n2"])
+        overlay.record_update("obj", "n0", 0.0)
+        overlay.record_update("obj", "n1", 0.0)
+        overlay.record_update("obj", "n1", 0.0)
+        assert overlay.top_layer("obj") == ["n1", "n0"]
+        # long after, n0 has cooled out; n1 stays as the minimum top layer
+        assert overlay.top_layer("obj", 1e4) == ["n1"]
+        assert overlay.top_layer("obj") == ["n1"]
 
     def test_writers_enter_top_layer(self):
         overlay = TwoLayerOverlay([f"n{i}" for i in range(10)])
