@@ -71,7 +71,7 @@ class OptimisticAntiEntropy(BaselineProtocol):
         version vector — "only several bits" per entry) rather than a
         materialised update-key set: histories are seq-contiguous, so counts
         identify the missing set exactly and the receiver serves it from its
-        per-writer log index in O(missing) instead of O(log).
+        vector's per-writer tails in O(missing) instead of O(history).
         """
         self.sessions_run += 1
         node_ids = list(self.nodes)
@@ -92,7 +92,7 @@ class OptimisticAntiEntropy(BaselineProtocol):
         payload = message.payload
         receiver = message.dst
         replica = self.replicas[receiver]
-        missing = replica.log.missing_from(payload["known"])
+        missing = replica.missing_from(payload["known"])
         if not missing:
             return
         self.network.send(receiver, payload["from"], protocol=self.protocol_name,

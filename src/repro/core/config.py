@@ -15,6 +15,7 @@ All knobs exposed through the developer API of Table 1 live here:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -54,8 +55,8 @@ class ConsistencyMetricSpec:
         for name, value in (("max_numerical", self.max_numerical),
                             ("max_order", self.max_order),
                             ("max_staleness", self.max_staleness)):
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,10 @@ class MetricWeights:
     staleness: float = 1.0 / 3.0
 
     def __post_init__(self) -> None:
-        if self.numerical < 0 or self.order < 0 or self.staleness < 0:
-            raise ValueError("weights must be non-negative")
+        if not (0 <= self.numerical < math.inf and 0 <= self.order < math.inf
+                and 0 <= self.staleness < math.inf):
+            raise ValueError(f"weights must be non-negative and finite, "
+                             f"got {self.as_tuple()}")
         if self.numerical + self.order + self.staleness <= 0:
             raise ValueError("at least one weight must be positive")
 
@@ -117,10 +120,12 @@ class IdeaConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.hint_level <= 1.0:
             raise ValueError("hint_level must lie in [0, 1]")
-        if self.hint_delta < 0:
-            raise ValueError("hint_delta must be non-negative")
-        if self.background_period is not None and self.background_period <= 0:
-            raise ValueError("background_period must be positive or None")
+        if not 0 <= self.hint_delta < math.inf:
+            raise ValueError("hint_delta must be non-negative and finite")
+        if (self.background_period is not None
+                and not 0 < self.background_period < math.inf):
+            raise ValueError("background_period must be positive and finite, "
+                             "or None")
         if self.outcome_history is not None and self.outcome_history < 1:
             raise ValueError("outcome_history must be positive or None")
 

@@ -153,10 +153,10 @@ class IdeaMiddleware:
         now = self.node.clock.now
         trigger = new_snapshot
         if not trigger and quiet_threshold is not None:
-            # The log floors its answer with the checkpoint's fold horizon:
+            # The replica floors its answer with the fold horizon:
             # truncation may have folded the most recent writes, and a
             # truncated replica must not look idle when it was just updated.
-            quiet_for = now - self.replica.log.last_applied_at()
+            quiet_for = now - self.replica.last_applied_at()
             trigger = quiet_for >= quiet_threshold
 
         if trigger:

@@ -13,7 +13,8 @@ This is what is left of ``repro.shard``: the space-partitioned engine it
 served was measured and deleted (DESIGN.md §12).  The module keeps its
 import path and function names only because ``benchmarks/ledger/workloads.py``
 imports them and the PR that deleted the engine could not edit the ledger;
-the rename rides with ROADMAP item 1, which re-records the ledger anyway.
+the rename is carried item A of ROADMAP.md, the one change that edits the
+ledger.
 """
 
 from __future__ import annotations

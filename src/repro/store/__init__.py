@@ -3,15 +3,14 @@
 The paper assumes IDEA sits on top of a general replication-based file
 system that "handles the ordinary read/write operations" and "ensures the
 correctness of read/write functionalities" (Section 2).  This subpackage is
-that substrate: a per-node replica of each shared object keeps an append-only
-update log and the current extended version vector; the
+that substrate: a per-node replica of each shared object holds each applied
+update once, in its extended version vector; the
 :class:`~repro.store.filesystem.ReplicatedStore` groups the replicas hosted
 by one node and exposes read/write to the application layer, while IDEA's
 middleware observes the same replicas to detect and resolve inconsistency.
 """
 
-from repro.store.update_log import UpdateLog
 from repro.store.replica import Replica, ReplicaSnapshot
 from repro.store.filesystem import ReplicatedStore
 
-__all__ = ["UpdateLog", "Replica", "ReplicaSnapshot", "ReplicatedStore"]
+__all__ = ["Replica", "ReplicaSnapshot", "ReplicatedStore"]

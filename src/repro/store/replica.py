@@ -1,24 +1,33 @@
 """Per-node replica of a shared object.
 
-A :class:`Replica` couples three things that must stay in step:
+A :class:`Replica` holds each applied update once, in its current
+:class:`~repro.versioning.extended_vector.ExtendedVersionVector`: per writer
+a checkpoint (the folded stable prefix) and a retained tail of records
+(DESIGN.md §9).  Beside the vector it keeps only what the vector does not
+know:
 
-* the :class:`~repro.store.update_log.UpdateLog` of applied updates,
-* the current :class:`~repro.versioning.extended_vector.ExtendedVersionVector`,
-* per-writer sequence counters for locally issued writes.
+* per writer, the applied-at stamp of each retained record, index-aligned
+  with the vector's tail — they answer :meth:`Replica.last_applied_at` and
+  let a truncation keep records applied after a window;
+* the tombstoned ``(writer, seq)`` keys of the *invalidate-both* policy
+  (Section 4.5.1), which leave content reads and pushes;
+* the folded live payloads as sorted chunks, so a truncated replica reads
+  the same content as an untruncated one.
 
 The consistency level the user perceives (Figures 7, 8 and 10 of the paper)
 is always computed from a replica's extended vector compared against a
-reference state, so keeping vector and log consistent is the core invariant
-of this module (checked by property tests).
+reference state.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import merge as _heap_merge
+from itertools import groupby
 from operator import attrgetter
-from typing import Any, Callable, List, Mapping, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
 
-from repro.store.update_log import UpdateLog
 from repro.versioning.extended_vector import (
     ExtendedVersionVector,
     TruncatedHistoryError,
@@ -26,6 +35,7 @@ from repro.versioning.extended_vector import (
 )
 from repro.versioning.version_vector import VersionVector
 
+_writer = attrgetter("writer")
 _writer_seq = attrgetter("writer", "seq")
 
 
@@ -66,9 +76,25 @@ class Replica:
                  initial_consistent_time: float = 0.0) -> None:
         self.node_id = node_id
         self.object_id = object_id
-        self.log = UpdateLog()
         self._vector = ExtendedVersionVector(
             last_consistent_time=initial_consistent_time)
+        #: per writer, the applied-at stamps of its retained records, in seq
+        #: order; a writer whose tail folds away leaves and re-enters at its
+        #: next apply, as in the vector
+        self._stamps: Dict[str, List[float]] = {}
+        #: every stamp so far was >= the one before; while it holds, stamp
+        #: lists are sorted and the ``keep_after`` cut bisects them
+        self._monotone = True
+        self._last_stamp = float("-inf")
+        #: tombstoned retained keys (invalidate-both); folding lets them go
+        self._dead: Set[Tuple[str, int]] = set()
+        #: live folded payloads, chunks of (timestamp, writer, seq, payload)
+        #: each sorted; content reads merge them lazily
+        self._folded_content: List[List[Tuple[float, str, int, Any]]] = []
+        #: a ``keep_content=False`` truncation dropped live payloads
+        self._content_dropped = False
+        #: latest applied-at among folded records (floors ``last_applied_at``)
+        self.applied_through = float("-inf")
         #: number of updates blocked because a resolution was in progress
         self.blocked_writes = 0
         #: whether writes are currently blocked (during a resolution round)
@@ -102,10 +128,62 @@ class Replica:
         """Application payloads of live updates, in timestamp order.
 
         Served over ``checkpoint ⊕ tail``: folded payloads come pre-sorted
-        from the log checkpoint and merge with the retained records, so a
-        truncated replica reads identically to an untruncated one.
+        from the chunks truncation kept and merge with the retained records,
+        so a truncated replica reads identically to an untruncated one.
         """
-        return self.log.live_content()
+        if self._content_dropped:
+            raise TruncatedHistoryError(
+                "folded payloads were discarded by a keep_content=False "
+                "truncation; this replica can no longer serve full-content "
+                "reads")
+        records = self._vector.all_updates()
+        dead = self._dead
+        if dead:
+            records = [r for r in records if (r.writer, r.seq) not in dead]
+        chunks = self._folded_content
+        if not chunks:
+            return [r.payload for r in records]
+        if len(chunks) > 1:
+            # Collapse to one chunk so repeated reads stop re-merging.
+            chunks[:] = [list(_heap_merge(*chunks))]
+        tail = [(r.timestamp, r.writer, r.seq, r.payload) for r in records]
+        return [item[3] for item in _heap_merge(chunks[0], tail)]
+
+    def last_applied_at(self) -> float:
+        """When the replica last applied a live update (0.0 if it never did).
+
+        The latest live retained stamp (each writer's last while all are live
+        and monotone), floored by the fold horizon so a truncated replica
+        answers like an untruncated one.
+        """
+        if self._monotone and not self._dead:
+            last = max((stamps[-1] for stamps in self._stamps.values()),
+                       default=0.0)
+        else:
+            dead, vector = self._dead, self._vector
+            last = max((stamp for writer, stamps in self._stamps.items()
+                        for seq, stamp in enumerate(
+                            stamps, vector.base_count(writer) + 1)
+                        if (writer, seq) not in dead), default=0.0)
+        through = self.applied_through
+        return last if last >= through else through
+
+    def missing_from(self, counts: VersionVector) -> List[UpdateRecord]:
+        """Live records held here above a peer's per-writer ``counts``, in
+        ``(timestamp, writer, seq)`` order (an anti-entropy answer).
+
+        Raises :class:`TruncatedHistoryError` when the peer is behind the
+        checkpoint: the records it lacks were folded.
+        """
+        missing = self._vector.missing_from(counts)
+        dead = self._dead
+        if dead:
+            missing = [r for r in missing if (r.writer, r.seq) not in dead]
+        return missing
+
+    def retained_log_entries(self) -> int:
+        """Records currently held in memory (bounded by the window)."""
+        return sum(map(len, self._stamps.values()))
 
     # -------------------------------------------------------------- writes
     def next_seq(self, writer: str) -> int:
@@ -128,7 +206,7 @@ class Replica:
                 self.journal("blocked", self.object_id)
             return None
         # The seq is minted from the vector's own count, so the record is
-        # new by construction: straight to ``apply`` and ``append``, without
+        # new by construction: straight to ``apply``, without
         # :meth:`apply_update`'s duplicate guard.
         vector = self._vector
         record = UpdateRecord(writer, vector.count(writer) + 1, timestamp,
@@ -136,7 +214,14 @@ class Replica:
         self._vector = vector.apply(record)
         if applied_at is None:
             applied_at = timestamp
-        self.log.append(record, applied_at=applied_at)
+        stamps = self._stamps.get(writer)
+        if stamps is None:
+            self._stamps[writer] = [applied_at]
+        else:
+            stamps.append(applied_at)
+        if applied_at < self._last_stamp:
+            self._monotone = False
+        self._last_stamp = applied_at
         self.revision += 1
         if self.journal is not None:
             self.journal("write", self.object_id, record, applied_at)
@@ -152,10 +237,18 @@ class Replica:
         # Per-writer seqs are contiguous from 1, so "already applied" is
         # exactly "seq not beyond the writer's current count" — an O(1)
         # check instead of materialising the full update-key set.
-        if 1 <= record.seq <= self._vector.count(record.writer):
+        writer = record.writer
+        if 1 <= record.seq <= self._vector.count(writer):
             return False
         self._vector = self._vector.apply(record)
-        self.log.append(record, applied_at=applied_at)
+        stamps = self._stamps.get(writer)
+        if stamps is None:
+            self._stamps[writer] = [applied_at]
+        else:
+            stamps.append(applied_at)
+        if applied_at < self._last_stamp:
+            self._monotone = False
+        self._last_stamp = applied_at
         self.revision += 1
         return True
 
@@ -168,10 +261,22 @@ class Replica:
         batch with a per-writer gap raises before anything changes.
         """
         vector, applied = self._vector.apply_many(sorted(records, key=_writer_seq))
-        if applied:
-            self._vector = vector
-            self.log.extend(applied, applied_at=applied_at)
-            self.revision += len(applied)
+        if not applied:
+            return 0
+        self._vector = vector
+        stamps_of = self._stamps
+        # ``applied`` keeps the sorted order: one run of records per writer
+        for writer, run in groupby(applied, _writer):
+            new = [applied_at] * len(list(run))
+            stamps = stamps_of.get(writer)
+            if stamps is None:
+                stamps_of[writer] = new
+            else:
+                stamps += new
+        if applied_at < self._last_stamp:
+            self._monotone = False
+        self._last_stamp = applied_at
+        self.revision += len(applied)
         return len(applied)
 
     # ----------------------------------------------------- resolution hooks
@@ -192,7 +297,7 @@ class Replica:
         Returns the number of updates pulled in.  The replica's own extra
         updates (if any) are kept — the merged image by construction contains
         them, so vectors converge.  The install is all-or-nothing: an image
-        this replica cannot extend contiguously raises with vector, log and
+        this replica cannot extend contiguously raises with the vector and
         :attr:`revision` untouched.  If this replica fell behind the pushing
         initiator's checkpoint the install is counted and re-raised: the
         records it needs no longer exist anywhere (conservative frontier
@@ -211,19 +316,29 @@ class Replica:
         return applied
 
     def invalidate_updates(self, keys: List[Tuple[str, int]]) -> int:
-        """Tombstone updates chosen by the invalidate-both policy.
+        """Tombstone updates chosen by the invalidate-both policy; returns
+        how many were newly tombstoned.
 
         Keys that fell below the checkpoint are reported through
-        :attr:`truncation_stats` rather than silently ignored.
+        :attr:`truncation_stats` rather than silently ignored: they were
+        known everywhere, so a policy naming them means the frontier ran
+        ahead of resolution.
         """
         self.revision += 1
         if self.journal is not None:
             self.journal("invalidate", self.object_id, list(keys))
-        before = self.log.invalidated_below_checkpoint
-        count = self.log.invalidate(keys)
-        skipped = self.log.invalidated_below_checkpoint - before
-        if skipped:
-            self.truncation_stats.invalidate_below_checkpoint += skipped
+        vector, dead = self._vector, self._dead
+        count = below = 0
+        for writer, seq in keys:
+            base = vector.base_count(writer)
+            if base < seq <= vector.count(writer):
+                if (writer, seq) not in dead:
+                    dead.add((writer, seq))
+                    count += 1
+            elif 1 <= seq <= base:
+                below += 1
+        if below:
+            self.truncation_stats.invalidate_below_checkpoint += below
         return count
 
     # ------------------------------------------------------------ truncation
@@ -233,29 +348,68 @@ class Replica:
         """Fold the stable prefix below ``frontier`` into the checkpoint.
 
         ``frontier`` is the per-writer stability frontier (updates known by
-        every replica); ``keep_after`` pins entries applied after that time
-        regardless.  Log and vector are truncated to the *same*
-        per-writer counts (the log decides, since it also honours
-        ``keep_after``), preserving the core log/vector invariant.  Returns
-        the number of entries folded.
+        every replica); ``keep_after`` also pins records applied after that
+        time, stable or not: the first one too new (or beyond the frontier)
+        stops a writer's fold.  ``keep_content=False`` drops the folded
+        payloads instead of keeping them (metadata-only workloads: memory
+        stays flat in run length); full-content reads then raise
+        :class:`TruncatedHistoryError`.  Returns the number of records
+        folded.
         """
         counts = (frontier.as_dict() if isinstance(frontier, VersionVector)
                   else dict(frontier))
-        folded = self.log.truncate(counts, keep_after=keep_after,
-                                   keep_content=keep_content)
-        if folded:
-            self._vector = self._vector.truncate_to(self.log.checkpoint.counts)
-            self.revision += 1
-            self.truncation_stats.truncations += 1
-            self.truncation_stats.entries_folded += folded
-            if self.journal is not None:
-                self.journal("truncate", self.object_id, counts, keep_after,
-                             keep_content)
+        vector, stamps_of, dead = self._vector, self._stamps, self._dead
+        bases = vector.bases()
+        folds: Dict[str, int] = {}
+        folded = live_folded = 0
+        content: List[Tuple[float, str, int, Any]] = []
+        for writer, target in counts.items():
+            stamps = stamps_of.get(writer)
+            if stamps is None:
+                continue
+            base = bases[writer].count if writer in bases else 0
+            fold_n = min(target - base, len(stamps))
+            if fold_n > 0 and keep_after is not None:
+                if self._monotone:
+                    fold_n = bisect_right(stamps, keep_after, 0, fold_n)
+                else:
+                    fold_n = next((i for i in range(fold_n)
+                                   if stamps[i] > keep_after), fold_n)
+            if fold_n <= 0:
+                continue
+            top = base + fold_n
+            gone = ({key for key in dead if key[0] == writer and key[1] <= top}
+                    if dead else ())
+            if gone:
+                dead -= gone
+            live_folded += fold_n - len(gone)
+            if keep_content:
+                content += [(r.timestamp, writer, r.seq, r.payload)
+                            for r in vector.updates_through(writer, top)
+                            if (writer, r.seq) not in gone]
+            last = stamps[fold_n - 1] if self._monotone else max(stamps[:fold_n])
+            if last > self.applied_through:
+                self.applied_through = last
+            del stamps[:fold_n]
+            if not stamps:
+                del stamps_of[writer]
+            folds[writer] = top
+            folded += fold_n
+        if not folded:
+            return 0
+        self._vector = vector.truncate_to(folds)
+        if not keep_content and live_folded:
+            self._content_dropped = True
+        if content:
+            content.sort()
+            self._folded_content.append(content)
+        self.revision += 1
+        self.truncation_stats.truncations += 1
+        self.truncation_stats.entries_folded += folded
+        if self.journal is not None:
+            self.journal("truncate", self.object_id, counts, keep_after,
+                         keep_content)
         return folded
-
-    def retained_log_entries(self) -> int:
-        """Records currently held in memory (bounded by the window)."""
-        return self.log.retained_count()
 
     # -------------------------------------------------------------- dunder
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -351,6 +351,18 @@ class ExtendedVersionVector:
         return self._updates.get(writer, _NO_HISTORY).above(
             count if count > 0 else 0)
 
+    def updates_through(self, writer: str, count: int) -> List[UpdateRecord]:
+        """``writer``'s retained records with a seq up to ``count``.
+
+        One prefix slice of the shared list: what folding the writer up to
+        ``count`` takes, without copying the rest of the tail.
+        """
+        base = self._base.get(writer)
+        if base is not None:
+            count -= base.count
+        history = self._updates.get(writer, _NO_HISTORY)
+        return history.records[:min(count, history.n)] if count > 0 else []
+
     def all_updates(self) -> List[UpdateRecord]:
         """Every retained update, ordered by timestamp then writer (stable)."""
         records = [r for recs in self._updates.values() for r in recs]
@@ -591,11 +603,14 @@ class ExtendedVersionVector:
         """Compare using the classic count projection."""
         return self.counts().compare(other.counts())
 
-    def missing_from(self, other: "ExtendedVersionVector") -> List[UpdateRecord]:
+    def missing_from(self, other: "ExtendedVersionVector | VersionVector"
+                     ) -> List[UpdateRecord]:
         """Updates known here but absent from ``other`` (what to push).
 
-        Served per writer from the seq-contiguous tails in O(missing):
-        ``other`` lacks exactly the records above its per-writer count.
+        ``other`` is a peer's vector or just its per-writer counts.  Served
+        per writer from the seq-contiguous tails in O(missing): ``other``
+        lacks exactly the records above its per-writer count, returned in
+        ``(timestamp, writer, seq)`` order.
         Raises :class:`TruncatedHistoryError` when a needed record was
         folded into this vector's checkpoint — the peer is behind the
         stability frontier and can only be repaired by checkpoint adoption

@@ -49,6 +49,7 @@ constructor that realises it) and nothing anywhere else.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import partial
@@ -247,6 +248,8 @@ def _read(field: Field, value: Any, path: str, refs: dict) -> Any:
                     f"got {type(value).__name__}")
     if not whole:
         value = float(value)
+        if not math.isfinite(value):
+            _fail(path, f"must be a finite number, got {value!r}")
     for symbol, bound, holds in ((">=", field.ge, operator.ge),
                                  (">", field.gt, operator.gt),
                                  ("<=", field.le, operator.le),

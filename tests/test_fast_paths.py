@@ -330,7 +330,7 @@ class TestLocalWriteAgainstApplyUpdate:
         min_size=1, max_size=30))
     def test_twin_replicas_stay_equal(self, steps):
         """``local_write`` on one replica, ``apply_update`` of the very same
-        record on its twin: vector, log entries with ``applied_at``,
+        record on its twin: vector, applied-at stamps and tombstones,
         ``revision`` and blocked-write accounting."""
         ours, twin = Replica("me", "x"), Replica("me", "x")
         now = 0.0
@@ -361,13 +361,13 @@ class TestLocalWriteAgainstApplyUpdate:
             assert ours.vector == twin.vector
             assert ours.vector.metadata == twin.vector.metadata
             assert ours.vector.counts() == twin.vector.counts()
-            assert ours.log.entries(include_dead=True) == \
-                twin.log.entries(include_dead=True)
-            assert ours.log.live_metadata() == twin.log.live_metadata()
+            assert ours._stamps == twin._stamps
+            assert ours._dead == twin._dead
             assert ours.revision == twin.revision
             assert ours.blocked_writes == twin.blocked_writes
 
     def test_applied_at_defaults_to_the_timestamp(self):
         replica = Replica("me", "x")
         record = replica.local_write("me", 3.5)
-        assert replica.log.get(record.key()).applied_at == 3.5
+        assert replica._stamps == {"me": [3.5]}
+        assert replica.last_applied_at() == 3.5

@@ -61,7 +61,7 @@ def state_of(stack):
         state[obj] = copy.deepcopy((
             replica.vector.counts().as_dict(), replica.vector.total_updates(),
             replica.metadata, replica.vector.last_consistent_time,
-            replica.content(), replica.log.checkpoint.counts,
+            replica.content(), replica.vector.bases(),
             replica.truncation_stats, replica.next_seq(NODE)))
     return state
 

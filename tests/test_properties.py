@@ -8,7 +8,7 @@ from repro.core.config import ConsistencyMetricSpec, MetricWeights
 from repro.core.detection import VersionDigest, build_reference
 from repro.core.quantify import consistency_level
 from repro.overlay.temperature import TemperatureConfig, TemperatureTracker
-from repro.store.update_log import UpdateLog
+from repro.store.replica import Replica
 from repro.versioning.extended_vector import ErrorTriple, ExtendedVersionVector, UpdateRecord
 from repro.versioning.version_vector import Ordering, VersionVector
 
@@ -175,59 +175,48 @@ class TestDetectionProperties:
         assert abs(reference.metadata - digest.metadata) < 1e-9
 
 
-# ------------------------------------------------------------------- update log
-class TestUpdateLogProperties:
+# ------------------------------------------------------------ replica records
+class TestReplicaRecordProperties:
     @given(update_sequences())
-    def test_append_is_idempotent(self, records):
-        log = UpdateLog()
+    def test_apply_update_is_idempotent(self, records):
+        replica = Replica("n0", "obj")
         for r in records:
-            log.append(r, applied_at=r.timestamp)
-        size = len(log)
+            replica.apply_update(r, applied_at=r.timestamp)
+        size, last = replica.retained_log_entries(), replica.last_applied_at()
         for r in records:
-            assert not log.append(r, applied_at=r.timestamp + 100)
-        assert len(log) == size
-
-    @given(update_sequences())
-    def test_live_metadata_matches_live_records(self, records):
-        log = UpdateLog()
-        for r in records:
-            log.append(r, applied_at=r.timestamp)
-        assert abs(log.live_metadata() - sum(r.metadata_delta for r in log.records())) < 1e-9
+            assert not replica.apply_update(r, applied_at=r.timestamp + 100)
+        assert replica.retained_log_entries() == size
+        assert replica.last_applied_at() == last
 
     @given(update_sequences(max_updates=16),
            st.data())
-    def test_incremental_indices_match_naive_rebuild(self, records, data):
-        """The incrementally maintained key set, live-entry list and live
-        metadata sum must equal a from-scratch rebuild after any interleaving
-        of appends and invalidations (the oracle is the naive
-        O(n) recomputation the seed code performed per call)."""
-        log = UpdateLog()
+    def test_tombstones_match_naive_rebuild(self, records, data):
+        """The live records a push serves, the live content and the last
+        live apply must equal a from-scratch rebuild over the applied
+        records and the tombstoned keys after any interleaving of applies
+        and invalidations."""
+        replica = Replica("n0", "obj")
+        applied, dead = [], set()
         for r in records:
-            log.append(r, applied_at=r.timestamp)
+            replica.apply_update(r, applied_at=r.timestamp)
+            applied.append(r)
             # Occasionally tombstone a random known update.
-            action = data.draw(st.integers(min_value=0, max_value=5))
-            if action == 0 and len(log) > 0:
-                victim = data.draw(st.sampled_from(
-                    sorted(log.record_keys())))
-                log.invalidate([victim])
+            if data.draw(st.integers(min_value=0, max_value=5)) == 0:
+                victim = data.draw(st.sampled_from(sorted(r.key() for r in applied)))
+                assert replica.invalidate_updates([victim]) == (victim not in dead)
+                dead.add(victim)
 
-        all_entries = log.entries(include_dead=True)
-        naive_keys = {(e.record.writer, e.record.seq) for e in all_entries}
-        naive_live = [e for e in all_entries if e.live]
-        naive_metadata = sum(e.record.metadata_delta for e in naive_live)
-
-        assert set(log.record_keys()) == naive_keys
-        assert log.entries() == naive_live
-        assert [e.record for e in log.entries()] == [e.record for e in naive_live]
-        assert abs(log.live_metadata() - naive_metadata) < 1e-9
-        assert log.missing_from(set()) == [e.record for e in naive_live]
-        # Double-tombstoning must not double-adjust the metadata sum.
+        naive_live = [r for r in applied if r.key() not in dead]
+        assert replica.missing_from(VersionVector()) == naive_live
+        assert replica.content() == [r.payload for r in naive_live]
+        assert replica.last_applied_at() == max(
+            (r.timestamp for r in naive_live), default=0.0)
+        # Double-tombstoning counts once.
         if naive_live:
-            key = (naive_live[0].record.writer, naive_live[0].record.seq)
-            log.invalidate([key])
-            log.invalidate([key])
-            expected = naive_metadata - naive_live[0].record.metadata_delta
-            assert abs(log.live_metadata() - expected) < 1e-9
+            key = naive_live[0].key()
+            assert replica.invalidate_updates([key]) == 1
+            assert replica.invalidate_updates([key]) == 0
+            assert replica.missing_from(VersionVector()) == naive_live[1:]
 
 
 # ------------------------------------------------------------------ temperature

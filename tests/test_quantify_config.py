@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import math
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 METRIC = ConsistencyMetricSpec(max_numerical=10, max_order=10, max_staleness=10)
 EQUAL = MetricWeights.equal()
+NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 class TestNormalizedErrors:
@@ -106,6 +108,14 @@ class TestMetricSpec:
         with pytest.raises(ValueError):
             ConsistencyMetricSpec(max_order=-1)
 
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("name", ["max_numerical", "max_order", "max_staleness"])
+    def test_non_finite_maxima_rejected(self, name, value):
+        # a NaN maximum would saturate any nonzero error; an infinite one
+        # would count no error at all
+        with pytest.raises(ValueError, match=name):
+            ConsistencyMetricSpec(**{name: value})
+
 
 class TestMetricWeights:
     def test_negative_weight_rejected(self):
@@ -115,6 +125,13 @@ class TestMetricWeights:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             MetricWeights(0, 0, 0)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("name", ["numerical", "order", "staleness"])
+    def test_non_finite_weight_rejected(self, name, value):
+        # normalising by a NaN or infinite total reads every level as 0 or NaN
+        with pytest.raises(ValueError, match="finite"):
+            MetricWeights(**{name: value})
 
     def test_normalized_sums_to_one(self):
         w = MetricWeights(0.4, 0.0, 0.6).normalized()
@@ -147,6 +164,30 @@ class TestIdeaConfig:
     def test_hint_delta_validation(self):
         with pytest.raises(ValueError):
             IdeaConfig(hint_delta=-0.01)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("name", ["hint_delta", "background_period"])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            IdeaConfig(**{name: value})
+
+    def test_the_api_refuses_non_finite_settings_and_keeps_the_old_ones(self):
+        from repro.core.api import IdeaAPI
+        from repro.core.deployment import DeploymentBuilder
+
+        deployment = DeploymentBuilder(num_nodes=2, seed=1).build()
+        deployment.register_object("obj", IdeaConfig(background_period=None))
+        api = IdeaAPI(deployment, "obj")
+        middleware = deployment.middleware("obj", deployment.node_ids[0])
+        middleware.write(metadata_delta=1.0)
+        deployment.run(until=1.0)
+        before = middleware.detection.current_level()
+        for call in (lambda: api.set_weight(math.nan, 1, 1),
+                     lambda: api.set_weight(math.inf, 1, 1),
+                     lambda: api.set_consistency_metric(math.nan, 60, 60)):
+            with pytest.raises(ValueError):
+                call()
+        assert middleware.detection.current_level() == before
 
     def test_mode_enum_values(self):
         assert AdaptationMode("hint_based") is AdaptationMode.HINT_BASED

@@ -1,4 +1,4 @@
-"""Unit tests for the replicated-store substrate (log, replica, store)."""
+"""Unit tests for the replicated-store substrate (replica, store)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.store.filesystem import ReplicatedStore
 from repro.store.replica import Replica
-from repro.store.update_log import LogEntry, UpdateLog
 from repro.versioning.extended_vector import (ExtendedVersionVector,
                                               TruncatedHistoryError, UpdateRecord)
 from repro.versioning.version_vector import VersionVector
@@ -22,64 +21,61 @@ def rec(writer, seq, ts, delta=1.0, payload=None):
 install_deltas = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1e16, -1e16, 1.0])
 
 
-class TestUpdateLog:
-    def test_append_and_contains(self):
-        log = UpdateLog()
-        assert log.append(rec("A", 1, 1.0), applied_at=1.0)
-        assert ("A", 1) in log
-        assert len(log) == 1
+class TestReplicaRecords:
+    def test_apply_update_retains_the_record(self):
+        replica = Replica("n0", "obj")
+        assert replica.apply_update(rec("A", 1, 1.0), applied_at=1.0)
+        assert replica.missing_from(VersionVector()) == [rec("A", 1, 1.0)]
+        assert replica.retained_log_entries() == 1
 
-    def test_duplicate_append_ignored(self):
-        log = UpdateLog()
-        log.append(rec("A", 1, 1.0), applied_at=1.0)
-        assert not log.append(rec("A", 1, 1.0), applied_at=2.0)
-        assert len(log) == 1
+    def test_duplicate_apply_ignored(self):
+        replica = Replica("n0", "obj")
+        replica.apply_update(rec("A", 1, 1.0), applied_at=1.0)
+        assert not replica.apply_update(rec("A", 1, 1.0), applied_at=2.0)
+        assert replica.retained_log_entries() == 1
+        assert replica.last_applied_at() == 1.0
 
-    def test_extend_counts_new_records(self):
-        log = UpdateLog()
-        log.append(rec("A", 1, 1.0), applied_at=1.0)
-        added = log.extend([rec("A", 1, 1.0), rec("B", 1, 2.0)], applied_at=2.0)
+    def test_apply_updates_counts_new_records(self):
+        replica = Replica("n0", "obj")
+        replica.apply_update(rec("A", 1, 1.0), applied_at=1.0)
+        added = replica.apply_updates([rec("A", 1, 1.0), rec("B", 1, 2.0)],
+                                      applied_at=2.0)
         assert added == 1
 
     def test_missing_from(self):
-        log = UpdateLog()
-        log.append(rec("A", 1, 1.0), applied_at=1.0)
-        log.append(rec("B", 1, 2.0), applied_at=2.0)
-        missing = log.missing_from({("A", 1)})
+        replica = Replica("n0", "obj")
+        replica.apply_update(rec("A", 1, 1.0), applied_at=1.0)
+        replica.apply_update(rec("B", 1, 2.0), applied_at=2.0)
+        missing = replica.missing_from(VersionVector({"A": 1}))
         assert [r.key() for r in missing] == [("B", 1)]
 
-    def test_invalidate_tombstones_entries(self):
-        log = UpdateLog()
-        log.append(rec("A", 1, 1.0), applied_at=1.0)
-        assert log.invalidate([("A", 1)]) == 1
-        assert log.records() == []
-        assert len(log.records(include_dead=True)) == 1
+    def test_invalidate_tombstones_records(self):
+        replica = Replica("n0", "obj")
+        replica.apply_update(rec("A", 1, 1.0, payload="a"), applied_at=1.0)
+        assert replica.invalidate_updates([("A", 1)]) == 1
+        assert replica.content() == []
+        assert replica.missing_from(VersionVector()) == []
+        assert replica.retained_log_entries() == 1
         # idempotent
-        assert log.invalidate([("A", 1)]) == 0
+        assert replica.invalidate_updates([("A", 1)]) == 0
 
-    def test_live_metadata_excludes_dead_entries(self):
-        log = UpdateLog()
-        log.append(rec("A", 1, 1.0, delta=2.0), applied_at=1.0)
-        log.append(rec("B", 1, 2.0, delta=3.0), applied_at=2.0)
-        log.invalidate([("B", 1)])
-        assert log.live_metadata() == pytest.approx(2.0)
+
+class Entry:
+    """One applied record, its applied-at stamp and its tombstone flag."""
+
+    def __init__(self, record, applied_at):
+        self.record, self.applied_at, self.live = record, applied_at, True
 
 
 class EntryList:
-    """The log as one list of entries in application order, every answer a
-    scan — the layout the columns replaced, kept here as their oracle.
-
-    Float accumulators move as that layout moved them: ``+=`` per appended
-    record, ``-=`` per death, and per folded live record ``+=`` into the
-    checkpoint and ``-=`` out of the live sum, writers in frontier order.
-    """
+    """The replica's records as one list of entries in application order,
+    every answer a scan — the log layout the replica's vector-held records
+    replaced, kept here as their oracle."""
 
     def __init__(self):
-        self.log = []              # retained LogEntry, application order
-        self.writers = {}          # first-append order; gone when its tail folds away
+        self.log = []              # retained Entry, application order
         self.counts = {}           # folded per writer
         self.entries_folded = self.below = 0
-        self.live_sum = self.folded_sum = 0.0
         self.content, self.dropped = [], False
         self.through = float("-inf")
 
@@ -87,8 +83,9 @@ class EntryList:
         return self.counts.get(writer, 0) + sum(e.record.writer == writer for e in self.log)
 
     def extend(self, records, applied_at):
+        """``Replica.apply_updates``: per writer in seq order, all or nothing."""
         taken, fresh = {}, []
-        for r in records:
+        for r in sorted(records, key=lambda r: (r.writer, r.seq)):
             have = taken[r.writer] if r.writer in taken else self.count(r.writer)
             if r.seq != have + 1:
                 if 1 <= r.seq <= have:
@@ -96,10 +93,7 @@ class EntryList:
                 raise ValueError(f"gap at {r.key()}")
             taken[r.writer] = r.seq
             fresh.append(r)
-        for r in fresh:
-            self.log.append(LogEntry(r, applied_at))
-            self.writers.setdefault(r.writer)
-            self.live_sum += r.metadata_delta
+        self.log += [Entry(r, applied_at) for r in fresh]
         return len(fresh)
 
     def append(self, record, applied_at):
@@ -114,9 +108,8 @@ class EntryList:
             entry = self.get((writer, seq))
             if entry is None:
                 self.below += 1 <= seq <= self.counts.get(writer, 0)
-            elif not entry.invalidated:
-                self.live_sum -= entry.record.metadata_delta
-                entry.invalidated = True
+            elif entry.live:
+                entry.live = False
                 count += 1
         return count
 
@@ -132,8 +125,6 @@ class EntryList:
                 record = entry.record
                 if entry.live:
                     live_folded += 1
-                    self.folded_sum += record.metadata_delta
-                    self.live_sum -= record.metadata_delta
                     if keep_content:
                         self.content.append((record.timestamp, record.writer,
                                              record.seq, record.payload))
@@ -142,23 +133,17 @@ class EntryList:
             folded += tail[:n]
             if n:
                 self.counts[writer] = self.counts.get(writer, 0) + n
-                if n == len(tail):
-                    del self.writers[writer]
         self.log = [e for e in self.log if all(e is not f for f in folded)]
         self.entries_folded += len(folded)
         self.dropped |= not keep_content and live_folded > 0
         return len(folded)
 
     def missing_from(self, known):
-        if isinstance(known, VersionVector):
-            if any(known.count(w) < base for w, base in self.counts.items()):
-                raise TruncatedHistoryError(known)
-            return [e.record for w in self.writers for e in self.log
-                    if e.record.writer == w and e.live and e.record.seq > known.count(w)]
-        if self.entries_folded and any((w, base) not in known
-                                       for w, base in self.counts.items()):
+        if any(known.count(w) < base for w, base in self.counts.items()):
             raise TruncatedHistoryError(known)
-        return [e.record for e in self.log if e.live and e.record.key() not in known]
+        return sorted((e.record for e in self.log
+                       if e.live and e.record.seq > known.count(e.record.writer)),
+                      key=lambda r: (r.timestamp, r.writer, r.seq))
 
     def last_applied_at(self):
         last = max((e.applied_at for e in self.log if e.live), default=0.0)
@@ -191,153 +176,167 @@ def record_for(writer, seq):
     return HISTORIES[writer][seq - 1] if seq >= 1 else rec(writer, seq, 0.0)
 
 
-class TestColumnsAgainstTheEntryList:
-    @staticmethod
-    def assert_answers_alike(log, model):
-        assert log.entries(include_dead=True) == model.log
-        assert log.entries() == [e for e in model.log if e.live]
-        assert log.record_keys() == {e.record.key() for e in model.log}
-        assert len(log) == model.entries_folded + len(model.log)
-        assert log.retained_count() == len(model.log)
-        for writer in "ABC":
-            for seq in range(-1, model.count(writer) + 3):
-                assert log.get((writer, seq)) == model.get((writer, seq))
-                assert ((writer, seq) in log) == (1 <= seq <= model.count(writer))
-        for behind in (0, 1, 3):
-            peer = {w: max(0, model.count(w) - behind) for w in "ABC"}
-            vector = VersionVector(peer)
-            keys = {(w, s) for w, n in peer.items() for s in range(1, n + 1)}
-            assert outcome(log.missing_from, vector) == outcome(model.missing_from, vector)
-            assert outcome(log.missing_from, keys) == outcome(model.missing_from, keys)
-        assert log.last_applied_at() == model.last_applied_at()
-        assert outcome(log.live_content) == outcome(model.live_content)
-        assert repr(log.live_metadata()) == repr(model.folded_sum + model.live_sum)
-        checkpoint = log.checkpoint
-        assert checkpoint.counts == model.counts
-        assert checkpoint.entries_folded == model.entries_folded
-        assert checkpoint.applied_through == model.through
-        assert log.invalidated_below_checkpoint == model.below
-        # a dead entry is held only while retained: folding lets it go
-        assert len(log._dead) == sum(not e.live for e in model.log)
+def assert_answers_alike(replica, model):
+    """Every query on the records: content, last apply, anti-entropy
+    answers, what is retained — and the stamps and tombstones held beside
+    the vector, which must track the vector's tails exactly."""
+    assert replica.retained_log_entries() == len(model.log)
+    for behind in (0, 1, 3):
+        peer = VersionVector({w: max(0, model.count(w) - behind) for w in "ABC"})
+        assert outcome(replica.missing_from, peer) == outcome(model.missing_from, peer)
+    assert replica.last_applied_at() == model.last_applied_at()
+    assert outcome(replica.content) == outcome(model.live_content)
+    vector = replica.vector
+    assert {w: vector.count(w) for w in "ABC"} == {w: model.count(w) for w in "ABC"}
+    assert {w: b.count for w, b in vector.bases().items()} == model.counts
+    assert replica.truncation_stats.entries_folded == model.entries_folded
+    assert replica.truncation_stats.invalidate_below_checkpoint == model.below
+    assert replica.applied_through == model.through
+    assert replica._stamps == {
+        w: [e.applied_at for e in model.log if e.record.writer == w]
+        for w in "ABC" if model.count(w) > model.counts.get(w, 0)}
+    # a tombstone is held only while its record is retained: folding lets it go
+    assert replica._dead == {e.record.key() for e in model.log if not e.live}
 
+
+class TestReplicaAgainstTheEntryList:
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.booleans())
     def test_any_interleaving_answers_like_the_entry_list(self, data, monotone):
-        """Appends and batches (duplicates and gaps among them), invalidation
-        and truncation, with stamps in time order or not."""
-        log, model = UpdateLog(), EntryList()
+        """Local writes, remote applies and batches (duplicates and gaps
+        among them), installs, invalidation and truncation, with stamps in
+        time order or not."""
+        replica, model = Replica("n0", "obj"), EntryList()
         clock = 0.0
         for _ in range(data.draw(st.integers(1, 25))):
             kind = data.draw(st.sampled_from(
-                ["append", "extend", "extend", "invalidate", "truncate"]))
+                ["write", "apply", "batch", "batch", "install", "invalidate",
+                 "truncate"]))
             clock = (clock + data.draw(st.sampled_from([0.0, 0.5, 1.0])) if monotone
                      else data.draw(st.sampled_from([0.0, 1.0, 2.5, 4.0])))
-            if kind in ("append", "extend"):
+            if kind == "write":
+                writer = data.draw(st.sampled_from("ABC"))
+                r = record_for(writer, model.count(writer) + 1)
+                assert replica.local_write(writer, r.timestamp,
+                                           metadata_delta=r.metadata_delta,
+                                           payload=r.payload, applied_at=clock) == r
+                assert model.append(r, clock)
+            elif kind in ("apply", "batch"):
                 taken, batch = {}, []
-                for _ in range(1 if kind == "append" else data.draw(st.integers(0, 6))):
+                for _ in range(1 if kind == "apply" else data.draw(st.integers(0, 6))):
                     writer = data.draw(st.sampled_from("ABC"))
                     upcoming = taken.get(writer, model.count(writer)) + 1
                     seq = upcoming + data.draw(st.sampled_from([0, 0, 0, 0, -1, -3, 1]))
                     if seq == upcoming:
                         taken[writer] = seq
                     batch.append(record_for(writer, seq))
-                if kind == "append":
+                if kind == "apply":
                     args = (batch[0], clock)
-                    assert outcome(log.append, *args) == outcome(model.append, *args)
+                    assert outcome(replica.apply_update, *args) == outcome(model.append, *args)
                 else:
-                    before = (log.entries(include_dead=True), repr(log.live_metadata()))
-                    got = outcome(log.extend, batch, clock)
+                    before = (replica.vector, dict(replica._stamps), replica.revision)
+                    got = outcome(replica.apply_updates, batch, clock)
                     assert got == outcome(model.extend, batch, clock)
                     if got is ValueError:   # all or nothing
-                        assert (log.entries(include_dead=True),
-                                repr(log.live_metadata())) == before
+                        assert (replica.vector, dict(replica._stamps),
+                                replica.revision) == before
+            elif kind == "install":
+                image = ExtendedVersionVector({
+                    w: HISTORIES[w][:data.draw(st.integers(0, model.count(w) + 3))]
+                    for w in "ABC"})
+                pulled = replica.install_merged(image, now=clock)
+                assert pulled == model.extend(
+                    [r for w in "ABC" for r in image.updates_from(w)], clock)
             elif kind == "invalidate":
                 keys = [(data.draw(st.sampled_from("ABC")), data.draw(st.integers(0, 12)))
                         for _ in range(data.draw(st.integers(1, 3)))]
-                assert log.invalidate(keys) == model.invalidate(keys)
+                assert replica.invalidate_updates(keys) == model.invalidate(keys)
             else:
                 frontier = {w: data.draw(st.integers(0, model.count(w)))
                             for w in data.draw(st.permutations("ABC"))}
                 options = dict(keep_after=data.draw(st.one_of(st.none(), st.just(clock - 1.0))),
                                keep_content=data.draw(st.booleans()))
-                assert log.truncate(frontier, **options) == model.truncate(frontier, **options)
-            self.assert_answers_alike(log, model)
+                assert (replica.truncate_stable(frontier, **options)
+                        == model.truncate(frontier, **options))
+            assert_answers_alike(replica, model)
 
-    def test_a_gapped_batch_leaves_the_log_as_it_was(self):
-        log = UpdateLog()
-        log.extend([rec("A", 1, 1.0), rec("A", 2, 2.0)], applied_at=1.0)
-        log.invalidate([("A", 2)])
-        before = (log.entries(include_dead=True), log.record_keys(), len(log),
-                  repr(log.live_metadata()), log.last_applied_at())
+    def test_a_gapped_batch_leaves_the_replica_as_it_was(self):
+        replica = Replica("n0", "obj")
+        replica.apply_updates([rec("A", 1, 1.0), rec("A", 2, 2.0)], applied_at=1.0)
+        replica.invalidate_updates([("A", 2)])
+        state = lambda: (replica.vector, replica.retained_log_entries(),
+                         replica.content(), replica.last_applied_at(),
+                         replica.missing_from(VersionVector()))
+        before = state()
         with pytest.raises(ValueError, match="out-of-order update from 'A'"):
-            log.extend([rec("B", 1, 3.0), rec("A", 3, 3.0), rec("A", 5, 5.0)],
-                       applied_at=4.0)
-        assert (log.entries(include_dead=True), log.record_keys(), len(log),
-                repr(log.live_metadata()), log.last_applied_at()) == before
-        assert ("B", 1) not in log and ("A", 3) not in log
-        assert log.extend([rec("B", 1, 3.0), rec("A", 3, 3.0)], applied_at=4.0) == 2
+            replica.apply_updates([rec("B", 1, 3.0), rec("A", 3, 3.0), rec("A", 5, 5.0)],
+                                  applied_at=4.0)
+        assert state() == before
+        assert replica.vector.count("B") == 0 and replica.vector.count("A") == 2
+        assert replica.apply_updates([rec("B", 1, 3.0), rec("A", 3, 3.0)],
+                                     applied_at=4.0) == 2
 
 
 class TestLastAppliedAt:
-    """``UpdateLog.last_applied_at`` ≡ the scan over ``entries()`` that
+    """``Replica.last_applied_at`` ≡ the scan over the live entries that
     ``IdeaMiddleware.read``'s quiet path used to take."""
 
-    @staticmethod
-    def scan(log):
-        last = max((e.applied_at for e in log.entries()), default=0.0)
-        return max(last, log.checkpoint.applied_through)
-
-    def test_empty_log(self):
-        assert UpdateLog().last_applied_at() == 0.0
+    def test_empty_replica(self):
+        assert Replica("n0", "obj").last_applied_at() == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(steps=st.lists(st.tuples(
-        st.sampled_from(["append", "append", "extend", "truncate",
+        st.sampled_from(["apply", "apply", "batch", "truncate",
                          "invalidate"]),
         st.sampled_from(["A", "B", "C"]),
         st.integers(0, 40).map(lambda q: q / 4.0)), max_size=40),
         monotone=st.booleans())
     def test_equals_the_scan(self, steps, monotone):
-        """Random appends — in time order or not — bulk extends, truncation
-        (the checkpoint floor applies) and invalidation."""
-        log = UpdateLog()
+        """Random applies — in time order or not — batches, truncation
+        (the fold horizon applies) and invalidation."""
+        replica, model = Replica("n0", "obj"), EntryList()
         counts = {}
         clock = 0.0
         for kind, writer, when in steps:
             clock = clock + when if monotone else when
-            if kind in ("append", "extend"):
+            if kind in ("apply", "batch"):
                 records = []
-                for _ in range(1 if kind == "append" else 3):
+                for _ in range(1 if kind == "apply" else 3):
                     counts[writer] = counts.get(writer, 0) + 1
                     records.append(rec(writer, counts[writer], clock))
-                if kind == "append":
-                    log.append(records[0], applied_at=clock)
+                if kind == "apply":
+                    replica.apply_update(records[0], applied_at=clock)
                 else:
-                    log.extend(records, applied_at=clock)
+                    replica.apply_updates(records, applied_at=clock)
+                model.extend(records, clock)
             elif kind == "truncate":
-                log.truncate({writer: counts.get(writer, 0) - 1},
-                             keep_after=clock if monotone else None)
+                frontier = {writer: counts.get(writer, 0) - 1}
+                keep_after = clock if monotone else None
+                replica.truncate_stable(frontier, keep_after=keep_after)
+                model.truncate(frontier, keep_after=keep_after)
             else:
-                log.invalidate([(writer, counts.get(writer, 0))])
-            assert log.last_applied_at() == self.scan(log)
+                keys = [(writer, counts.get(writer, 0))]
+                replica.invalidate_updates(keys)
+                model.invalidate(keys)
+            assert replica.last_applied_at() == model.last_applied_at()
 
     def test_truncation_floors_the_answer(self):
-        log = UpdateLog()
-        log.append(rec("A", 1, 1.0), applied_at=1.0)
-        log.append(rec("A", 2, 2.0), applied_at=7.5)
-        assert log.last_applied_at() == 7.5
-        assert log.truncate({"A": 2}) == 2
-        assert log.retained_count() == 0
-        assert log.last_applied_at() == 7.5
+        replica = Replica("n0", "obj")
+        replica.apply_update(rec("A", 1, 1.0), applied_at=1.0)
+        replica.apply_update(rec("A", 2, 2.0), applied_at=7.5)
+        assert replica.last_applied_at() == 7.5
+        assert replica.truncate_stable({"A": 2}) == 2
+        assert replica.retained_log_entries() == 0
+        assert replica.last_applied_at() == 7.5
 
     def test_an_invalidated_tail_does_not_count(self):
-        log = UpdateLog()
-        log.append(rec("A", 1, 1.0), applied_at=1.0)
-        log.append(rec("A", 2, 2.0), applied_at=3.0)
-        log.invalidate([("A", 2)])
-        assert log.last_applied_at() == 1.0 == self.scan(log)
+        replica = Replica("n0", "obj")
+        replica.apply_update(rec("A", 1, 1.0), applied_at=1.0)
+        replica.apply_update(rec("A", 2, 2.0), applied_at=3.0)
+        replica.invalidate_updates([("A", 2)])
+        assert replica.last_applied_at() == 1.0
 
-    def test_quiet_read_does_not_copy_the_log(self, monkeypatch):
+    def test_quiet_read_does_not_copy_the_records(self, monkeypatch):
         from repro.core.config import IdeaConfig
         from repro.core.deployment import DeploymentBuilder
 
@@ -347,7 +346,9 @@ class TestLastAppliedAt:
         middleware = managed.middlewares[deployment.node_ids[0]]
         middleware.write(metadata_delta=1.0)
         deployment.run(until=10.0)
-        monkeypatch.setattr(UpdateLog, "entries", None)  # copying would raise
+        # copying would raise
+        monkeypatch.setattr(ExtendedVersionVector, "all_updates", None)
+        monkeypatch.setattr(Replica, "content", None)
         runs = middleware.detection.detections_run
         middleware.read(new_snapshot=False, quiet_threshold=60.0,
                         include_content=False)
@@ -386,13 +387,13 @@ class TestReplica:
         assert replica.apply_update(record, applied_at=1.0)
         assert not replica.apply_update(record, applied_at=2.0)
 
-    def test_vector_and_log_stay_in_step(self):
+    def test_every_record_is_held_once_in_the_vector(self):
         replica = Replica("n0", "obj")
         replica.local_write("n0", 1.0, metadata_delta=1.0)
         replica.apply_update(rec("n1", 1, 2.0, delta=4.0), applied_at=2.0)
-        assert replica.vector.total_updates() == len(replica.log)
+        assert replica.vector.total_updates() == replica.retained_log_entries() == 2
         assert replica.metadata == pytest.approx(sum(
-            r.metadata_delta for r in replica.log.records()))
+            r.metadata_delta for r in replica.missing_from(VersionVector())))
 
     def test_install_merged_pulls_missing_updates(self):
         a = Replica("n0", "obj")
@@ -417,7 +418,7 @@ class TestReplica:
             for writer, records in histories.items():
                 for record in records[:held[writer]]:
                     replica.apply_update(record, applied_at=1.0)
-            # a log whose live view is dirty must come out the same too
+            # a replica holding a tombstone must come out the same too
             replica.invalidate_updates([("A", 1)])
         # per writer: some records already held (duplicates), the next ones
         # new, some sent twice; the whole batch in arbitrary order
@@ -438,26 +439,26 @@ class TestReplica:
         assert bulk.vector == twin.vector
         assert repr(bulk.metadata) == repr(twin.metadata)
         assert list(bulk.vector.counts().as_dict()) == list(twin.vector.counts().as_dict())
-        assert ([(e.record, e.applied_at, e.live) for e in bulk.log.entries(include_dead=True)]
-                == [(e.record, e.applied_at, e.live) for e in twin.log.entries(include_dead=True)])
-        assert bulk.log.entries() == twin.log.entries()
-        assert repr(bulk.log.live_metadata()) == repr(twin.log.live_metadata())
-        assert bulk.log.missing_from(set()) == twin.log.missing_from(set())
-        assert bulk.vector.total_updates() == len(bulk.log)
+        assert bulk._stamps == twin._stamps and bulk._dead == twin._dead
+        assert bulk.content() == twin.content()
+        assert bulk.last_applied_at() == twin.last_applied_at()
+        assert (bulk.missing_from(VersionVector())
+                == twin.missing_from(VersionVector()))
+        assert bulk.vector.total_updates() == bulk.retained_log_entries()
 
     def test_a_gapped_install_changes_nothing(self):
         replica = Replica("n0", "obj")
         for seq in range(1, 5):
             replica.apply_update(rec("A", seq, float(seq)), applied_at=1.0)
         vector, revision = replica.vector, replica.revision
-        entries = replica.log.entries()
+        stamps = {w: list(s) for w, s in replica._stamps.items()}
         batch = [rec("B", 1, 9.0), rec("A", 5, 5.0), rec("A", 7, 7.0)]
         with pytest.raises(ValueError, match="out-of-order update from 'A'"):
             replica.apply_updates(batch, applied_at=2.0)
         assert replica.vector is vector
         assert replica.revision == revision
-        assert replica.log.entries() == entries
-        assert ("A", 5) not in replica.log and ("B", 1) not in replica.log
+        assert replica._stamps == stamps
+        assert replica.last_applied_at() == 1.0
 
     def test_a_refused_image_leaves_the_replica_as_it_was(self):
         replica = Replica("n0", "obj")
@@ -470,7 +471,7 @@ class TestReplica:
             replica.install_merged(image, now=2.0)
         assert replica.vector is vector
         assert replica.revision == revision
-        assert len(replica.log) == 1
+        assert replica.retained_log_entries() == 1
 
     def test_mark_consistent_updates_time(self):
         replica = Replica("n0", "obj")

@@ -23,7 +23,6 @@ from repro.core.detection import VersionDigest
 from repro.overlay.temperature import TemperatureConfig
 from repro.overlay.two_layer import OverlayConfig
 from repro.store.replica import Replica
-from repro.store.update_log import UpdateLog
 from repro.transport.timers import PeriodicTimer
 from repro.versioning.extended_vector import (
     ExtendedVersionVector,
@@ -131,70 +130,67 @@ class TestVectorCheckpoint:
         assert folded.last_timestamp == 5.0
 
 
-# -------------------------------------------------------------- log semantics
-class TestLogCheckpoint:
-    def make_log(self, n=6):
-        log = UpdateLog()
+# ---------------------------------------------------------- record checkpoint
+class TestRecordCheckpoint:
+    def make_replica(self, n=6):
+        replica = Replica("n0", "obj")
         for i in range(1, n + 1):
-            log.append(rec("A", i, float(i)), applied_at=float(i))
-        return log
+            replica.apply_update(rec("A", i, float(i)), applied_at=float(i))
+        return replica
 
     def test_truncate_folds_prefix(self):
-        log = self.make_log()
-        assert log.truncate({"A": 4}) == 4
-        assert len(log) == 6                  # applied total unchanged
-        assert log.retained_count() == 2
-        assert log.checkpoint.count("A") == 4
-        assert ("A", 2) in log                # folded keys still "contained"
-        assert log.live_metadata() == pytest.approx(6.0)
-        assert log.live_content() == [f"A#{i}" for i in range(1, 7)]
+        replica = self.make_replica()
+        assert replica.truncate_stable({"A": 4}) == 4
+        assert replica.vector.total_updates() == 6   # applied total unchanged
+        assert replica.retained_log_entries() == 2
+        assert replica.vector.base_count("A") == 4
+        assert not replica.apply_update(rec("A", 2, 2.0), applied_at=9.0)
+        assert replica.metadata == pytest.approx(6.0)
+        assert replica.content() == [f"A#{i}" for i in range(1, 7)]
 
     def test_truncate_respects_window(self):
-        log = self.make_log()
-        assert log.truncate({"A": 6}, keep_after=3.5) == 3
-        assert log.retained_count() == 3
+        replica = self.make_replica()
+        assert replica.truncate_stable({"A": 6}, keep_after=3.5) == 3
+        assert replica.retained_log_entries() == 3
 
-    def test_append_below_checkpoint_is_duplicate(self):
-        log = self.make_log()
-        log.truncate({"A": 4})
-        assert not log.append(rec("A", 3, 3.0), applied_at=9.0)
-        assert log.append(rec("A", 7, 7.0), applied_at=9.0)
+    def test_apply_below_checkpoint_is_duplicate(self):
+        replica = self.make_replica()
+        replica.truncate_stable({"A": 4})
+        assert not replica.apply_update(rec("A", 3, 3.0), applied_at=9.0)
+        assert replica.apply_update(rec("A", 7, 7.0), applied_at=9.0)
 
     def test_missing_from_counts_is_checkpoint_aware(self):
-        log = self.make_log()
-        log.truncate({"A": 3})
-        missing = log.missing_from(VersionVector({"A": 4}))
+        replica = self.make_replica()
+        replica.truncate_stable({"A": 3})
+        missing = replica.missing_from(VersionVector({"A": 4}))
         assert [r.seq for r in missing] == [5, 6]
         with pytest.raises(TruncatedHistoryError):
-            log.missing_from(VersionVector({"A": 1}))
+            replica.missing_from(VersionVector({"A": 1}))
 
     def test_missing_from_raises_for_fully_folded_writer(self):
         # Writer A's whole history folds (tail empties); a peer behind the
         # checkpoint must still get a loud error, not a silent empty answer.
-        log = self.make_log(3)
-        log.append(rec("B", 1, 9.0), applied_at=9.0)
-        log.truncate({"A": 3})
+        replica = self.make_replica(3)
+        replica.apply_update(rec("B", 1, 9.0), applied_at=9.0)
+        replica.truncate_stable({"A": 3})
         with pytest.raises(TruncatedHistoryError):
-            log.missing_from(VersionVector({"B": 1}))
-        with pytest.raises(TruncatedHistoryError):
-            log.missing_from({("B", 1)})  # key-set path, same guarantee
+            replica.missing_from(VersionVector({"B": 1}))
         # a peer that holds the folded prefix is served normally
-        assert [r.key() for r in log.missing_from(VersionVector({"A": 3}))] \
+        assert [r.key() for r in replica.missing_from(VersionVector({"A": 3}))] \
             == [("B", 1)]
-        assert [r.key() for r in log.missing_from({("A", 3)})] == [("B", 1)]
 
     def test_invalidate_below_checkpoint_is_counted(self):
-        log = self.make_log()
-        log.truncate({"A": 4})
-        assert log.invalidate([("A", 2), ("A", 5)]) == 1
-        assert log.invalidated_below_checkpoint == 1
+        replica = self.make_replica()
+        replica.truncate_stable({"A": 4})
+        assert replica.invalidate_updates([("A", 2), ("A", 5)]) == 1
+        assert replica.truncation_stats.invalidate_below_checkpoint == 1
 
     def test_dropped_content_read_raises(self):
-        log = self.make_log()
-        log.truncate({"A": 4}, keep_content=False)
+        replica = self.make_replica()
+        replica.truncate_stable({"A": 4}, keep_content=False)
         with pytest.raises(TruncatedHistoryError):
-            log.live_content()
-        assert log.live_metadata() == pytest.approx(6.0)  # metadata survives
+            replica.content()
+        assert replica.metadata == pytest.approx(6.0)  # metadata survives
 
 
 # ------------------------------------------------------------ replica counters
@@ -209,14 +205,14 @@ class TestReplicaTruncation:
             oracle.apply_update(r, applied_at=r.timestamp)
         return truncated, oracle
 
-    def test_truncate_stable_aligns_log_and_vector(self):
+    def test_truncate_stable_folds_the_vector(self):
         replica, _ = self.build_pair()
         folded = replica.truncate_stable(VersionVector({"A": 2, "B": 1}),
                                          keep_after=1.6)
         assert folded == 2
         assert replica.vector.base_count("A") == 1
         assert replica.vector.base_count("B") == 1
-        assert replica.log.checkpoint.counts == {"A": 1, "B": 1}
+        assert replica.retained_log_entries() == 1
         assert replica.truncation_stats.truncations == 1
         assert replica.truncation_stats.entries_folded == 2
 
@@ -276,7 +272,7 @@ class TestTruncationProperties:
     def test_truncated_replica_matches_untruncated_oracle(self, records, data):
         """Any valid frontier sequence leaves the replica observably equal
         to an oracle that never truncates: reads, metadata, counts, digests,
-        live metadata, anti-entropy answers."""
+        last apply, anti-entropy answers."""
         replica = Replica("n0", "obj")
         oracle = Replica("n0", "obj")
         now = 0.0
@@ -292,17 +288,16 @@ class TestTruncationProperties:
         assert replica.content() == oracle.content()
         assert replica.metadata == oracle.metadata
         assert replica.vector.counts() == oracle.vector.counts()
-        assert replica.log.live_metadata() == pytest.approx(
-            oracle.log.live_metadata())
+        assert replica.last_applied_at() == oracle.last_applied_at()
         assert (VersionDigest.from_replica(replica, issued_at=now)
                 == VersionDigest.from_replica(oracle, issued_at=now))
         # Anti-entropy: any peer at/above the checkpoint gets equal answers.
-        base_counts = dict(replica.log.checkpoint.counts)
+        base_counts = {w: b.count for w, b in replica.vector.bases().items()}
         peer = VersionVector({w: max(base_counts.get(w, 0),
                                      replica.vector.count(w) - 1)
                               for w in WRITERS})
-        assert ([r.key() for r in replica.log.missing_from(peer)]
-                == [r.key() for r in oracle.log.missing_from(peer)])
+        assert ([r.key() for r in replica.missing_from(peer)]
+                == [r.key() for r in oracle.missing_from(peer)])
 
     @settings(max_examples=40, deadline=None)
     @given(replica_histories(), st.data())
@@ -366,8 +361,7 @@ class TestDriverTruncationHook:
             b = plain.stores[node_id].replica("obj")
             assert a.vector.counts() == b.vector.counts()
             assert a.metadata == b.metadata
-            assert a.log.live_metadata() == pytest.approx(
-                b.log.live_metadata())
+            assert a.content() == b.content()
 
     def test_frontier_requires_all_participants(self):
         deployment = self.build(truncate=False)

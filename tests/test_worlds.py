@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -499,6 +500,23 @@ _REJECTED = [
      "faults[1].at", "must not nest"),
     (("faults",), [_BLAST, dict(_BLAST, at=3.0, down_for=1.0)],
      "faults[1].at", "twice at once"),
+]
+
+# ---- non-finite numbers (Python's json reads Infinity and NaN)
+_REJECTED += [
+    (where, value, path, "must be a finite number")
+    for where, path in [
+        (_POPS + (0, "rate", "rate"), "traffic.populations[0].rate.rate"),
+        (_CONFIG + ("weights", "numerical"),
+         "placement.objects[0].config.weights.numerical"),
+        (_CONFIG + ("metric", "max_numerical"),
+         "placement.objects[0].config.metric.max_numerical"),
+        (_CONFIG + ("hint_delta",), "placement.objects[0].config.hint_delta"),
+        (_CONFIG + ("background_period",),
+         "placement.objects[0].config.background_period"),
+        (_SITE0 + ("x",), "topology.sites[0].x"),
+    ]
+    for value in (math.inf, -math.inf, math.nan)
 ]
 
 #: mutations of the same fixture that must keep parsing
