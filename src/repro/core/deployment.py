@@ -44,11 +44,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.adaptive import AutomaticController
 from repro.core.config import AdaptationMode, IdeaConfig
-from repro.core.detection import evaluate_group
+from repro.core.detection import VersionDigest, evaluate_group
 from repro.core.middleware import IdeaMiddleware
 from repro.core.policies import ResolutionPolicy
 from repro.core.resolution import ResolutionResult
-from repro.overlay.gossip import GossipConfig, GossipDigest, GossipService
+from repro.overlay.gossip import GossipConfig, GossipService
 from repro.overlay.ransub import RanSubService
 from repro.overlay.two_layer import OverlayConfig, TwoLayerOverlay
 from repro.runtime.events import (
@@ -66,7 +66,6 @@ from repro.sim.node import Node
 from repro.sim.topology import Topology, planetlab_topology
 from repro.sim.trace import TraceRecorder
 from repro.store.filesystem import ReplicatedStore
-from repro.store.replica import Replica
 from repro.transport import Clock, PeriodicTimer, ProtocolEndpoint, Transport
 from repro.versioning.extended_vector import ExtendedVersionVector
 
@@ -255,7 +254,6 @@ class DeploymentBuilder:
         d.overlay = TwoLayerOverlay(d.local_node_ids,
                                     config=self.overlay_config)
         d.gossip = None
-        d._gossip_digests = {}
         if self.use_gossip:
             # The background sweep "covers all the nodes in the network"
             # (§4.1); membership is therefore every node, not only the
@@ -338,9 +336,6 @@ class IdeaDeployment:
     #: traffic driver started by the builder's traffic pass; None when the
     #: deployment has no client load
     traffic: Optional[object]
-    #: :meth:`_gossip_digest`'s last answer per (node, object), with the
-    #: replica and :attr:`~repro.store.replica.Replica.revision` it was for
-    _gossip_digests: Dict[Tuple[str, str], Tuple[Replica, int, GossipDigest]]
 
     @property
     def local_node_ids(self) -> List[str]:
@@ -424,32 +419,18 @@ class IdeaDeployment:
             managed.background_rounds += 1
         self.trace.increment(f"resolutions.{event.kind}.{event.object_id}")
 
-    def _gossip_digest(self, node_id: str, object_id: str) -> Optional[GossipDigest]:
+    def _gossip_digest(self, node_id: str,
+                       object_id: str) -> Optional[VersionDigest]:
+        """The digest the gossip sweep ships: the detection service's own,
+        from the memo the top-layer announce reads."""
         node = self.nodes.get(node_id)
         if node is None or not node.alive:
             return None  # crashed nodes gossip nothing
-        store = self.stores.get(node_id)
-        if store is None or not store.has_replica(object_id):
-            return None
-        replica = store.replica(object_id)
-        # One digest per replica revision (the contract DigestCache keys on):
-        # a sweep round asks once per digest received, and most replicas have
-        # not moved since the last answer.
-        key = (node_id, object_id)
-        memo = self._gossip_digests.get(key)
-        if (memo is not None and memo[0] is replica
-                and memo[1] == replica.revision):
-            return memo[2]
-        vector = replica.vector
-        counts = vector.counts()
-        digest = GossipDigest(object_id, node_id,
-                              tuple(sorted(counts.as_dict().items())),
-                              vector.metadata, vector.last_consistent_time,
-                              _vector=counts)
-        self._gossip_digests[key] = (replica, replica.revision, digest)
-        return digest
+        managed = self.objects.get(object_id)
+        middleware = None if managed is None else managed.middlewares.get(node_id)
+        return None if middleware is None else middleware.detection.local_digest()
 
-    def _on_gossip_digest(self, receiver: str, digest: GossipDigest) -> None:
+    def _on_gossip_digest(self, receiver: str, digest: VersionDigest) -> None:
         """Feed gossiped counts into the receiver's stability frontier.
 
         Pure bookkeeping — schedules nothing, so gossip event traces are
@@ -461,8 +442,8 @@ class IdeaDeployment:
             return
         middleware = managed.middlewares.get(receiver)
         if middleware is not None:
-            middleware.detection.observe_counts(
-                digest.origin, digest.version_vector())
+            middleware.detection.observe_counts(digest.node_id,
+                                                digest.counts())
 
     # ------------------------------------------------------------ churn/faults
     def crash_node(self, node_id: str) -> None:
@@ -481,16 +462,12 @@ class IdeaDeployment:
             return
         node.fail()
         self.overlay.evict_node(node_id)
-        # Detection services first: forget_peer snapshots the crashed
-        # member's last-known counts (keeping the stability frontier alive
-        # under crash-stop) before the shared digest tables are swept.
+        # forget_peer snapshots the crashed member's last-known counts,
+        # keeping the stability frontier alive under crash-stop.
         for managed in self.objects.values():
             for other_id, middleware in managed.middlewares.items():
                 if other_id != node_id:
                     middleware.detection.forget_peer(node_id)
-        for other_id, runtime in self.runtimes.items():
-            if other_id != node_id:
-                runtime.digests.forget_peer(node_id)
         self.trace.increment("faults.crash")
 
     def recover_node(self, node_id: str) -> None:

@@ -13,7 +13,9 @@ consistent state* (the merged image a resolution round would produce) can be
 reconstructed exactly from a set of digests: per writer take the summary with
 the highest count, then sum the cumulative metadata.  Each replica's triple
 is then measured against that reference, exactly as the worked example of
-Figure 4 measures replica ``a`` against reference ``b``.
+Figure 4 measures replica ``a`` against reference ``b``.  The bottom
+layer's gossip sweep (:mod:`repro.overlay.gossip`) ships the same digest, so
+a replica has one summary format.
 """
 
 from __future__ import annotations
@@ -217,9 +219,9 @@ class DetectionService:
             updated); the middleware uses it to re-evaluate consistency and
             consult the adaptation controller.
         digest_cache:
-            Node-level shared cache (from the :class:`~repro.runtime
-            .NodeRuntime`): the local digest is memoised by replica revision
-            and the peer-digest table lives in the shared cache.
+            Node-level incremental digest builder (from the
+            :class:`~repro.runtime.NodeRuntime`); only a changed replica
+            revision reaches it.
         """
         self.node = node
         self.object_id = object_id
@@ -231,7 +233,8 @@ class DetectionService:
         #: replica is answered here, counted as the cache hit it is
         self._local_revision = -1
         self._local: Optional[VersionDigest] = None
-        self._peer_digests = digest_cache.peer_digests(object_id)
+        #: peer node_id -> freshest digest received
+        self._peer_digests: Dict[str, VersionDigest] = {}
         self._detections_run = 0
         #: bumped on every peer-table / metric / weight mutation; keys the
         #: evaluation memo below
@@ -275,11 +278,13 @@ class DetectionService:
         self._digest_msg_type = f"idea_digest:{object_id}"
         node.register_handler(self._digest_msg_type, self._handle_digest)
 
-    def _local_digest(self, now: Optional[float] = None) -> VersionDigest:
+    def local_digest(self, now: Optional[float] = None) -> VersionDigest:
         """The replica's digest; only a changed revision reaches the cache.
 
-        ``now`` is the caller's own clock reading, for the caller that
-        compares the digest's stamp with it (:meth:`announce_write`).
+        The one memo of the replica's summary: the top-layer announce and
+        the deployment's gossip sweep both ship what it returns.  ``now`` is
+        the caller's own clock reading, for the caller that compares the
+        digest's stamp with it (:meth:`announce_write`).
         """
         replica = self.replica
         revision = replica.revision
@@ -327,7 +332,7 @@ class DetectionService:
         # One clock reading, handed to the rebuild: on a wall clock a second
         # reading differs, and every fresh digest would be copied below.
         now = node.clock.now
-        digest = self._local_digest(now)
+        digest = self.local_digest(now)
         if digest.issued_at != now:
             # An unchanged replica announced again carries its old issue
             # time; peers order digests by it, so stamp the current time
@@ -381,9 +386,8 @@ class DetectionService:
             self._frontier_memo = None
 
     def forget_peer(self, node_id: str) -> None:
-        # The shared DigestCache may already have dropped the peer from the
-        # table (crash handling pops both places), so membership state is
-        # rebuilt lazily rather than adjusted incrementally here.
+        # Membership state is rebuilt lazily rather than adjusted
+        # incrementally here.
         #
         # The peer's last-known counts are *retained* as an out-of-band
         # frontier source: under crash-stop its replica state survives the
@@ -432,7 +436,7 @@ class DetectionService:
         and recomputed at most once per change, amortised across the
         truncation period.
         """
-        local_digest = self._local_digest()
+        local_digest = self.local_digest()
         if required_sources is None:
             required = None
         else:
@@ -618,7 +622,7 @@ class DetectionService:
         reconstructed reference state.
         """
         self._detections_run += 1
-        local_digest = self._local_digest()
+        local_digest = self.local_digest()
         _, _, level, numerical, order, staleness = self._evaluate(local_digest)
 
         local_total = local_digest.total
@@ -658,8 +662,8 @@ class DetectionService:
 
     def current_level(self) -> float:
         """Consistency level without counting as a detection run."""
-        return self._evaluate(self._local_digest())[2]
+        return self._evaluate(self.local_digest())[2]
 
     def local_counts(self) -> VersionVector:
         """The local replica's current per-writer counts (cached digest view)."""
-        return self._local_digest().counts()
+        return self.local_digest().counts()

@@ -1,12 +1,12 @@
 """Length-prefixed JSON frame codec for the live backend.
 
 Every payload that crosses ``Transport.send`` in the protocol layers —
-version digests, gossip digests, resolution rounds (extended version
-vectors, invalidation lists), detection announcements, truncation counts —
-must survive a trip through this codec *losslessly*: decode(encode(x)) ==
-x, including container types (the resolution installer uses
-``(writer, seq)`` tuples as dict keys downstream, so tuples must come back
-as tuples, not lists).
+version digests (announced in the top layer, gossiped in the bottom one),
+resolution rounds (extended version vectors, invalidation lists),
+detection announcements, truncation counts — must survive a trip through
+this codec *losslessly*: decode(encode(x)) == x, including container types
+(the resolution installer uses ``(writer, seq)`` tuples as dict keys
+downstream, so tuples must come back as tuples, not lists).
 
 A frame is ``struct.pack(">I", len(body))`` followed by an ASCII JSON body,
 the seven-element envelope ``[src, dst, protocol, msg_type, payload,
@@ -36,8 +36,6 @@ packed columns, never nested tagged objects:
 ``VersionVector``      ``[[writer, ...], packed(count, ...)]``
 ``VersionDigest``      ``[object, node, [writer, ...], packed(count, ...,
                        issued_at, metadata, lct, (cum, last), ...)]``
-``GossipDigest``       ``[object, origin, [writer, ...], packed(count,
-                       ..., metadata, lct, issued_at)]``
 ``ExtendedVersion-     ``[[[writer, packed(seq, ..., (timestamp, delta),
 Vector``               ...), [payload', ...]], ...], [[writer, ...],
                        packed(count, ..., (cum, last), ...)],
@@ -72,11 +70,12 @@ raises nothing else.
 **The pair table.**  A digest's writers change one at a time: an announce
 usually differs from the same peer's last one in the writer who wrote.  The
 decoder holds the last ``(writer, WriterSummary)`` pair it built per
-``(object, sending node, writer)`` and hands the same pair back while count,
+``(object, digest's node, writer)`` and hands the same pair back while count,
 cumulative metadata and last timestamp compare equal, so
 ``DetectionService``'s fold skips the unchanged writers by identity, as it
-does on the simulator.  The sender is part of the key because peers hold
-different views of one writer — its own announce is ahead of everybody
+does on the simulator.  The digest's node (whose replica it summarises; a
+gossip hop relays another node's digest) is part of the key because peers
+hold different views of one writer — its own announce is ahead of everybody
 else's — and one shared entry would flip between them.  The table is the
 process's: the pairs are immutable, and a held one equals the one a fresh
 decode would build — by ``==``, so a ``-0.0`` row after a ``0.0`` one (or
@@ -112,7 +111,6 @@ from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.detection import VersionDigest, WriterSummary
-from repro.overlay.gossip import GossipDigest
 from repro.transport.errors import TransportError
 from repro.versioning.extended_vector import (ErrorTriple,
                                               ExtendedVersionVector,
@@ -262,7 +260,7 @@ def _digest_fields(v: VersionDigest) -> List[Any]:
             b2a_base64(blob, newline=False).decode()]
 
 
-#: (object, sending node) -> writer -> the last ``(writer, count, cum,
+#: (object, digest's node) -> writer -> the last ``(writer, count, cum,
 #: last)`` row decoded from that node's digests of that object, and the
 #: ``(writer, WriterSummary)`` pair built from it
 _PAIRS: Dict[Tuple[Any, Any],
@@ -295,23 +293,6 @@ def _digest_from(fields: List[Any]) -> VersionDigest:
     issued_at, metadata, lct = values[n:n + 3]
     return VersionDigest(object_id, node_id, issued_at, tuple(writers),
                          metadata, lct, sum(values[:n]))
-
-
-def _gossip_fields(v: GossipDigest) -> List[Any]:
-    counts = v.counts
-    n = len(counts)
-    return [v.object_id, v.origin, list(map(_FIRST, counts)),
-            _packed(n, 3, (*map(_SECOND, counts), v.metadata,
-                           v.last_consistent_time, v.issued_at))]
-
-
-def _gossip_from(fields: List[Any]) -> GossipDigest:
-    object_id, origin, names, blob = fields
-    n = len(names)
-    values = _numbers(n, 3, blob)
-    metadata, lct, issued_at = values[n:]
-    return GossipDigest(object_id, origin, tuple(zip(names, values)),
-                        metadata, lct, issued_at)
 
 
 def _vector_fields(v: ExtendedVersionVector) -> List[Any]:
@@ -407,7 +388,6 @@ _CODECS: Dict[str, Tuple[type, Callable[[Any], List[Any]],
                                   v.last_timestamp))],
         _one_column(WriterSummary, 1, 2)),
     "VersionDigest": (VersionDigest, _digest_fields, _digest_from),
-    "GossipDigest": (GossipDigest, _gossip_fields, _gossip_from),
 }
 
 #: exact-type lookup for the encoder (subclasses are not payload types)

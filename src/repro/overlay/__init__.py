@@ -5,8 +5,9 @@ layer* ("temperature overlay") of the most active/recent writers and a
 *bottom layer* containing everyone else.  The top layer is rebuilt from
 candidate sets distributed by the RanSub protocol; update "temperature" is a
 recency/frequency score.  In the bottom layer a gossip protocol with a TTL
-bound spreads version digests in the background so inconsistencies the top
-layer missed are eventually detected.
+bound spreads the same version digests the top layer exchanges
+(:class:`~repro.core.detection.VersionDigest`) in the background, so
+inconsistencies the top layer missed are eventually detected.
 
 Modules
 -------
@@ -23,7 +24,7 @@ Modules
 from repro.overlay.ransub import RanSubService
 from repro.overlay.temperature import TemperatureTracker, TemperatureConfig
 from repro.overlay.two_layer import TwoLayerOverlay, OverlayConfig
-from repro.overlay.gossip import GossipConfig, GossipDigest, GossipService
+from repro.overlay.gossip import GossipConfig, GossipService
 
 __all__ = [
     "RanSubService",
@@ -32,6 +33,5 @@ __all__ = [
     "TwoLayerOverlay",
     "OverlayConfig",
     "GossipConfig",
-    "GossipDigest",
     "GossipService",
 ]

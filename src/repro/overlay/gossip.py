@@ -4,59 +4,32 @@ The paper's detection framework "uses gossip-based protocol to check in the
 background any missed inconsistency by the top-layer" (Section 4.3), with a
 TTL on the traversal of detection messages to bound the delay (Section
 4.4.2).  The reproduction follows the lpbcast style: each round every
-participating node sends its version *digest* (per-writer counts, metadata
-value, last-consistent time) to ``fanout`` uniformly chosen peers; receivers
-compare the digest against their own replica, report any inconsistency
-through a callback, and forward it with one hop less until none are left.
-A round stamps each node's digest once; the TTL is the hop's, carried in the
-message payload beside it, so every hop of that round re-sends the same
-digest object.  Peers are drawn by the ``overlay.gossip`` stream's
-:class:`~repro.sim.random.SubsetSampler`: one sample per fan-out, the draws
-``choice(len(peers), size=fanout, replace=False)`` makes.
+participating node sends its version digest to ``fanout`` uniformly chosen
+peers; receivers compare its per-writer counts with their own replica's,
+count any difference as a detection, and forward it with one hop less until
+none are left.  The digest is the replica's
+:class:`~repro.core.detection.VersionDigest`, the one the top layer
+announces (§4.4.2 gossips the same version digests), so a replica has one
+summary format and one memo.  A round stamps each node's digest once; the
+TTL is the hop's, carried in the message payload beside it, so every hop of
+that round re-sends the same digest object.  Peers are drawn by the
+``overlay.gossip`` stream's :class:`~repro.sim.random.SubsetSampler`: one
+sample per fan-out, the draws ``choice(len(peers), size=fanout,
+replace=False)`` makes.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.transport import Clock, Message, PeriodicTimer, Transport
-from repro.versioning.version_vector import Ordering, VersionVector
+
+if TYPE_CHECKING:  # pragma: no cover - typing only: core imports this module
+    from repro.core.detection import VersionDigest
 
 
 PROTOCOL = "overlay.gossip"
-
-
-@dataclass(frozen=True)
-class GossipDigest:
-    """Compact replica summary exchanged by the gossip protocol."""
-
-    object_id: str
-    origin: str
-    counts: Tuple[Tuple[str, int], ...]
-    metadata: float
-    last_consistent_time: float
-    #: stamped by :meth:`GossipService.run_round` when the digest is sent
-    issued_at: float = 0.0
-    #: memoised :meth:`version_vector`, handed on to the stamped copy; a
-    #: builder that already holds the vector (the deployment, from its
-    #: replica) passes it in, a digest decoded off the wire starts without
-    _vector: Optional[VersionVector] = field(default=None, repr=False,
-                                             compare=False)
-
-    def version_vector(self) -> VersionVector:
-        vector = self._vector
-        if vector is None:
-            vector = VersionVector(dict(self.counts))
-            object.__setattr__(self, "_vector", vector)
-        return vector
-
-    def stamped(self, issued_at: float) -> "GossipDigest":
-        """This digest as sent by the round at ``issued_at``."""
-        return GossipDigest(self.object_id, self.origin, self.counts,
-                            self.metadata, self.last_consistent_time,
-                            issued_at, self._vector)
 
 
 @dataclass
@@ -71,16 +44,12 @@ class GossipConfig:
     digest_bytes: int = 128
 
     def __post_init__(self) -> None:
-        if self.round_period <= 0:
+        if not self.round_period > 0:  # NaN compares False both ways
             raise ValueError("round_period must be positive")
         if self.fanout < 1:
             raise ValueError("fanout must be >= 1")
         if self.ttl < 1:
             raise ValueError("ttl must be >= 1")
-
-
-#: callback signature: (observer_node, digest, observer_counts) -> None
-DetectionCallback = Callable[[str, GossipDigest, VersionVector], None]
 
 
 class GossipService:
@@ -92,16 +61,12 @@ class GossipService:
     #: stays bounded over arbitrarily long runs
     SEEN_SWEEP_THRESHOLD = 4096
     SEEN_HORIZON_ROUNDS = 8
-    #: how many of the most recent detections :meth:`detections` can list;
-    #: :meth:`detection_count` keeps counting past it
-    DETECTIONS_RETAINED = 4096
 
     def __init__(self, clock: Clock, transport: Transport, *,
                  config: Optional[GossipConfig] = None,
                  membership: Callable[[str], Sequence[str]],
-                 local_digest: Callable[[str, str], Optional[GossipDigest]],
-                 on_inconsistency: Optional[DetectionCallback] = None,
-                 on_digest: Optional[Callable[[str, GossipDigest], None]] = None) -> None:
+                 local_digest: Callable[[str, str], Optional[VersionDigest]],
+                 on_digest: Optional[Callable[[str, VersionDigest], None]] = None) -> None:
         """
         Parameters
         ----------
@@ -111,9 +76,6 @@ class GossipService:
         local_digest:
             ``local_digest(node_id, object_id)`` returns the node's current
             digest, or ``None`` if it holds no replica.
-        on_inconsistency:
-            Invoked whenever a received digest differs from the receiver's
-            local state.
         on_digest:
             Invoked as ``(receiver, digest)`` for every received digest —
             the piggyback hook the stability frontier rides (it must not
@@ -124,14 +86,11 @@ class GossipService:
         self.config = config or GossipConfig()
         self._membership = membership
         self._local_digest = local_digest
-        self._on_inconsistency = on_inconsistency
         self._on_digest = on_digest
         self._sample = clock.random.subsets("overlay.gossip").sample
         self._objects: List[str] = []
         self._timer: Optional[PeriodicTimer] = None
         self._rounds = 0
-        self._detections: Deque[Tuple[float, str, str]] = deque(
-            maxlen=self.DETECTIONS_RETAINED)
         self._detection_totals: Dict[str, int] = {}
         self._seen: Dict[str, set] = {}
         #: per-receiver size above which the next dedupe sweep runs; doubles
@@ -175,13 +134,18 @@ class GossipService:
                 digest = self._local_digest(node_id, object_id)
                 if digest is None:
                     continue
-                sent += self._forward(node_id, digest.stamped(self.clock.now),
-                                      self.config.ttl, members)
+                # Stamp the send time.  ``VersionDigest``'s positional
+                # constructor (reached through the digest: core imports this
+                # module) carries the memoised counts along.
+                sent += self._forward(node_id, type(digest)(
+                    object_id, node_id, self.clock.now, digest.writers,
+                    digest.metadata, digest.last_consistent_time,
+                    digest.total, digest._counts), self.config.ttl, members)
         return sent
 
-    def _forward(self, sender: str, digest: GossipDigest, ttl: int,
+    def _forward(self, sender: str, digest: VersionDigest, ttl: int,
                  members: List[str]) -> int:
-        peers = [m for m in members if m != sender and m != digest.origin]
+        peers = [m for m in members if m != sender and m != digest.node_id]
         if not peers:
             return 0
         chosen = [peers[idx] for idx in
@@ -209,10 +173,10 @@ class GossipService:
     # ------------------------------------------------------------- receiving
     def _handle_digest(self, message: Message) -> None:
         payload = message.payload
-        digest: GossipDigest = payload["digest"]
+        digest: VersionDigest = payload["digest"]
         receiver = message.dst
 
-        dedupe_key = (digest.origin, digest.object_id, digest.issued_at)
+        dedupe_key = (digest.node_id, digest.object_id, digest.issued_at)
         seen = self._seen.setdefault(receiver, set())
         already_seen = dedupe_key in seen
         seen.add(dedupe_key)
@@ -230,14 +194,9 @@ class GossipService:
         if self._on_digest is not None:
             self._on_digest(receiver, digest)
         local = self._local_digest(receiver, digest.object_id)
-        if local is not None:
-            local_vv = local.version_vector()
-            if local_vv.compare(digest.version_vector()) is not Ordering.EQUAL:
-                self._detections.append((self.clock.now, receiver, digest.object_id))
-                self._detection_totals[digest.object_id] = (
-                    self._detection_totals.get(digest.object_id, 0) + 1)
-                if self._on_inconsistency is not None:
-                    self._on_inconsistency(receiver, digest, local_vv)
+        if local is not None and local.counts() != digest.counts():
+            self._detection_totals[digest.object_id] = (
+                self._detection_totals.get(digest.object_id, 0) + 1)
 
         # Forward onwards while TTL remains and this is the first sighting.
         ttl = payload["ttl"]
@@ -248,17 +207,6 @@ class GossipService:
     @property
     def rounds_completed(self) -> int:
         return self._rounds
-
-    def detections(self, object_id: Optional[str] = None) -> List[Tuple[float, str, str]]:
-        """(time, observer, object) tuples of the most recent detections.
-
-        Only the last :attr:`DETECTIONS_RETAINED` are kept, so the state stays
-        bounded over arbitrarily long runs; :meth:`detection_count` is the
-        running total.
-        """
-        if object_id is None:
-            return list(self._detections)
-        return [d for d in self._detections if d[2] == object_id]
 
     def detection_count(self, object_id: Optional[str] = None) -> int:
         """Inconsistencies detected so far (for one object, or all of them)."""

@@ -3,8 +3,10 @@
 * :class:`NodeRuntime` — one per node; holds the node-scoped resources every
   object the node hosts shares (endpoint, store, digest cache, backoff
   stream, bus).
-* :class:`DigestCache` — memoises version digests by replica revision so
-  consistency evaluations stop paying O(update-log) per event.
+* :class:`DigestCache` — builds a changed replica's version digest by
+  folding each writer's summary forward from the last build, so
+  consistency evaluations stop paying O(records) per event (each detection
+  service memoises the digest by replica revision in front of it).
 * :class:`EventBus` and its event types — explicit publish/subscribe for
   deployment-level reporting, replacing private-callback chaining.
 """

@@ -35,8 +35,8 @@ class NodeRuntime:
         self.node = node
         self.store = store
         self.bus = bus
-        #: local version digests memoised by replica revision, and the peer
-        #: digest tables, shared by every object this node hosts
+        #: incremental local-digest folds, shared by every object this node
+        #: hosts
         self.digests = DigestCache()
         #: one backoff stream per node, shared by every object's resolution
         #: manager instead of spawning a stream per (node, object)

@@ -170,7 +170,7 @@ class Replica:
 
     def missing_from(self, counts: VersionVector) -> List[UpdateRecord]:
         """Live records held here above a peer's per-writer ``counts``, in
-        ``(timestamp, writer, seq)`` order (an anti-entropy answer).
+        ``(writer, seq)`` order (an anti-entropy answer).
 
         Raises :class:`TruncatedHistoryError` when the peer is behind the
         checkpoint: the records it lacks were folded.
@@ -260,7 +260,13 @@ class Replica:
         — what a fold of :meth:`apply_update` over them leaves behind.  A
         batch with a per-writer gap raises before anything changes.
         """
-        vector, applied = self._vector.apply_many(sorted(records, key=_writer_seq))
+        return self._apply_sorted(sorted(records, key=_writer_seq), applied_at)
+
+    def _apply_sorted(self, records: List[UpdateRecord],
+                      applied_at: float) -> int:
+        """:meth:`apply_updates` on records already in ``(writer, seq)``
+        order."""
+        vector, applied = self._vector.apply_many(records)
         if not applied:
             return 0
         self._vector = vector
@@ -309,7 +315,8 @@ class Replica:
         except TruncatedHistoryError:
             self.truncation_stats.installs_behind_checkpoint += 1
             raise
-        applied = self.apply_updates(missing, applied_at=now)
+        # ``missing_from`` answers in (writer, seq) order: nothing to sort
+        applied = self._apply_sorted(missing, now)
         self.mark_consistent(now)
         if self.journal is not None:
             self.journal("install", self.object_id, merged, now)

@@ -50,7 +50,7 @@ class PeriodicTimer:
                  label: str = "") -> None:
         if (period is None) == (period_fn is None):
             raise ValueError("exactly one of period / period_fn is required")
-        if period is not None and period <= 0:
+        if period is not None and not period > 0:  # NaN is not > 0 either
             raise ValueError("period must be positive")
         self.clock = clock
         self.callback = callback

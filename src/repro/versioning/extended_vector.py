@@ -200,7 +200,7 @@ _NO_HISTORY = History([], 0)
 
 _metadata_delta = attrgetter("metadata_delta")
 #: sort keys, computed in C: a writer's records by seq, and the
-#: (timestamp, writer, seq) order records are replayed and pushed in
+#: (timestamp, writer, seq) order records are replayed in
 _BY_SEQ = attrgetter("seq")
 _BY_TIME = attrgetter("timestamp", "writer", "seq")
 
@@ -610,15 +610,17 @@ class ExtendedVersionVector:
         ``other`` is a peer's vector or just its per-writer counts.  Served
         per writer from the seq-contiguous tails in O(missing): ``other``
         lacks exactly the records above its per-writer count, returned in
-        ``(timestamp, writer, seq)`` order.
+        ``(writer, seq)`` order — writer by writer in sorted order, each
+        writer's suffix as held — which is the order :meth:`apply_many`
+        takes, so an install sorts nothing per record.
         Raises :class:`TruncatedHistoryError` when a needed record was
         folded into this vector's checkpoint — the peer is behind the
         stability frontier and can only be repaired by checkpoint adoption
         (:meth:`repro.store.replica.Replica.install_merged`).
         """
         missing: List[UpdateRecord] = []
-        for writer in (set(self._updates) | set(self._base)
-                       if self._base else self._updates):
+        for writer in sorted(set(self._updates) | set(self._base)
+                             if self._base else self._updates):
             have = other.count(writer)
             base_count = self.base_count(writer)
             if have >= base_count + self._updates.get(writer, _NO_HISTORY).n:
@@ -630,7 +632,6 @@ class ExtendedVersionVector:
                     f"checkpoint; records below the stability frontier are "
                     f"no longer individually available")
             missing.extend(self.updates_above(writer, have))
-        missing.sort(key=_BY_TIME)
         return missing
 
     def error_triple_against(self, reference: "ExtendedVersionVector") -> ErrorTriple:

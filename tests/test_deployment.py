@@ -143,4 +143,4 @@ class TestOverlayServices:
         deployment.run(until=25.0)
         # The divergent bottom-layer nodes exchange digests and notice the gap.
         assert deployment.gossip.rounds_completed >= 2
-        assert len(deployment.gossip.detections("obj")) > 0
+        assert deployment.gossip.detection_count("obj") > 0

@@ -449,16 +449,16 @@ def test_an_announce_reads_the_clock_once_and_ships_the_cached_digest():
         assert service.announce_write() == 1
         assert node.clock.reads == reads + 1
         shipped = node.shipped[-1]
-        assert shipped is cache.local_digest("obj", replica, now=-1.0)
+        assert shipped is service.local_digest()
         assert shipped.issued_at == node.clock.reads * 1e-6
         assert shipped == dataclass_replace(
             VersionDigest.from_replica(replica, 0.0),
             issued_at=shipped.issued_at)
     # an unchanged replica announced again later: the same content under the
-    # current time, and the cache keeps the digest it built
+    # current time, and the service's memo keeps the digest it built
     assert service.announce_write() == 1
     again = node.shipped[-1]
     assert again is not shipped
     assert again.issued_at == node.clock.reads * 1e-6 > shipped.issued_at
     assert dataclass_replace(again, issued_at=shipped.issued_at) == shipped
-    assert cache.local_digest("obj", replica, now=-1.0) is shipped
+    assert service.local_digest() is shipped

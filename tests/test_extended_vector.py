@@ -512,7 +512,7 @@ class TupleBacked:
             if have < base_count:
                 raise TruncatedHistoryError(writer)
             missing.extend(tail[have - base_count:])
-        missing.sort(key=lambda r: (r.timestamp, r.writer, r.seq))
+        missing.sort(key=lambda r: (r.writer, r.seq))
         return missing
 
 

@@ -59,6 +59,9 @@ class TestLiveMatchesOracle:
         live = run_live_scenario_inprocess(spec, str(tmp_path), kind=kind)
         sim = run_sim_scenario(spec)
         assert oracle_diff(sim, live) == []
+        # the oracle counts gossip rounds; the digests must also have left
+        assert all(o["messages_sent"].get("overlay.gossip", 0) > 0
+                   for o in live.values())
 
     def test_multiprocess_deployment_matches_oracle(self, tmp_path):
         """The full bring-up path: one OS process per node over UNIX

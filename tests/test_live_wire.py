@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.core.detection import VersionDigest, WriterSummary
 from repro.live import wire
-from repro.overlay.gossip import GossipDigest
 from repro.versioning.extended_vector import (ErrorTriple,
                                               ExtendedVersionVector,
                                               UpdateRecord, WriterBase)
@@ -86,12 +85,6 @@ version_digests = st.builds(
                      max_size=3, unique_by=lambda t: t[0]).map(tuple),
     metadata=finite, last_consistent_time=finite)
 
-gossip_digests = st.builds(
-    GossipDigest, object_id=names, origin=writer_ids,
-    counts=st.lists(st.tuples(writer_ids, st.integers(1, 100)),
-                    max_size=3, unique_by=lambda t: t[0]).map(tuple),
-    metadata=finite, last_consistent_time=finite, issued_at=finite)
-
 
 @st.composite
 def extended_vectors(draw):
@@ -130,14 +123,13 @@ def test_arbitrary_containers_roundtrip(value):
 
 @settings(max_examples=50, deadline=None)
 @given(st.one_of(error_triples, update_records, writer_bases,
-                 writer_summaries, version_vectors, version_digests,
-                 gossip_digests))
+                 writer_summaries, version_vectors, version_digests))
 def test_registered_payload_types_roundtrip(value):
     assert wire.roundtrip(value) == value
 
 
 @settings(max_examples=50, deadline=None)
-@given(gossip_digests, st.integers(1, 5), st.lists(writer_ids, max_size=5))
+@given(version_digests, st.integers(1, 5), st.lists(writer_ids, max_size=5))
 def test_a_gossip_payload_roundtrips_with_its_ttl(digest, ttl, members):
     """The hop's TTL rides beside the digest as a plain JSON int."""
     payload = {"digest": digest, "ttl": ttl, "members": members}
@@ -188,12 +180,10 @@ def _example_digest():
 PROTOCOL_PAYLOADS = [
     # detection announcements
     ("idea.detection", "idea_digest:obj0", {"digest": _example_digest()}),
-    # gossip digests (digest + member list shared across the fan-out)
+    # gossip (the same digest + member list shared across the fan-out)
     ("overlay.gossip", "gossip_digest",
-     {"digest": GossipDigest(object_id="obj0", origin="n02",
-                             counts=(("n00", 2), ("n02", 1)), metadata=3.0,
-                             last_consistent_time=0.5, issued_at=2.0),
-      "ttl": 3, "members": ["n00", "n01", "n02"]}),
+     {"digest": _example_digest(), "ttl": 3,
+      "members": ["n00", "n01", "n02"]}),
     # RanSub rounds (plain dicts: no sample travels)
     ("overlay.ransub", "ransub_collect", {"round": 4, "member": "n03"}),
     ("overlay.ransub", "ransub_distribute", {"round": 4}),
@@ -517,12 +507,6 @@ TYPED_FLOAT_FIELDS = {
         writers=(("n00", WriterSummary(3, x, 2.0)),)),
     "VersionDigest.writers.last_timestamp": lambda x: _digest_with(
         writers=(("n00", WriterSummary(3, 1.5, x)),)),
-    "GossipDigest.metadata": lambda x: GossipDigest("o", "n00", (("n00", 1),),
-                                                    x, 0.5, 1.0),
-    "GossipDigest.last_consistent_time": lambda x: GossipDigest(
-        "o", "n00", (("n00", 1),), 1.0, x, 1.0),
-    "GossipDigest.issued_at": lambda x: GossipDigest(
-        "o", "n00", (("n00", 1),), 1.0, 0.5, x),
     "ExtendedVersionVector.records.timestamp":
         lambda x: _vector_with(timestamp=x),
     "ExtendedVersionVector.records.metadata_delta":
@@ -594,7 +578,6 @@ _COLUMNS = {
     "WriterSummary": (1, 2, lambda blob: [blob]),
     "VersionVector": (1, 0, lambda blob: [["w"], blob]),
     "VersionDigest": (1, 5, lambda blob: ["o", "n", ["w"], blob]),
-    "GossipDigest": (1, 3, lambda blob: ["o", "n", ["w"], blob]),
     "ExtendedVersionVector": (1, 2, lambda blob: [
         [["w", blob, [None]]], [[], _column([], [])],
         _column([], [0.0] * 5)]),
@@ -671,8 +654,6 @@ OUT_OF_INT64 = {
     "VersionVector.counts": VersionVector._from_trusted({"w": 2 ** 63}),
     "VersionDigest.writers.count": _digest_with(
         writers=(("n00", WriterSummary(2 ** 64, 1.5, 2.0)),)),
-    "GossipDigest.counts": GossipDigest("o", "n", (("w", 2 ** 63),), 1.0, 0.5,
-                                        1.0),
     "VersionVector.counts.below": VersionVector._from_trusted(
         {"w": -2 ** 63 - 1}),
     "ExtendedVersionVector.records.seq": ExtendedVersionVector(
@@ -736,15 +717,15 @@ def test_an_int_in_a_typed_float_field_comes_back_a_float():
 # decoded writer pairs: an unchanged writer decodes to the pair held
 # --------------------------------------------------------------------------
 
-def _decoded_announce(object_id, rows):
+def _decoded_announce(object_id, rows, node_id="n01"):
     """``rows`` of ``(writer, count, cum, last)`` through one frame."""
     digest = VersionDigest(
-        object_id=object_id, node_id="n01", issued_at=2.0,
+        object_id=object_id, node_id=node_id, issued_at=2.0,
         writers=tuple((w, WriterSummary(c, cum, last))
                       for w, c, cum, last in rows),
         metadata=1.0, last_consistent_time=0.0,
         total=sum(c for _, c, _, _ in rows))
-    frame = wire.encode_envelope("n01", "n00", "idea.detection", "t",
+    frame = wire.encode_envelope(node_id, "n00", "idea.detection", "t",
                                  {"digest": digest}, 256, 2.0)
     restored = wire.decode_envelope(frame[4:])[4]["digest"]
     assert restored == digest and restored.total == digest.total
@@ -771,6 +752,30 @@ def test_a_repeated_count_with_other_fields_is_a_fresh_pair(changed):
     second = _decoded_announce(object_id, [changed])
     assert second.writers[0] is not first.writers[0]
     assert second.writers[0] == (changed[0], WriterSummary(*changed[1:]))
+
+
+def test_a_relayed_gossip_digest_decodes_onto_its_origins_pairs():
+    """A gossip hop relays another node's digest: its writer pairs are held
+    under the digest's node, the one whose replica it summarises, so that
+    node's next announce hands the same pairs back."""
+    object_id = "obj-pairs-relay"
+    digest = VersionDigest(
+        object_id=object_id, node_id="n02", issued_at=2.0,
+        writers=(("n00", WriterSummary(2, 3.5, 1.0)),
+                 ("n02", WriterSummary(1, 1.0, 1.5))),
+        metadata=4.5, last_consistent_time=0.0, total=3)
+    frame = wire.encode_envelope(
+        "n03", "n00", "overlay.gossip", "gossip_digest",
+        {"digest": digest, "ttl": 2, "members": ["n00", "n02", "n03"]},
+        128, 2.0)
+    relayed = wire.decode_envelope(frame[4:])[4]["digest"]
+    assert relayed == digest and relayed.total == 3
+    assert (object_id, "n02") in wire._PAIRS
+    assert (object_id, "n03") not in wire._PAIRS
+    announced = _decoded_announce(object_id, [("n00", 2, 3.5, 1.0),
+                                              ("n02", 1, 1.0, 1.5)],
+                                  node_id="n02")
+    assert all(a is b for a, b in zip(relayed.writers, announced.writers))
 
 
 def test_a_live_peer_folds_only_the_writers_that_grew(tmp_path):
@@ -960,7 +965,7 @@ INTRUDERS = [[], {}, [[1]], {"a": [1]}, {"__t": 5}, {"__t": []},
 
 every_registered_value = st.one_of(
     error_triples, update_records, writer_bases, writer_summaries,
-    version_vectors, version_digests, gossip_digests, extended_vectors(),
+    version_vectors, version_digests, extended_vectors(),
     st.builds(lambda vector, pairs: {"merged": vector, "invalidated": pairs},
               extended_vectors(),
               st.lists(st.tuples(writer_ids, st.integers(1, 20)), max_size=2)),

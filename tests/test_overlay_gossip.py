@@ -6,23 +6,23 @@ import pytest
 
 from repro.core.config import IdeaConfig
 from repro.core.deployment import DeploymentBuilder
-from repro.live import wire
-from repro.overlay.gossip import GossipConfig, GossipDigest, GossipService
+from repro.core.detection import VersionDigest, WriterSummary
+from repro.overlay.gossip import GossipConfig, GossipService
 from repro.sim.clock import ClockModel
 from repro.sim.engine import Simulator
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.random import RandomStreams
-from repro.store.filesystem import ReplicatedStore
 from repro.versioning.extended_vector import UpdateRecord
-from repro.versioning.version_vector import Ordering, VersionVector
 
 
 def make_digest(object_id, origin, counts, issued_at=0.0):
-    return GossipDigest(object_id=object_id, origin=origin,
-                        counts=tuple(sorted(counts.items())), metadata=float(sum(counts.values())),
-                        last_consistent_time=0.0, issued_at=issued_at)
+    writers = tuple((w, WriterSummary(c, float(c), 0.0))
+                    for w, c in sorted(counts.items()))
+    return VersionDigest(object_id, origin, issued_at, writers,
+                         float(sum(counts.values())), 0.0,
+                         sum(counts.values()))
 
 
 class GossipHarness:
@@ -38,12 +38,10 @@ class GossipHarness:
         for node_id in self.node_ids + self.outsiders:
             Node(self.sim, self.network, node_id, clock_model=ClockModel().perfect())
         self.state = {n: {"w": 1} for n in self.node_ids + self.outsiders}
-        self.detected = []
         self.service = service_class(
             self.sim, self.network, config=config,
             membership=lambda obj: self.node_ids,
-            local_digest=self._digest,
-            on_inconsistency=lambda node, digest, vv: self.detected.append(node))
+            local_digest=self._digest)
         self.service.watch_object("obj")
 
     def _digest(self, node_id, object_id):
@@ -55,38 +53,12 @@ class TestGossipConfig:
     def test_defaults_valid(self):
         GossipConfig()
 
-    def test_validation(self):
+    @pytest.mark.parametrize("field, value", [
+        ("round_period", 0), ("round_period", -1.0),
+        ("round_period", float("nan")), ("fanout", 0), ("ttl", 0)])
+    def test_validation(self, field, value):
         with pytest.raises(ValueError):
-            GossipConfig(round_period=0)
-        with pytest.raises(ValueError):
-            GossipConfig(fanout=0)
-        with pytest.raises(ValueError):
-            GossipConfig(ttl=0)
-
-
-class TestGossipDigest:
-    def test_version_vector_roundtrip(self):
-        digest = make_digest("obj", "n0", {"a": 2, "b": 1})
-        assert digest.version_vector() == VersionVector({"a": 2, "b": 1})
-
-    def test_stamped_changes_only_issued_at_and_keeps_the_vector(self):
-        digest = make_digest("obj", "n0", {"a": 2, "b": 1})
-        vector = digest.version_vector()
-        sent = digest.stamped(4.0)
-        assert sent.version_vector() is vector
-        assert sent == make_digest("obj", "n0", {"a": 2, "b": 1}, issued_at=4.0)
-
-    def test_a_decoded_digest_has_no_memo_and_compares_the_same(self):
-        sent = make_digest("obj", "n0", {"a": 2, "b": 1}, issued_at=4.0)
-        sent.version_vector()
-        decoded = wire.roundtrip(sent)
-        assert decoded == sent and hash(decoded) == hash(sent)
-        assert decoded._vector is None
-        assert decoded.version_vector() == sent.version_vector()
-        assert decoded.version_vector() is not sent.version_vector()
-        ahead = make_digest("obj", "n1", {"a": 3, "b": 1})
-        assert (decoded.version_vector().compare(ahead.version_vector())
-                is Ordering.BEFORE)
+            GossipConfig(**{field: value})
 
 
 class TestGossipService:
@@ -94,44 +66,32 @@ class TestGossipService:
         harness = GossipHarness()
         harness.service.run_round()
         harness.sim.run(until=5.0)
-        assert harness.detected == []
+        assert harness.service.detection_count() == 0
 
     def test_divergent_node_is_detected(self):
         harness = GossipHarness()
         harness.state["n03"] = {"w": 5}     # n03 diverged from everyone else
         harness.service.run_round()
         harness.sim.run(until=5.0)
-        assert len(harness.detected) > 0
+        assert harness.service.detection_count() > 0
 
-    def test_detections_recorded_with_object(self):
+    def test_detections_are_counted_per_object(self):
         harness = GossipHarness()
-        harness.state["n01"] = {"w": 9}
-        harness.service.run_round()
-        harness.sim.run(until=5.0)
-        assert all(obj == "obj" for _, _, obj in harness.service.detections())
-        assert harness.service.detections("other") == []
-
-    def test_retained_detections_are_bounded_and_the_totals_keep_counting(self):
-        class SmallWindow(GossipService):
-            DETECTIONS_RETAINED = 5
-
-        harness = GossipHarness(service_class=SmallWindow)
         harness.service.watch_object("other")
         harness.state["n01"] = {"w": 9}
-        retained = []
+        totals = []
         for round_no in range(1, 4):
             harness.service.run_round()
             harness.sim.run(until=5.0 * round_no)
-            retained.append(len(harness.service.detections()))
+            totals.append(harness.service.detection_count())
         service = harness.service
-        assert retained == [5, 5, 5]
-        assert service.detection_count() == len(harness.detected) > 15
+        # the running total keeps counting round after round
+        assert 0 < totals[0] < totals[1] < totals[2]
+        assert totals[-1] > 15
         assert (service.detection_count("obj") + service.detection_count("other")
                 == service.detection_count())
+        assert service.detection_count("obj") > 0
         assert service.detection_count("never-watched") == 0
-        # what is retained is the most recent
-        times = [at for at, _, _ in service.detections()]
-        assert times == sorted(times) and times[0] > 10.0
 
     def test_fanouts_draw_what_a_twin_generator_draws(self):
         """``choice(len(peers), size=fanout, replace=False)`` on the
@@ -141,7 +101,7 @@ class TestGossipService:
         send_many = harness.network.send_many
 
         def recording(src, dsts, **kwargs):
-            fanouts.append((src, kwargs["payload"]["digest"].origin, list(dsts)))
+            fanouts.append((src, kwargs["payload"]["digest"].node_id, list(dsts)))
             return send_many(src, dsts, **kwargs)
 
         harness.network.send_many = recording
@@ -171,12 +131,12 @@ class TestGossipService:
         received = set()
         for src, dsts, payload in fanouts:
             digest, ttl = payload["digest"], payload["ttl"]
-            if src == digest.origin and digest.origin not in first:
+            if src == digest.node_id and digest.node_id not in first:
                 assert ttl == config.ttl
-                first[digest.origin] = digest
+                first[digest.node_id] = digest
             else:
                 # a forward re-sends the object the origin sent, one hop less
-                assert digest is first[digest.origin]
+                assert digest is first[digest.node_id]
                 assert (src, id(digest), ttl + 1) in received
             received.update((dst, id(digest), ttl) for dst in dsts)
         assert len(first) == 40
@@ -254,32 +214,26 @@ class TestGossipService:
 
 
 class TestDeploymentGossipDigest:
-    """``IdeaDeployment._gossip_digest`` memoised per replica revision."""
+    """``IdeaDeployment._gossip_digest`` is the detection service's digest."""
 
     @staticmethod
-    def fresh(deployment, node_id):
-        """The digest built from scratch, as every call used to."""
-        replica = deployment.stores[node_id].replica("obj")
-        return GossipDigest(
-            object_id="obj", origin=node_id,
-            counts=tuple(sorted(replica.vector.counts().as_dict().items())),
-            metadata=replica.metadata,
-            last_consistent_time=replica.vector.last_consistent_time)
-
-    def test_memo_follows_every_replica_mutation(self):
+    def build():
         deployment = DeploymentBuilder(num_nodes=4, seed=3,
                                        use_gossip=True).build()
         deployment.register_object("obj", IdeaConfig(), start_background=False)
+        return deployment
+
+    def test_memo_follows_every_replica_mutation(self):
+        deployment = self.build()
+        detection = deployment.middleware("obj", "n01").detection
         replica = deployment.stores["n01"].replica("obj")
         other = deployment.stores["n02"].replica("obj")
-        cache = deployment.runtimes["n01"].digests
-        lookups = (cache.hits, cache.misses)
 
         def check():
             digest = deployment._gossip_digest("n01", "obj")
-            assert digest == self.fresh(deployment, "n01")
-            assert digest.version_vector() is replica.vector.counts()
-            assert deployment._gossip_digest("n01", "obj") is digest
+            assert digest is detection.local_digest()
+            assert digest == VersionDigest.from_replica(replica,
+                                                        digest.issued_at)
             return digest
 
         seen = [check()]
@@ -299,7 +253,7 @@ class TestDeploymentGossipDigest:
             step()
             seen.append(check())
         # each vector-changing step shows: no stale answer survived it
-        assert len({(d.counts, d.metadata, d.last_consistent_time)
+        assert len({(d.writers, d.metadata, d.last_consistent_time)
                     for d in seen}) >= 6
 
         deployment.crash_node("n01")
@@ -307,22 +261,18 @@ class TestDeploymentGossipDigest:
         replica.local_write("n01", 6.0, metadata_delta=0.1)
         deployment.recover_node("n01")
         check()
-        # the sweep's memo is its own: DigestCache's hit rate does not move
-        assert (cache.hits, cache.misses) == lookups
+        # a node that hosts no middleware for the object gossips nothing
+        assert deployment._gossip_digest("n01", "unregistered") is None
 
-    def test_a_replaced_replica_is_not_answered_from_the_old_ones_memo(self):
-        deployment = DeploymentBuilder(num_nodes=4, seed=3,
-                                       use_gossip=True).build()
-        deployment.register_object("obj", IdeaConfig(), start_background=False)
-        replica = deployment.stores["n01"].replica("obj")
-        replica.local_write("n01", 1.0)
-        replica.local_write("n01", 2.0)
-        deployment._gossip_digest("n01", "obj")
-        # an amnesiac restart: a new store whose replica reaches the same
-        # revision with other content — a revision-only key would still hit
-        store = deployment.stores["n01"] = ReplicatedStore("n01")
-        store.create("obj")
-        store.write("obj", "n09", 1.0)
-        store.write("obj", "n09", 2.0)
-        assert store.replica("obj").revision == replica.revision
-        assert deployment._gossip_digest("n01", "obj") == self.fresh(deployment, "n01")
+    def test_a_write_a_sweep_and_an_announce_build_one_digest(self):
+        deployment = self.build()
+        middleware = deployment.middleware("obj", "n01")
+        cache = deployment.runtimes["n01"].digests
+        middleware.detection.local_digest()
+        misses = cache.misses
+        middleware.write(payload="x", metadata_delta=1.0)
+        deployment.gossip.run_round()
+        deployment.run(until=5.0)
+        middleware.detection.announce_write()
+        assert cache.misses == misses + 1
+        assert deployment.gossip.detection_count("obj") > 0

@@ -207,16 +207,18 @@ class TestReplicaRecordProperties:
                 dead.add(victim)
 
         naive_live = [r for r in applied if r.key() not in dead]
-        assert replica.missing_from(VersionVector()) == naive_live
+        # ``missing_from`` answers in (writer, seq) order
+        by_key = sorted(naive_live, key=lambda r: r.key())
+        assert replica.missing_from(VersionVector()) == by_key
         assert replica.content() == [r.payload for r in naive_live]
         assert replica.last_applied_at() == max(
             (r.timestamp for r in naive_live), default=0.0)
         # Double-tombstoning counts once.
-        if naive_live:
-            key = naive_live[0].key()
+        if by_key:
+            key = by_key[0].key()
             assert replica.invalidate_updates([key]) == 1
             assert replica.invalidate_updates([key]) == 0
-            assert replica.missing_from(VersionVector()) == naive_live[1:]
+            assert replica.missing_from(VersionVector()) == by_key[1:]
 
 
 # ------------------------------------------------------------------ temperature

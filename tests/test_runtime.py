@@ -89,14 +89,21 @@ class TestDigestCache:
         # the total is not compared: both builders sum it themselves
         assert cached.total == fresh.total == 2
 
-    def test_hit_until_replica_changes(self):
-        replica = Replica("n00", "obj")
-        replica.local_write("n00", 1.0)
-        cache = DigestCache()
-        first = cache.local_digest("obj", replica, now=1.0)
-        second = cache.local_digest("obj", replica, now=2.0)
-        assert second is first
-        assert cache.hits == 1 and cache.misses == 1
+    def test_hit_until_replica_changes(self, deployment):
+        """The revision memo is the detection service's; the cache counts
+        its hits and builds only on a miss."""
+        deployment.register_object("obj", hint_config(), participants=["n00"],
+                                   start_background=False)
+        detection = deployment.middleware("obj", "n00").detection
+        cache = deployment.runtimes["n00"].digests
+        detection.replica.local_write("n00", 1.0)
+        hits, misses = cache.hits, cache.misses
+        first = detection.local_digest()
+        assert detection.local_digest() is first
+        assert (cache.hits, cache.misses) == (hits + 1, misses + 1)
+        detection.replica.local_write("n00", 2.0)
+        assert detection.local_digest() is not first
+        assert (cache.hits, cache.misses) == (hits + 1, misses + 2)
 
     def test_incremental_fold_after_more_writes(self):
         replica = Replica("n00", "obj")

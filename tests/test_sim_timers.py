@@ -109,11 +109,10 @@ class TestPeriodicTimer:
         sim.run(until=2.5)
         assert ticks == [1.0, 2.0]
 
-    def test_rejects_nonpositive_period(self):
-        sim = Simulator()
-        for period in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                PeriodicTimer(sim, lambda: None, period=period)
+    @pytest.mark.parametrize("period", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_period(self, period):
+        with pytest.raises(ValueError):
+            PeriodicTimer(Simulator(), lambda: None, period=period)
 
     def test_needs_exactly_one_period_source(self):
         sim = Simulator()

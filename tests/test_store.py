@@ -143,7 +143,7 @@ class EntryList:
             raise TruncatedHistoryError(known)
         return sorted((e.record for e in self.log
                        if e.live and e.record.seq > known.count(e.record.writer)),
-                      key=lambda r: (r.timestamp, r.writer, r.seq))
+                      key=lambda r: (r.writer, r.seq))
 
     def last_applied_at(self):
         last = max((e.applied_at for e in self.log if e.live), default=0.0)
