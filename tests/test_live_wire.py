@@ -480,6 +480,12 @@ def _digest_with(**fields):
     return VersionDigest(**base)
 
 
+def _gossip_with(**fields):
+    """A gossip round's payload: the digest beside its hop TTL and members."""
+    return {"digest": _digest_with(**fields), "ttl": 3,
+            "members": ["n00", "n02"]}
+
+
 def _vector_with(timestamp=1.0, delta=1.0, cum=1.0, last=0.5, metadata=2.0,
                  lct=0.0, triple=ErrorTriple.ZERO):
     return ExtendedVersionVector(
@@ -507,6 +513,10 @@ TYPED_FLOAT_FIELDS = {
         writers=(("n00", WriterSummary(3, x, 2.0)),)),
     "VersionDigest.writers.last_timestamp": lambda x: _digest_with(
         writers=(("n00", WriterSummary(3, 1.5, x)),)),
+    "gossip.digest.metadata": lambda x: _gossip_with(metadata=x),
+    "gossip.digest.last_consistent_time":
+        lambda x: _gossip_with(last_consistent_time=x),
+    "gossip.digest.issued_at": lambda x: _gossip_with(issued_at=x),
     "ExtendedVersionVector.records.timestamp":
         lambda x: _vector_with(timestamp=x),
     "ExtendedVersionVector.records.metadata_delta":
@@ -578,6 +588,7 @@ _COLUMNS = {
     "WriterSummary": (1, 2, lambda blob: [blob]),
     "VersionVector": (1, 0, lambda blob: [["w"], blob]),
     "VersionDigest": (1, 5, lambda blob: ["o", "n", ["w"], blob]),
+    "VersionDigest.gossip": (1, 5, lambda blob: ["o", "n", ["w"], blob]),
     "ExtendedVersionVector": (1, 2, lambda blob: [
         [["w", blob, [None]]], [[], _column([], [])],
         _column([], [0.0] * 5)]),
@@ -591,7 +602,12 @@ _COLUMNS = {
 def _class_body(column: str, blob) -> bytes:
     import json
     fields = _COLUMNS[column][2](blob)
-    return _envelope(json.dumps({"__c": column.split(".")[0], "f": fields}))
+    body = json.dumps({"__c": column.split(".")[0], "f": fields})
+    if column.endswith(".gossip"):
+        # as a gossip round sends it: under "digest", beside TTL and members
+        return (b'["a","b","overlay.gossip","gossip_digest",{"digest":'
+                + body.encode() + b',"ttl":3,"members":["n00"]},128,1.0]')
+    return _envelope(body)
 
 
 def _finite_column(column: str):
@@ -603,7 +619,11 @@ def _finite_column(column: str):
 def test_a_well_formed_column_decodes(column):
     """The hand-built layouts below are the encoder's: all-finite they
     decode, so every refusal that follows is the one value changed."""
-    wire.decode_envelope(_class_body(column, _column(*_finite_column(column))))
+    payload = wire.decode_envelope(
+        _class_body(column, _column(*_finite_column(column))))[4]
+    if column.endswith(".gossip"):
+        assert isinstance(payload["digest"], VersionDigest)
+        assert payload["ttl"] == 3
 
 
 NAN_SLOTS = [(column, slot, bad) for column, (ints, floats, _) in
@@ -654,6 +674,8 @@ OUT_OF_INT64 = {
     "VersionVector.counts": VersionVector._from_trusted({"w": 2 ** 63}),
     "VersionDigest.writers.count": _digest_with(
         writers=(("n00", WriterSummary(2 ** 64, 1.5, 2.0)),)),
+    "gossip.digest.writers.count": _gossip_with(
+        writers=(("n00", WriterSummary(2 ** 63, 1.5, 2.0)),)),
     "VersionVector.counts.below": VersionVector._from_trusted(
         {"w": -2 ** 63 - 1}),
     "ExtendedVersionVector.records.seq": ExtendedVersionVector(
