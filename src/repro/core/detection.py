@@ -43,7 +43,7 @@ from repro.versioning.extended_vector import (
     WriterBase,
 )
 from repro.versioning.values import frozen_value
-from repro.versioning.version_vector import VersionVector
+from repro.versioning.version_vector import DIGEST_BYTES, VersionVector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.runtime.digest_cache import DigestCache
@@ -344,7 +344,8 @@ class DetectionService:
             # One shared payload for the whole top-layer broadcast.
             node.send_many(peers, protocol=PROTOCOL,
                            msg_type=self._digest_msg_type,
-                           payload={"digest": digest}, size_bytes=256)
+                           payload={"digest": digest},
+                           size_bytes=DIGEST_BYTES)
         return len(peers)
 
     def _handle_digest(self, message: Message) -> None:

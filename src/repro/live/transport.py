@@ -18,10 +18,11 @@ and moves messages as length-prefixed frames (:mod:`repro.live.wire`):
   forever.  The per-peer queue is **bounded**: while a peer is unreachable
   or its connection paused, each send beyond the bound evicts the oldest
   frame as a counted ``queue-overflow`` drop;
-* a fan-out (:meth:`LiveTransport.send_many`) makes **one payload text**:
-  every destination still gets its own checks, loss draw, accounting and
-  ``wire.encode_envelope`` call, but only the first remote one encodes the
-  payload — the rest splice that text into their envelope;
+* a fan-out (:meth:`LiveTransport.send_many`) **encodes its payload
+  once**: every destination still gets its own checks, loss draw,
+  accounting and ``wire.encode_envelope`` call, but only the first remote
+  one encodes the payload — its JSON text, or an announce's ids and raw
+  column — and the rest splice that part into their own frame;
 * each local endpoint with an address gets a listening server, and each
   accepted connection one :class:`asyncio.Protocol`: ``data_received``
   splits whole frames out of the bytes that arrived, decodes each into a
@@ -425,8 +426,8 @@ class LiveTransport:
                   msg_type: str, payload: Any = None,
                   size_bytes: Optional[int] = None) -> List[Message]:
         """``[send(src, d, …) for d in dsts]`` minus the drops, with one
-        payload text per call: the first remote destination encodes the
-        payload, the rest splice that text into their own envelope."""
+        payload encoding per call: the first remote destination encodes the
+        payload, the rest splice that part into their own frame."""
         size = (self.DEFAULT_MESSAGE_BYTES if size_bytes is None
                 else int(size_bytes))
         shared = wire.SharedPayload(payload)

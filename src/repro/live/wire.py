@@ -1,4 +1,4 @@
-"""Length-prefixed JSON frame codec for the live backend.
+"""Length-prefixed frame codec for the live backend.
 
 Every payload that crosses ``Transport.send`` in the protocol layers —
 version digests (announced in the top layer, gossiped in the bottom one),
@@ -8,10 +8,24 @@ this codec *losslessly*: decode(encode(x)) == x, including container types
 (the resolution installer uses ``(writer, seq)`` tuples as dict keys
 downstream, so tuples must come back as tuples, not lists).
 
-A frame is ``struct.pack(">I", len(body))`` followed by an ASCII JSON body,
-the seven-element envelope ``[src, dst, protocol, msg_type, payload,
-size_bytes, sent_at]``.  JSON alone cannot represent tuples, non-string dict
-keys or our dataclasses, so three tagged objects carry them:
+A frame is ``struct.pack(">I", len(body))`` followed by a body its first
+byte picks.  The top layer's announce (a ``{"digest": VersionDigest}``
+payload, 95 % of live frames) is a binary body: one big-endian ``>BqdII``
+header (the tag byte ``0x01``, ``size_bytes`` as int64, ``sent_at`` as a
+double, the writer count, the names' byte length), the names UTF-8 and
+NUL-joined (src, dst, protocol, msg_type, object, node, each writer), then
+the digest's raw column (below).  An id holding a NUL or a lone surrogate,
+or not a ``str``, sends the announce as JSON: one ``count`` of the NULs in
+the joined names decides.  Its decoder raises :class:`WireError` for a
+names count other than the writer count plus six, names that are not UTF-8,
+a column of the wrong length, or a non-finite ``sent_at`` or column value;
+an ``int`` ``sent_at`` comes back a ``float``.
+
+Every other body, the gossip hop's digest beside its ``ttl`` and
+``members`` included, is JSON (which refuses an unknown first byte): the
+ASCII envelope ``[src, dst, protocol, msg_type, payload, size_bytes,
+sent_at]``.  JSON alone cannot represent tuples, non-string dict keys or
+our dataclasses, so three tagged objects carry them:
 
 * tuple ``(a, b)``            → ``{"__t": [a', b']}``
 * dict with non-string keys   → ``{"__d": [[k', v'], ...]}``
@@ -68,10 +82,11 @@ interpreter's limit, or whose envelope fields are not four ``str``, an
 raises nothing else.
 
 **The pair table.**  A digest's writers change one at a time: an announce
-usually differs from the same peer's last one in the writer who wrote.  The
-decoder holds the last ``(writer, WriterSummary)`` pair it built per
-``(object, digest's node, writer)`` and hands the same pair back while count,
-cumulative metadata and last timestamp compare equal, so
+usually differs from the same peer's last one in the writer who wrote.  Both
+bodies rebuild a digest through one helper, which holds the last
+``(writer, WriterSummary)`` pair it built per ``(object, digest's node,
+writer)`` and hands the same pair back while count, cumulative metadata and
+last timestamp compare equal, so
 ``DetectionService``'s fold skips the unchanged writers by identity, as it
 does on the simulator.  The digest's node (whose replica it summarises; a
 gossip hop relays another node's digest) is part of the key because peers
@@ -86,14 +101,15 @@ decode would build — by ``==``, so a ``-0.0`` row after a ``0.0`` one (or
 where the accelerator is absent) on the payload and on ``[size_bytes,
 sent_at]``; the four head strings go through the C string escaper.  A
 non-finite float, an ``int`` outside int64 or a non-number in a typed
-numeric field, a container that holds itself, or a value of no registered
-type raises :class:`WireError`, which the transport counts as an
+numeric field, a container that holds itself, a value of no registered
+type, or an announce whose ``size_bytes`` is not an ``int`` in int64
+raises :class:`WireError`, which the transport counts as an
 ``encode-error`` drop.
 
 **Fan-out.**  A payload bound for several destinations is wrapped in one
 :class:`SharedPayload`; the first :func:`encode_envelope` that needs its
-JSON text produces it and every later one splices the same text into its own
-envelope.
+JSON text — or an announce's ids and column — produces it and every later
+one splices the same part into its own envelope.
 
 Floats typed ``Any`` round-trip exactly too: Python's ``json`` emits
 ``repr(float)`` (shortest round-trip form) and parses it back to the
@@ -245,7 +261,7 @@ _RECORD_FLOATS = attrgetter("timestamp", "metadata_delta")
 _PAYLOAD = attrgetter("payload")
 
 
-def _digest_fields(v: VersionDigest) -> List[Any]:
+def _digest_column(v: VersionDigest) -> bytes:
     # The announce path: the column's Struct is looked up inline.
     writers = v.writers
     n = len(writers)
@@ -256,8 +272,12 @@ def _digest_fields(v: VersionDigest) -> List[Any]:
     blob = _LAYOUTS[n, 3 + 2 * n].pack(*values)
     if not all(map(isfinite, values)):
         raise WireError("a non-finite number cannot be encoded for the wire")
-    return [v.object_id, v.node_id, list(map(_FIRST, writers)),
-            b2a_base64(blob, newline=False).decode()]
+    return blob
+
+
+def _digest_fields(v: VersionDigest) -> List[Any]:
+    return [v.object_id, v.node_id, list(map(_FIRST, v.writers)),
+            b2a_base64(_digest_column(v), newline=False).decode()]
 
 
 #: (object, digest's node) -> writer -> the last ``(writer, count, cum,
@@ -267,12 +287,13 @@ _PAIRS: Dict[Tuple[Any, Any],
              Dict[Any, Tuple[Tuple[Any, ...], Tuple[Any, WriterSummary]]]] = {}
 
 
-def _digest_from(fields: List[Any]) -> VersionDigest:
-    object_id, node_id, names, blob = fields
-    n = len(names)
-    values = _LAYOUTS[n, 3 + 2 * n].unpack(a2b_base64(blob))
+def _rebuild_digest(object_id: Any, node_id: Any, names: Sequence[Any],
+                    values: Tuple[Any, ...]) -> VersionDigest:
+    """The digest of writer ``names`` and their column's ``values``, its
+    unchanged writers handed back as the pairs held (both bodies)."""
     if not all(map(isfinite, values)):
         raise WireError("a packed column holds a non-finite number")
+    n = len(names)
     source = (object_id, node_id)
     held = _PAIRS.get(source)
     if held is None:
@@ -293,6 +314,13 @@ def _digest_from(fields: List[Any]) -> VersionDigest:
     issued_at, metadata, lct = values[n:n + 3]
     return VersionDigest(object_id, node_id, issued_at, tuple(writers),
                          metadata, lct, sum(values[:n]))
+
+
+def _digest_from(fields: List[Any]) -> VersionDigest:
+    object_id, node_id, names, blob = fields
+    n = len(names)
+    return _rebuild_digest(object_id, node_id, names,
+                           _LAYOUTS[n, 3 + 2 * n].unpack(a2b_base64(blob)))
 
 
 def _vector_fields(v: ExtendedVersionVector) -> List[Any]:
@@ -433,19 +461,47 @@ _MALFORMED = (ValueError, TypeError, LookupError, RecursionError,
               struct.error)
 
 
+#: the first byte of an announce body (a JSON body starts with ``[``)
+_ANNOUNCE = b"\x01"
+
+#: an announce body's header: tag, size_bytes, sent_at, writer count and the
+#: names' byte length; behind the frame's length when encoding
+_ANNOUNCE_HEAD = struct.Struct(">BqdII")
+_ANNOUNCE_FRAME = struct.Struct(">IBqdII")
+
+
+def _announce_part(payload: Any) -> Tuple[Any, ...]:
+    """``(writer count, ids, column)`` of a ``{"digest": VersionDigest}``
+    payload — the part of its binary body every destination shares — or
+    ``()`` for any other payload, which travels as JSON."""
+    if type(payload) is not dict or len(payload) != 1:
+        return ()
+    digest = payload.get("digest")
+    if type(digest) is not VersionDigest:
+        return ()
+    writers = digest.writers
+    try:
+        ids = "\0".join((digest.object_id, digest.node_id,
+                         *map(_FIRST, writers))).encode()
+    except (TypeError, UnicodeEncodeError):
+        return ()   # a non-str id or a lone surrogate: JSON carries it
+    return len(writers), ids, _digest_column(digest)
+
+
 class SharedPayload:
     """One payload bound for several destinations (``send_many``).
 
     Pass it to :func:`encode_envelope` in the payload's place: the first
-    envelope that needs the payload's JSON text produces it, the others
-    reuse it.
+    envelope that needs the payload's JSON text — or an announce's ids and
+    column — produces it, the others reuse it.
     """
 
-    __slots__ = ("value", "_text")
+    __slots__ = ("value", "_text", "_part")
 
     def __init__(self, value: Any) -> None:
         self.value = value
         self._text: Optional[str] = None
+        self._part: Optional[Tuple[Any, ...]] = None
 
     def text(self) -> str:
         if self._text is None:
@@ -456,8 +512,34 @@ class SharedPayload:
 def encode_envelope(src: str, dst: str, protocol: str, msg_type: str,
                     payload: Any, size_bytes: int, sent_at: float) -> bytes:
     """Encode one message envelope into a length-prefixed frame; raises
-    :class:`WireError` for a payload or envelope field JSON cannot carry."""
+    :class:`WireError` for a payload or envelope field the wire cannot
+    carry."""
     try:
+        if type(payload) is SharedPayload:
+            part = payload._part
+            if part is None:
+                part = payload._part = _announce_part(payload.value)
+        else:
+            part = _announce_part(payload)
+        if part:
+            writers, ids, column = part
+            try:
+                names = (f"{src}\0{dst}\0{protocol}\0{msg_type}\0".encode()
+                         + ids)
+            except UnicodeEncodeError:
+                names = b""  # a lone surrogate: JSON escapes it
+            # an id holding a NUL would split in two: JSON carries it
+            if names.count(0) == writers + 5:
+                length = _ANNOUNCE_HEAD.size + len(names) + len(column)
+                head = _ANNOUNCE_FRAME.pack(length, _ANNOUNCE[0], size_bytes,
+                                            sent_at, writers, len(names))
+                if type(size_bytes) is not int or not isfinite(sent_at):
+                    raise WireError("the envelope's size or time cannot be "
+                                    "encoded for the wire")
+                if length > MAX_FRAME_BYTES:
+                    raise WireError(f"frame body {length} bytes exceeds "
+                                    f"{MAX_FRAME_BYTES}")
+                return head + names + column
         text = (payload.text() if type(payload) is SharedPayload
                 else "".join(_iterencode(_pack(payload), 0)))
         # the C encoder writes an exact int and a finite float by ``repr``
@@ -478,6 +560,24 @@ def decode_envelope(body: bytes) -> Tuple[str, str, str, str, Any, int, float]:
     """Decode a frame body back into ``(src, dst, protocol, msg_type,
     payload, size_bytes, sent_at)``; raises :class:`WireError` and nothing
     else, whatever the bytes."""
+    if body[:1] == _ANNOUNCE:
+        try:
+            _, size_bytes, sent_at, writers, length = \
+                _ANNOUNCE_HEAD.unpack_from(body)
+            end = _ANNOUNCE_HEAD.size + length
+            (src, dst, protocol, msg_type, object_id, node_id,
+             *names) = body[_ANNOUNCE_HEAD.size:end].decode().split("\0")
+            if len(names) != writers:
+                raise WireError("an announce's names do not match its "
+                                "writer count")
+            values = _LAYOUTS[writers, 3 + 2 * writers].unpack(body[end:])
+        except (ValueError, struct.error) as exc:  # not UTF-8, too few names
+            raise WireError(f"malformed announce body: {exc!r}") from exc
+        if not isfinite(sent_at):
+            raise WireError("an announce's sent_at is not finite")
+        return (src, dst, protocol, msg_type,
+                {"digest": _rebuild_digest(object_id, node_id, names, values)},
+                size_bytes, sent_at)
     try:
         fields = _decode(body.decode("utf-8"))
     except _MALFORMED as exc:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.transport import Clock, Message, PeriodicTimer, Transport
+from repro.versioning.version_vector import DIGEST_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only: core imports this module
     from repro.core.detection import VersionDigest
@@ -39,9 +40,6 @@ class GossipConfig:
     round_period: float = 10.0
     fanout: int = 3
     ttl: int = 3
-    #: approximate digest size on the wire (bytes); version vectors "only
-    #: need several bits" per entry, so digests are small
-    digest_bytes: int = 128
 
     def __post_init__(self) -> None:
         if not self.round_period > 0:  # NaN compares False both ways
@@ -162,7 +160,7 @@ class GossipService:
                                msg_type="gossip_digest",
                                payload={"digest": digest, "ttl": ttl,
                                         "members": members},
-                               size_bytes=self.config.digest_bytes)
+                               size_bytes=DIGEST_BYTES)
         return len(chosen)
 
     def attach(self, node) -> None:

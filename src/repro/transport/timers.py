@@ -20,6 +20,7 @@ periodic timer both backends share.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Callable, Optional
 
 from repro.transport.errors import TransportError
@@ -33,7 +34,8 @@ class PeriodicTimer:
     :class:`~repro.core.adaptive.AutomaticController` changing its
     background-resolution frequency mid-run) take effect at the next round
     without rescheduling machinery in the caller.  A ``period_fn`` returning
-    ``None`` stops the timer.
+    ``None`` stops the timer; one returning NaN or an infinity raises
+    ``ValueError`` naming the timer's ``label``.
 
     :meth:`cancel` is the only way to halt a timer, and it is terminal: a
     subsequent :meth:`start` raises.  A timer does not follow its node's
@@ -91,6 +93,9 @@ class PeriodicTimer:
         if period is None:
             self._event = None
             return
+        if not period < inf:  # NaN is not < inf either
+            raise ValueError(f"timer {self.label!r}: period {period!r} is "
+                             f"not finite")
         # Tick events never escape this timer: the handle is dropped before
         # the callback runs (in _tick) or at cancel(), so a recycling clock
         # (the simulator) may reuse the event object through its free list.

@@ -16,6 +16,11 @@ from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 from repro.versioning.writers import GLOBAL_WRITERS
 
+#: modelled wire size of one replica's version digest (bytes), which the top
+#: layer's announce and a gossip hop both charge; version vectors "only need
+#: several bits" per entry, so digests are small
+DIGEST_BYTES = 256
+
 
 class Ordering(enum.Enum):
     """Outcome of comparing two version vectors."""

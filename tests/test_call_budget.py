@@ -199,12 +199,13 @@ def test_interpreted_calls_per_op_on_the_read_path(record_property):
 
 
 #: ``call`` events for one 4-writer announce over the live codec (below):
-#: 32 on CPython 3.11, 33 before the digest's numbers were packed into one
-#: column (its writer-row comprehension went), 61 before the encoder was
-#: built once and unchanged writers decoded to held pairs.  The write path's
-#: head-room rule: about 5 % where the number was read, 10 % where it was
-#: not.
-CALLS_PER_ANNOUNCE_BUDGET = 33 if sys.version_info[:2] == (3, 11) else 35
+#: 16 on CPython 3.11, 32 while an announce travelled as a JSON envelope
+#: around a tagged digest, 33 before the digest's numbers were packed into
+#: one column (its writer-row comprehension went), 61 before the encoder
+#: was built once and unchanged writers decoded to held pairs.  The head-room
+#: the literals had at 32: one call where the number was read, three where
+#: it was not.
+CALLS_PER_ANNOUNCE_BUDGET = 17 if sys.version_info[:2] == (3, 11) else 19
 
 
 def _announce(grown):

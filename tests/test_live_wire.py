@@ -349,9 +349,12 @@ def test_an_unencodable_send_is_a_counted_drop(tmp_path):
 # --------------------------------------------------------------------------
 
 def test_golden_digest_announce_frame():
-    """One 4-writer detection announce, byte for byte: writer ids as a JSON
-    list, every count and float in one packed column, no tagged object below
-    the digest.  535 B with the reflective codec, 384 B with decimal rows."""
+    """One 4-writer detection announce, byte for byte: a tag byte, one
+    big-endian header (size_bytes, sent_at, writer count, the names' byte
+    length), the NUL-joined names, then the raw little-endian column —
+    counts, issued_at, metadata, lct, then each writer's (cum, last).
+    213 B; 313 B as a JSON envelope with a base64 column, 535 B with the
+    reflective codec."""
     digest = VersionDigest(
         object_id="obj0", node_id="n02", issued_at=12.803117656000001,
         writers=(
@@ -365,16 +368,26 @@ def test_golden_digest_announce_frame():
                                  "idea_digest:obj0", {"digest": digest}, 256,
                                  12.803391408)
     assert frame == (
-        b'\x00\x00\x015["n02","n00","idea.detection","idea_digest:obj0",'
-        b'{"digest":{"__c":"VersionDigest","f":["obj0","n02",'
-        b'["n00","n01","n02","n03"],'
-        b'"nAEAAAAAAACZAQAAAAAAAJsBAAAAAAAAmAEAAAAAAABquMY8MpspQI/5fzLYm5lA'
-        b'qdcK805gKUD+f53AuJt5QM1BQieTmilA+TF8aNiweUBN7iuaxJopQNTkNyqWfnlA'
-        b'arjGPDKbKUBvT652OaR5QJ5R5ivwmSlA"]}},256,12.803391408]')
-    assert len(frame) <= 400
-    restored = wire.decode_envelope(frame[4:])[4]
-    assert restored == {"digest": digest}
-    assert restored["digest"].total == 1640
+        bytes.fromhex("000000d1"                # frame length: 209
+                      "01"                      # the announce tag
+                      "0000000000000100"        # size_bytes 256
+                      "40299b561e5e7eaa"        # sent_at 12.803391408
+                      "00000004"                # four writers
+                      "00000040")               # 64 bytes of names
+        + b"n02\0n00\0idea.detection\0idea_digest:obj0\0obj0\0n02\0"
+          b"n00\0n01\0n02\0n03"
+        + bytes.fromhex("9c01000000000000" "9901000000000000"
+                        "9b01000000000000" "9801000000000000"
+                        "6ab8c63c329b2940" "8ff97f32d89b9940"
+                        "a9d70af34e602940" "fe7f9dc0b89b7940"
+                        "cd414227939a2940" "f9317c68d8b07940"
+                        "4dee2b9ac49a2940" "d4e4372a967e7940"
+                        "6ab8c63c329b2940" "6f4fae7639a47940"
+                        "9e51e62bf0992940"))
+    restored = wire.decode_envelope(frame[4:])
+    assert restored == ("n02", "n00", "idea.detection", "idea_digest:obj0",
+                        {"digest": digest}, 256, 12.803391408)
+    assert restored[4]["digest"].total == 1640
 
 
 def test_golden_install_frame():
@@ -412,6 +425,9 @@ def test_golden_install_frame():
 
 
 def test_shared_payload_is_encoded_once_and_spliced():
+    """An announce's ids and column are built once per fan-out and spliced
+    into every destination's binary body; any other payload's JSON text
+    is."""
     payload = {"digest": _example_digest()}
     shared = wire.SharedPayload(payload)
     frames = [wire.encode_envelope("n00", dst, "p", "t", shared, 256, 1.5)
@@ -419,7 +435,14 @@ def test_shared_payload_is_encoded_once_and_spliced():
     assert frames == [wire.encode_envelope("n00", dst, "p", "t", payload,
                                            256, 1.5)
                       for dst in ("n01", "n02")]
-    assert shared.text().encode() in frames[1]
+    writers, ids, column = shared._part
+    assert (writers, ids) == (2, b"obj0\0n01\0n00\0n01")
+    assert all(frame.endswith(ids + column) for frame in frames)
+    assert shared._text is None
+    gossip = wire.SharedPayload({**payload, "ttl": 3, "members": ["n00"]})
+    frame = wire.encode_envelope("n00", "n01", "p", "t", gossip, 128, 1.5)
+    assert gossip._part == ()
+    assert gossip.text().encode() in frame
 
 
 class _CountingEncoder:
@@ -1034,6 +1057,166 @@ def test_mutated_frames_decode_or_raise_wire_error(value, mutation, pick,
                     target.insert(pick % (len(target) + 1), intruder)
         body = json.dumps(tree).encode()
     _decodes_or_refuses(body)
+
+
+# --------------------------------------------------------------------------
+# the announce body: a struct header, its ids and its raw column
+# --------------------------------------------------------------------------
+
+#: any ``str`` id: NUL, lone surrogates and non-ASCII included
+any_ids = st.text(max_size=6)
+
+announce_digests = st.builds(
+    lambda object_id, node_id, issued_at, writers, metadata, lct:
+        VersionDigest(object_id, node_id, issued_at, writers, metadata, lct,
+                      sum(summary.count for _, summary in writers)),
+    any_ids, any_ids, finite,
+    st.lists(st.tuples(any_ids, writer_summaries), max_size=4,
+             unique_by=lambda t: t[0]).map(tuple), finite, finite)
+
+
+def _travels_binary(*ids) -> bool:
+    try:
+        joined = "".join(ids).encode()
+    except UnicodeEncodeError:
+        return False
+    return b"\0" not in joined
+
+
+@settings(max_examples=200, deadline=None)
+@given(digest=announce_digests, envelope=st.tuples(any_ids, any_ids, any_ids,
+                                                   any_ids),
+       size_bytes=st.integers(-2 ** 63, 2 ** 63 - 1),
+       sent_at=st.one_of(finite, st.integers(-2 ** 53, 2 ** 53)))
+def test_announce_body_roundtrips_any_ids(digest, envelope, size_bytes,
+                                          sent_at):
+    """Every ``str`` id comes back; an id the names cannot hold (a NUL, a
+    lone surrogate) sends the frame as a JSON body instead."""
+    frame = wire.encode_envelope(*envelope, {"digest": digest}, size_bytes,
+                                 sent_at)
+    restored = wire.decode_envelope(frame[4:])
+    assert restored == (*envelope, {"digest": digest}, size_bytes, sent_at)
+    assert restored[4]["digest"].total == digest.total
+    binary = _travels_binary(*envelope, digest.object_id, digest.node_id,
+                             *(writer for writer, _ in digest.writers))
+    assert (frame[4:5] == b"\x01") == binary
+    if binary:  # the typed-float rule: sent_at is a double
+        assert type(restored[6]) is float
+
+
+#: ``(digest, size_bytes, sent_at)`` an announce body cannot carry
+UNENCODABLE_ANNOUNCES = {
+    "size-a-bool": (_digest_with(), True, 1.0),
+    "size-a-float": (_digest_with(), 256.0, 1.0),
+    "size-above-int64": (_digest_with(), 2 ** 63, 1.0),
+    "size-below-int64": (_digest_with(), -2 ** 63 - 1, 1.0),
+    "sent-at-nan": (_digest_with(), 256, math.nan),
+    "sent-at-inf": (_digest_with(), 256, math.inf),
+    "sent-at-a-string": (_digest_with(), 256, "1.0"),
+    "count-above-int64": (_digest_with(
+        writers=(("n00", WriterSummary(2 ** 63, 1.5, 2.0)),)), 256, 1.0),
+    "metadata-nan": (_digest_with(metadata=math.nan), 256, 1.0),
+    "last-timestamp-inf": (_digest_with(
+        writers=(("n00", WriterSummary(3, 1.5, math.inf)),)), 256, 1.0),
+}
+
+
+@pytest.mark.parametrize("digest,size_bytes,sent_at",
+                         UNENCODABLE_ANNOUNCES.values(),
+                         ids=list(UNENCODABLE_ANNOUNCES))
+def test_an_announce_the_wire_cannot_carry_is_refused(digest, size_bytes,
+                                                      sent_at):
+    shared = wire.SharedPayload({"digest": digest})
+    for payload in ({"digest": digest}, shared, shared):
+        with pytest.raises(wire.WireError):
+            wire.encode_envelope("a", "b", "p", "t", payload, size_bytes,
+                                 sent_at)
+
+
+#: byte offsets of an announce body's header fields
+_SENT_AT_AT, _WRITERS_AT, _NAMES_AT, _HEAD_BYTES = 9, 17, 21, 25
+
+
+def _damaged_announces(body: bytes, damage: str, pick: int):
+    """Each way ``damage`` breaks a well-formed announce ``body``."""
+    (writers,) = struct.unpack_from(">I", body, _WRITERS_AT)
+    (length,) = struct.unpack_from(">I", body, _NAMES_AT)
+    names = range(_HEAD_BYTES, _HEAD_BYTES + length)
+
+    def put(at, data):
+        return body[:at] + data + body[at + len(data):]
+
+    if damage == "truncate":
+        return [body[:cut] for cut in range(len(body))]
+    if damage == "append":
+        return [body + bytes([pick % 256]) * (1 + pick % 9)]
+    if damage == "swap-tag":
+        return [bytes([tag]) + body[1:] for tag in range(256) if tag != 1]
+    if damage in ("writers", "names-length"):
+        at = _WRITERS_AT if damage == "writers" else _NAMES_AT
+        count = writers if damage == "writers" else length
+        return [put(at, struct.pack(">I", (count + delta) % 2 ** 32))
+                for delta in (-1, 1, 1 + pick, 2 ** 31)]
+    if damage == "names-count":  # a NUL merged away, or one put in
+        nuls = [at for at in names if body[at] == 0]
+        chars = [at for at in names if body[at] != 0]
+        return [put(nuls[pick % len(nuls)], b"x"),
+                put(chars[pick % len(chars)], b"\0")]
+    if damage == "not-utf8":
+        return [put(names[pick % len(names)], bytes([byte]))
+                for byte in (0xC0, 0xC1, 0xF8, 0xFF)]
+    column = _HEAD_BYTES + length + 8 * writers  # its first double
+    slot = column + 8 * (pick % (3 + 2 * writers))
+    return [put(_SENT_AT_AT if damage == "sent-at" else slot,
+                struct.pack(">d" if damage == "sent-at" else "<d", bad))
+            for bad in (math.nan, math.inf, -math.inf)]
+
+
+#: every way :func:`_damaged_announces` breaks a body
+ANNOUNCE_DAMAGES = ["truncate", "append", "swap-tag", "writers",
+                    "names-length", "names-count", "not-utf8", "sent-at",
+                    "column"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(digest=announce_digests, pick=st.integers(0, 2 ** 16))
+def test_damaged_announce_body_decodes_or_raises_wire_error(digest, pick):
+    """Cut at every length, bytes appended, every other tag, a writer count
+    or names length changed, a name split or merged or not UTF-8, a
+    non-finite sent_at or column value: each is refused with ``WireError``.
+    A bit flipped anywhere decodes to an envelope or is refused."""
+    body = wire.encode_envelope("n00", "n01", "idea.detection", "t",
+                                {"digest": digest}, 256, 1.5)[4:]
+    if body[:1] != b"\x01":
+        return  # an id the names cannot hold: a JSON body
+    for damage in ANNOUNCE_DAMAGES:
+        for damaged in _damaged_announces(body, damage, pick):
+            with pytest.raises(wire.WireError):
+                wire.decode_envelope(damaged)
+    at = pick % len(body)
+    _decodes_or_refuses(body[:at] + bytes([body[at] ^ 1 << pick % 8])
+                        + body[at + 1:])
+
+
+def test_an_announce_and_a_gossip_relay_share_pair_table_entries():
+    """The binary announce and the JSON gossip hop rebuild through one
+    helper, so either body lands on the pairs the other left."""
+    object_id = "obj-pairs-binary-json"
+    digest = _digest_with(object_id=object_id, node_id="n02", writers=(
+        ("n00", WriterSummary(2, 3.5, 1.0)),
+        ("n02", WriterSummary(1, 1.0, 1.5))), total=3)
+    announce = wire.encode_envelope("n02", "n00", "idea.detection", "t",
+                                    {"digest": digest}, 256, 2.0)
+    relay = wire.encode_envelope("n03", "n00", "overlay.gossip",
+                                 "gossip_digest",
+                                 {"digest": digest, "ttl": 2,
+                                  "members": ["n00", "n02"]}, 256, 2.0)
+    assert (announce[4:5], relay[4:5]) == (b"\x01", b"[")
+    first, second, third = (wire.decode_envelope(frame[4:])[4]["digest"]
+                            for frame in (announce, relay, announce))
+    assert first == second == third == digest
+    assert all(a is b is c for a, b, c in zip(first.writers, second.writers,
+                                              third.writers))
 
 
 # --------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.random import RandomStreams
 from repro.versioning.extended_vector import UpdateRecord
+from repro.versioning.version_vector import DIGEST_BYTES
 
 
 def make_digest(object_id, origin, counts, issued_at=0.0):
@@ -276,3 +277,22 @@ class TestDeploymentGossipDigest:
         middleware.detection.announce_write()
         assert cache.misses == misses + 1
         assert deployment.gossip.detection_count("obj") > 0
+
+    def test_a_gossip_hop_and_an_announce_charge_the_same_bytes(self):
+        """One digest type, one modelled size: a hop charges what the top
+        layer's announce of the same digest charges."""
+        deployment = DeploymentBuilder(num_nodes=4, seed=3,
+                                       use_gossip=True).build()
+        deployment.register_object("obj", IdeaConfig(),
+                                   start_background=False,
+                                   top_layer=["n00", "n01"])
+        deployment.middleware("obj", "n01").write(payload="x",
+                                                  metadata_delta=1.0)
+        deployment.gossip.run_round()
+        deployment.run(until=5.0)
+        stats = deployment.transport.stats
+        per_message = {protocol: stats.bytes_sent[protocol]
+                       / stats.sent[protocol]
+                       for protocol in ("overlay.gossip", "idea.detection")}
+        assert per_message == {"overlay.gossip": DIGEST_BYTES,
+                               "idea.detection": DIGEST_BYTES}

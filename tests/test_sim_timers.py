@@ -87,6 +87,20 @@ class TestPeriodicTimer:
         assert ticks == [1.0, 2.0]
         assert not timer.active
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_a_non_finite_period_fn_is_refused_naming_the_timer(self, bad):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="'probe'"):
+            PeriodicTimer(sim, lambda: None, period_fn=lambda: bad,
+                          label="probe").start()
+        periods = iter([1.0, bad])
+        ticks = []
+        PeriodicTimer(sim, lambda: ticks.append(sim.now),
+                      period_fn=lambda: next(periods), label="sampler").start()
+        with pytest.raises(ValueError, match="'sampler'"):
+            sim.run(until=5.0)
+        assert ticks == [1.0]
+
     def test_rounds_fired_counter(self):
         sim = Simulator()
         timer = PeriodicTimer(sim, lambda: None, period=1.0).start()
