@@ -7,11 +7,13 @@ object's top layer; comparing the digests against the local replica yields
 extended information carried in the digests, the error triple and consistency
 level of Section 4.4.
 
-A digest contains per-writer ``(count, cumulative metadata, last timestamp)``
-summaries.  Because every writer's updates are sequenced, the *reference
-consistent state* (the merged image a resolution round would produce) can be
-reconstructed exactly from a set of digests: per writer take the summary with
-the highest count, then sum the cumulative metadata.  Each replica's triple
+A digest carries, per writer, the :class:`~repro.versioning.extended_vector
+.WriterBase` fold of its updates — ``(count, cumulative metadata, last
+timestamp)``, the same summary a checkpoint holds.  Because every writer's
+updates are sequenced, the *reference consistent state* (the merged image a
+resolution round would produce) can be reconstructed exactly from a set of
+digests: per writer take the fold with the highest count, then sum the
+cumulative metadata.  Each replica's triple
 is then measured against that reference, exactly as the worked example of
 Figure 4 measures replica ``a`` against reference ``b``.  The bottom
 layer's gossip sweep (:mod:`repro.overlay.gossip`) ships the same digest, so
@@ -53,22 +55,17 @@ PROTOCOL = "idea.detection"
 
 
 @frozen_value
-class WriterSummary:
-    """Per-writer summary carried in a version digest."""
-
-    count: int
-    cumulative_metadata: float
-    last_timestamp: float
-
-
-@frozen_value
 class VersionDigest:
-    """Compact description of one replica's extended version vector."""
+    """Compact description of one replica's extended version vector.
+
+    ``writers`` holds one ``(writer, WriterBase)`` pair per writer, sorted
+    by writer: each a fold of that writer's updates ``1..count``.
+    """
 
     object_id: str
     node_id: str
     issued_at: float
-    writers: Tuple[Tuple[str, WriterSummary], ...]
+    writers: Tuple[Tuple[str, WriterBase], ...]
     metadata: float
     last_consistent_time: float
     #: the writers' summed counts.  A function of ``writers``, so not
@@ -90,9 +87,6 @@ class VersionDigest:
             object.__setattr__(self, "_counts", cached)
         return cached
 
-    def writer_map(self) -> Dict[str, WriterSummary]:
-        return dict(self.writers)
-
     def latest_update_time(self) -> float:
         times = [s.last_timestamp for _, s in self.writers]
         return max(times) if times else self.last_consistent_time
@@ -108,10 +102,7 @@ class VersionDigest:
             # implementation for checkpoint ⊕ tail and plain histories.
             base = vector.writer_base(writer) or WriterBase.EMPTY
             folded = base.fold(vector.updates_from(writer))
-            writers.append((writer, WriterSummary(
-                count=folded.count,
-                cumulative_metadata=folded.cum_metadata,
-                last_timestamp=folded.last_timestamp)))
+            writers.append((writer, folded))
             total += folded.count
         return cls(object_id=object_id, node_id=node_id, issued_at=issued_at,
                    writers=tuple(sorted(writers)), metadata=vector.metadata,
@@ -157,7 +148,7 @@ class DetectionOutcome:
 
 def build_reference(digests: Iterable[VersionDigest]) -> ReferenceState:
     """Reconstruct the merged reference state from a set of digests."""
-    best: Dict[str, WriterSummary] = {}
+    best: Dict[str, WriterBase] = {}
     best_get = best.get
     for digest in digests:
         for writer, summary in digest.writers:
@@ -169,7 +160,7 @@ def build_reference(digests: Iterable[VersionDigest]) -> ReferenceState:
     latest: Optional[float] = None
     for writer, summary in best.items():
         counts_map[writer] = summary.count
-        metadata += summary.cumulative_metadata
+        metadata += summary.cum_metadata
         if latest is None or summary.last_timestamp > latest:
             latest = summary.last_timestamp
     return ReferenceState(counts=VersionVector._from_trusted(counts_map),
@@ -267,7 +258,7 @@ class DetectionService:
         # forward one digest at a time, and the three scalars of it that the
         # error triple reads — total count, summed metadata, latest update.
         self._ref_valid = False
-        self._ref_best: Dict[str, WriterSummary] = {}
+        self._ref_best: Dict[str, WriterBase] = {}
         self._ref_total = 0
         self._ref_metadata = 0.0
         self._ref_latest = 0.0
@@ -525,9 +516,9 @@ class DetectionService:
                         # writer already has a maximum
                         current = best[writer]
                         if count > current.count:
-                            self._ref_metadata -= current.cumulative_metadata
+                            self._ref_metadata -= current.cum_metadata
                             self._ref_total += count - current.count
-                            self._ref_metadata += summary.cumulative_metadata
+                            self._ref_metadata += summary.cum_metadata
                             best[writer] = summary
                             if summary.last_timestamp > self._ref_latest:
                                 self._ref_latest = summary.last_timestamp
@@ -545,16 +536,16 @@ class DetectionService:
         for writer, summary in new.writers:
             fold(writer, summary)
 
-    def _fold_writer(self, writer: str, summary: WriterSummary) -> None:
+    def _fold_writer(self, writer: str, summary: WriterBase) -> None:
         """Raise one writer's maximum (and the scalars) to ``summary``."""
         current = self._ref_best.get(writer)
         if current is None:
             self._ref_total += summary.count
-            self._ref_metadata += summary.cumulative_metadata
+            self._ref_metadata += summary.cum_metadata
         elif summary.count > current.count:
-            self._ref_metadata -= current.cumulative_metadata
+            self._ref_metadata -= current.cum_metadata
             self._ref_total += summary.count - current.count
-            self._ref_metadata += summary.cumulative_metadata
+            self._ref_metadata += summary.cum_metadata
         else:
             return
         self._ref_best[writer] = summary

@@ -76,13 +76,15 @@ def merge_vectors(vectors: Sequence[ExtendedVersionVector], *,
 
     This is what the resolution initiator computes after collecting version
     information from every top-layer member: the union of all known updates.
+    Each pairwise merge stamps ``consistent_time``; only a lone vector is
+    stamped on its own.
     """
     if not vectors:
         raise ValueError("merge_vectors requires at least one vector")
     merged = vectors[0]
     for vec in vectors[1:]:
         merged = merged.merge(vec, consistent_time=consistent_time)
-    if consistent_time is not None:
+    if consistent_time is not None and len(vectors) == 1:
         merged = merged.with_consistent_time(consistent_time)
     return merged
 

@@ -32,29 +32,24 @@ our dataclasses, so three tagged objects carry them:
   (or with a key starting ``"__"`` that would collide with a tag)
 * registered class instance   → ``{"__c": "<name>", "f": [...]}``
 
-**Flat class layouts, numbers packed.**  Each registered class (``_CODECS``)
-has one encoder/decoder pair that knows its field types.  An instance's
-``int`` and ``float`` fields travel as one *packed column*: the base64 text
-of ``struct.Struct("<{i}q{f}d")`` — its ints as little-endian int64, then
-its floats as IEEE-754 doubles, in the order below.  Strings, writer ids and
-``Any``-typed values stay JSON, so ``"f"`` holds strings, plain rows and
-packed columns, never nested tagged objects:
+**Flat class layouts, numbers packed.**  Three classes travel in messages,
+and each is registered (``_CODECS``) with one encoder/decoder pair that
+knows its field types.  An instance's ``int`` and ``float`` fields travel as
+one *packed column*: the base64 text of ``struct.Struct("<{i}q{f}d")`` — its
+ints as little-endian int64, then its floats as IEEE-754 doubles, in the
+order below.  Strings, writer ids and ``Any``-typed values stay JSON, so
+``"f"`` holds strings, plain rows and packed columns, never nested tagged
+objects:
 
 ====================== ================================================
-``ErrorTriple``        ``[packed(numerical, order, staleness)]``
 ``UpdateRecord``       ``[writer, packed(seq, timestamp, delta),
                        payload']``
-``WriterBase``         ``[packed(count, cum_metadata, last_timestamp)]``
-``WriterSummary``      ``[packed(count, cumulative_metadata,
-                       last_timestamp)]``
-``VersionVector``      ``[[writer, ...], packed(count, ...)]``
 ``VersionDigest``      ``[object, node, [writer, ...], packed(count, ...,
                        issued_at, metadata, lct, (cum, last), ...)]``
 ``ExtendedVersion-     ``[[[writer, packed(seq, ..., (timestamp, delta),
 Vector``               ...), [payload', ...]], ...], [[writer, ...],
                        packed(count, ..., (cum, last), ...)],
-                       packed(metadata, lct, numerical, order,
-                       staleness)]``
+                       packed(metadata, lct)]``
 ====================== ================================================
 
 A column's length follows from the JSON beside it (the writer list, the
@@ -65,10 +60,12 @@ digest's ``total`` is not shipped: the decoder sums it from the counts.
 Only values typed ``Any`` — ``UpdateRecord.payload`` (``payload'`` above),
 RPC arguments and results, and the plain containers a message payload is
 made of — take the generic walker ``_pack``, which is where the three tags
-are written.  :class:`ExtendedVersionVector` is rebuilt through
-``_restore_extended`` — the same cache-free content-field path its
-``__reduce__`` uses for pickling, so interning/memoisation state never
-crosses a process boundary.
+are written.  An :class:`ExtendedVersionVector` ships its content fields
+only and is rebuilt through its checked constructor, so no memo crosses a
+process boundary and a vector whose history is not ``base + 1 .. count``
+per writer, or whose checkpoint folds nothing, is refused.  A digest is
+refused when a count is below 1 or its writers are not distinct and in
+order.
 
 **Decoding** parses with one ``JSONDecoder(object_hook=_revive)``: lists and
 scalars are materialised in C and Python runs only on JSON objects, i.e. on
@@ -84,7 +81,7 @@ raises nothing else.
 **The pair table.**  A digest's writers change one at a time: an announce
 usually differs from the same peer's last one in the writer who wrote.  Both
 bodies rebuild a digest through one helper, which holds the last
-``(writer, WriterSummary)`` pair it built per ``(object, digest's node,
+``(writer, WriterBase)`` pair it built per ``(object, digest's node,
 writer)`` and hands the same pair back while count, cumulative metadata and
 last timestamp compare equal, so
 ``DetectionService``'s fold skips the unchanged writers by identity, as it
@@ -123,16 +120,13 @@ import struct
 from binascii import a2b_base64, b2a_base64
 from itertools import chain, repeat
 from math import isfinite
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, lt
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.detection import VersionDigest, WriterSummary
+from repro.core.detection import VersionDigest
 from repro.transport.errors import TransportError
-from repro.versioning.extended_vector import (ErrorTriple,
-                                              ExtendedVersionVector,
-                                              UpdateRecord, WriterBase,
-                                              _restore_extended)
-from repro.versioning.version_vector import VersionVector
+from repro.versioning.extended_vector import (ExtendedVersionVector,
+                                              UpdateRecord, WriterBase)
 
 #: frame header: big-endian unsigned 32-bit body length
 HEADER = struct.Struct(">I")
@@ -254,7 +248,6 @@ def _numbers(ints: int, floats: int, blob: str) -> Tuple[Any, ...]:
 _FIRST = itemgetter(0)
 _SECOND = itemgetter(1)
 _COUNT = attrgetter("count")
-_SUMMARY_FLOATS = attrgetter("cumulative_metadata", "last_timestamp")
 _BASE_FLOATS = attrgetter("cum_metadata", "last_timestamp")
 _SEQ = attrgetter("seq")
 _RECORD_FLOATS = attrgetter("timestamp", "metadata_delta")
@@ -268,7 +261,7 @@ def _digest_column(v: VersionDigest) -> bytes:
     summaries = list(map(_SECOND, writers))
     values = (*map(_COUNT, summaries), v.issued_at, v.metadata,
               v.last_consistent_time,
-              *chain.from_iterable(map(_SUMMARY_FLOATS, summaries)))
+              *chain.from_iterable(map(_BASE_FLOATS, summaries)))
     blob = _LAYOUTS[n, 3 + 2 * n].pack(*values)
     if not all(map(isfinite, values)):
         raise WireError("a non-finite number cannot be encoded for the wire")
@@ -282,9 +275,9 @@ def _digest_fields(v: VersionDigest) -> List[Any]:
 
 #: (object, digest's node) -> writer -> the last ``(writer, count, cum,
 #: last)`` row decoded from that node's digests of that object, and the
-#: ``(writer, WriterSummary)`` pair built from it
+#: ``(writer, WriterBase)`` pair built from it
 _PAIRS: Dict[Tuple[Any, Any],
-             Dict[Any, Tuple[Tuple[Any, ...], Tuple[Any, WriterSummary]]]] = {}
+             Dict[Any, Tuple[Tuple[Any, ...], Tuple[Any, WriterBase]]]] = {}
 
 
 def _rebuild_digest(object_id: Any, node_id: Any, names: Sequence[Any],
@@ -294,6 +287,10 @@ def _rebuild_digest(object_id: Any, node_id: Any, names: Sequence[Any],
     if not all(map(isfinite, values)):
         raise WireError("a packed column holds a non-finite number")
     n = len(names)
+    counts = values[:n]
+    if (n and min(counts) < 1) or not all(map(lt, names, names[1:])):
+        raise WireError("a digest's writers must be distinct and in order, "
+                        "each with a count of at least 1")
     source = (object_id, node_id)
     held = _PAIRS.get(source)
     if held is None:
@@ -309,11 +306,11 @@ def _rebuild_digest(object_id: Any, node_id: Any, names: Sequence[Any],
                 held.clear()
             writer, count, cum, last = row
             entry = held[writer] = (row, (writer,
-                                          WriterSummary(count, cum, last)))
+                                          WriterBase(count, cum, last)))
         writers.append(entry[1])
     issued_at, metadata, lct = values[n:n + 3]
     return VersionDigest(object_id, node_id, issued_at, tuple(writers),
-                         metadata, lct, sum(values[:n]))
+                         metadata, lct, sum(counts))
 
 
 def _digest_from(fields: List[Any]) -> VersionDigest:
@@ -324,7 +321,7 @@ def _digest_from(fields: List[Any]) -> VersionDigest:
 
 
 def _vector_fields(v: ExtendedVersionVector) -> List[Any]:
-    # The five content fields of __reduce__; caches are process-local, and
+    # The content fields __reduce__ pickles; caches are process-local, and
     # a writer's history is read up to this vector's own prefix.
     rows = []
     for writer, history in v._updates.items():
@@ -339,10 +336,8 @@ def _vector_fields(v: ExtendedVersionVector) -> List[Any]:
     m = len(bases)
     numbers = (*map(_COUNT, bases),
                *chain.from_iterable(map(_BASE_FLOATS, bases)))
-    triple = v._triple
     return [rows, [list(v._base), _packed(m, 2 * m, numbers)],
-            _packed(0, 5, (v._metadata, v._last_consistent_time,
-                           triple.numerical, triple.order, triple.staleness))]
+            _packed(0, 2, (v._metadata, v._last_consistent_time))]
 
 
 def _vector_from(fields: List[Any]) -> ExtendedVersionVector:
@@ -358,30 +353,11 @@ def _vector_from(fields: List[Any]) -> ExtendedVersionVector:
     values = _numbers(m, 2 * m, blob)
     bases = dict(zip(names, map(WriterBase, values, values[m::2],
                                 values[m + 1::2])))
-    metadata, lct, numerical, order, staleness = _numbers(0, 5, tail)
-    return _restore_extended(updates, bases, metadata, lct,
-                             ErrorTriple(numerical, order, staleness))
-
-
-def _counts_fields(v: VersionVector) -> List[Any]:
-    counts = v._counts
-    return [list(counts), _packed(len(counts), 0, tuple(counts.values()))]
-
-
-def _counts_from(fields: List[Any]) -> VersionVector:
-    names, blob = fields
-    return VersionVector._from_trusted(
-        dict(zip(names, _numbers(len(names), 0, blob))))
-
-
-def _one_column(cls: type, ints: int,
-                floats: int) -> Callable[[List[Any]], Any]:
-    """Rebuild for a class whose fields are all numbers, in constructor
-    order: ``[packed(...)]``."""
-    def rebuild(fields: List[Any]) -> Any:
-        (blob,) = fields
-        return cls(*_numbers(ints, floats, blob))
-    return rebuild
+    if len(updates) != len(rows) or len(bases) != m:
+        raise WireError("a vector names a writer twice")
+    metadata, lct = _numbers(0, 2, tail)
+    # the checked constructor: a ValueError is a malformed body
+    return ExtendedVersionVector(updates, metadata, lct, bases)
 
 
 def _record_from(fields: List[Any]) -> UpdateRecord:
@@ -392,29 +368,14 @@ def _record_from(fields: List[Any]) -> UpdateRecord:
 
 _CODECS: Dict[str, Tuple[type, Callable[[Any], List[Any]],
                          Callable[[List[Any]], Any]]] = {
-    "ErrorTriple": (
-        ErrorTriple,
-        lambda v: [_packed(0, 3, (v.numerical, v.order, v.staleness))],
-        _one_column(ErrorTriple, 0, 3)),
     "UpdateRecord": (
         UpdateRecord,
         lambda v: [v.writer,
                    _packed(1, 2, (v.seq, v.timestamp, v.metadata_delta)),
                    _pack(v.payload)],
         _record_from),
-    "WriterBase": (
-        WriterBase,
-        lambda v: [_packed(1, 2, (v.count, v.cum_metadata,
-                                  v.last_timestamp))],
-        _one_column(WriterBase, 1, 2)),
-    "VersionVector": (VersionVector, _counts_fields, _counts_from),
     "ExtendedVersionVector": (
         ExtendedVersionVector, _vector_fields, _vector_from),
-    "WriterSummary": (
-        WriterSummary,
-        lambda v: [_packed(1, 2, (v.count, v.cumulative_metadata,
-                                  v.last_timestamp))],
-        _one_column(WriterSummary, 1, 2)),
     "VersionDigest": (VersionDigest, _digest_fields, _digest_from),
 }
 

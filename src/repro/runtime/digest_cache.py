@@ -13,15 +13,16 @@ Two pieces keep it cheap.  Each :class:`~repro.core.detection
 top-layer announce and the gossip sweep both read that memo.  A changed
 revision reaches :class:`DigestCache`, owned by the :class:`~repro.runtime
 .NodeRuntime` and shared by every object on the node, which folds each
-writer's summary forward from the last one it built: a single new write
-costs O(1) instead of re-walking the writer's records.
+writer's :class:`~repro.versioning.extended_vector.WriterBase` forward from
+the last one it built: a single new write costs O(1) instead of re-walking
+the writer's records.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.core.detection import VersionDigest, WriterSummary
+from repro.core.detection import VersionDigest
 from repro.store.replica import Replica
 from repro.versioning.extended_vector import WriterBase
 
@@ -33,9 +34,9 @@ class DigestCache:
 
     def __init__(self) -> None:
         #: object_id -> {writer -> (count, cumulative metadata, last ts,
-        #: interned (writer, WriterSummary) pair)}; per-writer folds reused
+        #: interned (writer, WriterBase) pair)}; per-writer folds reused
         #: across rebuilds (records are append-only), and the interned pair
-        #: tuple means a rebuild after one write allocates one new summary —
+        #: tuple means a rebuild after one write allocates one new fold —
         #: every unchanged writer's pair is recycled by reference
         self._summaries: Dict[str, Dict[str, Tuple[int, float, float, tuple]]] = {}
         #: local-digest lookups by outcome.  The caller keeps the
@@ -50,7 +51,7 @@ class DigestCache:
                      now: float) -> VersionDigest:
         """The replica's digest issued at ``now``, built incrementally.
 
-        Per-writer summaries are folded forward from the cached state, so a
+        Per-writer folds are carried forward from the cached state, so a
         single new write costs O(1) instead of re-walking the whole record
         history.
         """
@@ -83,7 +84,7 @@ class DigestCache:
                     base = vector.writer_base(writer) or WriterBase.EMPTY
                     folded = base.fold(vector.updates_from(writer))
                     cum, last = folded.cum_metadata, folded.last_timestamp
-                pair = (writer, WriterSummary(count, cum, last))
+                pair = (writer, WriterBase(count, cum, last))
                 summaries[writer] = (count, cum, last, pair)
             writers.append(pair)
         return VersionDigest(object_id, replica.node_id, now, tuple(writers),

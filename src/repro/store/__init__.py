@@ -10,7 +10,7 @@ by one node and exposes read/write to the application layer, while IDEA's
 middleware observes the same replicas to detect and resolve inconsistency.
 """
 
-from repro.store.replica import Replica, ReplicaSnapshot
+from repro.store.replica import Replica
 from repro.store.filesystem import ReplicatedStore
 
-__all__ = ["Replica", "ReplicaSnapshot", "ReplicatedStore"]
+__all__ = ["Replica", "ReplicatedStore"]

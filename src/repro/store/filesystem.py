@@ -25,12 +25,10 @@ class ReplicatedStore:
         self._replicas: Dict[str, Replica] = {}
 
     # ----------------------------------------------------------- management
-    def create(self, object_id: str, *, initial_consistent_time: float = 0.0) -> Replica:
+    def create(self, object_id: str) -> Replica:
         """Create (or return the existing) replica for ``object_id``."""
         if object_id not in self._replicas:
-            self._replicas[object_id] = Replica(
-                self.node_id, object_id,
-                initial_consistent_time=initial_consistent_time)
+            self._replicas[object_id] = Replica(self.node_id, object_id)
         return self._replicas[object_id]
 
     def replica(self, object_id: str) -> Replica:

@@ -55,29 +55,13 @@ class TruncationStats:
     installs_behind_checkpoint: int = 0
 
 
-@dataclass(frozen=True)
-class ReplicaSnapshot:
-    """A point-in-time view of a replica handed to detection/resolution."""
-
-    node_id: str
-    object_id: str
-    vector: ExtendedVersionVector
-    taken_at: float
-
-    @property
-    def counts(self) -> VersionVector:
-        return self.vector.counts()
-
-
 class Replica:
     """One node's copy of one shared object."""
 
-    def __init__(self, node_id: str, object_id: str, *,
-                 initial_consistent_time: float = 0.0) -> None:
+    def __init__(self, node_id: str, object_id: str) -> None:
         self.node_id = node_id
         self.object_id = object_id
-        self._vector = ExtendedVersionVector(
-            last_consistent_time=initial_consistent_time)
+        self._vector = ExtendedVersionVector()
         #: per writer, the applied-at stamps of its retained records, in seq
         #: order; a writer whose tail folds away leaves and re-enters at its
         #: next apply, as in the vector
@@ -116,10 +100,6 @@ class Replica:
     @property
     def metadata(self) -> float:
         return self._vector.metadata
-
-    def snapshot(self, now: float) -> ReplicaSnapshot:
-        return ReplicaSnapshot(node_id=self.node_id, object_id=self.object_id,
-                               vector=self._vector, taken_at=now)
 
     def known_update_keys(self) -> Set[Tuple[str, int]]:
         return self._vector.update_keys()
@@ -302,12 +282,11 @@ class Replica:
 
         Returns the number of updates pulled in.  The replica's own extra
         updates (if any) are kept — the merged image by construction contains
-        them, so vectors converge.  The install is all-or-nothing: an image
-        this replica cannot extend contiguously raises with the vector and
-        :attr:`revision` untouched.  If this replica fell behind the pushing
-        initiator's checkpoint the install is counted and re-raised: the
-        records it needs no longer exist anywhere (conservative frontier
-        policies make this unreachable; see ``DetectionService
+        them, so vectors converge.  The install is all-or-nothing: if this
+        replica fell behind the pushing initiator's checkpoint it raises
+        with the vector and :attr:`revision` untouched, counted: the records
+        it needs no longer exist anywhere (conservative frontier policies
+        make this unreachable; see ``DetectionService
         .stability_frontier``).
         """
         try:

@@ -6,15 +6,19 @@ IDEA detects inconsistency by exchanging *version vectors* (Parker et al.,
 * per-update timestamps,
 * an application-supplied numerical meta-datum (e.g. sum of ASCII codes of
   recent white-board updates, or total sale price of a booking server), and
-* the TACT-style ``<numerical error, order error, staleness>`` triple.
+* the time the replica was last known consistent,
+
+from which the TACT-style ``<numerical error, order error, staleness>``
+triple is computed against a reference state.
 
 This subpackage provides both the classic vector
-(:class:`~repro.versioning.version_vector.VersionVector`) and the extended
-vector (:class:`~repro.versioning.extended_vector.ExtendedVersionVector`)
-with the comparison and merge algebra detection and resolution use.
+(:class:`~repro.versioning.version_vector.VersionVector`, the per-writer
+counts) and the extended vector
+(:class:`~repro.versioning.extended_vector.ExtendedVersionVector`) with the
+merge algebra resolution uses.
 """
 
-from repro.versioning.version_vector import Ordering, VersionVector
+from repro.versioning.version_vector import VersionVector
 from repro.versioning.extended_vector import (
     ErrorTriple,
     ExtendedVersionVector,
@@ -25,7 +29,6 @@ from repro.versioning.extended_vector import (
 from repro.versioning.writers import GLOBAL_WRITERS, WriterTable
 
 __all__ = [
-    "Ordering",
     "VersionVector",
     "ErrorTriple",
     "ExtendedVersionVector",

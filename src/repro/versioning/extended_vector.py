@@ -1,7 +1,7 @@
 """Extended version vectors (paper Section 4.4.1, Figures 4 and 5).
 
 IDEA's extended version vector augments the classic per-writer update counts
-with three extras:
+with:
 
 1. **Per-update timestamps** — e.g. ``A:2(1, 2)`` means writer A's two
    updates happened at (node-local, NTP-bounded) times 1 and 2.  These are
@@ -10,27 +10,33 @@ with three extras:
    a quick summary of the replica's content whose gap between two replicas
    gives the *numerical error* (sum of ASCII codes for a white board; total
    sale price for the booking system).
-3. **The TACT-style error triple** ``<numerical error, order error,
-   staleness>`` — computed against a chosen *reference consistent state* and
-   carried along with the vector.
+3. **The last consistent time** — when a resolution last brought the
+   replica to a consistent state.
 
-The worked example of Figure 4 is reproduced verbatim in
-``tests/test_extended_vector.py``.
+The TACT-style error triple ``<numerical error, order error, staleness>``
+is *computed* against a chosen reference consistent state, never carried:
+detection computes it from digests (:mod:`repro.core.detection`), and
+:meth:`ExtendedVersionVector.error_triple_against` is the worked example of
+Figure 4, reproduced verbatim in ``tests/test_extended_vector.py``.
 
-Long runs add a fourth ingredient: a **checkpoint ⊕ tail layout**.  A
-stable prefix of a writer's updates — updates known-received by every
-replica (Parker et al.'s classic version-vector GC argument) — can be folded
-into a per-writer :class:`WriterBase` summary ``(count, cumulative metadata,
-last timestamp)``.  Every derived quantity the protocols consume (counts,
-digests, error triples, merge outcomes) is a function of the base plus the
-retained tail, so folding changes no observable behaviour while bounding
-the records held in memory by the truncation window.  Operations that
-would need a *folded record itself* (pushing it to a replica that is behind
-the checkpoint) raise :class:`TruncatedHistoryError` with a clear message.
+Long runs add a **checkpoint ⊕ tail layout**.  A stable prefix of a
+writer's updates — updates known-received by every replica (Parker et al.'s
+classic version-vector GC argument) — can be folded into a per-writer
+:class:`WriterBase` summary ``(count, cumulative metadata, last
+timestamp)``, the same fold a digest carries per writer.  Every derived
+quantity the protocols consume (counts, digests, error triples, merge
+outcomes) is a function of the base plus the retained tail, so folding
+changes no observable behaviour while bounding the records held in memory
+by the truncation window.  Operations that would need a *folded record
+itself* (pushing it to a replica that is behind the checkpoint) raise
+:class:`TruncatedHistoryError` with a clear message.
 
-A writer's retained records are a :class:`History`: a prefix view of an
-append-only list that the successive vectors of a replica share, so applying
-an update appends one record instead of copying everything retained.
+Every vector holds one invariant, checked by the constructor: per writer
+the retained records run ``base + 1 .. count`` (``1 .. count`` without a
+checkpoint), and a checkpoint folds at least one record.  A writer's
+retained records are a :class:`History`: a prefix view of an append-only
+list that the successive vectors of a replica share, so applying an update
+appends one record instead of copying everything retained.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from operator import attrgetter
 from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.versioning.values import frozen_value
-from repro.versioning.version_vector import Ordering, VersionVector
+from repro.versioning.version_vector import VersionVector
 
 
 class TruncatedHistoryError(RuntimeError):
@@ -79,7 +85,7 @@ class UpdateRecord:
 
 @frozen_value
 class WriterBase:
-    """Folded stable prefix of one writer's updates (seqs ``1..count``).
+    """One writer's updates ``1..count`` folded: a checkpoint, or a digest row.
 
     Carries exactly what digests and triples need from the folded records:
     how many there were, their summed metadata deltas (folded in seq order,
@@ -140,11 +146,6 @@ class ErrorTriple:
     def as_tuple(self) -> Tuple[float, float, float]:
         return (self.numerical, self.order, self.staleness)
 
-    def max_with(self, other: "ErrorTriple") -> "ErrorTriple":
-        return ErrorTriple(max(self.numerical, other.numerical),
-                           max(self.order, other.order),
-                           max(self.staleness, other.staleness))
-
 
 ErrorTriple.ZERO = ErrorTriple(0.0, 0.0, 0.0)
 
@@ -199,6 +200,7 @@ class History:
 _NO_HISTORY = History([], 0)
 
 _metadata_delta = attrgetter("metadata_delta")
+_cum_metadata = attrgetter("cum_metadata")
 #: sort keys, computed in C: a writer's records by seq, and the
 #: (timestamp, writer, seq) order records are replayed in
 _BY_SEQ = attrgetter("seq")
@@ -212,39 +214,46 @@ class ExtendedVersionVector:
     vectors.  A replica's current vector lives in
     :class:`repro.store.replica.Replica`.  With no checkpoint (the default)
     the layout degenerates to the classic all-records form.
+
+    The constructor is the one place a vector is checked (``live.wire``
+    decodes through it): records in any order, sorted by seq, must run
+    ``base + 1 .. count`` per writer with no duplicate or gap, and each
+    checkpoint must fold at least one update; anything else is a
+    ``ValueError``.  Every other vector is built from vectors that hold the
+    invariant, by operations that keep it.
     """
 
     __slots__ = ("_updates", "_base", "_metadata", "_last_consistent_time",
-                 "_triple", "_counts_cache", "_keys_cache", "_latest_cache",
+                 "_counts_cache", "_keys_cache", "_latest_cache",
                  "_hash_cache", "_total_cache")
 
     def __init__(self, updates: Mapping[str, Iterable[UpdateRecord]] | None = None,
                  metadata: float = 0.0, last_consistent_time: float = 0.0,
-                 triple: ErrorTriple = ErrorTriple.ZERO,
                  base: Mapping[str, WriterBase] | None = None) -> None:
         bases: Dict[str, WriterBase] = dict(base) if base else _NO_BASES
+        for writer, folded in bases.items():
+            if folded.count < 1:
+                raise ValueError(f"checkpoint of writer {writer!r} must fold at "
+                                 f"least one update (count {folded.count})")
         cleaned: Dict[str, History] = {}
         if updates:
             for writer, records in updates.items():
                 records = sorted(records, key=_BY_SEQ)
                 if not records:
                     continue
-                seqs = [r.seq for r in records]
-                if len(set(seqs)) != len(seqs):
-                    raise ValueError(f"duplicate sequence numbers for writer {writer!r}")
                 if any(r.writer != writer for r in records):
                     raise ValueError("update record writer does not match map key")
                 start = bases[writer].count if writer in bases else 0
-                if start and seqs != list(range(start + 1, start + 1 + len(seqs))):
+                seqs = [r.seq for r in records]
+                if seqs != list(range(start + 1, start + 1 + len(seqs))):
                     raise ValueError(
-                        f"tail for writer {writer!r} must continue its checkpoint "
-                        f"(base count {start}, got seqs {seqs})")
+                        f"records of writer {writer!r} must run "
+                        f"{start + 1}..{start + len(seqs)}, got seqs {seqs}")
                 cleaned[writer] = History(records, len(records))
         self._updates = cleaned
         self._base = bases
         self._metadata = float(metadata)
         self._last_consistent_time = float(last_consistent_time)
-        self._triple = triple
         self._counts_cache: Optional[VersionVector] = None
         self._keys_cache: Optional[frozenset] = None
         self._latest_cache: Optional[float] = None
@@ -254,22 +263,20 @@ class ExtendedVersionVector:
     @classmethod
     def _from_trusted(cls, updates: Dict[str, History],
                       metadata: float, last_consistent_time: float,
-                      triple: ErrorTriple,
                       base: Dict[str, WriterBase] = _NO_BASES) -> "ExtendedVersionVector":
-        """Build from an already-validated updates map without re-sorting.
+        """Build from histories that already hold the invariant.
 
-        Internal fast path used by :meth:`apply` and the ``with_*`` copies:
-        per-writer histories are known to be non-empty, seq-contiguous (from
-        ``base[writer].count + 1``) and sorted, so the O(total updates)
-        validation pass of ``__init__`` is skipped.  The caller transfers
-        ownership of ``updates`` (and ``base`` when given).
+        Internal fast path used by :meth:`apply`, :meth:`merge` and the
+        other derived vectors: per-writer histories are non-empty and run
+        ``base[writer].count + 1 .. count`` by construction, so the
+        O(total updates) check of ``__init__`` is skipped.  The caller
+        transfers ownership of ``updates`` (and ``base`` when given).
         """
         vector = cls.__new__(cls)
         vector._updates = updates
         vector._base = base
         vector._metadata = metadata
         vector._last_consistent_time = last_consistent_time
-        vector._triple = triple
         vector._counts_cache = None
         vector._keys_cache = None
         vector._latest_cache = None
@@ -287,11 +294,6 @@ class ExtendedVersionVector:
     def last_consistent_time(self) -> float:
         """Last time point at which the replica was known to be consistent."""
         return self._last_consistent_time
-
-    @property
-    def triple(self) -> ErrorTriple:
-        """Most recently attached error triple (zero until a comparison)."""
-        return self._triple
 
     def counts(self) -> VersionVector:
         """Project onto a classic version vector of per-writer counts.
@@ -418,7 +420,7 @@ class ExtendedVersionVector:
             updates,
             metadata=self._metadata + record.metadata_delta,
             last_consistent_time=self._last_consistent_time,
-            triple=self._triple, base=self._base)
+            base=self._base)
 
     def apply_many(self, records: Iterable[UpdateRecord]
                    ) -> Tuple["ExtendedVersionVector", List[UpdateRecord]]:
@@ -458,7 +460,7 @@ class ExtendedVersionVector:
         return ExtendedVersionVector._from_trusted(
             updates, metadata=metadata,
             last_consistent_time=self._last_consistent_time,
-            triple=self._triple, base=self._base), applied
+            base=self._base), applied
 
     def truncate_to(self, frontier: Mapping[str, int]) -> "ExtendedVersionVector":
         """Fold each writer's prefix up to ``frontier[writer]`` into the base.
@@ -490,119 +492,70 @@ class ExtendedVersionVector:
         return ExtendedVersionVector._from_trusted(
             new_updates, metadata=self._metadata,
             last_consistent_time=self._last_consistent_time,
-            triple=self._triple, base=new_base)
+            base=new_base)
 
     def merge(self, other: "ExtendedVersionVector",
               consistent_time: Optional[float] = None) -> "ExtendedVersionVector":
         """Union of the update sets of both replicas (resolution outcome).
 
-        The merged metadata is recomputed from the union of updates so it
-        stays consistent with the update history, and the error triple is
-        reset to zero — after a resolution both replicas are consistent.
-        The result lists this vector's writers in their order, then the
-        writers only ``other`` knows in ``other``'s order; that order is also
-        the metadata's summation order, so the float does not depend on
+        One rule per writer: the higher checkpoint (this side's on a tie),
+        then this side's records above it, extended by whatever ``other``
+        holds beyond them.  Folded prefixes are identical everywhere by the
+        stability invariant, so the higher checkpoint subsumes the records
+        the lower side holds below it; on every other seq both sides hold,
+        this side's record is the one kept.  A history that gains nothing
+        is shared untouched and one that gains is extended, so the merge
+        costs O(writers + new records) plus one C-level metadata ``sum``.
+        Both sides hold the invariant, so the union does too and skips the
+        constructor's check.
+
+        The result lists this vector's writers in its order (those with
+        retained records, then those with a checkpoint only), then the
+        writers only ``other`` knows in ``other``'s order.  The metadata is
+        recomputed as one sum over the checkpoints, then the retained
+        records, in that order, so the float does not depend on
         ``PYTHONHASHSEED``.
-
-        With no checkpoint and both histories running 1..n per writer (every
-        vector a replica builds) the union of a writer's records is the
-        longer history — this side's records, then whatever ``other`` holds
-        beyond them, the longer side shared untouched when the other adds
-        nothing — so the merge costs O(writers + new records) plus one
-        C-level metadata sum.  The per-seq dict walk serves only vectors the
-        constructor admits with seqs that are *not* 1..n, and is where
-        "missing intermediate updates" is raised.  Either union is 1..n per
-        writer by construction, so the result skips ``__init__``'s
-        re-validation.  With checkpoints the union is taken per writer over
-        ``max(base) ⊕ tails``; folded prefixes are identical everywhere by
-        the stability invariant, so the higher base subsumes the lower
-        side's records.
         """
-        new_time = consistent_time
-        if new_time is None:
-            new_time = max(self._last_consistent_time, other._last_consistent_time)
-        if self._base or other._base:
-            return self._merge_with_bases(other, new_time)
-        mine = self._updates
-        theirs = other._updates
-        if all(h.records[h.n - 1].seq == h.n
-               for h in chain(mine.values(), theirs.values())):
-            updates = dict(mine)
-            for writer, held in theirs.items():
-                have = mine.get(writer)
-                if have is None:
-                    updates[writer] = held
-                elif held.n > have.n:
-                    updates[writer] = have.extended(held.above(have.n))
-        else:
-            updates = {}
-            for writer in chain(mine, (w for w in theirs if w not in mine)):
-                merged = {r.seq: r for r in theirs.get(writer, ())}
-                # identical keys should carry identical records
-                merged.update((r.seq, r) for r in mine.get(writer, ()))
-                seqs = sorted(merged)
-                if seqs != list(range(1, len(seqs) + 1)):
-                    raise ValueError(
-                        f"cannot merge: missing intermediate updates for writer {writer!r}")
-                updates[writer] = History([merged[s] for s in seqs], len(seqs))
-        metadata = float(sum(map(_metadata_delta,
-                                 chain.from_iterable(updates.values()))))
-        return ExtendedVersionVector._from_trusted(
-            updates, metadata=metadata, last_consistent_time=new_time,
-            triple=ErrorTriple.ZERO)
-
-    def _merge_with_bases(self, other: "ExtendedVersionVector",
-                          new_time: float) -> "ExtendedVersionVector":
-        """General merge when at least one side carries a checkpoint."""
+        new_time = (max(self._last_consistent_time, other._last_consistent_time)
+                    if consistent_time is None else float(consistent_time))
+        mine, my_bases = self._updates, self._base
+        theirs, their_bases = other._updates, other._base
         bases: Dict[str, WriterBase] = {}
         updates: Dict[str, History] = {}
-        metadata = 0.0
-        for writer in sorted(set(self._updates) | set(self._base)
-                             | set(other._updates) | set(other._base)):
-            my_base = self._base.get(writer, WriterBase.EMPTY)
-            their_base = other._base.get(writer, WriterBase.EMPTY)
-            base = my_base if my_base.count >= their_base.count else their_base
-            merged = {r.seq: r for r in other._updates.get(writer, ())
-                      if r.seq > base.count}
-            for r in self._updates.get(writer, ()):
-                if r.seq > base.count:
-                    merged[r.seq] = r
-            seqs = sorted(merged)
-            if seqs != list(range(base.count + 1, base.count + 1 + len(seqs))):
-                raise ValueError(
-                    f"cannot merge: missing intermediate updates for writer "
-                    f"{writer!r} (checkpoint count {base.count}, tail seqs {seqs})")
-            tail = [merged[s] for s in seqs]
-            if base.count:
+        for writer in dict.fromkeys(chain(mine, my_bases, theirs, their_bases)):
+            base = my_bases.get(writer)
+            my_floor = base.count if base is not None else 0
+            their_base = their_bases.get(writer)
+            their_floor = their_base.count if their_base is not None else 0
+            tail = mine.get(writer, _NO_HISTORY)
+            if their_floor > my_floor:
+                base = their_base
+                rest = tail.above(their_floor - my_floor)
+                tail = History(rest, len(rest))
+            floor = max(my_floor, their_floor)
+            held = theirs.get(writer, _NO_HISTORY)
+            # the seqs ``other`` holds that the union already has
+            covered = floor + tail.n - their_floor
+            if held.n > covered:
+                tail = held if covered == 0 else tail.extended(held.above(covered))
+            if floor:
                 bases[writer] = base
-            if tail:
-                updates[writer] = History(tail, len(tail))
-            metadata += base.cum_metadata
-            for r in tail:
-                metadata += r.metadata_delta
+            if tail.n:
+                updates[writer] = tail
+        metadata = float(sum(chain(
+            map(_cum_metadata, bases.values()),
+            map(_metadata_delta, chain.from_iterable(updates.values())))))
         return ExtendedVersionVector._from_trusted(
             updates, metadata=metadata, last_consistent_time=new_time,
-            triple=ErrorTriple.ZERO, base=bases if bases else _NO_BASES)
-
-    def with_triple(self, triple: ErrorTriple) -> "ExtendedVersionVector":
-        """Attach a freshly computed error triple (Figure 4(d))."""
-        return ExtendedVersionVector._from_trusted(
-            self._updates, metadata=self._metadata,
-            last_consistent_time=self._last_consistent_time, triple=triple,
-            base=self._base)
+            base=bases if bases else _NO_BASES)
 
     def with_consistent_time(self, time: float) -> "ExtendedVersionVector":
         """Mark the replica as consistent as of ``time`` (post-resolution)."""
         return ExtendedVersionVector._from_trusted(
             self._updates, metadata=self._metadata,
-            last_consistent_time=float(time), triple=ErrorTriple.ZERO,
-            base=self._base)
+            last_consistent_time=float(time), base=self._base)
 
-    # ------------------------------------------------------------ comparison
-    def compare(self, other: "ExtendedVersionVector") -> Ordering:
-        """Compare using the classic count projection."""
-        return self.counts().compare(other.counts())
-
+    # ------------------------------------------------------- against another
     def missing_from(self, other: "ExtendedVersionVector | VersionVector"
                      ) -> List[UpdateRecord]:
         """Updates known here but absent from ``other`` (what to push).
@@ -652,20 +605,16 @@ class ExtendedVersionVector:
 
     # ------------------------------------------------------------- pickling
     def __reduce__(self):
-        """Pickle content fields only, dropping every memoised cache.
+        """Pickle the content fields through the checked constructor.
 
-        ``_counts_cache`` holds a :class:`VersionVector` whose own ``dense()``
-        cache indexes the process-local ``GLOBAL_WRITERS`` table, so default
-        ``__slots__`` pickling would smuggle one process's interning order
-        into another (see ``VersionVector.__reduce__``).  Rebuilding from the
-        five content fields — the same five ``live.wire`` encodes — keeps
-        cross-process transfer independent of either side's interning
-        history.  Each writer's history goes as this vector's own prefix,
-        never what a newer vector appended to the shared list.
+        Every memo stays behind: ``counts()``'s ``dense()`` indexes the
+        process-local ``GLOBAL_WRITERS`` table and ``__hash__`` is salted
+        per process.  Each writer's history goes as this vector's own
+        prefix, never what a newer vector appended to the shared list.
         """
-        return (_restore_extended,
-                ({w: h.above(0) for w, h in self._updates.items()}, self._base,
-                 self._metadata, self._last_consistent_time, self._triple))
+        return (ExtendedVersionVector,
+                ({w: h.above(0) for w, h in self._updates.items()},
+                 self._metadata, self._last_consistent_time, self._base))
 
     # -------------------------------------------------------------- dunder
     def __eq__(self, other: object) -> bool:
@@ -693,9 +642,7 @@ class ExtendedVersionVector:
             times = ", ".join(f"{r.timestamp:g}" for r in recs)
             prefix = f"⊕{base.count}" if base is not None else ""
             parts.append(f"{writer}:{self.count(writer)}{prefix}({times})")
-        t = self._triple
-        return (f"<EVV {' '.join(parts) or 'empty'} [{self._metadata:g}] "
-                f"<{t.numerical:g},{t.order:g},{t.staleness:g}>>")
+        return f"<EVV {' '.join(parts) or 'empty'} [{self._metadata:g}]>"
 
     # --------------------------------------------------------- construction
     @classmethod
@@ -712,12 +659,3 @@ class ExtendedVersionVector:
                 vector = vector.apply(record)
         return vector
 
-
-def _restore_extended(updates: Dict[str, List[UpdateRecord]], base, metadata,
-                      last_consistent_time, triple) -> ExtendedVersionVector:
-    """Pickle reconstructor: rebuild from content fields with empty caches;
-    takes ownership of the record lists (pickle and ``live.wire`` build them)."""
-    return ExtendedVersionVector._from_trusted(
-        {w: History(records, len(records)) for w, records in updates.items()},
-        metadata=metadata, last_consistent_time=last_consistent_time,
-        triple=triple, base=base)

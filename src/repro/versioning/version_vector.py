@@ -2,17 +2,16 @@
 
 A version vector maps each writer identity to the number of updates that
 writer has applied to a replica.  Two replicas are consistent exactly when
-their vectors are equal; a vector *dominates* another when it has seen at
-least as many updates from every writer; two vectors that do not dominate
-each other are *concurrent* (the replicas conflict and, per Section 4.5.1 of
-the paper, a resolution policy must decide the outcome).
+their vectors are equal; the total count gap between two vectors is the
+paper's *order error*.  Detection, the stability frontier and the error
+triple read counts through this type; the merge algebra lives on the
+extended vector.
 """
 
 from __future__ import annotations
 
-import enum
-from operator import ge as _ge, sub as _sub
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from operator import sub as _sub
+from typing import Dict, Iterator, Mapping, Tuple
 
 from repro.versioning.writers import GLOBAL_WRITERS
 
@@ -20,20 +19,6 @@ from repro.versioning.writers import GLOBAL_WRITERS
 #: layer's announce and a gossip hop both charge; version vectors "only need
 #: several bits" per entry, so digests are small
 DIGEST_BYTES = 256
-
-
-class Ordering(enum.Enum):
-    """Outcome of comparing two version vectors."""
-
-    EQUAL = "equal"
-    BEFORE = "before"        # self < other: other dominates
-    AFTER = "after"          # self > other: self dominates
-    CONCURRENT = "concurrent"  # incomparable: conflicting updates
-
-    @property
-    def comparable(self) -> bool:
-        """True when the two vectors are ordered (u < v, u = v or u > v)."""
-        return self is not Ordering.CONCURRENT
 
 
 class VersionVector:
@@ -126,72 +111,7 @@ class VersionVector:
     def __bool__(self) -> bool:
         return bool(self._counts)
 
-    # ------------------------------------------------------------- mutation
-    def increment(self, writer: str, amount: int = 1) -> "VersionVector":
-        """Return a new vector with ``writer``'s count increased."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        if amount == 0:
-            return self  # immutable: a zero increment is the same vector
-        counts = dict(self._counts)
-        counts[str(writer)] = counts.get(writer, 0) + int(amount)
-        return VersionVector._from_trusted(counts)
-
-    def merge(self, other: "VersionVector") -> "VersionVector":
-        """Pointwise maximum — the least vector dominating both inputs.
-
-        When one vector already dominates the other, the dominating instance
-        is returned as-is (vectors are immutable, so sharing is safe).
-        """
-        ordering = self.compare(other)
-        if ordering is Ordering.EQUAL or ordering is Ordering.AFTER:
-            return self
-        if ordering is Ordering.BEFORE:
-            return other
-        counts = dict(self._counts)
-        get = counts.get
-        for writer, count in other._counts.items():
-            if count > get(writer, 0):
-                counts[writer] = count
-        return VersionVector._from_trusted(counts)
-
     # ------------------------------------------------------------ comparison
-    def compare(self, other: "VersionVector") -> Ordering:
-        """Classify the relationship between two vectors.
-
-        Runs over the dense id-indexed projections: domination in either
-        direction is one C-level ``all(map(ge, ...))`` pass (``map`` stops at
-        the shorter tuple; the longer side trivially dominates the indices
-        the shorter one lacks, because its own trailing entry is positive).
-        """
-        if self._counts == other._counts:
-            return Ordering.EQUAL
-        a = self.dense()
-        b = other.dense()
-        if len(a) >= len(b) and all(map(_ge, a, b)):
-            return Ordering.AFTER
-        if len(b) >= len(a) and all(map(_ge, b, a)):
-            return Ordering.BEFORE
-        return Ordering.CONCURRENT
-
-    def dominates(self, other: "VersionVector") -> bool:
-        """True if this vector has seen every update the other has."""
-        a = self.dense()
-        b = other.dense()
-        return len(a) >= len(b) and all(map(_ge, a, b))
-
-    def concurrent_with(self, other: "VersionVector") -> bool:
-        return self.compare(other) is Ordering.CONCURRENT
-
-    def difference(self, other: "VersionVector") -> Dict[str, int]:
-        """Per-writer updates present here but missing from ``other``."""
-        out: Dict[str, int] = {}
-        for writer in set(self._counts) | set(other._counts):
-            gap = self.count(writer) - other.count(writer)
-            if gap > 0:
-                out[writer] = gap
-        return out
-
     def order_distance(self, other: "VersionVector") -> int:
         """Total update-count gap in both directions.
 
@@ -239,11 +159,6 @@ class VersionVector:
     def __repr__(self) -> str:
         inner = " ".join(f"{w}:{c}" for w, c in sorted(self._counts.items()))
         return f"<VV {inner or 'empty'}>"
-
-    # ------------------------------------------------------------ construction
-    @classmethod
-    def from_items(cls, items: Iterable[Tuple[str, int]]) -> "VersionVector":
-        return cls(dict(items))
 
 
 def _restore_vector(counts: Dict[str, int]) -> VersionVector:

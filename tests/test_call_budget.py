@@ -18,7 +18,7 @@ digest costs the gossip sweep (``sim-wan-faults``' largest layer), what one
 ``Replica.local_write`` allocates does not depend on how much the writer
 retains, what an install keeps per record holds no object of its own, and no
 value built per write, per read or per decoded frame carries an instance
-``__dict__``; the seven frozen ones behave as stock frozen dataclasses.
+``__dict__``; the six frozen ones behave as stock frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import pytest
 
 from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.deployment import DeploymentBuilder
-from repro.core.detection import DetectionOutcome, VersionDigest, WriterSummary
+from repro.core.detection import DetectionOutcome, VersionDigest
 from repro.live import wire
 from repro.overlay.gossip import GossipConfig, GossipService
 from repro.overlay.temperature import TemperatureConfig
@@ -213,10 +213,10 @@ def _announce(grown):
     return VersionDigest(
         object_id="obj-call-budget", node_id="n02", issued_at=12.8 + grown,
         writers=(
-            ("n00", WriterSummary(412, 409.73260556720186, 12.801903941)),
-            ("n01", WriterSummary(409, 411.0528340197921, 12.802281205999998)),
-            ("n02", WriterSummary(411 + grown, 407.9 + grown, 12.8 + grown)),
-            ("n03", WriterSummary(408, 410.26402919855076, 12.800660488000002))),
+            ("n00", WriterBase(412, 409.73260556720186, 12.801903941)),
+            ("n01", WriterBase(409, 411.0528340197921, 12.802281205999998)),
+            ("n02", WriterBase(411 + grown, 407.9 + grown, 12.8 + grown)),
+            ("n03", WriterBase(408, 410.26402919855076, 12.800660488000002))),
         metadata=1638.961130141837 + grown, last_consistent_time=12.68,
         total=1640 + grown)
 
@@ -274,11 +274,11 @@ def _gossip_sweep(seed):
     node_ids = [f"n{i:02d}" for i in range(GOSSIP_NODES)]
     for node_id in node_ids:
         Node(sim, network, node_id, clock_model=ClockModel().perfect())
-    digests = {n: VersionDigest("obj", n, 0.0, (("w", WriterSummary(1, 1.0, 0.0)),),
+    digests = {n: VersionDigest("obj", n, 0.0, (("w", WriterBase(1, 1.0, 0.0)),),
                                 1.0, 0.0, 1)
                for n in node_ids}
     digests["n03"] = VersionDigest("obj", "n03", 0.0,
-                                   (("w", WriterSummary(5, 5.0, 0.0)),),
+                                   (("w", WriterBase(5, 5.0, 0.0)),),
                                    5.0, 0.0, 5)
     service = GossipService(sim, network, config=GossipConfig(),
                             membership=lambda object_id: node_ids,
@@ -407,9 +407,8 @@ def test_per_op_values_have_no_instance_dict_and_pickle():
     decoded_digest = wire.roundtrip(values[1])
     decoded_vector = wire.roundtrip(vector)
     values += [decoded_digest, decoded_digest.writers[0][1],
-               decoded_vector.updates_from(decoded_digest.writers[0][0])[0],
-               wire.roundtrip(values[4])]
-    assert len({type(v) for v in values}) == 8
+               decoded_vector.updates_from(decoded_digest.writers[0][0])[0]]
+    assert len({type(v) for v in values}) == 7
     for value in values:
         assert not hasattr(value, "__dict__"), type(value).__name__
         # multiprocessing's Connection.send — how a farm point's result
@@ -423,8 +422,8 @@ def test_per_op_values_have_no_instance_dict_and_pickle():
 
 
 #: the per-op value types built by ``frozen_value`` (every one of them)
-FROZEN_VALUES = (UpdateRecord, WriterBase, ErrorTriple, WriterSummary,
-                 VersionDigest, DetectionOutcome, WriteRecorded)
+FROZEN_VALUES = (UpdateRecord, WriterBase, ErrorTriple, VersionDigest,
+                 DetectionOutcome, WriteRecorded)
 
 
 def _stock_twin(cls):
@@ -456,7 +455,7 @@ def _other(value):
 
 
 def test_per_op_values_stay_frozen_and_match_the_stock_dataclass():
-    """The seven types behave as ``@dataclass(frozen=True, slots=True)``
+    """The six types behave as ``@dataclass(frozen=True, slots=True)``
     does, built from the same fields; only construction differs.  The call
     budgets count Python frames, not the C calls a stock ``__init__`` makes
     (one ``object.__setattr__`` per field), so the ``co_names`` check is

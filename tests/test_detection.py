@@ -13,14 +13,14 @@ from repro.core.config import ConsistencyMetricSpec, MetricWeights
 from repro.core.detection import (
     DetectionService,
     VersionDigest,
-    WriterSummary,
     build_reference,
     evaluate_group,
 )
 from repro.core.quantify import consistency_level
 from repro.runtime.digest_cache import DigestCache
 from repro.store.replica import Replica
-from repro.versioning.extended_vector import ExtendedVersionVector, UpdateRecord
+from repro.versioning.extended_vector import (ExtendedVersionVector,
+                                              UpdateRecord, WriterBase)
 
 
 def rec(writer, seq, ts, delta=1.0):
@@ -36,9 +36,9 @@ class TestVersionDigest:
         vec = ExtendedVersionVector.from_updates(
             [rec("A", 1, 1.0, 2.0), rec("A", 2, 3.0, 1.0), rec("B", 1, 2.0, 5.0)])
         digest = VersionDigest.from_vector("obj", "n0", vec, issued_at=4.0)
-        summary = digest.writer_map()
-        assert summary["A"] == WriterSummary(count=2, cumulative_metadata=3.0,
-                                             last_timestamp=3.0)
+        summary = dict(digest.writers)
+        assert summary["A"] == WriterBase(count=2, cum_metadata=3.0,
+                                          last_timestamp=3.0)
         assert summary["B"].count == 1
         assert digest.metadata == pytest.approx(8.0)
         assert digest.latest_update_time() == 3.0
@@ -229,9 +229,9 @@ class EnvelopeAgainstReference(RuleBasedStateMachine):
     def _pair(self, writer, count, shared):
         records = (self.local_history if writer == LOCAL
                    else history(writer))[:count]
-        pair = (writer, WriterSummary(
+        pair = (writer, WriterBase(
             count=count,
-            cumulative_metadata=sum(delta for _, delta in records),
+            cum_metadata=sum(delta for _, delta in records),
             last_timestamp=max(ts for ts, _ in records)))
         if not shared:
             return pair  # fresh equal objects, as ``live.wire`` decodes
@@ -243,7 +243,7 @@ class EnvelopeAgainstReference(RuleBasedStateMachine):
         return VersionDigest(
             object_id="obj", node_id=peer, issued_at=issued_at,
             writers=writers,
-            metadata=sum(s.cumulative_metadata for _, s in writers),
+            metadata=sum(s.cum_metadata for _, s in writers),
             last_consistent_time=consistent_at,
             total=sum(s.count for _, s in writers))
 

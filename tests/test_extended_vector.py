@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import os
 import pickle
 import subprocess
@@ -13,10 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.live.wire import roundtrip
-from repro.versioning.extended_vector import (ErrorTriple, ExtendedVersionVector,
+from repro.versioning.extended_vector import (ErrorTriple, ExtendedVersionVector, History,
                                               TruncatedHistoryError, UpdateRecord,
                                               WriterBase)
-from repro.versioning.version_vector import Ordering
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -34,10 +34,108 @@ class TestErrorTriple:
         with pytest.raises(ValueError):
             ErrorTriple(numerical=-1.0)
 
-    def test_max_with(self):
-        a = ErrorTriple(1, 5, 2)
-        b = ErrorTriple(3, 1, 2)
-        assert a.max_with(b) == ErrorTriple(3, 5, 2)
+
+class TestConstructorInvariant:
+    """Per writer the records run ``base + 1 .. count``, and a checkpoint
+    folds at least one update — with or without a checkpoint."""
+
+    #: ``({writer: seqs}, {writer: checkpoint count})`` no vector may hold
+    REFUSED = {
+        "gap": ({"A": [1, 3]}, {}),
+        "duplicate": ({"A": [1, 1, 2]}, {}),
+        "not-from-one": ({"A": [2, 3]}, {}),
+        "second-writer-gap": ({"A": [1], "B": [1, 2, 4]}, {}),
+        "gap-above-a-checkpoint": ({"A": [3, 5]}, {"A": 2}),
+        "duplicate-above-a-checkpoint": ({"A": [3, 3, 4]}, {"A": 2}),
+        "tail-skips-past-its-checkpoint": ({"A": [4, 5]}, {"A": 2}),
+        "tail-reaches-into-its-checkpoint": ({"A": [2, 3]}, {"A": 2}),
+        "checkpoint-of-nothing": ({"A": [1]}, {"A": 0}),
+        "checkpoint-below-zero": ({}, {"A": -2}),
+    }
+
+    @staticmethod
+    def build(seqs, counts):
+        return ExtendedVersionVector(
+            {w: [rec(w, seq, float(seq)) for seq in held]
+             for w, held in seqs.items()},
+            base={w: WriterBase(count, float(count), 0.5)
+                  for w, count in counts.items()})
+
+    @pytest.mark.parametrize("seqs,counts", REFUSED.values(), ids=list(REFUSED))
+    def test_a_shape_outside_the_invariant_is_refused(self, seqs, counts):
+        with pytest.raises(ValueError):
+            self.build(seqs, counts)
+
+    def test_contiguous_records_in_any_order_are_admitted(self):
+        vector = self.build({"A": [2, 1], "B": [5, 4]}, {"B": 3, "C": 1})
+        assert vector.counts().as_dict() == {"A": 2, "B": 5, "C": 1}
+        assert [r.seq for r in vector.updates_from("A")] == [1, 2]
+        assert vector.bases() == {"B": WriterBase(3, 3.0, 0.5),
+                                  "C": WriterBase(1, 1.0, 0.5)}
+
+    @pytest.mark.parametrize("seqs,counts", REFUSED.values(), ids=list(REFUSED))
+    def test_unpickling_a_shape_outside_the_invariant_is_refused(self, seqs,
+                                                                 counts):
+        """``__reduce__`` goes through the checked constructor, so a vector
+        built past it cannot cross a process boundary either."""
+        forged = ExtendedVersionVector._from_trusted(
+            {w: History([rec(w, seq, float(seq)) for seq in held], len(held))
+             for w, held in seqs.items() if held},
+            1.0, 0.0, {w: WriterBase(count, float(count), 0.5)
+                       for w, count in counts.items()})
+        frozen = pickle.dumps(forged)
+        with pytest.raises(ValueError):
+            pickle.loads(frozen)
+
+    #: ``({writer: seqs}, {writer: checkpoint count}, {writer: count})``
+    #: the invariant admits
+    ADMITTED = {
+        "empty": ({}, {}, {}),
+        "one-record": ({"A": [1]}, {}, {"A": 1}),
+        "records-from-one": ({"A": [1, 2, 3]}, {}, {"A": 3}),
+        "checkpoint-only": ({}, {"A": 2}, {"A": 2}),
+        "checkpoint-then-tail": ({"A": [3, 4]}, {"A": 2}, {"A": 4}),
+        "two-writers-one-checkpointed": ({"A": [1], "B": [4]}, {"B": 3},
+                                         {"A": 1, "B": 4}),
+        "unordered-records": ({"A": [3, 1, 2]}, {}, {"A": 3}),
+        "unordered-above-a-checkpoint": ({"A": [5, 4]}, {"A": 3}, {"A": 5}),
+    }
+
+    @pytest.mark.parametrize("seqs,counts,expected", ADMITTED.values(),
+                             ids=list(ADMITTED))
+    def test_a_shape_inside_the_invariant_is_admitted(self, seqs, counts,
+                                                      expected):
+        """Admitted, and it crosses a pickle and the wire — which decodes
+        through the same check — as an equal vector."""
+        vector = self.build(seqs, counts)
+        assert vector.counts().as_dict() == expected
+        for writer, held in seqs.items():
+            assert [r.seq for r in vector.updates_from(writer)] == sorted(held)
+        assert pickle.loads(pickle.dumps(vector)) == vector
+        assert roundtrip(vector) == vector
+
+    #: each way a vector is derived past the constructor's check
+    DERIVED = {
+        "apply": lambda v: v.apply(rec("A", 4, 4.0)),
+        "apply-many": lambda v: v.apply_many(
+            [rec("A", 4, 4.0), rec("C", 1, 1.0), rec("A", 5, 5.0)])[0],
+        "truncate-to": lambda v: v.truncate_to({"A": 3, "B": 1}),
+        "merge-below-a-higher-checkpoint": lambda v: v.merge(
+            TestConstructorInvariant.build({"A": [5]}, {"A": 4})),
+        "merge-into-empty": lambda v: ExtendedVersionVector().merge(v),
+        "with-consistent-time": lambda v: v.with_consistent_time(5.0),
+    }
+
+    @pytest.mark.parametrize("derive", DERIVED.values(), ids=list(DERIVED))
+    def test_every_derived_vector_holds_the_invariant(self, derive):
+        """``apply``, ``apply_many``, ``truncate_to``, ``merge`` and
+        ``with_consistent_time`` skip the check: what they build passes it."""
+        vector = derive(self.build({"A": [2, 3], "B": [1]}, {"A": 1}))
+        rebuilt = ExtendedVersionVector(
+            {w: vector.updates_from(w) for w in vector.writers()},
+            vector.metadata, vector.last_consistent_time, vector.bases())
+        assert rebuilt == vector
+        assert rebuilt.counts() == vector.counts()
 
 
 class TestApply:
@@ -117,20 +215,6 @@ class TestMerge:
         assert merged.count("B") == 1
         assert merged.metadata == pytest.approx(3.0)
 
-    def test_merge_resets_triple(self):
-        a = ExtendedVersionVector.from_updates([rec("A", 1, 1.0)]).with_triple(
-            ErrorTriple(1, 1, 1))
-        b = ExtendedVersionVector.from_updates([rec("B", 1, 2.0)])
-        assert a.merge(b).triple == ErrorTriple.ZERO
-
-    def test_merge_with_gap_rejected(self):
-        # A vector claiming A:2 exists without A:1 (possible only by poking
-        # internals) cannot be merged: the union would have a sequence hole.
-        broken = ExtendedVersionVector({"A": (rec("A", 2, 2.0),)})
-        other = ExtendedVersionVector.from_updates([rec("B", 1, 1.0)])
-        with pytest.raises(ValueError):
-            other.merge(broken)
-
     def test_merge_sets_consistent_time(self):
         a = ExtendedVersionVector.from_updates([rec("A", 1, 1.0)])
         b = ExtendedVersionVector.from_updates([rec("B", 1, 2.0)])
@@ -167,7 +251,8 @@ class TestPaperFigure4:
 
     def test_vectors_conflict(self):
         a, b = self.build_replicas()
-        assert a.compare(b) is Ordering.CONCURRENT
+        # each holds an update the other lacks: neither count vector dominates
+        assert a.count("A") > b.count("A") and b.count("B") > a.count("B")
 
     def test_error_triple_of_a_against_reference_b(self):
         a, b = self.build_replicas()
@@ -196,12 +281,12 @@ class TestPaperFigure4:
 
 
 class TestConsistentTime:
-    def test_with_consistent_time_resets_triple(self):
-        v = ExtendedVersionVector.from_updates([rec("A", 1, 1.0)]).with_triple(
-            ErrorTriple(1, 2, 3))
-        v2 = v.with_consistent_time(5.0)
+    def test_with_consistent_time_stamps_a_copy(self):
+        v = ExtendedVersionVector.from_updates([rec("A", 1, 1.0)])
+        v2 = v.with_consistent_time(5)
         assert v2.last_consistent_time == 5.0
-        assert v2.triple == ErrorTriple.ZERO
+        assert type(v2.last_consistent_time) is float
+        assert v.last_consistent_time == 0.0 and v2 == v
 
     def test_staleness_zero_when_consistent_now(self):
         v = ExtendedVersionVector.from_updates([rec("A", 1, 1.0)])
@@ -212,21 +297,38 @@ class TestConsistentTime:
 
 # ------------------------------------------------- merge ≡ the dict-walk union
 def dict_walk_union(mine, theirs):
-    """The union ``merge`` must equal, one seq at a time.
+    """The union ``merge`` must equal, one seq at a time: the reference
+    implementation of its one rule.
 
-    Writers in ``mine``'s order, then the ones only ``theirs`` knows; per
-    writer every seq either side holds, ``mine``'s record where both do.
-    Raises ``ValueError`` when a writer's union is not 1..n.
+    Each side is a ``(records, checkpoints)`` pair of ``{writer: ...}``
+    maps.  Writers in ``mine``'s order (records, then checkpoints), then
+    the ones only ``theirs`` knows; per writer the higher checkpoint
+    (``mine``'s on a tie), then every seq above it either side holds,
+    ``mine``'s record where both do.  Returns ``(records, checkpoints,
+    metadata)``, the metadata summed over the checkpoints, then the records,
+    in that order.
     """
-    union = {}
-    for writer in list(mine) + [w for w in theirs if w not in mine]:
-        by_seq = {r.seq: r for r in theirs.get(writer, ())}
-        by_seq.update({r.seq: r for r in mine.get(writer, ())})
+    (my_records, my_bases), (their_records, their_bases) = mine, theirs
+    records, bases = {}, {}
+    for writer in dict.fromkeys([*my_records, *my_bases, *their_records,
+                                 *their_bases]):
+        base = max(my_bases.get(writer, WriterBase.EMPTY),
+                   their_bases.get(writer, WriterBase.EMPTY),
+                   key=lambda b: b.count)
+        by_seq = {r.seq: r for r in their_records.get(writer, ())
+                  if r.seq > base.count}
+        by_seq.update({r.seq: r for r in my_records.get(writer, ())
+                       if r.seq > base.count})
         seqs = sorted(by_seq)
-        if seqs != list(range(1, len(seqs) + 1)):
-            raise ValueError(f"gap for {writer}")
-        union[writer] = tuple(by_seq[seq] for seq in seqs)
-    return union
+        assert seqs == list(range(base.count + 1, base.count + 1 + len(seqs)))
+        if base.count:
+            bases[writer] = base
+        if seqs:
+            records[writer] = tuple(by_seq[seq] for seq in seqs)
+    metadata = float(sum([b.cum_metadata for b in bases.values()]
+                         + [r.metadata_delta for held in records.values()
+                            for r in held]))
+    return records, bases, metadata
 
 
 #: non-dyadic and mutually cancelling, so a changed summation order shows
@@ -236,130 +338,97 @@ cancelling_deltas = st.one_of(
 
 
 @st.composite
-def history_pairs(draw, *, contiguous, deltas=cancelling_deltas):
-    """Two ``{writer: records}`` maps over one history per writer.
+def vector_pairs(draw):
+    """Two ``(records, checkpoints)`` sides over one history per writer.
 
     Each side holds a prefix of every writer's history as its *own* record
     objects (as after a ``live.wire`` decode), so identity tells which side
-    the merge picked.  A side may hold nothing of a writer, or nothing at
-    all, and neither side need dominate.  With ``contiguous=False`` a side
-    may have lost a leading run of a writer's records.
+    the merge picked, and may fold any part of its prefix into a checkpoint
+    of its own — above what the other side holds, too.  A side may hold
+    nothing of a writer, or nothing at all, and neither side need dominate.
     """
     blank = draw(st.sampled_from([None, None, None, "mine", "theirs"]))
-    sides = {"mine": {}, "theirs": {}}
+    sides = {"mine": ({}, {}), "theirs": ({}, {})}
     for writer in "ABCDE":
-        history = [(float(seq), draw(deltas)) for seq in range(1, 6)]
-        for side, held in sides.items():
-            records = [rec(writer, seq, ts, delta)
-                       for seq, (ts, delta) in enumerate(history, start=1)]
-            records = records[:0 if side == blank else draw(st.integers(0, 5))]
-            if not contiguous and records:
-                records = records[draw(st.integers(0, len(records) - 1)):]
-            held[writer] = tuple(records)
-    return tuple({w: side[w] for w in draw(st.permutations("ABCDE")) if side[w]}
+        history = [(float(seq), draw(cancelling_deltas)) for seq in range(1, 6)]
+        for side, (records, bases) in sides.items():
+            held = [rec(writer, seq, ts, delta)
+                    for seq, (ts, delta) in enumerate(history, start=1)]
+            held = held[:0 if side == blank else draw(st.integers(0, 5))]
+            folded = draw(st.integers(0, len(held)))
+            if folded:
+                bases[writer] = WriterBase.EMPTY.fold(held[:folded])
+            if held[folded:]:
+                records[writer] = tuple(held[folded:])
+    order = draw(st.permutations("ABCDE"))
+    return tuple(tuple({w: part[w] for w in order if w in part} for part in side)
                  for side in sides.values())
 
 
-def assert_is_the_union(merged, union, *, time):
-    assert list(merged.counts().as_dict()) == list(union)
-    for writer, records in union.items():
-        got = merged.updates_from(writer)
-        assert len(got) == len(records)
-        assert all(x is y for x, y in zip(got, records))
-    assert merged.metadata == sum(
-        r.metadata_delta for records in union.values() for r in records)
-    assert merged.last_consistent_time == time
-    assert merged.triple is ErrorTriple.ZERO
-
-
 class TestMergeMatchesDictWalk:
-    @settings(max_examples=200, deadline=None)
-    @given(history_pairs(contiguous=True), st.floats(0, 100), st.floats(0, 100),
+    @settings(max_examples=300, deadline=None)
+    @given(vector_pairs(), st.floats(0, 100), st.floats(0, 100),
            st.one_of(st.none(), st.floats(0, 100)))
-    def test_prefix_union_picks_what_the_dict_walk_picks(self, pair, t_mine,
-                                                         t_theirs, consistent_time):
+    def test_prefix_union_picks_what_the_dict_walk_picks(
+            self, pair, t_mine, t_theirs, consistent_time):
         mine, theirs = pair
-        a = ExtendedVersionVector(mine, last_consistent_time=t_mine).with_triple(
-            ErrorTriple(1, 2, 3))
-        b = ExtendedVersionVector(theirs, last_consistent_time=t_theirs)
+        a = ExtendedVersionVector(mine[0], last_consistent_time=t_mine,
+                                  base=mine[1])
+        b = ExtendedVersionVector(theirs[0], last_consistent_time=t_theirs,
+                                  base=theirs[1])
         init = ExtendedVersionVector.__init__
         with mock.patch.object(ExtendedVersionVector, "__init__", autospec=True,
                                side_effect=init) as validating_init:
             merged = a.merge(b, consistent_time=consistent_time)
-        # 1..n on both sides never needs the re-sorting, re-checking constructor
+        # both sides hold the invariant: the union never needs re-checking
         assert validating_init.call_count == 0
-        assert_is_the_union(
-            merged, dict_walk_union(mine, theirs),
-            time=(consistent_time if consistent_time is not None
-                  else max(t_mine, t_theirs)))
-
-    @settings(max_examples=200, deadline=None)
-    @given(history_pairs(contiguous=False))
-    def test_histories_that_are_not_1_to_n_take_the_walk_and_a_gap_raises(self, pair):
-        mine, theirs = pair
-        a = ExtendedVersionVector(mine, last_consistent_time=1.0)
-        b = ExtendedVersionVector(theirs, last_consistent_time=2.0)
-        try:
-            union = dict_walk_union(mine, theirs)
-        except ValueError:
-            with pytest.raises(ValueError, match="missing intermediate updates"):
-                a.merge(b)
-            return
-        assert_is_the_union(a.merge(b), union, time=2.0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(history_pairs(contiguous=True, deltas=st.floats(-1e3, 1e3)),
-           st.dictionaries(st.sampled_from("ABCDE"), st.integers(1, 5), min_size=1),
-           st.booleans())
-    def test_a_checkpointed_side_keeps_the_base_layout(self, pair, frontier, fold_mine):
-        mine, theirs = pair
-        union = dict_walk_union(mine, theirs)
-        # a stable prefix is one every replica holds: fold no further than both do
-        frontier = {w: min(n, len(mine.get(w, ())), len(theirs.get(w, ())))
-                    for w, n in frontier.items()}
-        a = ExtendedVersionVector(mine)
-        b = ExtendedVersionVector(theirs)
-        if fold_mine:
-            a = a.truncate_to(frontier)
-        else:
-            b = b.truncate_to(frontier)
-        merged = a.merge(b)
-        assert merged.counts().as_dict() == {w: len(r) for w, r in union.items()}
-        assert merged.bases() == (a if fold_mine else b).bases()
-        for writer, records in union.items():
-            tail = records[merged.base_count(writer):]
-            assert len(merged.updates_from(writer)) == len(tail)
-            assert all(x is y for x, y in zip(merged.updates_from(writer), tail))
-        assert merged.metadata == pytest.approx(sum(
-            r.metadata_delta for records in union.values() for r in records))
+        records, bases, metadata = dict_walk_union(mine, theirs)
+        assert list(merged.counts().as_dict()) == [
+            *records, *(w for w in bases if w not in records)]
+        assert list(merged.bases()) == list(bases)
+        assert all(merged.writer_base(w) is base for w, base in bases.items())
+        for writer in "ABCDE":
+            got = merged.updates_from(writer)
+            held = records.get(writer, ())
+            assert len(got) == len(held) and all(map(operator.is_, got, held))
+        assert repr(merged.metadata) == repr(metadata)
+        assert merged.last_consistent_time == (
+            consistent_time if consistent_time is not None
+            else max(t_mine, t_theirs))
 
 
 class TestMergeWriterOrder:
     """The result's writer order — and with it the float — is stated, not hashed."""
 
-    #: (seq, delta) per writer, built for cancellation: each summation order
-    #: of the five writers reads a different metadata.  In the second pair
-    #: one side holds charlie from seq 2, which is the dict walk's input.
+    #: ``(mine, theirs, folded)``: (seq, delta) per writer, built for
+    #: cancellation — each summation order of the five writers reads a
+    #: different metadata — and the checkpoints ``truncate_to`` folds on
+    #: each side.  In the second pair both sides hold charlie, the longer
+    #: one this side; in the third a checkpoint joins the sum.
     PAIRS = [
         ({"alpha": [(1, 0.1), (2, 0.7)], "bravo": [(1, 0.2)], "charlie": [(1, 1e16)]},
          {"bravo": [(1, 0.2), (2, 0.3)], "delta": [(1, -1e16), (2, 0.4)],
-          "echo": [(1, 0.05)]}),
-        ({"alpha": [(1, 0.1), (2, 0.7)], "bravo": [(1, 0.2)], "charlie": [(2, 1e16)]},
+          "echo": [(1, 0.05)]}, ({}, {})),
+        ({"alpha": [(1, 0.1), (2, 0.7)], "bravo": [(1, 0.2)],
+          "charlie": [(1, 0.3), (2, 1e16)]},
          {"bravo": [(1, 0.2), (2, 0.3)], "delta": [(1, -1e16), (2, 0.4)],
-          "echo": [(1, 0.05)], "charlie": [(1, 0.3)]}),
+          "echo": [(1, 0.05)], "charlie": [(1, 0.3)]}, ({}, {})),
+        ({"alpha": [(1, 0.1), (2, 0.7)], "bravo": [(1, 0.2)], "charlie": [(1, 1e16)]},
+         {"bravo": [(1, 0.2), (2, 0.3)], "delta": [(1, -1e16), (2, 0.4)],
+          "echo": [(1, 0.05)]}, ({"alpha": 1}, {"delta": 1})),
     ]
 
     SCRIPT = """
 from repro.versioning.extended_vector import ExtendedVersionVector, UpdateRecord
 
-def vector(histories):
+def vector(histories, folded):
     return ExtendedVersionVector({
         writer: tuple(UpdateRecord(writer, seq, float(seq), delta)
                       for seq, delta in records)
-        for writer, records in histories.items()})
+        for writer, records in histories.items()}).truncate_to(folded)
 
-for mine, theirs in %r:
-    merged = vector(mine).merge(vector(theirs))
+for mine, theirs, (my_folds, their_folds) in %r:
+    merged = vector(mine, my_folds).merge(vector(theirs, their_folds))
     print(repr(merged.metadata), list(merged.counts().as_dict()))
 """ % (PAIRS,)
 
@@ -383,11 +452,11 @@ for mine, theirs in %r:
 class TupleBacked:
     """The tuple-per-vector layout the prefix views replaced.
 
-    ``apply``, ``apply_many``, ``merge``, ``truncate_to`` and ``missing_from``
-    are the bodies ``ExtendedVersionVector`` had when every vector owned a
-    tuple per writer (docstrings, the triple and the consistent time
-    dropped); nothing here can alias, so it says what each vector must read
-    however the vectors around it were extended.
+    ``apply``, ``apply_many``, ``truncate_to`` and ``missing_from`` are the
+    bodies ``ExtendedVersionVector`` had when every vector owned a tuple per
+    writer (docstrings and the consistent time dropped), and ``merge`` is
+    its one rule over tuples; nothing here can alias, so it says what each
+    vector must read however the vectors around it were extended.
     """
 
     def __init__(self, updates=None, base=None, metadata=0.0):
@@ -461,43 +530,25 @@ class TupleBacked:
         return TupleBacked(new_updates, new_base, self.metadata)
 
     def merge(self, other):
-        if self.base or other.base:
-            return self._merge_with_bases(other)
-        mine, theirs = self.updates, other.updates
-        updates = dict(mine)
-        for writer, recs in theirs.items():
-            have = mine.get(writer)
-            if have is None:
-                updates[writer] = recs
-            elif len(recs) > len(have):
-                updates[writer] = have + recs[len(have):]
-        metadata = float(sum(r.metadata_delta for recs in updates.values()
-                             for r in recs))
-        return TupleBacked(updates, None, metadata)
-
-    def _merge_with_bases(self, other):
-        bases, updates, metadata = {}, {}, 0.0
-        for writer in sorted(set(self.updates) | set(self.base)
-                             | set(other.updates) | set(other.base)):
-            my_base = self.base.get(writer, WriterBase.EMPTY)
-            their_base = other.base.get(writer, WriterBase.EMPTY)
-            base = my_base if my_base.count >= their_base.count else their_base
-            merged = {r.seq: r for r in other.updates.get(writer, ())
-                      if r.seq > base.count}
-            for r in self.updates.get(writer, ()):
-                if r.seq > base.count:
-                    merged[r.seq] = r
-            seqs = sorted(merged)
-            if seqs != list(range(base.count + 1, base.count + 1 + len(seqs))):
-                raise ValueError("cannot merge: missing intermediate updates")
-            tail = tuple(merged[s] for s in seqs)
+        """The one rule: the higher checkpoint, this side's records above
+        it, then whatever ``other`` holds beyond them."""
+        bases, updates = {}, {}
+        for writer in dict.fromkeys([*self.updates, *self.base,
+                                     *other.updates, *other.base]):
+            base = max(self.base.get(writer, WriterBase.EMPTY),
+                       other.base.get(writer, WriterBase.EMPTY),
+                       key=lambda b: b.count)
+            mine = self.updates.get(writer, ())[
+                base.count - self.base_count(writer):]
+            covered = base.count + len(mine) - other.base_count(writer)
+            tail = mine + other.updates.get(writer, ())[covered:]
             if base.count:
                 bases[writer] = base
             if tail:
                 updates[writer] = tail
-            metadata += base.cum_metadata
-            for r in tail:
-                metadata += r.metadata_delta
+        metadata = float(sum([b.cum_metadata for b in bases.values()]
+                             + [r.metadata_delta for recs in updates.values()
+                                for r in recs]))
         return TupleBacked(updates, bases, metadata)
 
     def missing_from(self, other):

@@ -21,12 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.detection import VersionDigest, WriterSummary
+from repro.core.detection import VersionDigest
 from repro.live import wire
-from repro.versioning.extended_vector import (ErrorTriple,
-                                              ExtendedVersionVector,
+from repro.versioning.extended_vector import (ExtendedVersionVector, History,
                                               UpdateRecord, WriterBase)
-from repro.versioning.version_vector import VersionVector
 
 # --------------------------------------------------------------------------
 # strategies
@@ -35,7 +33,6 @@ from repro.versioning.version_vector import VersionVector
 #: finite doubles only — the envelope uses allow_nan=False (NaN never
 #: appears in protocol payloads, and NaN != NaN would break equality)
 finite = st.floats(allow_nan=False, allow_infinity=False)
-non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 names = st.text(st.characters(codec="utf-8",
                               blacklist_categories=("Cs",)), max_size=12)
 writer_ids = st.sampled_from(["A", "B", "C", "n00", "n01", "writer-7"])
@@ -60,30 +57,28 @@ def payloads(depth: int = 3):
     )
 
 
-error_triples = st.builds(ErrorTriple, numerical=non_negative,
-                          order=non_negative, staleness=non_negative)
-
 update_records = st.builds(
     UpdateRecord, writer=writer_ids, seq=st.integers(1, 50),
     timestamp=finite, metadata_delta=finite,
     payload=st.one_of(st.none(), names, st.dictionaries(names, json_scalars,
                                                         max_size=2)))
 
-writer_bases = st.builds(WriterBase, count=st.integers(0, 100),
+#: a digest's per-writer fold: a count of at least 1
+writer_bases = st.builds(WriterBase, count=st.integers(1, 100),
                          cum_metadata=finite, last_timestamp=finite)
 
-version_vectors = st.dictionaries(
-    writer_ids, st.integers(1, 100), max_size=4).map(VersionVector)
 
-writer_summaries = st.builds(WriterSummary, count=st.integers(1, 100),
-                             cumulative_metadata=finite,
-                             last_timestamp=finite)
+def _digest_of(object_id, node_id, issued_at, writers, metadata, lct):
+    """A digest as its builders make one: writers sorted, total summed."""
+    writers = tuple(sorted(writers, key=lambda pair: pair[0]))
+    return VersionDigest(object_id, node_id, issued_at, writers, metadata, lct,
+                         sum(base.count for _, base in writers))
+
 
 version_digests = st.builds(
-    VersionDigest, object_id=names, node_id=writer_ids, issued_at=finite,
-    writers=st.lists(st.tuples(writer_ids, writer_summaries),
-                     max_size=3, unique_by=lambda t: t[0]).map(tuple),
-    metadata=finite, last_consistent_time=finite)
+    _digest_of, names, writer_ids, finite,
+    st.lists(st.tuples(writer_ids, writer_bases), max_size=3,
+             unique_by=lambda t: t[0]), finite, finite)
 
 
 @st.composite
@@ -107,8 +102,7 @@ def extended_vectors(draw):
                              payload=draw(st.one_of(st.none(), names)))
                 for i in range(tail))
     return ExtendedVersionVector(updates=updates, metadata=draw(finite),
-                                 last_consistent_time=draw(finite),
-                                 triple=draw(error_triples), base=base)
+                                 last_consistent_time=draw(finite), base=base)
 
 
 # --------------------------------------------------------------------------
@@ -122,10 +116,12 @@ def test_arbitrary_containers_roundtrip(value):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.one_of(error_triples, update_records, writer_bases,
-                 writer_summaries, version_vectors, version_digests))
+@given(st.one_of(update_records, version_digests))
 def test_registered_payload_types_roundtrip(value):
-    assert wire.roundtrip(value) == value
+    restored = wire.roundtrip(value)
+    assert restored == value
+    if isinstance(value, VersionDigest):
+        assert restored.total == value.total
 
 
 @settings(max_examples=50, deadline=None)
@@ -135,6 +131,7 @@ def test_a_gossip_payload_roundtrips_with_its_ttl(digest, ttl, members):
     payload = {"digest": digest, "ttl": ttl, "members": members}
     restored = wire.roundtrip(payload)
     assert restored == payload
+    assert restored["digest"].total == digest.total
     assert type(restored["ttl"]) is int
 
 
@@ -144,7 +141,6 @@ def test_extended_version_vectors_roundtrip(vector):
     restored = wire.roundtrip(vector)
     assert restored == vector
     assert restored.counts() == vector.counts()
-    assert restored.triple == vector.triple
     assert restored.last_consistent_time == vector.last_consistent_time
 
 
@@ -170,10 +166,10 @@ def test_resolution_install_payload_roundtrips(vector, invalidated):
 def _example_digest():
     return VersionDigest(
         object_id="obj0", node_id="n01", issued_at=1.25,
-        writers=(("n00", WriterSummary(count=2, cumulative_metadata=3.5,
-                                       last_timestamp=1.0)),
-                 ("n01", WriterSummary(count=1, cumulative_metadata=1.0,
-                                       last_timestamp=1.2))),
+        writers=(("n00", WriterBase(count=2, cum_metadata=3.5,
+                                    last_timestamp=1.0)),
+                 ("n01", WriterBase(count=1, cum_metadata=1.0,
+                                    last_timestamp=1.2))),
         metadata=4.5, last_consistent_time=0.0, total=3)
 
 
@@ -191,7 +187,7 @@ PROTOCOL_PAYLOADS = [
     ("idea.resolution", "idea_collect:obj0",
      {"vector": ExtendedVersionVector(
          updates={"n00": (UpdateRecord("n00", 1, 0.5, 1.0, {"k": "v"}),)},
-         metadata=1.0, triple=ErrorTriple(1.0, 2.0, 0.25)),
+         metadata=1.0),
       "node_id": "n00"}),
     ("idea.resolution", "idea_install:obj0",
      {"merged": ExtendedVersionVector(
@@ -212,9 +208,6 @@ PROTOCOL_PAYLOADS = [
       "result": ("ok", {"vector": ExtendedVersionVector(
           updates={"n00": (UpdateRecord("n00", 1, 0.5, 1.0),)},
           metadata=1.0), "node_id": "n00"})}),
-    # truncation/stability counts piggybacked as plain vectors
-    ("idea.truncation", "stability_counts",
-     {"counts": VersionVector({"n00": 5, "n01": 3}), "node_id": "n00"}),
 ]
 
 
@@ -358,10 +351,10 @@ def test_golden_digest_announce_frame():
     digest = VersionDigest(
         object_id="obj0", node_id="n02", issued_at=12.803117656000001,
         writers=(
-            ("n00", WriterSummary(412, 409.73260556720186, 12.801903941)),
-            ("n01", WriterSummary(409, 411.0528340197921, 12.802281205999998)),
-            ("n02", WriterSummary(411, 407.91166135629214, 12.803117656000001)),
-            ("n03", WriterSummary(408, 410.26402919855076, 12.800660488000002))),
+            ("n00", WriterBase(412, 409.73260556720186, 12.801903941)),
+            ("n01", WriterBase(409, 411.0528340197921, 12.802281205999998)),
+            ("n02", WriterBase(411, 407.91166135629214, 12.803117656000001)),
+            ("n03", WriterBase(408, 410.26402919855076, 12.800660488000002))),
         metadata=1638.961130141837, last_consistent_time=12.688102336000002,
         total=1640)
     frame = wire.encode_envelope("n02", "n00", "idea.detection",
@@ -393,9 +386,9 @@ def test_golden_digest_announce_frame():
 def test_golden_install_frame():
     """One small resolution install: per writer its id, one packed column
     of seqs then (timestamp, delta) pairs, and its payloads; the bases as
-    ids plus one column; the metadata, lct and triple as one five-double
-    column.  Only the ``Any``-typed record payloads and the message's own
-    containers carry tags."""
+    ids plus one column; the metadata and lct as one two-double column.
+    Only the ``Any``-typed record payloads and the message's own containers
+    carry tags."""
     install = {
         "merged": ExtendedVersionVector(
             updates={"n00": (UpdateRecord("n00", 3, 1.5, 0.75,
@@ -405,23 +398,22 @@ def test_golden_install_frame():
                                           ("stroke", 7)))},
             base={"n00": WriterBase(count=2, cum_metadata=2.5,
                                     last_timestamp=0.5)},
-            metadata=5.0, last_consistent_time=2.0,
-            triple=ErrorTriple(1.0, 2.0, 0.25)),
+            metadata=5.0, last_consistent_time=2.0),
         "invalidated": [("n01", 1)]}
     frame = wire.encode_envelope("n00", "n01", "idea.resolution.active",
                                  "idea_install:obj0", install, 1024, 2.125)
     assert frame == (
-        b'\x00\x00\x01\xad["n00","n01","idea.resolution.active",'
+        b'\x00\x00\x01\x8d["n00","n01","idea.resolution.active",'
         b'"idea_install:obj0",{"merged":{"__c":"ExtendedVersionVector","f":['
         b'[["n00","AwAAAAAAAAAAAAAAAAD4PwAAAAAAAOg/",[{"writer":"n00","n":3}]],'
         b'["n01","AQAAAAAAAAACAAAAAAAAAAAAAAAAANA/AAAAAAAA9D8AAAAAAAD8PwAAAAAA'
         b'AOA/",[null,{"__t":["stroke",7]}]]],'
         b'[["n00"],"AgAAAAAAAAAAAAAAAAAEQAAAAAAAAOA/"],'
-        b'"AAAAAAAAFEAAAAAAAAAAQAAAAAAAAPA/AAAAAAAAAEAAAAAAAADQPw=="]},'
+        b'"AAAAAAAAFEAAAAAAAAAAQA=="]},'
         b'"invalidated":[{"__t":["n01",1]}]},1024,2.125]')
     restored = wire.decode_envelope(frame[4:])[4]
     assert restored == install
-    assert restored["merged"].triple == install["merged"].triple
+    assert restored["merged"].last_consistent_time == 2.0
 
 
 def test_shared_payload_is_encoded_once_and_spliced():
@@ -497,7 +489,7 @@ def test_any_other_tail_falls_back_to_the_c_encoder(monkeypatch, size_bytes,
 
 def _digest_with(**fields):
     base = dict(object_id="o", node_id="n00", issued_at=1.0,
-                writers=(("n00", WriterSummary(3, 1.5, 2.0)),), metadata=1.5,
+                writers=(("n00", WriterBase(3, 1.5, 2.0)),), metadata=1.5,
                 last_consistent_time=0.5, total=3)
     base.update(fields)
     return VersionDigest(**base)
@@ -510,32 +502,25 @@ def _gossip_with(**fields):
 
 
 def _vector_with(timestamp=1.0, delta=1.0, cum=1.0, last=0.5, metadata=2.0,
-                 lct=0.0, triple=ErrorTriple.ZERO):
+                 lct=0.0):
     return ExtendedVersionVector(
         updates={"n00": (UpdateRecord("n00", 2, timestamp, delta),)},
         base={"n00": WriterBase(1, cum, last)}, metadata=metadata,
-        last_consistent_time=lct, triple=triple)
+        last_consistent_time=lct)
 
 
 #: one instance per typed float field, built with that field set to ``x``
 TYPED_FLOAT_FIELDS = {
-    "ErrorTriple.numerical": lambda x: ErrorTriple(x, 0.0, 0.0),
-    "ErrorTriple.order": lambda x: ErrorTriple(0.0, x, 0.0),
-    "ErrorTriple.staleness": lambda x: ErrorTriple(0.0, 0.0, x),
     "UpdateRecord.timestamp": lambda x: UpdateRecord("n00", 1, x, 1.0),
     "UpdateRecord.metadata_delta": lambda x: UpdateRecord("n00", 1, 1.0, x),
-    "WriterBase.cum_metadata": lambda x: WriterBase(1, x, 0.5),
-    "WriterBase.last_timestamp": lambda x: WriterBase(1, 0.5, x),
-    "WriterSummary.cumulative_metadata": lambda x: WriterSummary(1, x, 0.5),
-    "WriterSummary.last_timestamp": lambda x: WriterSummary(1, 0.5, x),
     "VersionDigest.issued_at": lambda x: _digest_with(issued_at=x),
     "VersionDigest.metadata": lambda x: _digest_with(metadata=x),
     "VersionDigest.last_consistent_time":
         lambda x: _digest_with(last_consistent_time=x),
-    "VersionDigest.writers.cumulative_metadata": lambda x: _digest_with(
-        writers=(("n00", WriterSummary(3, x, 2.0)),)),
+    "VersionDigest.writers.cum_metadata": lambda x: _digest_with(
+        writers=(("n00", WriterBase(3, x, 2.0)),)),
     "VersionDigest.writers.last_timestamp": lambda x: _digest_with(
-        writers=(("n00", WriterSummary(3, 1.5, x)),)),
+        writers=(("n00", WriterBase(3, 1.5, x)),)),
     "gossip.digest.metadata": lambda x: _gossip_with(metadata=x),
     "gossip.digest.last_consistent_time":
         lambda x: _gossip_with(last_consistent_time=x),
@@ -550,16 +535,11 @@ TYPED_FLOAT_FIELDS = {
     "ExtendedVersionVector.metadata": lambda x: _vector_with(metadata=x),
     "ExtendedVersionVector.last_consistent_time":
         lambda x: _vector_with(lct=x),
-    "ExtendedVersionVector.triple": lambda x: _vector_with(
-        triple=ErrorTriple(0.0, x, 0.0)),
 }
 
-#: non-finite values each field can be built with (an ``ErrorTriple``
-#: refuses a negative component itself)
+#: the non-finite values, each in every typed float field
 NON_FINITE = [(name, bad) for name in TYPED_FLOAT_FIELDS
-              for bad in (float("nan"), float("inf"), float("-inf"))
-              if not ("ErrorTriple" in name or name.endswith(".triple"))
-              or bad > 0 or bad != bad]
+              for bad in (float("nan"), float("inf"), float("-inf"))]
 
 
 @pytest.mark.parametrize("name,bad", NON_FINITE,
@@ -605,19 +585,15 @@ def test_a_non_finite_typed_float_is_an_encode_error_drop(tmp_path):
 #: per class, ``(ints, floats, fields)``: the column's shape and the ``"f"``
 #: list around a blob of that shape (the extended vector has three columns)
 _COLUMNS = {
-    "ErrorTriple": (0, 3, lambda blob: [blob]),
     "UpdateRecord": (1, 2, lambda blob: ["w", blob, None]),
-    "WriterBase": (1, 2, lambda blob: [blob]),
-    "WriterSummary": (1, 2, lambda blob: [blob]),
-    "VersionVector": (1, 0, lambda blob: [["w"], blob]),
     "VersionDigest": (1, 5, lambda blob: ["o", "n", ["w"], blob]),
     "VersionDigest.gossip": (1, 5, lambda blob: ["o", "n", ["w"], blob]),
     "ExtendedVersionVector": (1, 2, lambda blob: [
         [["w", blob, [None]]], [[], _column([], [])],
-        _column([], [0.0] * 5)]),
+        _column([], [0.0] * 2)]),
     "ExtendedVersionVector.base": (1, 2, lambda blob: [
-        [], [["w"], blob], _column([], [0.0] * 5)]),
-    "ExtendedVersionVector.tail": (0, 5, lambda blob: [
+        [], [["w"], blob], _column([], [0.0] * 2)]),
+    "ExtendedVersionVector.tail": (0, 2, lambda blob: [
         [], [[], _column([], [])], blob]),
 }
 
@@ -691,18 +667,15 @@ def test_a_damaged_column_is_refused(column, damage):
 
 #: values whose int fields fall outside int64: the encoder refuses them
 OUT_OF_INT64 = {
-    "WriterSummary.count": WriterSummary(2 ** 63, 1.0, 1.0),
-    "WriterBase.count": WriterBase(-2 ** 63 - 1, 1.0, 1.0),
     "UpdateRecord.seq": UpdateRecord("w", 2 ** 63, 1.0, 1.0),
-    "VersionVector.counts": VersionVector._from_trusted({"w": 2 ** 63}),
+    "UpdateRecord.seq.below": UpdateRecord("w", -2 ** 63 - 1, 1.0, 1.0),
     "VersionDigest.writers.count": _digest_with(
-        writers=(("n00", WriterSummary(2 ** 64, 1.5, 2.0)),)),
+        writers=(("n00", WriterBase(2 ** 64, 1.5, 2.0)),)),
     "gossip.digest.writers.count": _gossip_with(
-        writers=(("n00", WriterSummary(2 ** 63, 1.5, 2.0)),)),
-    "VersionVector.counts.below": VersionVector._from_trusted(
-        {"w": -2 ** 63 - 1}),
+        writers=(("n00", WriterBase(2 ** 63, 1.5, 2.0)),)),
     "ExtendedVersionVector.records.seq": ExtendedVersionVector(
-        updates={"n00": (UpdateRecord("n00", 2 ** 63, 1.0, 1.0),)}),
+        updates={"n00": (UpdateRecord("n00", 2 ** 63, 1.0, 1.0),)},
+        base={"n00": WriterBase(2 ** 63 - 1, 1.0, 0.5)}),
     "ExtendedVersionVector.base.count": ExtendedVersionVector(
         base={"n00": WriterBase(2 ** 63, 1.0, 0.5)}),
 }
@@ -716,9 +689,13 @@ def test_an_int_outside_int64_is_refused_on_encode(value):
 
 
 def test_int64_bounds_roundtrip():
-    for count in (2 ** 63 - 1, -2 ** 63):
-        summary = WriterSummary(count, 1.0, 1.0)
-        assert wire.roundtrip(summary).count == count
+    for seq in (2 ** 63 - 1, -2 ** 63):
+        assert wire.roundtrip(UpdateRecord("w", seq, 1.0, 1.0)).seq == seq
+    top = 2 ** 63 - 1
+    digest = wire.roundtrip(_digest_with(
+        writers=(("n00", WriterBase(top, 1.0, 1.0)),), total=top,
+        object_id="obj-int64-top"))
+    assert digest.writers[0][1].count == digest.total == top
 
 
 #: -0.0, the smallest subnormal and a larger one, the smallest normal, the
@@ -732,12 +709,12 @@ def test_edge_floats_in_typed_fields_come_back_bit_exactly(x):
     same = lambda a, b: struct.pack("<d", a) == struct.pack("<d", b)
     digest = wire.roundtrip(_digest_with(
         issued_at=x, metadata=x, last_consistent_time=x,
-        writers=(("n00", WriterSummary(3, x, x)),),
+        writers=(("n00", WriterBase(3, x, x)),),
         object_id=f"obj-edge-{x!r}"))
     (_, summary), = digest.writers
     assert all(same(v, x) for v in (digest.issued_at, digest.metadata,
                                     digest.last_consistent_time,
-                                    summary.cumulative_metadata,
+                                    summary.cum_metadata,
                                     summary.last_timestamp))
     vector = wire.roundtrip(_vector_with(timestamp=x, delta=x, cum=x, last=x,
                                          metadata=x, lct=x))
@@ -745,17 +722,14 @@ def test_edge_floats_in_typed_fields_come_back_bit_exactly(x):
     assert all(same(v, x) for v in (record.timestamp, record.metadata_delta,
                                     vector.metadata,
                                     vector.last_consistent_time))
-    if x >= 0:
-        triple = wire.roundtrip(ErrorTriple(x, x, x))
-        assert all(same(v, x) for v in triple.as_tuple())
 
 
 def test_an_int_in_a_typed_float_field_comes_back_a_float():
     """The caveat the layout table states."""
-    summary = wire.roundtrip(WriterSummary(3, 4, 5))
-    assert summary == WriterSummary(3, 4, 5)
-    assert (type(summary.count), type(summary.cumulative_metadata),
-            type(summary.last_timestamp)) == (int, float, float)
+    record = wire.roundtrip(UpdateRecord("w", 3, 4, 5))
+    assert record == UpdateRecord("w", 3, 4, 5)
+    assert (type(record.seq), type(record.timestamp),
+            type(record.metadata_delta)) == (int, float, float)
 
 
 # --------------------------------------------------------------------------
@@ -766,7 +740,7 @@ def _decoded_announce(object_id, rows, node_id="n01"):
     """``rows`` of ``(writer, count, cum, last)`` through one frame."""
     digest = VersionDigest(
         object_id=object_id, node_id=node_id, issued_at=2.0,
-        writers=tuple((w, WriterSummary(c, cum, last))
+        writers=tuple((w, WriterBase(c, cum, last))
                       for w, c, cum, last in rows),
         metadata=1.0, last_consistent_time=0.0,
         total=sum(c for _, c, _, _ in rows))
@@ -785,7 +759,7 @@ def test_unchanged_writers_decode_to_the_pairs_held():
     second = _decoded_announce("obj-pairs-grow", rows)
     assert [a is b for a, b in zip(first.writers, second.writers)] == \
         [True, False, True]
-    assert second.writers[1] == ("n01", WriterSummary(4, 4.25, 1.75))
+    assert second.writers[1] == ("n01", WriterBase(4, 4.25, 1.75))
 
 
 @pytest.mark.parametrize("changed", [("n00", 4, 4.75, 1.0),
@@ -796,7 +770,7 @@ def test_a_repeated_count_with_other_fields_is_a_fresh_pair(changed):
     first = _decoded_announce(object_id, [("n00", 4, 4.5, 1.0)])
     second = _decoded_announce(object_id, [changed])
     assert second.writers[0] is not first.writers[0]
-    assert second.writers[0] == (changed[0], WriterSummary(*changed[1:]))
+    assert second.writers[0] == (changed[0], WriterBase(*changed[1:]))
 
 
 def test_a_relayed_gossip_digest_decodes_onto_its_origins_pairs():
@@ -806,8 +780,8 @@ def test_a_relayed_gossip_digest_decodes_onto_its_origins_pairs():
     object_id = "obj-pairs-relay"
     digest = VersionDigest(
         object_id=object_id, node_id="n02", issued_at=2.0,
-        writers=(("n00", WriterSummary(2, 3.5, 1.0)),
-                 ("n02", WriterSummary(1, 1.0, 1.5))),
+        writers=(("n00", WriterBase(2, 3.5, 1.0)),
+                 ("n02", WriterBase(1, 1.0, 1.5))),
         metadata=4.5, last_consistent_time=0.0, total=3)
     frame = wire.encode_envelope(
         "n03", "n00", "overlay.gossip", "gossip_digest",
@@ -944,16 +918,16 @@ def _column(ints, floats) -> str:
 #: died of it, unhandled and uncounted — or accepted without a word.  The
 #: last three are not one JSON value.
 WRONG_SHAPE_BODIES = {
-    "class-without-fields": _envelope('{"__c":"ErrorTriple"}'),    # KeyError
+    "class-without-fields": _envelope('{"__c":"UpdateRecord"}'),   # KeyError
     "tuple-of-an-int": _envelope('{"__t":5}'),                     # TypeError
     "dict-in-key-position": _envelope('{"__d":[[{"k":1},2]]}'),    # TypeError
     "unhashable-class-name": _envelope('{"__c":["x"],"f":[]}'),    # TypeError
     "three-element-pair": _envelope('{"__d":[[1,2,3]]}'),          # ValueError
     "nested-past-the-limit": b"[" * 100000,                   # RecursionError
     "objects-past-the-limit": b'{"a":' * 100000,
-    "short-class-arity": _envelope('{"__c":"ErrorTriple","f":[1]}'),  # silent
+    "short-class-arity": _envelope('{"__c":"UpdateRecord","f":[1]}'),  # silent
     "fields-not-a-list": _envelope(
-        '{"__c":"WriterBase","f":{"a":1,"b":2,"c":3}}'),
+        '{"__c":"UpdateRecord","f":{"a":1,"b":2,"c":3}}'),
     "extra-key-beside-a-tag": _envelope('{"__t":[1],"x":2}'),
     "pairs-not-a-list": _envelope('{"__d":{"a":1}}'),
     # two writers named, one writer's numbers in the column
@@ -961,9 +935,8 @@ WRONG_SHAPE_BODIES = {
         '{"__c":"VersionDigest","f":["o","n",["w","v"],"%s"]}'
         % _column([1], [0.0, 0.0, 0.0, 2.0, 1.0])),
     "unhashable-writer": _envelope(
-        '{"__c":"VersionVector","f":[[["w"]],"%s"]}' % _column([1], [])),
-    "negative-triple": _envelope(
-        '{"__c":"ErrorTriple","f":["%s"]}' % _column([], [-1.0, 0.0, 0.0])),
+        '{"__c":"VersionDigest","f":["o","n",[["w"]],"%s"]}'
+        % _column([1], [0.0, 0.0, 0.0, 2.0, 1.0])),
     "not-a-number-literal": _envelope("NaN"),
     "infinite-sent-at": b'["a","b","p","t",null,0,Infinity]',
     "unhashable-src": b'[["a"],"b","p","t",null,0,0.0]',
@@ -983,6 +956,192 @@ WRONG_SHAPE_BODIES = {
 def test_wrong_shape_bodies_raise_wire_error(body):
     with pytest.raises(wire.WireError):
         wire.decode_envelope(body)
+
+
+# --------------------------------------------------------------------------
+# values outside the one invariant: refused on decode, not installed
+# --------------------------------------------------------------------------
+
+def _unchecked_vector(seqs_of, counts):
+    """A vector of ``{writer: seqs}`` over ``{writer: checkpoint count}``
+    built past the checked constructor: what a damaged or hostile peer can
+    put in a frame."""
+    histories = {}
+    for writer, seqs in seqs_of.items():
+        records = [UpdateRecord(writer, seq, float(seq), 1.0) for seq in seqs]
+        histories[writer] = History(records, len(records))
+    return ExtendedVersionVector._from_trusted(
+        histories, 1.0, 0.0,
+        {w: WriterBase(count, 1.0, 0.5) for w, count in counts.items()})
+
+
+def _collect_response(vector) -> bytes:
+    return wire.encode_envelope("n00", "n01", "idea.resolution",
+                                "idea_collect:obj0",
+                                {"vector": vector, "node_id": "n00"}, 64, 1.5)
+
+
+def _vector_bodies(seqs_of, counts, rename=None):
+    """The collect response of ``_unchecked_vector(seqs_of, counts)``, one
+    writer id renamed to another's in the encoded body if asked."""
+    body = _collect_response(_unchecked_vector(seqs_of, counts))[4:]
+    if rename is not None:
+        body = body.replace(b'"%s"' % rename[0].encode(),
+                            b'"%s"' % rename[1].encode())
+    return [body]
+
+
+def _digest_bodies(digest):
+    """``digest`` as the binary announce and inside a JSON gossip hop."""
+    return [wire.encode_envelope("n00", "n01", "p", "t", payload, 64, 1.5)[4:]
+            for payload in ({"digest": digest},
+                            {"digest": digest, "ttl": 2, "members": ["n00"]})]
+
+
+def _digest_rows(*rows):
+    """The bodies of ``_digest_with`` over ``(writer, count)`` rows, as
+    given."""
+    bodies = _digest_bodies(_digest_with(
+        writers=tuple((w, WriterBase(c, 1.5, 2.0)) for w, c in rows),
+        total=sum(c for _, c in rows)))
+    assert [body[:1] for body in bodies] == [b"\x01", b"["]
+    return bodies
+
+
+#: the bodies of a vector no constructor builds, or of a digest no builder
+#: makes, per shape
+OUTSIDE_THE_INVARIANT = {
+    "vector-duplicate-seq": _vector_bodies({"w": [1, 1, 3]}, {}),
+    "vector-gap": _vector_bodies({"w": [1, 2, 4]}, {}),
+    "vector-not-from-one": _vector_bodies({"w": [2, 3]}, {}),
+    "vector-tail-skips-its-checkpoint": _vector_bodies({"w": [4]}, {"w": 2}),
+    "vector-tail-into-its-checkpoint": _vector_bodies({"w": [2, 3]},
+                                                      {"w": 2}),
+    "vector-checkpoint-of-nothing": _vector_bodies({"v": [1]}, {"w": 0}),
+    "vector-checkpoint-below-zero": _vector_bodies({}, {"w": -2}),
+    "vector-writer-twice": _vector_bodies({"w": [1], "x": [1]}, {},
+                                          rename=("x", "w")),
+    "vector-checkpoint-twice": _vector_bodies({}, {"w": 1, "x": 1},
+                                              rename=("x", "w")),
+    "digest-count-zero": _digest_rows(("n00", 0)),
+    "digest-count-below-zero": _digest_rows(("n00", 3), ("n01", -2)),
+    "digest-writer-twice": _digest_rows(("n00", 3), ("n00", 4)),
+    "digest-writers-out-of-order": _digest_rows(("n01", 3), ("n00", 4)),
+    "vector-second-writer-gap": _vector_bodies({"w": [1], "x": [1, 2, 4]},
+                                               {}),
+    "vector-gap-above-a-checkpoint": _vector_bodies({"w": [3, 5]},
+                                                    {"w": 2}),
+    "vector-duplicate-above-a-checkpoint": _vector_bodies({"w": [3, 3, 4]},
+                                                          {"w": 2}),
+    "digest-count-min-int64": _digest_rows(("n00", -2 ** 63)),
+    "digest-third-writer-out-of-order": _digest_rows(("n00", 1), ("n02", 2),
+                                                     ("n01", 3)),
+}
+
+
+@pytest.mark.parametrize("bodies", OUTSIDE_THE_INVARIANT.values(),
+                         ids=list(OUTSIDE_THE_INVARIANT))
+def test_a_value_outside_the_invariant_is_refused_on_decode(bodies):
+    for body in bodies:
+        with pytest.raises(wire.WireError):
+            wire.decode_envelope(body)
+
+
+@st.composite
+def vector_shapes_outside_the_invariant(draw):
+    """A well-formed vector's ``({writer: seqs}, {writer: count})`` broken
+    one way: a seq repeated, a gap, the seqs shifted, the checkpoint moved
+    off its tail, or a checkpoint that folds nothing."""
+    seqs_of, counts = {}, {}
+    writers = draw(st.lists(writer_ids, min_size=1, max_size=3, unique=True))
+    for i, writer in enumerate(writers):
+        count = draw(st.integers(0, 3))
+        held = draw(st.integers(1 if i == 0 else 0, 3))
+        if count:
+            counts[writer] = count
+        if held:
+            seqs_of[writer] = list(range(count + 1, count + 1 + held))
+    victim = draw(st.sampled_from(sorted(seqs_of)))
+    seqs = seqs_of[victim]
+    damage = draw(st.sampled_from(["repeat", "gap", "shift", "move-checkpoint",
+                                   "checkpoint-below-one"]))
+    if damage == "repeat":
+        at = draw(st.integers(0, len(seqs) - 1))
+        seqs.insert(at, seqs[at])
+    elif damage == "gap":
+        seqs.append(seqs[-1] + draw(st.integers(2, 4)))
+    elif damage == "shift":
+        step = draw(st.sampled_from([-1, 1, 2]))
+        seqs[:] = [seq + step for seq in seqs]
+    elif damage == "move-checkpoint":
+        counts[victim] = counts.get(victim, 0) + draw(st.sampled_from([-1, 1]))
+    else:
+        counts[draw(st.sampled_from(writers))] = draw(
+            st.sampled_from([0, -1, -2 ** 63]))
+    return seqs_of, counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_shapes_outside_the_invariant())
+def test_a_vector_outside_the_invariant_is_refused(shape):
+    """The constructor refuses the shape, and a collect response carrying it
+    is a ``WireError`` on decode — the counted ``frame-error`` — never a
+    vector whose gap the initiator's install would trip over."""
+    seqs_of, counts = shape
+    with pytest.raises(ValueError):
+        ExtendedVersionVector(
+            {w: [UpdateRecord(w, seq, 1.0) for seq in seqs]
+             for w, seqs in seqs_of.items()},
+            base={w: WriterBase(count, 1.0, 0.5)
+                  for w, count in counts.items()})
+    with pytest.raises(wire.WireError):
+        wire.decode_envelope(
+            _collect_response(_unchecked_vector(seqs_of, counts))[4:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(version_digests.filter(lambda d: d.writers), st.data())
+def test_a_digest_outside_the_invariant_is_refused(digest, data):
+    """A count below 1, a writer named twice, or writers out of order: the
+    announce's binary body and the gossip hop's JSON one both refuse it."""
+    rows = list(digest.writers)
+    at = data.draw(st.integers(0, len(rows) - 1))
+    writer, base = rows[at]
+    damage = data.draw(st.sampled_from(
+        ["count-below-one", "repeat"] + (["reorder"] if len(rows) > 1 else [])))
+    if damage == "count-below-one":
+        count = data.draw(st.sampled_from([0, -1, -2 ** 63]))
+        rows[at] = (writer, WriterBase(count, base.cum_metadata,
+                                       base.last_timestamp))
+    elif damage == "repeat":
+        rows.insert(at, (writer, base))
+    else:
+        rows.reverse()
+    damaged = VersionDigest(digest.object_id, digest.node_id,
+                            digest.issued_at, tuple(rows), digest.metadata,
+                            digest.last_consistent_time,
+                            sum(b.count for _, b in rows))
+    for body in _digest_bodies(damaged):
+        with pytest.raises(wire.WireError):
+            wire.decode_envelope(body)
+
+
+@pytest.mark.parametrize("bodies", OUTSIDE_THE_INVARIANT.values(),
+                         ids=list(OUTSIDE_THE_INVARIANT))
+def test_a_value_outside_the_invariant_is_one_frame_error(bodies):
+    """Each body arriving on a connection is one counted ``frame-error``
+    that closes it — never, say, a collect response's vector ``w:3`` over
+    the history ``[1, 1, 3]``, whose gap the initiator's install would
+    raise on inside the round."""
+    for body in bodies:
+        inbound = _Inbound()
+        try:
+            inbound.feed(wire.HEADER.pack(len(body)) + body, [])
+            assert inbound.socket.closed
+            assert dict(inbound.transport.stats.drop_reasons) == {
+                "frame-error": 1}
+        finally:
+            inbound.close()
 
 
 def _decodes_or_refuses(body: bytes) -> None:
@@ -1005,12 +1164,11 @@ def _slots(tree):
 #: what "replace a field by a container" puts there
 INTRUDERS = [[], {}, [[1]], {"a": [1]}, {"__t": 5}, {"__t": []},
              {"__d": [[{}, 1]]}, {"__d": [[1, 2, 3]]}, {"__c": ["x"], "f": []},
-             {"__c": "ErrorTriple", "f": [1]}, {"__c": "UpdateRecord"},
+             {"__c": "VersionDigest", "f": [1]}, {"__c": "UpdateRecord"},
              "text", None, -1, 1e308]
 
 every_registered_value = st.one_of(
-    error_triples, update_records, writer_bases, writer_summaries,
-    version_vectors, version_digests, extended_vectors(),
+    update_records, version_digests, extended_vectors(),
     st.builds(lambda vector, pairs: {"merged": vector, "invalidated": pairs},
               extended_vectors(),
               st.lists(st.tuples(writer_ids, st.integers(1, 20)), max_size=2)),
@@ -1067,12 +1225,9 @@ def test_mutated_frames_decode_or_raise_wire_error(value, mutation, pick,
 any_ids = st.text(max_size=6)
 
 announce_digests = st.builds(
-    lambda object_id, node_id, issued_at, writers, metadata, lct:
-        VersionDigest(object_id, node_id, issued_at, writers, metadata, lct,
-                      sum(summary.count for _, summary in writers)),
-    any_ids, any_ids, finite,
-    st.lists(st.tuples(any_ids, writer_summaries), max_size=4,
-             unique_by=lambda t: t[0]).map(tuple), finite, finite)
+    _digest_of, any_ids, any_ids, finite,
+    st.lists(st.tuples(any_ids, writer_bases), max_size=4,
+             unique_by=lambda t: t[0]), finite, finite)
 
 
 def _travels_binary(*ids) -> bool:
@@ -1114,11 +1269,33 @@ UNENCODABLE_ANNOUNCES = {
     "sent-at-inf": (_digest_with(), 256, math.inf),
     "sent-at-a-string": (_digest_with(), 256, "1.0"),
     "count-above-int64": (_digest_with(
-        writers=(("n00", WriterSummary(2 ** 63, 1.5, 2.0)),)), 256, 1.0),
+        writers=(("n00", WriterBase(2 ** 63, 1.5, 2.0)),)), 256, 1.0),
     "metadata-nan": (_digest_with(metadata=math.nan), 256, 1.0),
     "last-timestamp-inf": (_digest_with(
-        writers=(("n00", WriterSummary(3, 1.5, math.inf)),)), 256, 1.0),
+        writers=(("n00", WriterBase(3, 1.5, math.inf)),)), 256, 1.0),
+    "sent-at-minus-inf": (_digest_with(), 256, -math.inf),
+    "count-below-int64": (_digest_with(
+        writers=(("n00", WriterBase(-2 ** 63 - 1, 1.5, 2.0)),)), 256, 1.0),
 }
+
+#: an announce digest per double it carries, that double set to ``x``
+ANNOUNCE_FLOAT_FIELDS = {
+    "issued-at": lambda x: _digest_with(issued_at=x),
+    "metadata": lambda x: _digest_with(metadata=x),
+    "lct": lambda x: _digest_with(last_consistent_time=x),
+    "cum-metadata": lambda x: _digest_with(
+        writers=(("n00", WriterBase(3, x, 2.0)),)),
+    "last-timestamp": lambda x: _digest_with(
+        writers=(("n00", WriterBase(3, 1.5, x)),)),
+}
+
+# every non-finite value in every double of the digest
+UNENCODABLE_ANNOUNCES.update(
+    (f"{field}-{name}", (build(bad), 256, 1.0))
+    for field, build in ANNOUNCE_FLOAT_FIELDS.items()
+    for name, bad in (("nan", math.nan), ("inf", math.inf),
+                      ("minus-inf", -math.inf))
+    if f"{field}-{name}" not in UNENCODABLE_ANNOUNCES)
 
 
 @pytest.mark.parametrize("digest,size_bytes,sent_at",
@@ -1198,13 +1375,133 @@ def test_damaged_announce_body_decodes_or_raises_wire_error(digest, pick):
                         + body[at + 1:])
 
 
+def _announce_body(rows, *, sent_at=1.5, issued_at=2.0, metadata=1.0,
+                   lct=0.5):
+    """An announce body built by hand from its layout: the ``>BqdII``
+    header, the NUL-joined ids, then the raw ``<{n}q{3 + 2n}d`` column of
+    ``rows`` of ``(writer, count, cum, last)``."""
+    names = "\0".join(["n00", "n01", "idea.detection", "t",
+                        "obj-announce-layout", "n02",
+                        *(w for w, _, _, _ in rows)]).encode()
+    n = len(rows)
+    column = struct.pack(f"<{n}q{3 + 2 * n}d", *(c for _, c, _, _ in rows),
+                         issued_at, metadata, lct,
+                         *(x for _, _, cum, last in rows for x in (cum, last)))
+    return (struct.pack(">BqdII", 1, 256, sent_at, n, len(names)) + names
+            + column)
+
+
+#: the rows of the hand-built announce below
+_ANNOUNCE_ROWS = [("n00", 4, 4.5, 1.0), ("n01", 3, 3.0, 1.5)]
+
+
+def test_a_hand_built_announce_body_is_what_the_encoder_writes():
+    """The layout the refusals below change one thing of: it decodes, and
+    the encoder writes it byte for byte."""
+    digest = VersionDigest(
+        "obj-announce-layout", "n02", 2.0,
+        (("n00", WriterBase(4, 4.5, 1.0)), ("n01", WriterBase(3, 3.0, 1.5))),
+        1.0, 0.5, 7)
+    body = _announce_body(_ANNOUNCE_ROWS)
+    assert wire.decode_envelope(body) == (
+        "n00", "n01", "idea.detection", "t", {"digest": digest}, 256, 1.5)
+    assert wire.encode_envelope("n00", "n01", "idea.detection", "t",
+                                {"digest": digest}, 256, 1.5)[4:] == body
+
+
+def _announce_row_set(at, field, x):
+    rows = [list(row) for row in _ANNOUNCE_ROWS]
+    rows[at][field] = x
+    return _announce_body([tuple(row) for row in rows])
+
+
+#: every double of the hand-built announce, set to ``x``
+ANNOUNCE_FLOAT_SLOTS = {
+    "sent_at": lambda x: _announce_body(_ANNOUNCE_ROWS, sent_at=x),
+    "issued_at": lambda x: _announce_body(_ANNOUNCE_ROWS, issued_at=x),
+    "metadata": lambda x: _announce_body(_ANNOUNCE_ROWS, metadata=x),
+    "last_consistent_time": lambda x: _announce_body(_ANNOUNCE_ROWS, lct=x),
+    "n00.cum_metadata": lambda x: _announce_row_set(0, 2, x),
+    "n00.last_timestamp": lambda x: _announce_row_set(0, 3, x),
+    "n01.cum_metadata": lambda x: _announce_row_set(1, 2, x),
+    "n01.last_timestamp": lambda x: _announce_row_set(1, 3, x),
+}
+
+ANNOUNCE_NAN_SLOTS = [(slot, bad) for slot in ANNOUNCE_FLOAT_SLOTS
+                      for bad in (math.nan, math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize("slot,bad", ANNOUNCE_NAN_SLOTS,
+                         ids=[f"{slot}-{bad}" for slot, bad in
+                              ANNOUNCE_NAN_SLOTS])
+def test_a_non_finite_number_in_an_announce_body_is_refused_on_decode(slot,
+                                                                      bad):
+    with pytest.raises(wire.WireError, match="finite"):
+        wire.decode_envelope(ANNOUNCE_FLOAT_SLOTS[slot](bad))
+
+
+def _put(body: bytes, at: int, data: bytes) -> bytes:
+    return body[:at] + data + body[at + len(data):]
+
+
+_GOOD_ANNOUNCE = _announce_body(_ANNOUNCE_ROWS)
+(_NAMES_BYTES,) = struct.unpack_from(">I", _GOOD_ANNOUNCE, _NAMES_AT)
+
+#: the hand-built announce with one length or name broken
+MALFORMED_ANNOUNCES = {
+    "header-cut-short": _GOOD_ANNOUNCE[:_HEAD_BYTES - 1],
+    "column-missing": _GOOD_ANNOUNCE[:_HEAD_BYTES + _NAMES_BYTES],
+    "column-one-byte-short": _GOOD_ANNOUNCE[:-1],
+    "column-one-byte-long": _GOOD_ANNOUNCE + b"\0",
+    "column-one-double-long": _GOOD_ANNOUNCE + struct.pack("<d", 0.5),
+    "writers-one-more": _put(_GOOD_ANNOUNCE, _WRITERS_AT,
+                             struct.pack(">I", 3)),
+    "writers-one-fewer": _put(_GOOD_ANNOUNCE, _WRITERS_AT,
+                              struct.pack(">I", 1)),
+    "names-length-one-short": _put(_GOOD_ANNOUNCE, _NAMES_AT,
+                                   struct.pack(">I", _NAMES_BYTES - 1)),
+    "names-length-one-long": _put(_GOOD_ANNOUNCE, _NAMES_AT,
+                                  struct.pack(">I", _NAMES_BYTES + 1)),
+    "a-name-split-in-two": _put(_GOOD_ANNOUNCE, _HEAD_BYTES + 1, b"\0"),
+    "two-names-joined": _put(_GOOD_ANNOUNCE, _HEAD_BYTES + 3, b"x"),
+    "names-not-utf8": _put(_GOOD_ANNOUNCE, _HEAD_BYTES, b"\xff"),
+}
+
+
+@pytest.mark.parametrize("body", MALFORMED_ANNOUNCES.values(),
+                         ids=list(MALFORMED_ANNOUNCES))
+def test_a_malformed_announce_body_is_refused(body):
+    with pytest.raises(wire.WireError):
+        wire.decode_envelope(body)
+
+
+@pytest.mark.parametrize("x", EDGE_FLOATS, ids=repr)
+def test_edge_floats_in_an_announce_come_back_bit_exactly(x):
+    """The binary body's doubles, ``sent_at`` included, as the JSON
+    column's are."""
+    same = lambda a, b: struct.pack("<d", a) == struct.pack("<d", b)
+    digest = _digest_with(issued_at=x, metadata=x, last_consistent_time=x,
+                          writers=(("n00", WriterBase(3, x, x)),),
+                          object_id=f"obj-announce-edge-{x!r}")
+    body = wire.encode_envelope("n00", "n01", "p", "t", {"digest": digest},
+                                256, x)[4:]
+    assert body[:1] == b"\x01"
+    *_, payload, _, sent_at = wire.decode_envelope(body)
+    restored = payload["digest"]
+    (_, base), = restored.writers
+    assert all(same(v, x) for v in (restored.issued_at, restored.metadata,
+                                    restored.last_consistent_time,
+                                    base.cum_metadata, base.last_timestamp,
+                                    sent_at))
+
+
 def test_an_announce_and_a_gossip_relay_share_pair_table_entries():
     """The binary announce and the JSON gossip hop rebuild through one
     helper, so either body lands on the pairs the other left."""
     object_id = "obj-pairs-binary-json"
     digest = _digest_with(object_id=object_id, node_id="n02", writers=(
-        ("n00", WriterSummary(2, 3.5, 1.0)),
-        ("n02", WriterSummary(1, 1.0, 1.5))), total=3)
+        ("n00", WriterBase(2, 3.5, 1.0)),
+        ("n02", WriterBase(1, 1.0, 1.5))), total=3)
     announce = wire.encode_envelope("n02", "n00", "idea.detection", "t",
                                     {"digest": digest}, 256, 2.0)
     relay = wire.encode_envelope("n03", "n00", "overlay.gossip",

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import IdeaConfig
 from repro.core.deployment import DeploymentBuilder
-from repro.core.detection import VersionDigest, WriterSummary
+from repro.core.detection import VersionDigest
 from repro.overlay.gossip import GossipConfig, GossipService
 from repro.sim.clock import ClockModel
 from repro.sim.engine import Simulator
@@ -14,12 +14,12 @@ from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.random import RandomStreams
-from repro.versioning.extended_vector import UpdateRecord
+from repro.versioning.extended_vector import UpdateRecord, WriterBase
 from repro.versioning.version_vector import DIGEST_BYTES
 
 
 def make_digest(object_id, origin, counts, issued_at=0.0):
-    writers = tuple((w, WriterSummary(c, float(c), 0.0))
+    writers = tuple((w, WriterBase(c, float(c), 0.0))
                     for w, c in sorted(counts.items()))
     return VersionDigest(object_id, origin, issued_at, writers,
                          float(sum(counts.values())), 0.0,

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.store.filesystem import ReplicatedStore
 from repro.store.replica import Replica
 from repro.versioning.extended_vector import (ExtendedVersionVector,
-                                              TruncatedHistoryError, UpdateRecord)
+                                              TruncatedHistoryError, UpdateRecord,
+                                              WriterBase)
 from repro.versioning.version_vector import VersionVector
 
 
@@ -464,11 +465,14 @@ class TestReplica:
         replica = Replica("n0", "obj")
         replica.apply_update(rec("A", 1, 1.0), applied_at=1.0)
         vector, revision = replica.vector, replica.revision
-        # an image holding A from seq 3 on cannot extend a replica at A:1
+        # an image holding A from seq 3 on — seqs 1..2 folded into its
+        # checkpoint — cannot extend a replica at A:1
         image = ExtendedVersionVector({"A": (rec("A", 3, 3.0), rec("A", 4, 4.0)),
-                                       "B": (rec("B", 1, 2.0),)})
-        with pytest.raises(ValueError):
+                                       "B": (rec("B", 1, 2.0),)},
+                                      base={"A": WriterBase(2, 2.0, 2.0)})
+        with pytest.raises(TruncatedHistoryError):
             replica.install_merged(image, now=2.0)
+        assert replica.truncation_stats.installs_behind_checkpoint == 1
         assert replica.vector is vector
         assert replica.revision == revision
         assert replica.retained_log_entries() == 1
@@ -480,12 +484,13 @@ class TestReplica:
         assert replica.vector.last_consistent_time == 9.0
 
     def test_snapshot_is_frozen_view(self):
+        # a vector read off the replica is a value: later writes leave it be
         replica = Replica("n0", "obj")
         replica.local_write("n0", 1.0)
-        snap = replica.snapshot(now=1.0)
+        snap = replica.vector
         replica.local_write("n0", 2.0)
-        assert snap.vector.count("n0") == 1
-        assert snap.counts.count("n0") == 1
+        assert snap.count("n0") == 1
+        assert snap.counts().count("n0") == 1
 
     def test_invalidate_updates_removes_content(self):
         replica = Replica("n0", "obj")

