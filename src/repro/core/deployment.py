@@ -638,6 +638,24 @@ class IdeaDeployment:
         """Advance the simulation to ``until`` seconds."""
         return self.sim.run(until=until)
 
+    def close(self) -> None:
+        """Cancel every timer this deployment armed; runs no protocol code.
+
+        Stops the gossip and RanSub rounds and each object's background
+        timer, and cancels every resolution manager's block guards and the
+        hosted endpoints' RPC timeouts.  Idempotent.
+        """
+        for service in (self.ransub, self.gossip):
+            if service is not None:
+                service.stop()
+        for managed in self.objects.values():
+            if managed.background_cancel is not None:
+                managed.background_cancel()
+            for middleware in managed.middlewares.values():
+                middleware.resolution.close()
+        for node in self.nodes.values():
+            node.close()
+
     def start_overlay_services(self) -> None:
         """Start the periodic RanSub rounds (and gossip when enabled)."""
         if self.ransub is None:

@@ -32,7 +32,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.policies import PolicyDecision, ResolutionPolicy
 from repro.store.replica import Replica
-from repro.transport import Message, Process, RPCError, sleep, unwrap_response
+from repro.transport import (Cancellable, Message, Process, RPCError, sleep,
+                             unwrap_response)
 from repro.versioning.extended_vector import ExtendedVersionVector, UpdateRecord
 
 
@@ -126,6 +127,9 @@ class ResolutionManager:
         #: bumped whenever the member-side write block is released or renewed;
         #: outstanding stale-block guard events check it and no-op when stale
         self._block_guard_seq = 0
+        #: unfired guard handles by seq; a firing guard pops itself first, and
+        #: :meth:`close` cancels the rest
+        self._block_guards: Dict[int, Cancellable] = {}
         self.history: List[ResolutionResult] = []
 
         node.register_rpc(f"idea_attention:{object_id}", self._rpc_attention)
@@ -183,11 +187,12 @@ class ResolutionManager:
         """
         self._block_guard_seq += 1
         seq = self._block_guard_seq
-        self.node.clock.call_after(
-            self.MEMBER_BLOCK_TIMEOUT, lambda: self._release_stale_block(seq),
+        self._block_guards[seq] = self.node.clock.call_after(
+            self.MEMBER_BLOCK_TIMEOUT, self._release_stale_block, arg=seq,
             label=f"{self.node.node_id}:block-guard:{self.object_id}")
 
     def _release_stale_block(self, seq: int) -> None:
+        del self._block_guards[seq]
         if seq != self._block_guard_seq or not self.node.alive:
             return  # an install arrived, a newer visit re-armed, or we died
         if self._resolving:
@@ -208,6 +213,12 @@ class ResolutionManager:
         replica = self.replica
         if replica.write_blocked:
             replica.unblock_writes()
+
+    def close(self) -> None:
+        """Cancel every unfired block guard (deployment teardown)."""
+        for guard in self._block_guards.values():
+            guard.cancel()
+        self._block_guards.clear()
 
     # ------------------------------------------------------------ initiation
     @property

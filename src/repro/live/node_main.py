@@ -135,6 +135,7 @@ async def run_node(document: dict, node_id: str, *,
         stack.schedule(from_time=clock.now)
     await asyncio.sleep(max(0.0, spec.duration - clock.now))
     stack.shutdown()
+    injector.disarm()
     outcome = stack.outcome()
     outcome["torn_journal_bytes"] = torn
     outcome["reconnects"] = transport.reconnects
@@ -144,6 +145,10 @@ async def run_node(document: dict, node_id: str, *,
         for at, action in injector.applied]
     outcome["pid"] = os.getpid()
     await transport.stop()
+    # Teardown proof: the timer handles still armed on this loop (asyncio
+    # keeps them in its private ``_scheduled`` heap); the CI gate wants 0.
+    outcome["timers_left"] = sum(not handle.cancelled() for handle
+                                 in asyncio.get_running_loop()._scheduled)
     return outcome
 
 

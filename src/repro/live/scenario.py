@@ -337,7 +337,7 @@ class NodeStack:
         }
 
     def shutdown(self) -> None:
-        self.gossip.stop()  # idempotent: sim stacks share one service
+        self.deployment.close()  # idempotent: sim stacks share one
         if self._journal_fd is not None:
             for middleware in self.middlewares.values():
                 middleware.replica.journal = None

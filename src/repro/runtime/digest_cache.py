@@ -77,14 +77,16 @@ class DigestCache:
                         cum += record.metadata_delta
                         if record.timestamp > last:
                             last = record.timestamp
+                    pair = (writer, WriterBase(count, cum, last))
                 else:
                     # Cold rebuild: fold the tail onto the writer's base
                     # (the empty base when untruncated) — bit-identical to
-                    # folding the full record history.
+                    # folding the full record history; the fold's count is
+                    # ``count`` by the vector's invariant.
                     base = vector.writer_base(writer) or WriterBase.EMPTY
                     folded = base.fold(vector.updates_from(writer))
                     cum, last = folded.cum_metadata, folded.last_timestamp
-                pair = (writer, WriterBase(count, cum, last))
+                    pair = (writer, folded)
                 summaries[writer] = (count, cum, last, pair)
             writers.append(pair)
         return VersionDigest(object_id, replica.node_id, now, tuple(writers),

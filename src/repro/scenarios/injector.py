@@ -32,6 +32,7 @@ from repro.scenarios.plan import (
     FaultAction,
     FaultPlan,
 )
+from repro.transport import Cancellable
 
 
 class FaultInjector:
@@ -50,6 +51,8 @@ class FaultInjector:
         self._loss_stack: List[float] = []
         #: (time, action) log of everything actually applied, in order
         self.applied: List[Tuple[float, FaultAction]] = []
+        #: the clock handles :meth:`arm` scheduled, for :meth:`disarm`
+        self._handles: List[Cancellable] = []
 
     # -------------------------------------------------------------- lifecycle
     def arm(self, *, catch_up: bool = False) -> "FaultInjector":
@@ -67,14 +70,21 @@ class FaultInjector:
         now = clock.now
         for index, action in enumerate(self._actions):
             if action.time >= now:
-                clock.call_at(action.time, self._apply, arg=index,
-                              label=f"fault:{action.kind}")
+                self._handles.append(clock.call_at(
+                    action.time, self._apply, arg=index,
+                    label=f"fault:{action.kind}"))
             elif catch_up:
                 self._apply(index)
             else:
                 raise ValueError(
                     f"fault at t={action.time} is in the past (now={now})")
         return self
+
+    def disarm(self) -> None:
+        """Cancel the plan actions not yet applied (teardown)."""
+        for handle in self._handles:
+            handle.cancel()
+        self._handles.clear()
 
     # -------------------------------------------------------------- applying
     def _apply(self, index: int) -> None:

@@ -110,6 +110,14 @@ class ProtocolEndpoint:
         # __rpc_response__ for a pre-crash request must not be mis-routed.
         self._pending.clear()
 
+    def close(self) -> None:
+        """Teardown: cancel every pending RPC's timeout and forget the
+        request, settling none of them (no round resumes)."""
+        pending, self._pending = self._pending, {}
+        for request in pending.values():
+            if request.timeout_event is not None:
+                request.timeout_event.cancel()
+
     # ------------------------------------------------------------------ time
     def local_time(self) -> float:
         """This node's local clock reading (backends may skew it)."""

@@ -16,8 +16,8 @@ with:
 The TACT-style error triple ``<numerical error, order error, staleness>``
 is *computed* against a chosen reference consistent state, never carried:
 detection computes it from digests (:mod:`repro.core.detection`), and
-:meth:`ExtendedVersionVector.error_triple_against` is the worked example of
-Figure 4, reproduced verbatim in ``tests/test_extended_vector.py``.
+``tests/test_extended_vector.py`` reproduces Figure 4's worked example
+through that one formula.
 
 Long runs add a **checkpoint ⊕ tail layout**.  A stable prefix of a
 writer's updates — updates known-received by every replica (Parker et al.'s
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from itertools import chain, islice
 from operator import attrgetter
-from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.versioning.values import frozen_value
 from repro.versioning.version_vector import VersionVector
@@ -136,18 +136,10 @@ class ErrorTriple:
     order: float = 0.0
     staleness: float = 0.0
 
-    #: the all-zero triple (set right after the class definition)
-    ZERO: ClassVar["ErrorTriple"]
-
     def __post_init__(self) -> None:
         if self.numerical < 0 or self.order < 0 or self.staleness < 0:
             raise ValueError(f"error components must be non-negative: {self}")
 
-    def as_tuple(self) -> Tuple[float, float, float]:
-        return (self.numerical, self.order, self.staleness)
-
-
-ErrorTriple.ZERO = ErrorTriple(0.0, 0.0, 0.0)
 
 _NO_BASES: Dict[str, WriterBase] = {}
 
@@ -224,7 +216,7 @@ class ExtendedVersionVector:
     """
 
     __slots__ = ("_updates", "_base", "_metadata", "_last_consistent_time",
-                 "_counts_cache", "_keys_cache", "_latest_cache",
+                 "_counts_cache", "_keys_cache",
                  "_hash_cache", "_total_cache")
 
     def __init__(self, updates: Mapping[str, Iterable[UpdateRecord]] | None = None,
@@ -256,7 +248,6 @@ class ExtendedVersionVector:
         self._last_consistent_time = float(last_consistent_time)
         self._counts_cache: Optional[VersionVector] = None
         self._keys_cache: Optional[frozenset] = None
-        self._latest_cache: Optional[float] = None
         self._hash_cache: Optional[int] = None
         self._total_cache: Optional[int] = None
 
@@ -279,7 +270,6 @@ class ExtendedVersionVector:
         vector._last_consistent_time = last_consistent_time
         vector._counts_cache = None
         vector._keys_cache = None
-        vector._latest_cache = None
         vector._hash_cache = None
         vector._total_cache = None
         return vector
@@ -376,16 +366,6 @@ class ExtendedVersionVector:
         if cached is None:
             cached = self._keys_cache = frozenset(
                 (r.writer, r.seq) for recs in self._updates.values() for r in recs)
-        return cached
-
-    def latest_update_time(self) -> float:
-        """Timestamp of the most recent update known to this replica."""
-        cached = self._latest_cache
-        if cached is None:
-            times = [r.timestamp for recs in self._updates.values() for r in recs]
-            times.extend(b.last_timestamp for b in self._base.values())
-            cached = self._latest_cache = (max(times) if times
-                                           else self._last_consistent_time)
         return cached
 
     def total_updates(self) -> int:
@@ -586,22 +566,6 @@ class ExtendedVersionVector:
                     f"no longer individually available")
             missing.extend(self.updates_above(writer, have))
         return missing
-
-    def error_triple_against(self, reference: "ExtendedVersionVector") -> ErrorTriple:
-        """Compute ``<numerical, order, staleness>`` against a reference state.
-
-        Following the paper's worked example (Figure 4(d)):
-
-        * numerical error — absolute gap between the two meta-data values,
-        * order error — total per-writer count gap in both directions
-          ("misses one update and has two extra ones ⇒ order error 3"),
-        * staleness — gap between the reference's most recent update time and
-          the last time point at which this replica was consistent.
-        """
-        numerical = abs(self._metadata - reference._metadata)
-        order = float(self.counts().order_distance(reference.counts()))
-        staleness = max(0.0, reference.latest_update_time() - self._last_consistent_time)
-        return ErrorTriple(numerical=numerical, order=order, staleness=staleness)
 
     # ------------------------------------------------------------- pickling
     def __reduce__(self):

@@ -13,6 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.detection import VersionDigest, build_reference
 from repro.live.wire import roundtrip
 from repro.versioning.extended_vector import (ErrorTriple, ExtendedVersionVector, History,
                                               TruncatedHistoryError, UpdateRecord,
@@ -26,9 +27,19 @@ def rec(writer: str, seq: int, ts: float, delta: float = 1.0, payload=None) -> U
                         payload=payload)
 
 
+def triple_against(vector: ExtendedVersionVector,
+                   reference: ExtendedVersionVector) -> ErrorTriple:
+    """The one error-triple formula: ``vector``'s digest against the
+    reference state rebuilt from ``reference``'s digest."""
+    return build_reference(
+        [VersionDigest.from_vector("o", "ref", reference, 0.0)]).triple_for(
+            VersionDigest.from_vector("o", "n", vector, 0.0))
+
+
 class TestErrorTriple:
-    def test_zero_constant(self):
-        assert ErrorTriple.ZERO.as_tuple() == (0.0, 0.0, 0.0)
+    def test_default_is_zero(self):
+        triple = ErrorTriple()
+        assert (triple.numerical, triple.order, triple.staleness) == (0.0, 0.0, 0.0)
 
     def test_negative_component_rejected(self):
         with pytest.raises(ValueError):
@@ -165,7 +176,7 @@ class TestApply:
 
     def test_latest_update_time(self):
         v = ExtendedVersionVector.from_updates([rec("A", 1, 1.0), rec("B", 1, 7.0)])
-        assert v.latest_update_time() == 7.0
+        assert VersionDigest.from_vector("o", "n", v, 0.0).latest_update_time() == 7.0
 
     def test_all_updates_sorted_by_timestamp(self):
         v = ExtendedVersionVector.from_updates(
@@ -256,7 +267,7 @@ class TestPaperFigure4:
 
     def test_error_triple_of_a_against_reference_b(self):
         a, b = self.build_replicas()
-        triple = a.error_triple_against(b)
+        triple = triple_against(a, b)
         # numerical: |5 - 8| = 3; order: misses one update, has two extra = 3;
         # staleness: b's latest update (3) - a's last consistent point (1) = 2.
         assert triple.numerical == pytest.approx(3.0)
@@ -265,7 +276,7 @@ class TestPaperFigure4:
 
     def test_reference_has_zero_error_against_itself(self):
         _, b = self.build_replicas()
-        assert b.error_triple_against(b) == ErrorTriple(0.0, 0.0, max(0.0, 3.0 - 1.0))
+        assert triple_against(b, b) == ErrorTriple(0.0, 0.0, max(0.0, 3.0 - 1.0))
 
     def test_consistency_levels_match_formula_one(self):
         """With max error 10 for every metric and equal weights (Figure 4(e))."""
@@ -275,7 +286,7 @@ class TestPaperFigure4:
         a, b = self.build_replicas()
         metric = ConsistencyMetricSpec(max_numerical=10, max_order=10, max_staleness=10)
         weights = MetricWeights.equal()
-        level_a = consistency_level(a.error_triple_against(b), metric, weights)
+        level_a = consistency_level(triple_against(a, b), metric, weights)
         # (7/10 + 7/10 + 8/10) / 3 = 0.7333...
         assert level_a == pytest.approx((0.7 + 0.7 + 0.8) / 3, abs=1e-9)
 
@@ -292,7 +303,7 @@ class TestConsistentTime:
         v = ExtendedVersionVector.from_updates([rec("A", 1, 1.0)])
         ref = ExtendedVersionVector.from_updates([rec("A", 1, 1.0)])
         v = v.with_consistent_time(10.0)
-        assert v.error_triple_against(ref).staleness == 0.0
+        assert triple_against(v, ref).staleness == 0.0
 
 
 # ------------------------------------------------- merge ≡ the dict-walk union

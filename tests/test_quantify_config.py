@@ -36,7 +36,7 @@ NON_FINITE = (math.nan, math.inf, -math.inf)
 
 class TestNormalizedErrors:
     def test_zero_triple_normalises_to_zero(self):
-        assert normalized_errors(ErrorTriple.ZERO, METRIC) == (0.0, 0.0, 0.0)
+        assert normalized_errors(ErrorTriple(), METRIC) == (0.0, 0.0, 0.0)
 
     def test_errors_divided_by_maxima(self):
         n, o, s = normalized_errors(ErrorTriple(5, 2, 8), METRIC)
@@ -49,7 +49,7 @@ class TestNormalizedErrors:
 
 class TestConsistencyLevel:
     def test_perfect_consistency_is_one(self):
-        assert consistency_level(ErrorTriple.ZERO, METRIC, EQUAL) == 1.0
+        assert consistency_level(ErrorTriple(), METRIC, EQUAL) == 1.0
 
     def test_saturated_errors_give_zero(self):
         assert consistency_level(ErrorTriple(100, 100, 100), METRIC, EQUAL) == 0.0

@@ -16,6 +16,7 @@ from repro.runtime import (
 from repro.sim.clock import ClockModel
 from repro.sim.latency import LatencyModel
 from repro.store.replica import Replica
+from repro.versioning.extended_vector import WriterBase
 
 
 @pytest.fixture
@@ -114,6 +115,31 @@ class TestDigestCache:
             fresh = VersionDigest.from_replica(replica, issued_at=float(i + 1))
             assert cached == fresh
             assert cached.total == fresh.total == i + 1
+
+    def test_a_cold_rebuild_pairs_the_fold_it_made(self, monkeypatch):
+        """On a truncated vector each writer's pair holds the very
+        ``WriterBase`` its fold returned (a fully folded writer's is the
+        checkpoint itself): no second, equal summary is built."""
+        replica = Replica("n00", "obj")
+        for i in range(4):
+            replica.local_write("n00", float(i + 1), metadata_delta=0.5)
+        replica.local_write("n01", 5.0, metadata_delta=1.0)
+        replica.truncate_stable({"n00": 3, "n01": 1})
+        folds = []
+        fold = WriterBase.fold
+
+        def recording_fold(base, records):
+            folds.append(fold(base, records))
+            return folds[-1]
+
+        monkeypatch.setattr(WriterBase, "fold", recording_fold)
+        digest = DigestCache().local_digest("obj", replica, now=6.0)
+        held = dict(digest.writers)
+        assert [held["n00"], held["n01"]] == folds
+        assert held["n00"] is folds[0] and held["n01"] is folds[1]
+        assert held["n01"] is replica.vector.writer_base("n01")
+        monkeypatch.undo()
+        assert digest == VersionDigest.from_replica(replica, issued_at=6.0)
 
     def test_mark_consistent_invalidates(self):
         replica = Replica("n00", "obj")

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.deployment import DeploymentBuilder
-from repro.core.detection import VersionDigest
+from repro.core.detection import VersionDigest, build_reference
 from repro.overlay.temperature import TemperatureConfig
 from repro.overlay.two_layer import OverlayConfig
 from repro.store.replica import Replica
@@ -84,9 +84,9 @@ class TestVectorCheckpoint:
         assert cut.count("A") == 2 and cut.base_count("A") == 1
         assert cut.metadata == full.metadata
         assert cut.total_updates() == full.total_updates()
-        assert cut.latest_update_time() == full.latest_update_time()
         d_full = VersionDigest.from_vector("o", "n", full, 5.0)
         d_cut = VersionDigest.from_vector("o", "n", cut, 5.0)
+        assert d_cut.latest_update_time() == d_full.latest_update_time()
         assert d_full == d_cut
 
     def test_truncate_clamps_and_is_idempotent(self):
@@ -241,8 +241,8 @@ class TestReplicaTruncation:
         ref = ExtendedVersionVector.from_updates(
             [rec("A", 1, 1.0, 2.0), rec("A", 2, 2.0, 0.5),
              rec("B", 1, 1.5, 1.0), rec("B", 2, 4.0, 3.0)])
-        assert (replica.vector.error_triple_against(ref)
-                == oracle.vector.error_triple_against(ref))
+        reference = build_reference([VersionDigest.from_vector("o", "ref", ref, 3.0)])
+        assert reference.triple_for(d_t) == reference.triple_for(d_o)
 
     def test_install_merged_behind_checkpoint_counts_and_raises(self):
         replica, _ = self.build_pair()
