@@ -639,12 +639,11 @@ class IdeaDeployment:
         return self.sim.run(until=until)
 
     def close(self) -> None:
-        """Cancel every timer this deployment armed; runs no protocol code.
-
-        Stops the gossip and RanSub rounds and each object's background
-        timer, and cancels every resolution manager's block guards and the
-        hosted endpoints' RPC timeouts.  Idempotent.
-        """
+        """Cancel the gossip and RanSub rounds, background timers, block
+        guards and RPC timeouts, and close the endpoints so no late frame
+        arms another; runs no protocol code, and is idempotent.  A round
+        already asleep (jitter, backoff, dispatch) wakes once to a closed
+        node."""
         for service in (self.ransub, self.gossip):
             if service is not None:
                 service.stop()

@@ -60,6 +60,8 @@ class VersionDigest:
 
     ``writers`` holds one ``(writer, WriterBase)`` pair per writer, sorted
     by writer: each a fold of that writer's updates ``1..count``.
+    ``metadata`` sums their ``cum_metadata`` in that order, as
+    :func:`build_reference` does, so a digest has no numerical error to itself.
     """
 
     object_id: str
@@ -96,6 +98,7 @@ class VersionDigest:
                     issued_at: float) -> "VersionDigest":
         writers = []
         total = 0
+        metadata = 0.0
         for writer in vector.writers():
             # Fold the retained records onto the writer's checkpoint base
             # (the empty base for untruncated vectors) — one fold
@@ -104,8 +107,9 @@ class VersionDigest:
             folded = base.fold(vector.updates_from(writer))
             writers.append((writer, folded))
             total += folded.count
+            metadata += folded.cum_metadata
         return cls(object_id=object_id, node_id=node_id, issued_at=issued_at,
-                   writers=tuple(sorted(writers)), metadata=vector.metadata,
+                   writers=tuple(writers), metadata=metadata,
                    last_consistent_time=vector.last_consistent_time,
                    total=total)
 

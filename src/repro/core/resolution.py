@@ -127,8 +127,7 @@ class ResolutionManager:
         #: bumped whenever the member-side write block is released or renewed;
         #: outstanding stale-block guard events check it and no-op when stale
         self._block_guard_seq = 0
-        #: unfired guard handles by seq; a firing guard pops itself first, and
-        #: :meth:`close` cancels the rest
+        #: unfired guard handles by seq (a firing guard pops itself first)
         self._block_guards: Dict[int, Cancellable] = {}
         self.history: List[ResolutionResult] = []
 
@@ -216,9 +215,8 @@ class ResolutionManager:
 
     def close(self) -> None:
         """Cancel every unfired block guard (deployment teardown)."""
-        for guard in self._block_guards.values():
-            guard.cancel()
-        self._block_guards.clear()
+        while self._block_guards:
+            self._block_guards.popitem()[1].cancel()
 
     # ------------------------------------------------------------ initiation
     @property

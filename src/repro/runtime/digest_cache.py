@@ -33,12 +33,12 @@ class DigestCache:
     __slots__ = ("_summaries", "hits", "misses")
 
     def __init__(self) -> None:
-        #: object_id -> {writer -> (count, cumulative metadata, last ts,
-        #: interned (writer, WriterBase) pair)}; per-writer folds reused
-        #: across rebuilds (records are append-only), and the interned pair
-        #: tuple means a rebuild after one write allocates one new fold —
-        #: every unchanged writer's pair is recycled by reference
-        self._summaries: Dict[str, Dict[str, Tuple[int, float, float, tuple]]] = {}
+        #: object_id -> {writer -> interned (writer, WriterBase) pair};
+        #: per-writer folds reused across rebuilds (records are
+        #: append-only), and the interned pair tuple means a rebuild after
+        #: one write allocates one new fold — every unchanged writer's pair
+        #: is recycled by reference
+        self._summaries: Dict[str, Dict[str, Tuple[str, WriterBase]]] = {}
         #: local-digest lookups by outcome.  The caller keeps the
         #: ``(revision, digest)`` of its last answer and answers an
         #: unchanged revision itself (``DetectionService.local_digest``),
@@ -60,37 +60,31 @@ class DigestCache:
         summaries = self._summaries.setdefault(object_id, {})
         writers = []
         total = 0
+        metadata = 0.0
         for writer in vector.writers():
             count = vector.count(writer)
             total += count
-            cached = summaries.get(writer)
-            if cached is not None and cached[0] == count:
-                pair = cached[3]
-            else:
-                if (cached is not None
-                        and vector.base_count(writer) <= cached[0] < count):
+            pair = summaries.get(writer)
+            if pair is None or pair[1].count != count:
+                if (pair is not None
+                        and vector.base_count(writer) <= pair[1].count < count):
                     # Per-writer records are append-only in seq order (and a
                     # checkpoint only folds records the cache already
                     # summarised); fold only the unseen suffix of the tail.
-                    seen, cum, last, _ = cached
-                    for record in vector.updates_above(writer, seen):
-                        cum += record.metadata_delta
-                        if record.timestamp > last:
-                            last = record.timestamp
-                    pair = (writer, WriterBase(count, cum, last))
+                    folded = pair[1].fold(
+                        vector.updates_above(writer, pair[1].count))
                 else:
                     # Cold rebuild: fold the tail onto the writer's base
                     # (the empty base when untruncated) — bit-identical to
-                    # folding the full record history; the fold's count is
-                    # ``count`` by the vector's invariant.
+                    # folding the full record history.
                     base = vector.writer_base(writer) or WriterBase.EMPTY
                     folded = base.fold(vector.updates_from(writer))
-                    cum, last = folded.cum_metadata, folded.last_timestamp
-                    pair = (writer, folded)
-                summaries[writer] = (count, cum, last, pair)
+                # either fold's count is ``count`` by the vector's invariant
+                pair = summaries[writer] = (writer, folded)
             writers.append(pair)
+            metadata += pair[1].cum_metadata
         return VersionDigest(object_id, replica.node_id, now, tuple(writers),
-                             vector.metadata, vector.last_consistent_time,
+                             metadata, vector.last_consistent_time,
                              total)
 
     @property

@@ -82,9 +82,8 @@ class FaultInjector:
 
     def disarm(self) -> None:
         """Cancel the plan actions not yet applied (teardown)."""
-        for handle in self._handles:
-            handle.cancel()
-        self._handles.clear()
+        while self._handles:
+            self._handles.pop().cancel()
 
     # -------------------------------------------------------------- applying
     def _apply(self, index: int) -> None:

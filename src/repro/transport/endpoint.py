@@ -111,8 +111,9 @@ class ProtocolEndpoint:
         self._pending.clear()
 
     def close(self) -> None:
-        """Teardown: cancel every pending RPC's timeout and forget the
-        request, settling none of them (no round resumes)."""
+        """Teardown: deliver and send nothing more (so no handler arms a
+        timer), and cancel every pending RPC's timeout, settling none."""
+        self.alive = False
         pending, self._pending = self._pending, {}
         for request in pending.values():
             if request.timeout_event is not None:

@@ -45,6 +45,15 @@ class TestErrorTriple:
         with pytest.raises(ValueError):
             ErrorTriple(numerical=-1.0)
 
+    def test_a_replica_has_no_numerical_error_against_itself(self):
+        # applied in this order the running sum and the per-writer sum
+        # round differently (8.9e-16 apart); the digest carries the latter
+        vector = ExtendedVersionVector.from_updates(
+            [rec("A", 1, 1.0, delta=1.0), rec("B", 1, 2.0, delta=3.593243100324968),
+             rec("B", 2, 3.0, delta=1e-05)])
+        assert vector.metadata != 1.0 + (3.593243100324968 + 1e-05)
+        assert triple_against(vector, vector).numerical == 0.0
+
 
 class TestConstructorInvariant:
     """Per writer the records run ``base + 1 .. count``, and a checkpoint

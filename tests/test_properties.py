@@ -91,11 +91,7 @@ class TestExtendedVectorProperties:
         digest = VersionDigest.from_vector(
             "o", "n", ExtendedVersionVector.from_updates(records), 0.0)
         triple = build_reference([digest]).triple_for(digest)
-        # The reference sums per-writer folds and the digest carries the
-        # vector's running sum: equal up to rounding, not bit for bit
-        # (A:1.0, B:3.593243100324968, B:1e-05 reads 8.9e-16).
-        scale = sum(abs(record.metadata_delta) for record in records)
-        assert triple.numerical <= 1e-12 * max(1.0, scale)
+        assert triple.numerical == 0.0
         assert triple.order == 0.0
 
     @given(update_sequences())

@@ -105,6 +105,9 @@ def test_close_cancels_a_round_mid_flight_without_settling_it():
     deployment.close()  # idempotent
     assert deployment.nodes["n00"]._pending == {}
     gossip_rounds = deployment.gossip.rounds_completed
+    deployment.run(until=start + 1.0)
+    # the in-flight collect reached a closed member: it armed no new guard
+    assert all(m._block_guards == {} for m in _managers(deployment))
     deployment.run(until=start + 60.0)
     # no RPC timeout fired into the round: it neither finished nor aborted
     assert initiator.history == []
