@@ -23,6 +23,6 @@ setup(
     package_data={"repro.worlds": ["catalog/*.json"]},
     install_requires=["numpy>=1.24"],
     extras_require={
-        "dev": ["pytest>=7.0", "pytest-benchmark>=4.0", "hypothesis>=6.0"],
+        "dev": ["pytest>=7.0", "hypothesis>=6.0"],
     },
 )

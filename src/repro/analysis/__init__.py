@@ -2,7 +2,7 @@
 
 Formulae (2) and (3) extrapolate the active/background resolution delay from
 the measured per-member cost; Formulae (4) and (5) derive the optimal
-background-resolution rate under a bandwidth cap.  The benchmarks fit the
+background-resolution rate under a bandwidth cap.  The experiments fit the
 same models to this reproduction's measurements and compare shapes.
 """
 

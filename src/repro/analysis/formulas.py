@@ -13,7 +13,7 @@
   ``#messages / rounds`` (the paper computes (168 + 96) / 6 = 44).
 
 :func:`fit_delay_model` recovers ``(p1, c)`` from measured (n, delay) pairs
-so the benchmarks can compare this reproduction's fitted line against the
+so the experiments can compare this reproduction's fitted line against the
 paper's coefficients and against the fresh measurements (Figure 9).
 """
 

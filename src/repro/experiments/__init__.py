@@ -1,4 +1,5 @@
-"""Experiment harnesses — one module per table/figure of the paper.
+"""Experiment harnesses — one module per table/figure of the paper, plus
+the ablations.
 
 Every module holds a point function (one deployment, explicit seed, plain
 result), the grid builder that sweeps it and a report formatter;
@@ -9,8 +10,9 @@ and :func:`run` is the one way to execute any of them::
     result = run("fig9", max_top_layer=6, jobs=2)
 
 ``python -m repro.experiments --list`` is the index (DESIGN.md §4 maps the
-names to the paper's artefacts); the ``benchmarks/bench_*.py`` drivers, the
-CLI and the tests all go through the same call.
+names to the paper's artefacts); the CLI and the tests go through the same
+call, and ``tests/test_experiments.py`` states each paper claim once over
+the result.
 """
 
 from repro.experiments.registry import (REGISTRY, ExperimentEntry,

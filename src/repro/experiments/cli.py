@@ -12,7 +12,9 @@ in-process).  ``--smoke`` applies the registry's shrunken parameters — the
 same code path on a seconds-sized grid.  A failed point (``FarmPointError``)
 is attempted once and exits 1 with a diagnostic, so CI smoke steps cannot
 silently pass on a failure; a ``--param`` key or ``--world`` the experiment
-does not take, or a ``--jobs`` below 1, exits 2 naming what it accepts.
+does not take, or a ``--jobs`` below 1, exits 2 naming what it accepts, and
+a value the grid refuses (``--run fig9 --param max_top_layer=1``) exits 2
+with the grid's one-line reason.
 Every experiment runs on the simulator; the live backend's oracle run is
 ``python -m repro.live``.
 """
@@ -141,7 +143,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         result = registry.run(args.run, jobs=args.jobs, **kwargs)
-    except registry.UnknownParameter as exc:
+    except (registry.UnknownParameter, ValueError) as exc:
+        # a point's own failure arrives as FarmPointError: a ValueError
+        # here is the grid refusing its parameters
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FarmPointError as exc:

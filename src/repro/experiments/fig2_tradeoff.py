@@ -13,8 +13,8 @@ figure quantitative: it runs the same conflicting-update workload over
 
 and reports, for each protocol, how long an update takes to be known
 system-wide, the synchronous latency the writer pays, and the number of
-protocol messages per update.  The expected ordering (reproduced by the
-benchmark) is exactly the paper's: optimistic is cheapest and slowest to
+protocol messages per update.  The expected ordering (the ``fig2`` claims
+in ``tests/test_experiments.py``) is exactly the paper's: optimistic is cheapest and slowest to
 converge, strong is fastest to converge but pays the most per update and
 blocks writers, IDEA sits in between on cost while converging far faster than
 optimistic.

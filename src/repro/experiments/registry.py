@@ -17,9 +17,9 @@ import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro.experiments import (fig2_tradeoff, fig7_hint, fig8_hint_change,
-                               fig9_scalability, fig10_automatic,
-                               fig_churn_availability,
+from repro.experiments import (ablations, fig2_tradeoff, fig7_hint,
+                               fig8_hint_change, fig9_scalability,
+                               fig10_automatic, fig_churn_availability,
                                fig_workload_sensitivity, fig_world_matrix,
                                tab2_phases, tab3_overhead)
 from repro.farm import PointSpec, run_specs
@@ -114,6 +114,24 @@ _ENTRIES: List[ExperimentEntry] = [
         fold=lambda specs, runs: fig10_automatic.AutomaticResult(runs),
         report=fig10_automatic.format_report,
         smoke={"num_nodes": 12, "duration": 40.0}),
+    ExperimentEntry(
+        name="abl_policies",
+        description="ablation: resolution policy vs application progress",
+        grid=ablations.build_policy_grid,
+        report=ablations.format_policy_report,
+        smoke={"num_nodes": 6}),
+    ExperimentEntry(
+        name="abl_suppression",
+        description="ablation: back-off suppression of concurrent initiators",
+        grid=ablations.build_suppression_grid,
+        report=ablations.format_suppression_report,
+        smoke={"num_nodes": 6}),
+    ExperimentEntry(
+        name="abl_toplayer",
+        description="ablation: top-layer inconsistency capture probability",
+        grid=ablations.build_capture_grid,
+        report=ablations.format_capture_report,
+        smoke={"num_nodes": 10, "rounds": 4}),
     ExperimentEntry(
         name="churn",
         description="detection & resolution under churn + loss (beyond paper)",

@@ -1,7 +1,7 @@
 """Plain-text reporting helpers shared by the experiment harnesses.
 
-The benchmarks print paper-style rows with these utilities so that the
-regenerated artefacts (DESIGN.md §4's experiments) all share one format.
+Every experiment's report prints paper-style rows with these utilities, so
+the regenerated artefacts (DESIGN.md §4's experiments) share one format.
 """
 
 from __future__ import annotations

@@ -104,6 +104,9 @@ def run_phase_breakdown(*, num_nodes: int = 40, num_writers: int = 4,
 def build_phase_grid(*, writer_counts: Sequence[int] = (2, 4, 8),
                      num_nodes: int = 40, seed: int = 17) -> List[PointSpec]:
     """Table 2 at several top-layer sizes, as farm point specs."""
+    if any(int(count) < 2 for count in writer_counts):
+        raise ValueError("writer_counts must all be >= 2 (the initiator "
+                         "visits the other members)")
     return [PointSpec.build(
         run_phase_breakdown, labels=("tab2", f"writers{count}"),
         num_nodes=max(num_nodes, int(count)), num_writers=int(count),

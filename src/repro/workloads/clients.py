@@ -24,6 +24,7 @@ which home nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -188,8 +189,9 @@ class ClosedLoopClient(ClientStream):
                  mix: OpMix, rng: np.random.Generator, think_time: float,
                  schedule: Optional[RateSchedule] = None,
                  snapshot_reads: bool = False) -> None:
-        if think_time <= 0:
-            raise ValueError("think_time must be positive")
+        if not 0 < think_time < math.inf:
+            raise ValueError(
+                f"think_time must be finite and positive, got {think_time!r}")
         super().__init__(stream_id, popularity=popularity, mix=mix, rng=rng,
                          schedule=schedule, snapshot_reads=snapshot_reads)
         self.think_time = think_time

@@ -24,6 +24,7 @@ when somebody subscribed, so un-probed runs pay nothing per op.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence
 
 from repro.runtime.events import ClientOpCompleted
@@ -79,12 +80,14 @@ class TrafficDriver:
                  truncate_keep_content: bool = True) -> None:
         if not populations:
             raise ValueError("traffic driver needs at least one population")
-        if duration is not None and duration <= 0:
-            raise ValueError("duration must be positive")
+        if duration is not None and not 0 < duration < math.inf:
+            raise ValueError(
+                f"duration must be finite and positive, got {duration!r}")
         if max_ops is not None and max_ops < 1:
             raise ValueError("max_ops must be positive")
-        if truncate_every is not None and truncate_every <= 0:
-            raise ValueError("truncate_every must be positive or None")
+        if truncate_every is not None and not 0 < truncate_every < math.inf:
+            raise ValueError("truncate_every must be finite and positive or "
+                             f"None, got {truncate_every!r}")
         if truncate_window < 0:
             raise ValueError("truncate_window must be non-negative")
         self.deployment = deployment

@@ -16,6 +16,15 @@ from __future__ import annotations
 import math
 
 
+def _finite(name: str, value: float, *, positive: bool = False) -> float:
+    """``value`` if finite and non-negative (positive when asked), else a
+    ``ValueError`` naming ``name``; NaN fails both comparisons."""
+    if not ((0 < value < math.inf) if positive else (0 <= value < math.inf)):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
+    return value
+
+
 class RateSchedule:
     """Base class: instantaneous rate λ(t) plus a finite upper bound."""
 
@@ -56,9 +65,7 @@ class ConstantRate(RateSchedule):
     __slots__ = ("_rate",)
 
     def __init__(self, rate: float) -> None:
-        if rate < 0:
-            raise ValueError("rate must be non-negative")
-        self._rate = rate
+        self._rate = _finite("rate", rate)
 
     def rate(self, t: float) -> float:
         return self._rate
@@ -84,14 +91,10 @@ class RampRate(RateSchedule):
 
     def __init__(self, start_rate: float, end_rate: float, *,
                  duration: float, t0: float = 0.0) -> None:
-        if start_rate < 0 or end_rate < 0:
-            raise ValueError("rates must be non-negative")
-        if duration <= 0:
-            raise ValueError("ramp duration must be positive")
-        self.start_rate = start_rate
-        self.end_rate = end_rate
+        self.start_rate = _finite("start_rate", start_rate)
+        self.end_rate = _finite("end_rate", end_rate)
         self.t0 = t0
-        self.duration = duration
+        self.duration = _finite("duration", duration, positive=True)
 
     def rate(self, t: float) -> float:
         if t <= self.t0:
@@ -124,15 +127,11 @@ class DiurnalRate(RateSchedule):
 
     def __init__(self, base_rate: float, *, amplitude: float = 0.5,
                  period: float = 86400.0, phase: float = 0.0) -> None:
-        if base_rate < 0:
-            raise ValueError("base_rate must be non-negative")
         if not 0.0 <= amplitude <= 1.0:
             raise ValueError("amplitude must lie in [0, 1]")
-        if period <= 0:
-            raise ValueError("period must be positive")
-        self.base_rate = base_rate
+        self.base_rate = _finite("base_rate", base_rate)
         self.amplitude = amplitude
-        self.period = period
+        self.period = _finite("period", period, positive=True)
         self.phase = phase
 
     def rate(self, t: float) -> float:
@@ -161,20 +160,15 @@ class FlashCrowdRate(RateSchedule):
     def __init__(self, base_rate: float, peak_rate: float, *, at: float,
                  ramp: float = 5.0, hold: float = 10.0,
                  decay: float = None) -> None:
-        if base_rate < 0:
-            raise ValueError("base_rate must be non-negative")
+        self.base_rate = _finite("base_rate", base_rate)
+        self.peak_rate_value = _finite("peak_rate", peak_rate)
         if peak_rate < base_rate:
             raise ValueError("peak_rate must be >= base_rate")
-        if ramp <= 0 or hold < 0:
-            raise ValueError("ramp must be positive and hold non-negative")
-        self.base_rate = base_rate
-        self.peak_rate_value = peak_rate
         self.at = at
-        self.ramp = ramp
-        self.hold = hold
-        self.decay = ramp if decay is None else decay
-        if self.decay <= 0:
-            raise ValueError("decay must be positive")
+        self.ramp = _finite("ramp", ramp, positive=True)
+        self.hold = _finite("hold", hold)
+        self.decay = _finite("decay", ramp if decay is None else decay,
+                             positive=True)
 
     def rate(self, t: float) -> float:
         base, peak = self.base_rate, self.peak_rate_value

@@ -1,25 +1,30 @@
-"""Integration tests: scaled-down versions of every paper experiment.
+"""The paper's claims, each stated once as a named predicate over the result
+of the registered experiment that reproduces it.
 
-These use smaller deployments / shorter durations than the benchmarks so the
-whole suite stays fast, but they assert the same qualitative claims the
-benchmarks (and the paper) make.
+``CLAIMS`` holds each predicate under its experiment's registry name and the
+paper artefact it checks.  Every claim runs on the registry's default
+grid, which is the paper's size, and every paper experiment's claims also
+run at the smaller size in ``SMALL``.  Where a claim was once asserted with
+two bounds, it keeps the tighter one at both sizes.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
 
+import numpy as np
 import pytest
 
 from repro.experiments import run
-from repro.experiments.fig7_hint import format_report, run_hint_experiment
-from repro.experiments.fig8_hint_change import run_hint_change_experiment
+from repro.experiments.fig7_hint import format_report
 from repro.experiments.fig9_scalability import (run_multiobject_point,
                                                 run_scalability_point)
 from repro.experiments.report import format_table, percent
 from repro.experiments.scaffold import (run_sampled, schedule_warmup,
                                         start_object_writers)
-from repro.experiments.tab2_phases import run_phase_breakdown
 
 
 class TestReportHelpers:
@@ -34,99 +39,210 @@ class TestReportHelpers:
         assert percent(0.943) == "94.3%"
 
 
-class TestFig7:
-    @pytest.fixture(scope="class")
-    def result95(self):
-        return run_hint_experiment(hint_level=0.95, num_nodes=16, duration=60.0, seed=11)
-
-    @pytest.fixture(scope="class")
-    def result85(self):
-        return run_hint_experiment(hint_level=0.85, num_nodes=16, duration=60.0, seed=11)
-
-    def test_samples_cover_run(self, result95):
-        assert len(result95.sample_times) == 12
-
-    def test_hint_95_keeps_level_near_hint(self, result95):
-        """The paper's headline: lowest level ≈ 94% for a 95% hint."""
-        assert result95.lowest_worst_level > 0.88
-        assert result95.lowest_worst_level < 1.0
-
-    def test_hint_95_triggers_resolutions(self, result95):
-        assert result95.active_resolutions > 0
-
-    def test_lower_hint_lowers_maintained_level(self, result95, result85):
-        assert result85.lowest_worst_level < result95.lowest_worst_level
-
-    def test_lower_hint_needs_fewer_resolutions(self, result95, result85):
-        assert result85.active_resolutions < result95.active_resolutions
-
-    def test_worst_never_exceeds_average(self, result95):
-        for worst, avg in zip(result95.worst_levels, result95.average_levels):
-            assert worst <= avg + 1e-9
-
-    def test_format_report_contains_series(self, result95):
-        text = format_report(result95)
-        assert "view from the user" in text
-        assert "lowest user-view level" in text
+class Claim(NamedTuple):
+    experiment: str                   # registry name
+    artefact: str                     # the figure, table, formula or section
+    name: str
+    predicate: Callable[[Any], bool]  # over run(experiment, ...)'s result
 
 
-class TestFig8:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_hint_change_experiment(num_nodes=16, duration=120.0,
-                                          switch_time=60.0, seed=13)
-
-    def test_hint_change_takes_effect(self, result):
-        """Maintained level tracks the hint: higher before the switch."""
-        assert result.lowest_first_half > result.lowest_second_half
-
-    def test_second_half_still_respects_new_hint(self, result):
-        assert result.lowest_second_half > result.later_hint - 0.12
-
-    def test_resolutions_happen_in_both_halves(self, result):
-        assert result.active_resolutions >= 2
+OPT, TACT, STRONG = ("OptimisticAntiEntropy", "TactBoundedConsistency",
+                     "StrongConsistencyPrimary")
 
 
-class TestTab2:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_phase_breakdown(num_nodes=16, num_writers=4, seed=17)
+def _cost(result, protocol):
+    return result.row(protocol).messages_per_update
 
-    def test_four_runs_averaged(self, result):
-        assert result.runs == 4
 
-    def test_phase1_sub_millisecond(self, result):
-        """Paper: phase 1 ≈ 0.47 ms (parallel call-for-attention)."""
-        assert result.mean_phase1 < 0.002
+def _panel(result, hint_level):
+    (panel,) = [r for r in result if r.hint_level == hint_level]
+    return panel
 
-    def test_phase2_dominates(self, result):
-        """Paper: phase 2 (≈314 ms) is orders of magnitude larger than phase 1."""
-        assert result.mean_phase2 > 50 * result.mean_phase1
-        assert 0.02 < result.mean_phase2 < 1.0
 
-    def test_per_member_cost_in_wan_range(self, result):
-        assert 0.01 < result.per_member_cost < 0.3
+def _per_round_spread(result):
+    """|fast - slow| over the smaller of the two per-round message costs."""
+    fast, slow = (r.resolution_messages / max(r.background_rounds, 1)
+                  for r in result.runs)
+    return abs(fast - slow) / min(fast, slow)
+
+
+def _strategy(result, name):
+    (run,) = [r for r in result if r.strategy == name]
+    return run
+
+
+def _capture(result, fraction):
+    (run,) = [r for r in result if r.bottom_writer_fraction == fraction]
+    return run.capture_rate
+
+
+CLAIMS = [
+    # Figure 2: the detection-speed versus overhead trade-off
+    Claim("fig2", "Fig2", "overhead_orders_optimistic_idea_strong",
+          lambda r: _cost(r, OPT) < _cost(r, "IDEA") < _cost(r, STRONG)),
+    Claim("fig2", "Fig2", "optimistic_is_cheapest",
+          lambda r: all(_cost(r, OPT) <= x.messages_per_update for x in r.rows)),
+    Claim("fig2", "Fig2", "strong_pays_highest_message_cost",
+          lambda r: all(_cost(r, STRONG) >= x.messages_per_update
+                        for x in r.rows)),
+    Claim("fig2", "Fig2", "idea_converges_faster_than_optimistic",
+          lambda r: r.row("IDEA").convergence_delay
+          < r.row(OPT).convergence_delay),
+    Claim("fig2", "Fig2", "only_strong_blocks_writers",
+          lambda r: r.row(STRONG).writer_latency > 0.05
+          and r.row(OPT).writer_latency == 0.0
+          and r.row("IDEA").writer_latency == 0.0),
+    Claim("fig2", "Fig2", "strong_converges_before_tact",
+          lambda r: r.row(STRONG).converged and r.row(STRONG).convergence_delay
+          < r.row(TACT).convergence_delay),
+    # Figure 7: a fixed hint; the paper's lowest level is 94 % at 95 %
+    Claim("fig7", "Fig7a", "hint_95_keeps_level_near_hint",
+          lambda r: 0.95 - 0.06 < _panel(r, 0.95).lowest_worst_level < 1.0),
+    Claim("fig7", "Fig7b", "hint_85_keeps_level_near_hint",
+          lambda r: 0.70 < _panel(r, 0.85).lowest_worst_level < 0.95),
+    Claim("fig7", "Fig7", "every_hint_triggers_active_resolutions",
+          lambda r: all(panel.active_resolutions > 0 for panel in r)),
+    Claim("fig7", "Fig7", "lower_hint_lowers_maintained_level",
+          lambda r: _panel(r, 0.85).lowest_worst_level
+          < _panel(r, 0.95).lowest_worst_level),
+    Claim("fig7", "Fig7", "lower_hint_needs_fewer_resolutions",
+          lambda r: _panel(r, 0.85).active_resolutions
+          < _panel(r, 0.95).active_resolutions),
+    Claim("fig7", "Fig7", "worst_never_exceeds_average",
+          lambda r: all(worst <= average + 1e-9 for panel in r
+                        for worst, average in zip(panel.worst_levels,
+                                                  panel.average_levels))),
+    # Figure 8: the hint lowered mid-run, every schedule in the grid
+    Claim("fig8", "Fig8", "maintained_level_follows_the_hint_down",
+          lambda r: all(x.lowest_first_half > x.lowest_second_half for x in r)),
+    Claim("fig8", "Fig8", "both_halves_stay_near_their_hint",
+          lambda r: all(x.lowest_first_half > x.initial_hint - 0.08
+                        and x.lowest_second_half > x.later_hint - 0.08
+                        for x in r)),
+    Claim("fig8", "Fig8", "resolutions_happen_in_both_halves",
+          lambda r: all(x.active_resolutions >= 2 for x in r)),
+    # Table 2: every top-layer size in the grid; the paper's four writers
+    # average four runs, phase 1 = 0.47 ms and phase 2 = 314 ms
+    Claim("tab2", "Tab2", "one_round_per_initiator",
+          lambda r: any(x.top_layer_size == 4 for x in r)
+          and all(x.runs == x.top_layer_size for x in r)),
+    Claim("tab2", "Tab2", "phase1_sub_millisecond",
+          lambda r: all(x.mean_phase1 < 0.002 for x in r)),
+    Claim("tab2", "Tab2", "phase2_dominates",
+          lambda r: all(x.mean_phase2 > 100 * x.mean_phase1
+                        and 0.05 < x.mean_phase2 < 1.0 for x in r)),
+    Claim("tab2", "Tab2", "per_member_cost_in_wan_range",
+          lambda r: all(0.02 < x.per_member_cost < 0.3 for x in r)),
+    # Figure 9 and Formulas 2-3: resolution cost against the top-layer size
+    Claim("fig9", "Fig9", "delay_grows_with_top_layer_size",
+          lambda r: r.active_delays[-1] > r.active_delays[0]),
+    Claim("fig9", "Formula2", "delay_is_linear_in_top_layer_size",
+          lambda r: np.corrcoef([r.fitted.predict(n) for n in r.sizes],
+                                r.active_delays)[0, 1] > 0.9),
+    Claim("fig9", "Formula2", "fitted_slope_positive",
+          lambda r: r.fitted.per_member > 0),
+    Claim("fig9", "Fig9", "ten_writers_resolve_below_one_second",
+          lambda r: max(r.active_delays) < 1.0 and r.fitted.predict(10) < 1.0),
+    Claim("fig9", "Formula3", "background_no_dearer_than_active",
+          lambda r: np.mean(r.background_delays)
+          <= np.mean(r.active_delays) * 1.2),
+    # Table 3 and Formulas 4-5; runs are [every 20 s, every 40 s]
+    Claim("tab3", "Tab3", "faster_schedule_runs_more_rounds",
+          lambda r: r.runs[0].background_rounds > r.runs[1].background_rounds),
+    Claim("tab3", "Tab3", "faster_schedule_costs_more_messages",
+          lambda r: r.runs[0].resolution_messages
+          > r.runs[1].resolution_messages),
+    Claim("tab3", "Formula5", "per_round_cost_constant_across_schedules",
+          lambda r: _per_round_spread(r) < 0.5),
+    # under a 20 % cap of 1 Mbps, more than one round per 20 s
+    Claim("tab3", "Formula4", "optimal_rate_exceeds_the_fast_schedule",
+          lambda r: r.optimal_rate(1_000_000, 0.2) > 1.0 / 20.0),
+    # at 1 KB a message, the fast schedule stays in the KB/s range
+    Claim("tab3", "Tab3", "bandwidth_stays_in_kb_per_second",
+          lambda r: r.runs[0].resolution_messages / r.runs[0].duration < 50.0),
+    Claim("tab3", "Sec6.3.2", "faster_schedule_gives_higher_consistency",
+          lambda r: np.mean(r.runs[0].average_levels)
+          > np.mean(r.runs[1].average_levels)),
+    # Figure 10: the saw-tooth under automatic background resolution
+    Claim("fig10", "Fig10", "one_run_per_period", lambda r: len(r.runs) == 2),
+    Claim("fig10", "Fig10", "faster_schedule_keeps_higher_level",
+          lambda r: r.mean_average_level(r.runs[0])
+          > r.mean_average_level(r.runs[1])),
+    Claim("fig10", "Fig10", "level_saw_tooths_back_up",
+          lambda r: any(b > a + 1e-6 for a, b
+                        in itertools.pairwise(r.runs[1].average_levels))),
+    Claim("fig10", "Fig10", "no_seat_oversold",
+          lambda r: r.runs[0].oversold == 0),
+    # Ablations: the resolution policies and the back-off of Section 4.5,
+    # and the two-layer overlay's capture claim (Section 4.1, from IDF)
+    Claim("abl_policies", "Sec4.5.1", "invalidate_both_loses_progress",
+          lambda r: _strategy(r, "INVALIDATE_BOTH").surviving
+          < _strategy(r, "USER_ID_BASED").surviving),
+    Claim("abl_policies", "Sec4.5.1", "user_id_and_priority_keep_all_progress",
+          lambda r: _strategy(r, "USER_ID_BASED").progress == 1.0
+          and _strategy(r, "PRIORITY_BASED").progress == 1.0),
+    # suppression runs are [without back-off, with it]
+    Claim("abl_suppression", "Sec4.5.2", "backoff_completes_no_more_rounds",
+          lambda r: r[0].completed >= r[1].completed),
+    Claim("abl_suppression", "Sec4.5.2", "backoff_suppresses_an_initiator",
+          lambda r: r[1].suppressed >= 1),
+    Claim("abl_suppression", "Sec4.5.2", "backoff_saves_resolution_traffic",
+          lambda r: r[1].messages <= r[0].messages),
+    Claim("abl_toplayer", "Sec4.1", "top_layer_captures_over_95_percent",
+          lambda r: _capture(r, 0.0) > 0.95),
+    Claim("abl_toplayer", "Sec4.1", "capture_degrades_as_writers_go_cold",
+          lambda r: _capture(r, 0.5) <= _capture(r, 0.0)),
+]
+
+#: the smaller size each paper experiment's claims also run at
+SMALL = {
+    "fig2": dict(num_nodes=8, duration=40.0, settle=30.0),
+    "fig7": dict(num_nodes=16, duration=60.0),
+    "fig8": dict(hint_schedules=((0.95, 0.90),), num_nodes=16,
+                 duration=120.0, switch_time=60.0),
+    "tab2": dict(writer_counts=(4,), num_nodes=16),
+    "fig9": dict(max_top_layer=6, num_nodes=16),
+    "tab3": dict(duration=80.0, num_nodes=16),
+    "fig10": dict(duration=60.0, num_nodes=12),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def result_at(name: str, size: str) -> Any:
+    return run(name, **(SMALL[name] if size == "small" else {}))
+
+
+@pytest.mark.parametrize("claim, size", [
+    pytest.param(c, size, id=f"{c.experiment}-{c.artefact}-{c.name}-{size}")
+    for c in CLAIMS
+    for size in (("paper", "small") if c.experiment in SMALL else ("paper",))])
+def test_claim(claim, size):
+    assert claim.predicate(result_at(claim.experiment, size)), (
+        f"{claim.experiment} ({claim.artefact}): {claim.name} fails at "
+        f"{size} size")
+
+
+def test_every_paper_experiment_and_ablation_states_its_claims():
+    paper = {"fig2", "fig7", "fig8", "tab2", "fig9", "tab3", "fig10"}
+    ablations = {"abl_policies", "abl_suppression", "abl_toplayer"}
+    assert {c.experiment for c in CLAIMS} == paper | ablations
+    assert set(SMALL) == paper
+    assert len({c.name for c in CLAIMS}) == len(CLAIMS)
+
+
+@pytest.mark.parametrize("size, samples", [("small", 12), ("paper", 20)])
+def test_fig7_samples_cover_the_run(size, samples):
+    for panel in result_at("fig7", size):
+        assert len(panel.sample_times) == samples
+
+
+def test_fig7_report_contains_the_series():
+    text = format_report(_panel(result_at("fig7", "small"), 0.95))
+    assert "view from the user" in text
+    assert "lowest user-view level" in text
 
 
 class TestFig9:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run("fig9", max_top_layer=6, num_nodes=16, seed=19)
-
-    def test_delay_grows_with_top_layer_size(self, result):
-        assert result.active_delays[-1] > result.active_delays[0]
-
-    def test_ten_writers_extrapolation_below_one_second(self, result):
-        assert result.fitted.predict(10) < 1.0
-
-    def test_background_cheaper_than_active_on_average(self, result):
-        avg_active = sum(result.active_delays) / len(result.active_delays)
-        avg_background = sum(result.background_delays) / len(result.background_delays)
-        assert avg_background <= avg_active * 1.2
-
-    def test_fitted_slope_positive(self, result):
-        assert result.fitted.per_member > 0
-
     def test_512_node_point_is_pinned_and_sub_second(self):
         # Resolution cost follows the top-layer size, not the deployment
         # size: four writers on 512 nodes still resolve well under a second.
@@ -139,69 +255,6 @@ class TestFig9:
             num_nodes=512, num_objects=4, writers_per_object=4,
             write_period=2.0, duration=60.0, seed=23)
         assert (events, writes) == (1848, 464)
-
-
-class TestTab3AndFig10:
-    @pytest.fixture(scope="class")
-    def overhead(self):
-        return run("tab3", periods=(20.0, 40.0), duration=80.0,
-                   num_nodes=16, seed=23)
-
-    def test_faster_schedule_costs_more_messages(self, overhead):
-        fast, slow = overhead.runs
-        assert fast.resolution_messages > slow.resolution_messages
-
-    def test_per_round_cost_constant_across_schedules(self, overhead):
-        fast, slow = overhead.runs
-        per_fast = fast.resolution_messages / max(fast.background_rounds, 1)
-        per_slow = slow.resolution_messages / max(slow.background_rounds, 1)
-        assert per_fast == pytest.approx(per_slow, rel=0.5)
-
-    def test_optimal_rate_positive(self, overhead):
-        assert overhead.optimal_rate(1_000_000, 0.2) > 0
-
-    def test_faster_schedule_gives_higher_consistency(self, overhead):
-        fast, slow = overhead.runs
-        mean_fast = sum(fast.average_levels) / len(fast.average_levels)
-        mean_slow = sum(slow.average_levels) / len(slow.average_levels)
-        assert mean_fast > mean_slow
-
-    def test_automatic_experiment_wraps_same_runs(self):
-        result = run("fig10", periods=(20.0, 40.0), duration=60.0,
-                     num_nodes=12, seed=29)
-        assert len(result.runs) == 2
-        assert result.mean_average_level(result.runs[0]) >= result.mean_average_level(
-            result.runs[1])
-
-
-class TestFig2:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run("fig2", num_nodes=8, duration=40.0, settle=30.0, seed=31)
-
-    def test_strong_pays_highest_message_cost(self, result):
-        strong = result.row("StrongConsistencyPrimary")
-        for row in result.rows:
-            assert strong.messages_per_update >= row.messages_per_update
-
-    def test_optimistic_is_cheapest(self, result):
-        optimistic = result.row("OptimisticAntiEntropy")
-        for row in result.rows:
-            assert optimistic.messages_per_update <= row.messages_per_update
-
-    def test_idea_sits_between_optimistic_and_strong_in_cost(self, result):
-        idea = result.row("IDEA")
-        assert result.row("OptimisticAntiEntropy").messages_per_update < \
-            idea.messages_per_update < result.row("StrongConsistencyPrimary").messages_per_update
-
-    def test_only_strong_blocks_writers(self, result):
-        assert result.row("StrongConsistencyPrimary").writer_latency > 0
-        assert result.row("OptimisticAntiEntropy").writer_latency == 0
-        assert result.row("IDEA").writer_latency == 0
-
-    def test_idea_converges_faster_than_optimistic(self, result):
-        assert result.row("IDEA").convergence_delay < \
-            result.row("OptimisticAntiEntropy").convergence_delay
 
 
 class _StubClock:

@@ -29,6 +29,8 @@ import pytest
 
 import repro.experiments as ex
 from repro.experiments import cli, registry
+from repro.experiments.ablations import (run_capture_point, run_policy_point,
+                                        run_suppression_point)
 from repro.experiments.fig2_tradeoff import run_protocol_point
 from repro.experiments.fig7_hint import run_hint_experiment
 from repro.experiments.fig8_hint_change import run_hint_change_experiment
@@ -60,6 +62,12 @@ CHEAP_POINTS = {
     "churn": (run_churn_point, dict(num_nodes=8, duration=20.0)),
     "workload": (run_workload_point,
                  dict(num_nodes=8, num_clients=8, duration=15.0)),
+    "abl_policies": (run_policy_point,
+                     dict(strategy="PRIORITY_BASED", num_nodes=6)),
+    "abl_suppression": (run_suppression_point,
+                        dict(suppression_jitter=1.0, num_nodes=6)),
+    "abl_toplayer": (run_capture_point,
+                     dict(bottom_writer_fraction=0.5, num_nodes=10, rounds=2)),
 }
 
 #: world_matrix's specs carry no seed: each world runs at its pinned one
@@ -165,8 +173,10 @@ def test_folded_experiment_farms_and_matches_serial():
 
 def test_registry_covers_every_experiment_module():
     assert set(registry.REGISTRY) == {"fig2", "fig7", "fig8", "tab2", "fig9",
-                                      "multiobject", "tab3", "fig10", "churn",
-                                      "workload", "world_matrix"}
+                                      "multiobject", "tab3", "fig10",
+                                      "abl_policies", "abl_suppression",
+                                      "abl_toplayer", "churn", "workload",
+                                      "world_matrix"}
     for entry in registry.REGISTRY.values():
         assert entry.description
         assert callable(entry.grid) and callable(entry.report)
@@ -399,6 +409,19 @@ def test_cli_rejects_a_param_nobody_takes(argv, named, capsys):
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and "takes no parameter" in line
     assert named in line.partition("accepted: ")[2]
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--run", "fig9", "--param", "max_top_layer=1"], "max_top_layer must be >= 2"),
+    (["--run", "tab2", "--param", "writer_counts=(1,)"],
+     "writer_counts must all be >= 2"),
+])
+def test_cli_rejects_a_size_the_grid_refuses(argv, reason, capsys):
+    # a one-member top layer has no member to visit: refused by the grid,
+    # before any point runs
+    assert cli.main(argv + ["--quiet"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and reason in line
 
 
 def test_cli_rejects_jobs_as_a_param(capsys):

@@ -87,8 +87,7 @@ class TestImportBoundary:
         """Sim and live both build through DeploymentBuilder: nothing
         else wires a store, runtime, middleware, gossip/RanSub service or
         overlay, and nothing outside the builder constructs a deployment —
-        the examples, the benchmark scripts (which tier-1 does not import)
-        and the tests included."""
+        the examples and the tests included."""
         violations = []
         for path in sorted(SRC.rglob("*.py")):
             relative = path.relative_to(SRC).as_posix()
@@ -96,9 +95,7 @@ class TestImportBoundary:
             violations += [f"{relative}:{line}: {name}(...)"
                            for line, name in _calls(path) if name in forbidden]
         root = SRC.parent.parent
-        scripts = [*root.glob("examples/*.py"),
-                   *root.glob("benchmarks/bench_*.py"),
-                   *root.glob("tests/*.py")]
+        scripts = [*root.glob("examples/*.py"), *root.glob("tests/*.py")]
         assert len(scripts) > 3
         for path in sorted(scripts):
             violations += [f"{path.relative_to(root)}:{line}: {name}(...)"
