@@ -33,18 +33,26 @@ from repro.farm import FarmPointError
 
 
 def _parse_param(text: str) -> tuple:
-    """``key=value`` with the value parsed as a Python literal."""
+    """``key=value``; the value is parsed by :func:`_param_value`."""
     key, sep, raw = text.partition("=")
     if not sep or not key:
         raise argparse.ArgumentTypeError(
             f"expected key=value, got {text!r}")
     if key.strip() == "jobs":
         raise argparse.ArgumentTypeError("worker processes are --jobs N")
+    return key.strip(), raw
+
+
+def _param_value(key: str, raw: str) -> Any:
+    """A Python literal, or a bare name kept as a string (``--param
+    shape=flash``); anything else raises ``ValueError`` naming ``key``."""
     try:
-        value = ast.literal_eval(raw)
-    except (ValueError, SyntaxError):
-        value = raw  # bare strings stay strings ("--param shape=flash")
-    return key.strip(), value
+        return ast.literal_eval(raw)
+    except (ValueError, TypeError, SyntaxError, MemoryError):
+        if raw.isidentifier():
+            return raw
+    raise ValueError(f"--param {key}: {raw!r} is neither a Python literal "
+                     f"nor a bare name")
 
 
 def _parse_jobs(text: str) -> int:
@@ -133,7 +141,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     kwargs: Dict[str, Any] = dict(entry.smoke) if args.smoke else {}
-    kwargs.update(dict(args.param))
+    try:
+        kwargs.update((key, _param_value(key, raw)) for key, raw in args.param)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.worlds:
         if "worlds" not in entry.parameters():
             print(f"error: experiment {args.run!r} does not take --world",

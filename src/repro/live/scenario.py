@@ -212,7 +212,7 @@ class NodeStack:
     def journal(self, kind: str, object_id: str, *args: Any) -> None:
         """One ``live.wire`` frame, one unbuffered ``os.write``."""
         os.write(self._journal_fd, encode_envelope(
-            self.node.node_id, object_id, "journal", kind, list(args), 0, 0.0))
+            self.node.node_id, object_id, "journal", kind, list(args)))
 
     def replay(self, path: str) -> int:
         """Re-apply the journal at ``path`` to this fresh stack: replicas,
@@ -229,7 +229,7 @@ class NodeStack:
             if end > len(data) and length <= MAX_FRAME_BYTES:
                 break
             try:
-                src, obj, protocol, kind, args, _, _ = decode_envelope(
+                src, obj, protocol, kind, args = decode_envelope(
                     data[offset + HEADER.size:end])
                 if (src, protocol, type(args)) != (self.node.node_id,
                                                    "journal", list):

@@ -174,8 +174,8 @@ class _InboundFrames(asyncio.Protocol):
             start = end
             try:
                 # through the module: the ledger's tracer patches it there
-                (src, dst, protocol, msg_type, payload, size_bytes,
-                 _sent_at) = wire.decode_envelope(body)
+                src, dst, protocol, msg_type, payload = \
+                    wire.decode_envelope(body)
             except wire.WireError:
                 self._refuse()
                 return
@@ -184,9 +184,8 @@ class _InboundFrames(asyncio.Protocol):
                 # whose clock has not reached it yet
                 owner._count_drop(protocol, "partition")
                 continue
-            owner._deliver_local(owner._make_message(
-                src, dst, protocol, msg_type, payload, size_bytes,
-                owner.clock.now))
+            owner._deliver_local(
+                Message(src, dst, protocol, msg_type, payload))
         del buffer[:start]
 
     def _refuse(self) -> None:
@@ -229,9 +228,7 @@ class LiveTransport:
         self._inbound: Set[asyncio.BaseTransport] = set()
         #: connected, unpaused links with frames to write in the next flush
         self._dirty: List[_PeerLink] = []
-        self._next_msg_id = 0
         self._closing = False
-        self.delivery_hooks: List[Any] = []
 
         # --- fault tolerance knobs ---
         self.connect_backoff = connect_backoff
@@ -415,8 +412,7 @@ class LiveTransport:
 
     # ---------------------------------------------------------------- sending
     def send(self, src: str, dst: str, *, protocol: str, msg_type: str,
-             payload: Any = None,
-             size_bytes: Optional[int] = None) -> Optional[Message]:
+             payload: Any = None, size_bytes: Optional[int] = None) -> bool:
         size = (self.DEFAULT_MESSAGE_BYTES if size_bytes is None
                 else int(size_bytes))
         return self._send(src, dst, protocol, msg_type, payload, size,
@@ -424,73 +420,56 @@ class LiveTransport:
 
     def send_many(self, src: str, dsts: Sequence[str], *, protocol: str,
                   msg_type: str, payload: Any = None,
-                  size_bytes: Optional[int] = None) -> List[Message]:
-        """``[send(src, d, …) for d in dsts]`` minus the drops, with one
-        payload encoding per call: the first remote destination encodes the
-        payload, the rest splice that part into their own frame."""
+                  size_bytes: Optional[int] = None) -> int:
+        """``sum(send(src, d, …) for d in dsts)``, with one payload encoding
+        per call: the first remote destination encodes the payload, the
+        rest splice that part into their own frame."""
         size = (self.DEFAULT_MESSAGE_BYTES if size_bytes is None
                 else int(size_bytes))
         shared = wire.SharedPayload(payload)
-        return [m for dst in dsts
-                if (m := self._send(src, dst, protocol, msg_type, payload,
-                                    size, shared)) is not None]
+        return sum([self._send(src, dst, protocol, msg_type, payload, size,
+                               shared) for dst in dsts])
 
     def _send(self, src: str, dst: str, protocol: str, msg_type: str,
-              payload: Any, size: int, framed: Any) -> Optional[Message]:
+              payload: Any, size: int, framed: Any) -> bool:
         """One destination's checks, accounting and queueing; ``framed`` is
         what the codec is given — ``payload`` or its ``SharedPayload``."""
         if src not in self._nodes:
             if src not in self._known:
                 raise KeyError(f"source node {src!r} is not registered")
             self._drop(protocol, size, "src-down")
-            return None
+            return False
         if dst not in self._nodes and dst not in self.addresses:
             raise KeyError(f"destination node {dst!r} is not registered")
         if dst in self._blocked_peers:
             self._drop(protocol, size, "partition")
-            return None
+            return False
         if self._loss_draw():
             self._drop(protocol, size, "loss")
-            return None
+            return False
         if dst in self._peer_down:
             # crash-stop as observed from here: the peer is gone, sends to
             # it degrade to counted drops exactly like sim's failed nodes
             self._drop(protocol, size, "dst-down")
-            return None
+            return False
         stats = self.stats
-        # one reading per message: the frame and the Message handed back to
-        # the caller carry the same ``sent_at``
-        now = self.clock.now
+        stats.sent[protocol] += 1
+        stats.bytes_sent[protocol] += size
         if dst in self._nodes:
             # Local fast path: one queue hop through the clock, mirroring a
             # zero-latency simulated delivery (no re-entrant handler calls).
-            stats.sent[protocol] += 1
-            stats.bytes_sent[protocol] += size
-            message = self._make_message(src, dst, protocol, msg_type,
-                                         payload, size, now)
-            self.clock.call_after(0.0, self._deliver_local, arg=message)
-            return message
-        stats.sent[protocol] += 1
-        stats.bytes_sent[protocol] += size
+            self.clock.call_after(
+                0.0, self._deliver_local,
+                arg=Message(src, dst, protocol, msg_type, payload))
+            return True
         try:
-            frame = wire.encode_envelope(src, dst, protocol, msg_type,
-                                         framed, size, now)
+            frame = wire.encode_envelope(src, dst, protocol, msg_type, framed)
         except wire.WireError:
-            self.stats.dropped[protocol] += 1
-            self.stats.drop_reasons["encode-error"] += 1
+            stats.dropped[protocol] += 1
+            stats.drop_reasons["encode-error"] += 1
             raise
         self._enqueue(dst, protocol, frame)
-        return self._make_message(src, dst, protocol, msg_type, payload, size,
-                                  now)
-
-    def _make_message(self, src: str, dst: str, protocol: str, msg_type: str,
-                      payload: Any, size: int, now: float) -> Message:
-        """A message sent (outbound) or arrived (inbound) at ``now``."""
-        msg_id = self._next_msg_id
-        self._next_msg_id = msg_id + 1
-        return Message(msg_id=msg_id, src=src, dst=dst, protocol=protocol,
-                       msg_type=msg_type, payload=payload, size_bytes=size,
-                       sent_at=now, deliver_at=now)
+        return True
 
     def _drop(self, protocol: str, size: int, reason: str) -> None:
         stats = self.stats
@@ -513,8 +492,6 @@ class LiveTransport:
             self.stats.drop_reasons["departed"] += 1
             return
         self.stats.delivered[message.protocol] += 1
-        for hook in self.delivery_hooks:
-            hook(message)
         node.deliver(message)
 
     # ------------------------------------------------------- outbound peers

@@ -8,23 +8,23 @@ this codec *losslessly*: decode(encode(x)) == x, including container types
 (the resolution installer uses ``(writer, seq)`` tuples as dict keys
 downstream, so tuples must come back as tuples, not lists).
 
-A frame is ``struct.pack(">I", len(body))`` followed by a body its first
-byte picks.  The top layer's announce (a ``{"digest": VersionDigest}``
-payload, 95 % of live frames) is a binary body: one big-endian ``>BqdII``
-header (the tag byte ``0x01``, ``size_bytes`` as int64, ``sent_at`` as a
-double, the writer count, the names' byte length), the names UTF-8 and
+A frame carries what a receiver reads — src, dst, protocol, msg_type and
+the payload — and nothing else: the sender charges the message's size to
+its own ``NetworkStats``, and no side reads a send time.  A frame is
+``struct.pack(">I", len(body))`` followed by a body its first byte picks.
+The top layer's announce (a ``{"digest": VersionDigest}`` payload, 95 % of
+live frames) is a binary body: one big-endian ``>BII`` header (the tag byte
+``0x01``, the writer count, the names' byte length), the names UTF-8 and
 NUL-joined (src, dst, protocol, msg_type, object, node, each writer), then
 the digest's raw column (below).  An id holding a NUL or a lone surrogate,
 or not a ``str``, sends the announce as JSON: one ``count`` of the NULs in
 the joined names decides.  Its decoder raises :class:`WireError` for a
 names count other than the writer count plus six, names that are not UTF-8,
-a column of the wrong length, or a non-finite ``sent_at`` or column value;
-an ``int`` ``sent_at`` comes back a ``float``.
+a column of the wrong length, or a non-finite column value.
 
 Every other body, the gossip hop's digest beside its ``ttl`` and
 ``members`` included, is JSON (which refuses an unknown first byte): the
-ASCII envelope ``[src, dst, protocol, msg_type, payload, size_bytes,
-sent_at]``.  JSON alone cannot represent tuples, non-string dict keys or
+ASCII envelope ``[src, dst, protocol, msg_type, payload]``.  JSON alone cannot represent tuples, non-string dict keys or
 our dataclasses, so three tagged objects carry them:
 
 * tuple ``(a, b)``            → ``{"__t": [a', b']}``
@@ -74,8 +74,8 @@ valid JSON, names an unknown class, has the wrong arity or shape for its
 class or tag, puts an unhashable value in a key position, spells ``NaN`` or
 an infinity (as a literal or inside a packed column), carries a column that
 is not a ``str``, not base64 or of the wrong length, nests past the
-interpreter's limit, or whose envelope fields are not four ``str``, an
-``int`` and a real number raises :class:`WireError` — :func:`decode_envelope`
+interpreter's limit, or is not a five-field envelope whose first four
+fields are ``str`` raises :class:`WireError` — :func:`decode_envelope`
 raises nothing else.
 
 **The pair table.**  A digest's writers change one at a time: an announce
@@ -95,13 +95,11 @@ decode would build — by ``==``, so a ``-0.0`` row after a ``0.0`` one (or
 
 **Encoding** runs a C encoder built once at import (compact separators,
 ``allow_nan=False``, ``_refuse`` for unknown types; ``JSONEncoder.iterencode``
-where the accelerator is absent) on the payload and on ``[size_bytes,
-sent_at]``; the four head strings go through the C string escaper.  A
-non-finite float, an ``int`` outside int64 or a non-number in a typed
-numeric field, a container that holds itself, a value of no registered
-type, or an announce whose ``size_bytes`` is not an ``int`` in int64
-raises :class:`WireError`, which the transport counts as an
-``encode-error`` drop.
+where the accelerator is absent) on the payload; the four head strings go
+through the C string escaper.  A non-finite float, an ``int`` outside int64
+or a non-number in a typed numeric field, a container that holds itself, or
+a value of no registered type raises :class:`WireError`, which the
+transport counts as an ``encode-error`` drop.
 
 **Fan-out.**  A payload bound for several destinations is wrapped in one
 :class:`SharedPayload`; the first :func:`encode_envelope` that needs its
@@ -425,10 +423,10 @@ _MALFORMED = (ValueError, TypeError, LookupError, RecursionError,
 #: the first byte of an announce body (a JSON body starts with ``[``)
 _ANNOUNCE = b"\x01"
 
-#: an announce body's header: tag, size_bytes, sent_at, writer count and the
-#: names' byte length; behind the frame's length when encoding
-_ANNOUNCE_HEAD = struct.Struct(">BqdII")
-_ANNOUNCE_FRAME = struct.Struct(">IBqdII")
+#: an announce body's header: tag, writer count and the names' byte length;
+#: behind the frame's length when encoding
+_ANNOUNCE_HEAD = struct.Struct(">BII")
+_ANNOUNCE_FRAME = struct.Struct(">IBII")
 
 
 def _announce_part(payload: Any) -> Tuple[Any, ...]:
@@ -471,7 +469,7 @@ class SharedPayload:
 
 
 def encode_envelope(src: str, dst: str, protocol: str, msg_type: str,
-                    payload: Any, size_bytes: int, sent_at: float) -> bytes:
+                    payload: Any) -> bytes:
     """Encode one message envelope into a length-prefixed frame; raises
     :class:`WireError` for a payload or envelope field the wire cannot
     carry."""
@@ -492,39 +490,30 @@ def encode_envelope(src: str, dst: str, protocol: str, msg_type: str,
             # an id holding a NUL would split in two: JSON carries it
             if names.count(0) == writers + 5:
                 length = _ANNOUNCE_HEAD.size + len(names) + len(column)
-                head = _ANNOUNCE_FRAME.pack(length, _ANNOUNCE[0], size_bytes,
-                                            sent_at, writers, len(names))
-                if type(size_bytes) is not int or not isfinite(sent_at):
-                    raise WireError("the envelope's size or time cannot be "
-                                    "encoded for the wire")
                 if length > MAX_FRAME_BYTES:
                     raise WireError(f"frame body {length} bytes exceeds "
                                     f"{MAX_FRAME_BYTES}")
-                return head + names + column
+                return (_ANNOUNCE_FRAME.pack(length, _ANNOUNCE[0], writers,
+                                             len(names)) + names + column)
         text = (payload.text() if type(payload) is SharedPayload
                 else "".join(_iterencode(_pack(payload), 0)))
-        # the C encoder writes an exact int and a finite float by ``repr``
-        tail = (f"{size_bytes},{sent_at!r}]" if type(size_bytes) is int
-                and type(sent_at) is float and isfinite(sent_at)
-                else "".join(_iterencode([size_bytes, sent_at], 0))[1:])
     except _UNENCODABLE as exc:
         raise WireError(f"cannot encode for the wire: {exc!r}") from exc
     body = (f"[{_escape(src)},{_escape(dst)},{_escape(protocol)},"
-            f"{_escape(msg_type)},{text},{tail}").encode("utf-8")
+            f"{_escape(msg_type)},{text}]").encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame body {len(body)} bytes exceeds "
                         f"{MAX_FRAME_BYTES}")
     return HEADER.pack(len(body)) + body
 
 
-def decode_envelope(body: bytes) -> Tuple[str, str, str, str, Any, int, float]:
+def decode_envelope(body: bytes) -> Tuple[str, str, str, str, Any]:
     """Decode a frame body back into ``(src, dst, protocol, msg_type,
-    payload, size_bytes, sent_at)``; raises :class:`WireError` and nothing
-    else, whatever the bytes."""
+    payload)``; raises :class:`WireError` and nothing else, whatever the
+    bytes."""
     if body[:1] == _ANNOUNCE:
         try:
-            _, size_bytes, sent_at, writers, length = \
-                _ANNOUNCE_HEAD.unpack_from(body)
+            _, writers, length = _ANNOUNCE_HEAD.unpack_from(body)
             end = _ANNOUNCE_HEAD.size + length
             (src, dst, protocol, msg_type, object_id, node_id,
              *names) = body[_ANNOUNCE_HEAD.size:end].decode().split("\0")
@@ -534,26 +523,22 @@ def decode_envelope(body: bytes) -> Tuple[str, str, str, str, Any, int, float]:
             values = _LAYOUTS[writers, 3 + 2 * writers].unpack(body[end:])
         except (ValueError, struct.error) as exc:  # not UTF-8, too few names
             raise WireError(f"malformed announce body: {exc!r}") from exc
-        if not isfinite(sent_at):
-            raise WireError("an announce's sent_at is not finite")
         return (src, dst, protocol, msg_type,
-                {"digest": _rebuild_digest(object_id, node_id, names, values)},
-                size_bytes, sent_at)
+                {"digest": _rebuild_digest(object_id, node_id, names, values)})
     try:
         fields = _decode(body.decode("utf-8"))
     except _MALFORMED as exc:
         raise WireError(f"malformed frame body: {exc!r}") from exc
-    if type(fields) is not list or len(fields) != 7:
-        raise WireError("frame body is not a 7-field envelope")
-    src, dst, protocol, msg_type, payload, size_bytes, sent_at = fields
+    if type(fields) is not list or len(fields) != 5:
+        raise WireError("frame body is not a 5-field envelope")
+    src, dst, protocol, msg_type, payload = fields
     if not (type(src) is str and type(dst) is str and type(protocol) is str
-            and type(msg_type) is str and type(size_bytes) is int
-            and type(sent_at) in (int, float)):
+            and type(msg_type) is str):
         raise WireError("envelope fields have the wrong types")
-    return src, dst, protocol, msg_type, payload, size_bytes, sent_at
+    return src, dst, protocol, msg_type, payload
 
 
 def roundtrip(value: Any) -> Any:
     """Encode then decode a payload value (test helper)."""
-    frame = encode_envelope("a", "b", "p", "t", value, 0, 0.0)
+    frame = encode_envelope("a", "b", "p", "t", value)
     return decode_envelope(frame[HEADER.size:])[4]

@@ -75,7 +75,6 @@ class Network:
         #: check.  Per-link drops are accounted under the "link-loss" reason,
         #: separate from the global "loss" bucket.
         self._pair_loss: Dict[tuple, float] = {}
-        self._next_msg_id = 0
         self._loss_rng = sim.random.stream("network.loss")
         #: (protocol, msg_type) -> interned delivery-event label; the pairs
         #: form a small fixed set, so labels are built once, not per send
@@ -211,12 +210,11 @@ class Network:
         stats.drop_reasons[reason] += 1
 
     def send(self, src: str, dst: str, *, protocol: str, msg_type: str,
-             payload: Any = None, size_bytes: Optional[int] = None) -> Optional[Message]:
-        """Send a message; returns the in-flight message or ``None`` if dropped."""
-        sent = self.send_many(src, (dst,), protocol=protocol,
+             payload: Any = None, size_bytes: Optional[int] = None) -> bool:
+        """Send a message; True if it is in flight, False if dropped."""
+        return self.send_many(src, (dst,), protocol=protocol,
                               msg_type=msg_type, payload=payload,
-                              size_bytes=size_bytes)
-        return sent[0] if sent else None
+                              size_bytes=size_bytes) == 1
 
     def _label(self, protocol: str, msg_type: str) -> str:
         key = (protocol, msg_type)
@@ -227,8 +225,9 @@ class Network:
 
     def send_many(self, src: str, dsts: Sequence[str], *, protocol: str,
                   msg_type: str, payload: Any = None,
-                  size_bytes: Optional[int] = None) -> List[Message]:
-        """Fan one payload out to many destinations; returns in-flight messages.
+                  size_bytes: Optional[int] = None) -> int:
+        """Fan one payload out to many destinations; returns how many of the
+        messages are in flight.
 
         The payload object is shared across the fan-out (receivers treat
         payloads as read-only), so a top-layer broadcast allocates one payload
@@ -240,7 +239,7 @@ class Network:
         stream order and every event are the same.
         """
         if not dsts:
-            return []
+            return 0
         size = self.DEFAULT_MESSAGE_BYTES if size_bytes is None else int(size_bytes)
         nodes = self._nodes
         if (src not in nodes or self._partition_of is not None
@@ -255,44 +254,38 @@ class Network:
                 else:
                     self._drop(protocol, size, reason)
             if not reachable:
-                return []
+                return 0
             dsts = reachable
         stats = self.stats
         count = len(dsts)
         stats.sent[protocol] += count
         stats.bytes_sent[protocol] += size * count
         sim = self.sim
-        now = sim.now
         label = self._label(protocol, msg_type)
         loss = self.loss_probability
         pair_loss = self._pair_loss
-        msg_id = self._next_msg_id
         draw_loss = self._loss_rng.random
         draw_delay = self.latency.delay
         call_after = sim.call_after
         deliver = self._deliver
         priority = Simulator.PRIORITY_NETWORK
-        sent: List[Message] = []
         for dst in dsts:
             if loss > 0 and draw_loss() < loss:
                 stats.dropped[protocol] += 1
                 stats.drop_reasons["loss"] += 1
+                count -= 1
                 continue
             if pair_loss:
                 link_loss = pair_loss.get((src, dst))
                 if link_loss is not None and draw_loss() < link_loss:
                     stats.dropped[protocol] += 1
                     stats.drop_reasons["link-loss"] += 1
+                    count -= 1
                     continue
-            delay = draw_delay(src, dst)
-            message = Message(msg_id, src, dst, protocol, msg_type, payload,
-                              size, now, now + delay)
-            msg_id += 1
-            call_after(delay, deliver, arg=message, recyclable=True,
-                       priority=priority, label=label)
-            sent.append(message)
-        self._next_msg_id = msg_id
-        return sent
+            call_after(draw_delay(src, dst), deliver,
+                       arg=Message(src, dst, protocol, msg_type, payload),
+                       recyclable=True, priority=priority, label=label)
+        return count
 
     def _deliver(self, message: Message) -> None:
         node = self._nodes.get(message.dst)

@@ -19,7 +19,9 @@ Contract summary
 
 ``Transport``
     Registration by ``node_id``; ``send``/``send_many`` for one-way
-    messages (fire-and-forget, may drop); ``has_node`` reflecting local
+    messages (fire-and-forget, may drop): ``send`` returns whether the
+    message left and ``send_many`` how many destinations one left for;
+    neither hands a message back.  ``has_node`` reflecting local
     reachability knowledge; ``stats`` accounting.  Sending to an id that was
     *never* registered raises ``KeyError`` where the backend can know that
     (the simulator always can; the live transport only for ids missing from
@@ -29,10 +31,10 @@ Contract summary
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Iterable, List, Optional, Protocol,
-                    Sequence, runtime_checkable)
+from typing import (Any, Callable, Iterable, Optional, Protocol, Sequence,
+                    runtime_checkable)
 
-from repro.transport.message import Message, NetworkStats
+from repro.transport.message import NetworkStats
 
 
 @runtime_checkable
@@ -74,8 +76,8 @@ class Transport(Protocol):
 
     def send(self, src: str, dst: str, *, protocol: str, msg_type: str,
              payload: Any = None,
-             size_bytes: Optional[int] = None) -> Optional[Message]: ...
+             size_bytes: Optional[int] = None) -> bool: ...
 
     def send_many(self, src: str, dsts: Sequence[str], *, protocol: str,
                   msg_type: str, payload: Any = None,
-                  size_bytes: Optional[int] = None) -> List[Message]: ...
+                  size_bytes: Optional[int] = None) -> int: ...

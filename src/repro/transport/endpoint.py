@@ -140,19 +140,19 @@ class ProtocolEndpoint:
         self._handlers[f"rpc:{method}"] = handler
 
     def send(self, dst: str, *, protocol: str, msg_type: str, payload: Any = None,
-             size_bytes: Optional[int] = None) -> Optional[Message]:
-        """Send a one-way message."""
+             size_bytes: Optional[int] = None) -> bool:
+        """Send a one-way message; True if it left."""
         if not self.alive:
-            return None
+            return False
         return self.transport.send(self.node_id, dst, protocol=protocol,
                                    msg_type=msg_type, payload=payload,
                                    size_bytes=size_bytes)
 
     def send_many(self, dsts, *, protocol: str, msg_type: str,
-                  payload: Any = None, size_bytes: Optional[int] = None) -> list:
+                  payload: Any = None, size_bytes: Optional[int] = None) -> int:
         """Fan one payload out to many destinations (see Transport.send_many)."""
         if not self.alive:
-            return []
+            return 0
         return self.transport.send_many(self.node_id, dsts, protocol=protocol,
                                         msg_type=msg_type, payload=payload,
                                         size_bytes=size_bytes)
@@ -191,14 +191,14 @@ class ProtocolEndpoint:
         pending = _PendingRequest(waiter, timeout_event)
         self._pending[request_id] = pending
         try:
-            message = self.send(dst, protocol=protocol,
-                                msg_type="__rpc_request__",
-                                payload={"request_id": request_id,
-                                         "method": method,
-                                         "args": payload,
-                                         "reply_to": self.node_id,
-                                         "protocol": protocol},
-                                size_bytes=size_bytes)
+            sent = self.send(dst, protocol=protocol,
+                             msg_type="__rpc_request__",
+                             payload={"request_id": request_id,
+                                      "method": method,
+                                      "args": payload,
+                                      "reply_to": self.node_id,
+                                      "protocol": protocol},
+                             size_bytes=size_bytes)
         except KeyError:
             # Destination id was never registered (a wiring bug): fail the
             # RPC rather than blowing up the caller.
@@ -213,7 +213,7 @@ class ProtocolEndpoint:
             self._pending.pop(request_id, None)
             pending.settle(("error", f"send to {dst!r} failed"))
             raise
-        if message is None and timeout is None:
+        if not sent and timeout is None:
             # The request was dropped at send time (crashed or partitioned
             # destination, or a loss-model drop) and no timeout is armed.
             # Without this the waiter would dangle forever; erring on the

@@ -2,44 +2,39 @@
 
 :class:`Message` is the unit every protocol layer speaks — detection
 digests, gossip rounds, call-for-attention RPCs, resolution visits — and it
-is deliberately backend-free: the simulated network stamps ``deliver_at``
-with a sampled latency, while the live transport stamps wall-clock times.
+holds only what a receiver reads: who sent it, to whom, under which
+protocol and type, and the payload.  It is deliberately backend-free: the
+simulated network hands one to the destination at the sampled delivery
+time, the live transport builds one per arrived frame.
 :class:`NetworkStats` aggregates per-protocol counters (message count and
-payload bytes), which is exactly what Table 3 of the paper reports
-("overhead in number of exchanged messages"); both backends feed it.
+payload bytes), charged at the sender, which is exactly what Table 3 of the
+paper reports ("overhead in number of exchanged messages"); both backends
+feed it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 
 class Message:
-    """A protocol message in flight."""
+    """A protocol message as its receiver sees it."""
 
-    __slots__ = ("msg_id", "src", "dst", "protocol", "msg_type", "payload",
-                 "size_bytes", "sent_at", "deliver_at")
+    __slots__ = ("src", "dst", "protocol", "msg_type", "payload")
 
-    def __init__(self, msg_id: int, src: str, dst: str, protocol: str,
-                 msg_type: str, payload: Any, size_bytes: int,
-                 sent_at: float, deliver_at: float) -> None:
-        self.msg_id = msg_id
+    def __init__(self, src: str, dst: str, protocol: str, msg_type: str,
+                 payload: Any) -> None:
         self.src = src
         self.dst = dst
         self.protocol = protocol
         self.msg_type = msg_type
         self.payload = payload
-        self.size_bytes = size_bytes
-        self.sent_at = sent_at
-        self.deliver_at = deliver_at
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Message(msg_id={self.msg_id!r}, src={self.src!r}, "
-                f"dst={self.dst!r}, protocol={self.protocol!r}, "
-                f"msg_type={self.msg_type!r}, payload={self.payload!r}, "
-                f"size_bytes={self.size_bytes!r}, sent_at={self.sent_at!r}, "
-                f"deliver_at={self.deliver_at!r})")
+        return (f"Message(src={self.src!r}, dst={self.dst!r}, "
+                f"protocol={self.protocol!r}, msg_type={self.msg_type!r}, "
+                f"payload={self.payload!r})")
 
 
 class NetworkStats:
@@ -51,14 +46,11 @@ class NetworkStats:
 
     __slots__ = ("sent", "delivered", "dropped", "bytes_sent", "drop_reasons")
 
-    def __init__(self, sent: Optional[Dict[str, int]] = None,
-                 delivered: Optional[Dict[str, int]] = None,
-                 dropped: Optional[Dict[str, int]] = None,
-                 bytes_sent: Optional[Dict[str, int]] = None) -> None:
-        self.sent: Counter = Counter(sent or {})
-        self.delivered: Counter = Counter(delivered or {})
-        self.dropped: Counter = Counter(dropped or {})
-        self.bytes_sent: Counter = Counter(bytes_sent or {})
+    def __init__(self) -> None:
+        self.sent: Counter = Counter()
+        self.delivered: Counter = Counter()
+        self.dropped: Counter = Counter()
+        self.bytes_sent: Counter = Counter()
         #: why messages were dropped: "loss", "link-loss", "partition",
         #: "dst-down", "src-down", "departed" (destination crashed while in
         #: flight), "encode-error"; live-only reasons: "queue-overflow" (a

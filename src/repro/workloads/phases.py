@@ -14,12 +14,14 @@ the same schedule object can be shared by thousands of streams.
 from __future__ import annotations
 
 import math
+import numbers
 
 
 def _finite(name: str, value: float, *, positive: bool = False) -> float:
-    """``value`` if finite and non-negative (positive when asked), else a
-    ``ValueError`` naming ``name``; NaN fails both comparisons."""
-    if not ((0 < value < math.inf) if positive else (0 <= value < math.inf)):
+    """``value`` if a finite non-negative (positive when asked) number, else
+    a ``ValueError`` naming ``name``; NaN fails both comparisons."""
+    if not (isinstance(value, numbers.Real) and (
+            (0 < value < math.inf) if positive else (0 <= value < math.inf))):
         kind = "positive" if positive else "non-negative"
         raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
     return value

@@ -241,8 +241,7 @@ def test_interpreted_calls_per_announce_on_the_live_codec(record_property):
             frames = []
             for dst in peers:
                 frames.append(wire.encode_envelope(
-                    "n02", dst, "idea.detection", "idea_digest:obj",
-                    shared, 256, digest.issued_at))
+                    "n02", dst, "idea.detection", "idea_digest:obj", shared))
             decoded = []
             for frame in frames:
                 decoded.append(wire.decode_envelope(frame[4:]))

@@ -424,6 +424,16 @@ def test_cli_rejects_a_size_the_grid_refuses(argv, reason, capsys):
     assert line.startswith("error: ") and reason in line
 
 
+@pytest.mark.parametrize("raw", ['float("nan")', "2 ops"])
+def test_cli_rejects_a_param_neither_a_literal_nor_a_bare_name(raw, capsys):
+    # --param 'rate=float("nan")' used to reach the point as a string and
+    # fail there with a TypeError traceback, exiting 1
+    argv = ["--run", "workload", "--smoke", "--quiet", "--param", f"rate={raw}"]
+    assert cli.main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: --param rate: ")
+
+
 def test_cli_rejects_jobs_as_a_param(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["--run", "tab2", "--param", "jobs=4"])

@@ -71,10 +71,8 @@ def install_from_n09(stack) -> None:
     now = stack.node.clock.now
     image = peer_image(stack.middlewares["obj0"].replica, now)
     stack.node.deliver(Message(
-        msg_id=1, src="n09", dst=NODE, protocol="idea",
-        msg_type="idea_install:obj0",
-        payload={"merged": image, "invalidated": [("n09", 1)]},
-        size_bytes=0, sent_at=now, deliver_at=now))
+        src="n09", dst=NODE, protocol="idea", msg_type="idea_install:obj0",
+        payload={"merged": image, "invalidated": [("n09", 1)]}))
 
 
 async def resolve_obj1(stack) -> None:
@@ -185,7 +183,7 @@ def test_a_torn_final_frame_is_dropped_and_cut_from_the_file(journalled, cut,
 
 
 def frame(kind: str, obj: str = "obj0", *args) -> bytes:
-    return encode_envelope(NODE, obj, "journal", kind, list(args), 0, 0.0)
+    return encode_envelope(NODE, obj, "journal", kind, list(args))
 
 
 #: case -> a whole frame no replay may accept, appended to a good journal
@@ -195,11 +193,11 @@ MALFORMED = {
     "unknown-object": frame("blocked", "obj9"),
     "write-without-its-record": frame("write"),
     "arguments-not-a-list": encode_envelope(NODE, "obj0", "journal",
-                                            "blocked", {}, 0, 0.0),
+                                            "blocked", {}),
     "another-nodes-record": encode_envelope("n01", "obj0", "journal",
-                                            "blocked", [], 0, 0.0),
+                                            "blocked", []),
     "not-a-journal-record": encode_envelope(NODE, "obj0", "idea",
-                                            "blocked", [], 0, 0.0),
+                                            "blocked", []),
     "header-past-the-frame-limit": HEADER.pack(MAX_FRAME_BYTES + 1) + b"[]",
 }
 

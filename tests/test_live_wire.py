@@ -214,14 +214,11 @@ PROTOCOL_PAYLOADS = [
 @pytest.mark.parametrize("protocol,msg_type,payload", PROTOCOL_PAYLOADS,
                          ids=[p[1] for p in PROTOCOL_PAYLOADS])
 def test_protocol_envelope_roundtrips(protocol, msg_type, payload):
-    frame = wire.encode_envelope("n00", "n01", protocol, msg_type, payload,
-                                 1024, 3.25)
+    frame = wire.encode_envelope("n00", "n01", protocol, msg_type, payload)
     (length,) = struct.unpack(">I", frame[:4])
     assert length == len(frame) - 4
-    src, dst, proto, mtype, restored, size, sent_at = \
-        wire.decode_envelope(frame[4:])
-    assert (src, dst, proto, mtype, size, sent_at) == \
-        ("n00", "n01", protocol, msg_type, 1024, 3.25)
+    *head, restored = wire.decode_envelope(frame[4:])
+    assert head == ["n00", "n01", protocol, msg_type]
     assert restored == payload
 
 
@@ -252,13 +249,12 @@ def test_unknown_class_raises():
         pass
 
     with pytest.raises(wire.WireError):
-        wire.encode_envelope("a", "b", "p", "t", Mystery(), 0, 0.0)
+        wire.encode_envelope("a", "b", "p", "t", Mystery())
 
 
 def test_unknown_tag_raises():
     import json
-    body = json.dumps(["a", "b", "p", "t", {"__c": "Nope", "f": []}, 0,
-                       0.0]).encode()
+    body = json.dumps(["a", "b", "p", "t", {"__c": "Nope", "f": []}]).encode()
     with pytest.raises(wire.WireError):
         wire.decode_envelope(body)
 
@@ -273,7 +269,7 @@ def test_malformed_body_raises():
 def test_oversized_frame_refused():
     with pytest.raises(wire.WireError):
         wire.encode_envelope("a", "b", "p", "t",
-                             "x" * (wire.MAX_FRAME_BYTES + 1), 0, 0.0)
+                             "x" * (wire.MAX_FRAME_BYTES + 1))
 
 
 def _holding_itself(container):
@@ -284,27 +280,24 @@ def _holding_itself(container):
     return container
 
 
-#: ``(payload, sent_at)`` JSON cannot carry: each must be a ``WireError`` —
-#: the exception the transport counts as an ``encode-error`` drop
+#: payloads JSON cannot carry: each must be a ``WireError`` — the exception
+#: the transport counts as an ``encode-error`` drop
 UNENCODABLE = {
-    "nan-payload": (float("nan"), 0.0),
-    "infinite-in-a-list": ([1.0, float("-inf")], 0.0),
-    "infinite-sent-at": (None, float("inf")),
-    "nan-sent-at": (None, float("nan")),
-    "negative-infinite-sent-at": (None, float("-inf")),
-    "list-holding-itself": (_holding_itself([]), 0.0),
-    "dict-holding-itself": (_holding_itself({}), 0.0),
+    "nan-payload": float("nan"),
+    "infinite-in-a-list": [1.0, float("-inf")],
+    "list-holding-itself": _holding_itself([]),
+    "dict-holding-itself": _holding_itself({}),
     # a typed field goes to the C encoder without the generic walker
-    "typed-field-holding-itself": (
-        UpdateRecord(_holding_itself([]), 1, 0.0, 0.0), 0.0),
+    "typed-field-holding-itself": UpdateRecord(_holding_itself([]), 1, 0.0,
+                                               0.0),
 }
 
 
-@pytest.mark.parametrize("payload,sent_at", UNENCODABLE.values(),
+@pytest.mark.parametrize("payload", UNENCODABLE.values(),
                          ids=list(UNENCODABLE))
-def test_unencodable_values_raise_wire_error(payload, sent_at):
+def test_unencodable_values_raise_wire_error(payload):
     with pytest.raises(wire.WireError):
-        wire.encode_envelope("a", "b", "p", "t", payload, 0, sent_at)
+        wire.encode_envelope("a", "b", "p", "t", payload)
 
 
 def test_an_unencodable_send_is_a_counted_drop(tmp_path):
@@ -343,11 +336,11 @@ def test_an_unencodable_send_is_a_counted_drop(tmp_path):
 
 def test_golden_digest_announce_frame():
     """One 4-writer detection announce, byte for byte: a tag byte, one
-    big-endian header (size_bytes, sent_at, writer count, the names' byte
-    length), the NUL-joined names, then the raw little-endian column —
-    counts, issued_at, metadata, lct, then each writer's (cum, last).
-    213 B; 313 B as a JSON envelope with a base64 column, 535 B with the
-    reflective codec."""
+    big-endian header (writer count, the names' byte length), the
+    NUL-joined names, then the raw little-endian column — counts,
+    issued_at, metadata, lct, then each writer's (cum, last).  197 B; 213 B
+    while the header carried size_bytes and sent_at, 313 B as a JSON
+    envelope with a base64 column, 535 B with the reflective codec."""
     digest = VersionDigest(
         object_id="obj0", node_id="n02", issued_at=12.803117656000001,
         writers=(
@@ -358,13 +351,10 @@ def test_golden_digest_announce_frame():
         metadata=1638.961130141837, last_consistent_time=12.688102336000002,
         total=1640)
     frame = wire.encode_envelope("n02", "n00", "idea.detection",
-                                 "idea_digest:obj0", {"digest": digest}, 256,
-                                 12.803391408)
+                                 "idea_digest:obj0", {"digest": digest})
     assert frame == (
-        bytes.fromhex("000000d1"                # frame length: 209
+        bytes.fromhex("000000c1"                # frame length: 193
                       "01"                      # the announce tag
-                      "0000000000000100"        # size_bytes 256
-                      "40299b561e5e7eaa"        # sent_at 12.803391408
                       "00000004"                # four writers
                       "00000040")               # 64 bytes of names
         + b"n02\0n00\0idea.detection\0idea_digest:obj0\0obj0\0n02\0"
@@ -379,7 +369,7 @@ def test_golden_digest_announce_frame():
                         "9e51e62bf0992940"))
     restored = wire.decode_envelope(frame[4:])
     assert restored == ("n02", "n00", "idea.detection", "idea_digest:obj0",
-                        {"digest": digest}, 256, 12.803391408)
+                        {"digest": digest})
     assert restored[4]["digest"].total == 1640
 
 
@@ -401,16 +391,16 @@ def test_golden_install_frame():
             metadata=5.0, last_consistent_time=2.0),
         "invalidated": [("n01", 1)]}
     frame = wire.encode_envelope("n00", "n01", "idea.resolution.active",
-                                 "idea_install:obj0", install, 1024, 2.125)
+                                 "idea_install:obj0", install)
     assert frame == (
-        b'\x00\x00\x01\x8d["n00","n01","idea.resolution.active",'
+        b'\x00\x00\x01\x82["n00","n01","idea.resolution.active",'
         b'"idea_install:obj0",{"merged":{"__c":"ExtendedVersionVector","f":['
         b'[["n00","AwAAAAAAAAAAAAAAAAD4PwAAAAAAAOg/",[{"writer":"n00","n":3}]],'
         b'["n01","AQAAAAAAAAACAAAAAAAAAAAAAAAAANA/AAAAAAAA9D8AAAAAAAD8PwAAAAAA'
         b'AOA/",[null,{"__t":["stroke",7]}]]],'
         b'[["n00"],"AgAAAAAAAAAAAAAAAAAEQAAAAAAAAOA/"],'
         b'"AAAAAAAAFEAAAAAAAAAAQA=="]},'
-        b'"invalidated":[{"__t":["n01",1]}]},1024,2.125]')
+        b'"invalidated":[{"__t":["n01",1]}]}]')
     restored = wire.decode_envelope(frame[4:])[4]
     assert restored == install
     assert restored["merged"].last_consistent_time == 2.0
@@ -422,17 +412,16 @@ def test_shared_payload_is_encoded_once_and_spliced():
     is."""
     payload = {"digest": _example_digest()}
     shared = wire.SharedPayload(payload)
-    frames = [wire.encode_envelope("n00", dst, "p", "t", shared, 256, 1.5)
+    frames = [wire.encode_envelope("n00", dst, "p", "t", shared)
               for dst in ("n01", "n02")]
-    assert frames == [wire.encode_envelope("n00", dst, "p", "t", payload,
-                                           256, 1.5)
+    assert frames == [wire.encode_envelope("n00", dst, "p", "t", payload)
                       for dst in ("n01", "n02")]
     writers, ids, column = shared._part
     assert (writers, ids) == (2, b"obj0\0n01\0n00\0n01")
     assert all(frame.endswith(ids + column) for frame in frames)
     assert shared._text is None
     gossip = wire.SharedPayload({**payload, "ttl": 3, "members": ["n00"]})
-    frame = wire.encode_envelope("n00", "n01", "p", "t", gossip, 128, 1.5)
+    frame = wire.encode_envelope("n00", "n01", "p", "t", gossip)
     assert gossip._part == ()
     assert gossip.text().encode() in frame
 
@@ -449,38 +438,18 @@ class _CountingEncoder:
         return self.encoder(value, level)
 
 
-def _c_encoder_body(size_bytes, sent_at):
-    tail = "".join(wire._iterencode([size_bytes, sent_at], 0))
-    return f'["a","b","p","t",null,{tail[1:]}'.encode()
-
-
-@pytest.mark.parametrize("size_bytes", [0, 2**63 - 1])
-@pytest.mark.parametrize("sent_at", [-0.0, 5e-324, 1.7976931348623157e308,
-                                     2.0, 1e16, 0.1])
-def test_the_envelope_tail_is_what_the_c_encoder_writes(monkeypatch,
-                                                        size_bytes, sent_at):
-    """An exact int and a finite float skip the encoder pass and still
-    write its bytes: both go through ``repr``."""
+@pytest.mark.parametrize("payload", [None, -0.0, 2 ** 63 - 1, "é\0",
+                                     [1.5, {"k": (1, 2)}]])
+def test_a_json_body_is_the_head_and_one_encoder_pass(monkeypatch, payload):
+    """The four head strings through the string escaper, then the payload
+    in the C encoder's one pass, closed by a bracket: nothing follows it."""
     counting = _CountingEncoder(wire._iterencode)
     monkeypatch.setattr(wire, "_iterencode", counting)
-    frame = wire.encode_envelope("a", "b", "p", "t", None, size_bytes,
-                                 sent_at)
-    assert counting.passes == 1  # the payload's, none for the tail
+    frame = wire.encode_envelope("a", "b", "p", "t", payload)
+    assert counting.passes == 1
     monkeypatch.undo()
-    assert frame[wire.HEADER.size:] == _c_encoder_body(size_bytes, sent_at)
-
-
-@pytest.mark.parametrize("size_bytes,sent_at",
-                         [(0, True), (0, 3), (True, 0.5), (0, False)])
-def test_any_other_tail_falls_back_to_the_c_encoder(monkeypatch, size_bytes,
-                                                    sent_at):
-    counting = _CountingEncoder(wire._iterencode)
-    monkeypatch.setattr(wire, "_iterencode", counting)
-    frame = wire.encode_envelope("a", "b", "p", "t", None, size_bytes,
-                                 sent_at)
-    assert counting.passes == 2
-    monkeypatch.undo()
-    assert frame[wire.HEADER.size:] == _c_encoder_body(size_bytes, sent_at)
+    text = "".join(wire._iterencode(wire._pack(payload), 0))
+    assert frame[wire.HEADER.size:] == f'["a","b","p","t",{text}]'.encode()
 
 
 # --------------------------------------------------------------------------
@@ -549,7 +518,7 @@ def test_a_non_finite_typed_float_is_refused_on_encode(name, bad):
     assert wire.roundtrip(good) == good
     with pytest.raises(wire.WireError):
         wire.encode_envelope("a", "b", "p", "t",
-                             {"x": TYPED_FLOAT_FIELDS[name](bad)}, 0, 0.0)
+                             {"x": TYPED_FLOAT_FIELDS[name](bad)})
 
 
 def test_a_non_finite_typed_float_is_an_encode_error_drop(tmp_path):
@@ -605,7 +574,7 @@ def _class_body(column: str, blob) -> bytes:
     if column.endswith(".gossip"):
         # as a gossip round sends it: under "digest", beside TTL and members
         return (b'["a","b","overlay.gossip","gossip_digest",{"digest":'
-                + body.encode() + b',"ttl":3,"members":["n00"]},128,1.0]')
+                + body.encode() + b',"ttl":3,"members":["n00"]}]')
     return _envelope(body)
 
 
@@ -685,7 +654,7 @@ OUT_OF_INT64 = {
                          ids=list(OUT_OF_INT64))
 def test_an_int_outside_int64_is_refused_on_encode(value):
     with pytest.raises(wire.WireError):
-        wire.encode_envelope("a", "b", "p", "t", value, 0, 0.0)
+        wire.encode_envelope("a", "b", "p", "t", value)
 
 
 def test_int64_bounds_roundtrip():
@@ -745,7 +714,7 @@ def _decoded_announce(object_id, rows, node_id="n01"):
         metadata=1.0, last_consistent_time=0.0,
         total=sum(c for _, c, _, _ in rows))
     frame = wire.encode_envelope(node_id, "n00", "idea.detection", "t",
-                                 {"digest": digest}, 256, 2.0)
+                                 {"digest": digest})
     restored = wire.decode_envelope(frame[4:])[4]["digest"]
     assert restored == digest and restored.total == digest.total
     return restored
@@ -785,8 +754,7 @@ def test_a_relayed_gossip_digest_decodes_onto_its_origins_pairs():
         metadata=4.5, last_consistent_time=0.0, total=3)
     frame = wire.encode_envelope(
         "n03", "n00", "overlay.gossip", "gossip_digest",
-        {"digest": digest, "ttl": 2, "members": ["n00", "n02", "n03"]},
-        128, 2.0)
+        {"digest": digest, "ttl": 2, "members": ["n00", "n02", "n03"]})
     relayed = wire.decode_envelope(frame[4:])[4]["digest"]
     assert relayed == digest and relayed.total == 3
     assert (object_id, "n02") in wire._PAIRS
@@ -904,7 +872,7 @@ def test_a_live_peer_folds_only_the_writers_that_grew(tmp_path):
 # --------------------------------------------------------------------------
 
 def _envelope(payload_json: str) -> bytes:
-    return f'["a","b","p","t",{payload_json},0,0.0]'.encode()
+    return f'["a","b","p","t",{payload_json}]'.encode()
 
 
 def _column(ints, floats) -> str:
@@ -938,13 +906,10 @@ WRONG_SHAPE_BODIES = {
         '{"__c":"VersionDigest","f":["o","n",[["w"]],"%s"]}'
         % _column([1], [0.0, 0.0, 0.0, 2.0, 1.0])),
     "not-a-number-literal": _envelope("NaN"),
-    "infinite-sent-at": b'["a","b","p","t",null,0,Infinity]',
-    "unhashable-src": b'[["a"],"b","p","t",null,0,0.0]',
-    "dict-dst": b'["a",{"b":1},"p","t",null,0,0.0]',
-    "size-is-a-string": b'["a","b","p","t",null,"0",0.0]',
-    "size-is-a-bool": b'["a","b","p","t",null,true,0.0]',
-    "sent-at-is-null": b'["a","b","p","t",null,0,null]',
+    "unhashable-src": b'[["a"],"b","p","t",null]',
+    "dict-dst": b'["a",{"b":1},"p","t",null]',
     "six-fields": b'["a","b","p","t",null,0]',
+    "four-fields": b'["a","b","p","t"]',
     "empty-body": b"",
     "a-second-value": _envelope("null") + _envelope("null"),
     "bare-close-bracket": b"]",
@@ -978,7 +943,7 @@ def _unchecked_vector(seqs_of, counts):
 def _collect_response(vector) -> bytes:
     return wire.encode_envelope("n00", "n01", "idea.resolution",
                                 "idea_collect:obj0",
-                                {"vector": vector, "node_id": "n00"}, 64, 1.5)
+                                {"vector": vector, "node_id": "n00"})
 
 
 def _vector_bodies(seqs_of, counts, rename=None):
@@ -993,7 +958,7 @@ def _vector_bodies(seqs_of, counts, rename=None):
 
 def _digest_bodies(digest):
     """``digest`` as the binary announce and inside a JSON gossip hop."""
-    return [wire.encode_envelope("n00", "n01", "p", "t", payload, 64, 1.5)[4:]
+    return [wire.encode_envelope("n00", "n01", "p", "t", payload)[4:]
             for payload in ({"digest": digest},
                             {"digest": digest, "ttl": 2, "members": ["n00"]})]
 
@@ -1149,7 +1114,7 @@ def _decodes_or_refuses(body: bytes) -> None:
         result = wire.decode_envelope(body)
     except wire.WireError:
         return
-    assert isinstance(result, tuple) and len(result) == 7
+    assert isinstance(result, tuple) and len(result) == 5
 
 
 def _slots(tree):
@@ -1186,7 +1151,7 @@ def test_mutated_frames_decode_or_raise_wire_error(value, mutation, pick,
     arrives, ``decode_envelope`` returns an envelope or raises ``WireError``
     — the one exception the inbound protocol catches and counts."""
     import json
-    body = wire.encode_envelope("n00", "n01", "p", "t", value, 64, 1.5)[4:]
+    body = wire.encode_envelope("n00", "n01", "p", "t", value)[4:]
     if mutation == "truncate":
         body = body[:pick % len(body)]
     elif mutation == "flip":
@@ -1240,42 +1205,28 @@ def _travels_binary(*ids) -> bool:
 
 @settings(max_examples=200, deadline=None)
 @given(digest=announce_digests, envelope=st.tuples(any_ids, any_ids, any_ids,
-                                                   any_ids),
-       size_bytes=st.integers(-2 ** 63, 2 ** 63 - 1),
-       sent_at=st.one_of(finite, st.integers(-2 ** 53, 2 ** 53)))
-def test_announce_body_roundtrips_any_ids(digest, envelope, size_bytes,
-                                          sent_at):
+                                                   any_ids))
+def test_announce_body_roundtrips_any_ids(digest, envelope):
     """Every ``str`` id comes back; an id the names cannot hold (a NUL, a
     lone surrogate) sends the frame as a JSON body instead."""
-    frame = wire.encode_envelope(*envelope, {"digest": digest}, size_bytes,
-                                 sent_at)
+    frame = wire.encode_envelope(*envelope, {"digest": digest})
     restored = wire.decode_envelope(frame[4:])
-    assert restored == (*envelope, {"digest": digest}, size_bytes, sent_at)
+    assert restored == (*envelope, {"digest": digest})
     assert restored[4]["digest"].total == digest.total
     binary = _travels_binary(*envelope, digest.object_id, digest.node_id,
                              *(writer for writer, _ in digest.writers))
     assert (frame[4:5] == b"\x01") == binary
-    if binary:  # the typed-float rule: sent_at is a double
-        assert type(restored[6]) is float
 
 
-#: ``(digest, size_bytes, sent_at)`` an announce body cannot carry
+#: digests an announce body cannot carry
 UNENCODABLE_ANNOUNCES = {
-    "size-a-bool": (_digest_with(), True, 1.0),
-    "size-a-float": (_digest_with(), 256.0, 1.0),
-    "size-above-int64": (_digest_with(), 2 ** 63, 1.0),
-    "size-below-int64": (_digest_with(), -2 ** 63 - 1, 1.0),
-    "sent-at-nan": (_digest_with(), 256, math.nan),
-    "sent-at-inf": (_digest_with(), 256, math.inf),
-    "sent-at-a-string": (_digest_with(), 256, "1.0"),
-    "count-above-int64": (_digest_with(
-        writers=(("n00", WriterBase(2 ** 63, 1.5, 2.0)),)), 256, 1.0),
-    "metadata-nan": (_digest_with(metadata=math.nan), 256, 1.0),
-    "last-timestamp-inf": (_digest_with(
-        writers=(("n00", WriterBase(3, 1.5, math.inf)),)), 256, 1.0),
-    "sent-at-minus-inf": (_digest_with(), 256, -math.inf),
-    "count-below-int64": (_digest_with(
-        writers=(("n00", WriterBase(-2 ** 63 - 1, 1.5, 2.0)),)), 256, 1.0),
+    "count-above-int64": _digest_with(
+        writers=(("n00", WriterBase(2 ** 63, 1.5, 2.0)),)),
+    "metadata-nan": _digest_with(metadata=math.nan),
+    "last-timestamp-inf": _digest_with(
+        writers=(("n00", WriterBase(3, 1.5, math.inf)),)),
+    "count-below-int64": _digest_with(
+        writers=(("n00", WriterBase(-2 ** 63 - 1, 1.5, 2.0)),)),
 }
 
 #: an announce digest per double it carries, that double set to ``x``
@@ -1291,27 +1242,24 @@ ANNOUNCE_FLOAT_FIELDS = {
 
 # every non-finite value in every double of the digest
 UNENCODABLE_ANNOUNCES.update(
-    (f"{field}-{name}", (build(bad), 256, 1.0))
+    (f"{field}-{name}", build(bad))
     for field, build in ANNOUNCE_FLOAT_FIELDS.items()
     for name, bad in (("nan", math.nan), ("inf", math.inf),
                       ("minus-inf", -math.inf))
     if f"{field}-{name}" not in UNENCODABLE_ANNOUNCES)
 
 
-@pytest.mark.parametrize("digest,size_bytes,sent_at",
-                         UNENCODABLE_ANNOUNCES.values(),
+@pytest.mark.parametrize("digest", UNENCODABLE_ANNOUNCES.values(),
                          ids=list(UNENCODABLE_ANNOUNCES))
-def test_an_announce_the_wire_cannot_carry_is_refused(digest, size_bytes,
-                                                      sent_at):
+def test_an_announce_the_wire_cannot_carry_is_refused(digest):
     shared = wire.SharedPayload({"digest": digest})
     for payload in ({"digest": digest}, shared, shared):
         with pytest.raises(wire.WireError):
-            wire.encode_envelope("a", "b", "p", "t", payload, size_bytes,
-                                 sent_at)
+            wire.encode_envelope("a", "b", "p", "t", payload)
 
 
 #: byte offsets of an announce body's header fields
-_SENT_AT_AT, _WRITERS_AT, _NAMES_AT, _HEAD_BYTES = 9, 17, 21, 25
+_WRITERS_AT, _NAMES_AT, _HEAD_BYTES = 1, 5, 9
 
 
 def _damaged_announces(body: bytes, damage: str, pick: int):
@@ -1344,15 +1292,13 @@ def _damaged_announces(body: bytes, damage: str, pick: int):
                 for byte in (0xC0, 0xC1, 0xF8, 0xFF)]
     column = _HEAD_BYTES + length + 8 * writers  # its first double
     slot = column + 8 * (pick % (3 + 2 * writers))
-    return [put(_SENT_AT_AT if damage == "sent-at" else slot,
-                struct.pack(">d" if damage == "sent-at" else "<d", bad))
+    return [put(slot, struct.pack("<d", bad))
             for bad in (math.nan, math.inf, -math.inf)]
 
 
 #: every way :func:`_damaged_announces` breaks a body
 ANNOUNCE_DAMAGES = ["truncate", "append", "swap-tag", "writers",
-                    "names-length", "names-count", "not-utf8", "sent-at",
-                    "column"]
+                    "names-length", "names-count", "not-utf8", "column"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -1360,10 +1306,10 @@ ANNOUNCE_DAMAGES = ["truncate", "append", "swap-tag", "writers",
 def test_damaged_announce_body_decodes_or_raises_wire_error(digest, pick):
     """Cut at every length, bytes appended, every other tag, a writer count
     or names length changed, a name split or merged or not UTF-8, a
-    non-finite sent_at or column value: each is refused with ``WireError``.
+    non-finite column value: each is refused with ``WireError``.
     A bit flipped anywhere decodes to an envelope or is refused."""
     body = wire.encode_envelope("n00", "n01", "idea.detection", "t",
-                                {"digest": digest}, 256, 1.5)[4:]
+                                {"digest": digest})[4:]
     if body[:1] != b"\x01":
         return  # an id the names cannot hold: a JSON body
     for damage in ANNOUNCE_DAMAGES:
@@ -1375,9 +1321,8 @@ def test_damaged_announce_body_decodes_or_raises_wire_error(digest, pick):
                         + body[at + 1:])
 
 
-def _announce_body(rows, *, sent_at=1.5, issued_at=2.0, metadata=1.0,
-                   lct=0.5):
-    """An announce body built by hand from its layout: the ``>BqdII``
+def _announce_body(rows, *, issued_at=2.0, metadata=1.0, lct=0.5):
+    """An announce body built by hand from its layout: the ``>BII``
     header, the NUL-joined ids, then the raw ``<{n}q{3 + 2n}d`` column of
     ``rows`` of ``(writer, count, cum, last)``."""
     names = "\0".join(["n00", "n01", "idea.detection", "t",
@@ -1387,8 +1332,7 @@ def _announce_body(rows, *, sent_at=1.5, issued_at=2.0, metadata=1.0,
     column = struct.pack(f"<{n}q{3 + 2 * n}d", *(c for _, c, _, _ in rows),
                          issued_at, metadata, lct,
                          *(x for _, _, cum, last in rows for x in (cum, last)))
-    return (struct.pack(">BqdII", 1, 256, sent_at, n, len(names)) + names
-            + column)
+    return struct.pack(">BII", 1, n, len(names)) + names + column
 
 
 #: the rows of the hand-built announce below
@@ -1404,9 +1348,9 @@ def test_a_hand_built_announce_body_is_what_the_encoder_writes():
         1.0, 0.5, 7)
     body = _announce_body(_ANNOUNCE_ROWS)
     assert wire.decode_envelope(body) == (
-        "n00", "n01", "idea.detection", "t", {"digest": digest}, 256, 1.5)
+        "n00", "n01", "idea.detection", "t", {"digest": digest})
     assert wire.encode_envelope("n00", "n01", "idea.detection", "t",
-                                {"digest": digest}, 256, 1.5)[4:] == body
+                                {"digest": digest})[4:] == body
 
 
 def _announce_row_set(at, field, x):
@@ -1417,7 +1361,6 @@ def _announce_row_set(at, field, x):
 
 #: every double of the hand-built announce, set to ``x``
 ANNOUNCE_FLOAT_SLOTS = {
-    "sent_at": lambda x: _announce_body(_ANNOUNCE_ROWS, sent_at=x),
     "issued_at": lambda x: _announce_body(_ANNOUNCE_ROWS, issued_at=x),
     "metadata": lambda x: _announce_body(_ANNOUNCE_ROWS, metadata=x),
     "last_consistent_time": lambda x: _announce_body(_ANNOUNCE_ROWS, lct=x),
@@ -1475,24 +1418,51 @@ def test_a_malformed_announce_body_is_refused(body):
         wire.decode_envelope(body)
 
 
+def _announce_with_size_and_time(size_bytes, sent_at):
+    """The hand-built announce in the layout that still carried
+    ``size_bytes`` and ``sent_at``: a 25-byte ``>BqdII`` header."""
+    writers, names = struct.unpack_from(">II", _GOOD_ANNOUNCE, _WRITERS_AT)
+    return (struct.pack(">BqdII", 1, size_bytes, sent_at, writers, names)
+            + _GOOD_ANNOUNCE[_HEAD_BYTES:])
+
+
+#: frames of the layout before the envelope lost ``size_bytes`` and
+#: ``sent_at``, as a peer on that build sends them
+SIZE_AND_TIME_BODIES = {
+    **{f"announce-{size}-bytes": _announce_with_size_and_time(size, 1.5)
+       for size in (0, 5, 64, 128, 256, 1024, 2 ** 40)},
+    "announce-zero-time": _announce_with_size_and_time(256, 0.0),
+    "json-ping": b'["a","b","conformance","ping",{"ok":true},64,0.5]',
+    "json-install": b'["n00","n01","p","t",{"invalidated":[{"__t":["n01",1]}]}'
+                    b',1024,2.125]',
+    "json-journal": b'["n00","obj0","journal","blocked",[],0,0.0]',
+}
+
+
+@pytest.mark.parametrize("body", SIZE_AND_TIME_BODIES.values(),
+                         ids=list(SIZE_AND_TIME_BODIES))
+def test_a_frame_with_size_and_time_is_refused(body):
+    """A peer still on the build whose frames carried ``size_bytes`` and
+    ``sent_at`` fails loudly: every such body is a ``WireError``, never an
+    envelope parsed out of the wrong bytes."""
+    with pytest.raises(wire.WireError):
+        wire.decode_envelope(body)
+
+
 @pytest.mark.parametrize("x", EDGE_FLOATS, ids=repr)
 def test_edge_floats_in_an_announce_come_back_bit_exactly(x):
-    """The binary body's doubles, ``sent_at`` included, as the JSON
-    column's are."""
+    """The binary body's doubles, as the JSON column's are."""
     same = lambda a, b: struct.pack("<d", a) == struct.pack("<d", b)
     digest = _digest_with(issued_at=x, metadata=x, last_consistent_time=x,
                           writers=(("n00", WriterBase(3, x, x)),),
                           object_id=f"obj-announce-edge-{x!r}")
-    body = wire.encode_envelope("n00", "n01", "p", "t", {"digest": digest},
-                                256, x)[4:]
+    body = wire.encode_envelope("n00", "n01", "p", "t", {"digest": digest})[4:]
     assert body[:1] == b"\x01"
-    *_, payload, _, sent_at = wire.decode_envelope(body)
-    restored = payload["digest"]
+    restored = wire.decode_envelope(body)[4]["digest"]
     (_, base), = restored.writers
     assert all(same(v, x) for v in (restored.issued_at, restored.metadata,
                                     restored.last_consistent_time,
-                                    base.cum_metadata, base.last_timestamp,
-                                    sent_at))
+                                    base.cum_metadata, base.last_timestamp))
 
 
 def test_an_announce_and_a_gossip_relay_share_pair_table_entries():
@@ -1503,11 +1473,11 @@ def test_an_announce_and_a_gossip_relay_share_pair_table_entries():
         ("n00", WriterBase(2, 3.5, 1.0)),
         ("n02", WriterBase(1, 1.0, 1.5))), total=3)
     announce = wire.encode_envelope("n02", "n00", "idea.detection", "t",
-                                    {"digest": digest}, 256, 2.0)
+                                    {"digest": digest})
     relay = wire.encode_envelope("n03", "n00", "overlay.gossip",
                                  "gossip_digest",
                                  {"digest": digest, "ttl": 2,
-                                  "members": ["n00", "n02"]}, 256, 2.0)
+                                  "members": ["n00", "n02"]})
     assert (announce[4:5], relay[4:5]) == (b"\x01", b"[")
     first, second, third = (wire.decode_envelope(frame[4:])[4]["digest"]
                             for frame in (announce, relay, announce))
@@ -1571,7 +1541,7 @@ def test_bad_inbound_frames_close_only_their_connection(tmp_path):
         # 4. the server is still alive: a well-formed frame delivers
         reader, writer = await asyncio.open_unix_connection(address)
         writer.write(wire.encode_envelope("a", "b", "conformance", "ping",
-                                          {"ok": True}, 64, 0.0))
+                                          {"ok": True}))
         await writer.drain()
         await asyncio.sleep(0.2)
 
@@ -1625,7 +1595,7 @@ class _Inbound:
         node = ProtocolEndpoint(clock, self.transport, "b",
                                 processing_delay=0.0)
         node.register_handler("ping", lambda msg: self.arrived.append(
-            (msg.src, msg.protocol, msg.payload, msg.size_bytes)))
+            (msg.src, msg.protocol, msg.payload)))
         if groups is not None:
             self.transport.partition(groups)
         self.protocol = _InboundFrames(self.transport)
@@ -1647,7 +1617,7 @@ class _Inbound:
 
 
 def _ping(src: str, payload, protocol: str = "conformance") -> bytes:
-    return wire.encode_envelope(src, "b", protocol, "ping", payload, 64, 0.5)
+    return wire.encode_envelope(src, "b", protocol, "ping", payload)
 
 
 ping_payloads = st.lists(payloads(2), min_size=1, max_size=6)
@@ -1663,7 +1633,7 @@ def test_frames_arrive_in_order_however_the_stream_is_cut(messages, data):
     inbound = _Inbound()
     try:
         inbound.feed(stream, cuts)
-        assert inbound.arrived == [(f"n{i % 3}", "conformance", payload, 64)
+        assert inbound.arrived == [(f"n{i % 3}", "conformance", payload)
                                    for i, payload in enumerate(messages)]
         assert not inbound.socket.closed
         assert not inbound.protocol.buffer
@@ -1678,7 +1648,7 @@ def test_a_stream_fed_byte_by_byte_splits_every_header():
     inbound = _Inbound()
     try:
         inbound.feed(stream, range(1, len(stream)))
-        assert [payload for _, _, payload, _ in inbound.arrived] == messages
+        assert [payload for _, _, payload in inbound.arrived] == messages
     finally:
         inbound.close()
 
@@ -1697,7 +1667,7 @@ def test_an_oversized_header_mid_stream_is_one_frame_error(messages, after,
     inbound = _Inbound()
     try:
         inbound.feed(stream, cuts)
-        assert [payload for _, _, payload, _ in inbound.arrived] == messages
+        assert [payload for _, _, payload in inbound.arrived] == messages
         assert inbound.socket.closed
         assert dict(inbound.transport.stats.drop_reasons) == {
             "frame-error": 1}
@@ -1717,7 +1687,7 @@ def test_a_blocked_source_is_dropped_frame_by_frame(sources, data):
     try:
         inbound.feed(stream, cuts)
         stats = inbound.transport.stats
-        assert inbound.arrived == [(src, f"proto-{src}", i, 64)
+        assert inbound.arrived == [(src, f"proto-{src}", i)
                                    for i, src in enumerate(sources)
                                    if src == "c"]
         assert dict(stats.drop_reasons) == (
@@ -1736,7 +1706,7 @@ def test_a_frame_cut_short_at_eof_is_not_a_frame_error(keep):
         inbound.feed(whole + _ping("a", "cut")[:keep], [])
         assert inbound.protocol.eof_received() is None   # the socket closes
         inbound.protocol.connection_lost(None)
-        assert [payload for _, _, payload, _ in inbound.arrived] == ["whole"]
+        assert [payload for _, _, payload in inbound.arrived] == ["whole"]
         assert not inbound.transport.stats.drop_reasons
         assert not inbound.transport._inbound
     finally:

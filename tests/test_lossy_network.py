@@ -24,7 +24,8 @@ class Sink(Node):
         super().__init__(sim, network, node_id,
                          clock_model=ClockModel().perfect(), processing_delay=0.0)
         self.received = []
-        self.register_handler("ping", lambda m: self.received.append(m.msg_id))
+        self.register_handler("ping", lambda m: self.received.append(
+            (sim.now, m.src, m.payload)))
 
 
 def _lossy_run(seed: float, *, use_send_many: bool, loss: float = 0.3,
@@ -32,20 +33,18 @@ def _lossy_run(seed: float, *, use_send_many: bool, loss: float = 0.3,
     sim = Simulator(seed=seed)
     network = Network(sim, LatencyModel.fixed(0.02), loss_probability=loss)
     nodes = {n: Sink(sim, network, n) for n in ("a", "b", "c", "d")}
-    sent_ids = []
-    for _ in range(rounds):
+    sent = []
+    for tag in range(rounds):
         if use_send_many:
-            msgs = network.send_many("a", ["b", "c", "d"], protocol="t",
-                                     msg_type="ping")
-            sent_ids.extend(m.msg_id for m in msgs)
+            sent.append(network.send_many("a", ["b", "c", "d"], protocol="t",
+                                          msg_type="ping", payload=tag))
         else:
-            for dst in ("b", "c", "d"):
-                m = network.send("a", dst, protocol="t", msg_type="ping")
-                if m is not None:
-                    sent_ids.append(m.msg_id)
+            sent.append(sum(network.send("a", dst, protocol="t",
+                                         msg_type="ping", payload=tag)
+                            for dst in ("b", "c", "d")))
     sim.run()
     return {
-        "sent_ids": sent_ids,
+        "sent": sent,
         "received": {n: list(node.received) for n, node in nodes.items()},
         "stats": network.stats.snapshot(),
         "events": sim.events_processed,
@@ -63,7 +62,7 @@ class TestLossDeterminism:
     def test_different_seed_different_drops(self):
         a = _lossy_run(7, use_send_many=False)
         b = _lossy_run(8, use_send_many=False)
-        assert a["sent_ids"] != b["sent_ids"]
+        assert a["received"] != b["received"]
 
     def test_send_many_fallback_replays_identically(self):
         a = _lossy_run(3, use_send_many=True)
@@ -77,7 +76,7 @@ class TestLossDeterminism:
         # replay the same simulation.
         a = _lossy_run(5, use_send_many=True)
         b = _lossy_run(5, use_send_many=False)
-        assert a["sent_ids"] == b["sent_ids"]
+        assert a["sent"] == b["sent"]
         assert a["received"] == b["received"]
         assert a["stats"] == b["stats"]
 
@@ -92,8 +91,8 @@ class TestLossDeterminism:
                     network.set_loss_probability(0.5)
                 if i == 20:
                     network.set_loss_probability(0.0)
-                m = network.send("a", "b", protocol="t", msg_type="ping")
-                delivered.append(m is not None)
+                delivered.append(network.send("a", "b", protocol="t",
+                                              msg_type="ping"))
             sim.run()
             return delivered, network.stats.snapshot()
 
@@ -137,20 +136,18 @@ def _link_lossy_run(seed: float, *, use_send_many: bool,
     network = Network(sim, LatencyModel.fixed(0.02))
     nodes = {n: Sink(sim, network, n) for n in ("a", "b", "c")}
     network.set_loss_probability(0.4, src="a", dst="b")
-    sent_ids = []
-    for _ in range(rounds):
+    sent = []
+    for tag in range(rounds):
         if use_send_many:
-            msgs = network.send_many("a", ["b", "c"], protocol="t",
-                                     msg_type="ping")
-            sent_ids.extend(m.msg_id for m in msgs)
+            sent.append(network.send_many("a", ["b", "c"], protocol="t",
+                                          msg_type="ping", payload=tag))
         else:
-            for dst in ("b", "c"):
-                m = network.send("a", dst, protocol="t", msg_type="ping")
-                if m is not None:
-                    sent_ids.append(m.msg_id)
+            sent.append(sum(network.send("a", dst, protocol="t",
+                                         msg_type="ping", payload=tag)
+                            for dst in ("b", "c")))
     sim.run()
     return {
-        "sent_ids": sent_ids,
+        "sent": sent,
         "received": {n: list(node.received) for n, node in nodes.items()},
         "stats": network.stats.snapshot(),
     }

@@ -269,13 +269,13 @@ class TestInstallFanOut:
     def test_install_through_send_many_replays_the_per_member_loop(self):
         """The merged image goes out as one ``send_many``, which the
         simulator sends destination by destination in member order, so this
-        seeded round must reproduce — event for event, id for id, latency
-        draw for latency draw — the numbers recorded when the install was a
-        loop of ``send`` calls."""
+        seeded round must reproduce — event for event, latency draw for
+        latency draw, each delivery at its time — the numbers recorded when
+        the install was a loop of ``send`` calls."""
         deployment = build_deployment(seed=11)
         installs = []
         deployment.network.delivery_hooks.append(
-            lambda m: installs.append((m.msg_id, m.dst, round(m.deliver_at, 9)))
+            lambda m: installs.append((m.dst, round(deployment.sim.now, 9)))
             if m.msg_type.startswith("idea_install") else None)
         diverge(deployment, ["n00", "n01", "n02", "n03"], rounds=2)
         process = deployment.middleware("obj", "n00").resolution.start_active_resolution()
@@ -283,8 +283,8 @@ class TestInstallFanOut:
 
         assert not process.result.aborted
         assert process.result.merged_updates == 8
-        assert installs == [(32, "n03", 4.248155495), (31, "n02", 4.250862346),
-                            (30, "n01", 4.272351441)]
+        assert installs == [("n03", 4.248155495), ("n02", 4.250862346),
+                            ("n01", 4.272351441)]
         assert deployment.sim.events_processed == 43
         assert deployment.network.stats.snapshot() == {
             "sent": {"idea.detection": 18, "idea.resolution.active": 15},

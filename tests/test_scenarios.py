@@ -277,13 +277,11 @@ class TestPartitions:
         deployment = _small_deployment()
         nodes = deployment.node_ids
         deployment.network.partition([nodes[:4], nodes[4:]])
-        msg = deployment.network.send(nodes[0], nodes[5], protocol="t",
-                                      msg_type="x")
-        assert msg is None
+        assert deployment.network.send(nodes[0], nodes[5], protocol="t",
+                                       msg_type="x") is False
         assert deployment.network.stats.drop_reasons["partition"] == 1
-        same_side = deployment.network.send(nodes[0], nodes[2], protocol="t",
-                                            msg_type="x")
-        assert same_side is not None
+        assert deployment.network.send(nodes[0], nodes[2], protocol="t",
+                                       msg_type="x") is True
 
     def test_heal_restores_connectivity(self):
         deployment = _small_deployment()
@@ -291,7 +289,7 @@ class TestPartitions:
         deployment.network.partition([nodes[:4], nodes[4:]])
         deployment.network.heal()
         assert deployment.network.send(nodes[0], nodes[5], protocol="t",
-                                       msg_type="x") is not None
+                                       msg_type="x") is True
 
     def test_partition_via_plan_detection_diverges_then_heals(self):
         deployment = _small_deployment()

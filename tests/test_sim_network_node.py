@@ -116,7 +116,7 @@ class TestNetwork:
         b.fail()
         # The destination unregistered after a crash: the send must be a
         # counted drop mirroring _deliver's "destination departed" path.
-        assert a.send("b", protocol="test", msg_type="ping") is None
+        assert a.send("b", protocol="test", msg_type="ping") is False
         assert network.stats.sent["test"] == 1
         assert network.stats.dropped["test"] == 1
         assert network.stats.drop_reasons["dst-down"] == 1
@@ -124,7 +124,7 @@ class TestNetwork:
     def test_send_from_crashed_source_is_counted_drop(self, pair):
         sim, network, a, b = pair
         a.fail()
-        assert network.send("a", "b", protocol="test", msg_type="ping") is None
+        assert network.send("a", "b", protocol="test", msg_type="ping") is False
         assert network.stats.drop_reasons["src-down"] == 1
 
     def test_send_many_to_partially_crashed_fanout(self):
@@ -132,10 +132,10 @@ class TestNetwork:
         network = Network(sim, LatencyModel.fixed(0.02))
         a, b, c, d = (Receiver(sim, network, n) for n in ("a", "b", "c", "d"))
         c.fail()
-        messages = network.send_many("a", ["b", "c", "d"], protocol="t",
-                                     msg_type="ping", payload="hi")
+        sent = network.send_many("a", ["b", "c", "d"], protocol="t",
+                                 msg_type="ping", payload="hi")
         sim.run()
-        assert [m.dst for m in messages] == ["b", "d"]
+        assert sent == 2
         assert b.received == ["hi"] and d.received == ["hi"]
         assert network.stats.sent["t"] == 3
         assert network.stats.dropped["t"] == 1
@@ -147,7 +147,7 @@ class TestNetwork:
         a, b, c = (Receiver(sim, network, n) for n in ("a", "b", "c"))
         a.fail()
         assert network.send_many("a", ["b", "c"], protocol="t",
-                                 msg_type="ping") == []
+                                 msg_type="ping") == 0
         assert network.stats.drop_reasons["src-down"] == 2
 
     def test_per_link_loss_names_only_registered_nodes(self, pair):
@@ -167,7 +167,7 @@ class TestNetwork:
         assert not network.reachable("a", "b")
         network.set_loss_probability(0.5, src="a", dst="b")
         network.heal()
-        assert a.send("b", protocol="test", msg_type="ping") is None
+        assert a.send("b", protocol="test", msg_type="ping") is False
         assert network.stats.drop_reasons["dst-down"] == 1
 
     def test_duplicate_registration_rejected(self, pair):
@@ -194,9 +194,9 @@ class TestSendMany:
         sim, network, (a, b, c, d) = self._trio(LatencyModel.fixed(0.02))
         order = []
         network.delivery_hooks.append(lambda m: order.append((sim.now, m.dst)))
-        messages = network.send_many("a", ["d", "b", "c"], protocol="test",
-                                     msg_type="ping", payload="hi")
-        assert [m.msg_id for m in messages] == [0, 1, 2]
+        sent = network.send_many("a", ["d", "b", "c"], protocol="test",
+                                 msg_type="ping", payload="hi")
+        assert sent == 3
         assert len(sim._queue) == 3
         sim.run()
         assert b.received == ["hi"] and c.received == ["hi"] and d.received == ["hi"]
@@ -237,7 +237,7 @@ class TestSendMany:
                                  msg_type="ping")
         sim.run()
         assert network.stats.sent["t"] == 3
-        assert len(sent) + network.stats.dropped.get("t", 0) == 3
+        assert sent + network.stats.dropped.get("t", 0) == 3
 
     def test_send_many_unknown_destination_raises(self):
         sim, network, nodes = self._trio(LatencyModel.fixed(0.02))
@@ -246,12 +246,12 @@ class TestSendMany:
 
     def test_send_many_empty_destinations(self):
         sim, network, nodes = self._trio(LatencyModel.fixed(0.02))
-        assert network.send_many("a", [], protocol="t", msg_type="ping") == []
+        assert network.send_many("a", [], protocol="t", msg_type="ping") == 0
 
     def test_dead_node_send_many_is_noop(self):
         sim, network, (a, b, c, d) = self._trio(LatencyModel.fixed(0.02))
         a.fail()
-        assert a.send_many(["b", "c"], protocol="t", msg_type="ping") == []
+        assert a.send_many(["b", "c"], protocol="t", msg_type="ping") == 0
 
 
 class TestNodeRPC:
@@ -363,7 +363,7 @@ class TestNodeLifecycle:
     def test_failed_node_does_not_send(self, pair):
         sim, network, a, b = pair
         a.fail()
-        assert a.send("b", protocol="test", msg_type="ping") is None
+        assert a.send("b", protocol="test", msg_type="ping") is False
 
     def test_recover_reregisters(self, pair):
         sim, network, a, b = pair
@@ -490,14 +490,12 @@ def _drive(model_name, fault, fan_out):
     fault(network, nodes)
     delivered = []
     network.delivery_hooks.append(
-        lambda m: delivered.append((sim.now, m.msg_id, m.dst)))
+        lambda m: delivered.append((sim.now, m.src, m.dst, m.payload)))
     sent = []
     for round_number in range(30):
         # the second fan-out includes the sender: an instant self-delivery
         for dsts in (DSTS, ["n05", SRC, "n01"]):
-            messages = fan_out(network, dsts, payload=round_number)
-            sent.append([(m.msg_id, m.dst, m.sent_at, m.deliver_at)
-                         for m in messages])
+            sent.append(fan_out(network, dsts, payload=round_number))
         sim.run(until=sim.now + 0.013)  # some deliveries still in flight
     sim.run()
     return {"sent": sent, "delivered": delivered,
@@ -513,16 +511,16 @@ def _through_send_many(network, dsts, payload):
 
 
 def _through_send(network, dsts, payload):
-    sent = [network.send(SRC, dst, protocol="t", msg_type="ping",
-                         payload=payload, size_bytes=100) for dst in dsts]
-    return [message for message in sent if message is not None]
+    return sum(network.send(SRC, dst, protocol="t", msg_type="ping",
+                            payload=payload, size_bytes=100) for dst in dsts)
 
 
 @pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.__name__.strip("_"))
 @pytest.mark.parametrize("model_name", LATENCY_MODELS)
 def test_send_many_is_one_send_per_destination(model_name, fault):
-    """Message ids, times, counters, delivery order and the position every
-    random stream is left at are those of a loop of ``send()`` calls."""
+    """How many left per fan-out, delivery order, times and payload tags,
+    counters and the position every random stream is left at are those of a
+    loop of ``send()`` calls."""
     fanned = _drive(model_name, fault, _through_send_many)
     looped = _drive(model_name, fault, _through_send)
     assert fanned == looped

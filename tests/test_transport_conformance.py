@@ -537,16 +537,12 @@ def _fan_out_transport(loop, tmp_path):
     return transport
 
 
-def _describe(messages):
-    return [(m.msg_id, m.src, m.dst, m.protocol, m.msg_type, m.payload,
-             m.size_bytes, m.sent_at, m.deliver_at) for m in messages]
-
-
 def test_send_many_equals_a_loop_of_sends(tmp_path):
     """``send_many(src, dsts, …)`` ≡ ``[send(src, d, …) for d in dsts]`` over
     local, remote, blocked, probed-down, lossy and never-registered ids: same
-    stats, same returned messages, ``KeyError`` at the same position leaving
-    the same counts — and the same bytes on every peer's queue."""
+    stats, same count of messages that left, ``KeyError`` at the same
+    position leaving the same counts — and the same bytes on every peer's
+    queue."""
     loop = asyncio.new_event_loop()
     dsts = ["r1", "local", "cut", "r2", "down", "r3", "local", "r1", "r2",
             "r3", "r1", "r2"]
@@ -558,14 +554,17 @@ def test_send_many_equals_a_loop_of_sends(tmp_path):
         return transport.send_many("a", dsts, **kwargs)
 
     def loop_of_sends(transport, dsts):
-        return [m for dst in dsts
-                if (m := transport.send("a", dst, **kwargs)) is not None]
+        return sum(transport.send("a", dst, **kwargs) for dst in dsts)
 
     async def _drive(sender):
         # No awaits before the frames are read back: no dial has run, so
         # every frame put on a queue is still there.
         transport = _fan_out_transport(loop, tmp_path)
-        returned = _describe(sender(transport, dsts))
+        returned = sender(transport, dsts)
+        # every send is counted; the ones that did not leave are drops
+        counted = transport.stats.snapshot()
+        assert returned == (counted["sent"]["conformance"]
+                            - counted["dropped"]["conformance"])
         with pytest.raises(KeyError, match="ghost"):
             sender(transport, ["r1", "local", "ghost", "r2"])
         queued = {dst: [frame for _, frame in link.frames]
@@ -584,12 +583,12 @@ def test_send_many_equals_a_loop_of_sends(tmp_path):
     # the mix really was a mix
     assert {"partition", "dst-down", "loss"} <= set(stats["drop_reasons"])
     assert stats["sent"] == {"conformance": len(dsts) + 2}
-    assert {m[2] for m in returned} == {"local", "r1", "r2", "r3"}
+    assert 0 < returned < len(dsts)
     # frames of one fan-out differ in their dst field and nothing else
     frames = [wire.decode_envelope(frame[4:])
               for frames in queued.values() for frame in frames]
     assert {dst for _, dst, *_ in frames} == {"r1", "r2", "r3"}
-    assert all((src, *rest) == ("a", "conformance", "fan", payload, 96, 1.5)
+    assert all((src, *rest) == ("a", "conformance", "fan", payload)
                for src, _, *rest in frames)
 
 
@@ -617,7 +616,7 @@ def test_send_many_encodes_the_payload_once(tmp_path):
         sent = transport.send_many("a", ["r1", "r2", "r3"],
                                    protocol="conformance", msg_type="fan",
                                    payload=fanned)
-        assert len(sent) == 3 and all(m.payload is fanned for m in sent)
+        assert sent == 3
         for dst in ("r1", "r2", "r3"):
             transport.send("a", dst, protocol="conformance", msg_type="fan",
                            payload=looped)
@@ -631,43 +630,51 @@ def test_send_many_encodes_the_payload_once(tmp_path):
 
 
 class _TickingClock(LiveClock):
-    """A wall clock under a microscope: every reading is a second later."""
+    """A wall clock that counts its readings."""
 
-    _reads = 0
+    reads = 0
 
     @property
     def now(self):
-        self._reads += 1
-        return self._loop.time() - self._t0 + self._reads
+        self.reads += 1
+        return super().now
 
 
-def test_a_live_message_carries_one_clock_reading_per_side(tmp_path):
-    """The ``Message`` handed back by ``send`` says what the frame says, and
-    a message built at arrival has ``sent_at == deliver_at``."""
+def test_sending_and_receiving_read_no_clock(tmp_path):
+    """A message carries no time: ``send``, ``send_many``, a local delivery
+    and the read callback that decodes and delivers a frame read no
+    ``clock.now`` (dialing may; the link is up before counting starts)."""
     loop = asyncio.new_event_loop()
     addresses = make_addresses(["a", "b"], "uds", str(tmp_path))
     clocks = {n: _TickingClock(seed=1, loop=loop) for n in "ab"}
     transports = {n: LiveTransport(clocks[n], addresses, kind="uds")
                   for n in "ab"}
-    nodes = {n: ProtocolEndpoint(clocks[n], transports[n], n,
-                                 processing_delay=0.0)
-             for n in "ab"}
-    arrived = []
-    nodes["b"].register_handler("ping", arrived.append)
+    a, b, local = (ProtocolEndpoint(clocks[host], transports[host], name,
+                                    processing_delay=0.0)
+                   for name, host in (("a", "a"), ("b", "b"), ("local", "a")))
+    arrived, reads = [], []
+    b.register_handler("ping", arrived.append)
+    local.register_handler("ping", arrived.append)
+
+    async def _until_arrived(count):
+        for _ in range(200):
+            if len(arrived) == count:
+                return
+            await asyncio.sleep(0.01)
 
     async def _go():
         await transports["b"].start()
-        returned = [nodes["a"].send("b", protocol="conformance",
-                                    msg_type="ping", payload=i)
-                    for i in range(2)]
-        framed = [wire.decode_envelope(frame[4:])[6]
-                  for _, frame in transports["a"]._peers["b"].frames]
-        assert [m.sent_at for m in returned] == framed
-        assert framed[0] < framed[1]
-        for _ in range(200):
-            if len(arrived) == 2:
-                break
-            await asyncio.sleep(0.01)
+        a.send("b", protocol="conformance", msg_type="ping", payload=0)
+        await _until_arrived(1)
+        for clock in clocks.values():
+            clock.reads = 0
+        assert transports["a"].send("a", "b", protocol="conformance",
+                                    msg_type="ping", payload=1) is True
+        assert transports["a"].send_many(
+            "a", ["b", "local"], protocol="conformance", msg_type="ping",
+            payload=2) == 2
+        await _until_arrived(4)
+        reads.extend(clock.reads for clock in clocks.values())
         await transports["a"].stop()
         await transports["b"].stop()
 
@@ -675,8 +682,9 @@ def test_a_live_message_carries_one_clock_reading_per_side(tmp_path):
         loop.run_until_complete(_go())
     finally:
         loop.close()
-    assert [m.payload for m in arrived] == [0, 1]
-    assert all(m.sent_at == m.deliver_at for m in arrived)
+    assert sorted((m.dst, m.payload) for m in arrived) == [
+        ("b", 0), ("b", 1), ("b", 2), ("local", 2)]
+    assert reads == [0, 0]
 
 
 def test_heartbeat_marks_peer_down_then_recovered(tmp_path):
@@ -697,9 +705,9 @@ def test_heartbeat_marks_peer_down_then_recovered(tmp_path):
         transport_a.start_heartbeats()
         await asyncio.sleep(0.6)
         drops = transport_a.stats.drop_reasons
-        assert a.send("b", protocol="conformance", msg_type="ping") is None
+        assert a.send("b", protocol="conformance", msg_type="ping") is False
         assert drops["dst-down"] == 1
-        assert a.send("b", protocol="conformance", msg_type="ping") is None
+        assert a.send("b", protocol="conformance", msg_type="ping") is False
         assert drops["dst-down"] == 2
 
         # Bring b up: the next probe connects and the peer is back.
@@ -710,7 +718,7 @@ def test_heartbeat_marks_peer_down_then_recovered(tmp_path):
         await transport_b.start()
         await asyncio.sleep(0.6)
         assert a.send("b", protocol="conformance", msg_type="ping",
-                      payload="back") is not None
+                      payload="back") is True
         for _ in range(200):
             if received:
                 break
@@ -907,8 +915,8 @@ def test_a_peer_that_stops_reading_keeps_queue_and_buffer_bounded(tmp_path):
                  "sink": str(tmp_path / "sink.sock")}
     transport_a, a = _uds_endpoint(loop, addresses, "a", max_queue_frames=8)
     payload = "x" * 4096
-    one_flush = 8 * (len(wire.encode_envelope(
-        "a", "sink", "conformance", "blob", payload, 1024, 0.0)) + 32)
+    one_flush = 8 * len(wire.encode_envelope(
+        "a", "sink", "conformance", "blob", payload))
     sinks = []
     overflow = transport_a.stats.drop_reasons
 

@@ -129,8 +129,8 @@ class TestRateSchedules:
         with pytest.raises(ValueError):
             FlashCrowdRate(5.0, 1.0, at=0.0)
 
-    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
-    @pytest.mark.parametrize("build, field", [
+    #: each schedule field a constructor checks, set to ``v``
+    FIELDS = [
         (lambda v: ConstantRate(v), "rate"),
         (lambda v: RampRate(v, 1.0, duration=5.0), "start_rate"),
         (lambda v: RampRate(1.0, v, duration=5.0), "end_rate"),
@@ -141,11 +141,24 @@ class TestRateSchedules:
         (lambda v: FlashCrowdRate(1.0, v, at=0.0), "peak_rate"),
         (lambda v: FlashCrowdRate(1.0, 2.0, at=0.0, hold=v), "hold"),
         (lambda v: FlashCrowdRate(1.0, 2.0, at=0.0, decay=v), "decay"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("build, field", FIELDS)
     def test_non_finite_values_are_refused_at_construction(self, build, field,
                                                           bad):
         # an infinite rate hangs the first next_time(); NaN issues no op
         # and raises nothing
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            build(bad)
+
+    @pytest.mark.parametrize("build, field, bad", [
+        (build, field, bad) for build, field in FIELDS
+        for bad in ("1", None, [1.0])
+        if (field, bad) != ("decay", None)])   # None: decay as long as ramp
+    def test_a_non_number_is_refused_naming_the_field(self, build, field,
+                                                      bad):
+        # "1" and None used to raise TypeError from the comparison
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             build(bad)
 
