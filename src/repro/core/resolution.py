@@ -7,7 +7,10 @@ image, applies the configured policy to the concurrent (conflicting) updates,
 and then informs all members, which install the missing updates and mark
 themselves consistent.  Updates are blocked on a member from the moment it is
 visited until it installs the resolved image, preventing writes based on an
-inconsistent copy.
+inconsistent copy.  Both messages carry a :class:`VectorDelta`: a member
+answers with its vector above the initiator's per-writer counts, which the
+initiator rebuilds against its own snapshot, and the install carries the
+merged image above what every collected member holds.
 
 *Background resolution* runs the procedure periodically without user
 involvement.  *Active resolution* is user-triggered and adds a first phase: a
@@ -28,13 +31,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies import PolicyDecision, ResolutionPolicy
 from repro.store.replica import Replica
 from repro.transport import (Cancellable, Message, Process, RPCError, sleep,
                              unwrap_response)
-from repro.versioning.extended_vector import ExtendedVersionVector, UpdateRecord
+from repro.versioning.extended_vector import (ExtendedVersionVector,
+                                              TruncatedHistoryError,
+                                              UpdateRecord, VectorDelta)
 
 
 PROTOCOL_ACTIVE = "idea.resolution.active"
@@ -154,17 +159,18 @@ class ResolutionManager:
         return {"ack": True}
 
     def _rpc_collect(self, args: dict) -> dict:
-        """Phase-2 collection handler: return the full local vector."""
+        """Phase-2 collection handler: the local vector above the
+        initiator's ``counts``."""
         replica = self.replica
         replica.block_writes()
         if args.get("initiator") != self.node.node_id:
             self._arm_block_guard()
-        return {"vector": replica.vector, "node_id": self.node.node_id}
+        return {"delta": replica.vector.delta_above(args["counts"])}
 
     def _handle_install(self, message: Message) -> None:
         """Install the resolved consistent image pushed by the initiator."""
         payload = message.payload
-        merged: ExtendedVersionVector = payload["merged"]
+        merged: VectorDelta = payload["merged"]
         invalidated: List[Tuple[str, int]] = payload["invalidated"]
         replica = self.replica
         replica.install_merged(merged, now=self.node.clock.now)
@@ -358,8 +364,11 @@ class ResolutionManager:
         local_replica = self.replica
         local_replica.block_writes()
 
+        snapshot = local_replica.vector
+        args = {"initiator": self.node.node_id,
+                "counts": snapshot.counts().as_dict()}
         collected: Dict[str, ExtendedVersionVector] = {
-            self.node.node_id: local_replica.vector}
+            self.node.node_id: snapshot}
         # Sequentially visit every other member (the paper visits members one
         # by one, which is what gives the linear Formula 2/3 behaviour).
         for member in members:
@@ -370,35 +379,40 @@ class ResolutionManager:
                         "merged_updates": 0, "invalidated": [],
                         "aborted": True}
             waiter = self.node.request(member, f"idea_collect:{self.object_id}",
-                                       {"initiator": self.node.node_id},
-                                       protocol=protocol, size_bytes=256,
+                                       args, protocol=protocol, size_bytes=256,
                                        timeout=self.COLLECT_TIMEOUT)
             response = yield waiter
             try:
-                payload = unwrap_response(response)
-            except RPCError:
+                collected[member] = unwrap_response(response)["delta"].rebuild(
+                    snapshot)
+            except (RPCError, TruncatedHistoryError, ValueError):
                 # Member unreachable or the collect timed out (crash or
-                # partition mid-round); resolve among the rest.
+                # partition mid-round), or its reply does not fit the
+                # snapshot; resolve among the rest.
                 continue
-            collected[member] = payload["vector"]
 
         if not self.node.alive:
             return {"delay": self.node.clock.now - phase2_start,
                     "merged_updates": 0, "invalidated": [], "aborted": True}
 
-        merged, decision = self._merge_and_decide(list(collected.values()))
+        merged, decision, floors = self._merge_and_decide(
+            list(collected.values()))
         invalidated = (list(decision.invalidated_keys)
                        if decision is not None and self.policy.discard_losers else [])
 
-        # Inform every member (including self) of the consistent image.  The
+        # Inform every member (including self) of the consistent image: its
+        # records above what every collected member holds, or above the
+        # image's checkpoint when a member was not collected.  The
         # notifications go out back-to-back as one fan-out (a live transport
-        # encodes the image once for all of them); members install on receipt.
+        # encodes the delta once for all of them); members install on receipt.
+        image = merged.delta_above(
+            floors if all(map(collected.__contains__, members)) else {})
         self.node.send_many(
             [member for member in members if member != self.node.node_id],
             protocol=protocol, msg_type=f"idea_install:{self.object_id}",
-            payload={"merged": merged, "invalidated": invalidated},
+            payload={"merged": image, "invalidated": invalidated},
             size_bytes=1024)
-        local_replica.install_merged(merged, now=self.node.clock.now)
+        local_replica.install_merged(image, now=self.node.clock.now)
         if invalidated:
             local_replica.invalidate_updates(invalidated)
         local_replica.unblock_writes()
@@ -412,18 +426,21 @@ class ResolutionManager:
 
     # ------------------------------------------------------------- merging
     def _merge_and_decide(self, vectors: List[ExtendedVersionVector]
-                          ) -> Tuple[ExtendedVersionVector, Optional[PolicyDecision]]:
+                          ) -> Tuple[ExtendedVersionVector, Optional[PolicyDecision],
+                                     Dict[str, int]]:
         now = self.node.clock.now
         merged = merge_vectors(vectors, consistent_time=now)
-        conflicting = self._conflicting_updates(vectors)
+        conflicting, floors = self._conflicting_updates(vectors)
         decision: Optional[PolicyDecision] = None
         if len({r.writer for r in conflicting}) > 1:
             decision = self.policy.resolve(sorted(conflicting, key=lambda r: r.key()))
-        return merged, decision
+        return merged, decision, floors
 
     @staticmethod
-    def _conflicting_updates(vectors: List[ExtendedVersionVector]) -> List[UpdateRecord]:
-        """Updates not yet known to every replica — the concurrent set.
+    def _conflicting_updates(vectors: List[ExtendedVersionVector]
+                             ) -> Tuple[List[UpdateRecord], Dict[str, int]]:
+        """Updates not yet known to every replica — the concurrent set — and
+        per writer the count every replica holds.
 
         An update that every collected replica has already seen cannot be in
         conflict any more (its ordering was settled by a previous round); the
@@ -438,18 +455,17 @@ class ResolutionManager:
         checkpoint are by definition below the stability frontier, hence
         below every count, hence never in this set.
         """
-        if not vectors:
-            return []
-        writers: Set[str] = set()
-        for vector in vectors:
-            writers.update(vector.writers())
+        counts = [vector.counts().as_dict() for vector in vectors]
         seen: Dict[Tuple[str, int], UpdateRecord] = {}
-        for writer in sorted(writers):
-            known = min(vector.count(writer) for vector in vectors)
-            for vector in vectors:
-                for record in vector.updates_above(writer, known):
-                    seen.setdefault(record.key(), record)
-        return list(seen.values())
+        floors: Dict[str, int] = {}
+        for writer in sorted(set().union(*counts)):
+            held = [count.get(writer, 0) for count in counts]
+            known = floors[writer] = min(held)
+            for vector, count in zip(vectors, held):
+                if count > known:
+                    for record in vector.updates_above(writer, known):
+                        seen.setdefault(record.key(), record)
+        return list(seen.values()), floors
 
     # ------------------------------------------------------------ finishing
     def _finish(self, result: ResolutionResult) -> None:

@@ -12,9 +12,10 @@ in-process).  ``--smoke`` applies the registry's shrunken parameters — the
 same code path on a seconds-sized grid.  A failed point (``FarmPointError``)
 is attempted once and exits 1 with a diagnostic, so CI smoke steps cannot
 silently pass on a failure; a ``--param`` key or ``--world`` the experiment
-does not take, or a ``--jobs`` below 1, exits 2 naming what it accepts, and
-a value the grid refuses (``--run fig9 --param max_top_layer=1``) exits 2
-with the grid's one-line reason.
+does not take, or a ``--jobs`` below 1, exits 2 naming what it accepts; a
+value of another kind than the keyword's default (a string where it is a
+number: ``--param 'rate="1"'``) or one the grid refuses (``--run fig9
+--param max_top_layer=1``) exits 2 with a one-line reason.
 Every experiment runs on the simulator; the live backend's oracle run is
 ``python -m repro.live``.
 """
@@ -53,6 +54,24 @@ def _param_value(key: str, raw: str) -> Any:
             return raw
     raise ValueError(f"--param {key}: {raw!r} is neither a Python literal "
                      f"nor a bare name")
+
+
+def _check_type(key: str, value: Any, default: Any) -> None:
+    """Refuse a ``--param`` value of another kind than its default: a
+    number (a bool is not one), a bool or a string; raises ``ValueError``
+    naming ``key``."""
+    if isinstance(default, bool):
+        kind, ok = "a bool", isinstance(value, bool)
+    elif isinstance(default, (int, float)):
+        kind = "a number"
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif isinstance(default, str):
+        kind, ok = "a string", isinstance(value, str)
+    else:
+        return
+    if not ok:
+        raise ValueError(f"--param {key}: expected {kind} like the default "
+                         f"{default!r}, got {value!r}")
 
 
 def _parse_jobs(text: str) -> int:
@@ -141,13 +160,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     kwargs: Dict[str, Any] = dict(entry.smoke) if args.smoke else {}
+    accepted = entry.parameters()
     try:
-        kwargs.update((key, _param_value(key, raw)) for key, raw in args.param)
+        for key, raw in args.param:
+            value = kwargs[key] = _param_value(key, raw)
+            _check_type(key, value, accepted.get(key))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.worlds:
-        if "worlds" not in entry.parameters():
+        if "worlds" not in accepted:
             print(f"error: experiment {args.run!r} does not take --world",
                   file=sys.stderr)
             return 2

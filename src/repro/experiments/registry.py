@@ -43,17 +43,20 @@ class ExperimentEntry:
     fold: Fold = lambda specs, values: values
     smoke: Mapping[str, Any] = dataclasses.field(default_factory=dict)
 
-    def parameters(self) -> Tuple[str, ...]:
-        """Every override :func:`run` accepts: the grid's keywords, then —
+    def parameters(self) -> Dict[str, Any]:
+        """Every override :func:`run` accepts, with its default
+        (``inspect.Parameter.empty`` for none): the grid's keywords, then —
         when it forwards ``**point_kwargs`` — the point's, minus the ones
         the grid binds itself (its axes' per-point values)."""
         grid_params = inspect.signature(self.grid).parameters.values()
-        names = [p.name for p in grid_params if p.kind is p.KEYWORD_ONLY]
+        accepted = {p.name: p.default for p in grid_params
+                    if p.kind is p.KEYWORD_ONLY}
         if any(p.kind is p.VAR_KEYWORD for p in grid_params):
             spec = self.grid()[0]
-            names += [name for name in inspect.signature(spec.resolve()).parameters
-                      if name not in spec.kwargs and name not in names]
-        return tuple(names)
+            for name, p in inspect.signature(spec.resolve()).parameters.items():
+                if name not in spec.kwargs:
+                    accepted.setdefault(name, p.default)
+        return accepted
 
 
 class UnknownParameter(TypeError):

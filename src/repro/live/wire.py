@@ -2,7 +2,7 @@
 
 Every payload that crosses ``Transport.send`` in the protocol layers —
 version digests (announced in the top layer, gossiped in the bottom one),
-resolution rounds (extended version vectors, invalidation lists),
+resolution rounds (vector deltas, invalidation lists),
 detection announcements, truncation counts — must survive a trip through
 this codec *losslessly*: decode(encode(x)) == x, including container types
 (the resolution installer uses ``(writer, seq)`` tuples as dict keys
@@ -46,10 +46,10 @@ objects:
                        payload']``
 ``VersionDigest``      ``[object, node, [writer, ...], packed(count, ...,
                        issued_at, metadata, lct, (cum, last), ...)]``
-``ExtendedVersion-     ``[[[writer, packed(seq, ..., (timestamp, delta),
-Vector``               ...), [payload', ...]], ...], [[writer, ...],
-                       packed(count, ..., (cum, last), ...)],
-                       packed(metadata, lct)]``
+``VectorDelta``        ``[[[writer, packed(floor, count, seq, ...,
+                       (timestamp, delta), ...), [payload', ...]], ...],
+                       [[writer, ...], packed(count, ..., (cum, last),
+                       ...)], packed(metadata, lct)]``
 ====================== ================================================
 
 A column's length follows from the JSON beside it (the writer list, the
@@ -60,12 +60,12 @@ digest's ``total`` is not shipped: the decoder sums it from the counts.
 Only values typed ``Any`` — ``UpdateRecord.payload`` (``payload'`` above),
 RPC arguments and results, and the plain containers a message payload is
 made of — take the generic walker ``_pack``, which is where the three tags
-are written.  An :class:`ExtendedVersionVector` ships its content fields
-only and is rebuilt through its checked constructor, so no memo crosses a
-process boundary and a vector whose history is not ``base + 1 .. count``
-per writer, or whose checkpoint folds nothing, is refused.  A digest is
-refused when a count is below 1 or its writers are not distinct and in
-order.
+are written.  A :class:`VectorDelta` (what a resolution round's collect
+reply and install carry) is refused when a row's count is below its floor,
+its floor below the writer's checkpoint or its seqs do not run ``floor + 1
+.. count``, when a writer is named twice, or when a checkpoint folds
+nothing.  A digest is refused when a count is below 1 or its writers are
+not distinct and in order.
 
 **Decoding** parses with one ``JSONDecoder(object_hook=_revive)``: lists and
 scalars are materialised in C and Python runs only on JSON objects, i.e. on
@@ -123,8 +123,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.detection import VersionDigest
 from repro.transport.errors import TransportError
-from repro.versioning.extended_vector import (ExtendedVersionVector,
-                                              UpdateRecord, WriterBase)
+from repro.versioning.extended_vector import (UpdateRecord, VectorDelta,
+                                              WriterBase)
 
 #: frame header: big-endian unsigned 32-bit body length
 HEADER = struct.Struct(">I")
@@ -318,44 +318,56 @@ def _digest_from(fields: List[Any]) -> VersionDigest:
                            _LAYOUTS[n, 3 + 2 * n].unpack(a2b_base64(blob)))
 
 
-def _vector_fields(v: ExtendedVersionVector) -> List[Any]:
-    # The content fields __reduce__ pickles; caches are process-local, and
-    # a writer's history is read up to this vector's own prefix.
+def _delta_fields(v: VectorDelta) -> List[Any]:
     rows = []
-    for writer, history in v._updates.items():
-        records = history.above(0)
+    for writer, (floor, records) in v.rows.items():
         n = len(records)
-        numbers = (*map(_SEQ, records),
+        numbers = (floor, floor + n, *map(_SEQ, records),
                    *chain.from_iterable(map(_RECORD_FLOATS, records)))
-        rows.append([writer, _packed(n, 2 * n, numbers),
+        rows.append([writer, _packed(n + 2, 2 * n, numbers),
                      [p if type(p) in _SCALARS else _pack(p)
                       for p in map(_PAYLOAD, records)]])
-    bases = list(v._base.values())
+    bases = list(v.bases.values())
     m = len(bases)
     numbers = (*map(_COUNT, bases),
                *chain.from_iterable(map(_BASE_FLOATS, bases)))
-    return [rows, [list(v._base), _packed(m, 2 * m, numbers)],
-            _packed(0, 2, (v._metadata, v._last_consistent_time))]
+    return [rows, [list(v.bases), _packed(m, 2 * m, numbers)],
+            _packed(0, 2, (v.metadata, v.last_consistent_time))]
 
 
-def _vector_from(fields: List[Any]) -> ExtendedVersionVector:
-    rows, (names, blob), tail = fields
-    updates = {}
-    for writer, column, payloads in rows:
-        n = len(payloads)
-        values = _numbers(n, 2 * n, column)
-        # map stops at the payloads: ``values`` contributes its n seqs
-        updates[writer] = list(map(UpdateRecord, repeat(writer), values,
-                                   values[n::2], values[n + 1::2], payloads))
+def _delta_from(fields: List[Any]) -> VectorDelta:
+    rows_in, (names, blob), tail = fields
     m = len(names)
     values = _numbers(m, 2 * m, blob)
     bases = dict(zip(names, map(WriterBase, values, values[m::2],
                                 values[m + 1::2])))
-    if len(updates) != len(rows) or len(bases) != m:
-        raise WireError("a vector names a writer twice")
+    if len(bases) != m:
+        raise WireError("a delta names a writer twice")
+    if m and min(values[:m]) < 1:
+        raise WireError("a delta's checkpoint must fold at least one update")
+    rows = {}
+    for writer, column, payloads in rows_in:
+        if type(payloads) is not list:
+            raise WireError("a delta row's payloads are not a list")
+        n = len(payloads)
+        values = _numbers(n + 2, 2 * n, column)
+        floor, count = values[:2]
+        if count < floor:
+            raise WireError(f"writer {writer!r}'s count {count} is below its "
+                            f"floor {floor}")
+        base = bases.get(writer)
+        if (count - floor != n or floor < (base.count if base else 0)
+                or values[2:n + 2] != tuple(range(floor + 1, count + 1))):
+            raise WireError(f"the records of writer {writer!r} must run "
+                            f"{floor + 1}..{count} above its checkpoint")
+        # map stops at the payloads: ``values`` contributes its n seqs
+        rows[writer] = (floor, list(map(UpdateRecord, repeat(writer),
+                                        values[2:], values[n + 2::2],
+                                        values[n + 3::2], payloads)))
+    if len(rows) != len(rows_in):
+        raise WireError("a delta names a writer twice")
     metadata, lct = _numbers(0, 2, tail)
-    # the checked constructor: a ValueError is a malformed body
-    return ExtendedVersionVector(updates, metadata, lct, bases)
+    return VectorDelta(rows, bases, metadata, lct)
 
 
 def _record_from(fields: List[Any]) -> UpdateRecord:
@@ -372,8 +384,7 @@ _CODECS: Dict[str, Tuple[type, Callable[[Any], List[Any]],
                    _packed(1, 2, (v.seq, v.timestamp, v.metadata_delta)),
                    _pack(v.payload)],
         _record_from),
-    "ExtendedVersionVector": (
-        ExtendedVersionVector, _vector_fields, _vector_from),
+    "VectorDelta": (VectorDelta, _delta_fields, _delta_from),
     "VersionDigest": (VersionDigest, _digest_fields, _digest_from),
 }
 

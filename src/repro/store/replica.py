@@ -32,6 +32,7 @@ from repro.versioning.extended_vector import (
     ExtendedVersionVector,
     TruncatedHistoryError,
     UpdateRecord,
+    VectorDelta,
 )
 from repro.versioning.version_vector import VersionVector
 
@@ -277,24 +278,25 @@ class Replica:
         self._vector = self._vector.with_consistent_time(time)
         self.revision += 1
 
-    def install_merged(self, merged: ExtendedVersionVector, *, now: float) -> int:
+    def install_merged(self, merged: VectorDelta, *, now: float) -> int:
         """Install the resolved consistent image: apply every missing update.
 
-        Returns the number of updates pulled in.  The replica's own extra
-        updates (if any) are kept — the merged image by construction contains
-        them, so vectors converge.  The install is all-or-nothing: if this
-        replica fell behind the pushing initiator's checkpoint it raises
-        with the vector and :attr:`revision` untouched, counted: the records
-        it needs no longer exist anywhere (conservative frontier policies
-        make this unreachable; see ``DetectionService
-        .stability_frontier``).
+        ``merged`` is the image's delta above a floor this replica holds
+        (DESIGN.md §2.6); the records above the replica's own counts are
+        applied in ``(writer, seq)`` order.  Returns the number of updates
+        pulled in.  The replica's own extra updates (if any) are kept — the
+        merged image by construction contains them, so vectors converge.
+        The install is all-or-nothing: if this replica is below a floor
+        (behind the pushing initiator's checkpoint) it raises with the
+        vector and :attr:`revision` untouched, counted: the records it needs
+        no longer exist anywhere (conservative frontier policies make this
+        unreachable; see ``DetectionService.stability_frontier``).
         """
         try:
             missing = merged.missing_from(self._vector)
         except TruncatedHistoryError:
             self.truncation_stats.installs_behind_checkpoint += 1
             raise
-        # ``missing_from`` answers in (writer, seq) order: nothing to sort
         applied = self._apply_sorted(missing, now)
         self.mark_consistent(now)
         if self.journal is not None:

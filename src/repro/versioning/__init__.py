@@ -24,6 +24,7 @@ from repro.versioning.extended_vector import (
     ExtendedVersionVector,
     TruncatedHistoryError,
     UpdateRecord,
+    VectorDelta,
     WriterBase,
 )
 from repro.versioning.writers import GLOBAL_WRITERS, WriterTable
@@ -34,6 +35,7 @@ __all__ = [
     "ExtendedVersionVector",
     "TruncatedHistoryError",
     "UpdateRecord",
+    "VectorDelta",
     "WriterBase",
     "GLOBAL_WRITERS",
     "WriterTable",

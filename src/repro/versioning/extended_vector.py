@@ -191,6 +191,105 @@ class History:
 #: what a vector holds of a writer it has no retained record of
 _NO_HISTORY = History([], 0)
 
+
+@frozen_value
+class VectorDelta:
+    """A vector with each writer's records at or below a floor left out.
+
+    What a resolution round ships (§4.5): a collect reply holds the
+    member's vector above the initiator's counts, an install the merged
+    image above what every member holds.  ``rows`` maps each writer the
+    vector retains records of, in the vector's order, to ``(floor,
+    records)``: the records ``floor + 1 .. count``, where the floor is at
+    least the writer's checkpoint.  ``bases``, ``metadata`` and
+    ``last_consistent_time`` are the vector's own.  Built by
+    :meth:`ExtendedVersionVector.delta_above`; ``live.wire`` checks a
+    decoded one.
+    """
+
+    rows: Dict[str, Tuple[int, List[UpdateRecord]]]
+    bases: Dict[str, WriterBase]
+    metadata: float
+    last_consistent_time: float
+
+    def rebuild(self, snapshot: "ExtendedVersionVector") -> "ExtendedVersionVector":
+        """The vector this delta was cut from, its records at or below each
+        floor read from ``snapshot``, which holds them.
+
+        Where the sender's checkpoint is below the snapshot's, the
+        snapshot's checkpoint stands in: the records between them are
+        known to every replica (the stability frontier, DESIGN.md §9), so
+        the stand-in merges and yields the concurrent set as the sender's
+        vector does.  Raises :class:`TruncatedHistoryError` when the sender
+        is behind the snapshot's checkpoint, and ``ValueError`` when a
+        floor lies above what the snapshot holds.
+        """
+        bases = self.bases
+        held_bases, held_of = snapshot._base, snapshot._updates
+        updates: Dict[str, History] = {}
+        for writer, (floor, records) in self.rows.items():
+            base = bases.get(writer)
+            start = base.count if base is not None else 0
+            if floor == start:
+                history = History(records[:], len(records))
+            else:
+                held_base = held_bases.get(writer)
+                offset = held_base.count if held_base is not None else 0
+                if start < offset:
+                    if floor < offset:
+                        raise TruncatedHistoryError(
+                            f"the sender holds {floor} updates of writer "
+                            f"{writer!r}, below this replica's checkpoint "
+                            f"at {offset}")
+                    if bases is self.bases:
+                        bases = dict(bases)
+                    bases[writer] = held_base
+                    start = offset
+                held = held_of.get(writer, _NO_HISTORY)
+                if floor - offset > held.n:
+                    raise ValueError(
+                        f"a delta's floor {floor} for writer {writer!r} is "
+                        f"above the {offset + held.n} updates held here")
+                if start == offset:
+                    history = (History(held.records, floor - offset)
+                               if floor - offset < held.n else held)
+                    if records:
+                        history = history.extended(records)
+                else:
+                    prefix = held.records[start - offset:floor - offset]
+                    prefix += records
+                    history = History(prefix, len(prefix))
+            if history.n:
+                updates[writer] = history
+        return ExtendedVersionVector._from_trusted(
+            updates, metadata=self.metadata,
+            last_consistent_time=self.last_consistent_time,
+            base=bases if bases else _NO_BASES)
+
+    def missing_from(self, vector: "ExtendedVersionVector") -> List[UpdateRecord]:
+        """The records above ``vector``'s per-writer counts, in ``(writer,
+        seq)`` order — what :meth:`ExtendedVersionVector.missing_from`
+        answers from the whole vector.
+
+        Raises :class:`TruncatedHistoryError` when ``vector`` is below a
+        writer's floor: the records it lacks were not shipped.
+        """
+        missing: List[UpdateRecord] = []
+        rows, bases = self.rows, self.bases
+        for writer in sorted(rows.keys() | bases.keys() if bases else rows):
+            have = vector.count(writer)
+            row = rows.get(writer)
+            floor, records = row if row is not None else (bases[writer].count, ())
+            if have < floor:
+                raise TruncatedHistoryError(
+                    f"peer knows only {have} updates of writer {writer!r} but "
+                    f"the delta holds them from seq {floor + 1} on; records "
+                    f"below the stability frontier are no longer "
+                    f"individually available")
+            if have - floor < len(records):
+                missing += records[have - floor:]
+        return missing
+
 _metadata_delta = attrgetter("metadata_delta")
 _cum_metadata = attrgetter("cum_metadata")
 #: sort keys, computed in C: a writer's records by seq, and the
@@ -517,7 +616,10 @@ class ExtendedVersionVector:
             # the seqs ``other`` holds that the union already has
             covered = floor + tail.n - their_floor
             if held.n > covered:
-                tail = held if covered == 0 else tail.extended(held.above(covered))
+                # a view of the list ``tail`` views (a rebuilt collect reply)
+                # already holds it as a prefix
+                tail = (held if covered == 0 or held.records is tail.records
+                        else tail.extended(held.above(covered)))
             if floor:
                 bases[writer] = base
             if tail.n:
@@ -545,11 +647,10 @@ class ExtendedVersionVector:
         lacks exactly the records above its per-writer count, returned in
         ``(writer, seq)`` order — writer by writer in sorted order, each
         writer's suffix as held — which is the order :meth:`apply_many`
-        takes, so an install sorts nothing per record.
+        takes, so the receiver sorts nothing per record.
         Raises :class:`TruncatedHistoryError` when a needed record was
         folded into this vector's checkpoint — the peer is behind the
-        stability frontier and can only be repaired by checkpoint adoption
-        (:meth:`repro.store.replica.Replica.install_merged`).
+        stability frontier.
         """
         missing: List[UpdateRecord] = []
         for writer in sorted(set(self._updates) | set(self._base)
@@ -566,6 +667,28 @@ class ExtendedVersionVector:
                     f"no longer individually available")
             missing.extend(self.updates_above(writer, have))
         return missing
+
+    def delta_above(self, counts: Mapping[str, int]) -> VectorDelta:
+        """This vector less each writer's records at or below ``counts``
+        (what a holder of those counts lacks), floored at the checkpoint:
+        one slice per writer, nothing folded.  ``counts`` is a mapping
+        such as ``snapshot.counts().as_dict()``, and the delta's
+        ``rebuild(snapshot)`` merges as this vector does.
+        """
+        rows: Dict[str, Tuple[int, List[UpdateRecord]]] = {}
+        bases = self._base
+        for writer, history in self._updates.items():
+            base = bases.get(writer)
+            floor = base.count if base is not None else 0
+            held = counts.get(writer, 0) - floor
+            if held <= 0:
+                rows[writer] = (floor, history.records[:history.n])
+            elif held < history.n:
+                rows[writer] = (floor + held, history.records[held:history.n])
+            else:
+                rows[writer] = (floor + history.n, [])
+        return VectorDelta(rows, bases, self._metadata,
+                           self._last_consistent_time)
 
     # ------------------------------------------------------------- pickling
     def __reduce__(self):

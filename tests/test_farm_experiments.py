@@ -434,6 +434,18 @@ def test_cli_rejects_a_param_neither_a_literal_nor_a_bare_name(raw, capsys):
     assert line.startswith("error: --param rate: ")
 
 
+@pytest.mark.parametrize("raw, got", [('"1"', "'1'"), ("True", "True")])
+def test_cli_rejects_a_param_of_another_kind_than_its_default(raw, got, capsys):
+    # --param 'rate="1"' is a Python literal, so it used to reach the point
+    # and fail there with a 20-line ValueError traceback, exiting 1; a bool
+    # is not a number
+    argv = ["--run", "workload", "--smoke", "--quiet", "--param", f"rate={raw}"]
+    assert cli.main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (f"error: --param rate: expected a number like the "
+                    f"default 4.0, got {got}")
+
+
 def test_cli_rejects_jobs_as_a_param(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["--run", "tab2", "--param", "jobs=4"])

@@ -26,10 +26,11 @@ from repro.live.scenario import (ScenarioSpec, build_live_stack,
                                  make_addresses)
 from repro.live.transport import LiveTransport
 from repro.live.wire import (HEADER, MAX_FRAME_BYTES, WireError,
-                             encode_envelope)
+                             decode_envelope, encode_envelope)
 from repro.scenarios.plan import FaultPlan
 from repro.store.replica import Replica
 from repro.transport.message import Message
+from repro.versioning.extended_vector import VectorDelta
 
 NODE = "n00"
 
@@ -46,11 +47,13 @@ def fresh_stack(spec, rundir, loop):
 
 def peer_image(replica: Replica, now: float):
     """What a resolution initiator pushes: this replica's vector merged with
-    a peer ``n09`` that wrote twice."""
+    a peer ``n09`` that wrote twice, above what the replica holds."""
     peer = Replica("n09", replica.object_id)
     peer.local_write("n09", 0.5, metadata_delta=2.0, payload={"p": 1})
     peer.local_write("n09", 0.6, metadata_delta=1.5, payload={"p": 2})
-    return merge_vectors([replica.vector, peer.vector], consistent_time=now)
+    return merge_vectors([replica.vector, peer.vector],
+                         consistent_time=now).delta_above(
+                             replica.vector.counts().as_dict())
 
 
 def state_of(stack):
@@ -167,6 +170,24 @@ def test_replay_restores_the_state_at_every_record(journalled, step,
                                        journal_bytes(journalled)[:size])
     assert torn == 0
     assert replayed_state == state
+
+
+def test_an_install_record_holds_the_delta_it_applied(journalled):
+    """The journal keeps what the install carried — the image above the
+    replica's counts, ``n09``'s two records — and replays from it."""
+    data, offset, installs = journal_bytes(journalled), 0, []
+    while offset < len(data):
+        (length,) = HEADER.unpack_from(data, offset)
+        _, obj, _, kind, args = decode_envelope(
+            data[offset + HEADER.size:offset + HEADER.size + length])
+        if (kind, obj) == ("install", "obj0"):
+            installs.append(args[0])
+        offset += HEADER.size + length
+    (delta,) = installs
+    assert type(delta) is VectorDelta
+    assert [r.key() for _, records in delta.rows.values()
+            for r in records] == [("n09", 1), ("n09", 2)]
+    assert delta.rows[NODE] == (1, [])
 
 
 @pytest.mark.parametrize("cut", [1, 3, 4, 9])

@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 
 from repro.core.detection import VersionDigest
 from repro.live import wire
-from repro.versioning.extended_vector import (ExtendedVersionVector, History,
-                                              UpdateRecord, WriterBase)
+from repro.versioning.extended_vector import (ExtendedVersionVector,
+                                              UpdateRecord, VectorDelta,
+                                              WriterBase)
 
 # --------------------------------------------------------------------------
 # strategies
@@ -82,27 +83,25 @@ version_digests = st.builds(
 
 
 @st.composite
-def extended_vectors(draw):
-    """Well-formed EVVs: contiguous per-writer seqs continuing a base."""
-    writers = draw(st.lists(writer_ids, min_size=0, max_size=3, unique=True))
-    updates = {}
-    base = {}
-    for writer in writers:
+def vector_deltas(draw, ids=writer_ids, payload=st.one_of(st.none(), names)):
+    """A vector above counts drawn per writer — at, below or above its
+    checkpoint and its count — with any ``ids`` and ``payload``s."""
+    updates, base = {}, {}
+    for writer in draw(st.lists(ids, max_size=3, unique=True)):
         base_count = draw(st.integers(0, 3))
         if base_count:
-            base[writer] = WriterBase(count=base_count,
-                                      cum_metadata=draw(finite),
-                                      last_timestamp=draw(finite))
+            base[writer] = draw(writer_bases.map(
+                lambda b, n=base_count: WriterBase(n, b.cum_metadata,
+                                                   b.last_timestamp)))
         tail = draw(st.integers(0 if base_count else 1, 3))
         if tail:
-            updates[writer] = tuple(
-                UpdateRecord(writer=writer, seq=base_count + 1 + i,
-                             timestamp=draw(finite),
-                             metadata_delta=draw(finite),
-                             payload=draw(st.one_of(st.none(), names)))
-                for i in range(tail))
-    return ExtendedVersionVector(updates=updates, metadata=draw(finite),
-                                 last_consistent_time=draw(finite), base=base)
+            updates[writer] = [UpdateRecord(writer, base_count + 1 + i,
+                                            draw(finite), draw(finite),
+                                            draw(payload))
+                               for i in range(tail)]
+    vector = ExtendedVersionVector(updates, draw(finite), draw(finite), base)
+    return vector.delta_above({w: draw(st.integers(0, vector.count(w) + 1))
+                               for w in vector.writers()})
 
 
 # --------------------------------------------------------------------------
@@ -135,24 +134,23 @@ def test_a_gossip_payload_roundtrips_with_its_ttl(digest, ttl, members):
     assert type(restored["ttl"]) is int
 
 
-@settings(max_examples=50, deadline=None)
-@given(extended_vectors())
-def test_extended_version_vectors_roundtrip(vector):
-    restored = wire.roundtrip(vector)
-    assert restored == vector
-    assert restored.counts() == vector.counts()
-    assert restored.last_consistent_time == vector.last_consistent_time
+@settings(max_examples=100, deadline=None)
+@given(vector_deltas(ids=names, payload=payloads(2)))
+def test_vector_deltas_roundtrip_any_ids_and_payloads(delta):
+    restored = wire.roundtrip(delta)
+    assert restored == delta
+    assert list(restored.rows) == list(delta.rows)
+    assert list(restored.bases) == list(delta.bases)
 
 
 @settings(max_examples=30, deadline=None)
-@given(extended_vectors(), st.lists(st.tuples(writer_ids,
-                                              st.integers(1, 20)),
-                                    max_size=3))
-def test_resolution_install_payload_roundtrips(vector, invalidated):
+@given(vector_deltas(), st.lists(st.tuples(writer_ids, st.integers(1, 20)),
+                                 max_size=3))
+def test_resolution_install_payload_roundtrips(delta, invalidated):
     """The exact payload shape ``idea_install`` pushes to every member."""
-    payload = {"merged": vector, "invalidated": invalidated}
+    payload = {"merged": delta, "invalidated": invalidated}
     restored = wire.roundtrip(payload)
-    assert restored["merged"] == vector
+    assert restored["merged"] == delta
     # (writer, seq) pairs must come back as tuples — they are used as dict
     # keys by the rollback bookkeeping downstream.
     assert restored["invalidated"] == invalidated
@@ -185,29 +183,30 @@ PROTOCOL_PAYLOADS = [
     ("overlay.ransub", "ransub_distribute", {"round": 4}),
     # resolution rounds: collect response and install push
     ("idea.resolution", "idea_collect:obj0",
-     {"vector": ExtendedVersionVector(
-         updates={"n00": (UpdateRecord("n00", 1, 0.5, 1.0, {"k": "v"}),)},
-         metadata=1.0),
-      "node_id": "n00"}),
+     {"delta": ExtendedVersionVector(
+         updates={"n00": (UpdateRecord("n00", 1, 0.5, 1.0, {"k": "v"}),
+                          UpdateRecord("n00", 2, 0.75, 1.0))},
+         metadata=2.0).delta_above({"n00": 1})}),
     ("idea.resolution", "idea_install:obj0",
      {"merged": ExtendedVersionVector(
          updates={"n00": (UpdateRecord("n00", 2, 1.5),),
                   "n01": (UpdateRecord("n01", 1, 0.25),)},
          base={"n00": WriterBase(count=1, cum_metadata=2.0,
                                  last_timestamp=0.5)},
-         metadata=2.0),
+         metadata=2.0).delta_above({"n00": 1}),
       "invalidated": [("n01", 1)]}),
     # the RPC envelopes a resolution round's calls travel in: the request
-    # and a response whose ``(status, value)`` result must stay a tuple
+    # (the initiator's counts ride in its args) and a response whose
+    # ``(status, value)`` result must stay a tuple
     ("idea.resolution", "__rpc_request__",
      {"request_id": 7, "method": "idea_collect:obj0",
-      "args": {"initiator": "n01"}, "reply_to": "n01",
-      "protocol": "idea.resolution"}),
+      "args": {"initiator": "n01", "counts": {"n00": 1, "__n01": 2}},
+      "reply_to": "n01", "protocol": "idea.resolution"}),
     ("idea.resolution", "__rpc_response__",
      {"request_id": 7,
-      "result": ("ok", {"vector": ExtendedVersionVector(
+      "result": ("ok", {"delta": ExtendedVersionVector(
           updates={"n00": (UpdateRecord("n00", 1, 0.5, 1.0),)},
-          metadata=1.0), "node_id": "n00"})}),
+          metadata=1.0).delta_above({})})}),
 ]
 
 
@@ -374,10 +373,11 @@ def test_golden_digest_announce_frame():
 
 
 def test_golden_install_frame():
-    """One small resolution install: per writer its id, one packed column
-    of seqs then (timestamp, delta) pairs, and its payloads; the bases as
-    ids plus one column; the metadata and lct as one two-double column.
-    Only the ``Any``-typed record payloads and the message's own containers
+    """One small resolution install: the merged image above the floor every
+    member holds.  Per writer its id, one packed column of floor, count,
+    seqs then (timestamp, delta) pairs, and its payloads; the bases as ids
+    plus one column; the metadata and lct as one two-double column.  Only
+    the ``Any``-typed record payloads and the message's own containers
     carry tags."""
     install = {
         "merged": ExtendedVersionVector(
@@ -388,22 +388,24 @@ def test_golden_install_frame():
                                           ("stroke", 7)))},
             base={"n00": WriterBase(count=2, cum_metadata=2.5,
                                     last_timestamp=0.5)},
-            metadata=5.0, last_consistent_time=2.0),
+            metadata=5.0, last_consistent_time=2.0).delta_above(
+                {"n00": 2, "n01": 1}),
         "invalidated": [("n01", 1)]}
     frame = wire.encode_envelope("n00", "n01", "idea.resolution.active",
                                  "idea_install:obj0", install)
     assert frame == (
-        b'\x00\x00\x01\x82["n00","n01","idea.resolution.active",'
-        b'"idea_install:obj0",{"merged":{"__c":"ExtendedVersionVector","f":['
-        b'[["n00","AwAAAAAAAAAAAAAAAAD4PwAAAAAAAOg/",[{"writer":"n00","n":3}]],'
-        b'["n01","AQAAAAAAAAACAAAAAAAAAAAAAAAAANA/AAAAAAAA9D8AAAAAAAD8PwAAAAAA'
-        b'AOA/",[null,{"__t":["stroke",7]}]]],'
+        b'\x00\x00\x01\x83["n00","n01","idea.resolution.active",'
+        b'"idea_install:obj0",{"merged":{"__c":"VectorDelta","f":['
+        b'[["n00","AgAAAAAAAAADAAAAAAAAAAMAAAAAAAAAAAAAAAAA+D8AAAAAAADoPw==",'
+        b'[{"writer":"n00","n":3}]],'
+        b'["n01","AQAAAAAAAAACAAAAAAAAAAIAAAAAAAAAAAAAAAAA/D8AAAAAAADgPw==",'
+        b'[{"__t":["stroke",7]}]]],'
         b'[["n00"],"AgAAAAAAAAAAAAAAAAAEQAAAAAAAAOA/"],'
         b'"AAAAAAAAFEAAAAAAAAAAQA=="]},'
         b'"invalidated":[{"__t":["n01",1]}]}]')
     restored = wire.decode_envelope(frame[4:])[4]
     assert restored == install
-    assert restored["merged"].last_consistent_time == 2.0
+    assert restored["merged"].rows["n01"][0] == 1
 
 
 def test_shared_payload_is_encoded_once_and_spliced():
@@ -470,12 +472,10 @@ def _gossip_with(**fields):
             "members": ["n00", "n02"]}
 
 
-def _vector_with(timestamp=1.0, delta=1.0, cum=1.0, last=0.5, metadata=2.0,
-                 lct=0.0):
-    return ExtendedVersionVector(
-        updates={"n00": (UpdateRecord("n00", 2, timestamp, delta),)},
-        base={"n00": WriterBase(1, cum, last)}, metadata=metadata,
-        last_consistent_time=lct)
+def _delta_with(timestamp=1.0, delta=1.0, cum=1.0, last=0.5, metadata=2.0,
+                lct=0.0):
+    return VectorDelta({"n00": (1, [UpdateRecord("n00", 2, timestamp, delta)])},
+                       {"n00": WriterBase(1, cum, last)}, metadata, lct)
 
 
 #: one instance per typed float field, built with that field set to ``x``
@@ -494,16 +494,12 @@ TYPED_FLOAT_FIELDS = {
     "gossip.digest.last_consistent_time":
         lambda x: _gossip_with(last_consistent_time=x),
     "gossip.digest.issued_at": lambda x: _gossip_with(issued_at=x),
-    "ExtendedVersionVector.records.timestamp":
-        lambda x: _vector_with(timestamp=x),
-    "ExtendedVersionVector.records.metadata_delta":
-        lambda x: _vector_with(delta=x),
-    "ExtendedVersionVector.base.cum_metadata": lambda x: _vector_with(cum=x),
-    "ExtendedVersionVector.base.last_timestamp":
-        lambda x: _vector_with(last=x),
-    "ExtendedVersionVector.metadata": lambda x: _vector_with(metadata=x),
-    "ExtendedVersionVector.last_consistent_time":
-        lambda x: _vector_with(lct=x),
+    "VectorDelta.rows.timestamp": lambda x: _delta_with(timestamp=x),
+    "VectorDelta.rows.metadata_delta": lambda x: _delta_with(delta=x),
+    "VectorDelta.bases.cum_metadata": lambda x: _delta_with(cum=x),
+    "VectorDelta.bases.last_timestamp": lambda x: _delta_with(last=x),
+    "VectorDelta.metadata": lambda x: _delta_with(metadata=x),
+    "VectorDelta.last_consistent_time": lambda x: _delta_with(lct=x),
 }
 
 #: the non-finite values, each in every typed float field
@@ -551,18 +547,19 @@ def test_a_non_finite_typed_float_is_an_encode_error_drop(tmp_path):
             + sum(stats.drop_reasons.values()))
 
 
-#: per class, ``(ints, floats, fields)``: the column's shape and the ``"f"``
-#: list around a blob of that shape (the extended vector has three columns)
+#: per class, ``(ints, floats, fields)``: the column's well-formed ints, its
+#: float count and the ``"f"`` list around a blob of that shape (a delta has
+#: three columns; a row's leads with its floor and count)
 _COLUMNS = {
-    "UpdateRecord": (1, 2, lambda blob: ["w", blob, None]),
-    "VersionDigest": (1, 5, lambda blob: ["o", "n", ["w"], blob]),
-    "VersionDigest.gossip": (1, 5, lambda blob: ["o", "n", ["w"], blob]),
-    "ExtendedVersionVector": (1, 2, lambda blob: [
+    "UpdateRecord": ([1], 2, lambda blob: ["w", blob, None]),
+    "VersionDigest": ([1], 5, lambda blob: ["o", "n", ["w"], blob]),
+    "VersionDigest.gossip": ([1], 5, lambda blob: ["o", "n", ["w"], blob]),
+    "VectorDelta": ([0, 1, 1], 2, lambda blob: [
         [["w", blob, [None]]], [[], _column([], [])],
         _column([], [0.0] * 2)]),
-    "ExtendedVersionVector.base": (1, 2, lambda blob: [
+    "VectorDelta.bases": ([1], 2, lambda blob: [
         [], [["w"], blob], _column([], [0.0] * 2)]),
-    "ExtendedVersionVector.tail": (0, 2, lambda blob: [
+    "VectorDelta.tail": ([], 2, lambda blob: [
         [], [[], _column([], [])], blob]),
 }
 
@@ -580,7 +577,7 @@ def _class_body(column: str, blob) -> bytes:
 
 def _finite_column(column: str):
     ints, floats, _ = _COLUMNS[column]
-    return [1] * ints, [0.5] * floats
+    return list(ints), [0.5] * floats
 
 
 @pytest.mark.parametrize("column", list(_COLUMNS))
@@ -642,11 +639,11 @@ OUT_OF_INT64 = {
         writers=(("n00", WriterBase(2 ** 64, 1.5, 2.0)),)),
     "gossip.digest.writers.count": _gossip_with(
         writers=(("n00", WriterBase(2 ** 63, 1.5, 2.0)),)),
-    "ExtendedVersionVector.records.seq": ExtendedVersionVector(
-        updates={"n00": (UpdateRecord("n00", 2 ** 63, 1.0, 1.0),)},
-        base={"n00": WriterBase(2 ** 63 - 1, 1.0, 0.5)}),
-    "ExtendedVersionVector.base.count": ExtendedVersionVector(
-        base={"n00": WriterBase(2 ** 63, 1.0, 0.5)}),
+    "VectorDelta.rows.seq": VectorDelta(
+        {"n00": (2 ** 63 - 1, [UpdateRecord("n00", 2 ** 63, 1.0, 1.0)])},
+        {"n00": WriterBase(2 ** 63 - 1, 1.0, 0.5)}, 0.0, 0.0),
+    "VectorDelta.bases.count": VectorDelta(
+        {}, {"n00": WriterBase(2 ** 63, 1.0, 0.5)}, 0.0, 0.0),
 }
 
 
@@ -685,12 +682,14 @@ def test_edge_floats_in_typed_fields_come_back_bit_exactly(x):
                                     digest.last_consistent_time,
                                     summary.cum_metadata,
                                     summary.last_timestamp))
-    vector = wire.roundtrip(_vector_with(timestamp=x, delta=x, cum=x, last=x,
-                                         metadata=x, lct=x))
-    (record,) = vector.updates_from("n00")
+    delta = wire.roundtrip(_delta_with(timestamp=x, delta=x, cum=x, last=x,
+                                       metadata=x, lct=x))
+    (record,) = delta.rows["n00"][1]
+    base = delta.bases["n00"]
     assert all(same(v, x) for v in (record.timestamp, record.metadata_delta,
-                                    vector.metadata,
-                                    vector.last_consistent_time))
+                                    base.cum_metadata, base.last_timestamp,
+                                    delta.metadata,
+                                    delta.last_consistent_time))
 
 
 def test_an_int_in_a_typed_float_field_comes_back_a_float():
@@ -927,29 +926,23 @@ def test_wrong_shape_bodies_raise_wire_error(body):
 # values outside the one invariant: refused on decode, not installed
 # --------------------------------------------------------------------------
 
-def _unchecked_vector(seqs_of, counts):
-    """A vector of ``{writer: seqs}`` over ``{writer: checkpoint count}``
-    built past the checked constructor: what a damaged or hostile peer can
-    put in a frame."""
-    histories = {}
-    for writer, seqs in seqs_of.items():
-        records = [UpdateRecord(writer, seq, float(seq), 1.0) for seq in seqs]
-        histories[writer] = History(records, len(records))
-    return ExtendedVersionVector._from_trusted(
-        histories, 1.0, 0.0,
-        {w: WriterBase(count, 1.0, 0.5) for w, count in counts.items()})
+def _delta_body(rows, bases):
+    """A collect response whose delta holds ``rows`` of ``(writer, floor,
+    count, seqs)`` over the checkpoints ``{writer: count}``, written past
+    the encoder: what a damaged or hostile peer can put in a frame."""
+    import json
+    fields = [[[w, _column([floor, count, *seqs], [0.5, 1.0] * len(seqs)),
+                [None] * len(seqs)] for w, floor, count, seqs in rows],
+              [list(bases), _column(list(bases.values()),
+                                    [1.0, 0.5] * len(bases))],
+              _column([], [1.0, 0.0])]
+    return _envelope(json.dumps({"delta": {"__c": "VectorDelta", "f": fields}}))
 
 
-def _collect_response(vector) -> bytes:
-    return wire.encode_envelope("n00", "n01", "idea.resolution",
-                                "idea_collect:obj0",
-                                {"vector": vector, "node_id": "n00"})
-
-
-def _vector_bodies(seqs_of, counts, rename=None):
-    """The collect response of ``_unchecked_vector(seqs_of, counts)``, one
-    writer id renamed to another's in the encoded body if asked."""
-    body = _collect_response(_unchecked_vector(seqs_of, counts))[4:]
+def _delta_bodies(rows, bases=None, rename=None):
+    """``[_delta_body(rows, bases)]``, one writer id renamed to another's
+    if asked."""
+    body = _delta_body(rows, bases or {})
     if rename is not None:
         body = body.replace(b'"%s"' % rename[0].encode(),
                             b'"%s"' % rename[1].encode())
@@ -973,31 +966,35 @@ def _digest_rows(*rows):
     return bodies
 
 
-#: the bodies of a vector no constructor builds, or of a digest no builder
-#: makes, per shape
+#: the bodies of a delta no vector cuts, or of a digest no builder makes,
+#: per shape
 OUTSIDE_THE_INVARIANT = {
-    "vector-duplicate-seq": _vector_bodies({"w": [1, 1, 3]}, {}),
-    "vector-gap": _vector_bodies({"w": [1, 2, 4]}, {}),
-    "vector-not-from-one": _vector_bodies({"w": [2, 3]}, {}),
-    "vector-tail-skips-its-checkpoint": _vector_bodies({"w": [4]}, {"w": 2}),
-    "vector-tail-into-its-checkpoint": _vector_bodies({"w": [2, 3]},
+    "delta-duplicate-seq": _delta_bodies([("w", 0, 3, [1, 1, 3])]),
+    "delta-gap": _delta_bodies([("w", 0, 3, [1, 2, 4])]),
+    "delta-not-from-its-floor": _delta_bodies([("w", 1, 3, [3, 4])]),
+    "delta-count-below-its-floor": _delta_bodies([("w", 3, 2, [])]),
+    "delta-count-past-its-records": _delta_bodies([("w", 0, 4, [1, 2])]),
+    "delta-count-min-int64": _delta_bodies([("w", 0, -2 ** 63, [])]),
+    "delta-floor-below-zero": _delta_bodies([("w", -1, 0, [0])]),
+    "delta-floor-below-its-checkpoint": _delta_bodies([("w", 1, 2, [2])],
                                                       {"w": 2}),
-    "vector-checkpoint-of-nothing": _vector_bodies({"v": [1]}, {"w": 0}),
-    "vector-checkpoint-below-zero": _vector_bodies({}, {"w": -2}),
-    "vector-writer-twice": _vector_bodies({"w": [1], "x": [1]}, {},
-                                          rename=("x", "w")),
-    "vector-checkpoint-twice": _vector_bodies({}, {"w": 1, "x": 1},
-                                              rename=("x", "w")),
+    "delta-checkpoint-of-nothing": _delta_bodies([("v", 0, 1, [1])],
+                                                 {"w": 0}),
+    "delta-checkpoint-below-zero": _delta_bodies([], {"w": -2}),
+    "delta-writer-twice": _delta_bodies([("w", 0, 1, [1]), ("x", 0, 1, [1])],
+                                        rename=("x", "w")),
+    "delta-checkpoint-twice": _delta_bodies([], {"w": 1, "x": 1},
+                                            rename=("x", "w")),
+    "delta-second-writer-gap": _delta_bodies([("w", 0, 1, [1]),
+                                              ("x", 0, 3, [1, 2, 4])]),
     "digest-count-zero": _digest_rows(("n00", 0)),
     "digest-count-below-zero": _digest_rows(("n00", 3), ("n01", -2)),
     "digest-writer-twice": _digest_rows(("n00", 3), ("n00", 4)),
     "digest-writers-out-of-order": _digest_rows(("n01", 3), ("n00", 4)),
-    "vector-second-writer-gap": _vector_bodies({"w": [1], "x": [1, 2, 4]},
-                                               {}),
-    "vector-gap-above-a-checkpoint": _vector_bodies({"w": [3, 5]},
-                                                    {"w": 2}),
-    "vector-duplicate-above-a-checkpoint": _vector_bodies({"w": [3, 3, 4]},
-                                                          {"w": 2}),
+    "delta-gap-above-a-checkpoint": _delta_bodies([("w", 2, 4, [3, 5])],
+                                                  {"w": 2}),
+    "delta-duplicate-above-a-checkpoint": _delta_bodies(
+        [("w", 2, 5, [3, 3, 4])], {"w": 2}),
     "digest-count-min-int64": _digest_rows(("n00", -2 ** 63)),
     "digest-third-writer-out-of-order": _digest_rows(("n00", 1), ("n02", 2),
                                                      ("n01", 3)),
@@ -1013,55 +1010,56 @@ def test_a_value_outside_the_invariant_is_refused_on_decode(bodies):
 
 
 @st.composite
-def vector_shapes_outside_the_invariant(draw):
-    """A well-formed vector's ``({writer: seqs}, {writer: count})`` broken
-    one way: a seq repeated, a gap, the seqs shifted, the checkpoint moved
-    off its tail, or a checkpoint that folds nothing."""
-    seqs_of, counts = {}, {}
-    writers = draw(st.lists(writer_ids, min_size=1, max_size=3, unique=True))
-    for i, writer in enumerate(writers):
-        count = draw(st.integers(0, 3))
-        held = draw(st.integers(1 if i == 0 else 0, 3))
-        if count:
-            counts[writer] = count
-        if held:
-            seqs_of[writer] = list(range(count + 1, count + 1 + held))
-    victim = draw(st.sampled_from(sorted(seqs_of)))
-    seqs = seqs_of[victim]
-    damage = draw(st.sampled_from(["repeat", "gap", "shift", "move-checkpoint",
-                                   "checkpoint-below-one"]))
+def delta_shapes_outside_the_invariant(draw):
+    """A well-formed delta's rows ``(writer, floor, count, seqs)`` over its
+    checkpoints ``{writer: count}``, broken one way: a seq repeated, a
+    gap, the seqs shifted, the count moved off the records, the floor
+    below the checkpoint, or a checkpoint that folds nothing."""
+    rows, bases = [], {}
+    for writer in draw(st.lists(writer_ids, min_size=1, max_size=3,
+                                unique=True)):
+        base = draw(st.integers(0, 3))
+        if base:
+            bases[writer] = base
+        floor = base + draw(st.integers(0, 2))
+        held = draw(st.integers(0, 3))
+        rows.append([writer, floor, floor + held,
+                     list(range(floor + 1, floor + 1 + held))])
+    victim = draw(st.sampled_from(rows))
+    _, floor, count, seqs = victim
+    damage = draw(st.sampled_from(
+        ["gap", "shift", "move-count", "floor-below-checkpoint",
+         "checkpoint-below-one"] + (["repeat"] if seqs else [])))
     if damage == "repeat":
         at = draw(st.integers(0, len(seqs) - 1))
         seqs.insert(at, seqs[at])
+        victim[2] += 1
     elif damage == "gap":
-        seqs.append(seqs[-1] + draw(st.integers(2, 4)))
+        seqs.append((seqs[-1] if seqs else floor) + draw(st.integers(2, 4)))
+        victim[2] = seqs[-1]
     elif damage == "shift":
         step = draw(st.sampled_from([-1, 1, 2]))
-        seqs[:] = [seq + step for seq in seqs]
-    elif damage == "move-checkpoint":
-        counts[victim] = counts.get(victim, 0) + draw(st.sampled_from([-1, 1]))
+        seqs[:] = [seq + step for seq in seqs or [floor + 1]]
+        victim[2] = floor + len(seqs)
+    elif damage == "move-count":
+        victim[2] += draw(st.sampled_from([-1, 1, -2 ** 62]))
+    elif damage == "floor-below-checkpoint":
+        bases[victim[0]] = floor + draw(st.integers(1, 2))
     else:
-        counts[draw(st.sampled_from(writers))] = draw(
+        bases[draw(st.sampled_from(rows))[0]] = draw(
             st.sampled_from([0, -1, -2 ** 63]))
-    return seqs_of, counts
+    return rows, bases
 
 
 @settings(max_examples=200, deadline=None)
-@given(vector_shapes_outside_the_invariant())
-def test_a_vector_outside_the_invariant_is_refused(shape):
-    """The constructor refuses the shape, and a collect response carrying it
-    is a ``WireError`` on decode — the counted ``frame-error`` — never a
-    vector whose gap the initiator's install would trip over."""
-    seqs_of, counts = shape
-    with pytest.raises(ValueError):
-        ExtendedVersionVector(
-            {w: [UpdateRecord(w, seq, 1.0) for seq in seqs]
-             for w, seqs in seqs_of.items()},
-            base={w: WriterBase(count, 1.0, 0.5)
-                  for w, count in counts.items()})
+@given(delta_shapes_outside_the_invariant())
+def test_a_delta_outside_the_invariant_is_refused(shape):
+    """A collect response carrying the shape is a ``WireError`` on decode —
+    the counted ``frame-error`` — never a reply whose gap the initiator's
+    rebuild or a member's install would trip over."""
+    rows, bases = shape
     with pytest.raises(wire.WireError):
-        wire.decode_envelope(
-            _collect_response(_unchecked_vector(seqs_of, counts))[4:])
+        wire.decode_envelope(_delta_body(rows, bases))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1095,8 +1093,8 @@ def test_a_digest_outside_the_invariant_is_refused(digest, data):
                          ids=list(OUTSIDE_THE_INVARIANT))
 def test_a_value_outside_the_invariant_is_one_frame_error(bodies):
     """Each body arriving on a connection is one counted ``frame-error``
-    that closes it — never, say, a collect response's vector ``w:3`` over
-    the history ``[1, 1, 3]``, whose gap the initiator's install would
+    that closes it — never, say, a collect response's delta ``w:3`` over
+    the records ``[1, 1, 3]``, whose gap the initiator's install would
     raise on inside the round."""
     for body in bodies:
         inbound = _Inbound()
@@ -1133,9 +1131,9 @@ INTRUDERS = [[], {}, [[1]], {"a": [1]}, {"__t": 5}, {"__t": []},
              "text", None, -1, 1e308]
 
 every_registered_value = st.one_of(
-    update_records, version_digests, extended_vectors(),
-    st.builds(lambda vector, pairs: {"merged": vector, "invalidated": pairs},
-              extended_vectors(),
+    update_records, version_digests, vector_deltas(),
+    st.builds(lambda delta, pairs: {"merged": delta, "invalidated": pairs},
+              vector_deltas(),
               st.lists(st.tuples(writer_ids, st.integers(1, 20)), max_size=2)),
     payloads())
 

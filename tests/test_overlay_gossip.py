@@ -244,7 +244,8 @@ class TestDeploymentGossipDigest:
             lambda: replica.local_write("n01", 1.0, metadata_delta=0.1),
             lambda: replica.local_write("n01", 2.0, metadata_delta=0.7),
             lambda: replica.install_merged(
-                replica.vector.merge(other.vector, consistent_time=3.0), now=3.0),
+                replica.vector.merge(other.vector, consistent_time=3.0)
+                .delta_above({}), now=3.0),
             lambda: replica.invalidate_updates([("n02", 3)]),
             lambda: replica.mark_consistent(4.0),
             lambda: replica.truncate_stable({"n01": 1, "n02": 2}),

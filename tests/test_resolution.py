@@ -295,6 +295,39 @@ class TestInstallFanOut:
             "drop_reasons": {}}
 
 
+    @pytest.mark.parametrize("dead", [None, "n03"])
+    def test_an_install_ships_what_a_collected_member_lacks(self, dead,
+                                                            monkeypatch):
+        """Above the floor every collected member holds — n01's second
+        write only — or, with a member not collected, above the image's
+        checkpoint: every retained record."""
+        monkeypatch.setattr(ResolutionManager, "COLLECT_TIMEOUT", 2.0)
+        deployment = build_deployment(seed=11)
+        installs = []
+        deployment.network.delivery_hooks.append(
+            lambda m: installs.append(m.payload["merged"])
+            if m.msg_type.startswith("idea_install") else None)
+        diverge(deployment, ["n00", "n01", "n02", "n03"])
+        resolution = deployment.middleware("obj", "n00").resolution
+        resolution.start_active_resolution()
+        deployment.run(until=deployment.sim.now + 10.0)
+        diverge(deployment, ["n01"])
+        if dead is not None:
+            deployment.nodes[dead].fail()
+        installs.clear()
+        process = resolution.start_active_resolution()
+        deployment.run(until=deployment.sim.now + 10.0)
+        assert not process.result.aborted
+        shipped = {writer: (floor, [r.seq for r in records])
+                   for writer, (floor, records) in installs[0].rows.items()}
+        if dead is None:
+            assert shipped == {"n00": (1, []), "n01": (1, [2]),
+                               "n02": (1, []), "n03": (1, [])}
+        else:
+            assert shipped == {"n00": (0, [1]), "n01": (0, [1, 2]),
+                               "n02": (0, [1]), "n03": (0, [1])}
+
+
 def rec(writer, seq, ts, delta=1.0):
     return UpdateRecord(writer=writer, seq=seq, timestamp=ts, metadata_delta=delta)
 

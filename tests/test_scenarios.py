@@ -503,7 +503,7 @@ class TestResolutionUnderFailures:
         replica = deployment.stores[member_id].replica("doc")
         # A remote initiator visits (blocks the replica, arms the guard)
         # and then crashes before ever pushing an install.
-        member._rpc_collect({"initiator": writers[2]})
+        member._rpc_collect({"initiator": writers[2], "counts": {}})
         deployment.crash_node(writers[2])
         # The member starts its own round, which stalls on another crashed
         # participant for COLLECT_TIMEOUT — well past the 5 s guard.

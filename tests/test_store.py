@@ -245,7 +245,7 @@ class TestReplicaAgainstTheEntryList:
                 image = ExtendedVersionVector({
                     w: HISTORIES[w][:data.draw(st.integers(0, model.count(w) + 3))]
                     for w in "ABC"})
-                pulled = replica.install_merged(image, now=clock)
+                pulled = replica.install_merged(image.delta_above({}), now=clock)
                 assert pulled == model.extend(
                     [r for w in "ABC" for r in image.updates_from(w)], clock)
             elif kind == "invalidate":
@@ -402,7 +402,8 @@ class TestReplica:
         a.local_write("n0", 1.0, payload="from-a")
         b.local_write("n1", 1.0, payload="from-b")
         merged = a.vector.merge(b.vector, consistent_time=2.0)
-        pulled = a.install_merged(merged, now=2.0)
+        pulled = a.install_merged(merged.delta_above(a.vector.counts().as_dict()),
+                                  now=2.0)
         assert pulled == 1
         assert a.vector.count("n1") == 1
         assert a.vector.last_consistent_time == 2.0
@@ -471,7 +472,7 @@ class TestReplica:
                                        "B": (rec("B", 1, 2.0),)},
                                       base={"A": WriterBase(2, 2.0, 2.0)})
         with pytest.raises(TruncatedHistoryError):
-            replica.install_merged(image, now=2.0)
+            replica.install_merged(image.delta_above({}), now=2.0)
         assert replica.truncation_stats.installs_behind_checkpoint == 1
         assert replica.vector is vector
         assert replica.revision == revision

@@ -249,7 +249,7 @@ class TestReplicaTruncation:
         merged = replica.vector.truncate_to({"A": 2, "B": 1})
         cold = Replica("n9", "obj")
         with pytest.raises(TruncatedHistoryError):
-            cold.install_merged(merged, now=5.0)
+            cold.install_merged(merged.delta_above({}), now=5.0)
         assert cold.truncation_stats.installs_behind_checkpoint == 1
 
 
