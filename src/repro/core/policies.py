@@ -49,11 +49,10 @@ class ResolutionPolicy(abc.ABC):
     #: strategy id as used by ``set_resolution``
     strategy: ResolutionStrategy
     #: whether the losing updates are physically invalidated (tombstoned) by
-    #: the resolution round.  Only the invalidate-both policy discards data;
-    #: the user-ID and priority policies merely decide whose version forms
-    #: "the perfect image" — losers are ordered after the winners but kept,
-    #: matching the evaluation's use of the ID rule to *re-order* conflicting
-    #: updates (§6) and the progress argument of §4.5.1.
+    #: the resolution round.  Only the invalidate-both policy discards data.
+    #: The user-ID and priority policies name a winner, but a round keeps
+    #: every update of the merged image either way and drops their
+    #: decision; content reads order the updates by timestamp.
     discard_losers: bool = False
 
     @abc.abstractmethod

@@ -44,9 +44,9 @@ from repro.versioning.extended_vector import (ExtendedVersionVector,
 
 PROTOCOL_ACTIVE = "idea.resolution.active"
 PROTOCOL_BACKGROUND = "idea.resolution.background"
-#: per-message local dispatch overhead (seconds) charged when the initiator
-#: fans out the phase-1 call-for-attention; ~0.15 ms per member matches the
-#: sub-millisecond phase-1 cost reported in Table 2.
+#: per-message local dispatch overhead (seconds) charged when a simulated
+#: initiator fans out the phase-1 call-for-attention; ~0.15 ms per member
+#: matches the sub-millisecond phase-1 cost reported in Table 2.
 ATTENTION_DISPATCH_OVERHEAD = 0.00015
 
 
@@ -263,9 +263,8 @@ class ResolutionManager:
             return self._aborted("background", started, members,
                                  "initiator offline")
         if self._resolving:
-            result = self._aborted("background", started, members,
-                                   "already resolving")
-            return result
+            return self._aborted("background", started, members,
+                                 "already resolving")
         self._resolving = True
         try:
             phase2 = yield from self._resolution_procedure(members, PROTOCOL_BACKGROUND)
@@ -312,22 +311,23 @@ class ResolutionManager:
             backoff = float(self._backoff_rng.uniform(0.0, self.BACKOFF_WINDOW))
             yield sleep(backoff)
             if self._yielded_to is not None and self._yielded_to != self.node.node_id:
-                result = self._aborted("active", started, members,
-                                       f"suppressed by {self._yielded_to}")
-                return result
+                return self._aborted("active", started, members,
+                                     f"suppressed by {self._yielded_to}")
 
         if self._resolving:
-            result = self._aborted("active", started, members, "already resolving")
-            return result
+            return self._aborted("active", started, members, "already resolving")
 
         self._resolving = True
         try:
             # ----------------------------------------------------- phase one
             phase1_start = self.node.clock.now
+            modelled = self.node.models_dispatch_cost
             for peer in peers:
                 # Local dispatch cost: the calls go out in parallel, so the
-                # measured phase-1 delay is the (tiny) serial send overhead.
-                yield sleep(ATTENTION_DISPATCH_OVERHEAD)
+                # measured phase-1 delay is the (tiny) serial send overhead,
+                # modelled on a simulated node and real on a wall clock.
+                if modelled:
+                    yield sleep(ATTENTION_DISPATCH_OVERHEAD)
                 self.node.request(
                     peer, f"idea_attention:{self.object_id}",
                     {"initiator": self.node.node_id},

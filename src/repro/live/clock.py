@@ -62,8 +62,9 @@ class LiveClock:
                    priority: int = 0, label: str = "", arg: Any = _NO_ARG,
                    recyclable: bool = False) -> asyncio.TimerHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise TransportError(f"negative delay {delay}")
+        # ``not x >= 0`` refuses NaN (call_at's too) as well as the past
+        if not delay >= 0:
+            raise TransportError(f"cannot schedule with delay {delay}")
         if arg is _NO_ARG:
             return self._loop.call_later(delay, callback)
         return self._loop.call_later(delay, callback, arg)
@@ -72,7 +73,7 @@ class LiveClock:
                 priority: int = 0, label: str = "", arg: Any = _NO_ARG,
                 recyclable: bool = False) -> asyncio.TimerHandle:
         """Schedule ``callback`` at absolute clock time ``time`` (clamped to now)."""
-        return self.call_after(max(0.0, time - self.now), callback,
+        return self.call_after(max(time - self.now, 0.0), callback,
                                priority=priority, label=label, arg=arg,
                                recyclable=recyclable)
 

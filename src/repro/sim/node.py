@@ -4,9 +4,9 @@ All the protocol plumbing — handler dispatch, the request/response RPC
 layer, the crash-stop lifecycle (unregister, settle pending RPCs, run
 ``fail_hooks``) — lives in the backend-neutral
 :class:`~repro.transport.endpoint.ProtocolEndpoint`.  :class:`Node` binds
-it to the simulator and adds the one genuinely simulated concern: a local
-:class:`~repro.sim.clock.DriftingClock`, so ``local_time()`` reads a skewed
-clock the way a real host's would drift.
+it to the simulator and adds the simulated concerns: a drifting local clock
+(:class:`~repro.sim.clock.DriftingClock`, read by ``local_time()``) and the
+modelled dispatch cost of a resolution round's phase-1 fan-out.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from repro.transport.endpoint import ProtocolEndpoint
 
 class Node(ProtocolEndpoint):
     """A host participating in the simulated deployment."""
+
+    models_dispatch_cost = True
 
     def __init__(self, sim: Simulator, network: Network, node_id: str, *,
                  clock_model: Optional[ClockModel] = None,

@@ -241,30 +241,33 @@ class Replica:
         — what a fold of :meth:`apply_update` over them leaves behind.  A
         batch with a per-writer gap raises before anything changes.
         """
-        return self._apply_sorted(sorted(records, key=_writer_seq), applied_at)
+        vector, applied = self._vector.apply_many(
+            sorted(records, key=_writer_seq))
+        # ``applied`` keeps the sorted order: one run of records per writer
+        return self._adopt(vector, [(writer, len(list(run))) for writer, run
+                                    in groupby(applied, _writer)], applied_at)
 
-    def _apply_sorted(self, records: List[UpdateRecord],
-                      applied_at: float) -> int:
-        """:meth:`apply_updates` on records already in ``(writer, seq)``
-        order."""
-        vector, applied = self._vector.apply_many(records)
-        if not applied:
+    def _adopt(self, vector: ExtendedVersionVector,
+               gained: List[Tuple[str, int]], applied_at: float) -> int:
+        """Take ``vector``, which holds per ``(writer, n)`` of ``gained``
+        that writer's ``n`` records more, all applied at ``applied_at``;
+        returns how many records that is."""
+        if not gained:
             return 0
         self._vector = vector
         stamps_of = self._stamps
-        # ``applied`` keeps the sorted order: one run of records per writer
-        for writer, run in groupby(applied, _writer):
-            new = [applied_at] * len(list(run))
+        for writer, n in gained:
             stamps = stamps_of.get(writer)
             if stamps is None:
-                stamps_of[writer] = new
+                stamps_of[writer] = [applied_at] * n
             else:
-                stamps += new
+                stamps += [applied_at] * n
         if applied_at < self._last_stamp:
             self._monotone = False
         self._last_stamp = applied_at
-        self.revision += len(applied)
-        return len(applied)
+        applied = sum(n for _, n in gained)
+        self.revision += applied
+        return applied
 
     # ----------------------------------------------------- resolution hooks
     def block_writes(self) -> None:
@@ -293,11 +296,11 @@ class Replica:
         unreachable; see ``DetectionService.stability_frontier``).
         """
         try:
-            missing = merged.missing_from(self._vector)
+            vector, gained = merged.installed_on(self._vector)
         except TruncatedHistoryError:
             self.truncation_stats.installs_behind_checkpoint += 1
             raise
-        applied = self._apply_sorted(missing, now)
+        applied = self._adopt(vector, gained, now)
         self.mark_consistent(now)
         if self.journal is not None:
             self.journal("install", self.object_id, merged, now)

@@ -59,6 +59,9 @@ class ProtocolEndpoint:
     #: issued, standing in for the "computing overhead" the paper attributes
     #: to phase two of active resolution (version-vector comparison etc.).
     DEFAULT_PROCESSING_DELAY = 0.002
+    #: whether a resolution round charges the modelled per-peer dispatch
+    #: cost of its phase-1 fan-out (a wall clock pays the real one)
+    models_dispatch_cost = False
 
     def __init__(self, clock, transport, node_id: str, *,
                  processing_delay: Optional[float] = None) -> None:

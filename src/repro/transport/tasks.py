@@ -30,8 +30,8 @@ class _Sleep:
     __slots__ = ("delay",)
 
     def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise ValueError(f"negative sleep delay {delay}")
+        if not delay >= 0:  # refuses NaN too, as the clocks do
+            raise ValueError(f"cannot sleep for {delay}")
         self.delay = delay
 
 

@@ -41,8 +41,9 @@ appends one record instead of copying everything retained.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain, islice
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.versioning.values import frozen_value
@@ -266,15 +267,16 @@ class VectorDelta:
             last_consistent_time=self.last_consistent_time,
             base=bases if bases else _NO_BASES)
 
-    def missing_from(self, vector: "ExtendedVersionVector") -> List[UpdateRecord]:
-        """The records above ``vector``'s per-writer counts, in ``(writer,
-        seq)`` order — what :meth:`ExtendedVersionVector.missing_from`
-        answers from the whole vector.
-
-        Raises :class:`TruncatedHistoryError` when ``vector`` is below a
-        writer's floor: the records it lacks were not shipped.
-        """
-        missing: List[UpdateRecord] = []
+    def installed_on(self, vector: "ExtendedVersionVector"
+                     ) -> Tuple["ExtendedVersionVector", List[Tuple[str, int]]]:
+        """``vector`` with the records above its per-writer counts appended
+        in ``(writer, seq)`` order, one history extension per writer, and
+        per writer how many: a fold of :meth:`ExtendedVersionVector.apply`
+        over them, metadata bits included.  Raises
+        :class:`TruncatedHistoryError` when ``vector`` is below a writer's
+        floor: the records it lacks were not shipped."""
+        missing: List[Tuple[str, List[UpdateRecord]]] = []
+        metadata = vector._metadata
         rows, bases = self.rows, self.bases
         for writer in sorted(rows.keys() | bases.keys() if bases else rows):
             have = vector.count(writer)
@@ -287,8 +289,11 @@ class VectorDelta:
                     f"below the stability frontier are no longer "
                     f"individually available")
             if have - floor < len(records):
-                missing += records[have - floor:]
-        return missing
+                new = records[have - floor:]
+                missing.append((writer, new))
+                metadata = reduce(add, map(_metadata_delta, new), metadata)
+        return (vector._extended(missing, metadata) if missing else vector,
+                [(writer, len(new)) for writer, new in missing])
 
 _metadata_delta = attrgetter("metadata_delta")
 _cum_metadata = attrgetter("cum_metadata")
@@ -533,13 +538,19 @@ class ExtendedVersionVector:
             applied.append(record)
         if not applied:
             return self, applied
+        return self._extended(fresh.items(), metadata), applied
+
+    def _extended(self, rows: Iterable[Tuple[str, List[UpdateRecord]]],
+                  metadata: float) -> "ExtendedVersionVector":
+        """This vector with each ``(writer, records)`` row appended to the
+        writer's history (the records run on from its count) and
+        ``metadata`` as its meta-datum."""
         updates = dict(self._updates)
-        for writer, pending in fresh.items():
-            updates[writer] = updates.get(writer, _NO_HISTORY).extended(pending)
+        for writer, records in rows:
+            updates[writer] = updates.get(writer, _NO_HISTORY).extended(records)
         return ExtendedVersionVector._from_trusted(
             updates, metadata=metadata,
-            last_consistent_time=self._last_consistent_time,
-            base=self._base), applied
+            last_consistent_time=self._last_consistent_time, base=self._base)
 
     def truncate_to(self, frontier: Mapping[str, int]) -> "ExtendedVersionVector":
         """Fold each writer's prefix up to ``frontier[writer]`` into the base.

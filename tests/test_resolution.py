@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.core.config import AdaptationMode, IdeaConfig, ResolutionStrategy
 from repro.core.deployment import DeploymentBuilder
+from repro.core.policies import InvalidateBothPolicy
 from repro.core.resolution import (ATTENTION_DISPATCH_OVERHEAD, ResolutionManager,
                                    merge_vectors)
+from repro.live.scenario import ScenarioSpec, build_live_stack, make_addresses
+from repro.runtime.events import ResolutionCompleted
 from repro.versioning.extended_vector import ExtendedVersionVector, UpdateRecord
 
 
@@ -191,6 +196,61 @@ class TestAttentionAndFixedTimings:
         assert process.result.phase1_delay == pytest.approx(
             peers * ATTENTION_DISPATCH_OVERHEAD)
 
+    def test_a_live_round_schedules_no_modelled_dispatch_sleep(self, tmp_path):
+        """Four in-process live nodes over UNIX sockets: a demanded round
+        sends its calls for attention in one pass, so no clock is handed
+        the dispatch cost only a simulated node models."""
+        nodes = ["n00", "n01", "n02", "n03"]
+        spec = ScenarioSpec(nodes=nodes, objects=["obj"], writes=[],
+                            resolutions=[], truncate_at=float("inf"),
+                            duration=float("inf"), seed=3)
+        loop = asyncio.new_event_loop()
+        addresses = make_addresses(nodes, "uds", str(tmp_path))
+        stacks = [build_live_stack(spec, node, addresses, kind="uds", loop=loop)
+                  for node in nodes]
+        delays = []
+        for stack in stacks:
+            clock = stack.node.clock
+
+            def call_after(delay, callback, *, call=clock.call_after, **kw):
+                delays.append(delay)
+                return call(delay, callback, **kw)
+            clock.call_after = call_after
+        resolved = []
+
+        async def until(condition):
+            for _ in range(500):
+                if condition():
+                    return
+                await asyncio.sleep(0.01)
+            raise AssertionError("the live stack did not get there in 5 s")
+
+        async def go():
+            for stack in stacks:
+                await stack.node.transport.start()
+                stack.node.clock.rebase()
+            stacks[0].runtime.bus.subscribe(ResolutionCompleted, resolved.append)
+            for stack in stacks:
+                stack.middlewares["obj"].write(metadata_delta=1.0)
+            await until(lambda: all(
+                len(stack.middlewares["obj"].detection._peer_digests) == 3
+                for stack in stacks))
+            assert stacks[0].middlewares["obj"].demand_active_resolution()
+            await until(lambda: resolved)
+            for stack in stacks:
+                stack.shutdown()
+                await stack.node.transport.stop()
+
+        try:
+            loop.run_until_complete(go())
+        finally:
+            loop.close()
+        [event] = resolved
+        assert event.kind == "active" and len(event.result.members) == 4
+        # the members' block guards went through the spied clocks
+        assert ResolutionManager.MEMBER_BLOCK_TIMEOUT in delays
+        assert ATTENTION_DISPATCH_OVERHEAD not in delays
+
     def test_collect_timeout_skips_a_dead_member(self, monkeypatch):
         monkeypatch.setattr(ResolutionManager, "COLLECT_TIMEOUT", 2.0)
         deployment = build_deployment()
@@ -250,9 +310,31 @@ class TestPolicyEffects:
         diverge(deployment, ["n00", "n01"])
         deployment.middleware("obj", "n00").resolution.start_background_resolution()
         deployment.run(until=deployment.sim.now + 10.0)
-        # All updates survive (the policy only orders them).
+        # All updates survive (the policy's decision is dropped).
         for writer in ("n00", "n01"):
             assert len(deployment.stores[writer].read("obj")) == 2
+
+    def test_invalidate_both_is_asked_about_the_sorted_concurrent_set(self):
+        asked = []
+        policy = InvalidateBothPolicy()
+        policy.resolve = lambda records: (asked.append(list(records)),
+                                          InvalidateBothPolicy.resolve(
+                                              policy, records))[1]
+        deployment = build_deployment(strategy=ResolutionStrategy.INVALIDATE_BOTH)
+        diverge(deployment, ["n00", "n01", "n02"], rounds=2)
+        manager = deployment.middleware("obj", "n00").resolution
+        manager.policy = policy
+        concurrent, _ = ResolutionManager._conflicting_updates(
+            [deployment.stores[member].replica("obj").vector
+             for member in manager.members()])
+        expected = sorted(concurrent, key=UpdateRecord.key)
+        process = manager.start_background_resolution()
+        deployment.run(until=deployment.sim.now + 10.0)
+        assert [[r.key() for r in records] for records in asked] == [
+            [(writer, seq) for writer in ("n00", "n01", "n02")
+             for seq in (1, 2)]]
+        assert asked == [expected]
+        assert list(process.result.invalidated) == [r.key() for r in expected]
 
     def test_already_consistent_round_is_cheap_noop(self):
         deployment = build_deployment()

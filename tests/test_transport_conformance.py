@@ -46,7 +46,8 @@ from repro.sim.engine import Simulator
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.node import Node
-from repro.transport import PeriodicTimer, ProtocolEndpoint
+from repro.transport import PeriodicTimer, ProtocolEndpoint, sleep
+from repro.transport.errors import TransportError
 
 BACKENDS = ["sim", "live-uds", "live-tcp"]
 
@@ -469,6 +470,34 @@ def test_periodic_timer_cancel_from_within_its_round(harness_factory):
     assert ticks == [1, 1, 1]
     assert timer.rounds_fired == 3
     assert not timer.active
+
+
+def test_a_nan_delay_or_time_is_refused_and_an_infinite_one_never_fires(
+        harness_factory):
+    """Both clocks refuse a NaN delay and a NaN time, and a process may not
+    sleep for NaN; an infinite delay, time or sleep is accepted and never
+    comes due."""
+    h = harness_factory()
+    clock = h.clock
+    fired = []
+    for schedule in (clock.call_after, clock.call_at):
+        with pytest.raises(TransportError, match="nan"):
+            schedule(float("nan"), lambda: fired.append("nan"))
+    with pytest.raises(ValueError, match="nan"):
+        sleep(float("nan"))
+
+    def sleeper():
+        yield sleep(float("inf"))
+        fired.append("woke")
+
+    handles = [clock.call_after(float("inf"), lambda: fired.append("after")),
+               clock.call_at(float("inf"), lambda: fired.append("at"))]
+    process = clock.spawn(sleeper(), label="conf-sleeper")
+    h.at(0.05, lambda: fired.append("tick"))
+    h.run(0.3)
+    assert fired == ["tick"] and not process.finished
+    for handle in handles:
+        handle.cancel()
 
 
 # --------------------------------------------------------------------------

@@ -85,9 +85,23 @@ def full_image_install(replica, merged, now):
     except TruncatedHistoryError:
         replica.truncation_stats.installs_behind_checkpoint += 1
         raise
-    applied = replica._apply_sorted(missing, now)
+    applied = replica.apply_updates(missing, now)
     replica.mark_consistent(now)
     return applied
+
+
+def fold_of_apply_install(replica, merged, now):
+    """The install as a fold of ``apply`` over the records the whole image
+    holds above the replica's counts, one record at a time."""
+    try:
+        missing = merged.missing_from(replica._vector)
+    except TruncatedHistoryError:
+        replica.truncation_stats.installs_behind_checkpoint += 1
+        raise
+    for record in missing:
+        assert replica.apply_update(record, now)
+    replica.mark_consistent(now)
+    return len(missing)
 
 
 def decide(vectors, policy, now=9.0):
@@ -158,6 +172,22 @@ def test_installing_the_delta_leaves_each_replica_as_the_full_image_did(
     """Above the collected floor, or — when a destination was not collected
     — above the image's checkpoint, where a destination behind it is
     refused and counted as before."""
+    install_against(full_image_install, drawn, everyone_collected, wired)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rounds(), st.booleans(), st.booleans())
+def test_an_install_extends_each_writer_as_a_fold_of_apply_does(
+        drawn, everyone_collected, wired):
+    """One history extension per writer leaves the vector (writer order,
+    metadata bits, last consistent time), revision, stamps and truncation
+    counters as applying the same records one by one does."""
+    install_against(fold_of_apply_install, drawn, everyone_collected, wired)
+
+
+def install_against(reference, drawn, everyone_collected, wired):
+    """Install a drawn round's image on each replica and the whole merged
+    image on a twin through ``reference``: the two end equal."""
     records, states, lagging, seed = drawn
 
     def build():
@@ -178,7 +208,7 @@ def test_installing_the_delta_leaves_each_replica_as_the_full_image_did(
         assert replica_state(replica) == replica_state(twin)
         got = outcome(lambda r, i, t: r.install_merged(i, now=t),
                       replica, image, 9.5)
-        assert got == outcome(full_image_install, twin, merged, 9.5)
+        assert got == outcome(reference, twin, merged, 9.5)
         assert replica_state(replica) == replica_state(twin)
 
 
