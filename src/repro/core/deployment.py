@@ -51,12 +51,7 @@ from repro.core.resolution import ResolutionResult
 from repro.overlay.gossip import GossipConfig, GossipService
 from repro.overlay.ransub import RanSubService
 from repro.overlay.two_layer import OverlayConfig, TwoLayerOverlay
-from repro.runtime.events import (
-    BackgroundRoundStarted,
-    EventBus,
-    ResolutionCompleted,
-    WriteRecorded,
-)
+from repro.runtime.events import EventBus, ResolutionCompleted, WriteRecorded
 from repro.runtime.node_runtime import NodeRuntime
 from repro.sim.clock import ClockModel
 from repro.sim.engine import Simulator
@@ -553,9 +548,6 @@ class IdeaDeployment:
         if middleware is None or not middleware.node.alive:
             return None
         managed.background_rounds_started += 1
-        if BackgroundRoundStarted in self.bus.wants:
-            self.bus.publish(BackgroundRoundStarted(
-                object_id=object_id, initiator=initiator, time=self.clock.now))
         process = middleware.resolution.start_background_resolution()
         return process  # a Process; result available once the sim advances
 

@@ -27,6 +27,7 @@ Policies are set per transport instance, through its constructor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -53,15 +54,16 @@ class BackoffPolicy:
     max_elapsed: Optional[float] = 10.0
 
     def __post_init__(self) -> None:
-        if self.base <= 0:
-            raise ValueError("backoff base must be positive")
-        if self.cap < self.base:
-            raise ValueError("backoff cap must be >= base")
-        if self.multiplier < 1.0:
+        # each test is written so that NaN fails it
+        if not 0 < self.base < math.inf:
+            raise ValueError("backoff base must be positive and finite")
+        if not self.base <= self.cap < math.inf:
+            raise ValueError("backoff cap must be finite and >= base")
+        if not self.multiplier >= 1.0:
             raise ValueError("backoff multiplier must be >= 1")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("backoff jitter must be in [0, 1)")
-        if self.max_elapsed is not None and self.max_elapsed <= 0:
+        if self.max_elapsed is not None and not self.max_elapsed > 0:
             raise ValueError("max_elapsed must be positive (or None)")
 
     # --------------------------------------------------------------- schedule

@@ -39,22 +39,15 @@ and moves messages as length-prefixed frames (:mod:`repro.live.wire`):
   failed node); one successful probe marks it back up.  Nothing else
   listens to these transitions.
 
-The simulated :class:`~repro.sim.network.Network`'s fault surface is here
-too, so one :class:`~repro.scenarios.injector.FaultInjector` applies a
-fault plan on either backend: :meth:`partition` (the sim's group rule)
-turns sends to (and inbound frames from) every peer outside this
-process's group into counted ``partition`` drops, :meth:`heal` lifts it,
-and :meth:`set_loss_probability` applies seeded Bernoulli ``loss`` drops at
-send time — the same drop reasons the simulated ``Network`` records, so
-``NetworkStats`` stays comparable across backends.
-
-Semantics mirror the simulated :class:`~repro.sim.network.Network` where a
-real network can honour them: sending to an id absent from the address book
-and never registered locally raises ``KeyError`` (a wiring bug); sends
-involving known-but-down endpoints are counted drops (``src-down`` /
-``dst-down`` / ``departed``), never errors.  What a real network cannot
-honour — deterministic latency, global delivery order — is exactly the
-divergence the conformance oracle excludes (DESIGN.md §13, §15).
+Membership, the partition-group rule, the loss bound and the drop ledger
+are the :class:`~repro.transport.api.Transport` base's, as on the simulator,
+so one :class:`~repro.scenarios.injector.FaultInjector` applies a plan on
+either backend with the same drop reasons: :meth:`partition` blocks sends
+to and frames from every peer outside this process's group, :meth:`heal`
+lifts it, and :meth:`set_loss_probability` draws seeded ``loss`` drops at
+send time.  What a real network cannot honour — deterministic latency,
+global delivery order — is the divergence the conformance oracle excludes
+(DESIGN.md §13, §15).
 """
 
 from __future__ import annotations
@@ -70,8 +63,9 @@ from repro.live import wire
 from repro.live.backoff import DEFAULT_CONNECT, DEFAULT_RECONNECT, BackoffPolicy
 from repro.live.clock import LiveClock
 from repro.live.wire import HEADER, MAX_FRAME_BYTES
+from repro.transport.api import Transport
 from repro.transport.errors import TransportError
-from repro.transport.message import Message, NetworkStats
+from repro.transport.message import Message
 
 #: node address: a UNIX-socket path, or a ``(host, port)`` pair for TCP
 Address = Union[str, Tuple[str, int]]
@@ -196,10 +190,8 @@ class _InboundFrames(asyncio.Protocol):
         self.transport.close()
 
 
-class LiveTransport:
+class LiveTransport(Transport):
     """Seam ``Transport`` over asyncio stream connections."""
-
-    DEFAULT_MESSAGE_BYTES = 1024
 
     def __init__(self, clock: LiveClock, addresses: Dict[str, Address], *,
                  kind: str = "uds",
@@ -210,18 +202,12 @@ class LiveTransport:
                  heartbeat_misses: int = DEFAULT_HEARTBEAT_MISSES) -> None:
         if kind not in ("uds", "tcp"):
             raise TransportError(f"unknown transport kind {kind!r}")
+        self.addresses: Dict[str, Address] = dict(addresses)
+        # the address book names every id, hosted here or not
+        super().__init__(self.addresses)
         self.clock = clock
         self._loop = clock._loop
         self.kind = kind
-        self.addresses: Dict[str, Address] = dict(addresses)
-        self.stats = NetworkStats()
-        self._nodes: Dict[str, Any] = {}
-        #: every id ever registered here: a crashed endpoint unregisters
-        #: but stays in its partition group, as a sim node does
-        self._hosted: Set[str] = set()
-        #: every id this transport can name — address book plus anything
-        #: registered locally; sends to other ids raise (wiring bug)
-        self._known: Set[str] = set(self.addresses)
         self._peers: Dict[str, _PeerLink] = {}
         self._servers: List[asyncio.AbstractServer] = []
         #: accepted inbound connections still open
@@ -251,29 +237,6 @@ class LiveTransport:
         self._blocked_peers: Set[str] = set()
         self._loss_probability = 0.0
         self._loss_rng: Optional[Any] = None
-
-    # ------------------------------------------------------------ membership
-    def register(self, node: Any) -> None:
-        node_id = node.node_id
-        if node_id in self._nodes:
-            raise ValueError(f"node {node_id!r} already registered")
-        self._nodes[node_id] = node
-        self._hosted.add(node_id)
-        self._known.add(node_id)
-
-    def unregister(self, node_id: str) -> None:
-        self._nodes.pop(node_id, None)
-
-    @property
-    def node_ids(self) -> List[str]:
-        return list(self._nodes)
-
-    def node(self, node_id: str) -> Any:
-        return self._nodes[node_id]
-
-    def has_node(self, node_id: str) -> bool:
-        """True only for endpoints hosted by *this* process."""
-        return node_id in self._nodes
 
     # ------------------------------------------------------------- lifecycle
     async def start(self) -> None:
@@ -345,21 +308,12 @@ class LiveTransport:
 
     # ------------------------------------------------------ fault drop rules
     def partition(self, groups: Sequence[Sequence[str]]) -> None:
-        """Split the network as sim ``Network.partition`` does: messages
-        flow only within a group, and the nodes no group lists form one
-        more.  Sends to (and frames from) every known id outside the group
-        of this process's endpoints, crashed ones included, become counted
+        """Split the network by :meth:`Transport._group_of`'s rule.  Sends
+        to (and frames from) every known id outside the group of this
+        process's endpoints, crashed ones included, become counted
         ``partition`` drops."""
-        group_of: Dict[str, int] = {}
-        for index, group in enumerate(groups):
-            for node_id in group:
-                if node_id in group_of:
-                    raise ValueError(f"node {node_id!r} listed in two groups")
-                if node_id not in self._known:
-                    raise KeyError(
-                        f"partition group names unknown node {node_id!r}")
-                group_of[node_id] = index
-        own = {group_of.get(node_id, -1) for node_id in self._hosted}
+        group_of = self._group_of(groups)
+        own = {group_of.get(node_id, -1) for node_id in self._registered}
         if len(own) > 1:
             raise ValueError("this transport's endpoints sit in different "
                              "partition groups")
@@ -377,9 +331,7 @@ class LiveTransport:
     def set_loss_probability(self, probability: float) -> None:
         """Bernoulli ``loss`` drops at send time, seeded from the clock's
         random streams so a given (seed, sequence of sends) replays."""
-        if not 0.0 <= probability < 1.0:
-            raise ValueError("loss_probability must be in [0, 1)")
-        self._loss_probability = float(probability)
+        self._loss_probability = float(self._loss_bound(probability))
 
     def _loss_draw(self) -> bool:
         if self._loss_probability <= 0.0:
@@ -465,31 +417,16 @@ class LiveTransport:
         try:
             frame = wire.encode_envelope(src, dst, protocol, msg_type, framed)
         except wire.WireError:
-            stats.dropped[protocol] += 1
-            stats.drop_reasons["encode-error"] += 1
+            self._count_drop(protocol, "encode-error")
             raise
         self._enqueue(dst, protocol, frame)
         return True
-
-    def _drop(self, protocol: str, size: int, reason: str) -> None:
-        stats = self.stats
-        stats.sent[protocol] += 1
-        stats.bytes_sent[protocol] += size
-        stats.dropped[protocol] += 1
-        stats.drop_reasons[reason] += 1
-
-    def _count_drop(self, protocol: str, reason: str) -> None:
-        """A frame already counted as sent failed later (queue eviction,
-        connection loss): charge only the drop, never re-count the send."""
-        self.stats.dropped[protocol] += 1
-        self.stats.drop_reasons[reason] += 1
 
     # ------------------------------------------------------- local delivery
     def _deliver_local(self, message: Message) -> None:
         node = self._nodes.get(message.dst)
         if node is None:
-            self.stats.dropped[message.protocol] += 1
-            self.stats.drop_reasons["departed"] += 1
+            self._count_drop(message.protocol, "departed")
             return
         self.stats.delivered[message.protocol] += 1
         node.deliver(message)
@@ -585,10 +522,3 @@ class LiveTransport:
                 self._mark_dirty(link)
         finally:
             link.dialing = None
-
-    # ------------------------------------------------------------- accounting
-    def messages_sent(self, protocol_prefix: str = "") -> int:
-        return self.stats.total_sent(protocol_prefix)
-
-    def bytes_sent(self, protocol_prefix: str = "") -> int:
-        return self.stats.total_bytes(protocol_prefix)

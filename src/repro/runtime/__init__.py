@@ -13,7 +13,6 @@
 
 from repro.runtime.digest_cache import DigestCache
 from repro.runtime.events import (
-    BackgroundRoundStarted,
     DetectionEvaluated,
     EventBus,
     ResolutionCompleted,
@@ -28,5 +27,4 @@ __all__ = [
     "WriteRecorded",
     "DetectionEvaluated",
     "ResolutionCompleted",
-    "BackgroundRoundStarted",
 ]

@@ -56,15 +56,6 @@ class ResolutionCompleted:
 
 
 @dataclass(frozen=True)
-class BackgroundRoundStarted:
-    """A scheduled background-resolution round was initiated."""
-
-    object_id: str
-    initiator: str
-    time: float
-
-
-@dataclass(frozen=True)
 class ClientOpCompleted:
     """A traffic-driver client finished one operation against an object.
 

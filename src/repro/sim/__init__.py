@@ -20,7 +20,7 @@ discrete-event simulator with
 All protocol logic in :mod:`repro.core`, :mod:`repro.overlay` and
 :mod:`repro.baselines` is written against the :mod:`repro.transport` seam;
 this subpackage is the discrete-event implementation of it (``Simulator`` is
-the ``Clock``, ``Network``/``SimTransport`` the ``Transport``), and
+the ``Clock``, ``Network`` a ``Transport``), and
 :mod:`repro.live` re-targets the same protocol code at real sockets.
 """
 
@@ -29,7 +29,7 @@ from repro.sim.random import RandomStreams
 from repro.sim.clock import DriftingClock, ClockModel
 from repro.sim.latency import LatencyModel
 from repro.sim.topology import Site, Topology, planetlab_topology
-from repro.sim.network import Message, Network, NetworkStats, SimTransport
+from repro.sim.network import Message, Network, NetworkStats
 from repro.sim.node import Node
 from repro.sim.trace import TraceRecorder
 
@@ -47,7 +47,6 @@ __all__ = [
     "Message",
     "Network",
     "NetworkStats",
-    "SimTransport",
     "Node",
     "TraceRecorder",
 ]

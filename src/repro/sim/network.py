@@ -13,8 +13,7 @@ exchanges of the baselines — is sent through :meth:`Network.send_many`
   exactly what Table 3 of the paper reports ("overhead in number of
   exchanged messages").
 
-Message "size" is an abstract byte count supplied by the sender (the paper
-assumes ~1 KB per message when converting counts to bandwidth).
+Message "size" is an abstract byte count supplied by the sender.
 
 Hot-path notes: delivery events are scheduled by binding the network's own
 ``_deliver`` method with the message as the event argument — no capturing
@@ -28,13 +27,11 @@ Both methods treat an unreachable endpoint alike, destination first: a
 crashed destination is a ``dst-down`` drop, else a crashed source a
 ``src-down`` drop, else a partitioned pair a ``partition`` drop.
 
-Failure model (crash-stop with recovery): a send whose source or destination
-is a *previously registered* node that has since crashed, or whose endpoints
-sit in different network partitions (:meth:`Network.partition`), is counted
-as a drop — exactly like the in-flight "destination departed" path of
-``_deliver`` — and never raises.  Sending to an id that was *never*
-registered raises ``KeyError``, because that is a wiring bug, not a
-simulated fault.
+Membership, the partition-group rule, the loss bound and the drop ledger
+are the :class:`~repro.transport.api.Transport` base's, shared with the live
+transport: a send to or from a known node that has since crashed, or across
+partition groups, is a counted drop and never raises; sending to an id that
+was *never* registered raises ``KeyError`` (a wiring bug, not a fault).
 """
 
 from __future__ import annotations
@@ -43,31 +40,22 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.sim.engine import Simulator
 from repro.sim.latency import LatencyModel
+from repro.transport.api import Transport
 from repro.transport.message import Message, NetworkStats
 
-__all__ = ["Message", "Network", "NetworkStats", "SimTransport"]
+__all__ = ["Message", "Network", "NetworkStats"]
 
 
-class Network:
+class Network(Transport):
     """Delivers messages between registered nodes with latency and loss."""
-
-    #: default payload size assumed by the paper when converting message
-    #: counts into bandwidth (Section 6.3.1: "each packet has size of 1KB").
-    DEFAULT_MESSAGE_BYTES = 1024
 
     def __init__(self, sim: Simulator, latency: LatencyModel, *,
                  loss_probability: float = 0.0) -> None:
-        if not 0.0 <= loss_probability < 1.0:
-            raise ValueError("loss_probability must be in [0, 1)")
+        self.loss_probability = self._loss_bound(loss_probability)
+        super().__init__()
         self.sim = sim
         self.latency = latency
         latency.bind(sim.random)
-        self.loss_probability = loss_probability
-        self.stats = NetworkStats()
-        self._nodes: Dict[str, Any] = {}
-        #: every id ever registered — crash-stop nodes unregister from
-        #: ``_nodes`` but remain known, so sends to them drop instead of raise
-        self._known: set = set()
         #: node_id -> partition group index while partitioned, else None
         self._partition_of: Optional[Dict[str, int]] = None
         #: (src, dst) -> extra per-link loss probability (world lossy tiers);
@@ -82,51 +70,15 @@ class Network:
         #: observers called with every delivered message (used by tests)
         self.delivery_hooks: List[Callable[[Message], None]] = []
 
-    # ------------------------------------------------------------ membership
-    def register(self, node: Any) -> None:
-        """Register a node object exposing ``node_id`` and ``deliver(message)``."""
-        node_id = node.node_id
-        if node_id in self._nodes:
-            raise ValueError(f"node {node_id!r} already registered")
-        self._nodes[node_id] = node
-        self._known.add(node_id)
-
-    def unregister(self, node_id: str) -> None:
-        self._nodes.pop(node_id, None)
-
-    @property
-    def node_ids(self) -> List[str]:
-        return list(self._nodes)
-
-    def node(self, node_id: str) -> Any:
-        return self._nodes[node_id]
-
-    def has_node(self, node_id: str) -> bool:
-        """True while ``node_id`` is registered (i.e. currently reachable)."""
-        return node_id in self._nodes
-
     # ------------------------------------------------------------ partitions
     def partition(self, groups: Sequence[Sequence[str]]) -> None:
-        """Split the network: messages only flow within the same group.
+        """Split the network by :meth:`Transport._group_of`'s rule.
 
-        Every listed node belongs to exactly one group; nodes not listed in
-        any group form one implicit extra group together, cut off from every
-        listed group — an empty listed group included.  Messages in flight
-        are checked again at delivery time, so a partition takes effect
-        immediately even for already-scheduled deliveries.
+        Messages in flight are checked again at delivery time, so a
+        partition takes effect immediately even for already-scheduled
+        deliveries.
         """
-        partition_of: Dict[str, int] = {}
-        for index, group in enumerate(groups):
-            for node_id in group:
-                if node_id in partition_of:
-                    raise ValueError(f"node {node_id!r} listed in two groups")
-                if node_id not in self._known:
-                    # A typo'd id would silently land the intended node in
-                    # the implicit group; wiring bugs raise (same rule as
-                    # sending to a never-registered id).
-                    raise KeyError(f"partition group names unknown node {node_id!r}")
-                partition_of[node_id] = index
-        self._partition_of = partition_of
+        self._partition_of = self._group_of(groups)
 
     def heal(self) -> None:
         """Remove any active partition (idempotent)."""
@@ -161,8 +113,7 @@ class Network:
         independent: configure (a, b) and (b, a) separately for a symmetric
         lossy link.
         """
-        if not 0.0 <= loss_probability < 1.0:
-            raise ValueError("loss_probability must be in [0, 1)")
+        self._loss_bound(loss_probability)
         if (src is None) != (dst is None):
             raise ValueError("per-link loss needs both src and dst (or neither)")
         if src is None:
@@ -200,14 +151,6 @@ class Network:
         if self._partition_of is not None and not self.reachable(src, dst):
             return "partition"
         return None
-
-    def _drop(self, protocol: str, size: int, reason: str) -> None:
-        """Account one message as sent-then-dropped for ``reason``."""
-        stats = self.stats
-        stats.sent[protocol] += 1
-        stats.bytes_sent[protocol] += size
-        stats.dropped[protocol] += 1
-        stats.drop_reasons[reason] += 1
 
     def send(self, src: str, dst: str, *, protocol: str, msg_type: str,
              payload: Any = None, size_bytes: Optional[int] = None) -> bool:
@@ -291,14 +234,12 @@ class Network:
         node = self._nodes.get(message.dst)
         if node is None:
             # Destination departed while the message was in flight; drop it.
-            self.stats.dropped[message.protocol] += 1
-            self.stats.drop_reasons["departed"] += 1
+            self._count_drop(message.protocol, "departed")
             return
         if (self._partition_of is not None
                 and not self.reachable(message.src, message.dst)):
             # A partition formed while the message was in flight.
-            self.stats.dropped[message.protocol] += 1
-            self.stats.drop_reasons["partition"] += 1
+            self._count_drop(message.protocol, "partition")
             return
         self.stats.delivered[message.protocol] += 1
         if self.delivery_hooks:
@@ -306,20 +247,7 @@ class Network:
                 hook(message)
         node.deliver(message)
 
-    # ------------------------------------------------------------- accounting
-    def messages_sent(self, protocol_prefix: str = "") -> int:
-        return self.stats.total_sent(protocol_prefix)
-
-    def bytes_sent(self, protocol_prefix: str = "") -> int:
-        return self.stats.total_bytes(protocol_prefix)
-
     def expected_rtt(self, a: str, b: str) -> float:
         """Expected round-trip time between two nodes (seconds)."""
         return (self.latency.expected_delay(a, b) +
                 self.latency.expected_delay(b, a))
-
-
-#: The simulated :class:`Network` *is* the discrete-event implementation of
-#: the :class:`repro.transport.api.Transport` seam; ``repro.live`` provides
-#: the socket-backed counterpart.
-SimTransport = Network

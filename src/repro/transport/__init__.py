@@ -6,9 +6,10 @@ interfaces defined here.  Two backends implement them:
 
 * :mod:`repro.sim` — the discrete-event simulator (deterministic, global
   event order, modelled latency/loss/partitions).  ``Simulator`` is the
-  ``Clock``; ``Network`` is the ``Transport``.
+  ``Clock``; ``Network`` subclasses the ``Transport`` base.
 * :mod:`repro.live` — asyncio over real TCP/UNIX sockets with wall-clock
-  time; the simulator serves as its conformance oracle.
+  time (``LiveTransport`` subclasses the same base); the simulator serves
+  as its conformance oracle.
 
 See DESIGN.md §13 for the contracts and the oracle methodology.
 """

@@ -24,6 +24,7 @@ clock; a live node is this class itself, on a
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -65,11 +66,15 @@ class ProtocolEndpoint:
 
     def __init__(self, clock, transport, node_id: str, *,
                  processing_delay: Optional[float] = None) -> None:
+        if processing_delay is None:
+            processing_delay = self.DEFAULT_PROCESSING_DELAY
+        elif not 0 <= processing_delay < math.inf:  # NaN fails it too
+            raise ValueError("processing_delay must be finite and "
+                             f"non-negative, got {processing_delay!r}")
         self.clock = clock
         self.transport = transport
         self.node_id = node_id
-        self.processing_delay = (self.DEFAULT_PROCESSING_DELAY
-                                 if processing_delay is None else processing_delay)
+        self.processing_delay = processing_delay
         self._handlers: Dict[str, Callable[[Message], Any]] = {}
         self._pending: Dict[int, _PendingRequest] = {}
         self._request_counter = itertools.count()

@@ -21,6 +21,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.workloads.phases import _finite
+
 
 @dataclass(frozen=True)
 class WorkloadEvent:
@@ -39,14 +41,12 @@ class UniformWorkload:
                  stagger: float = 0.0) -> None:
         if not writers:
             raise ValueError("workload needs at least one writer")
-        if period <= 0 or duration <= 0:
-            raise ValueError("period and duration must be positive")
-        if stagger < 0 or stagger >= period:
-            raise ValueError("stagger must lie in [0, period)")
         self.writers = list(writers)
-        self.period = period
-        self.duration = duration
-        self.start = start
+        self.period = _finite("period", period, positive=True)
+        self.duration = _finite("duration", duration, positive=True)
+        self.start = _finite("start", start)
+        if _finite("stagger", stagger) >= period:
+            raise ValueError("stagger must lie in [0, period)")
         self.stagger = stagger
 
     def updates_per_writer(self) -> int:
@@ -97,12 +97,10 @@ class PoissonWorkload:
                  rng: Optional[np.random.Generator] = None) -> None:
         if not writers:
             raise ValueError("workload needs at least one writer")
-        if mean_period <= 0 or duration <= 0:
-            raise ValueError("mean_period and duration must be positive")
         self.writers = list(writers)
-        self.mean_period = mean_period
-        self.duration = duration
-        self.start = start
+        self.mean_period = _finite("mean_period", mean_period, positive=True)
+        self.duration = _finite("duration", duration, positive=True)
+        self.start = _finite("start", start)
         self._rng = rng or np.random.default_rng(0)
         self._events: Optional[List[WorkloadEvent]] = None
 

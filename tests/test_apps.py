@@ -48,6 +48,19 @@ class TestUniformWorkload:
             UniformWorkload(["a"], period=5.0, stagger=5.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("cls, field", [
+    (UniformWorkload, "period"), (UniformWorkload, "duration"),
+    (UniformWorkload, "start"), (UniformWorkload, "stagger"),
+    (PoissonWorkload, "mean_period"), (PoissonWorkload, "duration"),
+    (PoissonWorkload, "start")])
+def test_legacy_workloads_refuse_non_finite_values(cls, field, value):
+    """Refused at construction, not later in ``events()`` as ``cannot
+    convert float NaN to integer``."""
+    with pytest.raises(ValueError, match=field):
+        cls(["a"], **{field: value})
+
+
 class TestPoissonWorkload:
     def test_events_within_duration(self):
         import numpy as np

@@ -53,6 +53,14 @@ class TestDeploymentBuilder:
         with pytest.raises(ValueError, match="period must be positive"):
             builder.start_overlay_services().build()
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -0.01])
+    def test_a_processing_delay_that_is_not_finite_and_non_negative_is_refused(
+            self, delay):
+        builder = DeploymentBuilder(num_nodes=4, seed=3,
+                                    processing_delay=delay)
+        with pytest.raises(ValueError, match="processing_delay"):
+            builder.build()
+
     def test_add_object_matches_register_after_build(self):
         built = (DeploymentBuilder(num_nodes=4, seed=9)
                  .add_object("obj", hint_config(), start_background=False)

@@ -1024,6 +1024,18 @@ class TestBackoffPolicy:
         with pytest.raises(ValueError):
             BackoffPolicy(max_elapsed=0.0)
 
+    @pytest.mark.parametrize("field, fields", [
+        ("base", {"base": float("nan")}),
+        ("base", {"base": float("inf"), "cap": float("inf")}),
+        ("cap", {"cap": float("nan")}), ("cap", {"cap": float("inf")}),
+        ("multiplier", {"multiplier": float("nan")}),
+        ("max_elapsed", {"max_elapsed": float("nan")})])
+    def test_validation_rejects_nan_and_infinite_delays(self, field, fields):
+        """Each would reach ``asyncio.sleep`` as NaN or ∞ through
+        ``delays()``."""
+        with pytest.raises(ValueError, match=field):
+            BackoffPolicy(**fields)
+
     def test_infinite_window(self):
         policy = dataclasses.replace(DEFAULT_CONNECT, max_elapsed=None)
         assert policy.max_elapsed is None

@@ -1,12 +1,14 @@
 """Transport-seam guarantees: import boundary and RPC lifecycle hygiene.
 
-Two families of checks:
+Three families of checks:
 
 * The protocol layers (``core``, ``overlay``, ``runtime``, ``store``,
   ``scenarios``) must speak only the :mod:`repro.transport` interfaces —
   no direct imports of the simulation backend.  ``core/deployment.py`` is
   the one documented exception: it *is* the sim-backend composition root
   (it constructs the Simulator, Network, topology and latency models).
+* Both transport backends subclass the seam's ``Transport`` base and
+  restate nothing it owns.
 * ``ProtocolEndpoint``'s ``_PendingRequest`` lifecycle: an RPC that
   completes exceptionally must always cancel its armed timeout timer, so
   no timeout handle leaks into the clock's queue (PR 8 satellite fix).
@@ -21,9 +23,11 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.latency import LatencyModel
-from repro.sim.network import Network, SimTransport
+from repro.live.transport import LiveTransport
+from repro.sim.network import Network
 from repro.sim.node import Node
-from repro.transport import Clock, PeriodicTimer, ProtocolEndpoint, RPCError
+from repro.transport import (Clock, PeriodicTimer, ProtocolEndpoint, RPCError,
+                             Transport)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -43,6 +47,31 @@ STACK_CLASSES = {"IdeaDeployment", "ReplicatedStore", "NodeRuntime",
                  "IdeaMiddleware", "GossipService", "RanSubService",
                  "TwoLayerOverlay"}
 STACK_ASSEMBLERS = {"core/deployment.py": STACK_CLASSES}
+
+#: the two transport backends: each adds to the ``Transport`` base only how
+#: a message moves
+TRANSPORT_BACKENDS = {"sim/network.py": "Network",
+                      "live/transport.py": "LiveTransport"}
+
+
+def _class_members(relative: str, name: str):
+    """Class ``name``'s bases in ``src/repro/<relative>``, and ``{member:
+    body}`` for each method (its statements), class attribute and ``self.``
+    attribute it assigns (``None``)."""
+    tree = ast.parse((SRC / relative).read_text(encoding="utf-8"))
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == name]
+    members = {}
+    for node in ast.walk(cls):
+        if isinstance(node, ast.FunctionDef) and node in cls.body:
+            members[node.name] = node.body
+        for target in getattr(node, "targets", [getattr(node, "target", None)]):
+            if isinstance(target, ast.Name) and node in cls.body:
+                members.setdefault(target.id, None)
+            elif (isinstance(target, ast.Attribute)
+                    and ast.unparse(target.value) == "self"):
+                members.setdefault(target.attr, None)
+    return [ast.unparse(base) for base in cls.bases], members
 
 
 def _calls(path: pathlib.Path):
@@ -134,8 +163,24 @@ class TestImportBoundary:
     def test_simulator_satisfies_clock_protocol(self):
         assert isinstance(Simulator(seed=0), Clock)
 
-    def test_sim_transport_is_the_network(self):
-        assert SimTransport is Network
+    def test_backends_state_the_transport_base_once(self):
+        """Membership, the partition rule, the loss bound and the drop
+        ledger live in ``Transport``; neither backend defines or assigns a
+        member the base owns, so the two copies cannot grow back.  Only the
+        members the base leaves abstract (``send``/``send_many``) are theirs."""
+        assert issubclass(Network, Transport)
+        assert issubclass(LiveTransport, Transport)
+        _, base = _class_members("transport/api.py", "Transport")
+        owned = {name for name, body in base.items() if name != "__init__" and
+                 not (body and ast.unparse(body[-1]) == "raise NotImplementedError")}
+        assert {"register", "unregister", "node_ids", "node", "has_node",
+                "_registered", "_known", "_nodes", "stats", "_group_of",
+                "_loss_bound", "_drop", "_count_drop", "messages_sent",
+                "bytes_sent", "DEFAULT_MESSAGE_BYTES"} <= owned
+        for relative, name in TRANSPORT_BACKENDS.items():
+            bases, members = _class_members(relative, name)
+            assert bases == ["Transport"]
+            assert sorted(owned & members.keys()) == [], relative
 
 
 class _ExplodingLatency(LatencyModel):
