@@ -205,6 +205,9 @@ class LiveTransport(Transport):
         self.addresses: Dict[str, Address] = dict(addresses)
         # the address book names every id, hosted here or not
         super().__init__(self.addresses)
+        #: every id ever registered here: a crashed endpoint unregisters
+        #: but stays in its partition group, as a sim node does
+        self._hosted: Set[str] = set()
         self.clock = clock
         self._loop = clock._loop
         self.kind = kind
@@ -237,6 +240,10 @@ class LiveTransport(Transport):
         self._blocked_peers: Set[str] = set()
         self._loss_probability = 0.0
         self._loss_rng: Optional[Any] = None
+
+    def register(self, node: Any) -> None:
+        super().register(node)
+        self._hosted.add(node.node_id)
 
     # ------------------------------------------------------------- lifecycle
     async def start(self) -> None:
@@ -313,7 +320,7 @@ class LiveTransport(Transport):
         process's endpoints, crashed ones included, become counted
         ``partition`` drops."""
         group_of = self._group_of(groups)
-        own = {group_of.get(node_id, -1) for node_id in self._registered}
+        own = {group_of.get(node_id, -1) for node_id in self._hosted}
         if len(own) > 1:
             raise ValueError("this transport's endpoints sit in different "
                              "partition groups")

@@ -214,15 +214,13 @@ class Network(Transport):
         priority = Simulator.PRIORITY_NETWORK
         for dst in dsts:
             if loss > 0 and draw_loss() < loss:
-                stats.dropped[protocol] += 1
-                stats.drop_reasons["loss"] += 1
+                self._count_drop(protocol, "loss")
                 count -= 1
                 continue
             if pair_loss:
                 link_loss = pair_loss.get((src, dst))
                 if link_loss is not None and draw_loss() < link_loss:
-                    stats.dropped[protocol] += 1
-                    stats.drop_reasons["link-loss"] += 1
+                    self._count_drop(protocol, "link-loss")
                     count -= 1
                     continue
             call_after(draw_delay(src, dst), deliver,

@@ -68,11 +68,9 @@ class Transport:
     def __init__(self, known: Iterable[str] = ()) -> None:
         self.stats = NetworkStats()
         self._nodes: Dict[str, Any] = {}
-        #: every id ever registered here — a crashed node unregisters from
-        #: ``_nodes`` but stays known, and stays in its partition group
-        self._registered: Set[str] = set()
         #: every id this transport can name: ``known`` plus every id ever
-        #: registered; naming any other id is a wiring bug and raises
+        #: registered (a crashed node unregisters from ``_nodes`` but stays
+        #: known); naming any other id is a wiring bug and raises
         self._known: Set[str] = set(known)
 
     # ------------------------------------------------------------ membership
@@ -82,7 +80,6 @@ class Transport:
         if node_id in self._nodes:
             raise ValueError(f"node {node_id!r} already registered")
         self._nodes[node_id] = node
-        self._registered.add(node_id)
         self._known.add(node_id)
 
     def unregister(self, node_id: str) -> None:
@@ -145,12 +142,11 @@ class Transport:
         stats = self.stats
         stats.sent[protocol] += 1
         stats.bytes_sent[protocol] += size
-        stats.dropped[protocol] += 1
-        stats.drop_reasons[reason] += 1
+        self._count_drop(protocol, reason)
 
     def _count_drop(self, protocol: str, reason: str) -> None:
-        """A message already counted as sent failed later (in flight, in a
-        queue, on a connection): charge only the drop, never the send."""
+        """A message already counted as sent was lost or failed later (in
+        flight, in a queue, on a connection): charge only the drop."""
         stats = self.stats
         stats.dropped[protocol] += 1
         stats.drop_reasons[reason] += 1

@@ -50,10 +50,8 @@ class TestUniformWorkload:
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("cls, field", [
-    (UniformWorkload, "period"), (UniformWorkload, "duration"),
-    (UniformWorkload, "start"), (UniformWorkload, "stagger"),
-    (PoissonWorkload, "mean_period"), (PoissonWorkload, "duration"),
-    (PoissonWorkload, "start")])
+    *[(UniformWorkload, f) for f in ("period", "duration", "start", "stagger")],
+    *[(PoissonWorkload, f) for f in ("mean_period", "duration", "start")]])
 def test_legacy_workloads_refuse_non_finite_values(cls, field, value):
     """Refused at construction, not later in ``events()`` as ``cannot
     convert float NaN to integer``."""

@@ -54,8 +54,7 @@ class TestDeploymentBuilder:
             builder.start_overlay_services().build()
 
     @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -0.01])
-    def test_a_processing_delay_that_is_not_finite_and_non_negative_is_refused(
-            self, delay):
+    def test_a_non_finite_or_negative_processing_delay_is_refused(self, delay):
         builder = DeploymentBuilder(num_nodes=4, seed=3,
                                     processing_delay=delay)
         with pytest.raises(ValueError, match="processing_delay"):

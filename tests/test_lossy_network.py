@@ -201,3 +201,10 @@ class TestPerLinkLoss:
         Sink(sim, network, "a")
         with pytest.raises(ValueError):
             network.set_loss_probability(0.1, src="a")
+
+    def test_strict_mode_rejects_unknown_endpoints(self):
+        sim = Simulator(seed=1)
+        network = Network(sim, LatencyModel.fixed(0.01))
+        Sink(sim, network, "a")
+        with pytest.raises(KeyError):
+            network.set_loss_probability(0.1, src="a", dst="ghost")

@@ -165,22 +165,25 @@ class TestImportBoundary:
 
     def test_backends_state_the_transport_base_once(self):
         """Membership, the partition rule, the loss bound and the drop
-        ledger live in ``Transport``; neither backend defines or assigns a
-        member the base owns, so the two copies cannot grow back.  Only the
-        members the base leaves abstract (``send``/``send_many``) are theirs."""
+        ledger live in ``Transport``: a backend assigns no member the base
+        owns and defines one only to extend it (opening with
+        ``super().<name>(...)``), so the copies cannot grow back."""
         assert issubclass(Network, Transport)
         assert issubclass(LiveTransport, Transport)
         _, base = _class_members("transport/api.py", "Transport")
         owned = {name for name, body in base.items() if name != "__init__" and
                  not (body and ast.unparse(body[-1]) == "raise NotImplementedError")}
         assert {"register", "unregister", "node_ids", "node", "has_node",
-                "_registered", "_known", "_nodes", "stats", "_group_of",
-                "_loss_bound", "_drop", "_count_drop", "messages_sent",
-                "bytes_sent", "DEFAULT_MESSAGE_BYTES"} <= owned
+                "_known", "_nodes", "stats", "_group_of", "_loss_bound", "_drop",
+                "_count_drop", "messages_sent", "bytes_sent",
+                "DEFAULT_MESSAGE_BYTES"} <= owned
         for relative, name in TRANSPORT_BACKENDS.items():
             bases, members = _class_members(relative, name)
             assert bases == ["Transport"]
-            assert sorted(owned & members.keys()) == [], relative
+            restated = [member for member in sorted(owned & members.keys())
+                        if not (members[member] and ast.unparse(members[member][0])
+                                .startswith(f"super().{member}("))]
+            assert restated == [], relative
 
 
 class _ExplodingLatency(LatencyModel):
