@@ -24,6 +24,8 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.bounds import real
+
 
 #: The paper's measured Table 2 values, in seconds.
 PAPER_PHASE1_S = 0.46825e-3
@@ -38,8 +40,7 @@ class DelayModel:
     per_member: float
 
     def predict(self, top_layer_size: int) -> float:
-        if top_layer_size < 1:
-            raise ValueError("top layer size must be >= 1")
+        real("top_layer_size", top_layer_size, ge=1)
         return self.phase1 + self.per_member * (top_layer_size - 1)
 
     def predict_many(self, sizes: Iterable[int]) -> List[float]:
@@ -83,25 +84,21 @@ def messages_per_round(total_messages: Sequence[int], rounds: Sequence[int]) -> 
     """
     total = sum(total_messages)
     round_count = sum(rounds)
-    if round_count <= 0:
-        raise ValueError("total number of rounds must be positive")
+    real("round_count", round_count, gt=0)
     return total / round_count
 
 
 def optimal_background_rate(available_bandwidth_bps: float, cap_fraction: float,
                             round_cost_bits: float) -> float:
     """Formula 4: background-resolution rate (rounds/second) under the cap."""
-    if available_bandwidth_bps <= 0:
-        raise ValueError("available bandwidth must be positive")
-    if not 0 < cap_fraction <= 1:
-        raise ValueError("cap_fraction must be in (0, 1]")
-    if round_cost_bits <= 0:
-        raise ValueError("round cost must be positive")
+    real("available_bandwidth_bps", available_bandwidth_bps, gt=0)
+    real("cap_fraction", cap_fraction, gt=0, le=1)
+    real("round_cost_bits", round_cost_bits, gt=0)
     return available_bandwidth_bps * cap_fraction / round_cost_bits
 
 
 def round_cost_bits(messages_per_round_value: float, message_size_bytes: float) -> float:
     """Per-round communication cost c = (#messages per round) × message size."""
-    if messages_per_round_value <= 0 or message_size_bytes <= 0:
-        raise ValueError("message count and size must be positive")
+    real("messages_per_round_value", messages_per_round_value, gt=0)
+    real("message_size_bytes", message_size_bytes, gt=0)
     return messages_per_round_value * message_size_bytes * 8.0

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bounds import whole
 from repro.core.config import AdaptationMode, ConsistencyMetricSpec, IdeaConfig, MetricWeights
 from repro.core.deployment import IdeaDeployment
 from repro.core.middleware import IdeaMiddleware
@@ -88,8 +89,7 @@ class BookingApp:
                  servers: Optional[Sequence[str]] = None, capacity: int = 200,
                  config: Optional[IdeaConfig] = None,
                  start_background: bool = True) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        whole("capacity", capacity, ge=1)
         self.deployment = deployment
         self.object_id = object_id
         self.servers = (list(servers) if servers is not None

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.baselines.base import BaselineProtocol
+from repro.bounds import real
 from repro.sim.engine import Simulator
 from repro.sim.network import Message, Network
 from repro.sim.node import Node
@@ -27,9 +28,8 @@ class OptimisticAntiEntropy(BaselineProtocol):
     def __init__(self, sim: Simulator, network: Network, nodes: Dict[str, Node],
                  object_id: str, *, anti_entropy_period: float = 30.0) -> None:
         super().__init__(sim, network, nodes, object_id)
-        if anti_entropy_period <= 0:
-            raise ValueError("anti_entropy_period must be positive")
-        self.anti_entropy_period = anti_entropy_period
+        self.anti_entropy_period = real("anti_entropy_period",
+                                        anti_entropy_period, gt=0)
         self._rng = sim.random.stream("baseline.optimistic")
         self._started = False
         self.sessions_run = 0

@@ -22,9 +22,11 @@ The implementation keeps the reproduction-scale essentials:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.baselines.base import BaselineProtocol
+from repro.bounds import real, whole
 from repro.sim.engine import Simulator
 from repro.sim.network import Message, Network
 from repro.sim.node import Node
@@ -40,8 +42,9 @@ class TactBounds:
     staleness: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.numerical <= 0 or self.order <= 0 or self.staleness <= 0:
-            raise ValueError("TACT bounds must be positive")
+        real("numerical", self.numerical, gt=0)
+        whole("order", self.order, ge=1)
+        real("staleness", self.staleness, gt=0)
 
 
 class TactBoundedConsistency(BaselineProtocol):
@@ -57,6 +60,7 @@ class TactBoundedConsistency(BaselineProtocol):
         self._unsynced: Dict[str, list] = {n: [] for n in nodes}
         self._unsynced_delta: Dict[str, float] = {n: 0.0 for n in nodes}
         self._last_sync: Dict[str, float] = {n: 0.0 for n in nodes}
+        self._held: Dict[str, list] = {n: [] for n in nodes}
         self.syncs_run = 0
         self._started = False
         for node in nodes.values():
@@ -127,6 +131,19 @@ class TactBoundedConsistency(BaselineProtocol):
         return sent
 
     def _handle_push(self, message: Message) -> None:
+        # jitter lets a later push overtake an earlier one: a record waits
+        # in ``_held`` until every lower seq of its writer is applied
         receiver = message.dst
-        self.replicas[receiver].apply_updates(list(message.payload["updates"]),
-                                              applied_at=self.sim.now)
+        replica = self.replicas[receiver]
+        counts: Dict[str, int] = {}
+        ready, held = [], []
+        for record in sorted(self._held[receiver] + message.payload["updates"],
+                             key=attrgetter("writer", "seq")):
+            count = counts.get(record.writer, replica.vector.count(record.writer))
+            if record.seq == count + 1:
+                counts[record.writer] = record.seq
+                ready.append(record)
+            else:
+                held.append(record)
+        self._held[receiver] = held
+        replica.apply_updates(ready, applied_at=self.sim.now)

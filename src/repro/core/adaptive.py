@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.bounds import real
 from repro.core.config import IdeaConfig, MetricWeights
 
 
@@ -36,12 +37,6 @@ class ComplaintRecord:
     level_at_complaint: float
     new_threshold: float
     reweighted: bool = False
-
-
-def _unit_level(level: float) -> float:
-    if not 0.0 <= level <= 1.0:          # NaN is not in [0, 1] either
-        raise ValueError("hint level must be in [0, 1]")
-    return level
 
 
 class OnDemandController:
@@ -80,7 +75,7 @@ class OnDemandController:
     # --------------------------------------------------------------- inputs
     def set_threshold(self, threshold: float) -> None:
         """Set the learned threshold outright (the object's ``set_hint``)."""
-        self.learned_threshold = _unit_level(threshold)
+        self.learned_threshold = real("hint_level", threshold, ge=0, le=1)
 
     def demand_resolution(self) -> None:
         """The user explicitly asks for the inconsistency to be resolved."""
@@ -115,8 +110,9 @@ class HintBasedController:
 
     def __init__(self, config: IdeaConfig, *, hint_level: Optional[float] = None) -> None:
         self.config = config
-        self.hint_level: float = _unit_level(
-            config.hint_level if hint_level is None else hint_level)
+        self.hint_level: float = real(
+            "hint_level", config.hint_level if hint_level is None
+            else hint_level, ge=0, le=1)
         self.hint_history: List[Tuple[float, float]] = [(0.0, self.hint_level)]
         self.complaints: List[ComplaintRecord] = []
 
@@ -130,7 +126,7 @@ class HintBasedController:
 
     def set_hint(self, time: float, hint_level: float) -> None:
         """Change the hint at runtime (the Figure 8 scenario)."""
-        self.hint_level = _unit_level(hint_level)
+        self.hint_level = real("hint_level", hint_level, ge=0, le=1)
         self.hint_history.append((time, hint_level))
 
     def complain(self, time: float, level: float) -> ComplaintRecord:
@@ -154,6 +150,11 @@ class FrequencyBounds:
 
     min_period: Optional[float] = None
     max_period: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        for name in ("min_period", "max_period"):
+            if getattr(self, name) is not None:
+                real(name, getattr(self, name), gt=0)
 
     def clamp(self, period: float) -> float:
         if self.max_period is not None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
+from repro.bounds import real, whole
 from repro.core.adaptive import AutomaticController, HintBasedController, OnDemandController
 from repro.core.config import ConsistencyMetricSpec, MetricWeights, ResolutionStrategy
 from repro.core.deployment import IdeaDeployment
@@ -78,16 +79,16 @@ class IdeaAPI:
     def set_resolution(self, strategy: int, *,
                        priorities: Optional[Mapping[str, int]] = None) -> None:
         """Choose the resolution policy (1=invalidate-both, 2=user-id, 3=priority)."""
-        policy = make_policy(ResolutionStrategy(strategy), priorities=priorities)
+        strategy = ResolutionStrategy(whole("strategy", strategy, ge=1, le=3))
+        policy = make_policy(strategy, priorities=priorities)
         for middleware in self._managed.middlewares.values():
             middleware.policy = policy
             middleware.resolution.policy = policy
-        self._managed.config.resolution_strategy = ResolutionStrategy(strategy)
+        self._managed.config.resolution_strategy = strategy
 
     def set_hint(self, hint_level: float) -> None:
         """Set the hint level for hint-based applications (0 disables, 1 is strict)."""
-        if not 0.0 <= hint_level <= 1.0:
-            raise ValueError("hint level must be in [0, 1]")
+        real("hint_level", hint_level, ge=0, le=1)
         for middleware in self._managed.middlewares.values():
             controller = middleware.controller
             if isinstance(controller, (HintBasedController, OnDemandController)):
@@ -106,9 +107,8 @@ class IdeaAPI:
         background schedule (registered without one, or cancelled) starts
         one.
         """
-        if frequency_hz <= 0:
-            raise ValueError("frequency must be positive")
-        period = 1.0 / frequency_hz
+        period = real("1 / frequency_hz",
+                      1.0 / real("frequency_hz", frequency_hz, gt=0), gt=0)
         managed = self._managed
         managed.config.background_period = period
         for middleware in managed.middlewares.values():

@@ -15,9 +15,11 @@ All knobs exposed through the developer API of Table 1 live here:
 from __future__ import annotations
 
 import enum
-import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
+
+from repro.bounds import real, whole
 
 
 class AdaptationMode(enum.Enum):
@@ -52,11 +54,8 @@ class ConsistencyMetricSpec:
     max_staleness: float = 60.0
 
     def __post_init__(self) -> None:
-        for name, value in (("max_numerical", self.max_numerical),
-                            ("max_order", self.max_order),
-                            ("max_staleness", self.max_staleness)):
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("max_numerical", "max_order", "max_staleness"):
+            real(name, getattr(self, name), gt=0)
 
 
 @dataclass(frozen=True)
@@ -74,10 +73,8 @@ class MetricWeights:
     staleness: float = 1.0 / 3.0
 
     def __post_init__(self) -> None:
-        if not (0 <= self.numerical < math.inf and 0 <= self.order < math.inf
-                and 0 <= self.staleness < math.inf):
-            raise ValueError(f"weights must be non-negative and finite, "
-                             f"got {self.as_tuple()}")
+        for name in ("numerical", "order", "staleness"):
+            real(name, getattr(self, name), ge=0)
         if self.numerical + self.order + self.staleness <= 0:
             raise ValueError("at least one weight must be positive")
 
@@ -113,21 +110,15 @@ class IdeaConfig:
     background_period: Optional[float] = 20.0
     #: how many recent :class:`~repro.core.detection.DetectionOutcome`
     #: records each middleware retains (a bounded deque): long traffic runs
-    #: evaluate millions of detections and must not keep them all.  None
-    #: keeps everything (the pre-bounded-state behaviour).
-    outcome_history: Optional[int] = 65536
+    #: evaluate millions of detections and must not keep them all
+    outcome_history: int = 65536
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.hint_level <= 1.0:
-            raise ValueError("hint_level must lie in [0, 1]")
-        if not 0 <= self.hint_delta < math.inf:
-            raise ValueError("hint_delta must be non-negative and finite")
-        if (self.background_period is not None
-                and not 0 < self.background_period < math.inf):
-            raise ValueError("background_period must be positive and finite, "
-                             "or None")
-        if self.outcome_history is not None and self.outcome_history < 1:
-            raise ValueError("outcome_history must be positive or None")
+        real("hint_level", self.hint_level, ge=0, le=1)
+        real("hint_delta", self.hint_delta, ge=0)
+        if self.background_period is not None:
+            real("background_period", self.background_period, gt=0)
+        whole("outcome_history", self.outcome_history, ge=1, le=sys.maxsize)
 
     def with_weights(self, weights: MetricWeights) -> "IdeaConfig":
         return replace(self, weights=weights)

@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.bounds import real
 from repro.core.adaptive import AutomaticController
 from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.detection import VersionDigest, evaluate_group
@@ -155,7 +156,7 @@ class DeploymentBuilder:
         self.clock_model = clock_model
         self.overlay_config = overlay_config
         self.gossip_config = gossip_config
-        self.ransub_period = ransub_period
+        self.ransub_period = real("ransub_period", ransub_period, gt=0)
         self.processing_delay = processing_delay
         self.use_gossip = use_gossip
         self.loss_probability = loss_probability

@@ -39,6 +39,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.bounds import real
 from repro.core.config import AdaptationMode, IdeaConfig
 from repro.core.deployment import DeploymentBuilder, IdeaDeployment
 from repro.experiments.report import format_table
@@ -153,8 +154,7 @@ def run_churn_point(*, num_nodes: int = 8, loss_probability: float = 0.0,
                     hint_level: float = 0.8, seed: int = 29,
                     use_gossip: bool = True) -> ChurnPointResult:
     """Run one churn scenario point and harvest its metrics."""
-    if not 0.0 <= loss_probability < 1.0:
-        raise ValueError("loss_probability must be in [0, 1)")
+    real("loss_probability", loss_probability, ge=0, lt=1)
     wall_start = time.perf_counter()
     deployment = DeploymentBuilder(
         num_nodes=num_nodes, seed=seed, use_gossip=use_gossip,

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
 from typing import Optional, Tuple
 
+from repro.bounds import real, whole
 from repro.live.chaos import (evidence_problems, resolve_plan,
                               run_live_deployment)
 from repro.live.deployment import DeploymentError
@@ -46,11 +46,8 @@ def _configure(args: argparse.Namespace
     """The scenario and fault plan the arguments describe; a bad value
     raises ``ValueError`` (or ``OSError`` for an unreadable plan file)."""
     for flag, value in (("--nodes", args.nodes), ("--objects", args.objects)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
-    if not 0.0 < args.duration < math.inf:
-        raise ValueError(f"--duration must be a positive number of seconds, "
-                         f"got {args.duration}")
+        whole(flag, value, ge=1)
+    real("--duration", args.duration, gt=0)
     # default_scenario spans 4.4 time units plus an unscaled rejoin gap
     time_scale = args.duration / 4.4
     spec = default_scenario(args.nodes, args.objects, seed=args.seed,

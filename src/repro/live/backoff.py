@@ -27,11 +27,12 @@ Policies are set per transport instance, through its constructor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
+
+from repro.bounds import real
 
 __all__ = ["BackoffPolicy", "DEFAULT_CONNECT", "DEFAULT_RECONNECT"]
 
@@ -54,17 +55,14 @@ class BackoffPolicy:
     max_elapsed: Optional[float] = 10.0
 
     def __post_init__(self) -> None:
-        # each test is written so that NaN fails it
-        if not 0 < self.base < math.inf:
-            raise ValueError("backoff base must be positive and finite")
-        if not self.base <= self.cap < math.inf:
-            raise ValueError("backoff cap must be finite and >= base")
-        if not self.multiplier >= 1.0:
-            raise ValueError("backoff multiplier must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("backoff jitter must be in [0, 1)")
-        if self.max_elapsed is not None and not self.max_elapsed > 0:
-            raise ValueError("max_elapsed must be positive (or None)")
+        real("base", self.base, gt=0)
+        if real("cap", self.cap) < self.base:
+            raise ValueError(f"cap must be >= base, got {self.cap!r} < "
+                             f"{self.base!r}")
+        real("multiplier", self.multiplier, ge=1)
+        real("jitter", self.jitter, ge=0, lt=1)
+        if self.max_elapsed is not None:
+            real("max_elapsed", self.max_elapsed, gt=0)
 
     # --------------------------------------------------------------- schedule
     def delays(self, rng=None, *, seed: Optional[int] = None) -> Iterator[float]:

@@ -17,10 +17,10 @@ and on a wall clock no two events are simultaneous.
 from __future__ import annotations
 
 import asyncio
+from math import inf
 from typing import Any, Callable, Iterable, Optional
 
 from repro.sim.random import RandomStreams
-from repro.transport.errors import TransportError
 from repro.transport.tasks import Process
 
 #: sentinel distinguishing "no argument" from an argument of ``None``
@@ -64,7 +64,7 @@ class LiveClock:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         # ``not x >= 0`` refuses NaN (call_at's too) as well as the past
         if not delay >= 0:
-            raise TransportError(f"cannot schedule with delay {delay}")
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         if arg is _NO_ARG:
             return self._loop.call_later(delay, callback)
         return self._loop.call_later(delay, callback, arg)
@@ -73,6 +73,8 @@ class LiveClock:
                 priority: int = 0, label: str = "", arg: Any = _NO_ARG,
                 recyclable: bool = False) -> asyncio.TimerHandle:
         """Schedule ``callback`` at absolute clock time ``time`` (clamped to now)."""
+        if not time > -inf:  # NaN fails it too
+            raise ValueError(f"time must be a number, got {time!r}")
         return self.call_after(max(time - self.now, 0.0), callback,
                                priority=priority, label=label, arg=arg,
                                recyclable=recyclable)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
+from repro.bounds import real, whole
 from repro.transport import Clock, Message, PeriodicTimer, Transport
 from repro.versioning.version_vector import DIGEST_BYTES
 
@@ -42,12 +43,9 @@ class GossipConfig:
     ttl: int = 3
 
     def __post_init__(self) -> None:
-        if not self.round_period > 0:  # NaN compares False both ways
-            raise ValueError("round_period must be positive")
-        if self.fanout < 1:
-            raise ValueError("fanout must be >= 1")
-        if self.ttl < 1:
-            raise ValueError("ttl must be >= 1")
+        real("round_period", self.round_period, gt=0)
+        whole("fanout", self.fanout, ge=1)
+        whole("ttl", self.ttl, ge=1)
 
 
 class GossipService:

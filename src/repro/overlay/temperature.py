@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.bounds import real, whole
+
 
 @dataclass
 class TemperatureConfig:
@@ -43,14 +45,10 @@ class TemperatureConfig:
     min_top_size: int = 1
 
     def __post_init__(self) -> None:
-        if not self.half_life > 0:  # NaN fails every comparison
-            raise ValueError("half_life must be positive")
-        if math.isnan(self.hot_threshold):
-            raise ValueError("hot_threshold must be a number")
-        if self.max_top_size < 1:
-            raise ValueError("max_top_size must be >= 1")
-        if self.min_top_size < 0 or self.min_top_size > self.max_top_size:
-            raise ValueError("require 0 <= min_top_size <= max_top_size")
+        real("half_life", self.half_life, gt=0)
+        real("hot_threshold", self.hot_threshold)
+        whole("max_top_size", self.max_top_size, ge=1)
+        whole("min_top_size", self.min_top_size, ge=0, le=self.max_top_size)
 
 
 class TemperatureTracker:

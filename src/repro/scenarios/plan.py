@@ -18,12 +18,12 @@ the same instant apply in the order the plan author wrote them.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.bounds import real, whole
 
 
 #: action kinds understood by the injector
@@ -37,11 +37,8 @@ RESTORE_LOSS = "restore_loss"
 #: kinds that stop or start one node, which they name
 PROCESS_KINDS = (CRASH, RECOVER)
 KINDS = PROCESS_KINDS + (PARTITION, HEAL, SET_LOSS, RESTORE_LOSS)
-
-
-def _real(value: Any) -> bool:
-    """A real number, and not a bool (JSON's ``true`` is no time or loss)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+#: the most crashes one churn schedule may expect to draw
+MAX_CHURN_DRAWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -57,9 +54,7 @@ class FaultAction:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
-        if not (_real(self.time) and 0.0 <= self.time <= sys.float_info.max):
-            raise ValueError("fault actions are scheduled at a finite time "
-                             ">= 0")
+        real("time", self.time, ge=0)
         if self.kind in PROCESS_KINDS and not isinstance(self.node_id, str):
             raise ValueError(f"{self.kind} needs a node_id")
         if self.kind == PARTITION:
@@ -69,9 +64,7 @@ class FaultAction:
             if len(set(listed)) < len(listed):
                 raise ValueError("a node is listed in two groups")
         if self.kind == SET_LOSS:
-            loss = self.loss_probability
-            if not (_real(loss) and 0.0 <= loss < 1.0):
-                raise ValueError("loss_probability must be in [0, 1)")
+            real("loss_probability", self.loss_probability, ge=0, lt=1)
 
     def to_dict(self) -> dict:
         """Plain-data form (JSON-safe); inverse of :meth:`from_dict`."""
@@ -165,12 +158,13 @@ class FaultPlan:
         configured with 2 % baseline loss goes back to 2 %, not to zero.
         Pass an explicit ``baseline`` to end the burst at a chosen value.
         """
-        if duration <= 0:
-            raise ValueError("loss burst duration must be positive")
+        real("at", at, ge=0)
+        real("duration", duration, gt=0)
         self.set_loss(loss_probability, at)
         if baseline is None:
             return self._add(FaultAction(time=at + duration, kind=RESTORE_LOSS))
-        return self.set_loss(baseline, at + duration)
+        return self.set_loss(real("baseline", baseline, ge=0, lt=1),
+                             at + duration)
 
     # ------------------------------------------------------------ generators
     @classmethod
@@ -189,24 +183,28 @@ class FaultPlan:
         recovers ``downtime`` seconds later, and at least ``spare`` nodes
         are always left alive.  The schedule is a pure function of the
         arguments — no global randomness — so a (seed, plan) pair replays
-        bit-identically.
+        bit-identically.  The draws are bounded: the peak rate ``rate * (1
+        + amplification)`` may expect at most :data:`MAX_CHURN_DRAWS`
+        crashes over ``duration`` (or over one second, if shorter), and a
+        ``start`` so large that the gaps no longer move the clock is refused
+        after twice that many draws.
         """
         if not node_ids:
             raise ValueError("churn needs at least one node")
-        if rate <= 0:
-            raise ValueError("churn rate must be positive")
-        if downtime <= 0:
-            raise ValueError("downtime must be positive")
-        if amplification < 0:
-            raise ValueError("amplification must be non-negative")
-        if spare < 1:
-            raise ValueError("churn must spare at least one node")
-        rng = np.random.default_rng(seed)
+        real("amplification", amplification, ge=0)
+        real("duration", duration, ge=0)
+        real("rate * (1 + amplification) * duration",
+             real("rate", rate, gt=0) * (1.0 + amplification)
+             * max(duration, 1.0), le=MAX_CHURN_DRAWS)
+        real("start", start, ge=0)
+        real("downtime", downtime, gt=0)
+        whole("spare", spare, ge=1)
+        rng = np.random.default_rng(whole("seed", seed, ge=0))
         plan = cls()
         total = len(node_ids)
         down_until: dict = {}
         t = start
-        while True:
+        for _ in range(2 * MAX_CHURN_DRAWS):
             down = sum(1 for until in down_until.values() if until > t)
             effective = rate * (1.0 + amplification * (down / total))
             t += float(rng.exponential(1.0 / effective))
@@ -221,6 +219,9 @@ class FaultPlan:
             back = t + downtime
             plan.recover(victim, back)
             down_until[victim] = back
+        else:
+            raise ValueError(f"start {start!r} is too large for gaps of "
+                             f"1/{rate!r} s to advance")
         return plan
 
     @classmethod
@@ -234,9 +235,9 @@ class FaultPlan:
         randomness at all.  This is the ISSUE's acceptance scenario: kill 25%
         of an 8-node deployment mid-run and bring them back.
         """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        if recover_at <= crash_at:
+        real("fraction", fraction, gt=0, le=1)
+        real("stagger", stagger, ge=0)
+        if real("recover_at", recover_at) <= real("crash_at", crash_at, ge=0):
             raise ValueError("recover_at must come after crash_at")
         count = max(1, int(round(len(node_ids) * fraction)))
         if count >= len(node_ids):
@@ -264,10 +265,10 @@ class FaultPlan:
         """
         if not node_ids:
             raise ValueError("site_blast needs at least one node")
-        if down_for <= 0:
-            raise ValueError("down_for must be positive")
-        if stagger < 0 or crash_stagger < 0:
-            raise ValueError("staggers must be non-negative")
+        real("at", at, ge=0)
+        real("down_for", down_for, gt=0)
+        real("stagger", stagger, ge=0)
+        real("crash_stagger", crash_stagger, ge=0)
         plan = cls()
         for i, node_id in enumerate(node_ids):
             plan.crash(node_id, at + i * crash_stagger)

@@ -16,10 +16,13 @@ check that staleness degrades gracefully.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from repro.bounds import real
 
 
 @dataclass
@@ -41,6 +44,13 @@ class ClockModel:
     max_offset: float = 0.05
     max_drift_rate: float = 1e-5
     sync_interval: Optional[float] = 60.0
+
+    def __post_init__(self) -> None:
+        # each is the half-width of a uniform draw, whose width must be finite
+        for name in ("max_offset", "max_drift_rate"):
+            real(name, getattr(self, name), ge=0, le=sys.float_info.max / 2)
+        if self.sync_interval is not None:
+            real("sync_interval", self.sync_interval, gt=0)
 
     def perfect(self) -> "ClockModel":
         """Return a model with zero error (useful for unit tests)."""
@@ -84,7 +94,7 @@ class DriftingClock:
 
     def _maybe_sync(self, true_time: float) -> None:
         interval = self.model.sync_interval
-        if interval is None or interval <= 0:
+        if interval is None:
             return
         # Apply every synchronisation point passed since the last read.
         while true_time - self._last_sync >= interval:

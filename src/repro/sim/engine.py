@@ -206,11 +206,11 @@ def _scheduler(relative: bool) -> Callable[..., Event]:
         # ``not x >= y`` refuses NaN as well as the past
         if relative:
             if not when >= 0:
-                raise SimulationError(f"cannot schedule with delay {when}")
+                raise ValueError(f"delay must be >= 0, got {when!r}")
             time = self.now + when
         elif not when >= self.now:
-            raise SimulationError(f"cannot schedule event at {when} "
-                                  f"(now={self.now})")
+            raise ValueError(f"time must be >= now ({self.now!r}), "
+                             f"got {when!r}")
         else:
             time = when
         queue = self._queue

@@ -30,9 +30,11 @@ redone in Python.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro.bounds import real
 from repro.sim.random import RandomStreams
 from repro.sim.topology import Topology
 
@@ -42,6 +44,8 @@ FLOOR = 0.0005
 JITTER_BLOCK = 256
 #: the jitter sigma of the Planet-Lab stand-in and a world's default
 PLANETLAB_SIGMA = 0.25
+#: the largest sigma whose square (the draw's ``mu``) is a finite float
+MAX_SIGMA = sys.float_info.max ** 0.5
 
 
 @dataclass(frozen=True)
@@ -64,14 +68,12 @@ class LinkProfile:
     loss: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.latency is not None and self.latency < 0:
-            raise ValueError("link latency must be non-negative")
-        if self.latency_scale <= 0:
-            raise ValueError("latency_scale must be positive")
-        if self.jitter_sigma is not None and self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be non-negative")
-        if not 0.0 <= self.loss < 1.0:
-            raise ValueError("link loss must be in [0, 1)")
+        if self.latency is not None:
+            real("latency", self.latency, ge=0)
+        real("latency_scale", self.latency_scale, gt=0)
+        if self.jitter_sigma is not None:
+            real("jitter_sigma", self.jitter_sigma, ge=0, le=MAX_SIGMA)
+        real("loss", self.loss, ge=0, lt=1)
 
 
 def _site_key(site_a: str, site_b: str) -> Tuple[str, str]:
@@ -121,9 +123,7 @@ class LatencyModel:
     def fixed(cls, delay: float = 0.02) -> "LatencyModel":
         """``delay`` seconds (at least :data:`FLOOR`) between every two
         distinct nodes, of any name; never draws."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        return cls("latency", None, delay=delay)
+        return cls("latency", None, delay=real("delay", delay, ge=0))
 
     @classmethod
     def planetlab(cls, topology: Topology) -> "LatencyModel":
@@ -141,12 +141,10 @@ class LatencyModel:
         and may set its own sigma; every jitter sample below ``min_jitter``
         is raised to it, so no delay falls under that fraction of its base.
         """
-        if jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be non-negative")
-        if not 0 < min_jitter <= 1.0:
-            raise ValueError("min_jitter must be in (0, 1]")
         return cls("latency.hetero", topology, links=links,
-                   jitter_sigma=jitter_sigma, min_jitter=min_jitter)
+                   jitter_sigma=real("jitter_sigma", jitter_sigma, ge=0,
+                                     le=MAX_SIGMA),
+                   min_jitter=real("min_jitter", min_jitter, gt=0, le=1))
 
     def bind(self, streams: RandomStreams) -> None:
         """Draw jitter from ``streams``' generator named :attr:`stream`."""

@@ -21,6 +21,8 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.bounds import whole
+
 #: 32-bit mask; also ``UINT32_MAX`` in Lemire's rejection threshold
 _LOW = 0xFFFFFFFF
 #: 64-bit outputs fetched from the bit generator per refill
@@ -142,7 +144,7 @@ class RandomStreams:
     """A factory of independent, reproducible random generators."""
 
     def __init__(self, seed: int = 0) -> None:
-        self.seed = int(seed)
+        self.seed = int(whole("seed", seed))
         self._streams: Dict[str, np.random.Generator] = {}
         self._samplers: Dict[str, SubsetSampler] = {}
 

@@ -25,6 +25,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.bounds import whole
+
 
 @dataclass(frozen=True)
 class Site:
@@ -124,8 +126,7 @@ def planetlab_topology(num_nodes: int = 40, *, sites: Sequence[Site] = DEFAULT_S
         maximally spread sites, mimicking the paper's choice of four writers
         "carefully chosen so that they are far apart from each other".
     """
-    if num_nodes < 1:
-        raise ValueError("num_nodes must be >= 1")
+    whole("num_nodes", num_nodes, ge=1)
     if not sites:
         raise ValueError("at least one site is required")
 

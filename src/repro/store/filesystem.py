@@ -11,6 +11,7 @@ deliberately stays node-local.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Dict, List, Optional
 
 from repro.store.replica import Replica
@@ -49,6 +50,9 @@ class ReplicatedStore:
               metadata_delta: float = 0.0, payload: Any = None,
               applied_at: Optional[float] = None) -> Optional[UpdateRecord]:
         """Apply a local write; returns None when writes are blocked."""
+        if not -inf < metadata_delta < inf:  # NaN fails it too
+            raise ValueError(
+                f"metadata_delta must be finite, got {metadata_delta!r}")
         return self.replica(object_id).local_write(
             writer, timestamp, metadata_delta=metadata_delta, payload=payload,
             applied_at=applied_at)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Protocol,
                     Sequence, Set, runtime_checkable)
 
+from repro.bounds import real
 from repro.transport.message import NetworkStats
 
 
@@ -120,9 +121,7 @@ class Transport:
     @staticmethod
     def _loss_bound(probability: float) -> float:
         """``probability`` if it lies in ``[0, 1)``, else a ``ValueError``."""
-        if not 0.0 <= probability < 1.0:
-            raise ValueError("loss_probability must be in [0, 1)")
-        return probability
+        return real("loss_probability", probability, ge=0, lt=1)
 
     # ---------------------------------------------------------------- sending
     def send(self, src: str, dst: str, *, protocol: str, msg_type: str,

@@ -24,10 +24,10 @@ clock; a live node is this class itself, on a
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.bounds import real
 from repro.transport.errors import RPCError
 from repro.transport.message import Message
 from repro.transport.tasks import Waiter
@@ -68,9 +68,8 @@ class ProtocolEndpoint:
                  processing_delay: Optional[float] = None) -> None:
         if processing_delay is None:
             processing_delay = self.DEFAULT_PROCESSING_DELAY
-        elif not 0 <= processing_delay < math.inf:  # NaN fails it too
-            raise ValueError("processing_delay must be finite and "
-                             f"non-negative, got {processing_delay!r}")
+        else:
+            real("processing_delay", processing_delay, ge=0)
         self.clock = clock
         self.transport = transport
         self.node_id = node_id

@@ -31,7 +31,7 @@ class _Sleep:
 
     def __init__(self, delay: float) -> None:
         if not delay >= 0:  # refuses NaN too, as the clocks do
-            raise ValueError(f"cannot sleep for {delay}")
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         self.delay = delay
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from math import inf
 from typing import Any, Callable, Optional
 
+from repro.bounds import real
 from repro.transport.errors import TransportError
 
 
@@ -52,8 +53,8 @@ class PeriodicTimer:
                  label: str = "") -> None:
         if (period is None) == (period_fn is None):
             raise ValueError("exactly one of period / period_fn is required")
-        if period is not None and not period > 0:  # NaN is not > 0 either
-            raise ValueError("period must be positive")
+        if period is not None:
+            real("period", period, gt=0)
         self.clock = clock
         self.callback = callback
         self.label = label

@@ -24,12 +24,12 @@ which home nodes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.bounds import real, whole
 from repro.workloads.phases import RateSchedule
 from repro.workloads.popularity import PopularityModel
 
@@ -83,9 +83,7 @@ class OpMix:
     __slots__ = ("read_fraction",)
 
     def __init__(self, read_fraction: float = 0.9) -> None:
-        if not 0.0 <= read_fraction <= 1.0:
-            raise ValueError("read_fraction must lie in [0, 1]")
-        self.read_fraction = read_fraction
+        self.read_fraction = real("read_fraction", read_fraction, ge=0, le=1)
 
     def describe(self) -> str:
         return f"{self.read_fraction:.0%}R/{1 - self.read_fraction:.0%}W"
@@ -189,9 +187,7 @@ class ClosedLoopClient(ClientStream):
                  mix: OpMix, rng: np.random.Generator, think_time: float,
                  schedule: Optional[RateSchedule] = None,
                  snapshot_reads: bool = False) -> None:
-        if not 0 < think_time < math.inf:
-            raise ValueError(
-                f"think_time must be finite and positive, got {think_time!r}")
+        real("think_time", think_time, gt=0)
         super().__init__(stream_id, popularity=popularity, mix=mix, rng=rng,
                          schedule=schedule, snapshot_reads=snapshot_reads)
         self.think_time = think_time
@@ -236,8 +232,8 @@ class ClientPopulation:
     snapshot_reads: bool = False
 
     def __post_init__(self) -> None:
-        if self.num_clients < 1:
-            raise ValueError("population needs at least one client")
+        whole("num_clients", self.num_clients, ge=1)
+        real("think_time", self.think_time, gt=0)
         if self.model not in ("open", "closed"):
             raise ValueError("model must be 'open' or 'closed'")
         if self.model == "open" and self.schedule is None:

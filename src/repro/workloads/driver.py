@@ -24,9 +24,9 @@ when somebody subscribed, so un-probed runs pay nothing per op.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence
 
+from repro.bounds import real, whole
 from repro.runtime.events import ClientOpCompleted
 from repro.workloads.clients import ClientPopulation, ClientStream
 from repro.workloads.metrics import TrafficMetrics
@@ -80,16 +80,14 @@ class TrafficDriver:
                  truncate_keep_content: bool = True) -> None:
         if not populations:
             raise ValueError("traffic driver needs at least one population")
-        if duration is not None and not 0 < duration < math.inf:
-            raise ValueError(
-                f"duration must be finite and positive, got {duration!r}")
-        if max_ops is not None and max_ops < 1:
-            raise ValueError("max_ops must be positive")
-        if truncate_every is not None and not 0 < truncate_every < math.inf:
-            raise ValueError("truncate_every must be finite and positive or "
-                             f"None, got {truncate_every!r}")
-        if truncate_window < 0:
-            raise ValueError("truncate_window must be non-negative")
+        real("start", start, ge=0)
+        if duration is not None:
+            real("duration", duration, gt=0)
+        if max_ops is not None:
+            whole("max_ops", max_ops, ge=1)
+        if truncate_every is not None:
+            real("truncate_every", truncate_every, gt=0)
+        real("truncate_window", truncate_window, ge=0)
         self.deployment = deployment
         self.populations = list(populations)
         self.object_ids = (list(object_ids) if object_ids is not None

@@ -21,7 +21,11 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.workloads.phases import _finite
+from repro.bounds import real
+
+#: the most updates a workload schedules per writer (its events are listed
+#: up front), or expects to in a Poisson schedule
+MAX_UPDATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -42,10 +46,11 @@ class UniformWorkload:
         if not writers:
             raise ValueError("workload needs at least one writer")
         self.writers = list(writers)
-        self.period = _finite("period", period, positive=True)
-        self.duration = _finite("duration", duration, positive=True)
-        self.start = _finite("start", start)
-        if _finite("stagger", stagger) >= period:
+        self.period = real("period", period, gt=0)
+        self.duration = real("duration", duration, gt=0)
+        real("duration / period", duration / period, le=MAX_UPDATES)
+        self.start = real("start", start, ge=0)
+        if real("stagger", stagger, ge=0) >= period:
             raise ValueError("stagger must lie in [0, period)")
         self.stagger = stagger
 
@@ -98,9 +103,10 @@ class PoissonWorkload:
         if not writers:
             raise ValueError("workload needs at least one writer")
         self.writers = list(writers)
-        self.mean_period = _finite("mean_period", mean_period, positive=True)
-        self.duration = _finite("duration", duration, positive=True)
-        self.start = _finite("start", start)
+        self.mean_period = real("mean_period", mean_period, gt=0)
+        self.duration = real("duration", duration, gt=0)
+        real("duration / mean_period", duration / mean_period, le=MAX_UPDATES)
+        self.start = real("start", start, ge=0)
         self._rng = rng or np.random.default_rng(0)
         self._events: Optional[List[WorkloadEvent]] = None
 
@@ -108,14 +114,14 @@ class PoissonWorkload:
         if self._events is None:
             events: List[WorkloadEvent] = []
             for writer in self.writers:
-                t = self.start
-                k = 0
+                elapsed, k = 0.0, 0
                 while True:
-                    t += float(self._rng.exponential(self.mean_period))
-                    if t > self.start + self.duration:
+                    elapsed += float(self._rng.exponential(self.mean_period))
+                    if elapsed > self.duration:
                         break
                     k += 1
-                    events.append(WorkloadEvent(time=t, writer=writer,
+                    events.append(WorkloadEvent(time=self.start + elapsed,
+                                                writer=writer,
                                                 sequence_index=k))
             events.sort(key=lambda e: (e.time, e.writer))
             self._events = events

@@ -14,17 +14,12 @@ the same schedule object can be shared by thousands of streams.
 from __future__ import annotations
 
 import math
-import numbers
 
+from repro.bounds import real
 
-def _finite(name: str, value: float, *, positive: bool = False) -> float:
-    """``value`` if a finite non-negative (positive when asked) number, else
-    a ``ValueError`` naming ``name``; NaN fails both comparisons."""
-    if not (isinstance(value, numbers.Real) and (
-            (0 < value < math.inf) if positive else (0 <= value < math.inf))):
-        kind = "positive" if positive else "non-negative"
-        raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
-    return value
+#: the most operations per second one stream may offer: a thinning gap of
+#: ``1 / MAX_RATE`` still moves a clock that has run for years
+MAX_RATE = 1e6
 
 
 class RateSchedule:
@@ -67,7 +62,7 @@ class ConstantRate(RateSchedule):
     __slots__ = ("_rate",)
 
     def __init__(self, rate: float) -> None:
-        self._rate = _finite("rate", rate)
+        self._rate = real("rate", rate, ge=0, le=MAX_RATE)
 
     def rate(self, t: float) -> float:
         return self._rate
@@ -93,10 +88,10 @@ class RampRate(RateSchedule):
 
     def __init__(self, start_rate: float, end_rate: float, *,
                  duration: float, t0: float = 0.0) -> None:
-        self.start_rate = _finite("start_rate", start_rate)
-        self.end_rate = _finite("end_rate", end_rate)
-        self.t0 = t0
-        self.duration = _finite("duration", duration, positive=True)
+        self.start_rate = real("start_rate", start_rate, ge=0, le=MAX_RATE)
+        self.end_rate = real("end_rate", end_rate, ge=0, le=MAX_RATE)
+        self.t0 = real("t0", t0)
+        self.duration = real("duration", duration, gt=0)
 
     def rate(self, t: float) -> float:
         if t <= self.t0:
@@ -129,15 +124,14 @@ class DiurnalRate(RateSchedule):
 
     def __init__(self, base_rate: float, *, amplitude: float = 0.5,
                  period: float = 86400.0, phase: float = 0.0) -> None:
-        if not 0.0 <= amplitude <= 1.0:
-            raise ValueError("amplitude must lie in [0, 1]")
-        self.base_rate = _finite("base_rate", base_rate)
-        self.amplitude = amplitude
-        self.period = _finite("period", period, positive=True)
-        self.phase = phase
+        self.base_rate = real("base_rate", base_rate, ge=0, le=MAX_RATE)
+        self.amplitude = real("amplitude", amplitude, ge=0, le=1)
+        self.period = real("period", period, gt=0)
+        self.phase = real("phase", phase)
 
     def rate(self, t: float) -> float:
-        cycle = math.sin(2.0 * math.pi * (t - self.phase) / self.period)
+        cycle = math.sin(2.0 * math.pi * ((t - self.phase) % self.period)
+                         / self.period)
         return self.base_rate * (1.0 + self.amplitude * cycle)
 
     def peak_rate(self) -> float:
@@ -162,15 +156,14 @@ class FlashCrowdRate(RateSchedule):
     def __init__(self, base_rate: float, peak_rate: float, *, at: float,
                  ramp: float = 5.0, hold: float = 10.0,
                  decay: float = None) -> None:
-        self.base_rate = _finite("base_rate", base_rate)
-        self.peak_rate_value = _finite("peak_rate", peak_rate)
+        self.base_rate = real("base_rate", base_rate, ge=0, le=MAX_RATE)
+        self.peak_rate_value = real("peak_rate", peak_rate, ge=0, le=MAX_RATE)
         if peak_rate < base_rate:
             raise ValueError("peak_rate must be >= base_rate")
-        self.at = at
-        self.ramp = _finite("ramp", ramp, positive=True)
-        self.hold = _finite("hold", hold)
-        self.decay = _finite("decay", ramp if decay is None else decay,
-                             positive=True)
+        self.at = real("at", at)
+        self.ramp = real("ramp", ramp, gt=0)
+        self.hold = real("hold", hold, ge=0)
+        self.decay = real("decay", ramp if decay is None else decay, gt=0)
 
     def rate(self, t: float) -> float:
         base, peak = self.base_rate, self.peak_rate_value

@@ -12,6 +12,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import List
 
+from repro.bounds import real, whole
+
 
 class PopularityModel:
     """Maps a uniform draw (and the current time) to an object index."""
@@ -19,9 +21,7 @@ class PopularityModel:
     __slots__ = ("num_objects",)
 
     def __init__(self, num_objects: int) -> None:
-        if num_objects < 1:
-            raise ValueError("popularity model needs at least one object")
-        self.num_objects = num_objects
+        self.num_objects = whole("num_objects", num_objects, ge=1)
 
     def pick(self, u: float, now: float) -> int:
         """Return an object index in ``[0, num_objects)`` for draw ``u``."""
@@ -55,9 +55,7 @@ class ZipfPopularity(PopularityModel):
 
     def __init__(self, num_objects: int, skew: float = 0.99) -> None:
         super().__init__(num_objects)
-        if skew < 0:
-            raise ValueError("zipf skew must be non-negative")
-        self.skew = skew
+        self.skew = real("skew", skew, ge=0)
         weights = [1.0 / (k + 1) ** skew for k in range(num_objects)]
         total = sum(weights)
         cdf: List[float] = []
@@ -95,12 +93,8 @@ class RotatingHotspot(PopularityModel):
     def __init__(self, num_objects: int, *, rotate_period: float,
                  hot_weight: float = 0.5) -> None:
         super().__init__(num_objects)
-        if rotate_period <= 0:
-            raise ValueError("rotate_period must be positive")
-        if not 0.0 < hot_weight < 1.0:
-            raise ValueError("hot_weight must lie in (0, 1)")
-        self.rotate_period = rotate_period
-        self.hot_weight = hot_weight
+        self.rotate_period = real("rotate_period", rotate_period, gt=0)
+        self.hot_weight = real("hot_weight", hot_weight, gt=0, lt=1)
 
     def hot_index(self, now: float) -> int:
         return int(now // self.rotate_period) % self.num_objects

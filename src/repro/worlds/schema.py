@@ -49,15 +49,15 @@ constructor that realises it) and nothing anywhere else.
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.bounds import real, whole
 from repro.core.config import (AdaptationMode, ConsistencyMetricSpec,
                                IdeaConfig, MetricWeights, ResolutionStrategy)
 from repro.scenarios.plan import FaultPlan
+from repro.sim.latency import MAX_SIGMA
 from repro.workloads.clients import OpMix
 from repro.workloads.phases import (ConstantRate, DiurnalRate, FlashCrowdRate,
                                     RampRate)
@@ -241,22 +241,13 @@ def _read(field: Field, value: Any, path: str, refs: dict) -> Any:
         if field.ref is not None:
             _known(value, path, field.ref, refs)
         return value
-    whole = kind == "int"
-    if isinstance(value, bool) or not isinstance(value,
-                                                 int if whole else (int, float)):
-        _fail(path, f"expected {'an integer' if whole else 'a number'}, "
-                    f"got {type(value).__name__}")
-    if not whole:
-        value = float(value)
-        if not math.isfinite(value):
-            _fail(path, f"must be a finite number, got {value!r}")
-    for symbol, bound, holds in ((">=", field.ge, operator.ge),
-                                 (">", field.gt, operator.gt),
-                                 ("<=", field.le, operator.le),
-                                 ("<", field.lt, operator.lt)):
-        if bound is not None and not holds(value, bound):
-            _fail(path, f"must be {symbol} {bound:g}, got {value:g}")
-    return value
+    try:
+        value = (whole if kind == "int" else real)(
+            path.rsplit(".", 1)[-1], value,
+            ge=field.ge, gt=field.gt, le=field.le, lt=field.lt)
+    except ValueError as exc:
+        _fail(path, str(exc))
+    return value if kind == "int" else float(value)
 
 
 def build_kind(kinds: Mapping[str, Record], value: Mapping[str, Any],
@@ -384,7 +375,7 @@ def _check_fault_windows(faults: List[dict], path: str) -> None:
 
 # ------------------------------------------------------------------- tables
 
-_SHAPING = {"latency_scale": Num(gt=0), "jitter_sigma": Num(ge=0),
+_SHAPING = {"latency_scale": Num(gt=0), "jitter_sigma": Num(ge=0, le=MAX_SIGMA),
             "loss": Num(ge=0, lt=1)}
 SITE = Record({"name": Str(required=True), "x": Num(required=True),
                "y": Num(required=True), "nodes": Int(ge=1, required=True),
@@ -394,7 +385,8 @@ LINK = Record({"between": Names(count=2, required=True),
                "latency": Num(ge=0), **_SHAPING}, make=LinkSpec)
 TOPOLOGY = Record({"tiers": Map(Obj(TIER)),
                    "sites": Items(Obj(SITE), non_empty=True, required=True),
-                   "links": Items(Obj(LINK)), "jitter_sigma": Num(ge=0),
+                   "links": Items(Obj(LINK)),
+                   "jitter_sigma": Num(ge=0, le=MAX_SIGMA),
                    "min_jitter": Num(gt=0, le=1)},
                   make=TopologySpec, check=_check_topology)
 

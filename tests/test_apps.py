@@ -48,17 +48,6 @@ class TestUniformWorkload:
             UniformWorkload(["a"], period=5.0, stagger=5.0)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-@pytest.mark.parametrize("cls, field", [
-    *[(UniformWorkload, f) for f in ("period", "duration", "start", "stagger")],
-    *[(PoissonWorkload, f) for f in ("mean_period", "duration", "start")]])
-def test_legacy_workloads_refuse_non_finite_values(cls, field, value):
-    """Refused at construction, not later in ``events()`` as ``cannot
-    convert float NaN to integer``."""
-    with pytest.raises(ValueError, match=field):
-        cls(["a"], **{field: value})
-
-
 class TestPoissonWorkload:
     def test_events_within_duration(self):
         import numpy as np

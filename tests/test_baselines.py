@@ -58,12 +58,6 @@ class TestOptimisticAntiEntropy:
         assert protocol.messages_sent() > 0
         assert protocol.messages_per_update() > 0
 
-    def test_invalid_period_rejected(self):
-        deployment = build()
-        with pytest.raises(ValueError):
-            OptimisticAntiEntropy(deployment.sim, deployment.network,
-                                  deployment.nodes, "obj", anti_entropy_period=0)
-
 
 class TestStrongConsistencyPrimary:
     def test_write_commits_everywhere(self):
@@ -124,10 +118,6 @@ class TestStrongConsistencyPrimary:
 
 
 class TestTactBoundedConsistency:
-    def test_bounds_validation(self):
-        with pytest.raises(ValueError):
-            TactBounds(order=0)
-
     def test_writes_local_until_bound_hit(self):
         deployment = build()
         protocol = TactBoundedConsistency(deployment.sim, deployment.network,

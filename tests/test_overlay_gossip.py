@@ -54,12 +54,6 @@ class TestGossipConfig:
     def test_defaults_valid(self):
         GossipConfig()
 
-    @pytest.mark.parametrize("field, value", [
-        ("round_period", 0), ("round_period", -1.0),
-        ("round_period", float("nan")), ("fanout", 0), ("ttl", 0)])
-    def test_validation(self, field, value):
-        with pytest.raises(ValueError):
-            GossipConfig(**{field: value})
 
 
 class TestGossipService:

@@ -12,23 +12,6 @@ class TestTemperatureConfig:
     def test_defaults_valid(self):
         TemperatureConfig()
 
-    def test_invalid_half_life(self):
-        with pytest.raises(ValueError):
-            TemperatureConfig(half_life=0)
-
-    @pytest.mark.parametrize("field", ["half_life", "hot_threshold"])
-    def test_nan_refused(self, field):
-        """A NaN half-life makes every temperature NaN (nobody ever cools);
-        a NaN threshold makes every writer hot."""
-        with pytest.raises(ValueError, match=field):
-            TemperatureConfig(**{field: float("nan")})
-
-    def test_infinite_half_life_means_no_decay(self):
-        tracker = TemperatureTracker(
-            "obj", TemperatureConfig(half_life=float("inf")))
-        tracker.record_update("n0", 0.0)
-        assert tracker.temperature("n0", 1e6) == 1.0
-
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             TemperatureConfig(max_top_size=0)

@@ -31,7 +31,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 METRIC = ConsistencyMetricSpec(max_numerical=10, max_order=10, max_staleness=10)
 EQUAL = MetricWeights.equal()
-NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 class TestNormalizedErrors:
@@ -101,37 +100,10 @@ class TestLevelHelpers:
             average_level([])
 
 
-class TestMetricSpec:
-    def test_positive_maxima_required(self):
-        with pytest.raises(ValueError):
-            ConsistencyMetricSpec(max_numerical=0)
-        with pytest.raises(ValueError):
-            ConsistencyMetricSpec(max_order=-1)
-
-    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
-    @pytest.mark.parametrize("name", ["max_numerical", "max_order", "max_staleness"])
-    def test_non_finite_maxima_rejected(self, name, value):
-        # a NaN maximum would saturate any nonzero error; an infinite one
-        # would count no error at all
-        with pytest.raises(ValueError, match=name):
-            ConsistencyMetricSpec(**{name: value})
-
-
 class TestMetricWeights:
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            MetricWeights(-0.1, 0.5, 0.6)
-
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             MetricWeights(0, 0, 0)
-
-    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
-    @pytest.mark.parametrize("name", ["numerical", "order", "staleness"])
-    def test_non_finite_weight_rejected(self, name, value):
-        # normalising by a NaN or infinite total reads every level as 0 or NaN
-        with pytest.raises(ValueError, match="finite"):
-            MetricWeights(**{name: value})
 
     def test_normalized_sums_to_one(self):
         w = MetricWeights(0.4, 0.0, 0.6).normalized()
@@ -144,32 +116,6 @@ class TestMetricWeights:
 class TestIdeaConfig:
     def test_defaults_valid(self):
         IdeaConfig()
-
-    def test_hint_level_range(self):
-        with pytest.raises(ValueError):
-            IdeaConfig(hint_level=1.5)
-        with pytest.raises(ValueError):
-            IdeaConfig(hint_level=-0.1)
-
-    def test_background_period_validation(self):
-        with pytest.raises(ValueError):
-            IdeaConfig(background_period=0)
-        IdeaConfig(background_period=None)   # disabled is fine
-
-    def test_outcome_history_validation(self):
-        with pytest.raises(ValueError):
-            IdeaConfig(outcome_history=0)
-        IdeaConfig(outcome_history=None)     # unbounded is fine
-
-    def test_hint_delta_validation(self):
-        with pytest.raises(ValueError):
-            IdeaConfig(hint_delta=-0.01)
-
-    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
-    @pytest.mark.parametrize("name", ["hint_delta", "background_period"])
-    def test_non_finite_values_rejected(self, name, value):
-        with pytest.raises(ValueError, match=name):
-            IdeaConfig(**{name: value})
 
     def test_the_api_refuses_non_finite_settings_and_keeps_the_old_ones(self):
         from repro.core.api import IdeaAPI

@@ -557,13 +557,9 @@ class TestSiteBlast:
         assert [(x.time, x.node_id) for x in plan.recoveries()] == [
             (6.0, "a"), (6.0, "b"), (6.0, "c")]
 
-    def test_rejects_empty_site_and_bad_arguments(self):
+    def test_rejects_an_empty_site(self):
         with pytest.raises(ValueError):
             FaultPlan.site_blast([], at=1.0, down_for=1.0)
-        with pytest.raises(ValueError):
-            FaultPlan.site_blast(["a"], at=1.0, down_for=0.0)
-        with pytest.raises(ValueError):
-            FaultPlan.site_blast(["a"], at=1.0, down_for=1.0, stagger=-0.1)
 
 
 class TestCascade:
@@ -625,14 +621,7 @@ class TestCascade:
                 == FaultPlan.churn(nodes, amplification=2.0,
                                    **args).to_dict())
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            FaultPlan.churn(["a"], rate=0.0, duration=1.0, seed=1)
-        with pytest.raises(ValueError):
-            FaultPlan.churn(["a"], rate=1.0, duration=1.0, seed=1,
-                            amplification=-1.0)
-        with pytest.raises(ValueError):
-            FaultPlan.churn(["a"], rate=1.0, duration=1.0, seed=1, spare=0)
+    def test_rejects_an_empty_node_list(self):
         with pytest.raises(ValueError, match="at least one node"):
             FaultPlan.churn([], rate=1.0, duration=1.0, seed=1,
                             amplification=2.0)

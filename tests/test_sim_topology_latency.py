@@ -116,10 +116,6 @@ class TestLatencyModels:
         assert model.delay("a", "a") == 0.0
         assert model.expected_delay("a", "b") == 0.03
 
-    def test_fixed_model_rejects_negative(self):
-        with pytest.raises(ValueError):
-            LatencyModel.fixed(-0.1)
-
     def test_model_respects_floor(self):
         topo = planetlab_topology(6)
         world = _bound(LatencyModel.world(
@@ -194,19 +190,6 @@ class TestLatencyModels:
         with pytest.raises(ValueError):
             LatencyModel.world(planetlab_topology(4),
                                {("boston", "boston"): LinkProfile()})
-
-    @pytest.mark.parametrize("kwargs", [
-        {"jitter_sigma": -0.1}, {"min_jitter": 0.0}, {"min_jitter": 1.5}])
-    def test_world_rejects_out_of_range_shape(self, kwargs):
-        with pytest.raises(ValueError):
-            LatencyModel.world(planetlab_topology(4), **kwargs)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"latency": -0.01}, {"latency_scale": 0.0}, {"jitter_sigma": -1.0},
-        {"loss": 1.0}])
-    def test_link_profile_rejects_out_of_range_fields(self, kwargs):
-        with pytest.raises(ValueError):
-            LinkProfile(**kwargs)
 
     @pytest.mark.parametrize("sigmas, drawn_ahead", [
         ((), 0), ((0.25,), JITTER_BLOCK), ((0.6,), JITTER_BLOCK),

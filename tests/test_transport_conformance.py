@@ -481,7 +481,7 @@ def test_a_nan_delay_or_time_is_refused_and_an_infinite_one_never_fires(
     clock = h.clock
     fired = []
     for schedule in (clock.call_after, clock.call_at):
-        with pytest.raises(TransportError, match="nan"):
+        with pytest.raises(ValueError, match="nan"):
             schedule(float("nan"), lambda: fired.append("nan"))
     with pytest.raises(ValueError, match="nan"):
         sleep(float("nan"))
@@ -1023,18 +1023,6 @@ class TestBackoffPolicy:
             BackoffPolicy(jitter=1.0)
         with pytest.raises(ValueError):
             BackoffPolicy(max_elapsed=0.0)
-
-    @pytest.mark.parametrize("field, fields", [
-        ("base", {"base": float("nan")}),
-        ("base", {"base": float("inf"), "cap": float("inf")}),
-        ("cap", {"cap": float("nan")}), ("cap", {"cap": float("inf")}),
-        ("multiplier", {"multiplier": float("nan")}),
-        ("max_elapsed", {"max_elapsed": float("nan")})])
-    def test_validation_rejects_nan_and_infinite_delays(self, field, fields):
-        """Each would reach ``asyncio.sleep`` as NaN or ∞ through
-        ``delays()``."""
-        with pytest.raises(ValueError, match=field):
-            BackoffPolicy(**fields)
 
     def test_infinite_window(self):
         policy = dataclasses.replace(DEFAULT_CONNECT, max_elapsed=None)
