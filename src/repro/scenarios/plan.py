@@ -41,6 +41,18 @@ KINDS = PROCESS_KINDS + (PARTITION, HEAL, SET_LOSS, RESTORE_LOSS)
 MAX_CHURN_DRAWS = 100_000
 
 
+def check_churn_draws(rate: float, duration: float,
+                      amplification: float) -> None:
+    """Refuse a churn whose peak rate ``rate * (1 + amplification)`` may
+    expect more than :data:`MAX_CHURN_DRAWS` crashes over ``duration`` (or
+    over one second, if shorter)."""
+    real("amplification", amplification, ge=0)
+    real("duration", duration, ge=0)
+    real("rate * (1 + amplification) * duration",
+         real("rate", rate, gt=0) * (1.0 + amplification)
+         * max(duration, 1.0), le=MAX_CHURN_DRAWS)
+
+
 @dataclass(frozen=True)
 class FaultAction:
     """One scheduled fault: what happens, to whom, and when."""
@@ -191,11 +203,7 @@ class FaultPlan:
         """
         if not node_ids:
             raise ValueError("churn needs at least one node")
-        real("amplification", amplification, ge=0)
-        real("duration", duration, ge=0)
-        real("rate * (1 + amplification) * duration",
-             real("rate", rate, gt=0) * (1.0 + amplification)
-             * max(duration, 1.0), le=MAX_CHURN_DRAWS)
+        check_churn_draws(rate, duration, amplification)
         real("start", start, ge=0)
         real("downtime", downtime, gt=0)
         whole("spare", spare, ge=1)

@@ -130,8 +130,9 @@ class DiurnalRate(RateSchedule):
         self.phase = real("phase", phase)
 
     def rate(self, t: float) -> float:
-        cycle = math.sin(2.0 * math.pi * ((t - self.phase) % self.period)
-                         / self.period)
+        # the fraction first: 2π times a huge remainder overflows to inf
+        cycle = math.sin(2.0 * math.pi * (((t - self.phase) % self.period)
+                                          / self.period))
         return self.base_rate * (1.0 + self.amplitude * cycle)
 
     def peak_rate(self) -> float:

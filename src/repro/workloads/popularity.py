@@ -9,6 +9,7 @@ determinism a property of the caller's RNG alone.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import List
 
@@ -97,7 +98,12 @@ class RotatingHotspot(PopularityModel):
         self.hot_weight = real("hot_weight", hot_weight, gt=0, lt=1)
 
     def hot_index(self, now: float) -> int:
-        return int(now // self.rotate_period) % self.num_objects
+        rotations = now // self.rotate_period
+        if rotations == math.inf:
+            # too many rotations for a float: count them within one lap
+            lap = self.rotate_period * self.num_objects
+            rotations = (now % lap) // self.rotate_period
+        return int(rotations) % self.num_objects
 
     def pick(self, u: float, now: float) -> int:
         n = self.num_objects

@@ -56,7 +56,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from repro.bounds import real, whole
 from repro.core.config import (AdaptationMode, ConsistencyMetricSpec,
                                IdeaConfig, MetricWeights, ResolutionStrategy)
-from repro.scenarios.plan import FaultPlan
+from repro.scenarios.plan import FaultPlan, check_churn_draws
 from repro.sim.latency import MAX_SIGMA
 from repro.workloads.clients import OpMix
 from repro.workloads.phases import (ConstantRate, DiurnalRate, FlashCrowdRate,
@@ -333,6 +333,18 @@ def _check_partition(fault: dict, path: str, refs: dict) -> None:
             seen.add(site)
 
 
+def _check_churn(amplification: float) -> Callable[[dict, str, dict], None]:
+    # a fault's build needs nodes, so the parser applies the churn's bound
+    # across its fields here
+    def check(fault: dict, path: str, refs: dict) -> None:
+        try:
+            check_churn_draws(fault["rate"], fault["duration"],
+                              fault.get("amplification", amplification))
+        except ValueError as exc:
+            _fail(path, str(exc))
+    return check
+
+
 #: kinds whose windows must not overlap: kind -> (key ending the window,
 #: whether that key is a length rather than a time, key scoping the rule
 #: to one target, why the substrate cannot compose two of them)
@@ -483,9 +495,10 @@ FAULT_KINDS = {
                           "down_for": _SPAN, "stagger": Num(ge=0),
                           "crash_stagger": Num(ge=0)},
                          build=FaultPlan.site_blast),
-    "churn": Record(_CHURN, build=FaultPlan.churn),
+    "churn": Record(_CHURN, build=FaultPlan.churn, check=_check_churn(0.0)),
     "cascade": Record({**_CHURN, "amplification": Num(ge=0)},
-                      build=partial(FaultPlan.churn, amplification=2.0)),
+                      build=partial(FaultPlan.churn, amplification=2.0),
+                      check=_check_churn(2.0)),
     "partition": Record({"at": _AT, "heal_at": _SPAN,
                          "groups": Items(Names(ref="site"), non_empty=True,
                                          required=True)},
