@@ -60,7 +60,10 @@ class TactBoundedConsistency(BaselineProtocol):
         self._unsynced: Dict[str, list] = {n: [] for n in nodes}
         self._unsynced_delta: Dict[str, float] = {n: 0.0 for n in nodes}
         self._last_sync: Dict[str, float] = {n: 0.0 for n in nodes}
-        self._held: Dict[str, list] = {n: [] for n in nodes}
+        #: per node: pushed records waiting for a lower seq of their writer
+        #: (TACT never resends, so a lost push leaves its writer's later
+        #: records here for good)
+        self.held: Dict[str, list] = {n: [] for n in nodes}
         self.syncs_run = 0
         self._started = False
         for node in nodes.values():
@@ -132,18 +135,19 @@ class TactBoundedConsistency(BaselineProtocol):
 
     def _handle_push(self, message: Message) -> None:
         # jitter lets a later push overtake an earlier one: a record waits
-        # in ``_held`` until every lower seq of its writer is applied
+        # in ``held`` until every lower seq of its writer is applied, and
+        # one already applied is dropped
         receiver = message.dst
         replica = self.replicas[receiver]
         counts: Dict[str, int] = {}
         ready, held = [], []
-        for record in sorted(self._held[receiver] + message.payload["updates"],
+        for record in sorted(self.held[receiver] + message.payload["updates"],
                              key=attrgetter("writer", "seq")):
             count = counts.get(record.writer, replica.vector.count(record.writer))
             if record.seq == count + 1:
                 counts[record.writer] = record.seq
                 ready.append(record)
-            else:
+            elif record.seq > count:
                 held.append(record)
-        self._held[receiver] = held
+        self.held[receiver] = held
         replica.apply_updates(ready, applied_at=self.sim.now)

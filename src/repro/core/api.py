@@ -79,7 +79,9 @@ class IdeaAPI:
     def set_resolution(self, strategy: int, *,
                        priorities: Optional[Mapping[str, int]] = None) -> None:
         """Choose the resolution policy (1=invalidate-both, 2=user-id, 3=priority)."""
-        strategy = ResolutionStrategy(whole("strategy", strategy, ge=1, le=3))
+        strategy = ResolutionStrategy(whole("strategy", strategy,
+                                            ge=min(ResolutionStrategy),
+                                            le=max(ResolutionStrategy)))
         policy = make_policy(strategy, priorities=priorities)
         for middleware in self._managed.middlewares.values():
             middleware.policy = policy

@@ -249,7 +249,7 @@ class FaultPlan:
             raise ValueError("recover_at must come after crash_at")
         count = max(1, int(round(len(node_ids) * fraction)))
         if count >= len(node_ids):
-            raise ValueError("cannot kill every node")
+            raise ValueError(f"fraction {fraction!r} would kill every node")
         plan = cls()
         for i, node_id in enumerate(list(node_ids)[:count]):
             plan.crash(node_id, crash_at + i * stagger)

@@ -25,6 +25,7 @@ which home nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -130,8 +131,9 @@ class ClientStream:
         self.node = None
         self.middlewares: List = []
 
-    def next_time(self, after: float) -> Optional[float]:
-        """Absolute time of this stream's next op, or None when finished."""
+    def next_time(self, after: float, until: float = inf) -> Optional[float]:
+        """Absolute time of this stream's next op, or None when finished or
+        when a quiet stretch of the schedule outlasts ``until``."""
         raise NotImplementedError
 
 
@@ -148,7 +150,7 @@ class OpenLoopClient(ClientStream):
         super().__init__(stream_id, popularity=popularity, mix=mix, rng=rng,
                          schedule=schedule, snapshot_reads=snapshot_reads)
 
-    def next_time(self, after: float) -> Optional[float]:
+    def next_time(self, after: float, until: float = inf) -> Optional[float]:
         schedule = self.schedule
         peak = schedule.peak_rate()
         if peak <= 0.0:
@@ -166,9 +168,9 @@ class OpenLoopClient(ClientStream):
                         else draws.uniform()) * peak <= rate(t):
                     return t
             # A long quiet stretch (pre-flash-crowd baseline 0, the off half
-            # of a repeating schedule): finish only when the schedule says
-            # it will never produce load again, else keep searching forward.
-            if schedule.exhausted_after(t):
+            # of a repeating schedule): finish once past ``until`` or when the
+            # schedule says it will never produce load again, else search on.
+            if not t < until or schedule.exhausted_after(t):
                 return None
         return None
 
@@ -192,7 +194,7 @@ class ClosedLoopClient(ClientStream):
                          schedule=schedule, snapshot_reads=snapshot_reads)
         self.think_time = think_time
 
-    def next_time(self, after: float) -> Optional[float]:
+    def next_time(self, after: float, until: float = inf) -> Optional[float]:
         t = after + self.draws.exponential() * self.think_time
         schedule = self.schedule
         if schedule is None:
@@ -202,7 +204,7 @@ class ClosedLoopClient(ClientStream):
                 if schedule.rate(t) > 0.0:
                     return t
                 t += self.think_time
-            if schedule.exhausted_after(t):
+            if not t < until or schedule.exhausted_after(t):
                 return None
         return None
 

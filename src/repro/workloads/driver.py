@@ -24,6 +24,7 @@ when somebody subscribed, so un-probed runs pay nothing per op.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Dict, List, Optional, Sequence
 
 from repro.bounds import real, whole
@@ -242,9 +243,9 @@ class TrafficDriver:
 
     # ------------------------------------------------------------ scheduling
     def _schedule_next(self, stream: ClientStream, after: float, sim) -> None:
-        next_time = stream.next_time(after)
-        horizon = None if self.duration is None else self.start_time + self.duration
-        if next_time is None or (horizon is not None and next_time > horizon):
+        horizon = inf if self.duration is None else self.start_time + self.duration
+        next_time = stream.next_time(after, horizon)
+        if next_time is None or next_time > horizon:
             self.finished_streams += 1
             return
         # One recyclable engine event per stream; the handle never escapes,

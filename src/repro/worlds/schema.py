@@ -49,6 +49,7 @@ constructor that realises it) and nothing anywhere else.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
@@ -333,16 +334,18 @@ def _check_partition(fault: dict, path: str, refs: dict) -> None:
             seen.add(site)
 
 
-def _check_churn(amplification: float) -> Callable[[dict, str, dict], None]:
+def _churn(fields: dict, build: Callable) -> Record:
     # a fault's build needs nodes, so the parser applies the churn's bound
-    # across its fields here
+    # across its fields here, with the build's own default amplification
+    default = inspect.signature(build).parameters["amplification"].default
+
     def check(fault: dict, path: str, refs: dict) -> None:
         try:
             check_churn_draws(fault["rate"], fault["duration"],
-                              fault.get("amplification", amplification))
+                              fault.get("amplification", default))
         except ValueError as exc:
             _fail(path, str(exc))
-    return check
+    return Record(fields, build=build, check=check)
 
 
 #: kinds whose windows must not overlap: kind -> (key ending the window,
@@ -495,10 +498,9 @@ FAULT_KINDS = {
                           "down_for": _SPAN, "stagger": Num(ge=0),
                           "crash_stagger": Num(ge=0)},
                          build=FaultPlan.site_blast),
-    "churn": Record(_CHURN, build=FaultPlan.churn, check=_check_churn(0.0)),
-    "cascade": Record({**_CHURN, "amplification": Num(ge=0)},
-                      build=partial(FaultPlan.churn, amplification=2.0),
-                      check=_check_churn(2.0)),
+    "churn": _churn(_CHURN, FaultPlan.churn),
+    "cascade": _churn({**_CHURN, "amplification": Num(ge=0)},
+                      partial(FaultPlan.churn, amplification=2.0)),
     "partition": Record({"at": _AT, "heal_at": _SPAN,
                          "groups": Items(Names(ref="site"), non_empty=True,
                                          required=True)},

@@ -8,6 +8,7 @@ from repro.baselines.optimistic import OptimisticAntiEntropy
 from repro.baselines.strong import StrongConsistencyPrimary
 from repro.baselines.tact import TactBoundedConsistency, TactBounds
 from repro.core.deployment import DeploymentBuilder
+from repro.transport.message import Message
 
 
 def build(num_nodes=5, seed=6):
@@ -177,3 +178,24 @@ class TestTactBoundedConsistency:
         protocol.write("n00", "x")
         deployment.run(until=2.0)
         assert protocol.syncs_run == 1
+
+    def test_a_push_overtaken_in_flight_waits_and_a_repeat_is_dropped(self):
+        deployment = build()
+        protocol = TactBoundedConsistency(deployment.sim, deployment.network,
+                                          deployment.nodes, "obj",
+                                          bounds=TactBounds(order=100, numerical=1e9,
+                                                            staleness=1e9))
+        first, second = (protocol.write("n00", f"u{k}") for k in range(2))
+
+        def push(*records):
+            protocol._handle_push(Message("n00", "n01", protocol.protocol_name,
+                                          "tact_push:obj",
+                                          {"updates": list(records)}))
+        push(second)
+        # the gap stays visible until the earlier push arrives
+        assert protocol.replicas["n01"].vector.count("n00") == 0
+        assert protocol.held["n01"] == [second]
+        push(first)
+        push(first, second)
+        assert protocol.replicas["n01"].vector.count("n00") == 2
+        assert protocol.held["n01"] == []

@@ -4,16 +4,19 @@ Each entry point below takes numbers from outside the process: a config
 dataclass, a rate or workload spec, a fault plan, a world document, a
 developer-API setter, a clock or ``tasks.sleep``.  Its numeric parameters
 are read from the code (a dataclass's fields through its signature,
-``inspect.signature``, the world schema's table), and one draw sets one of
-them to NaN, ±∞, 0, a negative, a huge or subnormal float, a bool, a
-string or a wrong type.  Each field, and each numeric path of a world, is
-its own test, so every one of them is drawn on every run.  The draw must be refused with a ``ValueError``
-naming the field, or complete a short simulated run: the clock moves within
-the event budget, nothing raises inside the engine, and every level read is
-finite.
+``inspect.signature``, the world schema's table), and each is drawn NaN,
+±∞, 0, a negative, a huge or subnormal float, a bool, a string, a wrong
+type, and each of its bounds with the nearest value on either side.  What
+a field accepts is declared once: beside its entry below (a schema ``Num``
+or ``Int``), or in the world schema's table for a world path.
 
-Tier-1 draws the same examples each run; under ``--hypothesis-seed`` the
-draws are random and more numerous.
+A value the field does not accept must be refused with a ``ValueError``
+naming the field.  One it accepts must be refused the same way (a rule
+across fields, or a stated work limit) or complete a short simulated run:
+the clock moves within the event budget, nothing raises inside the engine,
+and every level read is finite.  Each field, and each numeric path of a
+world, is its own test, so every one of them is drawn on every run; under
+``--hypothesis-seed`` arbitrary floats are drawn too.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import itertools
 import math
 import pkgutil
 import re
+import sys
 
 import pytest
 from hypothesis import core, given, settings, strategies as st
@@ -48,7 +52,7 @@ from repro.scenarios.injector import FaultInjector
 from repro.scenarios.plan import FaultAction, FaultPlan
 from repro.sim.clock import ClockModel
 from repro.sim.engine import Simulator
-from repro.sim.latency import LatencyModel, LinkProfile
+from repro.sim.latency import MAX_SIGMA, LatencyModel, LinkProfile
 from repro.sim.topology import planetlab_topology
 from repro.transport import Clock
 from repro.transport.tasks import sleep
@@ -58,25 +62,34 @@ from repro.workloads import (ClientPopulation, ConstantRate, DiurnalRate,
                              RotatingHotspot, UniformPopularity,
                              UniformWorkload, ZipfPopularity)
 from repro.workloads.driver import TrafficDriver
+from repro.workloads.phases import MAX_RATE
 from repro.worlds import WorldValidationError, build_world, parse_world
-from repro.worlds.schema import ROOT, Field, Record
+from repro.worlds.schema import ROOT, Field, Int, Num
 from test_worlds import _full_doc, _walk
 
 ODD = (math.nan, math.inf, -math.inf, 0, 0.0, -1, -0.5, -1e308, 1e308, 1e300,
        5e-324, 1e-310, True, False, "1", None, [1.0], object())
-VALUES = st.sampled_from(ODD) | st.floats()
 SEEDED = core.global_force_seed is not None
-BOUNDARY = settings(max_examples=50 if SEEDED else 12,
+#: the short run: simulated seconds, and the events it may take (a normal
+#: one takes under 300)
+HORIZON, BUDGET = 2.0, 500
+
+
+def _floats(fields) -> settings:
+    """Arbitrary floats into ``fields``: a few derandomised, and fifty a
+    field at random under a seed."""
+    return settings(max_examples=50 * len(fields) if SEEDED else 10,
                     derandomize=not SEEDED, deadline=None)
-#: the short run: simulated seconds, and the events it may take
-HORIZON, BUDGET = 2.0, 20_000
+
+
 NODES = ["n00", "n01", "n02", "n03"]
 
 
 def _numeric(target) -> list:
     """The parameters of ``target`` annotated as a number."""
     return [name for name, p in inspect.signature(target).parameters.items()
-            if re.search(r"\b(float|int)\b", str(p.annotation))]
+            if re.fullmatch(r"(Optional\[)?(float|int)\]?",
+                            str(p.annotation))]
 
 
 def _run(sim, levels=()) -> None:
@@ -87,13 +100,15 @@ def _run(sim, levels=()) -> None:
         assert math.isfinite(level())
 
 
-def _deployment(config=None, *, num_nodes=3, seed=1, **builder):
-    deployment = (DeploymentBuilder(num_nodes=num_nodes, seed=seed, **builder)
-                  .add_object("obj", config or IdeaConfig(
-                      hint_level=0.5, background_period=0.5))
-                  .start_overlay_services().build())
-    for node in deployment.node_ids:
-        deployment.middleware("obj", node).write(metadata_delta=1.0)
+def _deployment(config=None, *, objects=("obj",), num_nodes=3, seed=1,
+                **builder):
+    builder = DeploymentBuilder(num_nodes=num_nodes, seed=seed, **builder)
+    for name in objects:
+        builder.add_object(name, config or IdeaConfig(hint_level=0.5,
+                                                      background_period=0.5))
+    deployment = builder.start_overlay_services().build()
+    for name, node in itertools.product(objects, deployment.node_ids):
+        deployment.middleware(name, node).write(metadata_delta=1.0)
     return deployment
 
 
@@ -103,15 +118,20 @@ def _levels(deployment) -> None:
                           for mw in managed.middlewares.values()])
 
 
-def _driven(populations=None, **driver):
-    deployment = _deployment()
+def _driven(populations=None, objects=("obj",), **driver):
+    deployment = _deployment(objects=objects)
     TrafficDriver(deployment, populations or _population(),
-                  **{"max_ops": 200, **driver}).start()
+                  **{"max_ops": 200, "duration": HORIZON, **driver}).start()
     return deployment
 
 
 def _drive(populations=None) -> None:
     _levels(_driven(populations))
+
+
+def _popular(popularity) -> None:
+    _levels(_driven(_population(popularity=popularity), objects=[
+        f"obj{k}" for k in range(popularity.num_objects)]))
 
 
 def _population(**spec) -> list:
@@ -212,11 +232,13 @@ def _link(profile) -> LatencyModel:
 
 @dataclasses.dataclass
 class Entry:
-    """Where the fields are read from, what builds from the drawn keyword
-    (plus ``required``), and what runs what it built."""
+    """Where the fields are read from, what each field accepts (a schema
+    ``Num`` or ``Int``), what builds from the drawn keyword (plus
+    ``required``), and what runs what it built."""
 
     fields_of: object
     run: object
+    rules: dict
     build: object = None
     required: dict = dataclasses.field(default_factory=dict)
     #: a per-op path: a wrong type fails its one comparison with TypeError
@@ -232,113 +254,224 @@ class Entry:
                                                  name: value})
 
 
-def _schedule_entry(cls, **required) -> Entry:
-    return Entry(cls, lambda s: _drive(_population(schedule=s)),
+def _schedule_entry(cls, rules, **required) -> Entry:
+    return Entry(cls, lambda s: _drive(_population(schedule=s)), rules,
                  required=required)
 
 
+NAN, INF = math.nan, math.inf
+RATE = Num(ge=0, le=MAX_RATE)
+SIGMA = Num(ge=0, le=MAX_SIGMA, nullable=True)
+LOSS = Num(ge=0, lt=1)
+#: a per-op path's one comparison lets +∞ through: an event at ∞ never fires
+AFTER = Num(ge=0, le=INF)
 ENTRIES = {
-    "IdeaConfig": Entry(IdeaConfig, lambda c: _levels(_deployment(c))),
+    "IdeaConfig": Entry(IdeaConfig, lambda c: _levels(_deployment(c)), {
+        "hint_level": Num(ge=0, le=1), "hint_delta": Num(ge=0),
+        "background_period": Num(gt=0, nullable=True),
+        "outcome_history": Int(ge=1, le=sys.maxsize)}),
     "MetricWeights": Entry(MetricWeights, lambda w: _levels(_deployment(
-        IdeaConfig(weights=w, hint_level=0.5)))),
+        IdeaConfig(weights=w, hint_level=0.5))), dict.fromkeys(
+            ("numerical", "order", "staleness"), Num(ge=0))),
     "ConsistencyMetricSpec": Entry(ConsistencyMetricSpec, lambda m: _levels(
-        _deployment(IdeaConfig(metric=m, hint_level=0.5)))),
+        _deployment(IdeaConfig(metric=m, hint_level=0.5))), dict.fromkeys(
+            ("max_numerical", "max_order", "max_staleness"), Num(gt=0))),
     "TemperatureConfig": Entry(TemperatureConfig, lambda t: _levels(
-        _deployment(overlay_config=OverlayConfig(temperature=t)))),
+        _deployment(overlay_config=OverlayConfig(temperature=t))), {
+            "half_life": Num(gt=0), "hot_threshold": Num(),
+            "max_top_size": Int(ge=1), "min_top_size": Int(ge=0)}),
     "GossipConfig": Entry(GossipConfig, lambda g: _levels(_deployment(
-        gossip_config=g, use_gossip=True))),
+        gossip_config=g, use_gossip=True)), {
+            "round_period": Num(gt=0), "fanout": Int(ge=1),
+            "ttl": Int(ge=1)}),
     "ClockModel": Entry(ClockModel, lambda c: _levels(_deployment(
-        clock_model=c))),
+        clock_model=c)), {
+            **dict.fromkeys(("max_offset", "max_drift_rate"),
+                            Num(ge=0, le=sys.float_info.max / 2)),
+            "sync_interval": Num(gt=0, nullable=True)}),
     "LinkProfile": Entry(LinkProfile, lambda p: _levels(_deployment(
-        topology=_topology(), latency=_link(p)))),
+        topology=_topology(), latency=_link(p))), {
+            "latency": Num(ge=0, nullable=True), "latency_scale": Num(gt=0),
+            "jitter_sigma": SIGMA, "loss": LOSS}),
     "LatencyModel.fixed": Entry(LatencyModel.fixed, lambda m: _levels(
-        _deployment(latency=m))),
+        _deployment(latency=m)), {"delay": Num(ge=0)}),
     "LatencyModel.world": Entry(
         LatencyModel.world, lambda m: _levels(_deployment(
             topology=_topology(), latency=m)),
+        {"jitter_sigma": Num(ge=0, le=MAX_SIGMA), "min_jitter": Num(gt=0, le=1)},
         build=lambda **v: LatencyModel.world(_topology(), **v)),
-    "DeploymentBuilder": Entry(DeploymentBuilder, _levels,
-                               build=lambda **v: _deployment(**v)),
-    "TactBounds": Entry(TactBounds, _tact),
-    "OptimisticAntiEntropy": Entry(OptimisticAntiEntropy, _levels,
-                                   build=_anti_entropy),
-    "FrequencyBounds": Entry(FrequencyBounds, _controller),
+    "DeploymentBuilder": Entry(DeploymentBuilder, _levels, {
+        "num_nodes": Int(ge=1), "seed": Int(), "ransub_period": Num(gt=0),
+        "processing_delay": Num(ge=0, nullable=True), "loss_probability": LOSS},
+        build=lambda **v: _deployment(**v)),
+    "TactBounds": Entry(TactBounds, _tact, {
+        "numerical": Num(gt=0), "order": Int(ge=1), "staleness": Num(gt=0)}),
+    "OptimisticAntiEntropy": Entry(OptimisticAntiEntropy, _levels, {
+        "anti_entropy_period": Num(gt=0)}, build=_anti_entropy),
+    "FrequencyBounds": Entry(FrequencyBounds, _controller, dict.fromkeys(
+        ("min_period", "max_period"), Num(gt=0, nullable=True))),
     "BackoffPolicy": Entry(BackoffPolicy, lambda p: _run(Simulator(), [
-        lambda d=d: d for d in itertools.islice(p.delays(seed=1), 8)])),
-    "ConstantRate": _schedule_entry(ConstantRate, rate=1.0),
-    "RampRate": _schedule_entry(RampRate, start_rate=1.0, end_rate=2.0,
-                                duration=1.0),
-    "DiurnalRate": _schedule_entry(DiurnalRate, base_rate=1.0, period=1.0),
-    "FlashCrowdRate": _schedule_entry(FlashCrowdRate, base_rate=1.0,
-                                      peak_rate=2.0, at=0.5),
-    "ZipfPopularity": Entry(ZipfPopularity, lambda p: _drive(_population(
-        popularity=p)), required={"num_objects": 1}),
-    "RotatingHotspot": Entry(RotatingHotspot, lambda p: _drive(_population(
-        popularity=p)), required={"num_objects": 1, "rotate_period": 1.0}),
-    "OpMix": Entry(OpMix, lambda m: _drive(_population(mix=m))),
+        lambda d=d: d for d in itertools.islice(p.delays(seed=1), 8)]), {
+            "base": Num(gt=0), "cap": Num(), "multiplier": Num(ge=1),
+            "jitter": Num(ge=0, lt=1),
+            "max_elapsed": Num(gt=0, nullable=True)}),
+    "ConstantRate": _schedule_entry(ConstantRate, {"rate": RATE}, rate=1.0),
+    "RampRate": _schedule_entry(RampRate, {
+        "start_rate": RATE, "end_rate": RATE, "duration": Num(gt=0),
+        "t0": Num()}, start_rate=1.0, end_rate=2.0, duration=1.0),
+    "DiurnalRate": _schedule_entry(DiurnalRate, {
+        "base_rate": RATE, "amplitude": Num(ge=0, le=1),
+        "period": Num(gt=0), "phase": Num()}, base_rate=1.0, period=1.0),
+    "FlashCrowdRate": _schedule_entry(FlashCrowdRate, {
+        "base_rate": RATE, "peak_rate": RATE, "at": Num(),
+        "ramp": Num(gt=0), "hold": Num(ge=0),
+        "decay": Num(gt=0, nullable=True)},
+        base_rate=1.0, peak_rate=2.0, at=0.0),
+    "ZipfPopularity": Entry(ZipfPopularity, _popular, {
+        "num_objects": Int(ge=1), "skew": Num(ge=0)},
+        required={"num_objects": 1}),
+    "RotatingHotspot": Entry(RotatingHotspot, _popular, {
+        "num_objects": Int(ge=1), "rotate_period": Num(gt=0),
+        "hot_weight": Num(gt=0, lt=1)},
+        required={"num_objects": 1, "rotate_period": 1.0}),
+    "OpMix": Entry(OpMix, lambda m: _drive(_population(mix=m)), {
+        "read_fraction": Num(ge=0, le=1)}),
     "ClientPopulation": Entry(
-        ClientPopulation, _drive,
+        ClientPopulation, _drive, {"num_clients": Int(ge=1),
+                                   "think_time": Num(gt=0)},
         build=lambda **v: _population(model="closed", schedule=None, **v)),
-    "TrafficDriver": Entry(TrafficDriver, _levels, build=_driven),
-    "UniformWorkload": Entry(UniformWorkload, _workload,
-                             required={"writers": ["n00"]}),
-    "PoissonWorkload": Entry(PoissonWorkload, _workload,
-                             required={"writers": ["n00"]}),
-    "FaultAction": Entry(FaultAction, _inject, build=lambda **v: FaultPlan()
-                         ._add(FaultAction(**{"kind": "set_loss", "time": 1.0,
-                                              "loss_probability": 0.1, **v}))),
-    "FaultPlan.churn": Entry(FaultPlan.churn, _inject, required=dict(
-        node_ids=NODES, rate=0.5, duration=2.0, seed=1, downtime=0.5)),
+    "TrafficDriver": Entry(TrafficDriver, _levels, {
+        "start": Num(ge=0), "duration": Num(gt=0, nullable=True),
+        "max_ops": Int(ge=1, nullable=True),
+        "truncate_every": Num(gt=0, nullable=True),
+        "truncate_window": Num(ge=0)}, build=_driven),
+    "UniformWorkload": Entry(UniformWorkload, _workload, {
+        "period": Num(gt=0), "duration": Num(gt=0), "start": Num(ge=0),
+        "stagger": Num(ge=0)}, required={"writers": ["n00"]}),
+    "PoissonWorkload": Entry(PoissonWorkload, _workload, {
+        "mean_period": Num(gt=0), "duration": Num(gt=0), "start": Num(ge=0)},
+        required={"writers": ["n00"]}),
+    "FaultAction": Entry(FaultAction, _inject, {
+        "time": Num(ge=0), "loss_probability": LOSS},
+        build=lambda **v: FaultPlan()._add(FaultAction(**{
+            "kind": "set_loss", "time": 1.0, "loss_probability": 0.1, **v}))),
+    "FaultPlan.churn": Entry(FaultPlan.churn, _inject, {
+        "rate": Num(gt=0), "duration": Num(ge=0), "seed": Int(ge=0),
+        "downtime": Num(gt=0), "amplification": Num(ge=0),
+        "start": Num(ge=0), "spare": Int(ge=1)}, required=dict(
+            node_ids=NODES, rate=0.5, duration=2.0, seed=1, downtime=0.5)),
     "FaultPlan.kill_and_recover": Entry(
-        FaultPlan.kill_and_recover, _inject, required=dict(
-            node_ids=NODES, fraction=0.5, crash_at=0.5, recover_at=1.0)),
-    "FaultPlan.site_blast": Entry(FaultPlan.site_blast, _inject, required=dict(
-        node_ids=NODES[:2], at=0.5, down_for=0.5)),
+        FaultPlan.kill_and_recover, _inject, {
+            "fraction": Num(gt=0, le=1), "crash_at": Num(ge=0),
+            "recover_at": Num(), "stagger": Num(ge=0)}, required=dict(
+                node_ids=NODES, fraction=0.5, crash_at=0.5, recover_at=1.0)),
+    "FaultPlan.site_blast": Entry(FaultPlan.site_blast, _inject, {
+        "at": Num(ge=0), "down_for": Num(gt=0), "stagger": Num(ge=0),
+        "crash_stagger": Num(ge=0)}, required=dict(
+            node_ids=NODES[:2], at=0.5, down_for=0.5)),
     "FaultPlan.loss_burst": Entry(
-        FaultPlan.loss_burst, _inject,
+        FaultPlan.loss_burst, _inject, {
+            "at": Num(ge=0), "duration": Num(gt=0), "loss_probability": LOSS,
+            "baseline": Num(ge=0, lt=1, nullable=True)},
         build=lambda **v: FaultPlan().loss_burst(**v),
         required=dict(at=0.5, duration=0.5, loss_probability=0.2)),
     "FaultPlan.from_dict": Entry(
-        FaultAction, _inject, build=lambda **v: FaultPlan.from_dict(
+        FaultAction, _inject, {"time": Num(ge=0), "loss_probability": LOSS},
+        build=lambda **v: FaultPlan.from_dict(
             {"actions": [{"kind": "set_loss", "time": 1.0,
                           "loss_probability": 0.1, **v}]})),
-    **{f"IdeaAPI.{setter}": Entry(getattr(IdeaAPI, setter), _levels,
+    **{f"IdeaAPI.{setter}": Entry(getattr(IdeaAPI, setter), _levels, rules,
                                   build=_api(setter), required=required)
-       for setter, required in [
-           ("set_hint", {}), ("set_background_freq", {}),
-           ("set_resolution", dict(strategy=2)),
-           ("set_weight", dict(numerical=1, order=1, staleness=1)),
-           ("set_consistency_metric", dict(max_numerical=60, max_order=60,
-                                           max_staleness=60))]},
+       for setter, rules, required in [
+           ("set_hint", {"hint_level": Num(ge=0, le=1)}, {}),
+           ("set_background_freq", {"frequency_hz": Num(gt=0)}, {}),
+           ("set_resolution", {"strategy": Int(ge=1, le=3)}, {}),
+           ("set_weight", dict.fromkeys(("numerical", "order", "staleness"),
+                                        Num(ge=0)),
+            dict(numerical=1, order=1, staleness=1)),
+           ("set_consistency_metric", dict.fromkeys(
+               ("max_numerical", "max_order", "max_staleness"), Num(gt=0)),
+            dict(max_numerical=60, max_order=60, max_staleness=60))]},
     "IdeaMiddleware.write": Entry(IdeaMiddleware.write, _levels,
-                                  build=_write, per_op=True),
-    **{f"{clock.__name__}.{schedule}": Entry(
-        getattr(Clock, schedule), run, build=build(schedule), per_op=True)
-       for clock, build, run in [(Simulator, _clock, _run),
-                                 (LiveClock, _live_clock, lambda _: None)]
-       for schedule in ("call_after", "call_at")},
-    "tasks.sleep": Entry(sleep, _sleep, per_op=True),
+                                  {"metadata_delta": Num()}, build=_write,
+                                  per_op=True),
+    "Simulator.call_after": Entry(Clock.call_after, _run, {"delay": AFTER},
+                                  build=_clock("call_after"), per_op=True),
+    "Simulator.call_at": Entry(Clock.call_at, _run, {"time": AFTER},
+                               build=_clock("call_at"), per_op=True),
+    "LiveClock.call_after": Entry(Clock.call_after, lambda _: None,
+                                  {"delay": AFTER},
+                                  build=_live_clock("call_after"), per_op=True),
+    "LiveClock.call_at": Entry(Clock.call_at, lambda _: None,
+                               {"time": Num(le=INF)},
+                               build=_live_clock("call_at"), per_op=True),
+    "tasks.sleep": Entry(sleep, _sleep, {"delay": AFTER}, per_op=True),
 }
+FIELDS = [(entry, name) for entry in sorted(ENTRIES)
+          for name in ENTRIES[entry].rules]
 
 
-@pytest.mark.parametrize("entry, name", [
-    (entry, name) for entry in sorted(ENTRIES)
-    for name in ENTRIES[entry].fields()])
-@BOUNDARY
-@given(value=VALUES)
-def test_an_odd_number_is_refused_naming_its_field_or_runs(entry, name, value):
-    chosen = ENTRIES[entry]
+def _admits(rule, value) -> bool:
+    """Whether ``rule`` takes ``value``: a number (an ``int`` for ``Int``;
+    never a bool), finite unless ``le`` is ∞, within the bounds; or None
+    where the rule is nullable."""
+    if value is None:
+        return rule.nullable
+    if (isinstance(value, bool) or not isinstance(
+            value, int if rule.type == "int" else (int, float))):
+        return False
+    return (-INF < value and (value < INF or rule.le == INF)
+            and (rule.ge is None or value >= rule.ge)
+            and (rule.gt is None or value > rule.gt)
+            and (rule.le is None or value <= rule.le)
+            and (rule.lt is None or value < rule.lt))
+
+
+def _draws(rule) -> tuple:
+    """The odd values, then each finite bound of ``rule`` and the nearest
+    value on either side of it."""
+    edges = []
+    for bound in (rule.ge, rule.gt, rule.le, rule.lt):
+        if bound is not None and math.isfinite(bound):
+            edges += ([int(bound) + step for step in (-1, 0, 1)]
+                      if rule.type == "int" else
+                      [math.nextafter(bound, -INF), float(bound),
+                       math.nextafter(bound, INF)])
+    # once each: an edge may be an odd value already
+    return tuple({(type(value), repr(value)): value
+                  for value in ODD + tuple(edges)}.values())
+
+
+def _refused_or_runs(chosen, name, value) -> None:
     try:
         built = chosen.make(name, value)
     except ValueError as exc:
         assert name in str(exc), exc
     except TypeError:
-        assert chosen.per_op and not isinstance(value, (int, float))
+        assert chosen.per_op and not isinstance(value, (int, float)), value
     else:
+        # a per-op path's one comparison reads a bool as the number it is
+        number = (int(value) if chosen.per_op and isinstance(value, bool)
+                  else value)
+        assert _admits(chosen.rules[name], number), \
+            f"{name}={value!r} is outside {chosen.rules[name]} yet accepted"
         chosen.run(built)
 
 
-NAN, INF = math.nan, math.inf
+@pytest.mark.parametrize("entry, name", FIELDS)
+def test_an_odd_number_is_refused_naming_its_field_or_runs(entry, name):
+    chosen = ENTRIES[entry]
+    for value in _draws(chosen.rules[name]):
+        _refused_or_runs(chosen, name, value)
+
+
+@_floats(FIELDS)
+@given(field=st.sampled_from(FIELDS), value=st.floats())
+def test_any_float_is_refused_naming_its_field_or_runs(field, value):
+    entry, name = field
+    _refused_or_runs(ENTRIES[entry], name, value)
+
+
 #: values the checks before the one rule let through: each is refused now
 ONCE_ACCEPTED = [
     *[("ClockModel", name, (NAN, INF, -INF, -1.0))
@@ -416,18 +549,8 @@ def _schema_leaf(doc, where):
     return (record, where[-1]) if field.type in ("num", "int") else None
 
 
-def _leaves(doc):
-    """Every key path to a scalar of ``doc``."""
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
-    for key, value in items:
-        if isinstance(value, (dict, list)):
-            yield from ((key,) + rest for rest in _leaves(value))
-        else:
-            yield (key,)
-
-
 DOC = _full_doc()
-WORLD_NUMBERS = [where for where in _leaves(DOC) if _schema_leaf(DOC, where)]
+WORLD_NUMBERS = [where for where, *_ in _walk(DOC) if _schema_leaf(DOC, where)]
 
 
 def _path(where) -> str:
@@ -435,24 +558,39 @@ def _path(where) -> str:
                    for key in where).lstrip(".")
 
 
-@pytest.mark.parametrize("where", WORLD_NUMBERS, ids=map(_path, WORLD_NUMBERS))
-@BOUNDARY
-@given(value=VALUES)
-def test_an_odd_number_in_a_world_is_refused_at_its_path_or_runs(where, value):
+def _in_a_world_refused_or_runs(where, value) -> None:
     doc = _full_doc()
     *parents, last = where
     holder = doc
     for key in parents:
         holder = holder[key]
     holder[last] = value
+    record, key = _schema_leaf(DOC, where)
     try:
         world = parse_world(doc)
     except WorldValidationError as exc:
-        # a rule across fields names the other field in its reason
+        # a value the field takes may still break a rule across fields (a
+        # site's node count that a placement outgrows), reported where broken
         assert (_path(where).startswith(exc.path)
-                or repr(where[-1]) in exc.reason), exc
+                or repr(where[-1]) in exc.reason
+                or _admits(record.fields[key], value)), exc
     else:
+        assert _admits(record.fields[key], value), \
+            f"{value!r} is outside {record.fields[key]} yet accepted"
         _levels(build_world(world, duration=HORIZON))
+
+
+@pytest.mark.parametrize("where", WORLD_NUMBERS, ids=map(_path, WORLD_NUMBERS))
+def test_an_odd_number_in_a_world_is_refused_at_its_path_or_runs(where):
+    record, key = _schema_leaf(DOC, where)
+    for value in _draws(record.fields[key]):
+        _in_a_world_refused_or_runs(where, value)
+
+
+@_floats(WORLD_NUMBERS)
+@given(where=st.sampled_from(WORLD_NUMBERS), value=st.floats())
+def test_any_float_in_a_world_is_refused_at_its_path_or_runs(where, value):
+    _in_a_world_refused_or_runs(where, value)
 
 
 #: built per detection from the program's own arithmetic, never a caller's
@@ -474,8 +612,11 @@ def _config_types():
 
 
 def test_every_numeric_field_of_a_config_type_and_a_world_is_drawn():
+    assert {name: sorted(set(entry.fields()) ^ set(entry.rules))
+            for name, entry in ENTRIES.items()
+            if set(entry.fields()) != set(entry.rules)} == {}
     drawn = {(entry.fields_of, name) for entry in ENTRIES.values()
-             for name in entry.fields()}
+             for name in entry.rules}
     assert [(cls.__name__, name) for cls in _config_types()
             for name in _numeric(cls) if (cls, name) not in drawn] == []
     reached = {(id(record), key) for record, key in

@@ -572,7 +572,7 @@ class TestValidateMeansBuilds:
     @given(data=st.data())
     def test_one_mutation_away_is_rejected_with_a_path_or_builds(self, data):
         doc = copy.deepcopy(data.draw(st.sampled_from(self._DOCUMENTS)))
-        leaves = [(holder, key) for holder, key, value in _walk(doc)
+        leaves = [(holder, key) for _, holder, key, value in _walk(doc)
                   if not isinstance(value, (dict, list))]
         holder, key = data.draw(st.sampled_from(leaves))
         how = data.draw(st.sampled_from(["replace", "delete", "sibling"]))
@@ -592,13 +592,13 @@ class TestValidateMeansBuilds:
             build_world(world)
 
 
-def _walk(node):
-    """Every ``(container, key, value)`` below ``node``."""
+def _walk(node, path=()):
+    """Every ``(key path, container, key, value)`` below ``node``."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
     for key, value in list(items):
-        yield node, key, value
+        yield path + (key,), node, key, value
         if isinstance(value, (dict, list)):
-            yield from _walk(value)
+            yield from _walk(value, path + (key,))
 
 
 class TestLoader:
